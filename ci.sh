@@ -10,6 +10,7 @@ cargo fmt --all -- --check || {
 }
 
 cargo build --release --workspace
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo build --workspace --examples
 cargo test -q --workspace
 

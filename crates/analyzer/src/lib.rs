@@ -18,10 +18,11 @@
 //!    deadlock cycle from the SCC of the cross-rank wait-for graph.
 //!
 //! Failures are typed [`AnalysisError`]s naming the offending (rank,
-//! step, tag) — the information a hang destroys. The stencil engine
-//! runs [`analyze`] up front on every `run_dist*` entry point (opt out
-//! with `WorldConfig::without_preflight` for benchmarks); `paper
-//! analyze` sweeps every shipped configuration through it.
+//! step, tag) — the information a hang destroys. The stencil crate
+//! runs [`analyze`] over its own decomposition types whenever it
+//! compiles a plan (its one-shot drivers opt out with
+//! `WorldConfig::without_preflight` for benchmarks); `paper analyze`
+//! sweeps every shipped configuration through it.
 //!
 //! [`StepPlan`]: tiling_core::schedule::StepPlan
 //! [`DependenceSet`]: tiling_core::dependence::DependenceSet

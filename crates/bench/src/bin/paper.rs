@@ -391,9 +391,10 @@ fn cmd_chaos() {
     use bench::configs::{chaos_decomp, chaos_gantt_decomp, demo_wire_latency, plan_request};
     use msgpass::prelude::*;
     use std::time::Duration;
-    use stencil::dist3d::{run_dist3d_observed_with, ExecMode};
+    use stencil::dist3d::ExecMode;
     use stencil::engine::TraceObserver;
     use stencil::kernel::Paper3D;
+    use stencil::plan::{run3d_observed_with, Compiled3D};
 
     let seed = std::env::var("CHAOS_SEED")
         .ok()
@@ -475,11 +476,12 @@ fn cmd_chaos() {
         );
     let gantt_d = chaos_gantt_decomp();
     let stall_after = Duration::from_millis(1);
-    let (grid, _, observers, _) =
-        run_dist3d_observed_with(Paper3D, gantt_d, &spiky, ExecMode::Overlapping, |comm| {
-            TraceObserver::new(comm.rank(), comm.epoch()).with_stall_threshold(stall_after)
-        })
-        .expect("recoverable plan completes");
+    let gantt_plan =
+        Compiled3D::compile(gantt_d, ExecMode::Overlapping).expect("shipped layout compiles");
+    let (grid, _, observers, _) = run3d_observed_with(Paper3D, &gantt_plan, &spiky, |comm| {
+        TraceObserver::new(comm.rank(), comm.epoch()).with_stall_threshold(stall_after)
+    })
+    .expect("recoverable plan completes");
     let seq = stencil::seq::run_paper3d_seq(gantt_d.nx, gantt_d.ny, gantt_d.nz, gantt_d.boundary);
     assert_eq!(
         grid.max_abs_diff(&seq),
@@ -520,8 +522,9 @@ fn cmd_analyze() {
         chaos_decomp, chaos_gantt_decomp, example1_strip, perf_deep_decomp, threads_decomp,
     };
     use bench::gantt::thread_demo_decomp;
+    use stencil::decomp::Layout;
     use stencil::dist3d::ExecMode;
-    use stencil::preflight::{check_plan2d, check_plan3d};
+    use stencil::preflight::check_plan;
     use tiling_core::schedule::{StepPlan, StepStrategy};
 
     let mut failures = 0usize;
@@ -539,38 +542,29 @@ fn cmd_analyze() {
         ("perf deep", perf_deep_decomp(false)),
     ];
     let d2 = [("example 1 (strip)", example1_strip())];
-    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-        for (name, d) in &d3 {
-            match check_plan3d(d, mode) {
-                Ok(r) => println!(
-                    "{name:<26} {:<12} {:>5} {:>6} {:>9} {:>9}  ok",
-                    format!("{mode:?}"),
-                    r.ranks,
-                    r.steps,
-                    r.messages,
-                    r.logical_makespan
-                ),
-                Err(e) => {
-                    failures += 1;
-                    println!("{name:<26} {:<12} REJECTED: {e}", format!("{mode:?}"));
-                }
+    /// Pre-flight one shipped layout, counting a rejection as a failure.
+    fn preflight_row<L: Layout>(name: &str, d: &L, mode: ExecMode, failures: &mut usize) {
+        match check_plan(d, mode) {
+            Ok(r) => println!(
+                "{name:<26} {:<12} {:>5} {:>6} {:>9} {:>9}  ok",
+                format!("{mode:?}"),
+                r.ranks,
+                r.steps,
+                r.messages,
+                r.logical_makespan
+            ),
+            Err(e) => {
+                *failures += 1;
+                println!("{name:<26} {:<12} REJECTED: {e}", format!("{mode:?}"));
             }
         }
+    }
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        for (name, d) in &d3 {
+            preflight_row(name, d, mode, &mut failures);
+        }
         for (name, d) in &d2 {
-            match check_plan2d(d, mode) {
-                Ok(r) => println!(
-                    "{name:<26} {:<12} {:>5} {:>6} {:>9} {:>9}  ok",
-                    format!("{mode:?}"),
-                    r.ranks,
-                    r.steps,
-                    r.messages,
-                    r.logical_makespan
-                ),
-                Err(e) => {
-                    failures += 1;
-                    println!("{name:<26} {:<12} REJECTED: {e}", format!("{mode:?}"));
-                }
-            }
+            preflight_row(name, d, mode, &mut failures);
         }
     }
 
@@ -1107,12 +1101,12 @@ mod perf {
         kind: TransportKind,
         mode: ExecMode,
     ) -> LaneSummary {
-        use stencil::dist3d::run_dist3d_observed_with;
         use stencil::engine::LaneStats;
+        use stencil::plan::{run3d_observed_with, Compiled3D};
         let steps = d.steps();
-        let cfg = WorldConfig::new(lat)
-            .with_transport(kind)
-            .without_preflight();
+        // Benchmarks skip the pre-flight analyzer (see `compare`).
+        let plan = Compiled3D::compile_unchecked(d, mode).expect("valid decomposition");
+        let cfg = WorldConfig::new(lat).with_transport(kind);
         // Best of 3: every rank here is a thread oversubscribed onto
         // the host's cores, so a single run's lane means carry whatever
         // scheduler noise the box had that instant. The minimum over a
@@ -1122,7 +1116,7 @@ mod perf {
         let mut runs: Vec<(f64, f64, f64, f64)> = Vec::with_capacity(3);
         for _ in 0..3 {
             let (_, _, stats, _) =
-                run_dist3d_observed_with(Paper3D, d, &cfg, mode, |_| LaneStats::new(steps))
+                run3d_observed_with(Paper3D, &plan, &cfg, |_| LaneStats::new(steps))
                     .expect("valid decomposition");
             runs.push(LaneStats::summarize(&stats));
         }
@@ -1168,17 +1162,17 @@ mod perf {
     }
 
     fn scaling_row(kind: &'static str, d: Decomp3D, trials: usize) -> ScalingRow {
-        use stencil::dist3d::run_dist3d_observed_with;
         use stencil::engine::LaneStats;
+        use stencil::plan::{run3d_observed_with, Compiled3D};
         let steps = d.steps();
+        let plan = Compiled3D::compile_unchecked(d, ExecMode::Overlapping).expect("valid layout");
         // Slot transport with a raised park cap: at 64 ranks on few
         // cores the schedule is pure oversubscription, and longer parks
         // keep the spinning waiters from starving the runnable ranks.
         let cfg = WorldConfig::new(LatencyModel::zero())
             .with_transport(TransportKind::shared_slots())
             .with_backoff_cap(std::time::Duration::from_micros(200))
-            .with_core_pinning()
-            .without_preflight();
+            .with_core_pinning();
         // Best of N: a 64-rank world on a handful of cores is pure
         // oversubscription, and any single run's wall time carries the
         // scheduler's mood. The fastest trial is the row the ci.sh
@@ -1188,10 +1182,8 @@ mod perf {
         let (mut a_mean_us, mut b_mean_us) = (0.0, 0.0);
         for _ in 0..trials {
             let (grid, elapsed, stats, _) =
-                run_dist3d_observed_with(Paper3D, d, &cfg, ExecMode::Overlapping, |_| {
-                    LaneStats::new(steps)
-                })
-                .expect("valid decomposition");
+                run3d_observed_with(Paper3D, &plan, &cfg, |_| LaneStats::new(steps))
+                    .expect("valid decomposition");
             assert!(grid.data()[grid.data().len() / 2].is_finite());
             if elapsed.as_secs_f64() < secs {
                 secs = elapsed.as_secs_f64();

@@ -17,10 +17,13 @@ use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate, SimConfig, SimResult};
 use cluster_sim::time::SimTime;
 use cluster_sim::trace::Trace;
-use msgpass::thread_backend::LatencyModel;
+use msgpass::comm::Communicator;
+use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use std::time::Duration;
-use stencil::dist3d::{run_dist3d_traced, Decomp3D, ExecMode};
+use stencil::dist3d::{Decomp3D, ExecMode};
+use stencil::engine::TraceObserver;
 use stencil::kernel::Paper3D;
+use stencil::plan::{run3d_observed_with, Compiled3D};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::MachineParams;
 use tiling_core::space::IterationSpace;
@@ -99,10 +102,21 @@ pub fn thread_demo_decomp() -> Decomp3D {
 }
 
 /// Run the paper's 3-D kernel for real on the thread backend with
-/// wall-clock tracing and return the figure.
+/// wall-clock tracing and return the figure: every rank records its
+/// phases against the world epoch, and the per-rank traces merge into
+/// one [`Trace`] renderable by the same Gantt/SVG paths as the
+/// simulator's.
 pub fn thread_figure(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> ThreadFigure {
-    let (_, elapsed, trace) =
-        run_dist3d_traced(Paper3D, d, latency, mode).expect("valid demo decomposition");
+    let plan = Compiled3D::compile(d, mode).expect("valid demo decomposition");
+    let (_, elapsed, observers, _) =
+        run3d_observed_with(Paper3D, &plan, &WorldConfig::new(latency), |comm| {
+            TraceObserver::new(comm.rank(), comm.epoch())
+        })
+        .expect("demo run completes");
+    let mut trace = Trace::enabled();
+    for obs in observers {
+        trace.extend(obs.into_trace());
+    }
     ThreadFigure { trace, elapsed }
 }
 

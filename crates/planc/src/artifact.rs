@@ -20,7 +20,34 @@ use stencil::engine::{EngineError, ExecMode};
 use stencil::grid::{Grid2D, Grid3D};
 use stencil::kernel::{Example1, Fused3D, LongestPath3D, Paper3D, Relax3D, Smooth2D};
 use stencil::plan::{self, Compiled2D, Compiled3D};
+use stencil::seq::{run_seq2d, run_seq3d};
 use tiling_core::machine::KernelTier;
+
+/// Call the generic `$f(kernel, args…)` with the 3-D kernel value
+/// `$name` stands for — the one dispatch from [`KernelName`] to the
+/// generic runners.
+macro_rules! kernel3 {
+    ($name:expr, $f:path $(, $arg:expr)*) => {
+        match $name {
+            KernelName::Paper3D => $f(Paper3D $(, $arg)*),
+            KernelName::Relax3D => $f(Relax3D::default() $(, $arg)*),
+            KernelName::Fused3D => $f(Fused3D::default() $(, $arg)*),
+            KernelName::LongestPath3D => $f(LongestPath3D $(, $arg)*),
+            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
+        }
+    };
+}
+
+/// [`kernel3!`] for the 2-D kernels.
+macro_rules! kernel2 {
+    ($name:expr, $f:path $(, $arg:expr)*) => {
+        match $name {
+            KernelName::Example1 => $f(Example1 $(, $arg)*),
+            KernelName::Smooth2D => $f(Smooth2D::default() $(, $arg)*),
+            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
+        }
+    };
+}
 
 /// The sealed executable bundle inside an artifact.
 #[derive(Clone, Copy, Debug)]
@@ -215,17 +242,18 @@ impl PlanArtifact {
         base: &WorldConfig,
         opts: ExecOptions,
     ) -> Result<ExecOutcome, EngineError> {
-        let cfg = self.stamp(base.clone());
-        match &self.compiled {
+        let (cfg, kernel) = (self.stamp(base.clone()), self.request.kernel);
+        let (grid, elapsed, faults) = match &self.compiled {
             CompiledWorkload::Dim3(c) => {
-                let (grid, elapsed, faults) = self.run3(c, &cfg)?;
-                Ok(self.outcome3(grid, elapsed, faults, opts))
+                let (g, t, f) = kernel3!(kernel, plan::run3d_with, c, &cfg)?;
+                (GridResult::Dim3(g), t, f)
             }
             CompiledWorkload::Dim2(c) => {
-                let (grid, elapsed, faults) = self.run2(c, &cfg)?;
-                Ok(self.outcome2(grid, elapsed, faults, opts))
+                let (g, t, f) = kernel2!(kernel, plan::run2d_with, c, &cfg)?;
+                (GridResult::Dim2(g), t, f)
             }
-        }
+        };
+        Ok(self.outcome(grid, elapsed, faults, opts))
     }
 
     /// Execute on a warm world checked out of `pool` (3-D plans; 2-D
@@ -243,74 +271,28 @@ impl PlanArtifact {
         };
         let cfg = self.world_config();
         let mut world = pool.checkout(&cfg, c.ranks());
-        let result = self.run3_on(c, &mut world);
-        match result {
-            Ok((grid, elapsed)) => {
-                pool.checkin(&cfg, world);
-                Ok(self.outcome3(grid, elapsed, Vec::new(), opts))
+        let (kernel, tier) = (self.request.kernel, self.request.tier);
+        // On error the world is dropped, not checked in: it may hold
+        // undrained state.
+        let (grid, elapsed) = kernel3!(kernel, plan::run3d_on_world, c, tier, &mut world)?;
+        pool.checkin(&cfg, world);
+        Ok(self.outcome(GridResult::Dim3(grid), elapsed, Vec::new(), opts))
+    }
+
+    /// Largest deviation of `grid` from the sequential reference of the
+    /// artifact's kernel over its grid.
+    fn diff_from_reference(&self, grid: &GridResult) -> f32 {
+        let kernel = self.request.kernel;
+        match (grid, &self.compiled) {
+            (GridResult::Dim3(g), CompiledWorkload::Dim3(c)) => {
+                let d = c.decomp();
+                g.max_abs_diff(&kernel3!(kernel, run_seq3d, d.nx, d.ny, d.nz, d.boundary))
             }
-            Err(e) => Err(e), // world dropped: may hold undrained state
-        }
-    }
-
-    fn run3(
-        &self,
-        c: &Compiled3D,
-        cfg: &WorldConfig,
-    ) -> Result<(Grid3D, Duration, Vec<FaultStats>), EngineError> {
-        match self.request.kernel {
-            KernelName::Paper3D => plan::run3d_with(Paper3D, c, cfg),
-            KernelName::Relax3D => plan::run3d_with(Relax3D::default(), c, cfg),
-            KernelName::Fused3D => plan::run3d_with(Fused3D::default(), c, cfg),
-            KernelName::LongestPath3D => plan::run3d_with(LongestPath3D, c, cfg),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    }
-
-    fn run3_on(
-        &self,
-        c: &Compiled3D,
-        world: &mut [msgpass::thread_backend::ThreadComm<f32>],
-    ) -> Result<(Grid3D, Duration), EngineError> {
-        let tier = self.request.tier;
-        match self.request.kernel {
-            KernelName::Paper3D => plan::run3d_on_world(Paper3D, c, tier, world),
-            KernelName::Relax3D => plan::run3d_on_world(Relax3D::default(), c, tier, world),
-            KernelName::Fused3D => plan::run3d_on_world(Fused3D::default(), c, tier, world),
-            KernelName::LongestPath3D => plan::run3d_on_world(LongestPath3D, c, tier, world),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    }
-
-    fn run2(
-        &self,
-        c: &Compiled2D,
-        cfg: &WorldConfig,
-    ) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
-        match self.request.kernel {
-            KernelName::Example1 => plan::run2d_with(Example1, c, cfg),
-            KernelName::Smooth2D => plan::run2d_with(Smooth2D::default(), c, cfg),
-            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
-        }
-    }
-
-    fn seq3(&self, d: stencil::dist3d::Decomp3D) -> Grid3D {
-        use stencil::seq::run_seq3d;
-        match self.request.kernel {
-            KernelName::Paper3D => run_seq3d(Paper3D, d.nx, d.ny, d.nz, d.boundary),
-            KernelName::Relax3D => run_seq3d(Relax3D::default(), d.nx, d.ny, d.nz, d.boundary),
-            KernelName::Fused3D => run_seq3d(Fused3D::default(), d.nx, d.ny, d.nz, d.boundary),
-            KernelName::LongestPath3D => run_seq3d(LongestPath3D, d.nx, d.ny, d.nz, d.boundary),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    }
-
-    fn seq2(&self, d: stencil::dist2d::Decomp2D) -> Grid2D {
-        use stencil::seq::run_seq2d;
-        match self.request.kernel {
-            KernelName::Example1 => run_seq2d(Example1, d.nx, d.ny, d.boundary),
-            KernelName::Smooth2D => run_seq2d(Smooth2D::default(), d.nx, d.ny, d.boundary),
-            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
+            (GridResult::Dim2(g), CompiledWorkload::Dim2(c)) => {
+                let d = c.decomp();
+                g.max_abs_diff(&kernel2!(kernel, run_seq2d, d.nx, d.ny, d.boundary))
+            }
+            _ => unreachable!("an outcome has its plan's arity"),
         }
     }
 
@@ -323,40 +305,19 @@ impl PlanArtifact {
         }
     }
 
-    fn outcome3(
+    fn outcome(
         &self,
-        grid: Grid3D,
+        grid: GridResult,
         elapsed: Duration,
         faults: Vec<FaultStats>,
         opts: ExecOptions,
     ) -> ExecOutcome {
-        let verified = opts.verify.then(|| {
-            let c = self.compiled3().expect("3-D outcome");
-            grid.max_abs_diff(&self.seq3(c.decomp())) <= self.tolerance()
-        });
+        let verified = opts
+            .verify
+            .then(|| self.diff_from_reference(&grid) <= self.tolerance());
         ExecOutcome {
             cells_per_sec: self.cells() as f64 / elapsed.as_secs_f64().max(1e-12),
-            grid: GridResult::Dim3(grid),
-            elapsed,
-            verified,
-            faults,
-        }
-    }
-
-    fn outcome2(
-        &self,
-        grid: Grid2D,
-        elapsed: Duration,
-        faults: Vec<FaultStats>,
-        opts: ExecOptions,
-    ) -> ExecOutcome {
-        let verified = opts.verify.then(|| {
-            let c = self.compiled2().expect("2-D outcome");
-            grid.max_abs_diff(&self.seq2(c.decomp())) <= self.tolerance()
-        });
-        ExecOutcome {
-            cells_per_sec: self.cells() as f64 / elapsed.as_secs_f64().max(1e-12),
-            grid: GridResult::Dim2(grid),
+            grid,
             elapsed,
             verified,
             faults,

@@ -8,8 +8,68 @@
 //! tile ranges and validation checks live here once. Validation errors
 //! are a typed [`DecompError`] (not a panic), and the `run_dist*`
 //! drivers surface them as `Result`s.
+//!
+//! Each decomposition is also its own [`RankTopology`] — who is
+//! upstream/downstream of a rank, which wire code, how long a face is —
+//! and its own [`Layout`]: the pre-flight analysis, the compiled plan
+//! and the per-rank executors (through [`RankLinks`]) all read those
+//! two impls, so what is analysed is what runs.
 
+use crate::engine::{ExecMode, MAX_DIRS};
+use analyzer::RankTopology;
 use std::fmt;
+use tiling_core::dependence::DependenceSet;
+use tiling_core::schedule::StepPlan;
+
+/// A pipelined block decomposition: a [`RankTopology`] plus what
+/// compiling it needs — validation, the step count, and the tiled
+/// space its schedule is projected from.
+pub trait Layout: RankTopology + Copy {
+    /// Arity of the tiled space.
+    const DIMS: usize;
+    /// The tiled dimension the pipeline runs along (all of its tiles
+    /// stay on their rank).
+    const MAPPING_DIM: usize;
+
+    /// Validate sizes and divisibility.
+    fn validate(&self) -> Result<(), DecompError>;
+
+    /// Pipeline steps per rank.
+    fn steps(&self) -> usize;
+
+    /// The dependence set of the kernels this layout runs.
+    fn dependences() -> DependenceSet;
+
+    /// The executable projection of `mode`'s schedule over this layout.
+    fn step_plan(&self, mode: ExecMode) -> StepPlan {
+        mode.step_plan(Self::DIMS, Self::MAPPING_DIM, Layout::steps(self))
+    }
+}
+
+/// One rank's neighbours in a layout, read once from the layout's
+/// [`RankTopology`] impl so the engine's per-step `upstream`/
+/// `downstream` queries are array loads.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RankLinks {
+    pub(crate) rank: usize,
+    pub(crate) up: [Option<usize>; MAX_DIRS],
+    pub(crate) dn: [Option<usize>; MAX_DIRS],
+}
+
+impl RankLinks {
+    pub(crate) fn of<L: RankTopology>(layout: &L, rank: usize) -> Self {
+        let dirs = layout.num_dirs();
+        RankLinks {
+            rank,
+            up: core::array::from_fn(|dir| {
+                (dir < dirs).then(|| layout.upstream(rank, dir)).flatten()
+            }),
+            dn: core::array::from_fn(|dir| {
+                (dir < dirs).then(|| layout.downstream(rank, dir)).flatten()
+            }),
+        }
+    }
+}
 
 /// Why a decomposition is invalid.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -74,9 +134,14 @@ pub fn require_divides(axis: &'static str, extent: usize, parts: usize) -> Resul
 }
 
 /// Number of pipeline steps along the pipelined dimension:
-/// `⌈extent / V⌉` (the last tile may be partial).
+/// `⌈extent / V⌉` (the last tile may be partial); 0 for the invalid
+/// `V = 0`, which `validate()` rejects.
 pub fn pipeline_steps(extent: usize, v: usize) -> usize {
-    extent.div_ceil(v)
+    if v == 0 {
+        0
+    } else {
+        extent.div_ceil(v)
+    }
 }
 
 /// The half-open index range of pipeline step `k`, clamped at the
@@ -85,6 +150,29 @@ pub fn pipeline_steps(extent: usize, v: usize) -> usize {
 /// reversed one (`start > end`).
 pub fn tile_range(extent: usize, v: usize, k: usize) -> (usize, usize) {
     ((k * v).min(extent), ((k + 1) * v).min(extent))
+}
+
+/// Assert that `ops` — rank `rank`'s executor state — answers every
+/// [`TileOps`] topology question exactly as `layout`'s [`RankTopology`]
+/// impl does, for every direction and step: a second copy of the
+/// neighbour/wire/face rules fails here rather than in a pre-flight.
+#[cfg(test)]
+pub(crate) fn assert_ops_read_layout<L: Layout + fmt::Debug>(
+    layout: &L,
+    rank: usize,
+    ops: &impl crate::engine::TileOps,
+) {
+    assert_eq!(ops.num_dirs(), layout.num_dirs(), "rank {rank}");
+    for dir in 0..layout.num_dirs() {
+        let at = format!("{layout:?} rank {rank} dir {dir}");
+        assert_eq!(ops.upstream(dir), layout.upstream(rank, dir), "{at}");
+        assert_eq!(ops.downstream(dir), layout.downstream(rank, dir), "{at}");
+        assert_eq!(ops.wire_dir(dir), layout.wire_dir(dir), "{at}");
+        for step in 0..Layout::steps(layout) {
+            let want = layout.face_len(rank, dir, step);
+            assert_eq!(ops.face_len(dir, step), want, "{at} step {step}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -117,6 +205,7 @@ mod tests {
         assert_eq!(tile_range(10, 4, 0), (0, 4));
         assert_eq!(tile_range(10, 4, 2), (8, 10)); // partial last tile
         assert_eq!(pipeline_steps(5, 9), 1);
+        assert_eq!(pipeline_steps(5, 0), 0); // invalid V: no steps, no panic
         assert_eq!(tile_range(5, 9, 0), (0, 5)); // V > extent clamps
                                                  // A step index past the pipeline is empty, not reversed.
         assert_eq!(tile_range(10, 4, 3), (10, 10));

@@ -25,16 +25,18 @@
 //! element-wise original survives in [`crate::legacy`] as oracle and
 //! perf baseline.
 
-use crate::decomp::{self, DecompError};
-use crate::engine::{self, EngineError, NoopObserver, StepObserver, TileOps};
+use crate::decomp::{self, DecompError, Layout, RankLinks};
+use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid2D;
-use crate::kernel::{Example1, Kernel2D};
+use crate::kernel::Kernel2D;
+use crate::plan::{self, Compiled2D};
 use crate::proto::DIR_J;
+use analyzer::RankTopology;
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
+use msgpass::thread_backend::WorldConfig;
 use std::time::Duration;
-use tiling_core::schedule::StepPlan;
+use tiling_core::dependence::DependenceSet;
 
 pub use crate::engine::ExecMode;
 
@@ -77,19 +79,64 @@ impl Decomp2D {
     }
 }
 
+/// The strip decomposition as a rank topology: a 1-D chain where rank
+/// `r` ships its last `j`-column to rank `r + 1`, one face per pipeline
+/// step. Pre-flight and [`Strip2D`] both read this impl.
+impl RankTopology for Decomp2D {
+    fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    fn num_dirs(&self) -> usize {
+        1
+    }
+
+    fn upstream(&self, rank: usize, _dir: usize) -> Option<usize> {
+        rank.checked_sub(1)
+    }
+
+    fn downstream(&self, rank: usize, _dir: usize) -> Option<usize> {
+        (rank + 1 < self.ranks).then_some(rank + 1)
+    }
+
+    fn wire_dir(&self, _dir: usize) -> u64 {
+        DIR_J
+    }
+
+    fn face_len(&self, _rank: usize, _dir: usize, step: usize) -> usize {
+        let (i0, i1) = self.irange(step);
+        i1 - i0
+    }
+}
+
+/// Example 1 maps along i₁ of a 2-D tiled space (`Π = [1, 2]`).
+impl Layout for Decomp2D {
+    const DIMS: usize = 2;
+    const MAPPING_DIM: usize = 0;
+
+    fn validate(&self) -> Result<(), DecompError> {
+        Decomp2D::validate(self)
+    }
+
+    fn steps(&self) -> usize {
+        Decomp2D::steps(self)
+    }
+
+    fn dependences() -> DependenceSet {
+        DependenceSet::example_1()
+    }
+}
+
 /// Per-rank working state: the 2-D [`TileOps`] implementation. All
 /// buffers are allocated once; the pipeline loop never allocates.
 struct Strip2D<K> {
     d: Decomp2D,
+    links: RankLinks,
     kernel: K,
     /// Own strip, `nx × by`, j fastest.
     strip: Vec<f32>,
     /// Halo column `j = own_lo − 1`, full `nx` length.
     halo: Vec<f32>,
-    has_left: bool,
-    /// Upstream/downstream ranks along the single halo direction.
-    up: Option<usize>,
-    down: Option<usize>,
     /// Global j of the strip's first column.
     gj0: i64,
     /// Boundary splat, `by` long: the `i−1` neighbor row of row 0.
@@ -98,14 +145,13 @@ struct Strip2D<K> {
 
 impl<K: Kernel2D> Strip2D<K> {
     fn new(d: Decomp2D, kernel: K, rank: usize) -> Self {
+        let links = RankLinks::of(&d, rank);
         Strip2D {
             d,
+            links,
             kernel,
             strip: vec![0.0; d.nx * d.by()],
             halo: vec![0.0; d.nx],
-            has_left: rank > 0,
-            up: (rank > 0).then(|| rank - 1),
-            down: (rank + 1 < d.ranks).then_some(rank + 1),
             gj0: (rank * d.by()) as i64,
             brow: vec![d.boundary; d.by()],
         }
@@ -120,6 +166,7 @@ impl<K: Kernel2D> Strip2D<K> {
         let (i0, i1) = self.d.irange(k);
         let by = self.d.by();
         let b = self.d.boundary;
+        let has_left = self.links.up[0].is_some();
         for i in i0..i1 {
             let row = i * by;
             let (done, rest) = self.strip.split_at_mut(row);
@@ -129,12 +176,12 @@ impl<K: Kernel2D> Strip2D<K> {
             let cur = &mut rest[..by];
             // Peel j == 0: its west/diagonal neighbors come from the
             // halo column (or the boundary).
-            let diag0 = if i > 0 && self.has_left {
+            let diag0 = if i > 0 && has_left {
                 self.halo[i - 1]
             } else {
                 b
             };
-            let jm1_0 = if self.has_left { self.halo[i] } else { b };
+            let jm1_0 = if has_left { self.halo[i] } else { b };
             let mut prev = kernel.eval(i as i64, self.gj0, diag0, up[0], jm1_0);
             cur[0] = prev;
             // Steady state: diag = up[j−1], north = up[j], west carried.
@@ -149,24 +196,23 @@ impl<K: Kernel2D> Strip2D<K> {
 
 impl<K: Kernel2D> TileOps for Strip2D<K> {
     fn num_dirs(&self) -> usize {
-        1
+        self.d.num_dirs()
     }
 
-    fn upstream(&self, _dir: usize) -> Option<usize> {
-        self.up
+    fn upstream(&self, dir: usize) -> Option<usize> {
+        self.links.up[dir]
     }
 
-    fn downstream(&self, _dir: usize) -> Option<usize> {
-        self.down
+    fn downstream(&self, dir: usize) -> Option<usize> {
+        self.links.dn[dir]
     }
 
-    fn wire_dir(&self, _dir: usize) -> u64 {
-        DIR_J
+    fn wire_dir(&self, dir: usize) -> u64 {
+        self.d.wire_dir(dir)
     }
 
-    fn face_len(&self, _dir: usize, step: usize) -> usize {
-        let (i0, i1) = self.d.irange(step);
-        i1 - i0
+    fn face_len(&self, dir: usize, step: usize) -> usize {
+        self.d.face_len(self.links.rank, dir, step)
     }
 
     fn pack_into(&mut self, _dir: usize, step: usize, out: &mut [f32]) {
@@ -192,111 +238,51 @@ impl<K: Kernel2D> TileOps for Strip2D<K> {
     }
 }
 
-/// One rank's execution of any 2-D kernel from a pre-compiled
-/// [`StepPlan`] (see [`crate::plan::Compiled2D`]), reporting every
-/// phase to `obs`; returns its strip (`nx × by`) or the typed
-/// transport/structure error that stopped it. Nothing is re-derived
-/// here — the plan is executed exactly as compiled.
+/// One rank's execution of any 2-D kernel from a compiled plan,
+/// reporting every phase to `obs`; returns its strip (`nx × by`) or the
+/// typed transport/structure error that stopped it. Nothing is
+/// re-derived here — the plan is executed exactly as compiled.
 pub fn try_run_rank2d_plan<C: Communicator<f32>, K: Kernel2D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
-    d: Decomp2D,
-    plan: &StepPlan,
+    c: &Compiled2D,
     obs: &mut O,
 ) -> Result<Vec<f32>, EngineError> {
-    let mut s = Strip2D::new(d, kernel, comm.rank());
-    engine::run_rank(comm, &mut s, plan, obs)?;
+    let mut s = Strip2D::new(c.decomp(), kernel, comm.rank());
+    engine::run_rank(comm, &mut s, c.step_plan(), obs)?;
     Ok(s.strip)
 }
 
-/// One rank's execution of any 2-D kernel under `mode`'s schedule,
-/// reporting every phase to `obs`; returns its strip (`nx × by`) or
-/// the typed transport/structure error that stopped it.
-pub fn try_run_rank2d_observed<C: Communicator<f32>, K: Kernel2D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp2D,
-    mode: ExecMode,
-    obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
-    // Example 1 maps along i₁ of a 2-D tiled space (pi = [1, 2]).
-    let plan = mode.step_plan(2, 0, d.steps());
-    try_run_rank2d_plan(comm, kernel, d, &plan, obs)
-}
-
-/// One rank's execution of any 2-D kernel under `mode`'s schedule,
-/// reporting every phase to `obs`; returns its strip (`nx × by`).
-pub fn run_rank2d_observed<C: Communicator<f32>, K: Kernel2D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp2D,
-    mode: ExecMode,
-    obs: &mut O,
-) -> Vec<f32> {
-    let rank = comm.rank();
-    try_run_rank2d_observed(comm, kernel, d, mode, obs)
-        .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
-}
-
-/// One rank's execution of any 2-D kernel under `mode`'s schedule;
-/// returns its strip (`nx × by`).
-pub fn run_rank2d<C: Communicator<f32>, K: Kernel2D>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp2D,
-    mode: ExecMode,
-) -> Vec<f32> {
-    run_rank2d_observed(comm, kernel, d, mode, &mut NoopObserver)
-}
-
-/// Run a distributed 2-D kernel on a fully configured world — wire
-/// latency, and optionally a reliability layer and a fault plan — and
-/// gather. Returns the assembled grid, the wall-clock time, and each
-/// rank's fault counters. When ranks fail, the most diagnostic error
-/// is returned (see [`EngineError::severity`]).
+/// One-shot world run: compile `d` under `mode` (validation, plus the
+/// pre-flight analysis unless `cfg.skip_preflight`), run it on a fresh
+/// world built from `cfg`, and gather. Returns the assembled grid, the
+/// wall-clock time, and each rank's fault counters, or the most
+/// diagnostic error (see [`EngineError::severity`]).
 pub fn run_dist2d_with<K: Kernel2D>(
     kernel: K,
     d: Decomp2D,
     cfg: &WorldConfig,
     mode: ExecMode,
 ) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
-    // Compile (validate + pre-flight, exactly once) then execute the
-    // sealed plan — see [`crate::plan`].
-    let compiled = if cfg.skip_preflight {
-        crate::plan::Compiled2D::compile_unchecked(d, mode)?
-    } else {
-        crate::plan::Compiled2D::compile(d, mode)?
-    };
-    crate::plan::run2d_with(kernel, &compiled, cfg)
-}
-
-/// Run a distributed 2-D kernel on the threaded backend and gather.
-pub fn run_dist2d<K: Kernel2D>(
-    kernel: K,
-    d: Decomp2D,
-    latency: LatencyModel,
-    mode: ExecMode,
-) -> Result<(Grid2D, Duration), EngineError> {
-    let (out, elapsed, _) = run_dist2d_with(kernel, d, &WorldConfig::new(latency), mode)?;
-    Ok((out, elapsed))
-}
-
-/// [`run_dist2d`] specialized to the Example 1 kernel.
-pub fn run_example1_dist(
-    d: Decomp2D,
-    latency: LatencyModel,
-    mode: ExecMode,
-) -> Result<(Grid2D, Duration), EngineError> {
-    run_dist2d(Example1, d, latency, mode)
+    let c = Compiled2D::seal(d, mode, !cfg.skip_preflight)?;
+    plan::run2d_with(kernel, &c, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Example1;
     use crate::seq::run_example1_seq;
+    use msgpass::thread_backend::LatencyModel;
+
+    /// One-shot run on a zero-latency world.
+    fn run<K: Kernel2D>(kernel: K, d: Decomp2D, mode: ExecMode) -> Result<Grid2D, EngineError> {
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        run_dist2d_with(kernel, d, &cfg, mode).map(|(grid, _, _)| grid)
+    }
 
     fn check(d: Decomp2D, mode: ExecMode) {
-        let (dist, _) = run_example1_dist(d, LatencyModel::zero(), mode).expect("valid decomp");
+        let dist = run(Example1, d, mode).expect("valid decomp");
         let seq = run_example1_seq(d.nx, d.ny, d.boundary);
         assert_eq!(dist.max_abs_diff(&seq), 0.0, "{mode:?} {d:?}");
     }
@@ -414,12 +400,12 @@ mod tests {
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
             let k = Alignment2D { alphabet: 3 };
-            let (dist, _) = run_dist2d(k, d, LatencyModel::zero(), mode).expect("valid decomp");
+            let dist = run(k, d, mode).expect("valid decomp");
             let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Alignment2D {mode:?}");
 
             let k = Smooth2D::default();
-            let (dist, _) = run_dist2d(k, d, LatencyModel::zero(), mode).expect("valid decomp");
+            let dist = run(k, d, mode).expect("valid decomp");
             let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Smooth2D {mode:?}");
         }
@@ -435,7 +421,7 @@ mod tests {
             boundary: 1.5,
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (new, _) = run_example1_dist(d, LatencyModel::zero(), mode).expect("valid decomp");
+            let new = run(Example1, d, mode).expect("valid decomp");
             let (old, _) =
                 crate::legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode).expect("valid");
             assert_eq!(new.max_abs_diff(&old), 0.0, "{mode:?}");
@@ -459,9 +445,18 @@ mod tests {
                 parts: 3
             })
         );
-        assert!(run_example1_dist(bad_div, LatencyModel::zero(), ExecMode::Blocking).is_err());
+        assert!(run(Example1, bad_div, ExecMode::Blocking).is_err());
         let bad_v = Decomp2D { v: 0, ..bad_div };
         assert_eq!(bad_v.validate(), Err(DecompError::EmptyDecomposition));
+        // No compile path seals either: V = 0 must not divide by zero on
+        // the way to its error, and an indivisible grid must not
+        // silently run as a smaller one.
+        assert_eq!(bad_v.steps(), 0);
+        for compile in [Compiled2D::compile, Compiled2D::compile_unchecked] {
+            let rejected = |bad: Decomp2D| compile(bad, ExecMode::Blocking).unwrap_err();
+            assert_eq!(rejected(bad_v), DecompError::EmptyDecomposition.into());
+            assert_eq!(rejected(bad_div), bad_div.validate().unwrap_err().into());
+        }
     }
 
     #[test]
@@ -480,5 +475,21 @@ mod tests {
             },
             ExecMode::Overlapping,
         );
+    }
+
+    #[test]
+    fn executor_reads_the_layout_preflight_analyses() {
+        for ranks in [6, 4] {
+            let d = Decomp2D {
+                nx: 23,
+                ny: 2 * ranks,
+                ranks,
+                v: 5, // partial last tile
+                boundary: 1.0,
+            };
+            for rank in 0..ranks {
+                decomp::assert_ops_read_layout(&d, rank, &Strip2D::new(d, Example1, rank));
+            }
+        }
     }
 }

@@ -32,25 +32,26 @@
 //! The original element-wise paths survive in [`crate::legacy`] as the
 //! property-test oracle and perf baseline.
 //!
-//! Executors are generic over any [`Communicator`], and the driver
-//! [`run_paper3d_dist`] runs them on the threaded backend, gathering the
-//! blocks into a full [`Grid3D`] for verification. The observed/traced
-//! drivers additionally collect per-rank [`StepObserver`] output — real
-//! wall-clock Gantt traces via [`run_dist3d_traced`].
+//! Executors are generic over any [`Communicator`]; the one-shot driver
+//! [`run_dist3d_with`] compiles a decomposition and runs it on the
+//! threaded backend, gathering the blocks into a full [`Grid3D`]. The
+//! compiled-plan runners in [`crate::plan`] additionally collect
+//! per-rank [`StepObserver`] output.
 
-use crate::decomp::{self, DecompError};
-use crate::engine::{self, EngineError, NoopObserver, StepObserver, TileOps, TraceObserver};
+use crate::decomp::{self, DecompError, Layout, RankLinks};
+use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid3D;
 use crate::halo;
-use crate::kernel::{Kernel3D, KernelTier, Paper3D, Wave, MAX_WAVE};
+use crate::kernel::{Kernel3D, KernelTier, Wave, MAX_WAVE};
+use crate::plan::{self, Compiled3D};
 use crate::pool;
 use crate::proto::{DIR_I, DIR_J};
+use analyzer::RankTopology;
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
-use msgpass::thread_backend::{LatencyModel, ThreadComm, WorldConfig};
-use msgpass::topology::CartesianGrid;
-use msgpass::trace::Trace;
+use msgpass::thread_backend::WorldConfig;
 use std::time::Duration;
+use tiling_core::dependence::DependenceSet;
 
 pub use crate::engine::ExecMode;
 
@@ -101,17 +102,91 @@ impl Decomp3D {
     pub(crate) fn krange(&self, k: usize) -> (usize, usize) {
         decomp::tile_range(self.nz, self.v, k)
     }
+
+    /// Processor-grid coordinates `(ci, cj)` of `rank`: row-major over
+    /// the `pi × pj` grid, so `rank = ci·pj + cj`.
+    pub(crate) fn coords(&self, rank: usize) -> (usize, usize) {
+        (rank / self.pj, rank % self.pj)
+    }
 }
 
 /// Halo-direction indices of the 3-D block (the [`TileOps`] `dir` axis).
 const FACE_I: usize = 0;
 const FACE_J: usize = 1;
 
+/// The block decomposition as a rank topology: a `pi × pj` Cartesian
+/// grid where every rank ships its high-`i` face to the `(+1, 0)`
+/// neighbor and its high-`j` face to the `(0, +1)` neighbor (no
+/// wraparound). Pre-flight, [`Block3D`] and the pooled [`pool::Shared`]
+/// all read this impl.
+impl RankTopology for Decomp3D {
+    fn ranks(&self) -> usize {
+        self.pi * self.pj
+    }
+
+    fn num_dirs(&self) -> usize {
+        2
+    }
+
+    fn upstream(&self, rank: usize, dir: usize) -> Option<usize> {
+        let (ci, cj) = self.coords(rank);
+        if dir == FACE_I {
+            (ci > 0).then(|| rank - self.pj)
+        } else {
+            (cj > 0).then(|| rank - 1)
+        }
+    }
+
+    fn downstream(&self, rank: usize, dir: usize) -> Option<usize> {
+        let (ci, cj) = self.coords(rank);
+        if dir == FACE_I {
+            (ci + 1 < self.pi).then_some(rank + self.pj)
+        } else {
+            (cj + 1 < self.pj).then_some(rank + 1)
+        }
+    }
+
+    fn wire_dir(&self, dir: usize) -> u64 {
+        if dir == FACE_I {
+            DIR_I
+        } else {
+            debug_assert_eq!(dir, FACE_J);
+            DIR_J
+        }
+    }
+
+    fn face_len(&self, _rank: usize, dir: usize, step: usize) -> usize {
+        let (k0, k1) = self.krange(step);
+        let width = if dir == FACE_I { self.by() } else { self.bx() };
+        width * (k1 - k0)
+    }
+}
+
+/// The paper's §5 layout maps along i₃ of a 3-D tiled space
+/// (`Π = [2, 2, 1]` when overlapping).
+impl Layout for Decomp3D {
+    const DIMS: usize = 3;
+    const MAPPING_DIM: usize = 2;
+
+    fn validate(&self) -> Result<(), DecompError> {
+        Decomp3D::validate(self)
+    }
+
+    fn steps(&self) -> usize {
+        Decomp3D::steps(self)
+    }
+
+    fn dependences() -> DependenceSet {
+        DependenceSet::paper_3d()
+    }
+}
+
 /// Per-rank working state: the 3-D [`TileOps`] implementation. All
 /// buffers are allocated once at construction; the pipeline loop never
 /// allocates.
 struct Block3D<K> {
     d: Decomp3D,
+    links: RankLinks,
     kernel: K,
     tier: KernelTier,
     /// Own block, `bx × by × nz`, k fastest.
@@ -120,11 +195,6 @@ struct Block3D<K> {
     halo_i: Vec<f32>,
     /// Halo plane `j = own_lo_j − 1`: `bx × nz`.
     halo_j: Vec<f32>,
-    has_left_i: bool,
-    has_left_j: bool,
-    /// Upstream/downstream ranks per halo direction (`[i, j]`).
-    up: [Option<usize>; 2],
-    dn: [Option<usize>; 2],
     /// Global coordinates of the block origin.
     gi0: i64,
     gj0: i64,
@@ -141,37 +211,22 @@ struct Block3D<K> {
 
 impl<K: Kernel3D> Block3D<K> {
     fn new(d: Decomp3D, kernel: K, tier: KernelTier, rank: usize) -> Self {
-        let grid = CartesianGrid::new(vec![d.pi, d.pj]);
-        let coords = grid.coords_of(rank);
+        let links = RankLinks::of(&d, rank);
+        let (ci, cj) = d.coords(rank);
         Block3D {
             d,
+            links,
             kernel,
             tier,
             block: vec![0.0; d.bx() * d.by() * d.nz],
             halo_i: vec![0.0; d.by() * d.nz],
             halo_j: vec![0.0; d.bx() * d.nz],
-            has_left_i: coords[0] > 0,
-            has_left_j: coords[1] > 0,
-            up: [grid.neighbor(rank, &[-1, 0]), grid.neighbor(rank, &[0, -1])],
-            dn: [grid.neighbor(rank, &[1, 0]), grid.neighbor(rank, &[0, 1])],
-            gi0: (coords[0] * d.bx()) as i64,
-            gj0: (coords[1] * d.by()) as i64,
+            gi0: (ci * d.bx()) as i64,
+            gj0: (cj * d.by()) as i64,
             brow: vec![d.boundary; d.nz],
             row_item: vec![0; d.bx() * d.by()],
             wave_gen: 0,
         }
-    }
-
-    /// Packed length of the `i`-face of step `k`.
-    fn face_i_len(&self, k: usize) -> usize {
-        let (k0, k1) = self.d.krange(k);
-        self.d.by() * (k1 - k0)
-    }
-
-    /// Packed length of the `j`-face of step `k`.
-    fn face_j_len(&self, k: usize) -> usize {
-        let (k0, k1) = self.d.krange(k);
-        self.d.bx() * (k1 - k0)
     }
 
     /// Compute one tile (all of the block's cross-section over `krange`).
@@ -254,7 +309,8 @@ impl<K: Kernel3D> Block3D<K> {
         let nz = self.d.nz;
         let b = self.d.boundary;
         let (gi0, gj0) = (self.gi0, self.gj0);
-        let (has_li, has_lj) = (self.has_left_i, self.has_left_j);
+        let up = self.links.up;
+        let (has_li, has_lj) = (up[FACE_I].is_some(), up[FACE_J].is_some());
         let block = &mut self.block[..];
         let halo_i = &self.halo_i[..];
         let halo_j = &self.halo_j[..];
@@ -387,32 +443,23 @@ fn find_span<'s>(segs: &[(usize, &'s [f32])], t: usize, len: usize) -> &'s [f32]
 
 impl<K: Kernel3D> TileOps for Block3D<K> {
     fn num_dirs(&self) -> usize {
-        2
+        self.d.num_dirs()
     }
 
     fn upstream(&self, dir: usize) -> Option<usize> {
-        self.up[dir]
+        self.links.up[dir]
     }
 
     fn downstream(&self, dir: usize) -> Option<usize> {
-        self.dn[dir]
+        self.links.dn[dir]
     }
 
     fn wire_dir(&self, dir: usize) -> u64 {
-        if dir == FACE_I {
-            DIR_I
-        } else {
-            debug_assert_eq!(dir, FACE_J);
-            DIR_J
-        }
+        self.d.wire_dir(dir)
     }
 
     fn face_len(&self, dir: usize, step: usize) -> usize {
-        if dir == FACE_I {
-            self.face_i_len(step)
-        } else {
-            self.face_j_len(step)
-        }
+        self.d.face_len(self.links.rank, dir, step)
     }
 
     fn pack_into(&mut self, dir: usize, step: usize, out: &mut [f32]) {
@@ -449,148 +496,40 @@ impl<K: Kernel3D> TileOps for Block3D<K> {
     }
 }
 
-/// One rank's execution of any 3-D kernel under `mode`'s schedule,
+/// One rank's execution of any 3-D kernel from a compiled plan,
 /// reporting every phase to `obs`; returns its block (`bx × by × nz`)
-/// or the typed transport/structure error that stopped it.
-pub fn try_run_rank3d_observed<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    mode: ExecMode,
-    obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
-    try_run_rank3d_tier(comm, kernel, d, mode, KernelTier::Bitwise, obs)
-}
-
-/// [`try_run_rank3d_observed`] with an explicit [`KernelTier`].
-pub fn try_run_rank3d_tier<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    mode: ExecMode,
-    tier: KernelTier,
-    obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
-    // The paper's §5 layout maps along i₃ of a 3-D tiled space
-    // (pi = [2, 2, 1]).
-    let plan = mode.step_plan(3, 2, d.steps());
-    try_run_rank3d_plan(comm, kernel, d, &plan, tier, obs)
-}
-
-/// One rank's execution of any 3-D kernel from a pre-compiled
-/// [`StepPlan`] (see [`crate::plan::Compiled3D`]), reporting every
-/// phase to `obs`; returns its block (`bx × by × nz`) or the typed
-/// transport/structure error that stopped it. Nothing is re-derived
-/// here — the plan is executed exactly as compiled.
+/// or the typed transport/structure error that stopped it. Nothing is
+/// re-derived here — the plan is executed exactly as compiled.
+///
+/// With `workers > 1` the tile is fanned out across intra-rank compute
+/// threads (see [`pool`]): the calling thread is worker 0, `workers − 1`
+/// extra threads are spawned for the duration of the rank run and park
+/// between tiles, and `pin` places worker `w` on core
+/// `rank · workers + w` (best effort) so a rank's pool shares locality.
+/// Results are bitwise-identical to the unpooled run on the pinned tier.
 pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
-    d: Decomp3D,
-    plan: &tiling_core::schedule::StepPlan,
-    tier: KernelTier,
-    obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
-    let mut blk = Block3D::new(d, kernel, tier, comm.rank());
-    engine::run_rank(comm, &mut blk, plan, obs)?;
-    Ok(blk.block)
-}
-
-/// [`TileOps`] facade over a [`pool::Shared`]: the engine thread's view
-/// of the pooled per-rank state. Faces are packed/unpacked through the
-/// shard locks (uncontended between tiles), and `compute` fans the tile
-/// out to the pool — the engine participates as worker 0 and returns
-/// only when the whole tile is done, so the lane schedule around it is
-/// unchanged.
-struct PooledBlock<'s, K> {
-    shared: &'s pool::Shared<K>,
-}
-
-impl<K: Kernel3D> TileOps for PooledBlock<'_, K> {
-    fn num_dirs(&self) -> usize {
-        2
-    }
-
-    fn upstream(&self, dir: usize) -> Option<usize> {
-        self.shared.up[dir]
-    }
-
-    fn downstream(&self, dir: usize) -> Option<usize> {
-        self.shared.dn[dir]
-    }
-
-    fn wire_dir(&self, dir: usize) -> u64 {
-        if dir == FACE_I {
-            DIR_I
-        } else {
-            debug_assert_eq!(dir, FACE_J);
-            DIR_J
-        }
-    }
-
-    fn face_len(&self, dir: usize, step: usize) -> usize {
-        let d = self.shared.decomp();
-        let (k0, k1) = d.krange(step);
-        let rows = if dir == FACE_I { d.by() } else { d.bx() };
-        rows * (k1 - k0)
-    }
-
-    fn pack_into(&mut self, dir: usize, step: usize, out: &mut [f32]) {
-        self.shared.pack_face(dir, step, out);
-    }
-
-    fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]) {
-        self.shared.unpack_face(dir, step, data);
-    }
-
-    fn compute(&mut self, step: usize) {
-        self.shared.compute(step);
-    }
-}
-
-/// [`try_run_rank3d_tier`] with the tile fanned out across `workers`
-/// intra-rank compute threads (see [`pool`]). The engine thread is
-/// worker 0; `workers − 1` extra threads are spawned for the duration
-/// of the rank run and park between tiles. `pin_base`, when set, pins
-/// worker `w` to core `pin_base + w` (best effort). Results are
-/// bitwise-identical to the unpooled run on the pinned tier.
-#[allow(clippy::too_many_arguments)] // LINT: the pooled variant of try_run_rank3d_tier plus its pool knobs
-pub fn try_run_rank3d_pooled<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    mode: ExecMode,
+    c: &Compiled3D,
     tier: KernelTier,
     workers: usize,
-    pin_base: Option<usize>,
+    pin: bool,
     obs: &mut O,
 ) -> Result<Vec<f32>, EngineError> {
-    let plan = mode.step_plan(3, 2, d.steps());
-    try_run_rank3d_pooled_plan(comm, kernel, d, &plan, tier, workers, pin_base, obs)
-}
-
-/// [`try_run_rank3d_pooled`] from a pre-compiled [`StepPlan`] — the
-/// pooled counterpart of [`try_run_rank3d_plan`].
-///
-/// [`StepPlan`]: tiling_core::schedule::StepPlan
-#[allow(clippy::too_many_arguments)] // LINT: the pooled variant of try_run_rank3d_plan plus its pool knobs
-pub fn try_run_rank3d_pooled_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    plan: &tiling_core::schedule::StepPlan,
-    tier: KernelTier,
-    workers: usize,
-    pin_base: Option<usize>,
-    obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
-    let workers = workers.max(1);
-    let shared = pool::Shared::new(d, kernel, tier, workers, comm.rank());
+    let (d, plan, rank) = (c.decomp(), c.step_plan(), comm.rank());
+    if workers <= 1 {
+        let mut blk = Block3D::new(d, kernel, tier, rank);
+        engine::run_rank(comm, &mut blk, plan, obs)?;
+        return Ok(blk.block);
+    }
+    let pin_base = pin.then(|| rank * workers);
+    let shared = pool::Shared::new(d, kernel, tier, workers, rank);
     let result = std::thread::scope(|scope| {
         for w in 1..workers {
             let sh = &shared;
             scope.spawn(move || sh.worker_loop(w, pin_base.map(|b| b + w)));
         }
-        let r = engine::run_rank(comm, &mut PooledBlock { shared: &shared }, plan, obs);
+        let r = engine::run_rank(comm, &mut &shared, plan, obs);
         // Always release the pool — even on a transport error — or the
         // scope would join forever.
         shared.shutdown();
@@ -600,43 +539,17 @@ pub fn try_run_rank3d_pooled_plan<C: Communicator<f32>, K: Kernel3D, O: StepObse
     Ok(shared.into_flat_block())
 }
 
-/// One rank's execution of any 3-D kernel under `mode`'s schedule,
-/// reporting every phase to `obs`; returns its block (`bx × by × nz`).
-pub fn run_rank3d_observed<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    mode: ExecMode,
-    obs: &mut O,
-) -> Vec<f32> {
-    let rank = comm.rank();
-    try_run_rank3d_observed(comm, kernel, d, mode, obs)
-        .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
-}
-
-/// One rank's execution of any 3-D kernel under `mode`'s schedule;
-/// returns its block (`bx × by × nz`).
-pub fn run_rank3d<C: Communicator<f32>, K: Kernel3D>(
-    comm: &mut C,
-    kernel: K,
-    d: Decomp3D,
-    mode: ExecMode,
-) -> Vec<f32> {
-    run_rank3d_observed(comm, kernel, d, mode, &mut NoopObserver)
-}
-
 /// Gather per-rank blocks into the full grid.
 pub(crate) fn gather_blocks(d: Decomp3D, blocks: &[Vec<f32>]) -> Grid3D {
     // Assemble: every block pencil is contiguous in both the block and
     // the destination grid, so the gather is one memcpy per (i, j).
-    let grid_topo = CartesianGrid::new(vec![d.pi, d.pj]);
     let mut out = Grid3D::new(d.nx, d.ny, d.nz, 0.0, d.boundary);
     let (bx, by) = (d.bx(), d.by());
     for (rank, block) in blocks.iter().enumerate() {
-        let c = grid_topo.coords_of(rank);
+        let (ci, cj) = d.coords(rank);
         for i in 0..bx {
             for j in 0..by {
-                out.row_mut(c[0] * bx + i, c[1] * by + j)
+                out.row_mut(ci * bx + i, cj * by + j)
                     .copy_from_slice(&block[(i * by + j) * d.nz..][..d.nz]);
             }
         }
@@ -644,121 +557,36 @@ pub(crate) fn gather_blocks(d: Decomp3D, blocks: &[Vec<f32>]) -> Grid3D {
     out
 }
 
-/// Run a full distributed 3-D kernel on a fully configured world —
-/// wire latency, and optionally a reliability layer and a fault plan —
-/// with a per-rank [`StepObserver`] built by `make_obs`. Returns the
-/// assembled grid, the wall-clock time of the parallel region, the
-/// observers in rank order, and each rank's fault counters. When ranks
-/// fail, the most diagnostic error is returned (see
-/// [`EngineError::severity`]).
-pub fn run_dist3d_observed_with<K, O, F>(
-    kernel: K,
-    d: Decomp3D,
-    cfg: &WorldConfig,
-    mode: ExecMode,
-    make_obs: F,
-) -> Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>
-where
-    K: Kernel3D,
-    O: StepObserver + Send,
-    F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
-{
-    // Compile (validate + pre-flight, exactly once) then execute the
-    // sealed plan — see [`crate::plan`].
-    let compiled = if cfg.skip_preflight {
-        crate::plan::Compiled3D::compile_unchecked(d, mode)?
-    } else {
-        crate::plan::Compiled3D::compile(d, mode)?
-    };
-    crate::plan::run3d_observed_with(kernel, &compiled, cfg, make_obs)
-}
-
-/// Run a full distributed 3-D kernel on the threaded backend with a
-/// per-rank [`StepObserver`] built by `make_obs`. Returns the assembled
-/// grid, the wall-clock time of the parallel region, and the observers
-/// in rank order.
-pub fn run_dist3d_observed<K, O, F>(
-    kernel: K,
-    d: Decomp3D,
-    latency: LatencyModel,
-    mode: ExecMode,
-    make_obs: F,
-) -> Result<(Grid3D, Duration, Vec<O>), EngineError>
-where
-    K: Kernel3D,
-    O: StepObserver + Send,
-    F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
-{
-    let (grid, elapsed, observers, _) =
-        run_dist3d_observed_with(kernel, d, &WorldConfig::new(latency), mode, make_obs)?;
-    Ok((grid, elapsed, observers))
-}
-
-/// Run a full distributed 3-D kernel on a fully configured world and
-/// gather. Returns the assembled grid, the wall-clock time, and each
-/// rank's fault counters.
+/// One-shot world run: compile `d` under `mode` (validation, plus the
+/// pre-flight analysis unless `cfg.skip_preflight`), run it on a fresh
+/// world built from `cfg`, and gather. Returns the assembled grid, the
+/// wall-clock time, and each rank's fault counters, or the most
+/// diagnostic error (see [`EngineError::severity`]).
 pub fn run_dist3d_with<K: Kernel3D>(
     kernel: K,
     d: Decomp3D,
     cfg: &WorldConfig,
     mode: ExecMode,
 ) -> Result<(Grid3D, Duration, Vec<FaultStats>), EngineError> {
-    let (grid, elapsed, _, stats) =
-        run_dist3d_observed_with(kernel, d, cfg, mode, |_| NoopObserver)?;
-    Ok((grid, elapsed, stats))
-}
-
-/// Run a full distributed 3-D kernel on the threaded backend and gather
-/// the result. Returns the assembled grid and the wall-clock time of the
-/// parallel region.
-pub fn run_dist3d<K: Kernel3D>(
-    kernel: K,
-    d: Decomp3D,
-    latency: LatencyModel,
-    mode: ExecMode,
-) -> Result<(Grid3D, Duration), EngineError> {
-    let (grid, elapsed, _) = run_dist3d_with(kernel, d, &WorldConfig::new(latency), mode)?;
-    Ok((grid, elapsed))
-}
-
-/// Run a full distributed 3-D kernel with wall-clock activity tracing:
-/// every rank records its phases against the world epoch, and the
-/// per-rank traces merge into one [`Trace`] renderable by the same
-/// Gantt/SVG paths as the simulator's.
-pub fn run_dist3d_traced<K: Kernel3D>(
-    kernel: K,
-    d: Decomp3D,
-    latency: LatencyModel,
-    mode: ExecMode,
-) -> Result<(Grid3D, Duration, Trace), EngineError> {
-    let (grid, elapsed, observers) =
-        run_dist3d_observed(kernel, d, latency, mode, |comm: &ThreadComm<f32>| {
-            TraceObserver::new(comm.rank(), comm.epoch())
-        })?;
-    let mut trace = Trace::enabled();
-    for obs in observers {
-        trace.extend(obs.into_trace());
-    }
-    Ok((grid, elapsed, trace))
-}
-
-/// [`run_dist3d`] specialized to the paper's √ kernel.
-pub fn run_paper3d_dist(
-    d: Decomp3D,
-    latency: LatencyModel,
-    mode: ExecMode,
-) -> Result<(Grid3D, Duration), EngineError> {
-    run_dist3d(Paper3D, d, latency, mode)
+    let c = Compiled3D::seal(d, mode, !cfg.skip_preflight)?;
+    plan::run3d_with(kernel, &c, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Fused3D, LongestPath3D, Relax3D};
+    use crate::kernel::{Fused3D, LongestPath3D, Paper3D, Relax3D};
     use crate::seq::{run_paper3d_seq, run_seq3d};
+    use msgpass::thread_backend::LatencyModel;
+
+    /// One-shot run on a zero-latency world.
+    fn run<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) -> Result<Grid3D, EngineError> {
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        run_dist3d_with(kernel, d, &cfg, mode).map(|(grid, _, _)| grid)
+    }
 
     fn check_matches_seq(d: Decomp3D, mode: ExecMode) {
-        let (dist, _) = run_paper3d_dist(d, LatencyModel::zero(), mode).expect("valid decomp");
+        let dist = run(Paper3D, d, mode).expect("valid decomp");
         let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
         assert_eq!(
             dist.max_abs_diff(&seq),
@@ -923,8 +751,7 @@ mod tests {
             v: 16,
             boundary: 1.0,
         };
-        let (pinned, _) =
-            run_paper3d_dist(d, LatencyModel::zero(), ExecMode::Overlapping).expect("pinned run");
+        let pinned = run(Paper3D, d, ExecMode::Overlapping).expect("pinned run");
         let cfg = WorldConfig::new(LatencyModel::zero()).with_kernel_tier(KernelTier::Fast);
         let (fast, _, _) =
             run_dist3d_with(Paper3D, d, &cfg, ExecMode::Overlapping).expect("fast run");
@@ -1017,18 +844,15 @@ mod tests {
             boundary: 1.0,
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (dist, _) =
-                run_dist3d(Relax3D::default(), d, LatencyModel::zero(), mode).expect("valid");
+            let dist = run(Relax3D::default(), d, mode).expect("valid");
             let seq = run_seq3d(Relax3D::default(), d.nx, d.ny, d.nz, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Relax3D {mode:?}");
 
-            let (dist, _) =
-                run_dist3d(LongestPath3D, d, LatencyModel::zero(), mode).expect("valid");
+            let dist = run(LongestPath3D, d, mode).expect("valid");
             let seq = run_seq3d(LongestPath3D, d.nx, d.ny, d.nz, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "LongestPath3D {mode:?}");
 
-            let (dist, _) =
-                run_dist3d(Fused3D::default(), d, LatencyModel::zero(), mode).expect("valid");
+            let dist = run(Fused3D::default(), d, mode).expect("valid");
             let seq = run_seq3d(Fused3D::default(), d.nx, d.ny, d.nz, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Fused3D {mode:?}");
         }
@@ -1048,7 +872,7 @@ mod tests {
             boundary: 1.5,
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (new, _) = run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid");
+            let new = run(Paper3D, d, mode).expect("valid");
             let (old, _) =
                 crate::legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid");
             assert_eq!(new.max_abs_diff(&old), 0.0, "{mode:?}");
@@ -1074,9 +898,18 @@ mod tests {
                 parts: 2
             })
         );
-        assert!(run_paper3d_dist(d, LatencyModel::zero(), ExecMode::Overlapping).is_err());
+        assert!(run(Paper3D, d, ExecMode::Overlapping).is_err());
         let d2 = Decomp3D { v: 0, ..d };
         assert_eq!(d2.validate(), Err(DecompError::EmptyDecomposition));
+        // No compile path seals either: V = 0 must not divide by zero on
+        // the way to its error, and an indivisible grid must not
+        // silently run as a smaller one.
+        assert_eq!(d2.steps(), 0);
+        for compile in [Compiled3D::compile, Compiled3D::compile_unchecked] {
+            let rejected = |bad: Decomp3D| compile(bad, ExecMode::Blocking).unwrap_err();
+            assert_eq!(rejected(d2), DecompError::EmptyDecomposition.into());
+            assert_eq!(rejected(d), d.validate().unwrap_err().into());
+        }
     }
 
     #[test]
@@ -1095,31 +928,31 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_emits_per_rank_intervals() {
-        let d = Decomp3D {
-            nx: 4,
-            ny: 4,
-            nz: 16,
-            pi: 2,
-            pj: 2,
-            v: 4,
-            boundary: 1.0,
-        };
-        let (grid, _, trace) =
-            run_dist3d_traced(Paper3D, d, LatencyModel::zero(), ExecMode::Overlapping)
-                .expect("valid decomp");
-        let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-        assert_eq!(grid.max_abs_diff(&seq), 0.0);
-        // Every rank computed d.steps() tiles; the trace must hold one
-        // Compute interval per tile per rank, on a shared time axis.
-        use msgpass::trace::Activity;
-        for rank in 0..4 {
-            let computes = trace
-                .for_rank(rank)
-                .filter(|iv| iv.activity == Activity::Compute)
-                .count();
-            assert_eq!(computes, d.steps(), "rank {rank}");
+    fn executors_read_the_layout_preflight_analyses() {
+        use msgpass::topology::CartesianGrid;
+        for (pi, pj) in [(3, 2), (1, 4)] {
+            let d = Decomp3D {
+                nx: 2 * pi,
+                ny: 3 * pj,
+                nz: 19,
+                pi,
+                pj,
+                v: 4, // partial last tile
+                boundary: 1.0,
+            };
+            let grid = CartesianGrid::new(vec![pi, pj]);
+            for rank in 0..d.ranks() {
+                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank);
+                decomp::assert_ops_read_layout(&d, rank, &blk);
+                let shared = pool::Shared::new(d, Paper3D, KernelTier::Bitwise, 2, rank);
+                decomp::assert_ops_read_layout(&d, rank, &&shared);
+                // The layout's inline arithmetic is the row-major
+                // Cartesian grid, no wraparound.
+                assert_eq!(d.upstream(rank, FACE_I), grid.neighbor(rank, &[-1, 0]));
+                assert_eq!(d.upstream(rank, FACE_J), grid.neighbor(rank, &[0, -1]));
+                assert_eq!(d.downstream(rank, FACE_I), grid.neighbor(rank, &[1, 0]));
+                assert_eq!(d.downstream(rank, FACE_J), grid.neighbor(rank, &[0, 1]));
+            }
         }
-        assert!(trace.horizon() > msgpass::trace::SimTime::ZERO);
     }
 }

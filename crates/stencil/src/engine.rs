@@ -95,6 +95,14 @@ pub enum EngineError {
         /// Human-readable description.
         message: String,
     },
+    /// A prebuilt world was offered to a plan compiled for a different
+    /// rank count; nothing ran.
+    WorldSizeMismatch {
+        /// Ranks the compiled plan executes on.
+        expected: usize,
+        /// Size of the world that was offered.
+        got: usize,
+    },
 }
 
 impl EngineError {
@@ -151,7 +159,7 @@ impl EngineError {
             EngineError::SequenceGap { .. } => 3,
             EngineError::Timeout { .. } => 2,
             EngineError::Comm { .. } => 1,
-            EngineError::RankFailed { .. } => 0,
+            EngineError::RankFailed { .. } | EngineError::WorldSizeMismatch { .. } => 0,
         }
     }
 }
@@ -188,6 +196,10 @@ impl fmt::Display for EngineError {
             ),
             EngineError::RankFailed { rank } => write!(f, "rank {rank} exited or panicked mid-run"),
             EngineError::Comm { rank, message } => write!(f, "rank {rank}: {message}"),
+            EngineError::WorldSizeMismatch { expected, got } => write!(
+                f,
+                "prebuilt world has {got} ranks but the compiled plan runs on {expected}"
+            ),
         }
     }
 }

@@ -9,8 +9,11 @@
 //! [`engine::TileOps`] implementation per dimensionality, driven by a
 //! `tiling-core` `StepPlan` whose schedule type selects blocking or
 //! overlapped communication. [`decomp`] holds the shared decomposition
-//! arithmetic and typed validation errors. [`verify`] checks that every
-//! distributed run is bitwise identical to the sequential sweep.
+//! arithmetic and typed validation errors; each `Decomp*` is the one
+//! description of its layout that pre-flight analyses and the executors
+//! run. Every run goes through a [`plan::Compiled`] plan: compile once,
+//! then run it any number of times ([`plan`]), or do both in one call
+//! ([`dist2d::run_dist2d_with`], [`dist3d::run_dist3d_with`]).
 //!
 //! Kernels (all single-assignment wavefront recurrences, so distributed
 //! results are exactly reproducible):
@@ -30,14 +33,14 @@
 //! which is how the trace-driven recorder replays them unchanged.
 //!
 //! ```
-//! use stencil::dist3d::{run_paper3d_dist, Decomp3D, ExecMode};
-//! use stencil::seq::run_paper3d_seq;
-//! use msgpass::thread_backend::LatencyModel;
+//! use stencil::prelude::*;
+//! use msgpass::thread_backend::{LatencyModel, WorldConfig};
 //!
 //! let d = Decomp3D { nx: 4, ny: 4, nz: 16, pi: 2, pj: 2, v: 4, boundary: 1.0 };
-//! let (dist, _) = run_paper3d_dist(d, LatencyModel::zero(), ExecMode::Overlapping).unwrap();
-//! let seq = run_paper3d_seq(4, 4, 16, 1.0);
-//! assert_eq!(dist.max_abs_diff(&seq), 0.0);
+//! let plan = Compiled3D::compile(d, ExecMode::Overlapping).unwrap();
+//! let cfg = WorldConfig::new(LatencyModel::zero());
+//! let (dist, _, _) = run3d_with(Paper3D, &plan, &cfg).unwrap();
+//! assert_eq!(dist.max_abs_diff(&run_paper3d_seq(4, 4, 16, 1.0)), 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,15 +61,12 @@ pub(crate) mod pool;
 pub mod preflight;
 pub mod proto;
 pub mod seq;
-pub mod verify;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::decomp::DecompError;
-    pub use crate::dist2d::{run_dist2d, run_dist2d_with, run_example1_dist, Decomp2D};
-    pub use crate::dist3d::{
-        run_dist3d, run_dist3d_traced, run_dist3d_with, run_paper3d_dist, Decomp3D, ExecMode,
-    };
+    pub use crate::decomp::{DecompError, Layout};
+    pub use crate::dist2d::{run_dist2d_with, try_run_rank2d_plan, Decomp2D};
+    pub use crate::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
     pub use crate::engine::{
         run_rank, EngineError, LaneStats, NoopObserver, Phase, PhaseLog, StepObserver, TileOps,
         TraceObserver,
@@ -76,10 +76,12 @@ pub mod prelude {
         Alignment2D, Example1, Fused3D, Kernel2D, Kernel3D, LongestPath3D, Paper3D, Relax3D,
         Smooth2D,
     };
-    pub use crate::plan::{Compiled2D, Compiled3D};
-    pub use crate::preflight::{check_plan2d, check_plan3d};
+    pub use crate::plan::{
+        run2d_with, run3d_observed_with, run3d_on_world, run3d_with, Compiled, Compiled2D,
+        Compiled3D,
+    };
+    pub use crate::preflight::{check_plan, check_plan3d};
     pub use crate::seq::{
         measure_t_c_paper3d, run_example1_seq, run_paper3d_seq, run_seq2d, run_seq3d,
     };
-    pub use crate::verify::{verify_example1, verify_paper3d, VerifyReport};
 }

@@ -1,20 +1,17 @@
 //! Compiled execution plans: validate + analyze once, execute many.
 //!
-//! A [`Compiled2D`] / [`Compiled3D`] is the sealed, immutable bundle a
-//! distributed run actually needs — the validated decomposition, the
-//! [`StepPlan`] projected from the schedule type behind the chosen
-//! [`ExecMode`], and the pre-flight [`AnalysisReport`] proving the plan
-//! legal, fully matched and deadlock-free. Compiling is the *only*
-//! place validation and pre-flight analysis happen; every runner in
-//! this module consumes the bundle as-is, so a plan compiled once can
-//! back any number of executions without re-deriving or re-checking
-//! anything (the `planc` crate's `PlanArtifact` wraps these bundles
-//! with a cache key and model metadata for exactly that reuse).
-//!
-//! The legacy per-run entry points (`run_dist2d_with`,
-//! `run_dist3d_observed_with`, …) are now thin compile-then-execute
-//! wrappers over this module — their behavior, results and error
-//! precedence are unchanged.
+//! A [`Compiled`] plan ([`Compiled2D`] / [`Compiled3D`]) is the sealed,
+//! immutable bundle a distributed run actually needs — the validated
+//! decomposition, the [`StepPlan`] projected from the schedule type
+//! behind the chosen [`ExecMode`], and the pre-flight
+//! [`AnalysisReport`] proving the plan legal, fully matched and
+//! deadlock-free. Compiling is the *only* place validation and
+//! pre-flight analysis happen, and a compiled plan is the only thing a
+//! runner accepts — the per-rank executors included — so a plan
+//! compiled once can back any number of executions without re-deriving
+//! or re-checking anything (the `planc` crate's `PlanArtifact` wraps
+//! these bundles with a cache key and model metadata for exactly that
+//! reuse).
 //!
 //! [`run3d_on_world`] additionally executes a compiled plan over a
 //! *prebuilt* thread-backend world (`msgpass::thread_backend::run_world`):
@@ -23,60 +20,65 @@
 //! sound precisely because the analyzer proved the plan drains every
 //! link — a completed run leaves no message behind.
 
+use crate::decomp::Layout;
 use crate::dist2d::{self, Decomp2D};
 use crate::dist3d::{self, Decomp3D};
 use crate::engine::{EngineError, ExecMode, NoopObserver, StepObserver};
 use crate::grid::{Grid2D, Grid3D};
 use crate::kernel::{Kernel2D, Kernel3D};
+use crate::preflight::check_plan;
 use analyzer::AnalysisReport;
-use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, WorldConfig};
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 use tiling_core::schedule::StepPlan;
 
-/// A compiled, analyzer-approved 2-D strip plan: decomposition,
-/// schedule projection and pre-flight report, sealed at compile time.
+/// A compiled, analyzer-approved plan over the layout `D`:
+/// decomposition, schedule projection and pre-flight report, sealed at
+/// compile time.
 #[derive(Clone, Copy, Debug)]
-pub struct Compiled2D {
-    d: Decomp2D,
+pub struct Compiled<D> {
+    d: D,
     mode: ExecMode,
     plan: StepPlan,
     report: Option<AnalysisReport>,
 }
 
-impl Compiled2D {
+/// A compiled 2-D strip plan.
+pub type Compiled2D = Compiled<Decomp2D>;
+/// A compiled 3-D block plan (§5 layout).
+pub type Compiled3D = Compiled<Decomp3D>;
+
+impl<D: Layout> Compiled<D> {
     /// Validate the decomposition, run the pre-flight static analysis
     /// exactly once, and seal the executable plan.
-    pub fn compile(d: Decomp2D, mode: ExecMode) -> Result<Self, EngineError> {
-        d.validate()?;
-        let report = crate::preflight::check_plan2d(&d, mode)?;
-        Ok(Compiled2D {
-            d,
-            mode,
-            // Example 1 maps along i₁ of a 2-D tiled space (pi = [1, 2]).
-            plan: mode.step_plan(2, 0, d.steps()),
-            report: Some(report),
-        })
+    pub fn compile(d: D, mode: ExecMode) -> Result<Self, EngineError> {
+        Self::seal(d, mode, true)
     }
 
     /// Seal without the pre-flight analysis (benchmark hot paths that
     /// opt out via `WorldConfig::without_preflight`; the layout must be
     /// covered elsewhere, e.g. by `paper analyze`). Validation still
     /// runs — an unexecutable decomposition is never sealed.
-    pub fn compile_unchecked(d: Decomp2D, mode: ExecMode) -> Result<Self, EngineError> {
+    pub fn compile_unchecked(d: D, mode: ExecMode) -> Result<Self, EngineError> {
+        Self::seal(d, mode, false)
+    }
+
+    /// Validate, analyze when `preflight` is set, and seal.
+    pub(crate) fn seal(d: D, mode: ExecMode, preflight: bool) -> Result<Self, EngineError> {
         d.validate()?;
-        Ok(Compiled2D {
+        let report = preflight.then(|| check_plan(&d, mode)).transpose()?;
+        Ok(Compiled {
             d,
             mode,
-            plan: mode.step_plan(2, 0, d.steps()),
-            report: None,
+            plan: d.step_plan(mode),
+            report,
         })
     }
 
     /// The validated decomposition.
-    pub fn decomp(&self) -> Decomp2D {
+    pub fn decomp(&self) -> D {
         self.d
     }
 
@@ -90,86 +92,46 @@ impl Compiled2D {
         &self.plan
     }
 
-    /// The pre-flight report (`None` for [`Compiled2D::compile_unchecked`]).
+    /// The pre-flight report (`None` for [`Compiled::compile_unchecked`]).
     pub fn report(&self) -> Option<&AnalysisReport> {
         self.report.as_ref()
     }
 
     /// World size the plan executes on.
     pub fn ranks(&self) -> usize {
-        self.d.ranks
+        self.d.ranks()
     }
 }
 
-/// A compiled, analyzer-approved 3-D block plan (§5 layout).
-#[derive(Clone, Copy, Debug)]
-pub struct Compiled3D {
-    d: Decomp3D,
-    mode: ExecMode,
-    plan: StepPlan,
-    report: Option<AnalysisReport>,
-}
-
-impl Compiled3D {
-    /// Validate the decomposition, run the pre-flight static analysis
-    /// exactly once, and seal the executable plan.
-    pub fn compile(d: Decomp3D, mode: ExecMode) -> Result<Self, EngineError> {
-        d.validate()?;
-        let report = crate::preflight::check_plan3d(&d, mode)?;
-        Ok(Compiled3D {
-            d,
-            mode,
-            // The paper's §5 layout maps along i₃ (pi = [2, 2, 1]).
-            plan: mode.step_plan(3, 2, d.steps()),
-            report: Some(report),
-        })
+/// Join the ranks of one run: every rank's part and by-product in rank
+/// order, or — when ranks failed — the most diagnostic error (see
+/// [`EngineError::severity`]). A panicked rank counts as
+/// [`EngineError::RankFailed`].
+fn join_ranks<T, X>(
+    results: Vec<std::thread::Result<(Result<T, EngineError>, X)>>,
+) -> Result<(Vec<T>, Vec<X>), EngineError> {
+    let mut parts = Vec::with_capacity(results.len());
+    let mut extras = Vec::with_capacity(results.len());
+    let mut worst: Option<EngineError> = None;
+    for (rank, joined) in results.into_iter().enumerate() {
+        let err = match joined {
+            Ok((Ok(part), extra)) => {
+                parts.push(part);
+                extras.push(extra);
+                continue;
+            }
+            Ok((Err(e), _)) => e,
+            Err(_) => EngineError::RankFailed { rank },
+        };
+        worst = Some(match worst {
+            Some(w) => w.prefer(err),
+            None => err,
+        });
     }
-
-    /// Seal without the pre-flight analysis (see
-    /// [`Compiled2D::compile_unchecked`]).
-    pub fn compile_unchecked(d: Decomp3D, mode: ExecMode) -> Result<Self, EngineError> {
-        d.validate()?;
-        Ok(Compiled3D {
-            d,
-            mode,
-            plan: mode.step_plan(3, 2, d.steps()),
-            report: None,
-        })
+    match worst {
+        Some(e) => Err(e),
+        None => Ok((parts, extras)),
     }
-
-    /// The validated decomposition.
-    pub fn decomp(&self) -> Decomp3D {
-        self.d
-    }
-
-    /// The execution mode the plan was compiled for.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// The schedule's executable projection.
-    pub fn step_plan(&self) -> &StepPlan {
-        &self.plan
-    }
-
-    /// The pre-flight report (`None` for [`Compiled3D::compile_unchecked`]).
-    pub fn report(&self) -> Option<&AnalysisReport> {
-        self.report.as_ref()
-    }
-
-    /// World size the plan executes on.
-    pub fn ranks(&self) -> usize {
-        self.d.pi * self.d.pj
-    }
-}
-
-/// Fold per-rank results, preferring the most diagnostic error (see
-/// [`EngineError::severity`]).
-fn prefer_worst(worst: &mut Option<EngineError>, err: EngineError) {
-    *worst = Some(match worst.take() {
-        Some(w) => w.prefer(err),
-        None => err,
-    });
 }
 
 /// Execute a compiled 2-D plan on a fully configured world and gather.
@@ -181,32 +143,12 @@ pub fn run2d_with<K: Kernel2D>(
     c: &Compiled2D,
     cfg: &WorldConfig,
 ) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
-    let d = c.d;
-    let plan = &c.plan;
-    let (results, elapsed) = run_threads_with::<f32, _, _>(d.ranks, cfg, move |mut comm| {
-        let strip = dist2d::try_run_rank2d_plan(&mut comm, kernel, d, plan, &mut NoopObserver);
+    let (results, elapsed) = run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| {
+        let strip = dist2d::try_run_rank2d_plan(&mut comm, kernel, c, &mut NoopObserver);
         (strip, comm.fault_stats())
     });
-    let mut strips = Vec::with_capacity(d.ranks);
-    let mut stats = Vec::with_capacity(d.ranks);
-    let mut worst: Option<EngineError> = None;
-    for (rank, joined) in results.into_iter().enumerate() {
-        match joined {
-            Ok((Ok(strip), st)) => {
-                strips.push(strip);
-                stats.push(st);
-            }
-            Ok((Err(e), st)) => {
-                stats.push(st);
-                prefer_worst(&mut worst, e);
-            }
-            Err(_) => prefer_worst(&mut worst, EngineError::RankFailed { rank }),
-        }
-    }
-    if let Some(e) = worst {
-        return Err(e);
-    }
-    Ok((assemble2d(d, &strips), elapsed, stats))
+    let (strips, stats) = join_ranks(results)?;
+    Ok((assemble2d(c.d, &strips), elapsed, stats))
 }
 
 /// Assemble per-rank strips into the full grid: each strip row is a
@@ -238,53 +180,20 @@ where
     O: StepObserver + Send,
     F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
 {
-    let d = c.d;
-    let plan = &c.plan;
-    let ranks = c.ranks();
-    let tier = cfg.kernel_tier;
-    let workers = cfg.compute_workers.max(1);
-    let pin = cfg.pin_cores;
-    let (results, elapsed) = run_threads_with::<f32, _, _>(ranks, cfg, |mut comm| {
+    let (tier, workers, pin) = (cfg.kernel_tier, cfg.compute_workers, cfg.pin_cores);
+    let (results, elapsed) = run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| {
         let mut obs = make_obs(&comm);
-        let block = if workers > 1 {
-            // Place each rank's pool on a contiguous core span so the
-            // engine (worker 0) and its workers share locality.
-            let pin_base = if pin {
-                Some(comm.rank() * workers)
-            } else {
-                None
-            };
-            dist3d::try_run_rank3d_pooled_plan(
-                &mut comm, kernel, d, plan, tier, workers, pin_base, &mut obs,
-            )
-        } else {
-            dist3d::try_run_rank3d_plan(&mut comm, kernel, d, plan, tier, &mut obs)
-        };
-        (block, obs, comm.fault_stats())
+        let block = dist3d::try_run_rank3d_plan(&mut comm, kernel, c, tier, workers, pin, &mut obs);
+        (block, (obs, comm.fault_stats()))
     });
-    let mut blocks = Vec::with_capacity(ranks);
-    let mut observers = Vec::with_capacity(ranks);
-    let mut stats = Vec::with_capacity(ranks);
-    let mut worst: Option<EngineError> = None;
-    for (rank, joined) in results.into_iter().enumerate() {
-        match joined {
-            Ok((Ok(block), obs, st)) => {
-                blocks.push(block);
-                observers.push(obs);
-                stats.push(st);
-            }
-            Ok((Err(e), obs, st)) => {
-                observers.push(obs);
-                stats.push(st);
-                prefer_worst(&mut worst, e);
-            }
-            Err(_) => prefer_worst(&mut worst, EngineError::RankFailed { rank }),
-        }
-    }
-    if let Some(e) = worst {
-        return Err(e);
-    }
-    Ok((dist3d::gather_blocks(d, &blocks), elapsed, observers, stats))
+    let (blocks, extras) = join_ranks(results)?;
+    let (observers, stats) = extras.into_iter().unzip();
+    Ok((
+        dist3d::gather_blocks(c.d, &blocks),
+        elapsed,
+        observers,
+        stats,
+    ))
 }
 
 /// Execute a compiled 3-D plan on a fully configured world and gather.
@@ -301,37 +210,27 @@ pub fn run3d_with<K: Kernel3D>(
 /// [`msgpass::thread_backend::build_world_with`] /
 /// [`msgpass::thread_backend::run_world`]): the world's links, slot
 /// rings and buffer pools are reused as-is, so a warm world costs no
-/// setup. The world's size must match the plan's rank count. On error
-/// the world may hold undrained messages and must be discarded.
+/// setup. A world whose size differs from the plan's rank count is an
+/// [`EngineError::WorldSizeMismatch`]. On any other error the world may
+/// hold undrained messages and must be discarded.
 pub fn run3d_on_world<K: Kernel3D>(
     kernel: K,
     c: &Compiled3D,
     tier: KernelTier,
     world: &mut [ThreadComm<f32>],
 ) -> Result<(Grid3D, Duration), EngineError> {
-    assert_eq!(
-        world.len(),
-        c.ranks(),
-        "prebuilt world size must match the compiled plan's rank count"
-    );
-    let d = c.d;
-    let plan = &c.plan;
+    if world.len() != c.ranks() {
+        return Err(EngineError::WorldSizeMismatch {
+            expected: c.ranks(),
+            got: world.len(),
+        });
+    }
     let (results, elapsed) = run_world(world, false, |comm| {
-        dist3d::try_run_rank3d_plan(comm, kernel, d, plan, tier, &mut NoopObserver)
+        let block = dist3d::try_run_rank3d_plan(comm, kernel, c, tier, 1, false, &mut NoopObserver);
+        (block, ())
     });
-    let mut blocks = Vec::with_capacity(c.ranks());
-    let mut worst: Option<EngineError> = None;
-    for (rank, joined) in results.into_iter().enumerate() {
-        match joined {
-            Ok(Ok(block)) => blocks.push(block),
-            Ok(Err(e)) => prefer_worst(&mut worst, e),
-            Err(_) => prefer_worst(&mut worst, EngineError::RankFailed { rank }),
-        }
-    }
-    if let Some(e) = worst {
-        return Err(e);
-    }
-    Ok((dist3d::gather_blocks(d, &blocks), elapsed))
+    let (blocks, _) = join_ranks(results)?;
+    Ok((dist3d::gather_blocks(c.d, &blocks), elapsed))
 }
 
 #[cfg(test)]
@@ -381,10 +280,19 @@ mod tests {
     }
 
     #[test]
-    fn compile_rejects_invalid_decomp() {
-        let bad = Decomp3D { pi: 3, ..d3() }; // 8 % 3 != 0
-        assert!(Compiled3D::compile(bad, ExecMode::Blocking).is_err());
-        assert!(Compiled3D::compile_unchecked(bad, ExecMode::Blocking).is_err());
+    fn prebuilt_world_of_the_wrong_size_is_a_typed_error() {
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        let mut world = build_world_with::<f32>(2, &WorldConfig::new(LatencyModel::zero()));
+        let err = run3d_on_world(Paper3D, &c, KernelTier::Bitwise, &mut world).unwrap_err();
+        let want = EngineError::WorldSizeMismatch {
+            expected: 4,
+            got: 2,
+        };
+        assert_eq!(err, want);
+        assert_eq!(
+            err.to_string(),
+            "prebuilt world has 2 ranks but the compiled plan runs on 4"
+        );
     }
 
     #[test]
@@ -405,5 +313,34 @@ mod tests {
         let (grid, _) =
             run3d_on_world(Paper3D, &c2, KernelTier::Bitwise, &mut world).expect("runs");
         assert_eq!(grid.max_abs_diff(&seq), 0.0);
+    }
+
+    #[test]
+    fn traced_run_emits_per_rank_intervals() {
+        use crate::engine::TraceObserver;
+        use msgpass::comm::Communicator;
+        use msgpass::trace::{Activity, SimTime, Trace};
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let (grid, _, observers, _) = run3d_observed_with(Paper3D, &c, &cfg, |comm| {
+            TraceObserver::new(comm.rank(), comm.epoch())
+        })
+        .expect("runs");
+        let seq = crate::seq::run_paper3d_seq(8, 8, 64, 1.0);
+        assert_eq!(grid.max_abs_diff(&seq), 0.0);
+        let mut trace = Trace::enabled();
+        for obs in observers {
+            trace.extend(obs.into_trace());
+        }
+        // Every rank computed d.steps() tiles; the trace must hold one
+        // Compute interval per tile per rank, on a shared time axis.
+        for rank in 0..c.ranks() {
+            let computes = trace
+                .for_rank(rank)
+                .filter(|iv| iv.activity == Activity::Compute)
+                .count();
+            assert_eq!(computes, d3().steps(), "rank {rank}");
+        }
+        assert!(trace.horizon() > SimTime::ZERO);
     }
 }

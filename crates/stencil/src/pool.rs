@@ -31,9 +31,12 @@
 //! (scoped threads) and park on a condvar between tiles; the steady-
 //! state tile path allocates nothing (asserted by `tests/zero_alloc.rs`).
 
+use crate::decomp::RankLinks;
 use crate::dist3d::Decomp3D;
+use crate::engine::TileOps;
+use crate::halo;
 use crate::kernel::{Kernel3D, KernelTier, Wave, MAX_WAVE};
-use msgpass::topology::CartesianGrid;
+use analyzer::RankTopology;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
@@ -104,10 +107,7 @@ pub(crate) struct Shared<K> {
     halo_j: RwLock<Vec<f32>>,
     /// Boundary splat, `nz` long.
     brow: Vec<f32>,
-    has_left_i: bool,
-    has_left_j: bool,
-    pub(crate) up: [Option<usize>; 2],
-    pub(crate) dn: [Option<usize>; 2],
+    links: RankLinks,
     gi0: i64,
     gj0: i64,
     job: Mutex<Job>,
@@ -123,9 +123,8 @@ impl<K: Kernel3D> Shared<K> {
         workers: usize,
         rank: usize,
     ) -> Self {
-        let grid = CartesianGrid::new(vec![d.pi, d.pj]);
-        let coords = grid.coords_of(rank);
-        let workers = workers.max(1);
+        let links = RankLinks::of(&d, rank);
+        let (ci, cj) = d.coords(rank);
         Shared {
             d,
             kernel,
@@ -137,12 +136,9 @@ impl<K: Kernel3D> Shared<K> {
             halo_i: RwLock::new(vec![0.0; d.by() * d.nz]),
             halo_j: RwLock::new(vec![0.0; d.bx() * d.nz]),
             brow: vec![d.boundary; d.nz],
-            has_left_i: coords[0] > 0,
-            has_left_j: coords[1] > 0,
-            up: [grid.neighbor(rank, &[-1, 0]), grid.neighbor(rank, &[0, -1])],
-            dn: [grid.neighbor(rank, &[1, 0]), grid.neighbor(rank, &[0, 1])],
-            gi0: (coords[0] * d.bx()) as i64,
-            gj0: (coords[1] * d.by()) as i64,
+            links,
+            gi0: (ci * d.bx()) as i64,
+            gj0: (cj * d.by()) as i64,
             job: Mutex::new(Job {
                 seq: 0,
                 step: 0,
@@ -174,19 +170,6 @@ impl<K: Kernel3D> Shared<K> {
             seen = seq;
             self.run_tile(worker, step);
         }
-    }
-
-    /// Publish tile `step` to the pool and compute the engine's own
-    /// share; returns only when the whole tile is done (the final
-    /// diagonal barrier is the completion rendezvous).
-    pub(crate) fn compute(&self, step: usize) {
-        {
-            let mut g = self.job.lock().unwrap();
-            g.seq += 1;
-            g.step = step;
-        }
-        self.cv.notify_all();
-        self.run_tile(0, step);
     }
 
     /// Stop the pool (idempotent); workers drain out of `worker_loop`.
@@ -258,12 +241,12 @@ impl<K: Kernel3D> Shared<K> {
             let jj = diag - ii;
             let im1: &[f32] = match &ngi[p] {
                 Some(g) => &g[k0..k0 + len],
-                None if self.has_left_i => &halo_i[jj * nz + k0..][..len],
+                None if self.links.up[0].is_some() => &halo_i[jj * nz + k0..][..len],
                 None => &self.brow[k0..k0 + len],
             };
             let jm1: &[f32] = match &ngj[p] {
                 Some(g) => &g[k0..k0 + len],
-                None if self.has_left_j => &halo_j[ii * nz + k0..][..len],
+                None if self.links.up[1].is_some() => &halo_j[ii * nz + k0..][..len],
                 None => &self.brow[k0..k0 + len],
             };
             let row: &mut Vec<f32> = og.as_mut().unwrap();
@@ -287,9 +270,44 @@ impl<K: Kernel3D> Shared<K> {
         self.kernel.eval_wave_tier(self.tier, &mut wave);
     }
 
-    /// Pack the outgoing `dir` face of `step` into `out` (engine thread,
-    /// between tiles — all row locks are free).
-    pub(crate) fn pack_face(&self, dir: usize, step: usize, out: &mut [f32]) {
+    /// Flatten the sharded rows back into the `bx × by × nz` block
+    /// layout the gather paths expect.
+    pub(crate) fn into_flat_block(self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.rows.len() * self.d.nz);
+        for row in self.rows {
+            out.extend_from_slice(&row.into_inner().unwrap());
+        }
+        out
+    }
+}
+
+/// The engine thread's view of the pooled per-rank state. Faces are
+/// packed/unpacked through the shard locks (engine thread, between
+/// tiles — all row locks are free), and `compute` fans the tile out to
+/// the pool: the engine participates as worker 0 and returns only when
+/// the whole tile is done, so the lane schedule around it is unchanged.
+impl<K: Kernel3D> TileOps for &Shared<K> {
+    fn num_dirs(&self) -> usize {
+        self.d.num_dirs()
+    }
+
+    fn upstream(&self, dir: usize) -> Option<usize> {
+        self.links.up[dir]
+    }
+
+    fn downstream(&self, dir: usize) -> Option<usize> {
+        self.links.dn[dir]
+    }
+
+    fn wire_dir(&self, dir: usize) -> u64 {
+        self.d.wire_dir(dir)
+    }
+
+    fn face_len(&self, dir: usize, step: usize) -> usize {
+        self.d.face_len(self.links.rank, dir, step)
+    }
+
+    fn pack_into(&mut self, dir: usize, step: usize, out: &mut [f32]) {
         let (k0, k1) = self.d.krange(step);
         let len = k1 - k0;
         let (bx, by) = (self.d.bx(), self.d.by());
@@ -306,34 +324,27 @@ impl<K: Kernel3D> Shared<K> {
         }
     }
 
-    /// Scatter a received `dir` face of `step` into the halo plane.
-    pub(crate) fn unpack_face(&self, dir: usize, step: usize, data: &[f32]) {
+    fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]) {
         let (k0, k1) = self.d.krange(step);
-        let len = k1 - k0;
         let mut halo = if dir == 0 {
             self.halo_i.write().unwrap()
         } else {
             self.halo_j.write().unwrap()
         };
-        let nz = self.d.nz;
-        for (n, chunk) in data.chunks_exact(len).enumerate() {
-            halo[n * nz + k0..][..len].copy_from_slice(chunk);
-        }
+        halo::unpack_rows(data, &mut halo, 0, self.d.nz, k0, k1 - k0);
     }
 
-    /// Flatten the sharded rows back into the `bx × by × nz` block
-    /// layout the gather paths expect.
-    pub(crate) fn into_flat_block(self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.rows.len() * self.d.nz);
-        for row in self.rows {
-            out.extend_from_slice(&row.into_inner().unwrap());
+    /// Publish tile `step` to the pool and compute the engine's own
+    /// share; returns only when the whole tile is done (the final
+    /// diagonal barrier is the completion rendezvous).
+    fn compute(&mut self, step: usize) {
+        {
+            let mut g = self.job.lock().unwrap();
+            g.seq += 1;
+            g.step = step;
         }
-        out
-    }
-
-    /// Decomposition this pool was built for.
-    pub(crate) fn decomp(&self) -> &Decomp3D {
-        &self.d
+        self.cv.notify_all();
+        self.run_tile(0, step);
     }
 }
 

@@ -1,27 +1,25 @@
 //! Pre-flight static analysis of the stencil decompositions.
 //!
-//! Bridges the concrete [`Decomp2D`] / [`Decomp3D`] rank layouts to the
-//! `analyzer` crate's [`RankTopology`] and runs the full analysis —
+//! [`crate::dist2d::Decomp2D`] and [`Decomp3D`] are themselves the `analyzer` crate's
+//! `RankTopology` — the same impls the per-rank executors take their
+//! neighbours, wire codes and face lengths from — so this module only
+//! pairs a layout with its mode's schedule and runs the full analysis:
 //! schedule legality against the kernel's dependence set, symbolic
 //! send/receive matching, and deadlock detection — *before any rank
-//! thread spawns*. The distributed drivers call [`check_plan2d`] /
-//! [`check_plan3d`] on every entry unless the world opts out
-//! (`WorldConfig::without_preflight`); `paper analyze` sweeps every
-//! shipped configuration through the same functions.
+//! thread spawns*. Compiling a plan ([`crate::plan::Compiled::compile`])
+//! calls [`check_plan`] exactly once; `paper analyze` sweeps every
+//! shipped configuration through the same function.
 //!
 //! The check is allocation-frugal by construction (every collection in
-//! the analyzer is pre-sized), so the zero-allocation steady-state
-//! assertions of `tests/zero_alloc.rs` hold with pre-flight enabled —
-//! the check costs a constant number of allocations per *run*, not per
-//! step.
+//! the analyzer is pre-sized, and the layouts answer by inline
+//! arithmetic), so the zero-allocation steady-state assertions of
+//! `tests/zero_alloc.rs` hold with pre-flight enabled — the check costs
+//! a constant number of allocations per *run*, not per step.
 
-use crate::dist2d::Decomp2D;
+use crate::decomp::Layout;
 use crate::dist3d::Decomp3D;
 use crate::engine::{EngineError, ExecMode};
-use crate::proto::{DIR_I, DIR_J};
-use analyzer::{analyze, AnalysisReport, RankTopology};
-use msgpass::topology::CartesianGrid;
-use tiling_core::dependence::DependenceSet;
+use analyzer::{analyze, AnalysisReport};
 use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule};
 
 /// The schedule vector `Π` the mode's schedule type mandates — the
@@ -36,128 +34,28 @@ fn mode_pi(mode: ExecMode, dims: usize, mapping_dim: usize) -> Vec<i64> {
     }
 }
 
-/// The 2-D strip decomposition as a rank topology: a 1-D chain where
-/// rank `r` ships its last `j`-column to rank `r + 1`, one face per
-/// pipeline step.
-struct Chain2D(Decomp2D);
-
-impl RankTopology for Chain2D {
-    fn ranks(&self) -> usize {
-        self.0.ranks
-    }
-
-    fn num_dirs(&self) -> usize {
-        1
-    }
-
-    fn upstream(&self, rank: usize, _dir: usize) -> Option<usize> {
-        rank.checked_sub(1)
-    }
-
-    fn downstream(&self, rank: usize, _dir: usize) -> Option<usize> {
-        (rank + 1 < self.0.ranks).then_some(rank + 1)
-    }
-
-    fn wire_dir(&self, _dir: usize) -> u64 {
-        DIR_J
-    }
-
-    fn face_len(&self, _rank: usize, _dir: usize, step: usize) -> usize {
-        let (i0, i1) = self.0.irange(step);
-        i1 - i0
-    }
-}
-
-/// The 3-D block decomposition as a rank topology: a `pi × pj`
-/// Cartesian grid where every rank ships its high-`i` face to the
-/// `(+1, 0)` neighbor and its high-`j` face to the `(0, +1)` neighbor.
-///
-/// Neighbors are precomputed per rank: `CartesianGrid::neighbor`
-/// allocates coordinate scratch, and the analyzer queries the topology
-/// once per plan event — caching keeps the whole analysis at a
-/// constant allocation count regardless of pipeline depth.
-struct Grid3DTopo {
-    d: Decomp3D,
-    /// `[i-dir, j-dir]` upstream neighbor per rank.
-    up: Vec<[Option<usize>; 2]>,
-    /// `[i-dir, j-dir]` downstream neighbor per rank.
-    dn: Vec<[Option<usize>; 2]>,
-}
-
-impl Grid3DTopo {
-    fn new(d: Decomp3D) -> Self {
-        let grid = CartesianGrid::new(vec![d.pi, d.pj]);
-        let ranks = d.pi * d.pj;
-        let mut up = Vec::with_capacity(ranks);
-        let mut dn = Vec::with_capacity(ranks);
-        for rank in 0..ranks {
-            up.push([grid.neighbor(rank, &[-1, 0]), grid.neighbor(rank, &[0, -1])]);
-            dn.push([grid.neighbor(rank, &[1, 0]), grid.neighbor(rank, &[0, 1])]);
-        }
-        Grid3DTopo { d, up, dn }
-    }
-}
-
-impl RankTopology for Grid3DTopo {
-    fn ranks(&self) -> usize {
-        self.d.pi * self.d.pj
-    }
-
-    fn num_dirs(&self) -> usize {
-        2
-    }
-
-    fn upstream(&self, rank: usize, dir: usize) -> Option<usize> {
-        self.up[rank][dir]
-    }
-
-    fn downstream(&self, rank: usize, dir: usize) -> Option<usize> {
-        self.dn[rank][dir]
-    }
-
-    fn wire_dir(&self, dir: usize) -> u64 {
-        if dir == 0 {
-            DIR_I
-        } else {
-            DIR_J
-        }
-    }
-
-    fn face_len(&self, _rank: usize, dir: usize, step: usize) -> usize {
-        let (k0, k1) = self.d.krange(step);
-        let width = if dir == 0 { self.d.by() } else { self.d.bx() };
-        width * (k1 - k0)
-    }
-}
-
-/// Statically analyze the 2-D strip plan `mode` will execute over `d`.
-/// The decomposition must already be validated.
-pub fn check_plan2d(d: &Decomp2D, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
-    // Example 1 maps along i₁ of a 2-D tiled space (`try_run_rank2d_observed`).
-    let plan = mode.step_plan(2, 0, d.steps());
-    let pi = mode_pi(mode, 2, 0);
-    analyze(&Chain2D(*d), &plan, &pi, 0, &DependenceSet::example_1()).map_err(EngineError::from)
-}
-
-/// Statically analyze the 3-D block plan `mode` will execute over `d`.
-/// The decomposition must already be validated.
-pub fn check_plan3d(d: &Decomp3D, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
-    // The paper's §5 layout maps along i₃ (`try_run_rank3d_observed`).
-    let plan = mode.step_plan(3, 2, d.steps());
-    let pi = mode_pi(mode, 3, 2);
+/// Statically analyze the plan `mode` will execute over `layout`. The
+/// decomposition must already be validated.
+pub fn check_plan<L: Layout>(layout: &L, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
     analyze(
-        &Grid3DTopo::new(*d),
-        &plan,
-        &pi,
-        2,
-        &DependenceSet::paper_3d(),
+        layout,
+        &layout.step_plan(mode),
+        &mode_pi(mode, L::DIMS, L::MAPPING_DIM),
+        L::MAPPING_DIM,
+        &L::dependences(),
     )
     .map_err(EngineError::from)
+}
+
+/// [`check_plan`] for the 3-D block layout.
+pub fn check_plan3d(d: &Decomp3D, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
+    check_plan(d, mode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist2d::Decomp2D;
 
     #[test]
     fn shipped_2d_plans_are_clean() {
@@ -169,7 +67,7 @@ mod tests {
             boundary: 1.0,
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let report = check_plan2d(&d, mode).expect("shipped layout analyzes clean");
+            let report = check_plan(&d, mode).expect("shipped layout analyzes clean");
             assert_eq!(report.ranks, 4);
             assert_eq!(report.steps, 4);
             // 3 interior channels × 4 steps.

@@ -50,16 +50,17 @@ fn main() {
         seq_start.elapsed().as_secs_f64()
     );
 
-    let (g_block, t_block) =
-        run_paper3d_dist(d, lat, ExecMode::Blocking).expect("valid decomposition");
+    let cfg = WorldConfig::new(lat);
+    let (g_block, t_block, _) =
+        run_dist3d_with(Paper3D, d, &cfg, ExecMode::Blocking).expect("valid decomposition");
     println!(
         "blocking  (ProcB):    {:.3} s   bitwise-correct: {}",
         t_block.as_secs_f64(),
         g_block.max_abs_diff(&seq) == 0.0
     );
 
-    let (g_over, t_over) =
-        run_paper3d_dist(d, lat, ExecMode::Overlapping).expect("valid decomposition");
+    let (g_over, t_over, _) =
+        run_dist3d_with(Paper3D, d, &cfg, ExecMode::Overlapping).expect("valid decomposition");
     println!(
         "overlap   (ProcNB):   {:.3} s   bitwise-correct: {}",
         t_over.as_secs_f64(),

@@ -13,7 +13,6 @@
 //! under any `MachineParams` — swap in a faster network and re-predict.
 
 use overlap_tiling::prelude::*;
-use stencil::dist3d::run_rank3d;
 
 fn main() {
     let d = Decomp3D {
@@ -32,12 +31,16 @@ fn main() {
 
     // Record both schedules by running the *actual* executors
     // sequentially (rank order is a topological order of the wavefront).
-    let (blocks_b, progs_blocking) = record_sequential::<f32, _, _>(d.pi * d.pj, |comm| {
-        run_rank3d(comm, Paper3D, d, ExecMode::Blocking)
-    });
-    let (blocks_o, progs_overlap) = record_sequential::<f32, _, _>(d.pi * d.pj, |comm| {
-        run_rank3d(comm, Paper3D, d, ExecMode::Overlapping)
-    });
+    let record = |mode| {
+        let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
+        record_sequential::<f32, _, _>(plan.ranks(), |comm| {
+            let tier = KernelTier::Bitwise;
+            try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+                .expect("the recorder never fails a receive")
+        })
+    };
+    let (blocks_b, progs_blocking) = record(ExecMode::Blocking);
+    let (blocks_o, progs_overlap) = record(ExecMode::Overlapping);
 
     // The recorded runs produced real, correct data.
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);

@@ -3,12 +3,16 @@
 //! with the paper's schedule-length arithmetic, and the engine must
 //! surface analyzer rejections as its own typed error.
 
+use cluster_sim::program::{Op, Program};
+use msgpass::recording::record_sequential;
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
-use stencil::dist2d::Decomp2D;
-use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
-use stencil::engine::EngineError;
-use stencil::kernel::Relax3D;
-use stencil::preflight::{check_plan2d, check_plan3d};
+use stencil::decomp::Layout;
+use stencil::dist2d::{try_run_rank2d_plan, Decomp2D};
+use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
+use stencil::engine::{EngineError, NoopObserver};
+use stencil::kernel::{Example1, KernelTier, Paper3D, Relax3D};
+use stencil::plan::{Compiled, Compiled2D, Compiled3D};
+use stencil::preflight::{check_plan, check_plan3d};
 
 fn shipped_3d() -> Vec<Decomp3D> {
     let base = Decomp3D {
@@ -59,9 +63,8 @@ fn every_shipped_3d_config_passes_preflight() {
     }
 }
 
-#[test]
-fn every_shipped_2d_config_passes_preflight() {
-    for d in [
+fn shipped_2d() -> [Decomp2D; 2] {
+    [
         Decomp2D {
             nx: 10_000,
             ny: 1_000,
@@ -69,6 +72,7 @@ fn every_shipped_2d_config_passes_preflight() {
             v: 10,
             boundary: 1.0,
         },
+        // nx % v != 0: the last tile is partial.
         Decomp2D {
             nx: 30,
             ny: 8,
@@ -76,9 +80,14 @@ fn every_shipped_2d_config_passes_preflight() {
             v: 7,
             boundary: 2.0,
         },
-    ] {
+    ]
+}
+
+#[test]
+fn every_shipped_2d_config_passes_preflight() {
+    for d in shipped_2d() {
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let report = check_plan2d(&d, mode)
+            let report = check_plan(&d, mode)
                 .unwrap_or_else(|e| panic!("{d:?} under {mode:?} rejected: {e}"));
             assert_eq!(report.ranks, d.ranks);
             assert_eq!(report.messages, (d.ranks - 1) * d.steps());
@@ -148,5 +157,69 @@ fn preflight_gate_is_transparent_to_results() {
         let (b, _, _) =
             run_dist3d_with(Relax3D::default(), d, &unchecked, mode).expect("unchecked run");
         assert_eq!(a.max_abs_diff(&b), 0.0, "{mode:?}");
+    }
+}
+
+/// Every send the executors of `plan` actually make — `(rank, to, tag,
+/// bytes)` from a sequential recording of each rank — must be exactly
+/// the sends the plan's own layout predicts, and as many as pre-flight
+/// matched: what the analyzer proved is what runs.
+fn assert_recorded_sends_are_the_analyzed_ones<L: Layout + std::fmt::Debug>(
+    plan: &Compiled<L>,
+    programs: &[Program],
+) {
+    let (d, mode) = (plan.decomp(), plan.mode());
+    let mut recorded = Vec::new();
+    for (rank, program) in programs.iter().enumerate() {
+        for op in program.ops() {
+            if let Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } = *op {
+                recorded.push((rank, to, tag, bytes));
+            }
+        }
+    }
+    let mut predicted = Vec::new();
+    for rank in 0..d.ranks() {
+        for dir in 0..d.num_dirs() {
+            let Some(to) = d.downstream(rank, dir) else {
+                continue;
+            };
+            for step in 0..Layout::steps(&d) {
+                let bytes = (4 * d.face_len(rank, dir, step)) as u64;
+                predicted.push((rank, to, d.tag(step, dir), bytes));
+            }
+        }
+    }
+    recorded.sort_unstable();
+    predicted.sort_unstable();
+    let report = plan.report().expect("compiled with pre-flight");
+    assert_eq!(recorded.len(), report.messages, "{d:?} {mode:?}");
+    assert_eq!(recorded, predicted, "{d:?} {mode:?}");
+}
+
+#[test]
+fn executors_send_exactly_what_preflight_analyzed() {
+    let partial = Decomp3D {
+        nz: 50, // nz % v != 0: the last tile is partial
+        v: 8,
+        ..shipped_3d()[0]
+    };
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        for d in shipped_3d().into_iter().chain([partial]) {
+            let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
+            let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
+                let tier = KernelTier::Bitwise;
+                try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+                    .expect("the recorder never fails a receive")
+            });
+            assert_recorded_sends_are_the_analyzed_ones(&plan, &programs);
+        }
+        for d in shipped_2d() {
+            let plan = Compiled2D::compile(d, mode).expect("shipped layout compiles");
+            let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
+                try_run_rank2d_plan(comm, Example1, &plan, &mut NoopObserver)
+                    .expect("the recorder never fails a receive")
+            });
+            assert_recorded_sends_are_the_analyzed_ones(&plan, &programs);
+        }
     }
 }

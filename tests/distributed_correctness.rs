@@ -3,9 +3,16 @@
 //! execution modes must be **bitwise** identical to the sequential
 //! reference, with and without injected latency.
 
-use msgpass::thread_backend::LatencyModel;
+mod common;
+
+use common::{verify_example1, verify_paper3d};
+use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
 use stencil::prelude::*;
+
+fn zero_latency() -> WorldConfig {
+    WorldConfig::new(LatencyModel::zero())
+}
 
 proptest! {
     // Thread-spawning tests: keep the case count modest.
@@ -96,7 +103,6 @@ proptest! {
     ) {
         use stencil::kernel::{LongestPath3D, Relax3D};
         use stencil::seq::run_seq3d;
-        use stencil::dist3d::run_dist3d;
         let d = Decomp3D {
             nx: pi * bx,
             ny: 2,
@@ -108,11 +114,11 @@ proptest! {
         };
         let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
         let k = Relax3D { omega };
-        let (dist, _) = run_dist3d(k, d, LatencyModel::zero(), mode).expect("valid decomp");
+        let (dist, _, _) = run_dist3d_with(k, d, &zero_latency(), mode).expect("valid decomp");
         let seq = run_seq3d(k, d.nx, d.ny, d.nz, d.boundary);
         prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
 
-        let (dist, _) = run_dist3d(LongestPath3D, d, LatencyModel::zero(), mode)
+        let (dist, _, _) = run_dist3d_with(LongestPath3D, d, &zero_latency(), mode)
             .expect("valid decomp");
         let seq = run_seq3d(LongestPath3D, d.nx, d.ny, d.nz, d.boundary);
         prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
@@ -129,7 +135,6 @@ proptest! {
     ) {
         use stencil::kernel::{Alignment2D, Smooth2D};
         use stencil::seq::run_seq2d;
-        use stencil::dist2d::run_dist2d;
         let d = Decomp2D {
             nx,
             ny: ranks * by,
@@ -139,12 +144,12 @@ proptest! {
         };
         let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
         let k = Alignment2D { alphabet };
-        let (dist, _) = run_dist2d(k, d, LatencyModel::zero(), mode).expect("valid decomp");
+        let (dist, _, _) = run_dist2d_with(k, d, &zero_latency(), mode).expect("valid decomp");
         let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
         prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
 
         let k = Smooth2D::default();
-        let (dist, _) = run_dist2d(k, d, LatencyModel::zero(), mode).expect("valid decomp");
+        let (dist, _, _) = run_dist2d_with(k, d, &zero_latency(), mode).expect("valid decomp");
         let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
         prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
     }
@@ -163,10 +168,9 @@ fn modes_agree_with_each_other() {
         v: 7,
         boundary: 1.5,
     };
-    let (a, _) =
-        run_paper3d_dist(d, LatencyModel::zero(), ExecMode::Blocking).expect("valid decomp");
-    let (b, _) =
-        run_paper3d_dist(d, LatencyModel::zero(), ExecMode::Overlapping).expect("valid decomp");
+    let run = |mode| run_dist3d_with(Paper3D, d, &zero_latency(), mode).expect("valid decomp");
+    let (a, _, _) = run(ExecMode::Blocking);
+    let (b, _, _) = run(ExecMode::Overlapping);
     assert_eq!(a.max_abs_diff(&b), 0.0);
 }
 
@@ -181,7 +185,7 @@ fn long_pipeline_stays_finite() {
         v: 32,
         boundary: 1.0,
     };
-    let (g, _) =
-        run_example1_dist(d, LatencyModel::zero(), ExecMode::Overlapping).expect("valid decomp");
+    let (g, _, _) =
+        run_dist2d_with(Example1, d, &zero_latency(), ExecMode::Overlapping).expect("valid decomp");
     assert!(g.data().iter().all(|x| x.is_finite()));
 }

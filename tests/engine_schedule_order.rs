@@ -13,18 +13,22 @@
 use msgpass::thread_backend::{run_threads, LatencyModel};
 use msgpass::topology::CartesianGrid;
 use std::collections::HashMap;
-use stencil::dist3d::{run_rank3d_observed, Decomp3D, ExecMode};
+use stencil::dist3d::{try_run_rank3d_plan, Decomp3D, ExecMode};
 use stencil::engine::{Phase, PhaseLog};
-use stencil::kernel::Paper3D;
+use stencil::kernel::{KernelTier, Paper3D};
+use stencil::plan::Compiled3D;
 use tiling_core::schedule::OverlapSchedule;
 use tiling_core::space::IterationSpace;
 
 /// Run the 3-D executor on the thread backend and collect each rank's
 /// phase log (rank order).
 fn phase_logs(d: Decomp3D, mode: ExecMode) -> Vec<PhaseLog> {
-    run_threads::<f32, PhaseLog, _>(d.pi * d.pj, LatencyModel::zero(), |mut comm| {
+    let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
+    run_threads::<f32, PhaseLog, _>(plan.ranks(), LatencyModel::zero(), |mut comm| {
         let mut log = PhaseLog::default();
-        let _ = run_rank3d_observed(&mut comm, Paper3D, d, mode, &mut log);
+        let tier = KernelTier::Bitwise;
+        try_run_rank3d_plan(&mut comm, Paper3D, &plan, tier, 1, false, &mut log)
+            .expect("fault-free world");
         log
     })
     .0

@@ -9,7 +9,7 @@
 //! * the full optimized executors against the legacy executors, both
 //!   modes, 2-D and 3-D.
 
-use msgpass::thread_backend::LatencyModel;
+use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
 use stencil::dist2d::Decomp2D;
 use stencil::dist3d::{Decomp3D, ExecMode};
@@ -124,7 +124,7 @@ proptest! {
             boundary: 1.25,
         };
         let mode = if blocking { ExecMode::Blocking } else { ExecMode::Overlapping };
-        let (new, _) = stencil::dist3d::run_dist3d(Paper3D, d, LatencyModel::zero(), mode)
+        let (new, _, _) = stencil::dist3d::run_dist3d_with(Paper3D, d, &WorldConfig::new(LatencyModel::zero()), mode)
             .expect("valid decomp");
         let (old, _) =
             legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid decomposition");
@@ -144,7 +144,7 @@ proptest! {
             boundary: 0.75,
         };
         let mode = if blocking { ExecMode::Blocking } else { ExecMode::Overlapping };
-        let (new, _) = stencil::dist2d::run_dist2d(Example1, d, LatencyModel::zero(), mode)
+        let (new, _, _) = stencil::dist2d::run_dist2d_with(Example1, d, &WorldConfig::new(LatencyModel::zero()), mode)
             .expect("valid decomp");
         let (old, _) =
             legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode).expect("valid decomposition");

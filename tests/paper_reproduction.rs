@@ -1,6 +1,9 @@
 //! End-to-end reproduction checks of the paper's headline numbers and
 //! claims, at test-friendly scale.
 
+mod common;
+
+use common::verify_paper3d;
 use overlap_tiling::prelude::*;
 
 /// §3 Example 1: T = 1099 × 364 t_c = 400 036 t_c ≈ 0.4 s.

@@ -3,6 +3,9 @@
 //! dependences, tile, map, build both MPI programs, simulate, and check
 //! the paper's claim — all starting from a string.
 
+mod common;
+
+use common::verify_paper3d;
 use overlap_tiling::prelude::*;
 
 const PAPER_KERNEL: &str = "

@@ -6,10 +6,10 @@
 //! hand-rolled rank drivers; these tests are the contract that the
 //! replacement changed nothing observable about the results.
 
-use msgpass::thread_backend::LatencyModel;
+use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
-use stencil::dist2d::{run_dist2d, Decomp2D};
-use stencil::dist3d::{run_dist3d, Decomp3D, ExecMode};
+use stencil::dist2d::{run_dist2d_with, Decomp2D};
+use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
 use stencil::kernel::{Example1, Paper3D};
 use stencil::seq::{run_example1_seq, run_paper3d_seq};
 
@@ -31,9 +31,9 @@ proptest! {
     ) {
         let d = Decomp3D { nx: pi * bx, ny: pj * by, nz, pi, pj, v, boundary };
         let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
+        let cfg = WorldConfig::new(LatencyModel::zero());
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (engine, _) =
-                run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid decomp");
+            let (engine, _, _) = run_dist3d_with(Paper3D, d, &cfg, mode).expect("valid decomp");
             let (oracle, _) = stencil::legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode)
                 .expect("valid decomposition");
             prop_assert_eq!(engine.max_abs_diff(&oracle), 0.0, "vs legacy oracle {:?}", mode);
@@ -52,9 +52,9 @@ proptest! {
     ) {
         let d = Decomp2D { nx, ny: ranks * by, ranks, v, boundary };
         let seq = run_example1_seq(d.nx, d.ny, d.boundary);
+        let cfg = WorldConfig::new(LatencyModel::zero());
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (engine, _) =
-                run_dist2d(Example1, d, LatencyModel::zero(), mode).expect("valid decomp");
+            let (engine, _, _) = run_dist2d_with(Example1, d, &cfg, mode).expect("valid decomp");
             let (oracle, _) = stencil::legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode)
                 .expect("valid decomposition");
             prop_assert_eq!(engine.max_abs_diff(&oracle), 0.0, "vs legacy oracle {:?}", mode);
@@ -72,9 +72,9 @@ proptest! {
         let d = Decomp3D { nx: 4, ny: 4, nz: 14, pi: 2, pj: 2, v, boundary: 1.0 };
         let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
         let lat = LatencyModel { startup_us: startup, per_byte_us: 0.02 };
-        let (with_lat, _) = run_dist3d(Paper3D, d, lat, mode).expect("valid decomp");
-        let (without, _) =
-            run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid decomp");
+        let run = |lat| run_dist3d_with(Paper3D, d, &WorldConfig::new(lat), mode).expect("valid decomp");
+        let (with_lat, _, _) = run(lat);
+        let (without, _, _) = run(LatencyModel::zero());
         prop_assert_eq!(with_lat.max_abs_diff(&without), 0.0);
     }
 }

@@ -7,7 +7,16 @@
 
 use cluster_sim::program::{Op, Program};
 use overlap_tiling::prelude::*;
-use stencil::dist3d::run_rank3d;
+
+/// Record every rank of the paper kernel over `d` under `mode`.
+fn record(d: Decomp3D, mode: ExecMode) -> (Vec<Vec<f32>>, Vec<Program>) {
+    let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
+    record_sequential::<f32, _, _>(plan.ranks(), |comm| {
+        let tier = KernelTier::Bitwise;
+        try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+            .expect("the recorder never fails a receive")
+    })
+}
 
 /// The multiset of communication ops (kind, peer, bytes), sorted. The
 /// executor and the builder may order the two sends *within* one step
@@ -54,8 +63,7 @@ fn setup() -> (Decomp3D, ClusterProblem) {
 fn recorded_blocking_matches_builder_structure() {
     let (d, problem) = setup();
     let machine = MachineParams::paper_cluster();
-    let (_, recorded) =
-        record_sequential::<f32, _, _>(4, |comm| run_rank3d(comm, Paper3D, d, ExecMode::Blocking));
+    let (_, recorded) = record(d, ExecMode::Blocking);
     let built = problem.blocking_programs(&machine);
     for rank in 0..4 {
         assert_eq!(
@@ -70,9 +78,7 @@ fn recorded_blocking_matches_builder_structure() {
 fn recorded_overlap_matches_builder_structure() {
     let (d, problem) = setup();
     let machine = MachineParams::paper_cluster();
-    let (_, recorded) = record_sequential::<f32, _, _>(4, |comm| {
-        run_rank3d(comm, Paper3D, d, ExecMode::Overlapping)
-    });
+    let (_, recorded) = record(d, ExecMode::Overlapping);
     let built = problem.overlapping_programs(&machine);
     for rank in 0..4 {
         assert_eq!(
@@ -90,11 +96,8 @@ fn recorded_programs_simulate_with_overlap_advantage() {
     // the built programs. Here we keep measured compute and check both
     // replays complete and rank deterministically.
     let (d, _) = setup();
-    let (_, blocking) =
-        record_sequential::<f32, _, _>(4, |comm| run_rank3d(comm, Paper3D, d, ExecMode::Blocking));
-    let (_, overlap) = record_sequential::<f32, _, _>(4, |comm| {
-        run_rank3d(comm, Paper3D, d, ExecMode::Overlapping)
-    });
+    let (_, blocking) = record(d, ExecMode::Blocking);
+    let (_, overlap) = record(d, ExecMode::Overlapping);
     let machine = MachineParams::paper_cluster();
     let cfg = SimConfig::new(machine).with_trace(false);
     let b = simulate(cfg, blocking).unwrap();
@@ -112,9 +115,7 @@ fn recorded_programs_simulate_with_overlap_advantage() {
 #[test]
 fn recorded_executor_output_is_correct() {
     let (d, _) = setup();
-    let (blocks, _) = record_sequential::<f32, _, _>(4, |comm| {
-        run_rank3d(comm, Paper3D, d, ExecMode::Overlapping)
-    });
+    let (blocks, _) = record(d, ExecMode::Overlapping);
     // Assemble and compare against the sequential reference.
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
     let grid = CartesianGrid::new(vec![d.pi, d.pj]);

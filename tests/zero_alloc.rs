@@ -21,8 +21,10 @@ use std::sync::Mutex;
 
 use msgpass::thread_backend::{run_threads, LatencyModel, PoolStats, WorldConfig};
 use msgpass::transport::TransportKind;
-use stencil::dist3d::{run_dist3d, run_dist3d_with, run_rank3d, Decomp3D, ExecMode};
-use stencil::kernel::Relax3D;
+use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
+use stencil::engine::NoopObserver;
+use stencil::kernel::{KernelTier, Relax3D};
+use stencil::plan::Compiled3D;
 
 struct CountingAlloc;
 
@@ -83,13 +85,9 @@ fn count_single_rank_run(nz: usize) -> u64 {
     for _ in 0..3 {
         let d = single_rank_decomp(nz);
         let before = ALLOCS.load(Ordering::Relaxed);
-        let (grid, _) = run_dist3d(
-            Relax3D::default(),
-            d,
-            LatencyModel::zero(),
-            ExecMode::Overlapping,
-        )
-        .expect("valid decomp");
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let (grid, _, _) = run_dist3d_with(Relax3D::default(), d, &cfg, ExecMode::Overlapping)
+            .expect("valid decomp");
         let after = ALLOCS.load(Ordering::Relaxed);
         assert!(grid.data().iter().all(|x| x.is_finite()));
         best = best.min(after - before);
@@ -199,6 +197,19 @@ fn worker_pool_steady_state_steps_allocate_nothing() {
     );
 }
 
+/// Run every rank of `d` straight on a default (mpsc) world and return
+/// each rank's buffer-pool counters.
+fn rank_pool_stats(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> Vec<PoolStats> {
+    let plan = Compiled3D::compile(d, mode).expect("valid decomp");
+    run_threads::<f32, PoolStats, _>(plan.ranks(), latency, |mut comm| {
+        let (k, tier) = (Relax3D::default(), KernelTier::Bitwise);
+        try_run_rank3d_plan(&mut comm, k, &plan, tier, 1, false, &mut NoopObserver)
+            .expect("fault-free world");
+        comm.pool_stats()
+    })
+    .0
+}
+
 #[test]
 fn blocking_3d_send_buffers_recycle_under_load() {
     let _guard = lock();
@@ -223,10 +234,7 @@ fn blocking_3d_send_buffers_recycle_under_load() {
         startup_us: 100.0,
         per_byte_us: 0.0,
     };
-    let (stats, _) = run_threads::<f32, PoolStats, _>(2, latency, move |mut comm| {
-        let _ = run_rank3d(&mut comm, Relax3D::default(), d, ExecMode::Blocking);
-        comm.pool_stats()
-    });
+    let stats = rank_pool_stats(d, latency, ExecMode::Blocking);
     // Rank 0 sends `steps` i-faces to rank 1; rank 1 sends nothing.
     let s0 = stats[0];
     assert_eq!(
@@ -257,10 +265,7 @@ fn overlap_3d_pool_accounting_is_exact() {
         boundary: 1.0,
     };
     let steps = d.steps() as u64;
-    let (stats, _) = run_threads::<f32, PoolStats, _>(4, LatencyModel::zero(), move |mut comm| {
-        let _ = run_rank3d(&mut comm, Relax3D::default(), d, ExecMode::Overlapping);
-        comm.pool_stats()
-    });
+    let stats = rank_pool_stats(d, LatencyModel::zero(), ExecMode::Overlapping);
     // Ranks are laid out row-major on the 2×2 grid: rank 0 = (0,0) has
     // both down-neighbors, ranks 1 = (0,1) and 2 = (1,0) have one each,
     // rank 3 = (1,1) has none; receives mirror that.
