@@ -292,6 +292,18 @@ if ! perf_quick_gates; then
     perf_quick_gates || exit 1
 fi
 
+# Wave-kernel gate: `eval_wave` over MAX_WAVE pencils must cost less
+# per cell than one `eval_pencil` each (asserted inside the test, whose
+# tables land in the log). Both sides are timed in one process, so the
+# ratio holds where absolute rates do not; one re-measure all the same.
+wave_micro_gate() {
+    cargo test -p stencil --release --test wave_micro -- --ignored --nocapture
+}
+if ! wave_micro_gate; then
+    echo "ci.sh: wave-kernel gate missed once, re-measuring (noisy box tolerance)" >&2
+    wave_micro_gate || exit 1
+fi
+
 # Autotune gate. The committed BENCH_stencil.json must carry the tuner's
 # out-of-model acceptance rows. A quick tuning run on the fixed seed
 # then re-executes the closed loop on this machine (the sweep gate above

@@ -1300,31 +1300,42 @@ mod tests {
     #[test]
     fn overlap_hides_latency_nonblocking() {
         // Receiver computes ~5 ms while a 5 ms-latency message flies:
-        // total should be well under the serial 10 ms.
+        // the run should take well under the two in series. Both sides
+        // of the comparison come from the same attempt's clock — a
+        // receiver descheduled at the end of its loop lengthens the
+        // serial time it is held against — and a loaded box gets three
+        // attempts: an engine that does not overlap fails all of them.
+        let wire = Duration::from_micros(5_000);
         let lat = LatencyModel {
             startup_us: 5_000.0,
             per_byte_us: 0.0,
         };
-        let (_, elapsed) = run_threads::<u8, _, _>(2, lat, |mut comm| {
-            if comm.rank() == 0 {
-                let s = comm.isend(1, 0, vec![1]);
-                comm.wait_send(s);
-            } else {
-                let req = comm.irecv(0, 0);
-                // ~5 ms of real work.
-                let t0 = Instant::now();
-                let mut acc = 0.0f64;
-                while t0.elapsed() < Duration::from_micros(5_000) {
-                    acc += acc.sin() + 1.0;
+        let mut attempts = Vec::new();
+        let overlapped = (0..3).any(|_| {
+            let (computed, elapsed) = run_threads::<u8, _, _>(2, lat, |mut comm| {
+                if comm.rank() == 0 {
+                    let s = comm.isend(1, 0, vec![1]);
+                    comm.wait_send(s);
+                    Duration::ZERO
+                } else {
+                    let req = comm.irecv(0, 0);
+                    // ~5 ms of real work.
+                    let t0 = Instant::now();
+                    let mut acc = 0.0f64;
+                    while t0.elapsed() < wire {
+                        acc += acc.sin() + 1.0;
+                    }
+                    std::hint::black_box(acc);
+                    let computed = t0.elapsed();
+                    let _ = comm.wait_recv(req);
+                    computed
                 }
-                std::hint::black_box(acc);
-                let _ = comm.wait_recv(req);
-            }
+            });
+            let serial = computed[1] + wire;
+            attempts.push((elapsed, serial));
+            elapsed < serial.mul_f64(0.85)
         });
-        assert!(
-            elapsed < Duration::from_micros(8_500),
-            "no overlap: {elapsed:?}"
-        );
+        assert!(overlapped, "no overlap in (elapsed, serial): {attempts:?}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::decomp::{self, DecompError, Layout, RankLinks};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid3D;
 use crate::halo;
-use crate::kernel::{Kernel3D, KernelTier, Wave, MAX_WAVE};
+use crate::kernel::{Kernel3D, KernelTier, LaneVec, Wave, LANES, MAX_WAVE};
 use crate::plan::{self, Compiled3D};
 use crate::pool;
 use crate::proto::{DIR_I, DIR_J};
@@ -231,9 +231,9 @@ impl<K: Kernel3D> Block3D<K> {
 
     /// Compute one tile (all of the block's cross-section over `krange`).
     ///
-    /// Pencils are blocked into k-chunks of [`CHUNK`] cells and walked
-    /// in **3-D super-diagonal** order: chunk `(i, j, c)` (cells
-    /// `k0 + c·CHUNK ..`) depends on the same-`k`-range chunks of rows
+    /// Pencils are blocked into k-chunks of at least [`CHUNK`] cells and
+    /// walked in **3-D super-diagonal** order: chunk `(i, j, c)` (cells
+    /// `k0 + c·chunk ..`) depends on the same-`k`-range chunks of rows
     /// `(i−1, j)` and `(i, j−1)` plus chunk `c − 1` of its own pencil —
     /// all with coordinate sum `i + j + c − 1` — so every chunk on one
     /// super-diagonal is independent of the others and they go to the
@@ -252,15 +252,18 @@ impl<K: Kernel3D> Block3D<K> {
         let len = k1 - k0;
         let (bx, by) = (self.d.bx(), self.d.by());
         let ndiags = bx + by - 1;
-        // Adaptive chunk: just enough chunks that super-diagonal waves
-        // approach MAX_WAVE interleaved chains (mean plain-diagonal
-        // width is bx·by/ndiags), rounded to a CHUNK multiple so the
-        // vector pass and per-chunk bookkeeping stay amortized. Wide
-        // cross-sections and short pencils degrade to whole-pencil
-        // waves.
+        // Adaptive chunk count: just enough chunks that super-diagonal
+        // waves approach MAX_WAVE interleaved chains (mean plain-
+        // diagonal width is bx·by/ndiags), none shorter than CHUNK so
+        // the per-chunk bookkeeping stays amortized. Wide cross-
+        // sections and short pencils degrade to whole-pencil waves.
+        // The chunks are then made equally long, to a whole number of
+        // lane blocks: every wave mixes chunks of different c, and the
+        // kernels' lane-transposed pass runs as far as the shortest
+        // pencil of a group.
         let target = (MAX_WAVE * ndiags).div_ceil(bx * by).max(1);
-        let chunk = len.div_ceil(target).next_multiple_of(CHUNK);
-        let nchunks = len.div_ceil(chunk);
+        let nchunks = len.div_ceil(len.div_ceil(target).next_multiple_of(CHUNK));
+        let chunk = len.div_ceil(nchunks).next_multiple_of(LANES);
         for s in 0..ndiags + nchunks - 1 {
             // (i, j) cross-section diagonals participating in this
             // super-diagonal: t = i + j with a live chunk c = s − t.
@@ -268,26 +271,19 @@ impl<K: Kernel3D> Block3D<K> {
             let t_hi = s.min(ndiags - 1);
             // Stream the super-diagonal's chunks in ascending flat-row
             // order (i asc, then j asc — the contiguous j-window of
-            // each i), flushing a wave whenever MAX_WAVE accumulate.
-            let mut items: [(usize, usize); MAX_WAVE] = [(0, 0); MAX_WAVE];
-            let mut m = 0;
-            for i in 0..bx {
-                if i > t_hi {
-                    break;
-                }
+            // each i), in as few waves as MAX_WAVE allows, equally wide
+            // in whole lane groups (24 chunks go as 12 + 12: a 16 + 8
+            // split leaves the second wave half the chains to overlap).
+            let items = (0..=t_hi.min(bx - 1)).flat_map(|i| {
                 let j_lo = t_lo.saturating_sub(i);
                 let j_hi = (t_hi - i).min(by - 1);
-                for j in j_lo..=j_hi {
-                    items[m] = (i, j);
-                    m += 1;
-                    if m == MAX_WAVE {
-                        self.eval_chunk_wave(s, &items[..m], k0, k1, chunk);
-                        m = 0;
-                    }
-                }
-            }
-            if m > 0 {
-                self.eval_chunk_wave(s, &items[..m], k0, k1, chunk);
+                (j_lo..=j_hi).map(move |j| (i, j))
+            });
+            let n = items.clone().count();
+            let width = n.div_ceil(n.div_ceil(MAX_WAVE)).next_multiple_of(LANES);
+            let mut items = items.peekable();
+            while items.peek().is_some() {
+                self.eval_chunk_wave(s, items.by_ref().take(width), k0, k1, chunk);
             }
         }
     }
@@ -295,10 +291,13 @@ impl<K: Kernel3D> Block3D<K> {
     /// Evaluate one wave of same-super-diagonal chunks: items are
     /// `(i, j)` in ascending flat-row order, each contributing its
     /// chunk `s − i − j` of the tile's `[k0, k1)` pencil span.
+    /// Everything set up per wave is sized by the items that arrive,
+    /// not by `MAX_WAVE`: the ramp waves of a tile are narrow, and on a
+    /// small tile they are most of the waves.
     fn eval_chunk_wave(
         &mut self,
         s: usize,
-        items: &[(usize, usize)],
+        items: impl Iterator<Item = (usize, usize)>,
         k0: usize,
         k1: usize,
         chunk: usize,
@@ -311,7 +310,6 @@ impl<K: Kernel3D> Block3D<K> {
         let (gi0, gj0) = (self.gi0, self.gj0);
         let up = self.links.up;
         let (has_li, has_lj) = (up[FACE_I].is_some(), up[FACE_J].is_some());
-        let block = &mut self.block[..];
         let halo_i = &self.halo_i[..];
         let halo_j = &self.halo_j[..];
         let brow = &self.brow[..];
@@ -320,75 +318,62 @@ impl<K: Kernel3D> Block3D<K> {
         // makes lands in a gap: a neighbor's same-range chunk has
         // coordinate sum s − 1 (finished last super-diagonal), and when
         // that neighbor row's *next* chunk is also an output of this
-        // wave, the output starts exactly one CHUNK above the range
+        // wave, the output starts exactly one chunk above the range
         // being read. Rows are distinct within a wave (c is determined
         // by i + j) and streamed in ascending r = i·by + j, so one
-        // forward split pass suffices.
+        // forward split pass suffices — and every read of item p lands
+        // in a gap at or before its own, so the same pass resolves them.
         self.wave_gen += 1;
         let gen = self.wave_gen;
         let row_item = &mut self.row_item[..];
-        let mut segs: [(usize, &[f32]); MAX_WAVE + 1] = [(0, &[]); MAX_WAVE + 1];
-        let mut outs: [&mut [f32]; MAX_WAVE] = core::array::from_fn(|_| Default::default());
-        let mut remaining = block;
+        // `(start, gap)` before each item's output.
+        let mut segs: LaneVec<(usize, &[f32])> = LaneVec::new();
+        let mut wave = Wave::new();
+        let mut remaining = &mut self.block[..];
         let mut off = 0usize;
-        for (p, &(i, j)) in items.iter().enumerate() {
+        for (p, (i, j)) in items.enumerate() {
             let c = s - (i + j);
             let ck0 = k0 + c * chunk;
             let clen = chunk.min(k1 - ck0);
             let start = (i * by + j) * nz + ck0;
             let (gap, rest) = remaining.split_at_mut(start - off);
             let (out, rest) = rest.split_at_mut(clen);
-            segs[p] = (off, gap);
-            outs[p] = out;
+            let gap: &[f32] = gap;
+            segs.push((off, gap));
             remaining = rest;
             off = start + clen;
             row_item[i * by + j] = (gen << 5) | p as u64;
-        }
-        let row_item: &[u64] = row_item;
-        // A neighbor read resolves its gap segment in O(1): if the
-        // neighbor row was carved this wave (generation match on its
-        // stamp), its same-range span lies in the gap directly before
-        // that item's output — the output is the row's *next* chunk, so
-        // it starts exactly one chunk above the range being read, and
-        // the preceding item sits on a strictly lower row. Own-row reads
-        // (the k−1 seed) land in the reader's own gap the same way.
-        // Only when the stamp is stale — ramp-down waves whose neighbor
-        // pencil already finished, or cross-batch neighbors on
-        // supersteps wider than MAX_WAVE — does the lookup fall back to
-        // the binary search over carve offsets.
-        let gap_item = |r: usize| -> Option<usize> {
-            let v = row_item[r];
-            (v >> 5 == gen).then_some((v & 31) as usize)
-        };
-        let mut wave = Wave::new();
-        for (p, out) in outs.into_iter().take(items.len()).enumerate() {
-            let (i, j) = items[p];
-            let c = s - (i + j);
-            let ck0 = k0 + c * chunk;
-            let clen = chunk.min(k1 - ck0);
-            let im1: &[f32] = if i > 0 {
-                let t = ((i - 1) * by + j) * nz + ck0;
-                match gap_item((i - 1) * by + j) {
-                    Some(q) => {
-                        let (s0, seg) = segs[q];
-                        &seg[t - s0..][..clen]
-                    }
-                    None => find_span(&segs[..=p], t, clen),
+            // A neighbor read resolves its gap segment in O(1): if the
+            // neighbor row was carved this wave (generation match on
+            // its stamp), its same-range span lies in the gap directly
+            // before that item's output — the output is the row's
+            // *next* chunk, so it starts exactly one chunk above the
+            // range being read, and the preceding item sits on a
+            // strictly lower row. Own-row reads (the k−1 seed) land in
+            // the reader's own gap the same way. Only when the stamp is
+            // stale — ramp-down waves whose neighbor pencil already
+            // finished, or cross-batch neighbors on supersteps wider
+            // than MAX_WAVE — does the lookup fall back to searching
+            // the carved gaps.
+            let span = |r: usize| -> &[f32] {
+                let t = r * nz + ck0;
+                let v = row_item[r];
+                if v >> 5 == gen {
+                    let &(s0, seg) = segs.get((v & 31) as usize);
+                    &seg[t - s0..][..clen]
+                } else {
+                    find_span(&segs, t, clen)
                 }
+            };
+            let im1: &[f32] = if i > 0 {
+                span((i - 1) * by + j)
             } else if has_li {
                 &halo_i[j * nz + ck0..][..clen]
             } else {
                 &brow[ck0..ck0 + clen]
             };
             let jm1: &[f32] = if j > 0 {
-                let t = (i * by + (j - 1)) * nz + ck0;
-                match gap_item(i * by + (j - 1)) {
-                    Some(q) => {
-                        let (s0, seg) = segs[q];
-                        &seg[t - s0..][..clen]
-                    }
-                    None => find_span(&segs[..=p], t, clen),
-                }
+                span(i * by + (j - 1))
             } else if has_lj {
                 &halo_j[i * nz + ck0..][..clen]
             } else {
@@ -398,12 +383,7 @@ impl<K: Kernel3D> Block3D<K> {
             // previous chunk's top (or the previous tile's, or the
             // boundary); the kernel carries it up the chunk. The cell
             // below always sits in the reader's own gap.
-            let km1 = if ck0 > 0 {
-                let (s0, seg) = segs[p];
-                seg[(i * by + j) * nz + ck0 - 1 - s0]
-            } else {
-                b
-            };
+            let km1 = if ck0 > 0 { gap[gap.len() - 1] } else { b };
             wave.push(
                 gi0 + i as i64,
                 gj0 + j as i64,
@@ -425,20 +405,16 @@ const CHUNK: usize = 32;
 
 /// Locate the `len`-long span starting at flat index `t` among the
 /// carved gap segments of a wave (each `(start, slice)`, starts
-/// non-decreasing). Binary search plus a backward skip over empty
-/// segments — the slow path behind the O(1) stamp lookup in
-/// [`Block3D::eval_chunk_wave`], taken only when the neighbor row was
-/// not carved by the current wave.
-fn find_span<'s>(segs: &[(usize, &'s [f32])], t: usize, len: usize) -> &'s [f32] {
-    let mut q = segs.partition_point(|&(s, _)| s <= t);
-    while q > 0 {
-        q -= 1;
-        let (s, seg) = segs[q];
-        if t >= s && t + len <= s + seg.len() {
-            return &seg[t - s..][..len];
-        }
-    }
-    unreachable!("neighbor span not among carved segments")
+/// non-decreasing), latest first: the slow path behind the O(1) stamp
+/// lookup in [`Block3D::eval_chunk_wave`], taken only when the neighbor
+/// row was not carved by the current wave — and then the span sits in
+/// the reader's own gap or a few before it.
+fn find_span<'s>(segs: &LaneVec<(usize, &'s [f32])>, t: usize, len: usize) -> &'s [f32] {
+    let mut gaps = (0..segs.len()).rev().map(|q| *segs.get(q));
+    let (s, seg) = gaps
+        .find(|&(s, seg)| t >= s && t + len <= s + seg.len())
+        .expect("neighbor span among the carved segments");
+    &seg[t - s..][..len]
 }
 
 impl<K: Kernel3D> TileOps for Block3D<K> {

@@ -17,11 +17,85 @@ pub use tiling_core::machine::KernelTier;
 
 /// Maximum number of pencils a [`Wave`] can hold.
 ///
-/// Sixteen interleaved carry chains are enough to saturate the sqrt/FMA
-/// units on every x86 microarchitecture we care about (the chain latency
-/// is ~20 cycles and the units have 4–6-cycle throughput), while keeping
-/// the carry state (`16 × f32`) comfortably in registers.
+/// One step of a carry chain is latency-bound (`add → max → sqrt` is
+/// ~6.5 ns on the paper kernel, scalar or vector alike) while the units
+/// accept a new vector every ~1.2 ns, so a wave wants several
+/// [`LANES`]-wide groups of chains in flight at once. Four groups cover
+/// that latency, and their carry state (`4 × [f32; 4]`) stays in
+/// registers.
 pub const MAX_WAVE: usize = 16;
+
+/// Chains stepped together in one vector: four `f32` fill the 128-bit
+/// registers every x86-64 and aarch64 target has without a build flag.
+pub(crate) const LANES: usize = 4;
+
+/// Waves this narrow go pencil by pencil on the bitwise tier: a lone
+/// chain has nothing to overlap with, so the split into a pre-pass and
+/// a carry pass only adds a second sweep over `out` (measured by the
+/// crate's `tests/wave_micro.rs`; from two chains up the wave form wins). Both
+/// forms run each cell's scalar operation order, so the choice never
+/// shows in the bits; the fast tier has no pencil form to fall back to.
+const NARROW_WAVE: usize = 1;
+
+/// A fixed-capacity stack vector ([`MAX_WAVE`] slots) stored as groups
+/// of [`LANES`] that are filled in when their first slot is pushed, so
+/// setting up and dropping an `m`-element vector touches `⌈m / LANES⌉`
+/// groups, not `MAX_WAVE` slots — the tile walk builds one per wave,
+/// and most waves of a small tile are narrow.
+pub(crate) struct LaneVec<T> {
+    len: usize,
+    groups: [Option<[T; LANES]>; MAX_WAVE / LANES],
+}
+
+impl<T: Default> LaneVec<T> {
+    pub(crate) fn new() -> Self {
+        LaneVec {
+            len: 0,
+            groups: core::array::from_fn(|_| None),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// # Panics
+    /// If all [`MAX_WAVE`] slots are taken.
+    pub(crate) fn push(&mut self, item: T) {
+        let (g, l) = (self.len / LANES, self.len % LANES);
+        assert!(g < self.groups.len(), "wave overflow");
+        self.groups[g].get_or_insert_with(Default::default)[l] = item;
+        self.len += 1;
+    }
+
+    /// # Panics
+    /// If `n >= len`.
+    pub(crate) fn get(&self, n: usize) -> &T {
+        assert!(n < self.len);
+        let group = self.groups[n / LANES].as_ref();
+        &group.expect("groups below len are filled")[n % LANES]
+    }
+
+    /// The live slots of every group in turn: all [`LANES`] of a full
+    /// group, fewer of the last.
+    fn groups_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let len = self.len;
+        let groups = self.groups.iter_mut().flatten().enumerate();
+        groups.map(move |(g, group)| &mut group[..LANES.min(len - g * LANES)])
+    }
+}
+
+/// One pencil of a [`Wave`]: the arguments of [`Kernel3D::eval_pencil`].
+#[derive(Default)]
+struct Pencil<'a> {
+    gi: i64,
+    gj: i64,
+    k0: i64,
+    km1: f32,
+    im1: &'a [f32],
+    jm1: &'a [f32],
+    out: &'a mut [f32],
+}
 
 /// A batch of up to [`MAX_WAVE`] *mutually independent* pencils.
 ///
@@ -31,42 +105,8 @@ pub const MAX_WAVE: usize = 16;
 /// kernel may interleave them freely — each *cell* still sees exactly
 /// its sequential operation order, so the bitwise tier stays pinned,
 /// but the CPU now has `m` independent dependency chains in flight
-/// instead of one.
-///
-/// Stored struct-of-arrays so the interleaved chain pass indexes flat
-/// arrays; slots past `len` hold empty slices and are never touched.
-pub struct Wave<'a> {
-    len: usize,
-    gi: [i64; MAX_WAVE],
-    gj: [i64; MAX_WAVE],
-    k0: [i64; MAX_WAVE],
-    km1: [f32; MAX_WAVE],
-    im1: [&'a [f32]; MAX_WAVE],
-    jm1: [&'a [f32]; MAX_WAVE],
-    out: [&'a mut [f32]; MAX_WAVE],
-}
-
-/// Disjoint field views of a [`Wave`], all truncated to its length —
-/// lets a kernel's pass-1/pass-2 loops borrow inputs (shared) and
-/// outputs (mutable) simultaneously.
-pub struct WaveParts<'w, 'a> {
-    /// Number of live pencils (`1..=MAX_WAVE`).
-    pub m: usize,
-    /// Global `i` of each pencil.
-    pub gi: &'w [i64],
-    /// Global `j` of each pencil.
-    pub gj: &'w [i64],
-    /// Global `k` of each pencil's first cell.
-    pub k0: &'w [i64],
-    /// Loop-carried `k−1` seed of each pencil.
-    pub km1: &'w [f32],
-    /// `i−1` neighbor pencil of each pencil.
-    pub im1: &'w [&'a [f32]],
-    /// `j−1` neighbor pencil of each pencil.
-    pub jm1: &'w [&'a [f32]],
-    /// Output pencil of each pencil.
-    pub out: &'w mut [&'a mut [f32]],
-}
+/// instead of one, [`LANES`] of them per vector.
+pub struct Wave<'a>(LaneVec<Pencil<'a>>);
 
 impl<'a> Default for Wave<'a> {
     fn default() -> Self {
@@ -77,47 +117,36 @@ impl<'a> Default for Wave<'a> {
 impl<'a> Wave<'a> {
     /// An empty wave.
     pub fn new() -> Self {
-        Wave {
-            len: 0,
-            gi: [0; MAX_WAVE],
-            gj: [0; MAX_WAVE],
-            k0: [0; MAX_WAVE],
-            km1: [0.0; MAX_WAVE],
-            im1: [&[]; MAX_WAVE],
-            jm1: [&[]; MAX_WAVE],
-            out: core::array::from_fn(|_| Default::default()),
-        }
+        Wave(LaneVec::new())
     }
 
     /// Number of pencils currently batched.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
     /// True when no pencils are batched.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// True when another [`Wave::push`] would overflow.
     pub fn is_full(&self) -> bool {
-        self.len == MAX_WAVE
+        self.len() == MAX_WAVE
     }
 
-    /// Drop all pencils (also releases the `out` borrows by replacing
-    /// them with empty slices).
+    /// Drop all pencils (and with them the `out` borrows).
     pub fn clear(&mut self) {
-        self.len = 0;
-        self.im1 = [&[]; MAX_WAVE];
-        self.jm1 = [&[]; MAX_WAVE];
-        self.out = core::array::from_fn(|_| Default::default());
+        *self = Self::new();
     }
 
     /// Append one pencil. The caller asserts (by construction of the
     /// batch) that it is independent of every pencil already present.
     ///
     /// # Panics
-    /// If the wave is full.
+    /// If the wave is full, or if `im1`, `jm1` and `out` differ in
+    /// length — checked here once so the kernels' zipped passes can
+    /// never leave the cells past a short neighbour unwritten.
     #[allow(clippy::too_many_arguments)] // LINT: mirrors eval_pencil's signature
     pub fn push(
         &mut self,
@@ -129,55 +158,118 @@ impl<'a> Wave<'a> {
         km1: f32,
         out: &'a mut [f32],
     ) {
-        let n = self.len;
-        assert!(n < MAX_WAVE, "wave overflow");
-        self.gi[n] = gi;
-        self.gj[n] = gj;
-        self.k0[n] = k0;
-        self.km1[n] = km1;
-        self.im1[n] = im1;
-        self.jm1[n] = jm1;
-        self.out[n] = out;
-        self.len = n + 1;
+        assert!(
+            im1.len() == out.len() && jm1.len() == out.len(),
+            "wave pencil lengths differ: im1 {}, jm1 {}, out {}",
+            im1.len(),
+            jm1.len(),
+            out.len()
+        );
+        self.0.push(Pencil {
+            gi,
+            gj,
+            k0,
+            km1,
+            im1,
+            jm1,
+            out,
+        });
     }
 
-    /// Borrow all fields at once, truncated to the live length.
-    pub fn parts(&mut self) -> WaveParts<'_, 'a> {
-        let m = self.len;
-        WaveParts {
-            m,
-            gi: &self.gi[..m],
-            gj: &self.gj[..m],
-            k0: &self.k0[..m],
-            km1: &self.km1[..m],
-            im1: &self.im1[..m],
-            jm1: &self.jm1[..m],
-            out: &mut self.out[..m],
+    /// Pre-pass: `out[z] = f(im1[z], jm1[z])` over every pencil — the
+    /// carry-free part of a cell, a plain zipped loop the compiler
+    /// vectorizes whatever `f` is.
+    #[inline(always)]
+    fn pre(&mut self, f: impl Fn(f32, f32) -> f32) {
+        for p in self.0.groups_mut().flatten() {
+            for (o, (&a, &c)) in p.out.iter_mut().zip(p.im1.iter().zip(p.jm1)) {
+                *o = f(a, c);
+            }
         }
     }
-}
 
-/// Pass-1 helper: `o[z] = f(a[z], c[z])` over the carry-free lanes, in
-/// hand-unrolled `[f32; 8]` blocks (one cache line of `f32`) with a
-/// scalar remainder loop. The block form gives the compiler a
-/// straight-line 8-lane body with no cross-iteration dependence — i.e.
-/// license to keep the whole block in vector registers.
-#[inline(always)]
-fn chunk8(a: &[f32], c: &[f32], o: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-    let len = o.len();
-    assert!(a.len() >= len && c.len() >= len);
-    let mut z = 0;
-    while z + 8 <= len {
-        let mut t = [0.0f32; 8];
-        for (l, t) in t.iter_mut().enumerate() {
-            *t = f(a[z + l], c[z + l]);
+    /// Carry pass: walk every pencil's `k`-chain, cell `z` doing
+    /// `(out[z], s) = step(im1[z], jm1[z], out[z], s)` with `s` seeded
+    /// by `seed(km1)`, all chains advancing together [`LANES`] cells a
+    /// round.
+    ///
+    /// A full group of [`LANES`] pencils runs *lane-transposed* over
+    /// the whole blocks they all have: the block's rows are loaded as
+    /// `[f32; LANES]`, transposed so that one vector holds the same `z`
+    /// of all four chains, stepped lane-wise — four chains per
+    /// instruction — and transposed back. The last, partial group and
+    /// the cells past a group's shortest pencil take the same `step`
+    /// one chain at a time inside the same round, so their latency
+    /// still overlaps the vector groups'. Either way a cell sees exactly
+    /// the operations, operands and order of a scalar walk up its
+    /// pencil: grouping changes which chains share an instruction,
+    /// never a bit of the result. Inputs a `step` ignores are never
+    /// loaded.
+    #[inline(always)]
+    fn carry(
+        &mut self,
+        seed: impl Fn(f32) -> f32,
+        step: impl Fn(f32, f32, f32, f32) -> (f32, f32),
+    ) {
+        let mut state = [[0.0f32; LANES]; MAX_WAVE / LANES];
+        // Cells of each group that run lane-transposed: the whole
+        // blocks of a full group's shortest pencil.
+        let mut blocks = [0usize; MAX_WAVE / LANES];
+        let mut longest = 0;
+        for (g, group) in self.0.groups_mut().enumerate() {
+            let mut shortest = usize::MAX;
+            for (p, s) in group.iter().zip(&mut state[g]) {
+                *s = seed(p.km1);
+                shortest = shortest.min(p.out.len());
+                longest = longest.max(p.out.len());
+            }
+            if group.len() == LANES {
+                blocks[g] = shortest - shortest % LANES;
+            }
         }
-        o[z..z + 8].copy_from_slice(&t);
-        z += 8;
-    }
-    while z < len {
-        o[z] = f(a[z], c[z]);
-        z += 1;
+        // A row of a block; all zeros where the pencil is too short,
+        // which `push` rules out for im1/jm1 once `out` has the row —
+        // but a load that cannot panic is one the compiler may drop.
+        let row = |x: &[f32], z: usize| -> [f32; LANES] {
+            let r = x.get(z..z + LANES);
+            r.map_or([0.0; LANES], |r| r.try_into().expect("LANES long"))
+        };
+        for z in (0..longest).step_by(LANES) {
+            for (g, group) in self.0.groups_mut().enumerate() {
+                let s = &mut state[g];
+                if z < blocks[g] {
+                    let lanes: &mut [Pencil<'_>; LANES] =
+                        group.try_into().expect("only full groups have blocks");
+                    // x[k][l]: cell z + k of lane l.
+                    let mut a = [[0.0f32; LANES]; LANES];
+                    let mut c = [[0.0f32; LANES]; LANES];
+                    let mut t = [[0.0f32; LANES]; LANES];
+                    for (l, p) in lanes.iter().enumerate() {
+                        let (ra, rc, rt) = (row(p.im1, z), row(p.jm1, z), row(p.out, z));
+                        for k in 0..LANES {
+                            (a[k][l], c[k][l], t[k][l]) = (ra[k], rc[k], rt[k]);
+                        }
+                    }
+                    for k in 0..LANES {
+                        for l in 0..LANES {
+                            (t[k][l], s[l]) = step(a[k][l], c[k][l], t[k][l], s[l]);
+                        }
+                    }
+                    for (l, p) in lanes.iter_mut().enumerate() {
+                        let r: [f32; LANES] = core::array::from_fn(|k| t[k][l]);
+                        p.out[z..z + LANES].copy_from_slice(&r);
+                    }
+                } else {
+                    for (p, s) in group.iter_mut().zip(s) {
+                        let r = z.min(p.out.len())..(z + LANES).min(p.out.len());
+                        let ins = p.im1[r.clone()].iter().zip(&p.jm1[r.clone()]);
+                        for (o, (&a, &c)) in p.out[r].iter_mut().zip(ins) {
+                            (*o, *s) = step(a, c, *o, *s);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -230,12 +322,23 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
         }
     }
 
+    /// Walk a [`Wave`] pencil by pencil through
+    /// [`Kernel3D::eval_pencil`]: the default [`Kernel3D::eval_wave`],
+    /// and what the overrides fall back to on waves too narrow to gain
+    /// from interleaving (`NARROW_WAVE`).
+    #[inline]
+    fn eval_pencils(&self, wave: &mut Wave<'_>) {
+        for p in wave.0.groups_mut().flatten() {
+            self.eval_pencil(p.gi, p.gj, p.k0, p.im1, p.jm1, p.km1, p.out);
+        }
+    }
+
     /// Evaluate a [`Wave`] of mutually independent pencils.
     ///
     /// This is the two-pass vectorized form of [`Kernel3D::eval_pencil`]:
-    /// overrides run a carry-free vector pass (the non-carried term of
-    /// every cell, in chunked 8-lane blocks) followed by a scalar carry
-    /// pass that *interleaves* the `m` independent `k`-chains — each
+    /// overrides run a plain zipped pre-pass (the non-carried term of
+    /// every cell) followed by a carry pass that steps the `m`
+    /// independent `k`-chains together, four chains to a vector — each
     /// cell still performs exactly its sequential operations in the
     /// sequential order, so the result is **bitwise** equal to running
     /// [`Kernel3D::eval_pencil`] on each pencil (the kernel proptests
@@ -244,20 +347,8 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
     /// The default simply walks the pencils one by one — bitwise by
     /// construction for kernels without an override.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave(&self, wave: &mut Wave<'_>) {
-        let p = wave.parts();
-        for n in 0..p.m {
-            self.eval_pencil(
-                p.gi[n],
-                p.gj[n],
-                p.k0[n],
-                p.im1[n],
-                p.jm1[n],
-                p.km1[n],
-                &mut p.out[n][..],
-            );
-        }
+        self.eval_pencils(wave)
     }
 
     /// Fast-math tier of [`Kernel3D::eval_wave`] ([`KernelTier::Fast`]).
@@ -336,88 +427,46 @@ impl Kernel3D for Paper3D {
         }
     }
 
-    // Two-pass wave: pass 1 writes the carry-free `√im1 + √jm1` term of
-    // every cell into `out` (8-lane chunked, fully vectorizable); pass 2
-    // interleaves the m scalar carry chains `v = out[z] + sk; sk = √v⁺`.
-    // Each cell computes `(√a⁺ + √c⁺) + √km1⁺` in exactly the scalar
-    // order, so the result is bitwise equal to `eval_pencil`; the win is
-    // that the ~20-cycle add→max→sqrt carry latency of one chain hides
-    // the same latency of the other m−1.
+    // Two-pass wave: the pre-pass writes the carry-free `√im1 + √jm1`
+    // term of every cell into `out`; the carry pass steps the m chains
+    // `v = out[z] + sk; sk = √v⁺` together. Each cell computes
+    // `(√a⁺ + √c⁺) + √km1⁺` in exactly the scalar order, so the result
+    // is bitwise equal to `eval_pencil`; the win is that the
+    // add→max→sqrt carry latency of one group of chains hides under
+    // the other groups', and each sqrt instruction serves four cells.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave(&self, wave: &mut Wave<'_>) {
-        let p = wave.parts();
-        // Narrow waves don't amortize the split: one or two interleaved
-        // chains hide almost no carry latency, but still pay the extra
-        // sweep over `out` — measurably slower than the fused pencil
-        // loop, and every tile walk spends its ramp cells there. The
-        // fallback is bitwise-free (both forms run each cell's scalar
-        // operation order), so only the bitwise tier takes it; the fast
-        // tier must stay grouping-invariant across wave widths.
-        if p.m <= 2 {
-            for n in 0..p.m {
-                self.eval_pencil(
-                    p.gi[n],
-                    p.gj[n],
-                    p.k0[n],
-                    p.im1[n],
-                    p.jm1[n],
-                    p.km1[n],
-                    &mut p.out[n][..],
-                );
-            }
-            return;
+        if wave.len() <= NARROW_WAVE {
+            return self.eval_pencils(wave);
         }
-        let mut sk = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            chunk8(p.im1[n], p.jm1[n], &mut p.out[n][..], |a, c| {
-                a.max(0.0).sqrt() + c.max(0.0).sqrt()
-            });
-            sk[n] = p.km1[n].max(0.0).sqrt();
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for (o, s) in p.out.iter_mut().zip(sk.iter_mut()) {
-                if z < o.len() {
-                    let v = o[z] + *s;
-                    o[z] = v;
-                    *s = v.max(0.0).sqrt();
-                }
-            }
-        }
+        wave.pre(|a, c| a.max(0.0).sqrt() + c.max(0.0).sqrt());
+        wave.carry(
+            |km1| km1.max(0.0).sqrt(),
+            |_, _, t, sk| {
+                let v = t + sk;
+                (v, v.max(0.0).sqrt())
+            },
+        );
     }
 
     // Fast tier: every carried value is a sum of square roots, hence
     // ≥ 0, so on the reachable domain `max(v, 0)` reduces to `|v|` (one
     // cycle, off the sqrt's critical path on most cores) and the input
-    // guards in pass 1 can go entirely — the executors only feed the
-    // kernel its own outputs, the (non-negative) boundary splat, or
+    // guards of the pre-pass can go entirely — the executors only feed
+    // the kernel its own outputs, the (non-negative) boundary splat, or
     // halos thereof. Off-domain (negative) inputs would produce NaNs
     // here where the pinned tier clamps, which is exactly the contract
     // difference the tier flag signals.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
-        let p = wave.parts();
-        let mut sk = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            chunk8(p.im1[n], p.jm1[n], &mut p.out[n][..], |a, c| {
-                a.sqrt() + c.sqrt()
-            });
-            sk[n] = p.km1[n].abs().sqrt();
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for (o, s) in p.out.iter_mut().zip(sk.iter_mut()) {
-                if z < o.len() {
-                    let v = o[z] + *s;
-                    o[z] = v;
-                    *s = v.abs().sqrt();
-                }
-            }
-        }
+        wave.pre(|a, c| a.sqrt() + c.sqrt());
+        wave.carry(
+            |km1| km1.abs().sqrt(),
+            |_, _, t, sk| {
+                let v = t + sk;
+                (v, v.abs().sqrt())
+            },
+        );
     }
 }
 
@@ -465,81 +514,46 @@ impl Kernel3D for Relax3D {
         }
     }
 
-    // Two-pass wave: pass 1 writes the carry-free `im1 + jm1` term
-    // (8-lane chunked); pass 2 interleaves the carries, each cell doing
-    // `w · ((a + c) + prev)` in exactly the scalar association — the
-    // scalar `a + c + prev` parses left-to-right, so bitwise equal.
+    // Two-pass wave: the pre-pass writes the carry-free `im1 + jm1`
+    // term; the carry pass does `w · ((a + c) + prev)` per cell in
+    // exactly the scalar association — the scalar `a + c + prev` parses
+    // left-to-right, so bitwise equal.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave(&self, wave: &mut Wave<'_>) {
+        if wave.len() <= NARROW_WAVE {
+            return self.eval_pencils(wave);
+        }
         let w = self.omega / 3.0;
-        let p = wave.parts();
-        // Narrow waves don't amortize the split: one or two interleaved
-        // chains hide almost no carry latency, but still pay the extra
-        // sweep over `out` — measurably slower than the fused pencil
-        // loop, and every tile walk spends its ramp cells there. The
-        // fallback is bitwise-free (both forms run each cell's scalar
-        // operation order), so only the bitwise tier takes it; the fast
-        // tier must stay grouping-invariant across wave widths.
-        if p.m <= 2 {
-            for n in 0..p.m {
-                self.eval_pencil(
-                    p.gi[n],
-                    p.gj[n],
-                    p.k0[n],
-                    p.im1[n],
-                    p.jm1[n],
-                    p.km1[n],
-                    &mut p.out[n][..],
-                );
-            }
-            return;
-        }
-        let mut prev = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            chunk8(p.im1[n], p.jm1[n], &mut p.out[n][..], |a, c| a + c);
-            prev[n] = p.km1[n];
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for (o, s) in p.out.iter_mut().zip(prev.iter_mut()) {
-                if z < o.len() {
-                    let v = w * (o[z] + *s);
-                    o[z] = v;
-                    *s = v;
-                }
-            }
-        }
+        wave.pre(|a, c| a + c);
+        wave.carry(
+            |km1| km1,
+            |_, _, t, prev| {
+                let v = w * (t + prev);
+                (v, v)
+            },
+        );
     }
 
-    // Fast tier: distribute `w` into the carry-free term — pass 1
-    // precomputes `w·(a + c)` (still fully vectorizable), and the carry
-    // becomes a single fused multiply-add `v = prev·w + ws[z]`, halving
-    // the loop-carried latency (one FMA vs add-then-multiply). The
-    // reassociation perturbs each cell by ≤ a few ULP; the recurrence is
-    // a contraction (`ω < 1`), so the perturbation stays bounded.
+    // Fast tier: distribute `w` into the carry-free term — the pre-pass
+    // computes `w·(a + c)` and the carry is `v = prev·w + ws[z]`. The
+    // reassociation perturbs each cell by ≤ a few ULP; the recurrence
+    // is a contraction (`ω < 1`), so the perturbation stays bounded.
+    // Written with a separate multiply and add, not `mul_add`: without
+    // the `fma` target feature that is a call into libm per cell (this
+    // tier used to run at 0.67× the pinned one for it). Unfused, the
+    // chain is as long as the pinned tier's and the two run at the same
+    // rate.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
         let w = self.omega / 3.0;
-        let p = wave.parts();
-        let mut prev = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            chunk8(p.im1[n], p.jm1[n], &mut p.out[n][..], |a, c| w * (a + c));
-            prev[n] = p.km1[n];
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for (o, s) in p.out.iter_mut().zip(prev.iter_mut()) {
-                if z < o.len() {
-                    let v = s.mul_add(w, o[z]);
-                    o[z] = v;
-                    *s = v;
-                }
-            }
-        }
+        wave.pre(|a, c| w * (a + c));
+        wave.carry(
+            |km1| km1,
+            |_, _, t, prev| {
+                let v = prev * w + t;
+                (v, v)
+            },
+        );
     }
 }
 
@@ -620,79 +634,42 @@ impl Kernel3D for Fused3D {
 
     // Bitwise wave: the fused expression nests `prev` *inside* the
     // second FMA, so no carry-free prefix can be split off without
-    // reassociating — instead the full per-cell chains are interleaved
-    // (identical ops and order per cell, m chains in flight).
+    // reassociating — instead the carry pass takes the full per-cell
+    // expression (identical ops and order per cell, m chains in
+    // flight) and there is no pre-pass.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave(&self, wave: &mut Wave<'_>) {
+        if wave.len() <= NARROW_WAVE {
+            return self.eval_pencils(wave);
+        }
         let (wa, wc) = (self.wa, self.wc);
-        let p = wave.parts();
-        // Narrow waves don't amortize the split: one or two interleaved
-        // chains hide almost no carry latency, but still pay the extra
-        // sweep over `out` — measurably slower than the fused pencil
-        // loop, and every tile walk spends its ramp cells there. The
-        // fallback is bitwise-free (both forms run each cell's scalar
-        // operation order), so only the bitwise tier takes it; the fast
-        // tier must stay grouping-invariant across wave widths.
-        if p.m <= 2 {
-            for n in 0..p.m {
-                self.eval_pencil(
-                    p.gi[n],
-                    p.gj[n],
-                    p.k0[n],
-                    p.im1[n],
-                    p.jm1[n],
-                    p.km1[n],
-                    &mut p.out[n][..],
-                );
-            }
-            return;
-        }
-        let mut prev = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            prev[n] = p.km1[n];
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for n in 0..p.m {
-                let o = &mut p.out[n];
-                if z < o.len() {
-                    let v = p.im1[n][z].mul_add(wa, p.jm1[n][z].mul_add(wa, prev[n] * wc));
-                    o[z] = v;
-                    prev[n] = v;
-                }
-            }
-        }
+        wave.carry(
+            |km1| km1,
+            |a, c, _, prev| {
+                let v = a.mul_add(wa, c.mul_add(wa, prev * wc));
+                (v, v)
+            },
+        );
     }
 
-    // Fast tier: hoist the non-carried `wa·a + wa·c` into pass 1 (one
-    // FMA per cell, vectorizable) so the carry chain collapses to the
-    // single FMA `v = prev·wc + e[z]` — reassociated, ULP-bounded, and
-    // contractive for the shipped weights (`2·wa + wc < 1`).
+    // Fast tier: hoist the non-carried `wa·a + wa·c` into the pre-pass
+    // so the carry chain collapses to `v = prev·wc + e[z]` —
+    // reassociated, ULP-bounded, and contractive for the shipped
+    // weights (`2·wa + wc < 1`). Unfused on purpose: the pinned tier
+    // must keep the kernel's two `mul_add`s, which cost a libm call
+    // each where the target has no `fma` feature, and plain multiplies
+    // and adds are what lets this tier vectorize past it.
     #[inline]
-    #[allow(clippy::needless_range_loop)] // LINT: n indexes several parallel wave arrays at once
     fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
         let (wa, wc) = (self.wa, self.wc);
-        let p = wave.parts();
-        let mut prev = [0.0f32; MAX_WAVE];
-        let mut len = 0;
-        for n in 0..p.m {
-            chunk8(p.im1[n], p.jm1[n], &mut p.out[n][..], |a, c| {
-                a.mul_add(wa, c * wa)
-            });
-            prev[n] = p.km1[n];
-            len = len.max(p.out[n].len());
-        }
-        for z in 0..len {
-            for (o, s) in p.out.iter_mut().zip(prev.iter_mut()) {
-                if z < o.len() {
-                    let v = s.mul_add(wc, o[z]);
-                    o[z] = v;
-                    *s = v;
-                }
-            }
-        }
+        wave.pre(|a, c| a * wa + c * wa);
+        wave.carry(
+            |km1| km1,
+            |_, _, t, prev| {
+                let v = prev * wc + t;
+                (v, v)
+            },
+        );
     }
 }
 
@@ -947,9 +924,10 @@ mod tests {
     }
 
     fn check_wave_bitwise<K: Kernel3D>(kernel: K, name: &str) {
-        // Widths spanning 1..MAX_WAVE, lengths hitting the 8-lane
-        // remainder cases, plus one ragged batch (mixed pencil lengths
-        // exercising the chain pass's per-pencil end guard).
+        // Widths spanning 1..MAX_WAVE (full lane groups and a partial
+        // one), lengths with and without a `% LANES` remainder, plus one
+        // ragged batch (mixed pencil lengths: cells past a group's
+        // shortest pencil leave the lane-transposed path).
         for (m, lens) in [
             (1usize, vec![5usize]),
             (3, vec![64; 3]),
@@ -984,6 +962,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A zipped pass stops at the shortest slice, so a short neighbour
+    /// would leave the cells past it unwritten — `push` must refuse it.
+    #[test]
+    #[should_panic(expected = "wave pencil lengths differ")]
+    fn push_rejects_a_short_neighbour() {
+        let (im1, jm1) = ([1.0f32; 8], [1.0f32; 7]);
+        let mut out = [0.0f32; 8];
+        Wave::new().push(0, 0, 0, &im1, &jm1, 1.0, &mut out);
     }
 
     #[test]

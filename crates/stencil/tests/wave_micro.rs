@@ -1,12 +1,15 @@
-//! Ignored-by-default microbenchmarks of the wave kernel paths, run
-//! manually with
-//! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`
-//! when tuning. Not part of CI timing gates (those live in `paper perf`).
+//! Ignored-by-default microbenchmarks of the wave kernel paths:
+//! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
+//! `ci.sh` runs them for the one assertion in here — a wave must beat
+//! the pencil loop it replaces, a same-process ratio that holds on a
+//! noisy box; the absolute rates are gated by `paper perf`.
 
 use std::time::Instant;
 use stencil::kernel::{Kernel3D, Paper3D, Wave, MAX_WAVE};
 
-fn bench(label: &str, m: usize, len: usize, reps: usize, wave_mode: bool) {
+/// ns/cell of `m` pencils of `len` cells through `eval_wave` or through
+/// one `eval_pencil` each, fastest of 20 timed batches.
+fn bench(m: usize, len: usize, wave_mode: bool) -> f64 {
     let src: Vec<Vec<f32>> = (0..m)
         .map(|n| {
             (0..len)
@@ -16,38 +19,27 @@ fn bench(label: &str, m: usize, len: usize, reps: usize, wave_mode: bool) {
         .collect();
     let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len]; m];
     let k = Paper3D;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        if wave_mode {
-            let mut wave = Wave::new();
-            let mut rest: &mut [Vec<f32>] = &mut rows;
-            for n in 0..m {
-                let (row, r) = rest.split_first_mut().unwrap();
-                rest = r;
-                wave.push(1 + n as i64, 1, 1, &src[n], &src[(n + 1) % m], 1.5, row);
-            }
-            k.eval_wave(&mut wave);
-        } else {
-            for n in 0..m {
-                k.eval_pencil(
-                    1 + n as i64,
-                    1,
-                    1,
-                    &src[n],
-                    &src[(n + 1) % m],
-                    1.5,
-                    &mut rows[n],
-                );
+    let reps = 200_000 / (m * len);
+    let mut best = f64::INFINITY;
+    for _ in 0..20 {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            if wave_mode {
+                let mut wave = Wave::new();
+                for (n, row) in rows.iter_mut().enumerate() {
+                    wave.push(1 + n as i64, 1, 1, &src[n], &src[(n + 1) % m], 1.5, row);
+                }
+                k.eval_wave(&mut wave);
+            } else {
+                for (n, row) in rows.iter_mut().enumerate() {
+                    k.eval_pencil(1 + n as i64, 1, 1, &src[n], &src[(n + 1) % m], 1.5, row);
+                }
             }
         }
+        best = best.min(t0.elapsed().as_secs_f64());
     }
-    let secs = t0.elapsed().as_secs_f64();
-    let cells = (m * len * reps) as f64;
-    println!(
-        "{label:28} m={m:2} len={len:4}: {:6.2} ns/cell",
-        secs * 1e9 / cells
-    );
     assert!(rows[0][len / 2].is_finite());
+    best * 1e9 / (m * len * reps) as f64
 }
 
 #[test]
@@ -91,14 +83,18 @@ fn single_rank_tile_micro() {
 #[test]
 #[ignore]
 fn wave_vs_pencil_micro() {
-    let reps = 40_000;
-    for &m in &[1usize, 2, 4, 6, 8, 12, MAX_WAVE] {
-        bench("paper3d eval_wave", m, 64, reps, true);
+    println!("paper3d, 64-cell pencils, ns/cell:   m  pencil    wave");
+    let mut at_max = (0.0, 0.0);
+    for m in [1usize, 2, 3, 4, 5, 8, 12, MAX_WAVE] {
+        at_max = (bench(m, 64, false), bench(m, 64, true));
+        println!("{m:38} {:7.2} {:7.2}", at_max.0, at_max.1);
     }
-    for &m in &[1usize, 4, 8] {
-        bench("paper3d eval_pencil loop", m, 64, reps, false);
+    for len in [32usize, 128, 256] {
+        println!("eval_wave m= 8 len={len:3}: {:6.2}", bench(8, len, true));
     }
-    for &len in &[32usize, 128, 256] {
-        bench("paper3d eval_wave", 8, len, reps / (len / 32), true);
-    }
+    let (pencil, wave) = at_max;
+    assert!(
+        wave < pencil,
+        "eval_wave at m = {MAX_WAVE} ran {wave:.2} ns/cell, {MAX_WAVE} x eval_pencil {pencil:.2}"
+    );
 }
