@@ -3,10 +3,8 @@
 //!
 //! Runs on a single-rank world sending to itself (the transport path —
 //! channel, latency bookkeeping, buffer pool — is identical to the
-//! neighbor case), comparing the optimized path (row-chunked
-//! `stencil::halo` copies through the persistent-buffer API) against the
-//! preserved element-wise baseline (`stencil::legacy` gather/scatter
-//! with a fresh `Vec` per message).
+//! neighbor case): row-chunked `stencil::halo` copies on either side of
+//! `send_from`/`recv_into`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use msgpass::comm::Communicator;
@@ -14,7 +12,6 @@ use msgpass::thread_backend::{run_threads, LatencyModel};
 use std::time::{Duration, Instant};
 use stencil::dist3d::Decomp3D;
 use stencil::halo::{pack_rows, unpack_rows};
-use stencil::legacy;
 
 /// Exchange geometry: the i-face of an 8×16×4096 block at V = 256.
 const BX: usize = 8;
@@ -34,7 +31,7 @@ fn decomp() -> Decomp3D {
     }
 }
 
-/// Time `iters` optimized exchanges inside a one-rank world.
+/// Time `iters` exchanges inside a one-rank world.
 fn chunked_exchanges(iters: u64) -> Duration {
     let d = decomp();
     let (mut times, _) =
@@ -59,36 +56,12 @@ fn chunked_exchanges(iters: u64) -> Duration {
     times.pop().expect("one rank")
 }
 
-/// Time `iters` element-wise exchanges (fresh `Vec` per message).
-fn elementwise_exchanges(iters: u64) -> Duration {
-    let d = decomp();
-    let (mut times, _) =
-        run_threads::<f32, Duration, _>(1, LatencyModel::zero(), move |mut comm| {
-            let block: Vec<f32> = (0..BX * BY * NZ).map(|x| x as f32).collect();
-            let mut halo = vec![0.0f32; BY * NZ];
-            let start = Instant::now();
-            for it in 0..iters {
-                let k = (it as usize) % d.steps();
-                let face = legacy::face_i_elementwise(&block, &d, k);
-                comm.send(0, it, face);
-                let data = comm.recv(0, it);
-                legacy::store_halo_i_elementwise(&mut halo, &d, k, &data);
-                black_box(halo[k * V]);
-            }
-            start.elapsed()
-        });
-    times.pop().expect("one rank")
-}
-
 fn bench_halo_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("halo_exchange");
     group.throughput(Throughput::Bytes(
         (BY * V * std::mem::size_of::<f32>()) as u64,
     ));
     group.bench_function("chunked_pooled", |b| b.iter_custom(chunked_exchanges));
-    group.bench_function("elementwise_alloc", |b| {
-        b.iter_custom(elementwise_exchanges)
-    });
     group.finish();
 }
 

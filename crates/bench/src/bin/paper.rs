@@ -16,7 +16,8 @@
 //!                  reorders/delay-spikes under the reliability layer,
 //!                  a typed unrecoverable failure, and a stall-annotated
 //!                  Gantt chart (results/chaos_gantt.svg)
-//! paper perf       hot-path benchmark: optimized vs legacy executors
+//! paper perf       hot-path benchmark: the executors layer by layer,
+//!                  headline blocking vs overlapping wall time
 //!                  (writes BENCH_stencil.json at the repo root)
 //! paper sweep      Monte-Carlo design-space sweep over the simulator
 //!                  (seeded, parallel, panic-isolated; writes
@@ -861,12 +862,11 @@ fn cmd_modelcheck() {
 
 // ---- `paper perf`: the hot-path benchmark ------------------------------
 //
-// Measures the optimized distributed executors against the preserved
-// element-wise baseline (`stencil::legacy`) on identical workloads and
-// writes the comparison to BENCH_stencil.json at the repository root.
-// Latency is zero and the box may have a single core, so wall-clock time
-// equals total CPU work: exactly the per-cell/per-face overhead the
-// optimization removes.
+// Measures the shipped distributed executor layer by layer — transports,
+// A/B lanes, kernel tiers, many-rank scaling, the plan service — and
+// writes the rows to BENCH_stencil.json at the repository root. The
+// headline is the paper's own claim: wall time of the blocking schedule
+// (eq. 3) over the overlapping one (eq. 4), same executor, same wire.
 
 mod perf {
     use msgpass::thread_backend::{LatencyModel, WorldConfig};
@@ -943,71 +943,7 @@ mod perf {
         }
     }
 
-    struct Comparison {
-        name: &'static str,
-        kernel: &'static str,
-        mode: ExecMode,
-        d: Decomp3D,
-        baseline: Measurement,
-        optimized: Measurement,
-    }
-
-    impl Comparison {
-        fn speedup(&self) -> f64 {
-            self.baseline.secs / self.optimized.secs
-        }
-    }
-
-    fn compare(
-        name: &'static str,
-        kernel: &'static str,
-        d: Decomp3D,
-        mode: ExecMode,
-        trials: usize,
-    ) -> Comparison {
-        let lat = LatencyModel::zero();
-        // Benchmarks opt out of the pre-flight analyzer: `paper analyze`
-        // covers these exact layouts, and the measurement should time
-        // the executor alone.
-        let cfg = WorldConfig::new(lat).without_preflight();
-        let (baseline, optimized) = match kernel {
-            "relax3d" => (
-                measure(trials, d, || {
-                    stencil::legacy::run_dist3d(Relax3D::default(), d, lat, mode)
-                        .expect("valid decomposition")
-                        .0
-                }),
-                measure(trials, d, || {
-                    stencil::dist3d::run_dist3d_with(Relax3D::default(), d, &cfg, mode)
-                        .expect("valid decomposition")
-                        .0
-                }),
-            ),
-            "paper3d" => (
-                measure(trials, d, || {
-                    stencil::legacy::run_dist3d(Paper3D, d, lat, mode)
-                        .expect("valid decomposition")
-                        .0
-                }),
-                measure(trials, d, || {
-                    stencil::dist3d::run_dist3d_with(Paper3D, d, &cfg, mode)
-                        .expect("valid decomposition")
-                        .0
-                }),
-            ),
-            other => unreachable!("unknown kernel {other}"),
-        };
-        Comparison {
-            name,
-            kernel,
-            mode,
-            d,
-            baseline,
-            optimized,
-        }
-    }
-
-    /// One transport-ablation row: the optimized executor on a given
+    /// One transport-ablation row: the executor on a given
     /// transport, plus its steady-state allocation rate (the slope of
     /// allocation count over pipeline steps between a short and a deep
     /// run — zero when warm steps allocate nothing).
@@ -1104,7 +1040,9 @@ mod perf {
         use stencil::engine::LaneStats;
         use stencil::plan::{run3d_observed_with, Compiled3D};
         let steps = d.steps();
-        // Benchmarks skip the pre-flight analyzer (see `compare`).
+        // Benchmarks skip the pre-flight analyzer: `paper analyze`
+        // covers these exact layouts, and the measurement should time
+        // the executor alone.
         let plan = Compiled3D::compile_unchecked(d, mode).expect("valid decomposition");
         let cfg = WorldConfig::new(lat).with_transport(kind);
         // Best of 3: every rank here is a thread oversubscribed onto
@@ -1344,88 +1282,20 @@ mod perf {
         )
     }
 
-    fn json_measurement(m: &Measurement) -> String {
-        format!(
-            "{{\"secs\": {:.6}, \"cells_per_sec\": {:.0}, \"step_us\": {:.3}, \"allocs\": {}}}",
-            m.secs, m.cells_per_sec, m.step_us, m.allocs
-        )
-    }
-
-    fn json_comparison(c: &Comparison) -> String {
-        format!(
-            "    {{\n      \"name\": \"{}\",\n      \"kernel\": \"{}\",\n      \"mode\": \"{}\",\n      \
-             \"grid\": [{}, {}, {}],\n      \"procs\": [{}, {}],\n      \"v\": {},\n      \"steps\": {},\n      \
-             \"baseline\": {},\n      \"optimized\": {},\n      \"speedup\": {:.3}\n    }}",
-            c.name,
-            c.kernel,
-            match c.mode {
-                ExecMode::Blocking => "blocking",
-                ExecMode::Overlapping => "overlapping",
-            },
-            c.d.nx,
-            c.d.ny,
-            c.d.nz,
-            c.d.pi,
-            c.d.pj,
-            c.d.v,
-            c.d.steps(),
-            json_measurement(&c.baseline),
-            json_measurement(&c.optimized),
-            c.speedup()
-        )
-    }
-
     pub fn run(quick: bool) {
         println!(
-            "== hot-path benchmark: optimized executors vs element-wise legacy{} ==\n",
+            "== hot-path benchmark: the shipped executors, layer by layer{} ==\n",
             if quick { " (quick mode)" } else { "" }
         );
-        // Cheap kernel, small cross-section, deep pipeline: the
-        // per-cell/per-face overhead the optimization targets dominates
-        // the kernel arithmetic. Zero latency isolates executor cost.
+        // Cheap kernel, small cross-section, deep pipeline: per-step
+        // engine and transport cost dominates the kernel arithmetic.
         // Quick mode keeps the per-step shape and only shortens the
-        // pipeline and trial count, so speedups stay comparable with a
-        // committed full run (it also writes to a separate file —
+        // pipeline and trial count (it also writes to a separate file —
         // results/BENCH_quick.json — instead of the reference
         // BENCH_stencil.json).
         let deep = bench::configs::perf_deep_decomp(quick);
         let trials = if quick { 3 } else { 5 };
-        let comparisons = [
-            compare(
-                "relax3d-overlap",
-                "relax3d",
-                deep,
-                ExecMode::Overlapping,
-                trials,
-            ),
-            compare(
-                "relax3d-blocking",
-                "relax3d",
-                deep,
-                ExecMode::Blocking,
-                trials,
-            ),
-            compare(
-                "paper3d-overlap",
-                "paper3d",
-                deep,
-                ExecMode::Overlapping,
-                trials,
-            ),
-        ];
-        for c in &comparisons {
-            println!(
-                "{:18} {:11} baseline {:>7.1} Mcells/s, {:>6} allocs | optimized {:>7.1} Mcells/s, {:>6} allocs | speedup {:.2}x",
-                c.name,
-                format!("({:?})", c.mode),
-                c.baseline.cells_per_sec / 1e6,
-                c.baseline.allocs,
-                c.optimized.cells_per_sec / 1e6,
-                c.optimized.allocs,
-                c.speedup()
-            );
-        }
-        // Transport ablation: the same optimized executor over the mpsc
+        // Transport ablation: the same executor over the mpsc
         // channel transport vs the zero-copy shared-slot rings. The
         // steady-state allocation slope must be zero on slots — packing
         // goes straight into the peer-visible slot and the reader hands
@@ -1520,6 +1390,25 @@ mod perf {
                 l.b_std_us
             );
         }
+        // Headline: the paper's claim on the lanes configuration — the
+        // blocking schedule's wall time over the overlapping schedule's,
+        // both on the slot transport under the lanes wire. The identical
+        // grid and trial count run in quick and full mode, so ci.sh
+        // holds a quick run against the committed figure like with like;
+        // it runs here, before the 64-rank scaling worlds and the service
+        // smoke leave their threads winding down behind it.
+        let headline_d = Decomp3D { nz: 4096, ..lane_d };
+        let headline_cfg = WorldConfig::new(lane_lat)
+            .with_transport(TransportKind::shared_slots())
+            .without_preflight();
+        let [blocking, overlapping] = [ExecMode::Blocking, ExecMode::Overlapping].map(|mode| {
+            measure(9, headline_d, || {
+                stencil::dist3d::run_dist3d_with(Paper3D, headline_d, &headline_cfg, mode)
+                    .expect("valid decomposition")
+                    .0
+            })
+        });
+        let headline_speedup = blocking.secs / overlapping.secs;
         // Kernel-tier ablation: each wave kernel on the bitwise-pinned
         // tier vs the reassociated fast tier, same world, plus the
         // measured divergence between the two results.
@@ -1608,31 +1497,29 @@ mod perf {
             svc.verified
         );
         assert!(svc.hit_ratio > 0.0, "service smoke must hit the plan cache");
-        // Headline: the full zero-copy stack (slot transport + in-place
-        // pack/unpack + pencil kernels) against the element-wise legacy
-        // executor on the overlap schedule.
-        let legacy = &comparisons[0].baseline;
-        let slots_overlap = &transports[1].m;
-        let headline_speedup = legacy.secs / slots_overlap.secs;
         let json_service = format!(
             "{{\n    \"jobs\": {},\n    \"jobs_per_sec\": {:.0},\n    \"cache_hit_ratio\": {:.4},\n    \
              \"coalesced\": {},\n    \"compiles\": {},\n    \"worlds_reused\": {},\n    \"verified\": {}\n  }}",
             svc.jobs, svc.jobs_per_sec, svc.hit_ratio, svc.coalesced, svc.compiles, svc.worlds_reused, svc.verified
         );
         let json = format!(
-            "{{\n  \"bench\": \"stencil-hot-paths\",\n  \"headline\": {{\n    \"name\": \"relax3d-overlap-slots\",\n    \
-             \"transport\": \"shared-slots\",\n    \
-             \"baseline_cells_per_sec\": {:.0},\n    \"optimized_cells_per_sec\": {:.0},\n    \"speedup\": {:.3}\n  }},\n  \
-             \"comparisons\": [\n{}\n  ],\n  \"transports\": [\n{}\n  ],\n  \"lanes\": [\n{}\n  ],\n  \
+            "{{\n  \"bench\": \"stencil-hot-paths\",\n  \"headline\": {{\n    \"name\": \"paper3d-blocking-vs-overlap\",\n    \
+             \"transport\": \"shared-slots\",\n    \"grid\": [{}, {}, {}],\n    \"procs\": [{}, {}],\n    \"v\": {},\n    \
+             \"latency\": {{\"startup_us\": {}, \"per_byte_us\": {}}},\n    \
+             \"blocking_cells_per_sec\": {:.0},\n    \"overlapping_cells_per_sec\": {:.0},\n    \"speedup\": {:.3}\n  }},\n  \
+             \"transports\": [\n{}\n  ],\n  \"lanes\": [\n{}\n  ],\n  \
              \"tiers\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ],\n  \"service\": {}\n}}\n",
-            legacy.cells_per_sec,
-            slots_overlap.cells_per_sec,
+            headline_d.nx,
+            headline_d.ny,
+            headline_d.nz,
+            headline_d.pi,
+            headline_d.pj,
+            headline_d.v,
+            lane_lat.startup_us,
+            lane_lat.per_byte_us,
+            blocking.cells_per_sec,
+            overlapping.cells_per_sec,
             headline_speedup,
-            comparisons
-                .iter()
-                .map(json_comparison)
-                .collect::<Vec<_>>()
-                .join(",\n"),
             transports
                 .iter()
                 .map(json_transport)
@@ -1655,7 +1542,7 @@ mod perf {
         };
         std::fs::write(path, &json).expect("write benchmark json");
         println!(
-            "\nheadline: relax3d-overlap-slots — {headline_speedup:.2}x cells/sec over the element-wise baseline"
+            "\nheadline: paper3d-blocking-vs-overlap — overlapping finishes {headline_speedup:.2}x sooner than blocking under the lanes wire"
         );
         println!("written to {path}");
     }
@@ -2268,7 +2155,7 @@ fn cmd_sweep(quick: bool, seed: u64, workers: usize) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|analyze|modelcheck|perf|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json + results/tune_train.csv, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune [--quick] [--seed N]   closed-loop autotuner (seed -> surrogate pre-rank -> calibrate -> commit); thread-backend calibration row plus two deterministic out-of-model simulator rows; --quick writes results/BENCH_tune_quick.json, full mode splices the \"tune\" section into BENCH_stencil.json; --seed sets the hetero row's node-speed seed\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper analyze static analysis: pre-flight every shipped config, reject the chaos plans, model-check the slot ring\n       paper modelcheck   DPOR model-checking sweep: pool handoff, single-flight compile, world pool, tuned cache, slot retransmission — shipped protocols must be clean, seeded bugs must be caught with schedule prefixes\n       paper perf [--quick]   hot-path benchmark; --quick shortens the pipeline and writes results/BENCH_quick.json instead of BENCH_stencil.json\n       paper perf --procs PIxPJ --grid NXxNYxNZ [--tier bitwise|fast] [--workers N]   one compiled-plan world verified against the sequential reference (PASS/FAIL)\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit\n       paper serve --smoke   ephemeral service + concurrent localhost clients; PASS iff every job succeeds and the plan cache is hit"
+        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|analyze|modelcheck|perf|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json + results/tune_train.csv, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune [--quick] [--seed N]   closed-loop autotuner (seed -> surrogate pre-rank -> calibrate -> commit); thread-backend calibration row plus two deterministic out-of-model simulator rows; --quick writes results/BENCH_tune_quick.json, full mode splices the \"tune\" section into BENCH_stencil.json; --seed sets the hetero row's node-speed seed\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper analyze static analysis: pre-flight every shipped config, reject the chaos plans, model-check the slot ring\n       paper modelcheck   DPOR model-checking sweep: pool handoff, single-flight compile, world pool, tuned cache, slot retransmission — shipped protocols must be clean, seeded bugs must be caught with schedule prefixes\n       paper perf [--quick]   hot-path benchmark: transports, A/B lanes, kernel tiers, scaling, plan service; headline = blocking over overlapping wall time on one fixed configuration; --quick shortens the other pipelines and writes results/BENCH_quick.json instead of BENCH_stencil.json\n       paper perf --procs PIxPJ --grid NXxNYxNZ [--tier bitwise|fast] [--workers N]   one compiled-plan world verified against the sequential reference (PASS/FAIL)\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit\n       paper serve --smoke   ephemeral service + concurrent localhost clients; PASS iff every job succeeds and the plan cache is hit"
     );
     std::process::exit(2);
 }

@@ -1,17 +1,15 @@
 //! The message-passing interface used by the distributed executors.
 //!
-//! A deliberately MPI-shaped API: blocking `send`/`recv` (the paper's
-//! §3 non-overlapping executor) and non-blocking `isend`/`irecv`/`wait`
-//! (the §4 overlapping executor). Matching is by `(peer rank, tag)` in
-//! FIFO order, like MPI with a fixed communicator.
-//!
-//! The `try_*` variants are the fallible face of the same operations:
-//! on a reliability-enabled world (see
-//! [`crate::thread_backend::WorldConfig`]) they surface a typed
-//! [`CommError`] — timeout, sequence gap, peer failure — instead of
-//! blocking forever or panicking. The default implementations simply
-//! delegate to the infallible methods, so observers and recording
-//! wrappers keep working unchanged.
+//! The paper's two schedules need five primitives: `MPI_Send`/`MPI_Recv`
+//! for the §3 non-overlapping executor, `MPI_Isend`/`MPI_Irecv`/
+//! `MPI_Wait` for the §4 overlapping one. [`Communicator`] is those
+//! five in one form: the caller packs an outgoing face straight into
+//! the transport's wire buffer and consumes an incoming one in place,
+//! and every call that can meet a transport fault returns a typed
+//! [`CommError`] — a peer that hung up, and on a reliability-enabled
+//! world (see [`crate::thread_backend::WorldConfig`]) a timeout or a
+//! sequence gap — instead of hanging or panicking. Matching is by
+//! `(peer rank, tag)` in FIFO order, like MPI with a fixed communicator.
 
 use std::fmt;
 use std::time::Duration;
@@ -19,10 +17,9 @@ use std::time::Duration;
 /// A tag disambiguating messages between the same pair of ranks.
 pub type Tag = u64;
 
-/// Why a communication operation failed on a reliability-enabled
-/// world. The infallible [`Communicator`] methods never return these —
-/// they keep MPI's abort-on-error behavior — but the `try_*` variants
-/// surface them so the engine can fail a run cleanly.
+/// Why a communication operation failed. Returned by every fallible
+/// [`Communicator`] call so the engine can fail a run cleanly; only the
+/// `send_from`/`recv_into` conveniences turn one into a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// No matching message arrived within the configured retry
@@ -117,233 +114,93 @@ pub struct RecvRequest {
     pub(crate) tag: Tag,
 }
 
-/// A process-group communicator carrying `Vec<T>` payloads.
+/// A process-group communicator.
+///
+/// Payloads never pass through a caller-side staging vector: a send
+/// hands `fill` the wire buffer itself and a receive hands `take` the
+/// arrived payload in place — on [`crate::thread_backend::ThreadComm`]
+/// with `TransportKind::SharedSlots` that storage is the peer-visible
+/// slot, so a halo face is written once and read once end to end.
 ///
 /// Implementations: [`crate::thread_backend::ThreadComm`] (real OS
 /// threads with injected wire latency — communication genuinely
-/// overlaps computation in wall-clock time).
-pub trait Communicator<T: Send + 'static> {
+/// overlaps computation in wall-clock time) and
+/// [`crate::recording::RecordingComm`] (the same, logging every
+/// operation as a simulator program).
+pub trait Communicator<T: Copy + Default + Send + 'static> {
     /// This process's rank in `0..size()`.
     fn rank(&self) -> usize;
 
     /// Number of processes.
     fn size(&self) -> usize;
 
-    /// Blocking send (`MPI_Send`): returns when the payload has been
+    /// Block until every rank has entered the barrier.
+    fn barrier(&mut self);
+
+    /// Blocking send (`MPI_Send`) of a `len`-element payload packed in
+    /// place by `fill`, which receives the (zeroed or stale) wire buffer
+    /// and must overwrite all of it. Returns when the payload has been
     /// handed to the transport *and* the modeled transmission time has
     /// elapsed on the caller (Fig. 7 of the paper).
-    fn send(&mut self, to: usize, tag: Tag, data: Vec<T>);
+    fn send_with(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [T]),
+    ) -> Result<(), CommError>;
 
-    /// Blocking receive (`MPI_Recv`).
-    fn recv(&mut self, from: usize, tag: Tag) -> Vec<T>;
-
-    /// Non-blocking send (`MPI_Isend`): hands the payload to the
-    /// transport and returns immediately.
-    fn isend(&mut self, to: usize, tag: Tag, data: Vec<T>) -> SendRequest;
+    /// Non-blocking send (`MPI_Isend`) of a `len`-element payload packed
+    /// in place by `fill` (see [`Communicator::send_with`]): hands the
+    /// payload to the transport and returns immediately.
+    fn isend_with(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [T]),
+    ) -> Result<SendRequest, CommError>;
 
     /// Non-blocking receive (`MPI_Irecv`): registers interest and
     /// returns immediately.
     fn irecv(&mut self, from: usize, tag: Tag) -> RecvRequest;
 
-    /// Complete a non-blocking send (`MPI_Wait`).
-    fn wait_send(&mut self, req: SendRequest);
-
-    /// Complete a non-blocking receive (`MPI_Wait`), yielding the data.
-    fn wait_recv(&mut self, req: RecvRequest) -> Vec<T>;
-
-    /// Block until every rank has entered the barrier.
-    fn barrier(&mut self);
-
-    // ---- persistent-buffer API ----------------------------------------
-    //
-    // MPI-persistent-request-style variants that let callers keep
-    // ownership of their buffers across steps. The default
-    // implementations fall back to the owning `Vec` methods (one
-    // allocation per call); backends with a buffer pool — notably
-    // `ThreadComm` — override them so steady-state pipeline steps
-    // allocate nothing.
-
-    /// Blocking send out of a caller-owned buffer (`MPI_Send` on a
-    /// persistent buffer). The caller may reuse `data` immediately after
-    /// the call returns.
-    fn send_from(&mut self, to: usize, tag: Tag, data: &[T])
-    where
-        T: Copy,
-    {
-        self.send(to, tag, data.to_vec());
-    }
-
-    /// Non-blocking send out of a caller-owned buffer (`MPI_Isend` on a
-    /// persistent buffer). The transport copies `data` before returning,
-    /// so the caller may reuse the buffer immediately — no need to hold
-    /// it until `wait_send`.
-    fn isend_from(&mut self, to: usize, tag: Tag, data: &[T]) -> SendRequest
-    where
-        T: Copy,
-    {
-        self.isend(to, tag, data.to_vec())
-    }
-
-    /// Blocking receive into a caller-owned buffer (`MPI_Recv` on a
-    /// persistent buffer). Panics if the message length differs from
-    /// `out.len()`.
-    fn recv_into(&mut self, from: usize, tag: Tag, out: &mut [T])
-    where
-        T: Copy,
-    {
-        let data = self.recv(from, tag);
-        assert_eq!(
-            data.len(),
-            out.len(),
-            "recv_into: message length mismatch (from {from}, tag {tag})"
-        );
-        out.copy_from_slice(&data);
-    }
-
-    /// Complete a non-blocking receive into a caller-owned buffer.
-    /// Panics if the message length differs from `out.len()`.
-    fn wait_recv_into(&mut self, req: RecvRequest, out: &mut [T])
-    where
-        T: Copy,
-    {
-        let data = self.wait_recv(req);
-        assert_eq!(
-            data.len(),
-            out.len(),
-            "wait_recv_into: message length mismatch"
-        );
-        out.copy_from_slice(&data);
-    }
-
-    // ---- fallible API --------------------------------------------------
-    //
-    // The engine drives these. On a plain world they are the infallible
-    // operations (the defaults below delegate and can only return `Ok`);
-    // on a reliability-enabled `ThreadComm` world they surface typed
-    // `CommError`s — timeouts, sequence gaps, peer failures — instead of
-    // hanging or panicking.
-
-    /// Fallible [`Communicator::recv_into`].
-    fn try_recv_into(&mut self, from: usize, tag: Tag, out: &mut [T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        self.recv_into(from, tag, out);
-        Ok(())
-    }
-
-    /// Fallible [`Communicator::wait_recv_into`].
-    fn try_wait_recv_into(&mut self, req: RecvRequest, out: &mut [T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        self.wait_recv_into(req, out);
-        Ok(())
-    }
-
-    /// Fallible [`Communicator::send_from`].
-    fn try_send_from(&mut self, to: usize, tag: Tag, data: &[T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        self.send_from(to, tag, data);
-        Ok(())
-    }
-
-    /// Fallible [`Communicator::isend_from`].
-    fn try_isend_from(&mut self, to: usize, tag: Tag, data: &[T]) -> Result<SendRequest, CommError>
-    where
-        T: Copy,
-    {
-        Ok(self.isend_from(to, tag, data))
-    }
-
-    /// Fallible [`Communicator::wait_send`].
-    fn try_wait_send(&mut self, req: SendRequest) -> Result<(), CommError> {
-        self.wait_send(req);
-        Ok(())
-    }
-
-    // ---- zero-copy staging API ----------------------------------------
-    //
-    // The slot-transport entry points: instead of handing the transport
-    // a finished buffer (which it must then copy into wire storage),
-    // the caller receives the wire storage itself and packs directly
-    // into it — on `ThreadComm` with `TransportKind::SharedSlots` that
-    // storage is the peer-visible slot, so the halo face is written
-    // exactly once end to end. The defaults stage through a scratch
-    // vector and delegate to the `_from`/`_into` operations, so
-    // recording wrappers and plain backends compose unchanged.
-
-    /// Blocking send of a `len`-element payload packed in place by
-    /// `fill`, which receives the (zeroed or stale) wire buffer and
-    /// must overwrite all of it.
-    fn try_send_with(
-        &mut self,
-        to: usize,
-        tag: Tag,
-        len: usize,
-        fill: &mut dyn FnMut(&mut [T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
-        let mut buf = vec![T::default(); len];
-        fill(&mut buf);
-        self.try_send_from(to, tag, &buf)
-    }
-
-    /// Non-blocking send of a `len`-element payload packed in place by
-    /// `fill` (see [`Communicator::try_send_with`]).
-    fn try_isend_with(
-        &mut self,
-        to: usize,
-        tag: Tag,
-        len: usize,
-        fill: &mut dyn FnMut(&mut [T]),
-    ) -> Result<SendRequest, CommError>
-    where
-        T: Copy + Default,
-    {
-        let mut buf = vec![T::default(); len];
-        fill(&mut buf);
-        self.try_isend_from(to, tag, &buf)
-    }
-
-    /// Blocking receive of a `want`-element payload consumed in place
-    /// by `take`, which reads directly from wire storage (the
-    /// peer-visible slot on a slot-transport world). Fails with
-    /// [`CommError::SizeMismatch`] if the message length differs.
-    fn try_recv_with(
+    /// Blocking receive (`MPI_Recv`) of a `want`-element payload
+    /// consumed in place by `take`, which reads directly from wire
+    /// storage. Fails with [`CommError::SizeMismatch`] if the message
+    /// length differs.
+    fn recv_with(
         &mut self,
         from: usize,
         tag: Tag,
         want: usize,
         take: &mut dyn FnMut(&[T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
-        let mut buf = vec![T::default(); want];
-        self.try_recv_into(from, tag, &mut buf)?;
-        take(&buf);
-        Ok(())
-    }
+    ) -> Result<(), CommError>;
 
-    /// Complete a non-blocking receive, consuming the payload in place
-    /// (see [`Communicator::try_recv_with`]).
-    fn try_wait_recv_with(
+    /// Complete a non-blocking receive (`MPI_Wait`), consuming the
+    /// payload in place (see [`Communicator::recv_with`]).
+    fn wait_recv_with(
         &mut self,
         req: RecvRequest,
         want: usize,
         take: &mut dyn FnMut(&[T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
-        let mut buf = vec![T::default(); want];
-        self.try_wait_recv_into(req, &mut buf)?;
-        take(&buf);
-        Ok(())
+    ) -> Result<(), CommError>;
+
+    /// Complete a non-blocking send (`MPI_Wait`).
+    fn wait_send(&mut self, req: SendRequest) -> Result<(), CommError>;
+
+    /// [`Communicator::send_with`] out of a caller-owned buffer, for
+    /// callers with nothing to pack (probes, ping-pongs). Keeps MPI's
+    /// abort-on-error behavior: panics on any [`CommError`].
+    fn send_from(&mut self, to: usize, tag: Tag, data: &[T]) {
+        self.send_with(to, tag, data.len(), &mut |out| out.copy_from_slice(data))
+            .unwrap_or_else(|e| panic!("send_from failed: {e}"));
+    }
+
+    /// [`Communicator::recv_with`] into a caller-owned buffer. Panics on
+    /// any [`CommError`], a length other than `out.len()` included.
+    fn recv_into(&mut self, from: usize, tag: Tag, out: &mut [T]) {
+        self.recv_with(from, tag, out.len(), &mut |data| out.copy_from_slice(data))
+            .unwrap_or_else(|e| panic!("recv_into failed: {e}"));
     }
 }

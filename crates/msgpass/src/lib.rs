@@ -8,13 +8,15 @@
 //! computation in wall-clock time.
 //!
 //! * [`comm`] — the [`comm::Communicator`] trait the distributed
-//!   executors are written against, including the fallible `try_*`
-//!   operations that surface [`comm::CommError`].
+//!   executors are written against; every call that can meet a
+//!   transport fault returns a typed [`comm::CommError`].
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`])
 //!   and the reliability parameters ([`fault::ReliabilityConfig`])
 //!   of a [`thread_backend::WorldConfig`]-configured world.
 //! * [`thread_backend`] — the real threaded implementation
 //!   ([`thread_backend::run_threads`]).
+//! * [`recording`] — the same, logging every call as a `cluster-sim`
+//!   program ([`recording::record_sequential`]).
 //! * [`transport`] — the per-link wire abstraction
 //!   ([`transport::TransportKind`]): mpsc channels with a buffer-return
 //!   pool, or zero-copy shared-memory slot rings.

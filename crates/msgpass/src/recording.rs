@@ -7,7 +7,8 @@
 //! single-machine run: the executors from `stencil` (or any code written
 //! against [`Communicator`]) run unchanged against a [`RecordingComm`];
 //! the wrapper times the gaps between communication calls (= the real
-//! computation) and logs every operation with its real byte count. The
+//! computation, face packing and unpacking included) and logs every
+//! operation with its real byte count. The
 //! result converts to per-rank [`cluster_sim::program::Program`]s whose
 //! `Compute` durations are *measured*, while all communication costs
 //! come from the simulated machine model.
@@ -20,8 +21,9 @@
 //! eager channels turn into a clear panic (recv on an empty, hung-up
 //! channel) rather than a silent hang once the lower ranks finished.
 
-use crate::comm::{Communicator, RecvRequest, SendRequest, Tag};
+use crate::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
 use crate::thread_backend::{build_world, LatencyModel, ThreadComm};
+use crate::transport::Envelope;
 use cluster_sim::program::{Program, ReqId};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -71,7 +73,15 @@ pub struct RecordingComm<T: Send + Sync + 'static> {
     send_ops: HashMap<u64, usize>,
 }
 
-impl<T: Clone + Send + Sync + 'static> RecordingComm<T> {
+/// Close the compute segment that started at `mark`.
+fn close_compute(ops: &mut Vec<Rec>, mark: Instant) {
+    let us = mark.elapsed().as_secs_f64() * 1e6;
+    if us > 0.0 {
+        ops.push(Rec::Compute { us });
+    }
+}
+
+impl<T: Copy + Default + Send + Sync + 'static> RecordingComm<T> {
     fn new(inner: ThreadComm<T>) -> Self {
         RecordingComm {
             inner,
@@ -84,10 +94,7 @@ impl<T: Clone + Send + Sync + 'static> RecordingComm<T> {
 
     /// Close the current compute segment (time since the last op).
     fn note_compute(&mut self) {
-        let us = self.mark.elapsed().as_secs_f64() * 1e6;
-        if us > 0.0 {
-            self.ops.push(Rec::Compute { us });
-        }
+        close_compute(&mut self.ops, self.mark);
     }
 
     /// Restart the compute timer (call after the op's own work).
@@ -97,6 +104,34 @@ impl<T: Clone + Send + Sync + 'static> RecordingComm<T> {
 
     fn payload_bytes(&self, len: usize) -> u64 {
         (len * std::mem::size_of::<T>()) as u64
+    }
+
+    /// Stage and hand off one send through `post` (the inner blocking
+    /// or non-blocking call). Packing the face is the caller's work, so
+    /// the compute segment closes when `fill` returns, not before it.
+    fn record_send<R>(
+        &mut self,
+        fill: &mut dyn FnMut(&mut [T]),
+        post: impl FnOnce(&mut ThreadComm<T>, &mut dyn FnMut(&mut [T])) -> Result<R, CommError>,
+    ) -> Result<R, CommError> {
+        let (ops, mark) = (&mut self.ops, self.mark);
+        post(&mut self.inner, &mut |out| {
+            fill(out);
+            close_compute(ops, mark);
+        })
+    }
+
+    /// Take the already-buffered `(from, tag)` message off the link and
+    /// close the compute segment; returns it with its byte count.
+    ///
+    /// Non-blocking: during sequential recording the message must
+    /// already be there; a blocking receive would hang forever on a
+    /// non-rank-ordered program instead of diagnosing it.
+    fn record_arrival(&mut self, from: usize, tag: Tag) -> (Envelope<T>, u64) {
+        self.note_compute();
+        let msg = self.inner.recv_now(from, tag);
+        let bytes = self.payload_bytes(msg.payload.len());
+        (msg, bytes)
     }
 
     /// Convert the recording into a simulator program.
@@ -135,7 +170,7 @@ impl<T: Clone + Send + Sync + 'static> RecordingComm<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> Communicator<T> for RecordingComm<T> {
+impl<T: Copy + Default + Send + Sync + 'static> Communicator<T> for RecordingComm<T> {
     fn rank(&self) -> usize {
         self.inner.rank()
     }
@@ -144,34 +179,39 @@ impl<T: Clone + Send + Sync + 'static> Communicator<T> for RecordingComm<T> {
         self.inner.size()
     }
 
-    fn send(&mut self, to: usize, tag: Tag, data: Vec<T>) {
-        self.note_compute();
-        let bytes = self.payload_bytes(data.len());
-        self.inner.send(to, tag, data);
+    fn barrier(&mut self) {
+        // Sequential recording cannot block on a real barrier; the
+        // simulator has no barrier op either, so it is recorded as a
+        // no-op (barriers separate phases, they don't move data).
+    }
+
+    fn send_with(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [T]),
+    ) -> Result<(), CommError> {
+        self.record_send(fill, |c, f| c.send_with(to, tag, len, f))?;
+        let bytes = self.payload_bytes(len);
         self.ops.push(Rec::Send { to, tag, bytes });
         self.rearm();
+        Ok(())
     }
 
-    fn recv(&mut self, from: usize, tag: Tag) -> Vec<T> {
-        self.note_compute();
-        // Non-blocking: during sequential recording the message must
-        // already be buffered; a blocking recv would hang forever on a
-        // non-rank-ordered program instead of diagnosing it.
-        let data = self.inner.recv_now(from, tag);
-        let bytes = self.payload_bytes(data.len());
-        self.ops.push(Rec::Recv { from, tag, bytes });
-        self.rearm();
-        data
-    }
-
-    fn isend(&mut self, to: usize, tag: Tag, data: Vec<T>) -> SendRequest {
-        self.note_compute();
-        let bytes = self.payload_bytes(data.len());
-        let req = self.inner.isend(to, tag, data);
+    fn isend_with(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [T]),
+    ) -> Result<SendRequest, CommError> {
+        let req = self.record_send(fill, |c, f| c.isend_with(to, tag, len, f))?;
+        let bytes = self.payload_bytes(len);
         self.ops.push(Rec::Isend { to, tag, bytes });
         self.send_ops.insert(req.id, self.ops.len() - 1);
         self.rearm();
-        req
+        Ok(req)
     }
 
     fn irecv(&mut self, from: usize, tag: Tag) -> RecvRequest {
@@ -190,39 +230,50 @@ impl<T: Clone + Send + Sync + 'static> Communicator<T> for RecordingComm<T> {
         req
     }
 
-    fn wait_send(&mut self, req: SendRequest) {
-        self.note_compute();
-        let op = *self
-            .send_ops
-            .get(&req.id)
-            .expect("wait_send on a request not issued through this comm");
-        self.inner.wait_send(req);
-        self.ops.push(Rec::Wait { op });
+    fn recv_with(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        want: usize,
+        take: &mut dyn FnMut(&[T]),
+    ) -> Result<(), CommError> {
+        let (msg, bytes) = self.record_arrival(from, tag);
+        self.ops.push(Rec::Recv { from, tag, bytes });
         self.rearm();
+        // Unpacking is the caller's work: it runs on the next segment.
+        self.inner.consume(from, msg, want, take)
     }
 
-    fn wait_recv(&mut self, req: RecvRequest) -> Vec<T> {
-        self.note_compute();
-        let key = (req.from, req.tag);
-        let data = self.inner.recv_now(req.from, req.tag);
+    fn wait_recv_with(
+        &mut self,
+        req: RecvRequest,
+        want: usize,
+        take: &mut dyn FnMut(&[T]),
+    ) -> Result<(), CommError> {
+        let (msg, nbytes) = self.record_arrival(req.from, req.tag);
         let op = self
             .pending_irecvs
-            .get_mut(&key)
+            .get_mut(&(req.from, req.tag))
             .and_then(VecDeque::pop_front)
             .expect("wait_recv without a matching irecv");
-        let nbytes = self.payload_bytes(data.len());
         if let Rec::Irecv { bytes, .. } = &mut self.ops[op] {
             *bytes = Some(nbytes);
         }
         self.ops.push(Rec::Wait { op });
         self.rearm();
-        data
+        self.inner.consume(req.from, msg, want, take)
     }
 
-    fn barrier(&mut self) {
-        // Sequential recording cannot block on a real barrier; the
-        // simulator has no barrier op either, so it is recorded as a
-        // no-op (barriers separate phases, they don't move data).
+    fn wait_send(&mut self, req: SendRequest) -> Result<(), CommError> {
+        self.note_compute();
+        let op = self
+            .send_ops
+            .remove(&req.id)
+            .expect("wait_send on a request not issued through this comm");
+        self.inner.wait_send(req)?;
+        self.ops.push(Rec::Wait { op });
+        self.rearm();
+        Ok(())
     }
 }
 
@@ -234,7 +285,7 @@ impl<T: Clone + Send + Sync + 'static> Communicator<T> for RecordingComm<T> {
 /// see the module docs.
 pub fn record_sequential<T, R, F>(size: usize, body: F) -> (Vec<R>, Vec<Program>)
 where
-    T: Clone + Send + Sync + 'static,
+    T: Copy + Default + Send + Sync + 'static,
     F: Fn(&mut RecordingComm<T>) -> R,
 {
     let comms = build_world::<T>(size, LatencyModel::zero());
@@ -266,10 +317,11 @@ mod tests {
                 for i in 0..200_000 {
                     acc += (i as f32).sqrt();
                 }
-                comm.send(1, 0, vec![acc; 256]);
+                comm.send_from(1, 0, &[acc; 256]);
                 acc
             } else {
-                let data = comm.recv(0, 0);
+                let mut data = [0.0f32; 256];
+                comm.recv_into(0, 0, &mut data);
                 data[0]
             }
         });
@@ -295,12 +347,12 @@ mod tests {
     fn nonblocking_ops_resolve_bytes_at_wait() {
         let (_, programs) = record_sequential::<f64, _, _>(2, |comm| {
             if comm.rank() == 0 {
-                let q = comm.isend(1, 5, vec![1.0; 64]);
-                comm.wait_send(q);
+                let q = comm.isend_with(1, 5, 64, &mut |out| out.fill(1.0)).unwrap();
+                comm.wait_send(q).unwrap();
             } else {
                 let q = comm.irecv(0, 5);
-                let data = comm.wait_recv(q);
-                assert_eq!(data.len(), 64);
+                comm.wait_recv_with(q, 64, &mut |data| assert_eq!(data[63], 1.0))
+                    .unwrap();
             }
         });
         let ops1 = programs[1].ops();
@@ -314,11 +366,11 @@ mod tests {
             record_sequential::<f32, _, _>(3, |comm| {
                 let r = comm.rank();
                 if r > 0 {
-                    let _ = comm.recv(r - 1, 0);
+                    comm.recv_into(r - 1, 0, &mut [0.0f32; 128]);
                 }
                 std::hint::black_box((0..10_000).map(|x| x as f32).sum::<f32>());
                 if r + 1 < comm.size() {
-                    comm.send(r + 1, 0, vec![0.0f32; 128]);
+                    comm.send_from(r + 1, 0, &[0.0f32; 128]);
                 }
             })
             .1
@@ -342,40 +394,84 @@ mod tests {
         // recording; must panic with a diagnosis, not hang.
         let _ = record_sequential::<f32, _, _>(2, |comm| {
             if comm.rank() == 0 {
-                let _ = comm.recv(1, 0);
+                comm.recv_into(1, 0, &mut [0.0]);
             } else {
-                comm.send(0, 0, vec![1.0]);
+                comm.send_from(0, 0, &[1.0]);
             }
         });
     }
 
-    #[test]
-    fn real_stencil_executor_records() {
-        // The unchanged 2-D executor from `stencil` can't be used here
-        // (circular dev-dependency), so emulate its op pattern: a 2-rank
-        // overlapped pipeline with irecv-ahead.
-        let (_, programs) = record_sequential::<f32, _, _>(2, |comm| {
-            let rank = comm.rank();
-            let steps = 4u64;
-            if rank == 0 {
-                for k in 0..steps {
-                    std::hint::black_box((0..5_000).map(|x| x as f32).sum::<f32>());
-                    let q = comm.isend(1, k, vec![1.0f32; 100]);
-                    comm.wait_send(q);
-                }
+    /// The engine's overlap loop over `steps` 100-element faces, for a
+    /// rank with the given upstream and downstream peers (the unchanged
+    /// executor from `stencil` can't be used here — circular
+    /// dev-dependency). Direction `d` of step `k` travels under tag
+    /// `2k + d`.
+    fn overlap_rank(
+        comm: &mut RecordingComm<f32>,
+        up: [Option<usize>; 2],
+        down: [Option<usize>; 2],
+        steps: u64,
+    ) {
+        let work = || std::hint::black_box((0..5_000).map(|x| x as f32).sum::<f32>());
+        let post = |comm: &mut RecordingComm<f32>, k: u64| {
+            [0, 1].map(|d| up[d].map(|src| comm.irecv(src, 2 * k + d as u64)))
+        };
+        let send = |comm: &mut RecordingComm<f32>, k: u64| {
+            [0, 1].map(|d| {
+                down[d].map(|dst| {
+                    comm.isend_with(dst, 2 * k + d as u64, 100, &mut |out| out.fill(1.0))
+                        .unwrap()
+                })
+            })
+        };
+        let mut cur = post(comm, 0);
+        for k in 0..steps {
+            let next = if k + 1 < steps {
+                post(comm, k + 1)
             } else {
-                let mut cur = comm.irecv(0, 0);
-                for k in 0..steps {
-                    let next = (k + 1 < steps).then(|| comm.irecv(0, k + 1));
-                    let _ = comm.wait_recv(cur);
-                    std::hint::black_box((0..5_000).map(|x| x as f32).sum::<f32>());
-                    cur = match next {
-                        Some(n) => n,
-                        None => break,
-                    };
-                }
+                [None, None]
+            };
+            let sends = if k >= 1 {
+                send(comm, k - 1)
+            } else {
+                [None, None]
+            };
+            for req in cur.into_iter().flatten() {
+                comm.wait_recv_with(req, 100, &mut |_| ()).unwrap();
             }
-        });
+            work();
+            for req in sends.into_iter().flatten() {
+                comm.wait_send(req).unwrap();
+            }
+            cur = next;
+        }
+        for req in send(comm, steps - 1).into_iter().flatten() {
+            comm.wait_send(req).unwrap();
+        }
+    }
+
+    #[test]
+    fn overlap_pipeline_on_2x2_records_and_retires_every_request() {
+        // Rank r sits at (r / 2, r % 2): faces flow down both axes.
+        let mut programs = Vec::new();
+        for inner in build_world::<f32>(4, LatencyModel::zero()) {
+            let mut rec = RecordingComm::new(inner);
+            let (i, j) = (rec.rank() / 2, rec.rank() % 2);
+            let up = [
+                (i > 0).then(|| rec.rank() - 2),
+                (j > 0).then(|| rec.rank() - 1),
+            ];
+            let down = [
+                (i < 1).then(|| rec.rank() + 2),
+                (j < 1).then(|| rec.rank() + 1),
+            ];
+            overlap_rank(&mut rec, up, down, 4);
+            // A completed wait forgets its request: nothing accumulates
+            // over the life of a recording.
+            assert!(rec.send_ops.is_empty(), "rank {}", rec.rank());
+            assert!(rec.pending_irecvs.values().all(VecDeque::is_empty));
+            programs.push(rec.into_program().expect("self-consistent"));
+        }
         let machine = MachineParams::paper_cluster();
         let res = simulate(SimConfig::new(machine).with_trace(false), programs).unwrap();
         assert!(res.makespan.as_us() > 0.0);

@@ -5,7 +5,7 @@
 //! The latency model is what makes overlap *measurable* on a shared-
 //! memory machine: every message is stamped at send time and is not
 //! released to the receiver before `sent_at + latency(bytes)` — but the
-//! receiving thread only pays that wait inside `wait_recv`/`recv`, so a
+//! receiving thread only pays that wait inside its receive call, so a
 //! thread that computes while a message is "on the wire" genuinely hides
 //! the latency, exactly like a node computing while its NIC works.
 //!
@@ -13,19 +13,18 @@
 //! time (the paper's Fig. 7: a blocking send suspends the caller until
 //! the message is out).
 //!
-//! ## Transports and persistent buffers
+//! ## Transports and buffer recycling
 //!
-//! Every directed rank pair is one [`crate::transport`] link. The
-//! default mpsc transport recycles send buffers through a reverse
-//! return channel; the shared-slot transport
-//! ([`TransportKind::SharedSlots`]) goes further and stages payloads
-//! *directly in peer-visible slot memory*, so the zero-copy entry
-//! points (`try_send_with`/`try_isend_with`/`try_recv_with`) pack and
-//! unpack without any intermediate vector. Either way, after a short
-//! warm-up a steady-state pipeline step performs **zero heap
-//! allocations** in the payload path, mirroring MPI persistent
-//! requests. [`ThreadComm::pool_stats`] exposes counters that tests
-//! use to assert this.
+//! Every directed rank pair is one [`crate::transport`] link, and every
+//! [`Communicator`] call stages its payload in that link's own storage:
+//! a pooled vector recycled through a reverse return channel on the
+//! default mpsc transport, *peer-visible slot memory* on the shared-slot
+//! transport ([`TransportKind::SharedSlots`]), where pack and unpack
+//! touch the wire bytes directly. Either way, after a short warm-up a
+//! steady-state pipeline step performs **zero heap allocations** in the
+//! payload path, mirroring MPI persistent requests.
+//! [`ThreadComm::pool_stats`] exposes counters that tests use to assert
+//! this.
 
 use crate::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
 use crate::fault::{FaultPlan, FaultStats, ReliabilityConfig};
@@ -145,8 +144,7 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// Default cap of the transport backpressure backoff ladder —
-    /// matches the legacy fixed 20 µs sleep's worst-case wait.
+    /// Default cap of the transport backpressure backoff ladder.
     pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_micros(20);
 
     /// A plain world: the given latency, mpsc transport, no reliability
@@ -356,20 +354,6 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
         self.epoch
     }
 
-    /// Stage a payload holding a copy of `data` in transport storage
-    /// toward `dst` (a pooled vector on mpsc, a peer-visible slot on
-    /// the slot transport).
-    fn stage_copy(&mut self, dst: usize, data: &[T]) -> Payload<T>
-    where
-        T: Copy,
-    {
-        let Self { tx, stats, .. } = self;
-        tx[dst].stage(stats, &mut |buf: &mut Vec<T>| {
-            buf.clear();
-            buf.extend_from_slice(data);
-        })
-    }
-
     /// Stage a `len`-element payload toward `dst` and let `fill` pack
     /// it in place — the zero-copy path: on the slot transport `fill`
     /// writes straight into the slot the receiver will read.
@@ -398,31 +382,56 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
     }
 
     /// Pull messages from `from` until one with `tag` appears; honor the
-    /// stash first (FIFO per source).
-    fn match_message(&mut self, from: usize, tag: Tag) -> Envelope<T> {
+    /// stash first (FIFO per source). A link that closes first means the
+    /// peer's thread is gone.
+    fn match_message(&mut self, from: usize, tag: Tag) -> Result<Envelope<T>, CommError> {
         let pos = self.stash[from].iter().position(|m| m.tag == tag);
         if let Some(msg) = pos.and_then(|p| self.stash[from].remove(p)) {
-            return msg;
+            return Ok(msg);
         }
         loop {
             let msg = self.rx[from]
                 .pop_blocking()
-                .unwrap_or_else(|_| panic!("peer hung up before sending expected message"));
+                .map_err(|_| CommError::PeerClosed { peer: from })?;
             if msg.tag == tag {
-                return msg;
+                return Ok(msg);
             }
             self.stash[from].push_back(msg);
         }
     }
 
-    /// Fallible match: the reliability path when enabled, the classic
-    /// blocking path (which can only fail by panicking) otherwise.
+    /// Match the next `(from, tag)` message: the reliability path when
+    /// enabled, the plain blocking path otherwise.
     fn fetch(&mut self, from: usize, tag: Tag) -> Result<Envelope<T>, CommError> {
         if self.rel.is_some() {
             self.match_message_rel(from, tag)
         } else {
-            Ok(self.match_message(from, tag))
+            self.match_message(from, tag)
         }
+    }
+
+    /// Finish a matched receive: sit out the rest of the wire time,
+    /// check the length, let `take` read the payload in place and hand
+    /// the buffer back to its transport.
+    pub(crate) fn consume(
+        &mut self,
+        from: usize,
+        msg: Envelope<T>,
+        want: usize,
+        take: &mut dyn FnMut(&[T]),
+    ) -> Result<(), CommError> {
+        wait_until(msg.ready_at);
+        if msg.payload.len() != want {
+            return Err(CommError::SizeMismatch {
+                from,
+                tag: msg.tag,
+                got: msg.payload.len(),
+                want,
+            });
+        }
+        take(msg.payload.as_slice());
+        self.reclaim(from, msg.payload);
+        Ok(())
     }
 
     /// Accept `msg` from `from` if it is the next expected occurrence of
@@ -602,21 +611,18 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
         }
     }
 
-    /// Non-blocking variant for the sequential recording driver: the
+    /// Non-blocking match for the sequential recording driver: the
     /// message must already be present (lower ranks ran to completion),
     /// so an empty link means the program's messages do not flow in
     /// rank order — panic with a diagnosis instead of hanging forever.
-    pub(crate) fn recv_now(&mut self, from: usize, tag: Tag) -> Vec<T>
-    where
-        T: Clone,
-    {
+    pub(crate) fn recv_now(&mut self, from: usize, tag: Tag) -> Envelope<T> {
         let pos = self.stash[from].iter().position(|m| m.tag == tag);
         if let Some(msg) = pos.and_then(|p| self.stash[from].remove(p)) {
-            return msg.payload.into_vec();
+            return msg;
         }
         loop {
             match self.rx[from].try_pop() {
-                Some(msg) if msg.tag == tag => return msg.payload.into_vec(),
+                Some(msg) if msg.tag == tag => return msg,
                 Some(msg) => self.stash[from].push_back(msg),
                 None => panic!(
                     "sequential recording: rank {} receives (from {from}, tag {tag}) \
@@ -742,54 +748,13 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> Communicator<T> for ThreadComm<T> {
+impl<T: Copy + Default + Send + Sync + 'static> Communicator<T> for ThreadComm<T> {
     fn rank(&self) -> usize {
         self.rank
     }
 
     fn size(&self) -> usize {
         self.size
-    }
-
-    fn send(&mut self, to: usize, tag: Tag, data: Vec<T>) {
-        let ready_at = self
-            .transmit_payload(to, tag, Payload::Owned(data))
-            .expect("peer hung up");
-        // Blocking semantics: the caller is suspended for the wire time.
-        wait_until(ready_at);
-    }
-
-    fn recv(&mut self, from: usize, tag: Tag) -> Vec<T> {
-        let msg = self
-            .fetch(from, tag)
-            .unwrap_or_else(|e| panic!("recv failed: {e}"));
-        wait_until(msg.ready_at);
-        msg.payload.into_vec()
-    }
-
-    fn isend(&mut self, to: usize, tag: Tag, data: Vec<T>) -> SendRequest {
-        self.transmit_payload(to, tag, Payload::Owned(data))
-            .expect("peer hung up");
-        let id = self.next_req;
-        self.next_req += 1;
-        SendRequest { id }
-    }
-
-    fn irecv(&mut self, from: usize, tag: Tag) -> RecvRequest {
-        RecvRequest { from, tag }
-    }
-
-    fn wait_send(&mut self, _req: SendRequest) {
-        // The transport owns the payload already; local completion is
-        // immediate (eager protocol).
-    }
-
-    fn wait_recv(&mut self, req: RecvRequest) -> Vec<T> {
-        let msg = self
-            .fetch(req.from, req.tag)
-            .unwrap_or_else(|e| panic!("wait_recv failed: {e}"));
-        wait_until(msg.ready_at);
-        msg.payload.into_vec()
     }
 
     fn barrier(&mut self) {
@@ -801,143 +766,27 @@ impl<T: Clone + Send + Sync + 'static> Communicator<T> for ThreadComm<T> {
         self.barrier.wait();
     }
 
-    fn send_from(&mut self, to: usize, tag: Tag, data: &[T])
-    where
-        T: Copy,
-    {
-        let payload = self.stage_copy(to, data);
-        let ready_at = self
-            .transmit_payload(to, tag, payload)
-            .expect("peer hung up");
-        wait_until(ready_at);
-    }
-
-    fn isend_from(&mut self, to: usize, tag: Tag, data: &[T]) -> SendRequest
-    where
-        T: Copy,
-    {
-        let payload = self.stage_copy(to, data);
-        self.transmit_payload(to, tag, payload)
-            .expect("peer hung up");
-        let id = self.next_req;
-        self.next_req += 1;
-        SendRequest { id }
-    }
-
-    fn recv_into(&mut self, from: usize, tag: Tag, out: &mut [T])
-    where
-        T: Copy,
-    {
-        let msg = self
-            .fetch(from, tag)
-            .unwrap_or_else(|e| panic!("recv_into failed: {e}"));
-        wait_until(msg.ready_at);
-        assert_eq!(
-            msg.payload.len(),
-            out.len(),
-            "recv_into: message length mismatch (from {from}, tag {tag})"
-        );
-        out.copy_from_slice(msg.payload.as_slice());
-        self.reclaim(from, msg.payload);
-    }
-
-    fn wait_recv_into(&mut self, req: RecvRequest, out: &mut [T])
-    where
-        T: Copy,
-    {
-        let msg = self
-            .fetch(req.from, req.tag)
-            .unwrap_or_else(|e| panic!("wait_recv_into failed: {e}"));
-        wait_until(msg.ready_at);
-        assert_eq!(
-            msg.payload.len(),
-            out.len(),
-            "wait_recv_into: message length mismatch (from {}, tag {})",
-            req.from,
-            req.tag
-        );
-        out.copy_from_slice(msg.payload.as_slice());
-        self.reclaim(req.from, msg.payload);
-    }
-
-    fn try_recv_into(&mut self, from: usize, tag: Tag, out: &mut [T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        let msg = self.fetch(from, tag)?;
-        wait_until(msg.ready_at);
-        if msg.payload.len() != out.len() {
-            return Err(CommError::SizeMismatch {
-                from,
-                tag,
-                got: msg.payload.len(),
-                want: out.len(),
-            });
-        }
-        out.copy_from_slice(msg.payload.as_slice());
-        self.reclaim(from, msg.payload);
-        Ok(())
-    }
-
-    fn try_wait_recv_into(&mut self, req: RecvRequest, out: &mut [T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        self.try_recv_into(req.from, req.tag, out)
-    }
-
-    fn try_send_from(&mut self, to: usize, tag: Tag, data: &[T]) -> Result<(), CommError>
-    where
-        T: Copy,
-    {
-        let payload = self.stage_copy(to, data);
-        let ready_at = self.transmit_payload(to, tag, payload)?;
-        wait_until(ready_at);
-        Ok(())
-    }
-
-    fn try_isend_from(&mut self, to: usize, tag: Tag, data: &[T]) -> Result<SendRequest, CommError>
-    where
-        T: Copy,
-    {
-        let payload = self.stage_copy(to, data);
-        self.transmit_payload(to, tag, payload)?;
-        let id = self.next_req;
-        self.next_req += 1;
-        Ok(SendRequest { id })
-    }
-
-    fn try_wait_send(&mut self, req: SendRequest) -> Result<(), CommError> {
-        self.wait_send(req);
-        Ok(())
-    }
-
-    fn try_send_with(
+    fn send_with(
         &mut self,
         to: usize,
         tag: Tag,
         len: usize,
         fill: &mut dyn FnMut(&mut [T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
+    ) -> Result<(), CommError> {
         let payload = self.stage_with(to, len, fill);
         let ready_at = self.transmit_payload(to, tag, payload)?;
+        // Blocking semantics: the caller is suspended for the wire time.
         wait_until(ready_at);
         Ok(())
     }
 
-    fn try_isend_with(
+    fn isend_with(
         &mut self,
         to: usize,
         tag: Tag,
         len: usize,
         fill: &mut dyn FnMut(&mut [T]),
-    ) -> Result<SendRequest, CommError>
-    where
-        T: Copy + Default,
-    {
+    ) -> Result<SendRequest, CommError> {
         let payload = self.stage_with(to, len, fill);
         self.transmit_payload(to, tag, payload)?;
         let id = self.next_req;
@@ -945,41 +794,34 @@ impl<T: Clone + Send + Sync + 'static> Communicator<T> for ThreadComm<T> {
         Ok(SendRequest { id })
     }
 
-    fn try_recv_with(
+    fn irecv(&mut self, from: usize, tag: Tag) -> RecvRequest {
+        RecvRequest { from, tag }
+    }
+
+    fn recv_with(
         &mut self,
         from: usize,
         tag: Tag,
         want: usize,
         take: &mut dyn FnMut(&[T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
+    ) -> Result<(), CommError> {
         let msg = self.fetch(from, tag)?;
-        wait_until(msg.ready_at);
-        if msg.payload.len() != want {
-            return Err(CommError::SizeMismatch {
-                from,
-                tag,
-                got: msg.payload.len(),
-                want,
-            });
-        }
-        take(msg.payload.as_slice());
-        self.reclaim(from, msg.payload);
-        Ok(())
+        self.consume(from, msg, want, take)
     }
 
-    fn try_wait_recv_with(
+    fn wait_recv_with(
         &mut self,
         req: RecvRequest,
         want: usize,
         take: &mut dyn FnMut(&[T]),
-    ) -> Result<(), CommError>
-    where
-        T: Copy + Default,
-    {
-        self.try_recv_with(req.from, req.tag, want, take)
+    ) -> Result<(), CommError> {
+        self.recv_with(req.from, req.tag, want, take)
+    }
+
+    fn wait_send(&mut self, _req: SendRequest) -> Result<(), CommError> {
+        // The transport owns the payload already; local completion is
+        // immediate (eager protocol).
+        Ok(())
     }
 }
 
@@ -1192,15 +1034,25 @@ where
 mod tests {
     use super::*;
 
+    /// Blocking receive of `len` elements into a fresh vector.
+    fn recv<T>(comm: &mut ThreadComm<T>, from: usize, tag: Tag, len: usize) -> Vec<T>
+    where
+        T: Copy + Default + Send + Sync + 'static,
+    {
+        let mut out = vec![T::default(); len];
+        comm.recv_into(from, tag, &mut out);
+        out
+    }
+
     #[test]
     fn two_rank_blocking_roundtrip() {
         let (results, _) = run_threads::<f32, _, _>(2, LatencyModel::zero(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, vec![1.0, 2.0, 3.0]);
-                comm.recv(1, 8)
+                comm.send_from(1, 7, &[1.0, 2.0, 3.0]);
+                recv(&mut comm, 1, 8, 3)
             } else {
-                let got = comm.recv(0, 7);
-                comm.send(0, 8, got.iter().map(|x| x * 2.0).collect());
+                let doubled: Vec<f32> = recv(&mut comm, 0, 7, 3).iter().map(|x| x * 2.0).collect();
+                comm.send_from(0, 8, &doubled);
                 vec![]
             }
         });
@@ -1218,11 +1070,11 @@ mod tests {
             for job in 1..=3u32 {
                 let (results, _) = run_world(&mut world, false, |comm| {
                     if comm.rank() == 0 {
-                        comm.send(1, 7, vec![job as f32]);
-                        comm.recv(1, 8)[0]
+                        comm.send_from(1, 7, &[job as f32]);
+                        recv(comm, 1, 8, 1)[0]
                     } else {
-                        let got = comm.recv(0, 7);
-                        comm.send(0, 8, vec![got[0] * 2.0]);
+                        let got = recv(comm, 0, 7, 1);
+                        comm.send_from(0, 8, &[got[0] * 2.0]);
                         0.0
                     }
                 });
@@ -1236,12 +1088,15 @@ mod tests {
     fn nonblocking_roundtrip() {
         let (results, _) = run_threads::<i64, _, _>(2, LatencyModel::zero(), |mut comm| {
             if comm.rank() == 0 {
-                let s = comm.isend(1, 1, vec![42]);
-                comm.wait_send(s);
+                let s = comm.isend_with(1, 1, 1, &mut |out| out[0] = 42).unwrap();
+                comm.wait_send(s).unwrap();
                 0
             } else {
                 let r = comm.irecv(0, 1);
-                comm.wait_recv(r)[0]
+                let mut got = 0;
+                comm.wait_recv_with(r, 1, &mut |data| got = data[0])
+                    .unwrap();
+                got
             }
         });
         assert_eq!(results[1], 42);
@@ -1251,13 +1106,13 @@ mod tests {
     fn out_of_order_tags_are_stashed() {
         let (results, _) = run_threads::<u32, _, _>(2, LatencyModel::zero(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, vec![10]);
-                comm.send(1, 2, vec![20]);
+                comm.send_from(1, 1, &[10]);
+                comm.send_from(1, 2, &[20]);
                 0
             } else {
                 // Receive in reverse tag order.
-                let b = comm.recv(0, 2);
-                let a = comm.recv(0, 1);
+                let b = recv(&mut comm, 0, 2, 1);
+                let a = recv(&mut comm, 0, 1, 1);
                 a[0] * 100 + b[0] // 10·100 + 20
             }
         });
@@ -1268,12 +1123,12 @@ mod tests {
     fn fifo_within_same_tag() {
         let (results, _) = run_threads::<u32, _, _>(2, LatencyModel::zero(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 5, vec![1]);
-                comm.send(1, 5, vec![2]);
+                comm.send_from(1, 5, &[1]);
+                comm.send_from(1, 5, &[2]);
                 0
             } else {
-                let a = comm.recv(0, 5)[0];
-                let b = comm.recv(0, 5)[0];
+                let a = recv(&mut comm, 0, 5, 1)[0];
+                let b = recv(&mut comm, 0, 5, 1)[0];
                 a * 10 + b
             }
         });
@@ -1288,10 +1143,10 @@ mod tests {
         };
         let (_, elapsed) = run_threads::<u8, _, _>(2, lat, |mut comm| {
             if comm.rank() == 0 {
-                let s = comm.isend(1, 0, vec![1]);
-                comm.wait_send(s); // does not pay the wire time
+                let s = comm.isend_with(1, 0, 1, &mut |out| out[0] = 1).unwrap();
+                comm.wait_send(s).unwrap(); // does not pay the wire time
             } else {
-                let _ = comm.recv(0, 0); // pays ≥ 3 ms
+                recv(&mut comm, 0, 0, 1); // pays ≥ 3 ms
             }
         });
         assert!(elapsed >= Duration::from_micros(2_900), "{elapsed:?}");
@@ -1314,8 +1169,8 @@ mod tests {
         let overlapped = (0..3).any(|_| {
             let (computed, elapsed) = run_threads::<u8, _, _>(2, lat, |mut comm| {
                 if comm.rank() == 0 {
-                    let s = comm.isend(1, 0, vec![1]);
-                    comm.wait_send(s);
+                    let s = comm.isend_with(1, 0, 1, &mut |out| out[0] = 1).unwrap();
+                    comm.wait_send(s).unwrap();
                     Duration::ZERO
                 } else {
                     let req = comm.irecv(0, 0);
@@ -1327,7 +1182,7 @@ mod tests {
                     }
                     std::hint::black_box(acc);
                     let computed = t0.elapsed();
-                    let _ = comm.wait_recv(req);
+                    comm.wait_recv_with(req, 1, &mut |_| ()).unwrap();
                     computed
                 }
             });
@@ -1347,10 +1202,10 @@ mod tests {
         let (_, elapsed) = run_threads::<u8, _, _>(2, lat, |mut comm| {
             if comm.rank() == 0 {
                 let t0 = Instant::now();
-                comm.send(1, 0, vec![1]);
+                comm.send_from(1, 0, &[1]);
                 assert!(t0.elapsed() >= Duration::from_micros(2_900));
             } else {
-                let _ = comm.recv(0, 0);
+                recv(&mut comm, 0, 0, 1);
             }
         });
         assert!(elapsed >= Duration::from_micros(2_900));
@@ -1375,12 +1230,12 @@ mod tests {
         let (results, _) = run_threads::<u64, _, _>(4, LatencyModel::zero(), |mut comm| {
             let r = comm.rank();
             if r == 0 {
-                comm.send(1, 0, vec![0]);
+                comm.send_from(1, 0, &[0]);
                 0
             } else {
-                let v = comm.recv(r - 1, 0)[0] + r as u64;
+                let v = recv(&mut comm, r - 1, 0, 1)[0] + r as u64;
                 if r + 1 < comm.size() {
-                    comm.send(r + 1, 0, vec![v]);
+                    comm.send_from(r + 1, 0, &[v]);
                 }
                 v
             }
@@ -1477,14 +1332,14 @@ mod tests {
         // them nor break their FIFO order.
         let (results, _) = run_threads::<u32, _, _>(2, LatencyModel::zero(), |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 10, vec![1]); // A #1
-                comm.send(1, 10, vec![2]); // A #2
-                comm.send(1, 20, vec![9]); // B
+                comm.send_from(1, 10, &[1]); // A #1
+                comm.send_from(1, 10, &[2]); // A #2
+                comm.send_from(1, 20, &[9]); // B
                 0
             } else {
-                let b = comm.recv(0, 20)[0]; // stashes both A messages
-                let a1 = comm.recv(0, 10)[0];
-                let a2 = comm.recv(0, 10)[0];
+                let b = recv(&mut comm, 0, 20, 1)[0]; // stashes both A messages
+                let a1 = recv(&mut comm, 0, 10, 1)[0];
+                let a2 = recv(&mut comm, 0, 10, 1)[0];
                 b * 100 + a1 * 10 + a2
             }
         });
@@ -1497,11 +1352,11 @@ mod tests {
             WorldConfig::new(LatencyModel::zero()).with_reliability(ReliabilityConfig::default());
         let (results, _) = run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, vec![1.0, 2.0]);
-                comm.recv(1, 8)
+                comm.send_from(1, 7, &[1.0, 2.0]);
+                recv(&mut comm, 1, 8, 2)
             } else {
-                let got = comm.recv(0, 7);
-                comm.send(0, 8, got.iter().map(|x| x * 3.0).collect());
+                let tripled: Vec<f32> = recv(&mut comm, 0, 7, 2).iter().map(|x| x * 3.0).collect();
+                comm.send_from(0, 8, &tripled);
                 vec![]
             }
         });
@@ -1524,8 +1379,7 @@ mod tests {
                 std::thread::sleep(rel.worst_case_wait() + Duration::from_millis(50));
                 Ok(())
             } else {
-                let mut out = [0u8; 1];
-                comm.try_recv_into(0, 42, &mut out)
+                comm.recv_with(0, 42, 1, &mut |_| ())
             }
         });
         let r1 = results.into_iter().nth(1).unwrap().expect("no panic");
@@ -1559,10 +1413,10 @@ mod tests {
             .with_faults(plan);
         let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 3, vec![77]);
+                comm.send_from(1, 3, &[77]);
                 (0, comm.fault_stats())
             } else {
-                let got = comm.recv(0, 3)[0];
+                let got = recv(&mut comm, 0, 3, 1)[0];
                 (got, comm.fault_stats())
             }
         });
@@ -1584,12 +1438,12 @@ mod tests {
         let cfg = WorldConfig::new(LatencyModel::zero()).with_faults(plan);
         let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 6, vec![1]);
-                comm.send(1, 6, vec![2]);
+                comm.send_from(1, 6, &[1]);
+                comm.send_from(1, 6, &[2]);
                 (0, comm.fault_stats())
             } else {
-                let a = comm.recv(0, 6)[0];
-                let b = comm.recv(0, 6)[0];
+                let a = recv(&mut comm, 0, 6, 1)[0];
+                let b = recv(&mut comm, 0, 6, 1)[0];
                 (a * 10 + b, comm.fault_stats())
             }
         });
@@ -1622,13 +1476,13 @@ mod tests {
         let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
                 for v in 1..=4 {
-                    comm.send(1, 9, vec![v]);
+                    comm.send_from(1, 9, &[v]);
                 }
                 (0, comm.fault_stats())
             } else {
                 let mut got = 0;
                 for _ in 0..4 {
-                    got = got * 10 + comm.recv(0, 9)[0];
+                    got = got * 10 + recv(&mut comm, 0, 9, 1)[0];
                 }
                 (got, comm.fault_stats())
             }
@@ -1651,12 +1505,11 @@ mod tests {
             .with_faults(plan);
         let (results, _) = run_threads_with::<u8, _, _>(2, &cfg, move |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 5, vec![1]);
+                comm.send_from(1, 5, &[1]);
                 std::thread::sleep(rel.worst_case_wait() + Duration::from_millis(50));
                 Ok(())
             } else {
-                let mut out = [0u8; 1];
-                comm.try_recv_into(0, 5, &mut out)
+                comm.recv_with(0, 5, 1, &mut |_| ())
             }
         });
         let r1 = results.into_iter().nth(1).unwrap().expect("no panic");
@@ -1671,74 +1524,42 @@ mod tests {
     }
 
     #[test]
-    fn persistent_buffers_recycle_after_warmup() {
+    fn buffers_recycle_after_warmup_on_both_transports() {
+        // Lockstep traffic with identical exact counter expectations on
+        // either wire: one warm-up allocation (or slot growth) per link,
+        // everything after that recycled in place.
         const STEPS: u64 = 50;
-        let (results, _) = run_threads::<f64, _, _>(2, LatencyModel::zero(), |mut comm| {
-            if comm.rank() == 0 {
-                let payload: Vec<f64> = (0..64).map(|i| i as f64).collect();
-                let mut ack = [0.0f64; 1];
-                for k in 0..STEPS {
-                    let s = comm.isend_from(1, k, &payload);
-                    comm.wait_send(s);
-                    // Wait for the ack so the buffer has round-tripped
-                    // before the next send.
-                    comm.recv_into(1, 1000 + k, &mut ack);
+        for transport in [TransportKind::Mpsc, TransportKind::shared_slots()] {
+            let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(transport);
+            let (results, _) = run_threads_with::<f64, _, _>(2, &cfg, |mut comm| {
+                if comm.rank() == 0 {
+                    let payload: Vec<f64> = (0..64).map(|i| i as f64).collect();
+                    let mut ack = [0.0f64; 1];
+                    for k in 0..STEPS {
+                        let s = comm
+                            .isend_with(1, k, 64, &mut |out| out.copy_from_slice(&payload))
+                            .unwrap();
+                        comm.wait_send(s).unwrap();
+                        // Wait for the ack so the buffer has round-tripped
+                        // before the next send.
+                        comm.recv_into(1, 1000 + k, &mut ack);
+                    }
+                } else {
+                    for k in 0..STEPS {
+                        let r = comm.irecv(0, k);
+                        comm.wait_recv_with(r, 64, &mut |data| assert_eq!(data[63], 63.0))
+                            .unwrap();
+                        comm.send_from(0, 1000 + k, &[0.0]);
+                    }
                 }
                 comm.pool_stats()
-            } else {
-                let mut out = vec![0.0f64; 64];
-                for k in 0..STEPS {
-                    let r = comm.irecv(0, k);
-                    comm.wait_recv_into(r, &mut out);
-                    assert_eq!(out[63], 63.0);
-                    comm.send_from(0, 1000 + k, &out[..1]);
-                }
-                comm.pool_stats()
+            });
+            for res in results {
+                let stats = res.expect("no panic");
+                assert_eq!(stats.fresh_allocs, 1, "{transport:?} {stats:?}");
+                assert_eq!(stats.recycled, STEPS - 1, "{transport:?} {stats:?}");
+                assert_eq!(stats.returned, STEPS, "{transport:?} {stats:?}");
             }
-        });
-        for stats in &results {
-            // Exactly one warm-up allocation per link; everything after
-            // that is recycled.
-            assert_eq!(stats.fresh_allocs, 1, "{stats:?}");
-            assert_eq!(stats.recycled, STEPS - 1, "{stats:?}");
-            assert_eq!(stats.returned, STEPS, "{stats:?}");
-        }
-    }
-
-    #[test]
-    fn slot_transport_persistent_buffers_recycle_after_warmup() {
-        // The slot-transport twin of the test above: identical lockstep
-        // traffic, identical exact counter expectations — one slot
-        // warm-up growth per link, everything after recycled in place.
-        const STEPS: u64 = 50;
-        let cfg =
-            WorldConfig::new(LatencyModel::zero()).with_transport(TransportKind::shared_slots());
-        let (results, _) = run_threads_with::<f64, _, _>(2, &cfg, |mut comm| {
-            if comm.rank() == 0 {
-                let payload: Vec<f64> = (0..64).map(|i| i as f64).collect();
-                let mut ack = [0.0f64; 1];
-                for k in 0..STEPS {
-                    let s = comm.isend_from(1, k, &payload);
-                    comm.wait_send(s);
-                    comm.recv_into(1, 1000 + k, &mut ack);
-                }
-                comm.pool_stats()
-            } else {
-                let mut out = vec![0.0f64; 64];
-                for k in 0..STEPS {
-                    let r = comm.irecv(0, k);
-                    comm.wait_recv_into(r, &mut out);
-                    assert_eq!(out[63], 63.0);
-                    comm.send_from(0, 1000 + k, &out[..1]);
-                }
-                comm.pool_stats()
-            }
-        });
-        for res in results {
-            let stats = res.expect("no panic");
-            assert_eq!(stats.fresh_allocs, 1, "{stats:?}");
-            assert_eq!(stats.recycled, STEPS - 1, "{stats:?}");
-            assert_eq!(stats.returned, STEPS, "{stats:?}");
         }
     }
 
@@ -1748,14 +1569,14 @@ mod tests {
             WorldConfig::new(LatencyModel::zero()).with_transport(TransportKind::shared_slots());
         let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, vec![10]);
-                comm.send(1, 2, vec![20]);
-                comm.recv(1, 3)[0]
+                comm.send_from(1, 1, &[10]);
+                comm.send_from(1, 2, &[20]);
+                recv(&mut comm, 1, 3, 1)[0]
             } else {
                 // Reverse tag order exercises the stash over slot links.
-                let b = comm.recv(0, 2)[0];
-                let a = comm.recv(0, 1)[0];
-                comm.send(0, 3, vec![a * 100 + b]);
+                let b = recv(&mut comm, 0, 2, 1)[0];
+                let a = recv(&mut comm, 0, 1, 1)[0];
+                comm.send_from(0, 3, &[a * 100 + b]);
                 0
             }
         });
@@ -1770,7 +1591,7 @@ mod tests {
         let (results, _) = run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
             if comm.rank() == 0 {
                 for k in 0..10u64 {
-                    comm.try_send_with(1, k, 16, &mut |out| {
+                    comm.send_with(1, k, 16, &mut |out| {
                         for (i, x) in out.iter_mut().enumerate() {
                             *x = (k * 100 + i as u64) as f32;
                         }
@@ -1781,7 +1602,7 @@ mod tests {
             } else {
                 let mut sum = 0.0f32;
                 for k in 0..10u64 {
-                    comm.try_recv_with(0, k, 16, &mut |data| {
+                    comm.recv_with(0, k, 16, &mut |data| {
                         sum += data.iter().sum::<f32>();
                     })
                     .expect("recv");
@@ -1821,13 +1642,13 @@ mod tests {
             let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
                 if comm.rank() == 0 {
                     for v in 1..=4 {
-                        comm.send(1, 9, vec![v, v * 11]);
+                        comm.send_from(1, 9, &[v, v * 11]);
                     }
                     0
                 } else {
                     let mut got = 0;
                     for _ in 0..4 {
-                        let m = comm.recv(0, 9);
+                        let m = recv(&mut comm, 0, 9, 2);
                         assert_eq!(m[1], m[0] * 11, "payload intact");
                         got = got * 10 + m[0];
                     }
@@ -1889,17 +1710,51 @@ mod tests {
     }
 
     #[test]
-    fn recv_into_checks_length() {
-        let result = std::panic::catch_unwind(|| {
-            run_threads::<u8, _, _>(2, LatencyModel::zero(), |mut comm| {
+    fn length_mismatch_is_typed_on_recv_with_and_a_panic_on_recv_into() {
+        let (results, _) = run_threads::<u8, _, _>(2, LatencyModel::zero(), |mut comm| {
+            if comm.rank() == 0 {
+                comm.send_from(1, 0, &[1, 2, 3]);
+                Ok(())
+            } else {
+                comm.recv_with(0, 0, 2, &mut |_| panic!("mismatched payload delivered"))
+            }
+        });
+        let want = CommError::SizeMismatch {
+            from: 0,
+            tag: 0,
+            got: 3,
+            want: 2,
+        };
+        assert_eq!(results[1], Err(want));
+
+        let (results, _) = run_threads_with::<u8, _, _>(2, &WorldConfig::default(), |mut comm| {
+            if comm.rank() == 0 {
+                comm.send_from(1, 0, &[1, 2, 3]);
+            } else {
+                let mut out = [0u8; 2];
+                comm.recv_into(0, 0, &mut out);
+            }
+        });
+        assert!(results[1].is_err(), "length mismatch must panic");
+    }
+
+    #[test]
+    fn peer_that_hangs_up_is_a_typed_error_on_a_plain_world() {
+        // No reliability layer: rank 0 returns without sending, its
+        // communicator drops, and rank 1's blocked receive must report
+        // the closed link instead of panicking inside a fallible call.
+        for transport in [TransportKind::Mpsc, TransportKind::shared_slots()] {
+            let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(transport);
+            let (results, _) = run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
                 if comm.rank() == 0 {
-                    comm.send(1, 0, vec![1, 2, 3]);
+                    Ok(())
                 } else {
-                    let mut out = [0u8; 2];
-                    comm.recv_into(0, 0, &mut out);
+                    comm.recv_with(0, 7, 4, &mut |_| ())
                 }
             });
-        });
-        assert!(result.is_err(), "length mismatch must panic");
+            let r1 = results.into_iter().nth(1).unwrap();
+            let r1 = r1.unwrap_or_else(|_| panic!("{transport:?}: rank 1 panicked"));
+            assert_eq!(r1, Err(CommError::PeerClosed { peer: 0 }), "{transport:?}");
+        }
     }
 }

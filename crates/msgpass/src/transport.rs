@@ -7,7 +7,7 @@
 //!
 //! * **mpsc** (the default, [`TransportKind::Mpsc`]): `std::sync::mpsc`
 //!   channels plus a reverse buffer-return channel per link, recycling
-//!   send buffers after a warm-up — the PR-1 persistent-buffer pool.
+//!   send buffers after a warm-up.
 //! * **shared slots** ([`TransportKind::SharedSlots`]): per-link SPSC
 //!   rings of fixed-capacity slots. `stage` packs the payload directly
 //!   into peer-visible slot memory and the receiver reads straight out
@@ -66,7 +66,7 @@ impl TransportKind {
 }
 
 /// A message payload. The transport decides the representation; every
-/// consumer goes through [`Payload::as_slice`] / [`Payload::into_vec`].
+/// consumer reads it through [`Payload::as_slice`].
 pub enum Payload<T> {
     /// A plain owned vector (mpsc path, or a slot ring's overflow copy).
     Owned(Vec<T>),
@@ -111,18 +111,6 @@ impl<T> Payload<T> {
             }
             Payload::Shared(a) => Payload::Shared(Arc::clone(a)),
             Payload::Lease(l) => Payload::Lease(l.clone()),
-        }
-    }
-}
-
-impl<T: Clone> Payload<T> {
-    /// Extract an owned vector, copying only when the buffer is still
-    /// shared with another holder.
-    pub fn into_vec(self) -> Vec<T> {
-        match self {
-            Payload::Owned(v) => v,
-            Payload::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| a.as_ref().clone()),
-            Payload::Lease(l) => l.as_slice().to_vec(),
         }
     }
 }

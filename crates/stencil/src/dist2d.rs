@@ -21,9 +21,7 @@
 //! row. The outgoing face column (stride `by`) gathers straight into
 //! the transport's wire buffer and the received column copies straight
 //! from the wire payload into the contiguous halo window — no face or
-//! landing buffers at all. Steady-state steps allocate nothing. The
-//! element-wise original survives in [`crate::legacy`] as oracle and
-//! perf baseline.
+//! landing buffers at all. Steady-state steps allocate nothing.
 
 use crate::decomp::{self, DecompError, Layout, RankLinks};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
@@ -159,8 +157,7 @@ impl<K: Kernel2D> Strip2D<K> {
 
     /// Compute one tile (rows `irange(k)` across the strip width).
     ///
-    /// Bitwise-identical to the element-wise reference in
-    /// [`crate::legacy`].
+    /// Bitwise-identical to the sequential reference in [`crate::seq`].
     fn compute_tile(&mut self, k: usize) {
         let kernel = self.kernel;
         let (i0, i1) = self.d.irange(k);
@@ -408,23 +405,6 @@ mod tests {
             let dist = run(k, d, mode).expect("valid decomp");
             let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Smooth2D {mode:?}");
-        }
-    }
-
-    #[test]
-    fn matches_legacy_executor_bitwise() {
-        let d = Decomp2D {
-            nx: 23,
-            ny: 8,
-            ranks: 2,
-            v: 5, // partial last tile
-            boundary: 1.5,
-        };
-        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let new = run(Example1, d, mode).expect("valid decomp");
-            let (old, _) =
-                crate::legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode).expect("valid");
-            assert_eq!(new.max_abs_diff(&old), 0.0, "{mode:?}");
         }
     }
 

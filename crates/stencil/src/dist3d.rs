@@ -29,8 +29,6 @@
 //! no intermediate face or landing buffer at all, and a steady-state
 //! step performs zero heap allocations (asserted by
 //! `tests/zero_alloc.rs`).
-//! The original element-wise paths survive in [`crate::legacy`] as the
-//! property-test oracle and perf baseline.
 //!
 //! Executors are generic over any [`Communicator`]; the one-shot driver
 //! [`run_dist3d_with`] compiles a decomposition and runs it on the
@@ -242,8 +240,8 @@ impl<K: Kernel3D> Block3D<K> {
     /// anti-diagonals of mean width 2.3, but its chunked super-diagonals
     /// interleave 6+ chains, which is what hides the serial
     /// `add → max → sqrt` latency of the paper kernel. Results stay
-    /// bitwise-identical to the element-wise reference in
-    /// [`crate::legacy`] on the pinned tier: a single-assignment
+    /// bitwise-identical to the sequential reference in [`crate::seq`]
+    /// on the pinned tier: a single-assignment
     /// recurrence doesn't care in which order independent cells are
     /// written, and each cell's own operation order is preserved by the
     /// wave contract (asserted by the kernel proptests).
@@ -831,27 +829,6 @@ mod tests {
             let dist = run(Fused3D::default(), d, mode).expect("valid");
             let seq = run_seq3d(Fused3D::default(), d.nx, d.ny, d.nz, d.boundary);
             assert_eq!(dist.max_abs_diff(&seq), 0.0, "Fused3D {mode:?}");
-        }
-    }
-
-    #[test]
-    fn matches_legacy_executor_bitwise() {
-        // The optimized paths must agree with the preserved element-wise
-        // baseline exactly, including a partial last tile.
-        let d = Decomp3D {
-            nx: 6,
-            ny: 4,
-            nz: 19,
-            pi: 2,
-            pj: 2,
-            v: 4,
-            boundary: 1.5,
-        };
-        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let new = run(Paper3D, d, mode).expect("valid");
-            let (old, _) =
-                crate::legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid");
-            assert_eq!(new.max_abs_diff(&old), 0.0, "{mode:?}");
         }
     }
 

@@ -637,8 +637,8 @@ where
             span = (u0, Instant::now());
         };
         match req {
-            Some(r) => comm.try_wait_recv_with(r, want, take)?,
-            None => comm.try_recv_with(src, t, want, take)?,
+            Some(r) => comm.wait_recv_with(r, want, take)?,
+            None => comm.recv_with(src, t, want, take)?,
         }
         let wait_phase = if posted {
             Phase::WaitRecv { dir, step: k }
@@ -651,8 +651,8 @@ where
     } else {
         let take = &mut |data: &[f32]| ops.unpack_from(dir, k, data);
         match req {
-            Some(r) => comm.try_wait_recv_with(r, want, take),
-            None => comm.try_recv_with(src, t, want, take),
+            Some(r) => comm.wait_recv_with(r, want, take),
+            None => comm.recv_with(src, t, want, take),
         }
     }
 }
@@ -687,9 +687,9 @@ where
             packed = Instant::now();
         };
         let req = if post {
-            Some(comm.try_isend_with(dst, t, len, fill)?)
+            Some(comm.isend_with(dst, t, len, fill)?)
         } else {
-            comm.try_send_with(dst, t, len, fill)?;
+            comm.send_with(dst, t, len, fill)?;
             None
         };
         let end = Instant::now();
@@ -704,9 +704,9 @@ where
     } else {
         let fill = &mut |out: &mut [f32]| ops.pack_into(dir, k, out);
         if post {
-            Ok(Some(comm.try_isend_with(dst, t, len, fill)?))
+            Ok(Some(comm.isend_with(dst, t, len, fill)?))
         } else {
-            comm.try_send_with(dst, t, len, fill)?;
+            comm.send_with(dst, t, len, fill)?;
             Ok(None)
         }
     }
@@ -716,10 +716,10 @@ where
 /// schedule type the plan came from decides the communication
 /// structure; `ops` supplies the dimensional mechanics.
 ///
-/// On a plain world the transport never reports errors, so the only
-/// possible failure is [`EngineError::TooManyDirections`]; on a
-/// reliability-enabled world transport faults surface as typed
-/// [`EngineError`]s instead of hanging the rank forever.
+/// Besides [`EngineError::TooManyDirections`], a plain world can fail
+/// only with [`EngineError::RankFailed`] (a peer's thread went away);
+/// on a reliability-enabled world the other transport faults surface as
+/// typed [`EngineError`]s too, instead of hanging the rank forever.
 pub fn run_rank<T, C, O>(
     comm: &mut C,
     ops: &mut T,
@@ -850,7 +850,7 @@ where
         for (dir, slot) in sends.iter_mut().enumerate().take(dirs) {
             if let Some(req) = slot.take() {
                 timed(obs, Phase::WaitSend { dir, step: k - 1 }, || {
-                    comm.try_wait_send(req)
+                    comm.wait_send(req)
                 })
                 .map_err(|e| EngineError::from_comm(rank, e))?;
             }
@@ -872,7 +872,7 @@ where
                         dir,
                         step: steps - 1,
                     },
-                    || comm.try_wait_send(req),
+                    || comm.wait_send(req),
                 )
                 .map_err(|e| EngineError::from_comm(rank, e))?;
             }

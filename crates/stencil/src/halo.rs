@@ -15,9 +15,9 @@
 //! `j = by−1` face has `base = (by−1)·nz, stride = by·nz` (rows indexed
 //! by `i`). Halo planes unpack with `base = 0, stride = nz`.
 //!
-//! The element-wise equivalents these replace live in [`crate::legacy`];
-//! property tests assert bitwise equality between the two on random
-//! shapes, including partial last tiles.
+//! `tests/halo_chunking.rs` asserts bitwise equality with element-wise
+//! gather/scatter oracles on random shapes, including partial last
+//! tiles.
 
 /// Pack face rows into a flat buffer: for each row `r`,
 /// `out[r·len .. (r+1)·len] = src[base + r·stride + k0 ..][.. len]`.

@@ -54,7 +54,6 @@ pub mod engine;
 pub mod grid;
 pub mod halo;
 pub mod kernel;
-pub mod legacy;
 pub mod modelcheck;
 pub mod plan;
 pub(crate) mod pool;

@@ -2,8 +2,8 @@
 //!
 //! Every halo message between a pair of ranks is identified by the
 //! pipeline step it belongs to and the face direction it carries; both
-//! executors (and the legacy baseline) must agree on the encoding, so it
-//! lives here instead of being copied per dimension.
+//! executors must agree on the encoding, so it lives here instead of
+//! being copied per dimension.
 
 use msgpass::comm::Tag;
 

@@ -311,3 +311,42 @@ proptest! {
         prop_assert_eq!(grid.max_abs_diff(&seq), 0.0);
     }
 }
+
+#[test]
+fn dead_upstream_on_a_plain_world_is_rank_failed_not_a_panic() {
+    // No reliability layer at all: rank 0 leaves before sending a face.
+    // Its neighbour's engine must come back with the dead rank named —
+    // a panic in the survivor would show up as an `Err` join slot.
+    use stencil::dist2d::try_run_rank2d_plan;
+    use stencil::plan::Compiled2D;
+    use stencil::prelude::NoopObserver;
+    let d = Decomp2D {
+        nx: 12,
+        ny: 4,
+        ranks: 2,
+        v: 4,
+        boundary: 1.0,
+    };
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        for transport in transports() {
+            let plan = Compiled2D::compile(d, mode).expect("valid layout");
+            let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(transport);
+            let results = with_watchdog(Duration::from_secs(30), move || {
+                run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
+                    if comm.rank() == 0 {
+                        return Ok(Vec::new());
+                    }
+                    try_run_rank2d_plan(&mut comm, Example1, &plan, &mut NoopObserver)
+                })
+                .0
+            });
+            let survivor = results.into_iter().nth(1).expect("two ranks");
+            let survivor = survivor.unwrap_or_else(|_| panic!("{mode:?} {transport:?}: panicked"));
+            assert_eq!(
+                survivor,
+                Err(EngineError::RankFailed { rank: 0 }),
+                "{mode:?} {transport:?}"
+            );
+        }
+    }
+}

@@ -1,21 +1,12 @@
-//! Property tests pinning the optimized hot paths to the preserved
-//! element-wise baseline in `stencil::legacy`, bitwise.
-//!
-//! Two layers:
-//!
-//! * the row-chunked `halo::pack_rows`/`unpack_rows` against the
-//!   element-wise face gather/scatter, on random shapes including
-//!   partial last tiles (`v` not dividing `nz`);
-//! * the full optimized executors against the legacy executors, both
-//!   modes, 2-D and 3-D.
+//! Property tests pinning the row-chunked `halo::pack_rows`/
+//! `unpack_rows` to element-wise face gather/scatter oracles, bitwise,
+//! on random shapes including partial last tiles (`v` not dividing
+//! `nz`).
 
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
 use stencil::dist2d::Decomp2D;
-use stencil::dist3d::{Decomp3D, ExecMode};
+use stencil::dist3d::Decomp3D;
 use stencil::halo::{pack_rows, unpack_rows};
-use stencil::kernel::{Example1, Paper3D};
-use stencil::legacy;
 
 /// Deterministic pseudo-random fill (the copies under test are
 /// value-agnostic; we only need distinct recognizable values).
@@ -34,6 +25,57 @@ fn krange(d: &Decomp3D, k: usize) -> (usize, usize) {
     (k * d.v, ((k + 1) * d.v).min(d.nz))
 }
 
+// ---- element-wise oracles ----------------------------------------------
+
+/// Element-wise extraction of the outgoing `i`-face (i = bx−1) of step
+/// `k` from a `bx × by × nz` block (k fastest).
+fn face_i_elementwise(block: &[f32], d: &Decomp3D, k: usize) -> Vec<f32> {
+    let (k0, k1) = krange(d, k);
+    let (bx, by) = (d.bx(), d.by());
+    let i = bx - 1;
+    let mut out = Vec::with_capacity(by * (k1 - k0));
+    for j in 0..by {
+        for kz in k0..k1 {
+            out.push(block[(i * by + j) * d.nz + kz]);
+        }
+    }
+    out
+}
+
+/// Element-wise extraction of the outgoing `j`-face (j = by−1).
+fn face_j_elementwise(block: &[f32], d: &Decomp3D, k: usize) -> Vec<f32> {
+    let (k0, k1) = krange(d, k);
+    let (bx, by) = (d.bx(), d.by());
+    let j = by - 1;
+    let mut out = Vec::with_capacity(bx * (k1 - k0));
+    for i in 0..bx {
+        for kz in k0..k1 {
+            out.push(block[(i * by + j) * d.nz + kz]);
+        }
+    }
+    out
+}
+
+/// Element-wise install of a received face of `rows` rows into a
+/// `rows × nz` halo plane (`by` rows for the `i`-halo, `bx` for `j`).
+fn store_halo_elementwise(halo: &mut [f32], rows: usize, d: &Decomp3D, k: usize, data: &[f32]) {
+    let (k0, k1) = krange(d, k);
+    assert_eq!(data.len(), rows * (k1 - k0), "face size mismatch");
+    let nz = d.nz;
+    let cells = (0..rows).flat_map(|r| (k0..k1).map(move |kz| r * nz + kz));
+    for (idx, &v) in cells.zip(data) {
+        halo[idx] = v;
+    }
+}
+
+/// Element-wise extraction of the outgoing 2-D boundary column
+/// (j = by−1) rows of tile `k` from an `nx × by` strip (j fastest).
+fn face_2d_elementwise(strip: &[f32], d: &Decomp2D, k: usize) -> Vec<f32> {
+    let (i0, i1) = (k * d.v, ((k + 1) * d.v).min(d.nx));
+    let by = d.by();
+    (i0..i1).map(|i| strip[i * by + (by - 1)]).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -48,12 +90,12 @@ proptest! {
             let (k0, k1) = krange(&d, k);
             let len = k1 - k0;
 
-            let oracle = legacy::face_i_elementwise(&block, &d, k);
+            let oracle = face_i_elementwise(&block, &d, k);
             let mut packed = vec![0.0; by * len];
             pack_rows(&block, (bx - 1) * by * nz, nz, k0, len, &mut packed);
             prop_assert_eq!(&packed, &oracle, "i-face, step {}", k);
 
-            let oracle = legacy::face_j_elementwise(&block, &d, k);
+            let oracle = face_j_elementwise(&block, &d, k);
             let mut packed = vec![0.0; bx * len];
             pack_rows(&block, (by - 1) * nz, by * nz, k0, len, &mut packed);
             prop_assert_eq!(&packed, &oracle, "j-face, step {}", k);
@@ -73,14 +115,14 @@ proptest! {
             let data = fill(by * len, salt ^ k as u64);
             let mut oracle = fill(by * nz, salt.wrapping_add(1));
             let mut chunked = oracle.clone();
-            legacy::store_halo_i_elementwise(&mut oracle, &d, k, &data);
+            store_halo_elementwise(&mut oracle, by, &d, k, &data);
             unpack_rows(&data, &mut chunked, 0, nz, k0, len);
             prop_assert_eq!(&chunked, &oracle, "i-halo, step {}", k);
 
             let data = fill(bx * len, salt ^ (k as u64) << 8);
             let mut oracle = fill(bx * nz, salt.wrapping_add(2));
             let mut chunked = oracle.clone();
-            legacy::store_halo_j_elementwise(&mut oracle, &d, k, &data);
+            store_halo_elementwise(&mut oracle, bx, &d, k, &data);
             unpack_rows(&data, &mut chunked, 0, nz, k0, len);
             prop_assert_eq!(&chunked, &oracle, "j-halo, step {}", k);
         }
@@ -97,57 +139,10 @@ proptest! {
         let strip = fill(nx * by, salt);
         for k in 0..nx.div_ceil(v) {
             let (i0, i1) = (k * v, ((k + 1) * v).min(nx));
-            let oracle = legacy::face_2d_elementwise(&strip, &d, k);
+            let oracle = face_2d_elementwise(&strip, &d, k);
             let mut packed = vec![0.0; i1 - i0];
             pack_rows(&strip, i0 * by + (by - 1), by, 0, 1, &mut packed);
             prop_assert_eq!(&packed, &oracle, "2-D face, step {}", k);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn optimized_3d_executor_matches_legacy_bitwise(
-        (pi, pj, mi, mj) in (1usize..3, 1usize..3, 1usize..3, 1usize..3),
-        (nz, v) in (1usize..16, 1usize..6),
-        blocking in any::<bool>(),
-    ) {
-        let d = Decomp3D {
-            nx: pi * mi,
-            ny: pj * mj,
-            nz,
-            pi,
-            pj,
-            v, // independent of nz: partial last tiles are common here
-            boundary: 1.25,
-        };
-        let mode = if blocking { ExecMode::Blocking } else { ExecMode::Overlapping };
-        let (new, _, _) = stencil::dist3d::run_dist3d_with(Paper3D, d, &WorldConfig::new(LatencyModel::zero()), mode)
-            .expect("valid decomp");
-        let (old, _) =
-            legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode).expect("valid decomposition");
-        prop_assert_eq!(new.max_abs_diff(&old), 0.0, "{:?} {:?}", mode, d);
-    }
-
-    #[test]
-    fn optimized_2d_executor_matches_legacy_bitwise(
-        (ranks, width, nx, v) in (1usize..4, 1usize..4, 1usize..30, 1usize..7),
-        blocking in any::<bool>(),
-    ) {
-        let d = Decomp2D {
-            nx,
-            ny: ranks * width,
-            ranks,
-            v,
-            boundary: 0.75,
-        };
-        let mode = if blocking { ExecMode::Blocking } else { ExecMode::Overlapping };
-        let (new, _, _) = stencil::dist2d::run_dist2d_with(Example1, d, &WorldConfig::new(LatencyModel::zero()), mode)
-            .expect("valid decomp");
-        let (old, _) =
-            legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode).expect("valid decomposition");
-        prop_assert_eq!(new.max_abs_diff(&old), 0.0, "{:?} {:?}", mode, d);
     }
 }

@@ -1,10 +1,7 @@
 //! Property tests pinning the pipelined-rank engine: on random shapes
 //! (including partial last tiles, `V > extent`, and single-rank worlds),
 //! every (dimensionality × strategy) combination must be **bitwise**
-//! identical to both the preserved element-wise legacy executors (the
-//! oracle) and the sequential reference. The engine replaced four
-//! hand-rolled rank drivers; these tests are the contract that the
-//! replacement changed nothing observable about the results.
+//! identical to the sequential reference.
 
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
@@ -18,9 +15,9 @@ proptest! {
     // covers both strategies, so every combo gets the full case budget.
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// 3-D × {Blocking, Overlap} against oracle and sequential.
+    /// 3-D × {Blocking, Overlap} against the sequential reference.
     #[test]
-    fn engine_3d_matches_legacy_and_sequential(
+    fn engine_3d_matches_sequential(
         pi in 1usize..=2,
         pj in 1usize..=2,
         bx in 1usize..=3,
@@ -34,16 +31,13 @@ proptest! {
         let cfg = WorldConfig::new(LatencyModel::zero());
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
             let (engine, _, _) = run_dist3d_with(Paper3D, d, &cfg, mode).expect("valid decomp");
-            let (oracle, _) = stencil::legacy::run_dist3d(Paper3D, d, LatencyModel::zero(), mode)
-                .expect("valid decomposition");
-            prop_assert_eq!(engine.max_abs_diff(&oracle), 0.0, "vs legacy oracle {:?}", mode);
             prop_assert_eq!(engine.max_abs_diff(&seq), 0.0, "vs sequential {:?}", mode);
         }
     }
 
-    /// 2-D × {Blocking, Overlap} against oracle and sequential.
+    /// 2-D × {Blocking, Overlap} against the sequential reference.
     #[test]
-    fn engine_2d_matches_legacy_and_sequential(
+    fn engine_2d_matches_sequential(
         ranks in 1usize..=4,
         by in 1usize..=4,
         nx in 3usize..=40,
@@ -55,9 +49,6 @@ proptest! {
         let cfg = WorldConfig::new(LatencyModel::zero());
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
             let (engine, _, _) = run_dist2d_with(Example1, d, &cfg, mode).expect("valid decomp");
-            let (oracle, _) = stencil::legacy::run_dist2d(Example1, d, LatencyModel::zero(), mode)
-                .expect("valid decomposition");
-            prop_assert_eq!(engine.max_abs_diff(&oracle), 0.0, "vs legacy oracle {:?}", mode);
             prop_assert_eq!(engine.max_abs_diff(&seq), 0.0, "vs sequential {:?}", mode);
         }
     }

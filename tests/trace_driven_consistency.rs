@@ -5,8 +5,9 @@
 //! message (count, destination, bytes), differing only in compute
 //! durations (measured vs modeled).
 
-use cluster_sim::program::{Op, Program};
+use cluster_sim::program::{Op, Program, ReqId};
 use overlap_tiling::prelude::*;
+use stencil::proto::{tag, DIR_I};
 
 /// Record every rank of the paper kernel over `d` under `mode`.
 fn record(d: Decomp3D, mode: ExecMode) -> (Vec<Vec<f32>>, Vec<Program>) {
@@ -87,6 +88,66 @@ fn recorded_overlap_matches_builder_structure() {
             "rank {rank}"
         );
     }
+}
+
+/// The communication ops of a recorded program, in program order.
+/// `Compute` segments carry measured durations and are left out.
+fn comm_ops(p: &Program) -> Vec<Op> {
+    let is_comm = |op: &&Op| !matches!(op, Op::Compute { .. });
+    p.ops().iter().filter(is_comm).cloned().collect()
+}
+
+#[test]
+fn recorder_pins_the_engines_op_list_for_two_ranks() {
+    // Two ranks along i, two steps, an 8-element (32-byte) i-face per
+    // step: small enough to write every op down. The recorder must log
+    // exactly the calls the engine makes — kind, order, peer, tag, bytes
+    // and which request each wait completes.
+    let d = Decomp3D {
+        nx: 4,
+        ny: 2,
+        nz: 8,
+        pi: 2,
+        pj: 1,
+        v: 4,
+        boundary: 1.0,
+    };
+    let (t0, t1) = (tag(0, DIR_I), tag(1, DIR_I));
+    let (r0, r1) = (ReqId(0), ReqId(1));
+    let bytes = 32;
+
+    let (_, overlap) = record(d, ExecMode::Overlapping);
+    let isend = |tag, req| Op::Isend {
+        to: 1,
+        tag,
+        bytes,
+        req,
+    };
+    let irecv = |tag, req| Op::Irecv {
+        from: 0,
+        tag,
+        bytes,
+        req,
+    };
+    let wait = |req| Op::Wait { req };
+    assert_eq!(
+        comm_ops(&overlap[0]),
+        [isend(t0, r0), wait(r0), isend(t1, r1), wait(r1)]
+    );
+    assert_eq!(
+        comm_ops(&overlap[1]),
+        [irecv(t0, r0), irecv(t1, r1), wait(r0), wait(r1)]
+    );
+
+    let (_, blocking) = record(d, ExecMode::Blocking);
+    let send = |tag| Op::Send { to: 1, tag, bytes };
+    let recv = |tag| Op::Recv {
+        from: 0,
+        tag,
+        bytes,
+    };
+    assert_eq!(comm_ops(&blocking[0]), [send(t0), send(t1)]);
+    assert_eq!(comm_ops(&blocking[1]), [recv(t0), recv(t1)]);
 }
 
 #[test]
