@@ -400,6 +400,24 @@ echo "$serve_out" | grep -q "PASS" || {
     exit 1
 }
 
+# Benchmark smoke: the out-of-workspace harness (built above) still
+# links against the crates' public surface, its own tests pass, and a
+# ~3 s quick run of each world workload still matches its bitwise
+# checksum. Never a recorded number: only the verdict on the last line
+# is read.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for workload in compute-bound fine-grain wire-overlap wire-blocking plan-service; do
+    verdict=$(bash benchmark/run.sh --quick --workload "$workload" --trace 0 | tail -n 1)
+    case "$verdict" in
+    *'"correct": true'*'"failed": 0'*) ;;
+    *)
+        echo "$verdict"
+        echo "ci.sh: benchmark smoke failed on $workload" >&2
+        exit 1
+        ;;
+    esac
+done
+
 # Not a gate: ROADMAP item 3 tracks the workspace Rust line count
 # (target <= 33k), so every log shows where it stands.
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)

@@ -1,6 +1,7 @@
-//! Real multi-threaded backend: one OS thread per rank, pluggable
-//! per-link transports ([`TransportKind`]), and an injected
-//! wire-latency model.
+//! Real multi-threaded backend: one OS thread per rank — the calling
+//! thread is rank 0, ranks `1..` are spawned per job ([`run_world`],
+//! [`run_threads_with`]) — pluggable per-link transports
+//! ([`TransportKind`]), and an injected wire-latency model.
 //!
 //! The latency model is what makes overlap *measurable* on a shared-
 //! memory machine: every message is stamped at send time and is not
@@ -31,6 +32,7 @@ use crate::fault::{FaultPlan, FaultStats, ReliabilityConfig};
 use crate::transport::{make_link, Envelope, LinkRx, LinkTx, Payload};
 pub use crate::transport::{PoolStats, TransportKind};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tiling_core::machine::KernelTier;
@@ -129,10 +131,11 @@ pub struct WorldConfig {
     /// this many threads while the rank's engine keeps driving the
     /// communication lanes.
     pub compute_workers: usize,
-    /// Best-effort core-affinity pinning: rank `r` (and its compute
-    /// workers) to core `r mod cores`. Failures are ignored — this is
-    /// a scheduling hint for scaling measurements, not a correctness
-    /// knob.
+    /// Best-effort core-affinity pinning: every *spawned* rank `r` (and
+    /// its compute workers) to core `r mod cores`. Rank 0 runs on the
+    /// calling thread, which is never pinned — its affinity is the
+    /// caller's. Failures are ignored — this is a scheduling hint for
+    /// scaling measurements, not a correctness knob.
     pub pin_cores: bool,
 }
 
@@ -182,7 +185,8 @@ impl WorldConfig {
         self
     }
 
-    /// Request best-effort core-affinity pinning of rank threads.
+    /// Request best-effort core-affinity pinning of the spawned rank
+    /// threads (ranks `1..`; see [`WorldConfig::pin_cores`]).
     pub fn with_core_pinning(mut self) -> Self {
         self.pin_cores = true;
         self
@@ -928,9 +932,10 @@ pub fn build_world_with<T: Send + Sync + 'static>(
     comms
 }
 
-/// Run `size` ranks, each executing `body(comm)` on its own OS thread;
-/// returns the per-rank results (rank order) and the wall-clock time of
-/// the slowest rank.
+/// Run `size` ranks, each executing `body(comm)` on its own OS thread
+/// (rank 0 on the caller's, see [`run_threads_with`]); returns the
+/// per-rank results (rank order) and the wall-clock time of the slowest
+/// rank.
 pub fn run_threads<T, R, F>(size: usize, latency: LatencyModel, body: F) -> (Vec<R>, Duration)
 where
     T: Send + Sync + 'static,
@@ -953,6 +958,13 @@ where
 /// surfaces to its peers as a timeout/closed-peer error, and to the
 /// driver as the `Err` slot of that rank, so the caller can report
 /// *which* rank failed.
+///
+/// **The calling thread is rank 0**: its body runs inline, and only
+/// ranks `1..size` get a (scoped) thread, joined before returning — a
+/// 1-rank world spawns nothing. A panic in rank 0's body is slot 0's
+/// `Err` like any other and never unwinds into the caller.
+/// `cfg.pin_cores` pins the spawned ranks only: the calling thread's
+/// affinity belongs to the caller and would outlive the run.
 pub fn run_threads_with<T, R, F>(
     size: usize,
     cfg: &WorldConfig,
@@ -964,41 +976,23 @@ where
     F: Fn(ThreadComm<T>) -> R + Send + Sync,
 {
     let comms = build_world_with::<T>(size, cfg);
-    let start = Instant::now();
-    let body = &body;
-    let pin = cfg.pin_cores;
-    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let rank = comm.rank;
-                scope.spawn(move || {
-                    if pin {
-                        // Best-effort placement hint; failure is fine.
-                        let _ = crate::affinity::pin_current_thread(rank);
-                    }
-                    body(comm)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    (results, start.elapsed())
+    run_ranks(comms, cfg.pin_cores, body)
 }
 
 /// Drive a *prebuilt* world through one job: rank `r` runs
-/// `body(&mut comms[r])` on its own OS thread. Unlike
-/// [`run_threads_with`], the communicators are borrowed, not consumed —
-/// after every rank's sends have been matched by receives (the engine's
-/// plans guarantee this; the analyzer proves it pre-flight) the world is
-/// drained and can be handed to the next job with its links, slot rings
-/// and buffer pools warm. Reliability sequence numbers and pool
-/// counters persist across jobs, consistently on both endpoints.
+/// `body(&mut comms[r])`. Unlike [`run_threads_with`], the
+/// communicators are borrowed, not consumed — after every rank's sends
+/// have been matched by receives (the engine's plans guarantee this;
+/// the analyzer proves it pre-flight) the world is drained and can be
+/// handed to the next job with its links, slot rings and buffer pools
+/// warm. Reliability sequence numbers and pool counters persist across
+/// jobs, consistently on both endpoints.
 ///
-/// Per-rank panics are captured in the result slots, exactly as in
-/// [`run_threads_with`] — but note a panicked or errored job may leave
-/// links non-drained, in which case the world must be discarded, not
-/// reused.
+/// **The calling thread is rank 0**, threads exist only for ranks `1..`
+/// and only for the job, and `pin_cores` pins those — all exactly as in
+/// [`run_threads_with`], as is the capture of per-rank panics in the
+/// result slots. But note a panicked or errored job may leave links
+/// non-drained, in which case the world must be discarded, not reused.
 pub fn run_world<T, R, F>(
     comms: &mut [ThreadComm<T>],
     pin_cores: bool,
@@ -1009,13 +1003,33 @@ where
     R: Send,
     F: Fn(&mut ThreadComm<T>) -> R + Send + Sync,
 {
+    run_ranks(comms, pin_cores, body)
+}
+
+/// One job over one communicator per rank, in rank order (owned or
+/// borrowed): the first runs inline under `catch_unwind`, every other
+/// one on a scoped thread that `pin_cores` pins to its rank's core. The
+/// elapsed time runs from before the first spawn to after the last
+/// join, so rank 1's spawn latency hides behind rank 0's first tile.
+fn run_ranks<C, R>(
+    comms: impl IntoIterator<Item = C>,
+    pin_cores: bool,
+    body: impl Fn(C) -> R + Sync,
+) -> (Vec<std::thread::Result<R>>, Duration)
+where
+    C: Send,
+    R: Send,
+{
     let start = Instant::now();
     let body = &body;
-    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+    let mut comms = comms.into_iter();
+    let results = std::thread::scope(|scope| {
+        let Some(first) = comms.next() else {
+            return Vec::new();
+        };
         let handles: Vec<_> = comms
-            .iter_mut()
-            .map(|comm| {
-                let rank = comm.rank;
+            .zip(1..)
+            .map(|(comm, rank)| {
                 scope.spawn(move || {
                     if pin_cores {
                         // Best-effort placement hint; failure is fine.
@@ -1025,7 +1039,13 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        // The same contract as a spawned rank's `join`: the panic
+        // becomes the slot's `Err`, and whatever `body` shares between
+        // ranks is as the dead rank left it.
+        let inline = catch_unwind(AssertUnwindSafe(|| body(first)));
+        std::iter::once(inline)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
     });
     (results, start.elapsed())
 }
@@ -1080,6 +1100,56 @@ mod tests {
                 });
                 let r0 = results.into_iter().next().unwrap().unwrap();
                 assert_eq!(r0, job as f32 * 2.0, "{transport:?} job {job}");
+            }
+        }
+    }
+
+    /// Both launchers over a `size`-rank world, the body seeing only
+    /// its rank: the prebuilt-world one, then the fresh-world one.
+    fn launch_both<R: Send>(
+        size: usize,
+        body: impl Fn(usize) -> R + Send + Sync,
+    ) -> [Vec<std::thread::Result<R>>; 2] {
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let mut world = build_world_with::<f32>(size, &cfg);
+        [
+            run_world(&mut world, false, |comm| body(comm.rank())).0,
+            run_threads_with::<f32, _, _>(size, &cfg, |comm| body(comm.rank())).0,
+        ]
+    }
+
+    #[test]
+    fn the_calling_thread_is_rank_0_and_every_other_rank_runs_elsewhere() {
+        let caller = std::thread::current().id();
+        // A 1-rank world has nobody to spawn: its only body runs here.
+        for size in [1, 3] {
+            for results in launch_both(size, |_| std::thread::current().id()) {
+                let ids: Vec<_> = results.into_iter().map(|r| r.expect("no panic")).collect();
+                assert_eq!(ids.len(), size);
+                assert_eq!(ids[0], caller, "rank 0 of {size}");
+                for (rank, id) in ids.iter().enumerate().skip(1) {
+                    assert_ne!(*id, caller, "rank {rank} of {size}");
+                    assert!(!ids[..rank].contains(id), "rank {rank} shares a thread");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_rank_is_its_own_err_slot_whichever_thread_it_ran_on() {
+        // Independent bodies, so nothing waits on the dead rank. Rank 0
+        // dies on the calling thread: getting the slots back at all is
+        // the proof that its panic did not unwind through the caller.
+        for dead in [0, 1] {
+            let body = |rank: usize| {
+                assert_ne!(rank, dead, "rank {rank} dies");
+                rank
+            };
+            for results in launch_both(2, body) {
+                assert_eq!(results.len(), 2);
+                for (rank, slot) in results.into_iter().enumerate() {
+                    assert_eq!(slot.ok(), (rank != dead).then_some(rank), "slot {rank}");
+                }
             }
         }
     }

@@ -97,7 +97,7 @@ impl GridResult {
 /// What one execution of an artifact produced.
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
-    /// The assembled grid.
+    /// The result grid.
     pub grid: GridResult,
     /// Wall-clock time of the parallel region.
     pub elapsed: Duration,
@@ -105,7 +105,7 @@ pub struct ExecOutcome {
     pub cells_per_sec: f64,
     /// `Some(ok)` when [`ExecOptions::verify`] was set.
     pub verified: Option<bool>,
-    /// Per-rank fault counters (empty on the pooled-world path).
+    /// Per-rank fault counters.
     pub faults: Vec<FaultStats>,
 }
 
@@ -274,9 +274,9 @@ impl PlanArtifact {
         let (kernel, tier) = (self.request.kernel, self.request.tier);
         // On error the world is dropped, not checked in: it may hold
         // undrained state.
-        let (grid, elapsed) = kernel3!(kernel, plan::run3d_on_world, c, tier, &mut world)?;
+        let (grid, elapsed, faults) = kernel3!(kernel, plan::run3d_on_world, c, tier, &mut world)?;
         pool.checkin(&cfg, world);
-        Ok(self.outcome(GridResult::Dim3(grid), elapsed, Vec::new(), opts))
+        Ok(self.outcome(GridResult::Dim3(grid), elapsed, faults, opts))
     }
 
     /// Largest deviation of `grid` from the sequential reference of the

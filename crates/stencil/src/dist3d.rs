@@ -12,9 +12,16 @@
 //!
 //! ## Structure
 //!
-//! [`Block3D`] is the 3-D [`TileOps`] implementation: it owns the block,
-//! halo planes and face buffers and supplies the hot paths — the
-//! pipeline loop itself lives in [`crate::engine`], driven by the
+//! **The result array is the ranks' storage.** Every `(i, j)` pencil is
+//! `nz`-contiguous in the global [`Grid3D`], so a rank's block is its
+//! `bx · by` pencils of that array, borrowed as disjoint `&mut [f32]`
+//! views ([`rank_pencils`]) — each processor owns its part of the
+//! array, for every `pi × pj` and every worker count, and nothing is
+//! collected afterwards.
+//!
+//! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
+//! rank's pencils, owns the halo planes and supplies the hot paths —
+//! the pipeline loop itself lives in [`crate::engine`], driven by the
 //! [`tiling_core`] schedule type behind the chosen [`ExecMode`]. The
 //! per-step path is allocation-free and branch-free in its inner loop.
 //! `compute_tile` peels the `i==0`/`j==0`/`k==0` boundary cases out of
@@ -32,9 +39,9 @@
 //!
 //! Executors are generic over any [`Communicator`]; the one-shot driver
 //! [`run_dist3d_with`] compiles a decomposition and runs it on the
-//! threaded backend, gathering the blocks into a full [`Grid3D`]. The
-//! compiled-plan runners in [`crate::plan`] additionally collect
-//! per-rank [`StepObserver`] output.
+//! threaded backend into a fresh [`Grid3D`]. The compiled-plan runners
+//! in [`crate::plan`] additionally collect per-rank [`StepObserver`]
+//! output.
 
 use crate::decomp::{self, DecompError, Layout, RankLinks};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
@@ -106,6 +113,30 @@ impl Decomp3D {
     pub(crate) fn coords(&self, rank: usize) -> (usize, usize) {
         (rank / self.pj, rank % self.pj)
     }
+}
+
+/// One rank's block: its `bx · by` pencils (`nz` values each) in
+/// row-major local `(i, j)` order, borrowed from the array the run
+/// writes.
+pub(crate) type Pencils<'g> = Vec<&'g mut [f32]>;
+
+/// Deal the pencils of an `nx × ny × nz` array (in
+/// [`Grid3D::pencils_mut`]'s order) out to the ranks of `d`: pencil
+/// `(gi, gj)` belongs to rank `(gi / bx)·pj + gj / by`, and the global
+/// order restricted to one block is that rank's local order.
+pub(crate) fn rank_pencils<'g>(
+    d: &Decomp3D,
+    pencils: impl Iterator<Item = &'g mut [f32]>,
+) -> Vec<Pencils<'g>> {
+    let (bx, by) = (d.bx(), d.by());
+    let mut parts: Vec<Pencils<'g>> = (0..d.ranks())
+        .map(|_| Vec::with_capacity(bx * by))
+        .collect();
+    for (p, pencil) in pencils.enumerate() {
+        let (gi, gj) = (p / d.ny, p % d.ny);
+        parts[(gi / bx) * d.pj + gj / by].push(pencil);
+    }
+    parts
 }
 
 /// Halo-direction indices of the 3-D block (the [`TileOps`] `dir` axis).
@@ -182,13 +213,13 @@ impl Layout for Decomp3D {
 /// Per-rank working state: the 3-D [`TileOps`] implementation. All
 /// buffers are allocated once at construction; the pipeline loop never
 /// allocates.
-struct Block3D<K> {
+struct Block3D<'g, K> {
     d: Decomp3D,
     links: RankLinks,
     kernel: K,
     tier: KernelTier,
-    /// Own block, `bx × by × nz`, k fastest.
-    block: Vec<f32>,
+    /// Own block: `rows[i·by + j]` is the `(i, j)` pencil, `nz` long.
+    rows: Pencils<'g>,
     /// Halo plane `i = own_lo_i − 1`: `by × nz`.
     halo_i: Vec<f32>,
     /// Halo plane `j = own_lo_j − 1`: `bx × nz`.
@@ -200,15 +231,15 @@ struct Block3D<K> {
     /// `i−1`/`j−1` neighbor is outside the global grid.
     brow: Vec<f32>,
     /// Per-row wave-carve stamp: `(generation << 5) | item_index`, so a
-    /// neighbor lookup resolves its gap segment in O(1) (see
+    /// neighbor lookup finds the carved row in O(1) (see
     /// [`Block3D::eval_chunk_wave`]). Allocated once; a stale
     /// generation means "row not written by the current wave".
     row_item: Vec<u64>,
     wave_gen: u64,
 }
 
-impl<K: Kernel3D> Block3D<K> {
-    fn new(d: Decomp3D, kernel: K, tier: KernelTier, rank: usize) -> Self {
+impl<'g, K: Kernel3D> Block3D<'g, K> {
+    fn new(d: Decomp3D, kernel: K, tier: KernelTier, rank: usize, rows: Pencils<'g>) -> Self {
         let links = RankLinks::of(&d, rank);
         let (ci, cj) = d.coords(rank);
         Block3D {
@@ -216,7 +247,7 @@ impl<K: Kernel3D> Block3D<K> {
             links,
             kernel,
             tier,
-            block: vec![0.0; d.bx() * d.by() * d.nz],
+            rows,
             halo_i: vec![0.0; d.by() * d.nz],
             halo_j: vec![0.0; d.bx() * d.nz],
             gi0: (ci * d.bx()) as i64,
@@ -311,67 +342,69 @@ impl<K: Kernel3D> Block3D<K> {
         let halo_i = &self.halo_i[..];
         let halo_j = &self.halo_j[..];
         let brow = &self.brow[..];
-        // Carve the block into the wave's output chunks plus the
-        // immutable gap segments between them. Every read this wave
-        // makes lands in a gap: a neighbor's same-range chunk has
+        // Carve the block into the wave's output chunks plus everything
+        // the wave may read. Rows are distinct within a wave (c is
+        // determined by i + j) and streamed in ascending r = i·by + j,
+        // so one forward split pass over the rows suffices: each item
+        // takes its own row — cut into the part below its output and
+        // the output — and leaves the untouched rows before it behind
+        // as a readable run. Every read this wave makes lands below an
+        // output or in such a run: a neighbor's same-range chunk has
         // coordinate sum s − 1 (finished last super-diagonal), and when
         // that neighbor row's *next* chunk is also an output of this
         // wave, the output starts exactly one chunk above the range
-        // being read. Rows are distinct within a wave (c is determined
-        // by i + j) and streamed in ascending r = i·by + j, so one
-        // forward split pass suffices — and every read of item p lands
-        // in a gap at or before its own, so the same pass resolves them.
+        // being read. Neighbor rows precede the reader's, so the same
+        // pass resolves them.
         self.wave_gen += 1;
         let gen = self.wave_gen;
         let row_item = &mut self.row_item[..];
-        // `(start, gap)` before each item's output.
-        let mut segs: LaneVec<(usize, &[f32])> = LaneVec::new();
+        let mut segs: LaneVec<Seg<'_, '_>> = LaneVec::new();
         let mut wave = Wave::new();
-        let mut remaining = &mut self.block[..];
+        let mut remaining = &mut self.rows[..];
         let mut off = 0usize;
         for (p, (i, j)) in items.enumerate() {
             let c = s - (i + j);
             let ck0 = k0 + c * chunk;
             let clen = chunk.min(k1 - ck0);
-            let start = (i * by + j) * nz + ck0;
-            let (gap, rest) = remaining.split_at_mut(start - off);
-            let (out, rest) = rest.split_at_mut(clen);
-            let gap: &[f32] = gap;
-            segs.push((off, gap));
+            let r = i * by + j;
+            let (run, rest) = remaining.split_at_mut(r - off);
+            let (own, rest) = rest.split_first_mut().expect("row r is in the block");
+            let (below, at) = own.split_at_mut(ck0);
+            let out = &mut at[..clen];
+            let below: &[f32] = below;
+            segs.push(Seg {
+                first: off,
+                run,
+                below,
+            });
             remaining = rest;
-            off = start + clen;
-            row_item[i * by + j] = (gen << 5) | p as u64;
-            // A neighbor read resolves its gap segment in O(1): if the
-            // neighbor row was carved this wave (generation match on
-            // its stamp), its same-range span lies in the gap directly
-            // before that item's output — the output is the row's
-            // *next* chunk, so it starts exactly one chunk above the
-            // range being read, and the preceding item sits on a
-            // strictly lower row. Own-row reads (the k−1 seed) land in
-            // the reader's own gap the same way. Only when the stamp is
-            // stale — ramp-down waves whose neighbor pencil already
-            // finished, or cross-batch neighbors on supersteps wider
-            // than MAX_WAVE — does the lookup fall back to searching
-            // the carved gaps.
-            let span = |r: usize| -> &[f32] {
-                let t = r * nz + ck0;
-                let v = row_item[r];
-                if v >> 5 == gen {
-                    let &(s0, seg) = segs.get((v & 31) as usize);
-                    &seg[t - s0..][..clen]
+            off = r + 1;
+            row_item[r] = (gen << 5) | p as u64;
+            // A neighbor read is O(1) when the neighbor row was carved
+            // this wave (generation match on its stamp): its output is
+            // the row's *next* chunk, so the range being read lies
+            // below it. A stale stamp — ramp-down waves whose neighbor
+            // pencil already finished, or cross-batch neighbors on
+            // supersteps wider than MAX_WAVE — means the whole row is
+            // readable, in one of the untouched runs.
+            let span = |q: usize| -> &[f32] {
+                let v = row_item[q];
+                let row = if v >> 5 == gen {
+                    segs.get((v & 31) as usize).below
                 } else {
-                    find_span(&segs, t, clen)
-                }
+                    untouched_row(&segs, q)
+                };
+                &row[ck0..][..clen]
             };
             let im1: &[f32] = if i > 0 {
-                span((i - 1) * by + j)
+                span(r - by)
             } else if has_li {
                 &halo_i[j * nz + ck0..][..clen]
             } else {
                 &brow[ck0..ck0 + clen]
             };
             let jm1: &[f32] = if j > 0 {
-                span(i * by + (j - 1))
+                span(r - 1)
             } else if has_lj {
                 &halo_j[i * nz + ck0..][..clen]
             } else {
@@ -379,9 +412,8 @@ impl<K: Kernel3D> Block3D<K> {
             };
             // k−1 dependence: seed from the cell below the chunk — the
             // previous chunk's top (or the previous tile's, or the
-            // boundary); the kernel carries it up the chunk. The cell
-            // below always sits in the reader's own gap.
-            let km1 = if ck0 > 0 { gap[gap.len() - 1] } else { b };
+            // boundary); the kernel carries it up the chunk.
+            let km1 = below.last().copied().unwrap_or(b);
             wave.push(
                 gi0 + i as i64,
                 gj0 + j as i64,
@@ -401,21 +433,30 @@ impl<K: Kernel3D> Block3D<K> {
 /// long enough that the vector pass and per-chunk bookkeeping amortize.
 const CHUNK: usize = 32;
 
-/// Locate the `len`-long span starting at flat index `t` among the
-/// carved gap segments of a wave (each `(start, slice)`, starts
-/// non-decreasing), latest first: the slow path behind the O(1) stamp
-/// lookup in [`Block3D::eval_chunk_wave`], taken only when the neighbor
-/// row was not carved by the current wave — and then the span sits in
-/// the reader's own gap or a few before it.
-fn find_span<'s>(segs: &LaneVec<(usize, &'s [f32])>, t: usize, len: usize) -> &'s [f32] {
-    let mut gaps = (0..segs.len()).rev().map(|q| *segs.get(q));
-    let (s, seg) = gaps
-        .find(|&(s, seg)| t >= s && t + len <= s + seg.len())
-        .expect("neighbor span among the carved segments");
-    &seg[t - s..][..len]
+/// What one item of a wave carve leaves readable: the run of untouched
+/// rows before its own (`run[x]` is row `first + x`) and its own row
+/// below its output.
+#[derive(Default)]
+struct Seg<'a, 'g> {
+    first: usize,
+    run: &'a [&'g mut [f32]],
+    below: &'a [f32],
 }
 
-impl<K: Kernel3D> TileOps for Block3D<K> {
+/// Row `q` of the block, not carved by the current wave, among the
+/// untouched runs carved so far (`first` ascending): the slow path
+/// behind the O(1) stamp lookup in [`Block3D::eval_chunk_wave`]. The
+/// row sits in the reader's own run or a few before it, so the search
+/// goes latest first.
+fn untouched_row<'a>(segs: &LaneVec<Seg<'a, '_>>, q: usize) -> &'a [f32] {
+    let mut latest_first = (0..segs.len()).rev().map(|p| segs.get(p));
+    let seg = latest_first
+        .find(|seg| seg.first <= q)
+        .expect("runs cover every row before the reader's");
+    &*seg.run[q - seg.first]
+}
+
+impl<K: Kernel3D> TileOps for Block3D<'_, K> {
     fn num_dirs(&self) -> usize {
         self.d.num_dirs()
     }
@@ -442,14 +483,15 @@ impl<K: Kernel3D> TileOps for Block3D<K> {
         // block-to-kernel-buffer copy of the paper's B₂ phase is this
         // one strided copy, with no further staging behind it.
         let (k0, k1) = self.d.krange(step);
-        let len = k1 - k0;
-        if dir == FACE_I {
-            let base = (self.d.bx() - 1) * self.d.by() * self.d.nz;
-            halo::pack_rows(&self.block, base, self.d.nz, k0, len, out);
+        let (bx, by) = (self.d.bx(), self.d.by());
+        // Last local i: by consecutive rows; last local j: every by-th.
+        let (first, stride) = if dir == FACE_I {
+            ((bx - 1) * by, 1)
         } else {
-            let base = (self.d.by() - 1) * self.d.nz;
-            halo::pack_rows(&self.block, base, self.d.by() * self.d.nz, k0, len, out);
-        }
+            (by - 1, by)
+        };
+        let face = self.rows[first..].iter().step_by(stride);
+        halo::pack_windows(face.map(|row| &row[k0..k1]), k1 - k0, out);
     }
 
     fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]) {
@@ -470,10 +512,11 @@ impl<K: Kernel3D> TileOps for Block3D<K> {
     }
 }
 
-/// One rank's execution of any 3-D kernel from a compiled plan,
-/// reporting every phase to `obs`; returns its block (`bx × by × nz`)
-/// or the typed transport/structure error that stopped it. Nothing is
-/// re-derived here — the plan is executed exactly as compiled.
+/// One rank's execution of any 3-D kernel from a compiled plan into
+/// `rows`, its pencils of the result (see [`rank_pencils`]), reporting
+/// every phase to `obs`, or the typed transport/structure error that
+/// stopped it. Nothing is re-derived here — the plan is executed
+/// exactly as compiled. `knobs` is `(tier, workers, pin)`.
 ///
 /// With `workers > 1` the tile is fanned out across intra-rank compute
 /// threads (see [`pool`]): the calling thread is worker 0, `workers − 1`
@@ -481,24 +524,22 @@ impl<K: Kernel3D> TileOps for Block3D<K> {
 /// between tiles, and `pin` places worker `w` on core
 /// `rank · workers + w` (best effort) so a rank's pool shares locality.
 /// Results are bitwise-identical to the unpooled run on the pinned tier.
-pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
+pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
     c: &Compiled3D,
-    tier: KernelTier,
-    workers: usize,
-    pin: bool,
+    (tier, workers, pin): (KernelTier, usize, bool),
     obs: &mut O,
-) -> Result<Vec<f32>, EngineError> {
+    rows: Pencils<'_>,
+) -> Result<(), EngineError> {
     let (d, plan, rank) = (c.decomp(), c.step_plan(), comm.rank());
     if workers <= 1 {
-        let mut blk = Block3D::new(d, kernel, tier, rank);
-        engine::run_rank(comm, &mut blk, plan, obs)?;
-        return Ok(blk.block);
+        let mut blk = Block3D::new(d, kernel, tier, rank, rows);
+        return engine::run_rank(comm, &mut blk, plan, obs);
     }
     let pin_base = pin.then(|| rank * workers);
-    let shared = pool::Shared::new(d, kernel, tier, workers, rank);
-    let result = std::thread::scope(|scope| {
+    let shared = pool::Shared::new(d, kernel, tier, workers, rank, rows);
+    std::thread::scope(|scope| {
         for w in 1..workers {
             let sh = &shared;
             scope.spawn(move || sh.worker_loop(w, pin_base.map(|b| b + w)));
@@ -508,32 +549,31 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
         // scope would join forever.
         shared.shutdown();
         r
-    });
-    result?;
-    Ok(shared.into_flat_block())
+    })
 }
 
-/// Gather per-rank blocks into the full grid.
-pub(crate) fn gather_blocks(d: Decomp3D, blocks: &[Vec<f32>]) -> Grid3D {
-    // Assemble: every block pencil is contiguous in both the block and
-    // the destination grid, so the gather is one memcpy per (i, j).
-    let mut out = Grid3D::new(d.nx, d.ny, d.nz, 0.0, d.boundary);
-    let (bx, by) = (d.bx(), d.by());
-    for (rank, block) in blocks.iter().enumerate() {
-        let (ci, cj) = d.coords(rank);
-        for i in 0..bx {
-            for j in 0..by {
-                out.row_mut(ci * bx + i, cj * by + j)
-                    .copy_from_slice(&block[(i * by + j) * d.nz..][..d.nz]);
-            }
-        }
-    }
-    out
+/// [`run_rank3d_into`] for a caller that wants one rank's block by
+/// itself (the trace recorder, rank-level tests and benches): allocate
+/// `bx × by × nz`, run into its pencils, return it.
+pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
+    comm: &mut C,
+    kernel: K,
+    c: &Compiled3D,
+    tier: KernelTier,
+    workers: usize,
+    pin: bool,
+    obs: &mut O,
+) -> Result<Vec<f32>, EngineError> {
+    let d = c.decomp();
+    let mut block = vec![0.0; d.bx() * d.by() * d.nz];
+    let rows = block.chunks_exact_mut(d.nz).collect();
+    run_rank3d_into(comm, kernel, c, (tier, workers, pin), obs, rows)?;
+    Ok(block)
 }
 
 /// One-shot world run: compile `d` under `mode` (validation, plus the
-/// pre-flight analysis unless `cfg.skip_preflight`), run it on a fresh
-/// world built from `cfg`, and gather. Returns the assembled grid, the
+/// pre-flight analysis unless `cfg.skip_preflight`) and run it on a
+/// fresh world built from `cfg`. Returns the result grid, the
 /// wall-clock time, and each rank's fault counters, or the most
 /// diagnostic error (see [`EngineError::severity`]).
 pub fn run_dist3d_with<K: Kernel3D>(
@@ -895,9 +935,10 @@ mod tests {
             };
             let grid = CartesianGrid::new(vec![pi, pj]);
             for rank in 0..d.ranks() {
-                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank);
+                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new());
                 decomp::assert_ops_read_layout(&d, rank, &blk);
-                let shared = pool::Shared::new(d, Paper3D, KernelTier::Bitwise, 2, rank);
+                let shared =
+                    pool::Shared::new(d, Paper3D, KernelTier::Bitwise, 2, rank, Vec::new());
                 decomp::assert_ops_read_layout(&d, rank, &&shared);
                 // The layout's inline arithmetic is the row-major
                 // Cartesian grid, no wraparound.

@@ -71,14 +71,11 @@ impl Grid2D {
         &mut self.data[i * self.ny..(i + 1) * self.ny]
     }
 
-    /// Maximum absolute difference to another grid of the same shape.
+    /// Maximum absolute difference to another grid of the same shape
+    /// (see [`max_abs_diff`] for how NaN counts).
     pub fn max_abs_diff(&self, other: &Grid2D) -> f32 {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
+        max_abs_diff(&self.data, &other.data)
     }
 }
 
@@ -162,27 +159,37 @@ impl Grid3D {
         &self.data
     }
 
-    /// Mutable k-row at `(i, j)` (all `nz` values), for bulk copies.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize, j: usize) -> &mut [f32] {
-        assert!(i < self.nx && j < self.ny, "grid row out of range");
-        let start = (i * self.ny + j) * self.nz;
-        &mut self.data[start..start + self.nz]
+    /// Every `(i, j)` pencil (`nz` values, k fastest) in row-major
+    /// `(i, j)` order, each a disjoint mutable view of the grid: how the
+    /// distributed runners hand the ranks their parts of the result.
+    pub fn pencils_mut(&mut self) -> std::slice::ChunksExactMut<'_, f32> {
+        self.data.chunks_exact_mut(self.nz)
     }
 
-    /// Maximum absolute difference to another grid of the same shape.
+    /// Maximum absolute difference to another grid of the same shape
+    /// (see [`max_abs_diff`] for how NaN counts).
     pub fn max_abs_diff(&self, other: &Grid3D) -> f32 {
         assert_eq!(
             (self.nx, self.ny, self.nz),
             (other.nx, other.ny, other.nz),
             "shape mismatch"
         );
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
+        max_abs_diff(&self.data, &other.data)
     }
+}
+
+/// Largest cell-wise `|a − b|` of two equally long arrays. Cells with
+/// equal bit patterns differ by 0 — the same NaN included — and any
+/// other pair involving a NaN differs by `f32::INFINITY`: a NaN where
+/// the reference holds a number must never verify as equal (`f32::max`
+/// alone would discard it).
+fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+    let cell = |(a, b): (&f32, &f32)| match (a - b).abs() {
+        d if !d.is_nan() => d,
+        _ if a.to_bits() == b.to_bits() => 0.0,
+        _ => f32::INFINITY,
+    };
+    a.iter().zip(b).map(cell).fold(0.0, f32::max)
 }
 
 #[cfg(test)]
@@ -219,6 +226,36 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 0.0);
         b.set(1, 1, 3.5);
         assert_eq!(a.max_abs_diff(&b), 2.5);
+    }
+
+    #[test]
+    fn max_abs_diff_never_discards_a_nan() {
+        let fill = |x: f32| (Grid2D::new(2, 2, x, 0.0), Grid3D::new(2, 2, 2, x, 0.0));
+        let (finite2, finite3) = fill(1.0);
+        let (mut holed2, mut holed3) = fill(1.0);
+        holed2.set(1, 0, f32::NAN);
+        holed3.set(1, 0, 1, f32::NAN);
+        // NaN vs finite, either way round.
+        assert_eq!(holed2.max_abs_diff(&finite2), f32::INFINITY);
+        assert_eq!(finite2.max_abs_diff(&holed2), f32::INFINITY);
+        assert_eq!(holed3.max_abs_diff(&finite3), f32::INFINITY);
+        assert_eq!(finite3.max_abs_diff(&holed3), f32::INFINITY);
+        // The same NaN in the same cell is the same bits.
+        assert_eq!(holed2.max_abs_diff(&holed2.clone()), 0.0);
+        assert_eq!(holed3.max_abs_diff(&holed3.clone()), 0.0);
+        // A NaN with another payload is another value.
+        let mut other3 = holed3.clone();
+        other3.set(1, 0, 1, f32::from_bits(f32::NAN.to_bits() ^ 1));
+        assert_eq!(holed3.max_abs_diff(&other3), f32::INFINITY);
+        // Finite vs finite is the plain maximum, 0 vs −0 included.
+        let (mut off2, mut off3) = fill(1.0);
+        off2.set(0, 1, -0.5);
+        off3.set(0, 1, 0, 3.0);
+        assert_eq!(off2.max_abs_diff(&finite2), 1.5);
+        assert_eq!(off3.max_abs_diff(&finite3), 2.0);
+        let (zero2, _) = fill(0.0);
+        let (neg2, _) = fill(-0.0);
+        assert_eq!(zero2.max_abs_diff(&neg2), 0.0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Row-chunked halo face packing and unpacking.
 //!
 //! Both block layouts used by the executors keep the pipelined dimension
-//! fastest, so every row of an outgoing face is contiguous in memory:
+//! fastest, so every row of an outgoing face is contiguous in memory
+//! (the 3-D block is a list of such rows, see [`pack_windows`]):
 //! packing a face is a strided sequence of `copy_from_slice` row copies
 //! instead of a per-element gather, and unpacking into a halo plane is
 //! the mirror-image scatter. The generic parameters:
@@ -29,9 +30,17 @@ pub fn pack_rows(src: &[f32], base: usize, stride: usize, k0: usize, len: usize,
         "packed buffer length {} not a multiple of row length {len}",
         out.len()
     );
-    for (r, chunk) in out.chunks_exact_mut(len).enumerate() {
-        let start = base + r * stride + k0;
-        chunk.copy_from_slice(&src[start..start + len]);
+    let rows = (0..out.len() / len).map(|r| &src[base + r * stride + k0..][..len]);
+    pack_windows(rows, len, out);
+}
+
+/// Pack face rows that are already cut to the tile's window (`len`
+/// values each), one after the other: [`pack_rows`] for a block whose
+/// rows are separate slices, as the executors' borrowed pencils are.
+/// Packs as many rows as `out` holds.
+pub fn pack_windows<'a>(rows: impl Iterator<Item = &'a [f32]>, len: usize, out: &mut [f32]) {
+    for (chunk, row) in out.chunks_exact_mut(len).zip(rows) {
+        chunk.copy_from_slice(row);
     }
 }
 

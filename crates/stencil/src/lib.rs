@@ -76,8 +76,8 @@ pub mod prelude {
         Smooth2D,
     };
     pub use crate::plan::{
-        run2d_with, run3d_observed_with, run3d_on_world, run3d_with, Compiled, Compiled2D,
-        Compiled3D,
+        run2d_with, run3d_observed_with, run3d_on_world, run3d_on_world_observed, run3d_with,
+        Compiled, Compiled2D, Compiled3D,
     };
     pub use crate::preflight::{check_plan, check_plan3d};
     pub use crate::seq::{

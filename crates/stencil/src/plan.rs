@@ -13,12 +13,18 @@
 //! these bundles with a cache key and model metadata for exactly that
 //! reuse).
 //!
-//! [`run3d_on_world`] additionally executes a compiled plan over a
-//! *prebuilt* thread-backend world (`msgpass::thread_backend::run_world`):
-//! a service can keep a pool of worlds warm and run job after job on
-//! them, reusing links, slot rings and buffer pools. That reuse is
-//! sound precisely because the analyzer proved the plan drains every
-//! link — a completed run leaves no message behind.
+//! Every 3-D run takes one path: the runner allocates the result
+//! [`Grid3D`] once, deals its pencils out to the ranks as disjoint
+//! mutable views ([`dist3d::rank_pencils`]) and the ranks compute
+//! straight into them — the result grid *is* the ranks' storage, and
+//! the calling thread *is* rank 0 (see
+//! `msgpass::thread_backend::run_world`). [`run3d_observed_with`]
+//! launches that path on a fresh world; [`run3d_on_world_observed`]
+//! launches it over a *prebuilt* one: a service can keep a pool of
+//! worlds warm and run job after job on them, reusing links, slot rings
+//! and buffer pools. That reuse is sound precisely because the analyzer
+//! proved the plan drains every link — a completed run leaves no
+//! message behind.
 
 use crate::decomp::Layout;
 use crate::dist2d::{self, Decomp2D};
@@ -28,8 +34,10 @@ use crate::grid::{Grid2D, Grid3D};
 use crate::kernel::{Kernel2D, Kernel3D};
 use crate::preflight::check_plan;
 use analyzer::AnalysisReport;
+use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, WorldConfig};
+use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 use tiling_core::schedule::StepPlan;
@@ -164,39 +172,73 @@ fn assemble2d(d: Decomp2D, strips: &[Vec<f32>]) -> Grid2D {
     out
 }
 
+/// What one rank of a 3-D run hands back: how its run ended, its
+/// observer and its fault counters (its cells are already in the grid).
+type RankOut<O> = (Result<(), EngineError>, (O, FaultStats));
+
+/// What a 3-D run returns: the result grid, the wall-clock time of the
+/// parallel region, the observers and the fault counters in rank order.
+pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>;
+
+/// The one 3-D run path: allocate the result grid, deal its pencils out
+/// to the ranks, and have `launch` run the rank body once per rank of
+/// some world. Every cell is written exactly once, by its owner.
+fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
+    kernel: K,
+    c: &Compiled3D,
+    knobs: (KernelTier, usize, bool),
+    make_obs: impl Fn(&ThreadComm<f32>) -> O + Sync,
+    launch: impl FnOnce(
+        &(dyn Fn(&mut ThreadComm<f32>) -> RankOut<O> + Sync),
+    ) -> (Vec<std::thread::Result<RankOut<O>>>, Duration),
+) -> Run3D<O> {
+    let d = c.d;
+    let mut out = Grid3D::new(d.nx, d.ny, d.nz, 0.0, d.boundary);
+    let (results, elapsed) = {
+        // The body is shared by the ranks, so each takes its pencils
+        // out of its own slot.
+        let parts: Vec<_> = dist3d::rank_pencils(&d, out.pencils_mut())
+            .into_iter()
+            .map(|rows| Mutex::new(Some(rows)))
+            .collect();
+        launch(&|comm| {
+            let mut obs = make_obs(comm);
+            let rows = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
+            let rows = rows.expect("a world runs each rank once");
+            let run = dist3d::run_rank3d_into(comm, kernel, c, knobs, &mut obs, rows);
+            (run, (obs, comm.fault_stats()))
+        })
+    };
+    let (_, extras) = join_ranks(results)?;
+    let (observers, stats) = extras.into_iter().unzip();
+    Ok((out, elapsed, observers, stats))
+}
+
 /// Execute a compiled 3-D plan on a fully configured world with a
 /// per-rank [`StepObserver`] built by `make_obs`. No validation or
 /// pre-flight runs here — that happened at compile time. Returns the
-/// assembled grid, the wall-clock time of the parallel region, the
+/// result grid, the wall-clock time of the parallel region, the
 /// observers in rank order, and each rank's fault counters.
 pub fn run3d_observed_with<K, O, F>(
     kernel: K,
     c: &Compiled3D,
     cfg: &WorldConfig,
     make_obs: F,
-) -> Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>
+) -> Run3D<O>
 where
     K: Kernel3D,
     O: StepObserver + Send,
     F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
 {
-    let (tier, workers, pin) = (cfg.kernel_tier, cfg.compute_workers, cfg.pin_cores);
-    let (results, elapsed) = run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| {
-        let mut obs = make_obs(&comm);
-        let block = dist3d::try_run_rank3d_plan(&mut comm, kernel, c, tier, workers, pin, &mut obs);
-        (block, (obs, comm.fault_stats()))
-    });
-    let (blocks, extras) = join_ranks(results)?;
-    let (observers, stats) = extras.into_iter().unzip();
-    Ok((
-        dist3d::gather_blocks(c.d, &blocks),
-        elapsed,
-        observers,
-        stats,
-    ))
+    let knobs = (cfg.kernel_tier, cfg.compute_workers, cfg.pin_cores);
+    run3d_ranks(kernel, c, knobs, make_obs, |body| {
+        // Each rank owns its communicator and drops it with its body,
+        // so a rank that stops early reads as a closed peer.
+        run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| body(&mut comm))
+    })
 }
 
-/// Execute a compiled 3-D plan on a fully configured world and gather.
+/// Execute a compiled 3-D plan on a fully configured world.
 pub fn run3d_with<K: Kernel3D>(
     kernel: K,
     c: &Compiled3D,
@@ -206,31 +248,47 @@ pub fn run3d_with<K: Kernel3D>(
     Ok((grid, elapsed, stats))
 }
 
-/// Execute a compiled 3-D plan over a *prebuilt* world (see
+/// [`run3d_observed_with`] over a *prebuilt* world (see
 /// [`msgpass::thread_backend::build_world_with`] /
 /// [`msgpass::thread_backend::run_world`]): the world's links, slot
 /// rings and buffer pools are reused as-is, so a warm world costs no
 /// setup. A world whose size differs from the plan's rank count is an
 /// [`EngineError::WorldSizeMismatch`]. On any other error the world may
 /// hold undrained messages and must be discarded.
-pub fn run3d_on_world<K: Kernel3D>(
+pub fn run3d_on_world_observed<K, O, F>(
     kernel: K,
     c: &Compiled3D,
     tier: KernelTier,
     world: &mut [ThreadComm<f32>],
-) -> Result<(Grid3D, Duration), EngineError> {
+    make_obs: F,
+) -> Run3D<O>
+where
+    K: Kernel3D,
+    O: StepObserver + Send,
+    F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
+{
     if world.len() != c.ranks() {
         return Err(EngineError::WorldSizeMismatch {
             expected: c.ranks(),
             got: world.len(),
         });
     }
-    let (results, elapsed) = run_world(world, false, |comm| {
-        let block = dist3d::try_run_rank3d_plan(comm, kernel, c, tier, 1, false, &mut NoopObserver);
-        (block, ())
-    });
-    let (blocks, _) = join_ranks(results)?;
-    Ok((dist3d::gather_blocks(c.d, &blocks), elapsed))
+    run3d_ranks(kernel, c, (tier, 1, false), make_obs, |body| {
+        run_world(world, false, body)
+    })
+}
+
+/// Execute a compiled 3-D plan over a *prebuilt* world: what
+/// [`run3d_with`] returns, under [`run3d_on_world_observed`]'s rules.
+pub fn run3d_on_world<K: Kernel3D>(
+    kernel: K,
+    c: &Compiled3D,
+    tier: KernelTier,
+    world: &mut [ThreadComm<f32>],
+) -> Result<(Grid3D, Duration, Vec<FaultStats>), EngineError> {
+    let (grid, elapsed, _, stats) =
+        run3d_on_world_observed(kernel, c, tier, world, |_| NoopObserver)?;
+    Ok((grid, elapsed, stats))
 }
 
 #[cfg(test)]
@@ -304,13 +362,13 @@ mod tests {
         let mut world = build_world_with::<f32>(c.ranks(), &cfg);
         let seq = crate::seq::run_paper3d_seq(8, 8, 64, 1.0);
         for _ in 0..3 {
-            let (grid, _) =
+            let (grid, _, _) =
                 run3d_on_world(Paper3D, &c, KernelTier::Bitwise, &mut world).expect("runs");
             assert_eq!(grid.max_abs_diff(&seq), 0.0);
         }
         // A different compiled plan (other mode) on the same warm world.
         let c2 = Compiled3D::compile(d3(), ExecMode::Blocking).expect("clean plan");
-        let (grid, _) =
+        let (grid, _, _) =
             run3d_on_world(Paper3D, &c2, KernelTier::Bitwise, &mut world).expect("runs");
         assert_eq!(grid.max_abs_diff(&seq), 0.0);
     }
@@ -318,29 +376,36 @@ mod tests {
     #[test]
     fn traced_run_emits_per_rank_intervals() {
         use crate::engine::TraceObserver;
-        use msgpass::comm::Communicator;
         use msgpass::trace::{Activity, SimTime, Trace};
         let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
         let cfg = WorldConfig::new(LatencyModel::zero());
-        let (grid, _, observers, _) = run3d_observed_with(Paper3D, &c, &cfg, |comm| {
-            TraceObserver::new(comm.rank(), comm.epoch())
-        })
-        .expect("runs");
         let seq = crate::seq::run_paper3d_seq(8, 8, 64, 1.0);
-        assert_eq!(grid.max_abs_diff(&seq), 0.0);
-        let mut trace = Trace::enabled();
-        for obs in observers {
-            trace.extend(obs.into_trace());
+        let make_obs = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
+        let check = |(grid, _, observers, faults): (Grid3D, _, Vec<TraceObserver>, Vec<_>)| {
+            assert_eq!(grid.max_abs_diff(&seq), 0.0);
+            assert_eq!(faults, vec![FaultStats::default(); c.ranks()]);
+            let mut trace = Trace::enabled();
+            for obs in observers {
+                trace.extend(obs.into_trace());
+            }
+            // Every rank computed d.steps() tiles; the trace must hold
+            // one Compute interval per tile per rank, on a shared time
+            // axis.
+            for rank in 0..c.ranks() {
+                let computes = trace
+                    .for_rank(rank)
+                    .filter(|iv| iv.activity == Activity::Compute)
+                    .count();
+                assert_eq!(computes, d3().steps(), "rank {rank}");
+            }
+            assert!(trace.horizon() > SimTime::ZERO);
+        };
+        check(run3d_observed_with(Paper3D, &c, &cfg, make_obs).expect("fresh world"));
+        // The pooled path has the same hook: a prebuilt world, twice.
+        let mut world = build_world_with::<f32>(c.ranks(), &cfg);
+        for _ in 0..2 {
+            let tier = KernelTier::Bitwise;
+            check(run3d_on_world_observed(Paper3D, &c, tier, &mut world, make_obs).expect("warm"));
         }
-        // Every rank computed d.steps() tiles; the trace must hold one
-        // Compute interval per tile per rank, on a shared time axis.
-        for rank in 0..c.ranks() {
-            let computes = trace
-                .for_rank(rank)
-                .filter(|iv| iv.activity == Activity::Compute)
-                .count();
-            assert_eq!(computes, d3().steps(), "rank {rank}");
-        }
-        assert!(trace.horizon() > SimTime::ZERO);
     }
 }

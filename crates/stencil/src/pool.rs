@@ -21,10 +21,12 @@
 //!
 //! ## Storage and locking
 //!
-//! The block is sharded one row (pencil) per [`RwLock`]: a worker
-//! write-locks the rows of its own wave and read-locks their `i−1`/
-//! `j−1` neighbors. Writers lock only current-diagonal rows, readers
-//! only previous-diagonal rows (finished before the last barrier), so
+//! The block is the rank's pencils of the result array, borrowed (see
+//! [`crate::dist3d::rank_pencils`]) and sharded one pencil per
+//! [`RwLock`]: a worker write-locks the rows of its own wave and
+//! read-locks their `i−1`/`j−1` neighbors. Writers lock only
+//! current-diagonal rows, readers only previous-diagonal rows
+//! (finished before the last barrier), so
 //! no lock acquisition ever blocks — the locks exist to let the borrow
 //! checker hand disjoint `&mut` rows to threads, not to arbitrate — and
 //! no deadlock is possible. Workers are spawned **once per rank run**
@@ -32,7 +34,7 @@
 //! state tile path allocates nothing (asserted by `tests/zero_alloc.rs`).
 
 use crate::decomp::RankLinks;
-use crate::dist3d::Decomp3D;
+use crate::dist3d::{Decomp3D, Pencils};
 use crate::engine::TileOps;
 use crate::halo;
 use crate::kernel::{Kernel3D, KernelTier, Wave, MAX_WAVE};
@@ -93,13 +95,13 @@ struct Job {
 
 /// Per-rank shared compute state: the row-sharded block plus the job
 /// mailbox and barrier the pool synchronizes on.
-pub(crate) struct Shared<K> {
+pub(crate) struct Shared<'g, K> {
     d: Decomp3D,
     kernel: K,
     tier: KernelTier,
     workers: usize,
     /// Block rows, `rows[i·by + j]` = the `(i, j)` pencil (`nz` long).
-    rows: Vec<RwLock<Vec<f32>>>,
+    rows: Vec<RwLock<&'g mut [f32]>>,
     /// Halo plane `i = own_lo_i − 1`, `by × nz` (engine writes between
     /// tiles, workers read during them — phases never overlap).
     halo_i: RwLock<Vec<f32>>,
@@ -115,13 +117,14 @@ pub(crate) struct Shared<K> {
     barrier: WaveBarrier,
 }
 
-impl<K: Kernel3D> Shared<K> {
+impl<'g, K: Kernel3D> Shared<'g, K> {
     pub(crate) fn new(
         d: Decomp3D,
         kernel: K,
         tier: KernelTier,
         workers: usize,
         rank: usize,
+        rows: Pencils<'g>,
     ) -> Self {
         let links = RankLinks::of(&d, rank);
         let (ci, cj) = d.coords(rank);
@@ -130,9 +133,7 @@ impl<K: Kernel3D> Shared<K> {
             kernel,
             tier,
             workers,
-            rows: (0..d.bx() * d.by())
-                .map(|_| RwLock::new(vec![0.0; d.nz]))
-                .collect(),
+            rows: rows.into_iter().map(RwLock::new).collect(),
             halo_i: RwLock::new(vec![0.0; d.by() * d.nz]),
             halo_j: RwLock::new(vec![0.0; d.bx() * d.nz]),
             brow: vec![d.boundary; d.nz],
@@ -219,9 +220,9 @@ impl<K: Kernel3D> Shared<K> {
         // Lock phase: own rows exclusively, neighbor rows shared. None
         // of these can block (see module docs), they just prove
         // disjointness to the borrow checker.
-        let mut ngi: [Option<RwLockReadGuard<'_, Vec<f32>>>; MAX_WAVE] =
+        let mut ngi: [Option<RwLockReadGuard<'_, &mut [f32]>>; MAX_WAVE] =
             core::array::from_fn(|_| None);
-        let mut ngj: [Option<RwLockReadGuard<'_, Vec<f32>>>; MAX_WAVE] =
+        let mut ngj: [Option<RwLockReadGuard<'_, &mut [f32]>>; MAX_WAVE] =
             core::array::from_fn(|_| None);
         let mut own: [_; MAX_WAVE] = core::array::from_fn(|_| None);
         for p in 0..m {
@@ -249,7 +250,7 @@ impl<K: Kernel3D> Shared<K> {
                 None if self.links.up[1].is_some() => &halo_j[ii * nz + k0..][..len],
                 None => &self.brow[k0..k0 + len],
             };
-            let row: &mut Vec<f32> = og.as_mut().unwrap();
+            let row: &mut [f32] = og.as_mut().unwrap();
             let (below, at) = row.split_at_mut(k0);
             let km1 = if k0 > 0 {
                 below[k0 - 1]
@@ -269,16 +270,6 @@ impl<K: Kernel3D> Shared<K> {
         }
         self.kernel.eval_wave_tier(self.tier, &mut wave);
     }
-
-    /// Flatten the sharded rows back into the `bx × by × nz` block
-    /// layout the gather paths expect.
-    pub(crate) fn into_flat_block(self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.rows.len() * self.d.nz);
-        for row in self.rows {
-            out.extend_from_slice(&row.into_inner().unwrap());
-        }
-        out
-    }
 }
 
 /// The engine thread's view of the pooled per-rank state. Faces are
@@ -286,7 +277,7 @@ impl<K: Kernel3D> Shared<K> {
 /// tiles — all row locks are free), and `compute` fans the tile out to
 /// the pool: the engine participates as worker 0 and returns only when
 /// the whole tile is done, so the lane schedule around it is unchanged.
-impl<K: Kernel3D> TileOps for &Shared<K> {
+impl<K: Kernel3D> TileOps for &Shared<'_, K> {
     fn num_dirs(&self) -> usize {
         self.d.num_dirs()
     }

@@ -189,3 +189,50 @@ fn long_pipeline_stays_finite() {
         run_dist2d_with(Example1, d, &zero_latency(), ExecMode::Overlapping).expect("valid decomp");
     assert!(g.data().iter().all(|x| x.is_finite()));
 }
+
+/// The result grid is the ranks' storage: every rank computes straight
+/// into its own pencils of the zero-filled output, so a pencil dealt to
+/// the wrong rank or left unwritten is a non-zero difference from the
+/// sequential reference. Every processor-grid shape, worker count, mode
+/// and two kernels, with a partial last tile — on a fresh world per
+/// run, and on one prebuilt world per rank count reused for all of its
+/// cases.
+#[test]
+fn every_pencil_is_written_by_its_owner_on_fresh_and_reused_worlds() {
+    use msgpass::thread_backend::{build_world_with, ThreadComm};
+    use stencil::kernel::{Kernel3D, KernelTier, Relax3D};
+
+    fn check<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [ThreadComm<f32>]) {
+        let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
+        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+            let plan = Compiled3D::compile(d, mode).expect("clean plan");
+            for workers in [1, 2] {
+                let cfg = zero_latency().with_compute_workers(workers);
+                let (fresh, _, _) = run3d_with(kernel, &plan, &cfg).expect("fresh world");
+                let diff = fresh.max_abs_diff(&seq);
+                assert_eq!(diff, 0.0, "fresh world, {workers} workers, {mode:?}, {d:?}");
+            }
+            let (warm, _, _) =
+                run3d_on_world(kernel, &plan, KernelTier::Bitwise, world).expect("warm world");
+            assert_eq!(warm.max_abs_diff(&seq), 0.0, "warm world, {mode:?}, {d:?}");
+        }
+    }
+
+    let shapes = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)];
+    for ranks in [1, 2, 4, 6] {
+        let mut world = build_world_with::<f32>(ranks, &zero_latency());
+        for (pi, pj) in shapes.into_iter().filter(|(pi, pj)| pi * pj == ranks) {
+            let d = Decomp3D {
+                nx: 3 * pi,
+                ny: 2 * pj,
+                nz: 19,
+                pi,
+                pj,
+                v: 4, // 19 % 4 ≠ 0: the last tile is partial
+                boundary: 1.25,
+            };
+            check(Paper3D, d, &mut world);
+            check(Relax3D::default(), d, &mut world);
+        }
+    }
+}

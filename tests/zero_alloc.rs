@@ -5,7 +5,9 @@
 //! * a counting `#[global_allocator]` — on a single-rank world (no
 //!   messages, so no `mpsc` internals in the picture) the total number
 //!   of allocations must not depend on the number of pipeline steps:
-//!   the per-step compute/pack path allocates nothing;
+//!   the per-step compute/pack path allocates nothing. It also sums the
+//!   bytes requested: a whole run may allocate the result grid, and no
+//!   second buffer of that size;
 //! * the `msgpass` buffer-pool counters — payload buffers for sends are
 //!   recycled rather than freshly allocated once the pipeline is warm,
 //!   and every consumed receive buffer is returned to its sender.
@@ -19,24 +21,29 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use msgpass::thread_backend::{run_threads, LatencyModel, PoolStats, WorldConfig};
+use msgpass::thread_backend::{
+    build_world_with, run_threads, LatencyModel, PoolStats, WorldConfig,
+};
 use msgpass::transport::TransportKind;
 use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
 use stencil::engine::NoopObserver;
 use stencil::kernel::{KernelTier, Relax3D};
-use stencil::plan::Compiled3D;
+use stencil::plan::{run3d_on_world, run3d_with, Compiled3D};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: every allocation's size, every growth's increase.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method delegates to the `System` allocator, which
-// upholds the `GlobalAlloc` contract; the counter bump is a Relaxed
-// atomic with no effect on the returned memory.
+// upholds the `GlobalAlloc` contract; the counter bumps are Relaxed
+// atomics with no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller obligations forwarded verbatim to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's valid layout.
         unsafe { System.alloc(layout) }
     }
@@ -50,6 +57,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller obligations forwarded verbatim to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let grown = new_size.saturating_sub(layout.size());
+        BYTES.fetch_add(grown as u64, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` come from a prior `System` allocation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -195,6 +204,54 @@ fn worker_pool_steady_state_steps_allocate_nothing() {
         short, long,
         "pooled allocation count grew with step count: {short} allocs at 4 steps vs {long} at 16"
     );
+}
+
+/// Fewest bytes one call of `run` allocates, over three calls (the
+/// first also warms whatever `run` reuses).
+fn min_bytes_of<T>(mut run: impl FnMut() -> T) -> u64 {
+    let trial = |_| {
+        let before = BYTES.load(Ordering::Relaxed);
+        let out = run();
+        let after = BYTES.load(Ordering::Relaxed);
+        drop(out);
+        after - before
+    };
+    (0..3).map(trial).min().expect("three trials")
+}
+
+#[test]
+fn the_result_grid_is_the_only_grid_sized_allocation() {
+    let _guard = lock();
+    let d = Decomp3D {
+        nx: 8,
+        ny: 8,
+        nz: 1024,
+        pi: 2,
+        pj: 1,
+        v: 64,
+        boundary: 1.0,
+    };
+    let plan = Compiled3D::compile(d, ExecMode::Overlapping).expect("valid decomp");
+    // The ranks compute straight into the 256 KiB result, so a run may
+    // allocate it, each rank's two halo planes, and small change — a
+    // gathered copy of the grid, or a flattened copy of the blocks,
+    // would be at least 256 KiB more.
+    let halo_cells = d.pi * d.pj * (d.bx() + d.by()) * d.nz;
+    let budget = 4 * (d.nx * d.ny * d.nz + halo_cells) as u64 + (64 << 10);
+    let kernel = Relax3D::default();
+    let cfg = WorldConfig::new(LatencyModel::zero());
+
+    // One compute thread per rank, on a warm prebuilt world.
+    let mut world = build_world_with::<f32>(plan.ranks(), &cfg);
+    let warm = min_bytes_of(|| {
+        run3d_on_world(kernel, &plan, KernelTier::Bitwise, &mut world).expect("warm world")
+    });
+    assert!(warm <= budget, "1 worker: {warm} bytes > {budget}");
+
+    // Two per rank (the worker pool is a fresh-world setting).
+    let pooled_cfg = cfg.with_compute_workers(2);
+    let pooled = min_bytes_of(|| run3d_with(kernel, &plan, &pooled_cfg).expect("fresh world"));
+    assert!(pooled <= budget, "2 workers: {pooled} bytes > {budget}");
 }
 
 /// Run every rank of `d` straight on a default (mpsc) world and return
