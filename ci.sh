@@ -406,7 +406,7 @@ echo "$serve_out" | grep -q "PASS" || {
 # checksum. Never a recorded number: only the verdict on the last line
 # is read.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in compute-bound fine-grain wire-overlap wire-blocking plan-service; do
+for workload in compute-bound fine-grain wire-overlap wire-blocking plan-service sim-sweep; do
     verdict=$(bash benchmark/run.sh --quick --workload "$workload" --trace 0 | tail -n 1)
     case "$verdict" in
     *'"correct": true'*'"failed": 0'*) ;;
@@ -417,6 +417,28 @@ for workload in compute-bound fine-grain wire-overlap wire-blocking plan-service
         ;;
     esac
 done
+
+# Simulated-numbers gate. Host time of the simulator may move; what it
+# simulates may not. (a) The traced sim-sweep pass at the reference
+# seed must add up to the makespan sum benchmark/REPEATABILITY.md
+# records (897652 µs), with no failed row. (b) The committed Fig. 9-11
+# slices are regenerated and must come back byte-identical, which makes
+# them a cross-commit golden for every makespan they contain.
+sim_out=$(bash benchmark/run.sh --quick --workload sim-sweep --seed 1 --trace 1)
+echo "$sim_out" | grep -Eq 'cluster-sim\.sim_makespan_us_sum +897651\.873000 us' &&
+    echo "$sim_out" | grep -Eq 'sweep\.rows_failed +0\.000000 count' || {
+    echo "$sim_out" | grep -E 'sim_makespan_us_sum|rows_failed' >&2
+    echo "ci.sh: sim-sweep at seed 1 no longer simulates 897651.873 us with zero failed rows" >&2
+    exit 1
+}
+for fig in fig9 fig10 fig11; do
+    cargo run --release -q -p bench --bin paper -- "$fig" >/dev/null
+done
+git diff --exit-code results/fig9.csv results/fig10.csv results/fig11.csv || {
+    echo "ci.sh: a regenerated figure differs from the committed one — a simulated number moved" >&2
+    exit 1
+}
+echo "ci.sh: simulated-numbers gate ok — sim-sweep sum 897651.873 us, Figs. 9-11 byte-identical"
 
 # Not a gate: ROADMAP item 3 tracks the workspace Rust line count
 # (target <= 33k), so every log shows where it stands.

@@ -20,7 +20,6 @@
 use crate::candidates::{Candidate, Schedule, TuneProblem};
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate_heterogeneous, NetworkTopology, SimConfig};
-use cluster_sim::stats::summarize;
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use msgpass::transport::TransportKind;
 use planc::artifact::ExecOptions;
@@ -161,14 +160,17 @@ impl MeasureBackend for SimBackend {
         } else {
             NetworkTopology::Switched
         };
+        // Only the makespan is read: no interval trace.
         let cfg = SimConfig::new(self.machine)
             .with_duplex(self.duplex)
-            .with_topology(topology);
+            .with_topology(topology)
+            .with_trace(false);
         let speeds = problem.node_speeds(self.hetero_seed, self.hetero_spread);
         let result = simulate_heterogeneous(cfg, programs, speeds).map_err(|e| e.to_string())?;
-        summarize(&result)
-            .map(|s| s.makespan_us)
-            .ok_or_else(|| "zero-rank fleet".into())
+        if result.finish.is_empty() {
+            return Err("zero-rank fleet".into());
+        }
+        Ok(result.makespan.as_us())
     }
 
     fn deterministic(&self) -> bool {

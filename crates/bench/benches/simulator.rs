@@ -1,5 +1,7 @@
-//! Criterion benchmarks of the discrete-event engine itself: event
-//! throughput on pipeline-shaped programs and program construction.
+//! Criterion benchmarks of the discrete-event engine itself: program
+//! construction (`build_programs/*`) and event throughput on
+//! pipeline-shaped programs (`simulate/*`), same problem on both sides
+//! so the two halves of a sweep point can be read against each other.
 
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate, SimConfig};
@@ -19,10 +21,10 @@ fn mini_problem(steps: i64) -> ClusterProblem {
 fn bench_builders(c: &mut Criterion) {
     let machine = MachineParams::paper_cluster();
     let p = mini_problem(64);
-    c.bench_function("build/blocking_programs_16r_64steps", |b| {
+    c.bench_function("build_programs/blocking_16r_64steps", |b| {
         b.iter(|| black_box(p.blocking_programs(&machine)))
     });
-    c.bench_function("build/overlapping_programs_16r_64steps", |b| {
+    c.bench_function("build_programs/overlap_16r_64steps", |b| {
         b.iter(|| black_box(p.overlapping_programs(&machine)))
     });
 }

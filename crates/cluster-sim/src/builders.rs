@@ -15,6 +15,15 @@
 //! exchanges are grouped and performed with a single message for each
 //! neighboring processor"), with exact byte counts even for boundary
 //! tiles clipped by the iteration space.
+//!
+//! Both builders emit from one per-rank description (`RankSteps`):
+//! neighbour offsets are resolved to ranks once, and what a step
+//! receives, computes and sends is worked out once per distinct *shape*.
+//! Step `k` depends on `k` only through how the space clips tiles `k`
+//! and `k+1` along the mapping dimension (a message's consumer range
+//! starts in the tile after its producer's), so a rank has a handful of
+//! shapes — first, interior, before a partial last tile, last — however
+//! many steps it runs.
 
 use crate::program::{Program, Rank, ReqId};
 use tiling_core::dependence::DependenceSet;
@@ -179,17 +188,9 @@ impl ClusterProblem {
     /// Full tile coordinates from (cross-section coords, mapping index).
     fn tile_at(&self, cross: &[i64], k: i64) -> Vec<i64> {
         let mdim = self.mapping.mapping_dim();
-        let mut t = Vec::with_capacity(self.space.dims());
-        let mut ci = 0;
-        for d in 0..self.space.dims() {
-            if d == mdim {
-                t.push(self.tiled.lower()[mdim] + k);
-            } else {
-                t.push(cross[ci]);
-                ci += 1;
-            }
-        }
-        t
+        let mut tile = cross.to_vec();
+        tile.insert(mdim, self.tiled.lower()[mdim] + k);
+        tile
     }
 
     /// Per-dimension index range of `tile ∩ space`; `None` if empty.
@@ -260,11 +261,6 @@ impl ClusterProblem {
         total
     }
 
-    /// Message payload in bytes.
-    fn message_bytes(&self, sender_tile: &[i64], q: &[i64], machine: &MachineParams) -> u64 {
-        (self.message_points(sender_tile, q) as u64) * u64::from(machine.bytes_per_elem)
-    }
-
     /// All cross-section coordinates in row-major rank order.
     fn cross_coords(&self) -> Vec<Vec<i64>> {
         let mdim = self.mapping.mapping_dim();
@@ -308,40 +304,37 @@ impl ClusterProblem {
         (k as u64) * self.proc_offsets.len() as u64 + qi as u64
     }
 
+    /// How the iteration space clips the tile at mapping step `k`,
+    /// relative to the tile's own origin; `None` for a step outside the
+    /// space (in particular `k = steps`, the consumer of the last tile).
+    fn mapping_clip(&self, k: i64) -> Option<(i64, i64)> {
+        let mdim = self.mapping.mapping_dim();
+        let side = self.tiling.rectangular_sides().expect("rectangular")[mdim];
+        let origin = (self.tiled.lower()[mdim] + k) * side;
+        let lo = origin.max(self.space.lower()[mdim]);
+        let hi = (origin + side - 1).min(self.space.upper()[mdim]);
+        (lo <= hi).then_some((lo - origin, hi - origin))
+    }
+
     /// Build the blocking (`ProcB`) program of every rank.
     pub fn blocking_programs(&self, machine: &MachineParams) -> Vec<Program> {
         let steps = self.steps();
         let mut programs = Vec::with_capacity(self.ranks());
         for cross in self.cross_coords() {
-            let mut p = Program::new();
+            let mut rank = RankSteps::new(self, machine, &cross);
+            let mut p = Program::with_capacity(steps as usize * (1 + 2 * self.proc_offsets.len()));
             for k in 0..steps {
-                let tile = self.tile_at(&cross, k);
+                let step = rank.step(k);
                 // Receive from every in-neighbor that actually sends.
-                for (qi, q) in self.proc_offsets.iter().enumerate() {
-                    let src_cross: Vec<i64> = cross.iter().zip(q).map(|(&c, &o)| c - o).collect();
-                    let Some(src) = self.rank_of_cross(&src_cross) else {
-                        continue;
-                    };
-                    let sender_tile = self.tile_at(&src_cross, k);
-                    let bytes = self.message_bytes(&sender_tile, q, machine);
-                    if bytes > 0 {
-                        p.recv(src, self.tag(k, qi), bytes);
-                    }
+                for &(src, qi, bytes) in &step.recvs {
+                    p.recv(src, self.tag(k, qi), bytes);
                 }
-                let points = self.tile_points(&tile);
-                if points > 0 {
-                    p.compute(machine.tile_compute_us(points), k as u64);
+                if let Some(us) = step.compute_us {
+                    p.compute(us, k as u64);
                 }
                 // Send to every out-neighbor.
-                for (qi, q) in self.proc_offsets.iter().enumerate() {
-                    let dst_cross: Vec<i64> = cross.iter().zip(q).map(|(&c, &o)| c + o).collect();
-                    let Some(dst) = self.rank_of_cross(&dst_cross) else {
-                        continue;
-                    };
-                    let bytes = self.message_bytes(&tile, q, machine);
-                    if bytes > 0 {
-                        p.send(dst, self.tag(k, qi), bytes);
-                    }
+                for &(dst, qi, bytes) in &step.sends {
+                    p.send(dst, self.tag(k, qi), bytes);
                 }
             }
             programs.push(p);
@@ -361,68 +354,142 @@ impl ClusterProblem {
     pub fn overlapping_programs(&self, machine: &MachineParams) -> Vec<Program> {
         let steps = self.steps();
         let mut programs = Vec::with_capacity(self.ranks());
+        // Requests in flight: the receives of the step about to be
+        // computed, those of the step after it, the previous sends.
+        let (mut recv_reqs, mut next_recv_reqs, mut send_reqs) =
+            (Vec::new(), Vec::new(), Vec::new());
         for cross in self.cross_coords() {
-            let mut p = Program::new();
-            // Request bookkeeping per step.
-            let mut recv_reqs: Vec<Vec<ReqId>> = vec![Vec::new(); steps as usize];
-            let post_recvs = |p: &mut Program, k: i64, reqs: &mut Vec<Vec<ReqId>>| {
-                for (qi, q) in self.proc_offsets.iter().enumerate() {
-                    let src_cross: Vec<i64> = cross.iter().zip(q).map(|(&c, &o)| c - o).collect();
-                    let Some(src) = self.rank_of_cross(&src_cross) else {
-                        continue;
-                    };
-                    let sender_tile = self.tile_at(&src_cross, k);
-                    let bytes = self.message_bytes(&sender_tile, q, machine);
-                    if bytes > 0 {
-                        let r = p.irecv(src, self.tag(k, qi), bytes);
-                        reqs[k as usize].push(r);
+            let mut rank = RankSteps::new(self, machine, &cross);
+            let mut p = Program::with_capacity(steps as usize * (1 + 4 * self.proc_offsets.len()));
+            let post_recvs =
+                |p: &mut Program, rank: &mut RankSteps<'_>, k: i64, reqs: &mut Vec<ReqId>| {
+                    for &(src, qi, bytes) in &rank.step(k).recvs {
+                        reqs.push(p.irecv(src, self.tag(k, qi), bytes));
                     }
-                }
-            };
-            let post_sends = |p: &mut Program, k: i64| -> Vec<ReqId> {
-                let tile = self.tile_at(&cross, k);
-                let mut reqs = Vec::new();
-                for (qi, q) in self.proc_offsets.iter().enumerate() {
-                    let dst_cross: Vec<i64> = cross.iter().zip(q).map(|(&c, &o)| c + o).collect();
-                    let Some(dst) = self.rank_of_cross(&dst_cross) else {
-                        continue;
-                    };
-                    let bytes = self.message_bytes(&tile, q, machine);
-                    if bytes > 0 {
+                };
+            let post_sends =
+                |p: &mut Program, rank: &mut RankSteps<'_>, k: i64, reqs: &mut Vec<ReqId>| {
+                    for &(dst, qi, bytes) in &rank.step(k).sends {
                         reqs.push(p.isend(dst, self.tag(k, qi), bytes));
                     }
-                }
-                reqs
-            };
-
+                };
             // Prologue: receives for step 0.
-            post_recvs(&mut p, 0, &mut recv_reqs);
-            let mut prev_send_reqs: Vec<ReqId> = Vec::new();
+            post_recvs(&mut p, &mut rank, 0, &mut recv_reqs);
             for k in 0..steps {
                 if k + 1 < steps {
-                    post_recvs(&mut p, k + 1, &mut recv_reqs);
+                    post_recvs(&mut p, &mut rank, k + 1, &mut next_recv_reqs);
                 }
                 if k >= 1 {
-                    prev_send_reqs = post_sends(&mut p, k - 1);
+                    post_sends(&mut p, &mut rank, k - 1, &mut send_reqs);
                 }
-                for &r in &recv_reqs[k as usize] {
+                for r in recv_reqs.drain(..) {
                     p.wait(r);
                 }
-                let points = self.tile_points(&self.tile_at(&cross, k));
-                if points > 0 {
-                    p.compute(machine.tile_compute_us(points), k as u64);
+                std::mem::swap(&mut recv_reqs, &mut next_recv_reqs);
+                if let Some(us) = rank.step(k).compute_us {
+                    p.compute(us, k as u64);
                 }
-                for &r in std::mem::take(&mut prev_send_reqs).iter() {
+                for r in send_reqs.drain(..) {
                     p.wait(r);
                 }
             }
             // Epilogue: ship the last tile's results.
-            for r in post_sends(&mut p, steps - 1) {
+            post_sends(&mut p, &mut rank, steps - 1, &mut send_reqs);
+            for r in send_reqs.drain(..) {
                 p.wait(r);
             }
             programs.push(p);
         }
         programs
+    }
+}
+
+/// A grouped message of a step: `(peer rank, neighbour-offset index, bytes)`.
+type Message = (Rank, usize, u64);
+
+/// What one pipeline step of one rank does, empty messages left out.
+struct StepShape {
+    recvs: Vec<Message>,
+    /// Baseline tile compute time; `None` for an empty tile.
+    compute_us: Option<f64>,
+    sends: Vec<Message>,
+}
+
+/// How the space clips tiles `k` and `k+1` along the mapping dimension
+/// — all a step's description depends on besides the rank.
+type ShapeKey = (Option<(i64, i64)>, Option<(i64, i64)>);
+
+/// One rank's pipeline: neighbours resolved once, steps described once
+/// per [`ShapeKey`].
+struct RankSteps<'a> {
+    problem: &'a ClusterProblem,
+    machine: &'a MachineParams,
+    cross: &'a [i64],
+    /// Per neighbour offset: the rank data comes from, the rank it goes to.
+    peers: Vec<(Option<Rank>, Option<Rank>)>,
+    shapes: Vec<(ShapeKey, StepShape)>,
+}
+
+/// The cross-section coordinate `sign · q` away from `cross`.
+fn offset_cross(cross: &[i64], sign: i64, q: &[i64]) -> Vec<i64> {
+    cross.iter().zip(q).map(|(&c, &o)| c + sign * o).collect()
+}
+
+impl<'a> RankSteps<'a> {
+    fn new(problem: &'a ClusterProblem, machine: &'a MachineParams, cross: &'a [i64]) -> Self {
+        let rank_at = |sign, q| problem.rank_of_cross(&offset_cross(cross, sign, q));
+        RankSteps {
+            problem,
+            machine,
+            cross,
+            peers: (problem.proc_offsets.iter())
+                .map(|q| (rank_at(-1, q), rank_at(1, q)))
+                .collect(),
+            shapes: Vec::new(),
+        }
+    }
+
+    /// The description of step `k`.
+    fn step(&mut self, k: i64) -> &StepShape {
+        let p = self.problem;
+        let key = (p.mapping_clip(k), p.mapping_clip(k + 1));
+        let at = match self.shapes.iter().position(|(have, _)| *have == key) {
+            Some(at) => at,
+            None => {
+                self.shapes.push((key, self.describe(k)));
+                self.shapes.len() - 1
+            }
+        };
+        &self.shapes[at].1
+    }
+
+    /// Work out step `k` from the per-tile functions.
+    fn describe(&self, k: i64) -> StepShape {
+        let p = self.problem;
+        let elem = u64::from(self.machine.bytes_per_elem);
+        let tile = p.tile_at(self.cross, k);
+        let (mut recvs, mut sends) = (Vec::new(), Vec::new());
+        for (qi, (q, &(src, dst))) in p.proc_offsets.iter().zip(&self.peers).enumerate() {
+            if let Some(src) = src {
+                let sender_tile = p.tile_at(&offset_cross(self.cross, -1, q), k);
+                let bytes = p.message_points(&sender_tile, q) as u64 * elem;
+                if bytes > 0 {
+                    recvs.push((src, qi, bytes));
+                }
+            }
+            if let Some(dst) = dst {
+                let bytes = p.message_points(&tile, q) as u64 * elem;
+                if bytes > 0 {
+                    sends.push((dst, qi, bytes));
+                }
+            }
+        }
+        let points = p.tile_points(&tile);
+        StepShape {
+            recvs,
+            compute_us: (points > 0).then(|| self.machine.tile_compute_us(points)),
+            sends,
+        }
     }
 }
 

@@ -21,12 +21,21 @@
 //! their wire time is *not* charged again on the receiver's RX lane, so
 //! a blocking send/receive pair costs exactly
 //! `2·T_startup + T_transmit` (eq. 3).
+//!
+//! Host-side bookkeeping is indexed, not hashed: [`Engine::new`] renames
+//! every program's request handles to dense slots (request state is a
+//! `Vec` per rank), unmatched messages and posted receives wait in a
+//! per-peer FIFO (`MatchTable`) that holds only what is in flight, and
+//! each recorded CPU interval is added to the rank's [`CpuTotals`] as
+//! it happens, so [`crate::stats`] never re-reads the trace — and works
+//! with the trace off. None of it is visible in a simulated number.
 
-use crate::program::{Op, Program, Rank, ReqId};
+use crate::program::{Op, Program, Rank};
+use crate::stats::CpuTotals;
 use crate::time::SimTime;
 use crate::trace::{Activity, Trace};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use tiling_core::machine::{MachineParams, NodeSpeeds};
 
 /// How the wire itself is shared between nodes.
@@ -104,6 +113,9 @@ pub struct SimResult {
     pub finish: Vec<SimTime>,
     /// Overall makespan (including lane drain).
     pub makespan: SimTime,
+    /// Per-rank CPU time by activity class, accumulated while the run
+    /// executes — present whether or not the trace was recorded.
+    pub cpu_totals: Vec<CpuTotals>,
     /// The recorded trace (empty if disabled).
     pub trace: Trace,
 }
@@ -169,11 +181,15 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A request's dense slot in its rank's table (see
+/// `Program::densify_requests`).
+type Slot = u32;
+
 /// Why a rank is suspended.
 #[derive(Clone, Copy, Debug)]
 enum Blocked {
-    /// In `Wait` on a receive request that hasn't completed.
-    OnReq(ReqId),
+    /// In `Wait` on a request that hasn't completed.
+    OnReq(Slot),
     /// In a blocking `Recv` with no matching message yet.
     OnRecv { from: Rank, tag: u64, bytes: u64 },
 }
@@ -188,6 +204,48 @@ enum ReqState {
     PendingSend,
 }
 
+/// Unmatched messages (or unmatched posted receives) of one rank,
+/// first-in first-out per `(peer, tag)`.
+///
+/// One queue per *peer*, searched front to back for the tag: a peer's
+/// messages arrive in the order it sent them and its receives are
+/// posted in that order too, so the match is the front entry, a matched
+/// entry is gone (live size is what is in flight, not what ever was),
+/// and a peer that runs far ahead cannot slow the lookups of another.
+/// The peers of a rank are its few neighbours, so finding the queue is
+/// a scan of two or three entries — no hashing anywhere.
+#[derive(Default)]
+struct MatchTable<T> {
+    peers: Vec<(Rank, VecDeque<(u64, T)>)>,
+    #[cfg(test)]
+    peak: usize,
+}
+
+impl<T> MatchTable<T> {
+    fn push(&mut self, peer: Rank, tag: u64, item: T) {
+        match self.peers.iter_mut().find(|(p, _)| *p == peer) {
+            Some((_, queue)) => queue.push_back((tag, item)),
+            None => self.peers.push((peer, VecDeque::from([(tag, item)]))),
+        }
+        #[cfg(test)]
+        {
+            self.peak = self.peak.max(self.len());
+        }
+    }
+
+    /// Remove and return the oldest entry under `(peer, tag)`.
+    fn take(&mut self, peer: Rank, tag: u64) -> Option<T> {
+        let (_, queue) = self.peers.iter_mut().find(|(p, _)| *p == peer)?;
+        let at = queue.iter().position(|(t, _)| *t == tag)?;
+        queue.remove(at).map(|(_, item)| item)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.peers.iter().map(|(_, queue)| queue.len()).sum()
+    }
+}
+
 #[derive(Default)]
 struct RankState {
     pc: usize,
@@ -196,11 +254,13 @@ struct RankState {
     blocked: Option<Blocked>,
     tx_free: SimTime,
     rx_free: SimTime,
-    reqs: HashMap<ReqId, ReqState>,
-    /// Arrived-but-unmatched messages: (ready time, bytes) FIFO per key.
-    arrived: HashMap<(Rank, u64), VecDeque<(SimTime, u64)>>,
-    /// Posted-but-unmatched receive requests, FIFO per key.
-    posted: HashMap<(Rank, u64), VecDeque<(ReqId, u64)>>,
+    /// Request state by dense slot; `None` until the request is posted.
+    reqs: Vec<Option<ReqState>>,
+    /// Arrived-but-unmatched messages: (ready time, bytes).
+    arrived: MatchTable<(SimTime, u64)>,
+    /// Posted-but-unmatched receive requests: (slot, bytes).
+    posted: MatchTable<(Slot, u64)>,
+    totals: CpuTotals,
     done: bool,
 }
 
@@ -211,6 +271,13 @@ struct RankState {
 /// lane reservation happens in exact wall-clock order — a rank cannot
 /// claim its NIC "in the future" ahead of a message that arrives
 /// earlier.
+///
+/// A rank whose follow-up `Run` is due **strictly before** everything
+/// in the queue executes it at once instead of pushing and popping it
+/// (`Engine::run_events`): nothing could have been ordered in between. A
+/// follow-up that *ties* with the head of the queue still goes through
+/// it, so same-timestamp events keep their push order — the `TxEnqueue`
+/// an `Isend` pushes runs before the `Run` pushed after it.
 #[derive(Debug)]
 enum Ev {
     /// Execute the next op of a rank's program.
@@ -222,7 +289,7 @@ enum Ev {
         dst: Rank,
         tag: u64,
         bytes: u64,
-        req: ReqId,
+        req: Slot,
     },
     /// A non-blocking message reaches the destination NIC (RX lane next).
     NicArrival {
@@ -283,15 +350,14 @@ pub struct Engine {
 
 impl Engine {
     /// Create an engine over one program per rank.
-    pub fn new(cfg: SimConfig, programs: Vec<Program>) -> Result<Self, SimError> {
+    pub fn new(cfg: SimConfig, mut programs: Vec<Program>) -> Result<Self, SimError> {
         let n = programs.len();
-        for (rank, p) in programs.iter().enumerate() {
-            if let Err(e) = p.validate() {
-                return Err(SimError::InvalidProgram {
-                    rank,
-                    detail: e.to_string(),
-                });
-            }
+        let mut ranks = Vec::with_capacity(n);
+        for (rank, p) in programs.iter_mut().enumerate() {
+            let requests = p.densify_requests().map_err(|e| SimError::InvalidProgram {
+                rank,
+                detail: e.to_string(),
+            })?;
             for op in p.ops() {
                 let target = match *op {
                     Op::Send { to, .. } | Op::Isend { to, .. } => Some(to),
@@ -304,9 +370,11 @@ impl Engine {
                     }
                 }
             }
+            ranks.push(RankState {
+                reqs: vec![None; requests],
+                ..RankState::default()
+            });
         }
-        let mut ranks = Vec::with_capacity(n);
-        ranks.resize_with(n, RankState::default);
         let trace = if cfg.record_trace {
             Trace::enabled()
         } else {
@@ -343,14 +411,48 @@ impl Engine {
         self.queue.push(Reverse(item));
     }
 
+    /// Record a CPU-lane interval: into the rank's running totals
+    /// (always) and into the trace (when enabled).
+    fn record_cpu(&mut self, rank: Rank, activity: Activity, start: SimTime, end: SimTime) {
+        self.ranks[rank].totals.add(activity, (end - start).as_us());
+        self.trace.record(rank, activity, start, end);
+    }
+
     /// Run to completion.
     pub fn run(mut self) -> Result<SimResult, SimError> {
+        self.run_events()?;
+        let finish: Vec<SimTime> = self.ranks.iter().map(|s| s.now).collect();
+        let mut makespan = SimTime::ZERO;
+        for s in &self.ranks {
+            makespan = makespan.max(s.now).max(s.tx_free).max(s.rx_free);
+        }
+        Ok(SimResult {
+            finish,
+            makespan,
+            cpu_totals: self.ranks.iter().map(|s| s.totals).collect(),
+            trace: self.trace,
+        })
+    }
+
+    /// Drain the event queue; an error if a rank is left unfinished.
+    fn run_events(&mut self) -> Result<(), SimError> {
         for r in 0..self.ranks.len() {
             self.push(SimTime::ZERO, Ev::Run(r));
         }
         while let Some(Reverse(item)) = self.queue.pop() {
             match item.ev {
-                Ev::Run(rank) => self.advance(rank)?,
+                Ev::Run(rank) => {
+                    // Keep going while the follow-up is strictly ahead
+                    // of every queued event; a tie goes through the
+                    // queue (see [`Ev`]).
+                    while let Some(next) = self.advance(rank)? {
+                        let head = self.queue.peek();
+                        if head.is_some_and(|Reverse(head)| head.time <= next) {
+                            self.push(next, Ev::Run(rank));
+                            break;
+                        }
+                    }
+                }
                 Ev::TxEnqueue {
                     src,
                     dst,
@@ -387,12 +489,11 @@ impl Engine {
                     }
                     self.trace.record(src, Activity::TxBusy, start, tx_done);
                     // Local completion: the send buffer is reusable.
-                    self.ranks[src].reqs.insert(req, ReqState::Done(tx_done));
+                    self.ranks[src].reqs[req as usize] = Some(ReqState::Done(tx_done));
                     if let Some(Blocked::OnReq(wr)) = self.ranks[src].blocked {
                         if wr == req {
                             let resume = self.ranks[src].now.max(tx_done);
-                            self.trace
-                                .record(src, Activity::Idle, self.ranks[src].now, resume);
+                            self.record_cpu(src, Activity::Idle, self.ranks[src].now, resume);
                             self.ranks[src].now = resume;
                             self.ranks[src].blocked = None;
                             self.ranks[src].pc += 1;
@@ -457,16 +558,7 @@ impl Engine {
         if !blocked.is_empty() {
             return Err(SimError::Deadlock { blocked });
         }
-        let finish: Vec<SimTime> = self.ranks.iter().map(|s| s.now).collect();
-        let mut makespan = SimTime::ZERO;
-        for s in &self.ranks {
-            makespan = makespan.max(s.now).max(s.tx_free).max(s.rx_free);
-        }
-        Ok(SimResult {
-            finish,
-            makespan,
-            trace: self.trace,
-        })
+        Ok(())
     }
 
     /// A message is fully delivered at `ready`: match it or queue it.
@@ -496,11 +588,9 @@ impl Engine {
                 // Resume: CPU pays the blocking-receive copy path after
                 // the later of (arrival, block start).
                 let resume = self.ranks[dst].now.max(ready);
-                self.trace
-                    .record(dst, Activity::Idle, self.ranks[dst].now, resume);
+                self.record_cpu(dst, Activity::Idle, self.ranks[dst].now, resume);
                 let copy = SimTime::from_us(self.cfg.machine.startup_us(bytes as f64));
-                self.trace
-                    .record(dst, Activity::BlockingRecv, resume, resume + copy);
+                self.record_cpu(dst, Activity::BlockingRecv, resume, resume + copy);
                 self.ranks[dst].now = resume + copy;
                 self.ranks[dst].blocked = None;
                 self.ranks[dst].pc += 1;
@@ -510,54 +600,44 @@ impl Engine {
             }
         }
         // A posted Irecv?
-        if let Some(q) = self.ranks[dst].posted.get_mut(&(src, tag)) {
-            if let Some((req, wbytes)) = q.pop_front() {
-                if q.is_empty() {
-                    self.ranks[dst].posted.remove(&(src, tag));
-                }
-                if wbytes != bytes {
-                    return Err(SimError::ByteMismatch {
-                        rank: dst,
-                        expected: wbytes,
-                        actual: bytes,
-                    });
-                }
-                self.ranks[dst].reqs.insert(req, ReqState::Done(ready));
-                // If the rank is parked in Wait on this request, resume it.
-                if let Some(Blocked::OnReq(wr)) = self.ranks[dst].blocked {
-                    if wr == req {
-                        let resume = self.ranks[dst].now.max(ready);
-                        self.trace
-                            .record(dst, Activity::Idle, self.ranks[dst].now, resume);
-                        self.ranks[dst].now = resume;
-                        self.ranks[dst].blocked = None;
-                        self.ranks[dst].pc += 1; // past the Wait
-                        self.push(resume, Ev::Run(dst));
-                    }
-                }
-                return Ok(());
+        if let Some((req, wbytes)) = self.ranks[dst].posted.take(src, tag) {
+            if wbytes != bytes {
+                return Err(SimError::ByteMismatch {
+                    rank: dst,
+                    expected: wbytes,
+                    actual: bytes,
+                });
             }
+            self.ranks[dst].reqs[req as usize] = Some(ReqState::Done(ready));
+            // If the rank is parked in Wait on this request, resume it.
+            if let Some(Blocked::OnReq(wr)) = self.ranks[dst].blocked {
+                if wr == req {
+                    let resume = self.ranks[dst].now.max(ready);
+                    self.record_cpu(dst, Activity::Idle, self.ranks[dst].now, resume);
+                    self.ranks[dst].now = resume;
+                    self.ranks[dst].blocked = None;
+                    self.ranks[dst].pc += 1; // past the Wait
+                    self.push(resume, Ev::Run(dst));
+                }
+            }
+            return Ok(());
         }
         // Nobody asked yet: buffer eagerly.
-        self.ranks[dst]
-            .arrived
-            .entry((src, tag))
-            .or_default()
-            .push_back((ready, bytes));
+        self.ranks[dst].arrived.push(src, tag, (ready, bytes));
         Ok(())
     }
 
-    /// Execute the next op of a rank's program (one op per `Run` event,
-    /// so resource bookings stay in wall-clock order), scheduling the
-    /// follow-up `Run` unless the rank blocked or finished.
-    fn advance(&mut self, rank: Rank) -> Result<(), SimError> {
+    /// Execute the next op of a rank's program (one op per `Run`, so
+    /// resource bookings stay in wall-clock order). Returns when the
+    /// rank's follow-up `Run` is due — `None` if it blocked or finished.
+    fn advance(&mut self, rank: Rank) -> Result<Option<SimTime>, SimError> {
         if self.ranks[rank].done || self.ranks[rank].blocked.is_some() {
-            return Ok(());
+            return Ok(None);
         }
         let pc = self.ranks[rank].pc;
         if pc >= self.programs[rank].len() {
             self.ranks[rank].done = true;
-            return Ok(());
+            return Ok(None);
         }
         let op = self.programs[rank].ops()[pc].clone();
         let m = self.cfg.machine;
@@ -565,10 +645,8 @@ impl Engine {
             Op::Compute { us, .. } => {
                 let start = self.ranks[rank].now;
                 let end = start + SimTime::from_us(us / self.speeds.factor(rank));
-                self.trace.record(rank, Activity::Compute, start, end);
+                self.record_cpu(rank, Activity::Compute, start, end);
                 self.ranks[rank].now = end;
-                self.ranks[rank].pc += 1;
-                self.push(end, Ev::Run(rank));
             }
             Op::Isend {
                 to,
@@ -581,10 +659,9 @@ impl Engine {
                 let start = self.ranks[rank].now;
                 let a1 = SimTime::from_us(m.fill_mpi_buffer.eval(bytes as f64));
                 let cpu_done = start + a1;
-                self.trace.record(rank, Activity::PostSend, start, cpu_done);
+                self.record_cpu(rank, Activity::PostSend, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
-                self.ranks[rank].reqs.insert(req, ReqState::PendingSend);
-                self.ranks[rank].pc += 1;
+                self.ranks[rank].reqs[req.0 as usize] = Some(ReqState::PendingSend);
                 self.push(
                     cpu_done,
                     Ev::TxEnqueue {
@@ -592,10 +669,9 @@ impl Engine {
                         dst: to,
                         tag,
                         bytes,
-                        req,
+                        req: req.0,
                     },
                 );
-                self.push(cpu_done, Ev::Run(rank));
             }
             Op::Irecv {
                 from,
@@ -607,53 +683,42 @@ impl Engine {
                 let start = self.ranks[rank].now;
                 let a3 = SimTime::from_us(m.fill_mpi_buffer.eval(bytes as f64));
                 let cpu_done = start + a3;
-                self.trace.record(rank, Activity::PostRecv, start, cpu_done);
+                self.record_cpu(rank, Activity::PostRecv, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
                 // Early arrival?
-                let matched = self.ranks[rank]
-                    .arrived
-                    .get_mut(&(from, tag))
-                    .and_then(VecDeque::pop_front);
-                if let Some((ready, abytes)) = matched {
-                    if abytes != bytes {
+                let state = match self.ranks[rank].arrived.take(from, tag) {
+                    Some((_, abytes)) if abytes != bytes => {
                         return Err(SimError::ByteMismatch {
                             rank,
                             expected: bytes,
                             actual: abytes,
                         });
                     }
-                    self.ranks[rank].reqs.insert(req, ReqState::Done(ready));
-                } else {
-                    self.ranks[rank].reqs.insert(req, ReqState::PendingRecv);
-                    self.ranks[rank]
-                        .posted
-                        .entry((from, tag))
-                        .or_default()
-                        .push_back((req, bytes));
-                }
-                self.ranks[rank].pc += 1;
-                self.push(cpu_done, Ev::Run(rank));
+                    Some((ready, _)) => ReqState::Done(ready),
+                    None => {
+                        self.ranks[rank].posted.push(from, tag, (req.0, bytes));
+                        ReqState::PendingRecv
+                    }
+                };
+                self.ranks[rank].reqs[req.0 as usize] = Some(state);
             }
-            Op::Wait { req } => match self.ranks[rank].reqs.get(&req) {
+            Op::Wait { req } => match self.ranks[rank].reqs[req.0 as usize] {
                 Some(ReqState::Done(at)) => {
-                    let at = *at;
                     let now = self.ranks[rank].now;
                     if at > now {
-                        self.trace.record(rank, Activity::Idle, now, at);
+                        self.record_cpu(rank, Activity::Idle, now, at);
                         self.ranks[rank].now = at;
                     }
-                    self.ranks[rank].pc += 1;
-                    let t = self.ranks[rank].now;
-                    self.push(t, Ev::Run(rank));
                 }
                 Some(ReqState::PendingRecv) | Some(ReqState::PendingSend) => {
                     // Resumed by deliver() or the TxEnqueue handler.
-                    self.ranks[rank].blocked = Some(Blocked::OnReq(req));
+                    self.ranks[rank].blocked = Some(Blocked::OnReq(req.0));
+                    return Ok(None);
                 }
                 None => {
                     return Err(SimError::InvalidProgram {
                         rank,
-                        detail: format!("wait on unknown request {req:?}"),
+                        detail: format!("wait on unposted request at op #{pc}"),
                     });
                 }
             },
@@ -671,7 +736,7 @@ impl Engine {
                 if self.cfg.topology == NetworkTopology::SharedBus {
                     self.bus_free = end;
                 }
-                self.trace.record(rank, Activity::BlockingSend, start, end);
+                self.record_cpu(rank, Activity::BlockingSend, start, end);
                 self.ranks[rank].now = end;
                 let arrive = end + SimTime::from_us(self.cfg.wire_latency_us);
                 self.push(
@@ -683,39 +748,30 @@ impl Engine {
                         bytes,
                     },
                 );
-                self.ranks[rank].pc += 1;
-                self.push(end, Ev::Run(rank));
             }
             Op::Recv { from, tag, bytes } => {
-                let matched = self.ranks[rank]
-                    .arrived
-                    .get_mut(&(from, tag))
-                    .and_then(VecDeque::pop_front);
-                if let Some((ready, abytes)) = matched {
-                    if abytes != bytes {
-                        return Err(SimError::ByteMismatch {
-                            rank,
-                            expected: bytes,
-                            actual: abytes,
-                        });
-                    }
-                    let now = self.ranks[rank].now;
-                    let resume = now.max(ready);
-                    self.trace.record(rank, Activity::Idle, now, resume);
-                    let copy = SimTime::from_us(m.startup_us(bytes as f64));
-                    self.trace
-                        .record(rank, Activity::BlockingRecv, resume, resume + copy);
-                    self.ranks[rank].now = resume + copy;
-                    self.ranks[rank].pc += 1;
-                    let t = self.ranks[rank].now;
-                    self.push(t, Ev::Run(rank));
-                } else {
-                    self.ranks[rank].blocked = Some(Blocked::OnRecv { from, tag, bytes });
+                let Some((ready, abytes)) = self.ranks[rank].arrived.take(from, tag) else {
                     // Resumed by deliver().
+                    self.ranks[rank].blocked = Some(Blocked::OnRecv { from, tag, bytes });
+                    return Ok(None);
+                };
+                if abytes != bytes {
+                    return Err(SimError::ByteMismatch {
+                        rank,
+                        expected: bytes,
+                        actual: abytes,
+                    });
                 }
+                let now = self.ranks[rank].now;
+                let resume = now.max(ready);
+                self.record_cpu(rank, Activity::Idle, now, resume);
+                let copy = SimTime::from_us(m.startup_us(bytes as f64));
+                self.record_cpu(rank, Activity::BlockingRecv, resume, resume + copy);
+                self.ranks[rank].now = resume + copy;
             }
         }
-        Ok(())
+        self.ranks[rank].pc += 1;
+        Ok(Some(self.ranks[rank].now))
     }
 }
 
@@ -943,6 +999,129 @@ mod tests {
         p.wait(crate::program::ReqId(3));
         let err = simulate(cfg(), vec![p]).unwrap_err();
         assert!(matches!(err, SimError::InvalidProgram { .. }));
+    }
+
+    #[test]
+    fn sparse_request_handles_cost_one_slot_each() {
+        // Hand-written handles at both ends of the u32 range: the
+        // request table is sized by how many there are, not by the
+        // largest, and the timing is that of handles 0 and 1.
+        use crate::program::ReqId;
+        let build = |send: ReqId, recv: ReqId| {
+            let mut a = Program::new();
+            a.push(Op::Isend {
+                to: 1,
+                tag: 0,
+                bytes: 1000,
+                req: send,
+            });
+            a.push(Op::Irecv {
+                from: 1,
+                tag: 1,
+                bytes: 1000,
+                req: recv,
+            });
+            a.wait(recv);
+            a.wait(send);
+            let mut b = Program::new();
+            let r = b.irecv(0, 0, 1000);
+            let s = b.isend(0, 1, 1000);
+            b.wait(r);
+            b.wait(s);
+            vec![a, b]
+        };
+        let engine = Engine::new(cfg(), build(ReqId(u32::MAX), ReqId(0))).unwrap();
+        assert_eq!(engine.ranks[0].reqs.len(), 2);
+        let sparse = engine.run().unwrap();
+        let dense = simulate(cfg(), build(ReqId(0), ReqId(1))).unwrap();
+        assert_eq!(sparse.finish, dense.finish);
+        assert_eq!(sparse.trace.intervals(), dense.trace.intervals());
+    }
+
+    #[test]
+    fn request_misuse_is_still_an_invalid_program() {
+        use crate::program::ReqId;
+        let invalid = |p: Program| {
+            let err = simulate(cfg(), vec![p, Program::new()]).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidProgram { rank: 0, .. }),
+                "{err:?}"
+            );
+        };
+        // Wait on a handle nothing created, next to one that exists.
+        let mut unknown = Program::new();
+        let q = unknown.isend(1, 0, 8);
+        unknown.wait(q);
+        unknown.wait(ReqId(u32::MAX));
+        invalid(unknown);
+        // Wait before the handle's creation.
+        let mut early = Program::new();
+        early.wait(ReqId(0));
+        let _ = early.isend(1, 0, 8);
+        invalid(early);
+        // One handle, two creations.
+        let mut duplicate = Program::new();
+        for tag in 0..2 {
+            duplicate.push(Op::Isend {
+                to: 1,
+                tag,
+                bytes: 8,
+                req: ReqId(7),
+            });
+        }
+        invalid(duplicate);
+        // One handle, two waits.
+        let mut twice = Program::new();
+        let q = twice.isend(1, 0, 8);
+        twice.wait(q);
+        twice.wait(q);
+        invalid(twice);
+    }
+
+    #[test]
+    fn match_tables_hold_what_is_in_flight_not_what_ever_was() {
+        // Per-step tags: every message has a `(src, tag)` key of its
+        // own. 4096 steps on 2×2 ranks must leave the tables empty and
+        // never have held more than the schedule keeps in flight —
+        // receives posted one step ahead, from at most two neighbours.
+        use crate::builders::ClusterProblem;
+        use tiling_core::prelude::*;
+        let problem = ClusterProblem::new(
+            Tiling::rectangular(&[4, 4, 4]),
+            DependenceSet::paper_3d(),
+            IterationSpace::from_extents(&[8, 8, 4 * 4096]),
+            2,
+        )
+        .unwrap();
+        assert_eq!((problem.ranks(), problem.steps()), (4, 4096));
+        let machine = MachineParams::paper_cluster();
+        let cfg = SimConfig::new(machine).with_trace(false);
+        let mut engine = Engine::new(cfg, problem.overlapping_programs(&machine)).unwrap();
+        engine.run_events().unwrap();
+        for (rank, s) in engine.ranks.iter().enumerate() {
+            assert_eq!(s.arrived.len() + s.posted.len(), 0, "rank {rank}");
+            assert!(s.posted.peak <= 4, "rank {rank}: {}", s.posted.peak);
+            assert!(s.arrived.peak <= 4, "rank {rank}: {}", s.arrived.peak);
+        }
+        // The last rank does receive from two neighbours every step.
+        assert!(engine.ranks[3].posted.peak >= 2);
+    }
+
+    #[test]
+    fn match_table_is_fifo_per_peer_and_tag() {
+        let mut t = MatchTable::default();
+        t.push(1, 7, 'a');
+        t.push(2, 7, 'b');
+        t.push(1, 8, 'c');
+        t.push(1, 7, 'd');
+        assert_eq!(t.take(1, 9), None);
+        assert_eq!(t.take(3, 7), None);
+        assert_eq!(t.take(1, 8), Some('c'));
+        assert_eq!(t.take(1, 7), Some('a'));
+        assert_eq!(t.take(1, 7), Some('d'));
+        assert_eq!(t.take(1, 7), None);
+        assert_eq!(t.take(2, 7), Some('b'));
+        assert_eq!((t.len(), t.peak), (0, 4));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`engine`] — the event-driven interpreter.
 //! * [`builders`] — unroll a tiled loop nest ([`tiling_core`]) into the
 //!   paper's `ProcB` (blocking) and `ProcNB` (overlapping) programs.
-//! * [`trace`] — activity traces, Gantt charts, utilization.
+//! * [`trace`] — activity traces, Gantt charts.
+//! * [`stats`] — per-rank CPU totals and utilization; the engine keeps
+//!   the totals as it runs, so they do not need the trace.
 //!
 //! ```
 //! use cluster_sim::prelude::*;
@@ -36,6 +38,10 @@
 //! let blocking = simulate(cfg, problem.blocking_programs(&machine)).unwrap();
 //! let overlap = simulate(cfg, problem.overlapping_programs(&machine)).unwrap();
 //! assert!(overlap.makespan < blocking.makespan);
+//! // No trace was recorded; the utilization figures are there anyway.
+//! assert!(overlap.trace.intervals().is_empty());
+//! let busy = summarize(&overlap).unwrap();
+//! assert!(busy.mean_compute_fraction > summarize(&blocking).unwrap().mean_compute_fraction);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +64,7 @@ pub mod prelude {
     };
     pub use crate::program::{Op, Program, Rank, ReqId};
     pub use crate::pseudocode::{render_program, render_rank_listings};
-    pub use crate::stats::{rank_stats, stats_markdown, summarize, RankStats, Summary};
+    pub use crate::stats::{rank_stats, stats_markdown, summarize, CpuTotals, RankStats, Summary};
     pub use crate::time::{SimTime, TimeError};
     pub use crate::trace::{Activity, Interval, Trace};
 }

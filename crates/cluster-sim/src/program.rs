@@ -94,6 +94,14 @@ impl Program {
         Program::default()
     }
 
+    /// An empty program with room for `ops` operations.
+    pub fn with_capacity(ops: usize) -> Self {
+        Program {
+            ops: Vec::with_capacity(ops),
+            next_req: 0,
+        }
+    }
+
     /// Append an operation.
     pub fn push(&mut self, op: Op) {
         self.ops.push(op);
@@ -166,22 +174,75 @@ impl Program {
     }
 
     /// Static sanity check: every `Wait` refers to a request created by
-    /// an earlier `Isend`/`Irecv`, and no request is waited twice.
+    /// an earlier `Isend`/`Irecv`, no request is created or waited
+    /// twice, and every `Compute` has a finite non-negative duration.
+    /// A handle created twice is reported before anything else.
     pub fn validate(&self) -> Result<(), ProgramError> {
-        let mut created = std::collections::HashSet::new();
-        let mut waited = std::collections::HashSet::new();
+        self.request_slots().map(|_| ())
+    }
+
+    /// [`Program::validate`], then rename every request handle to its
+    /// dense slot `0..n` (handles in ascending order) and return `n`:
+    /// the engine keeps request state in a `Vec` indexed by slot, so a
+    /// hand-written `ReqId(u32::MAX)` costs one entry, not 4 G.
+    pub(crate) fn densify_requests(&mut self) -> Result<usize, ProgramError> {
+        let (slots, count) = self.request_slots()?;
+        for (op, slot) in self.ops.iter_mut().zip(slots) {
+            if let Op::Isend { req, .. } | Op::Irecv { req, .. } | Op::Wait { req } = op {
+                *req = ReqId(slot);
+            }
+        }
+        Ok(count)
+    }
+
+    /// The checks of [`Program::validate`] on dense indices: per op, the
+    /// slot of the request it names (0 for ops that name none), and the
+    /// number of slots.
+    fn request_slots(&self) -> Result<(Vec<u32>, usize), ProgramError> {
+        // (handle, creating op) in handle order: the position is the slot.
+        let mut created: Vec<(ReqId, usize)> = self
+            .ops
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, op)| match op {
+                Op::Isend { req, .. } | Op::Irecv { req, .. } => Some((*req, idx)),
+                _ => None,
+            })
+            .collect();
+        created.sort_unstable();
+        let duplicate = created
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1])
+            .min_by_key(|&(_, idx)| idx);
+        if let Some((req, idx)) = duplicate {
+            return Err(ProgramError::DuplicateRequest { idx, req });
+        }
+        // Builder-made programs number their handles 0, 1, 2, …: the
+        // handle is its own slot and the search below never runs.
+        let slot_of = |req: ReqId| {
+            let guess = req.0 as usize;
+            if created.get(guess).is_some_and(|c| c.0 == req) {
+                return Some(guess);
+            }
+            let slot = created.partition_point(|c| c.0 < req);
+            (created.get(slot)?.0 == req).then_some(slot)
+        };
+        let mut waited = vec![false; created.len()];
+        let mut slots = vec![0u32; self.ops.len()];
+        for (slot, &(_, idx)) in created.iter().enumerate() {
+            slots[idx] = slot as u32;
+        }
         for (idx, op) in self.ops.iter().enumerate() {
             match op {
-                Op::Isend { req, .. } | Op::Irecv { req, .. } if !created.insert(*req) => {
-                    return Err(ProgramError::DuplicateRequest { idx, req: *req });
-                }
                 Op::Wait { req } => {
-                    if !created.contains(req) {
-                        return Err(ProgramError::WaitBeforeCreate { idx, req: *req });
-                    }
-                    if !waited.insert(*req) {
+                    let slot = slot_of(*req)
+                        .filter(|&slot| created[slot].1 < idx)
+                        .ok_or(ProgramError::WaitBeforeCreate { idx, req: *req })?;
+                    if std::mem::replace(&mut waited[slot], true) {
                         return Err(ProgramError::DoubleWait { idx, req: *req });
                     }
+                    slots[idx] = slot as u32;
                 }
                 Op::Compute { us, .. } if (!us.is_finite() || *us < 0.0) => {
                     return Err(ProgramError::BadCompute { idx });
@@ -189,7 +250,7 @@ impl Program {
                 _ => {}
             }
         }
-        Ok(())
+        Ok((slots, created.len()))
     }
 }
 
@@ -303,6 +364,50 @@ mod tests {
             p.validate(),
             Err(ProgramError::DuplicateRequest { .. })
         ));
+    }
+
+    #[test]
+    fn sparse_handles_validate_and_densify_in_handle_order() {
+        let mut p = Program::new();
+        for (tag, req) in [(0, ReqId(u32::MAX)), (1, ReqId(40)), (2, ReqId(0))] {
+            p.push(Op::Irecv {
+                from: 0,
+                tag,
+                bytes: 1,
+                req,
+            });
+        }
+        p.wait(ReqId(40));
+        p.wait(ReqId(u32::MAX));
+        assert!(p.validate().is_ok());
+        assert_eq!(p.densify_requests(), Ok(3));
+        let reqs: Vec<u32> = p
+            .ops()
+            .iter()
+            .map(|op| match op {
+                Op::Irecv { req, .. } | Op::Wait { req } => req.0,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(reqs, [2, 1, 0, 1, 2]);
+        // Dense already: renaming is the identity.
+        let before = p.clone();
+        assert_eq!(p.densify_requests(), Ok(3));
+        assert_eq!(p.ops(), before.ops());
+    }
+
+    #[test]
+    fn wait_ahead_of_its_creation_rejected() {
+        let mut p = Program::new();
+        p.wait(ReqId(0));
+        let _ = p.isend(0, 0, 8);
+        assert_eq!(
+            p.validate(),
+            Err(ProgramError::WaitBeforeCreate {
+                idx: 0,
+                req: ReqId(0)
+            })
+        );
     }
 
     #[test]

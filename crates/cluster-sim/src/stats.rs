@@ -1,15 +1,53 @@
-//! Utilization statistics over simulation traces.
+//! Utilization statistics of a simulation run.
 //!
 //! §4 of the paper claims the overlapping schedule yields "theoretically
 //! 100% processor utilization" — successive computations back to back,
 //! with communication hidden on the DMA lanes. This module quantifies
-//! that: per-rank busy/idle breakdowns and fleet summaries, computed
-//! from recorded traces.
+//! that: per-rank busy/idle breakdowns and fleet summaries.
+//!
+//! The numbers come from [`CpuTotals`], which the engine accumulates
+//! interval by interval as it records them — not from the trace — so
+//! they are the same bits whether or not the run kept its trace
+//! (`SimConfig::with_trace(false)`), and cost nothing to read.
 
 use crate::engine::SimResult;
 use crate::program::Rank;
 use crate::time::SimTime;
 use crate::trace::Activity;
+
+/// CPU time of one rank by activity class (µs): the running sums the
+/// engine keeps while it executes, one `+=` per recorded CPU interval
+/// in recording order.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CpuTotals {
+    /// Pure tile computation.
+    pub compute_us: f64,
+    /// Non-blocking posting costs `A₁ + A₃`.
+    pub post_us: f64,
+    /// Blocking send/receive CPU time.
+    pub blocking_comm_us: f64,
+    /// Idle (waiting) time.
+    pub idle_us: f64,
+}
+
+impl CpuTotals {
+    /// Account `us` microseconds of `activity`. NIC-lane activities are
+    /// not CPU time and are ignored.
+    pub fn add(&mut self, activity: Activity, us: f64) {
+        match activity {
+            Activity::Compute => self.compute_us += us,
+            Activity::PostSend | Activity::PostRecv => self.post_us += us,
+            Activity::BlockingSend | Activity::BlockingRecv => self.blocking_comm_us += us,
+            Activity::Idle | Activity::Stall => self.idle_us += us,
+            Activity::TxBusy | Activity::RxBusy => {}
+        }
+    }
+
+    /// CPU-busy time: everything but idling.
+    pub fn busy_us(&self) -> f64 {
+        self.compute_us + self.post_us + self.blocking_comm_us
+    }
+}
 
 /// Per-rank activity breakdown.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,39 +70,28 @@ pub struct RankStats {
     pub compute_fraction: f64,
 }
 
-/// Compute per-rank statistics from a traced simulation result.
+/// Per-rank statistics of a simulation result (traced or not).
 pub fn rank_stats(result: &SimResult) -> Vec<RankStats> {
-    let ranks = result.finish.len();
-    let mut out = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        let mut compute = 0.0;
-        let mut post = 0.0;
-        let mut blocking = 0.0;
-        let mut idle = 0.0;
-        for iv in result.trace.for_rank(rank) {
-            let dur = (iv.end - iv.start).as_us();
-            match iv.activity {
-                Activity::Compute => compute += dur,
-                Activity::PostSend | Activity::PostRecv => post += dur,
-                Activity::BlockingSend | Activity::BlockingRecv => blocking += dur,
-                Activity::Idle | Activity::Stall => idle += dur,
-                Activity::TxBusy | Activity::RxBusy => {}
+    result
+        .cpu_totals
+        .iter()
+        .zip(&result.finish)
+        .enumerate()
+        .map(|(rank, (t, finish))| {
+            let finish = finish.as_us();
+            let busy = t.busy_us();
+            RankStats {
+                rank,
+                compute_us: t.compute_us,
+                post_us: t.post_us,
+                blocking_comm_us: t.blocking_comm_us,
+                idle_us: t.idle_us,
+                finish_us: finish,
+                utilization: if finish > 0.0 { busy / finish } else { 0.0 },
+                compute_fraction: if busy > 0.0 { t.compute_us / busy } else { 0.0 },
             }
-        }
-        let finish = result.finish[rank].as_us();
-        let busy = compute + post + blocking;
-        out.push(RankStats {
-            rank,
-            compute_us: compute,
-            post_us: post,
-            blocking_comm_us: blocking,
-            idle_us: idle,
-            finish_us: finish,
-            utilization: if finish > 0.0 { busy / finish } else { 0.0 },
-            compute_fraction: if busy > 0.0 { compute / busy } else { 0.0 },
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Fleet-level summary.
@@ -116,6 +143,7 @@ mod empty_tests {
         let empty = SimResult {
             finish: Vec::new(),
             makespan: SimTime::ZERO,
+            cpu_totals: Vec::new(),
             trace: Trace::disabled(),
         };
         assert_eq!(summarize(&empty), None);
@@ -153,8 +181,8 @@ pub fn horizon(result: &SimResult) -> SimTime {
 mod tests {
     use super::*;
     use crate::builders::ClusterProblem;
-    use crate::engine::{simulate, SimConfig};
-    use tiling_core::machine::MachineParams;
+    use crate::engine::{simulate, simulate_heterogeneous, SimConfig};
+    use tiling_core::machine::{MachineParams, NodeSpeeds};
     use tiling_core::prelude::*;
 
     fn problem() -> ClusterProblem {
@@ -228,5 +256,56 @@ mod tests {
         assert!(s.mean_utilization <= s.max_utilization);
         assert!(s.max_utilization <= 1.0 + 1e-9);
         assert!(s.makespan_us > 0.0);
+    }
+
+    /// Every lane/topology/fleet setting of one blocking and one
+    /// overlapping run of a shipped problem.
+    fn settings(mut check: impl FnMut(SimConfig, Vec<crate::program::Program>, NodeSpeeds)) {
+        use crate::engine::NetworkTopology::{SharedBus, Switched};
+        let machine = MachineParams::paper_cluster();
+        let p = problem();
+        for (duplex, topology, spread) in [
+            (false, Switched, 0.0),
+            (true, Switched, 0.0),
+            (false, SharedBus, 0.0),
+            (true, Switched, 0.3),
+        ] {
+            let cfg = SimConfig::new(machine)
+                .with_duplex(duplex)
+                .with_topology(topology);
+            let speeds = p.node_speeds(17, spread);
+            check(cfg, p.blocking_programs(&machine), speeds.clone());
+            check(cfg, p.overlapping_programs(&machine), speeds);
+        }
+    }
+
+    #[test]
+    fn statistics_do_not_need_the_trace() {
+        // Bitwise: the totals are the same additions in the same order
+        // whether or not the intervals are also kept.
+        settings(|cfg, programs, speeds| {
+            let traced = simulate_heterogeneous(cfg, programs.clone(), speeds.clone()).unwrap();
+            let bare = simulate_heterogeneous(cfg.with_trace(false), programs, speeds).unwrap();
+            assert!(bare.trace.intervals().is_empty());
+            assert_eq!(rank_stats(&traced), rank_stats(&bare));
+            let (a, b) = (summarize(&traced).unwrap(), summarize(&bare).unwrap());
+            assert_eq!(a, b);
+            assert!(b.mean_utilization > 0.0 && b.mean_compute_fraction > 0.0);
+        });
+    }
+
+    #[test]
+    fn totals_agree_with_the_trace() {
+        // The trace sums integer nanoseconds, the totals sum the same
+        // durations as f64 microseconds.
+        let close = |us: f64, t: SimTime| (us - t.as_us()).abs() <= 1e-9 * t.as_us().max(1.0);
+        settings(|cfg, programs, speeds| {
+            let res = simulate_heterogeneous(cfg, programs, speeds).unwrap();
+            for s in rank_stats(&res) {
+                let busy = s.compute_us + s.post_us + s.blocking_comm_us;
+                assert!(close(s.compute_us, res.trace.compute_time(s.rank)), "{s:?}");
+                assert!(close(busy, res.trace.cpu_busy(s.rank)), "{s:?}");
+            }
+        });
     }
 }

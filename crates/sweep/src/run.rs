@@ -1,5 +1,9 @@
 //! The sweep executor: one full cluster simulation per config, fanned
 //! out over a worker pool, each point isolated behind `catch_unwind`.
+//! The calling thread is worker 0, so a one-worker sweep — the
+//! autotuner's inner loop, a benchmark op — spawns nothing. Simulations
+//! run without an interval trace: utilisation comes from the totals the
+//! engine keeps anyway (`cluster_sim::stats`).
 //!
 //! Determinism contract: results are written into a slot-per-config
 //! vector, so the output order is the config order regardless of worker
@@ -147,7 +151,8 @@ fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     };
     let cfg = SimConfig::new(machine)
         .with_duplex(c.duplex)
-        .with_topology(topology);
+        .with_topology(topology)
+        .with_trace(false);
     let speeds = problem.node_speeds(c.seed, c.hetero_spread);
     let result =
         simulate_heterogeneous(cfg, programs, speeds).map_err(|e| EvalError::Sim(e.to_string()))?;
@@ -226,7 +231,8 @@ fn run_one(c: &SweepConfig) -> SweepRow {
     }
 }
 
-/// Run every config on a pool of `workers` threads.
+/// Run every config on a pool of `workers` threads, the caller being
+/// one of them.
 ///
 /// Work distribution is a single atomic cursor (the planc service's
 /// queue shape, minus the persistent threads); each result lands in its
@@ -236,17 +242,19 @@ pub fn run_sweep(configs: &[SweepConfig], workers: usize) -> SweepOutcome {
     let workers = workers.max(1).min(configs.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SweepRow>>> = configs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let row = run_one(&configs[i]);
-                *slots[i].lock().expect("slot lock") = Some(row);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= configs.len() {
+            break;
         }
+        let row = run_one(&configs[i]);
+        *slots[i].lock().expect("slot lock") = Some(row);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     let rows: Vec<SweepRow> = slots
         .into_iter()
