@@ -440,6 +440,22 @@ git diff --exit-code results/fig9.csv results/fig10.csv results/fig11.csv || {
 }
 echo "ci.sh: simulated-numbers gate ok — sim-sweep sum 897651.873 us, Figs. 9-11 byte-identical"
 
+# Slot-window gate, from the same traced pass: its probe runs the
+# zero-latency `fine-grain` shape on a cold and then a warm slot world.
+# A world without a wire may neither copy a payload (a warm run that
+# allocates is a slot pool falling back) nor grow a pool (a cold run
+# warms the 8 slots a link starts with: 8 / 2048 steps).
+echo "$sim_out" | grep -Eq 'msgpass\.slot_fallbacks +0\.000000 count' &&
+    echo "$sim_out" | awk '
+        $1 == "msgpass.fresh_allocs_per_step" { seen = 1; if ($2 + 0 > 0.01) bad = 1 }
+        END { exit !seen || bad }
+    ' || {
+    echo "$sim_out" | grep -E 'slot_fallbacks|fresh_allocs_per_step' >&2
+    echo "ci.sh: a zero-latency slot world copied a payload or grew its window" >&2
+    exit 1
+}
+echo "ci.sh: slot-window gate ok — no fallback copy, no growth without a wire"
+
 # Not a gate: ROADMAP item 3 tracks the workspace Rust line count
 # (target <= 33k), so every log shows where it stands.
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)

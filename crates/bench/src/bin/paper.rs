@@ -43,16 +43,35 @@ use bench::scaling::{scaling_markdown, serial_time_us, strong_scaling};
 use bench::sensitivity::{comm_scale_sweep, sensitivity_markdown};
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate, SimConfig};
-use std::path::Path;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use sweep::config::{generate as sweep_generate, Schedule as SweepSchedule, SweepSpec};
 use sweep::output::{summary_json, to_csv, training_csv};
 use sweep::run::{run_sweep, RowStatus};
 use tiling_core::prelude::*;
 
-fn out_dir() -> &'static Path {
-    let p = Path::new("results");
-    std::fs::create_dir_all(p).expect("create results dir");
+fn out_dir() -> PathBuf {
+    let p = repo_root().join("results");
+    std::fs::create_dir_all(&p).expect("create results dir");
     p
+}
+
+/// The checkout every command writes into (`results/`, and the
+/// `BENCH_stencil.json` ledger of `perf` and `tune`), resolved when the
+/// command runs: `cargo run -p bench` exports this package's
+/// `CARGO_MANIFEST_DIR` (two levels below the root); a bare binary is
+/// started from the root, as `ci.sh` does. A path baked in at compile
+/// time would send a copied checkout's output, warm `target/` and all,
+/// into the checkout it was copied from.
+fn repo_root() -> PathBuf {
+    repo_root_from(std::env::var_os("CARGO_MANIFEST_DIR"))
+}
+
+fn repo_root_from(manifest_dir: Option<OsString>) -> PathBuf {
+    match manifest_dir {
+        Some(dir) => Path::new(&dir).join("../.."),
+        None => PathBuf::from("."),
+    }
 }
 
 fn cmd_example1() {
@@ -1531,20 +1550,15 @@ mod perf {
             json_service
         );
         let path = if quick {
-            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-            std::fs::create_dir_all(dir).expect("create results dir");
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../results/BENCH_quick.json"
-            )
+            super::out_dir().join("BENCH_quick.json")
         } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stencil.json")
+            super::repo_root().join("BENCH_stencil.json")
         };
-        std::fs::write(path, &json).expect("write benchmark json");
+        std::fs::write(&path, &json).expect("write benchmark json");
         println!(
             "\nheadline: paper3d-blocking-vs-overlap — overlapping finishes {headline_speedup:.2}x sooner than blocking under the lanes wire"
         );
-        println!("written to {path}");
+        println!("written to {}", path.display());
     }
 }
 
@@ -2066,8 +2080,8 @@ mod tune {
     /// Splice (or replace) the `"tune"` section into the committed
     /// BENCH_stencil.json, preserving every other section byte-for-byte.
     fn splice_into_bench(tune_json: &str) {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stencil.json");
-        let mut base = std::fs::read_to_string(path)
+        let path = super::repo_root().join("BENCH_stencil.json");
+        let mut base = std::fs::read_to_string(&path)
             .unwrap_or_else(|_| "{\n  \"bench\": \"stencil-hot-paths\"\n}\n".to_string());
         if let Some(i) = base.find(",\n  \"tune\"") {
             base.truncate(i);
@@ -2076,9 +2090,9 @@ mod tune {
         let root = base.rfind('}').expect("malformed BENCH_stencil.json");
         base.truncate(root);
         let trimmed = base.trim_end();
-        std::fs::write(path, format!("{trimmed},\n  \"tune\": {tune_json}\n}}\n"))
+        std::fs::write(&path, format!("{trimmed},\n  \"tune\": {tune_json}\n}}\n"))
             .expect("write benchmark json");
-        println!("\nwritten to {path}");
+        println!("\nwritten to {}", path.display());
     }
 }
 
@@ -2358,5 +2372,26 @@ fn main() {
             perf::run(false);
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repo_root_follows_the_checkout_that_runs_not_the_one_that_compiled() {
+        // A moved checkout: cargo exports its `crates/bench`, and the
+        // ledger has to land two levels above *that*.
+        let checkout = std::env::temp_dir().join(format!("paper-root-{}", std::process::id()));
+        let manifest_dir = checkout.join("crates").join("bench");
+        std::fs::create_dir_all(&manifest_dir).expect("temp checkout");
+        let root = repo_root_from(Some(manifest_dir.into_os_string()));
+        std::fs::write(root.join("BENCH_stencil.json"), "{}").expect("write through the root");
+        assert!(checkout.join("BENCH_stencil.json").is_file());
+        assert!(!root.starts_with(env!("CARGO_MANIFEST_DIR")));
+        std::fs::remove_dir_all(&checkout).expect("clean up");
+        // A bare binary: the directory it was started in.
+        assert_eq!(repo_root_from(None), Path::new("."));
     }
 }

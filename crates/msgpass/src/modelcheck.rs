@@ -16,18 +16,24 @@
 //! * **no lost slot** — after draining, all messages arrived in FIFO
 //!   order with intact contents and every slot refcount returned to 0.
 //!
+//! The wire-held variant ([`SlotRingModel::wire_held`]) stamps every
+//! message as still on the wire, so a producer that finds its pool
+//! exhausted **grows** it mid-schedule: the same four properties then
+//! range over every chunk, a lease issued before a grow must still
+//! read its own generation after it, and no stage may fall back to a
+//! copy — while the plain variant must never grow at all.
+//!
 //! The schedules are replayed on one thread, so these checks cover the
 //! *protocol logic* (claim/stage/publish/consume/release ordering);
 //! the memory-ordering correctness of the individual atomics is
 //! covered separately (`cargo miri test -p msgpass` in `ci.sh`, plus
 //! the cross-thread stress tests).
 
-use crate::slot_transport::{make_slot_link_raw, SlotPool, SlotRx, SlotTx};
+use crate::slot_transport::{make_slot_link_raw, SlotRx, SlotTx};
 use crate::transport::{Envelope, LinkRx, LinkTx, Payload, PoolStats};
 use miniloom::CheckOptions;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Elements per staged payload — enough to make a scribbled buffer
 /// visible, small enough to keep replays cheap.
@@ -37,22 +43,37 @@ const PAYLOAD_LEN: usize = 3;
 /// staging and pushing `messages` generation-stamped payloads, and a
 /// consumer thread alternating pops with lease releases.
 pub struct SlotRingModel {
-    /// Payload slots per link (ring capacity is twice this).
+    /// Payload slots the link starts with (ring capacity is twice
+    /// this).
     pub slots: usize,
     /// Messages the producer stages and pushes.
     pub messages: usize,
+    /// How long after its push a message leaves the wire. Zero: every
+    /// lease is past due at once and the pool must keep its size.
+    wire: Duration,
     /// Test hook: skip the final lease release so the lost-slot
     /// invariant must fire.
     leak_one: bool,
 }
 
 impl SlotRingModel {
-    /// A model of a `slots`-slot link carrying `messages` messages.
+    /// A model of a `slots`-slot zero-latency link carrying `messages`
+    /// messages.
     pub fn new(slots: usize, messages: usize) -> Self {
         SlotRingModel {
             slots,
             messages,
+            wire: Duration::ZERO,
             leak_one: false,
+        }
+    }
+
+    /// The same link with every message still on the wire for the whole
+    /// exploration: an exhausted pool grows instead of copying.
+    pub fn wire_held(slots: usize, messages: usize) -> Self {
+        SlotRingModel {
+            wire: Duration::from_secs(3600),
+            ..SlotRingModel::new(slots, messages)
         }
     }
 }
@@ -62,7 +83,6 @@ impl SlotRingModel {
 pub struct RingState {
     tx: SlotTx<u32>,
     rx: SlotRx<u32>,
-    pool: Arc<SlotPool<u32>>,
     stats: PoolStats,
     /// Staged but not yet pushed: (generation, payload).
     staged: VecDeque<(u32, Payload<u32>)>,
@@ -129,11 +149,10 @@ impl miniloom::Model for SlotRingModel {
     type State = RingState;
 
     fn init(&self) -> RingState {
-        let (tx, rx, pool) = make_slot_link_raw(self.slots);
+        let (tx, rx) = make_slot_link_raw(self.slots);
         RingState {
             tx,
             rx,
-            pool,
             stats: PoolStats::default(),
             staged: VecDeque::new(),
             wire: VecDeque::new(),
@@ -171,13 +190,19 @@ impl miniloom::Model for SlotRingModel {
                     },
                     0,
                 );
-                if let Some(idx) = lease_slot(&payload) {
-                    if live.contains(&idx) {
+                match lease_slot(&payload) {
+                    Some(idx) if live.contains(&idx) => {
                         return Err(format!(
                             "double-claim: stage of generation {gen} returned slot {idx}, \
                              already referenced by a live lease"
                         ));
                     }
+                    None if !self.wire.is_zero() => {
+                        return Err(format!(
+                            "stage of generation {gen} copied although the wire held every slot"
+                        ));
+                    }
+                    _ => {}
                 }
                 state.staged.push_back((gen, payload));
             } else if let Some((gen, payload)) = state.staged.pop_front() {
@@ -188,7 +213,7 @@ impl miniloom::Model for SlotRingModel {
                         tag: u64::from(gen),
                         payload,
                         seq: 0,
-                        ready_at: Instant::now(),
+                        ready_at: Instant::now() + self.wire,
                     })
                     .map_err(|_| "receiver vanished mid-run".to_string())?;
                 state.wire.push_back((gen, slot));
@@ -210,8 +235,8 @@ impl miniloom::Model for SlotRingModel {
         if live.windows(2).any(|w| w[0] == w[1]) {
             return Err(format!("two live leases share a slot: {live:?}"));
         }
-        for idx in 0..state.pool.slot_count() {
-            let refs = state.pool.ref_count(idx);
+        for idx in 0..state.tx.slot_count() {
+            let refs = state.tx.ref_count(idx);
             let expected = u32::from(live.contains(&idx));
             if refs != expected {
                 return Err(format!(
@@ -245,13 +270,20 @@ impl miniloom::Model for SlotRingModel {
         }
         // Lost-slot check: with no live leases left, every slot's
         // refcount must have returned to 0.
-        for idx in 0..state.pool.slot_count() {
-            let refs = state.pool.ref_count(idx);
+        for idx in 0..state.tx.slot_count() {
+            let refs = state.tx.ref_count(idx);
             if refs != 0 {
                 return Err(format!(
                     "lost slot: slot {idx} still holds {refs} reference(s)"
                 ));
             }
+        }
+        let grown = state.tx.slot_count() - self.slots;
+        if grown as u64 != state.stats.grown || (self.wire.is_zero() && grown > 0) {
+            return Err(format!(
+                "pool grew by {grown} slot(s), counted {}, wire time {:?}",
+                state.stats.grown, self.wire
+            ));
         }
         Ok(())
     }
@@ -327,7 +359,6 @@ struct WireEntry {
 pub struct RetransState {
     tx: SlotTx<u32>,
     rx: SlotRx<u32>,
-    pool: Arc<SlotPool<u32>>,
     stats: PoolStats,
     /// Staged but not yet pushed (at most one: stage/push alternate).
     staged: Option<(u32, Payload<u32>)>,
@@ -396,11 +427,10 @@ impl miniloom::Model for SlotRetransModel {
     type State = RetransState;
 
     fn init(&self) -> RetransState {
-        let (tx, rx, pool) = make_slot_link_raw(self.slots);
+        let (tx, rx) = make_slot_link_raw(self.slots);
         RetransState {
             tx,
             rx,
-            pool,
             stats: PoolStats::default(),
             staged: None,
             ledger: VecDeque::new(),
@@ -508,9 +538,9 @@ impl miniloom::Model for SlotRetransModel {
         // Refcount exactness, duplicate-aware: a slot's refcount must
         // equal the number of live handles on it (staged + ledger +
         // wire + held), not merely 0 or 1.
-        let counts = state.live_slot_counts(state.pool.slot_count());
+        let counts = state.live_slot_counts(state.tx.slot_count());
         for (idx, &expected) in counts.iter().enumerate() {
-            let refs = state.pool.ref_count(idx);
+            let refs = state.tx.ref_count(idx);
             if refs != expected {
                 return Err(format!(
                     "slot {idx} refcount {refs}, expected {expected} live handle(s)"
@@ -540,8 +570,8 @@ impl miniloom::Model for SlotRetransModel {
                 state.next_pop, self.messages
             ));
         }
-        for idx in 0..state.pool.slot_count() {
-            let refs = state.pool.ref_count(idx);
+        for idx in 0..state.tx.slot_count() {
+            let refs = state.tx.ref_count(idx);
             if refs != 0 {
                 return Err(format!(
                     "lost slot: slot {idx} still holds {refs} reference(s)"
@@ -587,13 +617,45 @@ mod tests {
     }
 
     #[test]
+    fn wire_held_ring_grows_and_stays_clean_across_all_interleavings() {
+        // One and two initial slots, more messages than either: the
+        // producer-first schedules grow the pool (1 → 2 → 4), the
+        // lockstep ones reuse slot 0 and never do, and every mix in
+        // between claims across chunk boundaries.
+        for (slots, messages) in [(1, 3), (2, 4)] {
+            let model = SlotRingModel::wire_held(slots, messages);
+            let report = miniloom::explore(&model).expect("growth keeps the slot protocol");
+            assert_eq!(
+                Ok(report.schedules),
+                miniloom::schedule_count(&[2 * messages, 2 * messages]).map_err(|e| e.to_string())
+            );
+        }
+        // The all-producer-then-all-consumer schedule, by hand: the
+        // pool did grow, and by exactly what the counters say.
+        let model = SlotRingModel::wire_held(1, 3);
+        let mut state = miniloom::Model::init(&model);
+        for tid in 0..2 {
+            for idx in 0..6 {
+                miniloom::Model::step(&model, &mut state, tid, idx).expect("clean step");
+                miniloom::Model::invariant(&model, &state).expect("clean state");
+            }
+        }
+        miniloom::Model::finalize(&model, &mut state).expect("clean drain");
+        assert_eq!(state.tx.slot_count(), 4, "1 → 2 → 4");
+        assert_eq!(state.stats.grown, 3);
+        assert_eq!(state.stats.stage_waits, 0);
+    }
+
+    #[test]
     fn checker_detects_a_leaked_lease() {
         // Sanity-check the harness itself: forgetting one lease must
-        // trip the lost-slot invariant on the very first schedule.
-        let mut model = SlotRingModel::new(2, 2);
-        model.leak_one = true;
-        let v = miniloom::explore(&model).expect_err("a leak must be caught");
-        assert!(v.message.contains("lost slot"), "{v}");
+        // trip the lost-slot invariant on the very first schedule —
+        // whether or not the pool grew on the way.
+        for mut model in [SlotRingModel::new(2, 2), SlotRingModel::wire_held(1, 2)] {
+            model.leak_one = true;
+            let v = miniloom::explore(&model).expect_err("a leak must be caught");
+            assert!(v.message.contains("lost slot"), "{v}");
+        }
     }
 
     #[test]

@@ -1,39 +1,54 @@
 //! Shared-memory slot transport: per-directed-link SPSC rings of
 //! fixed-capacity payload slots.
 //!
-//! A link is two shared structures:
+//! A link is two structures:
 //!
-//! * a [`SlotPool`]: `slots` refcounted payload buffers. The sender
-//!   claims a free slot (refcount 0 → 1), packs the payload **directly
-//!   into it** while holding exclusive access, and wraps it in a
-//!   [`SlotLease`] that travels inside the envelope. The receiver (and
-//!   the reliability layer's ledger/duplicates) read straight out of
-//!   the slot; the slot is not reclaimed until the last lease drops.
-//! * an envelope ring: a single-producer single-consumer circular
+//! * a slot pool, owned by the sender: refcounted payload buffers,
+//!   `slots` of them to start with. The sender claims a free slot
+//!   (refcount 0 → 1), packs the payload **directly into it** while
+//!   holding exclusive access, and wraps it in a [`SlotLease`] that
+//!   travels inside the envelope. The receiver (and the reliability
+//!   layer's ledger/duplicates) read straight out of the slot; the slot
+//!   is not reclaimed until the last lease drops.
+//! * an envelope ring, shared by both endpoints: a single-producer single-consumer circular
 //!   buffer with cache-line-padded head/tail counters. The producer
 //!   publishes with a release store of `tail`; the consumer acquires
 //!   `tail` and releases `head`. No allocation per message — unlike an
 //!   mpsc channel, which heap-allocates a queue node per send.
 //!
-//! Both structures degrade rather than block or reorder under
-//! pressure: a sender whose pool is exhausted waits a bounded while
-//! for the consumer to free a slot (the transport's backpressure —
-//! `wait_send` is eager, so nothing else throttles a producer that
-//! outruns its consumer) and then falls back to an owned heap copy,
-//! and a full ring spills into a mutex-guarded overflow queue that
-//! preserves link FIFO order (the producer keeps using the overflow
-//! until the consumer has drained it).
+//! A sender that finds every slot leased asks *why* before it waits.
+//! It knows when each message it pushed leaves the wire
+//! ([`Envelope::ready_at`]), so:
 //!
-//! After a warm-up in which each slot's buffer grows to the payload
-//! size once, a steady-state halo exchange performs **zero heap
-//! allocations** in the transport — `tests/zero_alloc.rs` asserts
-//! this with a counting global allocator.
+//! * **every lease is still on the wire** — no consumer could have
+//!   released one yet, and waiting would charge the wire's own hold time
+//!   to the sender's CPU lane, which eq. 4's `A₁+A₂+A₃` never contains.
+//!   The pool **grows** instead (a new chunk doubling it, up to
+//!   [`MAX_SLOTS`]): the window follows the link's bandwidth-delay
+//!   product, and is paid once, not per step;
+//! * **some lease is past due** (or was never pushed: parked in a
+//!   retransmission ledger) — the consumer is behind. The sender waits
+//!   a bounded while for it to free a slot (the transport's
+//!   backpressure — `wait_send` is eager, so nothing else throttles a
+//!   producer that outruns its consumer) and then falls back to an
+//!   owned heap copy. A zero-latency world is always in this case: its
+//!   messages are due the instant they are pushed, so its pools never
+//!   grow.
+//!
+//! A full ring spills into a mutex-guarded overflow queue that preserves
+//! link FIFO order (the producer keeps using the overflow until the
+//! consumer has drained it).
+//!
+//! After a warm-up in which the window settles and each slot's buffer
+//! grows to the payload size once, a steady-state halo exchange
+//! performs **zero heap allocations** in the transport —
+//! `tests/zero_alloc.rs` asserts this with a counting global allocator.
 
 use crate::transport::{Envelope, LinkClosed, LinkRx, LinkTx, Payload, PoolStats};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,55 +64,133 @@ struct CachePadded<T>(T);
 /// from then until `refs` returns to 0 every access is a shared read.
 struct Slot<T> {
     refs: CachePadded<AtomicU32>,
+    /// When the message last pushed from this slot leaves the wire, in
+    /// nanoseconds after the chunk's `epoch`; 0 for a lease that is not
+    /// on the wire at all (being staged, or parked in a retransmission
+    /// ledger). Read and written by the sender alone (hence `Relaxed`),
+    /// next to the buffer it has just filled; it only ever picks
+    /// between growing and waiting — no access to `buf` depends on it.
+    due_ns: AtomicU64,
     buf: UnsafeCell<Vec<T>>,
 }
 
-/// The payload slots of one directed link, shared by both endpoints
-/// and by every outstanding [`SlotLease`].
-pub(crate) struct SlotPool<T> {
+/// One append-only run of payload slots. A lease keeps its chunk
+/// alive, so a slot outlives both endpoints for as long as anything
+/// (stash, ledger, duplicate) still reads it.
+struct Chunk<T> {
+    /// Pool-wide index of `slots[0]`.
+    base: usize,
+    /// The pool's time origin: one zero for every chunk's `due_ns`.
+    epoch: Instant,
     slots: Box<[Slot<T>]>,
 }
 
 // SAFETY: the refcount protocol above makes cross-thread access to the
 // `UnsafeCell` buffers data-race-free; the payloads themselves only
 // need to be sendable.
-unsafe impl<T: Send + Sync> Send for SlotPool<T> {}
+unsafe impl<T: Send + Sync> Send for Chunk<T> {}
 // SAFETY: same protocol as `Send` above — shared references only reach
 // a slot's buffer through a claimed lease or a positive refcount.
-unsafe impl<T: Send + Sync> Sync for SlotPool<T> {}
+unsafe impl<T: Send + Sync> Sync for Chunk<T> {}
 
-impl<T> SlotPool<T> {
-    fn new(slots: usize) -> Arc<Self> {
-        Arc::new(SlotPool {
+impl<T> Chunk<T> {
+    fn new(base: usize, epoch: Instant, slots: usize) -> Arc<Self> {
+        Arc::new(Chunk {
+            base,
+            epoch,
             slots: (0..slots)
                 .map(|_| Slot {
                     refs: CachePadded(AtomicU32::new(0)),
+                    due_ns: AtomicU64::new(0),
                     buf: UnsafeCell::new(Vec::new()),
                 })
                 .collect(),
         })
     }
 
+    /// `at` on the `due_ns` clock (0 for anything at or before `epoch`).
+    fn ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+}
+
+/// Hard cap on a link's payload slots: a pool doubles from its
+/// configured count up to this and no further.
+pub(crate) const MAX_SLOTS: usize = 1024;
+
+/// The payload slots of one directed link. Only the sender claims and
+/// grows, so it owns the pool; the receiver and every other holder
+/// reach a slot through a [`SlotLease`] on its chunk.
+struct SlotPool<T> {
+    /// Append-only, so a lease's `(chunk, offset)` stays valid across
+    /// growth.
+    chunks: Vec<Arc<Chunk<T>>>,
+    /// Where the next claim starts scanning: the slot after the last
+    /// one claimed, which on a FIFO link holds the oldest lease — the
+    /// first to free.
+    next: usize,
+}
+
+impl<T> SlotPool<T> {
+    fn new(slots: usize) -> Self {
+        SlotPool {
+            chunks: vec![Chunk::new(0, Instant::now(), slots)],
+            next: 0,
+        }
+    }
+
+    fn total(&self) -> usize {
+        let last = self.chunks.last().expect("a pool has a chunk");
+        last.base + last.slots.len()
+    }
+
+    fn slot(&self, idx: usize) -> (&Arc<Chunk<T>>, usize) {
+        let mut newest_first = self.chunks.iter().rev();
+        let chunk = newest_first
+            .find(|c| c.base <= idx)
+            .expect("chunk 0 starts at slot 0");
+        (chunk, idx - chunk.base)
+    }
+
     /// Claim a free slot for exclusive filling: refcount 0 → 1 with
     /// acquire ordering, so the claim synchronizes with the release
-    /// decrement of the lease that last used the slot.
-    fn claim(&self) -> Option<usize> {
-        self.slots.iter().position(|s| {
-            s.refs
-                .0
-                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
+    /// decrement of the lease that last used the slot. A leased slot
+    /// is only read — a failed CAS would still take its cache line
+    /// exclusive, against the receiver about to decrement it.
+    fn claim(&mut self) -> Option<usize> {
+        let total = self.total();
+        let idx = (self.next..total).chain(0..self.next).find(|&idx| {
+            let (chunk, off) = self.slot(idx);
+            let refs = &chunk.slots[off].refs.0;
+            refs.load(Ordering::Relaxed) == 0
+                && refs
+                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+        })?;
+        self.next = if idx + 1 == total { 0 } else { idx + 1 };
+        Some(idx)
+    }
+
+    /// Whether every slot holds a message that is still on the wire at
+    /// `now`: nothing a consumer does could have freed one.
+    fn held_by_wire(&self, now: Instant) -> bool {
+        self.chunks.iter().all(|chunk| {
+            let now_ns = chunk.ns(now);
+            let mut slots = chunk.slots.iter();
+            slots.all(|slot| slot.due_ns.load(Ordering::Relaxed) > now_ns)
         })
     }
 
-    /// Number of payload slots (model-check introspection).
-    pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Current refcount of slot `idx` (model-check introspection).
-    pub(crate) fn ref_count(&self, idx: usize) -> u32 {
-        self.slots[idx].refs.0.load(Ordering::Acquire)
+    /// Double the pool (up to [`MAX_SLOTS`]); returns the slots added.
+    fn grow(&mut self) -> usize {
+        let total = self.total();
+        let added = total.min(MAX_SLOTS.saturating_sub(total));
+        if added > 0 {
+            let epoch = self.chunks[0].epoch;
+            self.chunks.push(Chunk::new(total, epoch, added));
+            self.next = total;
+        }
+        added
     }
 }
 
@@ -106,15 +199,16 @@ impl<T> SlotPool<T> {
 /// lease drops. This is how a retransmission ledger entry, a duplicate
 /// on the wire, and the original message all reference one buffer.
 pub struct SlotLease<T> {
-    pool: Arc<SlotPool<T>>,
-    idx: usize,
+    chunk: Arc<Chunk<T>>,
+    /// Offset within `chunk`.
+    off: usize,
     len: usize,
 }
 
 impl<T> SlotLease<T> {
     /// Which pool slot this lease holds (model-check introspection).
     pub(crate) fn slot_index(&self) -> usize {
-        self.idx
+        self.chunk.base + self.off
     }
 
     /// The leased payload.
@@ -122,7 +216,7 @@ impl<T> SlotLease<T> {
         // SAFETY: leases only exist after the producer finished writing
         // (see `Slot` invariant), so shared reads are race-free.
         unsafe {
-            let buf: &Vec<T> = &*self.pool.slots[self.idx].buf.get();
+            let buf: &Vec<T> = &*self.chunk.slots[self.off].buf.get();
             &buf[..self.len]
         }
     }
@@ -132,13 +226,13 @@ impl<T> Clone for SlotLease<T> {
     fn clone(&self) -> Self {
         // Relaxed suffices: a clone is always derived from a live lease,
         // so the count cannot concurrently hit zero.
-        self.pool.slots[self.idx]
+        self.chunk.slots[self.off]
             .refs
             .0
             .fetch_add(1, Ordering::Relaxed);
         SlotLease {
-            pool: Arc::clone(&self.pool),
-            idx: self.idx,
+            chunk: Arc::clone(&self.chunk),
+            off: self.off,
             len: self.len,
         }
     }
@@ -148,7 +242,7 @@ impl<T> Drop for SlotLease<T> {
     fn drop(&mut self) {
         // Release pairs with the acquire CAS in `SlotPool::claim`: all
         // reads of this lease happen-before the slot's next refill.
-        self.pool.slots[self.idx]
+        self.chunk.slots[self.off]
             .refs
             .0
             .fetch_sub(1, Ordering::Release);
@@ -292,7 +386,7 @@ impl Backoff {
 /// Sender half of a slot link.
 pub(crate) struct SlotTx<T> {
     ring: Arc<Ring<T>>,
-    pool: Arc<SlotPool<T>>,
+    pool: SlotPool<T>,
     backoff_cap: Duration,
 }
 
@@ -302,51 +396,60 @@ pub(crate) struct SlotRx<T> {
     backoff_cap: Duration,
 }
 
-/// Build one directed slot link with `slots` payload slots (the
-/// envelope ring gets twice that, so it only overflows when the pool
-/// itself is oversubscribed) and the given backoff park cap.
+/// Build one directed slot link that starts with `slots` payload slots
+/// (the envelope ring gets twice that, so it only overflows when the
+/// initial window is oversubscribed) and the given backoff park cap.
 pub(crate) fn make_slot_link<T: Send + Sync + 'static>(
     slots: usize,
     backoff_cap: Duration,
 ) -> (Box<dyn LinkTx<T>>, Box<dyn LinkRx<T>>) {
-    let (mut tx, mut rx, _) = make_slot_link_raw(slots);
+    let (mut tx, mut rx) = make_slot_link_raw(slots);
     tx.backoff_cap = backoff_cap;
     rx.backoff_cap = backoff_cap;
     (Box::new(tx), Box::new(rx))
 }
 
-/// Like [`make_slot_link`], but returns the concrete halves plus a
-/// handle on the shared pool — the model checker (`crate::modelcheck`)
-/// drives the real endpoint types and inspects slot refcounts directly.
-pub(crate) fn make_slot_link_raw<T: Send + Sync + 'static>(
-    slots: usize,
-) -> (SlotTx<T>, SlotRx<T>, Arc<SlotPool<T>>) {
+/// Like [`make_slot_link`], but returns the concrete halves — the
+/// model checker (`crate::modelcheck`) drives the real endpoint types
+/// and inspects slot refcounts through the sender.
+pub(crate) fn make_slot_link_raw<T: Send + Sync + 'static>(slots: usize) -> (SlotTx<T>, SlotRx<T>) {
     let slots = slots.max(1);
     let ring = Ring::new(slots * 2);
-    let pool = SlotPool::new(slots);
     (
         SlotTx {
             ring: Arc::clone(&ring),
-            pool: Arc::clone(&pool),
+            pool: SlotPool::new(slots),
             backoff_cap: DEFAULT_BACKOFF_CAP,
         },
         SlotRx {
             ring,
             backoff_cap: DEFAULT_BACKOFF_CAP,
         },
-        pool,
     )
 }
 
-/// How many backoff iterations a sender waits for a pool slot to free
-/// before falling back to an owned copy (~1 ms worst case): long enough
-/// that ordinary consumer lag always resolves inside it — the wait *is*
-/// the transport's backpressure — yet bounded so a lease parked forever
-/// (a fault-injected drop awaiting retransmission) degrades the sender
-/// to copies instead of deadlocking it.
+/// How many backoff iterations a sender waits for a consumer that is
+/// *behind* to free a pool slot before falling back to an owned copy
+/// (~1 ms worst case): long enough that ordinary consumer lag always
+/// resolves inside it — the wait *is* the transport's backpressure —
+/// yet bounded so a lease parked forever (a fault-injected drop
+/// awaiting retransmission) degrades the sender to copies instead of
+/// deadlocking it. The wire's own hold time is never waited out here:
+/// a pool held entirely by the wire grows.
 const STAGE_WAIT_BUDGET: u32 = 256;
 
 impl<T: Send + Sync> SlotTx<T> {
+    /// Number of payload slots right now (model-check introspection).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.pool.total()
+    }
+
+    /// Current refcount of slot `idx` (model-check introspection).
+    pub(crate) fn ref_count(&self, idx: usize) -> u32 {
+        let (chunk, off) = self.pool.slot(idx);
+        chunk.slots[off].refs.0.load(Ordering::Acquire)
+    }
+
     /// [`LinkTx::stage`] with an explicit wait budget. The model
     /// checker replays schedules on one thread, where no consumer can
     /// free a slot *during* the wait — it stages with budget 0 so an
@@ -359,11 +462,19 @@ impl<T: Send + Sync> SlotTx<T> {
         wait_budget: u32,
     ) -> Payload<T> {
         let mut claimed = self.pool.claim();
+        if claimed.is_none() && self.pool.held_by_wire(Instant::now()) {
+            // Every slot is leased to a message that has not arrived
+            // yet: the window is smaller than what the wire holds.
+            stats.grown += self.pool.grow() as u64;
+            claimed = self.pool.claim();
+        }
         if claimed.is_none() {
-            // Every slot is leased: the producer has outrun the
-            // consumer (there is no other wire-level flow control — an
-            // eager-protocol `wait_send` completes immediately). Wait a
-            // bounded while for the consumer to release one.
+            // Every slot is leased and the consumer could have freed
+            // one: the producer has outrun it (there is no other
+            // wire-level flow control — an eager-protocol `wait_send`
+            // completes immediately). Wait a bounded while for the
+            // consumer to release one.
+            stats.stage_waits += 1;
             let mut backoff = Backoff::with_cap(self.backoff_cap);
             for _ in 0..wait_budget {
                 backoff.snooze();
@@ -375,9 +486,13 @@ impl<T: Send + Sync> SlotTx<T> {
         }
         match claimed {
             Some(idx) => {
+                let (chunk, off) = self.pool.slot(idx);
+                let slot = &chunk.slots[off];
+                // On no wire until `push` says so.
+                slot.due_ns.store(0, Ordering::Relaxed);
                 // SAFETY: the claim gives exclusive access until the
                 // lease below is created.
-                let buf = unsafe { &mut *self.pool.slots[idx].buf.get() };
+                let buf = unsafe { &mut *slot.buf.get() };
                 let cap = buf.capacity();
                 fill(buf);
                 if buf.capacity() == cap {
@@ -387,16 +502,17 @@ impl<T: Send + Sync> SlotTx<T> {
                 }
                 let len = buf.len();
                 Payload::Lease(SlotLease {
-                    pool: Arc::clone(&self.pool),
-                    idx,
+                    chunk: Arc::clone(chunk),
+                    off,
                     len,
                 })
             }
             None => {
                 // Still nothing after the wait (a lease is parked in a
-                // retransmission ledger, or the consumer is truly
-                // wedged): fall back to an owned copy so the sender
-                // never blocks forever on its own pool.
+                // retransmission ledger, the consumer is truly wedged,
+                // or the wire holds all `MAX_SLOTS`): fall back to an
+                // owned copy so the sender never blocks forever on its
+                // own pool.
                 stats.fresh_allocs += 1;
                 let mut buf = Vec::new();
                 fill(&mut buf);
@@ -414,6 +530,12 @@ impl<T: Send + Sync> LinkTx<T> for SlotTx<T> {
     fn push(&mut self, env: Envelope<T>) -> Result<(), LinkClosed> {
         if self.ring.rx_gone.load(Ordering::Acquire) {
             return Err(LinkClosed);
+        }
+        if let Payload::Lease(lease) = &env.payload {
+            // A duplicate of the same slot leaves with the later one.
+            let due_ns = &lease.chunk.slots[lease.off].due_ns;
+            let at = lease.chunk.ns(env.ready_at);
+            due_ns.store(due_ns.load(Ordering::Relaxed).max(at), Ordering::Relaxed);
         }
         self.ring.push(env);
         Ok(())
@@ -539,12 +661,82 @@ mod tests {
             .expect("rx alive");
         }
         assert_eq!(stats.fresh_allocs, 5, "2 slot warm-ups + 3 fallback copies");
+        assert_eq!(stats.stage_waits, 3, "each copy came after a bounded wait");
+        assert_eq!(stats.grown, 0, "due at once: the consumer is behind");
         for i in 0..5u32 {
             let e = rx.try_pop().expect("queued");
             assert_eq!(e.payload.as_slice(), &[i]);
             rx.reclaim(e.payload, &mut stats);
         }
         assert_eq!(stats.returned, 5);
+    }
+
+    /// Stage one `u32` with no wait budget and push it as a message
+    /// that leaves the wire `wire` from now.
+    fn send_held(tx: &mut SlotTx<u32>, stats: &mut PoolStats, val: u32, wire: Duration) -> bool {
+        let payload = tx.stage_with_budget(
+            stats,
+            &mut |buf| {
+                buf.clear();
+                buf.push(val);
+            },
+            0,
+        );
+        let leased = matches!(payload, Payload::Lease(_));
+        tx.push(Envelope {
+            tag: 0,
+            payload,
+            seq: 0,
+            ready_at: Instant::now() + wire,
+        })
+        .expect("rx alive");
+        leased
+    }
+
+    #[test]
+    fn a_pool_held_by_the_wire_grows_to_the_cap_and_degrades_past_it() {
+        // 768 slots, every message a minute from arriving: the first
+        // 768 sends fill the pool, the next grows it by the 256 the cap
+        // leaves (not by a doubling), and past 1024 the sender is back
+        // on today's path — a (here zero-budget) wait, then a copy.
+        const WIRE: Duration = Duration::from_secs(60);
+        let (mut tx, mut rx) = make_slot_link_raw::<u32>(768);
+        let mut stats = PoolStats::default();
+        for i in 0..MAX_SLOTS as u32 {
+            assert!(send_held(&mut tx, &mut stats, i, WIRE), "message {i}");
+        }
+        assert_eq!((tx.slot_count(), stats.grown), (MAX_SLOTS, 256));
+        assert_eq!(stats.stage_waits, 0);
+        for i in 0..3 {
+            assert!(!send_held(&mut tx, &mut stats, MAX_SLOTS as u32 + i, WIRE));
+        }
+        assert_eq!((tx.slot_count(), stats.grown), (MAX_SLOTS, 256));
+        assert_eq!(stats.stage_waits, 3);
+        assert_eq!(stats.fresh_allocs, MAX_SLOTS as u64 + 3);
+        // Everything arrives in order across ring, overflow and chunks,
+        // and every slot of every chunk comes back.
+        for i in 0..MAX_SLOTS as u32 + 3 {
+            let e = rx.try_pop().expect("queued");
+            assert_eq!(e.payload.as_slice(), &[i]);
+            rx.reclaim(e.payload, &mut stats);
+        }
+        assert!((0..MAX_SLOTS).all(|idx| tx.ref_count(idx) == 0));
+        // A freed pool is a pool again: no wait, no growth, no copy.
+        assert!(send_held(&mut tx, &mut stats, 0, WIRE));
+        assert_eq!((stats.stage_waits, stats.recycled), (3, 1));
+    }
+
+    #[test]
+    fn one_past_due_lease_means_wait_not_growth() {
+        // Two slots on the wire, one already due: the consumer could
+        // have freed it, so the sender must not buy its way out.
+        let (mut tx, _rx) = make_slot_link_raw::<u32>(3);
+        let mut stats = PoolStats::default();
+        assert!(send_held(&mut tx, &mut stats, 0, Duration::from_secs(60)));
+        assert!(send_held(&mut tx, &mut stats, 1, Duration::ZERO));
+        assert!(send_held(&mut tx, &mut stats, 2, Duration::from_secs(60)));
+        assert!(!send_held(&mut tx, &mut stats, 3, Duration::from_secs(60)));
+        assert_eq!((tx.slot_count(), stats.grown, stats.stage_waits), (3, 0, 1));
     }
 
     #[test]
@@ -599,9 +791,10 @@ mod tests {
             assert_eq!(e.payload.len(), 64);
             rx.reclaim(e.payload, &mut stats);
         }
-        // Lockstep reuses slot 0 after its single warm-up growth.
-        assert_eq!(stats.fresh_allocs, 1, "{stats:?}");
-        assert_eq!(stats.recycled, 99, "{stats:?}");
+        // Lockstep walks the 4 slots round-robin: one warm-up growth
+        // each, then nothing but reuse.
+        assert_eq!(stats.fresh_allocs, 4, "{stats:?}");
+        assert_eq!(stats.recycled, 96, "{stats:?}");
         assert_eq!(stats.returned, 100, "{stats:?}");
     }
 

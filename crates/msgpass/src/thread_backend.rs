@@ -1595,11 +1595,13 @@ mod tests {
 
     #[test]
     fn buffers_recycle_after_warmup_on_both_transports() {
-        // Lockstep traffic with identical exact counter expectations on
-        // either wire: one warm-up allocation (or slot growth) per link,
-        // everything after that recycled in place.
+        // Lockstep traffic with exact counter expectations on either
+        // wire: the mpsc link circulates one buffer, the slot link walks
+        // its 8 slots round-robin (one warm-up growth each); everything
+        // after that is recycled in place.
         const STEPS: u64 = 50;
-        for transport in [TransportKind::Mpsc, TransportKind::shared_slots()] {
+        for (transport, warm_ups) in [(TransportKind::Mpsc, 1), (TransportKind::shared_slots(), 8)]
+        {
             let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(transport);
             let (results, _) = run_threads_with::<f64, _, _>(2, &cfg, |mut comm| {
                 if comm.rank() == 0 {
@@ -1626,8 +1628,8 @@ mod tests {
             });
             for res in results {
                 let stats = res.expect("no panic");
-                assert_eq!(stats.fresh_allocs, 1, "{transport:?} {stats:?}");
-                assert_eq!(stats.recycled, STEPS - 1, "{transport:?} {stats:?}");
+                assert_eq!(stats.fresh_allocs, warm_ups, "{transport:?} {stats:?}");
+                assert_eq!(stats.recycled, STEPS - warm_ups, "{transport:?} {stats:?}");
                 assert_eq!(stats.returned, STEPS, "{transport:?} {stats:?}");
             }
         }
@@ -1727,6 +1729,175 @@ mod tests {
             });
             let results: Vec<_> = results.into_iter().map(|r| r.expect("no panic")).collect();
             assert_eq!(results[1], 1234, "kind {kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_sender_is_not_throttled_by_messages_still_on_the_wire() {
+        // 32 faces back to back over a wire that holds each for 20 ms,
+        // through the default 8-slot window: nothing can come back
+        // before the loop is over, so the window has to follow the wire
+        // (8 → 16 → 32) — no wait, no copy — and a second burst after
+        // the drain must find every one of those slots free again.
+        const N: usize = 32;
+        const LEN: usize = 2048;
+        let wire = Duration::from_millis(20);
+        let latency = LatencyModel {
+            startup_us: wire.as_secs_f64() * 1e6,
+            per_byte_us: 0.0,
+        };
+        let cfg = WorldConfig::new(latency).with_transport(TransportKind::shared_slots());
+        let (results, _) = run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
+            let mut stamps = Vec::with_capacity(2 * N);
+            let mut after_first_burst = None;
+            for burst in 0..2 {
+                for k in burst * N..(burst + 1) * N {
+                    if comm.rank() == 0 {
+                        stamps.push(Instant::now());
+                        let s = comm
+                            .isend_with(1, k as Tag, LEN, &mut |out| out.fill(k as f32))
+                            .expect("peer alive");
+                        comm.wait_send(s).expect("eager");
+                    } else {
+                        let r = comm.irecv(0, k as Tag);
+                        comm.wait_recv_with(r, LEN, &mut |data| {
+                            assert!(data.iter().all(|&x| x == k as f32), "message {k}");
+                        })
+                        .expect("peer alive");
+                        stamps.push(Instant::now());
+                    }
+                }
+                after_first_burst.get_or_insert((Instant::now(), comm.pool_stats()));
+                comm.barrier();
+            }
+            (
+                stamps,
+                after_first_burst.expect("two bursts"),
+                comm.pool_stats(),
+            )
+        });
+        let mut results = results.into_iter().map(|r| r.expect("no panic"));
+        let (sent, (loop_end, burst), end) = results.next().expect("rank 0");
+        let (arrived, ..) = results.next().expect("rank 1");
+        assert!(
+            loop_end - sent[0] < wire,
+            "the send loop took {:?}, a wire time is {wire:?}",
+            loop_end - sent[0]
+        );
+        assert_eq!(burst.grown, (N - 8) as u64, "{burst:?}");
+        assert_eq!(burst.stage_waits, 0, "{burst:?}");
+        assert_eq!(
+            burst.fresh_allocs, N as u64,
+            "one warm-up per slot: {burst:?}"
+        );
+        assert_eq!(burst.recycled, 0, "{burst:?}");
+        for (k, (s, a)) in sent.iter().zip(&arrived).enumerate() {
+            assert!(
+                *a >= *s + wire,
+                "message {k} arrived {:?} after its send",
+                *a - *s
+            );
+        }
+        assert_eq!(end.recycled, N as u64, "every slot came back: {end:?}");
+        assert_eq!((end.fresh_allocs, end.grown), (N as u64, burst.grown));
+        assert_eq!(end.stage_waits, 0, "{end:?}");
+    }
+
+    #[test]
+    fn a_lagging_consumer_still_backpressures_a_zero_latency_sender() {
+        // No wire: every message is due the instant it is pushed, so a
+        // full pool can only mean the consumer is behind — the sender
+        // waits on the 8 slots it has, however long the run.
+        const N: u64 = 64;
+        let cfg =
+            WorldConfig::new(LatencyModel::zero()).with_transport(TransportKind::shared_slots());
+        let (results, _) = run_threads_with::<u64, _, _>(2, &cfg, |mut comm| {
+            for k in 0..N {
+                if comm.rank() == 0 {
+                    let s = comm
+                        .isend_with(1, 0, 4, &mut |out| out.fill(k))
+                        .expect("peer alive");
+                    comm.wait_send(s).expect("eager");
+                } else {
+                    std::thread::sleep(Duration::from_micros(300));
+                    let mut got = [0u64; 4];
+                    comm.recv_into(0, 0, &mut got);
+                    assert_eq!(got, [k; 4], "FIFO on one tag");
+                }
+            }
+            comm.pool_stats()
+        });
+        let sender = results
+            .into_iter()
+            .next()
+            .expect("rank 0")
+            .expect("no panic");
+        assert_eq!(sender.grown, 0, "{sender:?}");
+        assert!(sender.stage_waits > 0, "{sender:?}");
+        assert_eq!(sender.fresh_allocs + sender.recycled, N, "{sender:?}");
+    }
+
+    #[test]
+    fn a_parked_lease_is_past_due_and_never_grows_the_pool() {
+        // Two slots, a 3 ms wire. Tag 0 is dropped, so its lease sits
+        // in the retransmission ledger and is on no wire; tag 1 takes
+        // the other slot and *is* on the wire. Every later send finds
+        // the pool full with one lease nobody is about to deliver: that
+        // is the wait-then-copy path, not growth.
+        use crate::fault::{FaultKind, FaultSite};
+        let rel = ReliabilityConfig {
+            recv_timeout: Duration::from_millis(10),
+            max_retries: 6,
+            backoff: Duration::from_millis(1),
+        };
+        let plan = FaultPlan::seeded(5).targeted(FaultSite {
+            src: 0,
+            dst: 1,
+            tag: 0,
+            kind: FaultKind::Drop,
+        });
+        let latency = LatencyModel {
+            startup_us: 3000.0,
+            per_byte_us: 0.0,
+        };
+        let cfg = WorldConfig::new(latency)
+            .with_transport(TransportKind::SharedSlots { slots: 2 })
+            .with_reliability(rel)
+            .with_faults(plan);
+        let (results, _) = run_threads_with::<u32, _, _>(2, &cfg, |mut comm| {
+            let mut got = Vec::new();
+            if comm.rank() == 0 {
+                for tag in 0..6u64 {
+                    let s = comm
+                        .isend_with(1, tag, 2, &mut |out| out.fill(tag as u32 * 7))
+                        .expect("peer alive");
+                    comm.wait_send(s).expect("eager");
+                }
+            }
+            // The receiver only starts once every send is staged, so the
+            // ledger still pins tag 0 for all of them.
+            let staged = comm.pool_stats();
+            comm.barrier();
+            if comm.rank() == 1 {
+                for tag in 0..6u64 {
+                    let mut out = [0u32; 2];
+                    comm.recv_into(0, tag, &mut out);
+                    got.push(out);
+                }
+            }
+            // Hold the ledger until the receiver has recovered tag 0.
+            comm.barrier();
+            (got, staged, comm.fault_stats())
+        });
+        let results: Vec<_> = results.into_iter().map(|r| r.expect("no panic")).collect();
+        let (_, sender, faults) = &results[0];
+        assert_eq!(faults.dropped, 1);
+        assert_eq!(sender.grown, 0, "{sender:?}");
+        assert_eq!(sender.stage_waits, 4, "tags 2..6 waited: {sender:?}");
+        assert_eq!(sender.fresh_allocs, 6, "2 warm-ups + 4 copies: {sender:?}");
+        assert_eq!(results[1].2.recovered, 1, "dropped lease recovered");
+        for (tag, out) in results[1].0.iter().enumerate() {
+            assert_eq!(out, &[tag as u32 * 7; 2], "tag {tag} bit-exact");
         }
     }
 

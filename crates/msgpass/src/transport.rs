@@ -38,6 +38,13 @@ pub struct PoolStats {
     pub recycled: u64,
     /// Consumed receive payloads handed back to the transport.
     pub returned: u64,
+    /// Payload slots added to slot pools beyond their configured count,
+    /// because the wire alone held every slot (see
+    /// [`crate::slot_transport`]). Zero on a zero-latency world.
+    pub grown: u64,
+    /// Sends that found every slot leased with the consumer behind and
+    /// entered the bounded backpressure wait.
+    pub stage_waits: u64,
 }
 
 /// Which wire implementation a world's links use.
@@ -50,16 +57,20 @@ pub enum TransportKind {
     /// Shared-memory SPSC slot rings: zero-copy, zero steady-state
     /// allocations.
     SharedSlots {
-        /// Payload slots per directed link. Must cover the link's
-        /// maximum number of in-flight messages or senders fall back
-        /// to owned copies (correct, but allocating).
+        /// Payload slots a directed link starts with: how far a sender
+        /// may run ahead of a consumer that is *behind* before it waits
+        /// (and then falls back to owned copies — correct, but
+        /// allocating). Messages still on the wire do not count against
+        /// it: a link whose bandwidth-delay product exceeds the window
+        /// grows it.
         slots: usize,
     },
 }
 
 impl TransportKind {
-    /// Shared-slot transport with a default slot count generous enough
-    /// for the engine's overlap depth (≤ 3 in-flight per link).
+    /// Shared-slot transport with the default initial window: 8 faces
+    /// of run-ahead over a lagging consumer, on top of whatever the
+    /// wire itself holds.
     pub fn shared_slots() -> Self {
         TransportKind::SharedSlots { slots: 8 }
     }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use msgpass::thread_backend::{
-    build_world_with, run_threads, LatencyModel, PoolStats, WorldConfig,
+    build_world_with, run_threads_with, LatencyModel, PoolStats, WorldConfig,
 };
 use msgpass::transport::TransportKind;
 use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
@@ -254,17 +254,89 @@ fn the_result_grid_is_the_only_grid_sized_allocation() {
     assert!(pooled <= budget, "2 workers: {pooled} bytes > {budget}");
 }
 
-/// Run every rank of `d` straight on a default (mpsc) world and return
-/// each rank's buffer-pool counters.
-fn rank_pool_stats(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> Vec<PoolStats> {
+/// Run every rank of `d` straight on a world built from `cfg` and
+/// return each rank's buffer-pool counters.
+fn rank_pool_stats_on(d: Decomp3D, cfg: &WorldConfig, mode: ExecMode) -> Vec<PoolStats> {
     let plan = Compiled3D::compile(d, mode).expect("valid decomp");
-    run_threads::<f32, PoolStats, _>(plan.ranks(), latency, |mut comm| {
+    run_threads_with::<f32, PoolStats, _>(plan.ranks(), cfg, |mut comm| {
         let (k, tier) = (Relax3D::default(), KernelTier::Bitwise);
         try_run_rank3d_plan(&mut comm, k, &plan, tier, 1, false, &mut NoopObserver)
             .expect("fault-free world");
         comm.pool_stats()
     })
     .0
+    .into_iter()
+    .map(|stats| stats.expect("no rank panicked"))
+    .collect()
+}
+
+/// [`rank_pool_stats_on`] a default (mpsc) world.
+fn rank_pool_stats(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> Vec<PoolStats> {
+    rank_pool_stats_on(d, &WorldConfig::new(latency), mode)
+}
+
+#[test]
+fn a_zero_latency_world_never_grows_its_pools() {
+    let _guard = lock();
+    // The benchmark's `fine-grain` shape: 2048 steps of 256 cells, the
+    // producer as far ahead of its consumer as the transport lets it.
+    // Every message is due the instant it is pushed, so a full pool is
+    // a lagging consumer: 8 slots, waits, no growth, no copy.
+    let d = Decomp3D {
+        nx: 8,
+        ny: 8,
+        nz: 16384,
+        pi: 2,
+        pj: 1,
+        v: 8,
+        boundary: 1.0,
+    };
+    let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(TransportKind::shared_slots());
+    let sender = rank_pool_stats_on(d, &cfg, ExecMode::Overlapping)[0];
+    assert_eq!(sender.grown, 0, "{sender:?}");
+    assert_eq!(sender.fresh_allocs + sender.recycled, 2048, "{sender:?}");
+    assert!(sender.fresh_allocs <= 8, "a copy was made: {sender:?}");
+}
+
+#[test]
+fn the_slot_window_is_warm_up_not_a_per_step_allocation() {
+    let _guard = lock();
+    // 2×1 ranks, 256-cell steps, a 200 µs wire on the slot transport:
+    // rank 0 runs a wire time ahead, so the link's window settles at
+    // however many faces 200 µs holds (tens in a debug build, a couple
+    // of hundred optimized) — and stays there. Quadrupling the
+    // pipeline must leave the slots warmed where they were (within the
+    // one doubling scheduler jitter can add) and turn every further
+    // send into a reuse. An owned copy per send the wire holds up would
+    // make `fresh_allocs` follow the step count instead.
+    let sender = |nz| {
+        let d = Decomp3D {
+            nx: 4,
+            ny: 4,
+            nz,
+            pi: 2,
+            pj: 1,
+            v: 1,
+            boundary: 1.0,
+        };
+        let latency = LatencyModel {
+            startup_us: 200.0,
+            per_byte_us: 0.0,
+        };
+        let cfg = WorldConfig::new(latency).with_transport(TransportKind::shared_slots());
+        let s = rank_pool_stats_on(d, &cfg, ExecMode::Overlapping)[0];
+        assert_eq!(s.fresh_allocs + s.recycled, d.steps() as u64, "{s:?}");
+        s
+    };
+    let (short, long) = (sender(1024), sender(4096));
+    assert!(
+        long.fresh_allocs <= 2 * short.fresh_allocs && short.fresh_allocs <= 2 * long.fresh_allocs,
+        "the window moved with the step count: {short:?} at 512 steps, {long:?} at 2048"
+    );
+    assert!(
+        long.recycled >= short.recycled + 1024,
+        "the extra 1536 steps were not served from warm slots: {short:?} vs {long:?}"
+    );
 }
 
 #[test]
