@@ -20,7 +20,7 @@ use stencil::engine::{EngineError, ExecMode};
 use stencil::grid::{Grid2D, Grid3D};
 use stencil::kernel::{Example1, Fused3D, LongestPath3D, Paper3D, Relax3D, Smooth2D};
 use stencil::plan::{self, Compiled2D, Compiled3D};
-use stencil::seq::{run_seq2d, run_seq3d};
+use stencil::seq::{max_abs_diff_from_seq3d, run_seq2d};
 use tiling_core::machine::KernelTier;
 
 /// Call the generic `$f(kernel, args…)` with the 3-D kernel value
@@ -284,9 +284,8 @@ impl PlanArtifact {
     fn diff_from_reference(&self, grid: &GridResult) -> f32 {
         let kernel = self.request.kernel;
         match (grid, &self.compiled) {
-            (GridResult::Dim3(g), CompiledWorkload::Dim3(c)) => {
-                let d = c.decomp();
-                g.max_abs_diff(&kernel3!(kernel, run_seq3d, d.nx, d.ny, d.nz, d.boundary))
+            (GridResult::Dim3(g), CompiledWorkload::Dim3(_)) => {
+                kernel3!(kernel, max_abs_diff_from_seq3d, g)
             }
             (GridResult::Dim2(g), CompiledWorkload::Dim2(c)) => {
                 let d = c.decomp();

@@ -22,20 +22,21 @@
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
 //! rank's pencils, owns the halo planes and supplies the hot paths —
 //! the pipeline loop itself lives in [`crate::engine`], driven by the
-//! [`tiling_core`] schedule type behind the chosen [`ExecMode`]. The
-//! per-step path is allocation-free and branch-free in its inner loop.
-//! `compute_tile` peels the `i==0`/`j==0`/`k==0` boundary cases out of
-//! the k-loop: for each `(i, j)` pencil it split-borrows the block at
-//! the current row, selects the `i−1`/`j−1` neighbor rows *once*
-//! (previous block row, halo row, or a pre-splatted boundary row),
-//! carries the `k−1` value in a register, and runs a zip over
-//! equal-length slices — no per-cell index arithmetic, no bounds checks,
-//! no boundary branches. Faces pack/unpack through the row-chunked
-//! [`crate::halo`] copies straight to and from transport wire storage
-//! (on a slot-transport world, the peer-visible slot itself): there is
-//! no intermediate face or landing buffer at all, and a steady-state
-//! step performs zero heap allocations (asserted by
-//! `tests/zero_alloc.rs`).
+//! [`tiling_core`] schedule type behind the chosen [`ExecMode`].
+//! **The tile walk is compiled once per rank**, into a [`WavePlan`] per
+//! distinct tile length: which `(row, chunk)` units go to the kernel in
+//! which wave, and where each reads its `i−1`/`j−1`/`k−1` inputs. Per
+//! tile, `compute_tile` does only what depends on `k`: it **consumes
+//! the pencils bottom-up** — takes the tile's window off every pencil,
+//! deals the chunks into plan order, and splits the units once per wave
+//! into finished (readable) and outputs — so a tile pays for its cells,
+//! not for its carve, and the kernels zip over equal-length slices with
+//! no index arithmetic or boundary branches. Faces pack from the units
+//! of the last computed tile (all the engine ever packs) straight into,
+//! and unpack (row-chunked, [`crate::halo`]) straight out of, transport
+//! wire storage — on a slot-transport world the peer-visible slot
+//! itself — and a steady-state step performs zero heap allocations
+//! (asserted by `tests/zero_alloc.rs`).
 //!
 //! Executors are generic over any [`Communicator`]; the one-shot driver
 //! [`run_dist3d_with`] compiles a decomposition and runs it on the
@@ -47,7 +48,7 @@ use crate::decomp::{self, DecompError, Layout, RankLinks};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid3D;
 use crate::halo;
-use crate::kernel::{Kernel3D, KernelTier, LaneVec, Wave, LANES, MAX_WAVE};
+use crate::kernel::{Kernel3D, KernelTier, Wave, LANES, MAX_WAVE};
 use crate::plan::{self, Compiled3D};
 use crate::pool;
 use crate::proto::{DIR_I, DIR_J};
@@ -143,6 +144,15 @@ pub(crate) fn rank_pencils<'g>(
 const FACE_I: usize = 0;
 const FACE_J: usize = 1;
 
+/// A rank's halo planes `i = own_lo_i − 1` (`by × nz`) and
+/// `j = own_lo_j − 1` (`bx × nz`); empty without an upstream neighbor.
+pub(crate) fn halo_planes(d: &Decomp3D, links: &RankLinks) -> [Vec<f32>; 2] {
+    [(FACE_I, d.by()), (FACE_J, d.bx())].map(|(dir, rows)| match links.up[dir] {
+        Some(_) => vec![0.0; rows * d.nz],
+        None => Vec::new(),
+    })
+}
+
 /// The block decomposition as a rank topology: a `pi × pj` Cartesian
 /// grid where every rank ships its high-`i` face to the `(+1, 0)`
 /// neighbor and its high-`j` face to the `(0, +1)` neighbor (no
@@ -210,76 +220,92 @@ impl Layout for Decomp3D {
     }
 }
 
-/// Per-rank working state: the 3-D [`TileOps`] implementation. All
-/// buffers are allocated once at construction; the pipeline loop never
-/// allocates.
-struct Block3D<'g, K> {
-    d: Decomp3D,
-    links: RankLinks,
-    kernel: K,
-    tier: KernelTier,
-    /// Own block: `rows[i·by + j]` is the `(i, j)` pencil, `nz` long.
-    rows: Pencils<'g>,
-    /// Halo plane `i = own_lo_i − 1`: `by × nz`.
-    halo_i: Vec<f32>,
-    /// Halo plane `j = own_lo_j − 1`: `bx × nz`.
-    halo_j: Vec<f32>,
-    /// Global coordinates of the block origin.
-    gi0: i64,
-    gj0: i64,
-    /// Boundary splat, `nz` long: the "neighbor row" of cells whose
-    /// `i−1`/`j−1` neighbor is outside the global grid.
-    brow: Vec<f32>,
-    /// Per-row wave-carve stamp: `(generation << 5) | item_index`, so a
-    /// neighbor lookup finds the carved row in O(1) (see
-    /// [`Block3D::eval_chunk_wave`]). Allocated once; a stale
-    /// generation means "row not written by the current wave".
-    row_item: Vec<u64>,
-    wave_gen: u64,
+/// k-chunk length of the super-diagonal tile walk: short enough that a
+/// 4×4 cross-section with the paper's V = 128 spreads into wide waves,
+/// long enough that the vector pass and per-chunk bookkeeping amortize.
+const CHUNK: usize = 32;
+
+/// Where a unit of the tile walk reads a neighbor input from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Src {
+    /// The neighbor row's chunk over the same cells: an earlier unit.
+    Unit(usize),
+    /// This row of the direction's halo plane.
+    Halo(usize),
+    /// The boundary splat (the neighbor is outside the global grid).
+    Boundary,
 }
 
-impl<'g, K: Kernel3D> Block3D<'g, K> {
-    fn new(d: Decomp3D, kernel: K, tier: KernelTier, rank: usize, rows: Pencils<'g>) -> Self {
-        let links = RankLinks::of(&d, rank);
-        let (ci, cj) = d.coords(rank);
-        Block3D {
-            d,
-            links,
-            kernel,
-            tier,
-            rows,
-            halo_i: vec![0.0; d.by() * d.nz],
-            halo_j: vec![0.0; d.bx() * d.nz],
-            gi0: (ci * d.bx()) as i64,
-            gj0: (cj * d.by()) as i64,
-            brow: vec![d.boundary; d.nz],
-            row_item: vec![0; d.bx() * d.by()],
-            wave_gen: 0,
+/// One `(row, chunk)` of a tile: the cells `start .. start + len` of
+/// the tile's window of pencil `(i, j)`, and where its inputs live.
+#[derive(Clone, Copy, Debug)]
+struct Unit {
+    i: usize,
+    j: usize,
+    start: usize,
+    len: usize,
+    im1: Src,
+    jm1: Src,
+    /// The chunk below in the same pencil, whose top cell seeds the
+    /// `k−1` carry; `None` for a pencil's first chunk, which is seeded
+    /// by the previous tile's top cell.
+    below: Option<usize>,
+}
+
+/// The walk of one tile length, compiled once per rank: nothing in it
+/// depends on which tile of that length is being computed.
+///
+/// Pencils are blocked into k-chunks of at least [`CHUNK`] cells and
+/// walked in **3-D super-diagonal** order: chunk `(i, j, c)` depends on
+/// the same-range chunks of rows `(i−1, j)` and `(i, j−1)` plus chunk
+/// `c − 1` of its own pencil — all with coordinate sum `i + j + c − 1` —
+/// so every chunk on one super-diagonal is independent of the others
+/// and they go to the kernel as [`Wave`]s of up to [`MAX_WAVE`]
+/// interleaved carry chains. Chunking matters on small cross-sections:
+/// a 4×4 tile has anti-diagonals of mean width 2.3, but its chunked
+/// super-diagonals interleave 6+ chains, which is what hides the serial
+/// `add → max → sqrt` latency of the paper kernel.
+pub(crate) struct WavePlan {
+    /// The tile length this plan walks.
+    len: usize,
+    /// Chunks per pencil.
+    nchunks: usize,
+    /// Every `(row, chunk)` once: super-diagonal by super-diagonal,
+    /// ascending row inside one. A unit's sources are earlier units.
+    units: Vec<Unit>,
+    /// Exclusive end, in `units`, of each wave. Waves never straddle a
+    /// super-diagonal, so a unit's sources lie in strictly earlier waves.
+    waves: Vec<usize>,
+    /// `pos[row · nchunks + c]`: where chunk `c` of `row` is in `units`.
+    pos: Vec<usize>,
+}
+
+impl WavePlan {
+    /// The walks of `rank`'s tiles: of a full tile and, if the last one
+    /// is shorter, of that — none with `workers > 1`, the pool walks by
+    /// itself. They depend on the layout alone, and the thread that
+    /// launches a run compiles them before the ranks start: as the
+    /// first small allocations of a rank's freshly spawned thread they
+    /// would come from an arena that gives its pages back when the
+    /// thread is done — page faults on every small execution.
+    pub(crate) fn for_rank(d: &Decomp3D, rank: usize, workers: usize) -> Vec<WavePlan> {
+        if workers > 1 {
+            return Vec::new();
         }
+        let links = RankLinks::of(d, rank);
+        let up = [FACE_I, FACE_J].map(|dir| links.up[dir].is_some());
+        let mut lens = [0, d.steps() - 1]
+            .map(|k| d.krange(k).1 - d.krange(k).0)
+            .to_vec();
+        lens.dedup();
+        let walk = |len| WavePlan::build(d.bx(), d.by(), len, up);
+        lens.into_iter().map(walk).collect()
     }
 
-    /// Compute one tile (all of the block's cross-section over `krange`).
-    ///
-    /// Pencils are blocked into k-chunks of at least [`CHUNK`] cells and
-    /// walked in **3-D super-diagonal** order: chunk `(i, j, c)` (cells
-    /// `k0 + c·chunk ..`) depends on the same-`k`-range chunks of rows
-    /// `(i−1, j)` and `(i, j−1)` plus chunk `c − 1` of its own pencil —
-    /// all with coordinate sum `i + j + c − 1` — so every chunk on one
-    /// super-diagonal is independent of the others and they go to the
-    /// kernel as a [`Wave`] of up to [`MAX_WAVE`] interleaved carry
-    /// chains. Chunking matters on small cross-sections: a 4×4 tile has
-    /// anti-diagonals of mean width 2.3, but its chunked super-diagonals
-    /// interleave 6+ chains, which is what hides the serial
-    /// `add → max → sqrt` latency of the paper kernel. Results stay
-    /// bitwise-identical to the sequential reference in [`crate::seq`]
-    /// on the pinned tier: a single-assignment
-    /// recurrence doesn't care in which order independent cells are
-    /// written, and each cell's own operation order is preserved by the
-    /// wave contract (asserted by the kernel proptests).
-    fn compute_tile(&mut self, k: usize) {
-        let (k0, k1) = self.d.krange(k);
-        let len = k1 - k0;
-        let (bx, by) = (self.d.bx(), self.d.by());
+    /// Compile the walk of a `len`-cell tile over a `bx × by` block;
+    /// `up[dir]` says whether the rank has an upstream neighbor (a halo
+    /// plane) in `dir`.
+    fn build(bx: usize, by: usize, len: usize, up: [bool; 2]) -> Self {
         let ndiags = bx + by - 1;
         // Adaptive chunk count: just enough chunks that super-diagonal
         // waves approach MAX_WAVE interleaved chains (mean plain-
@@ -293,167 +319,204 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         let target = (MAX_WAVE * ndiags).div_ceil(bx * by).max(1);
         let nchunks = len.div_ceil(len.div_ceil(target).next_multiple_of(CHUNK));
         let chunk = len.div_ceil(nchunks).next_multiple_of(LANES);
+        let mut units: Vec<Unit> = Vec::with_capacity(bx * by * nchunks);
+        let mut waves = Vec::new();
+        let mut pos = vec![0; bx * by * nchunks];
+        let off_block = |dir: usize, row| match up[dir] {
+            true => Src::Halo(row),
+            false => Src::Boundary,
+        };
         for s in 0..ndiags + nchunks - 1 {
             // (i, j) cross-section diagonals participating in this
-            // super-diagonal: t = i + j with a live chunk c = s − t.
+            // super-diagonal: t = i + j with a live chunk c = s − t,
+            // in ascending flat-row order (i asc, then j asc — the
+            // contiguous j-window of each i).
             let t_lo = s.saturating_sub(nchunks - 1);
             let t_hi = s.min(ndiags - 1);
-            // Stream the super-diagonal's chunks in ascending flat-row
-            // order (i asc, then j asc — the contiguous j-window of
-            // each i), in as few waves as MAX_WAVE allows, equally wide
-            // in whole lane groups (24 chunks go as 12 + 12: a 16 + 8
-            // split leaves the second wave half the chains to overlap).
-            let items = (0..=t_hi.min(bx - 1)).flat_map(|i| {
-                let j_lo = t_lo.saturating_sub(i);
-                let j_hi = (t_hi - i).min(by - 1);
-                (j_lo..=j_hi).map(move |j| (i, j))
-            });
-            let n = items.clone().count();
+            let first = units.len();
+            for i in 0..=t_hi.min(bx - 1) {
+                for j in t_lo.saturating_sub(i)..=(t_hi - i).min(by - 1) {
+                    let (r, c) = (i * by + j, s - i - j);
+                    let start = c * chunk;
+                    let unit = Unit {
+                        i,
+                        j,
+                        start,
+                        len: chunk.min(len - start),
+                        im1: match i {
+                            0 => off_block(FACE_I, j),
+                            _ => Src::Unit(pos[(r - by) * nchunks + c]),
+                        },
+                        jm1: match j {
+                            0 => off_block(FACE_J, i),
+                            _ => Src::Unit(pos[(r - 1) * nchunks + c]),
+                        },
+                        below: (c > 0).then(|| pos[r * nchunks + c - 1]),
+                    };
+                    pos[r * nchunks + c] = units.len();
+                    units.push(unit);
+                }
+            }
+            // As few waves as MAX_WAVE allows, equally wide in whole
+            // lane groups (24 chunks go as 12 + 12: a 16 + 8 split
+            // leaves the second wave half the chains to overlap).
+            let n = units.len() - first;
             let width = n.div_ceil(n.div_ceil(MAX_WAVE)).next_multiple_of(LANES);
-            let mut items = items.peekable();
-            while items.peek().is_some() {
-                self.eval_chunk_wave(s, items.by_ref().take(width), k0, k1, chunk);
+            waves.extend((first..units.len()).step_by(width).skip(1));
+            waves.push(units.len());
+        }
+        WavePlan {
+            len,
+            nchunks,
+            units,
+            waves,
+            pos,
+        }
+    }
+
+    /// The plan among a block's (one or two) that walks `len` cells.
+    fn of(plans: &[WavePlan], len: usize) -> &WavePlan {
+        let plan = plans.iter().find(|p| p.len == len);
+        plan.expect("a tile is as long as the first or the last one")
+    }
+}
+
+/// Per-rank working state: the 3-D [`TileOps`] implementation. All
+/// buffers are allocated once at construction and the walks are handed
+/// in compiled; the pipeline loop never allocates.
+struct Block3D<'g, K> {
+    d: Decomp3D,
+    links: RankLinks,
+    kernel: K,
+    tier: KernelTier,
+    /// Own block, `rest[i·by + j]` the `(i, j)` pencil: what is left of
+    /// it above the tiles computed so far.
+    rest: Pencils<'g>,
+    /// The last computed tile, cut into its plan's units (same order).
+    units: Pencils<'g>,
+    /// Cells of every pencil handed out so far: `k0` of the next tile.
+    taken: usize,
+    /// The walk of a full tile and, if the last one is shorter, of that.
+    plans: Vec<WavePlan>,
+    /// The `k−1` seed of every pencil's bottom chunk in the last
+    /// computed tile: the top cell of the tile below it, or the boundary.
+    top: Vec<f32>,
+    /// The [`halo_planes`], by direction.
+    halo: [Vec<f32>; 2],
+    /// Global coordinates of the block origin.
+    gi0: i64,
+    gj0: i64,
+    /// Boundary splat, a full tile long: the "neighbor row" of cells
+    /// whose `i−1`/`j−1` neighbor is outside the global grid.
+    brow: Vec<f32>,
+}
+
+impl<'g, K: Kernel3D> Block3D<'g, K> {
+    /// `plans` are the rank's [`WavePlan::for_rank`].
+    fn new(
+        d: Decomp3D,
+        kernel: K,
+        tier: KernelTier,
+        rank: usize,
+        rows: Pencils<'g>,
+        plans: Vec<WavePlan>,
+    ) -> Self {
+        let links = RankLinks::of(&d, rank);
+        let (ci, cj) = d.coords(rank);
+        let (bx, by) = (d.bx(), d.by());
+        Block3D {
+            d,
+            links,
+            kernel,
+            tier,
+            rest: rows,
+            units: Vec::with_capacity(plans.iter().map(|p| p.units.len()).max().unwrap_or(0)),
+            taken: 0,
+            top: vec![d.boundary; bx * by],
+            halo: halo_planes(&d, &links),
+            gi0: (ci * bx) as i64,
+            gj0: (cj * by) as i64,
+            brow: vec![d.boundary; plans[0].len],
+            plans,
+        }
+    }
+
+    /// Compute one tile (all of the block's cross-section over
+    /// `krange(k)`) by its [`WavePlan`]. Only what depends on `k` is
+    /// done here: the tile's window is taken off the bottom of every
+    /// pencil and dealt, chunk by chunk, into plan order; then each
+    /// wave splits the units once, at its first — everything before it
+    /// is finished and readable, the wave's own units are its outputs.
+    /// The pencils are consumed, so tiles are computed in step order,
+    /// each exactly once.
+    ///
+    /// Results stay bitwise-identical to the sequential reference in
+    /// [`crate::seq`] on the pinned tier: a single-assignment
+    /// recurrence doesn't care in which order independent cells are
+    /// written, and each cell's own operation order is preserved by the
+    /// wave contract (asserted by the kernel proptests).
+    fn compute_tile(&mut self, k: usize) {
+        let (k0, k1) = self.d.krange(k);
+        assert_eq!(k0, self.taken, "tiles are computed bottom-up");
+        let plan = WavePlan::of(&self.plans, k1 - k0);
+        // Deal the tile out. Unit order depends on the chunk count
+        // alone: while that stays, every unit is replaced by the same
+        // (row, chunk) one tile up, and the last cell of a pencil's
+        // replaced top chunk seeds its new bottom one. Otherwise — the
+        // first tile, or a last tile cut into another number of chunks
+        // — the seeds are carried over beforehand, by the full tile's
+        // plan (it walked the previous tile), and the units start empty.
+        if self.units.len() != plan.units.len() {
+            let full = &self.plans[0];
+            for (top, chunks) in self.top.iter_mut().zip(full.pos.chunks_exact(full.nchunks)) {
+                let unit = chunks.last().and_then(|&p| self.units.get(p));
+                *top = unit.and_then(|u| u.last()).copied().unwrap_or(*top);
+            }
+            self.units.clear();
+            self.units.resize_with(plan.units.len(), Default::default);
+        }
+        let rows = self.rest.iter_mut().zip(&mut self.top);
+        for ((rest, top), chunks) in rows.zip(plan.pos.chunks_exact(plan.nchunks)) {
+            let (mut window, above) = std::mem::take(rest).split_at_mut(plan.len);
+            *rest = above;
+            for &p in chunks {
+                let (chunk, more) = window.split_at_mut(plan.units[p].len);
+                let replaced = std::mem::replace(&mut self.units[p], chunk);
+                *top = replaced.last().copied().unwrap_or(*top);
+                window = more;
             }
         }
-    }
+        self.taken = k1;
 
-    /// Evaluate one wave of same-super-diagonal chunks: items are
-    /// `(i, j)` in ascending flat-row order, each contributing its
-    /// chunk `s − i − j` of the tile's `[k0, k1)` pencil span.
-    /// Everything set up per wave is sized by the items that arrive,
-    /// not by `MAX_WAVE`: the ramp waves of a tile are narrow, and on a
-    /// small tile they are most of the waves.
-    fn eval_chunk_wave(
-        &mut self,
-        s: usize,
-        items: impl Iterator<Item = (usize, usize)>,
-        k0: usize,
-        k1: usize,
-        chunk: usize,
-    ) {
-        let kernel = self.kernel;
-        let tier = self.tier;
-        let by = self.d.by();
-        let nz = self.d.nz;
-        let b = self.d.boundary;
-        let (gi0, gj0) = (self.gi0, self.gj0);
-        let up = self.links.up;
-        let (has_li, has_lj) = (up[FACE_I].is_some(), up[FACE_J].is_some());
-        let halo_i = &self.halo_i[..];
-        let halo_j = &self.halo_j[..];
-        let brow = &self.brow[..];
-        // Carve the block into the wave's output chunks plus everything
-        // the wave may read. Rows are distinct within a wave (c is
-        // determined by i + j) and streamed in ascending r = i·by + j,
-        // so one forward split pass over the rows suffices: each item
-        // takes its own row — cut into the part below its output and
-        // the output — and leaves the untouched rows before it behind
-        // as a readable run. Every read this wave makes lands below an
-        // output or in such a run: a neighbor's same-range chunk has
-        // coordinate sum s − 1 (finished last super-diagonal), and when
-        // that neighbor row's *next* chunk is also an output of this
-        // wave, the output starts exactly one chunk above the range
-        // being read. Neighbor rows precede the reader's, so the same
-        // pass resolves them.
-        self.wave_gen += 1;
-        let gen = self.wave_gen;
-        let row_item = &mut self.row_item[..];
-        let mut segs: LaneVec<Seg<'_, '_>> = LaneVec::new();
-        let mut wave = Wave::new();
-        let mut remaining = &mut self.rows[..];
-        let mut off = 0usize;
-        for (p, (i, j)) in items.enumerate() {
-            let c = s - (i + j);
-            let ck0 = k0 + c * chunk;
-            let clen = chunk.min(k1 - ck0);
-            let r = i * by + j;
-            let (run, rest) = remaining.split_at_mut(r - off);
-            let (own, rest) = rest.split_first_mut().expect("row r is in the block");
-            let (below, at) = own.split_at_mut(ck0);
-            let out = &mut at[..clen];
-            let below: &[f32] = below;
-            segs.push(Seg {
-                first: off,
-                run,
-                below,
-            });
-            remaining = rest;
-            off = r + 1;
-            row_item[r] = (gen << 5) | p as u64;
-            // A neighbor read is O(1) when the neighbor row was carved
-            // this wave (generation match on its stamp): its output is
-            // the row's *next* chunk, so the range being read lies
-            // below it. A stale stamp — ramp-down waves whose neighbor
-            // pencil already finished, or cross-batch neighbors on
-            // supersteps wider than MAX_WAVE — means the whole row is
-            // readable, in one of the untouched runs.
-            let span = |q: usize| -> &[f32] {
-                let v = row_item[q];
-                let row = if v >> 5 == gen {
-                    segs.get((v & 31) as usize).below
-                } else {
-                    untouched_row(&segs, q)
+        let (by, nz) = (self.d.by(), self.d.nz);
+        let mut first = 0;
+        for &end in &plan.waves {
+            let (done, outs) = self.units.split_at_mut(first);
+            let mut wave = Wave::new();
+            for (u, out) in plan.units[first..end].iter().zip(outs) {
+                let input = |src: Src, dir: usize| match src {
+                    Src::Unit(q) => &*done[q],
+                    Src::Halo(row) => &self.halo[dir][row * nz + k0 + u.start..][..u.len],
+                    Src::Boundary => &self.brow[..u.len],
                 };
-                &row[ck0..][..clen]
-            };
-            let im1: &[f32] = if i > 0 {
-                span(r - by)
-            } else if has_li {
-                &halo_i[j * nz + ck0..][..clen]
-            } else {
-                &brow[ck0..ck0 + clen]
-            };
-            let jm1: &[f32] = if j > 0 {
-                span(r - 1)
-            } else if has_lj {
-                &halo_j[i * nz + ck0..][..clen]
-            } else {
-                &brow[ck0..ck0 + clen]
-            };
-            // k−1 dependence: seed from the cell below the chunk — the
-            // previous chunk's top (or the previous tile's, or the
-            // boundary); the kernel carries it up the chunk.
-            let km1 = below.last().copied().unwrap_or(b);
-            wave.push(
-                gi0 + i as i64,
-                gj0 + j as i64,
-                ck0 as i64,
-                im1,
-                jm1,
-                km1,
-                out,
-            );
+                let km1 = match u.below {
+                    Some(q) => *done[q].last().expect("chunks are non-empty"),
+                    None => self.top[u.i * by + u.j],
+                };
+                wave.push(
+                    self.gi0 + u.i as i64,
+                    self.gj0 + u.j as i64,
+                    (k0 + u.start) as i64,
+                    input(u.im1, FACE_I),
+                    input(u.jm1, FACE_J),
+                    km1,
+                    out,
+                );
+            }
+            self.kernel.eval_wave_tier(self.tier, &mut wave);
+            first = end;
         }
-        kernel.eval_wave_tier(tier, &mut wave);
     }
-}
-
-/// k-chunk length of the super-diagonal tile walk: short enough that a
-/// 4×4 cross-section with the paper's V = 128 spreads into wide waves,
-/// long enough that the vector pass and per-chunk bookkeeping amortize.
-const CHUNK: usize = 32;
-
-/// What one item of a wave carve leaves readable: the run of untouched
-/// rows before its own (`run[x]` is row `first + x`) and its own row
-/// below its output.
-#[derive(Default)]
-struct Seg<'a, 'g> {
-    first: usize,
-    run: &'a [&'g mut [f32]],
-    below: &'a [f32],
-}
-
-/// Row `q` of the block, not carved by the current wave, among the
-/// untouched runs carved so far (`first` ascending): the slow path
-/// behind the O(1) stamp lookup in [`Block3D::eval_chunk_wave`]. The
-/// row sits in the reader's own run or a few before it, so the search
-/// goes latest first.
-fn untouched_row<'a>(segs: &LaneVec<Seg<'a, '_>>, q: usize) -> &'a [f32] {
-    let mut latest_first = (0..segs.len()).rev().map(|p| segs.get(p));
-    let seg = latest_first
-        .find(|seg| seg.first <= q)
-        .expect("runs cover every row before the reader's");
-    &*seg.run[q - seg.first]
 }
 
 impl<K: Kernel3D> TileOps for Block3D<'_, K> {
@@ -481,8 +544,12 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         // Gather the outgoing face's rows straight into the wire buffer
         // (the peer-visible slot on a slot-transport world) — the
         // block-to-kernel-buffer copy of the paper's B₂ phase is this
-        // one strided copy, with no further staging behind it.
+        // one strided copy, with no further staging behind it. The
+        // engine packs a tile before it computes the next one, so the
+        // face's cells are in the units of the last computed tile.
         let (k0, k1) = self.d.krange(step);
+        assert_eq!(k1, self.taken, "only the last computed tile is packed");
+        let plan = WavePlan::of(&self.plans, k1 - k0);
         let (bx, by) = (self.d.bx(), self.d.by());
         // Last local i: by consecutive rows; last local j: every by-th.
         let (first, stride) = if dir == FACE_I {
@@ -490,21 +557,25 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         } else {
             (by - 1, by)
         };
-        let face = self.rows[first..].iter().step_by(stride);
-        halo::pack_windows(face.map(|row| &row[k0..k1]), k1 - k0, out);
+        let face = plan
+            .pos
+            .chunks_exact(plan.nchunks)
+            .skip(first)
+            .step_by(stride);
+        let mut out = out;
+        for &p in face.flatten() {
+            let unit = &*self.units[p];
+            let (head, tail) = std::mem::take(&mut out).split_at_mut(unit.len());
+            head.copy_from_slice(unit);
+            out = tail;
+        }
     }
 
     fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]) {
         // Scatter the received face directly from the wire payload into
         // the halo plane — B₃ without an intermediate landing buffer.
         let (k0, k1) = self.d.krange(step);
-        let len = k1 - k0;
-        let halo = if dir == FACE_I {
-            &mut self.halo_i
-        } else {
-            &mut self.halo_j
-        };
-        halo::unpack_rows(data, halo, 0, self.d.nz, k0, len);
+        halo::unpack_rows(data, &mut self.halo[dir], 0, self.d.nz, k0, k1 - k0);
     }
 
     fn compute(&mut self, step: usize) {
@@ -516,7 +587,8 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
 /// `rows`, its pencils of the result (see [`rank_pencils`]), reporting
 /// every phase to `obs`, or the typed transport/structure error that
 /// stopped it. Nothing is re-derived here — the plan is executed
-/// exactly as compiled. `knobs` is `(tier, workers, pin)`.
+/// exactly as compiled. `knobs` is `(tier, workers, pin)`; `plans` are
+/// the rank's [`WavePlan::for_rank`].
 ///
 /// With `workers > 1` the tile is fanned out across intra-rank compute
 /// threads (see [`pool`]): the calling thread is worker 0, `workers − 1`
@@ -531,10 +603,11 @@ pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver
     (tier, workers, pin): (KernelTier, usize, bool),
     obs: &mut O,
     rows: Pencils<'_>,
+    plans: Vec<WavePlan>,
 ) -> Result<(), EngineError> {
     let (d, plan, rank) = (c.decomp(), c.step_plan(), comm.rank());
     if workers <= 1 {
-        let mut blk = Block3D::new(d, kernel, tier, rank, rows);
+        let mut blk = Block3D::new(d, kernel, tier, rank, rows, plans);
         return engine::run_rank(comm, &mut blk, plan, obs);
     }
     let pin_base = pin.then(|| rank * workers);
@@ -567,7 +640,8 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     let d = c.decomp();
     let mut block = vec![0.0; d.bx() * d.by() * d.nz];
     let rows = block.chunks_exact_mut(d.nz).collect();
-    run_rank3d_into(comm, kernel, c, (tier, workers, pin), obs, rows)?;
+    let plans = WavePlan::for_rank(&d, comm.rank(), workers);
+    run_rank3d_into(comm, kernel, c, (tier, workers, pin), obs, rows, plans)?;
     Ok(block)
 }
 
@@ -592,6 +666,7 @@ mod tests {
     use crate::kernel::{Fused3D, LongestPath3D, Paper3D, Relax3D};
     use crate::seq::{run_paper3d_seq, run_seq3d};
     use msgpass::thread_backend::LatencyModel;
+    use proptest::prelude::*;
 
     /// One-shot run on a zero-latency world.
     fn run<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) -> Result<Grid3D, EngineError> {
@@ -905,6 +980,111 @@ mod tests {
         }
     }
 
+    /// `(i, j, c, wave)` of every unit of a plan, in walk order.
+    fn walk(plan: &WavePlan, by: usize) -> Vec<[usize; 4]> {
+        let mut wave = 0;
+        let unit = |(n, u): (usize, &Unit)| {
+            wave += usize::from(n == plan.waves[wave]);
+            let chunks = &plan.pos[(u.i * by + u.j) * plan.nchunks..][..plan.nchunks];
+            let c = chunks.iter().position(|&p| p == n).expect("pos finds it");
+            [u.i, u.j, c, wave]
+        };
+        plan.units.iter().enumerate().map(unit).collect()
+    }
+
+    /// Fingerprints of the walk `compute_tile` re-derived per tile
+    /// before it was compiled into a [`WavePlan`], recorded at that
+    /// commit from its own `eval_chunk_wave` calls: row `bx`, column
+    /// `by` over `SIDES`, each folding the `(i, j, c, wave index)`
+    /// sequences of all `LENS` tile lengths.
+    const SIDES: [usize; 6] = [1, 2, 3, 4, 8, 16];
+    const LENS: [usize; 11] = [1, 3, 8, 31, 32, 33, 64, 100, 128, 256, 300];
+    #[rustfmt::skip]
+    const RECORDED_WALKS: [[u64; 6]; 6] = [
+        [0xbf53e8ae5801dae3, 0xd00d1eb2e770bb8b, 0xc003e86f12d5fcbd, 0x469bd0ac3afbe169, 0xa926063225a87431, 0xee78d916dff99b09],
+        [0x47a779bae3cd4629, 0x675fc8eba04e8567, 0x6600600eff2f492b, 0x4418549df94a0c45, 0xdd96367168e8dde9, 0xab01f4d5a08f7b19],
+        [0x6a47778cd757d637, 0x1355154a51992875, 0xf1e6ea173928f045, 0xffc3f9eda739a299, 0x45265a076e349fc9, 0x515bf029d7c350f9],
+        [0x988e08967088e0d5, 0x14b60fb9ff5540b5, 0xc005bf1fd8d10b85, 0xcedc1a5fba431cdd, 0x2469ca67c7a5954d, 0x7f899026b884af6d],
+        [0x097bc19c2600d1d1, 0x2bcc2b0b97928f65, 0x2503a382d925340d, 0x72219879da154d41, 0x6b74b0a80ab69159, 0x84621178738574b9],
+        [0x53d376d1b36aa8d9, 0x1a89fb6d24933685, 0x1f68ede10b6aea4d, 0x15f5f3dc3c192111, 0x2921ed1d32fcf629, 0xcb70f5c97dc6ad21],
+    ];
+
+    #[test]
+    fn the_plan_is_the_recorded_walk() {
+        let fnv = |h: u64, x: usize| (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        for (bx, recorded) in SIDES.into_iter().zip(RECORDED_WALKS) {
+            for (by, want) in SIDES.into_iter().zip(recorded) {
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                for len in LENS {
+                    let plan = WavePlan::build(bx, by, len, [false; 2]);
+                    let units = walk(&plan, by);
+                    h = units.iter().flatten().fold(fnv(h, len), |h, &x| fnv(h, x));
+                }
+                assert_eq!(h, want, "{bx}x{by} block");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_plan_covers_the_tile_once_and_reads_only_finished_waves(
+            bx in 1usize..=9,
+            by in 1usize..=9,
+            len in 1usize..=300,
+            up_i in any::<bool>(),
+            up_j in any::<bool>(),
+        ) {
+            let plan = WavePlan::build(bx, by, len, [up_i, up_j]);
+            let units = walk(&plan, by);
+            // Every (row, chunk) exactly once: `pos` is a bijection onto
+            // the units, and each row's chunks tile the window in order.
+            let mut seen = plan.pos.clone();
+            seen.sort_unstable();
+            prop_assert!(seen.into_iter().eq(0..plan.units.len()));
+            prop_assert_eq!(plan.units.len(), bx * by * plan.nchunks);
+            for (r, chunks) in plan.pos.chunks_exact(plan.nchunks).enumerate() {
+                let mut next = 0;
+                for &p in chunks {
+                    let u = plan.units[p];
+                    prop_assert_eq!((u.i * by + u.j, u.start), (r, next));
+                    prop_assert!(u.len > 0);
+                    next += u.len;
+                }
+                prop_assert_eq!(next, len);
+            }
+            // Waves: none over MAX_WAVE, ends ascending up to the last unit.
+            let widths = plan.waves.iter().scan(0, |first, &end| {
+                let width = end - std::mem::replace(first, end);
+                Some(width)
+            });
+            prop_assert!(widths.into_iter().all(|w| (1..=MAX_WAVE).contains(&w)));
+            prop_assert_eq!(plan.waves.last(), Some(&plan.units.len()));
+            // Sources: the neighbor rows' same chunk and the chunk
+            // below, each in a strictly earlier wave; off-block
+            // neighbors read the halo row or the boundary.
+            for (u, &[i, j, c, wave]) in plan.units.iter().zip(&units) {
+                let earlier = |q: usize, want: [usize; 3]| {
+                    units[q][..3] == want && units[q][3] < wave
+                };
+                let off_block = |up: bool, row: usize| if up { Src::Halo(row) } else { Src::Boundary };
+                match u.im1 {
+                    Src::Unit(q) => prop_assert!(i > 0 && earlier(q, [i - 1, j, c])),
+                    src => prop_assert!(i == 0 && src == off_block(up_i, j)),
+                }
+                match u.jm1 {
+                    Src::Unit(q) => prop_assert!(j > 0 && earlier(q, [i, j - 1, c])),
+                    src => prop_assert!(j == 0 && src == off_block(up_j, i)),
+                }
+                match u.below {
+                    Some(q) => prop_assert!(c > 0 && earlier(q, [i, j, c - 1])),
+                    None => prop_assert_eq!(c, 0),
+                }
+            }
+        }
+    }
+
     #[test]
     fn steps_rounding() {
         let d = Decomp3D {
@@ -935,7 +1115,8 @@ mod tests {
             };
             let grid = CartesianGrid::new(vec![pi, pj]);
             for rank in 0..d.ranks() {
-                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new());
+                let plans = WavePlan::for_rank(&d, rank, 1);
+                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), plans);
                 decomp::assert_ops_read_layout(&d, rank, &blk);
                 let shared =
                     pool::Shared::new(d, Paper3D, KernelTier::Bitwise, 2, rank, Vec::new());

@@ -183,7 +183,7 @@ impl Grid3D {
 /// other pair involving a NaN differs by `f32::INFINITY`: a NaN where
 /// the reference holds a number must never verify as equal (`f32::max`
 /// alone would discard it).
-fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
     let cell = |(a, b): (&f32, &f32)| match (a - b).abs() {
         d if !d.is_nan() => d,
         _ if a.to_bits() == b.to_bits() => 0.0,

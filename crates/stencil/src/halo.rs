@@ -14,7 +14,10 @@
 //! For the 3-D `bx × by × nz` block (k fastest), the `i = bx−1` face has
 //! `base = (bx−1)·by·nz, stride = nz` (rows indexed by `j`) and the
 //! `j = by−1` face has `base = (by−1)·nz, stride = by·nz` (rows indexed
-//! by `i`). Halo planes unpack with `base = 0, stride = nz`.
+//! by `i`). Halo planes unpack with `base = 0, stride = nz`. The 3-D
+//! executor unpacks through [`unpack_rows`]; it packs the same row
+//! copies from its tile units, while [`pack_rows`] is the flat-block
+//! form the benchmark's probe and `benches/halo_exchange` measure.
 //!
 //! `tests/halo_chunking.rs` asserts bitwise equality with element-wise
 //! gather/scatter oracles on random shapes, including partial last

@@ -68,14 +68,6 @@ impl<T: Default> LaneVec<T> {
         self.len += 1;
     }
 
-    /// # Panics
-    /// If `n >= len`.
-    pub(crate) fn get(&self, n: usize) -> &T {
-        assert!(n < self.len);
-        let group = self.groups[n / LANES].as_ref();
-        &group.expect("groups below len are filled")[n % LANES]
-    }
-
     /// The live slots of every group in turn: all [`LANES`] of a full
     /// group, fewer of the last.
     fn groups_mut(&mut self) -> impl Iterator<Item = &mut [T]> {

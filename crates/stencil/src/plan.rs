@@ -196,16 +196,19 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     let mut out = Grid3D::new(d.nx, d.ny, d.nz, 0.0, d.boundary);
     let (results, elapsed) = {
         // The body is shared by the ranks, so each takes its pencils
-        // out of its own slot.
+        // and its tile walks (compiled here, on the launching thread —
+        // see `WavePlan::for_rank`) out of its own slot.
+        let walks = |rank| dist3d::WavePlan::for_rank(&d, rank, knobs.1);
         let parts: Vec<_> = dist3d::rank_pencils(&d, out.pencils_mut())
             .into_iter()
-            .map(|rows| Mutex::new(Some(rows)))
+            .enumerate()
+            .map(|(rank, rows)| Mutex::new(Some((rows, walks(rank)))))
             .collect();
         launch(&|comm| {
             let mut obs = make_obs(comm);
-            let rows = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
-            let rows = rows.expect("a world runs each rank once");
-            let run = dist3d::run_rank3d_into(comm, kernel, c, knobs, &mut obs, rows);
+            let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
+            let (rows, plans) = part.expect("a world runs each rank once");
+            let run = dist3d::run_rank3d_into(comm, kernel, c, knobs, &mut obs, rows, plans);
             (run, (obs, comm.fault_stats()))
         })
     };

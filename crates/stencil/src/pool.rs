@@ -34,7 +34,7 @@
 //! state tile path allocates nothing (asserted by `tests/zero_alloc.rs`).
 
 use crate::decomp::RankLinks;
-use crate::dist3d::{Decomp3D, Pencils};
+use crate::dist3d::{self, Decomp3D, Pencils};
 use crate::engine::TileOps;
 use crate::halo;
 use crate::kernel::{Kernel3D, KernelTier, Wave, MAX_WAVE};
@@ -103,9 +103,10 @@ pub(crate) struct Shared<'g, K> {
     /// Block rows, `rows[i·by + j]` = the `(i, j)` pencil (`nz` long).
     rows: Vec<RwLock<&'g mut [f32]>>,
     /// Halo plane `i = own_lo_i − 1`, `by × nz` (engine writes between
-    /// tiles, workers read during them — phases never overlap).
+    /// tiles, workers read during them — phases never overlap); empty
+    /// on a rank with no upstream neighbor in `i`.
     halo_i: RwLock<Vec<f32>>,
-    /// Halo plane `j = own_lo_j − 1`, `bx × nz`.
+    /// Halo plane `j = own_lo_j − 1`, `bx × nz`; empty likewise.
     halo_j: RwLock<Vec<f32>>,
     /// Boundary splat, `nz` long.
     brow: Vec<f32>,
@@ -128,14 +129,15 @@ impl<'g, K: Kernel3D> Shared<'g, K> {
     ) -> Self {
         let links = RankLinks::of(&d, rank);
         let (ci, cj) = d.coords(rank);
+        let [halo_i, halo_j] = dist3d::halo_planes(&d, &links).map(RwLock::new);
         Shared {
             d,
             kernel,
             tier,
             workers,
             rows: rows.into_iter().map(RwLock::new).collect(),
-            halo_i: RwLock::new(vec![0.0; d.by() * d.nz]),
-            halo_j: RwLock::new(vec![0.0; d.bx() * d.nz]),
+            halo_i,
+            halo_j,
             brow: vec![d.boundary; d.nz],
             links,
             gi0: (ci * d.bx()) as i64,

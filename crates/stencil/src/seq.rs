@@ -4,7 +4,7 @@
 //! order on one core. The distributed executors must produce bitwise
 //! identical grids.
 
-use crate::grid::{Grid2D, Grid3D};
+use crate::grid::{self, Grid2D, Grid3D};
 use crate::kernel::{Example1, Kernel2D, Kernel3D, Paper3D};
 
 /// Run any 3-D wavefront kernel sequentially; returns the final grid.
@@ -26,6 +26,37 @@ pub fn run_seq3d<K: Kernel3D>(kernel: K, nx: usize, ny: usize, nz: usize, bounda
         }
     }
     g
+}
+
+/// `grid.max_abs_diff(&run_seq3d(kernel, ..))` over `grid`'s shape and
+/// boundary, without materialising the reference: the same
+/// cell-by-cell [`Kernel3D::eval`] recurrence needs only the `i`-plane
+/// being computed and the one before it, and each finished plane is
+/// compared with `grid`'s (by [`Grid3D::max_abs_diff`]'s rule) before
+/// it is overwritten. Verifying a result this way holds one grid, not
+/// two.
+pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
+    let (ny, nz, b) = (grid.ny(), grid.nz(), grid.boundary());
+    // Planes of ny + 1 pencils: pencil 0 stays the boundary splat, the
+    // `j − 1` neighbor of `j = 0`, and the plane before `i = 0` is all
+    // boundary — so every pencil is one zipped walk.
+    let mut prev = vec![b; (ny + 1) * nz];
+    let mut cur = prev.clone();
+    let mut worst = 0.0f32;
+    for (i, plane) in (0i64..).zip(grid.data().chunks_exact(ny * nz)) {
+        for j in 1..=ny {
+            let (done, rest) = cur.split_at_mut(j * nz);
+            let ins = prev[j * nz..][..nz].iter().zip(&done[(j - 1) * nz..]);
+            let mut km1 = b;
+            for (k, (out, (&im1, &jm1))) in (0i64..).zip(rest[..nz].iter_mut().zip(ins)) {
+                km1 = kernel.eval(i, j as i64 - 1, k, im1, jm1, km1);
+                *out = km1;
+            }
+        }
+        worst = worst.max(grid::max_abs_diff(&cur[nz..], plane));
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    worst
 }
 
 /// Run any 2-D wavefront kernel sequentially.
@@ -73,7 +104,50 @@ pub fn measure_t_c_paper3d(iterations: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Alignment2D, LongestPath3D, Relax3D, Smooth2D};
+    use crate::kernel::{Alignment2D, Fused3D, LongestPath3D, Relax3D, Smooth2D};
+    use proptest::prelude::*;
+
+    /// On a correct grid, on one with a cell moved and on one with a
+    /// NaN in it, the rolling comparison says what the whole-grid one
+    /// does (same bits: 0, a distance, or ∞).
+    fn rolling_diff_matches<K: Kernel3D>(k: K, shape: (usize, usize, usize), b: f32, at: usize) {
+        let (nx, ny, nz) = shape;
+        let reference = run_seq3d(k, nx, ny, nz, b);
+        let (i, j, z) = (at / (ny * nz), at / nz % ny, at % nz);
+        let mut g = reference.clone();
+        for wrong in [
+            None,
+            Some(g.get(i as i64, j as i64, z as i64) + 0.75),
+            Some(f32::NAN),
+        ] {
+            if let Some(v) = wrong {
+                g.set(i, j, z, v);
+            }
+            let want = g.max_abs_diff(&reference);
+            let got = max_abs_diff_from_seq3d(k, &g);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{shape:?} cell {at} = {wrong:?}"
+            );
+            assert_eq!(got == 0.0, wrong.is_none());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rolling_planes_compare_like_the_whole_reference(
+            shape in (1usize..=5, 1usize..=5, 1usize..=17),
+            boundary in 0.0f32..4.0,
+            cell in 0usize..5 * 5 * 17,
+        ) {
+            let at = cell % (shape.0 * shape.1 * shape.2);
+            rolling_diff_matches(Paper3D, shape, boundary, at);
+            rolling_diff_matches(Relax3D::default(), shape, boundary, at);
+            rolling_diff_matches(LongestPath3D, shape, boundary, at);
+            rolling_diff_matches(Fused3D::default(), shape, boundary, at);
+        }
+    }
 
     #[test]
     fn paper3d_small_values() {

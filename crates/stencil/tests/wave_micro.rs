@@ -1,7 +1,8 @@
 //! Ignored-by-default microbenchmarks of the wave kernel paths:
 //! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
-//! `ci.sh` runs them for the one assertion in here — a wave must beat
-//! the pencil loop it replaces, a same-process ratio that holds on a
+//! `ci.sh` runs them for the two assertions in here — a wave must beat
+//! the pencil loop it replaces, and a small tile may cost only so much
+//! more per cell than a large one — same-process ratios that hold on a
 //! noisy box; the absolute rates are gated by `paper perf`.
 
 use std::time::Instant;
@@ -78,6 +79,72 @@ fn single_rank_tile_micro() {
             best * 1e9 / cells
         );
     }
+}
+
+/// The tile walk with the arithmetic taken out: what a tile costs
+/// before its first cell.
+#[derive(Clone, Copy)]
+struct CarveOnly;
+
+impl Kernel3D for CarveOnly {
+    fn eval(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32) -> f32 {
+        0.0
+    }
+
+    fn eval_wave(&self, _: &mut Wave<'_>) {}
+}
+
+/// µs per tile of one rank's `fine-grain` share (4×8×16384, a 1×1
+/// world, so no message is sent) at tile height `v`: the parallel
+/// region of the fastest of 15 runs on a warm world.
+fn tile_us<K: Kernel3D>(kernel: K, v: usize) -> f64 {
+    use msgpass::thread_backend::{build_world_with, LatencyModel, WorldConfig};
+    use stencil::dist3d::{Decomp3D, ExecMode};
+    use stencil::kernel::KernelTier;
+    use stencil::plan::{run3d_on_world, Compiled3D};
+    let d = Decomp3D {
+        nx: 4,
+        ny: 8,
+        nz: 16384,
+        pi: 1,
+        pj: 1,
+        v,
+        boundary: 1.0,
+    };
+    let plan = Compiled3D::compile_unchecked(d, ExecMode::Overlapping).unwrap();
+    let mut world = build_world_with::<f32>(1, &WorldConfig::new(LatencyModel::zero()));
+    let run = |_| {
+        let (g, elapsed, _) =
+            run3d_on_world(kernel, &plan, KernelTier::Bitwise, &mut world).unwrap();
+        assert!(g.data()[1].is_finite());
+        elapsed.as_secs_f64()
+    };
+    let best = (0..15).map(run).fold(f64::INFINITY, f64::min);
+    best * 1e6 / d.steps() as f64
+}
+
+#[test]
+#[ignore]
+fn small_tile_micro() {
+    println!(
+        "4x8x16384 share, 1x1 world:   V  paper3d us/tile  ns/cell  carve-only us/tile  ns/cell"
+    );
+    let mut ns_per_cell = Vec::new();
+    for v in [8usize, 16, 32, 64, 256] {
+        let (full, carve) = (tile_us(Paper3D, v), tile_us(CarveOnly, v));
+        let per_cell = |us: f64| us * 1e3 / (4 * 8 * v) as f64;
+        println!(
+            "{v:32} {full:16.2} {:8.2} {carve:19.2} {:8.2}",
+            per_cell(full),
+            per_cell(carve)
+        );
+        ns_per_cell.push(per_cell(full));
+    }
+    let (small, large) = (ns_per_cell[0], ns_per_cell[4]);
+    assert!(
+        small <= 3.0 * large,
+        "a V = 8 tile costs {small:.2} ns/cell, over 3.0 x the {large:.2} of V = 256"
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@
 mod common;
 
 use common::{verify_example1, verify_paper3d};
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
+use msgpass::thread_backend::{build_world_with, LatencyModel, ThreadComm, WorldConfig};
 use proptest::prelude::*;
+use stencil::kernel::KernelTier;
 use stencil::prelude::*;
 
 fn zero_latency() -> WorldConfig {
@@ -190,6 +191,24 @@ fn long_pipeline_stays_finite() {
     assert!(g.data().iter().all(|x| x.is_finite()));
 }
 
+/// Every mode and worker count on a fresh world per run, then both
+/// modes on the prebuilt `world`, bitwise against `stencil::seq`.
+fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [ThreadComm<f32>]) {
+    let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        let plan = Compiled3D::compile(d, mode).expect("clean plan");
+        for workers in [1, 2] {
+            let cfg = zero_latency().with_compute_workers(workers);
+            let (fresh, _, _) = run3d_with(kernel, &plan, &cfg).expect("fresh world");
+            let diff = fresh.max_abs_diff(&seq);
+            assert_eq!(diff, 0.0, "fresh world, {workers} workers, {mode:?}, {d:?}");
+        }
+        let (warm, _, _) =
+            run3d_on_world(kernel, &plan, KernelTier::Bitwise, world).expect("warm world");
+        assert_eq!(warm.max_abs_diff(&seq), 0.0, "warm world, {mode:?}, {d:?}");
+    }
+}
+
 /// The result grid is the ranks' storage: every rank computes straight
 /// into its own pencils of the zero-filled output, so a pencil dealt to
 /// the wrong rank or left unwritten is a non-zero difference from the
@@ -199,25 +218,6 @@ fn long_pipeline_stays_finite() {
 /// cases.
 #[test]
 fn every_pencil_is_written_by_its_owner_on_fresh_and_reused_worlds() {
-    use msgpass::thread_backend::{build_world_with, ThreadComm};
-    use stencil::kernel::{Kernel3D, KernelTier, Relax3D};
-
-    fn check<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [ThreadComm<f32>]) {
-        let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
-        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let plan = Compiled3D::compile(d, mode).expect("clean plan");
-            for workers in [1, 2] {
-                let cfg = zero_latency().with_compute_workers(workers);
-                let (fresh, _, _) = run3d_with(kernel, &plan, &cfg).expect("fresh world");
-                let diff = fresh.max_abs_diff(&seq);
-                assert_eq!(diff, 0.0, "fresh world, {workers} workers, {mode:?}, {d:?}");
-            }
-            let (warm, _, _) =
-                run3d_on_world(kernel, &plan, KernelTier::Bitwise, world).expect("warm world");
-            assert_eq!(warm.max_abs_diff(&seq), 0.0, "warm world, {mode:?}, {d:?}");
-        }
-    }
-
     let shapes = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)];
     for ranks in [1, 2, 4, 6] {
         let mut world = build_world_with::<f32>(ranks, &zero_latency());
@@ -231,8 +231,59 @@ fn every_pencil_is_written_by_its_owner_on_fresh_and_reused_worlds() {
                 v: 4, // 19 % 4 ≠ 0: the last tile is partial
                 boundary: 1.25,
             };
-            check(Paper3D, d, &mut world);
-            check(Relax3D::default(), d, &mut world);
+            check_fresh_and_warm(Paper3D, d, &mut world);
+            check_fresh_and_warm(Relax3D::default(), d, &mut world);
+        }
+    }
+}
+
+/// A rank consumes its pencils tile by tile from the bottom and deals
+/// each window out in the order of a walk compiled per tile length, so
+/// the shapes to get wrong are those where the windows, the chunking or
+/// the walk change under it: a last tile cut into fewer chunks than the
+/// full one (3 → 1) or into more (7 → 12), single-cell tiles, one tile
+/// taller than the grid, blocks one pencil wide. Bitwise on the pinned
+/// tier; on the fast tier, bit-identical to what the per-tile carve
+/// this walk replaced computed (checksums recorded at that commit).
+#[test]
+fn consumed_pencils_are_bitwise_on_edge_shapes_and_the_fast_tier_has_not_moved() {
+    // (nx, ny, nz, V, checksum of the Fused3D fast-tier grid) on 2×2 ranks.
+    let shapes = [
+        (4, 4, 180, 80, Some(0xa3c0_9823_a5cf_4511u64)),
+        (4, 4, 769, 385, None),
+        (4, 4, 7, 1, None),
+        (4, 4, 5, 9, None),
+        (2, 6, 37, 8, Some(0xa804_e37c_3e92_664a)),
+        (6, 2, 37, 8, Some(0xd90a_b304_fb5a_adce)),
+    ];
+    let mut world = build_world_with::<f32>(4, &zero_latency());
+    for (nx, ny, nz, v, fast_checksum) in shapes {
+        let d = Decomp3D {
+            nx,
+            ny,
+            nz,
+            pi: 2,
+            pj: 2,
+            v,
+            boundary: 1.25,
+        };
+        check_fresh_and_warm(Paper3D, d, &mut world);
+        check_fresh_and_warm(Relax3D::default(), d, &mut world);
+        // Neither contracts nor decays: a stale `k − 1` seed shows.
+        check_fresh_and_warm(LongestPath3D, d, &mut world);
+        let Some(want) = fast_checksum else { continue };
+        let fnv = |h: u64, x: &f32| (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3);
+        let fast = zero_latency().with_kernel_tier(KernelTier::Fast);
+        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+            let plan = Compiled3D::compile(d, mode).expect("clean plan");
+            let kernel = Fused3D::default();
+            let (fresh, _, _) = run3d_with(kernel, &plan, &fast).expect("fresh world");
+            let (warm, _, _) =
+                run3d_on_world(kernel, &plan, KernelTier::Fast, &mut world).expect("warm world");
+            for grid in [fresh, warm] {
+                let got = grid.data().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+                assert_eq!(got, want, "fast tier, {mode:?}, {d:?}");
+            }
         }
     }
 }

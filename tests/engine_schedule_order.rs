@@ -8,7 +8,8 @@
 //! post-receive / post-send / compute / wait interleaving *is* the
 //! overlapping schedule, not merely something that computes the same
 //! values. Under Blocking, every step must be the serialized
-//! *receive → compute → send* triplet of eq. 3.
+//! *receive → compute → send* triplet of eq. 3. Under both, a face is
+//! packed only from the tile computed last.
 
 use msgpass::thread_backend::{run_threads, LatencyModel};
 use msgpass::topology::CartesianGrid;
@@ -129,5 +130,44 @@ fn blocking_phase_order_is_serialized_triplets() {
             }
         }
         assert_eq!(log.phases, expected, "rank {rank}");
+    }
+}
+
+/// `Block3D` keeps only the tile it computed last cut into units, so a
+/// face can be packed from nothing else — which holds because of the
+/// order the engine runs in, checked here rather than assumed there:
+/// under both strategies every `Pack { step }` follows `Compute { step }`
+/// with no other compute in between, the overlap strategy's deferred
+/// sends and its epilogue included.
+#[test]
+fn only_the_last_computed_tile_is_ever_packed() {
+    let d = Decomp3D {
+        nx: 4,
+        ny: 4,
+        nz: 26,
+        pi: 2,
+        pj: 2,
+        v: 4, // 7 steps, partial last tile
+        boundary: 1.0,
+    };
+    let grid = CartesianGrid::new(vec![d.pi, d.pj]);
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        for (rank, log) in phase_logs(d, mode).iter().enumerate() {
+            let mut computed = None;
+            let mut packs = 0;
+            for ph in &log.phases {
+                match *ph {
+                    Phase::Compute { step } => computed = Some(step),
+                    Phase::Pack { step, .. } => {
+                        assert_eq!(computed, Some(step), "{mode:?} rank {rank}: {ph:?}");
+                        packs += 1;
+                    }
+                    _ => {}
+                }
+            }
+            let faces = [[1, 0], [0, 1]].map(|to| grid.neighbor(rank, &to));
+            let downstream = faces.iter().flatten().count();
+            assert_eq!(packs, downstream * d.steps(), "{mode:?} rank {rank}");
+        }
     }
 }

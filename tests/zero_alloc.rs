@@ -105,6 +105,22 @@ fn count_single_rank_run(nz: usize) -> u64 {
 }
 
 #[test]
+fn a_partial_last_tile_allocates_nothing_mid_run() {
+    let _guard = lock();
+    let _ = count_single_rank_run(10);
+    // nz % V ≠ 0: the last tile is walked by a plan of its own. Both
+    // plans are built with the block, before the first step, and the
+    // units are re-dealt into storage sized for either — so 4 + ½ tiles
+    // and 16 + ½ tiles allocate alike.
+    let short = count_single_rank_run(18);
+    let long = count_single_rank_run(66);
+    assert_eq!(
+        short, long,
+        "allocation count grew with step count: {short} allocs at 5 steps vs {long} at 17"
+    );
+}
+
+#[test]
 fn overlap_3d_steady_state_steps_allocate_nothing() {
     let _guard = lock();
     // Warm up lazy runtime state outside the measured window.
@@ -233,11 +249,13 @@ fn the_result_grid_is_the_only_grid_sized_allocation() {
     };
     let plan = Compiled3D::compile(d, ExecMode::Overlapping).expect("valid decomp");
     // The ranks compute straight into the 256 KiB result, so a run may
-    // allocate it, each rank's two halo planes, and small change — a
-    // gathered copy of the grid, or a flattened copy of the blocks,
-    // would be at least 256 KiB more.
-    let halo_cells = d.pi * d.pj * (d.bx() + d.by()) * d.nz;
-    let budget = 4 * (d.nx * d.ny * d.nz + halo_cells) as u64 + (64 << 10);
+    // allocate it, the halo planes that receive something — rank 1's
+    // `i` plane, 32 KiB; rank 0 has no upstream neighbor — and small
+    // change. A gathered copy of the grid, or a flattened copy of the
+    // blocks, would be at least 256 KiB more.
+    let grid_bytes = |d: Decomp3D| 4 * (d.nx * d.ny * d.nz) as u64;
+    let plane_bytes = 4 * (d.by() * d.nz) as u64;
+    let budget = grid_bytes(d) + plane_bytes + (64 << 10);
     let kernel = Relax3D::default();
     let cfg = WorldConfig::new(LatencyModel::zero());
 
@@ -249,9 +267,19 @@ fn the_result_grid_is_the_only_grid_sized_allocation() {
     assert!(warm <= budget, "1 worker: {warm} bytes > {budget}");
 
     // Two per rank (the worker pool is a fresh-world setting).
-    let pooled_cfg = cfg.with_compute_workers(2);
+    let pooled_cfg = cfg.clone().with_compute_workers(2);
     let pooled = min_bytes_of(|| run3d_with(kernel, &plan, &pooled_cfg).expect("fresh world"));
     assert!(pooled <= budget, "2 workers: {pooled} bytes > {budget}");
+
+    // A 1×1 world receives nothing, so it allocates no halo plane at
+    // all: everything but the grid stays under the size of one.
+    let lone = Decomp3D { pi: 1, ..d };
+    let plan = Compiled3D::compile(lone, ExecMode::Overlapping).expect("valid decomp");
+    for cfg in [cfg, pooled_cfg] {
+        let bytes = min_bytes_of(|| run3d_with(kernel, &plan, &cfg).expect("fresh world"));
+        let budget = grid_bytes(lone) + plane_bytes;
+        assert!(bytes < budget, "1x1 world: {bytes} bytes >= {budget}");
+    }
 }
 
 /// Run every rank of `d` straight on a world built from `cfg` and
