@@ -162,136 +162,6 @@ else
     echo "ci.sh: cargo-miri not installed, skipping UB check" >&2
 fi
 
-# Perf gate. The committed BENCH_stencil.json is the reference: it must
-# carry the transport-ablation rows (mpsc vs shared-slots), the
-# kernel-tier ablation rows and the weak/strong scaling rows. A quick
-# benchmark run (shorter pipeline, separate output file) then re-measures
-# on this machine: the shared-slot rows must show a zero steady-state
-# allocation slope, and neither the headline speedup nor any per-rank-
-# count scaling row may regress more than 10% below the committed
-# reference. Wall-clock gates on a shared, oversubscribed box are noisy
-# even with best-of-N rows, so a failed comparison re-measures once
-# before being declared a regression, and the committed reference rows
-# record the most conservative sustained measurement observed on the
-# reference box (host-level contention swings single runs well past
-# 10%; a floor pinned to a lucky run would reject healthy builds).
-grep -q '"transport": "shared-slots"' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the shared-slots transport-ablation rows" >&2
-    exit 1
-}
-grep -q '"kernel": "paper3d"' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the kernel-tier ablation rows" >&2
-    exit 1
-}
-grep -q '"kind": "weak"' BENCH_stencil.json && grep -q '"kind": "strong"' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the weak/strong scaling rows" >&2
-    exit 1
-}
-grep -q '"jobs_per_sec"' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the plan-service smoke row" >&2
-    exit 1
-}
-ref_jobs_per_sec=$(sed -n 's/^    "jobs_per_sec": \([0-9.]*\).*/\1/p' BENCH_stencil.json | head -n 1)
-[ -n "$ref_jobs_per_sec" ] || {
-    echo "ci.sh: could not read the service jobs/sec from BENCH_stencil.json" >&2
-    exit 1
-}
-ref_speedup=$(sed -n 's/^    "speedup": \([0-9.]*\).*/\1/p' BENCH_stencil.json | head -n 1)
-[ -n "$ref_speedup" ] || {
-    echo "ci.sh: could not read the headline speedup from BENCH_stencil.json" >&2
-    exit 1
-}
-
-quick_json=results/BENCH_quick.json
-
-# One quick measurement pass plus every comparison against the committed
-# reference. Returns nonzero on any miss; the caller decides whether to
-# re-measure or fail.
-perf_quick_gates() {
-    cargo run --release -q -p bench --bin paper -- perf --quick || return 1
-
-    grep -q '"transport": "shared-slots"' "$quick_json" || {
-        echo "ci.sh: quick perf run produced no shared-slots transport rows" >&2
-        return 1
-    }
-    grep -q '"kernel": "paper3d"' "$quick_json" || {
-        echo "ci.sh: quick perf run produced no kernel-tier ablation rows" >&2
-        return 1
-    }
-    awk -F'"steady_allocs_per_step": ' '
-        /"transport": "shared-slots"/ && /"steady_allocs_per_step"/ {
-            split($2, a, "}"); slope = a[1] + 0
-            if (slope >= 0.5 || slope <= -0.5) {
-                printf "ci.sh: shared-slots steady-state allocation slope is %s allocs/step, expected 0\n", slope
-                bad = 1
-            }
-        }
-        END { exit bad }
-    ' "$quick_json" || return 1
-    quick_speedup=$(sed -n 's/^    "speedup": \([0-9.]*\).*/\1/p' "$quick_json" | head -n 1)
-    awk -v q="$quick_speedup" -v r="$ref_speedup" 'BEGIN {
-        if (q + 0 < 0.9 * r) {
-            printf "ci.sh: headline speedup regressed: quick run %.3fx vs committed %.3fx (floor %.3fx)\n", q, r, 0.9 * r
-            exit 1
-        }
-        printf "ci.sh: perf gate ok — quick headline %.2fx vs committed %.2fx\n", q, r
-    }' || return 1
-
-    # Scaling regression gate: every per-rank-count throughput row of
-    # the quick run (best-of-N, identical configuration to the
-    # reference) must hold within 10% of the committed value.
-    awk '
-        FNR == 1 { file++ }
-        /"kind": / {
-            split($0, k, /"kind": "/);          split(k[2], kk, /"/)
-            split($0, w, /"world": "/);         split(w[2], ww, /"/)
-            split($0, c, /"cells_per_sec": /);  split(c[2], cc, /[,}]/)
-            key = kk[1] "/" ww[1]
-            if (file == 1) ref[key] = cc[1] + 0
-            else {
-                seen++
-                if (!(key in ref)) {
-                    printf "ci.sh: scaling row %s missing from the committed reference\n", key
-                    bad = 1
-                } else if (cc[1] + 0 < 0.9 * ref[key]) {
-                    printf "ci.sh: scaling row %s regressed: %.1f Mcells/s vs committed %.1f (floor %.1f)\n", \
-                        key, cc[1] / 1e6, ref[key] / 1e6, 0.9 * ref[key] / 1e6
-                    bad = 1
-                }
-            }
-        }
-        END {
-            if (seen < 6) {
-                printf "ci.sh: quick run produced %d scaling rows, expected 6\n", seen
-                bad = 1
-            }
-            exit bad
-        }
-    ' BENCH_stencil.json "$quick_json" || return 1
-
-    # Plan-service gate: the quick run's smoke (same clients, jobs and
-    # shapes as the reference) must hit the plan cache and sustain
-    # within 10% of the committed jobs/sec.
-    quick_hit=$(sed -n 's/^    "cache_hit_ratio": \([0-9.]*\).*/\1/p' "$quick_json" | head -n 1)
-    quick_jps=$(sed -n 's/^    "jobs_per_sec": \([0-9.]*\).*/\1/p' "$quick_json" | head -n 1)
-    awk -v hit="$quick_hit" -v q="$quick_jps" -v r="$ref_jobs_per_sec" 'BEGIN {
-        if (hit + 0 <= 0) {
-            printf "ci.sh: plan-service smoke never hit the cache (hit ratio %s)\n", hit
-            exit 1
-        }
-        if (q + 0 < 0.9 * r) {
-            printf "ci.sh: plan-service throughput regressed: %.0f jobs/s vs committed %.0f (floor %.0f)\n", q, r, 0.9 * r
-            exit 1
-        }
-        printf "ci.sh: service gate ok — %.0f jobs/s (committed %.0f), cache hit ratio %.2f\n", q, r, hit
-    }' || return 1
-}
-
-if ! perf_quick_gates; then
-    echo "ci.sh: perf gate missed once, re-measuring (noisy box tolerance)" >&2
-    perf_quick_gates || exit 1
-fi
-
 # Wave-kernel gate: `eval_wave` over MAX_WAVE pencils must cost less
 # per cell than one `eval_pencil` each, and a V = 8 tile at most 3.0 ×
 # a V = 256 tile per cell (asserted inside the tests, whose tables land
@@ -306,87 +176,27 @@ if ! wave_micro_gate; then
     wave_micro_gate || exit 1
 fi
 
-# Autotune gate. The committed BENCH_stencil.json must carry the tuner's
-# out-of-model acceptance rows. A quick tuning run on the fixed seed
-# then re-executes the closed loop on this machine (the sweep gate above
-# already wrote the deterministic results/tune_train.csv surrogate
-# slice): `paper tune` itself asserts the tuned config is never slower
-# than the closed-form seed and that the two deterministic simulator
-# rows beat it by >=5%; the gate re-checks the byte-stable row schema
-# and holds the prediction-error metrics below the committed thresholds.
-# The thread row rides real wall-clock, so a miss re-measures once
-# before failing.
-grep -q '"tune": {' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the tune section" >&2
-    exit 1
-}
-grep -q '"name": "partial-tile"' BENCH_stencil.json &&
-    grep -q '"name": "hetero-4x4"' BENCH_stencil.json || {
-    echo "ci.sh: BENCH_stencil.json is missing the out-of-model tune rows" >&2
-    exit 1
-}
-
-tune_json=results/BENCH_tune_quick.json
-tune_quick_gates() {
+# Autotune gate. A quick tuning run on the fixed seed re-executes the
+# closed loop on this machine (the sweep gate above already wrote the
+# deterministic results/tune_train.csv surrogate slice). `paper tune`
+# itself asserts, over its three rows, that the tuned config is never
+# slower than the closed-form seed and that the two deterministic
+# simulator rows beat it by >=5% with the prediction error under its
+# thresholds; the gate re-checks the byte-stable row schema. The thread
+# row rides real wall-clock, so a miss re-measures once before failing.
+tune_quick_gate() {
     cargo run --release -q -p bench --bin paper -- tune --quick --seed 7 || return 1
-
-    grep -q '"name": "thread-quick", "backend": "thread", "grid": \[8, 8, 1024\], "procs": \[2, 2\], "schedule": "overlap", "seed_v": ' "$tune_json" || {
+    grep -q '"name": "thread-quick", "backend": "thread", "grid": \[8, 8, 1024\], "procs": \[2, 2\], "schedule": "overlap", "seed_v": ' \
+        results/BENCH_tune_quick.json || {
         echo "ci.sh: tune row schema changed — update the gate and the docs together" >&2
         return 1
     }
-    awk '
-        /"name": / {
-            split($0, n, /"name": "/);           split(n[2], nn, /"/)
-            split($0, s, /"tuned_speedup": /);   split(s[2], ss, /[,}]/)
-            split($0, e, /"pred_err_rel": /);    split(e[2], ee, /[,}]/)
-            split($0, g, /"pred_err_norm": /);   split(g[2], gg, /[,}]/)
-            name = nn[1]; speedup = ss[1] + 0; raw = ee[1] + 0; norm = gg[1] + 0
-            rows++
-            if (speedup < 1.0) {
-                printf "ci.sh: tune row %s: tuned config measured slower than the closed-form seed (%.3fx)\n", name, speedup
-                bad = 1
-            }
-            if (name != "thread-quick") {
-                if (speedup < 1.05) {
-                    printf "ci.sh: tune row %s: out-of-model speedup %.3fx is under the 5%% acceptance bar\n", name, speedup
-                    bad = 1
-                }
-                if (raw > 0.6 || raw < -0.6 || norm > 0.5 || norm < -0.5) {
-                    printf "ci.sh: tune row %s: prediction error over threshold (rel %.3f, norm %.3f)\n", name, raw, norm
-                    bad = 1
-                }
-            }
-        }
-        END {
-            if (rows != 3) {
-                printf "ci.sh: quick tune produced %d rows, expected 3\n", rows
-                bad = 1
-            }
-            exit bad
-        }
-    ' "$tune_json" || return 1
-    echo "ci.sh: tune gate ok — tuned >= closed-form seed, out-of-model rows beat it by >=5%"
 }
-
-if ! tune_quick_gates; then
+if ! tune_quick_gate; then
     echo "ci.sh: tune gate missed once, re-measuring (noisy box tolerance)" >&2
-    tune_quick_gates || exit 1
+    tune_quick_gate || exit 1
 fi
-
-# Many-rank smoke: a 4×4 thread world with pooled tiles runs under the
-# full analyzer pre-flight (the one path `paper perf` does not disable)
-# and must verify bitwise against the sequential sweep.
-smoke_out=$(cargo run --release -q -p bench --bin paper -- \
-    perf --procs 4x4 --grid 16x16x256 --workers 2) || {
-    echo "$smoke_out"
-    echo "ci.sh: 4x4 pooled smoke run failed" >&2
-    exit 1
-}
-echo "$smoke_out" | grep -q "PASS" || {
-    echo "$smoke_out"
-    echo "ci.sh: 4x4 pooled smoke run did not report PASS" >&2
-    exit 1
-}
+echo "ci.sh: tune gate ok — tuned >= closed-form seed, out-of-model rows beat it by >=5%"
 
 # Plan-service TCP smoke: an ephemeral `paper serve` instance under
 # concurrent mixed compile/execute clients over localhost. PASS
@@ -458,9 +268,15 @@ echo "$sim_out" | grep -Eq 'msgpass\.slot_fallbacks +0\.000000 count' &&
 }
 echo "ci.sh: slot-window gate ok — no fallback copy, no growth without a wire"
 
-# Not a gate: ROADMAP item 3 tracks the workspace Rust line count
-# (target <= 33k), so every log shows where it stands.
+# Line ratchet (ROADMAP item 2): the workspace may not grow past the
+# count the last PR left it at.
+max_rust_lines=42548
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
-echo "ci.sh: workspace Rust lines (crates src tests examples): $rust_lines"
+[ "$rust_lines" -le "$max_rust_lines" ] || {
+    echo "ci.sh: workspace Rust lines (crates src tests examples) grew: $rust_lines > $max_rust_lines." \
+        "A [simplicity] PR lowers max_rust_lines; any other PR states its growth in its issue and raises it by that much." >&2
+    exit 1
+}
+echo "ci.sh: line ratchet ok — $rust_lines <= $max_rust_lines workspace Rust lines"
 
 echo "ci.sh: all checks passed"

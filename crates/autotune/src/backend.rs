@@ -12,8 +12,8 @@
 //! [`SimBackend`] measures under the deterministic cluster simulator
 //! instead — the only backend that can model heterogeneous
 //! [`NodeSpeeds`](tiling_core::machine::NodeSpeeds) and measured
-//! transfer curves, and the one the out-of-model acceptance rows in
-//! `BENCH_stencil.json` are produced with (bit-reproducible runs make
+//! transfer curves, and the one the out-of-model acceptance rows of
+//! `paper tune` are produced with (bit-reproducible runs make
 //! a ≥5% win a stable CI assertion, not a race against wall-clock
 //! noise).
 

@@ -9,7 +9,7 @@
 //! from the same source of truth.
 
 use autotune::TuneProblem;
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
+use msgpass::thread_backend::LatencyModel;
 use msgpass::transport::TransportKind;
 use planc::PlanRequest;
 use stencil::dist2d::Decomp2D;
@@ -46,16 +46,6 @@ pub fn chaos_gantt_decomp() -> Decomp3D {
     }
 }
 
-/// `paper perf`: the deep zero-latency pipeline the executor
-/// comparisons run on (quick mode shortens it, same shape).
-pub fn perf_deep_decomp(quick: bool) -> Decomp3D {
-    Decomp3D {
-        nz: if quick { 16_384 } else { 65_536 },
-        v: 256,
-        ..threads_decomp()
-    }
-}
-
 /// `paper example1` as a real 2-D strip decomposition (also the
 /// analyzer sweep's 2-D row).
 pub fn example1_strip() -> Decomp2D {
@@ -84,18 +74,6 @@ pub fn demo_wire_latency() -> LatencyModel {
         startup_us: 300.0,
         per_byte_us: 0.05,
     }
-}
-
-/// Zero-latency world: wall-clock equals executor work.
-pub fn zero_world() -> WorldConfig {
-    WorldConfig::new(LatencyModel::zero())
-}
-
-/// Benchmark world: zero latency, per-run pre-flight off (the timed
-/// sections measure the executor alone; `paper analyze` and the
-/// compiled-plan pipeline cover these layouts).
-pub fn bench_world() -> WorldConfig {
-    zero_world().without_preflight()
 }
 
 /// The plan request for a shipped 3-D decomposition, on the mpsc

@@ -347,28 +347,24 @@ impl<T> Drop for Ring<T> {
     }
 }
 
-/// Default cap of the backoff ladder's longest park — the same
-/// worst-case wait as the fixed 20 µs sleep this ladder replaced.
-pub(crate) const DEFAULT_BACKOFF_CAP: Duration = Duration::from_micros(20);
+/// Cap of the backoff ladder's longest park — the same worst-case wait
+/// as the fixed 20 µs sleep this ladder replaced.
+const BACKOFF_CAP: Duration = Duration::from_micros(20);
 
 /// Incremental backoff for the transport wait loops: spin briefly,
 /// yield, then park in exponentially growing slices (1 µs doubling up
-/// to `cap`). The exponential ramp is what keeps oversubscribed worlds
-/// (more ranks than cores) from serializing on sleeps: a consumer that
-/// frees a slot a microsecond after the producer starts waiting costs
-/// the producer ~1 µs, not a fixed full sleep quantum, while a
-/// long-wedged peer still converges to `cap`-sized parks instead of
-/// burning the core.
+/// to [`BACKOFF_CAP`]). The exponential ramp is what keeps
+/// oversubscribed worlds (more ranks than cores) from serializing on
+/// sleeps: a consumer that frees a slot a microsecond after the
+/// producer starts waiting costs the producer ~1 µs, not a fixed full
+/// sleep quantum, while a long-wedged peer still converges to
+/// cap-sized parks instead of burning the core.
+#[derive(Default)]
 struct Backoff {
     step: u32,
-    cap: Duration,
 }
 
 impl Backoff {
-    fn with_cap(cap: Duration) -> Self {
-        Backoff { step: 0, cap }
-    }
-
     fn snooze(&mut self) {
         if self.step < 64 {
             std::hint::spin_loop();
@@ -376,7 +372,7 @@ impl Backoff {
             std::thread::yield_now();
         } else {
             let exp = (self.step - 192).min(14);
-            let park = Duration::from_micros(1u64 << exp).min(self.cap);
+            let park = Duration::from_micros(1u64 << exp).min(BACKOFF_CAP);
             std::thread::park_timeout(park);
         }
         self.step = self.step.saturating_add(1);
@@ -387,25 +383,20 @@ impl Backoff {
 pub(crate) struct SlotTx<T> {
     ring: Arc<Ring<T>>,
     pool: SlotPool<T>,
-    backoff_cap: Duration,
 }
 
 /// Receiver half of a slot link.
 pub(crate) struct SlotRx<T> {
     ring: Arc<Ring<T>>,
-    backoff_cap: Duration,
 }
 
 /// Build one directed slot link that starts with `slots` payload slots
 /// (the envelope ring gets twice that, so it only overflows when the
-/// initial window is oversubscribed) and the given backoff park cap.
+/// initial window is oversubscribed).
 pub(crate) fn make_slot_link<T: Send + Sync + 'static>(
     slots: usize,
-    backoff_cap: Duration,
 ) -> (Box<dyn LinkTx<T>>, Box<dyn LinkRx<T>>) {
-    let (mut tx, mut rx) = make_slot_link_raw(slots);
-    tx.backoff_cap = backoff_cap;
-    rx.backoff_cap = backoff_cap;
+    let (tx, rx) = make_slot_link_raw(slots);
     (Box::new(tx), Box::new(rx))
 }
 
@@ -419,12 +410,8 @@ pub(crate) fn make_slot_link_raw<T: Send + Sync + 'static>(slots: usize) -> (Slo
         SlotTx {
             ring: Arc::clone(&ring),
             pool: SlotPool::new(slots),
-            backoff_cap: DEFAULT_BACKOFF_CAP,
         },
-        SlotRx {
-            ring,
-            backoff_cap: DEFAULT_BACKOFF_CAP,
-        },
+        SlotRx { ring },
     )
 }
 
@@ -475,7 +462,7 @@ impl<T: Send + Sync> SlotTx<T> {
             // completes immediately). Wait a bounded while for the
             // consumer to release one.
             stats.stage_waits += 1;
-            let mut backoff = Backoff::with_cap(self.backoff_cap);
+            let mut backoff = Backoff::default();
             for _ in 0..wait_budget {
                 backoff.snooze();
                 claimed = self.pool.claim();
@@ -554,7 +541,7 @@ impl<T: Send + Sync> LinkRx<T> for SlotRx<T> {
     }
 
     fn pop_blocking(&mut self) -> Result<Envelope<T>, LinkClosed> {
-        let mut backoff = Backoff::with_cap(self.backoff_cap);
+        let mut backoff = Backoff::default();
         loop {
             if let Some(env) = self.ring.try_pop() {
                 return Ok(env);
@@ -570,7 +557,7 @@ impl<T: Send + Sync> LinkRx<T> for SlotRx<T> {
 
     fn pop_timeout(&mut self, timeout: Duration) -> Result<Option<Envelope<T>>, LinkClosed> {
         let deadline = Instant::now() + timeout;
-        let mut backoff = Backoff::with_cap(self.backoff_cap);
+        let mut backoff = Backoff::default();
         loop {
             if let Some(env) = self.ring.try_pop() {
                 return Ok(Some(env));
@@ -621,7 +608,7 @@ mod tests {
         // Capacity 2 ring (slots=1): push far more than fits, pop
         // everything, and demand exact FIFO order across the
         // ring → overflow → ring transitions.
-        let (mut tx, mut rx) = make_slot_link::<u32>(1, DEFAULT_BACKOFF_CAP);
+        let (mut tx, mut rx) = make_slot_link::<u32>(1);
         let mut popped = Vec::new();
         for round in 0..4u32 {
             for i in 0..10u32 {
@@ -643,7 +630,7 @@ mod tests {
 
     #[test]
     fn exhausted_pool_falls_back_to_owned_copies() {
-        let (mut tx, mut rx) = make_slot_link::<u32>(2, DEFAULT_BACKOFF_CAP);
+        let (mut tx, mut rx) = make_slot_link::<u32>(2);
         let mut stats = PoolStats::default();
         // Stage 5 payloads without consuming: 2 leases, then owned
         // fallbacks — all still delivered in order.
@@ -741,7 +728,7 @@ mod tests {
 
     #[test]
     fn slot_is_not_reused_while_a_lease_is_parked() {
-        let (mut tx, _rx) = make_slot_link::<u32>(1, DEFAULT_BACKOFF_CAP);
+        let (mut tx, _rx) = make_slot_link::<u32>(1);
         let mut stats = PoolStats::default();
         let first = tx.stage(&mut stats, &mut |buf| {
             buf.clear();
@@ -773,7 +760,7 @@ mod tests {
 
     #[test]
     fn steady_state_staging_recycles_slot_buffers() {
-        let (mut tx, mut rx) = make_slot_link::<f32>(4, DEFAULT_BACKOFF_CAP);
+        let (mut tx, mut rx) = make_slot_link::<f32>(4);
         let mut stats = PoolStats::default();
         for step in 0..100 {
             let p = tx.stage(&mut stats, &mut |buf| {
@@ -800,7 +787,7 @@ mod tests {
 
     #[test]
     fn closed_link_reports_after_draining() {
-        let (mut tx, mut rx) = make_slot_link::<u32>(2, DEFAULT_BACKOFF_CAP);
+        let (mut tx, mut rx) = make_slot_link::<u32>(2);
         tx.push(env(1, 42)).expect("rx alive");
         drop(tx);
         let e = rx
@@ -814,14 +801,14 @@ mod tests {
 
     #[test]
     fn push_to_dropped_receiver_fails() {
-        let (mut tx, rx) = make_slot_link::<u32>(2, DEFAULT_BACKOFF_CAP);
+        let (mut tx, rx) = make_slot_link::<u32>(2);
         drop(rx);
         assert!(tx.push(env(0, 1)).is_err());
     }
 
     #[test]
     fn cross_thread_spsc_delivers_everything_in_order() {
-        let (mut tx, mut rx) = make_slot_link::<u64>(4, DEFAULT_BACKOFF_CAP);
+        let (mut tx, mut rx) = make_slot_link::<u64>(4);
         const N: u64 = 10_000;
         std::thread::scope(|s| {
             s.spawn(move || {

@@ -114,13 +114,6 @@ pub struct WorldConfig {
     /// [`WorldConfig::without_preflight`] to keep timing loops free of
     /// even the (constant, microsecond-scale) check cost.
     pub skip_preflight: bool,
-    /// Longest single park of a transport backpressure backoff. The
-    /// spin-then-park ladder doubles its park from 1 µs up to this cap,
-    /// so a blocked sender wakes at least this often to re-check. Large
-    /// caps cost nothing when uncontended; on oversubscribed worlds
-    /// (more ranks than cores) a smaller cap keeps a full slot ring
-    /// from stalling its consumer's time slice.
-    pub backoff_cap: Duration,
     /// Numerical tier the compute kernels run at
     /// ([`KernelTier::Bitwise`] by default — distributed results are
     /// bitwise-equal to sequential; [`KernelTier::Fast`] trades that
@@ -134,8 +127,9 @@ pub struct WorldConfig {
     /// Best-effort core-affinity pinning: every *spawned* rank `r` (and
     /// its compute workers) to core `r mod cores`. Rank 0 runs on the
     /// calling thread, which is never pinned — its affinity is the
-    /// caller's. Failures are ignored — this is a scheduling hint for
-    /// scaling measurements, not a correctness knob.
+    /// caller's. Failures are ignored — this is a scheduling hint, not
+    /// a correctness knob. Nothing in the workspace sets it; it stays
+    /// because the repo benchmark's probes pass it to [`run_world`].
     pub pin_cores: bool,
 }
 
@@ -147,9 +141,6 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// Default cap of the transport backpressure backoff ladder.
-    pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_micros(20);
-
     /// A plain world: the given latency, mpsc transport, no reliability
     /// layer, no faults — byte-for-byte the transport [`run_threads`]
     /// builds.
@@ -160,17 +151,10 @@ impl WorldConfig {
             reliability: None,
             faults: None,
             skip_preflight: false,
-            backoff_cap: Self::DEFAULT_BACKOFF_CAP,
             kernel_tier: KernelTier::Bitwise,
             compute_workers: 1,
             pin_cores: false,
         }
-    }
-
-    /// Cap the transport backpressure backoff's longest park.
-    pub fn with_backoff_cap(mut self, cap: Duration) -> Self {
-        self.backoff_cap = cap;
-        self
     }
 
     /// Select the numerical tier of the compute kernels.
@@ -879,7 +863,7 @@ pub fn build_world_with<T: Send + Sync + 'static>(
     #[allow(clippy::needless_range_loop)] // LINT: src/dst index two grids
     for src in 0..size {
         for dst in 0..size {
-            let (t, r) = make_link::<T>(cfg.transport, cfg.backoff_cap);
+            let (t, r) = make_link::<T>(cfg.transport);
             tx_grid[src][dst] = Some(t);
             rx_grid[dst][src] = Some(r);
         }

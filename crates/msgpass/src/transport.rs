@@ -175,12 +175,9 @@ pub trait LinkRx<T>: Send {
     fn reclaim(&mut self, payload: Payload<T>, stats: &mut PoolStats);
 }
 
-/// Build one directed link of the given kind. `backoff_cap` bounds the
-/// longest single park of the slot transport's backpressure backoff
-/// (ignored by the mpsc transport, which blocks in the channel).
+/// Build one directed link of the given kind.
 pub(crate) fn make_link<T: Send + Sync + 'static>(
     kind: TransportKind,
-    backoff_cap: std::time::Duration,
 ) -> (Box<dyn LinkTx<T>>, Box<dyn LinkRx<T>>) {
     match kind {
         TransportKind::Mpsc => {
@@ -197,9 +194,7 @@ pub(crate) fn make_link<T: Send + Sync + 'static>(
                 }),
             )
         }
-        TransportKind::SharedSlots { slots } => {
-            crate::slot_transport::make_slot_link(slots, backoff_cap)
-        }
+        TransportKind::SharedSlots { slots } => crate::slot_transport::make_slot_link(slots),
     }
 }
 

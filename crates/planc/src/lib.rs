@@ -26,8 +26,7 @@
 //! * [`tuned`] — [`TunedEntry`]/[`TunedCache`]: winning configurations
 //!   committed by the `autotune` crate's measured-feedback loop.
 //! * [`service`] — [`PlanService`]: bounded job queue + worker pool
-//!   over all of the above, and the [`service::smoke`] load CI gates
-//!   on.
+//!   over all of the above.
 
 pub mod artifact;
 pub mod cache;
@@ -46,8 +45,7 @@ pub use compiler::{Compiler, CompilerStats, Provenance};
 pub use error::CompileError;
 pub use pipeline::compile;
 pub use service::{
-    smoke, JobRequest, JobResponse, JobTicket, PlanService, ServiceConfig, ServiceError,
-    ServiceMetrics, SmokeReport,
+    JobRequest, JobResponse, JobTicket, PlanService, ServiceConfig, ServiceError, ServiceMetrics,
 };
 pub use spec::{KernelName, MachineSpec, PlanRequest, TuneMode, VChoice, WorkloadSpec};
 pub use tuned::{tuned_key, TunedCache, TunedEntry};

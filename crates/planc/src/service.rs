@@ -9,10 +9,6 @@
 //! warm worlds from a shared [`WorldPool`]. `try_submit` rejects with
 //! [`ServiceError::QueueFull`] instead of blocking: the queue bound is
 //! the service's backpressure.
-//!
-//! [`smoke`] drives a service instance through a deterministic
-//! concurrent mixed compile/execute load and reports sustained
-//! jobs/sec plus cache behavior — the load CI gates on.
 
 use crate::artifact::{ExecOptions, ExecOutcome, PlanArtifact};
 use crate::cache::CacheStats;
@@ -23,8 +19,7 @@ use crate::worlds::{WorldPool, WorldPoolStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Instant;
-use stencil::engine::{EngineError, ExecMode};
+use stencil::engine::EngineError;
 
 /// Service sizing.
 #[derive(Clone, Copy, Debug)]
@@ -271,121 +266,6 @@ fn run_job(sh: &Shared, request: &JobRequest) -> Result<JobResponse, ServiceErro
     }
 }
 
-/// What [`smoke`] measured.
-#[derive(Clone, Copy, Debug)]
-pub struct SmokeReport {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Wall-clock seconds for the whole load.
-    pub secs: f64,
-    /// Sustained throughput.
-    pub jobs_per_sec: f64,
-    /// Cache hit ratio over the run.
-    pub hit_ratio: f64,
-    /// Calls coalesced onto in-flight compilations.
-    pub coalesced: u64,
-    /// Pipeline compilations actually run.
-    pub compiles: u64,
-    /// Warm-world reuses.
-    pub worlds_reused: u64,
-    /// Executions whose result verified against the sequential
-    /// reference.
-    pub verified: u64,
-}
-
-/// Drive a fresh service instance through a deterministic concurrent
-/// mixed compile/execute load: `clients` client threads each submit
-/// `jobs_per_client` jobs drawn (by a fixed LCG) from a small set of
-/// plan shapes, so repeats hit the cache and concurrent first
-/// requests exercise single-flight. Execute jobs verify against the
-/// sequential reference.
-pub fn smoke(cfg: ServiceConfig, clients: usize, jobs_per_client: usize) -> SmokeReport {
-    let service = PlanService::start(cfg);
-    // Small shapes: the load measures service machinery, not kernels.
-    let shapes: Vec<PlanRequest> = vec![
-        PlanRequest::grid3(8, 8, 256, 2, 2).with_v(64),
-        PlanRequest::grid3(8, 8, 256, 2, 2)
-            .with_v(64)
-            .with_mode(ExecMode::Blocking),
-        PlanRequest::grid3(4, 4, 512, 2, 2).with_v(128),
-        PlanRequest::strip2(64, 16, 4).with_v(16),
-        PlanRequest::grid3(8, 8, 256, 2, 2), // auto-V variant
-        PlanRequest::strip2(64, 16, 4)
-            .with_v(16)
-            .with_mode(ExecMode::Blocking),
-    ];
-    let start = Instant::now();
-    let verified = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for c in 0..clients.max(1) {
-            let service = &service;
-            let shapes = &shapes;
-            let verified = &verified;
-            scope.spawn(move || {
-                // Deterministic per-client LCG job mix.
-                let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ (c as u64);
-                let mut tickets = Vec::new();
-                for _ in 0..jobs_per_client {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let shape = shapes[(state >> 33) as usize % shapes.len()].clone();
-                    let job = if state.is_multiple_of(3) {
-                        JobRequest::Execute(shape, ExecOptions { verify: true })
-                    } else {
-                        JobRequest::Compile(shape)
-                    };
-                    // The bounded queue may reject under burst; retry
-                    // after draining one of our own tickets.
-                    loop {
-                        match service.try_submit(job.clone()) {
-                            Ok(t) => {
-                                tickets.push(t);
-                                break;
-                            }
-                            Err(ServiceError::QueueFull) => match tickets.pop() {
-                                Some(t) => settle(t, verified),
-                                None => std::thread::yield_now(),
-                            },
-                            Err(e) => panic!("smoke submission failed: {e}"),
-                        }
-                    }
-                }
-                for t in tickets {
-                    settle(t, verified);
-                }
-            });
-        }
-    });
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    let m = service.metrics();
-    SmokeReport {
-        jobs: m.completed,
-        secs,
-        jobs_per_sec: m.completed as f64 / secs,
-        hit_ratio: m.cache.hit_ratio(),
-        coalesced: m.compiler.coalesced,
-        compiles: m.compiler.compiles,
-        worlds_reused: m.worlds.reused,
-        verified: verified.load(Ordering::Relaxed),
-    }
-}
-
-fn settle(t: JobTicket, verified: &AtomicU64) {
-    match t.wait() {
-        Ok(JobResponse::Executed(_, out)) => {
-            assert_eq!(
-                out.verified,
-                Some(true),
-                "smoke execution failed verification"
-            );
-            verified.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(JobResponse::Compiled(_)) => {}
-        Err(e) => panic!("smoke job failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,16 +320,85 @@ mod tests {
         assert_eq!(svc.metrics().rejected, rejected);
     }
 
+    /// Settle one smoke ticket: an execution must have verified.
+    fn settle(t: JobTicket, verified: &AtomicU64) {
+        match t.wait() {
+            Ok(JobResponse::Executed(_, out)) => {
+                assert_eq!(
+                    out.verified,
+                    Some(true),
+                    "smoke execution failed verification"
+                );
+                verified.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(JobResponse::Compiled(_)) => {}
+            Err(e) => panic!("smoke job failed: {e}"),
+        }
+    }
+
+    /// A deterministic concurrent mixed compile/execute load: four
+    /// client threads each submit eight jobs drawn (by a fixed LCG)
+    /// from a small set of plan shapes, so repeats hit the cache and
+    /// concurrent first requests exercise single-flight. Execute jobs
+    /// verify against the sequential reference.
     #[test]
     fn smoke_load_hits_cache_and_verifies() {
-        let r = smoke(ServiceConfig::default(), 4, 8);
-        assert_eq!(r.jobs, 32);
-        assert!(r.hit_ratio > 0.0, "no cache hits under repeated load");
-        assert!(r.verified > 0, "no execute jobs verified");
+        use stencil::engine::ExecMode;
+        let service = PlanService::start(ServiceConfig::default());
+        // Small shapes: the load exercises service machinery, not kernels.
+        let shapes: Vec<PlanRequest> = vec![
+            PlanRequest::grid3(8, 8, 256, 2, 2).with_v(64),
+            PlanRequest::grid3(8, 8, 256, 2, 2)
+                .with_v(64)
+                .with_mode(ExecMode::Blocking),
+            PlanRequest::grid3(4, 4, 512, 2, 2).with_v(128),
+            PlanRequest::strip2(64, 16, 4).with_v(16),
+            PlanRequest::grid3(8, 8, 256, 2, 2), // auto-V variant
+            PlanRequest::strip2(64, 16, 4)
+                .with_v(16)
+                .with_mode(ExecMode::Blocking),
+        ];
+        let verified = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for c in 0..4u64 {
+                let (service, shapes, verified) = (&service, &shapes, &verified);
+                scope.spawn(move || {
+                    // Deterministic per-client LCG job mix.
+                    let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ c;
+                    let mut tickets = Vec::new();
+                    for _ in 0..8 {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let shape = shapes[(state >> 33) as usize % shapes.len()].clone();
+                        let job = if state.is_multiple_of(3) {
+                            JobRequest::Execute(shape, ExecOptions { verify: true })
+                        } else {
+                            JobRequest::Compile(shape)
+                        };
+                        // 32 jobs in all: the default queue holds them.
+                        tickets.push(service.try_submit(job).expect("queue_cap 64"));
+                    }
+                    for t in tickets {
+                        settle(t, verified);
+                    }
+                });
+            }
+        });
+        let m = service.metrics();
+        assert_eq!(m.completed, 32);
         assert!(
-            r.compiles <= 6,
+            m.cache.hit_ratio() > 0.0,
+            "no cache hits under repeated load"
+        );
+        assert!(
+            verified.load(Ordering::Relaxed) > 0,
+            "no execute jobs verified"
+        );
+        assert!(
+            m.compiler.compiles <= 6,
             "more compiles than distinct shapes: {}",
-            r.compiles
+            m.compiler.compiles
         );
     }
 }

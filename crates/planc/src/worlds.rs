@@ -4,8 +4,8 @@
 //! Building a world allocates the full link mesh (slot rings, buffer
 //! pools, a shared barrier); for service workloads that execute many
 //! small plans the setup dominates. The pool keys finished worlds by
-//! everything that shapes them — rank count, transport, latency model,
-//! backoff cap — and hands them back out to the next matching job
+//! everything that shapes them — rank count, transport, latency model
+//! — and hands them back out to the next matching job
 //! (`stencil::plan::run3d_on_world` drives them). Reuse is sound
 //! because every pooled run went through the compile-time analyzer,
 //! which proves the plan drains all links: a successfully completed
@@ -30,7 +30,6 @@ struct WorldKey {
     transport: (u8, usize),
     /// Latency model constants, to-bits.
     latency: (u64, u64),
-    backoff_ns: u128,
 }
 
 impl WorldKey {
@@ -45,7 +44,6 @@ impl WorldKey {
                 cfg.latency.startup_us.to_bits(),
                 cfg.latency.per_byte_us.to_bits(),
             ),
-            backoff_ns: cfg.backoff_cap.as_nanos(),
         }
     }
 }

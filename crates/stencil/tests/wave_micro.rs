@@ -3,7 +3,8 @@
 //! `ci.sh` runs them for the two assertions in here — a wave must beat
 //! the pencil loop it replaces, and a small tile may cost only so much
 //! more per cell than a large one — same-process ratios that hold on a
-//! noisy box; the absolute rates are gated by `paper perf`.
+//! noisy box; the absolute rates are the repo benchmark's
+//! `stencil.tile.cells_per_s.*` probes.
 
 use std::time::Instant;
 use stencil::kernel::{Kernel3D, Paper3D, Wave, MAX_WAVE};

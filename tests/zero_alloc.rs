@@ -136,11 +136,11 @@ fn overlap_3d_steady_state_steps_allocate_nothing() {
     );
 }
 
-/// Allocation count of one full 2×2-rank overlapping run on the
+/// Allocation count of one full 2×2-rank run of `mode` on the
 /// shared-slot transport; minimum over trials sheds scheduler noise
 /// (a descheduled receiver can push the sender one slot deeper into
 /// the pool, costing an extra first-use buffer growth).
-fn count_slot_world_run(nz: usize) -> u64 {
+fn count_slot_world_run(nz: usize, mode: ExecMode) -> u64 {
     let d = Decomp3D {
         nx: 4,
         ny: 4,
@@ -154,8 +154,8 @@ fn count_slot_world_run(nz: usize) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..5 {
         let before = ALLOCS.load(Ordering::Relaxed);
-        let (grid, _, _) = run_dist3d_with(Relax3D::default(), d, &cfg, ExecMode::Overlapping)
-            .expect("valid decomp");
+        let (grid, _, _) =
+            run_dist3d_with(Relax3D::default(), d, &cfg, mode).expect("valid decomp");
         let after = ALLOCS.load(Ordering::Relaxed);
         assert!(grid.data().iter().all(|x| x.is_finite()));
         best = best.min(after - before);
@@ -167,7 +167,7 @@ fn count_slot_world_run(nz: usize) -> u64 {
 fn slot_transport_multi_rank_steps_allocate_nothing() {
     let _guard = lock();
     // Warm up lazy runtime state outside the measured window.
-    let _ = count_slot_world_run(16);
+    let _ = count_slot_world_run(16, ExecMode::Overlapping);
     // 8 steps vs 64 steps across a real 2×2 world: faces pack straight
     // into the peer-visible slots and unpack straight out of them, so
     // once each link's working slots have grown their buffers the
@@ -176,14 +176,16 @@ fn slot_transport_multi_rank_steps_allocate_nothing() {
     // ≥ 224 allocations to the longer run (56 extra steps × 4 wire
     // messages per step); the allowed slack only covers warm-up breadth
     // (how many of a link's 8 slots grow a buffer depends on how far
-    // the producer gets ahead, ±a few per link).
-    let short = count_slot_world_run(32);
-    let long = count_slot_world_run(256);
-    assert!(
-        long <= short + 32,
-        "slot-transport steady state allocates per step: \
-         {short} allocs over 8 steps vs {long} over 64"
-    );
+    // the producer gets ahead, ±a few per link). Under either schedule.
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        let short = count_slot_world_run(32, mode);
+        let long = count_slot_world_run(256, mode);
+        assert!(
+            long <= short + 32,
+            "{mode:?}: slot-transport steady state allocates per step: \
+             {short} allocs over 8 steps vs {long} over 64"
+        );
+    }
 }
 
 /// Allocation count of one full single-rank overlapping run with the
