@@ -20,7 +20,6 @@
 use crate::candidates::{Candidate, Schedule, TuneProblem};
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate_heterogeneous, NetworkTopology, SimConfig};
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use msgpass::transport::TransportKind;
 use planc::artifact::ExecOptions;
 use planc::{Compiler, MachineSpec, PlanRequest, TuneMode, WorldPool};
@@ -84,16 +83,9 @@ impl ThreadBackend<'_> {
         let req = self.request(c, nz);
         let art = self.compiler.compile(&req).map_err(|e| e.to_string())?;
         let opts = ExecOptions { verify: false };
-        let outcome = if c.workers <= 1 {
-            art.execute_pooled(self.pool, opts)
-                .map_err(|e| e.to_string())?
-        } else {
-            // Worker counts are a world property, not a plan property:
-            // pooled worlds are keyed without them, so multi-worker
-            // probes run on a dedicated world instead.
-            let base = WorldConfig::new(LatencyModel::zero()).with_compute_workers(c.workers);
-            art.execute_with(&base, opts).map_err(|e| e.to_string())?
-        };
+        let outcome = art
+            .execute_pooled(self.pool, opts)
+            .map_err(|e| e.to_string())?;
         Ok(outcome.elapsed.as_secs_f64() * 1e6)
     }
 }
@@ -137,8 +129,8 @@ pub struct SimBackend {
 
 impl MeasureBackend for SimBackend {
     fn measure_us(&self, c: &Candidate) -> Result<f64, String> {
-        // Tier and workers have no simulator counterpart: the model
-        // charges t_c per point regardless. Only (V, shape) matter.
+        // The tier has no simulator counterpart: the model charges
+        // t_c per point regardless. Only (V, shape) matter.
         let sides = [
             (self.problem.nx / c.pi) as i64,
             (self.problem.ny / c.pj) as i64,
@@ -207,7 +199,6 @@ mod tests {
             pi: 2,
             pj: 2,
             tier: KernelTier::Bitwise,
-            workers: 1,
         }
     }
 

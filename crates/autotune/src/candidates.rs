@@ -4,10 +4,10 @@
 //! processor-grid factorization `pi × pj`, the heights are the
 //! [`ClosedForm::v_ladder`] around that shape's own `V*` — a geometric
 //! neighborhood plus the step-aligned heights that eliminate partial
-//! last tiles. Tiers and worker counts multiply in from the tuner's
-//! configuration. The seed candidate (the closed form's pick on the
-//! problem's own shape) is always part of the space, so measured
-//! search can only refine the analytic answer, never lose to it.
+//! last tiles. Tiers multiply in from the tuner's configuration. The
+//! seed candidate (the closed form's pick on the problem's own shape)
+//! is always part of the space, so measured search can only refine the
+//! analytic answer, never lose to it.
 
 use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
 use tiling_core::dependence::DependenceSet;
@@ -74,8 +74,6 @@ pub struct Candidate {
     pub pj: usize,
     /// Compute kernel tier.
     pub tier: KernelTier,
-    /// Intra-rank compute workers.
-    pub workers: usize,
 }
 
 impl Candidate {
@@ -114,29 +112,20 @@ pub fn tile_shapes(problem: &TuneProblem) -> Vec<(usize, usize)> {
 }
 
 /// Enumerate the full candidate space: shapes × each shape's V ladder
-/// × tiers × worker counts. Deterministic order (shapes by ascending
+/// × tiers. Deterministic order (shapes by ascending
 /// `pi`, heights ascending).
 pub fn enumerate(
     problem: &TuneProblem,
     machine: &MachineParams,
     schedule: Schedule,
     tiers: &[KernelTier],
-    workers: &[usize],
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (pi, pj) in tile_shapes(problem) {
         let cf = closed_form_for(problem, machine, schedule, pi, pj);
         for v in cf.v_ladder(problem.nz) {
             for &tier in tiers {
-                for &w in workers {
-                    out.push(Candidate {
-                        v,
-                        pi,
-                        pj,
-                        tier,
-                        workers: w,
-                    });
-                }
+                out.push(Candidate { v, pi, pj, tier });
             }
         }
     }
@@ -187,13 +176,7 @@ mod tests {
         let machine = MachineParams::paper_cluster();
         let cf = closed_form_for(&p, &machine, Schedule::Overlap, p.pi, p.pj);
         let seed_v = cf.v_star_clamped(p.nz);
-        let cands = enumerate(
-            &p,
-            &machine,
-            Schedule::Overlap,
-            &[KernelTier::Bitwise],
-            &[1],
-        );
+        let cands = enumerate(&p, &machine, Schedule::Overlap, &[KernelTier::Bitwise]);
         assert!(cands
             .iter()
             .any(|c| c.v == seed_v && c.pi == p.pi && c.pj == p.pj));
@@ -216,7 +199,6 @@ mod tests {
             pi: 2,
             pj: 2,
             tier: KernelTier::Bitwise,
-            workers: 1,
         };
         assert_eq!(c.steps(1000), 10);
         assert_eq!(c.steps(1001), 11);

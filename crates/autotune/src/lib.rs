@@ -8,8 +8,8 @@
 //! and measured piecewise transfer curves. This crate refines the
 //! analytic answer by measured feedback:
 //!
-//! 1. **Seed** — [`candidates`] enumerates (V, tile shape, tier,
-//!    workers) around each shape's own closed-form `V*`
+//! 1. **Seed** — [`candidates`] enumerates (V, tile shape, tier)
+//!    around each shape's own closed-form `V*`
 //!    ([`ClosedForm::v_ladder`](tiling_core::closed_form::ClosedForm::v_ladder)),
 //!    including the step-aligned heights that eliminate partial tiles.
 //! 2. **Pre-rank** — [`surrogate`] scores candidates for free (closed

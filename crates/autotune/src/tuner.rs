@@ -34,8 +34,6 @@ pub struct TuneConfig {
     pub max_candidates: usize,
     /// Kernel tiers to explore.
     pub tiers: Vec<KernelTier>,
-    /// Intra-rank worker counts to explore.
-    pub workers: Vec<usize>,
 }
 
 impl Default for TuneConfig {
@@ -46,7 +44,6 @@ impl Default for TuneConfig {
             abandon_factor: 1.15,
             max_candidates: 12,
             tiers: vec![KernelTier::Bitwise],
-            workers: vec![1],
         }
     }
 }
@@ -133,20 +130,18 @@ pub fn tune(
     // 1. Seed: the closed form's answer on the problem's own shape.
     let seed_cf = closed_form_for(problem, machine, schedule, problem.pi, problem.pj);
     let tier0 = cfg.tiers.first().copied().unwrap_or(KernelTier::Bitwise);
-    let workers0 = cfg.workers.first().copied().unwrap_or(1);
     let seed_cand = Candidate {
         v: seed_cf.v_star_clamped(problem.nz),
         pi: problem.pi,
         pj: problem.pj,
         tier: tier0,
-        workers: workers0,
     };
     let seed = measure(&seed_cand)?;
     let mut evaluated = vec![seed];
     let mut incumbent = seed;
 
     // 2. Enumerate and pre-rank the rest of the space.
-    let mut pool: Vec<Candidate> = enumerate(problem, machine, schedule, &cfg.tiers, &cfg.workers)
+    let mut pool: Vec<Candidate> = enumerate(problem, machine, schedule, &cfg.tiers)
         .into_iter()
         .filter(|c| *c != seed_cand)
         .collect();
@@ -209,7 +204,6 @@ pub fn commit(outcome: &TuneOutcome, req: &PlanRequest, cache: &TunedCache) -> A
         pi: w.candidate.pi,
         pj: w.candidate.pj,
         tier: w.candidate.tier,
-        workers: w.candidate.workers,
         measured_makespan_us: w.makespan_us,
         measured_us_per_step: w.us_per_step,
         predicted_us: w.predicted_us,

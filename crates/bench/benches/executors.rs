@@ -79,7 +79,7 @@ fn bench_recording(c: &mut Criterion) {
         b.iter(|| {
             black_box(record_sequential::<f32, _, _>(4, |comm| {
                 let tier = KernelTier::Bitwise;
-                try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+                try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
             }))
         })
     });

@@ -724,7 +724,6 @@ fn cmd_analyze() {
 fn cmd_modelcheck() {
     use miniloom::{CheckOptions, ExploreError};
     use planc::modelcheck::{SingleFlightModel, TunedCacheModel, WorldPoolModel};
-    use stencil::modelcheck::PoolHandoffModel;
 
     let mut failures = 0usize;
     let mut reduced_3thread = false;
@@ -737,12 +736,7 @@ fn cmd_modelcheck() {
 
     type Runner = Box<dyn Fn() -> Result<miniloom::Report, ExploreError>>;
     let opts = CheckOptions::default();
-    let good: [(&str, usize, Runner); 6] = [
-        (
-            "pool mailbox/barrier handoff",
-            3,
-            Box::new(stencil::modelcheck::check_pool_handoff),
-        ),
+    let good: [(&str, usize, Runner); 5] = [
         (
             "single-flight compile (ok path)",
             3,
@@ -793,21 +787,7 @@ fn cmd_modelcheck() {
     }
 
     println!("\n== seeded bugs: each variant must be caught with a schedule prefix ==\n");
-    let buggy: [(&str, &str, Runner); 5] = [
-        (
-            "pool: publish before halo write",
-            "race",
-            Box::new(move || {
-                miniloom::check(&PoolHandoffModel::seeded_publish_before_halo(), &opts)
-            }),
-        ),
-        (
-            "pool: lost barrier arrival",
-            "deadlock",
-            Box::new(move || {
-                miniloom::check(&PoolHandoffModel::seeded_lost_barrier_arrival(), &opts)
-            }),
-        ),
+    let buggy: [(&str, &str, Runner); 4] = [
         (
             "single-flight: split check/act",
             "violation",
@@ -823,18 +803,16 @@ fn cmd_modelcheck() {
             "violation",
             Box::new(move || miniloom::check(&TunedCacheModel::seeded_torn_commit(), &opts)),
         ),
+        (
+            "slot transport: blind retransmit",
+            "violation",
+            Box::new(move || {
+                let model = msgpass::modelcheck::SlotRetransModel::seeded_blind_retransmit(2, 2);
+                miniloom::check(&model, &opts)
+            }),
+        ),
     ];
-    let retrans_bug: (&str, &str, Runner) = (
-        "slot transport: blind retransmit",
-        "violation",
-        Box::new(|| {
-            miniloom::check(
-                &msgpass::modelcheck::SlotRetransModel::seeded_blind_retransmit(2, 2),
-                &CheckOptions::default(),
-            )
-        }),
-    );
-    for (name, want, run) in buggy.iter().chain(std::iter::once(&retrans_bug)) {
+    for (name, want, run) in &buggy {
         let (kind, prefix) = match run() {
             Ok(r) => {
                 failures += 1;
@@ -1143,7 +1121,7 @@ mod tune {
         format!(
             "    {{\"name\": \"{}\", \"backend\": \"{}\", \"grid\": [{}, {}, {}], \"procs\": [{}, {}], \
              \"schedule\": \"{}\", \"seed_v\": {}, \"tuned_v\": {}, \"tuned_procs\": [{}, {}], \
-             \"tuned_tier\": \"{}\", \"tuned_workers\": {}, \"seed_makespan_us\": {:.3}, \
+             \"tuned_tier\": \"{}\", \"seed_makespan_us\": {:.3}, \
              \"tuned_makespan_us\": {:.3}, \"tuned_speedup\": {:.4}, \"predicted_us\": {:.3}, \
              \"pred_err_rel\": {:.4}, \"pred_err_norm\": {:.4}, \"evaluated\": {}, \"abandoned\": {}, \
              \"infeasible\": {}, \"enumerated\": {}}}",
@@ -1160,7 +1138,6 @@ mod tune {
             w.candidate.pi,
             w.candidate.pj,
             tier_name(w.candidate.tier),
-            w.candidate.workers,
             s.makespan_us,
             w.makespan_us,
             o.speedup(),
@@ -1190,7 +1167,7 @@ mod tune {
     fn print_row(r: &Row) {
         let o = &r.out;
         println!(
-            "{:12} {:6} {:>2}x{:<2}x{:<5} {}x{}: seed V={} ({:.0} µs) -> tuned V={} {}x{} tier={} workers={} ({:.0} µs) | speedup {:.3}x | pred_err_rel {:+.3} norm {:+.3} | {} measured, {} abandoned, {} infeasible of {}",
+            "{:12} {:6} {:>2}x{:<2}x{:<5} {}x{}: seed V={} ({:.0} µs) -> tuned V={} {}x{} tier={} ({:.0} µs) | speedup {:.3}x | pred_err_rel {:+.3} norm {:+.3} | {} measured, {} abandoned, {} infeasible of {}",
             r.name,
             r.backend,
             r.problem.nx,
@@ -1204,7 +1181,6 @@ mod tune {
             o.incumbent.candidate.pi,
             o.incumbent.candidate.pj,
             tier_name(o.incumbent.candidate.tier),
-            o.incumbent.candidate.workers,
             o.incumbent.makespan_us,
             o.speedup(),
             o.incumbent.pred_err_rel,
@@ -1247,7 +1223,6 @@ mod tune {
             // incumbent, not everything the fill tax inflates.
             abandon_factor: 2.0,
             tiers: vec![KernelTier::Bitwise, KernelTier::Fast],
-            workers: vec![1, 2],
             ..TuneConfig::default()
         };
         let thread_out = tune(
@@ -1269,12 +1244,11 @@ mod tune {
             .with_transport(TransportKind::shared_slots());
         let entry = commit(&thread_out, &req, &cache);
         println!(
-            "committed: V={} {}x{} tier={} workers={} at {:.1} µs/step under {}\n",
+            "committed: V={} {}x{} tier={} at {:.1} µs/step under {}\n",
             entry.v,
             entry.pi,
             entry.pj,
             tier_name(entry.tier),
-            entry.workers,
             entry.measured_us_per_step,
             planc::tuned_key(&req).canon()
         );
@@ -1469,7 +1443,7 @@ fn cmd_sweep(quick: bool, seed: u64, workers: usize) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|analyze|modelcheck|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json + results/tune_train.csv, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune [--quick] [--seed N]   closed-loop autotuner (seed -> surrogate pre-rank -> calibrate -> commit); thread-backend calibration row plus two deterministic out-of-model simulator rows; --quick writes results/BENCH_tune_quick.json, full mode results/tune.json; --seed sets the hetero row's node-speed seed\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper analyze static analysis: pre-flight every shipped config, reject the chaos plans, model-check the slot ring\n       paper modelcheck   DPOR model-checking sweep: pool handoff, single-flight compile, world pool, tuned cache, slot retransmission — shipped protocols must be clean, seeded bugs must be caught with schedule prefixes\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit\n       paper serve --smoke   ephemeral service + concurrent localhost clients; PASS iff every job succeeds and the plan cache is hit"
+        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|analyze|modelcheck|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json + results/tune_train.csv, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune [--quick] [--seed N]   closed-loop autotuner (seed -> surrogate pre-rank -> calibrate -> commit); thread-backend calibration row plus two deterministic out-of-model simulator rows; --quick writes results/BENCH_tune_quick.json, full mode results/tune.json; --seed sets the hetero row's node-speed seed\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper analyze static analysis: pre-flight every shipped config, reject the chaos plans, model-check the slot ring\n       paper modelcheck   DPOR model-checking sweep: single-flight compile, world pool, tuned cache, slot retransmission — shipped protocols must be clean, seeded bugs must be caught with schedule prefixes\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit\n       paper serve --smoke   ephemeral service + concurrent localhost clients; PASS iff every job succeeds and the plan cache is hit"
     );
     std::process::exit(2);
 }

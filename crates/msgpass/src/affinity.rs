@@ -1,8 +1,8 @@
 //! Best-effort CPU-affinity pinning for scaling measurements.
 //!
-//! The threaded backend optionally pins rank threads (and the stencil
-//! compute workers riding on them) to cores so many-rank scaling rows
-//! measure placement-stable numbers instead of scheduler roulette.
+//! The threaded backend optionally pins rank threads to cores so
+//! many-rank scaling rows measure placement-stable numbers instead of
+//! scheduler roulette.
 //! Pinning is strictly a hint: it can fail (restricted cpusets,
 //! exotic platforms) and every caller ignores the result beyond
 //! best-effort reporting — correctness never depends on it.

@@ -119,17 +119,12 @@ pub struct WorldConfig {
     /// bitwise-equal to sequential; [`KernelTier::Fast`] trades that
     /// for shorter dependency chains, ULP-bounded).
     pub kernel_tier: KernelTier,
-    /// Compute workers *per rank* (1 = no intra-rank parallelism). The
-    /// stencil executors split each tile's independent pencils across
-    /// this many threads while the rank's engine keeps driving the
-    /// communication lanes.
-    pub compute_workers: usize,
-    /// Best-effort core-affinity pinning: every *spawned* rank `r` (and
-    /// its compute workers) to core `r mod cores`. Rank 0 runs on the
-    /// calling thread, which is never pinned — its affinity is the
-    /// caller's. Failures are ignored — this is a scheduling hint, not
-    /// a correctness knob. Nothing in the workspace sets it; it stays
-    /// because the repo benchmark's probes pass it to [`run_world`].
+    /// Best-effort core-affinity pinning: every *spawned* rank `r` to
+    /// core `r mod cores`. Rank 0 runs on the calling thread, which is
+    /// never pinned — its affinity is the caller's. Failures are ignored
+    /// — this is a scheduling hint, not a correctness knob. Nothing in
+    /// the workspace sets it; it stays because the repo benchmark's
+    /// probes pass it to [`run_world`].
     pub pin_cores: bool,
 }
 
@@ -152,7 +147,6 @@ impl WorldConfig {
             faults: None,
             skip_preflight: false,
             kernel_tier: KernelTier::Bitwise,
-            compute_workers: 1,
             pin_cores: false,
         }
     }
@@ -160,12 +154,6 @@ impl WorldConfig {
     /// Select the numerical tier of the compute kernels.
     pub fn with_kernel_tier(mut self, tier: KernelTier) -> Self {
         self.kernel_tier = tier;
-        self
-    }
-
-    /// Set the per-rank compute worker count (≥ 1).
-    pub fn with_compute_workers(mut self, workers: usize) -> Self {
-        self.compute_workers = workers.max(1);
         self
     }
 

@@ -216,10 +216,9 @@ impl PlanArtifact {
     }
 
     /// Stamp the plan-owned fields onto a caller-supplied base config
-    /// (latency, faults, reliability, workers and pinning stay the
-    /// caller's): the transport and tier come from the compilation
-    /// inputs, and the per-run pre-flight is off because it already ran
-    /// at compile time.
+    /// (latency, faults, reliability and pinning stay the caller's):
+    /// the transport and tier come from the compilation inputs, and the
+    /// per-run pre-flight is off because it already ran at compile time.
     pub fn stamp(&self, base: WorldConfig) -> WorldConfig {
         let mut cfg = base;
         cfg.transport = self.request.transport;

@@ -27,8 +27,6 @@ pub struct TunedEntry {
     pub pj: usize,
     /// Winning kernel tier.
     pub tier: KernelTier,
-    /// Winning intra-rank compute worker count.
-    pub workers: usize,
     /// Measured makespan of the winner (µs).
     pub measured_makespan_us: f64,
     /// Measured cost per pipeline step (µs) — makespan / ⌈K/V⌉.
@@ -82,7 +80,6 @@ mod tests {
             pi: 2,
             pj: 2,
             tier: KernelTier::Bitwise,
-            workers: 1,
             measured_makespan_us: 1234.5,
             measured_us_per_step: 205.75,
             predicted_us: 1100.0,

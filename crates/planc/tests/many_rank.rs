@@ -1,17 +1,16 @@
-//! A 4×4 thread world with two compute workers per rank: the plan is
-//! compiled once (the analyzer pre-flight runs there, at full size,
-//! and nowhere else), stamped onto a zero-latency world and verified
-//! against the sequential sweep — bitwise on the pinned tier, within
-//! 1e-4 on the fast one.
+//! A 4×4 thread world: the plan is compiled once (the analyzer
+//! pre-flight runs there, at full size, and nowhere else), stamped onto
+//! a zero-latency world and verified against the sequential sweep —
+//! bitwise on the pinned tier, within 1e-4 on the fast one.
 
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use planc::{ExecOptions, PlanRequest};
 use stencil::kernel::KernelTier;
 
 #[test]
-fn sixteen_pooled_ranks_match_the_sequential_sweep_on_both_tiers() {
+fn sixteen_ranks_match_the_sequential_sweep_on_both_tiers() {
     let seq = stencil::seq::run_paper3d_seq(16, 16, 256, 1.0);
-    let base = WorldConfig::new(LatencyModel::zero()).with_compute_workers(2);
+    let base = WorldConfig::new(LatencyModel::zero());
     for (tier, tolerance) in [(KernelTier::Bitwise, 0.0), (KernelTier::Fast, 1e-4)] {
         let req = PlanRequest::grid3(16, 16, 256, 4, 4)
             .with_v(16)

@@ -16,8 +16,7 @@
 //! `nz`-contiguous in the global [`Grid3D`], so a rank's block is its
 //! `bx · by` pencils of that array, borrowed as disjoint `&mut [f32]`
 //! views ([`rank_pencils`]) — each processor owns its part of the
-//! array, for every `pi × pj` and every worker count, and nothing is
-//! collected afterwards.
+//! array, for every `pi × pj`, and nothing is collected afterwards.
 //!
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
 //! rank's pencils, owns the halo planes and supplies the hot paths —
@@ -50,7 +49,6 @@ use crate::grid::Grid3D;
 use crate::halo;
 use crate::kernel::{Kernel3D, KernelTier, Wave, LANES, MAX_WAVE};
 use crate::plan::{self, Compiled3D};
-use crate::pool;
 use crate::proto::{DIR_I, DIR_J};
 use analyzer::RankTopology;
 use msgpass::comm::Communicator;
@@ -144,20 +142,10 @@ pub(crate) fn rank_pencils<'g>(
 const FACE_I: usize = 0;
 const FACE_J: usize = 1;
 
-/// A rank's halo planes `i = own_lo_i − 1` (`by × nz`) and
-/// `j = own_lo_j − 1` (`bx × nz`); empty without an upstream neighbor.
-pub(crate) fn halo_planes(d: &Decomp3D, links: &RankLinks) -> [Vec<f32>; 2] {
-    [(FACE_I, d.by()), (FACE_J, d.bx())].map(|(dir, rows)| match links.up[dir] {
-        Some(_) => vec![0.0; rows * d.nz],
-        None => Vec::new(),
-    })
-}
-
 /// The block decomposition as a rank topology: a `pi × pj` Cartesian
 /// grid where every rank ships its high-`i` face to the `(+1, 0)`
 /// neighbor and its high-`j` face to the `(0, +1)` neighbor (no
-/// wraparound). Pre-flight, [`Block3D`] and the pooled [`pool::Shared`]
-/// all read this impl.
+/// wraparound). Pre-flight and [`Block3D`] both read this impl.
 impl RankTopology for Decomp3D {
     fn ranks(&self) -> usize {
         self.pi * self.pj
@@ -282,16 +270,12 @@ pub(crate) struct WavePlan {
 
 impl WavePlan {
     /// The walks of `rank`'s tiles: of a full tile and, if the last one
-    /// is shorter, of that — none with `workers > 1`, the pool walks by
-    /// itself. They depend on the layout alone, and the thread that
-    /// launches a run compiles them before the ranks start: as the
-    /// first small allocations of a rank's freshly spawned thread they
-    /// would come from an arena that gives its pages back when the
+    /// is shorter, of that. They depend on the layout alone, and the
+    /// thread that launches a run compiles them before the ranks start:
+    /// as the first small allocations of a rank's freshly spawned thread
+    /// they would come from an arena that gives its pages back when the
     /// thread is done — page faults on every small execution.
-    pub(crate) fn for_rank(d: &Decomp3D, rank: usize, workers: usize) -> Vec<WavePlan> {
-        if workers > 1 {
-            return Vec::new();
-        }
+    pub(crate) fn for_rank(d: &Decomp3D, rank: usize) -> Vec<WavePlan> {
         let links = RankLinks::of(d, rank);
         let up = [FACE_I, FACE_J].map(|dir| links.up[dir].is_some());
         let mut lens = [0, d.steps() - 1]
@@ -401,7 +385,8 @@ struct Block3D<'g, K> {
     /// The `k−1` seed of every pencil's bottom chunk in the last
     /// computed tile: the top cell of the tile below it, or the boundary.
     top: Vec<f32>,
-    /// The [`halo_planes`], by direction.
+    /// The halo planes `i = own_lo_i − 1` (`by × nz`) and
+    /// `j = own_lo_j − 1` (`bx × nz`); empty without an upstream neighbor.
     halo: [Vec<f32>; 2],
     /// Global coordinates of the block origin.
     gi0: i64,
@@ -433,7 +418,10 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
             units: Vec::with_capacity(plans.iter().map(|p| p.units.len()).max().unwrap_or(0)),
             taken: 0,
             top: vec![d.boundary; bx * by],
-            halo: halo_planes(&d, &links),
+            halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match links.up[dir] {
+                Some(_) => vec![0.0; rows * d.nz],
+                None => Vec::new(),
+            }),
             gi0: (ci * bx) as i64,
             gj0: (cj * by) as i64,
             brow: vec![d.boundary; plans[0].len],
@@ -587,42 +575,18 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
 /// `rows`, its pencils of the result (see [`rank_pencils`]), reporting
 /// every phase to `obs`, or the typed transport/structure error that
 /// stopped it. Nothing is re-derived here — the plan is executed
-/// exactly as compiled. `knobs` is `(tier, workers, pin)`; `plans` are
-/// the rank's [`WavePlan::for_rank`].
-///
-/// With `workers > 1` the tile is fanned out across intra-rank compute
-/// threads (see [`pool`]): the calling thread is worker 0, `workers − 1`
-/// extra threads are spawned for the duration of the rank run and park
-/// between tiles, and `pin` places worker `w` on core
-/// `rank · workers + w` (best effort) so a rank's pool shares locality.
-/// Results are bitwise-identical to the unpooled run on the pinned tier.
+/// exactly as compiled. `plans` are the rank's [`WavePlan::for_rank`].
 pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
     c: &Compiled3D,
-    (tier, workers, pin): (KernelTier, usize, bool),
+    tier: KernelTier,
     obs: &mut O,
     rows: Pencils<'_>,
     plans: Vec<WavePlan>,
 ) -> Result<(), EngineError> {
-    let (d, plan, rank) = (c.decomp(), c.step_plan(), comm.rank());
-    if workers <= 1 {
-        let mut blk = Block3D::new(d, kernel, tier, rank, rows, plans);
-        return engine::run_rank(comm, &mut blk, plan, obs);
-    }
-    let pin_base = pin.then(|| rank * workers);
-    let shared = pool::Shared::new(d, kernel, tier, workers, rank, rows);
-    std::thread::scope(|scope| {
-        for w in 1..workers {
-            let sh = &shared;
-            scope.spawn(move || sh.worker_loop(w, pin_base.map(|b| b + w)));
-        }
-        let r = engine::run_rank(comm, &mut &shared, plan, obs);
-        // Always release the pool — even on a transport error — or the
-        // scope would join forever.
-        shared.shutdown();
-        r
-    })
+    let mut blk = Block3D::new(c.decomp(), kernel, tier, comm.rank(), rows, plans);
+    engine::run_rank(comm, &mut blk, c.step_plan(), obs)
 }
 
 /// [`run_rank3d_into`] for a caller that wants one rank's block by
@@ -633,15 +597,13 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     kernel: K,
     c: &Compiled3D,
     tier: KernelTier,
-    workers: usize,
-    pin: bool,
     obs: &mut O,
 ) -> Result<Vec<f32>, EngineError> {
     let d = c.decomp();
     let mut block = vec![0.0; d.bx() * d.by() * d.nz];
     let rows = block.chunks_exact_mut(d.nz).collect();
-    let plans = WavePlan::for_rank(&d, comm.rank(), workers);
-    run_rank3d_into(comm, kernel, c, (tier, workers, pin), obs, rows, plans)?;
+    let plans = WavePlan::for_rank(&d, comm.rank());
+    run_rank3d_into(comm, kernel, c, tier, obs, rows, plans)?;
     Ok(block)
 }
 
@@ -764,71 +726,6 @@ mod tests {
         );
     }
 
-    fn check_pooled_matches_seq(d: Decomp3D, mode: ExecMode, workers: usize) {
-        let cfg = WorldConfig::new(LatencyModel::zero()).with_compute_workers(workers);
-        let (dist, _, _) = run_dist3d_with(Paper3D, d, &cfg, mode).expect("pooled run");
-        let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-        assert_eq!(
-            dist.max_abs_diff(&seq),
-            0.0,
-            "pooled result ({workers} workers) differs ({mode:?}, {d:?})"
-        );
-    }
-
-    #[test]
-    fn pooled_matches_sequential_2x2_two_workers() {
-        check_pooled_matches_seq(
-            Decomp3D {
-                nx: 8,
-                ny: 8,
-                nz: 32,
-                pi: 2,
-                pj: 2,
-                v: 8,
-                boundary: 1.0,
-            },
-            ExecMode::Overlapping,
-            2,
-        );
-    }
-
-    #[test]
-    fn pooled_matches_sequential_4x4_three_workers() {
-        // bx = by = 2: most diagonals have fewer items than workers, so
-        // some workers get empty shares — they must still hit every
-        // barrier.
-        check_pooled_matches_seq(
-            Decomp3D {
-                nx: 8,
-                ny: 8,
-                nz: 24,
-                pi: 4,
-                pj: 4,
-                v: 5,
-                boundary: 2.0,
-            },
-            ExecMode::Overlapping,
-            3,
-        );
-    }
-
-    #[test]
-    fn pooled_single_rank_many_workers() {
-        check_pooled_matches_seq(
-            Decomp3D {
-                nx: 8,
-                ny: 8,
-                nz: 16,
-                pi: 1,
-                pj: 1,
-                v: 4,
-                boundary: 1.0,
-            },
-            ExecMode::Blocking,
-            4,
-        );
-    }
-
     #[test]
     fn fast_tier_stays_close_to_pinned_at_grid_level() {
         let d = Decomp3D {
@@ -848,29 +745,6 @@ mod tests {
         // The √ recurrence contracts perturbations, so the reassociated
         // tier stays at rounding-noise distance across the whole grid.
         assert!(err <= 1e-4, "fast tier drifted {err} from pinned");
-    }
-
-    #[test]
-    fn pooled_fast_tier_is_grouping_invariant() {
-        // The fast tier's per-pencil operation sequence is independent
-        // of how pencils are grouped into waves, so pooled fast must be
-        // bitwise-equal to unpooled fast.
-        let d = Decomp3D {
-            nx: 8,
-            ny: 8,
-            nz: 32,
-            pi: 2,
-            pj: 2,
-            v: 8,
-            boundary: 1.0,
-        };
-        let fast = WorldConfig::new(LatencyModel::zero()).with_kernel_tier(KernelTier::Fast);
-        let (lone, _, _) =
-            run_dist3d_with(Paper3D, d, &fast, ExecMode::Overlapping).expect("fast run");
-        let pooled_cfg = fast.clone().with_compute_workers(3);
-        let (pooled, _, _) =
-            run_dist3d_with(Paper3D, d, &pooled_cfg, ExecMode::Overlapping).expect("pooled fast");
-        assert_eq!(pooled.max_abs_diff(&lone), 0.0);
     }
 
     #[test]
@@ -1115,12 +989,9 @@ mod tests {
             };
             let grid = CartesianGrid::new(vec![pi, pj]);
             for rank in 0..d.ranks() {
-                let plans = WavePlan::for_rank(&d, rank, 1);
+                let plans = WavePlan::for_rank(&d, rank);
                 let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), plans);
                 decomp::assert_ops_read_layout(&d, rank, &blk);
-                let shared =
-                    pool::Shared::new(d, Paper3D, KernelTier::Bitwise, 2, rank, Vec::new());
-                decomp::assert_ops_read_layout(&d, rank, &&shared);
                 // The layout's inline arithmetic is the row-major
                 // Cartesian grid, no wraparound.
                 assert_eq!(d.upstream(rank, FACE_I), grid.neighbor(rank, &[-1, 0]));

@@ -54,9 +54,7 @@ pub mod engine;
 pub mod grid;
 pub mod halo;
 pub mod kernel;
-pub mod modelcheck;
 pub mod plan;
-pub(crate) mod pool;
 pub mod preflight;
 pub mod proto;
 pub mod seq;

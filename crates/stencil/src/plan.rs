@@ -186,7 +186,7 @@ pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineEr
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
-    knobs: (KernelTier, usize, bool),
+    tier: KernelTier,
     make_obs: impl Fn(&ThreadComm<f32>) -> O + Sync,
     launch: impl FnOnce(
         &(dyn Fn(&mut ThreadComm<f32>) -> RankOut<O> + Sync),
@@ -198,7 +198,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
         // The body is shared by the ranks, so each takes its pencils
         // and its tile walks (compiled here, on the launching thread —
         // see `WavePlan::for_rank`) out of its own slot.
-        let walks = |rank| dist3d::WavePlan::for_rank(&d, rank, knobs.1);
+        let walks = |rank| dist3d::WavePlan::for_rank(&d, rank);
         let parts: Vec<_> = dist3d::rank_pencils(&d, out.pencils_mut())
             .into_iter()
             .enumerate()
@@ -208,7 +208,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
             let mut obs = make_obs(comm);
             let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
             let (rows, plans) = part.expect("a world runs each rank once");
-            let run = dist3d::run_rank3d_into(comm, kernel, c, knobs, &mut obs, rows, plans);
+            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, plans);
             (run, (obs, comm.fault_stats()))
         })
     };
@@ -233,8 +233,7 @@ where
     O: StepObserver + Send,
     F: Fn(&ThreadComm<f32>) -> O + Send + Sync,
 {
-    let knobs = (cfg.kernel_tier, cfg.compute_workers, cfg.pin_cores);
-    run3d_ranks(kernel, c, knobs, make_obs, |body| {
+    run3d_ranks(kernel, c, cfg.kernel_tier, make_obs, |body| {
         // Each rank owns its communicator and drops it with its body,
         // so a rank that stops early reads as a closed peer.
         run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| body(&mut comm))
@@ -276,7 +275,7 @@ where
             got: world.len(),
         });
     }
-    run3d_ranks(kernel, c, (tier, 1, false), make_obs, |body| {
+    run3d_ranks(kernel, c, tier, make_obs, |body| {
         run_world(world, false, body)
     })
 }

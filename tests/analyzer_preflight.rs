@@ -208,7 +208,7 @@ fn executors_send_exactly_what_preflight_analyzed() {
             let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
             let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
                 let tier = KernelTier::Bitwise;
-                try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+                try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
                     .expect("the recorder never fails a receive")
             });
             assert_recorded_sends_are_the_analyzed_ones(&plan, &programs);

@@ -191,18 +191,18 @@ fn long_pipeline_stays_finite() {
     assert!(g.data().iter().all(|x| x.is_finite()));
 }
 
-/// Every mode and worker count on a fresh world per run, then both
-/// modes on the prebuilt `world`, bitwise against `stencil::seq`.
+/// Both modes on a fresh world per run and on the prebuilt `world`,
+/// bitwise against `stencil::seq`.
 fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [ThreadComm<f32>]) {
     let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         let plan = Compiled3D::compile(d, mode).expect("clean plan");
-        for workers in [1, 2] {
-            let cfg = zero_latency().with_compute_workers(workers);
-            let (fresh, _, _) = run3d_with(kernel, &plan, &cfg).expect("fresh world");
-            let diff = fresh.max_abs_diff(&seq);
-            assert_eq!(diff, 0.0, "fresh world, {workers} workers, {mode:?}, {d:?}");
-        }
+        let (fresh, _, _) = run3d_with(kernel, &plan, &zero_latency()).expect("fresh world");
+        assert_eq!(
+            fresh.max_abs_diff(&seq),
+            0.0,
+            "fresh world, {mode:?}, {d:?}"
+        );
         let (warm, _, _) =
             run3d_on_world(kernel, &plan, KernelTier::Bitwise, world).expect("warm world");
         assert_eq!(warm.max_abs_diff(&seq), 0.0, "warm world, {mode:?}, {d:?}");
@@ -212,8 +212,8 @@ fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [Thread
 /// The result grid is the ranks' storage: every rank computes straight
 /// into its own pencils of the zero-filled output, so a pencil dealt to
 /// the wrong rank or left unwritten is a non-zero difference from the
-/// sequential reference. Every processor-grid shape, worker count, mode
-/// and two kernels, with a partial last tile — on a fresh world per
+/// sequential reference. Every processor-grid shape, mode and two
+/// kernels, with a partial last tile — on a fresh world per
 /// run, and on one prebuilt world per rank count reused for all of its
 /// cases.
 #[test]

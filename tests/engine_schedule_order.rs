@@ -28,8 +28,7 @@ fn phase_logs(d: Decomp3D, mode: ExecMode) -> Vec<PhaseLog> {
     run_threads::<f32, PhaseLog, _>(plan.ranks(), LatencyModel::zero(), |mut comm| {
         let mut log = PhaseLog::default();
         let tier = KernelTier::Bitwise;
-        try_run_rank3d_plan(&mut comm, Paper3D, &plan, tier, 1, false, &mut log)
-            .expect("fault-free world");
+        try_run_rank3d_plan(&mut comm, Paper3D, &plan, tier, &mut log).expect("fault-free world");
         log
     })
     .0

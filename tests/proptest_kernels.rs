@@ -6,9 +6,9 @@
 //! every pencil length (including the `len % 4` cells past the last
 //! whole lane block), ragged waves whose pencils have unequal lengths,
 //! and inputs off the recurrence's domain. This is the invariant that lets the
-//! tile walk regroup cells into chunked super-diagonal waves, and the
-//! worker pool redistribute them across threads, without perturbing a
-//! single bit of the distributed-vs-sequential verification.
+//! tile walk regroup cells into chunked super-diagonal waves without
+//! perturbing a single bit of the distributed-vs-sequential
+//! verification.
 //!
 //! The fast tier ([`KernelTier::Fast`]) is *not* bitwise: it may
 //! reassociate and drop domain guards. Its property is a ULP bound

@@ -14,7 +14,7 @@ fn record(d: Decomp3D, mode: ExecMode) -> (Vec<Vec<f32>>, Vec<Program>) {
     let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
     record_sequential::<f32, _, _>(plan.ranks(), |comm| {
         let tier = KernelTier::Bitwise;
-        try_run_rank3d_plan(comm, Paper3D, &plan, tier, 1, false, &mut NoopObserver)
+        try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
             .expect("the recorder never fails a receive")
     })
 }

@@ -188,42 +188,6 @@ fn slot_transport_multi_rank_steps_allocate_nothing() {
     }
 }
 
-/// Allocation count of one full single-rank overlapping run with the
-/// intra-rank worker pool engaged; minimum of three trials.
-fn count_pooled_run(nz: usize) -> u64 {
-    let d = single_rank_decomp(nz);
-    let cfg = WorldConfig::new(LatencyModel::zero()).with_compute_workers(2);
-    let mut best = u64::MAX;
-    for _ in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let (grid, _, _) = run_dist3d_with(Relax3D::default(), d, &cfg, ExecMode::Overlapping)
-            .expect("valid decomp");
-        let after = ALLOCS.load(Ordering::Relaxed);
-        assert!(grid.data().iter().all(|x| x.is_finite()));
-        best = best.min(after - before);
-    }
-    best
-}
-
-#[test]
-fn worker_pool_steady_state_steps_allocate_nothing() {
-    let _guard = lock();
-    // Warm up lazy runtime state outside the measured window.
-    let _ = count_pooled_run(8);
-    // The pool front-loads everything: row shards, halo planes and the
-    // job mailbox are built once before the pipeline starts, worker
-    // threads are scoped to the run, and each step is only a condvar
-    // broadcast plus per-diagonal spin barriers. 4 steps vs 16 steps
-    // must therefore allocate identically — any per-step or per-wave
-    // allocation in the pooled walk would scale with the step count.
-    let short = count_pooled_run(16);
-    let long = count_pooled_run(64);
-    assert_eq!(
-        short, long,
-        "pooled allocation count grew with step count: {short} allocs at 4 steps vs {long} at 16"
-    );
-}
-
 /// Fewest bytes one call of `run` allocates, over three calls (the
 /// first also warms whatever `run` reuses).
 fn min_bytes_of<T>(mut run: impl FnMut() -> T) -> u64 {
@@ -261,27 +225,22 @@ fn the_result_grid_is_the_only_grid_sized_allocation() {
     let kernel = Relax3D::default();
     let cfg = WorldConfig::new(LatencyModel::zero());
 
-    // One compute thread per rank, on a warm prebuilt world.
+    // On a warm prebuilt world, and on a fresh one per run.
     let mut world = build_world_with::<f32>(plan.ranks(), &cfg);
     let warm = min_bytes_of(|| {
         run3d_on_world(kernel, &plan, KernelTier::Bitwise, &mut world).expect("warm world")
     });
-    assert!(warm <= budget, "1 worker: {warm} bytes > {budget}");
-
-    // Two per rank (the worker pool is a fresh-world setting).
-    let pooled_cfg = cfg.clone().with_compute_workers(2);
-    let pooled = min_bytes_of(|| run3d_with(kernel, &plan, &pooled_cfg).expect("fresh world"));
-    assert!(pooled <= budget, "2 workers: {pooled} bytes > {budget}");
+    assert!(warm <= budget, "warm world: {warm} bytes > {budget}");
+    let fresh = min_bytes_of(|| run3d_with(kernel, &plan, &cfg).expect("fresh world"));
+    assert!(fresh <= budget, "fresh world: {fresh} bytes > {budget}");
 
     // A 1×1 world receives nothing, so it allocates no halo plane at
     // all: everything but the grid stays under the size of one.
     let lone = Decomp3D { pi: 1, ..d };
     let plan = Compiled3D::compile(lone, ExecMode::Overlapping).expect("valid decomp");
-    for cfg in [cfg, pooled_cfg] {
-        let bytes = min_bytes_of(|| run3d_with(kernel, &plan, &cfg).expect("fresh world"));
-        let budget = grid_bytes(lone) + plane_bytes;
-        assert!(bytes < budget, "1x1 world: {bytes} bytes >= {budget}");
-    }
+    let bytes = min_bytes_of(|| run3d_with(kernel, &plan, &cfg).expect("fresh world"));
+    let budget = grid_bytes(lone) + plane_bytes;
+    assert!(bytes < budget, "1x1 world: {bytes} bytes >= {budget}");
 }
 
 /// Run every rank of `d` straight on a world built from `cfg` and
@@ -290,7 +249,7 @@ fn rank_pool_stats_on(d: Decomp3D, cfg: &WorldConfig, mode: ExecMode) -> Vec<Poo
     let plan = Compiled3D::compile(d, mode).expect("valid decomp");
     run_threads_with::<f32, PoolStats, _>(plan.ranks(), cfg, |mut comm| {
         let (k, tier) = (Relax3D::default(), KernelTier::Bitwise);
-        try_run_rank3d_plan(&mut comm, k, &plan, tier, 1, false, &mut NoopObserver)
+        try_run_rank3d_plan(&mut comm, k, &plan, tier, &mut NoopObserver)
             .expect("fault-free world");
         comm.pool_stats()
     })
