@@ -8,8 +8,7 @@ use std::collections::HashMap;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::schedule::{StepPlan, StepStrategy};
 
-/// What a successful analysis proved, plus the plan's headline numbers
-/// (rendered by `paper analyze`).
+/// What a successful analysis proved, plus the plan's headline numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// Ranks in the world.

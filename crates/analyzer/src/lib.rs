@@ -21,8 +21,9 @@
 //! step, tag) — the information a hang destroys. The stencil crate
 //! runs [`analyze`] over its own decomposition types whenever it
 //! compiles a plan (its one-shot drivers opt out with
-//! `WorldConfig::without_preflight` for benchmarks); `paper analyze`
-//! sweeps every shipped configuration through it.
+//! `WorldConfig::without_preflight` for benchmarks);
+//! `bench::configs`' test compiles every shipped configuration through
+//! it.
 //!
 //! [`StepPlan`]: tiling_core::schedule::StepPlan
 //! [`DependenceSet`]: tiling_core::dependence::DependenceSet

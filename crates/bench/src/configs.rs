@@ -1,12 +1,10 @@
 //! The shipped configurations: every decomposition, latency model and
 //! plan request the `paper` harness runs, defined once.
 //!
-//! Before this module each subcommand hand-built its own `Decomp3D`
-//! and `WorldConfig`, so `paper analyze`'s "every shipped
-//! configuration" sweep had to mirror those literals by hand. Now the
-//! subcommands and the analyzer sweep draw from the same builders, and
-//! the thread-backed subcommands compile their [`planc::PlanRequest`]s
-//! from the same source of truth.
+//! The subcommands and the "every shipped configuration compiles,
+//! analyzer pre-flight included" test below draw from the same
+//! builders, and the thread-backed subcommands compile their
+//! [`planc::PlanRequest`]s from the same source of truth.
 
 use autotune::TuneProblem;
 use msgpass::thread_backend::LatencyModel;
@@ -46,8 +44,7 @@ pub fn chaos_gantt_decomp() -> Decomp3D {
     }
 }
 
-/// `paper example1` as a real 2-D strip decomposition (also the
-/// analyzer sweep's 2-D row).
+/// `paper example1` as a real 2-D strip decomposition.
 pub fn example1_strip() -> Decomp2D {
     Decomp2D {
         nx: 10_000,
@@ -107,14 +104,12 @@ pub fn tune_machine() -> MachineParams {
     MachineParams::paper_cluster().with_transfer_curve(tune_transfer_curve())
 }
 
-/// `paper tune`: the thread-backend calibration workload (quick mode
-/// shortens the pipeline, same shape). Gated by ci.sh: the tuned plan
-/// must never measure slower than the closed-form seed.
-pub fn tune_thread_problem(quick: bool) -> TuneProblem {
+/// `paper tune`: the thread-backend calibration workload.
+pub fn tune_thread_problem() -> TuneProblem {
     TuneProblem {
         nx: 8,
         ny: 8,
-        nz: if quick { 1024 } else { 4096 },
+        nz: 4096,
         pi: 2,
         pj: 2,
     }
@@ -136,7 +131,7 @@ pub fn tune_partial_tile_problem() -> TuneProblem {
 }
 
 /// `paper tune`: the heterogeneous 4×4-world acceptance grid
-/// (node-speed spread [`TUNE_HETERO_SPREAD`], seeded per `--seed`).
+/// (node-speed spread [`TUNE_HETERO_SPREAD`], seed [`TUNE_HETERO_SEED`]).
 pub fn tune_hetero_problem() -> TuneProblem {
     TuneProblem {
         nx: 16,
@@ -150,21 +145,29 @@ pub fn tune_hetero_problem() -> TuneProblem {
 /// `paper tune`: node-speed spread of the heterogeneous acceptance row.
 pub const TUNE_HETERO_SPREAD: f64 = 0.35;
 
-/// `paper tune`: default node-speed seed of the heterogeneous row.
+/// `paper tune`: node-speed seed of the heterogeneous acceptance row.
 pub const TUNE_HETERO_SEED: u64 = 7;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencil::plan::Compiled2D;
 
     #[test]
     fn shipped_decomps_compile() {
-        for d in [threads_decomp(), chaos_decomp(), chaos_gantt_decomp()] {
-            for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        let demo = crate::gantt::thread_demo_decomp();
+        for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+            for d in [threads_decomp(), chaos_decomp(), chaos_gantt_decomp(), demo] {
                 let a = planc::compile(&plan_request(d, mode)).expect("shipped decomp compiles");
                 assert_eq!(a.v(), d.v);
                 assert_eq!(a.ranks(), d.pi * d.pj);
             }
+            // `plan_request` builds 3-D requests only; the strip
+            // pre-flights through the plan type the executors take.
+            let strip = example1_strip();
+            let plan = Compiled2D::compile(strip, mode).expect("shipped strip compiles");
+            let report = plan.report().expect("compiled with pre-flight");
+            assert_eq!(report.ranks, strip.ranks);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! # bench
 //!
 //! The benchmark harness that regenerates every figure and table of the
-//! IPPS 2001 paper from the simulated cluster (see the `paper` binary),
-//! plus Criterion micro-benchmarks in `benches/`.
+//! IPPS 2001 paper from the simulated cluster (see the `paper` binary).
 //!
 //! * [`experiments`] — the three §5 experiments, the V-sweep driver and
 //!   the Fig. 12 table computation.

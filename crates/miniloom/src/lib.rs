@@ -3,10 +3,10 @@
 //! A dependency-free stand-in for the role [`loom`] plays in crates
 //! that model-check their lock-free code. The build environment has no
 //! network access to a crates registry, so — like `miniprop` for
-//! `proptest` and `microbench` for `criterion` — this crate implements
-//! the subset of the idea the workspace needs: explore the
-//! interleavings of a small number of scripted threads over a shared
-//! protocol state, checking invariants after every step.
+//! `proptest` — this crate implements the subset of the idea the
+//! workspace needs: explore the interleavings of a small number of
+//! scripted threads over a shared protocol state, checking invariants
+//! after every step.
 //!
 //! The granularity is one **operation** per step (a ring push, a pool
 //! claim, a lease drop), not one memory access: a [`Model`] provides a

@@ -22,9 +22,10 @@
 //!   pool, or zero-copy shared-memory slot rings.
 //! * [`slot_transport`] — the SPSC slot-ring transport itself
 //!   (cache-line-padded cursors, slot leases, FIFO overflow).
-//! * [`modelcheck`] — exhaustive interleaving checks of the slot ring
-//!   (every producer/consumer merge order, via `miniloom`), proving
-//!   no double-claim, no ABA reuse, and no lost slot.
+//! * `modelcheck` (test builds only) — exhaustive interleaving checks
+//!   of the slot ring (every producer/consumer merge order, via
+//!   `miniloom`), proving no double-claim, no ABA reuse, and no lost
+//!   slot: `cargo test -p msgpass modelcheck`.
 //! * [`topology`] — Cartesian process grids (the paper's 4×4 layout).
 //! * [`trace`] — wall-clock activity recording in the *same* interval
 //!   format the `cluster-sim` simulator emits, so real runs render
@@ -41,7 +42,8 @@
 pub mod affinity;
 pub mod comm;
 pub mod fault;
-pub mod modelcheck;
+#[cfg(test)]
+mod modelcheck;
 pub mod recording;
 pub mod slot_transport;
 pub mod thread_backend;

@@ -42,12 +42,12 @@ const PAYLOAD_LEN: usize = 3;
 /// The slot-ring protocol as a [`miniloom::Model`]: a producer thread
 /// staging and pushing `messages` generation-stamped payloads, and a
 /// consumer thread alternating pops with lease releases.
-pub struct SlotRingModel {
+struct SlotRingModel {
     /// Payload slots the link starts with (ring capacity is twice
     /// this).
-    pub slots: usize,
+    slots: usize,
     /// Messages the producer stages and pushes.
-    pub messages: usize,
+    messages: usize,
     /// How long after its push a message leaves the wire. Zero: every
     /// lease is past due at once and the pool must keep its size.
     wire: Duration,
@@ -59,7 +59,7 @@ pub struct SlotRingModel {
 impl SlotRingModel {
     /// A model of a `slots`-slot zero-latency link carrying `messages`
     /// messages.
-    pub fn new(slots: usize, messages: usize) -> Self {
+    fn new(slots: usize, messages: usize) -> Self {
         SlotRingModel {
             slots,
             messages,
@@ -70,7 +70,7 @@ impl SlotRingModel {
 
     /// The same link with every message still on the wire for the whole
     /// exploration: an exhausted pool grows instead of copying.
-    pub fn wire_held(slots: usize, messages: usize) -> Self {
+    fn wire_held(slots: usize, messages: usize) -> Self {
         SlotRingModel {
             wire: Duration::from_secs(3600),
             ..SlotRingModel::new(slots, messages)
@@ -80,7 +80,7 @@ impl SlotRingModel {
 
 /// One execution's state: the real link endpoints plus the shadow
 /// bookkeeping the invariants are phrased over.
-pub struct RingState {
+struct RingState {
     tx: SlotTx<u32>,
     rx: SlotRx<u32>,
     stats: PoolStats,
@@ -289,16 +289,6 @@ impl miniloom::Model for SlotRingModel {
     }
 }
 
-/// Exhaustively check a `slots`-slot ring carrying `messages` messages
-/// across every 2-thread interleaving. Returns the exploration totals
-/// or the first violating schedule.
-pub fn check_slot_ring(
-    slots: usize,
-    messages: usize,
-) -> Result<miniloom::Report, miniloom::Violation> {
-    miniloom::explore(&SlotRingModel::new(slots, messages))
-}
-
 /// The slot transport with a retransmission ledger as a 3-participant
 /// [`miniloom::Model`]: a producer (tid 0) that parks a zero-copy
 /// ledger handle ([`Payload::share`]) for every message it pushes, a
@@ -312,11 +302,11 @@ pub fn check_slot_ring(
 /// *and* a retransmitted duplicate must count exactly that many
 /// references, and the consumer must discard stale duplicates without
 /// miscounting deliveries.
-pub struct SlotRetransModel {
+struct SlotRetransModel {
     /// Payload slots per link.
-    pub slots: usize,
+    slots: usize,
     /// Messages the producer stages and pushes.
-    pub messages: usize,
+    messages: usize,
     /// Seeded bug: the retransmitter re-stamps each duplicate with a
     /// *fresh* tag instead of the original generation, so the consumer
     /// counts a stale buffer as a new delivery.
@@ -326,7 +316,7 @@ pub struct SlotRetransModel {
 impl SlotRetransModel {
     /// A model of a `slots`-slot link carrying `messages` messages
     /// with a correct, ack-respecting retransmitter.
-    pub fn new(slots: usize, messages: usize) -> Self {
+    fn new(slots: usize, messages: usize) -> Self {
         SlotRetransModel {
             slots,
             messages,
@@ -336,7 +326,7 @@ impl SlotRetransModel {
 
     /// The deliberately buggy variant: duplicates are re-tagged as
     /// fresh generations. The checker must report a violating schedule.
-    pub fn seeded_blind_retransmit(slots: usize, messages: usize) -> Self {
+    fn seeded_blind_retransmit(slots: usize, messages: usize) -> Self {
         SlotRetransModel {
             blind_retransmit: true,
             ..SlotRetransModel::new(slots, messages)
@@ -356,7 +346,7 @@ struct WireEntry {
 }
 
 /// One execution's state for [`SlotRetransModel`].
-pub struct RetransState {
+struct RetransState {
     tx: SlotTx<u32>,
     rx: SlotRx<u32>,
     stats: PoolStats,
@@ -582,19 +572,6 @@ impl miniloom::Model for SlotRetransModel {
     }
 }
 
-/// Model-check the 3-participant retransmission protocol (producer,
-/// deduplicating consumer, lease-dropping retransmitter) over a
-/// `slots`-slot link carrying `messages` messages.
-pub fn check_slot_retrans(
-    slots: usize,
-    messages: usize,
-) -> Result<miniloom::Report, miniloom::ExploreError> {
-    miniloom::check(
-        &SlotRetransModel::new(slots, messages),
-        &CheckOptions::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,7 +579,8 @@ mod tests {
     #[test]
     fn capacity_two_ring_is_clean_across_all_924_interleavings() {
         // slots = 1 → ring capacity 2; 3 messages → 6 steps per thread.
-        let report = check_slot_ring(1, 3).expect("no interleaving violates the slot protocol");
+        let report = miniloom::explore(&SlotRingModel::new(1, 3))
+            .expect("no interleaving violates the slot protocol");
         assert_eq!(
             Ok(report.schedules),
             miniloom::schedule_count(&[6, 6]).map_err(|e| e.to_string())
@@ -612,8 +590,12 @@ mod tests {
 
     #[test]
     fn two_slot_ring_is_clean() {
-        let report = check_slot_ring(2, 3).expect("no interleaving violates the slot protocol");
-        assert_eq!(report.schedules, 924);
+        // 12!/(6!·6!) = 924 and 16!/(8!·8!) = 12870 merge orders.
+        for (messages, schedules) in [(3, 924), (4, 12870)] {
+            let report = miniloom::explore(&SlotRingModel::new(2, messages))
+                .expect("no interleaving violates the slot protocol");
+            assert_eq!(report.schedules, schedules);
+        }
     }
 
     #[test]
@@ -662,7 +644,8 @@ mod tests {
     fn retransmission_protocol_is_clean_across_all_3150_interleavings() {
         // Scripts of 4 + 4 + 2 steps: 10!/(4!·4!·2!) = 3150 merge
         // orders, all explored (the wire serializes every step).
-        let report = check_slot_retrans(2, 2).expect("retransmission protocol is clean");
+        let report = miniloom::check(&SlotRetransModel::new(2, 2), &CheckOptions::default())
+            .expect("retransmission protocol is clean");
         assert_eq!(report.unreduced, Some(3150));
         assert!(
             report.schedules > 0 && report.schedules <= 3150,

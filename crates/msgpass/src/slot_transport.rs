@@ -207,6 +207,7 @@ pub struct SlotLease<T> {
 
 impl<T> SlotLease<T> {
     /// Which pool slot this lease holds (model-check introspection).
+    #[cfg(test)]
     pub(crate) fn slot_index(&self) -> usize {
         self.chunk.base + self.off
     }
@@ -427,11 +428,13 @@ const STAGE_WAIT_BUDGET: u32 = 256;
 
 impl<T: Send + Sync> SlotTx<T> {
     /// Number of payload slots right now (model-check introspection).
+    #[cfg(test)]
     pub(crate) fn slot_count(&self) -> usize {
         self.pool.total()
     }
 
     /// Current refcount of slot `idx` (model-check introspection).
+    #[cfg(test)]
     pub(crate) fn ref_count(&self, idx: usize) -> u32 {
         let (chunk, off) = self.pool.slot(idx);
         chunk.slots[off].refs.0.load(Ordering::Acquire)

@@ -166,7 +166,7 @@ impl WorldConfig {
 
     /// Disable the executors' pre-flight plan analysis for this world
     /// (benchmark hot paths; the shipped configurations are analyzed
-    /// separately by `paper analyze`).
+    /// separately, by the tests that compile them).
     pub fn without_preflight(mut self) -> Self {
         self.skip_preflight = true;
         self

@@ -32,7 +32,8 @@ pub mod artifact;
 pub mod cache;
 pub mod compiler;
 pub mod error;
-pub mod modelcheck;
+#[cfg(test)]
+mod modelcheck;
 pub mod pipeline;
 pub mod service;
 pub mod spec;

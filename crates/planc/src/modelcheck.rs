@@ -23,7 +23,7 @@
 //!   keep the default serial footprints so exploration is exhaustive,
 //!   and the checker must report each with a concrete schedule prefix.
 
-use miniloom::{CheckOptions, ExploreError, Footprint, Model, Report};
+use miniloom::{CheckOptions, ExploreError, Footprint, Model};
 
 /// Modeled location: the single-flight inflight map + cache mutexes.
 const SF: usize = 0;
@@ -84,9 +84,9 @@ enum FlightState {
 /// keeping the scripts finite without weakening the properties under
 /// check — at most one compilation per flight, outcome shared with
 /// every joiner, errors never cached.
-pub struct SingleFlightModel {
+struct SingleFlightModel {
     /// Model the error-sharing path: the pipeline fails.
-    pub fail: bool,
+    fail: bool,
     /// Seeded bug: the leader publishes its flight *without*
     /// re-validating cache and inflight map under the lock — the
     /// split check-then-act the shipped `get_recheck` dance prevents.
@@ -95,7 +95,7 @@ pub struct SingleFlightModel {
 
 impl SingleFlightModel {
     /// The protocol as shipped; `fail` selects the error-sharing path.
-    pub fn new(fail: bool) -> Self {
+    fn new(fail: bool) -> Self {
         SingleFlightModel {
             fail,
             skip_recheck: false,
@@ -104,7 +104,7 @@ impl SingleFlightModel {
 
     /// Deliberately buggy variant: check and act are split. The
     /// checker must report a duplicate-leader schedule.
-    pub fn seeded_split_probe(fail: bool) -> Self {
+    fn seeded_split_probe(fail: bool) -> Self {
         SingleFlightModel {
             skip_recheck: true,
             ..SingleFlightModel::new(fail)
@@ -114,7 +114,7 @@ impl SingleFlightModel {
 
 /// Shadow state of one contended key.
 #[derive(Default)]
-pub struct FlightShadow {
+struct FlightShadow {
     /// The artifact cache entry for the key (errors are never stored,
     /// structurally: only a successful artifact id fits).
     cache: Option<u32>,
@@ -317,7 +317,7 @@ impl Model for SingleFlightModel {
 ///
 /// The property: a world is driven only by the job it is checked out
 /// to — never while parked, never by two jobs.
-pub struct WorldPoolModel {
+struct WorldPoolModel {
     /// Seeded bug: job 0 parks its world *before* its last step of
     /// driving it, so a concurrent checkout can start driving the same
     /// fabric.
@@ -326,7 +326,7 @@ pub struct WorldPoolModel {
 
 impl WorldPoolModel {
     /// The pool protocol as shipped.
-    pub fn new() -> Self {
+    fn new() -> Self {
         WorldPoolModel {
             park_while_held: false,
         }
@@ -334,21 +334,15 @@ impl WorldPoolModel {
 
     /// Deliberately buggy variant: check-in ordered before the job's
     /// final use. The checker must report a use-after-return schedule.
-    pub fn seeded_park_while_held() -> Self {
+    fn seeded_park_while_held() -> Self {
         WorldPoolModel {
             park_while_held: true,
         }
     }
 }
 
-impl Default for WorldPoolModel {
-    fn default() -> Self {
-        WorldPoolModel::new()
-    }
-}
-
 /// Shadow state of one pool key.
-pub struct PoolShadow {
+struct PoolShadow {
     /// Parked world ids (one key, cap 1).
     parked: Vec<usize>,
     /// `holder[w]` = the thread currently driving world `w`.
@@ -510,7 +504,7 @@ impl Model for WorldPoolModel {
 /// The property: a lookup observes either nothing or a *fully built*
 /// immutable entry — commits are atomic publications, and an eviction
 /// never claws back an entry a reader already holds.
-pub struct TunedCacheModel {
+struct TunedCacheModel {
     /// Seeded bug: the commit is torn in two — the tuner inserts a
     /// placeholder entry into the cache, then fills in the measured
     /// parameters. A lookup between the halves hands out a torn entry.
@@ -520,27 +514,21 @@ pub struct TunedCacheModel {
 impl TunedCacheModel {
     /// The protocol as shipped: build fully, then publish under the
     /// cache lock.
-    pub fn new() -> Self {
+    fn new() -> Self {
         TunedCacheModel { torn_commit: false }
     }
 
     /// Deliberately buggy variant: insert-then-fill. The checker must
     /// report a torn-read schedule.
-    pub fn seeded_torn_commit() -> Self {
+    fn seeded_torn_commit() -> Self {
         TunedCacheModel { torn_commit: true }
-    }
-}
-
-impl Default for TunedCacheModel {
-    fn default() -> Self {
-        TunedCacheModel::new()
     }
 }
 
 /// Shadow state: an entry store (the `Arc<TunedEntry>` allocations)
 /// plus the keyed LRU.
 #[derive(Default)]
-pub struct TunedShadow {
+struct TunedShadow {
     /// `complete[id]` — whether entry `id`'s parameters are filled in.
     complete: Vec<bool>,
     /// LRU of (key, entry id), most recent last, capacity 2.
@@ -668,26 +656,6 @@ impl Model for TunedCacheModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-/// Model-check the shipped single-flight protocol (`fail` selects the
-/// error-sharing path).
-pub fn check_single_flight(fail: bool) -> Result<Report, ExploreError> {
-    miniloom::check(&SingleFlightModel::new(fail), &CheckOptions::default())
-}
-
-/// Model-check the shipped warm-world pool protocol.
-pub fn check_world_pool() -> Result<Report, ExploreError> {
-    miniloom::check(&WorldPoolModel::new(), &CheckOptions::default())
-}
-
-/// Model-check the shipped tuned-cache commit/lookup protocol.
-pub fn check_tuned_cache() -> Result<Report, ExploreError> {
-    miniloom::check(&TunedCacheModel::new(), &CheckOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,7 +663,7 @@ mod tests {
     #[test]
     fn single_flight_is_clean_on_both_outcome_paths() {
         for fail in [false, true] {
-            let report = check_single_flight(fail)
+            let report = miniloom::check(&SingleFlightModel::new(fail), &CheckOptions::default())
                 .unwrap_or_else(|e| panic!("single-flight fail={fail}: {e}"));
             assert!(report.schedules > 0);
             // 7!/(3!·3!·1!) = 140 raw merge orders.
@@ -726,7 +694,8 @@ mod tests {
 
     #[test]
     fn world_pool_is_clean_and_reduced() {
-        let report = check_world_pool().expect("the shipped pool protocol is clean");
+        let report = miniloom::check(&WorldPoolModel::new(), &CheckOptions::default())
+            .expect("the shipped pool protocol is clean");
         assert_eq!(report.unreduced, Some(140));
         assert!(
             report.schedules < 140,
@@ -752,7 +721,8 @@ mod tests {
 
     #[test]
     fn tuned_cache_is_clean() {
-        let report = check_tuned_cache().expect("the shipped commit protocol is clean");
+        let report = miniloom::check(&TunedCacheModel::new(), &CheckOptions::default())
+            .expect("the shipped commit protocol is clean");
         // 6!/(2!·2!·2!) = 90 raw merge orders.
         assert_eq!(report.unreduced, Some(90));
         assert!(report.schedules > 0);

@@ -67,7 +67,7 @@ impl<D: Layout> Compiled<D> {
 
     /// Seal without the pre-flight analysis (benchmark hot paths that
     /// opt out via `WorldConfig::without_preflight`; the layout must be
-    /// covered elsewhere, e.g. by `paper analyze`). Validation still
+    /// covered elsewhere, e.g. by a test that compiles it). Validation still
     /// runs — an unexecutable decomposition is never sealed.
     pub fn compile_unchecked(d: D, mode: ExecMode) -> Result<Self, EngineError> {
         Self::seal(d, mode, false)

@@ -7,8 +7,8 @@
 //! schedule legality against the kernel's dependence set, symbolic
 //! send/receive matching, and deadlock detection — *before any rank
 //! thread spawns*. Compiling a plan ([`crate::plan::Compiled::compile`])
-//! calls [`check_plan`] exactly once; `paper analyze` sweeps every
-//! shipped configuration through the same function.
+//! calls [`check_plan`] exactly once, so every shipped configuration
+//! goes through it when `bench::configs`' test compiles them.
 //!
 //! The check is allocation-frugal by construction (every collection in
 //! the analyzer is pre-sized, and the layouts answer by inline
