@@ -22,6 +22,11 @@
 //! a blocking send/receive pair costs exactly
 //! `2·T_startup + T_transmit` (eq. 3).
 //!
+//! The event queue holds names, not payloads: a `Run` executes one op of
+//! its rank — after what the rank's previous op deferred to the instant
+//! it ended (a TX-lane booking, a zero-latency delivery) — and a message
+//! in flight is the `(rank, op)` that sent it (see `Ev`).
+//!
 //! Host-side bookkeeping is indexed, not hashed: [`Engine::new`] renames
 //! every program's request handles to dense slots (request state is a
 //! `Vec` per rank), unmatched messages and posted receives wait in a
@@ -158,6 +163,15 @@ pub enum SimError {
         /// Description.
         detail: String,
     },
+    /// A cost of the machine, the configuration or a `Compute` op is
+    /// NaN, negative or too large to be a [`SimTime`].
+    BadCost {
+        /// The rank that was charged it (the first, for the
+        /// configuration's wire latency).
+        rank: Rank,
+        /// Description.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -175,11 +189,35 @@ impl std::fmt::Display for SimError {
             SimError::InvalidProgram { rank, detail } => {
                 write!(f, "rank {rank}: invalid program: {detail}")
             }
+            SimError::BadCost { rank, detail } => write!(f, "rank {rank}: bad cost: {detail}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// `us` microseconds charged to `rank`, as a duration.
+fn cost(rank: Rank, us: f64) -> Result<SimTime, SimError> {
+    SimTime::try_from_us(us).map_err(|e| SimError::BadCost {
+        rank,
+        detail: e.to_string(),
+    })
+}
+
+/// What a message of `bytes` bytes costs on each lane. Priced at the
+/// first use of a size — a run has a handful — so a bad cost surfaces
+/// at the op that first needs it.
+#[derive(Clone, Copy)]
+struct Price {
+    bytes: u64,
+    /// `A₁` = `A₃`: the MPI-buffer fill of a non-blocking post.
+    post: SimTime,
+    b3: SimTime,
+    b4: SimTime,
+    b1b2: SimTime,
+    /// Both fills, on the CPU of a blocking send or receive.
+    startup: SimTime,
+}
 
 /// A request's dense slot in its rank's table (see
 /// `Program::densify_requests`).
@@ -200,8 +238,6 @@ enum ReqState {
     Done(SimTime),
     /// A posted receive not yet matched.
     PendingRecv,
-    /// A posted send whose NIC transmission hasn't been booked yet.
-    PendingSend,
 }
 
 /// Unmatched messages (or unmatched posted receives) of one rank,
@@ -264,47 +300,44 @@ struct RankState {
     done: bool,
 }
 
-/// A queued event.
+/// What an op leaves to be done at the instant it ends, by the `Run`
+/// that executes its rank's next op.
+#[derive(Clone, Copy, Debug)]
+enum Deferred {
+    Nothing,
+    /// An `Isend`'s `A₁` is over: book `B₃`/`B₄` on the TX lane.
+    BookTx,
+    /// A blocking `Send` ended and the wire adds no latency: deliver.
+    Deliver,
+}
+
+/// A queued event. A message is named by the op that sent it — rank
+/// `src`, op `pc` — and its destination, tag and size are read back
+/// from the program.
 ///
-/// The engine executes **one op per `Run` event** and books NIC-lane
-/// time through dedicated `TxEnqueue`/`NicArrival` events, so every
-/// lane reservation happens in exact wall-clock order — a rank cannot
-/// claim its NIC "in the future" ahead of a message that arrives
-/// earlier.
+/// The engine executes **one op, then what it deferred, per `Run`**, so
+/// every lane reservation happens in exact wall-clock order — a rank
+/// cannot claim its NIC "in the future" ahead of a message that arrives
+/// earlier. The deferred effect needs no event of its own: it would be
+/// pushed at the op's end directly before the rank's follow-up `Run`,
+/// and nothing can sort between two consecutive pushes at one
+/// timestamp.
 ///
 /// A rank whose follow-up `Run` is due **strictly before** everything
 /// in the queue executes it at once instead of pushing and popping it
 /// (`Engine::run_events`): nothing could have been ordered in between. A
 /// follow-up that *ties* with the head of the queue still goes through
-/// it, so same-timestamp events keep their push order — the `TxEnqueue`
-/// an `Isend` pushes runs before the `Run` pushed after it.
+/// it, so same-timestamp events keep their push order — a message that
+/// arrives at the instant its receive is posted was pushed first and is
+/// buffered first.
 #[derive(Debug)]
 enum Ev {
-    /// Execute the next op of a rank's program.
-    Run(Rank),
-    /// A non-blocking send's payload is ready for the TX lane (`A₁`
-    /// finished on the CPU).
-    TxEnqueue {
-        src: Rank,
-        dst: Rank,
-        tag: u64,
-        bytes: u64,
-        req: Slot,
-    },
+    /// Apply what the rank's last op deferred, then execute its next op.
+    Run { rank: u32, deferred: Deferred },
     /// A non-blocking message reaches the destination NIC (RX lane next).
-    NicArrival {
-        dst: Rank,
-        src: Rank,
-        tag: u64,
-        bytes: u64,
-    },
+    Arrive { src: u32, pc: u32 },
     /// A blocking-send message is delivered directly (no RX lane).
-    DirectDelivery {
-        dst: Rank,
-        src: Rank,
-        tag: u64,
-        bytes: u64,
-    },
+    Direct { src: u32, pc: u32 },
 }
 
 struct QueueItem {
@@ -312,6 +345,8 @@ struct QueueItem {
     seq: u64,
     ev: Ev,
 }
+
+const _: () = assert!(std::mem::size_of::<QueueItem>() <= 32);
 
 impl PartialEq for QueueItem {
     fn eq(&self, other: &Self) -> bool {
@@ -337,6 +372,9 @@ pub struct Engine {
     ranks: Vec<RankState>,
     queue: BinaryHeap<Reverse<QueueItem>>,
     seq: u64,
+    /// [`SimConfig::wire_latency_us`], checked once.
+    wire_latency: SimTime,
+    prices: Vec<Price>,
     trace: Trace,
     /// Shared-medium wire availability (used only with
     /// [`NetworkTopology::SharedBus`]).
@@ -352,12 +390,17 @@ impl Engine {
     /// Create an engine over one program per rank.
     pub fn new(cfg: SimConfig, mut programs: Vec<Program>) -> Result<Self, SimError> {
         let n = programs.len();
+        let wire_latency = cost(0, cfg.wire_latency_us)?;
         let mut ranks = Vec::with_capacity(n);
         for (rank, p) in programs.iter_mut().enumerate() {
             let requests = p.densify_requests().map_err(|e| SimError::InvalidProgram {
                 rank,
                 detail: e.to_string(),
             })?;
+            if u32::try_from(rank.max(p.len())).is_err() {
+                let detail = "an event names its rank and op in 32 bits each".into();
+                return Err(SimError::InvalidProgram { rank, detail });
+            }
             for op in p.ops() {
                 let target = match *op {
                     Op::Send { to, .. } | Op::Isend { to, .. } => Some(to),
@@ -386,6 +429,8 @@ impl Engine {
             ranks,
             queue: BinaryHeap::new(),
             seq: 0,
+            wire_latency,
+            prices: Vec::new(),
             trace,
             bus_free: SimTime::ZERO,
             speeds: NodeSpeeds::uniform(0),
@@ -409,6 +454,30 @@ impl Engine {
         };
         self.seq += 1;
         self.queue.push(Reverse(item));
+    }
+
+    /// The price of a `bytes`-byte message, worked out at its first use.
+    fn price(&mut self, rank: Rank, bytes: u64) -> Result<Price, SimError> {
+        if let Some(p) = self.prices.iter().find(|p| p.bytes == bytes) {
+            return Ok(*p);
+        }
+        let (m, b) = (&self.cfg.machine, bytes as f64);
+        let price = Price {
+            bytes,
+            post: cost(rank, m.fill_mpi_buffer.eval(b))?,
+            b3: cost(rank, m.fill_kernel_buffer.eval(b))?,
+            b4: cost(rank, m.transmit_us(b))?,
+            b1b2: cost(rank, m.transmit_us(b) + m.fill_kernel_buffer.eval(b))?,
+            startup: cost(rank, m.startup_us(b))?,
+        };
+        self.prices.push(price);
+        Ok(price)
+    }
+
+    /// Queue a `Run` of `rank` with nothing deferred.
+    fn push_run(&mut self, rank: Rank, time: SimTime) {
+        let (rank, deferred) = (rank as u32, Deferred::Nothing);
+        self.push(time, Ev::Run { rank, deferred });
     }
 
     /// Record a CPU-lane interval: into the rank's running totals
@@ -436,92 +505,33 @@ impl Engine {
 
     /// Drain the event queue; an error if a rank is left unfinished.
     fn run_events(&mut self) -> Result<(), SimError> {
-        for r in 0..self.ranks.len() {
-            self.push(SimTime::ZERO, Ev::Run(r));
+        for rank in 0..self.ranks.len() {
+            self.push_run(rank, SimTime::ZERO);
         }
         while let Some(Reverse(item)) = self.queue.pop() {
             match item.ev {
-                Ev::Run(rank) => {
+                Ev::Run { rank, deferred } => {
                     // Keep going while the follow-up is strictly ahead
                     // of every queued event; a tie goes through the
                     // queue (see [`Ev`]).
-                    while let Some(next) = self.advance(rank)? {
+                    let (mut now, mut deferred) = (item.time, deferred);
+                    loop {
+                        self.apply(rank as Rank, deferred, now)?;
+                        let Some(next) = self.advance(rank as Rank)? else {
+                            break;
+                        };
+                        (now, deferred) = next;
                         let head = self.queue.peek();
-                        if head.is_some_and(|Reverse(head)| head.time <= next) {
-                            self.push(next, Ev::Run(rank));
+                        if head.is_some_and(|Reverse(head)| head.time <= now) {
+                            self.push(now, Ev::Run { rank, deferred });
                             break;
                         }
                     }
                 }
-                Ev::TxEnqueue {
-                    src,
-                    dst,
-                    tag,
-                    bytes,
-                    req,
-                } => {
-                    // Book B₃ (kernel fill) then B₄ (wire) on the TX lane
-                    // (or the shared NIC) at the exact moment the CPU
-                    // finished filling the MPI buffer. On a shared-bus
-                    // network the wire segment additionally serializes
-                    // against every other transmission in the cluster.
-                    let m = &self.cfg.machine;
-                    let b3 = SimTime::from_us(m.fill_kernel_buffer.eval(bytes as f64));
-                    let b4 = SimTime::from_us(m.transmit_us(bytes as f64));
-                    let lane_free = if self.cfg.duplex {
-                        self.ranks[src].tx_free
-                    } else {
-                        self.ranks[src].tx_free.max(self.ranks[src].rx_free)
-                    };
-                    let start = lane_free.max(item.time);
-                    let fill_done = start + b3;
-                    let wire_start = match self.cfg.topology {
-                        NetworkTopology::Switched => fill_done,
-                        NetworkTopology::SharedBus => fill_done.max(self.bus_free),
-                    };
-                    let tx_done = wire_start + b4;
-                    if self.cfg.topology == NetworkTopology::SharedBus {
-                        self.bus_free = tx_done;
-                    }
-                    self.ranks[src].tx_free = tx_done;
-                    if !self.cfg.duplex {
-                        self.ranks[src].rx_free = tx_done;
-                    }
-                    self.trace.record(src, Activity::TxBusy, start, tx_done);
-                    // Local completion: the send buffer is reusable.
-                    self.ranks[src].reqs[req as usize] = Some(ReqState::Done(tx_done));
-                    if let Some(Blocked::OnReq(wr)) = self.ranks[src].blocked {
-                        if wr == req {
-                            let resume = self.ranks[src].now.max(tx_done);
-                            self.record_cpu(src, Activity::Idle, self.ranks[src].now, resume);
-                            self.ranks[src].now = resume;
-                            self.ranks[src].blocked = None;
-                            self.ranks[src].pc += 1;
-                            self.push(resume, Ev::Run(src));
-                        }
-                    }
-                    let arrive = tx_done + SimTime::from_us(self.cfg.wire_latency_us);
-                    self.push(
-                        arrive,
-                        Ev::NicArrival {
-                            dst,
-                            src,
-                            tag,
-                            bytes,
-                        },
-                    );
-                }
-                Ev::NicArrival {
-                    dst,
-                    src,
-                    tag,
-                    bytes,
-                } => {
+                Ev::Arrive { src, pc } => {
                     // RX lane processing: wire receive (B₁) + kernel copy (B₂).
-                    let m = &self.cfg.machine;
-                    let b1b2 = SimTime::from_us(
-                        m.transmit_us(bytes as f64) + m.fill_kernel_buffer.eval(bytes as f64),
-                    );
+                    let (dst, tag, bytes) = self.message(src as Rank, pc as usize);
+                    let b1b2 = self.price(dst, bytes)?.b1b2;
                     let lane_free = if self.cfg.duplex {
                         self.ranks[dst].rx_free
                     } else {
@@ -535,15 +545,11 @@ impl Engine {
                         self.ranks[dst].tx_free = ready;
                     }
                     self.trace.record(dst, Activity::RxBusy, start, ready);
-                    self.deliver(dst, src, tag, bytes, ready)?;
+                    self.deliver(dst, src as Rank, tag, bytes, ready)?;
                 }
-                Ev::DirectDelivery {
-                    dst,
-                    src,
-                    tag,
-                    bytes,
-                } => {
-                    self.deliver(dst, src, tag, bytes, item.time)?;
+                Ev::Direct { src, pc } => {
+                    let (dst, tag, bytes) = self.message(src as Rank, pc as usize);
+                    self.deliver(dst, src as Rank, tag, bytes, item.time)?;
                 }
             }
         }
@@ -558,6 +564,64 @@ impl Engine {
         if !blocked.is_empty() {
             return Err(SimError::Deadlock { blocked });
         }
+        Ok(())
+    }
+
+    /// Destination, tag and size of the message sent by op `pc` of `src`.
+    fn message(&self, src: Rank, pc: usize) -> (Rank, u64, u64) {
+        match self.programs[src].ops()[pc] {
+            Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } => (to, tag, bytes),
+            ref op => unreachable!("only sends are in flight, not {op:?}"),
+        }
+    }
+
+    /// Do at `now` what the op `rank` just executed left for its end.
+    fn apply(&mut self, rank: Rank, deferred: Deferred, now: SimTime) -> Result<(), SimError> {
+        match deferred {
+            Deferred::Nothing => Ok(()),
+            Deferred::BookTx => self.book_tx(rank, self.ranks[rank].pc - 1, now),
+            Deferred::Deliver => {
+                let (dst, tag, bytes) = self.message(rank, self.ranks[rank].pc - 1);
+                self.deliver(dst, rank, tag, bytes, now)
+            }
+        }
+    }
+
+    /// The `Isend` at op `pc` of `rank` finished `A₁` at `now`.
+    fn book_tx(&mut self, rank: Rank, pc: usize, now: SimTime) -> Result<(), SimError> {
+        let Op::Isend { bytes, req, .. } = self.programs[rank].ops()[pc] else {
+            unreachable!("only an Isend defers a TX booking");
+        };
+        // Book B₃ (kernel fill) then B₄ (wire) on the TX lane (or the
+        // shared NIC) at the exact moment the CPU finished filling the
+        // MPI buffer. On a shared-bus network the wire segment
+        // additionally serializes against every other transmission in
+        // the cluster.
+        let Price { b3, b4, .. } = self.price(rank, bytes)?;
+        let lane_free = if self.cfg.duplex {
+            self.ranks[rank].tx_free
+        } else {
+            self.ranks[rank].tx_free.max(self.ranks[rank].rx_free)
+        };
+        let start = lane_free.max(now);
+        let fill_done = start + b3;
+        let wire_start = match self.cfg.topology {
+            NetworkTopology::Switched => fill_done,
+            NetworkTopology::SharedBus => fill_done.max(self.bus_free),
+        };
+        let tx_done = wire_start + b4;
+        if self.cfg.topology == NetworkTopology::SharedBus {
+            self.bus_free = tx_done;
+        }
+        self.ranks[rank].tx_free = tx_done;
+        if !self.cfg.duplex {
+            self.ranks[rank].rx_free = tx_done;
+        }
+        self.trace.record(rank, Activity::TxBusy, start, tx_done);
+        // Local completion: the send buffer is reusable.
+        self.ranks[rank].reqs[req.0 as usize] = Some(ReqState::Done(tx_done));
+        let (src, pc) = (rank as u32, pc as u32);
+        self.push(tx_done + self.wire_latency, Ev::Arrive { src, pc });
         Ok(())
     }
 
@@ -589,13 +653,12 @@ impl Engine {
                 // the later of (arrival, block start).
                 let resume = self.ranks[dst].now.max(ready);
                 self.record_cpu(dst, Activity::Idle, self.ranks[dst].now, resume);
-                let copy = SimTime::from_us(self.cfg.machine.startup_us(bytes as f64));
+                let copy = self.price(dst, bytes)?.startup;
                 self.record_cpu(dst, Activity::BlockingRecv, resume, resume + copy);
                 self.ranks[dst].now = resume + copy;
                 self.ranks[dst].blocked = None;
                 self.ranks[dst].pc += 1;
-                let t = self.ranks[dst].now;
-                self.push(t, Ev::Run(dst));
+                self.push_run(dst, resume + copy);
                 return Ok(());
             }
         }
@@ -617,7 +680,7 @@ impl Engine {
                     self.ranks[dst].now = resume;
                     self.ranks[dst].blocked = None;
                     self.ranks[dst].pc += 1; // past the Wait
-                    self.push(resume, Ev::Run(dst));
+                    self.push_run(dst, resume);
                 }
             }
             return Ok(());
@@ -629,8 +692,9 @@ impl Engine {
 
     /// Execute the next op of a rank's program (one op per `Run`, so
     /// resource bookings stay in wall-clock order). Returns when the
-    /// rank's follow-up `Run` is due — `None` if it blocked or finished.
-    fn advance(&mut self, rank: Rank) -> Result<Option<SimTime>, SimError> {
+    /// rank's follow-up `Run` is due and what the op deferred to that
+    /// instant — `None` if it blocked or finished.
+    fn advance(&mut self, rank: Rank) -> Result<Option<(SimTime, Deferred)>, SimError> {
         if self.ranks[rank].done || self.ranks[rank].blocked.is_some() {
             return Ok(None);
         }
@@ -640,38 +704,23 @@ impl Engine {
             return Ok(None);
         }
         let op = self.programs[rank].ops()[pc].clone();
-        let m = self.cfg.machine;
+        let mut deferred = Deferred::Nothing;
         match op {
             Op::Compute { us, .. } => {
                 let start = self.ranks[rank].now;
-                let end = start + SimTime::from_us(us / self.speeds.factor(rank));
+                let end = start + cost(rank, us / self.speeds.factor(rank))?;
                 self.record_cpu(rank, Activity::Compute, start, end);
                 self.ranks[rank].now = end;
             }
-            Op::Isend {
-                to,
-                tag,
-                bytes,
-                req,
-            } => {
-                // A₁ on the CPU; the NIC booking happens at `cpu_done`
-                // via a TxEnqueue event so it can't jump the wall clock.
+            Op::Isend { bytes, .. } => {
+                // A₁ on the CPU; the NIC is booked when it ends, so the
+                // booking can't jump the wall clock.
                 let start = self.ranks[rank].now;
-                let a1 = SimTime::from_us(m.fill_mpi_buffer.eval(bytes as f64));
+                let a1 = self.price(rank, bytes)?.post;
                 let cpu_done = start + a1;
                 self.record_cpu(rank, Activity::PostSend, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
-                self.ranks[rank].reqs[req.0 as usize] = Some(ReqState::PendingSend);
-                self.push(
-                    cpu_done,
-                    Ev::TxEnqueue {
-                        src: rank,
-                        dst: to,
-                        tag,
-                        bytes,
-                        req: req.0,
-                    },
-                );
+                deferred = Deferred::BookTx;
             }
             Op::Irecv {
                 from,
@@ -681,7 +730,7 @@ impl Engine {
             } => {
                 // A₃ on the CPU.
                 let start = self.ranks[rank].now;
-                let a3 = SimTime::from_us(m.fill_mpi_buffer.eval(bytes as f64));
+                let a3 = self.price(rank, bytes)?.post;
                 let cpu_done = start + a3;
                 self.record_cpu(rank, Activity::PostRecv, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
@@ -710,8 +759,8 @@ impl Engine {
                         self.ranks[rank].now = at;
                     }
                 }
-                Some(ReqState::PendingRecv) | Some(ReqState::PendingSend) => {
-                    // Resumed by deliver() or the TxEnqueue handler.
+                Some(ReqState::PendingRecv) => {
+                    // Resumed by deliver().
                     self.ranks[rank].blocked = Some(Blocked::OnReq(req.0));
                     return Ok(None);
                 }
@@ -722,32 +771,29 @@ impl Engine {
                     });
                 }
             },
-            Op::Send { to, tag, bytes } => {
+            Op::Send { bytes, .. } => {
                 // Blocking send: the CPU pays both fills and the wire
                 // time (Fig. 7), then the message travels. On a shared
                 // bus the wire portion also waits for the medium.
+                let price = self.price(rank, bytes)?;
                 let start = self.ranks[rank].now;
-                let fills_done = start + SimTime::from_us(m.startup_us(bytes as f64));
+                let fills_done = start + price.startup;
                 let wire_start = match self.cfg.topology {
                     NetworkTopology::Switched => fills_done,
                     NetworkTopology::SharedBus => fills_done.max(self.bus_free),
                 };
-                let end = wire_start + SimTime::from_us(m.transmit_us(bytes as f64));
+                let end = wire_start + price.b4;
                 if self.cfg.topology == NetworkTopology::SharedBus {
                     self.bus_free = end;
                 }
                 self.record_cpu(rank, Activity::BlockingSend, start, end);
                 self.ranks[rank].now = end;
-                let arrive = end + SimTime::from_us(self.cfg.wire_latency_us);
-                self.push(
-                    arrive,
-                    Ev::DirectDelivery {
-                        dst: to,
-                        src: rank,
-                        tag,
-                        bytes,
-                    },
-                );
+                if self.wire_latency > SimTime::ZERO {
+                    let (src, pc) = (rank as u32, pc as u32);
+                    self.push(end + self.wire_latency, Ev::Direct { src, pc });
+                } else {
+                    deferred = Deferred::Deliver;
+                }
             }
             Op::Recv { from, tag, bytes } => {
                 let Some((ready, abytes)) = self.ranks[rank].arrived.take(from, tag) else {
@@ -765,13 +811,13 @@ impl Engine {
                 let now = self.ranks[rank].now;
                 let resume = now.max(ready);
                 self.record_cpu(rank, Activity::Idle, now, resume);
-                let copy = SimTime::from_us(m.startup_us(bytes as f64));
+                let copy = self.price(rank, bytes)?.startup;
                 self.record_cpu(rank, Activity::BlockingRecv, resume, resume + copy);
                 self.ranks[rank].now = resume + copy;
             }
         }
         self.ranks[rank].pc += 1;
-        Ok(Some(self.ranks[rank].now))
+        Ok(Some((self.ranks[rank].now, deferred)))
     }
 }
 
@@ -1105,6 +1151,58 @@ mod tests {
         }
         // The last rank does receive from two neighbours every step.
         assert!(engine.ranks[3].posted.peak >= 2);
+        // An Isend's lane booking rides its rank's next Run: a send
+        // costs the queue its `Arrive` and nothing else, which here
+        // comes to one push per op plus the four initial Runs.
+        let ops: u64 = engine.programs.iter().map(|p| p.len() as u64).sum();
+        assert_eq!((engine.seq, ops), (81_924, 81_920));
+    }
+
+    #[test]
+    fn a_blocking_pipeline_pushes_fewer_events_than_it_has_ops() {
+        // A Send's delivery rides the next Run too when the wire adds
+        // no latency.
+        use crate::builders::ClusterProblem;
+        use tiling_core::prelude::*;
+        let space = IterationSpace::from_extents(&[4, 16, 8 * 64]);
+        let tiling = Tiling::rectangular(&[4, 4, 8]);
+        let problem = ClusterProblem::new(tiling, DependenceSet::paper_3d(), space, 2).unwrap();
+        let machine = MachineParams::paper_cluster();
+        let cfg = SimConfig::new(machine).with_trace(false);
+        let mut engine = Engine::new(cfg, problem.blocking_programs(&machine)).unwrap();
+        engine.run_events().unwrap();
+        let ops: u64 = engine.programs.iter().map(|p| p.len() as u64).sum();
+        assert!(engine.seq < ops, "{} pushes, {ops} ops", engine.seq);
+    }
+
+    #[test]
+    fn a_bad_cost_is_an_error_not_a_panic() {
+        let fill = tiling_core::machine::AffineCost::constant;
+        // Rank 0, at half speed, computes, sends both ways; rank 1 receives.
+        let bad = |cfg: SimConfig, compute_us: f64| {
+            let mut a = Program::new();
+            a.compute(compute_us, 0);
+            let _ = a.isend(1, 0, 100);
+            a.send(1, 1, 100);
+            let mut b = Program::new();
+            b.recv(0, 0, 100);
+            b.recv(0, 1, 100);
+            let speeds = NodeSpeeds::from_factors(vec![0.5, 1.0]).unwrap();
+            let err = simulate_heterogeneous(cfg, vec![a, b], speeds).unwrap_err();
+            assert!(matches!(err, SimError::BadCost { rank: 0, .. }), "{err:?}");
+        };
+        for v in [f64::NAN, -1.0] {
+            let machine = |set: &dyn Fn(&mut MachineParams)| {
+                let mut m = toy_machine();
+                set(&mut m);
+                SimConfig::new(m)
+            };
+            bad(cfg().with_wire_latency_us(v), 1.0);
+            bad(machine(&|m| m.t_t_us_per_byte = v), 1.0);
+            bad(machine(&|m| m.fill_mpi_buffer = fill(v)), 1.0);
+            bad(machine(&|m| m.fill_kernel_buffer = fill(v)), 1.0);
+        }
+        bad(cfg(), 1e300);
     }
 
     #[test]

@@ -79,6 +79,15 @@ fn lockstep_problem() -> ClusterProblem {
 
 /// Fingerprints of both schedules under every lane/topology setting.
 fn matrix(problem: &ClusterProblem, machine: MachineParams, speeds: &NodeSpeeds) -> Vec<u64> {
+    matrix_at(problem, machine, speeds, 0.0)
+}
+
+fn matrix_at(
+    problem: &ClusterProblem,
+    machine: MachineParams,
+    speeds: &NodeSpeeds,
+    latency_us: f64,
+) -> Vec<u64> {
     let mut out = Vec::new();
     for overlap in [false, true] {
         for duplex in [false, true] {
@@ -90,7 +99,8 @@ fn matrix(problem: &ClusterProblem, machine: MachineParams, speeds: &NodeSpeeds)
                 };
                 let cfg = SimConfig::new(machine)
                     .with_duplex(duplex)
-                    .with_topology(topology);
+                    .with_topology(topology)
+                    .with_wire_latency_us(latency_us);
                 let r = simulate_heterogeneous(cfg, programs, speeds.clone()).unwrap();
                 out.push(fingerprint(&r));
             }
@@ -151,6 +161,92 @@ fn free_communication_makespan_is_the_critical_path() {
     let finish: Vec<u64> = r.finish.iter().map(SimTime::as_nanos).collect();
     assert_eq!(finish, PINNED_FREE_FINISH_NS);
     assert_eq!(r.makespan.as_nanos(), PINNED_FREE_FINISH_NS[3]);
+}
+
+/// With a wire latency a blocking send's delivery is later than the
+/// send's end — the one path no matrix above takes. One fingerprint of
+/// five matrices.
+#[test]
+fn wire_latency_results_are_pinned() {
+    let problem = lockstep_problem();
+    let (uniform, hetero) = (NodeSpeeds::uniform(0), problem.node_speeds(11, 0.3));
+    let (tie, paper) = (tie_machine(0.0), MachineParams::paper_cluster());
+    let settings = [
+        (tie, &uniform, 7.5),
+        (tie, &hetero, 0.0),
+        (tie, &hetero, 7.5),
+        (paper, &uniform, 7.5),
+        (paper, &hetero, 7.5),
+    ];
+    let got = fnv64(
+        settings
+            .iter()
+            .flat_map(|&(m, s, us)| matrix_at(&problem, m, s, us)),
+    );
+    assert_eq!(got, PINNED_WIRE_LATENCY, "{got:#x}");
+}
+
+/// One rank's program from words: `c<µs>` computes; `s`/`r` are a
+/// blocking send / receive of 100 B and `S`/`R` a non-blocking one of
+/// 1000 B, each followed by `<peer>.<tag>`; `w<n>` waits on the `n`-th
+/// request the rank posted.
+fn program(words: &str) -> Program {
+    let (mut p, mut reqs) = (Program::new(), Vec::new());
+    for word in words.split_whitespace() {
+        let (op, arg) = word.split_at(1);
+        let (n, tag) = arg.split_once('.').unwrap_or((arg, "0"));
+        let (n, tag): (usize, u64) = (n.parse().unwrap(), tag.parse().unwrap());
+        match op {
+            "c" => p.compute(n as f64, 0),
+            "s" => p.send(n, tag, 100),
+            "r" => p.recv(n, tag, 100),
+            "S" => reqs.push(p.isend(n, tag, 1000)),
+            "R" => reqs.push(p.irecv(n, tag, 1000)),
+            _ => p.wait(reqs[n]),
+        }
+    }
+    p
+}
+
+/// Sends whose completion shares an instant with something else, one
+/// rank per `|`.
+const SEND_CORNERS: [&str; 7] = [
+    // Isend, then Wait on it at once.
+    "S1.0 w0 | R0.0 w0",
+    // Nobody waits: the lanes drain after both programs ended.
+    "S1.0 | R0.0",
+    // Two A₁ end at the same nanosecond and want the one bus.
+    "S2.0 w0 | S3.0 w0 | R0.0 w0 | R1.0 w0",
+    // Rank 0's A₁ ends at 30 µs, the instant rank 1's message reaches
+    // rank 0's half-duplex NIC.
+    "c20 S1.1 R1.0 w1 w0 | S0.0 R0.1 w1 w0",
+    // A blocking send into a rank parked in Recv, into one that posts
+    // later, and into one parked on a different key.
+    "s1.0 | r0.0",
+    "s1.0 | c100 r0.0",
+    "s2.0 | c100 s2.1 | r1.1 r0.0",
+];
+
+/// [`SEND_CORNERS`] on a shared bus with 10 µs fills and 0.01 µs/B, one
+/// fingerprint per wire latency.
+#[test]
+fn send_completion_corner_cases_are_pinned() {
+    let toy = MachineParams {
+        t_s_us: 20.0,
+        fill_mpi_buffer: AffineCost::constant(10.0),
+        fill_kernel_buffer: AffineCost::constant(10.0),
+        ..tie_machine(0.01)
+    };
+    let got = [0.0, 7.5].map(|latency| {
+        let cfg = SimConfig::new(toy)
+            .with_topology(NetworkTopology::SharedBus)
+            .with_wire_latency_us(latency);
+        fnv64(SEND_CORNERS.iter().map(|case| {
+            let programs = case.split('|').map(program).collect();
+            fingerprint(&simulate(cfg, programs).unwrap())
+        }))
+    });
+    assert_eq!(got, PINNED_SEND_CORNERS, "{got:x?}");
 }
 
 const PINNED_TIES_CLIPPED: [u64; 8] = [
@@ -214,3 +310,5 @@ const PINNED_PAPER_CLIPPED: [u64; 8] = [
     0x73551cf16d9dc803,
 ];
 const PINNED_FREE_FINISH_NS: [u64; 4] = [228_000, 474_000, 264_000, 546_000];
+const PINNED_WIRE_LATENCY: u64 = 0x94bf46715a07ad29;
+const PINNED_SEND_CORNERS: [u64; 2] = [0x573ecca4cf1a378b, 0x136face8a4d752b9];

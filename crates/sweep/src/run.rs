@@ -137,8 +137,9 @@ fn machine_of(c: &SweepConfig) -> MachineParams {
 fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     let machine = machine_of(c);
     let space = IterationSpace::from_extents(&c.extents);
+    let deps = DependenceSet::paper_3d();
     let tiling = Tiling::rectangular(&[c.cross_sides[0], c.cross_sides[1], c.v]);
-    let problem = ClusterProblem::new(tiling, DependenceSet::paper_3d(), space, 2)
+    let problem = ClusterProblem::new(tiling, deps.clone(), space.clone(), 2)
         .map_err(|e| EvalError::Build(e.to_string()))?;
     let programs = match c.schedule {
         Schedule::Blocking => problem.blocking_programs(&machine),
@@ -157,22 +158,9 @@ fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     let result =
         simulate_heterogeneous(cfg, programs, speeds).map_err(|e| EvalError::Sim(e.to_string()))?;
     let summary = summarize(&result).ok_or_else(|| EvalError::Sim("zero-rank fleet".into()))?;
-    let space = IterationSpace::from_extents(&c.extents);
     let cf = match c.schedule {
-        Schedule::Overlap => overlap_optimal_v(
-            &space,
-            &DependenceSet::paper_3d(),
-            &machine,
-            &c.cross_sides,
-            2,
-        ),
-        Schedule::Blocking => nonoverlap_optimal_v(
-            &space,
-            &DependenceSet::paper_3d(),
-            &machine,
-            &c.cross_sides,
-            2,
-        ),
+        Schedule::Overlap => overlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
+        Schedule::Blocking => nonoverlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
     };
     let predicted_us = cf.predict_us(c.v as f64);
     let pred_err_rel = if predicted_us > 0.0 {
@@ -290,6 +278,26 @@ mod tests {
         }
     }
 
+    /// The paper's central point: 4×4 ranks, overlapping, V = 64.
+    fn paper_point(seed: u64) -> SweepConfig {
+        SweepConfig {
+            id: 0,
+            slice: "test",
+            preset: crate::config::MachinePreset::Paper,
+            comm_scale: 1.0,
+            measured_curve: false,
+            hetero_spread: 0.0,
+            grid: [4, 4],
+            cross_sides: [4, 4],
+            extents: [16, 16, 1024],
+            v: 64,
+            schedule: Schedule::Overlap,
+            duplex: false,
+            shared_bus: false,
+            seed,
+        }
+    }
+
     #[test]
     fn pool_fills_every_slot_in_order() {
         let configs = generate(&small_spec(1));
@@ -342,21 +350,10 @@ mod tests {
 
     #[test]
     fn out_of_model_configs_are_marked() {
-        let mk = |spread: f64, curve: bool| SweepConfig {
-            id: 0,
-            slice: "test",
-            preset: crate::config::MachinePreset::Paper,
-            comm_scale: 1.0,
-            measured_curve: curve,
-            hetero_spread: spread,
-            grid: [4, 4],
-            cross_sides: [4, 4],
-            extents: [16, 16, 1024],
-            v: 64,
-            schedule: Schedule::Overlap,
-            duplex: false,
-            shared_bus: false,
-            seed: 5,
+        let mk = |hetero_spread, measured_curve| SweepConfig {
+            measured_curve,
+            hetero_spread,
+            ..paper_point(5)
         };
         let out = run_sweep(
             &[mk(0.0, false), mk(0.3, false), mk(0.0, true), mk(0.3, true)],
@@ -371,23 +368,27 @@ mod tests {
     }
 
     #[test]
+    fn a_machine_whose_costs_are_not_durations_is_a_sim_error_row() {
+        // Scaled by f64::MAX every communication cost is ∞ or NaN.
+        let mk = |schedule| SweepConfig {
+            comm_scale: f64::MAX,
+            schedule,
+            ..paper_point(1)
+        };
+        let out = run_sweep(&[mk(Schedule::Blocking), mk(Schedule::Overlap)], 1);
+        for row in &out.rows {
+            assert_eq!(row.status, RowStatus::SimError, "{row:?}");
+            assert!(row.detail.contains("bad cost"), "{row:?}");
+        }
+        assert_eq!((out.panics, out.errors), (0, 2));
+    }
+
+    #[test]
     fn overlap_beats_blocking_on_the_paper_point() {
         // The paper's central claim, as two sweep configs.
         let mk = |schedule| SweepConfig {
-            id: 0,
-            slice: "test",
-            preset: crate::config::MachinePreset::Paper,
-            comm_scale: 1.0,
-            measured_curve: false,
-            hetero_spread: 0.0,
-            grid: [4, 4],
-            cross_sides: [4, 4],
-            extents: [16, 16, 1024],
-            v: 64,
             schedule,
-            duplex: false,
-            shared_bus: false,
-            seed: 9,
+            ..paper_point(9)
         };
         let out = run_sweep(&[mk(Schedule::Blocking), mk(Schedule::Overlap)], 2);
         let b = out.rows[0].metrics.expect("blocking ok");
@@ -403,21 +404,9 @@ mod tests {
         // The pipeline is paced by its slowest stage: jittered speeds
         // around 1.0 should not beat the homogeneous fleet by much and
         // typically lose.
-        let mk = |spread| SweepConfig {
-            id: 0,
-            slice: "test",
-            preset: crate::config::MachinePreset::Paper,
-            comm_scale: 1.0,
-            measured_curve: false,
-            hetero_spread: spread,
-            grid: [4, 4],
-            cross_sides: [4, 4],
-            extents: [16, 16, 1024],
-            v: 64,
-            schedule: Schedule::Overlap,
-            duplex: false,
-            shared_bus: false,
-            seed: 1234,
+        let mk = |hetero_spread| SweepConfig {
+            hetero_spread,
+            ..paper_point(1234)
         };
         let out = run_sweep(&[mk(0.0), mk(0.4)], 2);
         let homo = out.rows[0].metrics.expect("homogeneous ok").makespan_us;

@@ -230,6 +230,61 @@ proptest! {
     }
 }
 
+/// Strategy: deadlock-free programs on 2–4 ranks. Messages have one
+/// global order; each follows a compute on its sender, is sent blocking
+/// or non-blocking (waited at once or never) and is received in that
+/// order.
+fn message_programs() -> impl Strategy<Value = Vec<Program>> {
+    let message = (0usize..4, 0usize..3, 0u8..3, 0.0f64..40.0, 1u64..3000);
+    (2usize..=4, prop::collection::vec(message, 1..=12)).prop_map(|(n, messages)| {
+        let mut programs = vec![Program::new(); n];
+        for (tag, (src, hop, kind, us, bytes)) in (0u64..).zip(messages) {
+            let (src, dst) = (src % n, (src % n + 1 + hop % (n - 1)) % n);
+            programs[src].compute(us, tag);
+            if kind == 0 {
+                programs[src].send(dst, tag, bytes);
+            } else {
+                let q = programs[src].isend(dst, tag, bytes);
+                if kind == 1 {
+                    programs[src].wait(q);
+                }
+            }
+            programs[dst].recv(src, tag, bytes);
+        }
+        programs
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An `Isend`'s lane booking is neither skipped nor reordered: the
+    /// next interval its rank records after `PostSend`, the RX lane
+    /// aside, is that send's `TxBusy`, starting no earlier than the
+    /// post ends.
+    #[test]
+    fn isend_books_its_lane_when_the_post_ends(
+        programs in message_programs(),
+        fill in 1.0f64..20.0,
+        duplex in any::<bool>(),
+        shared_bus in any::<bool>(),
+    ) {
+        let topology = [NetworkTopology::Switched, NetworkTopology::SharedBus][shared_bus as usize];
+        let cfg = SimConfig::new(machine(fill, 0.01, 1.0)).with_duplex(duplex).with_topology(topology);
+        let res = simulate(cfg, programs).unwrap();
+        let recorded = res.trace.intervals();
+        for (i, post) in recorded.iter().enumerate() {
+            let mut later = recorded[i + 1..].iter().filter(|iv| iv.rank == post.rank);
+            let next = later.find(|iv| iv.activity != Activity::RxBusy);
+            prop_assert!(
+                post.activity != Activity::PostSend
+                    || next.is_some_and(|tx| tx.activity == Activity::TxBusy && tx.start >= post.end),
+                "after {:?}: {:?}", post, next
+            );
+        }
+    }
+}
+
 /// Wire latency shifts a two-rank ping stream by exactly the latency.
 #[test]
 fn wire_latency_shifts_delivery() {
