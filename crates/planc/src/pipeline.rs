@@ -8,8 +8,9 @@
 //!    (`tiling-core::parse`), its uniform flow dependences extracted,
 //!    and the nest matched against the family the executors implement
 //!    (2-D strips for Example-1-class nests, the §5 block layout for
-//!    3-D unit-dependence nests). Kernel/workload dimensions must
-//!    agree.
+//!    3-D unit-dependence nests). A fully parallel nest, and one with a
+//!    negative dependence component (it would need a skew), are
+//!    rejected. Kernel/workload dimensions must agree.
 //! 2. **decompose** — build the decomposition skeleton and validate
 //!    divisibility and non-emptiness.
 //! 3. **optimize** — resolve the tile height: explicit `V` passes
@@ -81,6 +82,18 @@ fn front(req: &PlanRequest) -> Result<Shape, CompileError> {
             let deps = nest
                 .dependences()
                 .map_err(|e| CompileError::Dependence(e.to_string()))?;
+            if deps.is_empty() {
+                return Err(CompileError::Dependence(
+                    "fully parallel nest: there is no dependence to tile or pipeline".into(),
+                ));
+            }
+            if let Some(d) = deps.iter().find(|d| d.components().iter().any(|&c| c < 0)) {
+                return Err(CompileError::Dependence(format!(
+                    "dependence {:?} has a negative component: the nest needs a skew, \
+                     which the rectangular executors do not run",
+                    d.components()
+                )));
+            }
             let dims = nest.space().dims();
             let family = match dims {
                 2 => DependenceSet::example_1(),
@@ -368,6 +381,16 @@ ENDFOR
             .unwrap_err();
         assert!(matches!(e, CompileError::Dependence(_)), "{e:?}");
 
+        // front: a loop range with more than i64::MAX iterations.
+        for header in [
+            "FOR i = 0 TO 9223372036854775807",
+            "FOR i = -9223372036854775807 TO 9223372036854775807",
+        ] {
+            let src = format!("{header}\nFOR j = 0 TO 7\n A(i, j) = A(i-1, j)\nENDFOR\nENDFOR");
+            let e = front_err(&src, vec![2]);
+            assert!(matches!(e, CompileError::Parse(_)), "{e:?}");
+        }
+
         // decompose: divisibility.
         let e = compile(&PlanRequest::grid3(9, 8, 64, 2, 2)).unwrap_err();
         assert_eq!(e.stage(), "decompose");
@@ -379,6 +402,74 @@ ENDFOR
         // optimize: explicit zero height.
         let e = compile(&PlanRequest::grid3(8, 8, 64, 2, 2).with_v(0)).unwrap_err();
         assert_eq!(e.stage(), "optimize");
+    }
+
+    /// Compile `src` as an Example-1 nest and return the error, which
+    /// must come from `front`.
+    fn front_err(src: &str, procs: Vec<usize>) -> CompileError {
+        let e = compile(&PlanRequest::source(src, procs).with_kernel(KernelName::Example1))
+            .unwrap_err();
+        assert_eq!(e.stage(), "front", "{src}: {e}");
+        e
+    }
+
+    const PAPER_3D: &str = "\
+FOR i = 0 TO 15
+  FOR j = 0 TO 15
+    FOR k = 0 TO 8191
+      A(i, j, k) = sqrt(A(i-1, j, k)) + sqrt(A(i, j-1, k)) + sqrt(A(i, j, k-1))
+    ENDFOR
+  ENDFOR
+ENDFOR";
+
+    #[test]
+    fn plans_paper_kernel_end_to_end() {
+        // The §5 kernel as written compiles to one column per rank of a
+        // 4×4 grid with a predicted tile height in the paper's range.
+        let a = compile(&PlanRequest::source(PAPER_3D, vec![4, 4])).expect("compiles");
+        assert_eq!(a.ranks(), 16);
+        assert!(a.v() > 10 && a.v() < 1000, "v = {}", a.v());
+        assert!(a.predicted_us().unwrap() > 0.0);
+        assert!(a.report().messages > 0);
+    }
+
+    #[test]
+    fn rejects_bad_source() {
+        let e = front_err("FOR garbage", vec![]);
+        assert!(matches!(e, CompileError::Parse(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_forward_dependence() {
+        let e = front_err("FOR i = 0 TO 9\n A(i) = A(i+1)\nENDFOR", vec![]);
+        assert!(matches!(e, CompileError::Dependence(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_wrong_grid_arity() {
+        let e = compile(&PlanRequest::source(PAPER_3D, vec![4])).unwrap_err();
+        assert_eq!(e.stage(), "front");
+        assert!(matches!(e, CompileError::Spec(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_parallel_nest() {
+        let parallel = "FOR i = 0 TO 7\nFOR j = 0 TO 7\n B(i, j) = C(i, j)\nENDFOR\nENDFOR";
+        let e = front_err(parallel, vec![2]);
+        assert!(matches!(e, CompileError::Dependence(_)), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_negative_dep_nest_naming_skew() {
+        // Only a skew would make this nest rectangularly tileable, and no
+        // executor runs skewed tiles.
+        let jacobi = "FOR t = 0 TO 255\nFOR x = 0 TO 1023\n \
+                      A(t, x) = A(t-1, x-1) + A(t-1, x) + A(t-1, x+1)\nENDFOR\nENDFOR";
+        let e = front_err(jacobi, vec![8]);
+        assert!(
+            matches!(&e, CompileError::Dependence(m) if m.contains("skew")),
+            "{e:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,13 @@
 //!
 //! [`tile_graph`] materializes tile DAGs for validation, [`mapping`]
 //! assigns tiles to processors and computes per-neighbor message
-//! volumes, and [`optimize`] sweeps tile sizes/shapes.
+//! volumes, [`optimize`] sweeps tile sizes/shapes, and [`closed_form`]
+//! gives the optimal tile height without a sweep. [`parse`] reads nests
+//! written in the paper's notation.
+//!
+//! Like the paper, the crate takes the legality of the tiling as given:
+//! there is no skewing or other unimodular transform, so a nest with a
+//! negative dependence component is for the caller to reject.
 //!
 //! ## Quick start
 //!
@@ -50,7 +56,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod closed_form;
-pub mod codegen;
 pub mod cost;
 pub mod dependence;
 pub mod loopnest;
@@ -59,19 +64,16 @@ pub mod mapping;
 pub mod matrix;
 pub mod optimize;
 pub mod parse;
-pub mod polyhedra;
 pub mod rational;
 pub mod schedule;
 pub mod space;
 pub mod tile_graph;
 pub mod tiling;
-pub mod transform;
 pub mod uet_uct;
 
 /// Convenient re-exports of the main types.
 pub mod prelude {
     pub use crate::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
-    pub use crate::codegen::{tiled_rectangular, transformed_domain, GeneratedNest, LoopLevel};
     pub use crate::cost::{v_comm_mapped, v_comm_per_dimension, v_comm_total, v_comp};
     pub use crate::dependence::{Dependence, DependenceSet};
     pub use crate::loopnest::{Access, ArrayId, LoopNest, Statement};
@@ -94,5 +96,4 @@ pub mod prelude {
     pub use crate::space::{IterationSpace, Point};
     pub use crate::tile_graph::TileGraph;
     pub use crate::tiling::{Tiling, TilingError};
-    pub use crate::transform::{legalizing_skew, TransformError, Unimodular};
 }

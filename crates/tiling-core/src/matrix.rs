@@ -123,27 +123,6 @@ impl IntMatrix {
         t
     }
 
-    /// Matrix × matrix product.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn mul(&self, rhs: &IntMatrix) -> IntMatrix {
-        assert_eq!(self.cols, rhs.rows, "shape mismatch in matrix product");
-        let mut out = IntMatrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix × vector product.
     pub fn mul_vec(&self, v: &[i64]) -> Vec<i64> {
         assert_eq!(self.cols, v.len(), "shape mismatch in mat-vec product");
@@ -477,9 +456,7 @@ mod tests {
     fn identity_properties() {
         let i3 = IntMatrix::identity(3);
         assert_eq!(i3.det(), 1);
-        let m = IntMatrix::from_rows(&[&[1, 2, 3], &[4, 5, 6], &[7, 8, 10]]);
-        assert_eq!(i3.mul(&m), m);
-        assert_eq!(m.mul(&i3), m);
+        assert_eq!(i3.mul_vec(&[4, -5, 6]), vec![4, -5, 6]);
     }
 
     #[test]
@@ -518,16 +495,13 @@ mod tests {
     fn adjugate_identity_relation() {
         let m = IntMatrix::from_rows(&[&[2, 1, 0], &[1, 3, 1], &[0, 1, 2]]);
         let adj = m.adjugate();
-        let prod = adj.mul(&m);
+        // adj(A)·A = det(A)·I, column by column.
         let d = m.det();
-        let expected = {
-            let mut e = IntMatrix::zeros(3, 3);
-            for i in 0..3 {
-                e[(i, i)] = d;
-            }
-            e
-        };
-        assert_eq!(prod, expected);
+        for j in 0..3 {
+            let mut e = vec![0; 3];
+            e[j] = d;
+            assert_eq!(adj.mul_vec(&m.col(j)), e);
+        }
     }
 
     #[test]

@@ -447,6 +447,12 @@ pub fn parse_loop_nest(src: &str) -> Result<LoopNest, ParseError> {
         if lo > hi {
             return err_at(span, format!("empty loop range {lo}..{hi}"));
         }
+        if hi.checked_sub(lo).and_then(|e| e.checked_add(1)).is_none() {
+            return err_at(
+                span,
+                format!("loop range {lo}..{hi} has more than 2^63-1 points"),
+            );
+        }
         lowers.push(lo);
         uppers.push(hi);
     }
@@ -627,6 +633,19 @@ mod tests {
         let src = "FOR i = 5 TO 2\n A(i) = 1\nENDFOR";
         let e = parse_loop_nest(src).unwrap_err();
         assert!(e.message.contains("empty loop range"), "{e}");
+    }
+
+    #[test]
+    fn error_range_too_long_for_i64() {
+        for header in [
+            "FOR i = 0 TO 9223372036854775807",
+            "FOR i = -9223372036854775807 TO 9223372036854775807",
+        ] {
+            let src = format!("{header}\nFOR j = 0 TO 7\n A(i, j) = A(i-1, j)\nENDFOR\nENDFOR");
+            let e = parse_loop_nest(&src).unwrap_err();
+            assert_eq!((e.line, e.col), (1, 5), "{e}");
+            assert!(e.message.contains("more than"), "{e}");
+        }
     }
 
     #[test]

@@ -26,8 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
-
 pub use cluster_sim;
 pub use msgpass;
 pub use stencil;
@@ -35,7 +33,6 @@ pub use tiling_core;
 
 /// Everything commonly needed, re-exported flat.
 pub mod prelude {
-    pub use crate::driver::{plan, PlanError, PlanReport};
     pub use cluster_sim::prelude::*;
     pub use msgpass::prelude::*;
     pub use stencil::prelude::*;

@@ -243,54 +243,6 @@ proptest! {
         }
     }
 
-    /// Generated loops for random skewed domains scan exactly the
-    /// transformed point set (codegen is verified, not just printed).
-    #[test]
-    fn codegen_scans_transformed_domains_exactly(
-        extents in prop::collection::vec(1i64..=5, 2..=3),
-        f1 in -2i64..=2,
-        f2 in -2i64..=2,
-    ) {
-        use tiling_core::codegen::transformed_domain;
-        use tiling_core::transform::Unimodular;
-        let n = extents.len();
-        let space = IterationSpace::from_extents(&extents);
-        let mut t = Unimodular::skew(n, 1, 0, f1);
-        if n == 3 {
-            t = Unimodular::skew(n, 2, 1, f2).compose(&t);
-        }
-        let names: Vec<String> = (0..n).map(|d| format!("v{d}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let nest = transformed_domain(&space, &t, &refs);
-        let mut got = nest.enumerate();
-        let mut expected: Vec<Vec<i64>> =
-            space.points().map(|p| t.apply_point(&p)).collect();
-        got.sort();
-        expected.sort();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Tiled rectangular codegen visits every point of the space exactly
-    /// once with consistent tile coordinates, for random sides/extents.
-    #[test]
-    fn tiled_codegen_partitions_space(
-        sides in prop::collection::vec(1i64..=4, 2..=2),
-        extents in prop::collection::vec(1i64..=9, 2..=2),
-    ) {
-        use tiling_core::codegen::tiled_rectangular;
-        let tiling = Tiling::rectangular(&sides);
-        let space = IterationSpace::from_extents(&extents);
-        let nest = tiled_rectangular(&tiling, &space, &["i", "j"]);
-        let mut seen = std::collections::BTreeSet::new();
-        for p in nest.enumerate() {
-            let (tile, point) = (&p[..2], &p[2..]);
-            prop_assert_eq!(tiling.tile_of(point), tile.to_vec());
-            prop_assert!(space.contains(point));
-            prop_assert!(seen.insert(point.to_vec()));
-        }
-        prop_assert_eq!(seen.len() as u64, space.volume());
-    }
-
     /// Linear schedules respect dependences whenever Π·d > 0 for all d.
     #[test]
     fn valid_linear_schedule_orders_dependences(
