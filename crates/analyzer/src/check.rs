@@ -1,9 +1,17 @@
-//! The three pre-flight checks over a symbolic plan: schedule legality
-//! against the dependence set, send/receive matching, and deadlock
-//! detection by SCC analysis of the cross-rank wait-for graph.
+//! The three pre-flight checks: schedule legality against the
+//! dependence set, then, over the per-rank [`Program`]s (indexed by
+//! rank), send/receive matching and deadlock detection by SCC analysis
+//! of the cross-rank wait-for graph.
+//!
+//! A message's *step* is its ordinal among the sends — or among the
+//! receives — on its `(from, to)` channel, in program order. Each
+//! channel of a pipeline carries one face per step, so this is the
+//! pipeline step. Lengths are reported in elements, `bytes /`
+//! [`ELEM_BYTES`].
 
 use crate::error::{AnalysisError, Tag, WaitPoint};
-use crate::plan::{CommPlan, PlanOp, RankTopology};
+use crate::plan::{programs, RankTopology, ELEM_BYTES};
+use cluster_sim::program::{Op, Program, ReqId};
 use std::collections::HashMap;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::schedule::{StepPlan, StepStrategy};
@@ -15,7 +23,7 @@ pub struct AnalysisReport {
     pub ranks: usize,
     /// Pipeline steps per rank.
     pub steps: usize,
-    /// Symbolic events across all rank programs.
+    /// Ops across all rank programs.
     pub events: usize,
     /// Matched send/receive pairs.
     pub messages: usize,
@@ -80,46 +88,37 @@ struct Endpoint {
 /// The matcher flattens both sides into two pre-sized vectors and
 /// merge-walks them sorted — no per-channel maps — so a passing check
 /// performs a constant number of allocations regardless of plan depth.
-pub fn check_matching(plan: &CommPlan) -> Result<usize, AnalysisError> {
-    let total_sends = plan.messages();
-    let mut sends: Vec<Endpoint> = Vec::with_capacity(total_sends);
-    let mut recvs: Vec<Endpoint> = Vec::with_capacity(plan.events() - total_sends);
-    for prog in &plan.programs {
-        for op in &prog.ops {
-            match *op {
-                PlanOp::Send { to, tag, len, step } | PlanOp::PostSend { to, tag, len, step } => {
-                    sends.push(Endpoint {
-                        from: prog.rank,
-                        to,
-                        tag,
-                        step,
-                        len,
-                    });
+pub fn check_matching(programs: &[Program]) -> Result<usize, AnalysisError> {
+    let sides = ends(programs);
+    let (mut sends, mut recvs) = (
+        Vec::with_capacity(sides[SEND]),
+        Vec::with_capacity(sides[RECV]),
+    );
+    // This rank's peers, each with how many messages it sent to and
+    // received from it so far: per side, the next message's step.
+    let mut seen: Vec<(usize, [usize; 2])> = Vec::new();
+    for (rank, p) in programs.iter().enumerate() {
+        seen.clear();
+        for (side, peer, tag, bytes) in p.ops().iter().filter_map(end_of) {
+            let at = match seen.iter().position(|&(q, _)| q == peer) {
+                Some(at) => at,
+                None => {
+                    seen.push((peer, [0, 0]));
+                    seen.len() - 1
                 }
-                PlanOp::Recv {
-                    from,
-                    tag,
-                    len,
-                    step,
-                }
-                | PlanOp::PostRecv {
-                    from,
-                    tag,
-                    len,
-                    step,
-                } => {
-                    recvs.push(Endpoint {
-                        from,
-                        to: prog.rank,
-                        tag,
-                        step,
-                        len,
-                    });
-                }
-                // A WaitRecv consumes the message its PostRecv
-                // registered; counting both would double-book it.
-                PlanOp::WaitRecv { .. } | PlanOp::WaitSend { .. } | PlanOp::Compute { .. } => {}
-            }
+            };
+            let (from, to, list) = match side {
+                SEND => (rank, peer, &mut sends),
+                _ => (peer, rank, &mut recvs),
+            };
+            list.push(Endpoint {
+                from,
+                to,
+                tag,
+                step: seen[at].1[side],
+                len: (bytes / ELEM_BYTES) as usize,
+            });
+            seen[at].1[side] += 1;
         }
     }
     sends.sort_unstable();
@@ -194,42 +193,98 @@ pub fn check_matching(plan: &CommPlan) -> Result<usize, AnalysisError> {
     Ok(matched)
 }
 
-/// Symbolically execute the plan under the transport's semantics —
-/// sends are eager, receives block until the matching send has
-/// executed — and, if execution wedges, extract the deadlock cycle
-/// from the strongly connected components of the stuck ranks'
-/// wait-for graph.
-pub fn check_deadlock(plan: &CommPlan) -> Result<(), AnalysisError> {
-    let n = plan.programs.len();
+/// The sides of a message end.
+const SEND: usize = 0;
+const RECV: usize = 1;
+
+/// `op` as one end of a message — `(side, peer, tag, bytes)` — or
+/// `None` for a `Compute` and for a `Wait`, which completes the message
+/// its `Irecv` registered (counting both would double-book it).
+fn end_of(op: &Op) -> Option<(usize, usize, Tag, u64)> {
+    match *op {
+        Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } => {
+            Some((SEND, to, tag, bytes))
+        }
+        Op::Recv { from, tag, bytes }
+        | Op::Irecv {
+            from, tag, bytes, ..
+        } => Some((RECV, from, tag, bytes)),
+        Op::Wait { .. } | Op::Compute { .. } => None,
+    }
+}
+
+/// How many message ends of each side `programs` hold.
+fn ends(programs: &[Program]) -> [usize; 2] {
+    let mut n = [0; 2];
+    for (side, ..) in programs.iter().flat_map(Program::ops).filter_map(end_of) {
+        n[side] += 1;
+    }
+    n
+}
+
+/// The receive the op at `pc` blocks on: `(from, tag, op index)` of a
+/// `Recv`, or of the `Irecv` among `posted` — `(request, op index)` of
+/// the rank's receives posted and not yet waited — that a `Wait`
+/// completes. `None` for an op that never blocks, a `Wait` on an
+/// `Isend` among them.
+fn awaited(ops: &[Op], pc: usize, posted: &[(ReqId, usize)]) -> Option<(usize, Tag, usize)> {
+    let at = match *ops.get(pc)? {
+        Op::Recv { .. } => pc,
+        Op::Wait { req } => posted.iter().find(|&&(q, _)| q == req)?.1,
+        _ => return None,
+    };
+    match ops[at] {
+        Op::Recv { from, tag, .. } | Op::Irecv { from, tag, .. } => Some((from, tag, at)),
+        _ => None,
+    }
+}
+
+/// Symbolically execute the programs under the transport's semantics —
+/// sends are eager, a `Recv` blocks until the matching send has
+/// executed, and a `Wait` blocks only on an `Irecv`, likewise — and, if
+/// execution wedges, extract the deadlock cycle from the strongly
+/// connected components of the stuck ranks' wait-for graph.
+pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
+    let n = programs.len();
     let mut pc = vec![0usize; n];
+    // Per rank, its receives posted and not yet waited: a few at a time.
+    let mut posted: Vec<Vec<(ReqId, usize)>> = vec![Vec::new(); n];
     // Per (from, to, tag): sends executed minus receives consumed.
-    let mut in_flight: HashMap<(usize, usize, Tag), i64> = HashMap::with_capacity(plan.messages());
+    let mut in_flight: HashMap<(usize, usize, Tag), i64> =
+        HashMap::with_capacity(ends(programs)[SEND]);
     loop {
         let mut progressed = false;
         let mut all_done = true;
         for r in 0..n {
-            let ops = &plan.programs[r].ops;
+            let ops = programs[r].ops();
             while pc[r] < ops.len() {
                 let advance = match ops[pc[r]] {
-                    PlanOp::Send { to, tag, .. } | PlanOp::PostSend { to, tag, .. } => {
+                    Op::Send { to, tag, .. } | Op::Isend { to, tag, .. } => {
                         *in_flight.entry((r, to, tag)).or_insert(0) += 1;
                         true
                     }
-                    PlanOp::Recv { from, tag, .. } | PlanOp::WaitRecv { from, tag, .. } => {
-                        let slot = in_flight.entry((from, r, tag)).or_insert(0);
-                        if *slot > 0 {
-                            *slot -= 1;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    PlanOp::PostRecv { .. } | PlanOp::WaitSend { .. } | PlanOp::Compute { .. } => {
+                    Op::Irecv { req, .. } => {
+                        posted[r].push((req, pc[r]));
                         true
                     }
+                    _ => match awaited(ops, pc[r], &posted[r]) {
+                        Some((from, tag, _)) => {
+                            let slot = in_flight.entry((from, r, tag)).or_insert(0);
+                            if *slot > 0 {
+                                *slot -= 1;
+                                true
+                            } else {
+                                false
+                            }
+                        }
+                        None => true,
+                    },
                 };
                 if !advance {
                     break;
+                }
+                if let Op::Wait { req } = ops[pc[r]] {
+                    posted[r].retain(|&(q, _)| q != req);
                 }
                 pc[r] += 1;
                 progressed = true;
@@ -240,7 +295,7 @@ pub fn check_deadlock(plan: &CommPlan) -> Result<(), AnalysisError> {
             return Ok(());
         }
         if !progressed {
-            return Err(deadlock_cycle(plan, &pc));
+            return Err(deadlock_cycle(programs, &pc, &posted));
         }
     }
 }
@@ -249,29 +304,24 @@ pub fn check_deadlock(plan: &CommPlan) -> Result<(), AnalysisError> {
 /// one peer) and report the first strongly connected component with a
 /// cycle; if the stuck set has none (a starvation chain into a
 /// finished rank), the whole chain is reported.
-fn deadlock_cycle(plan: &CommPlan, pc: &[usize]) -> AnalysisError {
-    let n = plan.programs.len();
-    let wait: Vec<Option<WaitPoint>> = (0..n)
-        .map(|r| {
-            let ops = &plan.programs[r].ops;
-            if pc[r] >= ops.len() {
-                return None;
-            }
-            match ops[pc[r]] {
-                PlanOp::Recv {
-                    from, tag, step, ..
-                }
-                | PlanOp::PostRecv {
-                    from, tag, step, ..
-                }
-                | PlanOp::WaitRecv { from, tag, step } => Some(WaitPoint {
-                    rank: r,
-                    from,
-                    tag,
-                    step,
-                }),
-                _ => None,
-            }
+fn deadlock_cycle(
+    programs: &[Program],
+    pc: &[usize],
+    posted: &[Vec<(ReqId, usize)>],
+) -> AnalysisError {
+    let wait: Vec<Option<WaitPoint>> = (programs.iter().enumerate())
+        .map(|(r, p)| {
+            let ops = p.ops();
+            let (from, tag, at) = awaited(ops, pc[r], &posted[r])?;
+            let step = (ops[..at].iter().filter_map(end_of))
+                .filter(|&(side, peer, ..)| side == RECV && peer == from)
+                .count();
+            Some(WaitPoint {
+                rank: r,
+                from,
+                tag,
+                step,
+            })
         })
         .collect();
     if let Some(scc) = cyclic_scc(&wait) {
@@ -355,19 +405,20 @@ fn cyclic_scc(wait: &[Option<WaitPoint>]) -> Option<Vec<usize>> {
     found
 }
 
-/// Run the full communication-structure analysis over an explicit
-/// symbolic plan: send/receive matching first (a mismatch explains a
-/// subsequent wedge better than "deadlock"), then deadlock detection.
+/// Run the full communication-structure analysis over explicit
+/// per-rank programs: send/receive matching first (a mismatch explains
+/// a subsequent wedge better than "deadlock"), then deadlock detection.
 /// Returns the matched-message count.
-pub fn check_comm_plan(plan: &CommPlan) -> Result<usize, AnalysisError> {
-    let matched = check_matching(plan)?;
-    check_deadlock(plan)?;
+pub fn check_comm_plan(programs: &[Program]) -> Result<usize, AnalysisError> {
+    let matched = check_matching(programs)?;
+    check_deadlock(programs)?;
     Ok(matched)
 }
 
 /// Everything the pre-flight gate runs, in diagnostic order: schedule
-/// legality (`Π·d^S > 0` plus the eq.-4 overlap ordering), symbolic
-/// plan construction, send/receive matching, and deadlock detection.
+/// legality (`Π·d^S > 0` plus the eq.-4 overlap ordering), the
+/// programs' construction, send/receive matching, and deadlock
+/// detection.
 pub fn analyze(
     topo: &dyn RankTopology,
     plan: &StepPlan,
@@ -376,13 +427,12 @@ pub fn analyze(
     deps: &DependenceSet,
 ) -> Result<AnalysisReport, AnalysisError> {
     check_schedule(plan, pi, mapping_dim, deps)?;
-    let comm = CommPlan::build(topo, plan);
-    let events = comm.events();
+    let comm = programs(topo, plan);
     let messages = check_comm_plan(&comm)?;
     Ok(AnalysisReport {
         ranks: topo.ranks(),
         steps: plan.steps(),
-        events,
+        events: comm.iter().map(Program::len).sum(),
         messages,
         logical_makespan: logical_makespan(topo, plan),
     })

@@ -10,12 +10,16 @@
 //!    dependence, plus the eq.-4 overlap ordering (a cross-processor
 //!    dependence must advance ≥ 2 time steps, because its face spends
 //!    one full step in flight);
-//! 2. replays the engine's event loops symbolically into a
-//!    [`CommPlan`] and matches every staged send against its peer's
-//!    receive on (rank, tag, size, step);
-//! 3. symbolically executes the plan under the transport's semantics
-//!    (eager sends, blocking receives) and, if it wedges, extracts the
-//!    deadlock cycle from the SCC of the cross-rank wait-for graph.
+//! 2. emits every rank's program ([`programs`]) through the
+//!    simulator's one `ProcB`/`ProcNB` emitter
+//!    (`cluster_sim::program::Program::pipeline`) — the op list the
+//!    engine executes and the simulator prices — and matches every
+//!    staged send against its peer's receive on (rank, tag, size,
+//!    step);
+//! 3. symbolically executes those programs under the transport's
+//!    semantics (eager sends, blocking receives) and, if they wedge,
+//!    extracts the deadlock cycle from the SCC of the cross-rank
+//!    wait-for graph.
 //!
 //! Failures are typed [`AnalysisError`]s naming the offending (rank,
 //! step, tag) — the information a hang destroys. The stencil crate
@@ -40,7 +44,7 @@ pub use check::{
     analyze, check_comm_plan, check_deadlock, check_matching, check_schedule, AnalysisReport,
 };
 pub use error::{AnalysisError, Tag, WaitPoint};
-pub use plan::{CommPlan, PlanOp, RankProgram, RankTopology};
+pub use plan::{programs, RankTopology};
 
 #[cfg(test)]
 mod tests {
@@ -111,88 +115,6 @@ mod tests {
         assert_eq!(report.events, 0);
         assert_eq!(report.messages, 0);
         assert_eq!(report.logical_makespan, 0);
-    }
-
-    #[test]
-    fn comm_plan_event_orders_match_engine_shape() {
-        let topo = chain();
-        let blocking = CommPlan::build(&topo, &StepPlan::new(StepStrategy::Blocking, 2));
-        // Rank 1 (interior): recv, compute, send per step.
-        assert_eq!(
-            blocking.programs[1].ops,
-            vec![
-                PlanOp::Recv {
-                    from: 0,
-                    tag: 1,
-                    len: 8,
-                    step: 0
-                },
-                PlanOp::Compute { step: 0 },
-                PlanOp::Send {
-                    to: 2,
-                    tag: 1,
-                    len: 8,
-                    step: 0
-                },
-                PlanOp::Recv {
-                    from: 0,
-                    tag: 3,
-                    len: 8,
-                    step: 1
-                },
-                PlanOp::Compute { step: 1 },
-                PlanOp::Send {
-                    to: 2,
-                    tag: 3,
-                    len: 8,
-                    step: 1
-                },
-            ]
-        );
-        let overlap = CommPlan::build(&topo, &StepPlan::new(StepStrategy::Overlap, 2));
-        assert_eq!(
-            overlap.programs[1].ops,
-            vec![
-                PlanOp::PostRecv {
-                    from: 0,
-                    tag: 1,
-                    len: 8,
-                    step: 0
-                },
-                PlanOp::PostRecv {
-                    from: 0,
-                    tag: 3,
-                    len: 8,
-                    step: 1
-                },
-                PlanOp::WaitRecv {
-                    from: 0,
-                    tag: 1,
-                    step: 0
-                },
-                PlanOp::Compute { step: 0 },
-                PlanOp::PostSend {
-                    to: 2,
-                    tag: 1,
-                    len: 8,
-                    step: 0
-                },
-                PlanOp::WaitRecv {
-                    from: 0,
-                    tag: 3,
-                    step: 1
-                },
-                PlanOp::Compute { step: 1 },
-                PlanOp::WaitSend { step: 0 },
-                PlanOp::PostSend {
-                    to: 2,
-                    tag: 3,
-                    len: 8,
-                    step: 1
-                },
-                PlanOp::WaitSend { step: 1 },
-            ]
-        );
     }
 
     #[test]

@@ -1,16 +1,24 @@
-//! The symbolic communication plan: every rank's ordered send, receive,
-//! wait and compute events, derived from a [`StepPlan`] and a
-//! [`RankTopology`] by replaying — symbolically — exactly the loops the
-//! engine will run (`stencil::engine::run_blocking` / `run_overlap`).
+//! The programs pre-flight checks: every rank's ordered send, receive,
+//! wait and compute ops, derived from a [`StepPlan`] and a
+//! [`RankTopology`] by the simulator's own `ProcB`/`ProcNB` emitter
+//! ([`Program::pipeline`]) — the op sequence the engine executes
+//! (`stencil::engine::run_blocking` / `run_overlap`) and the simulator
+//! prices.
 //!
-//! Building the plan is cheap (`O(ranks × steps × dirs)` events) and
-//! allocation-frugal: every vector is sized up front, so a pre-flight
-//! check adds a constant number of allocations to a run regardless of
-//! pipeline depth — the zero-allocation discipline of the executors
-//! (`tests/zero_alloc.rs`) is preserved with the checker enabled.
+//! Building them is cheap (`O(ranks × steps × dirs)` ops) and
+//! allocation-frugal: every program is sized from its first step and
+//! one step shape is refilled for every step of every rank, so a
+//! pre-flight check adds a constant number of allocations per rank
+//! regardless of pipeline depth — the zero-allocation discipline of the
+//! executors (`tests/zero_alloc.rs`) is preserved with the checker
+//! enabled.
 
 use crate::error::Tag;
-use tiling_core::schedule::{StepPlan, StepStrategy};
+use cluster_sim::program::{Program, StepShape, StepSource};
+use tiling_core::schedule::StepPlan;
+
+/// Bytes per face element: the executors exchange `f32` faces.
+pub const ELEM_BYTES: u64 = 4;
 
 /// Static description of a world's communication structure: who talks
 /// to whom, over which halo directions, with which face sizes. The
@@ -43,239 +51,57 @@ pub trait RankTopology {
     }
 }
 
-/// One symbolic event of a rank's program, in program order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Blocking send (eager protocol: completes locally).
-    Send {
-        /// Destination rank.
-        to: usize,
-        /// Message tag.
-        tag: Tag,
-        /// Face length in elements.
-        len: usize,
-        /// Pipeline step the face belongs to.
-        step: usize,
-    },
-    /// Posted non-blocking send (also eager).
-    PostSend {
-        /// Destination rank.
-        to: usize,
-        /// Message tag.
-        tag: Tag,
-        /// Face length in elements.
-        len: usize,
-        /// Pipeline step the face belongs to.
-        step: usize,
-    },
-    /// Blocking receive: the rank cannot advance past this event until
-    /// the matching send has executed.
-    Recv {
-        /// Source rank.
-        from: usize,
-        /// Expected tag.
-        tag: Tag,
-        /// Expected face length in elements.
-        len: usize,
-        /// Pipeline step the face belongs to.
-        step: usize,
-    },
-    /// Posted non-blocking receive (registration only; the block
-    /// happens at the paired [`PlanOp::WaitRecv`]).
-    PostRecv {
-        /// Source rank.
-        from: usize,
-        /// Expected tag.
-        tag: Tag,
-        /// Expected face length in elements.
-        len: usize,
-        /// Pipeline step the face belongs to.
-        step: usize,
-    },
-    /// Blocking wait on a posted receive.
-    WaitRecv {
-        /// Source rank.
-        from: usize,
-        /// Expected tag.
-        tag: Tag,
-        /// Pipeline step the face belongs to.
-        step: usize,
-    },
-    /// Wait on a posted send (eager protocol: never blocks).
-    WaitSend {
-        /// Pipeline step the payload belongs to.
-        step: usize,
-    },
-    /// Tile computation.
-    Compute {
-        /// Pipeline step.
-        step: usize,
-    },
+/// Every rank's program of `plan` over `topo`, indexed by rank: per
+/// step one face per existing upstream and downstream direction, in
+/// direction order, and a zero-cost compute.
+pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
+    let mut faces = Faces {
+        topo,
+        rank: 0,
+        steps: plan.steps(),
+        links: Vec::with_capacity(topo.num_dirs()),
+        shape: StepShape {
+            compute_us: Some(0.0),
+            ..StepShape::default()
+        },
+    };
+    (0..topo.ranks())
+        .map(|rank| {
+            faces.rank = rank;
+            faces.links.clear();
+            faces.links.extend((0..topo.num_dirs()).filter_map(|dir| {
+                let (up, down) = (topo.upstream(rank, dir), topo.downstream(rank, dir));
+                (up.is_some() || down.is_some()).then_some((dir, up, down))
+            }));
+            Program::pipeline(plan.strategy(), &mut faces, |k, dir| topo.tag(k, dir))
+        })
+        .collect()
 }
 
-/// One rank's ordered event sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RankProgram {
-    /// The rank this program belongs to.
-    pub rank: usize,
-    /// Events in program order.
-    pub ops: Vec<PlanOp>,
-}
-
-/// The full symbolic plan of a world: one program per rank.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommPlan {
-    /// Programs indexed by rank.
-    pub programs: Vec<RankProgram>,
-}
-
-impl CommPlan {
-    /// Derive the symbolic plan of `plan` over `topo`, replaying the
-    /// engine's loops: blocking is *receive → compute → send* per step;
-    /// overlap posts the receives of `k+1` and the sends of `k−1`
-    /// around the compute of `k`, with the step-0 receive prologue and
-    /// the last-tile send epilogue.
-    pub fn build(topo: &dyn RankTopology, plan: &StepPlan) -> CommPlan {
-        let steps = plan.steps();
-        let dirs = topo.num_dirs();
-        let mut programs = Vec::with_capacity(topo.ranks());
-        for rank in 0..topo.ranks() {
-            // Exact-capacity bound: at most 4 communication events plus
-            // the compute per (step, dir), plus prologue/epilogue.
-            let mut ops = Vec::with_capacity(steps * (4 * dirs + 1) + 3 * dirs);
-            if steps > 0 {
-                match plan.strategy() {
-                    StepStrategy::Blocking => build_blocking(topo, rank, steps, dirs, &mut ops),
-                    StepStrategy::Overlap => build_overlap(topo, rank, steps, dirs, &mut ops),
-                }
-            }
-            programs.push(RankProgram { rank, ops });
-        }
-        CommPlan { programs }
-    }
-
-    /// Total events across all programs.
-    pub fn events(&self) -> usize {
-        self.programs.iter().map(|p| p.ops.len()).sum()
-    }
-
-    /// Total staged sends (blocking and posted) across all programs.
-    pub fn messages(&self) -> usize {
-        self.programs
-            .iter()
-            .flat_map(|p| p.ops.iter())
-            .filter(|op| matches!(op, PlanOp::Send { .. } | PlanOp::PostSend { .. }))
-            .count()
-    }
-}
-
-/// Eq. 3 structure: per step, receive every upstream face, compute,
-/// send every downstream face.
-fn build_blocking(
-    topo: &dyn RankTopology,
+/// Rank `rank`'s pipeline over `topo`, one shape refilled per step.
+struct Faces<'a> {
+    topo: &'a dyn RankTopology,
     rank: usize,
     steps: usize,
-    dirs: usize,
-    ops: &mut Vec<PlanOp>,
-) {
-    for k in 0..steps {
-        for dir in 0..dirs {
-            if let Some(from) = topo.upstream(rank, dir) {
-                ops.push(PlanOp::Recv {
-                    from,
-                    tag: topo.tag(k, dir),
-                    len: topo.face_len(rank, dir, k),
-                    step: k,
-                });
-            }
-        }
-        ops.push(PlanOp::Compute { step: k });
-        for dir in 0..dirs {
-            if let Some(to) = topo.downstream(rank, dir) {
-                ops.push(PlanOp::Send {
-                    to,
-                    tag: topo.tag(k, dir),
-                    len: topo.face_len(rank, dir, k),
-                    step: k,
-                });
-            }
-        }
-    }
+    /// The rank's directions with a peer: `(dir, upstream, downstream)`.
+    links: Vec<(usize, Option<usize>, Option<usize>)>,
+    shape: StepShape,
 }
 
-/// Eq. 4 structure: prologue receives for step 0; per step `k`, post
-/// the receives of `k+1` and the sends of `k−1`, wait for `k`'s inputs,
-/// compute `k`, wait for the posted sends; epilogue ships the last
-/// tile's faces.
-fn build_overlap(
-    topo: &dyn RankTopology,
-    rank: usize,
-    steps: usize,
-    dirs: usize,
-    ops: &mut Vec<PlanOp>,
-) {
-    for dir in 0..dirs {
-        if let Some(from) = topo.upstream(rank, dir) {
-            ops.push(PlanOp::PostRecv {
-                from,
-                tag: topo.tag(0, dir),
-                len: topo.face_len(rank, dir, 0),
-                step: 0,
-            });
-        }
+impl StepSource for Faces<'_> {
+    fn steps(&self) -> usize {
+        self.steps
     }
-    for k in 0..steps {
-        if k + 1 < steps {
-            for dir in 0..dirs {
-                if let Some(from) = topo.upstream(rank, dir) {
-                    ops.push(PlanOp::PostRecv {
-                        from,
-                        tag: topo.tag(k + 1, dir),
-                        len: topo.face_len(rank, dir, k + 1),
-                        step: k + 1,
-                    });
-                }
-            }
+
+    fn step(&mut self, k: usize) -> &StepShape {
+        let s = &mut self.shape;
+        s.recvs.clear();
+        s.sends.clear();
+        for &(dir, up, down) in &self.links {
+            let bytes = ELEM_BYTES * self.topo.face_len(self.rank, dir, k) as u64;
+            s.recvs.extend(up.map(|from| (from, dir, bytes)));
+            s.sends.extend(down.map(|to| (to, dir, bytes)));
         }
-        if k >= 1 {
-            for dir in 0..dirs {
-                if let Some(to) = topo.downstream(rank, dir) {
-                    ops.push(PlanOp::PostSend {
-                        to,
-                        tag: topo.tag(k - 1, dir),
-                        len: topo.face_len(rank, dir, k - 1),
-                        step: k - 1,
-                    });
-                }
-            }
-        }
-        for dir in 0..dirs {
-            if let Some(from) = topo.upstream(rank, dir) {
-                ops.push(PlanOp::WaitRecv {
-                    from,
-                    tag: topo.tag(k, dir),
-                    step: k,
-                });
-            }
-        }
-        ops.push(PlanOp::Compute { step: k });
-        if k >= 1 {
-            for dir in 0..dirs {
-                if topo.downstream(rank, dir).is_some() {
-                    ops.push(PlanOp::WaitSend { step: k - 1 });
-                }
-            }
-        }
-    }
-    for dir in 0..dirs {
-        if let Some(to) = topo.downstream(rank, dir) {
-            ops.push(PlanOp::PostSend {
-                to,
-                tag: topo.tag(steps - 1, dir),
-                len: topo.face_len(rank, dir, steps - 1),
-                step: steps - 1,
-            });
-            ops.push(PlanOp::WaitSend { step: steps - 1 });
-        }
+        s
     }
 }

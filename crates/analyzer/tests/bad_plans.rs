@@ -1,43 +1,22 @@
 //! The analyzer's acceptance gauntlet: four known-bad inputs, each of
 //! which must be rejected with its *specific* typed error — never a
-//! hang, never a generic failure.
+//! hang, never a generic failure. Programs carry bytes; the analyzer
+//! reports elements of four bytes each.
 
-use analyzer::{
-    check_comm_plan, check_schedule, AnalysisError, CommPlan, PlanOp, RankProgram, WaitPoint,
-};
+use analyzer::{check_comm_plan, check_schedule, AnalysisError, WaitPoint};
+use cluster_sim::program::Program;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::schedule::{StepPlan, StepStrategy};
-
-fn world(programs: Vec<Vec<PlanOp>>) -> CommPlan {
-    CommPlan {
-        programs: programs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, ops)| RankProgram { rank, ops })
-            .collect(),
-    }
-}
 
 /// Bad input 1: sender stages tag 5, receiver expects tag 7 on the
 /// same channel and step.
 #[test]
 fn mismatched_tag_plan_is_rejected() {
-    let plan = world(vec![
-        vec![PlanOp::Send {
-            to: 1,
-            tag: 5,
-            len: 8,
-            step: 0,
-        }],
-        vec![PlanOp::Recv {
-            from: 0,
-            tag: 7,
-            len: 8,
-            step: 0,
-        }],
-    ]);
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.send(1, 5, 32);
+    b.recv(0, 7, 32);
     assert_eq!(
-        check_comm_plan(&plan),
+        check_comm_plan(&[a, b]),
         Err(AnalysisError::TagMismatch {
             from: 0,
             to: 1,
@@ -51,20 +30,12 @@ fn mismatched_tag_plan_is_rejected() {
 /// Bad input 2: a send whose peer never posts any receive.
 #[test]
 fn send_without_receive_is_rejected() {
-    let plan = world(vec![
-        vec![
-            PlanOp::Compute { step: 0 },
-            PlanOp::Send {
-                to: 1,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-        ],
-        vec![PlanOp::Compute { step: 0 }],
-    ]);
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.compute(0.0, 0);
+    a.send(1, 0, 16);
+    b.compute(0.0, 0);
     assert_eq!(
-        check_comm_plan(&plan),
+        check_comm_plan(&[a, b]),
         Err(AnalysisError::UnmatchedSend {
             from: 0,
             to: 1,
@@ -80,38 +51,13 @@ fn send_without_receive_is_rejected() {
 /// execution wedges and SCC analysis names the cycle.
 #[test]
 fn cyclic_wait_for_graph_is_rejected_as_deadlock() {
-    let plan = world(vec![
-        vec![
-            PlanOp::Recv {
-                from: 1,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Send {
-                to: 1,
-                tag: 1,
-                len: 4,
-                step: 0,
-            },
-        ],
-        vec![
-            PlanOp::Recv {
-                from: 0,
-                tag: 1,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Send {
-                to: 0,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-        ],
-    ]);
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.recv(1, 0, 16);
+    a.send(1, 1, 16);
+    b.recv(0, 1, 16);
+    b.send(0, 0, 16);
     assert_eq!(
-        check_comm_plan(&plan),
+        check_comm_plan(&[a, b]),
         Err(AnalysisError::Deadlock {
             cycle: vec![
                 WaitPoint {
@@ -164,20 +110,17 @@ fn overlap_ordering_violation_is_rejected() {
 }
 
 /// A receive with no matching send anywhere — distinct from the
-/// deadlock case (which only fires when matching succeeds).
+/// deadlock case (which only fires when matching succeeds). Step 0 of
+/// the channel matches; step 1 is the starved one.
 #[test]
 fn receive_without_send_is_rejected() {
-    let plan = world(vec![
-        vec![PlanOp::Compute { step: 0 }],
-        vec![PlanOp::Recv {
-            from: 0,
-            tag: 2,
-            len: 4,
-            step: 1,
-        }],
-    ]);
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.compute(0.0, 0);
+    a.send(1, 0, 16);
+    b.recv(0, 0, 16);
+    b.recv(0, 2, 16);
     assert_eq!(
-        check_comm_plan(&plan),
+        check_comm_plan(&[a, b]),
         Err(AnalysisError::UnmatchedReceive {
             rank: 1,
             from: 0,
@@ -192,38 +135,13 @@ fn receive_without_send_is_rejected() {
 /// with different payload sizes must still be caught.
 #[test]
 fn reused_tag_with_diverging_sizes_is_rejected() {
-    let plan = world(vec![
-        vec![
-            PlanOp::Send {
-                to: 1,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Send {
-                to: 1,
-                tag: 0,
-                len: 6,
-                step: 1,
-            },
-        ],
-        vec![
-            PlanOp::Recv {
-                from: 0,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Recv {
-                from: 0,
-                tag: 0,
-                len: 4,
-                step: 1,
-            },
-        ],
-    ]);
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.send(1, 0, 16);
+    a.send(1, 0, 24);
+    b.recv(0, 0, 16);
+    b.recv(0, 0, 16);
     assert_eq!(
-        check_comm_plan(&plan),
+        check_comm_plan(&[a, b]),
         Err(AnalysisError::SizeMismatch {
             from: 0,
             to: 1,

@@ -4,21 +4,10 @@
 //! the exact `Display` rendering — the string operators grep in chaos
 //! logs, which must not drift silently.
 
-use analyzer::{
-    check_comm_plan, check_schedule, AnalysisError, CommPlan, PlanOp, RankProgram, WaitPoint,
-};
+use analyzer::{check_comm_plan, check_schedule, AnalysisError, WaitPoint};
+use cluster_sim::program::Program;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::schedule::{StepPlan, StepStrategy};
-
-fn world(programs: Vec<Vec<PlanOp>>) -> CommPlan {
-    CommPlan {
-        programs: programs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, ops)| RankProgram { rank, ops })
-            .collect(),
-    }
-}
 
 #[test]
 fn illegal_schedule_variant_and_display() {
@@ -62,21 +51,10 @@ fn overlap_ordering_violation_variant_and_display() {
 
 #[test]
 fn tag_mismatch_variant_and_display() {
-    let plan = world(vec![
-        vec![PlanOp::Send {
-            to: 1,
-            tag: 5,
-            len: 8,
-            step: 0,
-        }],
-        vec![PlanOp::Recv {
-            from: 0,
-            tag: 7,
-            len: 8,
-            step: 0,
-        }],
-    ]);
-    let err = check_comm_plan(&plan).expect_err("tag 5 staged, tag 7 expected");
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.send(1, 5, 32);
+    b.recv(0, 7, 32);
+    let err = check_comm_plan(&[a, b]).expect_err("tag 5 staged, tag 7 expected");
     assert_eq!(
         err,
         AnalysisError::TagMismatch {
@@ -96,21 +74,15 @@ fn tag_mismatch_variant_and_display() {
 
 #[test]
 fn size_mismatch_variant_and_display() {
-    let plan = world(vec![
-        vec![PlanOp::Send {
-            to: 1,
-            tag: 3,
-            len: 6,
-            step: 2,
-        }],
-        vec![PlanOp::Recv {
-            from: 0,
-            tag: 3,
-            len: 4,
-            step: 2,
-        }],
-    ]);
-    let err = check_comm_plan(&plan).expect_err("6 elements staged, 4 expected");
+    // Steps 0 and 1 of the channel match; step 2 disagrees.
+    let (mut a, mut b) = (Program::new(), Program::new());
+    for tag in 1..=2 {
+        a.send(1, tag, 16);
+        b.recv(0, tag, 16);
+    }
+    a.send(1, 3, 24);
+    b.recv(0, 3, 16);
+    let err = check_comm_plan(&[a, b]).expect_err("6 elements staged, 4 expected");
     assert_eq!(
         err,
         AnalysisError::SizeMismatch {
@@ -131,16 +103,13 @@ fn size_mismatch_variant_and_display() {
 
 #[test]
 fn unmatched_send_variant_and_display() {
-    let plan = world(vec![
-        vec![PlanOp::Send {
-            to: 1,
-            tag: 9,
-            len: 4,
-            step: 1,
-        }],
-        vec![PlanOp::Compute { step: 1 }],
-    ]);
-    let err = check_comm_plan(&plan).expect_err("no receive ever consumes tag 9");
+    // Step 0 of the channel matches; step 1 is never received.
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.send(1, 8, 16);
+    a.send(1, 9, 16);
+    b.recv(0, 8, 16);
+    b.compute(0.0, 1);
+    let err = check_comm_plan(&[a, b]).expect_err("no receive ever consumes tag 9");
     assert_eq!(
         err,
         AnalysisError::UnmatchedSend {
@@ -158,16 +127,13 @@ fn unmatched_send_variant_and_display() {
 
 #[test]
 fn unmatched_receive_variant_and_display() {
-    let plan = world(vec![
-        vec![PlanOp::Compute { step: 0 }],
-        vec![PlanOp::Recv {
-            from: 0,
-            tag: 2,
-            len: 4,
-            step: 1,
-        }],
-    ]);
-    let err = check_comm_plan(&plan).expect_err("no send ever satisfies tag 2");
+    // Step 0 of the channel matches; step 1 is never sent.
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.compute(0.0, 0);
+    a.send(1, 1, 16);
+    b.recv(0, 1, 16);
+    b.recv(0, 2, 16);
+    let err = check_comm_plan(&[a, b]).expect_err("no send ever satisfies tag 2");
     assert_eq!(
         err,
         AnalysisError::UnmatchedReceive {
@@ -188,37 +154,12 @@ fn unmatched_receive_variant_and_display() {
 fn deadlock_variant_and_display() {
     // Every message has a matching peer, but each rank's blocking
     // receive precedes the send its peer waits on: a two-rank cycle.
-    let plan = world(vec![
-        vec![
-            PlanOp::Recv {
-                from: 1,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Send {
-                to: 1,
-                tag: 1,
-                len: 4,
-                step: 0,
-            },
-        ],
-        vec![
-            PlanOp::Recv {
-                from: 0,
-                tag: 1,
-                len: 4,
-                step: 0,
-            },
-            PlanOp::Send {
-                to: 0,
-                tag: 0,
-                len: 4,
-                step: 0,
-            },
-        ],
-    ]);
-    let err = check_comm_plan(&plan).expect_err("mutual blocking receives must wedge");
+    let (mut a, mut b) = (Program::new(), Program::new());
+    a.recv(1, 0, 16);
+    a.send(1, 1, 16);
+    b.recv(0, 1, 16);
+    b.send(0, 0, 16);
+    let err = check_comm_plan(&[a, b]).expect_err("mutual blocking receives must wedge");
     assert_eq!(
         err,
         AnalysisError::Deadlock {

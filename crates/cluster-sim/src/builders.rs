@@ -16,19 +16,23 @@
 //! neighboring processor"), with exact byte counts even for boundary
 //! tiles clipped by the iteration space.
 //!
-//! Both builders emit from one per-rank description (`RankSteps`):
-//! neighbour offsets are resolved to ranks once, and what a step
-//! receives, computes and sends is worked out once per distinct *shape*.
-//! Step `k` depends on `k` only through how the space clips tiles `k`
-//! and `k+1` along the mapping dimension (a message's consumer range
-//! starts in the tile after its producer's), so a rank has a handful of
-//! shapes — first, interior, before a partial last tile, last — however
-//! many steps it runs.
+//! Both builders are [`Program::pipeline`] — the one emitter of the
+//! `ProcB`/`ProcNB` op sequence, which pre-flight analysis uses too —
+//! over a per-rank [`StepSource`] (`RankSteps`): neighbour offsets are
+//! resolved to ranks once, and what a step receives, computes and sends
+//! is worked out once per distinct *shape*. Step `k` depends on `k`
+//! only through how the space clips tiles `k` and `k+1` along the
+//! mapping dimension (a message's consumer range starts in the tile
+//! after its producer's), so a rank has a handful of shapes — first,
+//! interior, before a partial last tile, last — however many steps it
+//! runs. The message of step `k` to neighbour offset `qi` travels under
+//! tag `k·|offsets| + qi`.
 
-use crate::program::{Program, Rank, ReqId};
+use crate::program::{Program, Rank, StepShape, StepSource};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::{MachineParams, NodeSpeeds};
 use tiling_core::mapping::ProcessorMapping;
+use tiling_core::schedule::StepStrategy;
 use tiling_core::space::IterationSpace;
 use tiling_core::tiling::Tiling;
 
@@ -299,11 +303,6 @@ impl ClusterProblem {
         Some(rank)
     }
 
-    /// Message tag for (sender mapping-step `k`, neighbor-offset index).
-    fn tag(&self, k: i64, qi: usize) -> u64 {
-        (k as u64) * self.proc_offsets.len() as u64 + qi as u64
-    }
-
     /// How the iteration space clips the tile at mapping step `k`,
     /// relative to the tile's own origin; `None` for a step outside the
     /// space (in particular `k = steps`, the consumer of the last tile).
@@ -318,101 +317,24 @@ impl ClusterProblem {
 
     /// Build the blocking (`ProcB`) program of every rank.
     pub fn blocking_programs(&self, machine: &MachineParams) -> Vec<Program> {
-        let steps = self.steps();
-        let mut programs = Vec::with_capacity(self.ranks());
-        for cross in self.cross_coords() {
-            let mut rank = RankSteps::new(self, machine, &cross);
-            let mut p = Program::with_capacity(steps as usize * (1 + 2 * self.proc_offsets.len()));
-            for k in 0..steps {
-                let step = rank.step(k);
-                // Receive from every in-neighbor that actually sends.
-                for &(src, qi, bytes) in &step.recvs {
-                    p.recv(src, self.tag(k, qi), bytes);
-                }
-                if let Some(us) = step.compute_us {
-                    p.compute(us, k as u64);
-                }
-                // Send to every out-neighbor.
-                for &(dst, qi, bytes) in &step.sends {
-                    p.send(dst, self.tag(k, qi), bytes);
-                }
-            }
-            programs.push(p);
-        }
-        programs
+        self.programs(StepStrategy::Blocking, machine)
     }
 
     /// Build the overlapping (`ProcNB`) program of every rank.
-    ///
-    /// Structure per pipeline step `k` (after a prologue posting the
-    /// receives for step 0):
-    ///
-    /// 1. post `Irecv`s for the inputs of tile `k+1`,
-    /// 2. post `Isend`s of the results of tile `k−1`,
-    /// 3. wait the receives for tile `k`, compute tile `k`,
-    /// 4. wait the sends of tile `k−1` (buffers reusable).
     pub fn overlapping_programs(&self, machine: &MachineParams) -> Vec<Program> {
-        let steps = self.steps();
-        let mut programs = Vec::with_capacity(self.ranks());
-        // Requests in flight: the receives of the step about to be
-        // computed, those of the step after it, the previous sends.
-        let (mut recv_reqs, mut next_recv_reqs, mut send_reqs) =
-            (Vec::new(), Vec::new(), Vec::new());
-        for cross in self.cross_coords() {
-            let mut rank = RankSteps::new(self, machine, &cross);
-            let mut p = Program::with_capacity(steps as usize * (1 + 4 * self.proc_offsets.len()));
-            let post_recvs =
-                |p: &mut Program, rank: &mut RankSteps<'_>, k: i64, reqs: &mut Vec<ReqId>| {
-                    for &(src, qi, bytes) in &rank.step(k).recvs {
-                        reqs.push(p.irecv(src, self.tag(k, qi), bytes));
-                    }
-                };
-            let post_sends =
-                |p: &mut Program, rank: &mut RankSteps<'_>, k: i64, reqs: &mut Vec<ReqId>| {
-                    for &(dst, qi, bytes) in &rank.step(k).sends {
-                        reqs.push(p.isend(dst, self.tag(k, qi), bytes));
-                    }
-                };
-            // Prologue: receives for step 0.
-            post_recvs(&mut p, &mut rank, 0, &mut recv_reqs);
-            for k in 0..steps {
-                if k + 1 < steps {
-                    post_recvs(&mut p, &mut rank, k + 1, &mut next_recv_reqs);
-                }
-                if k >= 1 {
-                    post_sends(&mut p, &mut rank, k - 1, &mut send_reqs);
-                }
-                for r in recv_reqs.drain(..) {
-                    p.wait(r);
-                }
-                std::mem::swap(&mut recv_reqs, &mut next_recv_reqs);
-                if let Some(us) = rank.step(k).compute_us {
-                    p.compute(us, k as u64);
-                }
-                for r in send_reqs.drain(..) {
-                    p.wait(r);
-                }
-            }
-            // Epilogue: ship the last tile's results.
-            post_sends(&mut p, &mut rank, steps - 1, &mut send_reqs);
-            for r in send_reqs.drain(..) {
-                p.wait(r);
-            }
-            programs.push(p);
-        }
-        programs
+        self.programs(StepStrategy::Overlap, machine)
     }
-}
 
-/// A grouped message of a step: `(peer rank, neighbour-offset index, bytes)`.
-type Message = (Rank, usize, u64);
-
-/// What one pipeline step of one rank does, empty messages left out.
-struct StepShape {
-    recvs: Vec<Message>,
-    /// Baseline tile compute time; `None` for an empty tile.
-    compute_us: Option<f64>,
-    sends: Vec<Message>,
+    /// [`Program::pipeline`] of every rank, in rank order; a face's
+    /// direction is its neighbour-offset index.
+    fn programs(&self, strategy: StepStrategy, machine: &MachineParams) -> Vec<Program> {
+        let tag = |k: usize, qi: usize| (k * self.proc_offsets.len() + qi) as u64;
+        (self.cross_coords().iter())
+            .map(|cross| {
+                Program::pipeline(strategy, &mut RankSteps::new(self, machine, cross), tag)
+            })
+            .collect()
+    }
 }
 
 /// How the space clips tiles `k` and `k+1` along the mapping dimension
@@ -420,7 +342,7 @@ struct StepShape {
 type ShapeKey = (Option<(i64, i64)>, Option<(i64, i64)>);
 
 /// One rank's pipeline: neighbours resolved once, steps described once
-/// per [`ShapeKey`].
+/// per [`ShapeKey`], empty messages left out.
 struct RankSteps<'a> {
     problem: &'a ClusterProblem,
     machine: &'a MachineParams,
@@ -449,20 +371,6 @@ impl<'a> RankSteps<'a> {
         }
     }
 
-    /// The description of step `k`.
-    fn step(&mut self, k: i64) -> &StepShape {
-        let p = self.problem;
-        let key = (p.mapping_clip(k), p.mapping_clip(k + 1));
-        let at = match self.shapes.iter().position(|(have, _)| *have == key) {
-            Some(at) => at,
-            None => {
-                self.shapes.push((key, self.describe(k)));
-                self.shapes.len() - 1
-            }
-        };
-        &self.shapes[at].1
-    }
-
     /// Work out step `k` from the per-tile functions.
     fn describe(&self, k: i64) -> StepShape {
         let p = self.problem;
@@ -487,9 +395,28 @@ impl<'a> RankSteps<'a> {
         let points = p.tile_points(&tile);
         StepShape {
             recvs,
-            compute_us: (points > 0).then(|| self.machine.tile_compute_us(points)),
             sends,
+            compute_us: (points > 0).then(|| self.machine.tile_compute_us(points)),
         }
+    }
+}
+
+impl StepSource for RankSteps<'_> {
+    fn steps(&self) -> usize {
+        self.problem.steps() as usize
+    }
+
+    fn step(&mut self, k: usize) -> &StepShape {
+        let (p, k) = (self.problem, k as i64);
+        let key = (p.mapping_clip(k), p.mapping_clip(k + 1));
+        let at = match self.shapes.iter().position(|(have, _)| *have == key) {
+            Some(at) => at,
+            None => {
+                self.shapes.push((key, self.describe(k)));
+                self.shapes.len() - 1
+            }
+        };
+        &self.shapes[at].1
     }
 }
 

@@ -204,6 +204,15 @@ fn cost(rank: Rank, us: f64) -> Result<SimTime, SimError> {
     })
 }
 
+/// `start + d` on `rank`'s clock: a time past [`SimTime::MAX`] is a bad
+/// cost, not a panic.
+fn after(rank: Rank, start: SimTime, d: SimTime) -> Result<SimTime, SimError> {
+    start.checked_add(d).ok_or_else(|| SimError::BadCost {
+        rank,
+        detail: format!("sim time overflows u64 nanoseconds: {start} + {d}"),
+    })
+}
+
 /// What a message of `bytes` bytes costs on each lane. Priced at the
 /// first use of a size — a run has a handful — so a bad cost surfaces
 /// at the op that first needs it.
@@ -539,7 +548,7 @@ impl Engine {
                         self.ranks[dst].rx_free.max(self.ranks[dst].tx_free)
                     };
                     let start = lane_free.max(item.time);
-                    let ready = start + b1b2;
+                    let ready = after(dst, start, b1b2)?;
                     self.ranks[dst].rx_free = ready;
                     if !self.cfg.duplex {
                         self.ranks[dst].tx_free = ready;
@@ -604,12 +613,12 @@ impl Engine {
             self.ranks[rank].tx_free.max(self.ranks[rank].rx_free)
         };
         let start = lane_free.max(now);
-        let fill_done = start + b3;
+        let fill_done = after(rank, start, b3)?;
         let wire_start = match self.cfg.topology {
             NetworkTopology::Switched => fill_done,
             NetworkTopology::SharedBus => fill_done.max(self.bus_free),
         };
-        let tx_done = wire_start + b4;
+        let tx_done = after(rank, wire_start, b4)?;
         if self.cfg.topology == NetworkTopology::SharedBus {
             self.bus_free = tx_done;
         }
@@ -621,7 +630,10 @@ impl Engine {
         // Local completion: the send buffer is reusable.
         self.ranks[rank].reqs[req.0 as usize] = Some(ReqState::Done(tx_done));
         let (src, pc) = (rank as u32, pc as u32);
-        self.push(tx_done + self.wire_latency, Ev::Arrive { src, pc });
+        self.push(
+            after(rank, tx_done, self.wire_latency)?,
+            Ev::Arrive { src, pc },
+        );
         Ok(())
     }
 
@@ -653,12 +665,12 @@ impl Engine {
                 // the later of (arrival, block start).
                 let resume = self.ranks[dst].now.max(ready);
                 self.record_cpu(dst, Activity::Idle, self.ranks[dst].now, resume);
-                let copy = self.price(dst, bytes)?.startup;
-                self.record_cpu(dst, Activity::BlockingRecv, resume, resume + copy);
-                self.ranks[dst].now = resume + copy;
+                let copied = after(dst, resume, self.price(dst, bytes)?.startup)?;
+                self.record_cpu(dst, Activity::BlockingRecv, resume, copied);
+                self.ranks[dst].now = copied;
                 self.ranks[dst].blocked = None;
                 self.ranks[dst].pc += 1;
-                self.push_run(dst, resume + copy);
+                self.push_run(dst, copied);
                 return Ok(());
             }
         }
@@ -708,7 +720,7 @@ impl Engine {
         match op {
             Op::Compute { us, .. } => {
                 let start = self.ranks[rank].now;
-                let end = start + cost(rank, us / self.speeds.factor(rank))?;
+                let end = after(rank, start, cost(rank, us / self.speeds.factor(rank))?)?;
                 self.record_cpu(rank, Activity::Compute, start, end);
                 self.ranks[rank].now = end;
             }
@@ -716,8 +728,7 @@ impl Engine {
                 // A₁ on the CPU; the NIC is booked when it ends, so the
                 // booking can't jump the wall clock.
                 let start = self.ranks[rank].now;
-                let a1 = self.price(rank, bytes)?.post;
-                let cpu_done = start + a1;
+                let cpu_done = after(rank, start, self.price(rank, bytes)?.post)?;
                 self.record_cpu(rank, Activity::PostSend, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
                 deferred = Deferred::BookTx;
@@ -730,8 +741,7 @@ impl Engine {
             } => {
                 // A₃ on the CPU.
                 let start = self.ranks[rank].now;
-                let a3 = self.price(rank, bytes)?.post;
-                let cpu_done = start + a3;
+                let cpu_done = after(rank, start, self.price(rank, bytes)?.post)?;
                 self.record_cpu(rank, Activity::PostRecv, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
                 // Early arrival?
@@ -777,12 +787,12 @@ impl Engine {
                 // bus the wire portion also waits for the medium.
                 let price = self.price(rank, bytes)?;
                 let start = self.ranks[rank].now;
-                let fills_done = start + price.startup;
+                let fills_done = after(rank, start, price.startup)?;
                 let wire_start = match self.cfg.topology {
                     NetworkTopology::Switched => fills_done,
                     NetworkTopology::SharedBus => fills_done.max(self.bus_free),
                 };
-                let end = wire_start + price.b4;
+                let end = after(rank, wire_start, price.b4)?;
                 if self.cfg.topology == NetworkTopology::SharedBus {
                     self.bus_free = end;
                 }
@@ -790,7 +800,7 @@ impl Engine {
                 self.ranks[rank].now = end;
                 if self.wire_latency > SimTime::ZERO {
                     let (src, pc) = (rank as u32, pc as u32);
-                    self.push(end + self.wire_latency, Ev::Direct { src, pc });
+                    self.push(after(rank, end, self.wire_latency)?, Ev::Direct { src, pc });
                 } else {
                     deferred = Deferred::Deliver;
                 }
@@ -811,9 +821,9 @@ impl Engine {
                 let now = self.ranks[rank].now;
                 let resume = now.max(ready);
                 self.record_cpu(rank, Activity::Idle, now, resume);
-                let copy = self.price(rank, bytes)?.startup;
-                self.record_cpu(rank, Activity::BlockingRecv, resume, resume + copy);
-                self.ranks[rank].now = resume + copy;
+                let copied = after(rank, resume, self.price(rank, bytes)?.startup)?;
+                self.record_cpu(rank, Activity::BlockingRecv, resume, copied);
+                self.ranks[rank].now = copied;
             }
         }
         self.ranks[rank].pc += 1;
@@ -1203,6 +1213,13 @@ mod tests {
             bad(machine(&|m| m.fill_kernel_buffer = fill(v)), 1.0);
         }
         bad(cfg(), 1e300);
+        // Each compute fits in a SimTime and validates; their sum does not.
+        let mut p = Program::new();
+        p.compute(1.0e16, 0);
+        p.compute(1.0e16, 1);
+        assert_eq!(p.validate(), Ok(()));
+        let err = simulate(cfg(), vec![p]).unwrap_err();
+        assert!(matches!(err, SimError::BadCost { rank: 0, .. }), "{err:?}");
     }
 
     #[test]

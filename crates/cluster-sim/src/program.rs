@@ -4,10 +4,18 @@
 //! simulator is awkward in Rust, so the simulator instead *interprets*
 //! a straight-line program of message-passing operations per rank —
 //! exactly the shape of the paper's `ProcB` (blocking) and `ProcNB`
-//! (non-blocking) pseudocode in §5. Loops are unrolled by the program
-//! builders in [`crate::builders`].
+//! (non-blocking) pseudocode in §5.
+//!
+//! [`Program::pipeline`] is the one place that loop is written: it
+//! unrolls a rank's pipeline, described step by step by a
+//! [`StepSource`], into that op sequence. The simulator's builders
+//! ([`crate::builders`]) and the `analyzer` crate's pre-flight both
+//! emit through it, so the program pre-flight checks is the program the
+//! simulator prices.
 
 use std::fmt;
+use std::ops::Range;
+use tiling_core::schedule::StepStrategy;
 
 /// A process rank.
 pub type Rank = usize;
@@ -88,7 +96,124 @@ pub struct Program {
     next_req: u32,
 }
 
+/// A face a pipeline step exchanges: `(peer rank, direction, bytes)`.
+/// The direction indexes the source's own faces and, with the step,
+/// names the message's tag.
+pub type Face = (Rank, usize, u64);
+
+/// What one pipeline step of one rank receives, computes and sends.
+#[derive(Clone, Debug, Default)]
+pub struct StepShape {
+    /// Faces received before the tile computes, in direction order.
+    pub recvs: Vec<Face>,
+    /// Faces of the tile's results, in direction order.
+    pub sends: Vec<Face>,
+    /// The tile's compute time in µs; `None` for an empty tile.
+    pub compute_us: Option<f64>,
+}
+
+/// One rank's pipeline, described step by step.
+pub trait StepSource {
+    /// Pipeline steps (tiles along the mapping dimension).
+    fn steps(&self) -> usize;
+
+    /// The shape of step `k < steps()`.
+    fn step(&mut self, k: usize) -> &StepShape;
+}
+
 impl Program {
+    /// The §5 program of one rank's pipeline: `ProcB` for
+    /// [`StepStrategy::Blocking`] — per step *receive → compute → send*
+    /// with blocking primitives — and `ProcNB` for
+    /// [`StepStrategy::Overlap`]: after a prologue posting the receives
+    /// of step 0, each step `k`
+    ///
+    /// 1. posts `Irecv`s for the inputs of tile `k+1`,
+    /// 2. posts `Isend`s of the results of tile `k−1`,
+    /// 3. waits the receives of tile `k`, computes tile `k`,
+    /// 4. waits the sends of tile `k−1` (buffers reusable),
+    ///
+    /// and an epilogue posts every send of the last tile, then waits
+    /// them. `tag(k, dir)` is the tag of the `dir`-face of step `k`. A
+    /// pipeline of no steps is the empty program.
+    pub fn pipeline(
+        strategy: StepStrategy,
+        src: &mut impl StepSource,
+        tag: impl Fn(usize, usize) -> u64,
+    ) -> Program {
+        let steps = src.steps();
+        if steps == 0 {
+            return Program::new();
+        }
+        let first = src.step(0);
+        let faces = first.recvs.len() + first.sends.len();
+        match strategy {
+            StepStrategy::Blocking => {
+                let mut p = Program::with_capacity(steps * (1 + faces));
+                for k in 0..steps {
+                    let step = src.step(k);
+                    for &(from, dir, bytes) in &step.recvs {
+                        p.recv(from, tag(k, dir), bytes);
+                    }
+                    if let Some(us) = step.compute_us {
+                        p.compute(us, k as u64);
+                    }
+                    for &(to, dir, bytes) in &step.sends {
+                        p.send(to, tag(k, dir), bytes);
+                    }
+                }
+                p
+            }
+            StepStrategy::Overlap => {
+                let mut p = Program::with_capacity(steps * (1 + 2 * faces));
+                let mut recvs = p.post(&src.step(0).recvs, 0, &tag, Program::irecv);
+                for k in 0..steps {
+                    let next = if k + 1 < steps {
+                        p.post(&src.step(k + 1).recvs, k + 1, &tag, Program::irecv)
+                    } else {
+                        0..0
+                    };
+                    let sent = if k >= 1 {
+                        p.post(&src.step(k - 1).sends, k - 1, &tag, Program::isend)
+                    } else {
+                        0..0
+                    };
+                    p.wait_all(std::mem::replace(&mut recvs, next));
+                    if let Some(us) = src.step(k).compute_us {
+                        p.compute(us, k as u64);
+                    }
+                    p.wait_all(sent);
+                }
+                let sent = p.post(&src.step(steps - 1).sends, steps - 1, &tag, Program::isend);
+                p.wait_all(sent);
+                p
+            }
+        }
+    }
+
+    /// Post `faces` of step `k` through `op` (`irecv` or `isend`): the
+    /// requests they got, which are consecutive.
+    fn post(
+        &mut self,
+        faces: &[Face],
+        k: usize,
+        tag: &impl Fn(usize, usize) -> u64,
+        op: fn(&mut Program, Rank, u64, u64) -> ReqId,
+    ) -> Range<u32> {
+        let first = self.next_req;
+        for &(peer, dir, bytes) in faces {
+            op(self, peer, tag(k, dir), bytes);
+        }
+        first..self.next_req
+    }
+
+    /// `Wait` on every request of `reqs`, in order.
+    fn wait_all(&mut self, reqs: Range<u32>) {
+        for req in reqs {
+            self.wait(ReqId(req));
+        }
+    }
+
     /// An empty program.
     pub fn new() -> Self {
         Program::default()

@@ -5,11 +5,14 @@
 //! re-derives every step of every rank from the unchanged public
 //! per-tile functions ([`ClusterProblem::tile_points`],
 //! [`ClusterProblem::message_points`]) and demands the programs be
-//! op-for-op what the §5 `ProcB` / `ProcNB` structure says — over
-//! spaces whose first *and* last tiles are clipped on every axis,
-//! `V ≥ extent`, `V = 1`, both schedules.
+//! op-for-op what the one §5 `ProcB` / `ProcNB` emitter,
+//! [`Program::pipeline`], makes of those steps — over spaces whose
+//! first *and* last tiles are clipped on every axis, `V ≥ extent`,
+//! `V = 1`, both schedules. The emitter's own op order is pinned by
+//! `golden_programs`.
 
 use cluster_sim::prelude::*;
+use cluster_sim::program::{StepShape, StepSource};
 use proptest::prelude::*;
 use tiling_core::machine::MachineParams;
 use tiling_core::prelude::*;
@@ -118,35 +121,23 @@ fn tile_at(p: &ClusterProblem, cross: &[i64], k: i64) -> Vec<i64> {
 
 /// What step `k` of the rank at `cross` receives, computes and sends,
 /// straight from the per-tile functions.
-struct Step {
-    recvs: Vec<(usize, u64, u64)>,
-    compute_us: Option<f64>,
-    sends: Vec<(usize, u64, u64)>,
-}
-
-fn step(p: &ClusterProblem, m: &MachineParams, cross: &[i64], k: i64) -> Step {
-    let noff = p.proc_offsets().len() as u64;
+fn step(p: &ClusterProblem, m: &MachineParams, cross: &[i64], k: i64) -> StepShape {
     let elem = u64::from(m.bytes_per_elem);
     let tile = tile_at(p, cross, k);
-    let mut s = Step {
-        recvs: Vec::new(),
-        compute_us: None,
-        sends: Vec::new(),
-    };
+    let mut s = StepShape::default();
     for (qi, q) in p.proc_offsets().iter().enumerate() {
-        let tag = k as u64 * noff + qi as u64;
         let src_cross: Vec<i64> = cross.iter().zip(q).map(|(c, o)| c - o).collect();
         if let Some(src) = rank_of(p, &src_cross) {
             let bytes = p.message_points(&tile_at(p, &src_cross, k), q) as u64 * elem;
             if bytes > 0 {
-                s.recvs.push((src, tag, bytes));
+                s.recvs.push((src, qi, bytes));
             }
         }
         let dst_cross: Vec<i64> = cross.iter().zip(q).map(|(c, o)| c + o).collect();
         if let Some(dst) = rank_of(p, &dst_cross) {
             let bytes = p.message_points(&tile, q) as u64 * elem;
             if bytes > 0 {
-                s.sends.push((dst, tag, bytes));
+                s.sends.push((dst, qi, bytes));
             }
         }
     }
@@ -157,70 +148,32 @@ fn step(p: &ClusterProblem, m: &MachineParams, cross: &[i64], k: i64) -> Step {
     s
 }
 
-/// §5 `ProcB`: per step receive → compute → send.
-fn expected_blocking(p: &ClusterProblem, m: &MachineParams, rank: usize) -> Program {
-    let cross = cross_of(p, rank);
-    let mut prog = Program::new();
-    for k in 0..p.steps() {
-        let s = step(p, m, &cross, k);
-        for (src, tag, bytes) in s.recvs {
-            prog.recv(src, tag, bytes);
-        }
-        if let Some(us) = s.compute_us {
-            prog.compute(us, k as u64);
-        }
-        for (dst, tag, bytes) in s.sends {
-            prog.send(dst, tag, bytes);
-        }
-    }
-    prog
+/// The oracle as a step source: every step worked out afresh.
+struct Oracle<'a> {
+    p: &'a ClusterProblem,
+    m: &'a MachineParams,
+    cross: Vec<i64>,
+    shape: StepShape,
 }
 
-/// §5 `ProcNB`: receives posted one step ahead, sends one step behind.
-fn expected_overlapping(p: &ClusterProblem, m: &MachineParams, rank: usize) -> Program {
-    let cross = cross_of(p, rank);
-    let steps = p.steps();
-    let mut prog = Program::new();
-    let post_recvs = |prog: &mut Program, k: i64| -> Vec<ReqId> {
-        step(p, m, &cross, k)
-            .recvs
-            .into_iter()
-            .map(|(src, tag, bytes)| prog.irecv(src, tag, bytes))
-            .collect()
-    };
-    let post_sends = |prog: &mut Program, k: i64| -> Vec<ReqId> {
-        step(p, m, &cross, k)
-            .sends
-            .into_iter()
-            .map(|(dst, tag, bytes)| prog.isend(dst, tag, bytes))
-            .collect()
-    };
-    let mut recv_reqs = post_recvs(&mut prog, 0);
-    for k in 0..steps {
-        let next_recvs = if k + 1 < steps {
-            post_recvs(&mut prog, k + 1)
-        } else {
-            Vec::new()
-        };
-        let send_reqs = if k >= 1 {
-            post_sends(&mut prog, k - 1)
-        } else {
-            Vec::new()
-        };
-        for r in std::mem::replace(&mut recv_reqs, next_recvs) {
-            prog.wait(r);
-        }
-        if let Some(us) = step(p, m, &cross, k).compute_us {
-            prog.compute(us, k as u64);
-        }
-        for r in send_reqs {
-            prog.wait(r);
-        }
+impl StepSource for Oracle<'_> {
+    fn steps(&self) -> usize {
+        self.p.steps() as usize
     }
-    for r in post_sends(&mut prog, steps - 1) {
-        prog.wait(r);
+
+    fn step(&mut self, k: usize) -> &StepShape {
+        self.shape = step(self.p, self.m, &self.cross, k as i64);
+        &self.shape
     }
-    prog
+}
+
+/// The §5 program of `rank` from the oracle's steps, under tag
+/// `k·|offsets| + qi`.
+fn expected(p: &ClusterProblem, m: &MachineParams, rank: usize, s: StepStrategy) -> Program {
+    let (cross, shape) = (cross_of(p, rank), StepShape::default());
+    let noff = p.proc_offsets().len();
+    let tag = |k: usize, qi: usize| (k * noff + qi) as u64;
+    Program::pipeline(s, &mut Oracle { p, m, cross, shape }, tag)
 }
 
 /// Every op of every rank is what the per-tile oracle says, in the
@@ -233,10 +186,10 @@ fn check(c: &Case, p: &ClusterProblem, duplex: bool) -> Result<(), String> {
         return Err(format!("{c:?}: one program per rank expected"));
     }
     for rank in 0..p.ranks() {
-        if blocking[rank].ops() != expected_blocking(p, &m, rank).ops() {
+        if blocking[rank].ops() != expected(p, &m, rank, StepStrategy::Blocking).ops() {
             return Err(format!("{c:?}: blocking rank {rank} differs"));
         }
-        if overlap[rank].ops() != expected_overlapping(p, &m, rank).ops() {
+        if overlap[rank].ops() != expected(p, &m, rank, StepStrategy::Overlap).ops() {
             return Err(format!("{c:?}: overlapping rank {rank} differs"));
         }
         for prog in [&blocking[rank], &overlap[rank]] {

@@ -811,7 +811,9 @@ where
             timed(obs, Phase::PostRecv { dir, step: 0 }, || comm.irecv(src, t))
         });
     }
-    for k in 0..steps {
+    // The extra step `k = steps` computes nothing: it is the epilogue,
+    // which posts every face of the last tile before it waits on any.
+    for k in 0..=steps {
         // Post receives for the next tile…
         for (dir, slot) in next_recv.iter_mut().enumerate().take(dirs) {
             *slot = if k + 1 < steps {
@@ -846,7 +848,9 @@ where
                     .map_err(|e| EngineError::from_comm(rank, e))?;
             }
         }
-        timed(obs, Phase::Compute { step: k }, || ops.compute(k));
+        if k < steps {
+            timed(obs, Phase::Compute { step: k }, || ops.compute(k));
+        }
         for (dir, slot) in sends.iter_mut().enumerate().take(dirs) {
             if let Some(req) = slot.take() {
                 timed(obs, Phase::WaitSend { dir, step: k - 1 }, || {
@@ -856,27 +860,6 @@ where
             }
         }
         std::mem::swap(&mut cur_recv, &mut next_recv);
-    }
-    // Epilogue: ship the last tile's faces.
-    for dir in 0..dirs {
-        if let Some(dst) = ops.downstream(dir) {
-            let t = tag(steps - 1, ops.wire_dir(dir));
-            // A posted send always yields a request, but degrade to
-            // "nothing to wait on" rather than panicking mid-epilogue.
-            if let Some(req) = pack_send(comm, ops, obs, dst, t, dir, steps - 1, true)
-                .map_err(|e| EngineError::from_comm(rank, e))?
-            {
-                timed(
-                    obs,
-                    Phase::WaitSend {
-                        dir,
-                        step: steps - 1,
-                    },
-                    || comm.wait_send(req),
-                )
-                .map_err(|e| EngineError::from_comm(rank, e))?;
-            }
-        }
     }
     Ok(())
 }

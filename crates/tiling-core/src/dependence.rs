@@ -128,12 +128,6 @@ impl DependenceSet {
         &self.vectors[i]
     }
 
-    /// All vectors lexicographically positive ⇒ the sequential loop order
-    /// respects every dependence.
-    pub fn all_lex_positive(&self) -> bool {
-        self.vectors.iter().all(Dependence::is_lex_positive)
-    }
-
     /// The `n × m` dependence matrix `D` with one *column* per vector —
     /// the layout used by the legality condition `HD ≥ 0`.
     pub fn as_matrix(&self) -> IntMatrix {
@@ -209,7 +203,6 @@ mod tests {
         let d = DependenceSet::example_1();
         assert_eq!(d.dims(), 2);
         assert_eq!(d.len(), 3);
-        assert!(d.all_lex_positive());
         assert_eq!(d.get(0).components(), &[1, 1]);
     }
 
@@ -217,7 +210,6 @@ mod tests {
     fn paper_3d_is_unit_basis() {
         let d = DependenceSet::paper_3d();
         assert_eq!(d.len(), 3);
-        assert!(d.all_lex_positive());
         let u = DependenceSet::units(3);
         assert_eq!(d, u);
     }
@@ -252,15 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn not_lex_positive_detected() {
-        let d = DependenceSet::from_vectors(2, vec![vec![1, 0], vec![-1, 1]]);
-        assert!(!d.all_lex_positive());
-    }
-
-    #[test]
     fn empty_set() {
         let d = DependenceSet::new(3);
         assert!(d.is_empty());
-        assert!(d.all_lex_positive()); // vacuously
     }
 }

@@ -72,21 +72,6 @@ impl IntMatrix {
         m
     }
 
-    /// Build from column vectors (each of equal length).
-    pub fn from_cols(cols: &[Vec<i64>]) -> Self {
-        assert!(!cols.is_empty(), "matrix must have at least one column");
-        let rows = cols[0].len();
-        assert!(rows > 0, "columns must be non-empty");
-        let mut m = IntMatrix::zeros(rows, cols.len());
-        for (j, c) in cols.iter().enumerate() {
-            assert_eq!(c.len(), rows, "ragged columns");
-            for (i, &v) in c.iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -219,17 +204,6 @@ impl IntMatrix {
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(i, j)] = Rational::new(adj[(i, j)] as i128, d as i128);
-            }
-        }
-        out
-    }
-
-    /// Lift to a rational matrix.
-    pub fn to_rational(&self) -> RatMatrix {
-        let mut out = RatMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(i, j)] = Rational::from_int(self[(i, j)] as i128);
             }
         }
         out
@@ -553,13 +527,6 @@ mod tests {
         assert_eq!(t.cols(), 2);
         assert_eq!(t[(0, 1)], 4);
         assert_eq!(t[(2, 0)], 3);
-    }
-
-    #[test]
-    fn from_cols_matches_from_rows() {
-        let a = IntMatrix::from_cols(&[vec![1, 3], vec![2, 4]]);
-        let b = IntMatrix::from_rows(&[&[1, 2], &[3, 4]]);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -80,19 +80,9 @@ impl Rational {
         self.den
     }
 
-    /// True iff the value is an integer.
-    pub const fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// True iff the value is zero.
     pub const fn is_zero(&self) -> bool {
         self.num == 0
-    }
-
-    /// True iff the value is strictly positive.
-    pub const fn is_positive(&self) -> bool {
-        self.num > 0
     }
 
     /// True iff the value is strictly negative.
@@ -107,11 +97,6 @@ impl Rational {
     /// index space correctly for negative coordinates too.
     pub fn floor(&self) -> i128 {
         self.num.div_euclid(self.den)
-    }
-
-    /// Ceiling to the nearest integer towards +∞.
-    pub fn ceil(&self) -> i128 {
-        -(-*self).floor()
     }
 
     /// Absolute value.
@@ -304,14 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn ceil_rounds_towards_positive_infinity() {
-        assert_eq!(Rational::new(7, 2).ceil(), 4);
-        assert_eq!(Rational::new(-7, 2).ceil(), -3);
-        assert_eq!(Rational::new(6, 3).ceil(), 2);
-        assert_eq!(Rational::new(1, 10).ceil(), 1);
-    }
-
-    #[test]
     fn ordering_crosses_denominators() {
         assert!(Rational::new(1, 3) < Rational::new(1, 2));
         assert!(Rational::new(-1, 3) > Rational::new(-1, 2));
@@ -332,10 +309,9 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(Rational::new(1, 2).is_positive());
         assert!(Rational::new(-1, 2).is_negative());
-        assert!(Rational::from_int(5).is_integer());
-        assert!(!Rational::new(1, 2).is_integer());
+        assert!(!Rational::new(1, 2).is_negative());
+        assert!(!Rational::new(1, 2).is_zero());
     }
 
     #[test]
@@ -347,14 +323,5 @@ mod tests {
     #[test]
     fn to_f64() {
         assert!((Rational::new(1, 4).to_f64() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn floor_ceil_consistency_on_integers() {
-        for n in -10..10 {
-            let r = Rational::from_int(n);
-            assert_eq!(r.floor(), n);
-            assert_eq!(r.ceil(), n);
-        }
     }
 }

@@ -95,6 +95,41 @@ fn every_shipped_2d_config_passes_preflight() {
     }
 }
 
+/// The shipped 3-D layouts plus one whose last tile is partial.
+fn shipped_3d_and_partial() -> Vec<Decomp3D> {
+    let partial = Decomp3D {
+        nz: 50, // nz % v != 0: the last tile is partial
+        v: 8,
+        ..shipped_3d()[0]
+    };
+    shipped_3d().into_iter().chain([partial]).collect()
+}
+
+/// `events` and `messages` of every shipped layout's report — how many
+/// ops pre-flight walked, how many sends it matched — in the order five
+/// shipped 3-D layouts, the partial one, two 2-D; blocking, then
+/// overlapping.
+#[test]
+fn preflight_counts_are_pinned() {
+    let (mut events, mut messages) = (Vec::new(), Vec::new());
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        let reports = (shipped_3d_and_partial().into_iter())
+            .map(|d| check_plan3d(&d, mode))
+            .chain(shipped_2d().into_iter().map(|d| check_plan(&d, mode)));
+        for r in reports {
+            let r = r.expect("shipped layout is clean");
+            events.push(r.events);
+            messages.push(r.messages);
+        }
+    }
+    assert_eq!(events, PINNED_EVENTS);
+    assert_eq!(messages, [128, 64, 32, 1024, 16, 28, 9000, 15].repeat(2));
+}
+
+const PINNED_EVENTS: [usize; 16] = [
+    384, 192, 96, 3072, 48, 84, 28000, 50, 640, 320, 160, 5120, 80, 140, 46000, 80,
+];
+
 #[test]
 fn makespan_matches_schedule_length_arithmetic() {
     // §3/§4: blocking finishes after (hops + steps) time hyperplanes,
@@ -160,58 +195,39 @@ fn preflight_gate_is_transparent_to_results() {
     }
 }
 
-/// Every send the executors of `plan` actually make — `(rank, to, tag,
-/// bytes)` from a sequential recording of each rank — must be exactly
-/// the sends the plan's own layout predicts, and as many as pre-flight
-/// matched: what the analyzer proved is what runs.
-fn assert_recorded_sends_are_the_analyzed_ones<L: Layout + std::fmt::Debug>(
+/// The communication ops of a program, in program order. `Compute`
+/// segments of a recording carry measured durations and are left out.
+fn comm_ops(p: &Program) -> Vec<Op> {
+    let is_comm = |op: &&Op| !matches!(op, Op::Compute { .. });
+    p.ops().iter().filter(is_comm).cloned().collect()
+}
+
+/// What the executors of `plan` actually do on the wire — every rank's
+/// ops from a sequential recording — is exactly the program pre-flight
+/// analyzed: kind, order, peer, tag, bytes and request, op for op.
+fn assert_executors_run_the_analyzed_programs<L: Layout + std::fmt::Debug>(
     plan: &Compiled<L>,
-    programs: &[Program],
+    recorded: &[Program],
 ) {
     let (d, mode) = (plan.decomp(), plan.mode());
-    let mut recorded = Vec::new();
-    for (rank, program) in programs.iter().enumerate() {
-        for op in program.ops() {
-            if let Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } = *op {
-                recorded.push((rank, to, tag, bytes));
-            }
-        }
+    let analyzed = analyzer::programs(&d, &d.step_plan(mode));
+    assert_eq!(recorded.len(), analyzed.len(), "{d:?} {mode:?}");
+    for (rank, (rec, ana)) in recorded.iter().zip(&analyzed).enumerate() {
+        assert_eq!(comm_ops(rec), comm_ops(ana), "{d:?} {mode:?} rank {rank}");
     }
-    let mut predicted = Vec::new();
-    for rank in 0..d.ranks() {
-        for dir in 0..d.num_dirs() {
-            let Some(to) = d.downstream(rank, dir) else {
-                continue;
-            };
-            for step in 0..Layout::steps(&d) {
-                let bytes = (4 * d.face_len(rank, dir, step)) as u64;
-                predicted.push((rank, to, d.tag(step, dir), bytes));
-            }
-        }
-    }
-    recorded.sort_unstable();
-    predicted.sort_unstable();
-    let report = plan.report().expect("compiled with pre-flight");
-    assert_eq!(recorded.len(), report.messages, "{d:?} {mode:?}");
-    assert_eq!(recorded, predicted, "{d:?} {mode:?}");
 }
 
 #[test]
 fn executors_send_exactly_what_preflight_analyzed() {
-    let partial = Decomp3D {
-        nz: 50, // nz % v != 0: the last tile is partial
-        v: 8,
-        ..shipped_3d()[0]
-    };
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-        for d in shipped_3d().into_iter().chain([partial]) {
+        for d in shipped_3d_and_partial() {
             let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
             let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
                 let tier = KernelTier::Bitwise;
                 try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
                     .expect("the recorder never fails a receive")
             });
-            assert_recorded_sends_are_the_analyzed_ones(&plan, &programs);
+            assert_executors_run_the_analyzed_programs(&plan, &programs);
         }
         for d in shipped_2d() {
             let plan = Compiled2D::compile(d, mode).expect("shipped layout compiles");
@@ -219,7 +235,7 @@ fn executors_send_exactly_what_preflight_analyzed() {
                 try_run_rank2d_plan(comm, Example1, &plan, &mut NoopObserver)
                     .expect("the recorder never fails a receive")
             });
-            assert_recorded_sends_are_the_analyzed_ones(&plan, &programs);
+            assert_executors_run_the_analyzed_programs(&plan, &programs);
         }
     }
 }
