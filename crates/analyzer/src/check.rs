@@ -99,27 +99,30 @@ pub fn check_matching(programs: &[Program]) -> Result<usize, AnalysisError> {
     let mut seen: Vec<(usize, [usize; 2])> = Vec::new();
     for (rank, p) in programs.iter().enumerate() {
         seen.clear();
-        for (side, peer, tag, bytes) in p.ops().iter().filter_map(end_of) {
-            let at = match seen.iter().position(|&(q, _)| q == peer) {
-                Some(at) => at,
-                None => {
-                    seen.push((peer, [0, 0]));
-                    seen.len() - 1
-                }
-            };
-            let (from, to, list) = match side {
-                SEND => (rank, peer, &mut sends),
-                _ => (peer, rank, &mut recvs),
-            };
-            list.push(Endpoint {
-                from,
-                to,
-                tag,
-                step: seen[at].1[side],
-                len: (bytes / ELEM_BYTES) as usize,
+        // Internal iteration walks the program step by step.
+        p.ops()
+            .filter_map(end_of)
+            .for_each(|(side, peer, tag, bytes)| {
+                let at = match seen.iter().position(|&(q, _)| q == peer) {
+                    Some(at) => at,
+                    None => {
+                        seen.push((peer, [0, 0]));
+                        seen.len() - 1
+                    }
+                };
+                let (from, to, list) = match side {
+                    SEND => (rank, peer, &mut sends),
+                    _ => (peer, rank, &mut recvs),
+                };
+                list.push(Endpoint {
+                    from,
+                    to,
+                    tag,
+                    step: seen[at].1[side],
+                    len: (bytes / ELEM_BYTES) as usize,
+                });
+                seen[at].1[side] += 1;
             });
-            seen[at].1[side] += 1;
-        }
     }
     sends.sort_unstable();
     recvs.sort_unstable();
@@ -200,8 +203,8 @@ const RECV: usize = 1;
 /// `op` as one end of a message — `(side, peer, tag, bytes)` — or
 /// `None` for a `Compute` and for a `Wait`, which completes the message
 /// its `Irecv` registered (counting both would double-book it).
-fn end_of(op: &Op) -> Option<(usize, usize, Tag, u64)> {
-    match *op {
+fn end_of(op: Op) -> Option<(usize, usize, Tag, u64)> {
+    match op {
         Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } => {
             Some((SEND, to, tag, bytes))
         }
@@ -216,26 +219,33 @@ fn end_of(op: &Op) -> Option<(usize, usize, Tag, u64)> {
 /// How many message ends of each side `programs` hold.
 fn ends(programs: &[Program]) -> [usize; 2] {
     let mut n = [0; 2];
-    for (side, ..) in programs.iter().flat_map(Program::ops).filter_map(end_of) {
-        n[side] += 1;
-    }
+    (programs.iter().flat_map(Program::ops).filter_map(end_of)).for_each(|(side, ..)| n[side] += 1);
     n
 }
 
-/// The receive the op at `pc` blocks on: `(from, tag, op index)` of a
-/// `Recv`, or of the `Irecv` among `posted` — `(request, op index)` of
-/// the rank's receives posted and not yet waited — that a `Wait`
-/// completes. `None` for an op that never blocks, a `Wait` on an
-/// `Isend` among them.
-fn awaited(ops: &[Op], pc: usize, posted: &[(ReqId, usize)]) -> Option<(usize, Tag, usize)> {
-    let at = match *ops.get(pc)? {
-        Op::Recv { .. } => pc,
-        Op::Wait { req } => posted.iter().find(|&&(q, _)| q == req)?.1,
-        _ => return None,
-    };
-    match ops[at] {
-        Op::Recv { from, tag, .. } | Op::Irecv { from, tag, .. } => Some((from, tag, at)),
-        _ => None,
+/// A receive a rank has posted or is blocked in: its peer, tag and op
+/// index.
+type Awaited = (usize, Tag, usize);
+
+/// One rank's walk: its ops from the one at hand on, how many it has
+/// executed, and its receives posted and not yet waited (`Irecv`
+/// request and what it awaits).
+struct Walk<'a> {
+    ops: std::iter::Peekable<cluster_sim::program::Ops<'a>>,
+    pc: usize,
+    posted: Vec<(ReqId, Awaited)>,
+}
+
+impl Walk<'_> {
+    /// The receive the op at hand blocks on: a `Recv`'s, or that of the
+    /// `Irecv` among `posted` a `Wait` completes. `None` for an op that
+    /// never blocks, a `Wait` on an `Isend` among them.
+    fn awaited(&mut self) -> Option<Awaited> {
+        match *self.ops.peek()? {
+            Op::Recv { from, tag, .. } => Some((from, tag, self.pc)),
+            Op::Wait { req } => self.posted.iter().find(|(q, _)| *q == req).map(|p| p.1),
+            _ => None,
+        }
     }
 }
 
@@ -245,29 +255,31 @@ fn awaited(ops: &[Op], pc: usize, posted: &[(ReqId, usize)]) -> Option<(usize, T
 /// execution wedges, extract the deadlock cycle from the strongly
 /// connected components of the stuck ranks' wait-for graph.
 pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
-    let n = programs.len();
-    let mut pc = vec![0usize; n];
-    // Per rank, its receives posted and not yet waited: a few at a time.
-    let mut posted: Vec<Vec<(ReqId, usize)>> = vec![Vec::new(); n];
+    let mut walks: Vec<Walk<'_>> = (programs.iter())
+        .map(|p| Walk {
+            ops: p.ops().peekable(),
+            pc: 0,
+            posted: Vec::new(),
+        })
+        .collect();
     // Per (from, to, tag): sends executed minus receives consumed.
     let mut in_flight: HashMap<(usize, usize, Tag), i64> =
         HashMap::with_capacity(ends(programs)[SEND]);
     loop {
         let mut progressed = false;
         let mut all_done = true;
-        for r in 0..n {
-            let ops = programs[r].ops();
-            while pc[r] < ops.len() {
-                let advance = match ops[pc[r]] {
+        for (r, w) in walks.iter_mut().enumerate() {
+            while let Some(&op) = w.ops.peek() {
+                let advance = match op {
                     Op::Send { to, tag, .. } | Op::Isend { to, tag, .. } => {
                         *in_flight.entry((r, to, tag)).or_insert(0) += 1;
                         true
                     }
-                    Op::Irecv { req, .. } => {
-                        posted[r].push((req, pc[r]));
+                    Op::Irecv { from, tag, req, .. } => {
+                        w.posted.push((req, (from, tag, w.pc)));
                         true
                     }
-                    _ => match awaited(ops, pc[r], &posted[r]) {
+                    _ => match w.awaited() {
                         Some((from, tag, _)) => {
                             let slot = in_flight.entry((from, r, tag)).or_insert(0);
                             if *slot > 0 {
@@ -283,19 +295,20 @@ pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
                 if !advance {
                     break;
                 }
-                if let Op::Wait { req } = ops[pc[r]] {
-                    posted[r].retain(|&(q, _)| q != req);
+                if let Op::Wait { req } = op {
+                    w.posted.retain(|&(q, _)| q != req);
                 }
-                pc[r] += 1;
+                w.ops.next();
+                w.pc += 1;
                 progressed = true;
             }
-            all_done &= pc[r] == ops.len();
+            all_done &= w.ops.peek().is_none();
         }
         if all_done {
             return Ok(());
         }
         if !progressed {
-            return Err(deadlock_cycle(programs, &pc, &posted));
+            return Err(deadlock_cycle(programs, &mut walks));
         }
     }
 }
@@ -304,16 +317,11 @@ pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
 /// one peer) and report the first strongly connected component with a
 /// cycle; if the stuck set has none (a starvation chain into a
 /// finished rank), the whole chain is reported.
-fn deadlock_cycle(
-    programs: &[Program],
-    pc: &[usize],
-    posted: &[Vec<(ReqId, usize)>],
-) -> AnalysisError {
-    let wait: Vec<Option<WaitPoint>> = (programs.iter().enumerate())
-        .map(|(r, p)| {
-            let ops = p.ops();
-            let (from, tag, at) = awaited(ops, pc[r], &posted[r])?;
-            let step = (ops[..at].iter().filter_map(end_of))
+fn deadlock_cycle(programs: &[Program], walks: &mut [Walk<'_>]) -> AnalysisError {
+    let wait: Vec<Option<WaitPoint>> = (walks.iter_mut().enumerate())
+        .map(|(r, w)| {
+            let (from, tag, at) = w.awaited()?;
+            let step = (programs[r].ops().take(at).filter_map(end_of))
                 .filter(|&(side, peer, ..)| side == RECV && peer == from)
                 .count();
             Some(WaitPoint {

@@ -5,20 +5,25 @@
 //! (`stencil::engine::run_blocking` / `run_overlap`) and the simulator
 //! prices.
 //!
-//! Building them is cheap (`O(ranks × steps × dirs)` ops) and
-//! allocation-frugal: every program is sized from its first step and
-//! one step shape is refilled for every step of every rank, so a
-//! pre-flight check adds a constant number of allocations per rank
-//! regardless of pipeline depth — the zero-allocation discipline of the
-//! executors (`tests/zero_alloc.rs`) is preserved with the checker
-//! enabled.
+//! Building them is cheap — `O(ranks × steps × dirs)` face lengths
+//! looked up, the ops of each distinct step written once — and
+//! allocation-frugal: one step shape is refilled for the first step of
+//! each span of equal face lengths, so a pre-flight check adds a
+//! constant number of allocations per rank regardless of pipeline
+//! depth — the
+//! zero-allocation discipline of the executors (`tests/zero_alloc.rs`)
+//! is preserved with the checker enabled.
 
-use crate::error::Tag;
 use cluster_sim::program::{Program, StepShape, StepSource};
 use tiling_core::schedule::StepPlan;
 
 /// Bytes per face element: the executors exchange `f32` faces.
 pub const ELEM_BYTES: u64 = 4;
+
+/// How far a face's tag advances per step: the `dir`-face of step `k`
+/// travels under `k · TAG_STRIDE + wire_dir(dir)`, the wire protocol
+/// the executors use (`stencil::proto::tag`).
+pub const TAG_STRIDE: u64 = 2;
 
 /// Static description of a world's communication structure: who talks
 /// to whom, over which halo directions, with which face sizes. The
@@ -43,17 +48,12 @@ pub trait RankTopology {
     /// Element count of the `dir`-face of `step` as staged by `rank`
     /// (and expected by its downstream peer).
     fn face_len(&self, rank: usize, dir: usize, step: usize) -> usize;
-
-    /// The message tag of the `dir`-face of `step` — must agree with
-    /// the wire protocol the executors use (`stencil::proto::tag`).
-    fn tag(&self, step: usize, dir: usize) -> Tag {
-        (step as u64) * 2 + self.wire_dir(dir)
-    }
 }
 
 /// Every rank's program of `plan` over `topo`, indexed by rank: per
 /// step one face per existing upstream and downstream direction, in
-/// direction order, and a zero-cost compute.
+/// direction order, under the wire's tags ([`TAG_STRIDE`]), and a
+/// zero-cost compute.
 pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
     let mut faces = Faces {
         topo,
@@ -71,9 +71,9 @@ pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
             faces.links.clear();
             faces.links.extend((0..topo.num_dirs()).filter_map(|dir| {
                 let (up, down) = (topo.upstream(rank, dir), topo.downstream(rank, dir));
-                (up.is_some() || down.is_some()).then_some((dir, up, down))
+                (up.is_some() || down.is_some()).then_some((dir, topo.wire_dir(dir), up, down))
             }));
-            Program::pipeline(plan.strategy(), &mut faces, |k, dir| topo.tag(k, dir))
+            Program::pipeline(plan.strategy(), &mut faces, TAG_STRIDE)
         })
         .collect()
 }
@@ -83,8 +83,9 @@ struct Faces<'a> {
     topo: &'a dyn RankTopology,
     rank: usize,
     steps: usize,
-    /// The rank's directions with a peer: `(dir, upstream, downstream)`.
-    links: Vec<(usize, Option<usize>, Option<usize>)>,
+    /// The rank's directions with a peer: `(dir, wire direction,
+    /// upstream, downstream)`.
+    links: Vec<(usize, u64, Option<usize>, Option<usize>)>,
     shape: StepShape,
 }
 
@@ -93,14 +94,23 @@ impl StepSource for Faces<'_> {
         self.steps
     }
 
+    /// Steps whose faces are as long as step `k`'s have its shape.
+    fn same_until(&self, k: usize) -> usize {
+        let len = |dir, k| self.topo.face_len(self.rank, dir, k);
+        (self.links.iter()).fold(self.steps, |end, &(dir, ..)| {
+            let at_k = len(dir, k);
+            (k + 1..end).find(|&j| len(dir, j) != at_k).unwrap_or(end)
+        })
+    }
+
     fn step(&mut self, k: usize) -> &StepShape {
         let s = &mut self.shape;
         s.recvs.clear();
         s.sends.clear();
-        for &(dir, up, down) in &self.links {
+        for &(dir, wire, up, down) in &self.links {
             let bytes = ELEM_BYTES * self.topo.face_len(self.rank, dir, k) as u64;
-            s.recvs.extend(up.map(|from| (from, dir, bytes)));
-            s.sends.extend(down.map(|to| (to, dir, bytes)));
+            s.recvs.extend(up.map(|from| (from, wire, bytes)));
+            s.sends.extend(down.map(|to| (to, wire, bytes)));
         }
         s
     }

@@ -20,13 +20,15 @@
 //! `ProcB`/`ProcNB` op sequence, which pre-flight analysis uses too —
 //! over a per-rank [`StepSource`] (`RankSteps`): neighbour offsets are
 //! resolved to ranks once, and what a step receives, computes and sends
-//! is worked out once per distinct *shape*. Step `k` depends on `k`
-//! only through how the space clips tiles `k` and `k+1` along the
-//! mapping dimension (a message's consumer range starts in the tile
-//! after its producer's), so a rank has a handful of shapes — first,
+//! is worked out once per span of steps that share a *shape*. Step `k`
+//! depends on `k` only through how the space clips tiles `k` and `k+1`
+//! along the mapping dimension (a message's consumer range starts in the
+//! tile after its producer's), so the steps whose tile and next tile are
+//! both unclipped share one, and a rank has a handful of shapes — first,
 //! interior, before a partial last tile, last — however many steps it
-//! runs. The message of step `k` to neighbour offset `qi` travels under
-//! tag `k·|offsets| + qi`.
+//! runs; its program stores the ops of a handful of steps. The message of
+//! step `k` to neighbour offset `qi` travels under tag
+//! `k·|offsets| + qi`.
 
 use crate::program::{Program, Rank, StepShape, StepSource};
 use tiling_core::dependence::DependenceSet;
@@ -197,26 +199,25 @@ impl ClusterProblem {
         tile
     }
 
-    /// Per-dimension index range of `tile ∩ space`; `None` if empty.
-    fn tile_ranges(&self, tile: &[i64]) -> Option<Vec<(i64, i64)>> {
-        let sides = self.tiling.rectangular_sides().expect("rectangular");
-        let mut out = Vec::with_capacity(tile.len());
-        for d in 0..tile.len() {
-            let lo = (tile[d] * sides[d]).max(self.space.lower()[d]);
-            let hi = (tile[d] * sides[d] + sides[d] - 1).min(self.space.upper()[d]);
-            if lo > hi {
-                return None;
-            }
-            out.push((lo, hi));
-        }
-        Some(out)
+    /// Index range along dimension `d` of the tiles at coordinate `t`,
+    /// clipped by the space; `None` if empty.
+    fn axis_range(&self, d: usize, t: i64) -> Option<(i64, i64)> {
+        let side = self.tiling.rectangular_sides().expect("rectangular")[d];
+        let lo = (t * side).max(self.space.lower()[d]);
+        let hi = (t * side + side - 1).min(self.space.upper()[d]);
+        (lo <= hi).then_some((lo, hi))
     }
 
     /// Iteration points of a (possibly boundary-clipped) tile.
     pub fn tile_points(&self, tile: &[i64]) -> i64 {
-        self.tile_ranges(tile)
-            .map(|r| r.iter().map(|&(l, h)| h - l + 1).product())
-            .unwrap_or(0)
+        let mut points = 1;
+        for (d, &t) in tile.iter().enumerate() {
+            let Some((lo, hi)) = self.axis_range(d, t) else {
+                return 0;
+            };
+            points *= hi - lo + 1;
+        }
+        points
     }
 
     /// Exact payload (in iteration points) of the grouped message sent by
@@ -225,31 +226,26 @@ impl ClusterProblem {
     /// points of the sender tile whose consumer `j + d` lands in the tile
     /// at cross-offset `q`, mapping-offset `m`.
     pub fn message_points(&self, sender_tile: &[i64], q: &[i64]) -> i64 {
-        let Some(a) = self.tile_ranges(sender_tile) else {
+        if self.tile_points(sender_tile) == 0 {
             return 0;
-        };
+        }
         let mdim = self.mapping.mapping_dim();
         let mut total = 0i64;
         for m in 0..=1i64 {
-            // Target tile coordinates.
-            let mut b_tile = sender_tile.to_vec();
-            let mut ci = 0;
-            for (d, t) in b_tile.iter_mut().enumerate() {
-                if d == mdim {
-                    *t += m;
-                } else {
-                    *t += q[ci];
-                    ci += 1;
-                }
-            }
-            let Some(b) = self.tile_ranges(&b_tile) else {
-                continue;
+            // Target tile coordinate along `d`.
+            let target = |d: usize| match d.cmp(&mdim) {
+                std::cmp::Ordering::Equal => sender_tile[d] + m,
+                std::cmp::Ordering::Less => sender_tile[d] + q[d],
+                std::cmp::Ordering::Greater => sender_tile[d] + q[d - 1],
             };
+            if (0..sender_tile.len()).any(|d| self.axis_range(d, target(d)).is_none()) {
+                continue;
+            }
             for dep in self.deps.iter() {
                 let mut vol = 1i64;
-                for d in 0..a.len() {
-                    let (al, ah) = a[d];
-                    let (bl, bh) = b[d];
+                for (d, &t) in sender_tile.iter().enumerate() {
+                    let (al, ah) = self.axis_range(d, t).expect("a non-empty tile");
+                    let (bl, bh) = self.axis_range(d, target(d)).expect("a non-empty target");
                     let dd = dep.components()[d];
                     let lo = al.max(bl - dd);
                     let hi = ah.min(bh - dd);
@@ -303,16 +299,14 @@ impl ClusterProblem {
         Some(rank)
     }
 
-    /// How the iteration space clips the tile at mapping step `k`,
-    /// relative to the tile's own origin; `None` for a step outside the
-    /// space (in particular `k = steps`, the consumer of the last tile).
-    fn mapping_clip(&self, k: i64) -> Option<(i64, i64)> {
+    /// The mapping steps whose tile the space does not clip.
+    fn unclipped_steps(&self) -> std::ops::Range<i64> {
         let mdim = self.mapping.mapping_dim();
         let side = self.tiling.rectangular_sides().expect("rectangular")[mdim];
-        let origin = (self.tiled.lower()[mdim] + k) * side;
-        let lo = origin.max(self.space.lower()[mdim]);
-        let hi = (origin + side - 1).min(self.space.upper()[mdim]);
-        (lo <= hi).then_some((lo - origin, hi - origin))
+        let lower = self.tiled.lower()[mdim];
+        let first = (self.space.lower()[mdim] + side - 1).div_euclid(side);
+        let end = (self.space.upper()[mdim] + 1).div_euclid(side);
+        first - lower..end - lower
     }
 
     /// Build the blocking (`ProcB`) program of every rank.
@@ -325,31 +319,31 @@ impl ClusterProblem {
         self.programs(StepStrategy::Overlap, machine)
     }
 
-    /// [`Program::pipeline`] of every rank, in rank order; a face's
-    /// direction is its neighbour-offset index.
+    /// [`Program::pipeline`] of every rank, in rank order: the face to
+    /// or from neighbour offset `qi` of step `k` travels under tag
+    /// `k·|offsets| + qi`.
     fn programs(&self, strategy: StepStrategy, machine: &MachineParams) -> Vec<Program> {
-        let tag = |k: usize, qi: usize| (k * self.proc_offsets.len() + qi) as u64;
+        let stride = self.proc_offsets.len() as u64;
         (self.cross_coords().iter())
             .map(|cross| {
-                Program::pipeline(strategy, &mut RankSteps::new(self, machine, cross), tag)
+                Program::pipeline(strategy, &mut RankSteps::new(self, machine, cross), stride)
             })
             .collect()
     }
 }
 
-/// How the space clips tiles `k` and `k+1` along the mapping dimension
-/// — all a step's description depends on besides the rank.
-type ShapeKey = (Option<(i64, i64)>, Option<(i64, i64)>);
-
-/// One rank's pipeline: neighbours resolved once, steps described once
-/// per [`ShapeKey`], empty messages left out.
+/// One rank's pipeline: neighbours resolved once, a step worked out
+/// from the per-tile functions when the emitter asks for it — the first
+/// of each span of steps that share a shape ([`StepSource::same_until`]).
+/// Empty messages are left out.
 struct RankSteps<'a> {
     problem: &'a ClusterProblem,
     machine: &'a MachineParams,
     cross: &'a [i64],
     /// Per neighbour offset: the rank data comes from, the rank it goes to.
     peers: Vec<(Option<Rank>, Option<Rank>)>,
-    shapes: Vec<(ShapeKey, StepShape)>,
+    /// The step last asked for.
+    shape: StepShape,
 }
 
 /// The cross-section coordinate `sign · q` away from `cross`.
@@ -367,36 +361,7 @@ impl<'a> RankSteps<'a> {
             peers: (problem.proc_offsets.iter())
                 .map(|q| (rank_at(-1, q), rank_at(1, q)))
                 .collect(),
-            shapes: Vec::new(),
-        }
-    }
-
-    /// Work out step `k` from the per-tile functions.
-    fn describe(&self, k: i64) -> StepShape {
-        let p = self.problem;
-        let elem = u64::from(self.machine.bytes_per_elem);
-        let tile = p.tile_at(self.cross, k);
-        let (mut recvs, mut sends) = (Vec::new(), Vec::new());
-        for (qi, (q, &(src, dst))) in p.proc_offsets.iter().zip(&self.peers).enumerate() {
-            if let Some(src) = src {
-                let sender_tile = p.tile_at(&offset_cross(self.cross, -1, q), k);
-                let bytes = p.message_points(&sender_tile, q) as u64 * elem;
-                if bytes > 0 {
-                    recvs.push((src, qi, bytes));
-                }
-            }
-            if let Some(dst) = dst {
-                let bytes = p.message_points(&tile, q) as u64 * elem;
-                if bytes > 0 {
-                    sends.push((dst, qi, bytes));
-                }
-            }
-        }
-        let points = p.tile_points(&tile);
-        StepShape {
-            recvs,
-            sends,
-            compute_us: (points > 0).then(|| self.machine.tile_compute_us(points)),
+            shape: StepShape::default(),
         }
     }
 }
@@ -406,17 +371,47 @@ impl StepSource for RankSteps<'_> {
         self.problem.steps() as usize
     }
 
+    /// Steps whose tile and next tile are both unclipped share a shape.
+    fn same_until(&self, k: usize) -> usize {
+        let full = self.problem.unclipped_steps();
+        let k = k as i64;
+        if full.start <= k && k + 1 < full.end {
+            (full.end - 1) as usize
+        } else {
+            k as usize + 1
+        }
+    }
+
     fn step(&mut self, k: usize) -> &StepShape {
-        let (p, k) = (self.problem, k as i64);
-        let key = (p.mapping_clip(k), p.mapping_clip(k + 1));
-        let at = match self.shapes.iter().position(|(have, _)| *have == key) {
-            Some(at) => at,
-            None => {
-                self.shapes.push((key, self.describe(k)));
-                self.shapes.len() - 1
+        let RankSteps {
+            problem: p,
+            machine,
+            cross,
+            peers,
+            shape,
+        } = self;
+        let (k, elem) = (k as i64, u64::from(machine.bytes_per_elem));
+        let tile = p.tile_at(cross, k);
+        shape.recvs.clear();
+        shape.sends.clear();
+        for (qi, (q, &(src, dst))) in p.proc_offsets.iter().zip(peers.iter()).enumerate() {
+            if let Some(src) = src {
+                let sender_tile = p.tile_at(&offset_cross(cross, -1, q), k);
+                let bytes = p.message_points(&sender_tile, q) as u64 * elem;
+                if bytes > 0 {
+                    shape.recvs.push((src, qi as u64, bytes));
+                }
             }
-        };
-        &self.shapes[at].1
+            if let Some(dst) = dst {
+                let bytes = p.message_points(&tile, q) as u64 * elem;
+                if bytes > 0 {
+                    shape.sends.push((dst, qi as u64, bytes));
+                }
+            }
+        }
+        let points = p.tile_points(&tile);
+        shape.compute_us = (points > 0).then(|| machine.tile_compute_us(points));
+        shape
     }
 }
 
@@ -667,6 +662,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::BadTiling(_)));
+    }
+
+    #[test]
+    fn programs_are_stored_by_shape_not_by_step() {
+        // 4095½ tiles per rank: first, interior, partial last — a
+        // handful of distinct steps per rank for ~40 000 ops.
+        let p = ClusterProblem::new(
+            Tiling::rectangular(&[4, 4, 4]),
+            DependenceSet::paper_3d(),
+            IterationSpace::from_extents(&[8, 8, 4 * 4096 - 2]),
+            2,
+        )
+        .unwrap();
+        let m = toy_machine();
+        for programs in [p.blocking_programs(&m), p.overlapping_programs(&m)] {
+            for prog in &programs {
+                assert!(prog.len() > 4096);
+                assert!(prog.stored_ops() <= 64, "{}", prog.stored_ops());
+            }
+        }
     }
 
     #[test]

@@ -25,17 +25,23 @@
 //! The event queue holds names, not payloads: a `Run` executes one op of
 //! its rank — after what the rank's previous op deferred to the instant
 //! it ended (a TX-lane booking, a zero-latency delivery) — and a message
-//! in flight is the `(rank, op)` that sent it (see `Ev`).
+//! in flight is the `(rank, stored op, step)` that sent it (see `Ev`).
 //!
-//! Host-side bookkeeping is indexed, not hashed: [`Engine::new`] renames
-//! every program's request handles to dense slots (request state is a
-//! `Vec` per rank), unmatched messages and posted receives wait in a
+//! Programs are walked where they are stored: a rank's cursor is a
+//! `(step, slot)` position in its program's stored steps, and an
+//! op's tag and request handle are resolved from the step as it runs
+//! (see [`crate::program`]), so an emitted pipeline is never unrolled.
+//!
+//! Host-side bookkeeping is indexed, not hashed: an emitted pipeline's
+//! request handles are dense slots already and [`Engine::new`] renames a
+//! hand-written program's to dense slots (request state is a `Vec` per
+//! rank), unmatched messages and posted receives wait in a
 //! per-peer FIFO (`MatchTable`) that holds only what is in flight, and
 //! each recorded CPU interval is added to the rank's [`CpuTotals`] as
 //! it happens, so [`crate::stats`] never re-reads the trace — and works
 //! with the trace off. None of it is visible in a simulated number.
 
-use crate::program::{Op, Program, Rank};
+use crate::program::{Cursor, Op, Program, Rank};
 use crate::stats::CpuTotals;
 use crate::time::SimTime;
 use crate::trace::{Activity, Trace};
@@ -293,7 +299,13 @@ impl<T> MatchTable<T> {
 
 #[derive(Default)]
 struct RankState {
+    /// Ops executed.
     pc: usize,
+    /// The next op.
+    at: Cursor,
+    /// The last send that deferred an effect: its stored op and step,
+    /// and its request (an `Isend`'s).
+    sent: (u32, u32, Slot),
     /// Time the CPU becomes available / the program has advanced to.
     now: SimTime,
     blocked: Option<Blocked>,
@@ -320,9 +332,9 @@ enum Deferred {
     Deliver,
 }
 
-/// A queued event. A message is named by the op that sent it — rank
-/// `src`, op `pc` — and its destination, tag and size are read back
-/// from the program.
+/// A queued event. A message is named by the op that sent it — stored
+/// op `op` of rank `src`, at step `step` — and its destination, tag and
+/// size are read back from the program.
 ///
 /// The engine executes **one op, then what it deferred, per `Run`**, so
 /// every lane reservation happens in exact wall-clock order — a rank
@@ -344,9 +356,9 @@ enum Ev {
     /// Apply what the rank's last op deferred, then execute its next op.
     Run { rank: u32, deferred: Deferred },
     /// A non-blocking message reaches the destination NIC (RX lane next).
-    Arrive { src: u32, pc: u32 },
+    Arrive { src: u32, op: u32, step: u32 },
     /// A blocking-send message is delivered directly (no RX lane).
-    Direct { src: u32, pc: u32 },
+    Direct { src: u32, op: u32, step: u32 },
 }
 
 struct QueueItem {
@@ -407,22 +419,14 @@ impl Engine {
                 detail: e.to_string(),
             })?;
             if u32::try_from(rank.max(p.len())).is_err() {
-                let detail = "an event names its rank and op in 32 bits each".into();
+                let detail = "an event names its rank, step and op in 32 bits each".into();
                 return Err(SimError::InvalidProgram { rank, detail });
             }
-            for op in p.ops() {
-                let target = match *op {
-                    Op::Send { to, .. } | Op::Isend { to, .. } => Some(to),
-                    Op::Recv { from, .. } | Op::Irecv { from, .. } => Some(from),
-                    _ => None,
-                };
-                if let Some(t) = target {
-                    if t >= n {
-                        return Err(SimError::BadRank { rank, target: t });
-                    }
-                }
+            if let Some(target) = p.stored().filter_map(Op::peer).find(|&t| t >= n) {
+                return Err(SimError::BadRank { rank, target });
             }
             ranks.push(RankState {
+                at: p.cursor(),
                 reqs: vec![None; requests],
                 ..RankState::default()
             });
@@ -537,9 +541,9 @@ impl Engine {
                         }
                     }
                 }
-                Ev::Arrive { src, pc } => {
+                Ev::Arrive { src, op, step } => {
                     // RX lane processing: wire receive (B₁) + kernel copy (B₂).
-                    let (dst, tag, bytes) = self.message(src as Rank, pc as usize);
+                    let (dst, tag, bytes) = self.message(src as Rank, op, step);
                     let b1b2 = self.price(dst, bytes)?.b1b2;
                     let lane_free = if self.cfg.duplex {
                         self.ranks[dst].rx_free
@@ -556,8 +560,8 @@ impl Engine {
                     self.trace.record(dst, Activity::RxBusy, start, ready);
                     self.deliver(dst, src as Rank, tag, bytes, ready)?;
                 }
-                Ev::Direct { src, pc } => {
-                    let (dst, tag, bytes) = self.message(src as Rank, pc as usize);
+                Ev::Direct { src, op, step } => {
+                    let (dst, tag, bytes) = self.message(src as Rank, op, step);
                     self.deliver(dst, src as Rank, tag, bytes, item.time)?;
                 }
             }
@@ -576,36 +580,44 @@ impl Engine {
         Ok(())
     }
 
-    /// Destination, tag and size of the message sent by op `pc` of `src`.
-    fn message(&self, src: Rank, pc: usize) -> (Rank, u64, u64) {
-        match self.programs[src].ops()[pc] {
+    /// Destination, tag and size of the message sent by stored op `op`
+    /// of `src` at step `step`.
+    fn message(&self, src: Rank, op: u32, step: u32) -> (Rank, u64, u64) {
+        match self.programs[src].resolve(op, step, 0) {
             Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } => (to, tag, bytes),
-            ref op => unreachable!("only sends are in flight, not {op:?}"),
+            op => unreachable!("only sends are in flight, not {op:?}"),
         }
+    }
+
+    /// Move `rank` past the op it is at.
+    fn step_past(&mut self, rank: Rank) {
+        let s = &mut self.ranks[rank];
+        s.pc += 1;
+        self.programs[rank].advance(&mut s.at);
     }
 
     /// Do at `now` what the op `rank` just executed left for its end.
     fn apply(&mut self, rank: Rank, deferred: Deferred, now: SimTime) -> Result<(), SimError> {
         match deferred {
             Deferred::Nothing => Ok(()),
-            Deferred::BookTx => self.book_tx(rank, self.ranks[rank].pc - 1, now),
+            Deferred::BookTx => self.book_tx(rank, now),
             Deferred::Deliver => {
-                let (dst, tag, bytes) = self.message(rank, self.ranks[rank].pc - 1);
+                let (op, step, _) = self.ranks[rank].sent;
+                let (dst, tag, bytes) = self.message(rank, op, step);
                 self.deliver(dst, rank, tag, bytes, now)
             }
         }
     }
 
-    /// The `Isend` at op `pc` of `rank` finished `A₁` at `now`.
-    fn book_tx(&mut self, rank: Rank, pc: usize, now: SimTime) -> Result<(), SimError> {
-        let Op::Isend { bytes, req, .. } = self.programs[rank].ops()[pc] else {
-            unreachable!("only an Isend defers a TX booking");
-        };
+    /// The last `Isend` of `rank` finished `A₁` at `now`.
+    fn book_tx(&mut self, rank: Rank, now: SimTime) -> Result<(), SimError> {
+        let (op, step, req) = self.ranks[rank].sent;
         // Book B₃ (kernel fill) then B₄ (wire) on the TX lane (or the
         // shared NIC) at the exact moment the CPU finished filling the
         // MPI buffer. On a shared-bus network the wire segment
         // additionally serializes against every other transmission in
         // the cluster.
+        let bytes = self.message(rank, op, step).2;
         let Price { b3, b4, .. } = self.price(rank, bytes)?;
         let lane_free = if self.cfg.duplex {
             self.ranks[rank].tx_free
@@ -628,11 +640,11 @@ impl Engine {
         }
         self.trace.record(rank, Activity::TxBusy, start, tx_done);
         // Local completion: the send buffer is reusable.
-        self.ranks[rank].reqs[req.0 as usize] = Some(ReqState::Done(tx_done));
-        let (src, pc) = (rank as u32, pc as u32);
+        self.ranks[rank].reqs[req as usize] = Some(ReqState::Done(tx_done));
+        let src = rank as u32;
         self.push(
             after(rank, tx_done, self.wire_latency)?,
-            Ev::Arrive { src, pc },
+            Ev::Arrive { src, op, step },
         );
         Ok(())
     }
@@ -669,7 +681,7 @@ impl Engine {
                 self.record_cpu(dst, Activity::BlockingRecv, resume, copied);
                 self.ranks[dst].now = copied;
                 self.ranks[dst].blocked = None;
-                self.ranks[dst].pc += 1;
+                self.step_past(dst);
                 self.push_run(dst, copied);
                 return Ok(());
             }
@@ -691,7 +703,7 @@ impl Engine {
                     self.record_cpu(dst, Activity::Idle, self.ranks[dst].now, resume);
                     self.ranks[dst].now = resume;
                     self.ranks[dst].blocked = None;
-                    self.ranks[dst].pc += 1; // past the Wait
+                    self.step_past(dst); // past the Wait
                     self.push_run(dst, resume);
                 }
             }
@@ -711,11 +723,10 @@ impl Engine {
             return Ok(None);
         }
         let pc = self.ranks[rank].pc;
-        if pc >= self.programs[rank].len() {
+        let Some((op, i, k)) = self.programs[rank].at(&self.ranks[rank].at) else {
             self.ranks[rank].done = true;
             return Ok(None);
-        }
-        let op = self.programs[rank].ops()[pc].clone();
+        };
         let mut deferred = Deferred::Nothing;
         match op {
             Op::Compute { us, .. } => {
@@ -724,13 +735,14 @@ impl Engine {
                 self.record_cpu(rank, Activity::Compute, start, end);
                 self.ranks[rank].now = end;
             }
-            Op::Isend { bytes, .. } => {
+            Op::Isend { bytes, req, .. } => {
                 // A₁ on the CPU; the NIC is booked when it ends, so the
                 // booking can't jump the wall clock.
                 let start = self.ranks[rank].now;
                 let cpu_done = after(rank, start, self.price(rank, bytes)?.post)?;
                 self.record_cpu(rank, Activity::PostSend, start, cpu_done);
                 self.ranks[rank].now = cpu_done;
+                self.ranks[rank].sent = (i, k, req.0);
                 deferred = Deferred::BookTx;
             }
             Op::Irecv {
@@ -799,9 +811,13 @@ impl Engine {
                 self.record_cpu(rank, Activity::BlockingSend, start, end);
                 self.ranks[rank].now = end;
                 if self.wire_latency > SimTime::ZERO {
-                    let (src, pc) = (rank as u32, pc as u32);
-                    self.push(after(rank, end, self.wire_latency)?, Ev::Direct { src, pc });
+                    let (src, op, step) = (rank as u32, i, k);
+                    self.push(
+                        after(rank, end, self.wire_latency)?,
+                        Ev::Direct { src, op, step },
+                    );
                 } else {
+                    self.ranks[rank].sent = (i, k, 0);
                     deferred = Deferred::Deliver;
                 }
             }
@@ -826,7 +842,7 @@ impl Engine {
                 self.ranks[rank].now = copied;
             }
         }
-        self.ranks[rank].pc += 1;
+        self.step_past(rank);
         Ok(Some((self.ranks[rank].now, deferred)))
     }
 }

@@ -130,14 +130,14 @@ fn step(p: &ClusterProblem, m: &MachineParams, cross: &[i64], k: i64) -> StepSha
         if let Some(src) = rank_of(p, &src_cross) {
             let bytes = p.message_points(&tile_at(p, &src_cross, k), q) as u64 * elem;
             if bytes > 0 {
-                s.recvs.push((src, qi, bytes));
+                s.recvs.push((src, qi as u64, bytes));
             }
         }
         let dst_cross: Vec<i64> = cross.iter().zip(q).map(|(c, o)| c + o).collect();
         if let Some(dst) = rank_of(p, &dst_cross) {
             let bytes = p.message_points(&tile, q) as u64 * elem;
             if bytes > 0 {
-                s.sends.push((dst, qi, bytes));
+                s.sends.push((dst, qi as u64, bytes));
             }
         }
     }
@@ -171,9 +171,8 @@ impl StepSource for Oracle<'_> {
 /// `k·|offsets| + qi`.
 fn expected(p: &ClusterProblem, m: &MachineParams, rank: usize, s: StepStrategy) -> Program {
     let (cross, shape) = (cross_of(p, rank), StepShape::default());
-    let noff = p.proc_offsets().len();
-    let tag = |k: usize, qi: usize| (k * noff + qi) as u64;
-    Program::pipeline(s, &mut Oracle { p, m, cross, shape }, tag)
+    let stride = p.proc_offsets().len() as u64;
+    Program::pipeline(s, &mut Oracle { p, m, cross, shape }, stride)
 }
 
 /// Every op of every rank is what the per-tile oracle says, in the
@@ -186,10 +185,16 @@ fn check(c: &Case, p: &ClusterProblem, duplex: bool) -> Result<(), String> {
         return Err(format!("{c:?}: one program per rank expected"));
     }
     for rank in 0..p.ranks() {
-        if blocking[rank].ops() != expected(p, &m, rank, StepStrategy::Blocking).ops() {
+        if !blocking[rank]
+            .ops()
+            .eq(expected(p, &m, rank, StepStrategy::Blocking).ops())
+        {
             return Err(format!("{c:?}: blocking rank {rank} differs"));
         }
-        if overlap[rank].ops() != expected(p, &m, rank, StepStrategy::Overlap).ops() {
+        if !overlap[rank]
+            .ops()
+            .eq(expected(p, &m, rank, StepStrategy::Overlap).ops())
+        {
             return Err(format!("{c:?}: overlapping rank {rank} differs"));
         }
         for prog in [&blocking[rank], &overlap[rank]] {

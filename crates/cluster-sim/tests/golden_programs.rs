@@ -45,7 +45,7 @@ fn fingerprint(programs: &[Program]) -> u64 {
     fnv64(
         programs
             .iter()
-            .flat_map(|p| std::iter::once(p.len() as u64).chain(p.ops().iter().flat_map(words))),
+            .flat_map(|p| std::iter::once(p.len() as u64).chain(p.ops().flat_map(|op| words(&op)))),
     )
 }
 

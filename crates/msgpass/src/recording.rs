@@ -327,7 +327,7 @@ mod tests {
         });
         assert_eq!(results[0], results[1]);
         // Program 0: Compute then Send(1024 B).
-        let ops0 = programs[0].ops();
+        let ops0: Vec<Op> = programs[0].ops().collect();
         assert!(matches!(ops0[0], Op::Compute { .. }));
         assert!(matches!(
             ops0[1],
@@ -355,7 +355,7 @@ mod tests {
                     .unwrap();
             }
         });
-        let ops1 = programs[1].ops();
+        let ops1: Vec<Op> = programs[1].ops().collect();
         let irecv = ops1.iter().find(|o| matches!(o, Op::Irecv { .. })).unwrap();
         assert!(matches!(irecv, Op::Irecv { bytes: 512, .. }));
     }

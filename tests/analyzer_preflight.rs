@@ -198,8 +198,8 @@ fn preflight_gate_is_transparent_to_results() {
 /// The communication ops of a program, in program order. `Compute`
 /// segments of a recording carry measured durations and are left out.
 fn comm_ops(p: &Program) -> Vec<Op> {
-    let is_comm = |op: &&Op| !matches!(op, Op::Compute { .. });
-    p.ops().iter().filter(is_comm).cloned().collect()
+    let is_comm = |op: &Op| !matches!(op, Op::Compute { .. });
+    p.ops().filter(is_comm).collect()
 }
 
 /// What the executors of `plan` actually do on the wire — every rank's

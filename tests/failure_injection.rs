@@ -23,8 +23,8 @@ fn machine() -> MachineParams {
 /// Rebuild a program with ops transformed by `f` (None drops the op).
 fn mutate(p: &Program, mut f: impl FnMut(usize, &Op) -> Option<Op>) -> Program {
     let mut out = Program::new();
-    for (i, op) in p.ops().iter().enumerate() {
-        if let Some(op) = f(i, op) {
+    for (i, op) in p.ops().enumerate() {
+        if let Some(op) = f(i, &op) {
             out.push(op);
         }
     }
@@ -42,7 +42,7 @@ fn dropping_a_send_deadlocks_blocking_run() {
             dropped = true;
             None
         } else {
-            Some(op.clone())
+            Some(*op)
         }
     });
     assert!(dropped, "rank 0 must have sends");
@@ -65,7 +65,7 @@ fn dropping_an_isend_deadlocks_overlap_run() {
             None
         }
         Op::Wait { req } if Some(*req) == dropped_req => None,
-        _ => Some(op.clone()),
+        _ => Some(*op),
     });
     assert!(dropped_req.is_some());
     let err = simulate(SimConfig::new(m).with_trace(false), programs).unwrap_err();
@@ -86,7 +86,7 @@ fn corrupting_message_size_is_detected() {
                 bytes: bytes + 4,
             })
         }
-        _ => Some(op.clone()),
+        _ => Some(*op),
     });
     let err = simulate(SimConfig::new(m).with_trace(false), programs).unwrap_err();
     assert!(matches!(err, SimError::ByteMismatch { .. }), "{err:?}");
@@ -103,7 +103,7 @@ fn retargeting_a_send_to_invalid_rank_is_rejected_upfront() {
             tag: *tag,
             bytes: *bytes,
         }),
-        _ => Some(op.clone()),
+        _ => Some(*op),
     });
     let err = simulate(SimConfig::new(m).with_trace(false), programs).unwrap_err();
     assert!(matches!(err, SimError::BadRank { .. }), "{err:?}");
@@ -116,11 +116,9 @@ fn duplicated_wait_rejected_by_validation() {
     // Duplicate the first Wait.
     let first_wait = programs[1]
         .ops()
-        .iter()
         .find(|op| matches!(op, Op::Wait { .. }))
-        .cloned()
         .expect("has waits");
-    programs[1] = mutate(&programs[1], |_, op| Some(op.clone()));
+    programs[1] = mutate(&programs[1], |_, op| Some(*op));
     programs[1].push(first_wait);
     let err = simulate(SimConfig::new(m).with_trace(false), programs).unwrap_err();
     assert!(matches!(err, SimError::InvalidProgram { .. }), "{err:?}");
@@ -152,7 +150,7 @@ fn swapped_tags_still_complete_but_change_timing() {
                 bytes: *bytes,
             })
         }
-        _ => Some(op.clone()),
+        _ => Some(*op),
     });
     let res = simulate(SimConfig::new(m).with_trace(false), programs);
     // Either completes (messages are interchangeable sizes) — the

@@ -169,7 +169,7 @@ proptest! {
             let mut ledger: HashMap<(usize, usize, u64), (u64, u64)> = HashMap::new();
             for (rank, p) in programs.iter().enumerate() {
                 for op in p.ops() {
-                    match *op {
+                    match op {
                         Op::Send { to, tag, bytes } | Op::Isend { to, tag, bytes, .. } => {
                             ledger.entry((rank, to, tag)).or_default().0 += bytes;
                         }
@@ -202,8 +202,7 @@ proptest! {
             .iter()
             .map(|p| {
                 p.ops()
-                    .iter()
-                    .map(|op| match *op {
+                    .map(|op| match op {
                         Op::Isend { bytes, .. } => {
                             m.fill_kernel_buffer.eval(bytes as f64)
                                 + m.transmit_us(bytes as f64)

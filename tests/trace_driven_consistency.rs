@@ -27,7 +27,6 @@ fn record(d: Decomp3D, mode: ExecMode) -> (Vec<Vec<f32>>, Vec<Program>) {
 fn comm_signature(p: &Program) -> Vec<String> {
     let mut sig: Vec<String> = p
         .ops()
-        .iter()
         .filter_map(|op| match op {
             Op::Send { to, bytes, .. } => Some(format!("S{to}:{bytes}")),
             Op::Recv { from, bytes, .. } => Some(format!("R{from}:{bytes}")),
@@ -93,8 +92,8 @@ fn recorded_overlap_matches_builder_structure() {
 /// The communication ops of a recorded program, in program order.
 /// `Compute` segments carry measured durations and are left out.
 fn comm_ops(p: &Program) -> Vec<Op> {
-    let is_comm = |op: &&Op| !matches!(op, Op::Compute { .. });
-    p.ops().iter().filter(is_comm).cloned().collect()
+    let is_comm = |op: &Op| !matches!(op, Op::Compute { .. });
+    p.ops().filter(is_comm).collect()
 }
 
 #[test]
