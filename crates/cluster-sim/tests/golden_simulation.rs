@@ -186,6 +186,39 @@ fn wire_latency_results_are_pinned() {
     assert_eq!(got, PINNED_WIRE_LATENCY, "{got:#x}");
 }
 
+/// Both schedules, both lane and wire settings, with and without wire
+/// latency, on a heterogeneous 8×8 fleet — and on the free machine,
+/// where every step's events tie. Its queue is deep enough that an event
+/// placed at the head sifts down several levels, which no 4-rank fleet
+/// reaches. One fingerprint of five matrices, recorded before the event
+/// loop touched the queue once per op.
+#[test]
+fn a_64_rank_fleet_is_pinned() {
+    let problem = ClusterProblem::new(
+        Tiling::rectangular(&[2, 2, 8]),
+        DependenceSet::paper_3d(),
+        IterationSpace::from_extents(&[16, 16, 96]),
+        2,
+    )
+    .unwrap();
+    assert_eq!(problem.ranks(), 64);
+    let (uniform, hetero) = (NodeSpeeds::uniform(0), problem.node_speeds(5, 0.3));
+    let (tie, paper) = (tie_machine(0.0), MachineParams::paper_cluster());
+    let settings = [
+        (tie, &uniform, 0.0),
+        (tie, &hetero, 7.5),
+        (paper, &uniform, 0.0),
+        (paper, &hetero, 0.0),
+        (paper, &hetero, 7.5),
+    ];
+    let got = fnv64(
+        settings
+            .iter()
+            .flat_map(|&(m, s, us)| matrix_at(&problem, m, s, us)),
+    );
+    assert_eq!(got, PINNED_FLEET_64, "{got:#x}");
+}
+
 /// One rank's program from words: `c<µs>` computes; `s`/`r` are a
 /// blocking send / receive of 100 B and `S`/`R` a non-blocking one of
 /// 1000 B, each followed by `<peer>.<tag>`; `w<n>` waits on the `n`-th
@@ -311,4 +344,5 @@ const PINNED_PAPER_CLIPPED: [u64; 8] = [
 ];
 const PINNED_FREE_FINISH_NS: [u64; 4] = [228_000, 474_000, 264_000, 546_000];
 const PINNED_WIRE_LATENCY: u64 = 0x94bf46715a07ad29;
+const PINNED_FLEET_64: u64 = 0x0575683ca3c67ed2;
 const PINNED_SEND_CORNERS: [u64; 2] = [0x573ecca4cf1a378b, 0x136face8a4d752b9];

@@ -111,8 +111,8 @@ enum EvalError {
 /// A measured-style transfer curve synthesized from a machine's wire
 /// rate: a small-message floor (eager protocol), the affine region, and
 /// a 25% super-linear penalty past the rendezvous threshold. Monotone
-/// by construction.
-fn measured_curve(m: &MachineParams) -> PiecewiseCost {
+/// by construction — for a wire rate that is a duration per byte.
+fn measured_curve(m: &MachineParams) -> Result<PiecewiseCost, EvalError> {
     let t = m.t_t_us_per_byte;
     PiecewiseCost::from_knots(&[
         (0.0, 96.0 * t),
@@ -120,22 +120,22 @@ fn measured_curve(m: &MachineParams) -> PiecewiseCost {
         (8192.0, 8192.0 * t),
         (65536.0, 1.25 * 65536.0 * t),
     ])
-    .expect("static knots are valid")
+    .map_err(|e| EvalError::Sim(format!("bad cost: transfer curve at {t} µs/B: {e}")))
 }
 
 /// The machine a config runs on.
-fn machine_of(c: &SweepConfig) -> MachineParams {
+fn machine_of(c: &SweepConfig) -> Result<MachineParams, EvalError> {
     let mut m = c.preset.params().scale_communication(c.comm_scale);
     if c.measured_curve {
-        m = m.with_transfer_curve(measured_curve(&m));
+        m = m.with_transfer_curve(measured_curve(&m)?);
     }
-    m
+    Ok(m)
 }
 
 /// Evaluate one config: build, simulate, summarize, compare to the
 /// closed form.
 fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
-    let machine = machine_of(c);
+    let machine = machine_of(c)?;
     let space = IterationSpace::from_extents(&c.extents);
     let deps = DependenceSet::paper_3d();
     let tiling = Tiling::rectangular(&[c.cross_sides[0], c.cross_sides[1], c.v]);
@@ -369,18 +369,27 @@ mod tests {
 
     #[test]
     fn a_machine_whose_costs_are_not_durations_is_a_sim_error_row() {
-        // Scaled by f64::MAX every communication cost is ∞ or NaN.
-        let mk = |schedule| SweepConfig {
-            comm_scale: f64::MAX,
-            schedule,
-            ..paper_point(1)
-        };
-        let out = run_sweep(&[mk(Schedule::Blocking), mk(Schedule::Overlap)], 1);
+        // Costs that are ∞ (scaled by f64::MAX), NaN or negative, with or
+        // without a measured curve, which no such knots can define.
+        let mut configs = Vec::new();
+        for comm_scale in [f64::MAX, f64::NAN, -1.0, f64::INFINITY] {
+            for measured_curve in [false, true] {
+                for schedule in [Schedule::Blocking, Schedule::Overlap] {
+                    configs.push(SweepConfig {
+                        comm_scale,
+                        measured_curve,
+                        schedule,
+                        ..paper_point(1)
+                    });
+                }
+            }
+        }
+        let out = run_sweep(&configs, 1);
         for row in &out.rows {
             assert_eq!(row.status, RowStatus::SimError, "{row:?}");
             assert!(row.detail.contains("bad cost"), "{row:?}");
         }
-        assert_eq!((out.panics, out.errors), (0, 2));
+        assert_eq!((out.panics, out.errors), (0, 16));
     }
 
     #[test]

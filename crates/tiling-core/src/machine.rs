@@ -459,9 +459,10 @@ impl MachineParams {
     /// A copy of this machine with every communication cost (startup,
     /// per-byte transmission, both buffer-fill models) scaled by
     /// `factor`, computation unchanged. Used for sensitivity studies of
-    /// the communication-to-computation ratio.
+    /// the communication-to-computation ratio. A NaN, infinite or
+    /// negative factor gives costs that are not durations, which the
+    /// simulator rejects as a bad cost.
     pub fn scale_communication(&self, factor: f64) -> MachineParams {
-        assert!(factor >= 0.0 && factor.is_finite(), "bad scale factor");
         let scale = |c: AffineCost| AffineCost {
             base_us: c.base_us * factor,
             per_byte_us: c.per_byte_us * factor,
