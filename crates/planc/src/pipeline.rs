@@ -155,7 +155,8 @@ fn front(req: &PlanRequest) -> Result<Shape, CompileError> {
 }
 
 /// Stage 2: validate the decomposition skeleton (everything except the
-/// tile height, which the optimize stage resolves next).
+/// tile height, which the optimize stage resolves next: until then the
+/// pipeline is one tile, and [`analyze`] checks its step count).
 fn decompose(shape: Shape, req: &PlanRequest) -> Result<(), CompileError> {
     match shape {
         Shape::D2 { nx, ny, ranks } => {
@@ -163,7 +164,7 @@ fn decompose(shape: Shape, req: &PlanRequest) -> Result<(), CompileError> {
                 nx,
                 ny,
                 ranks,
-                v: 1,
+                v: nx,
                 boundary: req.boundary,
             };
             d.validate()?;
@@ -175,7 +176,7 @@ fn decompose(shape: Shape, req: &PlanRequest) -> Result<(), CompileError> {
                 nz,
                 pi,
                 pj,
-                v: 1,
+                v: nz,
                 boundary: req.boundary,
             };
             d.validate()?;
@@ -234,8 +235,9 @@ fn optimize(shape: Shape, req: &PlanRequest) -> Result<(usize, Option<f64>), Com
     Ok((v, predicted))
 }
 
-/// Stage 4 + seal: run the pre-flight analysis exactly once and bundle
-/// the artifact.
+/// Stage 4 + seal: validate the decomposition with its resolved tile
+/// height (a decompose-stage error: too many steps), run the pre-flight
+/// analysis exactly once and bundle the artifact.
 fn analyze(
     shape: Shape,
     v: usize,
@@ -251,6 +253,7 @@ fn analyze(
                 v,
                 boundary: req.boundary,
             };
+            d.validate()?;
             let c = Compiled2D::compile(d, req.mode).map_err(CompileError::Analyze)?;
             let report = *c.report().expect("compile always analyzes");
             (CompiledWorkload::Dim2(c), report)
@@ -265,6 +268,7 @@ fn analyze(
                 v,
                 boundary: req.boundary,
             };
+            d.validate()?;
             let c = Compiled3D::compile(d, req.mode).map_err(CompileError::Analyze)?;
             let report = *c.report().expect("compile always analyzes");
             (CompiledWorkload::Dim3(c), report)
@@ -402,6 +406,25 @@ ENDFOR
         // optimize: explicit zero height.
         let e = compile(&PlanRequest::grid3(8, 8, 64, 2, 2).with_v(0)).unwrap_err();
         assert_eq!(e.stage(), "optimize");
+    }
+
+    /// A pipeline of 2³² steps or more is a decompose-stage error, not a
+    /// panic in the program emitter, whether the request is built or
+    /// arrives as a `serve` line; before the tile height is resolved, the
+    /// extent alone is not rejected.
+    #[test]
+    fn too_many_steps_is_a_typed_error() {
+        let too_many = CompileError::Decompose(DecompError::TooManySteps { steps: 1 << 32 });
+        let built = PlanRequest::grid3(2, 2, 1 << 32, 2, 1).with_v(1);
+        assert_eq!(compile(&built).unwrap_err(), too_many);
+        let line = "workload=grid3 nx=2 ny=2 nz=4294967296 pi=2 pj=1 v=1";
+        assert_eq!(
+            compile(&PlanRequest::parse_kv(line).unwrap()).unwrap_err(),
+            too_many
+        );
+        let strip = PlanRequest::strip2(1 << 32, 2, 2).with_v(1);
+        assert_eq!(compile(&strip).unwrap_err(), too_many);
+        assert_eq!(decompose(front(&built).unwrap(), &built), Ok(()));
     }
 
     /// Compile `src` as an Example-1 nest and return the error, which

@@ -87,6 +87,11 @@ pub enum DecompError {
         /// The number of processor-grid parts it must divide into.
         parts: usize,
     },
+    /// More pipeline steps than a per-rank program counts (`2³² − 1`).
+    TooManySteps {
+        /// `⌈extent / V⌉`.
+        steps: usize,
+    },
 }
 
 impl fmt::Display for DecompError {
@@ -99,6 +104,7 @@ impl fmt::Display for DecompError {
                 extent,
                 parts,
             } => write!(f, "{axis} = {extent} not divisible by {parts} processors"),
+            DecompError::TooManySteps { steps } => write!(f, "{steps} steps, over 2^32 - 1"),
         }
     }
 }
@@ -131,6 +137,13 @@ pub fn require_divides(axis: &'static str, extent: usize, parts: usize) -> Resul
         });
     }
     Ok(())
+}
+
+/// A pipeline of `steps` steps must fit a program's `u32` step count.
+pub fn require_steps_fit(steps: usize) -> Result<(), DecompError> {
+    u32::try_from(steps)
+        .map(|_| ())
+        .map_err(|_| DecompError::TooManySteps { steps })
 }
 
 /// Number of pipeline steps along the pipelined dimension:
@@ -196,6 +209,11 @@ mod tests {
                 extent: 7,
                 parts: 2
             })
+        );
+        assert_eq!(require_steps_fit(u32::MAX as usize), Ok(()));
+        assert_eq!(
+            require_steps_fit(1 << 32),
+            Err(DecompError::TooManySteps { steps: 1 << 32 })
         );
     }
 

@@ -58,7 +58,8 @@ impl Decomp2D {
     pub fn validate(&self) -> Result<(), DecompError> {
         decomp::require_nonempty_grid(&[self.nx, self.ny])?;
         decomp::require_nonempty_decomp(&[self.ranks, self.v])?;
-        decomp::require_divides("ny", self.ny, self.ranks)
+        decomp::require_divides("ny", self.ny, self.ranks)?;
+        decomp::require_steps_fit(self.steps())
     }
 
     /// Strip width per rank.

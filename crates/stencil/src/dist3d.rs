@@ -84,7 +84,8 @@ impl Decomp3D {
         decomp::require_nonempty_grid(&[self.nx, self.ny, self.nz])?;
         decomp::require_nonempty_decomp(&[self.pi, self.pj, self.v])?;
         decomp::require_divides("nx", self.nx, self.pi)?;
-        decomp::require_divides("ny", self.ny, self.pj)
+        decomp::require_divides("ny", self.ny, self.pj)?;
+        decomp::require_steps_fit(self.steps())
     }
 
     /// Block extent along i.

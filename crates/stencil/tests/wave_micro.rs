@@ -1,13 +1,15 @@
 //! Ignored-by-default microbenchmarks of the wave kernel paths:
 //! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
-//! `ci.sh` runs them for the two assertions in here — a wave must beat
-//! the pencil loop it replaces, and a small tile may cost only so much
-//! more per cell than a large one — same-process ratios that hold on a
-//! noisy box; the absolute rates are the repo benchmark's
+//! `ci.sh` runs them for the three assertions in here — a wave must beat
+//! the pencil loop it replaces, a small tile may cost only so much more
+//! per cell than a large one, and the verifier must stay well under the
+//! naive sequential loop it replays — same-process ratios that hold on
+//! a noisy box; the absolute rates are the repo benchmark's
 //! `stencil.tile.cells_per_s.*` probes.
 
 use std::time::Instant;
 use stencil::kernel::{Kernel3D, Paper3D, Wave, MAX_WAVE};
+use stencil::seq::{max_abs_diff_from_seq3d, run_seq3d};
 
 /// ns/cell of `m` pencils of `len` cells through `eval_wave` or through
 /// one `eval_pencil` each, fastest of 20 timed batches.
@@ -165,4 +167,41 @@ fn wave_vs_pencil_micro() {
         wave < pencil,
         "eval_wave at m = {MAX_WAVE} ran {wave:.2} ns/cell, {MAX_WAVE} x eval_pencil {pencil:.2}"
     );
+}
+
+/// ns/cell of `max_abs_diff_from_seq3d` verifying a correct Paper3D
+/// grid, and of the naive `run_seq3d` that made it, fastest of 7 each.
+fn verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> (f64, f64) {
+    let cells = (nx * ny * nz) as f64;
+    let fastest = |run: &mut dyn FnMut()| {
+        let time = |_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_secs_f64()
+        };
+        (0..7).map(time).fold(f64::INFINITY, f64::min) * 1e9 / cells
+    };
+    let mut reference = None;
+    let naive = fastest(&mut || reference = Some(run_seq3d(Paper3D, nx, ny, nz, 1.0)));
+    let grid = reference.unwrap();
+    let verify = fastest(&mut || assert_eq!(max_abs_diff_from_seq3d(Paper3D, &grid), 0.0));
+    (verify, naive)
+}
+
+#[test]
+#[ignore]
+fn verify_vs_naive_micro() {
+    println!("paper3d, ns/cell:          shape  verify   naive  ratio");
+    for (name, (nx, ny, nz)) in [
+        ("compute-bound", (16, 16, 8192)),
+        ("fine-grain", (8, 8, 16384)),
+    ] {
+        let (verify, naive) = verify_and_naive_ns(nx, ny, nz);
+        let ratio = verify / naive;
+        println!("{name:>31} {verify:7.2} {naive:7.2} {ratio:6.2}");
+        assert!(
+            ratio <= 0.4,
+            "{name}: the verifier ran {verify:.2} ns/cell, {ratio:.2} x the naive loop's {naive:.2}"
+        );
+    }
 }
