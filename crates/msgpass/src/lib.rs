@@ -25,7 +25,8 @@
 //! * `modelcheck` (test builds only) — exhaustive interleaving checks
 //!   of the slot ring (every producer/consumer merge order, via
 //!   `miniloom`), proving no double-claim, no ABA reuse, and no lost
-//!   slot: `cargo test -p msgpass modelcheck`.
+//!   slot, and of the rank-thread handoff (no lost wakeup):
+//!   `cargo test -p msgpass modelcheck`.
 //! * [`topology`] — Cartesian process grids (the paper's 4×4 layout).
 //! * [`trace`] — wall-clock activity recording in the *same* interval
 //!   format the `cluster-sim` simulator emits, so real runs render

@@ -1,4 +1,5 @@
-//! Exhaustive interleaving checks of the slot-ring transport.
+//! Exhaustive interleaving checks of the slot-ring transport and of the
+//! rank-thread handoff.
 //!
 //! The cross-thread stress tests exercise *some* interleavings of
 //! [`crate::slot_transport`]; this module drives the **real**
@@ -22,6 +23,12 @@
 //! range over every chunk, a lease issued before a grow must still
 //! read its own generation after it, and no stage may fall back to a
 //! copy — while the plain variant must never grow at all.
+//!
+//! [`HandoffModel`] checks the other protocol here with a wait in it:
+//! how a world's launching thread hands a run to a resident rank
+//! thread and waits for it (post, unpark, park, re-read) — no
+//! interleaving loses the wakeup, and the job's result is ordered
+//! before the caller reads it.
 //!
 //! The schedules are replayed on one thread, so these checks cover the
 //! *protocol logic* (claim/stage/publish/consume/release ordering);
@@ -572,6 +579,116 @@ impl miniloom::Model for SlotRetransModel {
     }
 }
 
+/// `thread_backend`'s handoff of one run from the launching thread
+/// (tid 0: fill the job slot, publish `POSTED`, unpark, await `DONE`
+/// and read the result) to a resident rank thread (tid 1: read the
+/// state, park unless it saw `POSTED` — enabled once the token is set —
+/// re-read, run the job into the result slot, publish `DONE`). The race
+/// detector checks that the state orders both slots, which is what
+/// makes the launcher's lifetime erasure sound. The seeded lost wakeup
+/// unparks before it publishes and never re-reads after the park.
+struct HandoffModel {
+    lost_wakeup: bool,
+}
+
+#[derive(Clone, Copy)]
+enum Op {
+    FillJob,
+    Publish,
+    Unpark,
+    AwaitDone,
+    Read,
+    Park,
+    Skip,
+    RunJob,
+    Done,
+}
+
+/// One execution: the mailbox state (0 idle, 1 posted, 2 done) and the
+/// resident's last read of it, the park token, the two slots.
+#[derive(Default)]
+struct Handoff {
+    state: u8,
+    seen: u8,
+    token: bool,
+    job: bool,
+    result: bool,
+}
+
+/// [`HandoffModel`]'s locations.
+const STATE: miniloom::Loc = 0;
+const TOKEN: miniloom::Loc = 1;
+const JOB: miniloom::Loc = 2;
+const RESULT: miniloom::Loc = 3;
+
+impl HandoffModel {
+    fn op(&self, tid: usize, idx: usize) -> Op {
+        use Op::*;
+        let script: &[Op] = match (tid, self.lost_wakeup) {
+            (0, false) => &[FillJob, Publish, Unpark, AwaitDone],
+            (0, true) => &[FillJob, Unpark, Publish, AwaitDone],
+            (_, false) => &[Read, Park, Read, RunJob, Done],
+            (_, true) => &[Read, Park, Skip, RunJob, Done],
+        };
+        script[idx]
+    }
+}
+
+impl miniloom::Model for HandoffModel {
+    type State = Handoff;
+
+    fn init(&self) -> Handoff {
+        Handoff::default()
+    }
+
+    fn threads(&self) -> usize {
+        2
+    }
+
+    fn steps(&self, tid: usize) -> usize {
+        [4, 5][tid]
+    }
+
+    fn step(&self, st: &mut Handoff, tid: usize, idx: usize) -> Result<(), String> {
+        match self.op(tid, idx) {
+            Op::FillJob => st.job = true,
+            Op::Publish => st.state = 1,
+            Op::Unpark => st.token = true,
+            Op::AwaitDone if !st.result => return Err("DONE before the job's result".into()),
+            Op::Read => st.seen = st.state,
+            Op::Park => st.token &= st.seen == 1,
+            Op::RunJob if !st.job => return Err("ran a job nobody posted".into()),
+            Op::RunJob => st.result = true,
+            Op::Done => st.state = 2,
+            Op::AwaitDone | Op::Skip => {}
+        }
+        Ok(())
+    }
+
+    fn footprint(&self, tid: usize, idx: usize) -> miniloom::Footprint {
+        let fp = miniloom::Footprint::empty();
+        match self.op(tid, idx) {
+            Op::FillJob => fp.write(JOB),
+            Op::Publish | Op::Read | Op::Done => fp.sync(STATE),
+            Op::Unpark | Op::Park => fp.sync(TOKEN),
+            Op::AwaitDone => fp.sync(STATE).read(RESULT),
+            Op::RunJob => fp.read(JOB).write(RESULT),
+            Op::Skip => fp,
+        }
+    }
+
+    fn enabled(&self, st: &Handoff, tid: usize, idx: usize) -> bool {
+        match self.op(tid, idx) {
+            Op::AwaitDone => st.state == 2,
+            // Parked until unparked, unless the post was already seen.
+            Op::Park => st.seen == 1 || st.token,
+            // A resident that has not seen the post goes back to sleep.
+            Op::RunJob => st.seen == 1,
+            _ => true,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,6 +784,26 @@ mod tests {
                 );
             }
             other => panic!("expected a Violation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn the_rank_thread_handoff_is_clean_across_all_interleavings() {
+        let clean = HandoffModel { lost_wakeup: false };
+        let report = miniloom::check(&clean, &CheckOptions::default())
+            .expect("post, unpark, park, re-read never loses a wakeup or races");
+        assert_eq!(report.unreduced, Some(126), "9!/(4!·5!) merge orders");
+    }
+
+    #[test]
+    fn an_unpark_before_the_post_is_caught_as_a_deadlock() {
+        let seeded = HandoffModel { lost_wakeup: true };
+        match miniloom::check(&seeded, &CheckOptions::default()) {
+            Err(miniloom::ExploreError::Deadlock { schedule, blocked }) => {
+                assert!(!schedule.is_empty(), "needs a concrete prefix");
+                assert_eq!(blocked, [0, 1], "caller waits for DONE, resident sleeps");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
         }
     }
 }

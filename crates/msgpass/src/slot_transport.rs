@@ -361,22 +361,32 @@ const BACKOFF_CAP: Duration = Duration::from_micros(20);
 /// sleep quantum, while a long-wedged peer still converges to
 /// cap-sized parks instead of burning the core.
 #[derive(Default)]
-struct Backoff {
+pub(crate) struct Backoff {
     step: u32,
 }
 
 impl Backoff {
     fn snooze(&mut self) {
+        if !self.spin_or_yield() {
+            let exp = (self.step - 192).min(14);
+            let park = Duration::from_micros(1u64 << exp).min(BACKOFF_CAP);
+            std::thread::park_timeout(park);
+            self.step = self.step.saturating_add(1);
+        }
+    }
+
+    /// One step of the ladder's first two rungs — 64 spins, then 128
+    /// yields — or `false` once both are used up and it is time to park.
+    pub(crate) fn spin_or_yield(&mut self) -> bool {
         if self.step < 64 {
             std::hint::spin_loop();
         } else if self.step < 192 {
             std::thread::yield_now();
         } else {
-            let exp = (self.step - 192).min(14);
-            let park = Duration::from_micros(1u64 << exp).min(BACKOFF_CAP);
-            std::thread::park_timeout(park);
+            return false;
         }
-        self.step = self.step.saturating_add(1);
+        self.step += 1;
+        true
     }
 }
 

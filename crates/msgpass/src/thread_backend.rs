@@ -1,5 +1,6 @@
 //! Real multi-threaded backend: one OS thread per rank — the calling
-//! thread is rank 0, ranks `1..` are spawned per job ([`run_world`],
+//! thread is rank 0, ranks `1..` run on threads their [`World`] keeps
+//! from its first run until it drops ([`run_world`],
 //! [`run_threads_with`]) — pluggable per-link transports
 //! ([`TransportKind`]), and an injected wire-latency model.
 //!
@@ -29,11 +30,15 @@
 
 use crate::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
 use crate::fault::{FaultPlan, FaultStats, ReliabilityConfig};
+use crate::slot_transport::Backoff;
 use crate::transport::{make_link, Envelope, LinkRx, LinkTx, Payload};
 pub use crate::transport::{PoolStats, TransportKind};
 use std::collections::{HashMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use tiling_core::machine::KernelTier;
 
@@ -816,30 +821,29 @@ impl<T> Drop for ThreadComm<T> {
     }
 }
 
-/// Build the full mesh of per-rank communicators (used by
-/// [`run_threads`] and by the trace-recording driver). Each directed
-/// pair gets one transport link of the configured kind.
+/// Build the full mesh of per-rank communicators, without threads (the
+/// trace-recording driver runs them one after another on its own
+/// thread). Each directed pair gets one transport link of the
+/// configured kind.
 pub(crate) fn build_world<T: Send + Sync + 'static>(
     size: usize,
     latency: LatencyModel,
 ) -> Vec<ThreadComm<T>> {
-    build_world_with(size, &WorldConfig::new(latency))
+    build_world_with(size, &WorldConfig::new(latency)).comms
 }
 
-/// [`build_world`] with the full [`WorldConfig`]: additionally wires
-/// the per-link retransmission ledgers and per-rank reliability state
-/// when the configuration asks for them.
+/// [`build_world`] with the full [`WorldConfig`], as a [`World`]:
+/// additionally wires the per-link retransmission ledgers and per-rank
+/// reliability state when the configuration asks for them. No thread
+/// starts before the world's first run.
 ///
 /// Public so long-running services can build a world *once* and drive
 /// it through [`run_world`] for many jobs: the links (and, on the
 /// slot transport, the peer-visible slot rings) are the expensive part
 /// of a world, and a fully drained world — one whose every send was
 /// matched by a receive, which the `analyzer` crate proves statically
-/// for engine plans — is reusable as-is.
-pub fn build_world_with<T: Send + Sync + 'static>(
-    size: usize,
-    cfg: &WorldConfig,
-) -> Vec<ThreadComm<T>> {
+/// for engine plans — is reusable as-is, rank threads included.
+pub fn build_world_with<T: Send + Sync + 'static>(size: usize, cfg: &WorldConfig) -> World<T> {
     assert!(size > 0, "world size must be positive");
     let latency = cfg.latency;
     let mut tx_grid: Vec<Vec<Option<Box<dyn LinkTx<T>>>>> = (0..size)
@@ -901,7 +905,33 @@ pub fn build_world_with<T: Send + Sync + 'static>(
             rel,
         });
     }
-    comms
+    World {
+        comms,
+        crew: Crew::default(),
+    }
+}
+
+/// One communicator per rank, and the threads ranks `1..` run on: the
+/// world's first run starts them and its drop joins them, so a later
+/// [`run_world`] hands its ranks to threads that already exist. Derefs
+/// to the communicators in rank order.
+pub struct World<T> {
+    comms: Vec<ThreadComm<T>>,
+    crew: Crew,
+}
+
+impl<T> Deref for World<T> {
+    type Target = [ThreadComm<T>];
+
+    fn deref(&self) -> &[ThreadComm<T>] {
+        &self.comms
+    }
+}
+
+impl<T> DerefMut for World<T> {
+    fn deref_mut(&mut self) -> &mut [ThreadComm<T>] {
+        &mut self.comms
+    }
 }
 
 /// Run `size` ranks, each executing `body(comm)` on its own OS thread
@@ -925,17 +955,20 @@ where
 }
 
 /// [`run_threads`] under a full [`WorldConfig`] (transport kind,
-/// reliability layer, fault plan). Per-rank panics are captured rather
-/// than propagated — on a reliability-enabled world a crashed rank
-/// surfaces to its peers as a timeout/closed-peer error, and to the
-/// driver as the `Err` slot of that rank, so the caller can report
-/// *which* rank failed.
+/// reliability layer, fault plan): builds a world, runs it once and
+/// drops it. Per-rank panics are captured rather than propagated — on
+/// a reliability-enabled world a crashed rank surfaces to its peers as
+/// a timeout/closed-peer error, and to the driver as the `Err` slot of
+/// that rank, so the caller can report *which* rank failed.
 ///
-/// **The calling thread is rank 0**: its body runs inline, and only
-/// ranks `1..size` get a (scoped) thread, joined before returning — a
-/// 1-rank world spawns nothing. A panic in rank 0's body is slot 0's
-/// `Err` like any other and never unwinds into the caller.
-/// `cfg.pin_cores` pins the spawned ranks only: the calling thread's
+/// Each body owns its communicator and drops it when it ends, so a
+/// rank that stops early reads to its peers as a closed peer.
+///
+/// **The calling thread is rank 0**: its body runs inline, and ranks
+/// `1..size` run on the world's threads, joined when it drops after
+/// the run — a 1-rank world starts none. A panic in rank 0's body is
+/// slot 0's `Err` like any other and never unwinds into the caller.
+/// `cfg.pin_cores` pins the other ranks only: the calling thread's
 /// affinity belongs to the caller and would outlive the run.
 pub fn run_threads_with<T, R, F>(
     size: usize,
@@ -947,26 +980,27 @@ where
     R: Send,
     F: Fn(ThreadComm<T>) -> R + Send + Sync,
 {
-    let comms = build_world_with::<T>(size, cfg);
-    run_ranks(comms, cfg.pin_cores, body)
+    let World { comms, mut crew } = build_world_with::<T>(size, cfg);
+    run_ranks(&mut crew, comms, cfg.pin_cores, body)
 }
 
-/// Drive a *prebuilt* world through one job: rank `r` runs
-/// `body(&mut comms[r])`. Unlike [`run_threads_with`], the
+/// Drive a *kept* world through one job: rank `r` runs
+/// `body(&mut world[r])`. Unlike [`run_threads_with`], the
 /// communicators are borrowed, not consumed — after every rank's sends
 /// have been matched by receives (the engine's plans guarantee this;
 /// the analyzer proves it pre-flight) the world is drained and can be
-/// handed to the next job with its links, slot rings and buffer pools
-/// warm. Reliability sequence numbers and pool counters persist across
-/// jobs, consistently on both endpoints.
+/// handed to the next job with its links, slot rings, buffer pools and
+/// rank threads warm. Reliability sequence numbers and pool counters
+/// persist across jobs, consistently on both endpoints.
 ///
-/// **The calling thread is rank 0**, threads exist only for ranks `1..`
-/// and only for the job, and `pin_cores` pins those — all exactly as in
-/// [`run_threads_with`], as is the capture of per-rank panics in the
-/// result slots. But note a panicked or errored job may leave links
-/// non-drained, in which case the world must be discarded, not reused.
+/// **The calling thread is rank 0**, ranks `1..` run on the world's
+/// threads (started by its first run), and `pin_cores` pins those —
+/// all exactly as in [`run_threads_with`], as is the capture of
+/// per-rank panics in the result slots. But note a panicked or errored
+/// job may leave links non-drained, in which case the world must be
+/// discarded, not reused.
 pub fn run_world<T, R, F>(
-    comms: &mut [ThreadComm<T>],
+    world: &mut World<T>,
     pin_cores: bool,
     body: F,
 ) -> (Vec<std::thread::Result<R>>, Duration)
@@ -975,16 +1009,19 @@ where
     R: Send,
     F: Fn(&mut ThreadComm<T>) -> R + Send + Sync,
 {
-    run_ranks(comms, pin_cores, body)
+    let World { comms, crew } = world;
+    run_ranks(crew, comms.iter_mut(), pin_cores, body)
 }
 
 /// One job over one communicator per rank, in rank order (owned or
 /// borrowed): the first runs inline under `catch_unwind`, every other
-/// one on a scoped thread that `pin_cores` pins to its rank's core. The
-/// elapsed time runs from before the first spawn to after the last
-/// join, so rank 1's spawn latency hides behind rank 0's first tile.
+/// one on its resident thread of `crew`, which `pin_cores` pins to its
+/// rank's core. The elapsed time runs from before the first post (and
+/// a fresh crew's spawns) to after the last rank is done, so rank 1's
+/// wake-up hides behind rank 0's first tile.
 fn run_ranks<C, R>(
-    comms: impl IntoIterator<Item = C>,
+    crew: &mut Crew,
+    comms: impl IntoIterator<Item = C, IntoIter: ExactSizeIterator>,
     pin_cores: bool,
     body: impl Fn(C) -> R + Sync,
 ) -> (Vec<std::thread::Result<R>>, Duration)
@@ -993,33 +1030,166 @@ where
     R: Send,
 {
     let start = Instant::now();
-    let body = &body;
     let mut comms = comms.into_iter();
-    let results = std::thread::scope(|scope| {
-        let Some(first) = comms.next() else {
-            return Vec::new();
-        };
-        let handles: Vec<_> = comms
-            .zip(1..)
-            .map(|(comm, rank)| {
-                scope.spawn(move || {
+    let Some(first) = comms.next() else {
+        return (Vec::new(), start.elapsed());
+    };
+    crew.staff(comms.len());
+    let mut slots: Vec<Option<std::thread::Result<R>>> =
+        std::iter::repeat_with(|| None).take(comms.len()).collect();
+    let (body, waiter) = (&body, std::thread::current());
+    let inline = {
+        let launch = Launch(crew);
+        for (hand, (comm, slot)) in comms.zip(&mut slots).enumerate() {
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                *slot = Some(catch_unwind(AssertUnwindSafe(|| {
                     if pin_cores {
                         // Best-effort placement hint; failure is fine.
-                        let _ = crate::affinity::pin_current_thread(rank);
+                        let _ = crate::affinity::pin_current_thread(hand + 1);
                     }
                     body(comm)
-                })
-            })
-            .collect();
-        // The same contract as a spawned rank's `join`: the panic
-        // becomes the slot's `Err`, and whatever `body` shares between
-        // ranks is as the dead rank left it.
-        let inline = catch_unwind(AssertUnwindSafe(|| body(first)));
-        std::iter::once(inline)
-            .chain(handles.into_iter().map(|h| h.join()))
-            .collect()
-    });
-    (results, start.elapsed())
+                })));
+            });
+            // The job borrows `body` and `slot` from this frame, and (for
+            // `run_world`) the communicator from its caller's. `launch`
+            // lives on this frame: its drop, on return or unwind, waits
+            // until the crew's running count is back to 0, which a
+            // resident counts down only after the job ran and was dropped.
+            // SAFETY: only the lifetime changes, and by the above no
+            // borrow the job holds is used after this block ends.
+            let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            launch.post(hand, job, waiter.clone());
+        }
+        // The same contract as a resident rank's job: the panic becomes
+        // the slot's `Err`, and whatever `body` shares between ranks is
+        // as the dead rank left it.
+        catch_unwind(AssertUnwindSafe(|| body(first)))
+    };
+    let ranks = slots
+        .into_iter()
+        .map(|s| s.expect("a done rank filled its slot"));
+    (
+        std::iter::once(inline).chain(ranks).collect(),
+        start.elapsed(),
+    )
+}
+
+/// A resident thread's mailbox states.
+const IDLE: u32 = 0;
+const POSTED: u32 = 1;
+const DONE: u32 = 2;
+const EXIT: u32 = 3;
+
+/// A job slot is only ever locked to store or take a job, which
+/// cannot panic.
+const UNPOISONED: &str = "a job slot's lock is never held across a panic";
+
+/// One run's work for one resident thread — the rank's body into its
+/// result slot — with its borrows' lifetime erased (see [`run_ranks`]).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The resident threads of a world's ranks `1..`, with their
+/// mailboxes, and how many posted jobs are still running.
+#[derive(Default)]
+struct Crew {
+    running: Arc<AtomicUsize>,
+    hands: Vec<(Arc<Mailbox>, std::thread::JoinHandle<()>)>,
+}
+
+/// What a resident thread shares with the launching thread: the state,
+/// the posted job with the thread to wake when the run is done, and
+/// the crew's running count.
+struct Mailbox {
+    state: AtomicU32,
+    job: Mutex<Option<(Job, Thread)>>,
+    running: Arc<AtomicUsize>,
+}
+
+impl Crew {
+    /// Start resident threads until there are `n`.
+    fn staff(&mut self, n: usize) {
+        while self.hands.len() < n {
+            let mailbox = Arc::new(Mailbox {
+                state: AtomicU32::new(IDLE),
+                job: Mutex::new(None),
+                running: Arc::clone(&self.running),
+            });
+            let resident = Arc::clone(&mailbox);
+            self.hands
+                .push((mailbox, std::thread::spawn(move || resident.serve())));
+        }
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        for (mailbox, thread) in &self.hands {
+            mailbox.state.store(EXIT, Ordering::Release);
+            thread.thread().unpark();
+        }
+        for (_, thread) in self.hands.drain(..) {
+            // A resident never panics: its jobs catch their own.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One run's posts to a crew. Dropping it waits until every posted job
+/// is done: spinning and yielding, then parked until the last rank to
+/// finish unparks it.
+struct Launch<'c>(&'c Crew);
+
+impl Launch<'_> {
+    /// Hand `job` to the thread of rank `hand + 1` and count it as
+    /// running; the last job of the run to finish unparks `waiter`.
+    fn post(&self, hand: usize, job: Job, waiter: Thread) {
+        let (mailbox, thread) = &self.0.hands[hand];
+        // Relaxed: the `POSTED` release below orders the count before
+        // the resident's count-off, which acquires `POSTED` first.
+        self.0.running.fetch_add(1, Ordering::Relaxed);
+        *mailbox.job.lock().expect(UNPOISONED) = Some((job, waiter));
+        mailbox.state.store(POSTED, Ordering::Release);
+        thread.thread().unpark();
+    }
+}
+
+impl Drop for Launch<'_> {
+    fn drop(&mut self) {
+        park_until(|| self.0.running.load(Ordering::Acquire) == 0);
+    }
+}
+
+impl Mailbox {
+    /// A resident thread's life: wait for a post, run it, report DONE,
+    /// until EXIT (which finds no job posted).
+    fn serve(&self) {
+        loop {
+            park_until(|| matches!(self.state.load(Ordering::Acquire), POSTED | EXIT));
+            let Some((job, waiter)) = self.job.lock().expect(UNPOISONED).take() else {
+                return;
+            };
+            job();
+            // DONE before the count-off, so a count of 0 means the whole
+            // run is DONE; the caller's acquire of that 0 pairs with every
+            // count-off's release, so it sees each job's result slot.
+            self.state.store(DONE, Ordering::Release);
+            if self.running.fetch_sub(1, Ordering::AcqRel) == 1 {
+                waiter.unpark();
+            }
+        }
+    }
+}
+
+/// Spin and yield as the slot transport's backoff does, then park,
+/// until `done()` — which is re-read after every wake-up, so an early
+/// or stale unpark is harmless.
+fn park_until(done: impl Fn() -> bool) {
+    let mut backoff = Backoff::default();
+    while !done() {
+        if !backoff.spin_or_yield() {
+            std::thread::park();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1077,26 +1247,35 @@ mod tests {
     }
 
     /// Both launchers over a `size`-rank world, the body seeing only
-    /// its rank: the prebuilt-world one, then the fresh-world one.
+    /// its rank: twice over one kept world, then once over a fresh one.
+    /// The kept world has started a thread per rank `1..`, no more.
     fn launch_both<R: Send>(
         size: usize,
         body: impl Fn(usize) -> R + Send + Sync,
-    ) -> [Vec<std::thread::Result<R>>; 2] {
+    ) -> [Vec<std::thread::Result<R>>; 3] {
         let cfg = WorldConfig::new(LatencyModel::zero());
         let mut world = build_world_with::<f32>(size, &cfg);
-        [
+        let runs = [
+            run_world(&mut world, false, |comm| body(comm.rank())).0,
             run_world(&mut world, false, |comm| body(comm.rank())).0,
             run_threads_with::<f32, _, _>(size, &cfg, |comm| body(comm.rank())).0,
-        ]
+        ];
+        assert_eq!(world.crew.hands.len(), size - 1);
+        runs
     }
 
     #[test]
     fn the_calling_thread_is_rank_0_and_every_other_rank_runs_elsewhere() {
         let caller = std::thread::current().id();
-        // A 1-rank world has nobody to spawn: its only body runs here.
+        // A 1-rank world has no thread to start: its only body runs here.
         for size in [1, 3] {
-            for results in launch_both(size, |_| std::thread::current().id()) {
-                let ids: Vec<_> = results.into_iter().map(|r| r.expect("no panic")).collect();
+            let runs = launch_both(size, |_| std::thread::current().id()).map(|run| {
+                run.into_iter()
+                    .map(|r| r.expect("no panic"))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(runs[0], runs[1], "a kept world's next run moved a rank");
+            for ids in runs {
                 assert_eq!(ids.len(), size);
                 assert_eq!(ids[0], caller, "rank 0 of {size}");
                 for (rank, id) in ids.iter().enumerate().skip(1) {
@@ -1112,6 +1291,7 @@ mod tests {
         // Independent bodies, so nothing waits on the dead rank. Rank 0
         // dies on the calling thread: getting the slots back at all is
         // the proof that its panic did not unwind through the caller.
+        // Rank 1 dies on a kept world's thread, which then runs again.
         for dead in [0, 1] {
             let body = |rank: usize| {
                 assert_ne!(rank, dead, "rank {rank} dies");
@@ -1124,6 +1304,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn no_rank_thread_outlives_its_world() {
+        thread_local! {
+            static HELD: std::cell::Cell<Option<Arc<()>>> = const { std::cell::Cell::new(None) };
+        }
+        // Rank 1 parks a clone in its thread's locals, which only that
+        // thread's exit drops.
+        let hold = |token: &Arc<()>, rank| (rank == 1).then(|| HELD.set(Some(Arc::clone(token))));
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let (kept, fresh) = (Arc::new(()), Arc::new(()));
+        let mut world = build_world_with::<f32>(2, &cfg);
+        run_world(&mut world, false, |comm| hold(&kept, comm.rank()));
+        assert_eq!(Arc::strong_count(&kept), 2, "the world is alive");
+        drop(world);
+        run_threads_with::<f32, _, _>(2, &cfg, |comm| hold(&fresh, comm.rank()));
+        let counts = (Arc::strong_count(&kept), Arc::strong_count(&fresh));
+        assert_eq!(
+            counts,
+            (1, 1),
+            "(kept, fresh): a rank thread outlived its world"
+        );
     }
 
     #[test]

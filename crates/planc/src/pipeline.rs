@@ -185,7 +185,9 @@ fn decompose(shape: Shape, req: &PlanRequest) -> Result<(), CompileError> {
     Ok(())
 }
 
-/// Stage 3: resolve the tile height and the closed-form prediction.
+/// Stage 3: resolve the tile height and the closed-form prediction. A
+/// block too large for the closed form (its `NaN` `V*`) leaves an
+/// explicit height without a prediction and fails `auto`.
 fn optimize(shape: Shape, req: &PlanRequest) -> Result<(usize, Option<f64>), CompileError> {
     let machine = req.machine.params();
     // The executor families fix the cross-section (one tile column per
@@ -295,11 +297,12 @@ pub fn compile(req: &PlanRequest) -> Result<PlanArtifact, CompileError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::artifact::ExecOptions;
     use crate::spec::{KernelName, MachineSpec};
     use stencil::decomp::DecompError;
+    use stencil::engine::EngineError;
 
     #[test]
     fn grid3_compiles_and_executes_verified() {
@@ -425,6 +428,38 @@ ENDFOR
         let strip = PlanRequest::strip2(1 << 32, 2, 2).with_v(1);
         assert_eq!(compile(&strip).unwrap_err(), too_many);
         assert_eq!(decompose(front(&built).unwrap(), &built), Ok(()));
+    }
+
+    /// 2²⁹ × 2²⁹ × 4 fits `isize` bytes (2⁶²), but a rank's 128-high
+    /// sample tile does not fit `i64`: there is no closed form.
+    pub(crate) fn untileable() -> PlanRequest {
+        PlanRequest::grid3(1 << 29, 1 << 29, 4, 2, 1).with_v(4)
+    }
+
+    /// 2⁴⁸ cells, 2⁵⁰ bytes: countable, far more than memory.
+    pub(crate) fn unallocatable() -> PlanRequest {
+        PlanRequest::grid3(1 << 16, 1 << 16, 1 << 16, 2, 1).with_v(1 << 16)
+    }
+
+    /// Grids larger than memory, or than `i64`/`isize` can count, are
+    /// typed errors from `compile` or `execute`, never a panic or an
+    /// allocation abort.
+    #[test]
+    fn oversized_grids_are_typed_errors() {
+        let oom = |bytes| EngineError::OutOfMemory { bytes };
+        let a = compile(&untileable()).expect("an explicit V needs no closed form");
+        assert_eq!(a.predicted_us(), None);
+        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(1 << 62));
+        let auto = PlanRequest::grid3(1 << 29, 1 << 29, 4, 2, 1);
+        assert_eq!(compile(&auto).unwrap_err().stage(), "optimize");
+        let line = "workload=grid3 nx=4194304 ny=4194304 nz=4194304 pi=2 pj=1";
+        let too_large = CompileError::Decompose(DecompError::TooLarge);
+        assert_eq!(
+            compile(&PlanRequest::parse_kv(line).unwrap()).unwrap_err(),
+            too_large
+        );
+        let a = compile(&unallocatable()).expect("compiles");
+        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(1 << 50));
     }
 
     /// Compile `src` as an Example-1 nest and return the error, which

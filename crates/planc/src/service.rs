@@ -296,6 +296,29 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_survives_oversized_requests() {
+        use crate::pipeline::tests::{unallocatable, untileable};
+        let svc = PlanService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let run = |req: PlanRequest| {
+            let job = JobRequest::Execute(req, ExecOptions { verify: true });
+            svc.try_submit(job).expect("queued").wait()
+        };
+        for (req, bytes) in [(unallocatable(), 1 << 50), (untileable(), 1 << 62)] {
+            match run(req) {
+                Err(ServiceError::Exec(e)) => assert_eq!(e, EngineError::OutOfMemory { bytes }),
+                other => panic!("expected an execution error, got {other:?}"),
+            }
+        }
+        match run(PlanRequest::grid3(8, 8, 64, 2, 1).with_v(16)) {
+            Ok(JobResponse::Executed(_, out)) => assert_eq!(out.verified, Some(true)),
+            other => panic!("the worker did not serve the next job: {other:?}"),
+        }
+    }
+
+    #[test]
     fn queue_bound_rejects() {
         // One worker, capacity 1: a burst must see QueueFull.
         let svc = PlanService::start(ServiceConfig {

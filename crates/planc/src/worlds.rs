@@ -2,8 +2,9 @@
 //! jobs.
 //!
 //! Building a world allocates the full link mesh (slot rings, buffer
-//! pools, a shared barrier); for service workloads that execute many
-//! small plans the setup dominates. The pool keys finished worlds by
+//! pools, a shared barrier), and its first run starts its rank
+//! threads; for service workloads that execute many small plans the
+//! setup dominates. The pool keys finished worlds by
 //! everything that shapes them — rank count, transport, latency model
 //! — and hands them back out to the next matching job
 //! (`stencil::plan::run3d_on_world` drives them). Reuse is sound
@@ -16,7 +17,7 @@
 //! their link state (sequence ledgers, pending fault schedules) is
 //! intentionally job-specific.
 
-use msgpass::thread_backend::{build_world_with, ThreadComm, WorldConfig};
+use msgpass::thread_backend::{build_world_with, World, WorldConfig};
 use msgpass::transport::TransportKind;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +62,7 @@ pub struct WorldPoolStats {
 
 /// A keyed pool of prebuilt worlds. See the module docs.
 pub struct WorldPool {
-    parked: Mutex<HashMap<WorldKey, Vec<Vec<ThreadComm<f32>>>>>,
+    parked: Mutex<HashMap<WorldKey, Vec<World<f32>>>>,
     created: AtomicU64,
     reused: AtomicU64,
     max_per_key: usize,
@@ -91,7 +92,7 @@ impl WorldPool {
 
     /// A world matching `cfg`, warm if one is parked, freshly built
     /// otherwise.
-    pub fn checkout(&self, cfg: &WorldConfig, ranks: usize) -> Vec<ThreadComm<f32>> {
+    pub fn checkout(&self, cfg: &WorldConfig, ranks: usize) -> World<f32> {
         if Self::poolable(cfg) {
             let key = WorldKey::of(cfg, ranks);
             if let Some(world) = self
@@ -113,7 +114,7 @@ impl WorldPool {
     /// run — an errored world may hold undrained messages and must be
     /// dropped instead. Non-poolable configurations are dropped
     /// silently.
-    pub fn checkin(&self, cfg: &WorldConfig, world: Vec<ThreadComm<f32>>) {
+    pub fn checkin(&self, cfg: &WorldConfig, world: World<f32>) {
         if !Self::poolable(cfg) {
             return;
         }

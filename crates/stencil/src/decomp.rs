@@ -92,6 +92,9 @@ pub enum DecompError {
         /// `⌈extent / V⌉`.
         steps: usize,
     },
+    /// The grid's `f32` cells do not fit in one allocation: their
+    /// bytes overflow `isize`.
+    TooLarge,
 }
 
 impl fmt::Display for DecompError {
@@ -105,6 +108,7 @@ impl fmt::Display for DecompError {
                 parts,
             } => write!(f, "{axis} = {extent} not divisible by {parts} processors"),
             DecompError::TooManySteps { steps } => write!(f, "{steps} steps, over 2^32 - 1"),
+            DecompError::TooLarge => write!(f, "grid bytes overflow isize"),
         }
     }
 }
@@ -117,6 +121,17 @@ pub fn require_nonempty_grid(extents: &[usize]) -> Result<(), DecompError> {
         return Err(DecompError::EmptyGrid);
     }
     Ok(())
+}
+
+/// The grid's `f32` cells, `4 · ∏ extents` bytes, must fit in one
+/// allocation: at most `isize::MAX` bytes.
+pub fn require_addressable(extents: &[usize]) -> Result<(), DecompError> {
+    extents
+        .iter()
+        .try_fold(std::mem::size_of::<f32>(), |bytes, &e| bytes.checked_mul(e))
+        .filter(|&bytes| isize::try_from(bytes).is_ok())
+        .map(|_| ())
+        .ok_or(DecompError::TooLarge)
 }
 
 /// All processor-grid extents and the tile height must be positive.
@@ -209,6 +224,10 @@ mod tests {
                 extent: 7,
                 parts: 2
             })
+        );
+        assert_eq!(
+            require_addressable(&[1 << 30, 1 << 30, 1 << 1]),
+            Err(DecompError::TooLarge)
         );
         assert_eq!(require_steps_fit(u32::MAX as usize), Ok(()));
         assert_eq!(

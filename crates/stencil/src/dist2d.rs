@@ -57,6 +57,7 @@ impl Decomp2D {
     /// Validate divisibility and sizes.
     pub fn validate(&self) -> Result<(), DecompError> {
         decomp::require_nonempty_grid(&[self.nx, self.ny])?;
+        decomp::require_addressable(&[self.nx, self.ny])?;
         decomp::require_nonempty_decomp(&[self.ranks, self.v])?;
         decomp::require_divides("ny", self.ny, self.ranks)?;
         decomp::require_steps_fit(self.steps())

@@ -82,6 +82,7 @@ impl Decomp3D {
     /// Validate divisibility and sizes.
     pub fn validate(&self) -> Result<(), DecompError> {
         decomp::require_nonempty_grid(&[self.nx, self.ny, self.nz])?;
+        decomp::require_addressable(&[self.nx, self.ny, self.nz])?;
         decomp::require_nonempty_decomp(&[self.pi, self.pj, self.v])?;
         decomp::require_divides("nx", self.nx, self.pi)?;
         decomp::require_divides("ny", self.ny, self.pj)?;

@@ -103,6 +103,11 @@ pub enum EngineError {
         /// Size of the world that was offered.
         got: usize,
     },
+    /// The result grid could not be allocated; nothing ran.
+    OutOfMemory {
+        /// Bytes the grid needs.
+        bytes: usize,
+    },
 }
 
 impl EngineError {
@@ -159,7 +164,9 @@ impl EngineError {
             EngineError::SequenceGap { .. } => 3,
             EngineError::Timeout { .. } => 2,
             EngineError::Comm { .. } => 1,
-            EngineError::RankFailed { .. } | EngineError::WorldSizeMismatch { .. } => 0,
+            EngineError::RankFailed { .. }
+            | EngineError::WorldSizeMismatch { .. }
+            | EngineError::OutOfMemory { .. } => 0,
         }
     }
 }
@@ -200,6 +207,9 @@ impl fmt::Display for EngineError {
                 f,
                 "prebuilt world has {got} ranks but the compiled plan runs on {expected}"
             ),
+            EngineError::OutOfMemory { bytes } => {
+                write!(f, "cannot allocate the {bytes}-byte result grid")
+            }
         }
     }
 }

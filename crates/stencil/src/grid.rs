@@ -102,6 +102,23 @@ impl Grid3D {
         }
     }
 
+    /// [`Grid3D::new`], or `None` where its cells cannot be allocated —
+    /// a grid larger than memory comes back instead of aborting.
+    pub fn try_new(nx: usize, ny: usize, nz: usize, fill: f32, boundary: f32) -> Option<Self> {
+        assert!(nx > 0 && ny > 0 && nz > 0, "grid must be non-empty");
+        let cells = nx.checked_mul(ny)?.checked_mul(nz)?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(cells).ok()?;
+        data.resize(cells, fill);
+        Some(Grid3D {
+            nx,
+            ny,
+            nz,
+            data,
+            boundary,
+        })
+    }
+
     /// Extent along i.
     pub fn nx(&self) -> usize {
         self.nx

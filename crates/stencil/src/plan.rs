@@ -21,10 +21,11 @@
 //! `msgpass::thread_backend::run_world`). [`run3d_observed_with`]
 //! launches that path on a fresh world; [`run3d_on_world_observed`]
 //! launches it over a *prebuilt* one: a service can keep a pool of
-//! worlds warm and run job after job on them, reusing links, slot rings
-//! and buffer pools. That reuse is sound precisely because the analyzer
-//! proved the plan drains every link — a completed run leaves no
-//! message behind.
+//! worlds warm and run job after job on them, reusing links, slot
+//! rings, buffer pools and rank threads. That reuse is sound precisely
+//! because the analyzer proved the plan drains every link — a completed
+//! run leaves no message behind. A result grid larger than memory is an
+//! [`EngineError::OutOfMemory`], before any rank runs.
 
 use crate::decomp::Layout;
 use crate::dist2d::{self, Decomp2D};
@@ -36,7 +37,7 @@ use crate::preflight::check_plan;
 use analyzer::AnalysisReport;
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
-use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, WorldConfig};
+use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
 use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
@@ -193,7 +194,10 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     ) -> (Vec<std::thread::Result<RankOut<O>>>, Duration),
 ) -> Run3D<O> {
     let d = c.d;
-    let mut out = Grid3D::new(d.nx, d.ny, d.nz, 0.0, d.boundary);
+    let mut out =
+        Grid3D::try_new(d.nx, d.ny, d.nz, 0.0, d.boundary).ok_or(EngineError::OutOfMemory {
+            bytes: d.nx * d.ny * d.nz * std::mem::size_of::<f32>(),
+        })?;
     let (results, elapsed) = {
         // The body is shared by the ranks, so each takes its pencils
         // and its tile walks (compiled here, on the launching thread —
@@ -253,15 +257,15 @@ pub fn run3d_with<K: Kernel3D>(
 /// [`run3d_observed_with`] over a *prebuilt* world (see
 /// [`msgpass::thread_backend::build_world_with`] /
 /// [`msgpass::thread_backend::run_world`]): the world's links, slot
-/// rings and buffer pools are reused as-is, so a warm world costs no
-/// setup. A world whose size differs from the plan's rank count is an
-/// [`EngineError::WorldSizeMismatch`]. On any other error the world may
-/// hold undrained messages and must be discarded.
+/// rings, buffer pools and rank threads are reused as-is, so a warm
+/// world costs no setup. A world whose size differs from the plan's
+/// rank count is an [`EngineError::WorldSizeMismatch`]. On any other
+/// error the world may hold undrained messages and must be discarded.
 pub fn run3d_on_world_observed<K, O, F>(
     kernel: K,
     c: &Compiled3D,
     tier: KernelTier,
-    world: &mut [ThreadComm<f32>],
+    world: &mut World<f32>,
     make_obs: F,
 ) -> Run3D<O>
 where
@@ -286,7 +290,7 @@ pub fn run3d_on_world<K: Kernel3D>(
     kernel: K,
     c: &Compiled3D,
     tier: KernelTier,
-    world: &mut [ThreadComm<f32>],
+    world: &mut World<f32>,
 ) -> Result<(Grid3D, Duration, Vec<FaultStats>), EngineError> {
     let (grid, elapsed, _, stats) =
         run3d_on_world_observed(kernel, c, tier, world, |_| NoopObserver)?;

@@ -122,13 +122,25 @@ impl ClosedForm {
 /// Fit the affine per-step message cost at two sample heights: returns
 /// the per-neighbor-message byte model summed over messages,
 /// `(bytes₀, bytes_per_v)` with `bytes(V) = bytes₀ + bytes_per_v·V`
-/// per message list.
+/// per message list. A sample tile whose volume (the determinant of its
+/// side matrix) overflows `i64` has no byte model: one NaN message,
+/// which makes `V*` and every prediction of the closed forms NaN.
 fn message_byte_model(
     deps: &DependenceSet,
     machine: &MachineParams,
     cross_section: &[i64],
     mapping_dim: usize,
 ) -> Vec<(f64, f64)> {
+    // Sample heights large enough to contain any dependence component.
+    let (v1, v2) = (64, 128);
+    let volume = |v: i64| {
+        cross_section
+            .iter()
+            .try_fold(v, |p: i64, &s| p.checked_mul(s))
+    };
+    if volume(v2).is_none() {
+        return vec![(f64::NAN, f64::NAN)];
+    }
     let dims = cross_section.len() + 1;
     let build = |v: i64| {
         let mut sides = Vec::with_capacity(dims);
@@ -144,9 +156,6 @@ fn message_byte_model(
         Tiling::rectangular(&sides)
     };
     let mapping = ProcessorMapping::along(dims, mapping_dim);
-    // Sample heights large enough to contain any dependence component.
-    let v1 = 64;
-    let v2 = 128;
     let m1 = neighbor_messages(&build(v1), deps, &mapping);
     let m2 = neighbor_messages(&build(v2), deps, &mapping);
     assert_eq!(
@@ -268,6 +277,19 @@ mod tests {
             DependenceSet::paper_3d(),
             MachineParams::paper_cluster(),
         )
+    }
+
+    #[test]
+    fn a_cross_section_too_large_to_tile_has_no_closed_form() {
+        let (space, deps, machine) = paper_setup();
+        let cross = [1 << 28, 1 << 29]; // × 128 overflows i64
+        let undefined = |cf: ClosedForm| cf.v_star.is_nan() && cf.predict_us(4.0).is_nan();
+        assert!(undefined(overlap_optimal_v(
+            &space, &deps, &machine, &cross, 2
+        )));
+        assert!(undefined(nonoverlap_optimal_v(
+            &space, &deps, &machine, &cross, 2
+        )));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{verify_example1, verify_paper3d};
-use msgpass::thread_backend::{build_world_with, LatencyModel, ThreadComm, WorldConfig};
+use msgpass::thread_backend::{build_world_with, LatencyModel, World, WorldConfig};
 use proptest::prelude::*;
 use stencil::kernel::KernelTier;
 use stencil::prelude::*;
@@ -193,7 +193,7 @@ fn long_pipeline_stays_finite() {
 
 /// Both modes on a fresh world per run and on the prebuilt `world`,
 /// bitwise against `stencil::seq`.
-fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut [ThreadComm<f32>]) {
+fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut World<f32>) {
     let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         let plan = Compiled3D::compile(d, mode).expect("clean plan");
