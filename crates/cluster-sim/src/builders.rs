@@ -41,9 +41,6 @@ use tiling_core::tiling::Tiling;
 /// Errors constructing a [`ClusterProblem`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum BuildError {
-    /// Only axis-aligned rectangular tilings can be laid out on the
-    /// processor grid this builder targets.
-    NotRectangular,
     /// The tiling is illegal or a dependence does not fit in one tile.
     BadTiling(String),
     /// Arity mismatch between space, tiling and dependences.
@@ -53,7 +50,6 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildError::NotRectangular => write!(f, "tiling must be axis-aligned rectangular"),
             BuildError::BadTiling(d) => write!(f, "bad tiling: {d}"),
             BuildError::ArityMismatch => write!(f, "arity mismatch"),
         }
@@ -86,9 +82,6 @@ impl ClusterProblem {
     ) -> Result<Self, BuildError> {
         if tiling.dims() != space.dims() || deps.dims() != space.dims() {
             return Err(BuildError::ArityMismatch);
-        }
-        if tiling.rectangular_sides().is_none() {
-            return Err(BuildError::NotRectangular);
         }
         tiling
             .check_contains(&deps)
@@ -202,7 +195,7 @@ impl ClusterProblem {
     /// Index range along dimension `d` of the tiles at coordinate `t`,
     /// clipped by the space; `None` if empty.
     fn axis_range(&self, d: usize, t: i64) -> Option<(i64, i64)> {
-        let side = self.tiling.rectangular_sides().expect("rectangular")[d];
+        let side = self.tiling.sides()[d];
         let lo = (t * side).max(self.space.lower()[d]);
         let hi = (t * side + side - 1).min(self.space.upper()[d]);
         (lo <= hi).then_some((lo, hi))
@@ -302,7 +295,7 @@ impl ClusterProblem {
     /// The mapping steps whose tile the space does not clip.
     fn unclipped_steps(&self) -> std::ops::Range<i64> {
         let mdim = self.mapping.mapping_dim();
-        let side = self.tiling.rectangular_sides().expect("rectangular")[mdim];
+        let side = self.tiling.sides()[mdim];
         let lower = self.tiled.lower()[mdim];
         let first = (self.space.lower()[mdim] + side - 1).div_euclid(side);
         let end = (self.space.upper()[mdim] + 1).div_euclid(side);
@@ -636,20 +629,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::BadTiling(_)));
-    }
-
-    #[test]
-    fn rejects_non_rectangular() {
-        use tiling_core::matrix::IntMatrix;
-        let skew = Tiling::from_side_matrix(IntMatrix::from_rows(&[&[2, 1], &[0, 2]])).unwrap();
-        let err = ClusterProblem::new(
-            skew,
-            DependenceSet::units(2),
-            IterationSpace::from_extents(&[8, 8]),
-            0,
-        )
-        .unwrap_err();
-        assert_eq!(err, BuildError::NotRectangular);
     }
 
     #[test]

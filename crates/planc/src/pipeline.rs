@@ -430,6 +430,14 @@ ENDFOR
         assert_eq!(decompose(front(&built).unwrap(), &built), Ok(()));
     }
 
+    /// A cross-section side of 1 prices its sample tiles by the per-axis
+    /// rule: a 1 × 2²⁴ × 64 tile is never walked point by point.
+    #[test]
+    fn a_side_one_cross_section_is_predicted() {
+        let a = compile(&PlanRequest::grid3(2, 1 << 24, 2, 2, 1).with_v(1)).expect("compiles");
+        assert!(a.predicted_us().is_some_and(f64::is_finite));
+    }
+
     /// 2²⁹ × 2²⁹ × 4 fits `isize` bytes (2⁶²), but a rank's 128-high
     /// sample tile does not fit `i64`: there is no closed form.
     pub(crate) fn untileable() -> PlanRequest {

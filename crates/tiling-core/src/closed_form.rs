@@ -122,8 +122,8 @@ impl ClosedForm {
 /// Fit the affine per-step message cost at two sample heights: returns
 /// the per-neighbor-message byte model summed over messages,
 /// `(bytes₀, bytes_per_v)` with `bytes(V) = bytes₀ + bytes_per_v·V`
-/// per message list. A sample tile whose volume (the determinant of its
-/// side matrix) overflows `i64` has no byte model: one NaN message,
+/// per message list. A sample tile whose volume (the product of its
+/// sides) overflows `i64` has no byte model: one NaN message,
 /// which makes `V*` and every prediction of the closed forms NaN.
 fn message_byte_model(
     deps: &DependenceSet,

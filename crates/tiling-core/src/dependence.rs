@@ -6,7 +6,6 @@
 //! be sequentially valid, and the tiling assumption `⌊HD⌋ = 0` (§2.3)
 //! additionally requires every vector to fit inside a single tile.
 
-use crate::matrix::IntMatrix;
 use std::fmt;
 
 /// A single constant dependence vector.
@@ -128,19 +127,6 @@ impl DependenceSet {
         &self.vectors[i]
     }
 
-    /// The `n × m` dependence matrix `D` with one *column* per vector —
-    /// the layout used by the legality condition `HD ≥ 0`.
-    pub fn as_matrix(&self) -> IntMatrix {
-        assert!(!self.is_empty(), "dependence matrix of empty set");
-        let mut m = IntMatrix::zeros(self.dims, self.vectors.len());
-        for (j, d) in self.vectors.iter().enumerate() {
-            for (i, &c) in d.components().iter().enumerate() {
-                m[(i, j)] = c;
-            }
-        }
-        m
-    }
-
     /// The unit dependence set `{e_1, …, e_n}` — the structure of a tiled
     /// space whose tiles fully contain the original dependences (§2.3).
     pub fn units(dims: usize) -> Self {
@@ -212,17 +198,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         let u = DependenceSet::units(3);
         assert_eq!(d, u);
-    }
-
-    #[test]
-    fn matrix_layout_columns_are_vectors() {
-        let d = DependenceSet::example_1();
-        let m = d.as_matrix();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.col(0), vec![1, 1]);
-        assert_eq!(m.col(1), vec![1, 0]);
-        assert_eq!(m.col(2), vec![0, 1]);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The crate models perfectly nested loops with uniform dependences
 //! ([`loopnest`], [`space`], [`dependence`]), partitions their iteration
-//! spaces into supernodes/tiles ([`tiling`], exact rational linear
-//! algebra in [`matrix`] / [`rational`]), prices computation and
+//! spaces into rectangular supernodes/tiles ([`tiling`]: one per-axis
+//! rule, in exact integers), prices computation and
 //! communication per tile ([`cost`], [`machine`]), and schedules the
 //! tiled space two ways:
 //!
@@ -52,6 +52,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -61,10 +62,8 @@ pub mod dependence;
 pub mod loopnest;
 pub mod machine;
 pub mod mapping;
-pub mod matrix;
 pub mod optimize;
 pub mod parse;
-pub mod rational;
 pub mod schedule;
 pub mod space;
 pub mod tile_graph;
@@ -82,13 +81,11 @@ pub mod prelude {
         SpeedError,
     };
     pub use crate::mapping::{neighbor_messages, NeighborMessage, ProcessorMapping};
-    pub use crate::matrix::{IntMatrix, RatMatrix};
     pub use crate::optimize::{
         best_nonoverlap, best_overlap, best_rectangular_plan, sweep_tile_height, SweepPoint,
         TilingPlan,
     };
     pub use crate::parse::{parse_loop_nest, ParseError};
-    pub use crate::rational::Rational;
     pub use crate::schedule::{
         LinearSchedule, NonOverlapReport, NonOverlapSchedule, OverlapMode, OverlapReport,
         OverlapSchedule, StepPlan, StepStrategy,

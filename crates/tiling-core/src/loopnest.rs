@@ -177,6 +177,7 @@ impl LoopNest {
 
     /// Example 1 of the paper (§3): the 10000×1000 2-D loop
     /// `A(i1,i2) = A(i1−1,i2−1) + A(i1−1,i2) + A(i1,i2−1)`.
+    #[allow(clippy::expect_used)] // LINT: fixed accesses of the right arity, all lex-positive
     pub fn example_1() -> Self {
         let a = ArrayId(0);
         let st = Statement::new(
@@ -193,6 +194,7 @@ impl LoopNest {
 
     /// The paper's 3-D experimental kernel (§5) on a given space:
     /// `A(i,j,k) = √A(i−1,j,k) + √A(i,j−1,k) + √A(i,j,k−1)`.
+    #[allow(clippy::expect_used)] // LINT: fixed accesses of the right arity, all lex-positive
     pub fn paper_3d(extents: &[i64; 3]) -> Self {
         let a = ArrayId(0);
         let st = Statement::new(

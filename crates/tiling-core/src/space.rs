@@ -113,24 +113,6 @@ impl IterationSpace {
             next: Some(self.lower.clone()),
         }
     }
-
-    /// The corner points of the rectangle (2^n of them).
-    pub fn corners(&self) -> Vec<Point> {
-        let n = self.dims();
-        (0..(1usize << n))
-            .map(|mask| {
-                (0..n)
-                    .map(|d| {
-                        if mask & (1 << d) != 0 {
-                            self.upper[d]
-                        } else {
-                            self.lower[d]
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 impl fmt::Debug for IterationSpace {
@@ -262,15 +244,6 @@ mod tests {
     fn points_count_matches_volume() {
         let s = IterationSpace::new(vec![-1, 2, 0], vec![1, 3, 1]);
         assert_eq!(s.points().count() as u64, s.volume());
-    }
-
-    #[test]
-    fn corners_cardinality() {
-        let s = IterationSpace::from_extents(&[2, 2, 2]);
-        let c = s.corners();
-        assert_eq!(c.len(), 8);
-        assert!(c.contains(&vec![0, 0, 0]));
-        assert!(c.contains(&vec![1, 1, 1]));
     }
 
     #[test]

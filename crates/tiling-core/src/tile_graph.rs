@@ -152,6 +152,11 @@ impl TileGraph {
     /// Critical-path length in *steps* under per-edge lags: the longest
     /// chain, counting each node once plus edge lags. This is the minimum
     /// schedule length any time assignment can achieve.
+    ///
+    /// # Panics
+    /// Panics if the graph has a cycle (a tile graph of a legal tiling
+    /// has none; [`Self::topological_order`] checks).
+    #[allow(clippy::expect_used)] // LINT: the documented precondition above
     pub fn critical_path<L>(&self, lag: L) -> i64
     where
         L: Fn(&Point, &Point) -> i64,

@@ -8,7 +8,8 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`tiling_core`] — supernode (tiling) transformations, cost models,
+//! * [`tiling_core`] — rectangular supernode (tiling) transformations,
+//!   exact integer cost models (`V_comp = Π s_i`),
 //!   and the non-overlapping vs overlapping tile schedules (the paper's
 //!   contribution);
 //! * [`cluster_sim`] — a deterministic discrete-event simulator of the
