@@ -31,9 +31,11 @@
 //!   a bounded while for it to free a slot (the transport's
 //!   backpressure — `wait_send` is eager, so nothing else throttles a
 //!   producer that outruns its consumer) and then falls back to an
-//!   owned heap copy. A zero-latency world is always in this case: its
-//!   messages are due the instant they are pushed, so its pools never
-//!   grow.
+//!   owned heap copy. While the consumer still has envelopes queued on
+//!   the link it is merely off a core, not wedged, so that wait
+//!   stretches to [`BEHIND_WAIT_CAP`] instead of ending in a copy. A
+//!   zero-latency world is always in this case: its messages are due
+//!   the instant they are pushed, so its pools never grow.
 //!
 //! A full ring spills into a mutex-guarded overflow queue that preserves
 //! link FIFO order (the producer keeps using the overflow until the
@@ -312,6 +314,14 @@ impl<T> Ring<T> {
         self.overflow_len.store(q.len(), Ordering::Release);
     }
 
+    /// Producer side: whether the consumer is still there and has
+    /// envelopes it has not popped yet.
+    fn backlog(&self) -> bool {
+        !self.rx_gone.load(Ordering::Acquire)
+            && (self.head.0.load(Ordering::Acquire) < self.tail.0.load(Ordering::Relaxed)
+                || self.overflow_len.load(Ordering::Acquire) > 0)
+    }
+
     /// Consumer side: ring first, then overflow.
     fn try_pop(&self) -> Option<Envelope<T>> {
         let cap = self.cells.len();
@@ -394,6 +404,11 @@ impl Backoff {
 pub(crate) struct SlotTx<T> {
     ring: Arc<Ring<T>>,
     pool: SlotPool<T>,
+    /// The last stage found no slot even after its wait: until a claim
+    /// succeeds again, waits stop at the budget instead of stretching
+    /// to [`BEHIND_WAIT_CAP`], so a consumer that stopped popping costs
+    /// the cap once, not once per send.
+    stalled: bool,
 }
 
 /// Receiver half of a slot link.
@@ -421,6 +436,7 @@ pub(crate) fn make_slot_link_raw<T: Send + Sync + 'static>(slots: usize) -> (Slo
         SlotTx {
             ring: Arc::clone(&ring),
             pool: SlotPool::new(slots),
+            stalled: false,
         },
         SlotRx { ring },
     )
@@ -435,6 +451,14 @@ pub(crate) fn make_slot_link_raw<T: Send + Sync + 'static>(slots: usize) -> (Slo
 /// deadlocking it. The wire's own hold time is never waited out here:
 /// a pool held entirely by the wire grows.
 const STAGE_WAIT_BUDGET: u32 = 256;
+
+/// How long a sender keeps waiting past [`STAGE_WAIT_BUDGET`] while its
+/// consumer still has envelopes queued on the link. Such a consumer is
+/// behind, not wedged: it frees a slot as soon as it is scheduled
+/// again, which on a loaded host can take longer than the budget's
+/// ~1 ms. Copying instead would make a descheduled peer cost an
+/// allocation per send.
+const BEHIND_WAIT_CAP: Duration = Duration::from_millis(50);
 
 impl<T: Send + Sync> SlotTx<T> {
     /// Number of payload slots right now (model-check introspection).
@@ -474,16 +498,27 @@ impl<T: Send + Sync> SlotTx<T> {
             // wire-level flow control — an eager-protocol `wait_send`
             // completes immediately). Wait a bounded while for the
             // consumer to release one.
+            // A zero budget never waits: in the model checker's replays
+            // no consumer runs during the wait.
             stats.stage_waits += 1;
             let mut backoff = Backoff::default();
-            for _ in 0..wait_budget {
+            let deadline = Instant::now() + BEHIND_WAIT_CAP;
+            let mut spent = 0;
+            while spent < wait_budget
+                || (wait_budget > 0
+                    && !self.stalled
+                    && self.ring.backlog()
+                    && Instant::now() < deadline)
+            {
                 backoff.snooze();
+                spent += 1;
                 claimed = self.pool.claim();
                 if claimed.is_some() {
                     break;
                 }
             }
         }
+        self.stalled = claimed.is_none();
         match claimed {
             Some(idx) => {
                 let (chunk, off) = self.pool.slot(idx);
