@@ -426,24 +426,26 @@ pub fn check_comm_plan(programs: &[Program]) -> Result<usize, AnalysisError> {
 /// Everything the pre-flight gate runs, in diagnostic order: schedule
 /// legality (`Π·d^S > 0` plus the eq.-4 overlap ordering), the
 /// programs' construction, send/receive matching, and deadlock
-/// detection.
+/// detection. Returns the report and the programs it proved, indexed
+/// by rank — the programs the executors then run.
 pub fn analyze(
     topo: &dyn RankTopology,
     plan: &StepPlan,
     pi: &[i64],
     mapping_dim: usize,
     deps: &DependenceSet,
-) -> Result<AnalysisReport, AnalysisError> {
+) -> Result<(AnalysisReport, Vec<Program>), AnalysisError> {
     check_schedule(plan, pi, mapping_dim, deps)?;
     let comm = programs(topo, plan);
     let messages = check_comm_plan(&comm)?;
-    Ok(AnalysisReport {
+    let report = AnalysisReport {
         ranks: topo.ranks(),
         steps: plan.steps(),
         events: comm.iter().map(Program::len).sum(),
         messages,
         logical_makespan: logical_makespan(topo, plan),
-    })
+    };
+    Ok((report, comm))
 }
 
 /// The plan's time-hyperplane count over this topology: the engine's

@@ -13,18 +13,18 @@
 //! 2. emits every rank's program ([`programs`]) through the
 //!    simulator's one `ProcB`/`ProcNB` emitter
 //!    (`cluster_sim::program::Program::pipeline`) — the op list the
-//!    engine executes and the simulator prices — and matches every
-//!    staged send against its peer's receive on (rank, tag, size,
-//!    step);
+//!    simulator prices — and matches every staged send against its
+//!    peer's receive on (rank, tag, size, step);
 //! 3. symbolically executes those programs under the transport's
 //!    semantics (eager sends, blocking receives) and, if they wedge,
 //!    extracts the deadlock cycle from the SCC of the cross-rank
 //!    wait-for graph.
 //!
 //! Failures are typed [`AnalysisError`]s naming the offending (rank,
-//! step, tag) — the information a hang destroys. The stencil crate
-//! runs [`analyze`] over its own decomposition types whenever it
-//! compiles a plan (its one-shot drivers opt out with
+//! step, tag) — the information a hang destroys. [`analyze`] hands back
+//! the programs it proved: the stencil crate runs it whenever it
+//! compiles a plan and its thread executor interprets those programs
+//! (its one-shot drivers opt out of the checks with
 //! `WorldConfig::without_preflight` for benchmarks);
 //! `bench::configs`' test compiles every shipped configuration through
 //! it.
@@ -49,6 +49,7 @@ pub use plan::{programs, RankTopology};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster_sim::program::Program;
     use tiling_core::dependence::DependenceSet;
     use tiling_core::schedule::{StepPlan, StepStrategy};
 
@@ -87,7 +88,7 @@ mod tests {
     #[test]
     fn blocking_chain_plan_is_clean() {
         let plan = StepPlan::new(StepStrategy::Blocking, 4);
-        let report =
+        let (report, proved) =
             analyze(&chain(), &plan, &[1, 1], 0, &DependenceSet::example_1()).expect("legal plan");
         assert_eq!(report.ranks, 3);
         assert_eq!(report.steps, 4);
@@ -95,12 +96,16 @@ mod tests {
         assert_eq!(report.messages, 8);
         // Eq. 3: P(g) = hops + steps = 2 + 4.
         assert_eq!(report.logical_makespan, 6);
+        // It hands back the programs it proved: what `programs` emits.
+        let emitted = programs(&chain(), &plan);
+        let same = |(p, e): (&Program, &Program)| p.ops().eq(e.ops());
+        assert!(proved.len() == 3 && proved.iter().zip(&emitted).all(same));
     }
 
     #[test]
     fn overlap_chain_plan_is_clean() {
         let plan = StepPlan::new(StepStrategy::Overlap, 4);
-        let report =
+        let (report, _) =
             analyze(&chain(), &plan, &[1, 2], 0, &DependenceSet::example_1()).expect("legal plan");
         assert_eq!(report.messages, 8);
         // Eq. 4: 2·hops + steps = 4 + 4.
@@ -110,7 +115,7 @@ mod tests {
     #[test]
     fn zero_step_plan_is_trivially_clean() {
         let plan = StepPlan::new(StepStrategy::Overlap, 0);
-        let report =
+        let (report, _) =
             analyze(&chain(), &plan, &[1, 2], 0, &DependenceSet::example_1()).expect("empty plan");
         assert_eq!(report.events, 0);
         assert_eq!(report.messages, 0);

@@ -1,9 +1,11 @@
 //! The programs pre-flight checks: every rank's ordered send, receive,
 //! wait and compute ops, derived from a [`StepPlan`] and a
 //! [`RankTopology`] by the simulator's own `ProcB`/`ProcNB` emitter
-//! ([`Program::pipeline`]) — the op sequence the engine executes
-//! (`stencil::engine::run_blocking` / `run_overlap`) and the simulator
-//! prices.
+//! ([`Program::pipeline`]) — the op sequence the simulator prices and
+//! the stencil thread executor (`stencil::engine::run_rank`) interprets
+//! op by op: a message's tag is `step · TAG_STRIDE + wire direction`,
+//! its length `bytes / ELEM_BYTES` elements, and a compute is labelled
+//! with its step.
 //!
 //! Building them is cheap — `O(ranks × steps × dirs)` face lengths
 //! looked up, the ops of each distinct step written once — and

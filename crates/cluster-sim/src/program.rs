@@ -10,18 +10,20 @@
 //! unrolls a rank's pipeline, described step by step by a
 //! [`StepSource`], into that op sequence. The simulator's builders
 //! ([`crate::builders`]) and the `analyzer` crate's pre-flight both
-//! emit through it, so the program pre-flight checks is the program the
-//! simulator prices.
+//! emit through it, and the `stencil` thread executor interprets the
+//! programs pre-flight emitted, op by op — so the program pre-flight
+//! checks is the program the threads run and the simulator prices.
 //!
 //! A program is stored **by step**: each distinct step's ops are kept
 //! once, with the fields that advance with the step — tag, request
-//! handle, compute label — relative to it, and every step is an index
-//! into them. A pipeline of any depth stores a handful of distinct steps
-//! (first, interior, around a partial last tile, last), so its ops cost
-//! memory by shape, not by step. [`Program::ops`] expands it; the engine
-//! walks it in place with a `(step, slot)` cursor. A hand-written
-//! program ([`Program::push`]) is one step, whose ops are stored as
-//! written.
+//! handle, compute label — relative to it, and each run of consecutive
+//! steps with the same ops is one entry pointing into them. A pipeline
+//! of any depth stores a handful of distinct steps (first, interior,
+//! around a partial last tile, last) and a handful of runs, so it costs
+//! memory by shape, not by step. [`Program::ops`] expands it; the
+//! simulator walks it in place with a `(run, slot)` cursor. A
+//! hand-written program ([`Program::push`]) is one step, whose ops are
+//! stored as written.
 
 use std::fmt;
 use tiling_core::schedule::StepStrategy;
@@ -125,22 +127,36 @@ impl Op {
     }
 }
 
-/// A step of a program that has ops: pipeline step `k`, whose `len` ops
-/// are the stored ops from `first` on, relative to the step, and whose
-/// first request is `req`.
+/// A run of `count` consecutive pipeline steps with the same ops, the
+/// first of them step `k`: each step's `len` ops are the stored ops from
+/// `first` on, relative to the step, and it creates `posts` requests,
+/// the run's first step from `req` on.
 #[derive(Clone, Copy, Debug, Default)]
 struct Step {
     k: u32,
+    count: u32,
     first: u32,
     len: u32,
     req: u32,
+    posts: u32,
 }
 
-/// A position in a program's walk: op `slot` of its `step`-th step,
-/// `at` (empty past the end).
+impl Step {
+    /// The run without its first step; empty when that was the last.
+    #[inline]
+    fn rest(mut self) -> Step {
+        self.count -= 1;
+        self.k = self.k.wrapping_add(1);
+        self.req = self.req.wrapping_add(self.posts);
+        self
+    }
+}
+
+/// A position in a program's walk: op `slot` of the first step of `at`,
+/// what is left of the program's `run`-th run (empty past the end).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Cursor {
-    step: u32,
+    run: u32,
     slot: u32,
     at: Step,
 }
@@ -150,7 +166,7 @@ pub(crate) struct Cursor {
 pub struct Program {
     /// Each distinct step's ops, relative to the step.
     ops: Vec<Op>,
-    /// The steps that have ops, in order.
+    /// The steps that have ops, in order, a run of equal ones per entry.
     steps: Vec<Step>,
     /// How far a tag advances per step: a face of step `k` travels under
     /// its step-0 tag plus `k · tag_stride`.
@@ -360,7 +376,6 @@ impl Program {
             Some((idx, end))
         };
         let mut p = Program {
-            steps: Vec::with_capacity(steps as usize),
             tag_stride,
             checked: true,
             ..Program::default()
@@ -396,12 +411,14 @@ impl Program {
                 _ => true,
             });
             if len > 0 {
-                p.steps.extend((0..n).map(|i| Step {
-                    k: k + i,
+                p.steps.push(Step {
+                    k,
+                    count: n,
                     first: first as u32,
                     len,
-                    req: p.next_req.wrapping_add(i.wrapping_mul(posts)),
-                }));
+                    req: p.next_req,
+                    posts,
+                });
             }
             p.len += len as usize * n as usize;
             p.next_req = p.next_req.wrapping_add(n.wrapping_mul(posts));
@@ -425,10 +442,9 @@ impl Program {
         Program {
             ops,
             steps: vec![Step {
-                k: 0,
-                first: 0,
+                count: 1,
                 len: len as u32,
-                req: 0,
+                ..Step::default()
             }],
             next_req,
             len,
@@ -439,7 +455,7 @@ impl Program {
     /// Append an operation, as written. An emitted pipeline of more than
     /// one step is expanded into one step first.
     pub fn push(&mut self, op: Op) {
-        let written = matches!(self.steps[..], [Step { k: 0, first: 0, req: 0, len }]
+        let written = matches!(self.steps[..], [Step { k: 0, count: 1, first: 0, req: 0, len, .. }]
             if len as usize == self.ops.len());
         if !written {
             *self = Program::written(self.ops().collect(), self.next_req);
@@ -554,9 +570,8 @@ impl Program {
     /// step; `None` past the end.
     #[inline]
     pub(crate) fn at(&self, c: &Cursor) -> Option<(Op, u32, u32)> {
-        let Step { k, first, len, req } = c.at;
-        let i = first + c.slot;
-        (c.slot < len).then(|| (self.resolve(i, k, req), i, k))
+        let (s, i) = (c.at, c.at.first + c.slot);
+        (c.slot < s.len).then(|| (self.resolve(i, s.k, s.req), i, s.k))
     }
 
     /// Move `c` to the next op.
@@ -564,9 +579,13 @@ impl Program {
     pub(crate) fn advance(&self, c: &mut Cursor) {
         c.slot += 1;
         if c.slot == c.at.len {
-            c.step += 1;
             c.slot = 0;
-            c.at = self.steps.get(c.step as usize).copied().unwrap_or_default();
+            c.at = if c.at.count > 1 {
+                c.at.rest()
+            } else {
+                c.run += 1;
+                self.steps.get(c.run as usize).copied().unwrap_or_default()
+            };
         }
     }
 
@@ -627,12 +646,15 @@ impl Iterator for Ops<'_> {
 
     /// Step by step: each step's stored ops, resolved.
     fn fold<B, F: FnMut(B, Op) -> B>(self, mut acc: B, mut f: F) -> B {
-        let (p, c) = (self.p, self.at);
-        let rest = p.steps.get(c.step as usize + 1..).unwrap_or_default();
-        for (s, slot) in std::iter::once((c.at, c.slot)).chain(rest.iter().map(|&s| (s, 0))) {
-            for i in s.first + slot..s.first + s.len {
+        let (p, mut c) = (self.p, self.at);
+        while c.at.count > 0 {
+            let s = c.at;
+            for i in s.first + c.slot..s.first + s.len {
                 acc = f(acc, p.resolve(i, s.k, s.req));
             }
+            // Past the step's last op: on to the next step.
+            c.slot = s.len - 1;
+            p.advance(&mut c);
         }
         acc
     }
@@ -898,6 +920,9 @@ mod tests {
         fn step(&mut self, _k: usize) -> &StepShape {
             &self.shape
         }
+        fn same_until(&self, _k: usize) -> usize {
+            self.steps
+        }
     }
 
     #[test]
@@ -952,6 +977,20 @@ mod tests {
             assert_eq!(p.ops().count(), p.len());
         }
         assert!(Program::pipeline(StepStrategy::Overlap, &mut Uniform::new(0), 2).is_empty());
+    }
+
+    #[test]
+    fn a_held_pipeline_costs_memory_by_shape_not_by_step() {
+        // One face in, one out per step: ProcB is 3 ops a step, ProcNB 5
+        // (4 in the first step, 6 in the last).
+        let steps = 1 << 24;
+        for (strategy, per_step) in [(StepStrategy::Blocking, 3), (StepStrategy::Overlap, 5)] {
+            let p = Program::pipeline(strategy, &mut Uniform::new(steps), 2);
+            assert!(p.steps.len() <= 4, "{strategy:?}: {} runs", p.steps.len());
+            assert!(p.stored_ops() <= 24, "{strategy:?}: {}", p.stored_ops());
+            assert_eq!(p.len(), per_step * steps, "{strategy:?}");
+            assert_eq!(p.ops().len(), p.len(), "{strategy:?}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! An artifact bundles everything an execution needs and nothing it
 //! has to re-derive: the sealed [`Compiled2D`]/[`Compiled3D`] (which
-//! carries the validated decomposition, the `StepPlan` and the
-//! pre-flight [`AnalysisReport`]), the resolved tile height, the
+//! carries the validated decomposition, the per-rank programs the
+//! executors interpret and the pre-flight [`AnalysisReport`] that
+//! proved them), the resolved tile height, the
 //! closed-form time prediction, and the [`PlanKey`] identifying it in
 //! the cache. Executing an artifact never re-validates, re-optimizes
 //! or re-analyzes — pre-flight ran exactly once, at compile time.
@@ -50,7 +51,7 @@ macro_rules! kernel2 {
 }
 
 /// The sealed executable bundle inside an artifact.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum CompiledWorkload {
     /// A 2-D strip plan.
     Dim2(Compiled2D),
@@ -82,14 +83,6 @@ impl GridResult {
         match self {
             GridResult::Dim3(g) => Some(g),
             GridResult::Dim2(_) => None,
-        }
-    }
-
-    /// The 2-D grid, if this was a 2-D plan.
-    pub fn dim2(&self) -> Option<&Grid2D> {
-        match self {
-            GridResult::Dim2(g) => Some(g),
-            GridResult::Dim3(_) => None,
         }
     }
 }
@@ -146,14 +139,6 @@ impl PlanArtifact {
         match &self.compiled {
             CompiledWorkload::Dim3(c) => Some(c),
             CompiledWorkload::Dim2(_) => None,
-        }
-    }
-
-    /// The 2-D compiled plan, if this is a 2-D artifact.
-    pub fn compiled2(&self) -> Option<&Compiled2D> {
-        match &self.compiled {
-            CompiledWorkload::Dim2(c) => Some(c),
-            CompiledWorkload::Dim3(_) => None,
         }
     }
 

@@ -12,9 +12,8 @@
 //!
 //! [`Strip2D`] is the 2-D [`TileOps`] implementation: it owns the strip,
 //! halo column and face buffer and supplies the branch-peeled
-//! `compute_tile` hot path (unchanged from the pre-engine executors) —
-//! the pipeline loop itself lives in [`crate::engine`], driven by the
-//! [`tiling_core`] schedule type behind the chosen [`ExecMode`]. Each
+//! `compute_tile` hot path — [`crate::engine`] runs the rank's compiled
+//! program over it. Each
 //! row's `i−1` neighbors are one contiguous slice (the previous strip
 //! row or a boundary splat), the `j−1` value is loop-carried, and the
 //! diagonal/west pair comes from a two-wide window over the neighbor
@@ -23,7 +22,7 @@
 //! from the wire payload into the contiguous halo window — no face or
 //! landing buffers at all. Steady-state steps allocate nothing.
 
-use crate::decomp::{self, DecompError, Layout, RankLinks};
+use crate::decomp::{self, DecompError, Layout};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid2D;
 use crate::kernel::Kernel2D;
@@ -131,7 +130,8 @@ impl Layout for Decomp2D {
 /// buffers are allocated once; the pipeline loop never allocates.
 struct Strip2D<K> {
     d: Decomp2D,
-    links: RankLinks,
+    /// Whether a strip to the left ships its face here.
+    has_left: bool,
     kernel: K,
     /// Own strip, `nx × by`, j fastest.
     strip: Vec<f32>,
@@ -145,10 +145,9 @@ struct Strip2D<K> {
 
 impl<K: Kernel2D> Strip2D<K> {
     fn new(d: Decomp2D, kernel: K, rank: usize) -> Self {
-        let links = RankLinks::of(&d, rank);
         Strip2D {
             d,
-            links,
+            has_left: decomp::has_upstream(&d, rank)[0],
             kernel,
             strip: vec![0.0; d.nx * d.by()],
             halo: vec![0.0; d.nx],
@@ -165,7 +164,7 @@ impl<K: Kernel2D> Strip2D<K> {
         let (i0, i1) = self.d.irange(k);
         let by = self.d.by();
         let b = self.d.boundary;
-        let has_left = self.links.up[0].is_some();
+        let has_left = self.has_left;
         for i in i0..i1 {
             let row = i * by;
             let (done, rest) = self.strip.split_at_mut(row);
@@ -198,20 +197,8 @@ impl<K: Kernel2D> TileOps for Strip2D<K> {
         self.d.num_dirs()
     }
 
-    fn upstream(&self, dir: usize) -> Option<usize> {
-        self.links.up[dir]
-    }
-
-    fn downstream(&self, dir: usize) -> Option<usize> {
-        self.links.dn[dir]
-    }
-
     fn wire_dir(&self, dir: usize) -> u64 {
         self.d.wire_dir(dir)
-    }
-
-    fn face_len(&self, dir: usize, step: usize) -> usize {
-        self.d.face_len(self.links.rank, dir, step)
     }
 
     fn pack_into(&mut self, _dir: usize, step: usize, out: &mut [f32]) {
@@ -247,8 +234,9 @@ pub fn try_run_rank2d_plan<C: Communicator<f32>, K: Kernel2D, O: StepObserver>(
     c: &Compiled2D,
     obs: &mut O,
 ) -> Result<Vec<f32>, EngineError> {
+    let program = c.program(comm)?;
     let mut s = Strip2D::new(c.decomp(), kernel, comm.rank());
-    engine::run_rank(comm, &mut s, c.step_plan(), obs)?;
+    engine::run_rank(comm, &mut s, program, obs)?;
     Ok(s.strip)
 }
 

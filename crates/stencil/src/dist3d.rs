@@ -2,13 +2,9 @@
 //!
 //! The processor grid covers the `i×j` cross-section (one block column
 //! per rank); all tiles along `k` stay on their rank. Each pipeline step
-//! processes a tile of height `V` along `k`:
-//!
-//! * **blocking** (`ProcB`): receive the `i−1`/`j−1` faces for the
-//!   current tile, compute, send own faces — serialized, eq. (3);
-//! * **overlapping** (`ProcNB`): post receives for step `k+1` and sends
-//!   of step `k−1` results, compute step `k`, wait — the wire time rides
-//!   under the computation, eq. (4).
+//! processes a tile of height `V` along `k`, exchanging its `i−1`/`j−1`
+//! faces as the rank's `ProcB` (eq. 3) or `ProcNB` (eq. 4) program says
+//! (see [`crate::engine`]).
 //!
 //! ## Structure
 //!
@@ -19,9 +15,8 @@
 //! array, for every `pi × pj`, and nothing is collected afterwards.
 //!
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
-//! rank's pencils, owns the halo planes and supplies the hot paths —
-//! the pipeline loop itself lives in [`crate::engine`], driven by the
-//! [`tiling_core`] schedule type behind the chosen [`ExecMode`].
+//! rank's pencils, owns the halo planes and supplies the hot paths
+//! [`crate::engine`] runs the rank's compiled program over.
 //! **The tile walk is compiled once per rank**, into a [`WavePlan`] per
 //! distinct tile length: which `(row, chunk)` units go to the kernel in
 //! which wave, and where each reads its `i−1`/`j−1`/`k−1` inputs. Per
@@ -43,7 +38,7 @@
 //! in [`crate::plan`] additionally collect per-rank [`StepObserver`]
 //! output.
 
-use crate::decomp::{self, DecompError, Layout, RankLinks};
+use crate::decomp::{self, DecompError, Layout};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid3D;
 use crate::halo;
@@ -278,8 +273,7 @@ impl WavePlan {
     /// they would come from an arena that gives its pages back when the
     /// thread is done — page faults on every small execution.
     pub(crate) fn for_rank(d: &Decomp3D, rank: usize) -> Vec<WavePlan> {
-        let links = RankLinks::of(d, rank);
-        let up = [FACE_I, FACE_J].map(|dir| links.up[dir].is_some());
+        let up = decomp::has_upstream(d, rank);
         let mut lens = [0, d.steps() - 1]
             .map(|k| d.krange(k).1 - d.krange(k).0)
             .to_vec();
@@ -360,10 +354,10 @@ impl WavePlan {
         }
     }
 
-    /// The plan among a block's (one or two) that walks `len` cells.
+    /// The plan among a block's (one or two) that walks `len` cells: a
+    /// tile is as long as the first, or else as the last.
     fn of(plans: &[WavePlan], len: usize) -> &WavePlan {
-        let plan = plans.iter().find(|p| p.len == len);
-        plan.expect("a tile is as long as the first or the last one")
+        &plans[usize::from(plans[0].len != len)]
     }
 }
 
@@ -372,7 +366,6 @@ impl WavePlan {
 /// in compiled; the pipeline loop never allocates.
 struct Block3D<'g, K> {
     d: Decomp3D,
-    links: RankLinks,
     kernel: K,
     tier: KernelTier,
     /// Own block, `rest[i·by + j]` the `(i, j)` pencil: what is left of
@@ -408,21 +401,20 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         rows: Pencils<'g>,
         plans: Vec<WavePlan>,
     ) -> Self {
-        let links = RankLinks::of(&d, rank);
+        let up = decomp::has_upstream(&d, rank);
         let (ci, cj) = d.coords(rank);
         let (bx, by) = (d.bx(), d.by());
         Block3D {
             d,
-            links,
             kernel,
             tier,
             rest: rows,
             units: Vec::with_capacity(plans.iter().map(|p| p.units.len()).max().unwrap_or(0)),
             taken: 0,
             top: vec![d.boundary; bx * by],
-            halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match links.up[dir] {
-                Some(_) => vec![0.0; rows * d.nz],
-                None => Vec::new(),
+            halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match up[dir] {
+                true => vec![0.0; rows * d.nz],
+                false => Vec::new(),
             }),
             gi0: (ci * bx) as i64,
             gj0: (cj * by) as i64,
@@ -489,6 +481,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                     Src::Halo(row) => &self.halo[dir][row * nz + k0 + u.start..][..u.len],
                     Src::Boundary => &self.brow[..u.len],
                 };
+                #[allow(clippy::expect_used)] // LINT: a plan's chunks are non-empty
                 let km1 = match u.below {
                     Some(q) => *done[q].last().expect("chunks are non-empty"),
                     None => self.top[u.i * by + u.j],
@@ -514,20 +507,8 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         self.d.num_dirs()
     }
 
-    fn upstream(&self, dir: usize) -> Option<usize> {
-        self.links.up[dir]
-    }
-
-    fn downstream(&self, dir: usize) -> Option<usize> {
-        self.links.dn[dir]
-    }
-
     fn wire_dir(&self, dir: usize) -> u64 {
         self.d.wire_dir(dir)
-    }
-
-    fn face_len(&self, dir: usize, step: usize) -> usize {
-        self.d.face_len(self.links.rank, dir, step)
     }
 
     fn pack_into(&mut self, dir: usize, step: usize, out: &mut [f32]) {
@@ -587,8 +568,9 @@ pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver
     rows: Pencils<'_>,
     plans: Vec<WavePlan>,
 ) -> Result<(), EngineError> {
+    let program = c.program(comm)?;
     let mut blk = Block3D::new(c.decomp(), kernel, tier, comm.rank(), rows, plans);
-    engine::run_rank(comm, &mut blk, c.step_plan(), obs)
+    engine::run_rank(comm, &mut blk, program, obs)
 }
 
 /// [`run_rank3d_into`] for a caller that wants one rank's block by
@@ -638,6 +620,19 @@ mod tests {
         run_dist3d_with(kernel, d, &cfg, mode).map(|(grid, _, _)| grid)
     }
 
+    /// A 2×2 processor grid, 4 steps deep.
+    fn two_by_two() -> Decomp3D {
+        Decomp3D {
+            nx: 8,
+            ny: 8,
+            nz: 32,
+            pi: 2,
+            pj: 2,
+            v: 8,
+            boundary: 1.0,
+        }
+    }
+
     fn check_matches_seq(d: Decomp3D, mode: ExecMode) {
         let dist = run(Paper3D, d, mode).expect("valid decomp");
         let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
@@ -650,34 +645,12 @@ mod tests {
 
     #[test]
     fn blocking_matches_sequential_2x2() {
-        check_matches_seq(
-            Decomp3D {
-                nx: 8,
-                ny: 8,
-                nz: 32,
-                pi: 2,
-                pj: 2,
-                v: 8,
-                boundary: 1.0,
-            },
-            ExecMode::Blocking,
-        );
+        check_matches_seq(two_by_two(), ExecMode::Blocking);
     }
 
     #[test]
     fn overlap_matches_sequential_2x2() {
-        check_matches_seq(
-            Decomp3D {
-                nx: 8,
-                ny: 8,
-                nz: 32,
-                pi: 2,
-                pj: 2,
-                v: 8,
-                boundary: 1.0,
-            },
-            ExecMode::Overlapping,
-        );
+        check_matches_seq(two_by_two(), ExecMode::Overlapping);
     }
 
     #[test]

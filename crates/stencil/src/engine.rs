@@ -1,23 +1,21 @@
-//! The schedule-driven pipelined-rank engine.
+//! The pipelined-rank engine: an interpreter of the §5 programs.
 //!
-//! One executor core replaces the four hand-rolled
-//! `rank_{blocking,overlap}_{2d,3d}` drivers: a rank's tile sequence is
-//! executed from a [`StepPlan`] derived from the `tiling-core` schedule
-//! types, so the *schedule type* — [`NonOverlapSchedule`] (eq. 3) or
-//! [`OverlapSchedule`] (eq. 4) — selects the communication structure:
+//! A rank's work is the [`Program`] pre-flight emitted and proved for it
+//! (`cluster_sim::program::Program::pipeline`), which its compiled plan
+//! ([`crate::plan::Compiled`]) keeps; [`run_rank`] walks it op by op. So the schedule behind the plan's [`ExecMode`] —
+//! [`NonOverlapSchedule`] (eq. 3, `ProcB`: per step *receive faces →
+//! compute tile → send faces*) or [`OverlapSchedule`] (eq. 4, `ProcNB`:
+//! per step post the receives of `k+1` and the sends of `k−1`, compute
+//! `k`, then wait) — is written once, in the emitter, and pre-flight
+//! analyses what runs by construction.
 //!
-//! * [`StepStrategy::Blocking`]: per step, *receive faces → compute
-//!   tile → send faces*, fully serialized;
-//! * [`StepStrategy::Overlap`]: per step `k`, post the receives of
-//!   `k+1` and the sends of `k−1`, compute `k`, then wait — the wire
-//!   time rides under the computation.
-//!
-//! Dimensionality lives entirely in the [`TileOps`] implementation
-//! (2-D strips in [`crate::dist2d`], 3-D blocks in [`crate::dist3d`]),
-//! which carries the zero-allocation branch-peeled hot paths unchanged:
-//! the engine itself performs no heap allocation — request slots are
-//! fixed arrays of [`MAX_DIRS`] options — so the steady-state step
-//! allocates nothing (asserted by `tests/zero_alloc.rs`).
+//! A message op names its face by its tag (`step · TAG_STRIDE + wire
+//! direction`, [`crate::proto`]) and its length by its bytes; the
+//! [`TileOps`] implementation (2-D strips in [`crate::dist2d`], 3-D
+//! blocks in [`crate::dist3d`]) packs, unpacks and computes. The engine
+//! allocates nothing — posted requests live in a fixed table indexed by
+//! their handle — so neither does a steady-state step
+//! (`tests/zero_alloc.rs`).
 //!
 //! Every phase of every step is reported to a [`StepObserver`]:
 //! [`NoopObserver`] compiles the instrumentation out, [`TraceObserver`]
@@ -27,12 +25,13 @@
 //! [`LaneStats`] accumulates the per-step A-lane/B-lane split of eq. 4.
 
 use crate::decomp::DecompError;
-use crate::proto::tag;
-use msgpass::comm::{CommError, Communicator, Tag};
+use analyzer::plan::{ELEM_BYTES, TAG_STRIDE};
+use cluster_sim::program::{Op, Program, ReqId};
+use msgpass::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
 use msgpass::trace::{Activity, Trace, WallTrace};
 use std::fmt;
 use std::time::{Duration, Instant};
-use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule, StepPlan, StepStrategy};
+use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule, StepPlan};
 
 /// Maximum number of halo directions any [`TileOps`] may expose (the
 /// 3-D block has two: the `i`-face and the `j`-face).
@@ -88,7 +87,8 @@ pub enum EngineError {
         /// The failed rank.
         rank: usize,
     },
-    /// Any other transport error, with the reporting rank attached.
+    /// Any other transport error, or a program op the rank's
+    /// [`TileOps`] cannot carry out, with the reporting rank attached.
     Comm {
         /// The rank that observed the error.
         rank: usize,
@@ -228,9 +228,8 @@ impl From<analyzer::AnalysisError> for EngineError {
     }
 }
 
-/// Execution style of a distributed run — a shorthand that maps onto
-/// the `tiling-core` schedule type actually driving the engine (see
-/// [`ExecMode::step_plan`]).
+/// Execution style of a distributed run: the `tiling-core` schedule
+/// type its programs are emitted from (see [`ExecMode::step_plan`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecMode {
     /// Blocking receive → compute → send per tile (§3,
@@ -258,8 +257,9 @@ impl ExecMode {
 }
 
 /// One rank's tile pipeline, abstracted over dimensionality: the engine
-/// drives these operations from a [`StepPlan`], never touching grid
-/// layout itself. Directions index halo faces (`0..num_dirs()`).
+/// drives these operations from a [`Program`], never touching grid
+/// layout itself. Directions index halo faces (`0..num_dirs()`); the
+/// program names every peer, step and face length.
 ///
 /// Faces move through *callbacks over wire storage* rather than through
 /// intermediate buffers: the engine hands [`TileOps::pack_into`] the
@@ -273,28 +273,16 @@ pub trait TileOps {
     /// Number of halo directions (≤ [`MAX_DIRS`]).
     fn num_dirs(&self) -> usize;
 
-    /// The rank faces arrive from in `dir`, if any.
-    fn upstream(&self, dir: usize) -> Option<usize>;
-
-    /// The rank this rank's `dir`-face goes to, if any.
-    fn downstream(&self, dir: usize) -> Option<usize>;
-
     /// The wire-protocol direction code of `dir` (see [`crate::proto`]).
     fn wire_dir(&self, dir: usize) -> u64;
 
-    /// Element count of the `dir`-face of `step` (identical for the
-    /// incoming and outgoing side of a direction: neighbors exchange
-    /// congruent faces; the last tile of a pipeline may be partial).
-    fn face_len(&self, dir: usize, step: usize) -> usize;
-
     /// Pack the outgoing `dir`-face of `step` into `out`, the
-    /// transport-owned wire buffer of exactly [`TileOps::face_len`]
-    /// elements. Every element must be written.
+    /// transport-owned wire buffer of exactly the face's length. Every
+    /// element must be written.
     fn pack_into(&mut self, dir: usize, step: usize, out: &mut [f32]);
 
     /// Install the received `dir`-face of `step` into the halo,
-    /// reading straight from the wire payload `data`
-    /// ([`TileOps::face_len`] elements).
+    /// reading straight from the wire payload `data`.
     fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]);
 
     /// Compute tile `step`.
@@ -614,126 +602,108 @@ fn note<O: StepObserver>(obs: &mut O, phase: Phase, start: Instant, end: Instant
     }
 }
 
-/// Receive the `dir`-face of step `k` and unpack it in place from the
-/// wire payload: a posted request (`req = Some`, reported as
-/// [`Phase::WaitRecv`]) or a blocking receive (reported as
-/// [`Phase::Recv`]), followed by [`Phase::Unpack`] over the in-callback
+/// The halo face a message op carries: its direction, its pipeline
+/// step and its length in elements.
+#[derive(Clone, Copy, Debug)]
+struct Face {
+    dir: usize,
+    step: usize,
+    len: usize,
+}
+
+/// Receive `face` inside `recv` — a blocking receive or the wait on a
+/// posted one, reported as `phase` — and unpack it in place from the
+/// wire payload, reported as [`Phase::Unpack`] over the in-callback
 /// unpack span.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // LINT: the (peer, tag, dir, step, request) wire tuple is irreducible
 fn recv_unpack<T, C, O>(
     comm: &mut C,
     ops: &mut T,
     obs: &mut O,
-    src: usize,
-    t: Tag,
-    dir: usize,
-    k: usize,
-    req: Option<msgpass::comm::RecvRequest>,
+    face: Face,
+    phase: Phase,
+    recv: impl FnOnce(&mut C, &mut dyn FnMut(&[f32])) -> Result<(), CommError>,
 ) -> Result<(), CommError>
 where
     T: TileOps,
-    C: Communicator<f32>,
     O: StepObserver,
 {
-    let want = ops.face_len(dir, k);
-    let posted = req.is_some();
+    let Face { dir, step, .. } = face;
     if O::ENABLED {
         let start = Instant::now();
         let mut span = (start, start);
-        let take = &mut |data: &[f32]| {
+        recv(comm, &mut |data: &[f32]| {
             let u0 = Instant::now();
-            ops.unpack_from(dir, k, data);
+            ops.unpack_from(dir, step, data);
             span = (u0, Instant::now());
-        };
-        match req {
-            Some(r) => comm.wait_recv_with(r, want, take)?,
-            None => comm.recv_with(src, t, want, take)?,
-        }
-        let wait_phase = if posted {
-            Phase::WaitRecv { dir, step: k }
-        } else {
-            Phase::Recv { dir, step: k }
-        };
-        note(obs, wait_phase, start, span.0);
-        note(obs, Phase::Unpack { dir, step: k }, span.0, span.1);
+        })?;
+        note(obs, phase, start, span.0);
+        note(obs, Phase::Unpack { dir, step }, span.0, span.1);
         Ok(())
     } else {
-        let take = &mut |data: &[f32]| ops.unpack_from(dir, k, data);
-        match req {
-            Some(r) => comm.wait_recv_with(r, want, take),
-            None => comm.recv_with(src, t, want, take),
-        }
+        recv(comm, &mut |data: &[f32]| ops.unpack_from(dir, step, data))
     }
 }
 
-/// Pack the `dir`-face of step `k` straight into the transport's wire
-/// buffer and send it: blocking ([`Phase::Send`]) or posted
-/// (`post = true`, [`Phase::PostSend`], returning the request), with
+/// Pack `face` straight into the transport's wire buffer inside `send`
+/// — a blocking send or a post, reported as `phase` — with
 /// [`Phase::Pack`] reported over the in-callback pack span.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // LINT: the (peer, tag, dir, step, post) wire tuple is irreducible
-fn pack_send<T, C, O>(
+fn pack_send<T, C, O, R>(
     comm: &mut C,
     ops: &mut T,
     obs: &mut O,
-    dst: usize,
-    t: Tag,
-    dir: usize,
-    k: usize,
-    post: bool,
-) -> Result<Option<msgpass::comm::SendRequest>, CommError>
+    face: Face,
+    phase: Phase,
+    send: impl FnOnce(&mut C, &mut dyn FnMut(&mut [f32])) -> Result<R, CommError>,
+) -> Result<R, CommError>
 where
     T: TileOps,
-    C: Communicator<f32>,
     O: StepObserver,
 {
-    let len = ops.face_len(dir, k);
+    let Face { dir, step, .. } = face;
     if O::ENABLED {
         let start = Instant::now();
         let mut packed = start;
-        let fill = &mut |out: &mut [f32]| {
-            ops.pack_into(dir, k, out);
+        let sent = send(comm, &mut |out: &mut [f32]| {
+            ops.pack_into(dir, step, out);
             packed = Instant::now();
-        };
-        let req = if post {
-            Some(comm.isend_with(dst, t, len, fill)?)
-        } else {
-            comm.send_with(dst, t, len, fill)?;
-            None
-        };
+        })?;
         let end = Instant::now();
-        note(obs, Phase::Pack { dir, step: k }, start, packed);
-        let send_phase = if post {
-            Phase::PostSend { dir, step: k }
-        } else {
-            Phase::Send { dir, step: k }
-        };
-        note(obs, send_phase, packed, end);
-        Ok(req)
+        note(obs, Phase::Pack { dir, step }, start, packed);
+        note(obs, phase, packed, end);
+        Ok(sent)
     } else {
-        let fill = &mut |out: &mut [f32]| ops.pack_into(dir, k, out);
-        if post {
-            Ok(Some(comm.isend_with(dst, t, len, fill)?))
-        } else {
-            comm.send_with(dst, t, len, fill)?;
-            Ok(None)
-        }
+        send(comm, &mut |out: &mut [f32]| ops.pack_into(dir, step, out))
     }
 }
 
-/// Execute one rank's full tile sequence according to `plan`. The
-/// schedule type the plan came from decides the communication
-/// structure; `ops` supplies the dimensional mechanics.
+/// A transport request of a posted op.
+enum Request {
+    Recv(RecvRequest),
+    Send(SendRequest),
+}
+
+/// Entries of the request table, indexed by handle modulo its size. An
+/// emitted pipeline's live handles — at step `k` the receives of `k`
+/// and `k + 1` and the sends of `k − 1` — lie within `4 · MAX_DIRS`
+/// consecutive ids, so they never share an entry; a request a later
+/// post displaces fails its wait.
+const REQ_SLOTS: usize = 4 * MAX_DIRS;
+
+/// Execute one rank's `program` — the §5 op list its compiled plan
+/// holds — op by op over `ops`, reporting each op's [`Phase`]s to `obs`.
 ///
-/// Besides [`EngineError::TooManyDirections`], a plain world can fail
-/// only with [`EngineError::RankFailed`] (a peer's thread went away);
-/// on a reliability-enabled world the other transport faults surface as
+/// Besides [`EngineError::TooManyDirections`] and an op `ops` cannot
+/// carry out (a face of no direction, a wait on a request not posted:
+/// [`EngineError::Comm`]), a plain world can fail only with
+/// [`EngineError::RankFailed`] (a peer's thread went away); on a
+/// reliability-enabled world the other transport faults surface as
 /// typed [`EngineError`]s too, instead of hanging the rank forever.
 pub fn run_rank<T, C, O>(
     comm: &mut C,
     ops: &mut T,
-    plan: &StepPlan,
+    program: &Program,
     obs: &mut O,
 ) -> Result<(), EngineError>
 where
@@ -748,128 +718,90 @@ where
             max: MAX_DIRS,
         });
     }
-    if plan.steps() == 0 {
-        // Nothing to do — and the overlap epilogue addresses tile
-        // `steps - 1`, which does not exist for an empty pipeline.
-        return Ok(());
-    }
-    match plan.strategy() {
-        StepStrategy::Blocking => run_blocking(comm, ops, plan.steps(), obs),
-        StepStrategy::Overlap => run_overlap(comm, ops, plan.steps(), obs),
-    }
-}
-
-/// Eq. 3: every step a serialized *receive → compute → send* triplet.
-fn run_blocking<T, C, O>(
-    comm: &mut C,
-    ops: &mut T,
-    steps: usize,
-    obs: &mut O,
-) -> Result<(), EngineError>
-where
-    T: TileOps,
-    C: Communicator<f32>,
-    O: StepObserver,
-{
     let rank = comm.rank();
-    let dirs = ops.num_dirs();
-    for k in 0..steps {
-        for dir in 0..dirs {
-            if let Some(src) = ops.upstream(dir) {
-                let t = tag(k, ops.wire_dir(dir));
-                recv_unpack(comm, ops, obs, src, t, dir, k, None)
-                    .map_err(|e| EngineError::from_comm(rank, e))?;
-            }
-        }
-        timed(obs, Phase::Compute { step: k }, || ops.compute(k));
-        for dir in 0..dirs {
-            if let Some(dst) = ops.downstream(dir) {
-                let t = tag(k, ops.wire_dir(dir));
-                pack_send(comm, ops, obs, dst, t, dir, k, false)
-                    .map_err(|e| EngineError::from_comm(rank, e))?;
-            }
+    let fail = |e| EngineError::from_comm(rank, e);
+    let unfit = |op: Op, why: &str| {
+        let message = format!("program op {op:?}: {why}");
+        EngineError::Comm { rank, message }
+    };
+    // The direction of each wire code, and the face a message op names.
+    let mut wire = [None; TAG_STRIDE as usize];
+    for dir in 0..dirs {
+        if let Some(w) = wire.get_mut(ops.wire_dir(dir) as usize) {
+            *w = Some(dir);
         }
     }
-    Ok(())
-}
-
-/// Eq. 4: post receives for `k+1` and sends of `k−1`, compute `k`,
-/// wait. Request slots live in fixed arrays, so the steady-state loop
-/// performs no heap allocations.
-fn run_overlap<T, C, O>(
-    comm: &mut C,
-    ops: &mut T,
-    steps: usize,
-    obs: &mut O,
-) -> Result<(), EngineError>
-where
-    T: TileOps,
-    C: Communicator<f32>,
-    O: StepObserver,
-{
-    use msgpass::comm::{RecvRequest, SendRequest};
-    let rank = comm.rank();
-    let dirs = ops.num_dirs();
-
-    // Prologue: receives for step 0.
-    let mut cur_recv: [Option<RecvRequest>; MAX_DIRS] = [None, None];
-    let mut next_recv: [Option<RecvRequest>; MAX_DIRS] = [None, None];
-    let mut sends: [Option<SendRequest>; MAX_DIRS] = [None, None];
-    for (dir, slot) in cur_recv.iter_mut().enumerate().take(dirs) {
-        *slot = ops.upstream(dir).map(|src| {
-            let t = tag(0, ops.wire_dir(dir));
-            timed(obs, Phase::PostRecv { dir, step: 0 }, || comm.irecv(src, t))
-        });
-    }
-    // The extra step `k = steps` computes nothing: it is the epilogue,
-    // which posts every face of the last tile before it waits on any.
-    for k in 0..=steps {
-        // Post receives for the next tile…
-        for (dir, slot) in next_recv.iter_mut().enumerate().take(dirs) {
-            *slot = if k + 1 < steps {
-                ops.upstream(dir).map(|src| {
-                    let t = tag(k + 1, ops.wire_dir(dir));
-                    timed(obs, Phase::PostRecv { dir, step: k + 1 }, || {
-                        comm.irecv(src, t)
-                    })
+    let face = |op: Op, tag: Tag, bytes: u64| {
+        let (step, len) = ((tag / TAG_STRIDE) as usize, (bytes / ELEM_BYTES) as usize);
+        let dir = wire[(tag % TAG_STRIDE) as usize];
+        dir.map(|dir| Face { dir, step, len })
+            .ok_or_else(|| unfit(op, "no face has its wire code"))
+    };
+    let mut posted: [Option<(ReqId, Face, Request)>; REQ_SLOTS] = [const { None }; REQ_SLOTS];
+    for op in program.ops() {
+        match op {
+            Op::Compute { label, .. } => {
+                let step = label as usize;
+                timed(obs, Phase::Compute { step }, || ops.compute(step));
+            }
+            Op::Recv { from, tag, bytes } => {
+                let f @ Face { dir, step, len } = face(op, tag, bytes)?;
+                recv_unpack(comm, ops, obs, f, Phase::Recv { dir, step }, |c, take| {
+                    c.recv_with(from, tag, len, take)
                 })
-            } else {
-                None
-            };
-        }
-        // …and sends of the previous tile's results, packed straight
-        // into wire storage (the peer-visible slot on a slot-transport
-        // world) so the face is copied exactly once.
-        if k >= 1 {
-            for (dir, slot) in sends.iter_mut().enumerate().take(dirs) {
-                if let Some(dst) = ops.downstream(dir) {
-                    let t = tag(k - 1, ops.wire_dir(dir));
-                    *slot = pack_send(comm, ops, obs, dst, t, dir, k - 1, true)
-                        .map_err(|e| EngineError::from_comm(rank, e))?;
+                .map_err(fail)?;
+            }
+            Op::Send { to, tag, bytes } => {
+                let f @ Face { dir, step, len } = face(op, tag, bytes)?;
+                pack_send(comm, ops, obs, f, Phase::Send { dir, step }, |c, fill| {
+                    c.send_with(to, tag, len, fill)
+                })
+                .map_err(fail)?;
+            }
+            Op::Irecv {
+                from,
+                tag,
+                bytes,
+                req,
+            } => {
+                let f @ Face { dir, step, .. } = face(op, tag, bytes)?;
+                let r = timed(obs, Phase::PostRecv { dir, step }, || comm.irecv(from, tag));
+                posted[req.0 as usize % REQ_SLOTS] = Some((req, f, Request::Recv(r)));
+            }
+            Op::Isend {
+                to,
+                tag,
+                bytes,
+                req,
+            } => {
+                let f @ Face { dir, step, len } = face(op, tag, bytes)?;
+                let phase = Phase::PostSend { dir, step };
+                let r = pack_send(comm, ops, obs, f, phase, |c, fill| {
+                    c.isend_with(to, tag, len, fill)
+                })
+                .map_err(fail)?;
+                posted[req.0 as usize % REQ_SLOTS] = Some((req, f, Request::Send(r)));
+            }
+            Op::Wait { req } => {
+                let entry = &mut posted[req.0 as usize % REQ_SLOTS];
+                let Some((_, f, r)) = entry.take_if(|e| e.0 == req) else {
+                    return Err(unfit(op, "no posted request has its handle"));
+                };
+                let Face { dir, step, len } = f;
+                match r {
+                    Request::Recv(r) => {
+                        let phase = Phase::WaitRecv { dir, step };
+                        recv_unpack(comm, ops, obs, f, phase, |c, take| {
+                            c.wait_recv_with(r, len, take)
+                        })
+                    }
+                    Request::Send(r) => {
+                        timed(obs, Phase::WaitSend { dir, step }, || comm.wait_send(r))
+                    }
                 }
+                .map_err(fail)?;
             }
         }
-        // Wait for this tile's inputs, then compute.
-        for (dir, slot) in cur_recv.iter_mut().enumerate().take(dirs) {
-            if let Some(req) = slot.take() {
-                // src/tag are carried by the request; placeholders are
-                // only used when req is None, which it is not here.
-                recv_unpack(comm, ops, obs, 0, 0, dir, k, Some(req))
-                    .map_err(|e| EngineError::from_comm(rank, e))?;
-            }
-        }
-        if k < steps {
-            timed(obs, Phase::Compute { step: k }, || ops.compute(k));
-        }
-        for (dir, slot) in sends.iter_mut().enumerate().take(dirs) {
-            if let Some(req) = slot.take() {
-                timed(obs, Phase::WaitSend { dir, step: k - 1 }, || {
-                    comm.wait_send(req)
-                })
-                .map_err(|e| EngineError::from_comm(rank, e))?;
-            }
-        }
-        std::mem::swap(&mut cur_recv, &mut next_recv);
     }
     Ok(())
 }
@@ -877,6 +809,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::tag;
+    use msgpass::prelude::*;
+    use tiling_core::schedule::StepStrategy;
 
     #[test]
     fn mode_selects_schedule_type() {
@@ -912,46 +847,63 @@ mod tests {
         assert_eq!(Phase::WaitSend { dir: 1, step: 4 }.step(), 4);
     }
 
+    /// Tile operations over no grid: a face of step `k` is `k` in every
+    /// element, and every face received is kept.
+    #[derive(Debug)]
     struct FakeOps {
         dirs: usize,
         computed: usize,
+        received: Vec<f32>,
+    }
+
+    impl FakeOps {
+        fn new(dirs: usize) -> Self {
+            FakeOps {
+                dirs,
+                computed: 0,
+                received: Vec::new(),
+            }
+        }
     }
 
     impl TileOps for FakeOps {
         fn num_dirs(&self) -> usize {
             self.dirs
         }
-        fn upstream(&self, _dir: usize) -> Option<usize> {
-            None
-        }
-        fn downstream(&self, _dir: usize) -> Option<usize> {
-            None
-        }
         fn wire_dir(&self, dir: usize) -> u64 {
             dir as u64
         }
-        fn face_len(&self, _dir: usize, _step: usize) -> usize {
-            0
+        fn pack_into(&mut self, _dir: usize, step: usize, out: &mut [f32]) {
+            out.fill(step as f32);
         }
-        fn pack_into(&mut self, _dir: usize, _step: usize, _out: &mut [f32]) {}
-        fn unpack_from(&mut self, _dir: usize, _step: usize, _data: &[f32]) {}
+        fn unpack_from(&mut self, _dir: usize, _step: usize, data: &[f32]) {
+            self.received.extend_from_slice(data);
+        }
         fn compute(&mut self, _step: usize) {
             self.computed += 1;
         }
     }
 
+    /// The program of `plan` on a lone rank: computes only.
+    fn lone(plan: &StepPlan) -> Program {
+        let d = crate::dist2d::Decomp2D {
+            nx: 1,
+            ny: 1,
+            ranks: 1,
+            v: 1,
+            boundary: 0.0,
+        };
+        analyzer::programs(&d, plan).swap_remove(0)
+    }
+
     #[test]
     fn too_many_directions_is_a_typed_error_not_a_panic() {
-        use msgpass::prelude::*;
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let plan = mode.step_plan(3, 2, 4);
+            let program = lone(&mode.step_plan(3, 2, 4));
             let (results, _) =
                 run_threads::<f32, _, _>(1, LatencyModel::zero(), move |mut comm| {
-                    let mut ops = FakeOps {
-                        dirs: MAX_DIRS + 1,
-                        computed: 0,
-                    };
-                    run_rank(&mut comm, &mut ops, &plan, &mut NoopObserver)
+                    let mut ops = FakeOps::new(MAX_DIRS + 1);
+                    run_rank(&mut comm, &mut ops, &program, &mut NoopObserver)
                 });
             assert_eq!(
                 results[0],
@@ -965,21 +917,72 @@ mod tests {
 
     #[test]
     fn zero_step_plan_completes_without_computing() {
-        use msgpass::prelude::*;
         // Regression: the overlap epilogue addresses tile `steps - 1`,
         // which used to underflow for an empty pipeline.
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let plan = mode.step_plan(3, 2, 0);
+            let program = lone(&mode.step_plan(3, 2, 0));
             let (results, _) =
                 run_threads::<f32, _, _>(1, LatencyModel::zero(), move |mut comm| {
-                    let mut ops = FakeOps {
-                        dirs: 2,
-                        computed: 0,
-                    };
-                    run_rank(&mut comm, &mut ops, &plan, &mut NoopObserver).map(|()| ops.computed)
+                    let mut ops = FakeOps::new(2);
+                    run_rank(&mut comm, &mut ops, &program, &mut NoopObserver)
+                        .map(|()| ops.computed)
                 });
             assert_eq!(results[0], Ok(0));
         }
+    }
+
+    #[test]
+    fn the_engine_runs_whatever_program_it_is_given() {
+        // An order neither §5 schedule emits: rank 0 computes between
+        // posting a send and waiting it, then sends step 1 blocking;
+        // rank 1 computes before it waits the receive it posted.
+        let (bytes, t0, t1) = (ELEM_BYTES * 3, tag(0, 0), tag(1, 0));
+        let mut sender = Program::new();
+        sender.compute(0.0, 0);
+        let req = sender.isend(1, t0, bytes);
+        sender.compute(0.0, 1);
+        sender.wait(req);
+        sender.send(1, t1, bytes);
+        let mut receiver = Program::new();
+        let req = receiver.irecv(0, t0, bytes);
+        receiver.compute(0.0, 7);
+        receiver.wait(req);
+        receiver.recv(0, t1, bytes);
+        receiver.compute(0.0, 8);
+        let programs = [sender, receiver];
+        let (results, _) = run_threads::<f32, _, _>(2, LatencyModel::zero(), |mut comm| {
+            let (mut ops, mut log) = (FakeOps::new(1), PhaseLog::default());
+            let program = &programs[comm.rank()];
+            run_rank(&mut comm, &mut ops, program, &mut log).map(|()| (log.phases, ops))
+        });
+        let [Ok((sent, _)), Ok((received, ops))] = &results[..] else {
+            panic!("a fault-free world runs both programs: {results:?}");
+        };
+        let (dir, step) = (0, 0);
+        let want_sent = [
+            Phase::Compute { step },
+            Phase::Pack { dir, step },
+            Phase::PostSend { dir, step },
+            Phase::Compute { step: 1 },
+            Phase::WaitSend { dir, step },
+            Phase::Pack { dir, step: 1 },
+            Phase::Send { dir, step: 1 },
+        ];
+        let want_received = [
+            Phase::PostRecv { dir, step },
+            Phase::Compute { step: 7 },
+            Phase::WaitRecv { dir, step },
+            Phase::Unpack { dir, step },
+            Phase::Recv { dir, step: 1 },
+            Phase::Unpack { dir, step: 1 },
+            Phase::Compute { step: 8 },
+        ];
+        assert_eq!(
+            (&sent[..], &received[..]),
+            (&want_sent[..], &want_received[..])
+        );
+        assert_eq!(ops.received, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        assert_eq!(ops.computed, 2);
     }
 
     #[test]

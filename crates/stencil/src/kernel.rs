@@ -122,11 +122,6 @@ impl<'a> Wave<'a> {
         self.len() == 0
     }
 
-    /// True when another [`Wave::push`] would overflow.
-    pub fn is_full(&self) -> bool {
-        self.len() == MAX_WAVE
-    }
-
     /// Drop all pencils (and with them the `out` borrows).
     pub fn clear(&mut self) {
         *self = Self::new();
@@ -222,6 +217,7 @@ impl<'a> Wave<'a> {
         // A row of a block; all zeros where the pencil is too short,
         // which `push` rules out for im1/jm1 once `out` has the row —
         // but a load that cannot panic is one the compiler may drop.
+        #[allow(clippy::expect_used)] // LINT: a `z..z + LANES` slice is LANES long
         let row = |x: &[f32], z: usize| -> [f32; LANES] {
             let r = x.get(z..z + LANES);
             r.map_or([0.0; LANES], |r| r.try_into().expect("LANES long"))
@@ -230,6 +226,7 @@ impl<'a> Wave<'a> {
             for (g, group) in self.0.groups_mut().enumerate() {
                 let s = &mut state[g];
                 if z < blocks[g] {
+                    #[allow(clippy::expect_used)] // LINT: only full groups have blocks
                     let lanes: &mut [Pencil<'_>; LANES] =
                         group.try_into().expect("only full groups have blocks");
                     // x[k][l]: cell z + k of lane l.

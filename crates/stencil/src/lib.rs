@@ -5,10 +5,11 @@
 //! references ([`seq`]) and distributed tiled executors for both the
 //! non-overlapping (§3) and overlapping (§4) schedules, running on the
 //! `msgpass` threaded backend with injected wire latency ([`dist2d`],
-//! [`dist3d`]). The pipeline loop itself lives once in [`engine`]: a
-//! [`engine::TileOps`] implementation per dimensionality, driven by a
-//! `tiling-core` `StepPlan` whose schedule type selects blocking or
-//! overlapped communication. [`decomp`] holds the shared decomposition
+//! [`dist3d`]). The §5 pipeline loop is written once, by the
+//! simulator's program emitter: a compiled plan keeps every rank's
+//! `ProcB`/`ProcNB` program as pre-flight proved it, and [`engine`]
+//! interprets it over a [`engine::TileOps`] implementation per
+//! dimensionality. [`decomp`] holds the shared decomposition
 //! arithmetic and typed validation errors; each `Decomp*` is the one
 //! description of its layout that pre-flight analyses and the executors
 //! run. Every run goes through a [`plan::Compiled`] plan: compile once,
@@ -46,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod decomp;
 pub mod dist2d;

@@ -1,17 +1,13 @@
 //! Compiled execution plans: validate + analyze once, execute many.
 //!
-//! A [`Compiled`] plan ([`Compiled2D`] / [`Compiled3D`]) is the sealed,
-//! immutable bundle a distributed run actually needs — the validated
-//! decomposition, the [`StepPlan`] projected from the schedule type
-//! behind the chosen [`ExecMode`], and the pre-flight
-//! [`AnalysisReport`] proving the plan legal, fully matched and
-//! deadlock-free. Compiling is the *only* place validation and
-//! pre-flight analysis happen, and a compiled plan is the only thing a
-//! runner accepts — the per-rank executors included — so a plan
-//! compiled once can back any number of executions without re-deriving
-//! or re-checking anything (the `planc` crate's `PlanArtifact` wraps
-//! these bundles with a cache key and model metadata for exactly that
-//! reuse).
+//! A [`Compiled`] plan ([`Compiled2D`] / [`Compiled3D`]) is the sealed
+//! bundle a distributed run needs: the validated decomposition, every
+//! rank's §5 [`Program`] under the chosen [`ExecMode`]'s schedule, which
+//! the engine interprets, and the pre-flight [`AnalysisReport`] proving
+//! those very programs legal, fully matched and deadlock-free.
+//! Compiling is the *only* place validation and pre-flight happen, and
+//! every runner takes a compiled plan, so one compile backs any number
+//! of executions (the `planc` crate's `PlanArtifact` caches them).
 //!
 //! Every 3-D run takes one path: the runner allocates the result
 //! [`Grid3D`] once, deals its pencils out to the ranks as disjoint
@@ -33,24 +29,24 @@ use crate::dist3d::{self, Decomp3D};
 use crate::engine::{EngineError, ExecMode, NoopObserver, StepObserver};
 use crate::grid::{Grid2D, Grid3D};
 use crate::kernel::{Kernel2D, Kernel3D};
-use crate::preflight::check_plan;
+use crate::preflight::analyze_plan;
 use analyzer::AnalysisReport;
+use cluster_sim::program::Program;
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
 use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
-use tiling_core::schedule::StepPlan;
 
 /// A compiled, analyzer-approved plan over the layout `D`:
-/// decomposition, schedule projection and pre-flight report, sealed at
+/// decomposition, per-rank programs and pre-flight report, sealed at
 /// compile time.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Compiled<D> {
     d: D,
     mode: ExecMode,
-    plan: StepPlan,
+    programs: Vec<Program>,
     report: Option<AnalysisReport>,
 }
 
@@ -68,8 +64,9 @@ impl<D: Layout> Compiled<D> {
 
     /// Seal without the pre-flight analysis (benchmark hot paths that
     /// opt out via `WorldConfig::without_preflight`; the layout must be
-    /// covered elsewhere, e.g. by a test that compiles it). Validation still
-    /// runs — an unexecutable decomposition is never sealed.
+    /// covered elsewhere, e.g. by a test that compiles it): the programs
+    /// are emitted, not checked. Validation still runs — an
+    /// unexecutable decomposition is never sealed.
     pub fn compile_unchecked(d: D, mode: ExecMode) -> Result<Self, EngineError> {
         Self::seal(d, mode, false)
     }
@@ -77,11 +74,14 @@ impl<D: Layout> Compiled<D> {
     /// Validate, analyze when `preflight` is set, and seal.
     pub(crate) fn seal(d: D, mode: ExecMode, preflight: bool) -> Result<Self, EngineError> {
         d.validate()?;
-        let report = preflight.then(|| check_plan(&d, mode)).transpose()?;
+        let (report, programs) = match preflight {
+            true => analyze_plan(&d, mode).map(|(report, programs)| (Some(report), programs))?,
+            false => (None, analyzer::programs(&d, &d.step_plan(mode))),
+        };
         Ok(Compiled {
             d,
             mode,
-            plan: d.step_plan(mode),
+            programs,
             report,
         })
     }
@@ -96,9 +96,17 @@ impl<D: Layout> Compiled<D> {
         self.mode
     }
 
-    /// The schedule's executable projection.
-    pub fn step_plan(&self) -> &StepPlan {
-        &self.plan
+    /// The program of `comm`'s rank — what pre-flight analysed and the
+    /// executor runs — or [`EngineError::WorldSizeMismatch`] on a world
+    /// of another size.
+    pub(crate) fn program(&self, comm: &impl Communicator<f32>) -> Result<&Program, EngineError> {
+        match self.programs.get(comm.rank()) {
+            Some(program) if comm.size() == self.ranks() => Ok(program),
+            _ => Err(EngineError::WorldSizeMismatch {
+                expected: self.ranks(),
+                got: comm.size(),
+            }),
+        }
     }
 
     /// The pre-flight report (`None` for [`Compiled::compile_unchecked`]).
@@ -211,6 +219,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
         launch(&|comm| {
             let mut obs = make_obs(comm);
             let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
+            #[allow(clippy::expect_used)] // LINT: a world runs each rank once
             let (rows, plans) = part.expect("a world runs each rank once");
             let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, plans);
             (run, (obs, comm.fault_stats()))

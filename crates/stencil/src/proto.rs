@@ -1,10 +1,11 @@
 //! Wire protocol shared by the 2-D and 3-D distributed executors.
 //!
 //! Every halo message between a pair of ranks is identified by the
-//! pipeline step it belongs to and the face direction it carries; both
-//! executors must agree on the encoding, so it lives here instead of
-//! being copied per dimension.
+//! pipeline step it belongs to and the face direction it carries: the
+//! tag pre-flight emits into every program (`step · TAG_STRIDE + dir`,
+//! `analyzer::plan::TAG_STRIDE`) and the engine decodes.
 
+use analyzer::plan::TAG_STRIDE;
 use msgpass::comm::Tag;
 
 /// Face direction along `i` (messages between `i`-adjacent ranks).
@@ -17,7 +18,7 @@ pub const DIR_J: u64 = 1;
 /// The message tag of the `dir`-face exchanged for pipeline step `step`.
 #[inline]
 pub fn tag(step: usize, dir: u64) -> Tag {
-    (step as u64) * 2 + dir
+    (step as u64) * TAG_STRIDE + dir
 }
 
 #[cfg(test)]

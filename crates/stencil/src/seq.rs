@@ -86,6 +86,7 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
                 let n = full.len();
                 let ins: [&[f32]; W] = std::array::from_fn(|m| &above[m * nz + W - 1 - m..][..n]);
                 let mut rows = block.chunks_exact_mut(nz);
+                #[allow(clippy::expect_used)] // LINT: a full block has W pencils
                 let mut outs: [&mut [f32]; W] = std::array::from_fn(|m| {
                     &mut rows.next().expect("a full block has W pencils")[W - 1 - m..][..n]
                 });
