@@ -10,7 +10,7 @@ use autotune::TuneProblem;
 use msgpass::thread_backend::LatencyModel;
 use msgpass::transport::TransportKind;
 use planc::PlanRequest;
-use stencil::dist2d::Decomp2D;
+use stencil::decomp::Decomp2D;
 use stencil::dist3d::{Decomp3D, ExecMode};
 use tiling_core::machine::{MachineParams, PiecewiseCost};
 
@@ -151,7 +151,7 @@ pub const TUNE_HETERO_SEED: u64 = 7;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil::plan::Compiled2D;
+    use stencil::plan::Compiled3D;
 
     #[test]
     fn shipped_decomps_compile() {
@@ -163,9 +163,9 @@ mod tests {
                 assert_eq!(a.ranks(), d.pi * d.pj);
             }
             // `plan_request` builds 3-D requests only; the strip
-            // pre-flights through the plan type the executors take.
+            // pre-flights as the unit-axis block the executor takes.
             let strip = example1_strip();
-            let plan = Compiled2D::compile(strip, mode).expect("shipped strip compiles");
+            let plan = Compiled3D::compile(strip.block(), mode).expect("shipped strip compiles");
             let report = plan.report().expect("compiled with pre-flight");
             assert_eq!(report.ranks, strip.ranks);
         }

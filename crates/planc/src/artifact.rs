@@ -2,10 +2,10 @@
 //! compilation.
 //!
 //! An artifact bundles everything an execution needs and nothing it
-//! has to re-derive: the sealed [`Compiled2D`]/[`Compiled3D`] (which
-//! carries the validated decomposition, the per-rank programs the
-//! executors interpret and the pre-flight [`AnalysisReport`] that
-//! proved them), the resolved tile height, the
+//! has to re-derive: the sealed [`Compiled3D`] (a strip's is its
+//! unit-axis block), which carries the validated decomposition, the
+//! per-rank programs the executor interprets and the pre-flight
+//! [`AnalysisReport`] that proved them; the resolved tile height, the
 //! closed-form time prediction, and the [`PlanKey`] identifying it in
 //! the cache. Executing an artifact never re-validates, re-optimizes
 //! or re-analyzes — pre-flight ran exactly once, at compile time.
@@ -20,43 +20,24 @@ use std::time::Duration;
 use stencil::engine::{EngineError, ExecMode};
 use stencil::grid::{Grid2D, Grid3D};
 use stencil::kernel::{Example1, Fused3D, LongestPath3D, Paper3D, Relax3D, Smooth2D};
-use stencil::plan::{self, Compiled2D, Compiled3D};
+use stencil::plan::{self, Compiled3D};
 use stencil::seq::{max_abs_diff_from_seq3d, run_seq2d};
 use tiling_core::machine::KernelTier;
 
-/// Call the generic `$f(kernel, args…)` with the 3-D kernel value
-/// `$name` stands for — the one dispatch from [`KernelName`] to the
-/// generic runners.
-macro_rules! kernel3 {
+/// Call the generic `$f(kernel, args…)` with the kernel value `$name`
+/// stands for — the one dispatch from [`KernelName`] to the generic
+/// runners.
+macro_rules! kernel {
     ($name:expr, $f:path $(, $arg:expr)*) => {
         match $name {
             KernelName::Paper3D => $f(Paper3D $(, $arg)*),
             KernelName::Relax3D => $f(Relax3D::default() $(, $arg)*),
             KernelName::Fused3D => $f(Fused3D::default() $(, $arg)*),
             KernelName::LongestPath3D => $f(LongestPath3D $(, $arg)*),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    };
-}
-
-/// [`kernel3!`] for the 2-D kernels.
-macro_rules! kernel2 {
-    ($name:expr, $f:path $(, $arg:expr)*) => {
-        match $name {
             KernelName::Example1 => $f(Example1 $(, $arg)*),
             KernelName::Smooth2D => $f(Smooth2D::default() $(, $arg)*),
-            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
         }
     };
-}
-
-/// The sealed executable bundle inside an artifact.
-#[derive(Clone, Debug)]
-pub enum CompiledWorkload {
-    /// A 2-D strip plan.
-    Dim2(Compiled2D),
-    /// A 3-D block plan.
-    Dim3(Compiled3D),
 }
 
 /// Execution options.
@@ -68,10 +49,10 @@ pub struct ExecOptions {
     pub verify: bool,
 }
 
-/// The assembled result grid of an execution.
+/// The result grid of an execution.
 #[derive(Clone, Debug)]
 pub enum GridResult {
-    /// 2-D output.
+    /// 2-D output: the strip, transposed out of its unit-axis block.
     Dim2(Grid2D),
     /// 3-D output.
     Dim3(Grid3D),
@@ -108,7 +89,7 @@ pub struct PlanArtifact {
     pub(crate) key: PlanKey,
     pub(crate) request: PlanRequest,
     pub(crate) v: usize,
-    pub(crate) compiled: CompiledWorkload,
+    pub(crate) compiled: Compiled3D,
     pub(crate) report: AnalysisReport,
     pub(crate) predicted_us: Option<f64>,
 }
@@ -129,17 +110,15 @@ impl PlanArtifact {
         self.v
     }
 
-    /// The sealed executable bundle.
-    pub fn compiled(&self) -> &CompiledWorkload {
-        &self.compiled
+    /// The compiled block plan, if this is a 3-D artifact (a strip's
+    /// unit-axis block is how it runs, not what it returns).
+    pub fn compiled3(&self) -> Option<&Compiled3D> {
+        (!self.is_strip()).then_some(&self.compiled)
     }
 
-    /// The 3-D compiled plan, if this is a 3-D artifact.
-    pub fn compiled3(&self) -> Option<&Compiled3D> {
-        match &self.compiled {
-            CompiledWorkload::Dim3(c) => Some(c),
-            CompiledWorkload::Dim2(_) => None,
-        }
+    /// Whether this is a 2-D strip plan, whose results are a [`Grid2D`].
+    fn is_strip(&self) -> bool {
+        self.request.kernel.dims() == 2
     }
 
     /// The pre-flight static-analysis report (compiled exactly once).
@@ -154,18 +133,12 @@ impl PlanArtifact {
 
     /// Pipeline steps per rank.
     pub fn steps(&self) -> usize {
-        match &self.compiled {
-            CompiledWorkload::Dim2(c) => c.decomp().steps(),
-            CompiledWorkload::Dim3(c) => c.decomp().steps(),
-        }
+        self.compiled.decomp().steps()
     }
 
     /// World size the plan executes on.
     pub fn ranks(&self) -> usize {
-        match &self.compiled {
-            CompiledWorkload::Dim2(c) => c.ranks(),
-            CompiledWorkload::Dim3(c) => c.ranks(),
-        }
+        self.compiled.ranks()
     }
 
     /// The schedule mode the plan was compiled for.
@@ -181,16 +154,8 @@ impl PlanArtifact {
 
     /// Total grid cells one execution computes.
     pub fn cells(&self) -> usize {
-        match &self.compiled {
-            CompiledWorkload::Dim2(c) => {
-                let d = c.decomp();
-                d.nx * d.ny
-            }
-            CompiledWorkload::Dim3(c) => {
-                let d = c.decomp();
-                d.nx * d.ny * d.nz
-            }
-        }
+        let d = self.compiled.decomp();
+        d.nx * d.ny * d.nz
     }
 
     /// The world configuration the artifact was compiled for: zero
@@ -227,21 +192,11 @@ impl PlanArtifact {
         opts: ExecOptions,
     ) -> Result<ExecOutcome, EngineError> {
         let (cfg, kernel) = (self.stamp(base.clone()), self.request.kernel);
-        let (grid, elapsed, faults) = match &self.compiled {
-            CompiledWorkload::Dim3(c) => {
-                let (g, t, f) = kernel3!(kernel, plan::run3d_with, c, &cfg)?;
-                (GridResult::Dim3(g), t, f)
-            }
-            CompiledWorkload::Dim2(c) => {
-                let (g, t, f) = kernel2!(kernel, plan::run2d_with, c, &cfg)?;
-                (GridResult::Dim2(g), t, f)
-            }
-        };
+        let (grid, elapsed, faults) = kernel!(kernel, plan::run3d_with, &self.compiled, &cfg)?;
         Ok(self.outcome(grid, elapsed, faults, opts))
     }
 
-    /// Execute on a warm world checked out of `pool` (3-D plans; 2-D
-    /// plans fall back to [`PlanArtifact::execute`]). The world is
+    /// Execute on a warm world checked out of `pool`. The world is
     /// returned to the pool only on success — an errored world may hold
     /// undrained messages and is discarded.
     pub fn execute_pooled(
@@ -249,33 +204,26 @@ impl PlanArtifact {
         pool: &WorldPool,
         opts: ExecOptions,
     ) -> Result<ExecOutcome, EngineError> {
-        let c = match &self.compiled {
-            CompiledWorkload::Dim3(c) => c,
-            CompiledWorkload::Dim2(_) => return self.execute(opts),
-        };
-        let cfg = self.world_config();
+        let (c, cfg) = (&self.compiled, self.world_config());
         let mut world = pool.checkout(&cfg, c.ranks());
         let (kernel, tier) = (self.request.kernel, self.request.tier);
         // On error the world is dropped, not checked in: it may hold
         // undrained state.
-        let (grid, elapsed, faults) = kernel3!(kernel, plan::run3d_on_world, c, tier, &mut world)?;
+        let (grid, elapsed, faults) = kernel!(kernel, plan::run3d_on_world, c, tier, &mut world)?;
         pool.checkin(&cfg, world);
-        Ok(self.outcome(GridResult::Dim3(grid), elapsed, faults, opts))
+        Ok(self.outcome(grid, elapsed, faults, opts))
     }
 
     /// Largest deviation of `grid` from the sequential reference of the
     /// artifact's kernel over its grid.
     fn diff_from_reference(&self, grid: &GridResult) -> f32 {
         let kernel = self.request.kernel;
-        match (grid, &self.compiled) {
-            (GridResult::Dim3(g), CompiledWorkload::Dim3(_)) => {
-                kernel3!(kernel, max_abs_diff_from_seq3d, g)
+        match grid {
+            GridResult::Dim3(g) => kernel!(kernel, max_abs_diff_from_seq3d, g),
+            GridResult::Dim2(g) => {
+                let seq = kernel!(kernel, run_seq2d, g.nx(), g.ny(), g.boundary());
+                g.max_abs_diff(&seq)
             }
-            (GridResult::Dim2(g), CompiledWorkload::Dim2(c)) => {
-                let d = c.decomp();
-                g.max_abs_diff(&kernel2!(kernel, run_seq2d, d.nx, d.ny, d.boundary))
-            }
-            _ => unreachable!("an outcome has its plan's arity"),
         }
     }
 
@@ -288,13 +236,19 @@ impl PlanArtifact {
         }
     }
 
+    /// The outcome of a run whose block grid is `grid`: a strip's comes
+    /// back as the strip, by one transpose.
     fn outcome(
         &self,
-        grid: GridResult,
+        grid: Grid3D,
         elapsed: Duration,
         faults: Vec<FaultStats>,
         opts: ExecOptions,
     ) -> ExecOutcome {
+        let grid = match self.is_strip() {
+            true => GridResult::Dim2(Grid2D::from_block(&grid)),
+            false => GridResult::Dim3(grid),
+        };
         let verified = opts
             .verify
             .then(|| self.diff_from_reference(&grid) <= self.tolerance());

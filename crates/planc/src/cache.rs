@@ -221,7 +221,7 @@ impl<V: Clone> PlanCache<V> {
     /// Look up a compiled plan, counting the hit or miss and marking
     /// the entry most-recently-used.
     pub fn get(&self, key: &PlanKey) -> Option<V> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = crate::lock(&self.inner);
         g.stamp += 1;
         let stamp = g.stamp;
         match g.map.get_mut(key) {
@@ -242,7 +242,7 @@ impl<V: Clone> PlanCache<V> {
     /// lock: a hit counts (the call was satisfied from the cache), but
     /// a miss does not — the caller's first probe already counted it.
     pub fn get_recheck(&self, key: &PlanKey) -> Option<V> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = crate::lock(&self.inner);
         g.stamp += 1;
         let stamp = g.stamp;
         match g.map.get_mut(key) {
@@ -259,7 +259,7 @@ impl<V: Clone> PlanCache<V> {
     /// Insert a compiled plan, evicting the least-recently-used entry
     /// if the cache is full.
     pub fn insert(&self, key: PlanKey, value: V) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = crate::lock(&self.inner);
         g.stamp += 1;
         let stamp = g.stamp;
         if g.map.len() >= g.cap && !g.map.contains_key(&key) {
@@ -278,7 +278,7 @@ impl<V: Clone> PlanCache<V> {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let g = self.inner.lock().unwrap();
+        let g = crate::lock(&self.inner);
         CacheStats {
             hits: g.hits,
             misses: g.misses,

@@ -19,7 +19,7 @@ use crate::pipeline;
 use crate::spec::PlanRequest;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How a compile call was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,16 +46,18 @@ impl Flight {
     }
 
     fn finish(&self, outcome: Result<Arc<PlanArtifact>, CompileError>) {
-        *self.done.lock().unwrap() = Some(outcome);
+        *crate::lock(&self.done) = Some(outcome);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<Arc<PlanArtifact>, CompileError> {
-        let mut g = self.done.lock().unwrap();
-        while g.is_none() {
-            g = self.cv.wait(g).unwrap();
+        let mut g = crate::lock(&self.done);
+        loop {
+            if let Some(done) = g.as_ref() {
+                return done.clone();
+            }
+            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
-        g.as_ref().unwrap().clone()
     }
 }
 
@@ -104,7 +106,7 @@ impl Compiler {
         }
         // Miss: join or open the flight for this key.
         let (flight, leader) = {
-            let mut g = self.inflight.lock().unwrap();
+            let mut g = crate::lock(&self.inflight);
             match g.get(&key) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
@@ -133,7 +135,7 @@ impl Compiler {
         // Publish to waiters, then close the flight so later misses
         // (e.g. after an eviction or an error) compile afresh.
         flight.finish(outcome.clone());
-        self.inflight.lock().unwrap().remove(&key);
+        crate::lock(&self.inflight).remove(&key);
         (outcome, Provenance::Compiled)
     }
 

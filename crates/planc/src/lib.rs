@@ -28,6 +28,8 @@
 //! * [`service`] — [`PlanService`]: bounded job queue + worker pool
 //!   over all of the above.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod artifact;
 pub mod cache;
 pub mod compiler;
@@ -40,7 +42,7 @@ pub mod spec;
 pub mod tuned;
 pub mod worlds;
 
-pub use artifact::{CompiledWorkload, ExecOptions, ExecOutcome, GridResult, PlanArtifact};
+pub use artifact::{ExecOptions, ExecOutcome, GridResult, PlanArtifact};
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use compiler::{Compiler, CompilerStats, Provenance};
 pub use error::CompileError;
@@ -51,3 +53,13 @@ pub use service::{
 pub use spec::{KernelName, MachineSpec, PlanRequest, TuneMode, VChoice, WorkloadSpec};
 pub use tuned::{tuned_key, TunedCache, TunedEntry};
 pub use worlds::{WorldPool, WorldPoolStats};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, whether or not a thread panicked holding it: every lock in
+/// this crate guards state that each critical section leaves
+/// consistent (a map, a queue, a slot set once, counters), so a panic
+/// elsewhere never makes it unreadable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -6,9 +6,10 @@
 //! 1. **front** — resolve the workload into an executor family. Shipped
 //!    shapes pass through; loop-nest source is parsed
 //!    (`tiling-core::parse`), its uniform flow dependences extracted,
-//!    and the nest matched against the family the executors implement
+//!    and the nest matched against the family the executor implements
 //!    (2-D strips for Example-1-class nests, the §5 block layout for
-//!    3-D unit-dependence nests). A fully parallel nest, and one with a
+//!    3-D unit-dependence nests; a strip runs as the block layout with a
+//!    unit `i`-axis). A fully parallel nest, and one with a
 //!    negative dependence component (it would need a skew), are
 //!    rejected. Kernel/workload dimensions must agree.
 //! 2. **decompose** — build the decomposition skeleton and validate
@@ -18,18 +19,18 @@
 //!    `V* = √(K·α/(γ·β))` (§6) for the request's machine and schedule,
 //!    clamped to the mapping extent.
 //! 4. **analyze** — run the pre-flight static analysis exactly once
-//!    (`stencil::plan::Compiled{2,3}D::compile`) and seal the
+//!    (`stencil::plan::Compiled3D::compile`) and seal the
 //!    [`PlanArtifact`].
 
-use crate::artifact::{CompiledWorkload, PlanArtifact};
+use crate::artifact::PlanArtifact;
 use crate::cache::PlanKey;
 use crate::error::CompileError;
 use crate::spec::{PlanRequest, VChoice, WorkloadSpec};
 use std::collections::BTreeSet;
-use stencil::dist2d::Decomp2D;
+use stencil::decomp::Decomp2D;
 use stencil::dist3d::Decomp3D;
 use stencil::engine::ExecMode;
-use stencil::plan::{Compiled2D, Compiled3D};
+use stencil::plan::Compiled3D;
 use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::parse::parse_loop_nest;
@@ -58,6 +59,30 @@ impl Shape {
         match self {
             Shape::D2 { .. } => 2,
             Shape::D3 { .. } => 3,
+        }
+    }
+
+    /// The block layout the shape runs on at tile height `v`: a strip's
+    /// is its unit-axis block.
+    fn block(self, v: usize, boundary: f32) -> Decomp3D {
+        match self {
+            Shape::D2 { nx, ny, ranks } => Decomp2D {
+                nx,
+                ny,
+                ranks,
+                v,
+                boundary,
+            }
+            .block(),
+            Shape::D3 { nx, ny, nz, pi, pj } => Decomp3D {
+                nx,
+                ny,
+                nz,
+                pi,
+                pj,
+                v,
+                boundary,
+            },
         }
     }
 }
@@ -158,30 +183,8 @@ fn front(req: &PlanRequest) -> Result<Shape, CompileError> {
 /// tile height, which the optimize stage resolves next: until then the
 /// pipeline is one tile, and [`analyze`] checks its step count).
 fn decompose(shape: Shape, req: &PlanRequest) -> Result<(), CompileError> {
-    match shape {
-        Shape::D2 { nx, ny, ranks } => {
-            let d = Decomp2D {
-                nx,
-                ny,
-                ranks,
-                v: nx,
-                boundary: req.boundary,
-            };
-            d.validate()?;
-        }
-        Shape::D3 { nx, ny, nz, pi, pj } => {
-            let d = Decomp3D {
-                nx,
-                ny,
-                nz,
-                pi,
-                pj,
-                v: nz,
-                boundary: req.boundary,
-            };
-            d.validate()?;
-        }
-    }
+    let d = shape.block(1, req.boundary);
+    Decomp3D { v: d.nz, ..d }.validate()?;
     Ok(())
 }
 
@@ -246,36 +249,11 @@ fn analyze(
     predicted_us: Option<f64>,
     req: &PlanRequest,
 ) -> Result<PlanArtifact, CompileError> {
-    let (compiled, report) = match shape {
-        Shape::D2 { nx, ny, ranks } => {
-            let d = Decomp2D {
-                nx,
-                ny,
-                ranks,
-                v,
-                boundary: req.boundary,
-            };
-            d.validate()?;
-            let c = Compiled2D::compile(d, req.mode).map_err(CompileError::Analyze)?;
-            let report = *c.report().expect("compile always analyzes");
-            (CompiledWorkload::Dim2(c), report)
-        }
-        Shape::D3 { nx, ny, nz, pi, pj } => {
-            let d = Decomp3D {
-                nx,
-                ny,
-                nz,
-                pi,
-                pj,
-                v,
-                boundary: req.boundary,
-            };
-            d.validate()?;
-            let c = Compiled3D::compile(d, req.mode).map_err(CompileError::Analyze)?;
-            let report = *c.report().expect("compile always analyzes");
-            (CompiledWorkload::Dim3(c), report)
-        }
-    };
+    let d = shape.block(v, req.boundary);
+    d.validate()?;
+    let compiled = Compiled3D::compile(d, req.mode).map_err(CompileError::Analyze)?;
+    #[allow(clippy::expect_used)] // LINT: `compile` always runs the analysis
+    let report = *compiled.report().expect("compile always analyzes");
     Ok(PlanArtifact {
         key: PlanKey::of(req),
         request: req.clone(),
@@ -319,6 +297,64 @@ pub(crate) mod tests {
         let a = compile(&PlanRequest::strip2(40, 12, 4).with_v(10)).expect("compiles");
         let out = a.execute(ExecOptions { verify: true }).expect("runs");
         assert_eq!(out.verified, Some(true));
+    }
+
+    /// `(nx, ny, ranks, V, boundary)` of a strip2 request.
+    type Strip2 = (usize, usize, usize, usize, f32);
+
+    /// `[key digest, predicted µs bits]` of a compiled request.
+    type Recorded = [u64; 2];
+
+    /// `(strip, mode, recorded at that V, auto V, recorded at auto)` of
+    /// strip2 requests, as compiled when strips had their own executor.
+    #[rustfmt::skip]
+    const RECORDED_STRIP2: [(Strip2, ExecMode, Recorded, usize, Recorded); 16] = {
+        use ExecMode::{Blocking, Overlapping};
+        [
+            ((40, 12, 4, 10, 4.0), Blocking, [0x53d13ac35003b32, 0x40a2600000000000], 15, [0xaefc6f81a16c18dc, 0x40a1c2aaaaaaaaaa]),
+            ((40, 12, 4, 10, 4.0), Overlapping, [0x7c8fe2dccb6752fa, 0x4096580000000000], 14, [0xa65c3ff40bbcafc, 0x4095dedb6db6db6e]),
+            ((37, 9, 3, 8, 1.0), Blocking, [0x9260a5166437d455, 0x40a064cccccccccd], 16, [0xa366657029c49ff8, 0x409d15ffffffffff]),
+            ((37, 9, 3, 8, 1.0), Overlapping, [0x14d57b34c0fb4eb5, 0x4092a60000000000], 16, [0x55c9432bfb5a5fb4, 0x4090e90000000000]),
+            ((16, 8, 1, 4, 2.0), Blocking, [0x85ce521ae133538c, 0x4094200000000000], 15, [0xe78263ce655805d1, 0x408adddddddddddd]),
+            ((16, 8, 1, 4, 2.0), Overlapping, [0xdebdf4971032c64c, 0x4084a00000000000], 14, [0xf3de26260674023d, 0x407c649249249249]),
+            ((10, 6, 2, 1, 3.0), Blocking, [0x394547454f27f716, 0x40a3a1999999999a], 10, [0x60aa0feafed87b80, 0x408b900000000000]),
+            ((10, 6, 2, 1, 3.0), Overlapping, [0x228faada7ccee2ee, 0x4094ec0000000000], 10, [0x167331c8d5bee740, 0x4080400000000000]),
+            ((24, 30, 5, 6, 1.0), Blocking, [0xcbf626c3f975bcd7, 0x40a34b3333333333], 9, [0xe4631c5d9d2a4f0c, 0x40a2a9ddddddddde]),
+            ((24, 30, 5, 6, 1.0), Overlapping, [0x25fb1588f7a58c4f, 0x409ba00000000000], 7, [0xe71d17f78aac2cb8, 0x409b936db6db6db7]),
+            ((12, 3, 3, 5, 2.0), Blocking, [0x9e2f4a08bc977158, 0x4093ff3333333334], 10, [0xe668f272ac9b4e86, 0x4091fb3333333333]),
+            ((12, 3, 3, 5, 2.0), Overlapping, [0x7b248e07e1467ac8, 0x4088480000000000], 12, [0xebef88b0c3af92ae, 0x4085000000000000]),
+            ((25, 12, 3, 6, 1.0), Blocking, [0xeac93fa358c22576, 0x409d622222222222], 13, [0xa32a54eca7baecd3, 0x4099c8dc8dc8dc8f]),
+            ((25, 12, 3, 6, 1.0), Overlapping, [0x37ab1479cfe5a1a2, 0x4091c2aaaaaaaaab], 11, [0x889b2022d3d3f53b, 0x40905d1745d1745e]),
+            ((13, 4, 2, 3, 1.0), Blocking, [0xc304d4cc7a417ca0, 0x4096491111111110], 12, [0x43c7cdebc259b5d6, 0x408cfbbbbbbbbbbb]),
+            ((13, 4, 2, 3, 1.0), Overlapping, [0x7ddcbf37e326663c, 0x40884aaaaaaaaaaa], 13, [0x4508e7da4212df02, 0x407f800000000000]),
+        ]
+    };
+
+    /// A strip2 request keeps its key, resolved height and prediction
+    /// when it compiles onto the unit-axis block, and its report is the
+    /// block plan's.
+    #[test]
+    fn strip2_keys_heights_and_predictions_are_the_recorded_ones() {
+        for ((nx, ny, ranks, v, b), mode, explicit, auto_v, auto) in RECORDED_STRIP2 {
+            let req = PlanRequest::strip2(nx, ny, ranks)
+                .with_mode(mode)
+                .with_boundary(b);
+            for (req, v, [digest, predicted]) in
+                [(req.clone().with_v(v), v, explicit), (req, auto_v, auto)]
+            {
+                let a = compile(&req).expect("compiles");
+                let at = a.key().canon().to_string();
+                assert!(
+                    at.starts_with(&format!("strip2:{nx}x{ny}@{ranks}|k=example1")),
+                    "{at}"
+                );
+                assert_eq!(a.key().digest(), digest, "{at}");
+                assert_eq!(a.v(), v, "{at}");
+                assert_eq!(a.predicted_us().map(f64::to_bits), Some(predicted), "{at}");
+                assert_eq!(Some(a.report()), a.compiled.report(), "{at}");
+                assert_eq!(a.steps(), nx.div_ceil(v), "{at}");
+            }
+        }
     }
 
     #[test]

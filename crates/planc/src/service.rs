@@ -18,7 +18,7 @@ use crate::spec::PlanRequest;
 use crate::worlds::{WorldPool, WorldPoolStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use stencil::engine::EngineError;
 
 /// Service sizing.
@@ -163,6 +163,9 @@ impl PlanService {
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
+        // LINT: a service without its workers could never run a job, and
+        // `start` has no error to return instead.
+        #[allow(clippy::expect_used)]
         let workers = (0..cfg.workers.max(1))
             .map(|w| {
                 let sh = Arc::clone(&shared);
@@ -183,7 +186,7 @@ impl PlanService {
         }
         let (tx, rx) = mpsc::channel();
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = crate::lock(&self.shared.queue);
             if q.len() >= self.shared.queue_cap {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::QueueFull);
@@ -223,7 +226,7 @@ impl Drop for PlanService {
             let _ = w.join();
         }
         // Any jobs still queued never ran: tell their clients.
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = crate::lock(&self.shared.queue);
         for job in q.drain(..) {
             let _ = job.reply.send(Err(ServiceError::Shutdown));
         }
@@ -233,7 +236,7 @@ impl Drop for PlanService {
 fn worker_loop(sh: &Shared) {
     loop {
         let job = {
-            let mut q = sh.queue.lock().unwrap();
+            let mut q = crate::lock(&sh.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -241,7 +244,7 @@ fn worker_loop(sh: &Shared) {
                 if sh.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                q = sh.cv.wait(q).unwrap();
+                q = sh.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let outcome = run_job(sh, &job.request);

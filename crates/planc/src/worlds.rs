@@ -95,10 +95,7 @@ impl WorldPool {
     pub fn checkout(&self, cfg: &WorldConfig, ranks: usize) -> World<f32> {
         if Self::poolable(cfg) {
             let key = WorldKey::of(cfg, ranks);
-            if let Some(world) = self
-                .parked
-                .lock()
-                .unwrap()
+            if let Some(world) = crate::lock(&self.parked)
                 .get_mut(&key)
                 .and_then(|q| q.pop())
             {
@@ -119,7 +116,7 @@ impl WorldPool {
             return;
         }
         let key = WorldKey::of(cfg, world.len());
-        let mut g = self.parked.lock().unwrap();
+        let mut g = crate::lock(&self.parked);
         let q = g.entry(key).or_default();
         if q.len() < self.max_per_key {
             q.push(world);
@@ -131,7 +128,7 @@ impl WorldPool {
         WorldPoolStats {
             created: self.created.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
-            parked: self.parked.lock().unwrap().values().map(Vec::len).sum(),
+            parked: crate::lock(&self.parked).values().map(Vec::len).sum(),
         }
     }
 }

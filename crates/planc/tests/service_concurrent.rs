@@ -149,3 +149,25 @@ fn service_mixed_load_hits_and_misses() {
         "execute jobs never reused a warm world"
     );
 }
+
+/// A strip plan runs on its unit-axis block, so repeated strip2
+/// executes check a warm world out of the pool like any other plan
+/// instead of building a fresh one each time.
+#[test]
+fn repeated_strip_executes_reuse_a_pooled_world() {
+    let svc = PlanService::start(ServiceConfig {
+        workers: 1,
+        queue_cap: 8,
+        cache_cap: 4,
+    });
+    let req = PlanRequest::strip2(37, 9, 3).with_v(8);
+    for run in 0..3u64 {
+        let job = JobRequest::Execute(req.clone(), ExecOptions { verify: true });
+        match svc.try_submit(job).expect("queued").wait().expect("runs") {
+            JobResponse::Executed(_, out) => assert_eq!(out.verified, Some(true), "run {run}"),
+            JobResponse::Compiled(_) => unreachable!("an execute job executes"),
+        }
+        let worlds = svc.metrics().worlds;
+        assert_eq!((worlds.created, worlds.reused), (1, run), "run {run}");
+    }
+}

@@ -1,48 +1,63 @@
 //! Shared decomposition arithmetic and validation for the distributed
-//! executors.
+//! executor.
 //!
-//! [`crate::dist2d::Decomp2D`] and [`crate::dist3d::Decomp3D`] describe
-//! the same thing at different arities — a block partition of the
-//! cross-section plus a tile height `V` along the pipelined dimension —
-//! so the block-extent division, step count `⌈extent / V⌉`, per-step
-//! tile ranges and validation checks live here once. Validation errors
-//! are a typed [`DecompError`] (not a panic), and the `run_dist*`
+//! [`Decomp3D`] is the one layout: a block partition of the `i×j`
+//! cross-section plus a tile height `V` along `k`. A 2-D strip
+//! ([`Decomp2D`], Example 1) is that layout with a unit `i`-axis
+//! ([`Decomp2D::block`]). The block-extent division, step count
+//! `⌈extent / V⌉`, per-step tile ranges and validation checks live here.
+//! Validation errors are a typed [`DecompError`] (not a panic), and the
 //! drivers surface them as `Result`s.
 //!
-//! Each decomposition is also its own [`RankTopology`] — who is
-//! upstream/downstream of a rank, which wire code, how long a face is —
-//! and its own [`Layout`]: pre-flight emits every rank's program from
-//! those two impls, and the compiled plan keeps the programs it proved
-//! for the executors to run, so what is analysed is what runs.
+//! [`Decomp3D`] is also its own [`RankTopology`] — who is
+//! upstream/downstream of a rank, which wire code, how long a face is:
+//! pre-flight emits every rank's program from it, and the compiled plan
+//! keeps the programs it proved for the executor to run, so what is
+//! analysed is what runs.
 
-use crate::engine::{ExecMode, MAX_DIRS};
+use crate::dist3d::Decomp3D;
+use crate::engine::MAX_DIRS;
 use analyzer::RankTopology;
 use std::fmt;
-use tiling_core::dependence::DependenceSet;
-use tiling_core::schedule::StepPlan;
 
-/// A pipelined block decomposition: a [`RankTopology`] plus what
-/// compiling it needs — validation, the step count, and the tiled
-/// space its schedule is projected from.
-pub trait Layout: RankTopology + Copy {
-    /// Arity of the tiled space.
-    const DIMS: usize;
-    /// The tiled dimension the pipeline runs along (all of its tiles
-    /// stay on their rank).
-    const MAPPING_DIM: usize;
+/// The strip decomposition of a 2-D nest (Example 1, §3): ranks own
+/// contiguous `j`-strips and the pipeline runs along `i`. It runs as
+/// its [`Decomp2D::block`].
+#[derive(Clone, Copy, Debug)]
+pub struct Decomp2D {
+    /// Global extent along i (the pipelined dimension).
+    pub nx: usize,
+    /// Global extent along j (partitioned across ranks).
+    pub ny: usize,
+    /// Number of ranks (j-strips).
+    pub ranks: usize,
+    /// Tile height `V` along i.
+    pub v: usize,
+    /// Boundary value.
+    pub boundary: f32,
+}
 
-    /// Validate sizes and divisibility.
-    fn validate(&self) -> Result<(), DecompError>;
+impl Decomp2D {
+    /// The strip as a block with a unit `i`-axis: strip cell `(i, j)` is
+    /// block cell `(0, j, i)`, so the strips are the `1 × ranks`
+    /// processor grid's blocks and the strip's `i` is the block's
+    /// pipelined `k`. Its j-column face is the block's J face — same
+    /// peer, tag and length — so its programs are a 1-D chain's.
+    pub fn block(&self) -> Decomp3D {
+        Decomp3D {
+            nx: 1,
+            ny: self.ny,
+            nz: self.nx,
+            pi: 1,
+            pj: self.ranks,
+            v: self.v,
+            boundary: self.boundary,
+        }
+    }
 
-    /// Pipeline steps per rank.
-    fn steps(&self) -> usize;
-
-    /// The dependence set of the kernels this layout runs.
-    fn dependences() -> DependenceSet;
-
-    /// The executable projection of `mode`'s schedule over this layout.
-    fn step_plan(&self, mode: ExecMode) -> StepPlan {
-        mode.step_plan(Self::DIMS, Self::MAPPING_DIM, Layout::steps(self))
+    /// Number of pipeline steps `⌈nx / V⌉`.
+    pub fn steps(&self) -> usize {
+        self.block().steps()
     }
 }
 
@@ -159,22 +174,6 @@ pub fn pipeline_steps(extent: usize, v: usize) -> usize {
 /// reversed one (`start > end`).
 pub fn tile_range(extent: usize, v: usize, k: usize) -> (usize, usize) {
     ((k * v).min(extent), ((k + 1) * v).min(extent))
-}
-
-/// Assert that `ops` — rank `rank`'s executor state — names its halo
-/// directions exactly as `layout`'s [`RankTopology`] impl does, which
-/// is how the engine maps a program's wire codes back to faces.
-#[cfg(test)]
-pub(crate) fn assert_ops_read_layout<L: Layout + fmt::Debug>(
-    layout: &L,
-    rank: usize,
-    ops: &impl crate::engine::TileOps,
-) {
-    assert_eq!(ops.num_dirs(), layout.num_dirs(), "rank {rank}");
-    for dir in 0..layout.num_dirs() {
-        let at = format!("{layout:?} rank {rank} dir {dir}");
-        assert_eq!(ops.wire_dir(dir), layout.wire_dir(dir), "{at}");
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
-//! Distributed execution of the paper's 3-D kernel (§5 layout).
+//! Distributed execution of every kernel: the paper's §5 block layout,
+//! the one executor in n dimensions.
 //!
 //! The processor grid covers the `i×j` cross-section (one block column
 //! per rank); all tiles along `k` stay on their rank. Each pipeline step
 //! processes a tile of height `V` along `k`, exchanging its `i−1`/`j−1`
 //! faces as the rank's `ProcB` (eq. 3) or `ProcNB` (eq. 4) program says
-//! (see [`crate::engine`]).
+//! (see [`crate::engine`]). A 2-D strip plan (Example 1, §3) is this
+//! layout with a unit `i`-axis ([`crate::decomp::Decomp2D::block`]): its
+//! j-column face is the block's J face, and its `(1,1)` dependence the
+//! block's e₂+e₃, which the walk seeds per pencil (see [`WavePlan`]).
 //!
 //! ## Structure
 //!
@@ -19,7 +23,8 @@
 //! [`crate::engine`] runs the rank's compiled program over.
 //! **The tile walk is compiled once per rank**, into a [`WavePlan`] per
 //! distinct tile length: which `(row, chunk)` units go to the kernel in
-//! which wave, and where each reads its `i−1`/`j−1`/`k−1` inputs. Per
+//! which wave, and where each reads its `i−1`/`j−1`/`k−1` inputs and its
+//! diagonal seed. Per
 //! tile, `compute_tile` does only what depends on `k`: it **consumes
 //! the pencils bottom-up** — takes the tile's window off every pencil,
 //! deals the chunks into plan order, and splits the units once per wave
@@ -38,7 +43,7 @@
 //! in [`crate::plan`] additionally collect per-rank [`StepObserver`]
 //! output.
 
-use crate::decomp::{self, DecompError, Layout};
+use crate::decomp::{self, DecompError};
 use crate::engine::{self, EngineError, StepObserver, TileOps};
 use crate::grid::Grid3D;
 use crate::halo;
@@ -50,7 +55,8 @@ use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::WorldConfig;
 use std::time::Duration;
-use tiling_core::dependence::DependenceSet;
+use tiling_core::dependence::{Dependence, DependenceSet};
+use tiling_core::schedule::StepPlan;
 
 pub use crate::engine::ExecMode;
 
@@ -74,6 +80,26 @@ pub struct Decomp3D {
 }
 
 impl Decomp3D {
+    /// Arity of the tiled space.
+    pub(crate) const DIMS: usize = 3;
+    /// The tiled dimension the pipeline runs along: i₃, so the §5
+    /// overlap schedule is `Π = [2, 2, 1]`.
+    pub(crate) const MAPPING_DIM: usize = 2;
+
+    /// The dependences pre-flight checks the schedule against: the
+    /// axes e₁, e₂, e₃ of the 3-D kernels and the diagonal e₂+e₃ a
+    /// unit-axis 2-D kernel reads.
+    pub fn dependences() -> DependenceSet {
+        let mut deps = DependenceSet::paper_3d();
+        deps.push(Dependence::new(vec![0, 1, 1]));
+        deps
+    }
+
+    /// The executable projection of `mode`'s schedule over this layout.
+    pub fn step_plan(&self, mode: ExecMode) -> StepPlan {
+        mode.step_plan(Self::DIMS, Self::MAPPING_DIM, self.steps())
+    }
+
     /// Validate divisibility and sizes.
     pub fn validate(&self) -> Result<(), DecompError> {
         decomp::require_nonempty_grid(&[self.nx, self.ny, self.nz])?;
@@ -186,25 +212,6 @@ impl RankTopology for Decomp3D {
     }
 }
 
-/// The paper's §5 layout maps along i₃ of a 3-D tiled space
-/// (`Π = [2, 2, 1]` when overlapping).
-impl Layout for Decomp3D {
-    const DIMS: usize = 3;
-    const MAPPING_DIM: usize = 2;
-
-    fn validate(&self) -> Result<(), DecompError> {
-        Decomp3D::validate(self)
-    }
-
-    fn steps(&self) -> usize {
-        Decomp3D::steps(self)
-    }
-
-    fn dependences() -> DependenceSet {
-        DependenceSet::paper_3d()
-    }
-}
-
 /// k-chunk length of the super-diagonal tile walk: short enough that a
 /// 4×4 cross-section with the paper's V = 128 spreads into wide waves,
 /// long enough that the vector pass and per-chunk bookkeeping amortize.
@@ -218,6 +225,20 @@ enum Src {
     /// This row of the direction's halo plane.
     Halo(usize),
     /// The boundary splat (the neighbor is outside the global grid).
+    Boundary,
+}
+
+/// Where a unit reads its diagonal seed: the cell `(i, j−1)` one below
+/// its first, at `k0 + start − 1`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Diag {
+    /// The last cell of the neighbor row's lower chunk: an earlier unit.
+    Below(usize),
+    /// The neighbor row's `top`: the last cell of the previous tile.
+    Top(usize),
+    /// This row of the j halo plane, whole `nz` long.
+    Halo(usize),
+    /// The boundary splat.
     Boundary,
 }
 
@@ -235,6 +256,7 @@ struct Unit {
     /// `k−1` carry; `None` for a pencil's first chunk, which is seeded
     /// by the previous tile's top cell.
     below: Option<usize>,
+    diag: Diag,
 }
 
 /// The walk of one tile length, compiled once per rank: nothing in it
@@ -332,6 +354,12 @@ impl WavePlan {
                             _ => Src::Unit(pos[(r - 1) * nchunks + c]),
                         },
                         below: (c > 0).then(|| pos[r * nchunks + c - 1]),
+                        diag: match (j, c) {
+                            (0, _) if up[FACE_J] => Diag::Halo(i),
+                            (0, _) => Diag::Boundary,
+                            (_, 0) => Diag::Top(r - 1),
+                            _ => Diag::Below(pos[(r - 1) * nchunks + c - 1]),
+                        },
                     };
                     pos[r * nchunks + c] = units.len();
                     units.push(unit);
@@ -482,9 +510,18 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                     Src::Boundary => &self.brow[..u.len],
                 };
                 #[allow(clippy::expect_used)] // LINT: a plan's chunks are non-empty
+                let last = |q: usize| *done[q].last().expect("chunks are non-empty");
                 let km1 = match u.below {
-                    Some(q) => *done[q].last().expect("chunks are non-empty"),
+                    Some(q) => last(q),
                     None => self.top[u.i * by + u.j],
+                };
+                let diag = match u.diag {
+                    Diag::Below(q) => last(q),
+                    Diag::Top(row) => self.top[row],
+                    Diag::Halo(row) if k0 + u.start > 0 => {
+                        self.halo[FACE_J][row * nz + k0 + u.start - 1]
+                    }
+                    Diag::Halo(_) | Diag::Boundary => self.d.boundary,
                 };
                 wave.push(
                     self.gi0 + u.i as i64,
@@ -493,6 +530,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                     input(u.im1, FACE_I),
                     input(u.jm1, FACE_J),
                     km1,
+                    diag,
                     out,
                 );
             }
@@ -930,6 +968,14 @@ mod tests {
                     Some(q) => prop_assert!(c > 0 && earlier(q, [i, j, c - 1])),
                     None => prop_assert_eq!(c, 0),
                 }
+                // The diagonal seed: the neighbor row's chunk below, its
+                // top, or off-block the halo row or the boundary.
+                match u.diag {
+                    Diag::Below(q) => prop_assert!(j > 0 && c > 0 && earlier(q, [i, j - 1, c - 1])),
+                    Diag::Top(row) => prop_assert!(j > 0 && c == 0 && row == i * by + j - 1),
+                    Diag::Halo(row) => prop_assert!(j == 0 && up_j && row == i),
+                    Diag::Boundary => prop_assert!(j == 0 && !up_j),
+                }
             }
         }
     }
@@ -966,7 +1012,8 @@ mod tests {
             for rank in 0..d.ranks() {
                 let plans = WavePlan::for_rank(&d, rank);
                 let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), plans);
-                decomp::assert_ops_read_layout(&d, rank, &blk);
+                let dirs = (blk.num_dirs(), blk.wire_dir(FACE_I), blk.wire_dir(FACE_J));
+                assert_eq!(dirs, (d.num_dirs(), DIR_I, DIR_J), "rank {rank}");
                 // The layout's inline arithmetic is the row-major
                 // Cartesian grid, no wraparound.
                 assert_eq!(d.upstream(rank, FACE_I), grid.neighbor(rank, &[-1, 0]));

@@ -2,7 +2,8 @@
 //!
 //! A rank's work is the [`Program`] pre-flight emitted and proved for it
 //! (`cluster_sim::program::Program::pipeline`), which its compiled plan
-//! ([`crate::plan::Compiled`]) keeps; [`run_rank`] walks it op by op. So the schedule behind the plan's [`ExecMode`] —
+//! ([`crate::plan::Compiled3D`]) keeps; [`run_rank`] walks it op by op.
+//! So the schedule behind the plan's [`ExecMode`] —
 //! [`NonOverlapSchedule`] (eq. 3, `ProcB`: per step *receive faces →
 //! compute tile → send faces*) or [`OverlapSchedule`] (eq. 4, `ProcNB`:
 //! per step post the receives of `k+1` and the sends of `k−1`, compute
@@ -11,8 +12,8 @@
 //!
 //! A message op names its face by its tag (`step · TAG_STRIDE + wire
 //! direction`, [`crate::proto`]) and its length by its bytes; the
-//! [`TileOps`] implementation (2-D strips in [`crate::dist2d`], 3-D
-//! blocks in [`crate::dist3d`]) packs, unpacks and computes. The engine
+//! [`TileOps`] implementation (the block of [`crate::dist3d`], which
+//! runs 2-D strips as unit-axis blocks) packs, unpacks and computes. The engine
 //! allocates nothing — posted requests live in a fixed table indexed by
 //! their handle — so neither does a steady-state step
 //! (`tests/zero_alloc.rs`).
@@ -38,7 +39,7 @@ use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule, StepPlan};
 pub const MAX_DIRS: usize = 2;
 
 /// Why a distributed run failed. Produced by [`run_rank`] and the
-/// `dist2d`/`dist3d` drivers instead of hanging forever or panicking
+/// `dist3d`/`plan` drivers instead of hanging forever or panicking
 /// with an index error: decomposition problems are caught up front,
 /// transport faults (on a reliability-enabled world) surface with the
 /// rank that observed them attached.
@@ -886,14 +887,14 @@ mod tests {
 
     /// The program of `plan` on a lone rank: computes only.
     fn lone(plan: &StepPlan) -> Program {
-        let d = crate::dist2d::Decomp2D {
+        let d = crate::decomp::Decomp2D {
             nx: 1,
             ny: 1,
             ranks: 1,
             v: 1,
             boundary: 0.0,
         };
-        analyzer::programs(&d, plan).swap_remove(0)
+        analyzer::programs(&d.block(), plan).swap_remove(0)
     }
 
     #[test]

@@ -64,11 +64,28 @@ impl Grid2D {
         &self.data
     }
 
-    /// Mutable row `i` (all `ny` values), for bulk copies.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        assert!(i < self.nx, "grid row out of range");
-        &mut self.data[i * self.ny..(i + 1) * self.ny]
+    /// The strip a unit-axis block holds (see
+    /// [`crate::decomp::Decomp2D::block`]): strip cell `(i, j)` is block
+    /// cell `(0, j, i)`, so this is one transpose of the block's
+    /// `ny × nz` plane.
+    ///
+    /// # Panics
+    /// If `block`'s `i`-axis is not a unit one.
+    pub fn from_block(block: &Grid3D) -> Self {
+        assert_eq!(block.nx(), 1, "a strip's block has a unit i-axis");
+        let (nx, ny) = (block.nz(), block.ny());
+        let mut data = vec![0.0; nx * ny];
+        for (j, pencil) in block.data().chunks_exact(nx).enumerate() {
+            for (row, &v) in data.chunks_exact_mut(ny).zip(pencil) {
+                row[j] = v;
+            }
+        }
+        Grid2D {
+            nx,
+            ny,
+            data,
+            boundary: block.boundary(),
+        }
     }
 
     /// Maximum absolute difference to another grid of the same shape

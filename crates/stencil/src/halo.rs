@@ -1,11 +1,10 @@
 //! Row-chunked halo face packing and unpacking.
 //!
-//! Both block layouts used by the executors keep the pipelined dimension
-//! fastest, so every row of an outgoing face is contiguous in memory
-//! (the 3-D block is a list of such rows, see [`pack_windows`]):
-//! packing a face is a strided sequence of `copy_from_slice` row copies
-//! instead of a per-element gather, and unpacking into a halo plane is
-//! the mirror-image scatter. The generic parameters:
+//! The block layout keeps the pipelined dimension fastest, so every row
+//! of an outgoing face is contiguous in memory: packing a face is a
+//! strided sequence of `copy_from_slice` row copies instead of a
+//! per-element gather, and unpacking into a halo plane is the
+//! mirror-image scatter. The generic parameters:
 //!
 //! * `base` — offset of row 0's start within the source/destination,
 //! * `stride` — distance between consecutive row starts,
@@ -17,7 +16,7 @@
 //! by `i`). Halo planes unpack with `base = 0, stride = nz`. The 3-D
 //! executor unpacks through [`unpack_rows`]; it packs the same row
 //! copies from its tile units, while [`pack_rows`] is the flat-block
-//! form the benchmark's probe and `benches/halo_exchange` measure.
+//! form the benchmark's probe measures.
 //!
 //! `tests/halo_chunking.rs` asserts bitwise equality with element-wise
 //! gather/scatter oracles on random shapes, including partial last
@@ -33,17 +32,8 @@ pub fn pack_rows(src: &[f32], base: usize, stride: usize, k0: usize, len: usize,
         "packed buffer length {} not a multiple of row length {len}",
         out.len()
     );
-    let rows = (0..out.len() / len).map(|r| &src[base + r * stride + k0..][..len]);
-    pack_windows(rows, len, out);
-}
-
-/// Pack face rows that are already cut to the tile's window (`len`
-/// values each), one after the other: [`pack_rows`] for a block whose
-/// rows are separate slices, as the executors' borrowed pencils are.
-/// Packs as many rows as `out` holds.
-pub fn pack_windows<'a>(rows: impl Iterator<Item = &'a [f32]>, len: usize, out: &mut [f32]) {
-    for (chunk, row) in out.chunks_exact_mut(len).zip(rows) {
-        chunk.copy_from_slice(row);
+    for (r, chunk) in out.chunks_exact_mut(len).enumerate() {
+        chunk.copy_from_slice(&src[base + r * stride + k0..][..len]);
     }
 }
 

@@ -6,11 +6,14 @@
 //! distributed execution is **bitwise** identical to the sequential one
 //! regardless of interleaving ([`crate::verify`] checks exact equality).
 //!
-//! 2-D kernels see the upstream values `(diag, im1, jm1)` =
-//! `A(i−1,j−1), A(i−1,j), A(i,j−1)` (dependences ⊆ {(1,1),(1,0),(0,1)});
-//! 3-D kernels see `(im1, jm1, km1)` (dependences {e₁,e₂,e₃}). Both also
-//! receive the global cell coordinates, enabling data-dependent
-//! recurrences like LCS-style dynamic programming.
+//! Every kernel is a [`Kernel3D`]: it sees `(im1, jm1, km1)` =
+//! `A(i−1,j,k), A(i,j−1,k), A(i,j,k−1)` (dependences {e₁,e₂,e₃}) and the
+//! diagonal `diag` = `A(i,j−1,k−1)` (e₂+e₃), plus the global cell
+//! coordinates, enabling data-dependent recurrences like LCS-style
+//! dynamic programming. The 2-D kernels of Example 1 run as a block
+//! with a unit `i`-axis: their cell `(i, j)` is the block's `(0, j, i)`,
+//! so their `(1,0)`, `(0,1)` and `(1,1)` dependences are e₃, e₂ and
+//! e₂+e₃ — `km1`, `jm1` and `diag`.
 
 use tiling_core::dependence::DependenceSet;
 pub use tiling_core::machine::KernelTier;
@@ -84,6 +87,7 @@ struct Pencil<'a> {
     gj: i64,
     k0: i64,
     km1: f32,
+    diag: f32,
     im1: &'a [f32],
     jm1: &'a [f32],
     out: &'a mut [f32],
@@ -129,6 +133,8 @@ impl<'a> Wave<'a> {
 
     /// Append one pencil. The caller asserts (by construction of the
     /// batch) that it is independent of every pencil already present.
+    /// `km1` and `diag` seed the pencil's first cell as in
+    /// [`Kernel3D::eval_pencil`].
     ///
     /// # Panics
     /// If the wave is full, or if `im1`, `jm1` and `out` differ in
@@ -143,6 +149,7 @@ impl<'a> Wave<'a> {
         im1: &'a [f32],
         jm1: &'a [f32],
         km1: f32,
+        diag: f32,
         out: &'a mut [f32],
     ) {
         assert!(
@@ -157,6 +164,7 @@ impl<'a> Wave<'a> {
             gj,
             k0,
             km1,
+            diag,
             im1,
             jm1,
             out,
@@ -262,25 +270,20 @@ impl<'a> Wave<'a> {
     }
 }
 
-/// A 2-D wavefront kernel with dependences ⊆ `{(1,1),(1,0),(0,1)}`.
-pub trait Kernel2D: Copy + Send + Sync + 'static {
-    /// Compute the value of cell `(i, j)` from its upstream values.
-    fn eval(&self, i: i64, j: i64, diag: f32, im1: f32, jm1: f32) -> f32;
-
-    /// The kernel's dependence set (defaults to the full triple).
-    fn deps(&self) -> DependenceSet {
-        DependenceSet::example_1()
-    }
-}
-
-/// A 3-D wavefront kernel with dependences `{e₁, e₂, e₃}`.
+/// A wavefront kernel over a 3-D block with dependences among
+/// `{e₁, e₂, e₃, e₂+e₃}`.
 pub trait Kernel3D: Copy + Send + Sync + 'static {
-    /// Compute the value of cell `(i, j, k)` from its upstream values.
-    fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32) -> f32;
+    /// Compute the value of cell `(i, j, k)` from its upstream values:
+    /// `im1`, `jm1`, `km1` along the axes and `diag` = `A(i, j−1, k−1)`,
+    /// which only the unit-axis 2-D kernels read.
+    #[allow(clippy::too_many_arguments)] // LINT: one argument per neighbour and coordinate
+    fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32, diag: f32) -> f32;
 
     /// Evaluate a whole `k`-pencil: cells `(i, j, k0..k0+out.len())`,
-    /// with `im1`/`jm1` the equal-length neighbor pencils and `km1`
-    /// seeding the loop-carried `k−1` dependence.
+    /// with `im1`/`jm1` the equal-length neighbor pencils, `km1`
+    /// seeding the loop-carried `k−1` dependence and `diag` the first
+    /// cell's diagonal `A(i, j−1, k0−1)`; every later cell's diagonal is
+    /// the `jm1` cell below it.
     ///
     /// This is the executors' inner loop. The default walks
     /// [`Kernel3D::eval`] cell by cell — **bitwise identical** by
@@ -301,13 +304,14 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
         im1: &[f32],
         jm1: &[f32],
         km1: f32,
+        diag: f32,
         out: &mut [f32],
     ) {
-        let mut prev = km1;
+        let (mut prev, mut diag) = (km1, diag);
         for (kz, (o, (&a, &c))) in (k0..).zip(out.iter_mut().zip(im1.iter().zip(jm1))) {
-            let v = self.eval(i, j, kz, a, c, prev);
+            let v = self.eval(i, j, kz, a, c, prev, diag);
             *o = v;
-            prev = v;
+            (prev, diag) = (v, c);
         }
     }
 
@@ -318,7 +322,7 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
     #[inline]
     fn eval_pencils(&self, wave: &mut Wave<'_>) {
         for p in wave.0.groups_mut().flatten() {
-            self.eval_pencil(p.gi, p.gj, p.k0, p.im1, p.jm1, p.km1, p.out);
+            self.eval_pencil(p.gi, p.gj, p.k0, p.im1, p.jm1, p.km1, p.diag, p.out);
         }
     }
 
@@ -361,11 +365,6 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
             KernelTier::Fast => self.eval_wave_fast(wave),
         }
     }
-
-    /// The kernel's dependence set.
-    fn deps(&self) -> DependenceSet {
-        DependenceSet::paper_3d()
-    }
 }
 
 /// The 3-point √ kernel of the paper's experiments (§5):
@@ -389,7 +388,7 @@ impl Paper3D {
 
 impl Kernel3D for Paper3D {
     #[inline]
-    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32) -> f32 {
+    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32, _diag: f32) -> f32 {
         Paper3D::eval(im1, jm1, km1)
     }
 
@@ -406,6 +405,7 @@ impl Kernel3D for Paper3D {
         im1: &[f32],
         jm1: &[f32],
         km1: f32,
+        _diag: f32,
         out: &mut [f32],
     ) {
         let mut sk = km1.max(0.0).sqrt();
@@ -475,7 +475,7 @@ impl Default for Relax3D {
 
 impl Kernel3D for Relax3D {
     #[inline]
-    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32) -> f32 {
+    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32, _diag: f32) -> f32 {
         self.omega / 3.0 * (im1 + jm1 + km1)
     }
 
@@ -492,6 +492,7 @@ impl Kernel3D for Relax3D {
         im1: &[f32],
         jm1: &[f32],
         km1: f32,
+        _diag: f32,
         out: &mut [f32],
     ) {
         let w = self.omega / 3.0;
@@ -567,7 +568,7 @@ pub fn cell_weight(i: i64, j: i64, k: i64) -> f32 {
 
 impl Kernel3D for LongestPath3D {
     #[inline]
-    fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32) -> f32 {
+    fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32, _diag: f32) -> f32 {
         im1.max(jm1).max(km1) + cell_weight(i, j, k)
     }
 }
@@ -594,7 +595,7 @@ impl Default for Fused3D {
 
 impl Kernel3D for Fused3D {
     #[inline]
-    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32) -> f32 {
+    fn eval(&self, _i: i64, _j: i64, _k: i64, im1: f32, jm1: f32, km1: f32, _diag: f32) -> f32 {
         im1.mul_add(self.wa, jm1.mul_add(self.wa, km1 * self.wc))
     }
 
@@ -610,6 +611,7 @@ impl Kernel3D for Fused3D {
         im1: &[f32],
         jm1: &[f32],
         km1: f32,
+        _diag: f32,
         out: &mut [f32],
     ) {
         let (wa, wc) = (self.wa, self.wc);
@@ -681,10 +683,12 @@ impl Example1 {
     }
 }
 
-impl Kernel2D for Example1 {
+/// Cell `(i, j)` of the strip is cell `(0, j, i)` of its block: the
+/// strip's `i−1` neighbour is `km1`, its `j−1` one `jm1`.
+impl Kernel3D for Example1 {
     #[inline]
-    fn eval(&self, _i: i64, _j: i64, diag: f32, im1: f32, jm1: f32) -> f32 {
-        Example1::eval(diag, im1, jm1)
+    fn eval(&self, _i: i64, _j: i64, _k: i64, _im1: f32, jm1: f32, km1: f32, diag: f32) -> f32 {
+        Example1::eval(diag, km1, jm1)
     }
 }
 
@@ -717,12 +721,13 @@ impl Alignment2D {
     }
 }
 
-impl Kernel2D for Alignment2D {
+/// On the strip's unit-axis block, as [`Example1`]: strip `i` is `k`.
+impl Kernel3D for Alignment2D {
     #[inline]
-    fn eval(&self, i: i64, j: i64, diag: f32, im1: f32, jm1: f32) -> f32 {
-        let m = Self::symbol(0xA5A5, i, self.alphabet) == Self::symbol(0x5A5A, j, self.alphabet);
+    fn eval(&self, _i: i64, j: i64, k: i64, _im1: f32, jm1: f32, km1: f32, diag: f32) -> f32 {
+        let m = Self::symbol(0xA5A5, k, self.alphabet) == Self::symbol(0x5A5A, j, self.alphabet);
         let with_match = diag + if m { 1.0 } else { 0.0 };
-        with_match.max(im1).max(jm1)
+        with_match.max(km1).max(jm1)
     }
 }
 
@@ -740,14 +745,11 @@ impl Default for Smooth2D {
     }
 }
 
-impl Kernel2D for Smooth2D {
+/// On the strip's unit-axis block, as [`Example1`]: strip `i` is `k`.
+impl Kernel3D for Smooth2D {
     #[inline]
-    fn eval(&self, _i: i64, _j: i64, _diag: f32, im1: f32, jm1: f32) -> f32 {
-        self.omega * 0.5 * (im1 + jm1)
-    }
-
-    fn deps(&self) -> DependenceSet {
-        DependenceSet::from_vectors(2, vec![vec![1, 0], vec![0, 1]])
+    fn eval(&self, _i: i64, _j: i64, _k: i64, _im1: f32, jm1: f32, km1: f32, _diag: f32) -> f32 {
+        self.omega * 0.5 * (km1 + jm1)
     }
 }
 
@@ -770,7 +772,7 @@ mod tests {
         assert_eq!(Paper3D::eval(-1.0, 4.0, 0.0), 2.0);
         // Trait form agrees with the inherent form.
         let k = Paper3D;
-        assert_eq!(Kernel3D::eval(&k, 5, 6, 7, 4.0, 9.0, 16.0), 9.0);
+        assert_eq!(Kernel3D::eval(&k, 5, 6, 7, 4.0, 9.0, 16.0, -1.0), 9.0);
     }
 
     #[test]
@@ -778,7 +780,8 @@ mod tests {
         assert_eq!(Example1::eval(4.0, 8.0, 4.0), 4.0);
         assert_eq!(Example1::eval(0.0, 0.0, 0.0), 0.0);
         let k = Example1;
-        assert_eq!(Kernel2D::eval(&k, 1, 2, 4.0, 8.0, 4.0), 4.0);
+        // Strip cell (1, 2) is block cell (0, 2, 1): km1 = 8, jm1 = 4.
+        assert_eq!(Kernel3D::eval(&k, 0, 2, 1, -1.0, 4.0, 8.0, 4.0), 4.0);
     }
 
     #[test]
@@ -793,14 +796,14 @@ mod tests {
     #[test]
     fn relax3d_is_contraction() {
         let k = Relax3D::default();
-        let v = Kernel3D::eval(&k, 0, 0, 0, 1.0, 1.0, 1.0);
+        let v = Kernel3D::eval(&k, 0, 0, 0, 1.0, 1.0, 1.0, 1.0);
         assert!(v < 1.0 && v > 0.0);
     }
 
     #[test]
     fn longest_path_monotone() {
         let k = LongestPath3D;
-        let a = Kernel3D::eval(&k, 1, 2, 3, 5.0, 1.0, 2.0);
+        let a = Kernel3D::eval(&k, 1, 2, 3, 5.0, 1.0, 2.0, 9.0);
         assert!((5.0..6.0).contains(&a));
     }
 
@@ -817,20 +820,23 @@ mod tests {
     #[test]
     fn alignment_match_increments_diagonal() {
         let k = Alignment2D { alphabet: 1 }; // everything matches
-        let v = Kernel2D::eval(&k, 3, 4, 2.0, 1.0, 1.0);
+        let v = Kernel3D::eval(&k, 0, 4, 3, 0.0, 1.0, 1.0, 2.0);
         assert_eq!(v, 3.0);
         // Score is non-decreasing in all inputs.
-        assert!(Kernel2D::eval(&k, 3, 4, 2.0, 5.0, 1.0) >= v);
+        assert!(Kernel3D::eval(&k, 0, 4, 3, 0.0, 1.0, 5.0, 2.0) >= v);
     }
 
     #[test]
     fn smooth2d_ignores_diagonal_and_declares_axis_deps() {
         let k = Smooth2D::default();
         assert_eq!(
-            Kernel2D::eval(&k, 0, 0, 1e9, 1.0, 1.0),
-            Kernel2D::eval(&k, 0, 0, -1e9, 1.0, 1.0)
+            Kernel3D::eval(&k, 0, 0, 0, 0.0, 1.0, 1.0, 1e9),
+            Kernel3D::eval(&k, 0, 0, 0, 0.0, 1.0, 1.0, -1e9)
         );
-        assert_eq!(k.deps().len(), 2);
+        // Its two axis dependences are the block's e₂ and e₃.
+        let eval = |jm1, km1| Kernel3D::eval(&k, 0, 0, 0, 0.0, jm1, km1, 0.0);
+        assert_eq!(eval(2.0, 0.0), eval(0.0, 2.0));
+        assert!(eval(2.0, 0.0) > eval(0.0, 0.0));
     }
 
     #[test]
@@ -843,12 +849,14 @@ mod tests {
     #[test]
     fn fused3d_is_contraction() {
         let k = Fused3D::default();
-        let v = Kernel3D::eval(&k, 0, 0, 0, 1.0, 1.0, 1.0);
+        let v = Kernel3D::eval(&k, 0, 0, 0, 1.0, 1.0, 1.0, 1.0);
         assert!(v < 1.0 && v > 0.0);
     }
 
-    /// Walk `eval` cell by cell with the loop-carried `k−1` value —
-    /// the reference the pencil overrides must match bitwise.
+    /// Walk `eval` cell by cell with the loop-carried `k−1` value and
+    /// the diagonal read off `jm1` — the reference the pencil overrides
+    /// must match bitwise.
+    #[allow(clippy::too_many_arguments)] // LINT: eval_pencil's arguments, returned
     fn scalar_pencil<K: Kernel3D>(
         k: &K,
         i: i64,
@@ -857,11 +865,13 @@ mod tests {
         im1: &[f32],
         jm1: &[f32],
         km1: f32,
+        diag: f32,
     ) -> Vec<f32> {
         let mut prev = km1;
         let mut out = Vec::with_capacity(im1.len());
         for (n, (&a, &c)) in im1.iter().zip(jm1).enumerate() {
-            let v = k.eval(i, j, k0 + n as i64, a, c, prev);
+            let d = if n == 0 { diag } else { jm1[n - 1] };
+            let v = k.eval(i, j, k0 + n as i64, a, c, prev, d);
             out.push(v);
             prev = v;
         }
@@ -878,10 +888,10 @@ mod tests {
             };
             let im1: Vec<f32> = (0..len).map(|n| gen(seed, n)).collect();
             let jm1: Vec<f32> = (0..len).map(|n| gen(seed ^ 0xFF, n)).collect();
-            let km1 = gen(seed ^ 0xABCD, len);
-            let want = scalar_pencil(&kernel, 5, -2, 11, &im1, &jm1, km1);
+            let (km1, diag) = (gen(seed ^ 0xABCD, len), gen(seed ^ 0x1234, len));
+            let want = scalar_pencil(&kernel, 5, -2, 11, &im1, &jm1, km1, diag);
             let mut got = vec![0.0f32; len];
-            kernel.eval_pencil(5, -2, 11, &im1, &jm1, km1, &mut got);
+            kernel.eval_pencil(5, -2, 11, &im1, &jm1, km1, diag, &mut got);
             for (n, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -900,6 +910,9 @@ mod tests {
         check_pencil_bitwise(LongestPath3D, "longest-path");
         check_pencil_bitwise(Fused3D::default(), "fused3d");
         check_pencil_bitwise(Fused3D { wa: 0.3, wc: 0.25 }, "fused3d-0.3");
+        check_pencil_bitwise(Example1, "example1");
+        check_pencil_bitwise(Alignment2D { alphabet: 2 }, "alignment2d");
+        check_pencil_bitwise(Smooth2D::default(), "smooth2d");
     }
 
     /// Deterministic mixed-sign pencil data, distinct per (pencil, salt).
@@ -926,17 +939,20 @@ mod tests {
         ] {
             let im1s: Vec<Vec<f32>> = (0..m).map(|p| wave_data(p, 1, lens[p])).collect();
             let jm1s: Vec<Vec<f32>> = (0..m).map(|p| wave_data(p, 2, lens[p])).collect();
-            let km1s: Vec<f32> = (0..m)
-                .map(|p| (cell_weight(p as i64, 9, 9) - 0.5) * 4.0)
-                .collect();
+            let seeds = |salt: i64| -> Vec<f32> {
+                let seed = |p: usize| (cell_weight(p as i64, salt, 9) - 0.5) * 4.0;
+                (0..m).map(seed).collect()
+            };
+            let (km1s, diags) = (seeds(9), seeds(10));
             let mut want: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0; l]).collect();
             for p in 0..m {
-                kernel.eval_pencil(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], &mut want[p]);
+                let (im1, jm1) = (&im1s[p], &jm1s[p]);
+                kernel.eval_pencil(p as i64, -1, 3, im1, jm1, km1s[p], diags[p], &mut want[p]);
             }
             let mut got: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0; l]).collect();
             let mut wave = Wave::new();
             for (p, g) in got.iter_mut().enumerate() {
-                wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], g);
+                wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], diags[p], g);
             }
             assert_eq!(wave.len(), m);
             kernel.eval_wave(&mut wave);
@@ -960,7 +976,7 @@ mod tests {
     fn push_rejects_a_short_neighbour() {
         let (im1, jm1) = ([1.0f32; 8], [1.0f32; 7]);
         let mut out = [0.0f32; 8];
-        Wave::new().push(0, 0, 0, &im1, &jm1, 1.0, &mut out);
+        Wave::new().push(0, 0, 0, &im1, &jm1, 1.0, 1.0, &mut out);
     }
 
     #[test]
@@ -971,6 +987,8 @@ mod tests {
         check_wave_bitwise(LongestPath3D, "longest-path");
         check_wave_bitwise(Fused3D::default(), "fused3d");
         check_wave_bitwise(Fused3D { wa: 0.3, wc: 0.25 }, "fused3d-0.3");
+        check_wave_bitwise(Example1, "example1");
+        check_wave_bitwise(Alignment2D { alphabet: 2 }, "alignment2d");
     }
 
     /// ULP distance between two finite f32 of the same sign region.
@@ -997,7 +1015,7 @@ mod tests {
             let run = |fast: bool, outs: &mut Vec<Vec<f32>>| {
                 let mut wave = Wave::new();
                 for (p, g) in outs.iter_mut().enumerate() {
-                    wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], g);
+                    wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], 0.0, g);
                 }
                 match (kernel_check, fast) {
                     (0, false) => Paper3D.eval_wave(&mut wave),

@@ -2,19 +2,20 @@
 //!
 //! The workloads of the IPPS 2001 loop-tiling paper, executed for real:
 //! dense grids ([`grid`]), wavefront kernels ([`kernel`]), sequential
-//! references ([`seq`]) and distributed tiled executors for both the
+//! references ([`seq`]) and one distributed tiled executor for both the
 //! non-overlapping (§3) and overlapping (§4) schedules, running on the
-//! `msgpass` threaded backend with injected wire latency ([`dist2d`],
-//! [`dist3d`]). The §5 pipeline loop is written once, by the
-//! simulator's program emitter: a compiled plan keeps every rank's
-//! `ProcB`/`ProcNB` program as pre-flight proved it, and [`engine`]
-//! interprets it over a [`engine::TileOps`] implementation per
-//! dimensionality. [`decomp`] holds the shared decomposition
-//! arithmetic and typed validation errors; each `Decomp*` is the one
-//! description of its layout that pre-flight analyses and the executors
-//! run. Every run goes through a [`plan::Compiled`] plan: compile once,
-//! then run it any number of times ([`plan`]), or do both in one call
-//! ([`dist2d::run_dist2d_with`], [`dist3d::run_dist3d_with`]).
+//! `msgpass` threaded backend with injected wire latency ([`dist3d`]).
+//! It runs the §5 block layout in n dimensions: a 2-D strip (Example 1)
+//! is a block with a unit `i`-axis ([`decomp::Decomp2D::block`]). The
+//! §5 pipeline loop is written once, by the simulator's program
+//! emitter: a compiled plan keeps every rank's `ProcB`/`ProcNB` program
+//! as pre-flight proved it, and [`engine`] interprets it over the
+//! block's [`engine::TileOps`]. [`decomp`] holds the decomposition
+//! arithmetic and typed validation errors; [`dist3d::Decomp3D`] is the
+//! one description of the layout that pre-flight analyses and the
+//! executor runs. Every run goes through a [`plan::Compiled3D`] plan:
+//! compile once, then run it any number of times ([`plan`]), or do
+//! both in one call ([`dist3d::run_dist3d_with`]).
 //!
 //! Kernels (all single-assignment wavefront recurrences, so distributed
 //! results are exactly reproducible):
@@ -29,9 +30,10 @@
 //! | [`kernel::Alignment2D`] | 2 | LCS-style sequence alignment DP |
 //! | [`kernel::Smooth2D`] | 2 | axis-dependence Gauss–Seidel sweep |
 //!
-//! The executors are generic over [`kernel::Kernel2D`] /
-//! [`kernel::Kernel3D`] and over any [`msgpass::comm::Communicator`],
-//! which is how the trace-driven recorder replays them unchanged.
+//! Every kernel is a [`kernel::Kernel3D`] — the 2-D ones read their
+//! `(1,1)` dependence as the block's diagonal e₂+e₃ — and the executor
+//! is generic over it and over any [`msgpass::comm::Communicator`],
+//! which is how the trace-driven recorder replays it unchanged.
 //!
 //! ```
 //! use stencil::prelude::*;
@@ -50,7 +52,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod decomp;
-pub mod dist2d;
 pub mod dist3d;
 pub mod engine;
 pub mod grid;
@@ -61,10 +62,14 @@ pub mod preflight;
 pub mod proto;
 pub mod seq;
 
+/// The strip cases, under the module name the strip executor had.
+#[cfg(test)]
+#[path = "strip_cases.rs"]
+mod dist2d;
+
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::decomp::{DecompError, Layout};
-    pub use crate::dist2d::{run_dist2d_with, try_run_rank2d_plan, Decomp2D};
+    pub use crate::decomp::{Decomp2D, DecompError};
     pub use crate::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
     pub use crate::engine::{
         run_rank, EngineError, LaneStats, NoopObserver, Phase, PhaseLog, StepObserver, TileOps,
@@ -72,14 +77,12 @@ pub mod prelude {
     };
     pub use crate::grid::{Grid2D, Grid3D};
     pub use crate::kernel::{
-        Alignment2D, Example1, Fused3D, Kernel2D, Kernel3D, LongestPath3D, Paper3D, Relax3D,
-        Smooth2D,
+        Alignment2D, Example1, Fused3D, Kernel3D, LongestPath3D, Paper3D, Relax3D, Smooth2D,
     };
     pub use crate::plan::{
-        run2d_with, run3d_observed_with, run3d_on_world, run3d_on_world_observed, run3d_with,
-        Compiled, Compiled2D, Compiled3D,
+        run3d_observed_with, run3d_on_world, run3d_on_world_observed, run3d_with, Compiled3D,
     };
-    pub use crate::preflight::{check_plan, check_plan3d};
+    pub use crate::preflight::check_plan3d;
     pub use crate::seq::{
         max_abs_diff_from_seq3d, measure_t_c_paper3d, run_example1_seq, run_paper3d_seq, run_seq2d,
         run_seq3d,

@@ -1,7 +1,8 @@
 //! Compiled execution plans: validate + analyze once, execute many.
 //!
-//! A [`Compiled`] plan ([`Compiled2D`] / [`Compiled3D`]) is the sealed
-//! bundle a distributed run needs: the validated decomposition, every
+//! A [`Compiled3D`] plan is the sealed bundle a distributed run needs —
+//! of a 3-D block or of a 2-D strip as its unit-axis block
+//! ([`crate::decomp::Decomp2D::block`]): the validated decomposition, every
 //! rank's §5 [`Program`] under the chosen [`ExecMode`]'s schedule, which
 //! the engine interprets, and the pre-flight [`AnalysisReport`] proving
 //! those very programs legal, fully matched and deadlock-free.
@@ -9,7 +10,7 @@
 //! every runner takes a compiled plan, so one compile backs any number
 //! of executions (the `planc` crate's `PlanArtifact` caches them).
 //!
-//! Every 3-D run takes one path: the runner allocates the result
+//! Every run takes one path: the runner allocates the result
 //! [`Grid3D`] once, deals its pencils out to the ranks as disjoint
 //! mutable views ([`dist3d::rank_pencils`]) and the ranks compute
 //! straight into them — the result grid *is* the ranks' storage, and
@@ -23,14 +24,12 @@
 //! run leaves no message behind. A result grid larger than memory is an
 //! [`EngineError::OutOfMemory`], before any rank runs.
 
-use crate::decomp::Layout;
-use crate::dist2d::{self, Decomp2D};
 use crate::dist3d::{self, Decomp3D};
 use crate::engine::{EngineError, ExecMode, NoopObserver, StepObserver};
-use crate::grid::{Grid2D, Grid3D};
-use crate::kernel::{Kernel2D, Kernel3D};
+use crate::grid::Grid3D;
+use crate::kernel::Kernel3D;
 use crate::preflight::analyze_plan;
-use analyzer::AnalysisReport;
+use analyzer::{AnalysisReport, RankTopology};
 use cluster_sim::program::Program;
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
@@ -39,26 +38,21 @@ use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 
-/// A compiled, analyzer-approved plan over the layout `D`:
+/// A compiled, analyzer-approved plan over the block layout (§5):
 /// decomposition, per-rank programs and pre-flight report, sealed at
 /// compile time.
 #[derive(Clone, Debug)]
-pub struct Compiled<D> {
-    d: D,
+pub struct Compiled3D {
+    d: Decomp3D,
     mode: ExecMode,
     programs: Vec<Program>,
     report: Option<AnalysisReport>,
 }
 
-/// A compiled 2-D strip plan.
-pub type Compiled2D = Compiled<Decomp2D>;
-/// A compiled 3-D block plan (§5 layout).
-pub type Compiled3D = Compiled<Decomp3D>;
-
-impl<D: Layout> Compiled<D> {
+impl Compiled3D {
     /// Validate the decomposition, run the pre-flight static analysis
     /// exactly once, and seal the executable plan.
-    pub fn compile(d: D, mode: ExecMode) -> Result<Self, EngineError> {
+    pub fn compile(d: Decomp3D, mode: ExecMode) -> Result<Self, EngineError> {
         Self::seal(d, mode, true)
     }
 
@@ -67,18 +61,18 @@ impl<D: Layout> Compiled<D> {
     /// covered elsewhere, e.g. by a test that compiles it): the programs
     /// are emitted, not checked. Validation still runs — an
     /// unexecutable decomposition is never sealed.
-    pub fn compile_unchecked(d: D, mode: ExecMode) -> Result<Self, EngineError> {
+    pub fn compile_unchecked(d: Decomp3D, mode: ExecMode) -> Result<Self, EngineError> {
         Self::seal(d, mode, false)
     }
 
     /// Validate, analyze when `preflight` is set, and seal.
-    pub(crate) fn seal(d: D, mode: ExecMode, preflight: bool) -> Result<Self, EngineError> {
+    pub(crate) fn seal(d: Decomp3D, mode: ExecMode, preflight: bool) -> Result<Self, EngineError> {
         d.validate()?;
         let (report, programs) = match preflight {
             true => analyze_plan(&d, mode).map(|(report, programs)| (Some(report), programs))?,
             false => (None, analyzer::programs(&d, &d.step_plan(mode))),
         };
-        Ok(Compiled {
+        Ok(Compiled3D {
             d,
             mode,
             programs,
@@ -87,7 +81,7 @@ impl<D: Layout> Compiled<D> {
     }
 
     /// The validated decomposition.
-    pub fn decomp(&self) -> D {
+    pub fn decomp(&self) -> Decomp3D {
         self.d
     }
 
@@ -109,7 +103,7 @@ impl<D: Layout> Compiled<D> {
         }
     }
 
-    /// The pre-flight report (`None` for [`Compiled::compile_unchecked`]).
+    /// The pre-flight report (`None` for [`Compiled3D::compile_unchecked`]).
     pub fn report(&self) -> Option<&AnalysisReport> {
         self.report.as_ref()
     }
@@ -120,20 +114,18 @@ impl<D: Layout> Compiled<D> {
     }
 }
 
-/// Join the ranks of one run: every rank's part and by-product in rank
-/// order, or — when ranks failed — the most diagnostic error (see
+/// Join the ranks of one run: every rank's by-product in rank order,
+/// or — when ranks failed — the most diagnostic error (see
 /// [`EngineError::severity`]). A panicked rank counts as
 /// [`EngineError::RankFailed`].
-fn join_ranks<T, X>(
-    results: Vec<std::thread::Result<(Result<T, EngineError>, X)>>,
-) -> Result<(Vec<T>, Vec<X>), EngineError> {
-    let mut parts = Vec::with_capacity(results.len());
+fn join_ranks<X>(
+    results: Vec<std::thread::Result<(Result<(), EngineError>, X)>>,
+) -> Result<Vec<X>, EngineError> {
     let mut extras = Vec::with_capacity(results.len());
     let mut worst: Option<EngineError> = None;
     for (rank, joined) in results.into_iter().enumerate() {
         let err = match joined {
-            Ok((Ok(part), extra)) => {
-                parts.push(part);
+            Ok((Ok(()), extra)) => {
                 extras.push(extra);
                 continue;
             }
@@ -147,38 +139,8 @@ fn join_ranks<T, X>(
     }
     match worst {
         Some(e) => Err(e),
-        None => Ok((parts, extras)),
+        None => Ok(extras),
     }
-}
-
-/// Execute a compiled 2-D plan on a fully configured world and gather.
-/// No validation or pre-flight runs here — that happened at compile
-/// time. Returns the assembled grid, the wall-clock time, and each
-/// rank's fault counters.
-pub fn run2d_with<K: Kernel2D>(
-    kernel: K,
-    c: &Compiled2D,
-    cfg: &WorldConfig,
-) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
-    let (results, elapsed) = run_threads_with::<f32, _, _>(c.ranks(), cfg, |mut comm| {
-        let strip = dist2d::try_run_rank2d_plan(&mut comm, kernel, c, &mut NoopObserver);
-        (strip, comm.fault_stats())
-    });
-    let (strips, stats) = join_ranks(results)?;
-    Ok((assemble2d(c.d, &strips), elapsed, stats))
-}
-
-/// Assemble per-rank strips into the full grid: each strip row is a
-/// contiguous span of the output row.
-fn assemble2d(d: Decomp2D, strips: &[Vec<f32>]) -> Grid2D {
-    let by = d.by();
-    let mut out = Grid2D::new(d.nx, d.ny, 0.0, d.boundary);
-    for (rank, strip) in strips.iter().enumerate() {
-        for i in 0..d.nx {
-            out.row_mut(i)[rank * by..][..by].copy_from_slice(&strip[i * by..][..by]);
-        }
-    }
-    out
 }
 
 /// What one rank of a 3-D run hands back: how its run ended, its
@@ -189,7 +151,7 @@ type RankOut<O> = (Result<(), EngineError>, (O, FaultStats));
 /// parallel region, the observers and the fault counters in rank order.
 pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>;
 
-/// The one 3-D run path: allocate the result grid, deal its pencils out
+/// The one run path: allocate the result grid, deal its pencils out
 /// to the ranks, and have `launch` run the rank body once per rank of
 /// some world. Every cell is written exactly once, by its owner.
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
@@ -225,8 +187,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
             (run, (obs, comm.fault_stats()))
         })
     };
-    let (_, extras) = join_ranks(results)?;
-    let (observers, stats) = extras.into_iter().unzip();
+    let (observers, stats) = join_ranks(results)?.into_iter().unzip();
     Ok((out, elapsed, observers, stats))
 }
 
@@ -309,6 +270,8 @@ pub fn run3d_on_world<K: Kernel3D>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::Decomp2D;
+    use crate::grid::Grid2D;
     use crate::kernel::{Example1, Paper3D};
     use msgpass::thread_backend::{build_world_with, LatencyModel};
 
@@ -345,11 +308,11 @@ mod tests {
             v: 10,
             boundary: 4.0,
         };
-        let c = Compiled2D::compile(d, ExecMode::Blocking).expect("clean plan");
+        let c = Compiled3D::compile(d.block(), ExecMode::Blocking).expect("clean plan");
         let (grid, _, _) =
-            run2d_with(Example1, &c, &WorldConfig::new(LatencyModel::zero())).expect("runs");
+            run3d_with(Example1, &c, &WorldConfig::new(LatencyModel::zero())).expect("runs");
         let seq = crate::seq::run_example1_seq(d.nx, d.ny, d.boundary);
-        assert_eq!(grid.max_abs_diff(&seq), 0.0);
+        assert_eq!(Grid2D::from_block(&grid).max_abs_diff(&seq), 0.0);
     }
 
     #[test]

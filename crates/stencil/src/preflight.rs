@@ -1,11 +1,12 @@
-//! Pre-flight static analysis of the stencil decompositions.
+//! Pre-flight static analysis of the block decomposition.
 //!
-//! [`crate::dist2d::Decomp2D`] and [`Decomp3D`] are themselves the `analyzer` crate's
-//! `RankTopology`, so this module only pairs a layout with its mode's
-//! schedule and runs the full analysis: schedule legality against the
-//! kernel's dependence set, symbolic send/receive matching, and
+//! [`Decomp3D`] — of a 3-D block, or of a 2-D strip as its unit-axis
+//! block — is itself the `analyzer` crate's `RankTopology`, so this
+//! module only pairs the layout with its mode's schedule and runs the
+//! full analysis: schedule legality against the kernels' dependence set
+//! ([`Decomp3D::dependences`]), symbolic send/receive matching, and
 //! deadlock detection — *before any rank thread spawns*. Compiling a
-//! plan ([`crate::plan::Compiled::compile`]) analyses it exactly once
+//! plan ([`crate::plan::Compiled3D::compile`]) analyses it exactly once
 //! and keeps the per-rank programs the analysis proved, which the
 //! executors then run, so every shipped configuration goes through it
 //! when `bench::configs`' test compiles them.
@@ -16,16 +17,17 @@
 //! `tests/zero_alloc.rs` hold with pre-flight enabled — the check costs
 //! a constant number of allocations per *run*, not per step.
 
-use crate::decomp::Layout;
 use crate::dist3d::Decomp3D;
 use crate::engine::{EngineError, ExecMode};
 use analyzer::{analyze, AnalysisReport};
 use cluster_sim::program::Program;
 use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule};
 
-/// The schedule vector `Π` the mode's schedule type mandates — the
-/// same construction [`ExecMode::step_plan`] projects from.
-fn mode_pi(mode: ExecMode, dims: usize, mapping_dim: usize) -> Vec<i64> {
+/// The schedule vector `Π` the mode's schedule type mandates over the
+/// block layout — the same construction [`ExecMode::step_plan`]
+/// projects from.
+fn mode_pi(mode: ExecMode) -> Vec<i64> {
+    let (dims, mapping_dim) = (Decomp3D::DIMS, Decomp3D::MAPPING_DIM);
     match mode {
         ExecMode::Blocking => NonOverlapSchedule::with_mapping(dims, mapping_dim)
             .schedule()
@@ -35,37 +37,32 @@ fn mode_pi(mode: ExecMode, dims: usize, mapping_dim: usize) -> Vec<i64> {
     }
 }
 
-/// Statically analyze the plan `mode` will execute over `layout`: the
+/// Statically analyze the plan `mode` will execute over `d`: the
 /// report and every rank's program it proved. The decomposition must
 /// already be validated.
-pub(crate) fn analyze_plan<L: Layout>(
-    layout: &L,
+pub(crate) fn analyze_plan(
+    d: &Decomp3D,
     mode: ExecMode,
 ) -> Result<(AnalysisReport, Vec<Program>), EngineError> {
     analyze(
-        layout,
-        &layout.step_plan(mode),
-        &mode_pi(mode, L::DIMS, L::MAPPING_DIM),
-        L::MAPPING_DIM,
-        &L::dependences(),
+        d,
+        &d.step_plan(mode),
+        &mode_pi(mode),
+        Decomp3D::MAPPING_DIM,
+        &Decomp3D::dependences(),
     )
     .map_err(EngineError::from)
 }
 
-/// The pre-flight report of the plan `mode` will execute over `layout`.
-pub fn check_plan<L: Layout>(layout: &L, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
-    analyze_plan(layout, mode).map(|(report, _)| report)
-}
-
-/// [`check_plan`] for the 3-D block layout.
+/// The pre-flight report of the plan `mode` will execute over `d`.
 pub fn check_plan3d(d: &Decomp3D, mode: ExecMode) -> Result<AnalysisReport, EngineError> {
-    check_plan(d, mode)
+    analyze_plan(d, mode).map(|(report, _)| report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist2d::Decomp2D;
+    use crate::decomp::Decomp2D;
 
     /// A 2×2 processor grid, 4 steps deep.
     fn two_by_two() -> Decomp3D {
@@ -90,7 +87,7 @@ mod tests {
             boundary: 1.0,
         };
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let report = check_plan(&d, mode).expect("shipped layout analyzes clean");
+            let report = check_plan3d(&d.block(), mode).expect("shipped layout analyzes clean");
             assert_eq!(report.ranks, 4);
             assert_eq!(report.steps, 4);
             // 3 interior channels × 4 steps.
@@ -107,6 +104,20 @@ mod tests {
             assert_eq!(report.steps, 4);
             // 4 directed interior faces × 4 steps.
             assert_eq!(report.messages, 16);
+        }
+    }
+
+    #[test]
+    fn every_dependence_advances_under_both_schedules() {
+        // Π·d for e₁, e₂, e₃ and the diagonal e₂+e₃: Π = [1, 1, 1]
+        // blocking, [2, 2, 1] overlapping.
+        for (mode, want) in [
+            (ExecMode::Blocking, [1, 1, 1, 2]),
+            (ExecMode::Overlapping, [2, 2, 1, 3]),
+        ] {
+            let pi = mode_pi(mode);
+            let dots: Vec<i64> = Decomp3D::dependences().iter().map(|d| d.dot(&pi)).collect();
+            assert_eq!(dots, want, "{mode:?}");
         }
     }
 

@@ -5,23 +5,18 @@
 //! identical grids.
 
 use crate::grid::{self, Grid2D, Grid3D};
-use crate::kernel::{Example1, Kernel2D, Kernel3D, Paper3D};
+use crate::kernel::{Example1, Kernel3D, Paper3D};
 
 /// Run any 3-D wavefront kernel sequentially; returns the final grid.
 pub fn run_seq3d<K: Kernel3D>(kernel: K, nx: usize, ny: usize, nz: usize, boundary: f32) -> Grid3D {
     let mut g = Grid3D::new(nx, ny, nz, 0.0, boundary);
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let v = kernel.eval(
-                    i as i64,
-                    j as i64,
-                    k as i64,
-                    g.get(i as i64 - 1, j as i64, k as i64),
-                    g.get(i as i64, j as i64 - 1, k as i64),
-                    g.get(i as i64, j as i64, k as i64 - 1),
-                );
-                g.set(i, j, k, v);
+    let ext = |n: usize| 0..n as i64;
+    for i in ext(nx) {
+        for j in ext(ny) {
+            for k in ext(nz) {
+                let (im1, jm1, km1) = (g.get(i - 1, j, k), g.get(i, j - 1, k), g.get(i, j, k - 1));
+                let v = kernel.eval(i, j, k, im1, jm1, km1, g.get(i, j - 1, k - 1));
+                g.set(i as usize, j as usize, k as usize, v);
             }
         }
     }
@@ -41,7 +36,8 @@ const W: usize = 8;
 ///
 /// A plane is swept `W` pencils at a time on the time `t = j + k`:
 /// pencil `j0 + m` runs `m` cells behind pencil `j0 + m − 1`, so its
-/// `(i, j − 1, k)` input is one step old, the `W` `k`-chains of a step
+/// `(i, j − 1, k)` input is one step old and its `(i, j − 1, k − 1)`
+/// diagonal two, the `W` `k`-chains of a step
 /// are independent and the compiler vectorises them (the fill and drain
 /// triangles, a last block of fewer than `W` pencils and `nz < W` go
 /// cell by cell). Every cell is still one `eval` on the reference's
@@ -62,25 +58,32 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
             // Lane m walks pencil j0 + m: `above` holds its `i − 1`
             // inputs, `left` is the finished pencil before lane 0, and a
             // lane's `j − 1` input is the cell lane m − 1 wrote at t − 1,
-            // still in its carry.
+            // still in its carry; its diagonal is the cell lane m − 1
+            // wrote at t − 2, kept in `older` (the boundary until then).
             let (left, above) = (&done[j0 * nz..], &prev[(j0 + 1) * nz..]);
-            let by_cell = |t: usize, carry: &mut [f32; W], block: &mut [f32]| {
+            let by_cell = |t: usize, [carry, older]: &mut [[f32; W]; 2], block: &mut [f32]| {
+                let before = *carry;
                 // Highest lane first: lane m reads lane m − 1's carry
                 // before this step overwrites it.
                 for m in ((t + 1).saturating_sub(nz)..w.min(t + 1)).rev() {
-                    let jm1 = if m == 0 { left[t] } else { carry[m - 1] };
+                    let (jm1, diag) = match m {
+                        0 => (left[t], if t == 0 { b } else { left[t - 1] }),
+                        _ => (carry[m - 1], older[m - 1]),
+                    };
                     let (j, k) = ((j0 + m) as i64, (t - m) as i64);
-                    carry[m] = kernel.eval(i, j, k, above[m * nz + t - m], jm1, carry[m]);
+                    let im1 = above[m * nz + t - m];
+                    carry[m] = kernel.eval(i, j, k, im1, jm1, carry[m], diag);
                     block[m * nz + t - m] = carry[m];
                 }
+                *older = before;
             };
             // The steps with all W lanes in flight; without any, the
             // fill triangle runs to the end.
             let (last, steady) = (nz + w - 1, w == W && nz >= W);
             let full = if steady { W - 1..nz } else { last..last };
-            let mut carry = [b; W];
+            let mut chains = [[b; W]; 2];
             for t in 0..full.start {
-                by_cell(t, &mut carry, block);
+                by_cell(t, &mut chains, block);
             }
             if !full.is_empty() {
                 let n = full.len();
@@ -90,22 +93,28 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
                 let mut outs: [&mut [f32]; W] = std::array::from_fn(|m| {
                     &mut rows.next().expect("a full block has W pencils")[W - 1 - m..][..n]
                 });
-                let lefts = &left[W - 1..][..n];
+                let (lefts, left_diags) = (&left[W - 1..][..n], &left[W - 2..][..n]);
+                let [mut carry, mut older] = chains;
                 for s in 0..n {
                     let t = W - 1 + s;
                     let jm1: [f32; W] =
                         std::array::from_fn(|m| if m == 0 { lefts[s] } else { carry[m - 1] });
+                    let diag: [f32; W] =
+                        std::array::from_fn(|m| if m == 0 { left_diags[s] } else { older[m - 1] });
                     let im1: [f32; W] = std::array::from_fn(|m| ins[m][s]);
-                    carry = std::array::from_fn(|m| {
-                        kernel.eval(i, (j0 + m) as i64, (t - m) as i64, im1[m], jm1[m], carry[m])
+                    let next = std::array::from_fn(|m| {
+                        let (j, k) = ((j0 + m) as i64, (t - m) as i64);
+                        kernel.eval(i, j, k, im1[m], jm1[m], carry[m], diag[m])
                     });
+                    (older, carry) = (carry, next);
                     for (out, &v) in outs.iter_mut().zip(&carry) {
                         out[s] = v;
                     }
                 }
+                chains = [carry, older];
             }
             for t in full.end..last {
-                by_cell(t, &mut carry, block);
+                by_cell(t, &mut chains, block);
             }
         }
         worst = worst.max(grid::max_abs_diff(&cur[nz..], plane));
@@ -114,19 +123,17 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
     worst
 }
 
-/// Run any 2-D wavefront kernel sequentially.
-pub fn run_seq2d<K: Kernel2D>(kernel: K, nx: usize, ny: usize, boundary: f32) -> Grid2D {
+/// Run a 2-D wavefront kernel sequentially over an `nx × ny` strip
+/// space, in its own row-major order: cell `(i, j)` is the kernel's
+/// block cell `(0, j, i)`, whose `i−1` neighbour is outside the block
+/// (see [`crate::kernel`]).
+pub fn run_seq2d<K: Kernel3D>(kernel: K, nx: usize, ny: usize, boundary: f32) -> Grid2D {
     let mut g = Grid2D::new(nx, ny, 0.0, boundary);
     for i in 0..nx {
         for j in 0..ny {
-            let v = kernel.eval(
-                i as i64,
-                j as i64,
-                g.get(i as i64 - 1, j as i64 - 1),
-                g.get(i as i64 - 1, j as i64),
-                g.get(i as i64, j as i64 - 1),
-            );
-            g.set(i, j, v);
+            let (gi, gj) = (i as i64, j as i64);
+            let (north, west, diag) = (g.get(gi - 1, gj), g.get(gi, gj - 1), g.get(gi - 1, gj - 1));
+            g.set(i, j, kernel.eval(0, gj, gi, boundary, west, north, diag));
         }
     }
     g
@@ -203,6 +210,8 @@ mod tests {
             rolling_diff_matches(Relax3D::default(), shape, boundary, at);
             rolling_diff_matches(LongestPath3D, shape, boundary, at);
             rolling_diff_matches(Fused3D::default(), shape, boundary, at);
+            rolling_diff_matches(Example1, shape, boundary, at);
+            rolling_diff_matches(Alignment2D { alphabet: 2 }, shape, boundary, at);
         }
     }
 
@@ -270,6 +279,15 @@ mod tests {
             for j in 0..9i64 {
                 assert_eq!(g.get(i, j), (i.min(j) + 1) as f32, "({i},{j})");
             }
+        }
+    }
+
+    #[test]
+    fn a_strip_is_its_unit_axis_block() {
+        for (nx, ny) in [(1, 1), (7, 3), (20, 9)] {
+            let block = |k| Grid2D::from_block(&run_seq3d(k, 1, ny, nx, 1.5));
+            let want = run_example1_seq(nx, ny, 1.5);
+            assert_eq!(block(Example1), want, "{nx}x{ny}");
         }
     }
 

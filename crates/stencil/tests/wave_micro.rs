@@ -31,12 +31,30 @@ fn bench(m: usize, len: usize, wave_mode: bool) -> f64 {
             if wave_mode {
                 let mut wave = Wave::new();
                 for (n, row) in rows.iter_mut().enumerate() {
-                    wave.push(1 + n as i64, 1, 1, &src[n], &src[(n + 1) % m], 1.5, row);
+                    wave.push(
+                        1 + n as i64,
+                        1,
+                        1,
+                        &src[n],
+                        &src[(n + 1) % m],
+                        1.5,
+                        1.5,
+                        row,
+                    );
                 }
                 k.eval_wave(&mut wave);
             } else {
                 for (n, row) in rows.iter_mut().enumerate() {
-                    k.eval_pencil(1 + n as i64, 1, 1, &src[n], &src[(n + 1) % m], 1.5, row);
+                    k.eval_pencil(
+                        1 + n as i64,
+                        1,
+                        1,
+                        &src[n],
+                        &src[(n + 1) % m],
+                        1.5,
+                        1.5,
+                        row,
+                    );
                 }
             }
         }
@@ -90,7 +108,7 @@ fn single_rank_tile_micro() {
 struct CarveOnly;
 
 impl Kernel3D for CarveOnly {
-    fn eval(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32) -> f32 {
+    fn eval(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32, _: f32) -> f32 {
         0.0
     }
 

@@ -6,13 +6,12 @@
 use cluster_sim::program::{Op, Program};
 use msgpass::recording::record_sequential;
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
-use stencil::decomp::Layout;
-use stencil::dist2d::{try_run_rank2d_plan, Decomp2D};
+use stencil::decomp::Decomp2D;
 use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
 use stencil::engine::{EngineError, NoopObserver};
-use stencil::kernel::{Example1, KernelTier, Paper3D, Relax3D};
-use stencil::plan::{Compiled, Compiled2D, Compiled3D};
-use stencil::preflight::{check_plan, check_plan3d};
+use stencil::kernel::{Example1, Kernel3D, KernelTier, Paper3D, Relax3D};
+use stencil::plan::Compiled3D;
+use stencil::preflight::check_plan3d;
 
 fn shipped_3d() -> Vec<Decomp3D> {
     let base = Decomp3D {
@@ -87,7 +86,7 @@ fn shipped_2d() -> [Decomp2D; 2] {
 fn every_shipped_2d_config_passes_preflight() {
     for d in shipped_2d() {
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let report = check_plan(&d, mode)
+            let report = check_plan3d(&d.block(), mode)
                 .unwrap_or_else(|e| panic!("{d:?} under {mode:?} rejected: {e}"));
             assert_eq!(report.ranks, d.ranks);
             assert_eq!(report.messages, (d.ranks - 1) * d.steps());
@@ -115,7 +114,11 @@ fn preflight_counts_are_pinned() {
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         let reports = (shipped_3d_and_partial().into_iter())
             .map(|d| check_plan3d(&d, mode))
-            .chain(shipped_2d().into_iter().map(|d| check_plan(&d, mode)));
+            .chain(
+                shipped_2d()
+                    .into_iter()
+                    .map(|d| check_plan3d(&d.block(), mode)),
+            );
         for r in reports {
             let r = r.expect("shipped layout is clean");
             events.push(r.events);
@@ -205,10 +208,7 @@ fn comm_ops(p: &Program) -> Vec<Op> {
 /// What the executors of `plan` actually do on the wire — every rank's
 /// ops from a sequential recording — is exactly the program pre-flight
 /// analyzed: kind, order, peer, tag, bytes and request, op for op.
-fn assert_executors_run_the_analyzed_programs<L: Layout + std::fmt::Debug>(
-    plan: &Compiled<L>,
-    recorded: &[Program],
-) {
+fn assert_executors_run_the_analyzed_programs(plan: &Compiled3D, recorded: &[Program]) {
     let (d, mode) = (plan.decomp(), plan.mode());
     let analyzed = analyzer::programs(&d, &d.step_plan(mode));
     assert_eq!(recorded.len(), analyzed.len(), "{d:?} {mode:?}");
@@ -219,23 +219,21 @@ fn assert_executors_run_the_analyzed_programs<L: Layout + std::fmt::Debug>(
 
 #[test]
 fn executors_send_exactly_what_preflight_analyzed() {
+    fn check<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) {
+        let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
+        let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
+            let tier = KernelTier::Bitwise;
+            try_run_rank3d_plan(comm, kernel, &plan, tier, &mut NoopObserver)
+                .expect("the recorder never fails a receive")
+        });
+        assert_executors_run_the_analyzed_programs(&plan, &programs);
+    }
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         for d in shipped_3d_and_partial() {
-            let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
-            let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
-                let tier = KernelTier::Bitwise;
-                try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
-                    .expect("the recorder never fails a receive")
-            });
-            assert_executors_run_the_analyzed_programs(&plan, &programs);
+            check(Paper3D, d, mode);
         }
         for d in shipped_2d() {
-            let plan = Compiled2D::compile(d, mode).expect("shipped layout compiles");
-            let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
-                try_run_rank2d_plan(comm, Example1, &plan, &mut NoopObserver)
-                    .expect("the recorder never fails a receive")
-            });
-            assert_executors_run_the_analyzed_programs(&plan, &programs);
+            check(Example1, d.block(), mode);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Chaos tests: run the full 2-D/3-D distributed executors over the
+//! Chaos tests: run the distributed executor on 2-D strips and 3-D blocks over the
 //! *real* threaded transport while a seeded [`FaultPlan`] drops,
 //! duplicates, reorders and delay-spikes their messages.
 //!
@@ -19,8 +19,9 @@
 use msgpass::prelude::*;
 use proptest::prelude::*;
 use std::time::Duration;
-use stencil::dist2d::{run_dist2d_with, Decomp2D};
+use stencil::decomp::Decomp2D;
 use stencil::dist3d::{run_dist3d_with, Decomp3D};
+use stencil::grid::Grid2D;
 use stencil::kernel::{Example1, Paper3D};
 use stencil::prelude::{EngineError, ExecMode};
 use stencil::seq::{run_example1_seq, run_paper3d_seq};
@@ -47,6 +48,17 @@ fn with_watchdog<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Sen
         }
         Err(_) => panic!("watchdog: run exceeded {limit:?} — transport hang regression"),
     }
+}
+
+/// Example 1 over the strips `d`, run as their unit-axis block on a
+/// fresh world built from `cfg`: the strip grid, time and fault counters.
+fn run_strip(
+    d: Decomp2D,
+    cfg: &WorldConfig,
+    mode: ExecMode,
+) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
+    let (block, elapsed, stats) = run_dist3d_with(Example1, d.block(), cfg, mode)?;
+    Ok((Grid2D::from_block(&block), elapsed, stats))
 }
 
 /// A recoverable storm: drops (recovered from the link ledger),
@@ -95,7 +107,7 @@ fn chaos_2d_recoverable_faults_preserve_bitwise_results() {
         {
             let seed = chaos_seed() + i as u64;
             let (grid, _, stats) = with_watchdog(Duration::from_secs(60), move || {
-                run_dist2d_with(Example1, d, &chaos_world(seed, transport), mode)
+                run_strip(d, &chaos_world(seed, transport), mode)
             })
             .unwrap_or_else(|e| {
                 panic!("{mode:?}/{transport:?} failed under recoverable faults: {e}")
@@ -239,10 +251,8 @@ fn chaos_2d_unrecoverable_loss_is_a_typed_error() {
         let cfg = WorldConfig::new(LatencyModel::zero())
             .with_reliability(tight_reliability())
             .with_faults(FaultPlan::seeded(chaos_seed()).lose_at(0, 1, tag));
-        let err = with_watchdog(Duration::from_secs(30), move || {
-            run_dist2d_with(Example1, d, &cfg, mode)
-        })
-        .expect_err("a permanently lost face must fail the run");
+        let err = with_watchdog(Duration::from_secs(30), move || run_strip(d, &cfg, mode))
+            .expect_err("a permanently lost face must fail the run");
         match err {
             EngineError::SequenceGap { from: 0, .. }
             | EngineError::Timeout { .. }
@@ -306,7 +316,7 @@ proptest! {
         };
         let cfg = chaos_world(chaos_seed() ^ seed, transport);
         let (grid, _, _) = with_watchdog(Duration::from_secs(60), move || {
-            run_dist2d_with(Example1, d, &cfg, ExecMode::Overlapping)
+            run_strip(d, &cfg, ExecMode::Overlapping)
         }).expect("recoverable plan must complete");
         prop_assert_eq!(grid.max_abs_diff(&seq), 0.0);
     }
@@ -317,8 +327,9 @@ fn dead_upstream_on_a_plain_world_is_rank_failed_not_a_panic() {
     // No reliability layer at all: rank 0 leaves before sending a face.
     // Its neighbour's engine must come back with the dead rank named —
     // a panic in the survivor would show up as an `Err` join slot.
-    use stencil::dist2d::try_run_rank2d_plan;
-    use stencil::plan::Compiled2D;
+    use stencil::dist3d::try_run_rank3d_plan;
+    use stencil::kernel::KernelTier;
+    use stencil::plan::Compiled3D;
     use stencil::prelude::NoopObserver;
     let d = Decomp2D {
         nx: 12,
@@ -329,14 +340,15 @@ fn dead_upstream_on_a_plain_world_is_rank_failed_not_a_panic() {
     };
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         for transport in transports() {
-            let plan = Compiled2D::compile(d, mode).expect("valid layout");
+            let plan = Compiled3D::compile(d.block(), mode).expect("valid layout");
             let cfg = WorldConfig::new(LatencyModel::zero()).with_transport(transport);
             let results = with_watchdog(Duration::from_secs(30), move || {
                 run_threads_with::<f32, _, _>(2, &cfg, |mut comm| {
                     if comm.rank() == 0 {
                         return Ok(Vec::new());
                     }
-                    try_run_rank2d_plan(&mut comm, Example1, &plan, &mut NoopObserver)
+                    let tier = KernelTier::Bitwise;
+                    try_run_rank3d_plan(&mut comm, Example1, &plan, tier, &mut NoopObserver)
                 })
                 .0
             });

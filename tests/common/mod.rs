@@ -37,16 +37,18 @@ pub fn verify_paper3d(
     })
 }
 
-/// Verify the Example 1 kernel over `d` in the given mode.
+/// Verify the Example 1 kernel over the strips `d` (run as their
+/// unit-axis block) in the given mode.
 pub fn verify_example1(
     d: Decomp2D,
     latency: LatencyModel,
     mode: ExecMode,
 ) -> Result<VerifyReport, EngineError> {
-    let plan = Compiled2D::compile(d, mode)?;
-    let (dist, elapsed, _) = run2d_with(Example1, &plan, &WorldConfig::new(latency))?;
+    let plan = Compiled3D::compile(d.block(), mode)?;
+    let (dist, elapsed, _) = run3d_with(Example1, &plan, &WorldConfig::new(latency))?;
     Ok(VerifyReport {
-        max_abs_diff: dist.max_abs_diff(&run_example1_seq(d.nx, d.ny, d.boundary)),
+        max_abs_diff: Grid2D::from_block(&dist)
+            .max_abs_diff(&run_example1_seq(d.nx, d.ny, d.boundary)),
         elapsed_secs: elapsed.as_secs_f64(),
     })
 }

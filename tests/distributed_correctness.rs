@@ -10,9 +10,17 @@ use msgpass::thread_backend::{build_world_with, LatencyModel, World, WorldConfig
 use proptest::prelude::*;
 use stencil::kernel::KernelTier;
 use stencil::prelude::*;
+use stencil::seq::run_seq2d;
 
 fn zero_latency() -> WorldConfig {
     WorldConfig::new(LatencyModel::zero())
+}
+
+/// Run the strips `d` as their unit-axis block on a fresh zero-latency
+/// world; the strip grid.
+fn run_strip<K: Kernel3D>(kernel: K, d: Decomp2D, mode: ExecMode) -> Grid2D {
+    let (block, _, _) = run_dist3d_with(kernel, d.block(), &zero_latency(), mode).expect("valid");
+    Grid2D::from_block(&block)
 }
 
 proptest! {
@@ -134,8 +142,6 @@ proptest! {
         alphabet in 1u32..=5,
         overlap in proptest::bool::ANY,
     ) {
-        use stencil::kernel::{Alignment2D, Smooth2D};
-        use stencil::seq::run_seq2d;
         let d = Decomp2D {
             nx,
             ny: ranks * by,
@@ -145,14 +151,12 @@ proptest! {
         };
         let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
         let k = Alignment2D { alphabet };
-        let (dist, _, _) = run_dist2d_with(k, d, &zero_latency(), mode).expect("valid decomp");
         let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
-        prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
+        prop_assert_eq!(run_strip(k, d, mode).max_abs_diff(&seq), 0.0);
 
         let k = Smooth2D::default();
-        let (dist, _, _) = run_dist2d_with(k, d, &zero_latency(), mode).expect("valid decomp");
         let seq = run_seq2d(k, d.nx, d.ny, d.boundary);
-        prop_assert_eq!(dist.max_abs_diff(&seq), 0.0);
+        prop_assert_eq!(run_strip(k, d, mode).max_abs_diff(&seq), 0.0);
     }
 }
 
@@ -186,8 +190,7 @@ fn long_pipeline_stays_finite() {
         v: 32,
         boundary: 1.0,
     };
-    let (g, _, _) =
-        run_dist2d_with(Example1, d, &zero_latency(), ExecMode::Overlapping).expect("valid decomp");
+    let g = run_strip(Example1, d, ExecMode::Overlapping);
     assert!(g.data().iter().all(|x| x.is_finite()));
 }
 
@@ -235,6 +238,25 @@ fn every_pencil_is_written_by_its_owner_on_fresh_and_reused_worlds() {
             check_fresh_and_warm(Relax3D::default(), d, &mut world);
         }
     }
+}
+
+/// A strip plan is a block plan with a unit i-axis: fresh, and on one
+/// warm world that runs it for every 2-D kernel and mode in turn.
+#[test]
+fn strip_plans_run_on_fresh_and_warm_worlds() {
+    let strips = Decomp2D {
+        nx: 37,
+        ny: 9,
+        ranks: 3,
+        v: 8, // partial last tile
+        boundary: 1.5,
+    };
+    let mut world = build_world_with::<f32>(strips.ranks, &zero_latency());
+    let d = strips.block();
+    check_fresh_and_warm(Example1, d, &mut world);
+    check_fresh_and_warm(Alignment2D { alphabet: 1 }, d, &mut world);
+    check_fresh_and_warm(Alignment2D { alphabet: 4 }, d, &mut world);
+    check_fresh_and_warm(Smooth2D::default(), d, &mut world);
 }
 
 /// A rank consumes its pencils tile by tile from the bottom and deals

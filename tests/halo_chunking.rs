@@ -4,7 +4,6 @@
 //! `nz`).
 
 use proptest::prelude::*;
-use stencil::dist2d::Decomp2D;
 use stencil::dist3d::Decomp3D;
 use stencil::halo::{pack_rows, unpack_rows};
 
@@ -68,11 +67,10 @@ fn store_halo_elementwise(halo: &mut [f32], rows: usize, d: &Decomp3D, k: usize,
     }
 }
 
-/// Element-wise extraction of the outgoing 2-D boundary column
-/// (j = by−1) rows of tile `k` from an `nx × by` strip (j fastest).
-fn face_2d_elementwise(strip: &[f32], d: &Decomp2D, k: usize) -> Vec<f32> {
-    let (i0, i1) = (k * d.v, ((k + 1) * d.v).min(d.nx));
-    let by = d.by();
+/// Element-wise extraction of the last column (j = by−1) of rows
+/// `k·v ..` of an `nx × by` row-major strip.
+fn column_elementwise(strip: &[f32], (nx, by, v): (usize, usize, usize), k: usize) -> Vec<f32> {
+    let (i0, i1) = (k * v, ((k + 1) * v).min(nx));
     (i0..i1).map(|i| strip[i * by + (by - 1)]).collect()
 }
 
@@ -133,13 +131,12 @@ proptest! {
         (nx, by, v) in (1usize..30, 1usize..6, 1usize..8),
         salt in 0u64..10_000,
     ) {
-        // The 2-D outgoing face is a strided column; the executor packs
-        // it row-by-row (stride `by`, rows of length 1).
-        let d = Decomp2D { nx, ny: by, ranks: 1, v, boundary: 0.0 };
+        // A column of a row-major strip is a strided run: rows of
+        // length 1, stride `by`.
         let strip = fill(nx * by, salt);
         for k in 0..nx.div_ceil(v) {
             let (i0, i1) = (k * v, ((k + 1) * v).min(nx));
-            let oracle = face_2d_elementwise(&strip, &d, k);
+            let oracle = column_elementwise(&strip, (nx, by, v), k);
             let mut packed = vec![0.0; i1 - i0];
             pack_rows(&strip, i0 * by + (by - 1), by, 0, 1, &mut packed);
             prop_assert_eq!(&packed, &oracle, "2-D face, step {}", k);

@@ -5,8 +5,9 @@
 
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use proptest::prelude::*;
-use stencil::dist2d::{run_dist2d_with, Decomp2D};
+use stencil::decomp::Decomp2D;
 use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
+use stencil::grid::Grid2D;
 use stencil::kernel::{Example1, Paper3D};
 use stencil::seq::{run_example1_seq, run_paper3d_seq};
 
@@ -35,7 +36,8 @@ proptest! {
         }
     }
 
-    /// 2-D × {Blocking, Overlap} against the sequential reference.
+    /// 2-D strips (as unit-axis blocks) × {Blocking, Overlap} against
+    /// the sequential reference.
     #[test]
     fn engine_2d_matches_sequential(
         ranks in 1usize..=4,
@@ -48,7 +50,8 @@ proptest! {
         let seq = run_example1_seq(d.nx, d.ny, d.boundary);
         let cfg = WorldConfig::new(LatencyModel::zero());
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let (engine, _, _) = run_dist2d_with(Example1, d, &cfg, mode).expect("valid decomp");
+            let (block, _, _) = run_dist3d_with(Example1, d.block(), &cfg, mode).expect("valid decomp");
+            let engine = Grid2D::from_block(&block);
             prop_assert_eq!(engine.max_abs_diff(&seq), 0.0, "vs sequential {:?}", mode);
         }
     }

@@ -14,11 +14,25 @@
 //! reassociate and drop domain guards. Its property is a ULP bound
 //! against the pinned tier on the reachable (non-negative, contractive)
 //! domain, plus NaN-freedom.
+//!
+//! The 2-D kernels read a fourth input, the diagonal `A(i, j−1, k−1)`:
+//! a wave pencil gets its first cell's as a seed and reads the rest off
+//! `jm1`. Their wave must equal a per-cell `eval` walk of the strip
+//! whichever place the walk takes that seed from.
 
 use proptest::prelude::*;
-use stencil::kernel::{Fused3D, Kernel3D, LongestPath3D, Paper3D, Relax3D, Wave, MAX_WAVE};
+use stencil::kernel::{
+    Alignment2D, Example1, Fused3D, Kernel3D, LongestPath3D, Paper3D, Relax3D, Smooth2D, Wave,
+    MAX_WAVE,
+};
 
 type Pencils = [(Vec<f32>, Vec<f32>, f32)];
+
+/// The diagonal seed of a pencil whose `k−1` seed is `km1`: another
+/// value of the same domain, so a kernel that mixes them up shows.
+fn diag_seed(km1: f32) -> f32 {
+    km1 * 0.5
+}
 
 /// Pencil shapes and inputs for one wave: `(im1, jm1, km1)` per entry,
 /// every value drawn from `value()`. Lengths are drawn small and
@@ -69,7 +83,16 @@ fn check_bitwise<K: Kernel3D>(k: K, inputs: &Pencils) -> Result<Vec<Vec<f32>>, T
     let mut pinned: Vec<Vec<f32>> = Vec::new();
     for (n, (im1, jm1, km1)) in inputs.iter().enumerate() {
         let mut out = vec![0.0f32; im1.len()];
-        k.eval_pencil(n as i64 + 1, 2, 1, im1, jm1, *km1, &mut out);
+        k.eval_pencil(
+            n as i64 + 1,
+            2,
+            1,
+            im1,
+            jm1,
+            *km1,
+            diag_seed(*km1),
+            &mut out,
+        );
         pinned.push(out);
     }
 
@@ -81,7 +104,7 @@ fn check_bitwise<K: Kernel3D>(k: K, inputs: &Pencils) -> Result<Vec<Vec<f32>>, T
         for (n, (im1, jm1, km1)) in inputs.iter().enumerate() {
             let (out, r) = rest.split_first_mut().unwrap();
             rest = r;
-            wave.push(n as i64 + 1, 2, 1, im1, jm1, *km1, out);
+            wave.push(n as i64 + 1, 2, 1, im1, jm1, *km1, diag_seed(*km1), out);
         }
         k.eval_wave(&mut wave);
     }
@@ -116,7 +139,7 @@ fn check_kernel<K: Kernel3D>(k: K, inputs: &Pencils) -> Result<(), TestCaseError
         for (n, (im1, jm1, km1)) in inputs.iter().enumerate() {
             let (out, r) = rest.split_first_mut().unwrap();
             rest = r;
-            wave.push(n as i64 + 1, 2, 1, im1, jm1, *km1, out);
+            wave.push(n as i64 + 1, 2, 1, im1, jm1, *km1, diag_seed(*km1), out);
         }
         k.eval_wave_fast(&mut wave);
     }
@@ -186,6 +209,91 @@ proptest! {
     fn longest_path_wave_is_bitwise(inputs in pencils(MAX_WAVE, 24)) {
         check_kernel(LongestPath3D, &inputs)?;
     }
+
+    /// A diagonal kernel's wave equals its per-cell `eval` walk of a
+    /// strip for pencils seeded as the block executor seeds them: the
+    /// diagonal of a pencil's first cell comes from the neighbour
+    /// column's lower chunk (a chunk start), its previous tile (a tile
+    /// start), the halo column, or at `k = 0` the boundary.
+    #[test]
+    fn diagonal_wave_matches_per_cell_eval(
+        (by, nz, v, chunk) in (1usize..=4, 1usize..=40, 1usize..=12)
+            .prop_flat_map(|(by, nz, v)| (Just(by), Just(nz), Just(v), 1..=v)),
+        halo in prop::collection::vec(0.0f32..4.0, 40),
+        b in 0.0f32..4.0,
+        alphabet in 1u32..=4,
+    ) {
+        let halo = &halo[..nz];
+        check_diagonal(Example1, by, halo, (v, chunk), b)?;
+        check_diagonal(Alignment2D { alphabet }, by, halo, (v, chunk), b)?;
+        check_diagonal(Smooth2D::default(), by, halo, (v, chunk), b)?;
+    }
+}
+
+/// [`diagonal_wave_matches_per_cell_eval`] for one kernel over `by`
+/// strip columns behind `halo`: column `j` is the block's global column
+/// `j + 1`, the halo column `0`; `(v, chunk)` cut the pencils into
+/// tiles and those into chunks.
+fn check_diagonal<K: Kernel3D>(
+    k: K,
+    by: usize,
+    halo: &[f32],
+    (v, chunk): (usize, usize),
+    b: f32,
+) -> Result<(), TestCaseError> {
+    let nz = halo.len();
+    let mut a = vec![vec![0.0f32; nz]; by];
+    for j in 0..by {
+        for z in 0..nz {
+            let west = |z: usize| if j == 0 { halo[z] } else { a[j - 1][z] };
+            let (km1, diag) = match z {
+                0 => (b, b),
+                _ => (a[j][z - 1], west(z - 1)),
+            };
+            a[j][z] = k.eval(0, j as i64 + 1, z as i64, b, west(z), km1, diag);
+        }
+    }
+    // Every (column, chunk) pencil with its inputs read off `a`, so any
+    // MAX_WAVE of them are independent.
+    let west = |j: usize| if j == 0 { halo } else { &a[j - 1][..] };
+    let tiles = |j| (0..nz).step_by(v).map(move |t| (j, t, (t + v).min(nz)));
+    let chunks = |(j, t, end): (usize, usize, usize)| {
+        (t..end)
+            .step_by(chunk)
+            .map(move |s| (j, s, (s + chunk).min(end)))
+    };
+    let pencils: Vec<_> = (0..by).flat_map(tiles).flat_map(chunks).collect();
+    let splat = vec![b; nz];
+    let mut outs: Vec<Vec<f32>> = pencils.iter().map(|&(_, s, e)| vec![0.0; e - s]).collect();
+    for (ps, os) in pencils.chunks(MAX_WAVE).zip(outs.chunks_mut(MAX_WAVE)) {
+        let mut wave = Wave::new();
+        for (&(j, s, e), out) in ps.iter().zip(os) {
+            let (km1, diag) = match s {
+                0 => (b, b),
+                _ => (a[j][s - 1], west(j)[s - 1]),
+            };
+            let (im1, jm1) = (&splat[s..e], &west(j)[s..e]);
+            wave.push(0, j as i64 + 1, s as i64, im1, jm1, km1, diag, out);
+        }
+        k.eval_wave(&mut wave);
+    }
+    for (&(j, s, e), got) in pencils.iter().zip(&outs) {
+        let want = &a[j][s..e];
+        let same = got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+        prop_assert!(
+            same,
+            "column {} cells {}..{}: {:?} vs {:?}",
+            j,
+            s,
+            e,
+            got,
+            want
+        );
+    }
+    Ok(())
 }
 
 /// Exhaustive sweep of the length × width corner cases the proptests
