@@ -4,14 +4,13 @@
 //! processor-grid factorization `pi × pj`, the heights are the
 //! [`ClosedForm::v_ladder`] around that shape's own `V*` — a geometric
 //! neighborhood plus the step-aligned heights that eliminate partial
-//! last tiles. Tiers multiply in from the tuner's configuration. The
-//! seed candidate (the closed form's pick on the problem's own shape)
-//! is always part of the space, so measured search can only refine the
-//! analytic answer, never lose to it.
+//! last tiles. The seed candidate (the closed form's pick on the
+//! problem's own shape) is always part of the space, so measured search
+//! can only refine the analytic answer, never lose to it.
 
 use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
 use tiling_core::dependence::DependenceSet;
-use tiling_core::machine::{KernelTier, MachineParams};
+use tiling_core::machine::MachineParams;
 use tiling_core::space::IterationSpace;
 
 /// Blocking (§3) or overlapping (§4) schedule, named locally so the
@@ -72,8 +71,6 @@ pub struct Candidate {
     pub pi: usize,
     /// Processor-grid side along j.
     pub pj: usize,
-    /// Compute kernel tier.
-    pub tier: KernelTier,
 }
 
 impl Candidate {
@@ -111,23 +108,21 @@ pub fn tile_shapes(problem: &TuneProblem) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Enumerate the full candidate space: shapes × each shape's V ladder
-/// × tiers. Deterministic order (shapes by ascending
-/// `pi`, heights ascending).
+/// Enumerate the full candidate space: shapes × each shape's V ladder.
+/// Deterministic order (shapes by ascending `pi`, heights ascending).
 pub fn enumerate(
     problem: &TuneProblem,
     machine: &MachineParams,
     schedule: Schedule,
-    tiers: &[KernelTier],
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
     for (pi, pj) in tile_shapes(problem) {
         let cf = closed_form_for(problem, machine, schedule, pi, pj);
-        for v in cf.v_ladder(problem.nz) {
-            for &tier in tiers {
-                out.push(Candidate { v, pi, pj, tier });
-            }
-        }
+        out.extend(
+            cf.v_ladder(problem.nz)
+                .into_iter()
+                .map(|v| Candidate { v, pi, pj }),
+        );
     }
     out
 }
@@ -176,7 +171,7 @@ mod tests {
         let machine = MachineParams::paper_cluster();
         let cf = closed_form_for(&p, &machine, Schedule::Overlap, p.pi, p.pj);
         let seed_v = cf.v_star_clamped(p.nz);
-        let cands = enumerate(&p, &machine, Schedule::Overlap, &[KernelTier::Bitwise]);
+        let cands = enumerate(&p, &machine, Schedule::Overlap);
         assert!(cands
             .iter()
             .any(|c| c.v == seed_v && c.pi == p.pi && c.pj == p.pj));
@@ -198,7 +193,6 @@ mod tests {
             v: 100,
             pi: 2,
             pj: 2,
-            tier: KernelTier::Bitwise,
         };
         assert_eq!(c.steps(1000), 10);
         assert_eq!(c.steps(1001), 11);

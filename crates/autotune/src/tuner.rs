@@ -1,62 +1,39 @@
-//! The closed loop: seed → surrogate pre-rank → calibrate → commit.
+//! The ladder search: `tune` is the argmin of the simulator over the
+//! closed form's V ladder.
 //!
 //! The seed is the closed form's own pick (`V*` clamped, the problem's
-//! shape) — it is measured first and becomes the initial incumbent, so
-//! the tuner can never return something worse than the analytic answer
-//! *on the evaluated set*. Remaining candidates are scored by the
-//! surrogate, the best `max_candidates` survive, and each survivor is
-//! measured with best-of-N timing. On noisy backends a candidate is
-//! first probed at a step-count checkpoint and abandoned when its
-//! extrapolated cost is already `abandon_factor` over the incumbent.
-//! The winner can be committed into planc's [`TunedCache`] keyed by
-//! the workload identity.
+//! shape). It is measured first and becomes the initial incumbent, so
+//! the tuner never returns something worse than the analytic answer.
+//! Every other rung of [`enumerate`] — each legal processor-grid shape
+//! × that shape's [`v_ladder`](tiling_core::closed_form::ClosedForm::v_ladder)
+//! — is then measured, and the minimum is kept. A rung the simulator
+//! refuses is counted as infeasible, not fatal.
 
-use crate::backend::MeasureBackend;
+use crate::backend::SimBackend;
 use crate::candidates::{closed_form_for, enumerate, Candidate, Schedule, TuneProblem};
-use crate::surrogate::Surrogate;
-use planc::{tuned_key, PlanRequest, TunedCache, TunedEntry};
-use std::sync::Arc;
-use tiling_core::machine::{KernelTier, MachineParams};
+use tiling_core::machine::MachineParams;
 
-/// Search-loop knobs.
-#[derive(Clone, Debug)]
-pub struct TuneConfig {
-    /// Repetitions per measurement, keeping the minimum (1 on
-    /// deterministic backends regardless).
-    pub best_of: usize,
-    /// Pipeline-step checkpoint for early abandon (0 disables).
-    pub checkpoint_steps: usize,
-    /// Abandon a candidate whose checkpoint-extrapolated cost exceeds
-    /// `abandon_factor ×` the incumbent.
-    pub abandon_factor: f64,
-    /// Candidates surviving the surrogate cut (seed excluded — it is
-    /// always measured).
-    pub max_candidates: usize,
-    /// Kernel tiers to explore.
-    pub tiers: Vec<KernelTier>,
+/// Where the seed comes from: the closed form's `V*` (eq. 7), the only
+/// model the search starts from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Surrogate {
+    /// The paper's closed form.
+    #[default]
+    ClosedForm,
 }
 
-impl Default for TuneConfig {
-    fn default() -> Self {
-        TuneConfig {
-            best_of: 3,
-            checkpoint_steps: 4,
-            abandon_factor: 1.15,
-            max_candidates: 12,
-            tiers: vec![KernelTier::Bitwise],
-        }
-    }
-}
+/// Search-loop configuration. The ladder search has no knobs: every
+/// rung is measured once on the deterministic simulator.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TuneConfig;
 
 /// One measured candidate.
 #[derive(Clone, Copy, Debug)]
 pub struct Measured {
     /// The coordinates measured.
     pub candidate: Candidate,
-    /// Measured makespan (µs), best of N.
+    /// Simulated makespan (µs).
     pub makespan_us: f64,
-    /// `makespan_us / ⌈nz/V⌉`.
-    pub us_per_step: f64,
     /// The continuous closed-form prediction at these coordinates (µs).
     pub predicted_us: f64,
     /// `(measured − predicted) / predicted`.
@@ -70,15 +47,12 @@ pub struct TuneOutcome {
     pub seed: Measured,
     /// The best measured candidate (≤ seed by construction).
     pub incumbent: Measured,
-    /// Every candidate actually measured, in evaluation order
-    /// (seed first).
+    /// Every candidate measured, in evaluation order (seed first).
     pub evaluated: Vec<Measured>,
-    /// Candidates rejected at the checkpoint without a full run.
-    pub abandoned: usize,
-    /// Candidates the backend refused to run (e.g. a height too small
+    /// Candidates the simulator refused to run (e.g. a height too small
     /// to contain a dependence component).
     pub infeasible: usize,
-    /// Size of the enumerated space before the surrogate cut.
+    /// Size of the searched space: the ladder plus the seed.
     pub enumerated: usize,
 }
 
@@ -90,127 +64,74 @@ impl TuneOutcome {
     }
 }
 
-/// Run the loop. `machine` is the model candidates are *predicted*
-/// under (the backend measures under whatever it wraps).
+/// Run the search. `machine` is the model candidates are *predicted*
+/// under (the backend measures under whatever it wraps). The seed
+/// model and the configuration have a single value each.
 pub fn tune(
     problem: &TuneProblem,
     machine: &MachineParams,
     schedule: Schedule,
-    backend: &dyn MeasureBackend,
-    surrogate: &Surrogate,
-    cfg: &TuneConfig,
+    backend: &SimBackend,
+    _: &Surrogate,
+    _: &TuneConfig,
 ) -> Result<TuneOutcome, String> {
-    if !problem.nx.is_multiple_of(problem.pi) || !problem.ny.is_multiple_of(problem.pj) {
+    let TuneProblem { nx, ny, nz, pi, pj } = *problem;
+    if [nx, ny, nz, pi, pj].contains(&0) {
         return Err(format!(
-            "grid {}x{} not divisible by processor grid {}x{}",
-            problem.nx, problem.ny, problem.pi, problem.pj
+            "zero extent or rank count in grid {nx}x{ny}x{nz} on {pi}x{pj}"
         ));
     }
-    let reps = if backend.deterministic() {
-        1
-    } else {
-        cfg.best_of.max(1)
-    };
+    if !nx.is_multiple_of(pi) || !ny.is_multiple_of(pj) {
+        return Err(format!(
+            "grid {nx}x{ny} not divisible by processor grid {pi}x{pj}"
+        ));
+    }
     let measure = |c: &Candidate| -> Result<Measured, String> {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            best = best.min(backend.measure_us(c)?);
-        }
-        let cf = closed_form_for(problem, machine, schedule, c.pi, c.pj);
-        let predicted_us = cf.predict_us(c.v as f64);
+        let makespan_us = backend.measure_us(c)?;
+        let predicted_us =
+            closed_form_for(problem, machine, schedule, c.pi, c.pj).predict_us(c.v as f64);
         Ok(Measured {
             candidate: *c,
-            makespan_us: best,
-            us_per_step: best / c.steps(problem.nz) as f64,
+            makespan_us,
             predicted_us,
-            pred_err_rel: (best - predicted_us) / predicted_us,
+            pred_err_rel: (makespan_us - predicted_us) / predicted_us,
         })
     };
 
-    // 1. Seed: the closed form's answer on the problem's own shape.
-    let seed_cf = closed_form_for(problem, machine, schedule, problem.pi, problem.pj);
-    let tier0 = cfg.tiers.first().copied().unwrap_or(KernelTier::Bitwise);
+    // The seed: the closed form's answer on the problem's own shape. A
+    // failing seed aborts the run.
+    let seed_cf = closed_form_for(problem, machine, schedule, pi, pj);
     let seed_cand = Candidate {
-        v: seed_cf.v_star_clamped(problem.nz),
-        pi: problem.pi,
-        pj: problem.pj,
-        tier: tier0,
+        v: seed_cf.v_star_clamped(nz),
+        pi,
+        pj,
     };
     let seed = measure(&seed_cand)?;
-    let mut evaluated = vec![seed];
-    let mut incumbent = seed;
-
-    // 2. Enumerate and pre-rank the rest of the space.
-    let mut pool: Vec<Candidate> = enumerate(problem, machine, schedule, &cfg.tiers)
+    let rest: Vec<Candidate> = enumerate(problem, machine, schedule)
         .into_iter()
         .filter(|c| *c != seed_cand)
         .collect();
-    let enumerated = pool.len() + 1;
-    let score = |c: &Candidate| {
-        let cf = closed_form_for(problem, machine, schedule, c.pi, c.pj);
-        surrogate.score(&cf, schedule, c.v)
-    };
-    pool.sort_by(|a, b| score(a).total_cmp(&score(b)));
-    pool.truncate(cfg.max_candidates);
-
-    // 3. Calibrate, abandoning hopeless candidates at the checkpoint.
-    // A candidate the backend refuses (infeasible coordinates) is
-    // skipped, not fatal — only a failing *seed* aborts the run.
-    let mut abandoned = 0;
+    let mut evaluated = vec![seed];
+    let mut incumbent = seed;
     let mut infeasible = 0;
-    for c in &pool {
-        if !backend.deterministic() && cfg.checkpoint_steps > 0 {
-            match backend.checkpoint_us(c, cfg.checkpoint_steps) {
-                Some(Ok(est)) if est > cfg.abandon_factor * incumbent.makespan_us => {
-                    abandoned += 1;
-                    continue;
+    for c in &rest {
+        match measure(c) {
+            Ok(m) => {
+                if m.makespan_us < incumbent.makespan_us {
+                    incumbent = m;
                 }
-                Some(Err(_)) => {
-                    infeasible += 1;
-                    continue;
-                }
-                _ => {}
+                evaluated.push(m);
             }
+            Err(_) => infeasible += 1,
         }
-        let m = match measure(c) {
-            Ok(m) => m,
-            Err(_) => {
-                infeasible += 1;
-                continue;
-            }
-        };
-        if m.makespan_us < incumbent.makespan_us {
-            incumbent = m;
-        }
-        evaluated.push(m);
     }
-
     Ok(TuneOutcome {
         seed,
         incumbent,
         evaluated,
-        abandoned,
         infeasible,
-        enumerated,
+        enumerated: rest.len() + 1,
     })
-}
-
-/// Record a winner in planc's tuned-plan cache under the workload
-/// identity of `req` (see [`tuned_key`]) and hand the entry back.
-pub fn commit(outcome: &TuneOutcome, req: &PlanRequest, cache: &TunedCache) -> Arc<TunedEntry> {
-    let w = &outcome.incumbent;
-    let entry = Arc::new(TunedEntry {
-        v: w.candidate.v,
-        pi: w.candidate.pi,
-        pj: w.candidate.pj,
-        tier: w.candidate.tier,
-        measured_makespan_us: w.makespan_us,
-        measured_us_per_step: w.us_per_step,
-        predicted_us: w.predicted_us,
-        pred_err_rel: w.pred_err_rel,
-    });
-    cache.insert(tuned_key(req), entry.clone());
-    entry
 }
 
 #[cfg(test)]
@@ -247,7 +168,7 @@ mod tests {
             Schedule::Overlap,
             &backend,
             &Surrogate::ClosedForm,
-            &TuneConfig::default(),
+            &TuneConfig,
         )
         .unwrap();
         assert!(out.incumbent.makespan_us <= out.seed.makespan_us);
@@ -259,7 +180,7 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert_eq!(out.incumbent.makespan_us, min);
         assert_eq!(out.evaluated[0].candidate, out.seed.candidate);
-        assert!(out.enumerated > out.evaluated.len());
+        assert_eq!(out.evaluated.len() + out.infeasible, out.enumerated);
     }
 
     #[test]
@@ -279,37 +200,49 @@ mod tests {
             Schedule::Overlap,
             &backend,
             &Surrogate::ClosedForm,
-            &TuneConfig::default(),
+            &TuneConfig,
         )
         .is_err());
     }
 
     #[test]
-    fn commit_records_the_incumbent_under_the_workload_key() {
-        let problem = TuneProblem {
-            nx: 8,
-            ny: 8,
-            nz: 700,
-            pi: 2,
-            pj: 2,
-        };
-        let backend = sim_backend(problem, 0.0, 1);
+    fn rejects_zero_extents_and_rank_counts_before_computing() {
+        let zeros = [
+            TuneProblem {
+                nx: 0,
+                ny: 8,
+                nz: 64,
+                pi: 0,
+                pj: 2,
+            },
+            TuneProblem {
+                nx: 8,
+                ny: 8,
+                nz: 0,
+                pi: 2,
+                pj: 2,
+            },
+            TuneProblem {
+                nx: 0,
+                ny: 0,
+                nz: 64,
+                pi: 2,
+                pj: 2,
+            },
+        ];
         let machine = MachineParams::paper_cluster();
-        let out = tune(
-            &problem,
-            &machine,
-            Schedule::Overlap,
-            &backend,
-            &Surrogate::ClosedForm,
-            &TuneConfig::default(),
-        )
-        .unwrap();
-        let cache = TunedCache::new(8);
-        let req = PlanRequest::grid3(8, 8, 700, 2, 2);
-        let entry = commit(&out, &req, &cache);
-        assert_eq!(entry.v, out.incumbent.candidate.v);
-        // Any spelling of the same workload finds the record.
-        let got = cache.get(&tuned_key(&req.clone().with_v(13))).unwrap();
-        assert_eq!(got, entry);
+        for problem in zeros {
+            let backend = sim_backend(problem, 0.0, 1);
+            let err = tune(
+                &problem,
+                &machine,
+                Schedule::Overlap,
+                &backend,
+                &Surrogate::ClosedForm,
+                &TuneConfig,
+            )
+            .expect_err("a zero extent or rank count is rejected");
+            assert!(err.contains("zero"), "{err}");
+        }
     }
 }

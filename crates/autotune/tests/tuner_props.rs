@@ -1,18 +1,13 @@
-//! Property: the tuner's incumbent is never worse than the closed-form
-//! seed on the candidate set it evaluated — across pipeline depths
+//! Property: the tuner is the argmin of the simulator over the closed
+//! form's ladder — its incumbent is no worse than the closed-form seed
+//! nor than any rung the simulator accepts, and every enumerated
+//! candidate is either measured or infeasible — across pipeline depths
 //! (partial-tile remainders included), heterogeneity spreads/seeds and
-//! both schedules, on the deterministic simulator backend.
+//! both schedules.
 
-use autotune::{tune, Schedule, SimBackend, Surrogate, TuneConfig, TuneProblem};
+use autotune::{enumerate, tune, Schedule, SimBackend, Surrogate, TuneConfig, TuneProblem};
 use proptest::prelude::*;
 use tiling_core::machine::MachineParams;
-
-fn config() -> TuneConfig {
-    TuneConfig {
-        max_candidates: 8,
-        ..TuneConfig::default()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -36,9 +31,8 @@ proptest! {
             hetero_spread: spread_pct as f64 * 0.15,
         };
         let machine = MachineParams::paper_cluster();
-        let out = tune(&problem, &machine, schedule, &backend, &Surrogate::ClosedForm, &config())
+        let out = tune(&problem, &machine, schedule, &backend, &Surrogate::ClosedForm, &TuneConfig)
             .unwrap();
-        // The invariant under test.
         prop_assert!(out.incumbent.makespan_us <= out.seed.makespan_us,
             "incumbent {} worse than seed {}", out.incumbent.makespan_us, out.seed.makespan_us);
         prop_assert!(out.speedup() >= 1.0);
@@ -47,8 +41,15 @@ proptest! {
         prop_assert_eq!(out.incumbent.makespan_us, min);
         // The seed is always the first evaluation.
         prop_assert_eq!(out.evaluated[0].candidate, out.seed.candidate);
-        // Bookkeeping adds up: everything enumerated was measured,
-        // cut by the surrogate, abandoned, or infeasible.
-        prop_assert!(out.evaluated.len() + out.abandoned + out.infeasible <= out.enumerated);
+        // Every rung the simulator accepts was searched.
+        for c in enumerate(&problem, &machine, schedule) {
+            if let Ok(us) = backend.measure_us(&c) {
+                prop_assert!(out.incumbent.makespan_us <= us,
+                    "incumbent {} worse than rung {:?} at {}", out.incumbent.makespan_us, c, us);
+            }
+        }
+        // Bookkeeping adds up: everything enumerated was measured or
+        // infeasible.
+        prop_assert_eq!(out.evaluated.len() + out.infeasible, out.enumerated);
     }
 }

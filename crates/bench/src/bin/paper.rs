@@ -19,11 +19,10 @@
 //! paper sweep      Monte-Carlo design-space sweep over the simulator
 //!                  (seeded, parallel, panic-isolated; writes
 //!                  results/sweep.csv + results/sweep_summary.json with
-//!                  Figs. 9-11 embedded as named slices, plus the
-//!                  results/tune_train.csv surrogate training slice)
-//! paper tune       closed-loop autotuner: closed-form seed, surrogate
-//!                  pre-rank, measured calibration, commit to planc's
-//!                  tuned-plan cache (writes results/tune.json)
+//!                  Figs. 9-11 embedded as named slices)
+//! paper tune       ladder-search tuner: the simulator's argmin over the
+//!                  closed form's V ladder on two out-of-model rows
+//!                  (writes results/tune.json)
 //! paper all        everything above except `tune`
 //! ```
 //!
@@ -43,7 +42,7 @@ use cluster_sim::engine::{simulate, SimConfig};
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use sweep::config::{generate as sweep_generate, Schedule as SweepSchedule, SweepSpec};
-use sweep::output::{summary_json, to_csv, training_csv};
+use sweep::output::{summary_json, to_csv};
 use sweep::run::{run_sweep, RowStatus};
 use tiling_core::prelude::*;
 
@@ -720,38 +719,27 @@ mod serve {
     }
 }
 
-// ---- `paper tune`: the closed-loop autotuner ---------------------------
+// ---- `paper tune`: the ladder-search tuner ------------------------------
 //
-// Seed → surrogate pre-rank → calibrate → commit (DESIGN.md §12). Three
-// rows, one per regime:
+// The closed form's seed, then the simulator's argmin over every rung of
+// the V ladder (DESIGN.md §12). Two rows, one per out-of-model regime:
 //
-//   thread-quick   real calibration executions on the thread backend
-//                  through compiled plans and a warm WorldPool.
-//   partial-tile   deterministic simulator, homogeneous 2×2 world whose
-//                  pipeline depth leaves a partial last tile at the
-//                  closed form's V* — and whose V* faces sit past the
-//                  measured transfer curve's rendezvous knee.
-//   hetero-4x4     deterministic simulator, 4×4 world with seeded
-//                  node-speed spread on the same out-of-model machine.
+//   partial-tile   homogeneous 2×2 world whose pipeline depth leaves a
+//                  partial last tile at the closed form's V* — and whose
+//                  V* faces sit past the measured transfer curve's
+//                  rendezvous knee.
+//   hetero-4x4     4×4 world with seeded node-speed spread on the same
+//                  out-of-model machine.
 //
-// The two simulator rows are the out-of-model acceptance rows: the tuned
-// (V, shape) must beat the closed-form seed by ≥5% with the prediction
-// error under its thresholds — bit-reproducible, so `tune::tests`
-// asserts it under a surrogate trained in-process.
+// Both are acceptance rows: the tuned (V, shape) must beat the
+// closed-form seed by ≥5% with the prediction error under its
+// thresholds — bit-reproducible, so `tune::tests` asserts it.
 
 mod tune {
-    use autotune::{
-        commit, tune, Schedule, SimBackend, Surrogate, ThreadBackend, TrainSet, TuneConfig,
-        TuneOutcome, TuneProblem,
-    };
-    use msgpass::transport::TransportKind;
-    use planc::{Compiler, MachineSpec, PlanRequest, TunedCache, WorldPool};
-    use stencil::engine::ExecMode;
-    use tiling_core::machine::{KernelTier, MachineParams};
+    use autotune::{tune, Schedule, SimBackend, Surrogate, TuneConfig, TuneOutcome, TuneProblem};
 
     struct Row {
         name: &'static str,
-        backend: &'static str,
         problem: TuneProblem,
         schedule: Schedule,
         out: TuneOutcome,
@@ -759,34 +747,25 @@ mod tune {
 
     /// Prediction-shape error at the tuned point after normalizing the
     /// model's scale at the seed point: the raw `pred_err_rel` compares
-    /// model-µs against backend-µs (meaningless across backends whose
-    /// clocks differ, e.g. host wall time vs. the paper machine), while
-    /// this metric cancels the scale and keeps only how well the model
-    /// *ranks* the tuned point relative to the seed.
+    /// model-µs against simulated µs, while this metric cancels the
+    /// scale and keeps only how well the model *ranks* the tuned point
+    /// relative to the seed.
     fn norm_err(out: &TuneOutcome) -> f64 {
         let scale = out.seed.makespan_us / out.seed.predicted_us;
         out.incumbent.makespan_us / (out.incumbent.predicted_us * scale) - 1.0
-    }
-
-    fn tier_name(t: KernelTier) -> &'static str {
-        match t {
-            KernelTier::Bitwise => "bitwise",
-            KernelTier::Fast => "fast",
-        }
     }
 
     fn json_row(r: &Row) -> String {
         let o = &r.out;
         let (s, w) = (&o.seed, &o.incumbent);
         format!(
-            "    {{\"name\": \"{}\", \"backend\": \"{}\", \"grid\": [{}, {}, {}], \"procs\": [{}, {}], \
+            "    {{\"name\": \"{}\", \"backend\": \"sim\", \"grid\": [{}, {}, {}], \"procs\": [{}, {}], \
              \"schedule\": \"{}\", \"seed_v\": {}, \"tuned_v\": {}, \"tuned_procs\": [{}, {}], \
-             \"tuned_tier\": \"{}\", \"seed_makespan_us\": {:.3}, \
+             \"seed_makespan_us\": {:.3}, \
              \"tuned_makespan_us\": {:.3}, \"tuned_speedup\": {:.4}, \"predicted_us\": {:.3}, \
-             \"pred_err_rel\": {:.4}, \"pred_err_norm\": {:.4}, \"evaluated\": {}, \"abandoned\": {}, \
+             \"pred_err_rel\": {:.4}, \"pred_err_norm\": {:.4}, \"evaluated\": {}, \
              \"infeasible\": {}, \"enumerated\": {}}}",
             r.name,
-            r.backend,
             r.problem.nx,
             r.problem.ny,
             r.problem.nz,
@@ -797,7 +776,6 @@ mod tune {
             w.candidate.v,
             w.candidate.pi,
             w.candidate.pj,
-            tier_name(w.candidate.tier),
             s.makespan_us,
             w.makespan_us,
             o.speedup(),
@@ -805,31 +783,16 @@ mod tune {
             w.pred_err_rel,
             norm_err(o),
             o.evaluated.len(),
-            o.abandoned,
             o.infeasible,
             o.enumerated
         )
     }
 
-    /// The sweep-exported training slice (`results/tune_train.csv`,
-    /// written by `paper sweep`) when present, else the closed form.
-    fn load_surrogate() -> (Surrogate, &'static str) {
-        let path = super::out_dir().join("tune_train.csv");
-        match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| TrainSet::parse_csv(&s).ok())
-        {
-            Some(t) if !t.is_empty() => (Surrogate::Trained(t), "trained"),
-            _ => (Surrogate::ClosedForm, "closed-form"),
-        }
-    }
-
     fn print_row(r: &Row) {
         let o = &r.out;
         println!(
-            "{:12} {:6} {:>2}x{:<2}x{:<5} {}x{}: seed V={} ({:.0} µs) -> tuned V={} {}x{} tier={} ({:.0} µs) | speedup {:.3}x | pred_err_rel {:+.3} norm {:+.3} | {} measured, {} abandoned, {} infeasible of {}",
+            "{:12} {:>2}x{:<2}x{:<5} {}x{}: seed V={} ({:.0} µs) -> tuned V={} {}x{} ({:.0} µs) | speedup {:.3}x | pred_err_rel {:+.3} norm {:+.3} | {} measured, {} infeasible of {}",
             r.name,
-            r.backend,
             r.problem.nx,
             r.problem.ny,
             r.problem.nz,
@@ -840,25 +803,19 @@ mod tune {
             o.incumbent.candidate.v,
             o.incumbent.candidate.pi,
             o.incumbent.candidate.pj,
-            tier_name(o.incumbent.candidate.tier),
             o.incumbent.makespan_us,
             o.speedup(),
             o.incumbent.pred_err_rel,
             norm_err(o),
             o.evaluated.len(),
-            o.abandoned,
             o.infeasible,
             o.enumerated
         );
     }
 
     /// The two deterministic out-of-model acceptance rows.
-    fn sim_rows(surrogate: &Surrogate) -> [Row; 2] {
+    fn sim_rows() -> [Row; 2] {
         let machine = bench::configs::tune_machine();
-        let cfg = TuneConfig {
-            max_candidates: 16,
-            ..TuneConfig::default()
-        };
         let row = |name, problem, hetero_seed, hetero_spread| {
             let backend = SimBackend {
                 problem,
@@ -871,7 +828,6 @@ mod tune {
             };
             Row {
                 name,
-                backend: "sim",
                 problem,
                 schedule: Schedule::Overlap,
                 out: tune(
@@ -879,8 +835,8 @@ mod tune {
                     &machine,
                     Schedule::Overlap,
                     &backend,
-                    surrogate,
-                    &cfg,
+                    &Surrogate::ClosedForm,
+                    &TuneConfig,
                 )
                 .expect("simulator tune"),
             }
@@ -902,86 +858,18 @@ mod tune {
     }
 
     pub fn run() {
-        println!("== closed-loop autotune: seed -> surrogate pre-rank -> calibrate -> commit ==\n");
-        let (surrogate, surrogate_name) = load_surrogate();
-        println!("surrogate: {surrogate_name}\n");
-
-        // Row 1: real calibration on the thread backend, through the
-        // shared compiler (probe re-runs are plan-cache hits) and the
-        // warm world pool (calibration never re-spawns worlds).
-        let tp = bench::configs::tune_thread_problem();
-        let compiler = Compiler::new(64);
-        let pool = WorldPool::new(4);
-        let thread_backend = ThreadBackend {
-            problem: tp,
-            machine: MachineSpec::Paper,
-            mode: ExecMode::Overlapping,
-            transport: TransportKind::shared_slots(),
-            compiler: &compiler,
-            pool: &pool,
-        };
-        let model = MachineParams::paper_cluster();
-        let thread_cfg = TuneConfig {
-            max_candidates: 8,
-            // A short prefix pays the pipeline-fill cost without the
-            // steady state that amortizes it, so the extrapolation
-            // overestimates: abandon only what is far over the
-            // incumbent, not everything the fill tax inflates.
-            abandon_factor: 2.0,
-            tiers: vec![KernelTier::Bitwise, KernelTier::Fast],
-            ..TuneConfig::default()
-        };
-        let thread_out = tune(
-            &tp,
-            &model,
-            Schedule::Overlap,
-            &thread_backend,
-            &surrogate,
-            &thread_cfg,
-        )
-        .expect("thread-backend tune");
-
-        // Commit the winner into planc's tuned-plan cache under the
-        // workload identity, and read it back the way an executor would.
-        let cache = TunedCache::new(16);
-        let req = PlanRequest::grid3(tp.nx, tp.ny, tp.nz, tp.pi, tp.pj)
-            .with_mode(ExecMode::Overlapping)
-            .with_machine(MachineSpec::Paper)
-            .with_transport(TransportKind::shared_slots());
-        let entry = commit(&thread_out, &req, &cache);
         println!(
-            "committed: V={} {}x{} tier={} at {:.1} µs/step under {}\n",
-            entry.v,
-            entry.pi,
-            entry.pj,
-            tier_name(entry.tier),
-            entry.measured_us_per_step,
-            planc::tuned_key(&req).canon()
+            "== ladder-search tune: closed-form seed -> simulator argmin over the V ladder ==\n"
         );
-
-        let [pt, het] = sim_rows(&surrogate);
-        let rows = [
-            Row {
-                name: "thread-quick",
-                backend: "thread",
-                problem: tp,
-                schedule: Schedule::Overlap,
-                out: thread_out,
-            },
-            pt,
-            het,
-        ];
+        let rows = sim_rows();
         for r in &rows {
             print_row(r);
         }
-
         let json = format!(
-            "{{\n    \"seed\": {},\n    \"surrogate\": \"{}\",\n    \"rows\": [\n{}\n    ]\n  }}",
+            "{{\n    \"seed\": {},\n    \"rows\": [\n{}\n    ]\n  }}",
             bench::configs::TUNE_HETERO_SEED,
-            surrogate_name,
             rows.iter().map(json_row).collect::<Vec<_>>().join(",\n")
         );
-        // Untracked: a wall-clock thread row is not a committed reference.
         let path = super::out_dir().join("tune.json");
         std::fs::write(&path, format!("{{\n  \"tune\": {json}\n}}\n")).expect("write tune json");
         println!("\nwritten to {}", path.display());
@@ -990,19 +878,10 @@ mod tune {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use sweep::config::{generate, SweepSpec};
-        use sweep::output::training_csv;
-        use sweep::run::run_sweep;
 
         #[test]
         fn out_of_model_rows_beat_the_closed_form_seed_within_the_error_thresholds() {
-            // The surrogate `paper sweep --quick --seed 2026` would leave
-            // in results/tune_train.csv, trained here so the verdict does
-            // not depend on what is on disk.
-            let sweep = run_sweep(&generate(&SweepSpec::quick(2026)), 2);
-            let train = TrainSet::parse_csv(&training_csv(&sweep.rows)).expect("training slice");
-            assert!(!train.is_empty());
-            for r in sim_rows(&Surrogate::Trained(train)) {
+            for r in sim_rows() {
                 assert!(
                     r.out.speedup() >= 1.05,
                     "{}: out-of-model speedup {:.3} under the 5% acceptance bar",
@@ -1013,6 +892,23 @@ mod tune {
                 assert!(
                     rel.abs() <= 0.6 && norm.abs() <= 0.5,
                     "{}: prediction error over threshold (rel {rel:.3}, norm {norm:.3})",
+                    r.name
+                );
+            }
+        }
+
+        #[test]
+        fn simulator_rows_keep_their_recorded_winners() {
+            // (V, pi, pj, makespan µs) of each row's tuned point, pinned:
+            // a change to the ladder, the search or the simulator that
+            // moves a winner fails here.
+            let recorded = [(70, 2, 2, 26712.375), (64, 4, 4, 84924.727)];
+            for (r, (v, pi, pj, us)) in sim_rows().iter().zip(recorded) {
+                let w = &r.out.incumbent;
+                assert_eq!(
+                    (w.candidate.v, w.candidate.pi, w.candidate.pj, w.makespan_us),
+                    (v, pi, pj, us),
+                    "{}",
                     r.name
                 );
             }
@@ -1040,11 +936,9 @@ fn cmd_sweep(quick: bool, seed: u64, workers: usize) {
     let elapsed = t0.elapsed().as_secs_f64();
     let csv = to_csv(&outcome.rows);
     let json = summary_json(seed, &outcome);
-    let train = training_csv(&outcome.rows);
     let dir = out_dir();
     std::fs::write(dir.join("sweep.csv"), &csv).expect("write sweep.csv");
     std::fs::write(dir.join("sweep_summary.json"), &json).expect("write sweep_summary.json");
-    std::fs::write(dir.join("tune_train.csv"), &train).expect("write tune_train.csv");
     let ok = outcome
         .rows
         .iter()
@@ -1085,15 +979,11 @@ fn cmd_sweep(quick: bool, seed: u64, workers: usize) {
     }
     println!("\nwrote {}", dir.join("sweep.csv").display());
     println!("wrote {}", dir.join("sweep_summary.json").display());
-    println!(
-        "wrote {} (surrogate training slice for `paper tune`)",
-        dir.join("tune_train.csv").display()
-    );
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json + results/tune_train.csv, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune   closed-loop autotuner (seed -> surrogate pre-rank -> calibrate -> commit); thread-backend calibration row plus two deterministic out-of-model simulator rows; writes results/tune.json\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit"
+        "usage: paper <example1|gantt|fig9|fig10|fig11|table12|ablation|listings|utilization|sensitivity|scaling|sweep|threads|chaos|tune|serve|all>\n       paper gantt [--backend sim|thread]\n       paper sweep [--quick] [--seed N] [--workers N]   Monte-Carlo design-space sweep over the simulator; writes results/sweep.csv + results/sweep_summary.json, embeds Figs. 9-11 as named slices; same seed => byte-identical output\n       paper tune   ladder-search tuner (closed-form seed -> simulator argmin over the V ladder) on two deterministic out-of-model rows; writes results/tune.json\n       paper chaos   fault-injection demo (CHAOS_SEED=<n> overrides the plan seed)\n       paper serve [--addr HOST:PORT]   plan-compilation service over TCP (default 127.0.0.1:7077); line protocol: compile/execute <key=value ...>, stats, quit"
     );
     std::process::exit(2);
 }

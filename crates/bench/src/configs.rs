@@ -104,17 +104,6 @@ pub fn tune_machine() -> MachineParams {
     MachineParams::paper_cluster().with_transfer_curve(tune_transfer_curve())
 }
 
-/// `paper tune`: the thread-backend calibration workload.
-pub fn tune_thread_problem() -> TuneProblem {
-    TuneProblem {
-        nx: 8,
-        ny: 8,
-        nz: 4096,
-        pi: 2,
-        pj: 2,
-    }
-}
-
 /// `paper tune`: the partial-tile acceptance grid. 2100 planes do not
 /// divide by the closed form's pick (V* = 98 ⇒ 21 full tiles plus a
 /// 42-plane remainder), and at V* the 1568-byte faces sit past the

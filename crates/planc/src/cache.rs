@@ -8,7 +8,7 @@
 //! accelerates the map. [`PlanCache`] is a mutex-guarded LRU keyed by
 //! [`PlanKey`] with hit/miss/eviction counters.
 
-use crate::spec::{MachineSpec, PlanRequest, TuneMode, VChoice, WorkloadSpec};
+use crate::spec::{MachineSpec, PlanRequest, VChoice, WorkloadSpec};
 use msgpass::transport::TransportKind;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -104,17 +104,6 @@ impl PlanKey {
             }
         );
         let _ = write!(c, "|b={:x}", req.boundary.to_bits());
-        match req.tune {
-            // `Off` renders nothing so pre-tuner canon strings (and any
-            // digests derived from them) are preserved byte-for-byte.
-            TuneMode::Off => {}
-            TuneMode::Calibration => {
-                let _ = write!(c, "|u=cal");
-            }
-            TuneMode::Committed => {
-                let _ = write!(c, "|u=tuned");
-            }
-        }
         let hash = fnv1a(c.as_bytes());
         PlanKey { canon: c, hash }
     }
@@ -312,21 +301,6 @@ mod tests {
         assert_eq!(s.len, 2);
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 1);
-    }
-
-    #[test]
-    fn tune_mode_partitions_keys_and_off_is_invisible() {
-        let base = PlanRequest::grid3(8, 8, 64, 2, 2);
-        let off = PlanKey::of(&base);
-        let cal = PlanKey::of(&base.clone().with_tune(TuneMode::Calibration));
-        let tuned = PlanKey::of(&base.clone().with_tune(TuneMode::Committed));
-        assert_ne!(off, cal);
-        assert_ne!(off, tuned);
-        assert_ne!(cal, tuned);
-        // `Off` must not change the canonical rendering at all.
-        assert!(!off.canon().contains("|u="));
-        assert!(cal.canon().ends_with("|u=cal"));
-        assert!(tuned.canon().ends_with("|u=tuned"));
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //!   identical in-flight compilations.
 //! * [`worlds`] — [`WorldPool`]: warm thread-backend worlds reused
 //!   across execute jobs.
-//! * [`tuned`] — [`TunedEntry`]/[`TunedCache`]: winning configurations
-//!   committed by the `autotune` crate's measured-feedback loop.
 //! * [`service`] — [`PlanService`]: bounded job queue + worker pool
 //!   over all of the above.
 
@@ -39,7 +37,6 @@ mod modelcheck;
 pub mod pipeline;
 pub mod service;
 pub mod spec;
-pub mod tuned;
 pub mod worlds;
 
 pub use artifact::{ExecOptions, ExecOutcome, GridResult, PlanArtifact};
@@ -50,8 +47,7 @@ pub use pipeline::compile;
 pub use service::{
     JobRequest, JobResponse, JobTicket, PlanService, ServiceConfig, ServiceError, ServiceMetrics,
 };
-pub use spec::{KernelName, MachineSpec, PlanRequest, TuneMode, VChoice, WorkloadSpec};
-pub use tuned::{tuned_key, TunedCache, TunedEntry};
+pub use spec::{KernelName, MachineSpec, PlanRequest, VChoice, WorkloadSpec};
 pub use worlds::{WorldPool, WorldPoolStats};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

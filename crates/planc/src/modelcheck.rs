@@ -1,14 +1,13 @@
 //! Model checking of planc's concurrency protocols.
 //!
-//! Three of this crate's subsystems arbitrate between threads:
+//! Two of this crate's subsystems arbitrate between threads:
 //! [`crate::compiler`]'s single-flight coalescing (inflight map +
-//! per-key flight condvar), [`crate::worlds`]'s keyed warm-world pool,
-//! and the tuned-plan cache ([`crate::tuned`] over
-//! [`crate::cache::PlanCache`]'s mutex LRU). This module restates each
-//! protocol as a [`miniloom::Model`] over *shadow state* — the lock-
-//! held decision logic, not the real `Mutex`/`Condvar` objects, which
-//! would block the checker's single replay thread — and explores every
-//! reachable interleaving of 3 participants per protocol.
+//! per-key flight condvar) and [`crate::worlds`]'s keyed warm-world
+//! pool. This module restates each protocol as a [`miniloom::Model`]
+//! over *shadow state* — the lock-held decision logic, not the real
+//! `Mutex`/`Condvar` objects, which would block the checker's single
+//! replay thread — and explores every reachable interleaving of 3
+//! participants per protocol.
 //!
 //! Each model comes in two flavors:
 //!
@@ -18,10 +17,10 @@
 //!   equivalent orders);
 //! * a **seeded-bug variant** reintroducing the classic mistake the
 //!   shipped code avoids — a split check-then-act in place of the
-//!   single-flight recheck, parking a world before the job stops
-//!   driving it, a torn two-step tuned-cache commit. Buggy variants
-//!   keep the default serial footprints so exploration is exhaustive,
-//!   and the checker must report each with a concrete schedule prefix.
+//!   single-flight recheck, or parking a world before the job stops
+//!   driving it. Buggy variants keep the default serial footprints so
+//!   exploration is exhaustive, and the checker must report each with a
+//!   concrete schedule prefix.
 
 use miniloom::{CheckOptions, ExploreError, Footprint, Model};
 
@@ -29,10 +28,6 @@ use miniloom::{CheckOptions, ExploreError, Footprint, Model};
 const SF: usize = 0;
 /// Modeled location: the world pool's parked map mutex.
 const POOL: usize = 1;
-/// Modeled location: the tuned cache's LRU mutex.
-const CACHE: usize = 2;
-/// Modeled location: the tuned entry's buffer (built, then published).
-const ENTRY: usize = 3;
 /// Modeled locations `WORLD + w`: the fabric of pooled world `w`.
 const WORLD: usize = 10;
 
@@ -492,170 +487,6 @@ impl Model for WorldPoolModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tuned-plan cache
-// ---------------------------------------------------------------------------
-
-/// A tuner committing one tuned entry, an executor looking it up and
-/// driving the result, and a second committer filling the LRU with
-/// other keys — over the mutexed [`crate::cache::PlanCache`] that
-/// backs [`crate::tuned::TunedCache`], capacity 2.
-///
-/// The property: a lookup observes either nothing or a *fully built*
-/// immutable entry — commits are atomic publications, and an eviction
-/// never claws back an entry a reader already holds.
-struct TunedCacheModel {
-    /// Seeded bug: the commit is torn in two — the tuner inserts a
-    /// placeholder entry into the cache, then fills in the measured
-    /// parameters. A lookup between the halves hands out a torn entry.
-    torn_commit: bool,
-}
-
-impl TunedCacheModel {
-    /// The protocol as shipped: build fully, then publish under the
-    /// cache lock.
-    fn new() -> Self {
-        TunedCacheModel { torn_commit: false }
-    }
-
-    /// Deliberately buggy variant: insert-then-fill. The checker must
-    /// report a torn-read schedule.
-    fn seeded_torn_commit() -> Self {
-        TunedCacheModel { torn_commit: true }
-    }
-}
-
-/// Shadow state: an entry store (the `Arc<TunedEntry>` allocations)
-/// plus the keyed LRU.
-#[derive(Default)]
-struct TunedShadow {
-    /// `complete[id]` — whether entry `id`'s parameters are filled in.
-    complete: Vec<bool>,
-    /// LRU of (key, entry id), most recent last, capacity 2.
-    cache: Vec<(u32, usize)>,
-    /// The entry id the executor's lookup returned, if any.
-    looked_up: Option<usize>,
-    /// Whether the executor already ran its lookup.
-    lookup_done: bool,
-}
-
-const TUNED_CAP: usize = 2;
-
-impl TunedShadow {
-    fn insert(&mut self, key: u32, id: usize) {
-        self.cache.retain(|&(k, _)| k != key);
-        self.cache.push((key, id));
-        if self.cache.len() > TUNED_CAP {
-            self.cache.remove(0); // least-recently-used is first
-        }
-    }
-}
-
-impl Model for TunedCacheModel {
-    type State = TunedShadow;
-
-    fn init(&self) -> TunedShadow {
-        TunedShadow::default()
-    }
-
-    fn threads(&self) -> usize {
-        3
-    }
-
-    fn steps(&self, _tid: usize) -> usize {
-        2
-    }
-
-    fn step(&self, state: &mut TunedShadow, tid: usize, idx: usize) -> Result<(), String> {
-        match (tid, idx) {
-            (0, 0) => {
-                // Tuner, first half. Shipped: build entry 0 privately.
-                // Torn: insert the placeholder into the cache first.
-                state.complete.push(!self.torn_commit);
-                if self.torn_commit {
-                    state.insert(0, 0);
-                }
-            }
-            (0, _) => {
-                // Tuner, second half. Shipped: publish the finished
-                // entry. Torn: only now fill in the parameters.
-                if self.torn_commit {
-                    state.complete[0] = true;
-                } else {
-                    state.insert(0, 0);
-                }
-            }
-            (1, 0) => {
-                // Executor lookup: LRU get of key 0 with recency bump.
-                state.lookup_done = true;
-                if let Some(pos) = state.cache.iter().position(|&(k, _)| k == 0) {
-                    let e = state.cache.remove(pos);
-                    state.looked_up = Some(e.1);
-                    state.cache.push(e);
-                }
-            }
-            (1, _) => {
-                // Executor drive: a returned entry must be fully built,
-                // even if the LRU evicted it since (the Arc is ours).
-                if let Some(id) = state.looked_up {
-                    if !state.complete[id] {
-                        return Err(format!("lookup handed out torn tuned entry {id}"));
-                    }
-                }
-            }
-            (_, i) => {
-                // Second committer: two other keys, exercising the cap.
-                let id = state.complete.len();
-                state.complete.push(true);
-                state.insert(10 + i as u32, id);
-            }
-        }
-        Ok(())
-    }
-
-    fn footprint(&self, tid: usize, idx: usize) -> Footprint {
-        if self.torn_commit {
-            return Footprint::serial();
-        }
-        match (tid, idx) {
-            // Private build of the entry buffer…
-            (0, 0) => Footprint::empty().write(ENTRY),
-            // …published under the cache lock.
-            (0, _) => Footprint::empty().sync(CACHE),
-            (1, 0) => Footprint::empty().sync(CACHE),
-            // The drive dereferences only an Arc a *hit* returned —
-            // immutable, and published-before-lookup via the cache
-            // sync; a miss reads nothing. Declaring Read(ENTRY) here
-            // would claim the miss path reads the buffer too and
-            // report a false race, so the footprint stays empty.
-            (1, _) => Footprint::empty(),
-            (_, _) => Footprint::empty().sync(CACHE),
-        }
-    }
-
-    fn invariant(&self, state: &TunedShadow) -> Result<(), String> {
-        if state.cache.len() > TUNED_CAP {
-            return Err(format!(
-                "tuned cache holds {} entries over cap {TUNED_CAP}",
-                state.cache.len()
-            ));
-        }
-        Ok(())
-    }
-
-    fn finalize(&self, state: &mut TunedShadow) -> Result<(), String> {
-        if !state.lookup_done {
-            return Err("executor never ran its lookup".into());
-        }
-        if let Some(id) = state.looked_up {
-            if !state.complete[id] {
-                return Err(format!("schedule ended with torn entry {id} handed out"));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,31 +545,6 @@ mod tests {
             ExploreError::Violation(v) => {
                 assert!(!v.schedule.is_empty());
                 assert!(v.message.contains("drove world"), "{v}");
-            }
-            other => panic!("expected a Violation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn tuned_cache_is_clean() {
-        let report = miniloom::check(&TunedCacheModel::new(), &CheckOptions::default())
-            .expect("the shipped commit protocol is clean");
-        // 6!/(2!·2!·2!) = 90 raw merge orders.
-        assert_eq!(report.unreduced, Some(90));
-        assert!(report.schedules > 0);
-    }
-
-    #[test]
-    fn torn_commit_is_caught() {
-        let err = miniloom::check(
-            &TunedCacheModel::seeded_torn_commit(),
-            &CheckOptions::default(),
-        )
-        .expect_err("a lookup between the torn halves must be caught");
-        match err {
-            ExploreError::Violation(v) => {
-                assert!(!v.schedule.is_empty());
-                assert!(v.message.contains("torn"), "{v}");
             }
             other => panic!("expected a Violation, got {other}"),
         }

@@ -186,24 +186,6 @@ pub enum VChoice {
     Auto,
 }
 
-/// How the request relates to the autotuner. A calibration probe and a
-/// committed winner must not share a [`PlanKey`](crate::cache::PlanKey)
-/// with an ordinary request for the same shape: the tuner runs
-/// truncated prefixes and alternate tiers under otherwise-identical
-/// coordinates, and the tuned-plan cache records winners under a key
-/// of its own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TuneMode {
-    /// Not a tuner request (the default; keys render exactly as before
-    /// this variant existed).
-    #[default]
-    Off,
-    /// A short calibration execution inside a tuning loop.
-    Calibration,
-    /// The committed winner of a tuning loop.
-    Committed,
-}
-
 /// Everything a compiled plan depends on. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanRequest {
@@ -223,8 +205,6 @@ pub struct PlanRequest {
     pub tier: KernelTier,
     /// Boundary value of the grid.
     pub boundary: f32,
-    /// Autotuner relationship (default [`TuneMode::Off`]).
-    pub tune: TuneMode,
 }
 
 impl PlanRequest {
@@ -241,7 +221,6 @@ impl PlanRequest {
             transport: TransportKind::shared_slots(),
             tier: KernelTier::Bitwise,
             boundary: 1.0,
-            tune: TuneMode::Off,
         }
     }
 
@@ -257,7 +236,6 @@ impl PlanRequest {
             transport: TransportKind::shared_slots(),
             tier: KernelTier::Bitwise,
             boundary: 1.0,
-            tune: TuneMode::Off,
         }
     }
 
@@ -315,12 +293,6 @@ impl PlanRequest {
         self
     }
 
-    /// With a tune mode.
-    pub fn with_tune(mut self, tune: TuneMode) -> Self {
-        self.tune = tune;
-        self
-    }
-
     /// Parse a request from the service wire format: space-separated
     /// `key=value` pairs. Values may be double-quoted; inside quotes,
     /// `\n`, `\"` and `\\` escapes are decoded (how a one-line protocol
@@ -330,8 +302,7 @@ impl PlanRequest {
     /// `pj` `ranks` `procs` (comma-separated), `src` (source text),
     /// `kernel`, `machine`, `v` (int or `auto`), `mode`
     /// (`blocking`|`overlap`), `transport` (`mpsc`|`shared-slots`),
-    /// `tier` (`bitwise`|`fast`), `boundary`, `tune`
-    /// (`off`|`calibration`|`committed`).
+    /// `tier` (`bitwise`|`fast`), `boundary`. Other keys are ignored.
     pub fn parse_kv(line: &str) -> Result<Self, String> {
         let kvs = split_kv(line)?;
         let get = |k: &str| {
@@ -411,12 +382,6 @@ impl PlanRequest {
             None => 1.0,
             Some(b) => b.parse().map_err(|_| format!("bad boundary: {b}"))?,
         };
-        let tune = match get("tune") {
-            None | Some("off") => TuneMode::Off,
-            Some("calibration") => TuneMode::Calibration,
-            Some("committed") => TuneMode::Committed,
-            Some(t) => return Err(format!("unknown tune mode: {t}")),
-        };
         Ok(PlanRequest {
             workload,
             kernel,
@@ -426,7 +391,6 @@ impl PlanRequest {
             transport,
             tier,
             boundary,
-            tune,
         })
     }
 }

@@ -1,10 +1,10 @@
 //! Property tests of the plan-cache key: key equality must coincide
 //! exactly with request equality — no collisions across nest, machine,
-//! V, tier, transport, mode, boundary, or tune-mode variations — and artifacts
+//! V, tier, transport, mode or boundary variations — and artifacts
 //! compiled from equal keys must be the same plan.
 
 use msgpass::transport::TransportKind;
-use planc::{Compiler, KernelName, MachineSpec, PlanKey, PlanRequest, TuneMode};
+use planc::{Compiler, KernelName, MachineSpec, PlanKey, PlanRequest};
 use proptest::prelude::*;
 use std::sync::Arc;
 use stencil::engine::ExecMode;
@@ -12,8 +12,8 @@ use tiling_core::machine::{KernelTier, MachineParams};
 
 /// One point in the request variation space, indexed per axis so the
 /// property can compare requests structurally.
-fn request_from(idx: (usize, usize, usize, usize, usize, usize, usize, usize)) -> PlanRequest {
-    let (w, m, v, mode, t, tier, b, u) = idx;
+fn request_from(idx: (usize, usize, usize, usize, usize, usize, usize)) -> PlanRequest {
+    let (w, m, v, mode, t, tier, b) = idx;
     let base = match w {
         0 => PlanRequest::grid3(8, 8, 64, 2, 2),
         1 => PlanRequest::grid3(8, 8, 128, 2, 2),
@@ -53,24 +53,19 @@ fn request_from(idx: (usize, usize, usize, usize, usize, usize, usize, usize)) -
         0 => base.with_tier(KernelTier::Bitwise),
         _ => base.with_tier(KernelTier::Fast),
     };
-    let base = match b {
+    match b {
         0 => base.with_boundary(1.0),
         _ => base.with_boundary(0.5),
-    };
-    match u {
-        0 => base,
-        1 => base.with_tune(TuneMode::Calibration),
-        _ => base.with_tune(TuneMode::Committed),
     }
 }
 
-fn axis_point() -> impl Strategy<Value = (usize, usize, usize, usize, usize, usize, usize, usize)> {
+fn axis_point() -> impl Strategy<Value = (usize, usize, usize, usize, usize, usize, usize)> {
     // miniprop tuples cap at arity 6: nest, then flatten.
     (
-        (0usize..5, 0usize..5, 0usize..3, 0usize..3),
+        (0usize..5, 0usize..5, 0usize..3),
         (0usize..2, 0usize..3, 0usize..2, 0usize..2),
     )
-        .prop_map(|((w, m, v, u), (mode, t, tier, b))| (w, m, v, mode, t, tier, b, u))
+        .prop_map(|((w, m, v), (mode, t, tier, b))| (w, m, v, mode, t, tier, b))
 }
 
 proptest! {
@@ -95,11 +90,11 @@ proptest! {
     /// Single-axis perturbations always change the key (each key
     /// component is actually reflected in the canonical form).
     #[test]
-    fn every_axis_is_keyed(p in axis_point(), axis in 0usize..8, step in 1usize..3) {
-        let bounds = [5usize, 5, 3, 2, 3, 2, 2, 3];
-        let mut q = [p.0, p.1, p.2, p.3, p.4, p.5, p.6, p.7];
+    fn every_axis_is_keyed(p in axis_point(), axis in 0usize..7, step in 1usize..3) {
+        let bounds = [5usize, 5, 3, 2, 3, 2, 2];
+        let mut q = [p.0, p.1, p.2, p.3, p.4, p.5, p.6];
         q[axis] = (q[axis] + step) % bounds[axis];
-        let moved = (q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]);
+        let moved = (q[0], q[1], q[2], q[3], q[4], q[5], q[6]);
         prop_assume!(moved != p);
         let kp = PlanKey::of(&request_from(p));
         let kq = PlanKey::of(&request_from(moved));
@@ -116,14 +111,13 @@ fn equal_keys_share_artifacts_across_variations() {
     // Explicit-V points only (Auto on free-comm-like customs can
     // legitimately fail); every axis still varies.
     let points = [
-        (0, 1, 0, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 0, 1, 0),
-        (0, 1, 0, 0, 1, 1, 0, 0),
-        (0, 1, 0, 0, 0, 0, 0, 1),
-        (1, 2, 1, 1, 2, 0, 0, 2),
-        (2, 3, 0, 0, 0, 0, 0, 0),
-        (3, 0, 0, 0, 2, 0, 0, 0),
-        (4, 1, 1, 1, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0, 1),
+        (0, 1, 0, 0, 1, 1, 0),
+        (1, 2, 1, 1, 2, 0, 0),
+        (2, 3, 0, 0, 0, 0, 0),
+        (3, 0, 0, 0, 2, 0, 0),
+        (4, 1, 1, 1, 0, 1, 0),
     ];
     let mut artifacts = Vec::new();
     for p in points {

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
 pub mod output;
@@ -45,6 +46,6 @@ pub mod run;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::config::{generate, MachinePreset, Mix64, Schedule, SweepConfig, SweepSpec};
-    pub use crate::output::{csv_header, summary_json, to_csv, training_csv};
+    pub use crate::output::{csv_header, summary_json, to_csv};
     pub use crate::run::{run_sweep, RowStatus, SweepOutcome, SweepRow};
 }

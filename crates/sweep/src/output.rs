@@ -104,28 +104,6 @@ pub fn to_csv(rows: &[SweepRow]) -> String {
     out
 }
 
-/// Render the training slice the autotune surrogate consumes: one line
-/// per `Ok` row with the schedule, height, closed-form prediction and
-/// simulated makespan, plus the in-model flag. Same determinism
-/// contract as [`to_csv`].
-pub fn training_csv(rows: &[SweepRow]) -> String {
-    let mut out = String::from("schedule,v,predicted_us,makespan_us,pred_in_model\n");
-    for r in rows {
-        if let Some(m) = &r.metrics {
-            let _ = writeln!(
-                out,
-                "{},{},{:.3},{:.3},{}",
-                r.config.schedule.name(),
-                r.config.v,
-                m.predicted_us,
-                m.makespan_us,
-                m.pred_in_model,
-            );
-        }
-    }
-    out
-}
-
 /// Nearest-rank percentile of a non-empty sorted slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
@@ -150,22 +128,23 @@ fn aggregate(rows: &[SweepRow]) -> Vec<SliceAgg> {
     let mut slices: Vec<SliceAgg> = Vec::new();
     for r in rows {
         let name = r.config.slice;
-        if !slices.iter().any(|s| s.name == name) {
-            slices.push(SliceAgg {
-                name,
-                count: 0,
-                ok: 0,
-                makespans: Vec::new(),
-                mean_utils: Vec::new(),
-                abs_errs: Vec::new(),
-                best_overlap: None,
-                best_blocking: None,
-            });
-        }
-        let s = slices
-            .iter_mut()
-            .find(|s| s.name == name)
-            .expect("just inserted");
+        let idx = match slices.iter().position(|s| s.name == name) {
+            Some(idx) => idx,
+            None => {
+                slices.push(SliceAgg {
+                    name,
+                    count: 0,
+                    ok: 0,
+                    makespans: Vec::new(),
+                    mean_utils: Vec::new(),
+                    abs_errs: Vec::new(),
+                    best_overlap: None,
+                    best_blocking: None,
+                });
+                slices.len() - 1
+            }
+        };
+        let s = &mut slices[idx];
         s.count += 1;
         if r.status == RowStatus::Ok {
             s.ok += 1;
@@ -339,23 +318,6 @@ mod tests {
         assert!(json.contains("\"random\""));
         assert!(!json.contains(",\n  }"), "trailing comma:\n{json}");
         assert!(!json.contains(",\n    }"), "trailing comma:\n{json}");
-    }
-
-    #[test]
-    fn training_csv_has_fixed_schema_and_ok_rows_only() {
-        let out = small_outcome(8);
-        let csv = training_csv(&out.rows);
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "schedule,v,predicted_us,makespan_us,pred_in_model"
-        );
-        let ok = out.rows.iter().filter(|r| r.metrics.is_some()).count();
-        let body: Vec<&str> = lines.collect();
-        assert_eq!(body.len(), ok);
-        for line in body {
-            assert_eq!(line.split(',').count(), 5, "bad row: {line}");
-        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The sweep executor: one full cluster simulation per config, fanned
 //! out over a worker pool, each point isolated behind `catch_unwind`.
-//! The calling thread is worker 0, so a one-worker sweep — the
-//! autotuner's inner loop, a benchmark op — spawns nothing. Simulations
-//! run without an interval trace: utilisation comes from the totals the
-//! engine keeps anyway (`cluster_sim::stats`).
+//! The calling thread is worker 0, so a one-worker sweep — a benchmark
+//! op — spawns nothing. Simulations run without an interval trace:
+//! utilisation comes from the totals the engine keeps anyway
+//! (`cluster_sim::stats`).
 //!
-//! Determinism contract: results are written into a slot-per-config
-//! vector, so the output order is the config order regardless of worker
-//! count or OS scheduling, and every simulation is itself deterministic.
+//! Determinism contract: results are tagged with their config's index
+//! and put back in config order regardless of worker count or OS
+//! scheduling, and every simulation is itself deterministic.
 //! `run_sweep(configs, 1)` and `run_sweep(configs, 16)` produce the
 //! same rows.
 
@@ -17,7 +17,6 @@ use cluster_sim::engine::{simulate_heterogeneous, NetworkTopology, SimConfig};
 use cluster_sim::stats::summarize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::{MachineParams, PiecewiseCost};
@@ -74,8 +73,8 @@ pub struct RowMetrics {
     /// Whether the closed form actually models this config: false when
     /// the machine carries a measured transfer curve or the fleet has
     /// heterogeneous node speeds. Out-of-model rows keep their
-    /// `pred_err_rel` (the tuner trains on it) but are excluded from
-    /// the model-fidelity percentiles.
+    /// `pred_err_rel` but are excluded from the model-fidelity
+    /// percentiles.
     pub pred_in_model: bool,
 }
 
@@ -223,35 +222,34 @@ fn run_one(c: &SweepConfig) -> SweepRow {
 /// one of them.
 ///
 /// Work distribution is a single atomic cursor (the planc service's
-/// queue shape, minus the persistent threads); each result lands in its
-/// config's slot, so row order — and therefore the CSV — is independent
-/// of scheduling.
+/// queue shape, minus the persistent threads); each result is tagged
+/// with its config's index and the rows are put back in that order, so
+/// row order — and therefore the CSV — is independent of scheduling.
 pub fn run_sweep(configs: &[SweepConfig], workers: usize) -> SweepOutcome {
     let workers = workers.max(1).min(configs.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepRow>>> = configs.iter().map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= configs.len() {
-            break;
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= configs.len() {
+                return done;
+            }
+            done.push((i, run_one(&configs[i])));
         }
-        let row = run_one(&configs[i]);
-        *slots[i].lock().expect("slot lock") = Some(row);
     };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
+    let mut indexed = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut all = work();
+        for h in helpers {
+            // `run_one` catches every panic of a config, so a helper
+            // only fails by a panic outside it: re-raise that here.
+            all.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
-        work();
+        all
     });
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("every slot filled by the pool")
-        })
-        .collect();
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    let rows: Vec<SweepRow> = indexed.into_iter().map(|(_, row)| row).collect();
     let panics = rows.iter().filter(|r| r.status == RowStatus::Panic).count();
     let errors = rows
         .iter()
