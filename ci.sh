@@ -132,8 +132,9 @@ done
 # simulates may not. (a) The traced sim-sweep pass at the reference
 # seed must add up to the makespan sum benchmark/REPEATABILITY.md
 # records (897652 µs), with no failed row. (b) The committed Fig. 9-11
-# slices are regenerated and must come back byte-identical, which makes
-# them a cross-commit golden for every makespan they contain.
+# slices and the Fig. 12, sensitivity and scaling tables are regenerated
+# and must come back byte-identical, which makes them a cross-commit
+# golden for every makespan and optimum they contain.
 sim_out=$(bash benchmark/run.sh --quick --workload sim-sweep --seed 1 --trace 1)
 echo "$sim_out" | grep -Eq 'cluster-sim\.sim_makespan_us_sum +897651\.873000 us' &&
     echo "$sim_out" | grep -Eq 'sweep\.rows_failed +0\.000000 count' || {
@@ -141,14 +142,15 @@ echo "$sim_out" | grep -Eq 'cluster-sim\.sim_makespan_us_sum +897651\.873000 us'
     echo "ci.sh: sim-sweep at seed 1 no longer simulates 897651.873 us with zero failed rows" >&2
     exit 1
 }
-for fig in fig9 fig10 fig11; do
-    cargo run --release -q -p bench --bin paper -- "$fig" >/dev/null
+for study in fig9 fig10 fig11 table12 sensitivity scaling; do
+    cargo run --release -q -p bench --bin paper -- "$study" >/dev/null
 done
-git diff --exit-code results/fig9.csv results/fig10.csv results/fig11.csv || {
-    echo "ci.sh: a regenerated figure differs from the committed one — a simulated number moved" >&2
+git diff --exit-code results/fig9.csv results/fig10.csv results/fig11.csv \
+    results/table12.md results/sensitivity.md results/scaling.md || {
+    echo "ci.sh: a regenerated figure or table differs from the committed one — a simulated number moved" >&2
     exit 1
 }
-echo "ci.sh: simulated-numbers gate ok — sim-sweep sum 897651.873 us, Figs. 9-11 byte-identical"
+echo "ci.sh: simulated-numbers gate ok — sim-sweep sum 897651.873 us, Figs. 9-12, sensitivity and scaling byte-identical"
 
 # Slot-window gate, from the same traced pass: its probe runs the
 # zero-latency `fine-grain` shape on a cold and then a warm slot world.
@@ -168,7 +170,7 @@ echo "ci.sh: slot-window gate ok — no fallback copy, no growth without a wire"
 
 # Line ratchet (ROADMAP item 2): the workspace may not grow past the
 # count the last PR left it at.
-max_rust_lines=37733
+max_rust_lines=37579
 rust_lines=$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)
 [ "$rust_lines" -le "$max_rust_lines" ] || {
     echo "ci.sh: workspace Rust lines (crates src tests examples) grew: $rust_lines > $max_rust_lines." \

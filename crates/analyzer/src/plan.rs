@@ -56,11 +56,15 @@ pub trait RankTopology {
 /// step one face per existing upstream and downstream direction, in
 /// direction order, under the wire's tags ([`TAG_STRIDE`]), and a
 /// zero-cost compute.
+///
+/// # Panics
+/// If the plan has `2³²` steps or more: an event names its step in 32
+/// bits.
 pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
     let mut faces = Faces {
         topo,
         rank: 0,
-        steps: plan.steps(),
+        steps: u32::try_from(plan.steps()).expect("a plan has fewer than 2^32 steps"),
         links: Vec::with_capacity(topo.num_dirs()),
         shape: StepShape {
             compute_us: Some(0.0),
@@ -84,7 +88,7 @@ pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
 struct Faces<'a> {
     topo: &'a dyn RankTopology,
     rank: usize,
-    steps: usize,
+    steps: u32,
     /// The rank's directions with a peer: `(dir, wire direction,
     /// upstream, downstream)`.
     links: Vec<(usize, u64, Option<usize>, Option<usize>)>,
@@ -92,14 +96,14 @@ struct Faces<'a> {
 }
 
 impl StepSource for Faces<'_> {
-    fn steps(&self) -> usize {
+    fn steps(&self) -> u32 {
         self.steps
     }
 
     /// Steps whose faces are as long as step `k`'s have its shape.
     fn same_until(&self, k: usize) -> usize {
         let len = |dir, k| self.topo.face_len(self.rank, dir, k);
-        (self.links.iter()).fold(self.steps, |end, &(dir, ..)| {
+        (self.links.iter()).fold(self.steps as usize, |end, &(dir, ..)| {
             let at_k = len(dir, k);
             (k + 1..end).find(|&j| len(dir, j) != at_k).unwrap_or(end)
         })

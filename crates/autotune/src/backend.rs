@@ -49,10 +49,7 @@ impl SimBackend {
             2,
         )
         .map_err(|e| e.to_string())?;
-        let programs = match self.schedule {
-            Schedule::Blocking => problem.blocking_programs(&self.machine),
-            Schedule::Overlap => problem.overlapping_programs(&self.machine),
-        };
+        let programs = problem.programs(self.schedule, &self.machine);
         let topology = if self.shared_bus {
             NetworkTopology::SharedBus
         } else {

@@ -13,25 +13,8 @@ use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::MachineParams;
 use tiling_core::space::IterationSpace;
 
-/// Blocking (§3) or overlapping (§4) schedule, named locally so the
-/// simulator backend does not depend on the executor crates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Compute, then communicate (the paper's `ProcB`).
-    Blocking,
-    /// Communication hidden behind computation (`ProcNB`).
-    Overlap,
-}
-
-impl Schedule {
-    /// Canonical name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::Blocking => "blocking",
-            Schedule::Overlap => "overlap",
-        }
-    }
-}
+/// Blocking (§3) or overlapping (§4) schedule.
+pub use tiling_core::schedule::StepStrategy as Schedule;
 
 /// The workload being tuned: the paper's §5 3-D block layout, `pi × pj`
 /// ranks over an `nx × ny × nz` space, pipelined along the third

@@ -7,9 +7,9 @@
 //! * level (c): DMA + duplex — non-blocking with independent send and
 //!   receive channels (Fig. 3c).
 
-use crate::experiments::{problem_at, Experiment};
-use cluster_sim::engine::{simulate, NetworkTopology, SimConfig};
-use tiling_core::machine::MachineParams;
+use crate::experiments::{makespan_us, optima, run_ladder, run_points, Experiment, Optima};
+use cluster_sim::engine::NetworkTopology;
+use sweep::config::{Schedule, SweepConfig};
 
 /// The three overlap levels of Fig. 3.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -32,6 +32,14 @@ impl OverlapLevel {
         ]
     }
 
+    /// The schedule the level runs: blocking for (a), overlap otherwise.
+    pub fn schedule(self) -> Schedule {
+        match self {
+            OverlapLevel::None => Schedule::Blocking,
+            _ => Schedule::Overlap,
+        }
+    }
+
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -42,109 +50,75 @@ impl OverlapLevel {
     }
 }
 
-/// One ablation measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct AblationPoint {
-    /// The overlap level.
-    pub level: OverlapLevel,
-    /// Simulated completion time (µs).
-    pub total_us: f64,
-}
-
-/// Run the ablation for one experiment at a fixed tile height.
-pub fn run_ablation(exp: &Experiment, v: i64, machine: &MachineParams) -> Vec<AblationPoint> {
-    let problem = problem_at(exp, v);
-    OverlapLevel::all()
-        .into_iter()
-        .map(|level| {
-            let duplex = level == OverlapLevel::DuplexDma;
-            let cfg = SimConfig::new(*machine)
-                .with_trace(false)
-                .with_duplex(duplex);
-            let programs = match level {
-                OverlapLevel::None => problem.blocking_programs(machine),
-                _ => problem.overlapping_programs(machine),
-            };
-            let res = simulate(cfg, programs).expect("ablation deadlock-free");
-            AblationPoint {
-                level,
-                total_us: res.makespan.as_us(),
-            }
+/// Run the ablation for one experiment at a fixed tile height: each
+/// level's simulated completion time (µs).
+pub fn run_ablation(exp: &Experiment, v: i64, workers: usize) -> Vec<(OverlapLevel, f64)> {
+    let levels = OverlapLevel::all();
+    let configs: Vec<SweepConfig> = (levels.iter().enumerate())
+        .map(|(id, &level)| SweepConfig {
+            duplex: level == OverlapLevel::DuplexDma,
+            ..exp.config(id, v, level.schedule())
         })
+        .collect();
+    let rows = run_points(&configs, workers);
+    levels
+        .into_iter()
+        .zip(rows.iter().map(makespan_us))
         .collect()
-}
-
-/// One row of the hub-vs-switch topology study.
-#[derive(Clone, Copy, Debug)]
-pub struct TopologyPoint {
-    /// The wire-sharing model.
-    pub topology: NetworkTopology,
-    /// Simulated blocking completion time (µs).
-    pub blocking_us: f64,
-    /// Simulated overlapping completion time (µs).
-    pub overlap_us: f64,
 }
 
 /// Beyond the paper: the same experiment on a switched network vs a
 /// late-90s shared-medium hub, where every transmission in the cluster
 /// serializes. The overlap schedule hides even the extra contention as
-/// long as the CPU lane still dominates.
-pub fn run_topology_study(exp: &Experiment, v: i64, machine: &MachineParams) -> Vec<TopologyPoint> {
-    let problem = problem_at(exp, v);
+/// long as the CPU lane still dominates. Each topology's "optima" are
+/// its two schedules at `v`.
+pub fn run_topology_study(
+    exp: &Experiment,
+    v: i64,
+    workers: usize,
+) -> Vec<(NetworkTopology, Optima)> {
     [NetworkTopology::Switched, NetworkTopology::SharedBus]
         .into_iter()
         .map(|topology| {
-            let cfg = SimConfig::new(*machine)
-                .with_trace(false)
-                .with_topology(topology);
-            let blocking = simulate(cfg, problem.blocking_programs(machine))
-                .expect("no deadlock")
-                .makespan
-                .as_us();
-            let overlap = simulate(cfg, problem.overlapping_programs(machine))
-                .expect("no deadlock")
-                .makespan
-                .as_us();
-            TopologyPoint {
-                topology,
-                blocking_us: blocking,
-                overlap_us: overlap,
-            }
+            let template = SweepConfig {
+                shared_bus: topology == NetworkTopology::SharedBus,
+                ..exp.config(0, v, Schedule::Overlap)
+            };
+            (topology, optima(&run_ladder(&template, &[v], workers)))
         })
         .collect()
 }
 
 /// Markdown for the topology study.
-pub fn topology_markdown(points: &[TopologyPoint]) -> String {
+pub fn topology_markdown(points: &[(NetworkTopology, Optima)]) -> String {
     let mut out =
         String::from("| network | blocking (s) | overlap (s) | improvement |\n|---|---|---|---|\n");
-    for p in points {
+    for (topology, p) in points {
         out += &format!(
             "| {:?} | {:.4} | {:.4} | {:.0}% |\n",
-            p.topology,
+            topology,
             p.blocking_us * 1e-6,
             p.overlap_us * 1e-6,
-            (1.0 - p.overlap_us / p.blocking_us) * 100.0
+            p.improvement() * 100.0
         );
     }
     out
 }
 
 /// Markdown table of an ablation.
-pub fn ablation_markdown(points: &[AblationPoint]) -> String {
+pub fn ablation_markdown(points: &[(OverlapLevel, f64)]) -> String {
     let mut out =
         String::from("| overlap level | completion time (s) | vs no overlap |\n|---|---|---|\n");
-    let base = points
+    let base = (points
         .iter()
-        .find(|p| p.level == OverlapLevel::None)
-        .map(|p| p.total_us)
-        .unwrap_or(f64::NAN);
-    for p in points {
+        .find(|(level, _)| *level == OverlapLevel::None))
+    .map_or(f64::NAN, |&(_, us)| us);
+    for (level, us) in points {
         out += &format!(
             "| {} | {:.4} | {:+.1}% |\n",
-            p.level.label(),
-            p.total_us * 1e-6,
-            (p.total_us / base - 1.0) * 100.0
+            level.label(),
+            us * 1e-6,
+            (us / base - 1.0) * 100.0
         );
     }
     out
@@ -153,29 +127,13 @@ pub fn ablation_markdown(points: &[AblationPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Experiment;
-
-    fn mini() -> Experiment {
-        Experiment {
-            name: "mini",
-            nx: 8,
-            ny: 8,
-            nz: 512,
-            pi: 2,
-            pj: 2,
-            paper_v_optimal: 64,
-            paper_t_overlap_s: 0.0,
-            paper_t_nonoverlap_s: 0.0,
-            paper_fill_ms: 0.0,
-        }
-    }
+    use crate::experiments::tests::mini;
 
     #[test]
     fn overlap_levels_ordered() {
-        let machine = MachineParams::paper_cluster();
-        let pts = run_ablation(&mini(), 64, &machine);
+        let pts = run_ablation(&mini(512), 64, 2);
         assert_eq!(pts.len(), 3);
-        let by_level = |l: OverlapLevel| pts.iter().find(|p| p.level == l).unwrap().total_us;
+        let by_level = |l: OverlapLevel| pts.iter().find(|p| p.0 == l).unwrap().1;
         // Non-blocking beats blocking; duplex never loses to half-duplex.
         assert!(by_level(OverlapLevel::Dma) < by_level(OverlapLevel::None));
         assert!(by_level(OverlapLevel::DuplexDma) <= by_level(OverlapLevel::Dma) * 1.0001);
@@ -183,11 +141,10 @@ mod tests {
 
     #[test]
     fn shared_bus_never_faster() {
-        let machine = MachineParams::paper_cluster();
-        let pts = run_topology_study(&mini(), 64, &machine);
+        let pts = run_topology_study(&mini(512), 64, 2);
         assert_eq!(pts.len(), 2);
-        let sw = &pts[0];
-        let bus = &pts[1];
+        let sw = &pts[0].1;
+        let bus = &pts[1].1;
         assert!(bus.blocking_us >= sw.blocking_us);
         assert!(bus.overlap_us >= sw.overlap_us);
         let md = topology_markdown(&pts);
@@ -196,8 +153,7 @@ mod tests {
 
     #[test]
     fn markdown_contains_rows() {
-        let machine = MachineParams::paper_cluster();
-        let pts = run_ablation(&mini(), 32, &machine);
+        let pts = run_ablation(&mini(512), 32, 1);
         let md = ablation_markdown(&pts);
         assert!(md.contains("Fig. 3a"));
         assert!(md.contains("Fig. 3b"));

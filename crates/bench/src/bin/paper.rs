@@ -28,22 +28,28 @@
 //!
 //! CSV series are also written to `results/`. Wall-clock performance is
 //! not measured here: `benchmark/` is the repo's one ledger.
+//!
+//! Every simulator study — `fig*`, `table12`, `ablation`, `sensitivity`,
+//! `scaling` and `sweep` — is a batch of `sweep` configs built from
+//! `sweep::config`'s one §5 experiment table and run by
+//! `sweep::run::run_sweep` on `default_sweep_workers()` threads; its
+//! output does not depend on the worker count.
 
 use bench::ablation::{ablation_markdown, run_ablation, run_topology_study, topology_markdown};
 use bench::experiments::{
-    figure_heights, paper_experiments, problem_at, sweep, table12_row, Experiment,
+    figure_heights, figure_points, optima, paper_experiments, run_ladder, table12_row, Experiment,
 };
 use bench::gantt::render_figures;
 use bench::report::{sweep_ascii_plot, sweep_csv, table12_markdown};
 use bench::scaling::{scaling_markdown, serial_time_us, strong_scaling};
-use bench::sensitivity::{comm_scale_sweep, sensitivity_markdown};
+use bench::sensitivity::{comm_scale_sweep, network_generations, optima_markdown};
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate, SimConfig};
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use sweep::config::{generate as sweep_generate, Schedule as SweepSchedule, SweepSpec};
+use sweep::config::{generate as sweep_generate, MachinePreset, Schedule, SweepSpec};
 use sweep::output::{summary_json, to_csv};
-use sweep::run::{run_sweep, RowStatus};
+use sweep::run::{best, run_sweep, RowStatus};
 use tiling_core::prelude::*;
 
 fn out_dir() -> PathBuf {
@@ -198,7 +204,8 @@ fn cmd_gantt_thread() {
     println!("SVG charts written to results/fig1_thread.svg and results/fig2_thread.svg");
 }
 
-fn run_figure(exp: &Experiment, figure: &str) {
+fn run_figure(exp: &Experiment) {
+    let figure = exp.figure;
     println!(
         "== {figure}: {}×{}×{} space, {}×{} processors, tile {}×{}×V ==\n",
         exp.nx,
@@ -209,37 +216,30 @@ fn run_figure(exp: &Experiment, figure: &str) {
         exp.bx(),
         exp.by()
     );
-    let machine = MachineParams::paper_cluster();
-    let heights = figure_heights(exp);
-    let points = sweep(exp, &machine, &heights);
+    let template = exp.config(0, 0, Schedule::Overlap);
+    let rows = run_ladder(&template, &figure_heights(exp), default_sweep_workers());
+    let points = figure_points(&rows);
     let csv = sweep_csv(&points);
     let path = out_dir().join(format!("{figure}.csv"));
     std::fs::write(&path, &csv).expect("write csv");
     println!("{}", sweep_ascii_plot(&points, 90, 18));
-    let best_ov = points
-        .iter()
-        .min_by(|a, b| a.overlap_us.total_cmp(&b.overlap_us))
-        .expect("sweep non-empty");
-    let best_no = points
-        .iter()
-        .min_by(|a, b| a.blocking_us.total_cmp(&b.blocking_us))
-        .expect("sweep non-empty");
+    let best = optima(&rows);
     println!(
         "overlap:     V_opt = {} (paper {}), t_opt = {:.4} s (paper {:.4} s)",
-        best_ov.v,
+        best.overlap_v,
         exp.paper_v_optimal,
-        best_ov.overlap_us * 1e-6,
+        best.overlap_us * 1e-6,
         exp.paper_t_overlap_s
     );
     println!(
         "non-overlap: V_opt = {}, t_opt = {:.4} s (paper {:.4} s)",
-        best_no.v,
-        best_no.blocking_us * 1e-6,
+        best.blocking_v,
+        best.blocking_us * 1e-6,
         exp.paper_t_nonoverlap_s
     );
     println!(
         "improvement at optima: {:.0}% (paper {:.0}%)",
-        (1.0 - best_ov.overlap_us / best_no.blocking_us) * 100.0,
+        best.improvement() * 100.0,
         (1.0 - exp.paper_t_overlap_s / exp.paper_t_nonoverlap_s) * 100.0
     );
     println!("series written to {}", path.display());
@@ -247,10 +247,9 @@ fn run_figure(exp: &Experiment, figure: &str) {
 
 fn cmd_table12() {
     println!("== Fig. 12: summary table (simulated cluster vs paper) ==\n");
-    let machine = MachineParams::paper_cluster();
     let rows: Vec<_> = paper_experiments()
         .iter()
-        .map(|e| table12_row(e, &machine))
+        .map(|e| table12_row(e, default_sweep_workers()))
         .collect();
     let md = table12_markdown(&rows);
     println!("{md}");
@@ -260,12 +259,12 @@ fn cmd_table12() {
 
 fn cmd_ablation() {
     println!("== Fig. 3 ablation: overlap levels on experiment i (V = 444) ==\n");
-    let machine = MachineParams::paper_cluster();
     let exp = paper_experiments()[0];
-    let pts = run_ablation(&exp, exp.paper_v_optimal, &machine);
+    let workers = default_sweep_workers();
+    let pts = run_ablation(&exp, exp.paper_v_optimal, workers);
     println!("{}", ablation_markdown(&pts));
     println!("\n-- switched network vs shared-medium hub (beyond the paper) --\n");
-    let topo = run_topology_study(&exp, exp.paper_v_optimal, &machine);
+    let topo = run_topology_study(&exp, exp.paper_v_optimal, workers);
     println!("{}", topology_markdown(&topo));
 }
 
@@ -273,8 +272,7 @@ fn cmd_listings() {
     use cluster_sim::pseudocode::render_rank_listings;
     println!("== §5 listings, generated from the actual programs (experiment i, V = 444) ==\n");
     let machine = MachineParams::paper_cluster();
-    let exp = paper_experiments()[0];
-    let problem = problem_at(&exp, exp.paper_v_optimal);
+    let problem = paper_problem();
     // Rank 5 = grid (1,1): has both in- and out-neighbors.
     println!("{}", render_rank_listings(&problem, &machine, 5, 18));
 }
@@ -283,52 +281,48 @@ fn cmd_sensitivity() {
     println!("== beyond the paper: improvement vs communication cost ==\n");
     println!("(experiment i layout at reduced depth; each point re-optimizes V per schedule)\n");
     let exp = Experiment {
-        name: "i-reduced",
-        nx: 16,
-        ny: 16,
         nz: 4096,
-        pi: 4,
-        pj: 4,
-        paper_v_optimal: 444,
-        paper_t_overlap_s: 0.0,
-        paper_t_nonoverlap_s: 0.0,
-        paper_fill_ms: 0.0,
+        ..paper_experiments()[0]
     };
+    let workers = default_sweep_workers();
     let scales = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
-    let pts = comm_scale_sweep(&exp, &MachineParams::paper_cluster(), &scales, 16);
-    let md = sensitivity_markdown(&pts);
+    let md = optima_markdown("comm scale", &comm_scale_sweep(&exp, &scales, 16, workers));
     println!("{md}");
     std::fs::write(out_dir().join("sensitivity.md"), &md).expect("write sensitivity");
 
     println!("\n-- named network generations (same CPU, same workload) --\n");
-    use bench::sensitivity::{generations_markdown, network_generations};
     let rows = network_generations(
         &exp,
         &[
-            ("FastEthernet (paper)", MachineParams::paper_cluster()),
-            ("Gigabit-class", MachineParams::gigabit_cluster()),
+            ("FastEthernet (paper)", MachinePreset::Paper),
+            ("Gigabit-class", MachinePreset::Gigabit),
             (
                 "OS-bypass (the paper's §6 future work)",
-                MachineParams::os_bypass_cluster(),
+                MachinePreset::OsBypass,
             ),
         ],
         16,
+        workers,
     );
-    println!("{}", generations_markdown(&rows));
+    println!("{}", optima_markdown("network", &rows));
 }
 
 fn cmd_scaling() {
     println!("== beyond the paper: strong scaling on the simulated cluster ==\n");
-    let machine = MachineParams::paper_cluster();
     // 32×32 cross-section so even the 16×16 grid keeps 2×2 tile columns
     // (tiles must still contain the unit dependences).
-    let space = IterationSpace::from_extents(&[32, 32, 8192]);
-    let serial = serial_time_us(&space, &machine);
+    let exp = Experiment {
+        nx: 32,
+        ny: 32,
+        nz: 8192,
+        ..paper_experiments()[0]
+    };
+    let serial = serial_time_us(&exp, &MachineParams::paper_cluster());
     println!(
         "space 32×32×8192, serial time {:.3} s; per-point best V per schedule\n",
         serial * 1e-6
     );
-    let pts = strong_scaling(&space, &machine, &[1, 2, 4, 8, 16], 14);
+    let pts = strong_scaling(&exp, &[1, 2, 4, 8, 16], 14, default_sweep_workers());
     let md = scaling_markdown(&pts, serial);
     println!("{md}");
     std::fs::write(out_dir().join("scaling.md"), &md).expect("write scaling");
@@ -339,8 +333,7 @@ fn cmd_utilization() {
     use cluster_sim::stats::{rank_stats, stats_markdown, summarize};
     println!("== processor utilization (§4's '100% utilization' claim) ==\n");
     let machine = MachineParams::paper_cluster();
-    let exp = paper_experiments()[0];
-    let problem = problem_at(&exp, exp.paper_v_optimal);
+    let problem = paper_problem();
     let cfg = SimConfig::new(machine);
     let b = simulate(cfg, problem.blocking_programs(&machine)).expect("no deadlock");
     let o = simulate(cfg, problem.overlapping_programs(&machine)).expect("no deadlock");
@@ -953,18 +946,13 @@ fn cmd_sweep(quick: bool, seed: u64, workers: usize) {
     // The Figs. 9–11 slices, read back as Fig. 12 would summarize them:
     // the best overlapping point, its tile height, and the improvement
     // over the best blocking point.
-    for (slice, paper_v) in [("fig9", 444i64), ("fig10", 538), ("fig11", 164)] {
-        let best = |schedule: SweepSchedule| {
-            outcome
-                .rows
-                .iter()
-                .filter(|r| r.config.slice == slice && r.config.schedule == schedule)
-                .filter_map(|r| r.metrics.map(|m| (m.makespan_us, r.config.v)))
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-        };
-        if let (Some((ov_us, ov_v)), Some((bl_us, _))) =
-            (best(SweepSchedule::Overlap), best(SweepSchedule::Blocking))
-        {
+    for exp in paper_experiments() {
+        let (slice, paper_v) = (exp.figure, exp.paper_v_optimal);
+        let in_slice = || outcome.rows.iter().filter(|r| r.config.slice == slice);
+        if let (Some((ov_us, ov_v)), Some((bl_us, _))) = (
+            best(in_slice(), Schedule::Overlap),
+            best(in_slice(), Schedule::Blocking),
+        ) {
             println!(
                 "{slice}: best overlap V = {ov_v} (paper V_opt = {paper_v}{}), \
                  improvement over blocking = {:.1}%",
@@ -988,9 +976,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Worker count for `paper sweep`: the machine's parallelism, capped —
-/// the sweep is embarrassingly parallel but each simulation is small,
-/// so more threads than cores only adds scheduling noise.
+/// Worker count of every simulator study: the machine's parallelism,
+/// capped — the sweep is embarrassingly parallel but each simulation is
+/// small, so more threads than cores only adds scheduling noise.
 fn default_sweep_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -998,9 +986,17 @@ fn default_sweep_workers() -> usize {
         .clamp(1, 16)
 }
 
+/// Experiment i at the paper's `V_optimal`, blocking and overlapping
+/// alike: the layout `listings` and `utilization` print.
+fn paper_problem() -> ClusterProblem {
+    let exp = paper_experiments()[0];
+    (exp.config(0, exp.paper_v_optimal, Schedule::Overlap)
+        .problem())
+    .expect("paper layout")
+}
+
 fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_else(|| usage());
-    let [e1, e2, e3] = paper_experiments();
     match cmd.as_str() {
         "example1" => cmd_example1(),
         "gantt" => {
@@ -1015,9 +1011,11 @@ fn main() {
             };
             cmd_gantt(&backend)
         }
-        "fig9" => run_figure(&e1, "fig9"),
-        "fig10" => run_figure(&e2, "fig10"),
-        "fig11" => run_figure(&e3, "fig11"),
+        figure @ ("fig9" | "fig10" | "fig11") => {
+            for exp in paper_experiments().iter().filter(|e| e.figure == figure) {
+                run_figure(exp)
+            }
+        }
         "table12" => cmd_table12(),
         "ablation" => cmd_ablation(),
         "listings" => cmd_listings(),
@@ -1076,12 +1074,10 @@ fn main() {
             println!("\n");
             cmd_gantt("thread");
             println!("\n");
-            run_figure(&e1, "fig9");
-            println!("\n");
-            run_figure(&e2, "fig10");
-            println!("\n");
-            run_figure(&e3, "fig11");
-            println!("\n");
+            for exp in paper_experiments() {
+                run_figure(&exp);
+                println!("\n");
+            }
             cmd_table12();
             println!("\n");
             cmd_ablation();

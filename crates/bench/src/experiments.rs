@@ -7,110 +7,21 @@
 //! | ii  | 16×16×32768 | 4×4 | 4×4 |
 //! | iii | 32×32×4096  | 4×4 | 8×8 |
 //!
-//! For every tile height `V` the harness runs both complete MPI programs
-//! (blocking `ProcB`, overlapping `ProcNB`) through the discrete-event
-//! cluster simulator, exactly like the authors ran theirs on the
-//! Pentium cluster, and finds `V_optimal` per schedule.
+//! The table itself is `sweep::config`'s. For every tile height `V` of a
+//! ladder the harness runs both complete MPI programs (blocking `ProcB`,
+//! overlapping `ProcNB`) through the discrete-event cluster simulator —
+//! one [`run_sweep`] batch — exactly like the authors ran theirs on the
+//! Pentium cluster, and finds `V_optimal` per schedule ([`optima`]).
 
-use cluster_sim::builders::ClusterProblem;
-use cluster_sim::engine::{simulate, SimConfig};
+pub use sweep::config::{paper_experiments, Experiment};
+use sweep::config::{Schedule, SweepConfig};
+use sweep::run::{best, run_sweep, SweepRow};
 use tiling_core::dependence::DependenceSet;
-use tiling_core::machine::MachineParams;
 use tiling_core::optimize::height_ladder;
 use tiling_core::schedule::{OverlapMode, OverlapSchedule};
 use tiling_core::space::IterationSpace;
 use tiling_core::tiling::Tiling;
 use tiling_core::uet_uct;
-
-/// One of the paper's experiments.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Experiment {
-    /// Display name ("i", "ii", "iii").
-    pub name: &'static str,
-    /// Iteration-space extents.
-    pub nx: i64,
-    /// Extent along j.
-    pub ny: i64,
-    /// Extent along k (pipelined).
-    pub nz: i64,
-    /// Processor grid (pi × pj = 16 in the paper).
-    pub pi: i64,
-    /// Processor-grid extent along j.
-    pub pj: i64,
-    /// The paper's measured optimal tile height.
-    pub paper_v_optimal: i64,
-    /// The paper's measured optimal overlap completion time (s).
-    pub paper_t_overlap_s: f64,
-    /// The paper's measured optimal non-overlap completion time (s).
-    pub paper_t_nonoverlap_s: f64,
-    /// The paper's measured `T_fill_MPI_buffer` at `V_optimal` (ms).
-    pub paper_fill_ms: f64,
-}
-
-impl Experiment {
-    /// Tile cross-section along i (one tile column per processor).
-    pub fn bx(&self) -> i64 {
-        self.nx / self.pi
-    }
-
-    /// Tile cross-section along j.
-    pub fn by(&self) -> i64 {
-        self.ny / self.pj
-    }
-
-    /// The iteration space.
-    pub fn space(&self) -> IterationSpace {
-        IterationSpace::from_extents(&[self.nx, self.ny, self.nz])
-    }
-
-    /// Message payload bytes at tile height `v` (the larger face; both
-    /// faces are equal when `bx == by`).
-    pub fn message_bytes(&self, v: i64) -> f64 {
-        (self.by().max(self.bx()) * v * 4) as f64
-    }
-}
-
-/// The three experiments of Fig. 9/10/11 and the Fig. 12 table.
-pub fn paper_experiments() -> [Experiment; 3] {
-    [
-        Experiment {
-            name: "i",
-            nx: 16,
-            ny: 16,
-            nz: 16384,
-            pi: 4,
-            pj: 4,
-            paper_v_optimal: 444,
-            paper_t_overlap_s: 0.233923,
-            paper_t_nonoverlap_s: 0.376637,
-            paper_fill_ms: 0.627,
-        },
-        Experiment {
-            name: "ii",
-            nx: 16,
-            ny: 16,
-            nz: 32768,
-            pi: 4,
-            pj: 4,
-            paper_v_optimal: 538,
-            paper_t_overlap_s: 0.467929,
-            paper_t_nonoverlap_s: 0.694516,
-            paper_fill_ms: 0.745,
-        },
-        Experiment {
-            name: "iii",
-            nx: 32,
-            ny: 32,
-            nz: 4096,
-            pi: 4,
-            pj: 4,
-            paper_v_optimal: 164,
-            paper_t_overlap_s: 0.219059,
-            paper_t_nonoverlap_s: 0.324069,
-            paper_fill_ms: 0.37,
-        },
-    ]
-}
 
 /// One simulated sweep point.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,31 +36,111 @@ pub struct SimSweepPoint {
     pub overlap_us: f64,
 }
 
-/// Build the [`ClusterProblem`] of an experiment at tile height `v`.
-pub fn problem_at(exp: &Experiment, v: i64) -> ClusterProblem {
-    ClusterProblem::new(
-        Tiling::rectangular(&[exp.bx(), exp.by(), v]),
-        DependenceSet::paper_3d(),
-        exp.space(),
-        2,
-    )
-    .expect("paper layout is always valid")
+/// Each schedule's optimum over a V ladder: the first of its minimum
+/// simulated makespans and the tile height it was reached at.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Optima {
+    /// Best blocking time (µs).
+    pub blocking_us: f64,
+    /// V at the blocking optimum.
+    pub blocking_v: i64,
+    /// Best overlapping time (µs).
+    pub overlap_us: f64,
+    /// V at the overlapping optimum.
+    pub overlap_v: i64,
 }
 
-/// Simulate both schedules of an experiment at one tile height.
-pub fn simulate_point(exp: &Experiment, v: i64, machine: &MachineParams) -> SimSweepPoint {
-    let problem = problem_at(exp, v);
-    let cfg = SimConfig::new(*machine).with_trace(false);
-    let blocking =
-        simulate(cfg, problem.blocking_programs(machine)).expect("blocking program deadlock-free");
-    let overlap = simulate(cfg, problem.overlapping_programs(machine))
-        .expect("overlapping program deadlock-free");
-    SimSweepPoint {
-        v,
-        g: exp.bx() * exp.by() * v,
-        blocking_us: blocking.makespan.as_us(),
-        overlap_us: overlap.makespan.as_us(),
+impl Optima {
+    /// `1 − overlap/blocking` at the respective optima.
+    pub fn improvement(&self) -> f64 {
+        1.0 - self.overlap_us / self.blocking_us
     }
+}
+
+/// Simulate `configs` as one sweep batch on `workers` threads; rows in
+/// config order.
+///
+/// # Panics
+/// If a point does not build or simulate: every study point is a valid
+/// paper layout.
+pub fn run_points(configs: &[SweepConfig], workers: usize) -> Vec<SweepRow> {
+    let rows = run_sweep(configs, workers).rows;
+    for r in &rows {
+        assert!(
+            r.metrics.is_some(),
+            "{} at V = {}: {}",
+            r.status.name(),
+            r.config.v,
+            r.detail
+        );
+    }
+    rows
+}
+
+/// A row's simulated makespan (µs).
+pub fn makespan_us(row: &SweepRow) -> f64 {
+    row.metrics.map_or(f64::NAN, |m| m.makespan_us)
+}
+
+/// `template` under both schedules at every height of `heights`, as one
+/// batch: rows in height order, blocking before overlap.
+pub fn run_ladder(template: &SweepConfig, heights: &[i64], workers: usize) -> Vec<SweepRow> {
+    let configs: Vec<SweepConfig> = (heights.iter())
+        .flat_map(|&v| [Schedule::Blocking, Schedule::Overlap].map(|schedule| (v, schedule)))
+        .enumerate()
+        .map(|(id, (v, schedule))| SweepConfig {
+            id,
+            v,
+            schedule,
+            ..template.clone()
+        })
+        .collect();
+    run_points(&configs, workers)
+}
+
+/// Each schedule's optimum over a ladder's rows.
+///
+/// # Panics
+/// If a schedule has no simulated row.
+pub fn optima(rows: &[SweepRow]) -> Optima {
+    let (blocking_us, blocking_v) = best(rows, Schedule::Blocking).expect("a blocking row");
+    let (overlap_us, overlap_v) = best(rows, Schedule::Overlap).expect("an overlap row");
+    Optima {
+        blocking_us,
+        blocking_v,
+        overlap_us,
+        overlap_v,
+    }
+}
+
+/// Each labelled template's [`optima`] over a geometric ladder of
+/// `ladder_points` heights from 4 to a quarter of its pipelined extent.
+pub fn ladder_optima<L>(
+    templates: impl IntoIterator<Item = (L, SweepConfig)>,
+    ladder_points: usize,
+    workers: usize,
+) -> Vec<(L, Optima)> {
+    (templates.into_iter())
+        .map(|(label, t)| {
+            let heights = height_ladder(4, t.extents[2] / 4, ladder_points);
+            (label, optima(&run_ladder(&t, &heights, workers)))
+        })
+        .collect()
+}
+
+/// A ladder's rows ([`run_ladder`]) as one figure point per height.
+pub fn figure_points(rows: &[SweepRow]) -> Vec<SimSweepPoint> {
+    (rows.chunks_exact(2))
+        .map(|pair| {
+            let c = &pair[0].config;
+            SimSweepPoint {
+                v: c.v,
+                g: c.cross_sides[0] * c.cross_sides[1] * c.v,
+                blocking_us: makespan_us(&pair[0]),
+                overlap_us: makespan_us(&pair[1]),
+            }
+        })
+        .collect()
 }
 
 /// The tile heights swept for an experiment's figure: a geometric ladder
@@ -162,14 +153,6 @@ pub fn figure_heights(exp: &Experiment) -> Vec<i64> {
         hs.sort_unstable();
     }
     hs
-}
-
-/// Run the full sweep of one experiment (one figure's data).
-pub fn sweep(exp: &Experiment, machine: &MachineParams, heights: &[i64]) -> Vec<SimSweepPoint> {
-    heights
-        .iter()
-        .map(|&v| simulate_point(exp, v, machine))
-        .collect()
 }
 
 /// One row of the Fig. 12 table, paper vs. reproduction.
@@ -197,50 +180,54 @@ pub struct Table12Row {
     pub improvement: f64,
 }
 
-/// Compute a Fig. 12 row by sweeping the simulator and evaluating the
-/// analytic model at the simulated optimum.
-pub fn table12_row(exp: &Experiment, machine: &MachineParams) -> Table12Row {
-    let points = sweep(exp, machine, &figure_heights(exp));
-    let best_ov = points
-        .iter()
-        .min_by(|a, b| a.overlap_us.total_cmp(&b.overlap_us))
-        .expect("non-empty sweep");
-    let best_no = points
-        .iter()
-        .min_by(|a, b| a.blocking_us.total_cmp(&b.blocking_us))
-        .expect("non-empty sweep");
-
-    let v = best_ov.v;
+/// Compute a Fig. 12 row by sweeping the simulator over the figure's
+/// ladder and evaluating the analytic model at the simulated optimum.
+pub fn table12_row(exp: &Experiment, workers: usize) -> Table12Row {
+    let template = exp.config(0, 0, Schedule::Overlap);
+    let machine = template.preset.params();
+    let best = optima(&run_ladder(&template, &figure_heights(exp), workers));
+    let v = best.overlap_v;
     let tiling = Tiling::rectangular(&[exp.bx(), exp.by(), v]);
-    let sched = OverlapSchedule::with_mapping(3, 2);
-    let theory = sched.analyze(
+    let theory = OverlapSchedule::with_mapping(3, 2).analyze(
         &tiling,
         &DependenceSet::paper_3d(),
-        &exp.space(),
-        machine,
+        &IterationSpace::from_extents(&template.extents),
+        &machine,
         OverlapMode::Serialized,
     );
-    let tiled_extents: Vec<i64> = theory.tiled_space.extents();
-    let planes = uet_uct::uet_uct_makespan(&tiled_extents, 2);
-    let t_ov = best_ov.overlap_us * 1e-6;
+    let planes = uet_uct::uet_uct_makespan(&theory.tiled_space.extents(), 2);
+    let t_ov = best.overlap_us * 1e-6;
     let t_th = theory.total_us * 1e-6;
     Table12Row {
         exp: *exp,
         v_optimal: v,
-        g_optimal: best_ov.g,
+        g_optimal: exp.bx() * exp.by() * v,
         t_overlap_s: t_ov,
         fill_ms: machine.fill_mpi_buffer.eval(exp.message_bytes(v)) / 1e3,
         planes,
         t_theory_s: t_th,
         theory_diff: (t_th - t_ov).abs() / t_ov,
-        t_nonoverlap_s: best_no.blocking_us * 1e-6,
-        improvement: 1.0 - t_ov / (best_no.blocking_us * 1e-6),
+        t_nonoverlap_s: best.blocking_us * 1e-6,
+        improvement: 1.0 - t_ov / (best.blocking_us * 1e-6),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A scaled-down experiment keeps debug-mode tests fast.
+    pub(crate) fn mini(nz: i64) -> Experiment {
+        Experiment {
+            name: "mini",
+            nx: 8,
+            ny: 8,
+            nz,
+            pi: 2,
+            pj: 2,
+            ..paper_experiments()[0]
+        }
+    }
 
     #[test]
     fn experiment_cross_sections() {
@@ -267,21 +254,11 @@ mod tests {
 
     #[test]
     fn simulate_point_small_scale() {
-        // A scaled-down experiment keeps debug-mode tests fast.
-        let exp = Experiment {
-            name: "mini",
-            nx: 8,
-            ny: 8,
-            nz: 256,
-            pi: 2,
-            pj: 2,
-            paper_v_optimal: 32,
-            paper_t_overlap_s: 0.0,
-            paper_t_nonoverlap_s: 0.0,
-            paper_fill_ms: 0.0,
+        let exp = mini(256);
+        let rows = run_ladder(&exp.config(0, 0, Schedule::Overlap), &[32], 2);
+        let [p] = figure_points(&rows)[..] else {
+            panic!("one height, one point: {rows:?}")
         };
-        let machine = MachineParams::paper_cluster();
-        let p = simulate_point(&exp, 32, &machine);
         assert!(p.overlap_us > 0.0 && p.blocking_us > 0.0);
         assert!(p.overlap_us < p.blocking_us, "{p:?}");
         assert_eq!(p.g, 4 * 4 * 32);
@@ -289,24 +266,12 @@ mod tests {
 
     #[test]
     fn sweep_is_u_shaped_mini() {
-        let exp = Experiment {
-            name: "mini",
-            nx: 8,
-            ny: 8,
-            nz: 512,
-            pi: 2,
-            pj: 2,
-            paper_v_optimal: 32,
-            paper_t_overlap_s: 0.0,
-            paper_t_nonoverlap_s: 0.0,
-            paper_fill_ms: 0.0,
-        };
-        let machine = MachineParams::paper_cluster();
-        let pts = sweep(&exp, &machine, &[2, 8, 32, 128]);
-        let best = pts
-            .iter()
-            .min_by(|a, b| a.overlap_us.total_cmp(&b.overlap_us))
-            .unwrap();
-        assert!(best.v > 2, "optimum should not be the finest grain");
+        let exp = mini(512);
+        let rows = run_ladder(&exp.config(0, 0, Schedule::Overlap), &[2, 8, 32, 128], 2);
+        let best = optima(&rows);
+        assert!(best.overlap_v > 2, "optimum should not be the finest grain");
+        // The worker count does not change a row.
+        let one = run_ladder(&exp.config(0, 0, Schedule::Overlap), &[2, 8, 32, 128], 1);
+        assert_eq!(figure_points(&one), figure_points(&rows));
     }
 }

@@ -129,25 +129,16 @@ mod tests {
     use crate::experiments::{paper_experiments, Experiment};
 
     fn pts() -> Vec<SimSweepPoint> {
+        let p = |v, blocking_us, overlap_us| SimSweepPoint {
+            v,
+            g: 16 * v,
+            blocking_us,
+            overlap_us,
+        };
         vec![
-            SimSweepPoint {
-                v: 4,
-                g: 64,
-                blocking_us: 900_000.0,
-                overlap_us: 700_000.0,
-            },
-            SimSweepPoint {
-                v: 64,
-                g: 1024,
-                blocking_us: 400_000.0,
-                overlap_us: 250_000.0,
-            },
-            SimSweepPoint {
-                v: 1024,
-                g: 16384,
-                blocking_us: 600_000.0,
-                overlap_us: 500_000.0,
-            },
+            p(4, 900_000.0, 700_000.0),
+            p(64, 400_000.0, 250_000.0),
+            p(1024, 600_000.0, 500_000.0),
         ]
     }
 

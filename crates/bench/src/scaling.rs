@@ -12,120 +12,60 @@
 //! schedule over a ladder, so each point is each schedule's best
 //! configuration at that processor count.
 
-use cluster_sim::builders::ClusterProblem;
-use cluster_sim::engine::{simulate, SimConfig};
-use tiling_core::dependence::DependenceSet;
+use crate::experiments::{ladder_optima, Experiment, Optima};
+use sweep::config::Schedule;
 use tiling_core::machine::MachineParams;
-use tiling_core::optimize::height_ladder;
-use tiling_core::space::IterationSpace;
 
-/// One strong-scaling measurement.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalingPoint {
-    /// Processors per cross-section side (total = side²).
-    pub grid_side: i64,
-    /// Best blocking time (µs) and its V.
-    pub blocking_us: f64,
-    /// V at the blocking optimum.
-    pub blocking_v: i64,
-    /// Best overlapping time (µs) and its V.
-    pub overlap_us: f64,
-    /// V at the overlapping optimum.
-    pub overlap_v: i64,
+/// Serial execution time of an experiment's whole space (µs):
+/// `volume · t_c`.
+pub fn serial_time_us(exp: &Experiment, machine: &MachineParams) -> f64 {
+    (exp.nx * exp.ny * exp.nz) as f64 * machine.t_c_us
 }
 
-impl ScalingPoint {
-    /// Parallel speedup of the overlapping run vs a given serial time.
-    pub fn overlap_speedup(&self, serial_us: f64) -> f64 {
-        serial_us / self.overlap_us
-    }
-
-    /// Parallel speedup of the blocking run vs a given serial time.
-    pub fn blocking_speedup(&self, serial_us: f64) -> f64 {
-        serial_us / self.blocking_us
-    }
-}
-
-/// Serial execution time of the whole space (µs): `volume · t_c`.
-pub fn serial_time_us(space: &IterationSpace, machine: &MachineParams) -> f64 {
-    space.volume() as f64 * machine.t_c_us
-}
-
-/// Run the strong-scaling study on square grids `side × side`.
+/// Run the strong-scaling study of an experiment's space on square
+/// grids `side × side`: per grid, each schedule's optimum.
 ///
 /// # Panics
 /// Panics if a side does not divide the space's cross-section extents.
 pub fn strong_scaling(
-    space: &IterationSpace,
-    machine: &MachineParams,
+    exp: &Experiment,
     sides: &[i64],
     ladder_points: usize,
-) -> Vec<ScalingPoint> {
-    let deps = DependenceSet::paper_3d();
-    let mapping_dim = 2;
-    sides
-        .iter()
-        .map(|&side| {
-            let heights = height_ladder(4, space.extent(mapping_dim) / 4, ladder_points);
-            let mut best_b = f64::INFINITY;
-            let mut best_bv = 0;
-            let mut best_o = f64::INFINITY;
-            let mut best_ov = 0;
-            for &v in &heights {
-                let problem = ClusterProblem::for_processor_grid(
-                    deps.clone(),
-                    space.clone(),
-                    mapping_dim,
-                    &[side, side],
-                    v,
-                )
-                .expect("divisible grid");
-                let cfg = SimConfig::new(*machine).with_trace(false);
-                let b = simulate(cfg, problem.blocking_programs(machine))
-                    .expect("no deadlock")
-                    .makespan
-                    .as_us();
-                let o = simulate(cfg, problem.overlapping_programs(machine))
-                    .expect("no deadlock")
-                    .makespan
-                    .as_us();
-                if b < best_b {
-                    best_b = b;
-                    best_bv = v;
-                }
-                if o < best_o {
-                    best_o = o;
-                    best_ov = v;
-                }
-            }
-            ScalingPoint {
-                grid_side: side,
-                blocking_us: best_b,
-                blocking_v: best_bv,
-                overlap_us: best_o,
-                overlap_v: best_ov,
-            }
-        })
-        .collect()
+    workers: usize,
+) -> Vec<(i64, Optima)> {
+    let templates = sides.iter().map(|&side| {
+        assert!(
+            side > 0 && exp.nx % side == 0 && exp.ny % side == 0,
+            "{side}×{side} grid does not divide {}×{}",
+            exp.nx,
+            exp.ny
+        );
+        let grid = Experiment {
+            pi: side,
+            pj: side,
+            ..*exp
+        };
+        (side, grid.config(0, 0, Schedule::Overlap))
+    });
+    ladder_optima(templates, ladder_points, workers)
 }
 
-/// Markdown table of a scaling study.
-pub fn scaling_markdown(points: &[ScalingPoint], serial_us: f64) -> String {
+/// Markdown table of a scaling study: per grid side, each schedule's
+/// optimum and its speedup over `serial_us`.
+pub fn scaling_markdown(points: &[(i64, Optima)], serial_us: f64) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
         "| processors | blocking t (s) | speedup | overlap t (s) | speedup | overlap gain |\n|---|---|---|---|---|---|\n",
     );
-    for p in points {
+    for (side, p) in points {
         let _ = writeln!(
             out,
-            "| {}×{} | {:.4} | {:.1}× | {:.4} | {:.1}× | {:.0}% |",
-            p.grid_side,
-            p.grid_side,
+            "| {side}×{side} | {:.4} | {:.1}× | {:.4} | {:.1}× | {:.0}% |",
             p.blocking_us * 1e-6,
-            p.blocking_speedup(serial_us),
+            serial_us / p.blocking_us,
             p.overlap_us * 1e-6,
-            p.overlap_speedup(serial_us),
-            (1.0 - p.overlap_us / p.blocking_us) * 100.0
+            serial_us / p.overlap_us,
+            p.improvement() * 100.0
         );
     }
     out
@@ -135,50 +75,54 @@ pub fn scaling_markdown(points: &[ScalingPoint], serial_us: f64) -> String {
 mod tests {
     use super::*;
 
+    /// The §5 paper machine over an `n × n × nz` space.
+    fn space(n: i64, nz: i64) -> Experiment {
+        Experiment {
+            nx: n,
+            ny: n,
+            nz,
+            ..crate::experiments::paper_experiments()[0]
+        }
+    }
+
     #[test]
     fn speedup_grows_with_processors() {
-        let space = IterationSpace::from_extents(&[16, 16, 2048]);
-        let machine = MachineParams::paper_cluster();
-        let pts = strong_scaling(&space, &machine, &[1, 2, 4], 8);
+        let pts = strong_scaling(&space(16, 2048), &[1, 2, 4], 8, 2);
         assert_eq!(pts.len(), 3);
         // More processors, less time (for both schedules, at this scale).
-        assert!(pts[1].overlap_us < pts[0].overlap_us);
-        assert!(pts[2].overlap_us < pts[1].overlap_us);
-        assert!(pts[2].blocking_us < pts[0].blocking_us);
+        assert!(pts[1].1.overlap_us < pts[0].1.overlap_us);
+        assert!(pts[2].1.overlap_us < pts[1].1.overlap_us);
+        assert!(pts[2].1.blocking_us < pts[0].1.blocking_us);
     }
 
     #[test]
     fn single_processor_near_serial() {
         // On a 1×1 grid there is no communication at all: both
         // schedules equal the serial time.
-        let space = IterationSpace::from_extents(&[8, 8, 512]);
-        let machine = MachineParams::paper_cluster();
-        let pts = strong_scaling(&space, &machine, &[1], 4);
-        let serial = serial_time_us(&space, &machine);
-        assert!((pts[0].overlap_us - serial).abs() / serial < 0.01);
-        assert!((pts[0].blocking_us - serial).abs() / serial < 0.01);
+        let exp = space(8, 512);
+        let pts = strong_scaling(&exp, &[1], 4, 1);
+        let serial = serial_time_us(&exp, &MachineParams::paper_cluster());
+        assert!((pts[0].1.overlap_us - serial).abs() / serial < 0.01);
+        assert!((pts[0].1.blocking_us - serial).abs() / serial < 0.01);
     }
 
     #[test]
     fn overlap_scales_at_least_as_well() {
-        let space = IterationSpace::from_extents(&[16, 16, 2048]);
-        let machine = MachineParams::paper_cluster();
-        let pts = strong_scaling(&space, &machine, &[2, 4], 8);
+        let pts = strong_scaling(&space(16, 2048), &[2, 4], 8, 2);
         for p in &pts[1..] {
-            assert!(p.overlap_us <= p.blocking_us, "{p:?}");
+            assert!(p.1.overlap_us <= p.1.blocking_us, "{p:?}");
         }
     }
 
     #[test]
     fn markdown_renders() {
-        let pts = vec![ScalingPoint {
-            grid_side: 4,
+        let p = Optima {
             blocking_us: 2e6,
             blocking_v: 64,
             overlap_us: 1.5e6,
             overlap_v: 32,
-        }];
-        let md = scaling_markdown(&pts, 16e6);
+        };
+        let md = scaling_markdown(&[(4, p)], 16e6);
         assert!(md.contains("4×4"));
         assert!(md.contains("8.0×")); // blocking speedup
         assert!(md.contains("10.7×")); // overlap speedup

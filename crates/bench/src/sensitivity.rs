@@ -14,116 +14,47 @@
 //! CPU can still hide it, then shrinks again once even the overlapped
 //! pipeline is communication-bound (`B`-lane dominated, §4 case 2).
 
-use crate::experiments::{simulate_point, Experiment};
-use tiling_core::machine::MachineParams;
-use tiling_core::optimize::height_ladder;
+use crate::experiments::{ladder_optima, Experiment, Optima};
+use std::fmt::Write as _;
+use sweep::config::{MachinePreset, Schedule, SweepConfig};
 
-/// One point of the sensitivity sweep.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SensitivityPoint {
-    /// Communication scale factor vs the paper cluster.
-    pub comm_scale: f64,
-    /// Best blocking time over the V ladder (µs).
-    pub blocking_us: f64,
-    /// V at the blocking optimum.
-    pub blocking_v: i64,
-    /// Best overlapping time over the V ladder (µs).
-    pub overlap_us: f64,
-    /// V at the overlapping optimum.
-    pub overlap_v: i64,
-}
-
-impl SensitivityPoint {
-    /// `1 − overlap/blocking` at the respective optima.
-    pub fn improvement(&self) -> f64 {
-        1.0 - self.overlap_us / self.blocking_us
-    }
-}
-
-/// Sweep communication scale factors for one experiment; each point
-/// re-optimizes V on a geometric ladder for both schedules.
+/// Sweep communication scale factors for one experiment on the paper
+/// machine; each point, labelled with its factor, re-optimizes V on a
+/// geometric ladder for both schedules.
 pub fn comm_scale_sweep(
     exp: &Experiment,
-    base: &MachineParams,
     scales: &[f64],
     ladder_points: usize,
-) -> Vec<SensitivityPoint> {
-    let heights = height_ladder(4, exp.nz / 4, ladder_points);
-    scales
-        .iter()
-        .map(|&scale| {
-            let machine = base.scale_communication(scale);
-            let mut best_b = f64::INFINITY;
-            let mut best_bv = 0;
-            let mut best_o = f64::INFINITY;
-            let mut best_ov = 0;
-            for &v in &heights {
-                let p = simulate_point(exp, v, &machine);
-                if p.blocking_us < best_b {
-                    best_b = p.blocking_us;
-                    best_bv = v;
-                }
-                if p.overlap_us < best_o {
-                    best_o = p.overlap_us;
-                    best_ov = v;
-                }
-            }
-            SensitivityPoint {
-                comm_scale: scale,
-                blocking_us: best_b,
-                blocking_v: best_bv,
-                overlap_us: best_o,
-                overlap_v: best_ov,
-            }
-        })
-        .collect()
+    workers: usize,
+) -> Vec<(String, Optima)> {
+    let templates = scales.iter().map(|&comm_scale| {
+        let mut config = exp.config(0, 0, Schedule::Overlap);
+        config.comm_scale = comm_scale;
+        (format!("{comm_scale:.2}×"), config)
+    });
+    ladder_optima(templates, ladder_points, workers)
 }
 
 /// Run one experiment across named machine presets (network
 /// generations), re-optimizing V per schedule per machine.
 pub fn network_generations(
     exp: &Experiment,
-    machines: &[(&'static str, MachineParams)],
+    machines: &[(&str, MachinePreset)],
     ladder_points: usize,
-) -> Vec<(&'static str, SensitivityPoint)> {
-    let heights = height_ladder(4, exp.nz / 4, ladder_points);
-    machines
-        .iter()
-        .map(|&(name, machine)| {
-            let mut best_b = f64::INFINITY;
-            let mut best_bv = 0;
-            let mut best_o = f64::INFINITY;
-            let mut best_ov = 0;
-            for &v in &heights {
-                let p = simulate_point(exp, v, &machine);
-                if p.blocking_us < best_b {
-                    best_b = p.blocking_us;
-                    best_bv = v;
-                }
-                if p.overlap_us < best_o {
-                    best_o = p.overlap_us;
-                    best_ov = v;
-                }
-            }
-            (
-                name,
-                SensitivityPoint {
-                    comm_scale: f64::NAN,
-                    blocking_us: best_b,
-                    blocking_v: best_bv,
-                    overlap_us: best_o,
-                    overlap_v: best_ov,
-                },
-            )
-        })
-        .collect()
+    workers: usize,
+) -> Vec<(String, Optima)> {
+    let templates = machines.iter().map(|&(name, preset)| {
+        let config = exp.config(0, 0, Schedule::Overlap);
+        (name.to_string(), SweepConfig { preset, ..config })
+    });
+    ladder_optima(templates, ladder_points, workers)
 }
 
-/// Markdown for a network-generation comparison.
-pub fn generations_markdown(rows: &[(&'static str, SensitivityPoint)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "| network | blocking t_opt (s) @ V | overlap t_opt (s) @ V | improvement |\n|---|---|---|---|\n",
+/// Markdown of labelled optima, one row each: the label (in the `label`
+/// column), each schedule's best time at its V, the improvement.
+pub fn optima_markdown(label: &str, rows: &[(String, Optima)]) -> String {
+    let mut out = format!(
+        "| {label} | blocking t_opt (s) @ V | overlap t_opt (s) @ V | improvement |\n|---|---|---|---|\n",
     );
     for (name, p) in rows {
         let _ = writeln!(
@@ -140,90 +71,56 @@ pub fn generations_markdown(rows: &[(&'static str, SensitivityPoint)]) -> String
     out
 }
 
-/// Markdown rendering of a sensitivity sweep.
-pub fn sensitivity_markdown(points: &[SensitivityPoint]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "| comm scale | blocking t_opt (s) @ V | overlap t_opt (s) @ V | improvement |\n|---|---|---|---|\n",
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "| {:.2}× | {:.4} @ {} | {:.4} @ {} | {:.0}% |",
-            p.comm_scale,
-            p.blocking_us * 1e-6,
-            p.blocking_v,
-            p.overlap_us * 1e-6,
-            p.overlap_v,
-            p.improvement() * 100.0
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Experiment;
-
-    fn mini() -> Experiment {
-        Experiment {
-            name: "mini",
-            nx: 8,
-            ny: 8,
-            nz: 512,
-            pi: 2,
-            pj: 2,
-            paper_v_optimal: 64,
-            paper_t_overlap_s: 0.0,
-            paper_t_nonoverlap_s: 0.0,
-            paper_fill_ms: 0.0,
-        }
-    }
+    use crate::experiments::tests::mini;
 
     #[test]
     fn zero_scale_equalizes() {
-        let pts = comm_scale_sweep(&mini(), &MachineParams::paper_cluster(), &[0.0], 6);
+        let pts = comm_scale_sweep(&mini(512), &[0.0], 6, 2);
         // Free communication: improvement collapses to ~0.
-        assert!(pts[0].improvement().abs() < 0.02, "{:?}", pts[0]);
+        assert!(pts[0].1.improvement().abs() < 0.02, "{:?}", pts[0]);
     }
 
     #[test]
     fn paper_scale_shows_win() {
-        let pts = comm_scale_sweep(&mini(), &MachineParams::paper_cluster(), &[1.0], 8);
-        assert!(pts[0].improvement() > 0.10, "{:?}", pts[0]);
+        let pts = comm_scale_sweep(&mini(512), &[1.0], 8, 2);
+        assert!(pts[0].1.improvement() > 0.10, "{:?}", pts[0]);
     }
 
     #[test]
     fn optimal_v_grows_with_comm_cost() {
         // Costlier communication pushes both schedules to coarser grain.
-        let pts = comm_scale_sweep(&mini(), &MachineParams::paper_cluster(), &[0.25, 4.0], 10);
-        assert!(pts[1].overlap_v >= pts[0].overlap_v, "{pts:?}");
-        assert!(pts[1].blocking_v >= pts[0].blocking_v, "{pts:?}");
+        let pts = comm_scale_sweep(&mini(512), &[0.25, 4.0], 10, 2);
+        assert!(pts[1].1.overlap_v >= pts[0].1.overlap_v, "{pts:?}");
+        assert!(pts[1].1.blocking_v >= pts[0].1.blocking_v, "{pts:?}");
     }
 
     #[test]
     fn markdown_renders() {
-        let pts = comm_scale_sweep(&mini(), &MachineParams::paper_cluster(), &[1.0], 5);
-        let md = sensitivity_markdown(&pts);
-        assert!(md.contains("1.00×"));
+        let pts = comm_scale_sweep(&mini(512), &[1.0], 5, 1);
+        let md = optima_markdown("comm scale", &pts);
+        assert!(md.starts_with("| comm scale |"));
+        assert!(md.contains("| 1.00× |"));
     }
 
     #[test]
     fn generations_faster_networks_run_faster() {
         let rows = network_generations(
-            &mini(),
+            &mini(512),
             &[
-                ("FastEthernet (paper)", MachineParams::paper_cluster()),
-                ("Gigabit-class", MachineParams::gigabit_cluster()),
-                ("OS-bypass", MachineParams::os_bypass_cluster()),
+                ("FastEthernet (paper)", MachinePreset::Paper),
+                ("Gigabit-class", MachinePreset::Gigabit),
+                ("OS-bypass", MachinePreset::OsBypass),
             ],
             8,
+            2,
         );
         assert_eq!(rows.len(), 3);
         assert!(rows[1].1.overlap_us < rows[0].1.overlap_us);
         assert!(rows[2].1.overlap_us < rows[1].1.overlap_us);
-        let md = generations_markdown(&rows);
+        let md = optima_markdown("network", &rows);
         assert!(md.contains("OS-bypass"));
     }
 }

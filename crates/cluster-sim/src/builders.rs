@@ -67,6 +67,8 @@ pub struct ClusterProblem {
     space: IterationSpace,
     mapping: ProcessorMapping,
     tiled: IterationSpace,
+    /// Pipeline steps per rank: tiles along the mapping dimension.
+    steps: u32,
     /// Sorted distinct non-zero processor offsets tiles send to.
     proc_offsets: Vec<Vec<i64>>,
 }
@@ -88,6 +90,12 @@ impl ClusterProblem {
             .map_err(|e| BuildError::BadTiling(e.to_string()))?;
         let tiled = tiling.tiled_space(&space);
         let mapping = ProcessorMapping::along(space.dims(), mapping_dim);
+        let extent = tiled.extent(mapping_dim);
+        let steps = u32::try_from(extent).map_err(|_| {
+            BuildError::BadTiling(format!(
+                "a pipeline of {extent} steps: at most 2^32 - 1 fit"
+            ))
+        })?;
         let tile_deps = tiling.tile_dependences(&deps);
         let mut proc_offsets: Vec<Vec<i64>> = tile_deps
             .iter()
@@ -102,6 +110,7 @@ impl ClusterProblem {
             space,
             mapping,
             tiled,
+            steps,
             proc_offsets,
         })
     }
@@ -159,7 +168,7 @@ impl ClusterProblem {
 
     /// Number of pipeline steps per rank (tiles along the mapping dim).
     pub fn steps(&self) -> i64 {
-        self.tiled.extent(self.mapping.mapping_dim())
+        self.steps.into()
     }
 
     /// A deterministic heterogeneous fleet sized to this problem:
@@ -237,8 +246,12 @@ impl ClusterProblem {
             for dep in self.deps.iter() {
                 let mut vol = 1i64;
                 for (d, &t) in sender_tile.iter().enumerate() {
-                    let (al, ah) = self.axis_range(d, t).expect("a non-empty tile");
-                    let (bl, bh) = self.axis_range(d, target(d)).expect("a non-empty target");
+                    let (Some((al, ah)), Some((bl, bh))) =
+                        (self.axis_range(d, t), self.axis_range(d, target(d)))
+                    else {
+                        vol = 0;
+                        break;
+                    };
                     let dd = dep.components()[d];
                     let lo = al.max(bl - dd);
                     let hi = ah.min(bh - dd);
@@ -315,7 +328,7 @@ impl ClusterProblem {
     /// [`Program::pipeline`] of every rank, in rank order: the face to
     /// or from neighbour offset `qi` of step `k` travels under tag
     /// `k·|offsets| + qi`.
-    fn programs(&self, strategy: StepStrategy, machine: &MachineParams) -> Vec<Program> {
+    pub fn programs(&self, strategy: StepStrategy, machine: &MachineParams) -> Vec<Program> {
         let stride = self.proc_offsets.len() as u64;
         (self.cross_coords().iter())
             .map(|cross| {
@@ -360,8 +373,8 @@ impl<'a> RankSteps<'a> {
 }
 
 impl StepSource for RankSteps<'_> {
-    fn steps(&self) -> usize {
-        self.problem.steps() as usize
+    fn steps(&self) -> u32 {
+        self.problem.steps
     }
 
     /// Steps whose tile and next tile are both unclipped share a shape.
@@ -641,6 +654,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::BadTiling(_)));
+    }
+
+    #[test]
+    fn rejects_a_pipeline_of_2_pow_32_steps() {
+        // 2³² + 2 tiles along the mapping dimension: an event names its
+        // step in 32 bits, so the layout is refused, not built.
+        let err = ClusterProblem::new(
+            Tiling::rectangular(&[2, 2, 2]),
+            DependenceSet::paper_3d(),
+            IterationSpace::from_extents(&[2, 2, (1 << 33) + 4]),
+            2,
+        )
+        .unwrap_err();
+        assert!(matches!(err, BuildError::BadTiling(_)), "{err}");
+        assert!(err.to_string().contains("4294967298 steps"), "{err}");
     }
 
     #[test]

@@ -206,8 +206,9 @@ impl StepShape {
 
 /// One rank's pipeline, described step by step.
 pub trait StepSource {
-    /// Pipeline steps (tiles along the mapping dimension).
-    fn steps(&self) -> usize;
+    /// Pipeline steps (tiles along the mapping dimension); an event
+    /// names its step in 32 bits.
+    fn steps(&self) -> u32;
 
     /// The shape of step `k < steps()`.
     fn step(&mut self, k: usize) -> &StepShape;
@@ -272,13 +273,17 @@ impl Writer<'_> {
         }
     }
 
-    /// The ops of a step whose steps `k−2 … k+1` have the shapes
-    /// `[before, prev, cur, next]` (`None` outside the pipeline): its
-    /// first request is 0, a face of step `k + d` has tag offset
-    /// `d · stride` and the compute is labelled 0.
-    fn step(&mut self, strategy: StepStrategy, stride: u64, shapes: [Option<&StepShape>; 4]) {
-        let [before, prev, cur, next] = shapes;
-        let cur = cur.expect("a step of the pipeline has a shape");
+    /// The ops of step `k` of shape `cur`, whose steps `k−2`, `k−1` and
+    /// `k+1` have the shapes `[before, prev, next]` (`None` outside the
+    /// pipeline): its first request is 0, a face of step `k + d` has tag
+    /// offset `d · stride` and the compute is labelled 0.
+    fn step(
+        &mut self,
+        strategy: StepStrategy,
+        stride: u64,
+        cur: &StepShape,
+        [before, prev, next]: [Option<&StepShape>; 3],
+    ) {
         match strategy {
             StepStrategy::Blocking => {
                 for &(from, tag, bytes) in &cur.recvs {
@@ -344,11 +349,8 @@ impl Program {
     /// the emitter asks the source for the first step of each span of
     /// equal shapes ([`StepSource::same_until`]) and writes the ops of a
     /// span's uniform interior once — work by shape, not by step.
-    ///
-    /// # Panics
-    /// If the pipeline has `2³²` steps or more.
     pub fn pipeline(strategy: StepStrategy, src: &mut impl StepSource, tag_stride: u64) -> Program {
-        let steps = u32::try_from(src.steps()).expect("a pipeline has fewer than 2^32 steps");
+        let steps = src.steps();
         // The distinct shapes, and the spans of steps that share one:
         // `(end, shape)`, each span from the previous one's end.
         let (mut shapes, mut spans) = (Vec::<StepShape>::new(), Vec::<(u32, usize)>::new());
@@ -383,7 +385,9 @@ impl Program {
         let mut k = 0;
         while k < steps {
             let near = |d: i64| span(i64::from(k) + d).map(|(idx, _)| idx);
-            let (cur, end) = span(k.into()).expect("a step of the pipeline has a span");
+            let Some((cur, end)) = span(k.into()) else {
+                break;
+            };
             // The steps from `k` on with its ops: the rest of its span for
             // a blocking step, and for an overlapping one inside a span,
             // all but the span's last.
@@ -403,7 +407,8 @@ impl Program {
             w.step(
                 strategy,
                 tag_stride,
-                [shape(-2), shape(-1), shape(0), shape(1)],
+                &shapes[cur],
+                [shape(-2), shape(-1), shape(1)],
             );
             let (posts, len) = (w.posts, (p.ops.len() - first) as u32);
             p.checked &= p.ops[first..].iter().all(|op| match *op {
@@ -914,8 +919,8 @@ mod tests {
     }
 
     impl StepSource for Uniform {
-        fn steps(&self) -> usize {
-            self.steps
+        fn steps(&self) -> u32 {
+            self.steps as u32
         }
         fn step(&mut self, _k: usize) -> &StepShape {
             &self.shape

@@ -115,6 +115,9 @@ impl SimTime {
 
 impl Add<SimTime> for SimTime {
     type Output = SimTime;
+    // LINT: `Add` has no error channel: a sum past `SimTime::MAX`
+    // panics like `u64` overflow; fallible callers use `checked_add`.
+    #[allow(clippy::expect_used)]
     fn add(self, rhs: SimTime) -> SimTime {
         self.checked_add(rhs).expect("sim time overflow")
     }
@@ -128,6 +131,9 @@ impl AddAssign<SimTime> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimTime;
+    // LINT: `Sub` has no error channel: a negative duration panics
+    // like `u64` underflow.
+    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("negative sim duration"))
     }

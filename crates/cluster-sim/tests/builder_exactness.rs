@@ -157,8 +157,8 @@ struct Oracle<'a> {
 }
 
 impl StepSource for Oracle<'_> {
-    fn steps(&self) -> usize {
-        self.p.steps() as usize
+    fn steps(&self) -> u32 {
+        self.p.steps() as u32
     }
 
     fn step(&mut self, k: usize) -> &StepShape {

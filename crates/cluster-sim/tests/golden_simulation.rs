@@ -89,14 +89,10 @@ fn matrix_at(
     latency_us: f64,
 ) -> Vec<u64> {
     let mut out = Vec::new();
-    for overlap in [false, true] {
+    for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
         for duplex in [false, true] {
             for topology in [NetworkTopology::Switched, NetworkTopology::SharedBus] {
-                let programs = if overlap {
-                    problem.overlapping_programs(&machine)
-                } else {
-                    problem.blocking_programs(&machine)
-                };
+                let programs = problem.programs(strategy, &machine);
                 let cfg = SimConfig::new(machine)
                     .with_duplex(duplex)
                     .with_topology(topology)

@@ -6,7 +6,11 @@
 //! seed (for heterogeneous-fleet jitter), so the whole space — and
 //! therefore the whole output — is reproducible from one `u64`.
 
+use cluster_sim::builders::{BuildError, ClusterProblem};
+use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::MachineParams;
+use tiling_core::space::IterationSpace;
+use tiling_core::tiling::Tiling;
 
 /// SplitMix64 — the standard 64-bit mixer. Dependency-free, passes
 /// BigCrush, and (crucially here) trivially reproducible: the sweep's
@@ -89,24 +93,10 @@ impl MachinePreset {
     }
 }
 
-/// Which of the paper's two execution styles the config runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// `ProcB` — blocking receive → compute → send (§3).
-    Blocking,
-    /// `ProcNB` — non-blocking, communication under computation (§4).
-    Overlap,
-}
-
-impl Schedule {
-    /// Stable display name (a CSV column value).
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::Blocking => "blocking",
-            Schedule::Overlap => "overlap",
-        }
-    }
-}
+/// Which of the paper's two execution styles the config runs: `ProcB`
+/// (blocking receive → compute → send, §3) or `ProcNB` (non-blocking,
+/// communication under computation, §4).
+pub use tiling_core::schedule::StepStrategy as Schedule;
 
 /// One point of the configuration space — everything needed to build
 /// and simulate it, and nothing that has to be recomputed to name it.
@@ -144,6 +134,19 @@ pub struct SweepConfig {
     pub shared_bus: bool,
     /// Per-config seed (heterogeneous-fleet jitter derives from it).
     pub seed: u64,
+}
+
+impl SweepConfig {
+    /// The paper-3-D problem of this point: its space tiled
+    /// `cross_sides × v`, pipelined along dimension 2.
+    pub fn problem(&self) -> Result<ClusterProblem, BuildError> {
+        ClusterProblem::new(
+            Tiling::rectangular(&[self.cross_sides[0], self.cross_sides[1], self.v]),
+            DependenceSet::paper_3d(),
+            IterationSpace::from_extents(&self.extents),
+            2,
+        )
+    }
 }
 
 /// What to generate.
@@ -249,47 +252,100 @@ fn random_config(id: usize, rng: &mut Mix64, quick: bool) -> SweepConfig {
     }
 }
 
-/// A paper experiment's parameters as the sweep sees them.
-struct FigExperiment {
-    slice: &'static str,
-    nx: i64,
-    ny: i64,
-    nz: i64,
-    grid: [i64; 2],
-    paper_v: i64,
+/// One of the paper's three §5 experiments: the space, the processor
+/// grid (one tile column per processor) and what the paper measured.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Experiment {
+    /// Display name ("i", "ii", "iii").
+    pub name: &'static str,
+    /// The figure it is plotted in: its sweep slice and `paper`
+    /// subcommand ("fig9", "fig10", "fig11").
+    pub figure: &'static str,
+    /// Extent along i.
+    pub nx: i64,
+    /// Extent along j.
+    pub ny: i64,
+    /// Extent along k (pipelined).
+    pub nz: i64,
+    /// Processor-grid extent along i (pi × pj = 16 in the paper).
+    pub pi: i64,
+    /// Processor-grid extent along j.
+    pub pj: i64,
+    /// The paper's measured optimal tile height.
+    pub paper_v_optimal: i64,
+    /// The paper's measured optimal overlap completion time (s).
+    pub paper_t_overlap_s: f64,
+    /// The paper's measured optimal non-overlap completion time (s).
+    pub paper_t_nonoverlap_s: f64,
+    /// The paper's measured `T_fill_MPI_buffer` at `V_optimal` (ms).
+    pub paper_fill_ms: f64,
 }
 
-/// The three figure experiments (§5). `quick` divides the pipelined
-/// extent by 16, which keeps the curve shape (the `K·α/V` vs `γ·β·V`
-/// trade-off) while making the slice CI-sized.
-fn fig_experiments(quick: bool) -> [FigExperiment; 3] {
-    let shrink = if quick { 16 } else { 1 };
+impl Experiment {
+    /// Tile cross-section along i (one tile column per processor).
+    pub fn bx(&self) -> i64 {
+        self.nx / self.pi
+    }
+
+    /// Tile cross-section along j.
+    pub fn by(&self) -> i64 {
+        self.ny / self.pj
+    }
+
+    /// Message payload bytes at tile height `v` (the larger face; both
+    /// faces are equal when `bx == by`).
+    pub fn message_bytes(&self, v: i64) -> f64 {
+        (self.by().max(self.bx()) * v * 4) as f64
+    }
+
+    /// The experiment at tile height `v` under `schedule`, on the paper
+    /// machine as the paper ran it: calibrated costs, homogeneous fleet,
+    /// half-duplex, switched. Its slice is [`Experiment::figure`].
+    pub fn config(&self, id: usize, v: i64, schedule: Schedule) -> SweepConfig {
+        SweepConfig {
+            id,
+            slice: self.figure,
+            preset: MachinePreset::Paper,
+            comm_scale: 1.0,
+            measured_curve: false,
+            hetero_spread: 0.0,
+            grid: [self.pi, self.pj],
+            cross_sides: [self.bx(), self.by()],
+            extents: [self.nx, self.ny, self.nz],
+            v,
+            schedule,
+            duplex: false,
+            shared_bus: false,
+            seed: 0,
+        }
+    }
+}
+
+/// The three experiments of Figs. 9–11 and the Fig. 12 table, each on
+/// a 4×4 processor grid over an `n × n × nz` space.
+pub fn paper_experiments() -> [Experiment; 3] {
+    // (name, figure, n, nz, then the paper's V_opt, and its t_overlap
+    // (s), t_nonoverlap (s) and T_fill_MPI_buffer (ms) at V_opt)
     [
-        FigExperiment {
-            slice: "fig9",
-            nx: 16,
-            ny: 16,
-            nz: 16384 / shrink,
-            grid: [4, 4],
-            paper_v: 444,
-        },
-        FigExperiment {
-            slice: "fig10",
-            nx: 16,
-            ny: 16,
-            nz: 32768 / shrink,
-            grid: [4, 4],
-            paper_v: 538,
-        },
-        FigExperiment {
-            slice: "fig11",
-            nx: 32,
-            ny: 32,
-            nz: 4096 / shrink,
-            grid: [4, 4],
-            paper_v: 164,
-        },
+        ("i", "fig9", 16, 16384, 444, [0.233923, 0.376637, 0.627]),
+        ("ii", "fig10", 16, 32768, 538, [0.467929, 0.694516, 0.745]),
+        ("iii", "fig11", 32, 4096, 164, [0.219059, 0.324069, 0.37]),
     ]
+    .map(
+        |(name, figure, n, nz, paper_v_optimal, [t_ov, t_no, fill])| Experiment {
+            name,
+            figure,
+            nx: n,
+            ny: n,
+            nz,
+            pi: 4,
+            pj: 4,
+            paper_v_optimal,
+            paper_t_overlap_s: t_ov,
+            paper_t_nonoverlap_s: t_no,
+            paper_fill_ms: fill,
+        },
+    )
 }
 
 /// The tile heights swept per figure: a geometric ladder over the
@@ -311,28 +367,22 @@ fn fig_heights(nz: i64, paper_v: i64) -> Vec<i64> {
 
 /// Append the figure slices: both schedules at every ladder height, on
 /// the paper machine exactly as the `paper fig9|fig10|fig11` commands
-/// run it (calibrated costs, homogeneous fleet, half-duplex, switched).
+/// run it. `quick` divides the pipelined extent by 16, which keeps the
+/// curve shape (the `K·α/V` vs `γ·β·V` trade-off) while making the
+/// slice CI-sized.
 fn push_figure_slices(out: &mut Vec<SweepConfig>, quick: bool, sweep_seed: u64) {
-    for exp in fig_experiments(quick) {
-        let cross = [exp.nx / exp.grid[0], exp.ny / exp.grid[1]];
-        for v in fig_heights(exp.nz, exp.paper_v) {
+    let shrink = if quick { 16 } else { 1 };
+    for exp in paper_experiments() {
+        let exp = Experiment {
+            nz: exp.nz / shrink,
+            ..exp
+        };
+        for v in fig_heights(exp.nz, exp.paper_v_optimal) {
             for schedule in [Schedule::Blocking, Schedule::Overlap] {
                 let id = out.len();
                 out.push(SweepConfig {
-                    id,
-                    slice: exp.slice,
-                    preset: MachinePreset::Paper,
-                    comm_scale: 1.0,
-                    measured_curve: false,
-                    hetero_spread: 0.0,
-                    grid: exp.grid,
-                    cross_sides: cross,
-                    extents: [exp.nx, exp.ny, exp.nz],
-                    v,
-                    schedule,
-                    duplex: false,
-                    shared_bus: false,
                     seed: Mix64::new(sweep_seed ^ id as u64).next_u64(),
+                    ..exp.config(id, v, schedule)
                 });
             }
         }

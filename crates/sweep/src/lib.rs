@@ -30,8 +30,10 @@
 //! deterministic — byte-identical CSV output regardless of worker count
 //! or thread scheduling. CI gates on an exact re-run comparison.
 //!
-//! * [`config`] — axes, seeded generation, the Figs. 9–12 named slices.
-//! * [`run`] — the panic-isolating parallel executor.
+//! * [`config`] — axes, seeded generation, the paper's §5 experiment
+//!   table and the Figs. 9–12 named slices built from it.
+//! * [`run`] — the panic-isolating parallel executor, and [`run::best`],
+//!   each schedule's optimum over a set of rows.
 //! * [`output`] — CSV schema and the JSON percentile summary.
 
 #![forbid(unsafe_code)]

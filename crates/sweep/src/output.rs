@@ -5,7 +5,8 @@
 //! slices appear in first-seen order — so the same seed yields
 //! byte-identical files, which CI verifies with a literal re-run `cmp`.
 
-use crate::run::{RowStatus, SweepOutcome, SweepRow};
+use crate::config::Schedule;
+use crate::run::{best, RowStatus, SweepOutcome, SweepRow};
 use std::fmt::Write as _;
 
 /// The CSV column list, in order. The header line is this joined with
@@ -119,9 +120,6 @@ struct SliceAgg {
     makespans: Vec<f64>,
     mean_utils: Vec<f64>,
     abs_errs: Vec<f64>,
-    /// For figure slices: (min overlap makespan, its V, min blocking).
-    best_overlap: Option<(f64, i64)>,
-    best_blocking: Option<f64>,
 }
 
 fn aggregate(rows: &[SweepRow]) -> Vec<SliceAgg> {
@@ -138,8 +136,6 @@ fn aggregate(rows: &[SweepRow]) -> Vec<SliceAgg> {
                     makespans: Vec::new(),
                     mean_utils: Vec::new(),
                     abs_errs: Vec::new(),
-                    best_overlap: None,
-                    best_blocking: None,
                 });
                 slices.len() - 1
             }
@@ -156,18 +152,6 @@ fn aggregate(rows: &[SweepRow]) -> Vec<SliceAgg> {
             // curves and heterogeneous fleets are tuner territory.
             if m.pred_err_rel.is_finite() && m.pred_in_model {
                 s.abs_errs.push(m.pred_err_rel.abs());
-            }
-            match r.config.schedule {
-                crate::config::Schedule::Overlap => {
-                    if s.best_overlap.is_none_or(|(best, _)| m.makespan_us < best) {
-                        s.best_overlap = Some((m.makespan_us, r.config.v));
-                    }
-                }
-                crate::config::Schedule::Blocking => {
-                    if s.best_blocking.is_none_or(|best| m.makespan_us < best) {
-                        s.best_blocking = Some(m.makespan_us);
-                    }
-                }
             }
         }
     }
@@ -241,8 +225,12 @@ pub fn summary_json(seed: u64, outcome: &SweepOutcome) -> String {
             "      \"mean_abs_pred_err\": {},",
             num(mean(&s.abs_errs), 6)
         );
-        match (s.best_overlap, s.best_blocking) {
-            (Some((ov, v)), Some(bl)) => {
+        let in_slice = || outcome.rows.iter().filter(|r| r.config.slice == s.name);
+        match (
+            best(in_slice(), Schedule::Overlap),
+            best(in_slice(), Schedule::Blocking),
+        ) {
+            (Some((ov, v)), Some((bl, _))) => {
                 let _ = writeln!(out, "      \"best_overlap_us\": {},", num(ov, 3));
                 let _ = writeln!(out, "      \"best_overlap_v\": {v},");
                 let _ = writeln!(out, "      \"best_blocking_us\": {},", num(bl, 3));
@@ -322,23 +310,12 @@ mod tests {
 
     #[test]
     fn out_of_model_rows_are_excluded_from_error_percentiles() {
-        use crate::config::{MachinePreset, Schedule, SweepConfig};
-        use crate::run::run_sweep;
+        use crate::config::SweepConfig;
+        use crate::run::tests::paper_point;
         let mk = |id: usize, spread: f64| SweepConfig {
             id,
-            slice: "test",
-            preset: MachinePreset::Paper,
-            comm_scale: 1.0,
-            measured_curve: false,
             hetero_spread: spread,
-            grid: [4, 4],
-            cross_sides: [4, 4],
-            extents: [16, 16, 1024],
-            v: 64,
-            schedule: Schedule::Overlap,
-            duplex: false,
-            shared_bus: false,
-            seed: 11,
+            ..paper_point(11)
         };
         // One in-model row, one heterogeneous row with a different
         // error: the summary's mean must reflect only the former (a

@@ -12,7 +12,6 @@
 //! same rows.
 
 use crate::config::{Schedule, SweepConfig};
-use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate_heterogeneous, NetworkTopology, SimConfig};
 use cluster_sim::stats::summarize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +20,6 @@ use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::{MachineParams, PiecewiseCost};
 use tiling_core::space::IterationSpace;
-use tiling_core::tiling::Tiling;
 
 /// How a config's evaluation ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,15 +133,8 @@ fn machine_of(c: &SweepConfig) -> Result<MachineParams, EvalError> {
 /// closed form.
 fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     let machine = machine_of(c)?;
-    let space = IterationSpace::from_extents(&c.extents);
-    let deps = DependenceSet::paper_3d();
-    let tiling = Tiling::rectangular(&[c.cross_sides[0], c.cross_sides[1], c.v]);
-    let problem = ClusterProblem::new(tiling, deps.clone(), space.clone(), 2)
-        .map_err(|e| EvalError::Build(e.to_string()))?;
-    let programs = match c.schedule {
-        Schedule::Blocking => problem.blocking_programs(&machine),
-        Schedule::Overlap => problem.overlapping_programs(&machine),
-    };
+    let problem = c.problem().map_err(|e| EvalError::Build(e.to_string()))?;
+    let programs = problem.programs(c.schedule, &machine);
     let topology = if c.shared_bus {
         NetworkTopology::SharedBus
     } else {
@@ -157,6 +148,8 @@ fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     let result =
         simulate_heterogeneous(cfg, programs, speeds).map_err(|e| EvalError::Sim(e.to_string()))?;
     let summary = summarize(&result).ok_or_else(|| EvalError::Sim("zero-rank fleet".into()))?;
+    let space = IterationSpace::from_extents(&c.extents);
+    let deps = DependenceSet::paper_3d();
     let cf = match c.schedule {
         Schedule::Overlap => overlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
         Schedule::Blocking => nonoverlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
@@ -262,10 +255,23 @@ pub fn run_sweep(configs: &[SweepConfig], workers: usize) -> SweepOutcome {
     }
 }
 
+/// The first of `rows`' minimum makespans under `schedule`, and its
+/// tile height: `(makespan_us, v)`. Rows without metrics are skipped;
+/// `None` when no row of that schedule has any.
+pub fn best<'a>(
+    rows: impl IntoIterator<Item = &'a SweepRow>,
+    schedule: Schedule,
+) -> Option<(f64, i64)> {
+    rows.into_iter()
+        .filter(|r| r.config.schedule == schedule)
+        .filter_map(|r| r.metrics.map(|m| (m.makespan_us, r.config.v)))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::{generate, SweepSpec};
+    use crate::config::{generate, paper_experiments, Experiment, SweepSpec};
 
     fn small_spec(seed: u64) -> SweepSpec {
         SweepSpec {
@@ -276,24 +282,47 @@ mod tests {
         }
     }
 
-    /// The paper's central point: 4×4 ranks, overlapping, V = 64.
-    fn paper_point(seed: u64) -> SweepConfig {
+    /// The paper's central point: experiment i at a 16th of its depth,
+    /// 4×4 ranks, overlapping, V = 64.
+    pub(crate) fn paper_point(seed: u64) -> SweepConfig {
+        let exp = Experiment {
+            nz: 1024,
+            ..paper_experiments()[0]
+        };
         SweepConfig {
-            id: 0,
-            slice: "test",
-            preset: crate::config::MachinePreset::Paper,
-            comm_scale: 1.0,
-            measured_curve: false,
-            hetero_spread: 0.0,
-            grid: [4, 4],
-            cross_sides: [4, 4],
-            extents: [16, 16, 1024],
-            v: 64,
-            schedule: Schedule::Overlap,
-            duplex: false,
-            shared_bus: false,
             seed,
+            ..exp.config(0, 64, Schedule::Overlap)
         }
+    }
+
+    #[test]
+    fn best_keeps_the_first_of_equal_minima_and_skips_failed_rows() {
+        let simulated = run_sweep(&[paper_point(0)], 1).rows[0].metrics.expect("ok");
+        let row = |v, schedule, makespan_us: Option<f64>| SweepRow {
+            config: SweepConfig {
+                v,
+                schedule,
+                ..paper_point(0)
+            },
+            status: RowStatus::Ok,
+            detail: String::new(),
+            metrics: makespan_us.map(|makespan_us| RowMetrics {
+                makespan_us,
+                ..simulated
+            }),
+        };
+        let rows = [
+            row(8, Schedule::Overlap, None),
+            row(16, Schedule::Overlap, Some(5.0)),
+            row(16, Schedule::Blocking, Some(1.0)),
+            row(32, Schedule::Overlap, Some(3.0)),
+            row(64, Schedule::Overlap, Some(3.0)),
+            row(128, Schedule::Overlap, None),
+        ];
+        assert_eq!(best(&rows, Schedule::Overlap), Some((3.0, 32)));
+        assert_eq!(best(&rows, Schedule::Blocking), Some((1.0, 16)));
+        assert_eq!(best(&rows[..2], Schedule::Blocking), None);
+        assert_eq!(best(&rows[..1], Schedule::Overlap), None);
     }
 
     #[test]

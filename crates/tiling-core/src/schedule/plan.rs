@@ -30,6 +30,16 @@ pub enum StepStrategy {
     Overlap,
 }
 
+impl StepStrategy {
+    /// Stable display name (a CSV column value).
+    pub fn name(self) -> &'static str {
+        match self {
+            StepStrategy::Blocking => "blocking",
+            StepStrategy::Overlap => "overlap",
+        }
+    }
+}
+
 /// One processor's executable view of a schedule: how many pipeline
 /// steps it runs locally and how each step communicates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
