@@ -436,7 +436,7 @@ pub fn analyze(
     deps: &DependenceSet,
 ) -> Result<(AnalysisReport, Vec<Program>), AnalysisError> {
     check_schedule(plan, pi, mapping_dim, deps)?;
-    let comm = programs(topo, plan);
+    let comm = programs(topo, plan)?;
     let messages = check_comm_plan(&comm)?;
     let report = AnalysisReport {
         ranks: topo.ranks(),

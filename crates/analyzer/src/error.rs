@@ -121,6 +121,11 @@ pub enum AnalysisError {
         /// The blocked receives forming the cycle, in rank order.
         cycle: Vec<WaitPoint>,
     },
+    /// The plan has `2³²` steps or more: a program names a step in 32 bits.
+    TooManySteps {
+        /// The plan's step count.
+        steps: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -189,6 +194,7 @@ impl fmt::Display for AnalysisError {
                 }
                 Ok(())
             }
+            AnalysisError::TooManySteps { steps } => write!(f, "{steps} steps, over 2^32 - 1"),
         }
     }
 }

@@ -97,7 +97,7 @@ mod tests {
         // Eq. 3: P(g) = hops + steps = 2 + 4.
         assert_eq!(report.logical_makespan, 6);
         // It hands back the programs it proved: what `programs` emits.
-        let emitted = programs(&chain(), &plan);
+        let emitted = programs(&chain(), &plan).expect("fewer than 2^32 steps");
         let same = |(p, e): (&Program, &Program)| p.ops().eq(e.ops());
         assert!(proved.len() == 3 && proved.iter().zip(&emitted).all(same));
     }
@@ -165,6 +165,14 @@ mod tests {
                 recv_len: 12,
             }
         );
+    }
+
+    #[test]
+    fn a_plan_of_2_pow_32_steps_is_a_typed_error() {
+        let plan = StepPlan::new(StepStrategy::Overlap, 1 << 32);
+        let err = programs(&chain(), &plan).expect_err("2^32 steps");
+        assert_eq!(err, AnalysisError::TooManySteps { steps: 1 << 32 });
+        assert_eq!(err.to_string(), "4294967296 steps, over 2^32 - 1");
     }
 
     #[test]

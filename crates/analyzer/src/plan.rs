@@ -16,6 +16,7 @@
 //! zero-allocation discipline of the executors (`tests/zero_alloc.rs`)
 //! is preserved with the checker enabled.
 
+use crate::error::AnalysisError;
 use cluster_sim::program::{Program, StepShape, StepSource};
 use tiling_core::schedule::StepPlan;
 
@@ -55,23 +56,21 @@ pub trait RankTopology {
 /// Every rank's program of `plan` over `topo`, indexed by rank: per
 /// step one face per existing upstream and downstream direction, in
 /// direction order, under the wire's tags ([`TAG_STRIDE`]), and a
-/// zero-cost compute.
-///
-/// # Panics
-/// If the plan has `2³²` steps or more: an event names its step in 32
-/// bits.
-pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
+/// zero-cost compute — or [`AnalysisError::TooManySteps`] for a plan of
+/// `2³²` steps or more: an event names its step in 32 bits.
+pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Result<Vec<Program>, AnalysisError> {
+    let steps = plan.steps();
     let mut faces = Faces {
         topo,
         rank: 0,
-        steps: u32::try_from(plan.steps()).expect("a plan has fewer than 2^32 steps"),
+        steps: u32::try_from(steps).map_err(|_| AnalysisError::TooManySteps { steps })?,
         links: Vec::with_capacity(topo.num_dirs()),
         shape: StepShape {
             compute_us: Some(0.0),
             ..StepShape::default()
         },
     };
-    (0..topo.ranks())
+    Ok((0..topo.ranks())
         .map(|rank| {
             faces.rank = rank;
             faces.links.clear();
@@ -81,7 +80,7 @@ pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Vec<Program> {
             }));
             Program::pipeline(plan.strategy(), &mut faces, TAG_STRIDE)
         })
-        .collect()
+        .collect())
 }
 
 /// Rank `rank`'s pipeline over `topo`, one shape refilled per step.

@@ -1,8 +1,8 @@
-//! One dedicated test per [`AnalysisError`] variant. Each test drives
-//! the analyzer itself (never hand-constructs the error it asserts
-//! against alone), pins the *exact* variant with all fields, and pins
-//! the exact `Display` rendering — the string operators grep in chaos
-//! logs, which must not drift silently.
+//! One dedicated test per [`AnalysisError`] variant (`TooManySteps`'
+//! is a unit test, next to the crate's topologies). Each drives the
+//! analyzer itself (never hand-constructs the error it asserts against
+//! alone), pins the *exact* variant with all fields, and pins the exact
+//! `Display` rendering — what operators grep in chaos logs.
 
 use analyzer::{check_comm_plan, check_schedule, AnalysisError, WaitPoint};
 use cluster_sim::program::Program;

@@ -894,7 +894,9 @@ mod tests {
             v: 1,
             boundary: 0.0,
         };
-        analyzer::programs(&d.block(), plan).swap_remove(0)
+        analyzer::programs(&d.block(), plan)
+            .expect("fewer than 2^32 steps")
+            .swap_remove(0)
     }
 
     #[test]

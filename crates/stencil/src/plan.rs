@@ -10,8 +10,9 @@
 //! every runner takes a compiled plan, so one compile backs any number
 //! of executions (the `planc` crate's `PlanArtifact` caches them).
 //!
-//! Every run takes one path: the runner allocates the result
-//! [`Grid3D`] once, deals its pencils out to the ranks as disjoint
+//! Every run takes one path: the runner takes the result [`Grid3D`]
+//! (a dropped grid's parked cells of the same size when there are any,
+//! unfilled), deals its pencils out to the ranks as disjoint
 //! mutable views ([`dist3d::rank_pencils`]) and the ranks compute
 //! straight into them — the result grid *is* the ranks' storage, and
 //! the calling thread *is* rank 0 (see
@@ -70,7 +71,7 @@ impl Compiled3D {
         d.validate()?;
         let (report, programs) = match preflight {
             true => analyze_plan(&d, mode).map(|(report, programs)| (Some(report), programs))?,
-            false => (None, analyzer::programs(&d, &d.step_plan(mode))),
+            false => (None, analyzer::programs(&d, &d.step_plan(mode))?),
         };
         Ok(Compiled3D {
             d,
@@ -151,9 +152,10 @@ type RankOut<O> = (Result<(), EngineError>, (O, FaultStats));
 /// parallel region, the observers and the fault counters in rank order.
 pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>;
 
-/// The one run path: allocate the result grid, deal its pencils out
-/// to the ranks, and have `launch` run the rank body once per rank of
-/// some world. Every cell is written exactly once, by its owner.
+/// The one run path: take the result grid ([`Grid3D::try_unfilled`]),
+/// deal its pencils out to the ranks, and have `launch` run the rank
+/// body once per rank of some world. Every cell is written exactly
+/// once, by its owner, so what the cells held before is never read.
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
@@ -165,7 +167,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
 ) -> Run3D<O> {
     let d = c.d;
     let mut out =
-        Grid3D::try_new(d.nx, d.ny, d.nz, 0.0, d.boundary).ok_or(EngineError::OutOfMemory {
+        Grid3D::try_unfilled(d.nx, d.ny, d.nz, d.boundary).ok_or(EngineError::OutOfMemory {
             bytes: d.nx * d.ny * d.nz * std::mem::size_of::<f32>(),
         })?;
     let (results, elapsed) = {

@@ -210,7 +210,7 @@ fn comm_ops(p: &Program) -> Vec<Op> {
 /// analyzed: kind, order, peer, tag, bytes and request, op for op.
 fn assert_executors_run_the_analyzed_programs(plan: &Compiled3D, recorded: &[Program]) {
     let (d, mode) = (plan.decomp(), plan.mode());
-    let analyzed = analyzer::programs(&d, &d.step_plan(mode));
+    let analyzed = analyzer::programs(&d, &d.step_plan(mode)).expect("fewer than 2^32 steps");
     assert_eq!(recorded.len(), analyzed.len(), "{d:?} {mode:?}");
     for (rank, (rec, ana)) in recorded.iter().zip(&analyzed).enumerate() {
         assert_eq!(comm_ops(rec), comm_ops(ana), "{d:?} {mode:?} rank {rank}");
