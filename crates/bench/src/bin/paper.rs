@@ -496,7 +496,7 @@ fn cmd_chaos() {
         0.0,
         "traced chaos run must stay exact"
     );
-    let mut trace = msgpass::trace::Trace::enabled();
+    let mut trace = cluster_sim::trace::Trace::enabled();
     for obs in observers {
         trace.extend(obs.into_trace());
     }
@@ -505,7 +505,7 @@ fn cmd_chaos() {
     let stalls = trace
         .intervals()
         .iter()
-        .filter(|iv| iv.activity == msgpass::trace::Activity::Stall)
+        .filter(|iv| iv.activity == cluster_sim::trace::Activity::Stall)
         .count();
     print!("{}", trace.gantt(&ranks, horizon, 90));
     std::fs::write(

@@ -100,11 +100,7 @@ impl std::error::Error for CommError {}
 /// Handle for an in-flight non-blocking send.
 #[derive(Debug)]
 #[must_use = "a send request must be waited on before its buffer is reused"]
-pub struct SendRequest {
-    /// Backend-assigned request identifier (kept for tracing/debugging).
-    #[allow(dead_code)]
-    pub(crate) id: u64,
-}
+pub struct SendRequest(pub(crate) ());
 
 /// Handle for an in-flight non-blocking receive.
 #[derive(Debug)]
@@ -122,11 +118,10 @@ pub struct RecvRequest {
 /// with `TransportKind::SharedSlots` that storage is the peer-visible
 /// slot, so a halo face is written once and read once end to end.
 ///
-/// Implementations: [`crate::thread_backend::ThreadComm`] (real OS
+/// Implementation: [`crate::thread_backend::ThreadComm`] (real OS
 /// threads with injected wire latency — communication genuinely
-/// overlaps computation in wall-clock time) and
-/// [`crate::recording::RecordingComm`] (the same, logging every
-/// operation as a simulator program).
+/// overlaps computation in wall-clock time). The executors stay
+/// generic over the trait, as do the harness's probes.
 pub trait Communicator<T: Copy + Default + Send + 'static> {
     /// This process's rank in `0..size()`.
     fn rank(&self) -> usize;

@@ -13,10 +13,8 @@
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`])
 //!   and the reliability parameters ([`fault::ReliabilityConfig`])
 //!   of a [`thread_backend::WorldConfig`]-configured world.
-//! * [`thread_backend`] — the real threaded implementation
-//!   ([`thread_backend::run_threads`]).
-//! * [`recording`] — the same, logging every call as a `cluster-sim`
-//!   program ([`recording::record_sequential`]).
+//! * [`thread_backend`] — the threaded implementation
+//!   ([`thread_backend::run_threads`]), the trait's one implementation.
 //! * [`transport`] — the per-link wire abstraction
 //!   ([`transport::TransportKind`]): mpsc channels with a buffer-return
 //!   pool, or zero-copy shared-memory slot rings.
@@ -28,39 +26,37 @@
 //!   slot, and of the rank-thread handoff (no lost wakeup):
 //!   `cargo test -p msgpass modelcheck`.
 //! * [`topology`] — Cartesian process grids (the paper's 4×4 layout).
-//! * [`trace`] — wall-clock activity recording in the *same* interval
-//!   format the `cluster-sim` simulator emits, so real runs render
-//!   through the same Gantt paths.
 //!
 //! Timing-only simulation of the paper's cluster lives in the sibling
 //! `cluster-sim` crate; this crate moves *real data* and is what the
-//! `stencil` executors and their verification run on.
+//! `stencil` executors and their verification run on. A run's
+//! wall-clock trace, in the simulator's interval format, is recorded
+//! by the `stencil` engine's observer against [`ThreadComm::epoch`].
+//!
+//! [`ThreadComm::epoch`]: thread_backend::ThreadComm::epoch
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod affinity;
 pub mod comm;
 pub mod fault;
 #[cfg(test)]
 mod modelcheck;
-pub mod recording;
 pub mod slot_transport;
 pub mod thread_backend;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
     pub use crate::fault::{FaultKind, FaultPlan, FaultSite, FaultStats, ReliabilityConfig};
-    pub use crate::recording::{record_sequential, RecordingComm};
     pub use crate::thread_backend::{
         run_threads, run_threads_with, LatencyModel, PoolStats, ThreadComm, WorldConfig,
     };
     pub use crate::topology::CartesianGrid;
-    pub use crate::trace::WallTrace;
     pub use crate::transport::TransportKind;
 }

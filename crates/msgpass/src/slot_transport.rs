@@ -142,15 +142,18 @@ impl<T> SlotPool<T> {
     }
 
     fn total(&self) -> usize {
-        let last = self.chunks.last().expect("a pool has a chunk");
-        last.base + last.slots.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| last.base + last.slots.len())
     }
 
     fn slot(&self, idx: usize) -> (&Arc<Chunk<T>>, usize) {
+        // Chunk 0 starts at slot 0, so the scan stops there at the
+        // latest.
         let mut newest_first = self.chunks.iter().rev();
         let chunk = newest_first
             .find(|c| c.base <= idx)
-            .expect("chunk 0 starts at slot 0");
+            .unwrap_or(&self.chunks[0]);
         (chunk, idx - chunk.base)
     }
 

@@ -37,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 use tiling_core::machine::KernelTier;
@@ -271,6 +271,186 @@ impl<T> RelState<T> {
             held: (0..size).map(|_| None).collect(),
         }
     }
+
+    /// Accept `msg` from `from` if it is the next expected occurrence of
+    /// its tag: `Some(msg)` to deliver, `None` if it was consumed as a
+    /// duplicate or stashed for later in `stash`.
+    fn triage(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        expect: u64,
+        msg: Envelope<T>,
+        stash: &mut VecDeque<Envelope<T>>,
+    ) -> Option<Envelope<T>> {
+        if msg.tag == tag && msg.seq == expect {
+            return Some(msg);
+        }
+        let seen = *self.consumed[from].get(&msg.tag).unwrap_or(&0);
+        if msg.seq < seen {
+            // A duplicate of something already consumed.
+            self.stats.duplicates_discarded += 1;
+            return None;
+        }
+        stash.push_back(msg);
+        None
+    }
+
+    /// The reliability receive: bounded timeout slices with exponential
+    /// backoff, duplicate discard by sequence number, ledger recovery of
+    /// recoverably dropped messages, and gap detection for permanent
+    /// losses. Returns a typed [`CommError`] instead of hanging.
+    /// `stash` and `rx` are the receiving rank's out-of-order buffer
+    /// and link from `from`.
+    fn receive(
+        &mut self,
+        from: usize,
+        tag: Tag,
+        stash: &mut VecDeque<Envelope<T>>,
+        rx: &mut dyn LinkRx<T>,
+    ) -> Result<Envelope<T>, CommError> {
+        let (cfg, expect) = (self.cfg, *self.consumed[from].get(&tag).unwrap_or(&0));
+        // Committing a receive also purges any ledger copy of the same
+        // message (e.g. one parked by a reorder fault whose original
+        // arrived anyway) so shared payload buffers — slot leases in
+        // particular — are released instead of staying pinned forever.
+        let commit = |rel: &mut RelState<T>| {
+            *rel.consumed[from].entry(tag).or_insert(0) = expect + 1;
+            rel.ledger_in[from]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .stored
+                .remove(&(tag, expect));
+        };
+        let mut waited = Duration::ZERO;
+        // Two consecutive attempts that see a committed-but-absent
+        // message (and fail ledger recovery) before declaring a gap: a
+        // reordered message held at the sender gets one full extra
+        // slice to flush.
+        let mut missing_strikes = 0u32;
+        for attempt in 0..=cfg.max_retries {
+            // 1. The stash may already hold the match (purging stale
+            //    duplicates as we scan).
+            let mut i = 0;
+            while i < stash.len() {
+                let m = &stash[i];
+                if m.tag == tag && m.seq == expect {
+                    // `i` is in bounds (loop guard), so the remove
+                    // always yields; fall through to the wire drain on
+                    // the impossible miss rather than panicking.
+                    let Some(msg) = stash.remove(i) else {
+                        break;
+                    };
+                    commit(self);
+                    return Ok(msg);
+                }
+                let seen = *self.consumed[from].get(&m.tag).unwrap_or(&0);
+                if m.seq < seen {
+                    stash.remove(i);
+                    self.stats.duplicates_discarded += 1;
+                } else {
+                    i += 1;
+                }
+            }
+            // 2. Drain the link for one timeout slice.
+            let factor = 1u32 << attempt.min(6);
+            let slice = cfg.recv_timeout * factor;
+            let deadline = Instant::now() + slice;
+            loop {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    break;
+                }
+                match rx.pop_timeout(remaining) {
+                    Ok(Some(msg)) => {
+                        if let Some(msg) = self.triage(from, tag, expect, msg, stash) {
+                            commit(self);
+                            return Ok(msg);
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        // The peer is gone — its parked payloads are the
+                        // only hope left.
+                        let recovered = self.ledger_in[from]
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .stored
+                            .remove(&(tag, expect));
+                        if let Some(payload) = recovered {
+                            self.stats.recovered += 1;
+                            commit(self);
+                            return Ok(Envelope {
+                                tag,
+                                payload,
+                                seq: expect,
+                                ready_at: Instant::now(),
+                            });
+                        }
+                        return Err(CommError::PeerClosed { peer: from });
+                    }
+                }
+            }
+            waited += slice;
+            // 3. Nothing on the wire: try the retransmission ledger.
+            let (recovered, committed) = {
+                let mut led = self.ledger_in[from]
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                (
+                    led.stored.remove(&(tag, expect)),
+                    *led.sent.get(&tag).unwrap_or(&0),
+                )
+            };
+            if let Some(payload) = recovered {
+                self.stats.recovered += 1;
+                self.stats.retries += attempt as u64;
+                commit(self);
+                return Ok(Envelope {
+                    tag,
+                    payload,
+                    seq: expect,
+                    ready_at: Instant::now(),
+                });
+            }
+            if committed > expect {
+                missing_strikes += 1;
+                if missing_strikes >= 2 {
+                    return Err(CommError::SequenceGap {
+                        from,
+                        tag,
+                        seq: expect,
+                    });
+                }
+            }
+            self.stats.retries += 1;
+            if attempt < cfg.max_retries && !cfg.backoff.is_zero() {
+                std::thread::sleep(cfg.backoff * factor);
+            }
+        }
+        Err(CommError::Timeout {
+            from,
+            tag,
+            waited,
+            retries: cfg.max_retries,
+        })
+    }
+
+    /// Flush the message held back toward `to` by a reorder fault
+    /// into `tx`, its link (best effort: the peer may already be gone).
+    fn flush_held(&mut self, to: usize, tx: &mut dyn LinkTx<T>) {
+        if let Some(msg) = self.held[to].take() {
+            let _ = tx.push(msg);
+        }
+    }
+
+    /// [`RelState::flush_held`] toward every rank, `tx` indexed by
+    /// destination.
+    fn flush_all(&mut self, tx: &mut [Box<dyn LinkTx<T>>]) {
+        for (to, tx) in tx.iter_mut().enumerate() {
+            self.flush_held(to, tx.as_mut());
+        }
+    }
 }
 
 /// Sleep-then-spin until `deadline` (sleep for the coarse part, spin the
@@ -307,7 +487,6 @@ pub struct ThreadComm<T> {
     /// Common time origin of the world (same `Instant` on every rank),
     /// so per-rank wall-clock trace recorders share one zero.
     epoch: Instant,
-    next_req: u64,
     elem_bytes: usize,
     /// Reliability/fault state — `None` on plain worlds, so the default
     /// transport pays nothing for the layer's existence.
@@ -328,9 +507,10 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
     }
 
     /// The world's shared time origin: the same `Instant` on every rank
-    /// of one [`run_threads`] world. Wall-clock trace recorders
-    /// ([`crate::trace::WallTrace`]) measure against it so intervals
-    /// from different rank threads land on one comparable time axis.
+    /// of one [`run_threads`] world. Wall-clock trace recorders (the
+    /// `stencil` engine's trace observer) measure against it so
+    /// intervals from different rank threads land on one comparable
+    /// time axis.
     pub fn epoch(&self) -> Instant {
         self.epoch
     }
@@ -384,10 +564,9 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
     /// Match the next `(from, tag)` message: the reliability path when
     /// enabled, the plain blocking path otherwise.
     fn fetch(&mut self, from: usize, tag: Tag) -> Result<Envelope<T>, CommError> {
-        if self.rel.is_some() {
-            self.match_message_rel(from, tag)
-        } else {
-            self.match_message(from, tag)
+        match self.rel.as_mut() {
+            Some(rel) => rel.receive(from, tag, &mut self.stash[from], self.rx[from].as_mut()),
+            None => self.match_message(from, tag),
         }
     }
 
@@ -415,206 +594,6 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
         Ok(())
     }
 
-    /// Accept `msg` from `from` if it is the next expected occurrence of
-    /// its tag: `Some(msg)` to deliver, `None` if it was consumed as a
-    /// duplicate or stashed for later.
-    fn triage(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        expect: u64,
-        msg: Envelope<T>,
-    ) -> Option<Envelope<T>> {
-        let rel = self.rel.as_mut().expect("triage requires reliability");
-        if msg.tag == tag && msg.seq == expect {
-            return Some(msg);
-        }
-        let seen = *rel.consumed[from].get(&msg.tag).unwrap_or(&0);
-        if msg.seq < seen {
-            // A duplicate of something already consumed.
-            rel.stats.duplicates_discarded += 1;
-            return None;
-        }
-        self.stash[from].push_back(msg);
-        None
-    }
-
-    /// The reliability receive: bounded timeout slices with exponential
-    /// backoff, duplicate discard by sequence number, ledger recovery of
-    /// recoverably dropped messages, and gap detection for permanent
-    /// losses. Returns a typed [`CommError`] instead of hanging.
-    fn match_message_rel(&mut self, from: usize, tag: Tag) -> Result<Envelope<T>, CommError> {
-        let (cfg, expect) = {
-            let rel = self.rel.as_ref().expect("reliability enabled");
-            (rel.cfg, *rel.consumed[from].get(&tag).unwrap_or(&0))
-        };
-        // Committing a receive also purges any ledger copy of the same
-        // message (e.g. one parked by a reorder fault whose original
-        // arrived anyway) so shared payload buffers — slot leases in
-        // particular — are released instead of staying pinned forever.
-        let commit = |rel: &mut RelState<T>| {
-            *rel.consumed[from].entry(tag).or_insert(0) = expect + 1;
-            rel.ledger_in[from]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .stored
-                .remove(&(tag, expect));
-        };
-        let mut waited = Duration::ZERO;
-        // Two consecutive attempts that see a committed-but-absent
-        // message (and fail ledger recovery) before declaring a gap: a
-        // reordered message held at the sender gets one full extra
-        // slice to flush.
-        let mut missing_strikes = 0u32;
-        for attempt in 0..=cfg.max_retries {
-            // 1. The stash may already hold the match (purging stale
-            //    duplicates as we scan).
-            let mut i = 0;
-            while i < self.stash[from].len() {
-                let m = &self.stash[from][i];
-                if m.tag == tag && m.seq == expect {
-                    // `i` is in bounds (loop guard), so the remove
-                    // always yields; fall through to the wire drain on
-                    // the impossible miss rather than panicking.
-                    let Some(msg) = self.stash[from].remove(i) else {
-                        break;
-                    };
-                    let rel = self.rel.as_mut().expect("reliability enabled");
-                    commit(rel);
-                    return Ok(msg);
-                }
-                let seen = {
-                    let rel = self.rel.as_ref().expect("reliability enabled");
-                    *rel.consumed[from].get(&m.tag).unwrap_or(&0)
-                };
-                if m.seq < seen {
-                    self.stash[from].remove(i);
-                    let rel = self.rel.as_mut().expect("reliability enabled");
-                    rel.stats.duplicates_discarded += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            // 2. Drain the link for one timeout slice.
-            let factor = 1u32 << attempt.min(6);
-            let slice = cfg.recv_timeout * factor;
-            let deadline = Instant::now() + slice;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                match self.rx[from].pop_timeout(remaining) {
-                    Ok(Some(msg)) => {
-                        if let Some(msg) = self.triage(from, tag, expect, msg) {
-                            let rel = self.rel.as_mut().expect("reliability enabled");
-                            commit(rel);
-                            return Ok(msg);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // The peer is gone — its parked payloads are the
-                        // only hope left.
-                        let rel = self.rel.as_mut().expect("reliability enabled");
-                        let recovered = rel.ledger_in[from]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .stored
-                            .remove(&(tag, expect));
-                        if let Some(payload) = recovered {
-                            rel.stats.recovered += 1;
-                            commit(rel);
-                            return Ok(Envelope {
-                                tag,
-                                payload,
-                                seq: expect,
-                                ready_at: Instant::now(),
-                            });
-                        }
-                        return Err(CommError::PeerClosed { peer: from });
-                    }
-                }
-            }
-            waited += slice;
-            // 3. Nothing on the wire: try the retransmission ledger.
-            let rel = self.rel.as_mut().expect("reliability enabled");
-            let (recovered, committed) = {
-                let mut led = rel.ledger_in[from]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                (
-                    led.stored.remove(&(tag, expect)),
-                    *led.sent.get(&tag).unwrap_or(&0),
-                )
-            };
-            if let Some(payload) = recovered {
-                rel.stats.recovered += 1;
-                rel.stats.retries += attempt as u64;
-                commit(rel);
-                return Ok(Envelope {
-                    tag,
-                    payload,
-                    seq: expect,
-                    ready_at: Instant::now(),
-                });
-            }
-            if committed > expect {
-                missing_strikes += 1;
-                if missing_strikes >= 2 {
-                    return Err(CommError::SequenceGap {
-                        from,
-                        tag,
-                        seq: expect,
-                    });
-                }
-            }
-            rel.stats.retries += 1;
-            if attempt < cfg.max_retries && !cfg.backoff.is_zero() {
-                std::thread::sleep(cfg.backoff * factor);
-            }
-        }
-        Err(CommError::Timeout {
-            from,
-            tag,
-            waited,
-            retries: cfg.max_retries,
-        })
-    }
-
-    /// Flush a message held back by a reorder fault (best effort: the
-    /// peer may already be gone).
-    fn flush_held(&mut self, to: usize) {
-        if let Some(rel) = self.rel.as_mut() {
-            if let Some(msg) = rel.held[to].take() {
-                let _ = self.tx[to].push(msg);
-            }
-        }
-    }
-
-    /// Non-blocking match for the sequential recording driver: the
-    /// message must already be present (lower ranks ran to completion),
-    /// so an empty link means the program's messages do not flow in
-    /// rank order — panic with a diagnosis instead of hanging forever.
-    pub(crate) fn recv_now(&mut self, from: usize, tag: Tag) -> Envelope<T> {
-        let pos = self.stash[from].iter().position(|m| m.tag == tag);
-        if let Some(msg) = pos.and_then(|p| self.stash[from].remove(p)) {
-            return msg;
-        }
-        loop {
-            match self.rx[from].try_pop() {
-                Some(msg) if msg.tag == tag => return msg,
-                Some(msg) => self.stash[from].push_back(msg),
-                None => panic!(
-                    "sequential recording: rank {} receives (from {from}, tag {tag}) \
-                     but the message was never sent — messages must flow from lower \
-                     to higher ranks during recording",
-                    self.rank
-                ),
-            }
-        }
-    }
-
     /// Hand a staged payload to the transport toward `to`, applying the
     /// world's fault plan; returns the instant the message is (modeled
     /// to be) fully on the wire. This is the single choke point of all
@@ -631,19 +610,19 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
     ) -> Result<Instant, CommError> {
         let bytes = self.payload_bytes(payload.len());
         let ready_at = Instant::now() + self.latency.delay(bytes);
-        if self.rel.is_none() {
-            self.tx[to]
-                .push(Envelope {
-                    tag,
-                    payload,
-                    seq: 0,
-                    ready_at,
-                })
-                .map_err(|_| CommError::PeerClosed { peer: to })?;
+        let closed = |_| CommError::PeerClosed { peer: to };
+        let Self { rank, tx, rel, .. } = self;
+        let tx = tx[to].as_mut();
+        let Some(rel) = rel.as_mut() else {
+            tx.push(Envelope {
+                tag,
+                payload,
+                seq: 0,
+                ready_at,
+            })
+            .map_err(closed)?;
             return Ok(ready_at);
-        }
-        let rank = self.rank;
-        let rel = self.rel.as_mut().expect("reliability enabled");
+        };
         let seq = {
             let e = rel.send_seq[to].entry(tag).or_insert(0);
             let s = *e;
@@ -662,11 +641,11 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
         let decision = rel
             .plan
             .as_ref()
-            .map(|p| p.decide(rank, to, tag, seq))
+            .map(|p| p.decide(*rank, to, tag, seq))
             .unwrap_or_default();
         if decision.lose {
             rel.stats.lost += 1;
-            self.flush_held(to);
+            rel.flush_held(to, tx);
             return Ok(ready_at);
         }
         if decision.drop {
@@ -676,7 +655,7 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
                 .unwrap_or_else(|e| e.into_inner())
                 .stored
                 .insert((tag, seq), payload);
-            self.flush_held(to);
+            rel.flush_held(to, tx);
             return Ok(ready_at);
         }
         let ready_at = match decision.extra_delay {
@@ -694,9 +673,8 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
                 seq,
                 ready_at,
             };
-            let _ = self.tx[to].push(dup);
+            let _ = tx.push(dup);
         }
-        let rel = self.rel.as_mut().expect("reliability enabled");
         if decision.reorder && rel.held[to].is_none() {
             rel.stats.reordered += 1;
             // Park a handle in the ledger too: if no later message ever
@@ -715,16 +693,15 @@ impl<T: Send + Sync + 'static> ThreadComm<T> {
             });
             return Ok(ready_at);
         }
-        self.tx[to]
-            .push(Envelope {
-                tag,
-                payload,
-                seq,
-                ready_at,
-            })
-            .map_err(|_| CommError::PeerClosed { peer: to })?;
+        tx.push(Envelope {
+            tag,
+            payload,
+            seq,
+            ready_at,
+        })
+        .map_err(closed)?;
         // An older held message leaves after the newer one: reordered.
-        self.flush_held(to);
+        rel.flush_held(to, tx);
         Ok(ready_at)
     }
 }
@@ -741,8 +718,8 @@ impl<T: Copy + Default + Send + Sync + 'static> Communicator<T> for ThreadComm<T
     fn barrier(&mut self) {
         // A barrier is a hard progress point: nothing may stay held
         // back past it.
-        for to in 0..self.size {
-            self.flush_held(to);
+        if let Some(rel) = self.rel.as_mut() {
+            rel.flush_all(&mut self.tx);
         }
         self.barrier.wait();
     }
@@ -770,9 +747,7 @@ impl<T: Copy + Default + Send + Sync + 'static> Communicator<T> for ThreadComm<T
     ) -> Result<SendRequest, CommError> {
         let payload = self.stage_with(to, len, fill);
         self.transmit_payload(to, tag, payload)?;
-        let id = self.next_req;
-        self.next_req += 1;
-        Ok(SendRequest { id })
+        Ok(SendRequest(()))
     }
 
     fn irecv(&mut self, from: usize, tag: Tag) -> RecvRequest {
@@ -812,30 +787,16 @@ impl<T: Copy + Default + Send + Sync + 'static> Communicator<T> for ThreadComm<T
 impl<T> Drop for ThreadComm<T> {
     fn drop(&mut self) {
         if let Some(rel) = self.rel.as_mut() {
-            for (to, slot) in rel.held.iter_mut().enumerate() {
-                if let Some(msg) = slot.take() {
-                    let _ = self.tx[to].push(msg);
-                }
-            }
+            rel.flush_all(&mut self.tx);
         }
     }
 }
 
-/// Build the full mesh of per-rank communicators, without threads (the
-/// trace-recording driver runs them one after another on its own
-/// thread). Each directed pair gets one transport link of the
-/// configured kind.
-pub(crate) fn build_world<T: Send + Sync + 'static>(
-    size: usize,
-    latency: LatencyModel,
-) -> Vec<ThreadComm<T>> {
-    build_world_with(size, &WorldConfig::new(latency)).comms
-}
-
-/// [`build_world`] with the full [`WorldConfig`], as a [`World`]:
-/// additionally wires the per-link retransmission ledgers and per-rank
-/// reliability state when the configuration asks for them. No thread
-/// starts before the world's first run.
+/// Build the full mesh of per-rank communicators as a [`World`]: each
+/// directed pair gets one transport link of the configured kind, plus
+/// the per-link retransmission ledgers and per-rank reliability state
+/// when the configuration asks for them. No thread starts before the
+/// world's first run.
 ///
 /// Public so long-running services can build a world *once* and drive
 /// it through [`run_world`] for many jobs: the links (and, on the
@@ -846,18 +807,17 @@ pub(crate) fn build_world<T: Send + Sync + 'static>(
 pub fn build_world_with<T: Send + Sync + 'static>(size: usize, cfg: &WorldConfig) -> World<T> {
     assert!(size > 0, "world size must be positive");
     let latency = cfg.latency;
-    let mut tx_grid: Vec<Vec<Option<Box<dyn LinkTx<T>>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
-        .collect();
-    let mut rx_grid: Vec<Vec<Option<Box<dyn LinkRx<T>>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
-        .collect();
-    #[allow(clippy::needless_range_loop)] // LINT: src/dst index two grids
-    for src in 0..size {
-        for dst in 0..size {
+    // `txs[src][dst]` and `rxs[dst][src]` are the two ends of the link
+    // `src → dst`: both fill in `src`-major order.
+    let mut txs: Vec<Vec<Box<dyn LinkTx<T>>>> =
+        (0..size).map(|_| Vec::with_capacity(size)).collect();
+    let mut rxs: Vec<Vec<Box<dyn LinkRx<T>>>> =
+        (0..size).map(|_| Vec::with_capacity(size)).collect();
+    for tx in &mut txs {
+        for rx in &mut rxs {
             let (t, r) = make_link::<T>(cfg.transport);
-            tx_grid[src][dst] = Some(t);
-            rx_grid[dst][src] = Some(r);
+            tx.push(t);
+            rx.push(r);
         }
     }
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(size));
@@ -873,13 +833,7 @@ pub fn build_world_with<T: Send + Sync + 'static>(size: usize, cfg: &WorldConfig
     });
 
     let mut comms: Vec<ThreadComm<T>> = Vec::with_capacity(size);
-    for rank in 0..size {
-        let tx = (0..size)
-            .map(|dst| tx_grid[rank][dst].take().expect("tx endpoint taken once"))
-            .collect();
-        let rx = (0..size)
-            .map(|src| rx_grid[rank][src].take().expect("rx endpoint taken once"))
-            .collect();
+    for (rank, (tx, rx)) in txs.into_iter().zip(rxs).enumerate() {
         let rel = ledgers.as_ref().map(|led| {
             let mut state = RelState::new(
                 size,
@@ -900,7 +854,6 @@ pub fn build_world_with<T: Send + Sync + 'static>(size: usize, cfg: &WorldConfig
             latency,
             barrier: barrier.clone(),
             epoch,
-            next_req: 0,
             elem_bytes,
             rel,
         });
@@ -948,7 +901,7 @@ where
     (
         results
             .into_iter()
-            .map(|r| r.expect("rank thread panicked"))
+            .map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect(),
         elapsed,
     )
@@ -1065,9 +1018,11 @@ where
         // as the dead rank left it.
         catch_unwind(AssertUnwindSafe(|| body(first)))
     };
+    // Every posted job fills its slot before the launch is dropped; an
+    // empty one would be a rank that never ran, which is its failure.
     let ranks = slots
         .into_iter()
-        .map(|s| s.expect("a done rank filled its slot"));
+        .map(|s| s.unwrap_or_else(|| Err(Box::new("rank never ran"))));
     (
         std::iter::once(inline).chain(ranks).collect(),
         start.elapsed(),
@@ -1079,10 +1034,6 @@ const IDLE: u32 = 0;
 const POSTED: u32 = 1;
 const DONE: u32 = 2;
 const EXIT: u32 = 3;
-
-/// A job slot is only ever locked to store or take a job, which
-/// cannot panic.
-const UNPOISONED: &str = "a job slot's lock is never held across a panic";
 
 /// One run's work for one resident thread — the rank's body into its
 /// result slot — with its borrows' lifetime erased (see [`run_ranks`]).
@@ -1101,6 +1052,8 @@ struct Crew {
 /// the crew's running count.
 struct Mailbox {
     state: AtomicU32,
+    /// Locked only to store or take a job, which cannot panic, so a
+    /// poisoned lock would still hold a whole slot.
     job: Mutex<Option<(Job, Thread)>>,
     running: Arc<AtomicUsize>,
 }
@@ -1147,7 +1100,7 @@ impl Launch<'_> {
         // Relaxed: the `POSTED` release below orders the count before
         // the resident's count-off, which acquires `POSTED` first.
         self.0.running.fetch_add(1, Ordering::Relaxed);
-        *mailbox.job.lock().expect(UNPOISONED) = Some((job, waiter));
+        *mailbox.job.lock().unwrap_or_else(PoisonError::into_inner) = Some((job, waiter));
         mailbox.state.store(POSTED, Ordering::Release);
         thread.thread().unpark();
     }
@@ -1165,7 +1118,12 @@ impl Mailbox {
     fn serve(&self) {
         loop {
             park_until(|| matches!(self.state.load(Ordering::Acquire), POSTED | EXIT));
-            let Some((job, waiter)) = self.job.lock().expect(UNPOISONED).take() else {
+            let job = self
+                .job
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let Some((job, waiter)) = job else {
                 return;
             };
             job();

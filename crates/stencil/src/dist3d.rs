@@ -612,7 +612,7 @@ pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver
 }
 
 /// [`run_rank3d_into`] for a caller that wants one rank's block by
-/// itself (the trace recorder, rank-level tests and benches): allocate
+/// itself (rank-level tests and benches): allocate
 /// `bx × by × nz`, run into its pencils, return it.
 pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,

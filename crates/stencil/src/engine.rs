@@ -21,15 +21,16 @@
 //! Every phase of every step is reported to a [`StepObserver`]:
 //! [`NoopObserver`] compiles the instrumentation out, [`TraceObserver`]
 //! records wall-clock activity intervals in the simulator's trace
-//! format (rendered by the same Gantt paths as Fig. 1/2), [`PhaseLog`]
-//! captures the exact event order for schedule-conformance tests, and
-//! [`LaneStats`] accumulates the per-step A-lane/B-lane split of eq. 4.
+//! format (rendered by the same Gantt paths as Fig. 1/2, and replayed
+//! by [`crate::plan::replay_programs`]), and [`PhaseLog`] captures the
+//! exact event order for schedule-conformance tests.
 
 use crate::decomp::DecompError;
 use analyzer::plan::{ELEM_BYTES, TAG_STRIDE};
 use cluster_sim::program::{Op, Program, ReqId};
+use cluster_sim::time::SimTime;
+use cluster_sim::trace::{Activity, Trace};
 use msgpass::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
-use msgpass::trace::{Activity, Trace, WallTrace};
 use std::fmt;
 use std::time::{Duration, Instant};
 use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule, StepPlan};
@@ -439,11 +440,14 @@ impl StepObserver for NoopObserver {
 }
 
 /// Records wall-clock activity intervals in the simulator's trace
-/// format (via [`WallTrace`]): a real run becomes a [`Trace`] the
-/// existing Gantt/SVG renderers draw directly.
+/// format: each phase's measured `[start, end]` becomes an interval of
+/// [`SimTime`] since the world epoch, so a real run becomes a [`Trace`]
+/// the existing Gantt/SVG renderers draw directly.
 #[derive(Debug)]
 pub struct TraceObserver {
-    wall: WallTrace,
+    rank: usize,
+    epoch: Instant,
+    trace: Trace,
     stall_after: Option<Duration>,
 }
 
@@ -452,7 +456,9 @@ impl TraceObserver {
     /// `ThreadComm::epoch()` so all ranks share the origin).
     pub fn new(rank: usize, epoch: Instant) -> Self {
         TraceObserver {
-            wall: WallTrace::new(rank, epoch),
+            rank,
+            epoch,
+            trace: Trace::enabled(),
             stall_after: None,
         }
     }
@@ -465,9 +471,19 @@ impl TraceObserver {
         self
     }
 
-    /// Finish recording, yielding the rank's trace.
+    /// Finish recording, yielding the rank's trace (merge the ranks of
+    /// one world with [`Trace::extend`]).
     pub fn into_trace(self) -> Trace {
-        self.wall.into_trace()
+        self.trace
+    }
+
+    /// Record `activity` over `[start, end]`. Instants before the epoch
+    /// saturate to 0 (cannot happen for phases inside the world).
+    fn record(&mut self, activity: Activity, start: Instant, end: Instant) {
+        let epoch = self.epoch;
+        let at =
+            |t: Instant| SimTime::from_nanos(t.saturating_duration_since(epoch).as_nanos() as u64);
+        self.trace.record(self.rank, activity, at(start), at(end));
     }
 
     fn is_stall(&self, phase: Phase, start: Instant, end: Instant) -> bool {
@@ -487,7 +503,7 @@ impl StepObserver for TraceObserver {
         if self.is_stall(phase, start, end) {
             return;
         }
-        self.wall.record(phase.activity(), start, end);
+        self.record(phase.activity(), start, end);
     }
 
     fn stall_threshold(&self) -> Option<Duration> {
@@ -495,7 +511,7 @@ impl StepObserver for TraceObserver {
     }
 
     fn on_stall(&mut self, _phase: Phase, start: Instant, end: Instant) {
-        self.wall.record(Activity::Stall, start, end);
+        self.record(Activity::Stall, start, end);
     }
 }
 
@@ -512,61 +528,6 @@ impl StepObserver for PhaseLog {
 
     fn on_phase(&mut self, phase: Phase, _start: Instant, _end: Instant) {
         self.phases.push(phase);
-    }
-}
-
-/// Per-step lane accounting: the measured counterpart of eq. 4's
-/// `max(A-lane, B-lane)` split. Index `k` holds the µs tile `k` spent
-/// in CPU-lane phases (compute, pack/unpack, posts) and in
-/// communication-lane phases (blocking transfers and request waits).
-#[derive(Clone, Debug)]
-pub struct LaneStats {
-    /// CPU-lane µs per step (`A₁+A₂+A₃` plus kernel-buffer copies).
-    pub cpu_us: Vec<f64>,
-    /// Communication-lane µs per step (waits and blocking transfers).
-    pub comm_us: Vec<f64>,
-}
-
-impl LaneStats {
-    /// Zeroed accounting for a `steps`-deep pipeline.
-    pub fn new(steps: usize) -> Self {
-        LaneStats {
-            cpu_us: vec![0.0; steps],
-            comm_us: vec![0.0; steps],
-        }
-    }
-
-    /// Mean/max summary over every (rank, step) sample of several
-    /// ranks' stats: `(a_mean, a_max, b_mean, b_max)` in µs.
-    pub fn summarize(all: &[LaneStats]) -> (f64, f64, f64, f64) {
-        let mut a = (0.0f64, 0.0f64, 0usize);
-        let mut b = (0.0f64, 0.0f64, 0usize);
-        for s in all {
-            for &v in &s.cpu_us {
-                a = (a.0 + v, a.1.max(v), a.2 + 1);
-            }
-            for &v in &s.comm_us {
-                b = (b.0 + v, b.1.max(v), b.2 + 1);
-            }
-        }
-        let mean = |sum: f64, n: usize| if n == 0 { 0.0 } else { sum / n as f64 };
-        (mean(a.0, a.2), a.1, mean(b.0, b.2), b.1)
-    }
-}
-
-impl StepObserver for LaneStats {
-    const ENABLED: bool = true;
-
-    fn on_phase(&mut self, phase: Phase, start: Instant, end: Instant) {
-        let us = end.duration_since(start).as_secs_f64() * 1e6;
-        let k = phase.step();
-        if k < self.cpu_us.len() {
-            if phase.is_cpu_lane() {
-                self.cpu_us[k] += us;
-            } else {
-                self.comm_us[k] += us;
-            }
-        }
     }
 }
 
@@ -1052,19 +1013,26 @@ mod tests {
     }
 
     #[test]
-    fn lane_stats_accumulate_and_summarize() {
-        let mut s = LaneStats::new(2);
-        let t0 = Instant::now();
-        let t1 = t0 + std::time::Duration::from_micros(10);
-        let t2 = t0 + std::time::Duration::from_micros(14);
-        s.on_phase(Phase::Compute { step: 0 }, t0, t1);
-        s.on_phase(Phase::WaitRecv { dir: 0, step: 1 }, t1, t2);
-        assert!((s.cpu_us[0] - 10.0).abs() < 1e-6);
-        assert!((s.comm_us[1] - 4.0).abs() < 1e-6);
-        let (a_mean, a_max, b_mean, b_max) = LaneStats::summarize(&[s]);
-        assert!((a_mean - 5.0).abs() < 1e-6); // steps 0 and 1 average
-        assert!((a_max - 10.0).abs() < 1e-6);
-        assert!((b_mean - 2.0).abs() < 1e-6);
-        assert!((b_max - 4.0).abs() < 1e-6);
+    fn instants_map_onto_epoch_relative_simtime() {
+        let epoch = Instant::now();
+        let mut obs = TraceObserver::new(3, epoch);
+        let (a, b) = (Duration::from_micros(10), Duration::from_micros(25));
+        obs.on_phase(Phase::Compute { step: 0 }, epoch + a, epoch + b);
+        let iv = obs.into_trace().intervals().to_vec();
+        assert_eq!(iv.len(), 1);
+        assert_eq!(iv[0].rank, 3);
+        assert_eq!(iv[0].start, SimTime::from_us(10.0));
+        assert_eq!(iv[0].end, SimTime::from_us(25.0));
+    }
+
+    #[test]
+    fn pre_epoch_instants_saturate() {
+        let early = Instant::now();
+        std::thread::sleep(Duration::from_millis(1));
+        let epoch = Instant::now();
+        let mut obs = TraceObserver::new(0, epoch);
+        let end = epoch + Duration::from_micros(5);
+        obs.on_phase(Phase::Compute { step: 0 }, early, end);
+        assert_eq!(obs.into_trace().intervals()[0].start, SimTime::ZERO);
     }
 }

@@ -32,8 +32,7 @@
 //!
 //! Every kernel is a [`kernel::Kernel3D`] — the 2-D ones read their
 //! `(1,1)` dependence as the block's diagonal e₂+e₃ — and the executor
-//! is generic over it and over any [`msgpass::comm::Communicator`],
-//! which is how the trace-driven recorder replays it unchanged.
+//! is generic over it and over any [`msgpass::comm::Communicator`].
 //!
 //! ```
 //! use stencil::prelude::*;
@@ -72,15 +71,15 @@ pub mod prelude {
     pub use crate::decomp::{Decomp2D, DecompError};
     pub use crate::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
     pub use crate::engine::{
-        run_rank, EngineError, LaneStats, NoopObserver, Phase, PhaseLog, StepObserver, TileOps,
-        TraceObserver,
+        run_rank, EngineError, NoopObserver, Phase, PhaseLog, StepObserver, TileOps, TraceObserver,
     };
     pub use crate::grid::{Grid2D, Grid3D};
     pub use crate::kernel::{
         Alignment2D, Example1, Fused3D, Kernel3D, LongestPath3D, Paper3D, Relax3D, Smooth2D,
     };
     pub use crate::plan::{
-        run3d_observed_with, run3d_on_world, run3d_on_world_observed, run3d_with, Compiled3D,
+        replay_programs, run3d_observed_with, run3d_on_world, run3d_on_world_observed, run3d_with,
+        Compiled3D, TraceMismatch,
     };
     pub use crate::preflight::check_plan3d;
     pub use crate::seq::{

@@ -24,6 +24,10 @@
 //! because the analyzer proved the plan drains every link — a completed
 //! run leaves no message behind. A result grid larger than memory is an
 //! [`EngineError::OutOfMemory`], before any rank runs.
+//!
+//! [`replay_programs`] turns a traced run back into simulator input:
+//! the plan's own programs with every tile priced as measured, so the
+//! code that ran here can be costed on any machine the simulator models.
 
 use crate::dist3d::{self, Decomp3D};
 use crate::engine::{EngineError, ExecMode, NoopObserver, StepObserver};
@@ -31,10 +35,12 @@ use crate::grid::Grid3D;
 use crate::kernel::Kernel3D;
 use crate::preflight::analyze_plan;
 use analyzer::{AnalysisReport, RankTopology};
-use cluster_sim::program::Program;
+use cluster_sim::program::{Op, Program};
+use cluster_sim::trace::{Activity, Trace};
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
+use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
@@ -269,6 +275,85 @@ pub fn run3d_on_world<K: Kernel3D>(
     Ok((grid, elapsed, stats))
 }
 
+/// Why [`replay_programs`] cannot price a plan's programs: rank
+/// `rank`'s trace holds `computes` compute intervals where the plan
+/// runs `tiles` tiles on it (a rank without a trace holds none, a trace
+/// past the plan's ranks belongs to a rank that runs none).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceMismatch {
+    /// The rank whose trace does not fit the plan.
+    pub rank: usize,
+    /// [`Activity::Compute`] intervals its trace holds.
+    pub computes: usize,
+    /// Tiles the plan runs on it.
+    pub tiles: usize,
+}
+
+impl fmt::Display for TraceMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let TraceMismatch {
+            rank,
+            computes,
+            tiles,
+        } = self;
+        write!(
+            f,
+            "rank {rank}'s trace holds {computes} compute intervals for {tiles} tiles"
+        )
+    }
+}
+
+impl std::error::Error for TraceMismatch {}
+
+/// Every rank's program as pre-flight proved it, with the compute of
+/// step `k` priced at the rank's `k`-th measured [`Activity::Compute`]
+/// interval, in µs: what the code that ran would cost on whatever
+/// machine the simulator is given.
+///
+/// `traces` holds one [`Trace`] per rank, in rank order, recorded by a
+/// [`crate::engine::TraceObserver`] on a run of `c`
+/// ([`run3d_observed_with`]). Only the tile computation (A₂) is
+/// replayed: the simulator prices packing and posting (A₁, A₃) and the
+/// wire from its `MachineParams`, for every message op. A compute
+/// interval is wall time, so a rank that waited for its core during the
+/// run is priced with that wait. A trace without exactly one compute
+/// interval per tile is a [`TraceMismatch`], never a misprice
+/// ([`Trace::record`] drops a zero-length interval).
+pub fn replay_programs(c: &Compiled3D, traces: &[Trace]) -> Result<Vec<Program>, TraceMismatch> {
+    let computes = |rank: usize| -> Vec<f64> {
+        let intervals = traces.get(rank).into_iter().flat_map(|t| t.for_rank(rank));
+        (intervals.filter(|iv| iv.activity == Activity::Compute))
+            .map(|iv| (iv.end - iv.start).as_us())
+            .collect()
+    };
+    let measured: Vec<Vec<f64>> = (0..c.ranks().max(traces.len())).map(computes).collect();
+    for (rank, us) in measured.iter().enumerate() {
+        let tiles = if rank < c.ranks() { c.d.steps() } else { 0 };
+        if us.len() != tiles {
+            let computes = us.len();
+            return Err(TraceMismatch {
+                rank,
+                computes,
+                tiles,
+            });
+        }
+    }
+    let replay = |(proved, us): (&Program, &Vec<f64>)| {
+        let mut p = Program::new();
+        for op in proved.ops() {
+            p.push(match op {
+                Op::Compute { label, .. } => Op::Compute {
+                    us: us[label as usize],
+                    label,
+                },
+                op => op,
+            });
+        }
+        p
+    };
+    Ok(c.programs.iter().zip(&measured).map(replay).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,7 +441,7 @@ mod tests {
     #[test]
     fn traced_run_emits_per_rank_intervals() {
         use crate::engine::TraceObserver;
-        use msgpass::trace::{Activity, SimTime, Trace};
+        use cluster_sim::time::SimTime;
         let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
         let cfg = WorldConfig::new(LatencyModel::zero());
         let seq = crate::seq::run_paper3d_seq(8, 8, 64, 1.0);
@@ -387,5 +472,61 @@ mod tests {
             let tier = KernelTier::Bitwise;
             check(run3d_on_world_observed(Paper3D, &c, tier, &mut world, make_obs).expect("warm"));
         }
+    }
+
+    #[test]
+    fn replay_prices_each_tile_and_rejects_a_trace_that_misses_one() {
+        use cluster_sim::time::SimTime;
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        let tiles = d3().steps();
+        // Tile `k` of rank `r` computes for `r + k + 1` µs, except that
+        // a `short` rank's last tile takes no measurable time.
+        let trace = |rank: usize, short: bool| {
+            let mut t = Trace::enabled();
+            for k in 0..tiles {
+                let start = SimTime::from_us(100.0 * k as f64);
+                let us = if short && k + 1 == tiles {
+                    0.0
+                } else {
+                    (rank + k + 1) as f64
+                };
+                t.record(rank, Activity::Compute, start, start + SimTime::from_us(us));
+            }
+            t
+        };
+        let mut traces: Vec<Trace> = (0..c.ranks()).map(|r| trace(r, false)).collect();
+        let replayed = replay_programs(&c, &traces).expect("one interval per tile");
+        for (rank, (got, proved)) in replayed.iter().zip(&c.programs).enumerate() {
+            let priced = |op| match op {
+                Op::Compute { label, .. } => Op::Compute {
+                    us: (rank + label as usize + 1) as f64,
+                    label,
+                },
+                op => op,
+            };
+            assert_eq!(
+                got.ops().collect::<Vec<_>>(),
+                proved.ops().map(priced).collect::<Vec<_>>()
+            );
+        }
+        let mismatch = |traces: &[Trace]| replay_programs(&c, traces).err();
+        let want = |rank, computes, tiles| {
+            Some(TraceMismatch {
+                rank,
+                computes,
+                tiles,
+            })
+        };
+        traces[2] = trace(2, true);
+        assert_eq!(mismatch(&traces), want(2, tiles - 1, tiles));
+        let why = mismatch(&traces).map(|e| e.to_string());
+        assert_eq!(
+            why.as_deref(),
+            Some("rank 2's trace holds 3 compute intervals for 4 tiles")
+        );
+        traces[2] = trace(2, false);
+        assert_eq!(mismatch(&traces[..3]), want(3, 0, tiles));
+        traces.push(trace(4, false));
+        assert_eq!(mismatch(&traces), want(4, tiles, 0));
     }
 }

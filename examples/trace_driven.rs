@@ -1,7 +1,7 @@
 //! Trace-driven prediction: run the real distributed kernel once on
-//! this machine, record its communication and *measured* compute
-//! segments, and replay the recorded programs through the cluster
-//! simulator under the paper's 2001 machine model.
+//! this machine with every rank traced, and replay the plan's programs
+//! — each tile priced at its *measured* compute time — through the
+//! cluster simulator under the paper's 2001 machine model.
 //!
 //! ```sh
 //! cargo run --release --example trace_driven
@@ -9,7 +9,7 @@
 //!
 //! This answers "what would *my actual code* cost on that cluster?"
 //! without owning the cluster: computation comes from measurement,
-//! communication from the calibrated model. The same recording replays
+//! communication from the calibrated model. The same traces replay
 //! under any `MachineParams` — swap in a faster network and re-predict.
 
 use overlap_tiling::prelude::*;
@@ -25,41 +25,36 @@ fn main() {
         boundary: 1.0,
     };
     println!(
-        "recording real execution: {}×{}×{} on {}×{} ranks, V = {}\n",
+        "tracing real execution: {}×{}×{} on {}×{} ranks, V = {}\n",
         d.nx, d.ny, d.nz, d.pi, d.pj, d.v
     );
 
-    // Record both schedules by running the *actual* executors
-    // sequentially (rank order is a topological order of the wavefront).
-    let record = |mode| {
+    // Run both schedules on a thread world, every rank traced, and price
+    // each plan's programs with the measured tile times.
+    let cfg = WorldConfig::new(LatencyModel::zero());
+    let traced = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
+    let replay = |mode| {
         let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
-        record_sequential::<f32, _, _>(plan.ranks(), |comm| {
-            let tier = KernelTier::Bitwise;
-            try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
-                .expect("the recorder never fails a receive")
-        })
+        let (grid, _, observers, _) =
+            run3d_observed_with(Paper3D, &plan, &cfg, traced).expect("a fault-free world");
+        let traces: Vec<Trace> = observers
+            .into_iter()
+            .map(TraceObserver::into_trace)
+            .collect();
+        let programs = replay_programs(&plan, &traces).expect("one compute interval per tile");
+        (grid, programs)
     };
-    let (blocks_b, progs_blocking) = record(ExecMode::Blocking);
-    let (blocks_o, progs_overlap) = record(ExecMode::Overlapping);
+    let (grid_b, progs_blocking) = replay(ExecMode::Blocking);
+    let (grid_o, progs_overlap) = replay(ExecMode::Overlapping);
 
-    // The recorded runs produced real, correct data: every cell of
-    // either schedule's rank blocks (`(i·by + j)·nz + k`, ranks row-major
-    // over the processor grid) is the sequential reference's.
+    // The traced runs produced real, correct data: every cell of either
+    // schedule's grid is the sequential reference's.
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-    let (bx, by) = (d.bx(), d.by());
-    let correct = [&blocks_b, &blocks_o].iter().all(|blocks| {
-        blocks.iter().enumerate().all(|(rank, block)| {
-            let (ci, cj) = (rank / d.pj, rank % d.pj);
-            block.chunks_exact(d.nz).enumerate().all(|(p, pencil)| {
-                let (i, j) = ((ci * bx + p / by) as i64, (cj * by + p % by) as i64);
-                (pencil.iter().enumerate()).all(|(k, &x)| x == seq.get(i, j, k as i64))
-            })
-        })
-    });
-    println!("recorded executions match the sequential reference cell for cell: {correct}");
+    let correct = [&grid_b, &grid_o].iter().all(|g| g.data() == seq.data());
+    println!("traced executions match the sequential reference cell for cell: {correct}");
     let ops: usize = progs_overlap.iter().map(|p| p.len()).sum();
     println!(
-        "recorded {} simulator ops across {} ranks\n",
+        "replaying {} simulator ops across {} ranks\n",
         ops,
         d.pi * d.pj
     );

@@ -3,14 +3,15 @@
 //! with the paper's schedule-length arithmetic, and the engine must
 //! surface analyzer rejections as its own typed error.
 
+use analyzer::plan::TAG_STRIDE;
 use cluster_sim::program::{Op, Program};
-use msgpass::recording::record_sequential;
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
+use std::collections::HashMap;
 use stencil::decomp::Decomp2D;
-use stencil::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
-use stencil::engine::{EngineError, NoopObserver};
-use stencil::kernel::{Example1, Kernel3D, KernelTier, Paper3D, Relax3D};
-use stencil::plan::Compiled3D;
+use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
+use stencil::engine::{EngineError, Phase, PhaseLog};
+use stencil::kernel::{Example1, Kernel3D, Paper3D, Relax3D};
+use stencil::plan::{run3d_observed_with, Compiled3D};
 use stencil::preflight::check_plan3d;
 
 fn shipped_3d() -> Vec<Decomp3D> {
@@ -198,35 +199,71 @@ fn preflight_gate_is_transparent_to_results() {
     }
 }
 
-/// The communication ops of a program, in program order. `Compute`
-/// segments of a recording carry measured durations and are left out.
-fn comm_ops(p: &Program) -> Vec<Op> {
-    let is_comm = |op: &Op| !matches!(op, Op::Compute { .. });
-    p.ops().filter(is_comm).collect()
+/// What an op or a phase does, to which face: `(kind, wire
+/// direction, step)`. A wait names the kind and face of the request it
+/// completes, a compute names its step only.
+type Event = (&'static str, u64, usize);
+
+/// The events of a program, in program order: a message's face comes
+/// from its tag (`step · TAG_STRIDE + wire direction`).
+fn program_events(p: &Program) -> Vec<Event> {
+    let mut posted = HashMap::new();
+    let face = |kind, tag: u64| (kind, tag % TAG_STRIDE, (tag / TAG_STRIDE) as usize);
+    (p.ops())
+        .map(|op| match op {
+            Op::Compute { label, .. } => ("compute", 0, label as usize),
+            Op::Send { tag, .. } => face("send", tag),
+            Op::Recv { tag, .. } => face("recv", tag),
+            Op::Isend { tag, req, .. } => {
+                posted.insert(req, face("wait isend", tag));
+                face("isend", tag)
+            }
+            Op::Irecv { tag, req, .. } => {
+                posted.insert(req, face("wait irecv", tag));
+                face("irecv", tag)
+            }
+            Op::Wait { req } => posted[&req],
+        })
+        .collect()
 }
 
-/// What the executors of `plan` actually do on the wire — every rank's
-/// ops from a sequential recording — is exactly the program pre-flight
-/// analyzed: kind, order, peer, tag, bytes and request, op for op.
-fn assert_executors_run_the_analyzed_programs(plan: &Compiled3D, recorded: &[Program]) {
-    let (d, mode) = (plan.decomp(), plan.mode());
-    let analyzed = analyzer::programs(&d, &d.step_plan(mode)).expect("fewer than 2^32 steps");
-    assert_eq!(recorded.len(), analyzed.len(), "{d:?} {mode:?}");
-    for (rank, (rec, ana)) in recorded.iter().zip(&analyzed).enumerate() {
-        assert_eq!(comm_ops(rec), comm_ops(ana), "{d:?} {mode:?} rank {rank}");
-    }
+/// The events of a logged run, in execution order, packing and
+/// unpacking left out. A block's halo direction is its wire direction
+/// (`FACE_I` travels as `DIR_I`, `FACE_J` as `DIR_J`).
+fn phase_events(log: &PhaseLog) -> Vec<Event> {
+    (log.phases.iter())
+        .filter_map(|&phase| {
+            let (kind, dir) = match phase {
+                Phase::Pack { .. } | Phase::Unpack { .. } => return None,
+                Phase::Compute { .. } => ("compute", 0),
+                Phase::Send { dir, .. } => ("send", dir),
+                Phase::Recv { dir, .. } => ("recv", dir),
+                Phase::PostSend { dir, .. } => ("isend", dir),
+                Phase::PostRecv { dir, .. } => ("irecv", dir),
+                Phase::WaitSend { dir, .. } => ("wait isend", dir),
+                Phase::WaitRecv { dir, .. } => ("wait irecv", dir),
+            };
+            Some((kind, dir as u64, phase.step()))
+        })
+        .collect()
 }
 
+/// The engine issues the ops it is given: every rank of a thread run of
+/// each shipped layout performs the program pre-flight analyzed —
+/// kind, order, face and step — op for op.
 #[test]
 fn executors_send_exactly_what_preflight_analyzed() {
     fn check<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) {
         let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
-        let (_, programs) = record_sequential::<f32, _, _>(plan.ranks(), |comm| {
-            let tier = KernelTier::Bitwise;
-            try_run_rank3d_plan(comm, kernel, &plan, tier, &mut NoopObserver)
-                .expect("the recorder never fails a receive")
-        });
-        assert_executors_run_the_analyzed_programs(&plan, &programs);
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let (_, _, logs, _) = run3d_observed_with(kernel, &plan, &cfg, |_| PhaseLog::default())
+            .expect("a fault-free world");
+        let analyzed = analyzer::programs(&d, &d.step_plan(mode)).expect("fewer than 2^32 steps");
+        assert_eq!(logs.len(), analyzed.len(), "{d:?} {mode:?}");
+        for (rank, (log, program)) in logs.iter().zip(&analyzed).enumerate() {
+            let (ran, given) = (phase_events(log), program_events(program));
+            assert_eq!(ran, given, "{d:?} {mode:?} rank {rank}");
+        }
     }
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         for d in shipped_3d_and_partial() {

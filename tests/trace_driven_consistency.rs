@@ -1,22 +1,28 @@
-//! Cross-crate consistency of the trace-driven path: recording the real
-//! stencil executors yields simulator programs whose *structure* matches
-//! what the program builders generate directly from the tiling — the
-//! two independent routes to a `ProcNB` program must agree on every
-//! message (count, destination, bytes), differing only in compute
-//! durations (measured vs modeled).
+//! Cross-crate consistency of the trace-driven path: a traced run of
+//! the real stencil executor, replayed as its plan's programs with
+//! measured compute, has the *structure* the program builders generate
+//! directly from the tiling — the two independent routes to a `ProcNB`
+//! program must agree on every message (count, destination, bytes),
+//! differing only in compute durations (measured vs modeled).
 
 use cluster_sim::program::{Op, Program, ReqId};
 use overlap_tiling::prelude::*;
 use stencil::proto::{tag, DIR_I};
 
-/// Record every rank of the paper kernel over `d` under `mode`.
-fn record(d: Decomp3D, mode: ExecMode) -> (Vec<Vec<f32>>, Vec<Program>) {
+/// Run the paper kernel over `d` under `mode` on a thread world with
+/// every rank traced; the result grid and the replayed programs.
+fn replay(d: Decomp3D, mode: ExecMode) -> (Grid3D, Vec<Program>) {
     let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
-    record_sequential::<f32, _, _>(plan.ranks(), |comm| {
-        let tier = KernelTier::Bitwise;
-        try_run_rank3d_plan(comm, Paper3D, &plan, tier, &mut NoopObserver)
-            .expect("the recorder never fails a receive")
-    })
+    let cfg = WorldConfig::new(LatencyModel::zero());
+    let traced = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
+    let (grid, _, observers, _) =
+        run3d_observed_with(Paper3D, &plan, &cfg, traced).expect("a fault-free world");
+    let traces: Vec<Trace> = observers
+        .into_iter()
+        .map(TraceObserver::into_trace)
+        .collect();
+    let programs = replay_programs(&plan, &traces).expect("one compute interval per tile");
+    (grid, programs)
 }
 
 /// The multiset of communication ops (kind, peer, bytes), sorted. The
@@ -63,7 +69,7 @@ fn setup() -> (Decomp3D, ClusterProblem) {
 fn recorded_blocking_matches_builder_structure() {
     let (d, problem) = setup();
     let machine = MachineParams::paper_cluster();
-    let (_, recorded) = record(d, ExecMode::Blocking);
+    let (_, recorded) = replay(d, ExecMode::Blocking);
     let built = problem.blocking_programs(&machine);
     for rank in 0..4 {
         assert_eq!(
@@ -78,7 +84,7 @@ fn recorded_blocking_matches_builder_structure() {
 fn recorded_overlap_matches_builder_structure() {
     let (d, problem) = setup();
     let machine = MachineParams::paper_cluster();
-    let (_, recorded) = record(d, ExecMode::Overlapping);
+    let (_, recorded) = replay(d, ExecMode::Overlapping);
     let built = problem.overlapping_programs(&machine);
     for rank in 0..4 {
         assert_eq!(
@@ -89,7 +95,7 @@ fn recorded_overlap_matches_builder_structure() {
     }
 }
 
-/// The communication ops of a recorded program, in program order.
+/// The communication ops of a replayed program, in program order.
 /// `Compute` segments carry measured durations and are left out.
 fn comm_ops(p: &Program) -> Vec<Op> {
     let is_comm = |op: &Op| !matches!(op, Op::Compute { .. });
@@ -99,8 +105,8 @@ fn comm_ops(p: &Program) -> Vec<Op> {
 #[test]
 fn recorder_pins_the_engines_op_list_for_two_ranks() {
     // Two ranks along i, two steps, an 8-element (32-byte) i-face per
-    // step: small enough to write every op down. The recorder must log
-    // exactly the calls the engine makes — kind, order, peer, tag, bytes
+    // step: small enough to write every op down. The replay must keep
+    // exactly the ops the engine ran — kind, order, peer, tag, bytes
     // and which request each wait completes.
     let d = Decomp3D {
         nx: 4,
@@ -115,7 +121,7 @@ fn recorder_pins_the_engines_op_list_for_two_ranks() {
     let (r0, r1) = (ReqId(0), ReqId(1));
     let bytes = 32;
 
-    let (_, overlap) = record(d, ExecMode::Overlapping);
+    let (_, overlap) = replay(d, ExecMode::Overlapping);
     let isend = |tag, req| Op::Isend {
         to: 1,
         tag,
@@ -138,7 +144,7 @@ fn recorder_pins_the_engines_op_list_for_two_ranks() {
         [irecv(t0, r0), irecv(t1, r1), wait(r0), wait(r1)]
     );
 
-    let (_, blocking) = record(d, ExecMode::Blocking);
+    let (_, blocking) = replay(d, ExecMode::Blocking);
     let send = |tag| Op::Send { to: 1, tag, bytes };
     let recv = |tag| Op::Recv {
         from: 0,
@@ -156,8 +162,8 @@ fn recorded_programs_simulate_with_overlap_advantage() {
     // the built programs. Here we keep measured compute and check both
     // replays complete and rank deterministically.
     let (d, _) = setup();
-    let (_, blocking) = record(d, ExecMode::Blocking);
-    let (_, overlap) = record(d, ExecMode::Overlapping);
+    let (_, blocking) = replay(d, ExecMode::Blocking);
+    let (_, overlap) = replay(d, ExecMode::Overlapping);
     let machine = MachineParams::paper_cluster();
     let cfg = SimConfig::new(machine).with_trace(false);
     let b = simulate(cfg, blocking).unwrap();
@@ -175,21 +181,8 @@ fn recorded_programs_simulate_with_overlap_advantage() {
 #[test]
 fn recorded_executor_output_is_correct() {
     let (d, _) = setup();
-    let (blocks, _) = record(d, ExecMode::Overlapping);
-    // Assemble and compare against the sequential reference.
+    let (grid, _) = replay(d, ExecMode::Overlapping);
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-    let grid = CartesianGrid::new(vec![d.pi, d.pj]);
-    for (rank, block) in blocks.iter().enumerate() {
-        let c = grid.coords_of(rank);
-        let (bx, by) = (d.bx(), d.by());
-        for i in 0..bx {
-            for j in 0..by {
-                for k in 0..d.nz {
-                    let got = block[(i * by + j) * d.nz + k];
-                    let want = seq.get((c[0] * bx + i) as i64, (c[1] * by + j) as i64, k as i64);
-                    assert_eq!(got, want, "rank {rank} cell ({i},{j},{k})");
-                }
-            }
-        }
-    }
+    let bits = |g: &Grid3D| g.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&grid), bits(&seq));
 }
