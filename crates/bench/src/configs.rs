@@ -88,6 +88,11 @@ pub fn plan_request(d: Decomp3D, mode: ExecMode) -> PlanRequest {
 /// 1.5 KiB, then fragmented-transfer slope. The closed form keeps
 /// predicting with the affine `t_t` wire model, which is exactly what
 /// makes machines carrying this curve out-of-model.
+///
+/// # Panics
+/// Never: the knots are static, increasing and finite (`paper tune`'s
+/// tests build the curve).
+#[allow(clippy::expect_used)] // LINT: static knots, valid by inspection
 pub fn tune_transfer_curve() -> PiecewiseCost {
     PiecewiseCost::from_knots(&[
         (0.0, 15.0),

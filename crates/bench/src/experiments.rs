@@ -102,6 +102,7 @@ pub fn run_ladder(template: &SweepConfig, heights: &[i64], workers: usize) -> Ve
 ///
 /// # Panics
 /// If a schedule has no simulated row.
+#[allow(clippy::expect_used)] // LINT: every ladder simulates both schedules
 pub fn optima(rows: &[SweepRow]) -> Optima {
     let (blocking_us, blocking_v) = best(rows, Schedule::Blocking).expect("a blocking row");
     let (overlap_us, overlap_v) = best(rows, Schedule::Overlap).expect("an overlap row");

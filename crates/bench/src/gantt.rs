@@ -31,6 +31,10 @@ use tiling_core::tiling::Tiling;
 
 /// The demo pipeline: `procs` processors, `steps` tiles each, tile side
 /// `tile` on a 2-D space with unit dependences, mapped along dimension 1.
+///
+/// # Panics
+/// If an extent is not positive.
+#[allow(clippy::expect_used)] // LINT: a demo of positive extents, fixed by its callers
 pub fn demo_problem(procs: i64, steps: i64, tile: i64) -> ClusterProblem {
     ClusterProblem::new(
         Tiling::rectangular(&[tile, tile]),
@@ -42,12 +46,20 @@ pub fn demo_problem(procs: i64, steps: i64, tile: i64) -> ClusterProblem {
 }
 
 /// Simulate the non-overlapping (Fig. 1) schedule with traces.
+///
+/// # Panics
+/// As [`demo_problem`]; the emitted pipeline is deadlock-free.
+#[allow(clippy::expect_used)] // LINT: the demo pipeline is deadlock-free (the gantt tests run it)
 pub fn fig1_simulation(machine: &MachineParams, procs: i64, steps: i64, tile: i64) -> SimResult {
     let p = demo_problem(procs, steps, tile);
     simulate(SimConfig::new(*machine), p.blocking_programs(machine)).expect("fig1 deadlock-free")
 }
 
 /// Simulate the overlapping (Fig. 2) schedule with traces.
+///
+/// # Panics
+/// As [`demo_problem`]; the emitted pipeline is deadlock-free.
+#[allow(clippy::expect_used)] // LINT: the demo pipeline is deadlock-free (the gantt tests run it)
 pub fn fig2_simulation(machine: &MachineParams, procs: i64, steps: i64, tile: i64) -> SimResult {
     let p = demo_problem(procs, steps, tile);
     simulate(SimConfig::new(*machine), p.overlapping_programs(machine)).expect("fig2 deadlock-free")
@@ -106,6 +118,11 @@ pub fn thread_demo_decomp() -> Decomp3D {
 /// phases against the world epoch, and the per-rank traces merge into
 /// one [`Trace`] renderable by the same Gantt/SVG paths as the
 /// simulator's.
+///
+/// # Panics
+/// If `d` does not compile or the run fails (a demo layout on a
+/// fault-free world does neither).
+#[allow(clippy::expect_used)] // LINT: the demo layout is valid and its world fault-free
 pub fn thread_figure(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> ThreadFigure {
     let plan = Compiled3D::compile(d, mode).expect("valid demo decomposition");
     let (_, elapsed, observers, _) =

@@ -21,9 +21,9 @@ pub fn sweep_csv(points: &[SimSweepPoint]) -> String {
 /// of the paper's Fig. 9–11.
 pub fn sweep_ascii_plot(points: &[SimSweepPoint], width: usize, height: usize) -> String {
     assert!(width >= 16 && height >= 4, "plot too small");
-    if points.is_empty() {
+    let (Some(first), Some(last)) = (points.first(), points.last()) else {
         return String::from("(no data)\n");
-    }
+    };
     let tmax = points
         .iter()
         .map(|p| p.blocking_us.max(p.overlap_us))
@@ -33,8 +33,8 @@ pub fn sweep_ascii_plot(points: &[SimSweepPoint], width: usize, height: usize) -
         .map(|p| p.blocking_us.min(p.overlap_us))
         .fold(f64::INFINITY, f64::min);
     let span = (tmax - tmin).max(1e-9);
-    let vmin = (points.first().unwrap().v as f64).ln();
-    let vmax = (points.last().unwrap().v as f64).ln().max(vmin + 1e-9);
+    let vmin = (first.v as f64).ln();
+    let vmax = (last.v as f64).ln().max(vmin + 1e-9);
     let mut rows = vec![vec![' '; width]; height];
     let mut place = |v: i64, t: f64, c: char| {
         let x = (((v as f64).ln() - vmin) / (vmax - vmin) * (width - 1) as f64).round() as usize;

@@ -21,7 +21,7 @@ use stencil::engine::{EngineError, ExecMode};
 use stencil::grid::{Grid2D, Grid3D};
 use stencil::kernel::{Example1, Fused3D, LongestPath3D, Paper3D, Relax3D, Smooth2D};
 use stencil::plan::{self, Compiled3D};
-use stencil::seq::{max_abs_diff_from_seq3d, run_seq2d};
+use stencil::seq::{follows_recurrence, max_abs_diff_from_seq3d};
 use tiling_core::machine::KernelTier;
 
 /// Call the generic `$f(kernel, args…)` with the kernel value `$name`
@@ -214,30 +214,20 @@ impl PlanArtifact {
         Ok(self.outcome(grid, elapsed, faults, opts))
     }
 
-    /// Largest deviation of `grid` from the sequential reference of the
-    /// artifact's kernel over its grid.
-    fn diff_from_reference(&self, grid: &GridResult) -> f32 {
+    /// Whether `block` is the sequential reference of the artifact's
+    /// kernel over its grid: bit for bit on the pinned tier, judged cell
+    /// by cell ([`follows_recurrence`]); within 1e-4 on fast math, whose
+    /// contract is a distance that per-cell residuals do not bound.
+    fn matches_reference(&self, block: &Grid3D) -> bool {
         let kernel = self.request.kernel;
-        match grid {
-            GridResult::Dim3(g) => kernel!(kernel, max_abs_diff_from_seq3d, g),
-            GridResult::Dim2(g) => {
-                let seq = kernel!(kernel, run_seq2d, g.nx(), g.ny(), g.boundary());
-                g.max_abs_diff(&seq)
-            }
-        }
-    }
-
-    /// The verification tolerance of the artifact's tier: bitwise for
-    /// the pinned tier, ULP-scale for fast math.
-    fn tolerance(&self) -> f32 {
         match self.request.tier {
-            KernelTier::Bitwise => 0.0,
-            KernelTier::Fast => 1e-4,
+            KernelTier::Bitwise => kernel!(kernel, follows_recurrence, block),
+            KernelTier::Fast => kernel!(kernel, max_abs_diff_from_seq3d, block) <= 1e-4,
         }
     }
 
-    /// The outcome of a run whose block grid is `grid`: a strip's comes
-    /// back as the strip, by one transpose.
+    /// The outcome of a run whose block grid is `grid`, verified as the
+    /// block: a strip's comes back as the strip, by one transpose.
     fn outcome(
         &self,
         grid: Grid3D,
@@ -245,19 +235,47 @@ impl PlanArtifact {
         faults: Vec<FaultStats>,
         opts: ExecOptions,
     ) -> ExecOutcome {
+        let verified = opts.verify.then(|| self.matches_reference(&grid));
         let grid = match self.is_strip() {
             true => GridResult::Dim2(Grid2D::from_block(&grid)),
             false => GridResult::Dim3(grid),
         };
-        let verified = opts
-            .verify
-            .then(|| self.diff_from_reference(&grid) <= self.tolerance());
         ExecOutcome {
             cells_per_sec: self.cells() as f64 / elapsed.as_secs_f64().max(1e-12),
             grid,
             elapsed,
             verified,
             faults,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::compile;
+
+    /// A verified run is `Some(true)` on its untouched block and
+    /// `Some(false)` once one cell of it is off, on both tiers, for a
+    /// 3-D plan and for a strip (verified as its unit-axis block).
+    #[test]
+    fn verified_is_false_when_one_cell_of_the_block_is_off() {
+        let verify = ExecOptions { verify: true };
+        let grid3 = PlanRequest::grid3(8, 8, 64, 2, 2).with_v(16);
+        let strip = PlanRequest::strip2(40, 12, 4).with_v(12);
+        for req in [grid3, strip] {
+            for tier in [KernelTier::Bitwise, KernelTier::Fast] {
+                let art = compile(&req.clone().with_tier(tier)).expect("compiles");
+                let (kernel, cfg) = (art.request.kernel, art.world_config());
+                let run = kernel!(kernel, plan::run3d_with, &art.compiled, &cfg);
+                let (block, elapsed, faults) = run.expect("runs");
+                let verdict = |g| art.outcome(g, elapsed, faults.clone(), verify).verified;
+                let (i, j, k) = (block.nx() - 1, block.ny() / 2, block.nz() / 2);
+                let mut off = block.clone();
+                off.set(i, j, k, block.get(i as i64, j as i64, k as i64) + 0.5);
+                assert_eq!(verdict(block), Some(true), "{tier:?} {:?}", req.workload);
+                assert_eq!(verdict(off), Some(false), "{tier:?} {:?}", req.workload);
+            }
         }
     }
 }

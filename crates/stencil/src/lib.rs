@@ -83,7 +83,7 @@ pub mod prelude {
     };
     pub use crate::preflight::check_plan3d;
     pub use crate::seq::{
-        max_abs_diff_from_seq3d, measure_t_c_paper3d, run_example1_seq, run_paper3d_seq, run_seq2d,
-        run_seq3d,
+        follows_recurrence, max_abs_diff_from_seq3d, measure_t_c_paper3d, run_example1_seq,
+        run_paper3d_seq, run_seq2d, run_seq3d,
     };
 }

@@ -3,6 +3,17 @@
 //! These run the kernels in the original (untiled) lexicographic loop
 //! order on one core. The distributed executors must produce bitwise
 //! identical grids.
+//!
+//! What "verified" means depends on the kernel tier. On the pinned
+//! (bitwise) tier a result is certified by [`follows_recurrence`]:
+//! every cell is the bits of `eval` on its own upstream neighbours.
+//! That is the reference by induction over the sequential order: the
+//! dependences `{e₁, e₂, e₃, e₂+e₃}` are lexicographically positive, so
+//! the first cell where a grid and the reference differ reads only
+//! cells where they agree, and its `eval` gives the reference's bits,
+//! not the grid's. On the fast tier the contract is a distance, which
+//! per-cell residuals do not bound, so [`max_abs_diff_from_seq3d`]
+//! replays the recurrence.
 
 use crate::grid::{self, Grid2D, Grid3D};
 use crate::kernel::{Example1, Kernel3D, Paper3D};
@@ -123,6 +134,42 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
     worst
 }
 
+/// Whether `grid` is, bit for bit, `run_seq3d(kernel, ..)` over its
+/// shape and boundary, judged without running the recurrence: every
+/// cell must be the bits of [`Kernel3D::eval`] on its *own* upstream
+/// neighbours in `grid` (the boundary outside it, for `k = 0` and the
+/// `i = 0` / `j = 0` edges), which the module docs show is the
+/// reference.
+///
+/// No cell waits for another's result, so a pencil is one loop of
+/// independent `eval`s whose mismatches are OR-ed together, which the
+/// compiler vectorises. Nothing but [`Kernel3D::eval`] is called: never
+/// the executors' kernels it judges.
+pub fn follows_recurrence<K: Kernel3D>(kernel: K, grid: &Grid3D) -> bool {
+    let (ny, nz, b) = (grid.ny(), grid.nz(), grid.boundary());
+    if ny * nz == 0 {
+        return true;
+    }
+    let (edge, mut above, mut miss) = (vec![b; nz], None, false);
+    for (i, plane) in (0i64..).zip(grid.data().chunks_exact(ny * nz)) {
+        let mut left = &edge[..];
+        for (j, own) in (0i64..).zip(plane.chunks_exact(nz)) {
+            let up = above.map_or(&edge[..], |p: &[f32]| &p[j as usize * nz..][..nz]);
+            miss |= kernel.eval(i, j, 0, up[0], left[0], b, b).to_bits() != own[0].to_bits();
+            let n = nz - 1;
+            let (cells, km1, im1) = (&own[1..][..n], &own[..n], &up[1..][..n]);
+            let (jm1, diag) = (&left[1..][..n], &left[..n]);
+            for k in 0..n {
+                let v = kernel.eval(i, j, k as i64 + 1, im1[k], jm1[k], km1[k], diag[k]);
+                miss |= v.to_bits() != cells[k].to_bits();
+            }
+            left = own;
+        }
+        above = Some(plane);
+    }
+    !miss
+}
+
 /// Run a 2-D wavefront kernel sequentially over an `nx × ny` strip
 /// space, in its own row-major order: cell `(i, j)` is the kernel's
 /// block cell `(0, j, i)`, whose `i−1` neighbour is outside the block
@@ -212,6 +259,51 @@ mod tests {
             rolling_diff_matches(Fused3D::default(), shape, boundary, at);
             rolling_diff_matches(Example1, shape, boundary, at);
             rolling_diff_matches(Alignment2D { alphabet: 2 }, shape, boundary, at);
+        }
+    }
+
+    /// `follows_recurrence` passes a grid exactly when its bits are
+    /// `run_seq3d`'s: the reference itself, and the reference with one
+    /// cell shifted, NaN, one ULP off or of flipped sign (so ±0.0 on a
+    /// zero-boundary grid, which `max_abs_diff` reads as equal).
+    fn certifies_only_the_reference<K: Kernel3D>(
+        k: K,
+        shape: (usize, usize, usize),
+        b: f32,
+        at: usize,
+    ) {
+        let (nx, ny, nz) = shape;
+        let reference = run_seq3d(k, nx, ny, nz, b);
+        let bits = |g: &Grid3D| g.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (i, j, z) = (at / (ny * nz), at / nz % ny, at % nz);
+        let v = reference.get(i as i64, j as i64, z as i64);
+        for wrong in [v, v + 0.75, f32::NAN, f32::from_bits(v.to_bits() ^ 1), -v] {
+            let mut g = reference.clone();
+            g.set(i, j, z, wrong);
+            let want = bits(&g) == bits(&reference);
+            let got = follows_recurrence(k, &g);
+            assert_eq!(got, want, "{shape:?} boundary {b} cell {at} = {wrong:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        // Unit and ragged extents on every axis; a zero boundary a
+        // third of the time.
+        #[test]
+        fn a_grid_follows_the_recurrence_iff_it_is_the_reference(
+            shape in (1usize..=3, 1usize..=9, 1usize..=17),
+            boundary in prop_oneof![Just(0.0f32), -2.0f32..4.0, 0.0f32..4.0],
+            cell in 0usize..3 * 9 * 17,
+        ) {
+            let at = cell % (shape.0 * shape.1 * shape.2);
+            certifies_only_the_reference(Paper3D, shape, boundary, at);
+            certifies_only_the_reference(Relax3D::default(), shape, boundary, at);
+            certifies_only_the_reference(LongestPath3D, shape, boundary, at);
+            certifies_only_the_reference(Fused3D::default(), shape, boundary, at);
+            certifies_only_the_reference(Example1, shape, boundary, at);
+            certifies_only_the_reference(Alignment2D { alphabet: 2 }, shape, boundary, at);
+            certifies_only_the_reference(Smooth2D::default(), shape, boundary, at);
         }
     }
 

@@ -1,15 +1,16 @@
 //! Ignored-by-default microbenchmarks of the wave kernel paths:
 //! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
-//! `ci.sh` runs them for the three assertions in here — a wave must beat
+//! `ci.sh` runs them for the four assertions in here — a wave must beat
 //! the pencil loop it replaces, a small tile may cost only so much more
-//! per cell than a large one, and the verifier must stay well under the
-//! naive sequential loop it replays — same-process ratios that hold on
-//! a noisy box; the absolute rates are the repo benchmark's
+//! per cell than a large one, the verifier must stay well under the
+//! naive sequential loop it replays and the cell-by-cell check well
+//! under the verifier — same-process ratios that hold on a noisy box;
+//! the absolute rates are the repo benchmark's
 //! `stencil.tile.cells_per_s.*` probes.
 
 use std::time::Instant;
 use stencil::kernel::{Kernel3D, Paper3D, Wave, MAX_WAVE};
-use stencil::seq::{max_abs_diff_from_seq3d, run_seq3d};
+use stencil::seq::{follows_recurrence, max_abs_diff_from_seq3d, run_seq3d};
 
 /// ns/cell of `m` pencils of `len` cells through `eval_wave` or through
 /// one `eval_pencil` each, fastest of 20 timed batches.
@@ -187,9 +188,10 @@ fn wave_vs_pencil_micro() {
     );
 }
 
-/// ns/cell of `max_abs_diff_from_seq3d` verifying a correct Paper3D
-/// grid, and of the naive `run_seq3d` that made it, fastest of 7 each.
-fn verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> (f64, f64) {
+/// ns/cell of `follows_recurrence` and of `max_abs_diff_from_seq3d`
+/// certifying a correct Paper3D grid, and of the naive `run_seq3d`
+/// that made it, fastest of 7 each.
+fn check_verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> [f64; 3] {
     let cells = (nx * ny * nz) as f64;
     let fastest = |run: &mut dyn FnMut()| {
         let time = |_| {
@@ -203,23 +205,28 @@ fn verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> (f64, f64) {
     let naive = fastest(&mut || reference = Some(run_seq3d(Paper3D, nx, ny, nz, 1.0)));
     let grid = reference.unwrap();
     let verify = fastest(&mut || assert_eq!(max_abs_diff_from_seq3d(Paper3D, &grid), 0.0));
-    (verify, naive)
+    let check = fastest(&mut || assert!(follows_recurrence(Paper3D, &grid)));
+    [check, verify, naive]
 }
 
 #[test]
 #[ignore]
 fn verify_vs_naive_micro() {
-    println!("paper3d, ns/cell:          shape  verify   naive  ratio");
+    println!("paper3d, ns/cell:          shape   check  verify   naive  c/v  v/n");
     for (name, (nx, ny, nz)) in [
         ("compute-bound", (16, 16, 8192)),
         ("fine-grain", (8, 8, 16384)),
     ] {
-        let (verify, naive) = verify_and_naive_ns(nx, ny, nz);
-        let ratio = verify / naive;
-        println!("{name:>31} {verify:7.2} {naive:7.2} {ratio:6.2}");
+        let [check, verify, naive] = check_verify_and_naive_ns(nx, ny, nz);
+        let (by_cell, ratio) = (check / verify, verify / naive);
+        println!("{name:>31} {check:7.2} {verify:7.2} {naive:7.2} {by_cell:4.2} {ratio:4.2}");
         assert!(
             ratio <= 0.4,
             "{name}: the verifier ran {verify:.2} ns/cell, {ratio:.2} x the naive loop's {naive:.2}"
+        );
+        assert!(
+            by_cell <= 0.7,
+            "{name}: the cell-by-cell check ran {check:.2} ns/cell, {by_cell:.2} x the verifier's {verify:.2}"
         );
     }
 }
