@@ -88,12 +88,15 @@ struct Endpoint {
 /// The matcher flattens both sides into two pre-sized vectors and
 /// merge-walks them sorted — no per-channel maps — so a passing check
 /// performs a constant number of allocations regardless of plan depth.
+/// A plan with more message ends than it can hold is
+/// [`AnalysisError::TooManyMessages`], found before anything is
+/// allocated.
 pub fn check_matching(programs: &[Program]) -> Result<usize, AnalysisError> {
-    let sides = ends(programs);
-    let (mut sends, mut recvs) = (
-        Vec::with_capacity(sides[SEND]),
-        Vec::with_capacity(sides[RECV]),
-    );
+    let sides = ends(programs)?;
+    let (mut sends, mut recvs) = (Vec::new(), Vec::new());
+    let room = sends.try_reserve_exact(sides[SEND]);
+    room.and(recvs.try_reserve_exact(sides[RECV]))
+        .map_err(|_| too_many(sides))?;
     // This rank's peers, each with how many messages it sent to and
     // received from it so far: per side, the next message's step.
     let mut seen: Vec<(usize, [usize; 2])> = Vec::new();
@@ -216,11 +219,32 @@ fn end_of(op: Op) -> Option<(usize, usize, Tag, u64)> {
     }
 }
 
-/// How many message ends of each side `programs` hold.
-fn ends(programs: &[Program]) -> [usize; 2] {
-    let mut n = [0; 2];
-    (programs.iter().flat_map(Program::ops).filter_map(end_of)).for_each(|(side, ..)| n[side] += 1);
-    n
+/// Most message ends — sends plus receives — pre-flight holds: a plan
+/// with more is [`AnalysisError::TooManyMessages`]. The matcher keeps
+/// 40 bytes per end, so this is 1.3 GB of them.
+pub const MAX_MESSAGE_ENDS: usize = 1 << 25;
+
+/// How many message ends of each side `programs` hold — counted over
+/// their stored steps, so in no time however long the pipeline — or
+/// [`AnalysisError::TooManyMessages`] past [`MAX_MESSAGE_ENDS`].
+fn ends(programs: &[Program]) -> Result<[usize; 2], AnalysisError> {
+    let count = |side| {
+        let of = |p: &Program| p.count_ops(|op| end_of(op).is_some_and(|e| e.0 == side));
+        programs.iter().map(of).fold(0, usize::saturating_add)
+    };
+    let sides = [count(SEND), count(RECV)];
+    match sides[SEND].saturating_add(sides[RECV]) {
+        n if n > MAX_MESSAGE_ENDS => Err(too_many(sides)),
+        _ => Ok(sides),
+    }
+}
+
+/// The error for a plan of `sides` message ends that pre-flight cannot
+/// hold.
+fn too_many(sides: [usize; 2]) -> AnalysisError {
+    AnalysisError::TooManyMessages {
+        ends: sides[SEND].saturating_add(sides[RECV]),
+    }
 }
 
 /// A receive a rank has posted or is blocked in: its peer, tag and op
@@ -255,6 +279,14 @@ impl Walk<'_> {
 /// execution wedges, extract the deadlock cycle from the strongly
 /// connected components of the stuck ranks' wait-for graph.
 pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
+    let sides = ends(programs)?;
+    if sides == [0, 0] {
+        // Nothing is ever awaited, however long the programs.
+        return Ok(());
+    }
+    // Per (from, to, tag): sends executed minus receives consumed.
+    let mut in_flight: HashMap<(usize, usize, Tag), i64> = HashMap::new();
+    (in_flight.try_reserve(sides[SEND])).map_err(|_| too_many(sides))?;
     let mut walks: Vec<Walk<'_>> = (programs.iter())
         .map(|p| Walk {
             ops: p.ops().peekable(),
@@ -262,9 +294,6 @@ pub fn check_deadlock(programs: &[Program]) -> Result<(), AnalysisError> {
             posted: Vec::new(),
         })
         .collect();
-    // Per (from, to, tag): sends executed minus receives consumed.
-    let mut in_flight: HashMap<(usize, usize, Tag), i64> =
-        HashMap::with_capacity(ends(programs)[SEND]);
     loop {
         let mut progressed = false;
         let mut all_done = true;

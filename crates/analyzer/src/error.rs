@@ -4,6 +4,8 @@
 //! a hang or a chaos-test timeout destroys — so a broken plan is
 //! rejected before any thread spawns.
 
+use crate::check::MAX_MESSAGE_ENDS;
+use crate::plan::MAX_RANKS;
 use std::fmt;
 
 /// Message tag, compatible with `msgpass::comm::Tag`.
@@ -126,6 +128,19 @@ pub enum AnalysisError {
         /// The plan's step count.
         steps: usize,
     },
+    /// The plan runs on more ranks than pre-flight emits programs for
+    /// ([`crate::plan::MAX_RANKS`]).
+    TooManyRanks {
+        /// The plan's rank count.
+        ranks: usize,
+    },
+    /// The plan's programs hold more message ends than pre-flight can
+    /// keep: over [`crate::check::MAX_MESSAGE_ENDS`], or more than
+    /// memory gives it.
+    TooManyMessages {
+        /// Sends plus receives over all ranks.
+        ends: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -195,6 +210,16 @@ impl fmt::Display for AnalysisError {
                 Ok(())
             }
             AnalysisError::TooManySteps { steps } => write!(f, "{steps} steps, over 2^32 - 1"),
+            AnalysisError::TooManyRanks { ranks } => {
+                write!(
+                    f,
+                    "{ranks} ranks, over the {MAX_RANKS} pre-flight emits programs for"
+                )
+            }
+            AnalysisError::TooManyMessages { ends } => write!(
+                f,
+                "{ends} message ends, over the {MAX_MESSAGE_ENDS} pre-flight can hold"
+            ),
         }
     }
 }

@@ -33,6 +33,7 @@
 //! [`DependenceSet`]: tiling_core::dependence::DependenceSet
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -78,6 +79,9 @@ mod tests {
         }
         fn face_len(&self, _rank: usize, _dir: usize, _step: usize) -> usize {
             self.face
+        }
+        fn same_face_until(&self, _rank: usize, _dir: usize, _k: usize, end: usize) -> usize {
+            end
         }
     }
 
@@ -150,6 +154,9 @@ mod tests {
                     12
                 }
             }
+            fn same_face_until(&self, _rank: usize, _dir: usize, _k: usize, end: usize) -> usize {
+                end
+            }
         }
         let plan = StepPlan::new(StepStrategy::Blocking, 1);
         let err = analyze(&Lopsided, &plan, &[1, 1], 0, &DependenceSet::example_1())
@@ -173,6 +180,51 @@ mod tests {
         let err = programs(&chain(), &plan).expect_err("2^32 steps");
         assert_eq!(err, AnalysisError::TooManySteps { steps: 1 << 32 });
         assert_eq!(err.to_string(), "4294967296 steps, over 2^32 - 1");
+    }
+
+    #[test]
+    fn more_message_ends_than_preflight_holds_is_a_typed_error() {
+        // 2 channels × 2 ends × (2³² − 1) steps: counted, not expanded.
+        let plan = StepPlan::new(StepStrategy::Overlap, (1 << 32) - 1);
+        let emitted = programs(&chain(), &plan).expect("fewer than 2^32 steps");
+        let want = AnalysisError::TooManyMessages {
+            ends: 4 * ((1 << 32) - 1),
+        };
+        assert_eq!(check_matching(&emitted), Err(want.clone()));
+        assert_eq!(check_deadlock(&emitted), Err(want.clone()));
+        let deps = DependenceSet::example_1();
+        assert_eq!(
+            analyze(&chain(), &plan, &[1, 2], 0, &deps).err(),
+            Some(want.clone())
+        );
+        assert_eq!(
+            want.to_string(),
+            "17179869180 message ends, over the 33554432 pre-flight can hold"
+        );
+        // A plan under the caps is matched as before.
+        let plan = StepPlan::new(StepStrategy::Overlap, 4);
+        let small = programs(&chain(), &plan).expect("4 steps");
+        assert_eq!(check_matching(&small), Ok(8));
+    }
+
+    #[test]
+    fn more_ranks_than_preflight_emits_is_a_typed_error() {
+        let plan = StepPlan::new(StepStrategy::Overlap, 4);
+        let wide = Chain {
+            ranks: plan::MAX_RANKS + 1,
+            face: 8,
+        };
+        let err = programs(&wide, &plan).expect_err("over the cap");
+        assert_eq!(err, AnalysisError::TooManyRanks { ranks: 4097 });
+        assert_eq!(
+            err.to_string(),
+            "4097 ranks, over the 4096 pre-flight emits programs for"
+        );
+        let at_cap = Chain {
+            ranks: 4096,
+            ..wide
+        };
+        assert_eq!(programs(&at_cap, &plan).map(|p| p.len()), Ok(4096));
     }
 
     #[test]

@@ -51,14 +51,30 @@ pub trait RankTopology {
     /// Element count of the `dir`-face of `step` as staged by `rank`
     /// (and expected by its downstream peer).
     fn face_len(&self, rank: usize, dir: usize, step: usize) -> usize;
+
+    /// The first step after `k`, at most `end`, whose `dir`-face of
+    /// `rank` is not as long as step `k`'s. A layout knows where its
+    /// faces change length, so this answers at once, however long the
+    /// pipeline.
+    fn same_face_until(&self, rank: usize, dir: usize, k: usize, end: usize) -> usize;
 }
+
+/// Most ranks pre-flight emits programs for: a plan over more is
+/// [`AnalysisError::TooManyRanks`]. A world runs a thread per rank, and
+/// the checks keep per-rank state.
+pub const MAX_RANKS: usize = 1 << 12;
 
 /// Every rank's program of `plan` over `topo`, indexed by rank: per
 /// step one face per existing upstream and downstream direction, in
 /// direction order, under the wire's tags ([`TAG_STRIDE`]), and a
 /// zero-cost compute — or [`AnalysisError::TooManySteps`] for a plan of
-/// `2³²` steps or more: an event names its step in 32 bits.
+/// `2³²` steps or more: an event names its step in 32 bits — or
+/// [`AnalysisError::TooManyRanks`] over [`MAX_RANKS`].
 pub fn programs(topo: &dyn RankTopology, plan: &StepPlan) -> Result<Vec<Program>, AnalysisError> {
+    let ranks = topo.ranks();
+    if ranks > MAX_RANKS {
+        return Err(AnalysisError::TooManyRanks { ranks });
+    }
     let steps = plan.steps();
     let mut faces = Faces {
         topo,
@@ -101,10 +117,8 @@ impl StepSource for Faces<'_> {
 
     /// Steps whose faces are as long as step `k`'s have its shape.
     fn same_until(&self, k: usize) -> usize {
-        let len = |dir, k| self.topo.face_len(self.rank, dir, k);
         (self.links.iter()).fold(self.steps as usize, |end, &(dir, ..)| {
-            let at_k = len(dir, k);
-            (k + 1..end).find(|&j| len(dir, j) != at_k).unwrap_or(end)
+            self.topo.same_face_until(self.rank, dir, k, end)
         })
     }
 

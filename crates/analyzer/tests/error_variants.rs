@@ -1,5 +1,5 @@
-//! One dedicated test per [`AnalysisError`] variant (`TooManySteps`'
-//! is a unit test, next to the crate's topologies). Each drives the
+//! One dedicated test per [`AnalysisError`] variant (the three
+//! `TooMany*` ones are unit tests, next to the crate's topologies). Each drives the
 //! analyzer itself (never hand-constructs the error it asserts against
 //! alone), pins the *exact* variant with all fields, and pins the exact
 //! `Display` rendering — what operators grep in chaos logs.

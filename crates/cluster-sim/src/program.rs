@@ -542,6 +542,18 @@ impl Program {
         self.len == 0
     }
 
+    /// How many operations satisfy `pred`, counted over the stored steps:
+    /// a run's ops are tested as its first step executes them and count
+    /// once per step of the run, so `pred` must hold alike for every
+    /// step (an op's kind and peer do; its tag, request and label move).
+    pub fn count_ops(&self, pred: impl Fn(Op) -> bool) -> usize {
+        let per_run = |s: &Step| {
+            let ops = (s.first..s.first + s.len).map(|i| self.resolve(i, s.k, s.req));
+            ops.filter(|&op| pred(op)).count() * s.count as usize
+        };
+        self.steps.iter().map(per_run).sum()
+    }
+
     /// Operations actually stored: each distinct step's once. An emitted
     /// pipeline stores a handful of steps however many it has.
     #[cfg(test)]
@@ -927,6 +939,24 @@ mod tests {
         }
         fn same_until(&self, _k: usize) -> usize {
             self.steps
+        }
+    }
+
+    #[test]
+    fn count_ops_counts_the_expansion() {
+        let mut written = Program::new();
+        written.compute(1.0, 0);
+        let r = written.isend(1, 7, 8);
+        written.wait(r);
+        for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
+            let p = Program::pipeline(strategy, &mut Uniform::new(1000), 2);
+            for q in [&p, &written] {
+                let compute: fn(&Op) -> bool = |op| matches!(op, Op::Compute { .. });
+                for kind in [compute, |op| op.peer() == Some(2)] {
+                    let expanded = q.ops().filter(kind).count();
+                    assert_eq!(q.count_ops(|op| kind(&op)), expanded, "{strategy:?}");
+                }
+            }
         }
     }
 

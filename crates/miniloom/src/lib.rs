@@ -36,6 +36,7 @@
 //! [`loom`]: https://docs.rs/loom
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,6 +21,7 @@
 //! [`proptest`]: https://docs.rs/proptest
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod test_runner {
     //! Case driver: configuration, error type and the deterministic RNG.

@@ -470,6 +470,30 @@ ENDFOR
         assert_eq!(decompose(front(&built).unwrap(), &built), Ok(()));
     }
 
+    /// A pipeline under 2³² steps whose messages pre-flight cannot hold
+    /// is an analyze-stage error, not an allocation abort: these `serve`
+    /// lines asked the matcher for 14.3 GB and 42.9 GB.
+    #[test]
+    fn more_messages_than_preflight_holds_is_a_typed_error() {
+        let too_many = |ends| {
+            let e = analyzer::AnalysisError::TooManyMessages { ends };
+            CompileError::Analyze(EngineError::Analysis(e))
+        };
+        for (line, ends) in [
+            (
+                "workload=grid3 nx=16 ny=16 nz=4294967296 pi=2 pj=1 v=12",
+                715_827_884,
+            ),
+            (
+                "workload=strip2 nx=4294967296 ny=12 ranks=4 v=12",
+                2_147_483_652,
+            ),
+        ] {
+            let req = PlanRequest::parse_kv(line).unwrap();
+            assert_eq!(compile(&req).unwrap_err(), too_many(ends), "{line}");
+        }
+    }
+
     /// A cross-section side of 1 prices its sample tiles by the per-axis
     /// rule: a 1 × 2²⁴ × 64 tile is never walked point by point.
     #[test]

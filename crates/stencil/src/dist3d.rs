@@ -21,10 +21,11 @@
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
 //! rank's pencils, owns the halo planes and supplies the hot paths
 //! [`crate::engine`] runs the rank's compiled program over.
-//! **The tile walk is compiled once per rank**, into a [`WavePlan`] per
-//! distinct tile length: which `(row, chunk)` units go to the kernel in
-//! which wave, and where each reads its `i−1`/`j−1`/`k−1` inputs and its
-//! diagonal seed. Per
+//! **The tile walk is compiled once per rank of a plan**, into a
+//! [`WavePlan`] per distinct tile length that the compiled plan keeps
+//! (up to 1 MiB of them):
+//! which `(row, chunk)` units go to the kernel in which wave, and where
+//! each reads its `i−1`/`j−1`/`k−1` inputs and its diagonal seed. Per
 //! tile, `compute_tile` does only what depends on `k`: it **consumes
 //! the pencils bottom-up** — takes the tile's window off every pencil,
 //! deals the chunks into plan order, and splits the units once per wave
@@ -210,6 +211,16 @@ impl RankTopology for Decomp3D {
         let width = if dir == FACE_I { self.by() } else { self.bx() };
         width * (k1 - k0)
     }
+
+    fn same_face_until(&self, rank: usize, dir: usize, k: usize, end: usize) -> usize {
+        // Every tile but the last is V long.
+        let last = self.steps().saturating_sub(1);
+        let len = |step| self.face_len(rank, dir, step);
+        match k < last && last < end && len(last) != len(k) {
+            true => last,
+            false => end,
+        }
+    }
 }
 
 /// k-chunk length of the super-diagonal tile walk: short enough that a
@@ -272,6 +283,7 @@ struct Unit {
 /// a 4×4 tile has anti-diagonals of mean width 2.3, but its chunked
 /// super-diagonals interleave 6+ chains, which is what hides the serial
 /// `add → max → sqrt` latency of the paper kernel.
+#[derive(Clone, Debug)]
 pub(crate) struct WavePlan {
     /// The tile length this plan walks.
     len: usize,
@@ -289,11 +301,8 @@ pub(crate) struct WavePlan {
 
 impl WavePlan {
     /// The walks of `rank`'s tiles: of a full tile and, if the last one
-    /// is shorter, of that. They depend on the layout alone, and the
-    /// thread that launches a run compiles them before the ranks start:
-    /// as the first small allocations of a rank's freshly spawned thread
-    /// they would come from an arena that gives its pages back when the
-    /// thread is done — page faults on every small execution.
+    /// is shorter, of that. They depend on the layout alone, so a
+    /// compiled plan keeps them when they are small (`Compiled3D::walks`).
     pub(crate) fn for_rank(d: &Decomp3D, rank: usize) -> Vec<WavePlan> {
         let up = decomp::has_upstream(d, rank);
         let mut lens = [0, d.steps() - 1]
@@ -382,6 +391,12 @@ impl WavePlan {
         }
     }
 
+    /// Bytes this walk holds on the heap.
+    pub(crate) fn bytes(&self) -> usize {
+        let words = self.waves.capacity() + self.pos.capacity();
+        self.units.capacity() * std::mem::size_of::<Unit>() + words * std::mem::size_of::<usize>()
+    }
+
     /// The plan among a block's (one or two) that walks `len` cells: a
     /// tile is as long as the first, or else as the last.
     fn of(plans: &[WavePlan], len: usize) -> &WavePlan {
@@ -404,7 +419,7 @@ struct Block3D<'g, K> {
     /// Cells of every pencil handed out so far: `k0` of the next tile.
     taken: usize,
     /// The walk of a full tile and, if the last one is shorter, of that.
-    plans: Vec<WavePlan>,
+    plans: &'g [WavePlan],
     /// The `k−1` seed of every pencil's bottom chunk in the last
     /// computed tile: the top cell of the tile below it, or the boundary.
     top: Vec<f32>,
@@ -427,7 +442,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         tier: KernelTier,
         rank: usize,
         rows: Pencils<'g>,
-        plans: Vec<WavePlan>,
+        plans: &'g [WavePlan],
     ) -> Self {
         let up = decomp::has_upstream(&d, rank);
         let (ci, cj) = d.coords(rank);
@@ -468,7 +483,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
     fn compute_tile(&mut self, k: usize) {
         let (k0, k1) = self.d.krange(k);
         assert_eq!(k0, self.taken, "tiles are computed bottom-up");
-        let plan = WavePlan::of(&self.plans, k1 - k0);
+        let plan = WavePlan::of(self.plans, k1 - k0);
         // Deal the tile out. Unit order depends on the chunk count
         // alone: while that stays, every unit is replaced by the same
         // (row, chunk) one tile up, and the last cell of a pencil's
@@ -558,7 +573,7 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         // face's cells are in the units of the last computed tile.
         let (k0, k1) = self.d.krange(step);
         assert_eq!(k1, self.taken, "only the last computed tile is packed");
-        let plan = WavePlan::of(&self.plans, k1 - k0);
+        let plan = WavePlan::of(self.plans, k1 - k0);
         let (bx, by) = (self.d.bx(), self.d.by());
         // Last local i: by consecutive rows; last local j: every by-th.
         let (first, stride) = if dir == FACE_I {
@@ -596,7 +611,7 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
 /// `rows`, its pencils of the result (see [`rank_pencils`]), reporting
 /// every phase to `obs`, or the typed transport/structure error that
 /// stopped it. Nothing is re-derived here — the plan is executed
-/// exactly as compiled. `plans` are the rank's [`WavePlan::for_rank`].
+/// exactly as compiled. `walks` are every rank's, from `c`.
 pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
@@ -604,10 +619,11 @@ pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver
     tier: KernelTier,
     obs: &mut O,
     rows: Pencils<'_>,
-    plans: Vec<WavePlan>,
+    walks: &[Vec<WavePlan>],
 ) -> Result<(), EngineError> {
     let program = c.program(comm)?;
-    let mut blk = Block3D::new(c.decomp(), kernel, tier, comm.rank(), rows, plans);
+    let rank = comm.rank();
+    let mut blk = Block3D::new(c.decomp(), kernel, tier, rank, rows, &walks[rank]);
     engine::run_rank(comm, &mut blk, program, obs)
 }
 
@@ -624,8 +640,7 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     let d = c.decomp();
     let mut block = vec![0.0; d.bx() * d.by() * d.nz];
     let rows = block.chunks_exact_mut(d.nz).collect();
-    let plans = WavePlan::for_rank(&d, comm.rank());
-    run_rank3d_into(comm, kernel, c, tier, obs, rows, plans)?;
+    run_rank3d_into(comm, kernel, c, tier, obs, rows, &c.walks())?;
     Ok(block)
 }
 
@@ -996,6 +1011,33 @@ mod tests {
     }
 
     #[test]
+    fn faces_change_length_where_the_scan_finds_it() {
+        for nz in [16, 19] {
+            let d = Decomp3D {
+                nx: 4,
+                ny: 4,
+                nz,
+                pi: 2,
+                pj: 2,
+                v: 4,
+                boundary: 1.0,
+            };
+            for (dir, k, end) in (0..2).flat_map(|dir| {
+                (0..d.steps()).flat_map(move |k| (k + 1..=d.steps()).map(move |e| (dir, k, e)))
+            }) {
+                let at_k = d.face_len(3, dir, k);
+                let scan = (k + 1..end).find(|&j| d.face_len(3, dir, j) != at_k);
+                let want = scan.unwrap_or(end);
+                assert_eq!(
+                    d.same_face_until(3, dir, k, end),
+                    want,
+                    "nz {nz}, {dir} {k} {end}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn executors_read_the_layout_preflight_analyses() {
         use msgpass::topology::CartesianGrid;
         for (pi, pj) in [(3, 2), (1, 4)] {
@@ -1011,7 +1053,7 @@ mod tests {
             let grid = CartesianGrid::new(vec![pi, pj]);
             for rank in 0..d.ranks() {
                 let plans = WavePlan::for_rank(&d, rank);
-                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), plans);
+                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), &plans);
                 let dirs = (blk.num_dirs(), blk.wire_dir(FACE_I), blk.wire_dir(FACE_J));
                 assert_eq!(dirs, (d.num_dirs(), DIR_I, DIR_J), "rank {rank}");
                 // The layout's inline arithmetic is the row-major

@@ -5,9 +5,10 @@
 //! fully determined by their boundary: every interior cell is
 //! recomputed from already-recomputed neighbors).
 //!
-//! A dropped [`Grid3D`] parks its cells: the next distributed run of
+//! A dropped [`Grid3D`] parks its cells: a later distributed run of
 //! the same size takes them as its result, unfilled.
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A dense row-major 2-D grid.
@@ -232,34 +233,59 @@ impl Drop for Grid3D {
     }
 }
 
-/// Cells over this many bytes are freed, not parked: grid sizes come
-/// off the wire (`paper serve`), and parked cells are memory held.
+/// The park holds at most this many bytes of cells in all: grid sizes
+/// come off the wire (`paper serve`), and parked cells are memory held.
 const PARK_MAX_BYTES: usize = 64 << 20;
 
-/// The cells of the last dropped [`Grid3D`]: one slot, so parking
-/// never allocates.
-struct Park(Mutex<Option<Vec<f32>>>);
+/// The cells of recently dropped [`Grid3D`]s, newest last: a caller
+/// that holds several results at once (a service client holding a
+/// script's replies) finds each size again once they drop.
+struct Park(Mutex<VecDeque<Vec<f32>>>);
 
-static PARK: Park = Park(Mutex::new(None));
+static PARK: Park = Park(Mutex::new(VecDeque::new()));
+
+/// What a parked buffer holds of memory.
+fn bytes(cells: &Vec<f32>) -> usize {
+    cells.capacity() * std::mem::size_of::<f32>()
+}
 
 impl Park {
-    /// Keep `cells` in place of any parked buffer; free them if over
-    /// [`PARK_MAX_BYTES`] or the lock is poisoned.
+    /// Keep `cells` as the newest buffer, then evict the oldest ones
+    /// until the park holds at most [`PARK_MAX_BYTES`]; free `cells`
+    /// instead if they alone are over it or the lock is poisoned.
     fn park(&self, cells: Vec<f32>) {
-        let bytes = cells.capacity() * std::mem::size_of::<f32>();
-        match self.0.lock() {
-            Ok(mut slot) if (1..=PARK_MAX_BYTES).contains(&bytes) => *slot = Some(cells),
-            _ => {}
+        if !(1..=PARK_MAX_BYTES).contains(&bytes(&cells)) {
+            return;
+        }
+        let Ok(mut parked) = self.0.lock() else {
+            return;
+        };
+        parked.push_back(cells);
+        let mut total: usize = parked.iter().map(bytes).sum();
+        while total > PARK_MAX_BYTES {
+            let Some(oldest) = parked.pop_front() else {
+                break;
+            };
+            total -= bytes(&oldest);
         }
     }
 
-    /// `len` cells filled with `fill`: the parked buffer's where it holds
-    /// exactly `len` (as they are where `fill` is `None`), else fresh ones
-    /// (zeros), or `None` where those cannot be allocated. A miss frees
-    /// the parked buffer, which would keep its memory from the fresh ones.
+    /// `len` cells filled with `fill`: the newest parked buffer that
+    /// holds exactly `len` (as they are where `fill` is `None`), else
+    /// fresh ones (zeros), or `None` where those cannot be allocated. A
+    /// miss frees every parked buffer, which would keep its memory from
+    /// the fresh ones.
     fn cells(&self, len: usize, fill: Option<f32>) -> Option<Vec<f32>> {
-        let parked = self.0.lock().ok().and_then(|mut slot| slot.take());
-        let mut data = parked.filter(|c| c.len() == len).unwrap_or_default();
+        let parked = self.0.lock().ok().and_then(|mut parked| {
+            match parked.iter().rposition(|c| c.len() == len) {
+                Some(newest) => parked.remove(newest),
+                None => {
+                    parked.clear();
+                    None
+                }
+            }
+        });
+        let mut data = parked.unwrap_or_default();
         if data.is_empty() {
             data.try_reserve_exact(len).ok()?;
             data.resize(len, fill.unwrap_or(0.0));
@@ -350,31 +376,60 @@ mod tests {
         assert_eq!(zero2.max_abs_diff(&neg2), 0.0);
     }
 
+    /// A park of its own: the global one takes every test's grids.
+    fn park() -> Park {
+        Park(Mutex::new(VecDeque::new()))
+    }
+
+    /// The cell counts `park` holds, oldest first.
+    fn held(park: &Park) -> Vec<usize> {
+        let parked = park.0.lock().map(|p| p.iter().map(Vec::len).collect());
+        parked.unwrap_or_default()
+    }
+
     #[test]
     fn a_park_keeps_the_newest_buffer_of_at_most_64_mib() {
-        // A park of its own: the global one takes every test's grids.
-        let park = Park(Mutex::new(None));
-        let held = || park.0.lock().ok().and_then(|s| s.as_ref().map(Vec::len));
-        park.park(vec![1.0; 1]);
-        park.park(vec![2.0; 2]);
-        assert_eq!(held(), Some(2), "the newest replaces the parked buffer");
-        assert_eq!(
-            park.cells(1, None),
-            Some(vec![0.0]),
-            "not for another count"
-        );
-        assert_eq!(held(), None, "and a miss frees it");
+        let park = park();
+        let newest = vec![3.0; 2];
+        let at = newest.as_ptr();
+        for cells in [vec![1.0; 2], vec![2.0; 1], newest] {
+            park.park(cells);
+        }
+        assert_eq!(held(&park), [2, 1, 2], "every size is kept, newest last");
+        let taken = park.cells(2, None).expect("parked");
+        assert!(taken.as_ptr() == at, "the newest of the count is taken");
+        assert_eq!(held(&park), [2, 1], "and only it");
         let max = PARK_MAX_BYTES / std::mem::size_of::<f32>();
         park.park(vec![0.0; max + 1]);
-        assert_eq!(held(), None, "over 64 MiB is freed");
-        park.park(vec![0.0; max]);
-        assert_eq!(held(), Some(max));
+        assert_eq!(held(&park), [2, 1], "one buffer over 64 MiB is freed");
+    }
+
+    #[test]
+    fn a_miss_empties_the_park() {
+        let park = park();
+        park.park(vec![1.0; 2]);
+        park.park(vec![2.0; 3]);
+        assert_eq!(park.cells(1, None), Some(vec![0.0]), "not another count");
+        assert_eq!(held(&park), [0; 0], "and a miss frees them all");
+    }
+
+    #[test]
+    fn the_oldest_buffers_go_past_64_mib_in_all() {
+        let park = park();
+        let half = PARK_MAX_BYTES / std::mem::size_of::<f32>() / 2;
+        park.park(vec![0.0; half]);
+        park.park(vec![0.0; half - 1]);
+        assert_eq!(held(&park), [half, half - 1], "64 MiB in all are kept");
+        park.park(vec![0.0; 2]);
+        assert_eq!(held(&park), [half - 1, 2], "past that the oldest goes");
+        park.park(vec![0.0; 2 * half]);
+        assert_eq!(held(&park), [2 * half], "as many as it takes");
     }
 
     #[test]
     fn try_new_fills_every_cell_after_a_park() {
         // `try_new`'s cells, on a park of its own (see above).
-        let park = Park(Mutex::new(None));
+        let park = park();
         let cells = vec![7.0; 24];
         let parked = cells.as_ptr();
         park.park(cells);

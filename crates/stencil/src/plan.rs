@@ -8,12 +8,14 @@
 //! those very programs legal, fully matched and deadlock-free.
 //! Compiling is the *only* place validation and pre-flight happen, and
 //! every runner takes a compiled plan, so one compile backs any number
-//! of executions (the `planc` crate's `PlanArtifact` caches them).
+//! of executions (the `planc` crate's `PlanArtifact` caches them). The
+//! ranks' tile walks are built by a plan's first run and kept with it,
+//! up to `WALK_MAX_BYTES`.
 //!
 //! Every run takes one path: the runner takes the result [`Grid3D`]
-//! (a dropped grid's parked cells of the same size when there are any,
-//! unfilled), deals its pencils out to the ranks as disjoint
-//! mutable views ([`dist3d::rank_pencils`]) and the ranks compute
+//! (the newest parked cells of a dropped grid of the same size when
+//! there are any, unfilled), deals its pencils out to the ranks as
+//! disjoint mutable views ([`dist3d::rank_pencils`]) and the ranks compute
 //! straight into them — the result grid *is* the ranks' storage, and
 //! the calling thread *is* rank 0 (see
 //! `msgpass::thread_backend::run_world`). [`run3d_observed_with`]
@@ -40,20 +42,36 @@ use cluster_sim::trace::{Activity, Trace};
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 
+/// Most bytes of tile walks a [`Compiled3D`] keeps. Walks grow with the
+/// blocks' cross-section (≈ 100 B per pencil and tile length) and a
+/// service caches many plans, so a plan whose walks are larger builds
+/// them for each run, as it takes its result grid for each run.
+const WALK_MAX_BYTES: usize = 1 << 20;
+
+/// Every rank's tile walks, indexed by rank.
+type Walks = Vec<Vec<dist3d::WavePlan>>;
+
 /// A compiled, analyzer-approved plan over the block layout (§5):
 /// decomposition, per-rank programs and pre-flight report, sealed at
-/// compile time.
+/// compile time, and every rank's tile walks, built by its first run.
 #[derive(Clone, Debug)]
 pub struct Compiled3D {
     d: Decomp3D,
     mode: ExecMode,
     programs: Vec<Program>,
     report: Option<AnalysisReport>,
+    /// `walks[rank]`: the rank's [`dist3d::WavePlan::for_rank`], or
+    /// `None` when they are over `WALK_MAX_BYTES`. They are as large
+    /// as the blocks' cross-sections, so they are built after a run got
+    /// its result grid — a grid larger than memory stays an
+    /// [`EngineError::OutOfMemory`] — never at seal.
+    walks: OnceLock<Option<Walks>>,
 }
 
 impl Compiled3D {
@@ -84,6 +102,7 @@ impl Compiled3D {
             mode,
             programs,
             report,
+            walks: OnceLock::new(),
         })
     }
 
@@ -107,6 +126,32 @@ impl Compiled3D {
                 expected: self.ranks(),
                 got: comm.size(),
             }),
+        }
+    }
+
+    /// Every rank's tile walks: the first call builds them and keeps
+    /// them if they fit `WALK_MAX_BYTES`; a plan that did not keep
+    /// them builds them again for each call.
+    pub(crate) fn walks(&self) -> Cow<'_, [Vec<dist3d::WavePlan>]> {
+        let build = || -> Walks {
+            let ranks = 0..self.ranks();
+            ranks
+                .map(|r| dist3d::WavePlan::for_rank(&self.d, r))
+                .collect()
+        };
+        let mut first = None;
+        let kept = self.walks.get_or_init(|| {
+            let built = build();
+            let bytes: usize = built.iter().flatten().map(dist3d::WavePlan::bytes).sum();
+            if bytes <= WALK_MAX_BYTES {
+                return Some(built);
+            }
+            first = Some(built);
+            None
+        });
+        match kept {
+            Some(walks) => Cow::Borrowed(walks),
+            None => Cow::Owned(first.unwrap_or_else(build)),
         }
     }
 
@@ -162,6 +207,8 @@ pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineEr
 /// deal its pencils out to the ranks, and have `launch` run the rank
 /// body once per rank of some world. Every cell is written exactly
 /// once, by its owner, so what the cells held before is never read.
+/// The tile walks are taken here too, on the launching thread, once the
+/// grid is there: the first run of `c` builds them.
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
@@ -176,22 +223,20 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
         Grid3D::try_unfilled(d.nx, d.ny, d.nz, d.boundary).ok_or(EngineError::OutOfMemory {
             bytes: d.nx * d.ny * d.nz * std::mem::size_of::<f32>(),
         })?;
+    let walks = c.walks();
     let (results, elapsed) = {
         // The body is shared by the ranks, so each takes its pencils
-        // and its tile walks (compiled here, on the launching thread —
-        // see `WavePlan::for_rank`) out of its own slot.
-        let walks = |rank| dist3d::WavePlan::for_rank(&d, rank);
+        // out of its own slot.
         let parts: Vec<_> = dist3d::rank_pencils(&d, out.pencils_mut())
             .into_iter()
-            .enumerate()
-            .map(|(rank, rows)| Mutex::new(Some((rows, walks(rank)))))
+            .map(|rows| Mutex::new(Some(rows)))
             .collect();
         launch(&|comm| {
             let mut obs = make_obs(comm);
             let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
             #[allow(clippy::expect_used)] // LINT: a world runs each rank once
-            let (rows, plans) = part.expect("a world runs each rank once");
-            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, plans);
+            let rows = part.expect("a world runs each rank once");
+            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, &walks);
             (run, (obs, comm.fault_stats()))
         })
     };
@@ -384,6 +429,51 @@ mod tests {
             let (grid, _, _) = run3d_with(Paper3D, &c, &cfg).expect("runs");
             assert_eq!(grid.max_abs_diff(&seq), 0.0);
         }
+    }
+
+    #[test]
+    fn the_first_run_builds_the_walks_and_later_ones_reuse_them() {
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        assert!(c.walks.get().is_none(), "not at seal");
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        run3d_with(Paper3D, &c, &cfg).expect("runs");
+        let kept = |c: &Compiled3D| c.walks.get()?.as_ref().map(|w| w.as_ptr());
+        let built = kept(&c).expect("by the first run");
+        let mut world = build_world_with::<f32>(c.ranks(), &cfg);
+        run3d_on_world(Paper3D, &c, KernelTier::Bitwise, &mut world).expect("runs");
+        assert_eq!(kept(&c), Some(built));
+        assert!(matches!(c.walks(), Cow::Borrowed(_)));
+        let fresh = |rank| dist3d::WavePlan::for_rank(&d3(), rank);
+        for (rank, kept) in c.walks().iter().enumerate() {
+            let want = fresh(rank);
+            assert_eq!(format!("{kept:?}"), format!("{want:?}"), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn a_plan_keeps_no_walks_over_the_budget() {
+        // 64 × 64 pencils per rank, tiles of two lengths: ≈ 1.7 MB of walks.
+        let d = Decomp3D {
+            nx: 128,
+            ny: 64,
+            nz: 3,
+            pi: 2,
+            pj: 1,
+            v: 2,
+            boundary: 1.0,
+        };
+        let c = Compiled3D::compile(d, ExecMode::Overlapping).expect("clean plan");
+        let seq = crate::seq::run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        for _ in 0..2 {
+            let (grid, _, _) = run3d_with(Paper3D, &c, &cfg).expect("runs");
+            assert_eq!(grid.max_abs_diff(&seq), 0.0);
+            assert!(matches!(c.walks.get(), Some(None)), "built per run");
+        }
+        let walks = c.walks();
+        assert!(matches!(walks, Cow::Owned(_)));
+        let bytes: usize = walks.iter().flatten().map(dist3d::WavePlan::bytes).sum();
+        assert!(bytes > WALK_MAX_BYTES, "{bytes} bytes");
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!   messages, so no `mpsc` internals in the picture) the total number
 //!   of allocations must not depend on the number of pipeline steps:
 //!   the per-step compute/pack path allocates nothing. It also sums the
-//!   bytes requested: a repeat run of a plan reuses the result grid a
-//!   dropped one parked, so it allocates no buffer of that size;
+//!   bytes requested and keeps the largest request: a repeat run of a
+//!   plan reuses a result grid a dropped one parked — of whichever size
+//!   it needs, when a caller held several — so it allocates no buffer
+//!   of that size;
 //! * the `msgpass` buffer-pool counters — payload buffers for sends are
 //!   recycled rather than freshly allocated once the pipeline is warm,
 //!   and every consumed receive buffer is returned to its sender.
@@ -35,6 +37,8 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes requested: every allocation's size, every growth's increase.
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// The largest single allocation or growth's new size.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method delegates to the `System` allocator, which
 // upholds the `GlobalAlloc` contract; the counter bumps are Relaxed
@@ -44,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's valid layout.
         unsafe { System.alloc(layout) }
     }
@@ -59,6 +64,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         let grown = new_size.saturating_sub(layout.size());
         BYTES.fetch_add(grown as u64, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size as u64, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` come from a prior `System` allocation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -240,6 +246,47 @@ fn the_result_grid_is_the_only_grid_sized_allocation() {
     let plan = Compiled3D::compile(lone, ExecMode::Overlapping).expect("valid decomp");
     let bytes = min_bytes_of(|| run3d_with(kernel, &plan, &cfg).expect("fresh world"));
     assert!(bytes < plane_bytes, "1x1 world: {bytes} bytes");
+}
+
+#[test]
+fn results_held_together_are_reused_once_they_drop() {
+    let _guard = lock();
+    // A service client holds a script's results until the script ends:
+    // plans of three cell counts in rotation, every result held. Once
+    // they drop, the next rotation takes each size back from the park.
+    let plans: Vec<Compiled3D> = [256, 320, 256, 384]
+        .map(|nz| {
+            let d = Decomp3D {
+                nx: 8,
+                ny: 8,
+                nz,
+                pi: 2,
+                pj: 1,
+                v: 64,
+                boundary: 1.0,
+            };
+            Compiled3D::compile(d, ExecMode::Overlapping).expect("valid decomp")
+        })
+        .into();
+    let cfg = WorldConfig::new(LatencyModel::zero());
+    let mut world = build_world_with::<f32>(2, &cfg);
+    let mut rotate = || -> Vec<_> {
+        let mut run =
+            |plan| run3d_on_world(Relax3D::default(), plan, KernelTier::Bitwise, &mut world);
+        plans
+            .iter()
+            .map(|plan| run(plan).expect("runs").0)
+            .collect()
+    };
+    drop(rotate());
+    LARGEST.store(0, Ordering::Relaxed);
+    let held = rotate();
+    let largest = LARGEST.load(Ordering::Relaxed);
+    // The smallest grid is 8·8·256 cells, 64 KiB; a halo plane is an
+    // eighth of its grid.
+    let smallest = 4 * 8 * 8 * 256;
+    assert!(largest < smallest, "a {largest}-byte allocation");
+    assert!(held.iter().all(|g| g.data().iter().all(|x| x.is_finite())));
 }
 
 /// Run every rank of `d` straight on a world built from `cfg` and
