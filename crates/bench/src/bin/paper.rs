@@ -185,20 +185,23 @@ fn cmd_gantt_thread() {
         startup_us: 300.0,
         per_byte_us: 0.05,
     };
-    print!("{}", render_thread_figures(d, lat));
-    // SVG versions on a shared horizon, next to the simulated pair.
+    // One run per schedule draws both its chart and its SVG, the SVGs on
+    // a shared horizon next to the simulated pair.
     let ranks: Vec<usize> = (0..d.pi * d.pj).collect();
-    let f1 = thread_figure(d, lat, ExecMode::Blocking);
-    let f2 = thread_figure(d, lat, ExecMode::Overlapping);
-    let horizon = f1.horizon().max(f2.horizon());
+    let (f1, f2) = (
+        thread_figure(d, lat, ExecMode::Blocking),
+        thread_figure(d, lat, ExecMode::Overlapping),
+    );
+    print!("{}", render_thread_figures(&ranks, &f1, &f2));
+    let horizon = f1.0.horizon().max(f2.0.horizon());
     std::fs::write(
         out_dir().join("fig1_thread.svg"),
-        f1.trace.to_svg(&ranks, horizon, 900),
+        f1.0.to_svg(&ranks, horizon, 900),
     )
     .expect("write fig1_thread.svg");
     std::fs::write(
         out_dir().join("fig2_thread.svg"),
-        f2.trace.to_svg(&ranks, horizon, 900),
+        f2.0.to_svg(&ranks, horizon, 900),
     )
     .expect("write fig2_thread.svg");
     println!("SVG charts written to results/fig1_thread.svg and results/fig2_thread.svg");
@@ -400,7 +403,7 @@ fn cmd_chaos() {
     use msgpass::prelude::*;
     use std::time::Duration;
     use stencil::dist3d::ExecMode;
-    use stencil::engine::TraceObserver;
+    use stencil::engine::{to_trace, PhaseLog};
     use stencil::kernel::Paper3D;
     use stencil::plan::{run3d_observed_with, Compiled3D};
 
@@ -472,8 +475,8 @@ fn cmd_chaos() {
         Ok(_) => println!("UNEXPECTED: lossy run completed"),
     }
 
-    // Stall-annotated Gantt: drive the same faulty world with tracing
-    // observers so fault-inflated waits render as red Stall bars.
+    // Stall-annotated Gantt: log every rank of the same faulty world so
+    // fault-inflated waits render as red Stall bars.
     println!("\n-- stall-annotated Gantt (wire latency + delay spikes) --");
     let spiky = WorldConfig::new(demo_wire_latency())
         .with_reliability(rel)
@@ -486,8 +489,8 @@ fn cmd_chaos() {
     let stall_after = Duration::from_millis(1);
     let gantt_plan =
         Compiled3D::compile(gantt_d, ExecMode::Overlapping).expect("shipped layout compiles");
-    let (grid, _, observers, _) = run3d_observed_with(Paper3D, &gantt_plan, &spiky, |comm| {
-        TraceObserver::new(comm.rank(), comm.epoch()).with_stall_threshold(stall_after)
+    let (grid, _, logs, _) = run3d_observed_with(Paper3D, &gantt_plan, &spiky, |comm| {
+        PhaseLog::new(comm.rank(), comm.epoch())
     })
     .expect("recoverable plan completes");
     let seq = stencil::seq::run_paper3d_seq(gantt_d.nx, gantt_d.ny, gantt_d.nz, gantt_d.boundary);
@@ -496,10 +499,7 @@ fn cmd_chaos() {
         0.0,
         "traced chaos run must stay exact"
     );
-    let mut trace = cluster_sim::trace::Trace::enabled();
-    for obs in observers {
-        trace.extend(obs.into_trace());
-    }
+    let trace = to_trace(&logs, Some(stall_after));
     let ranks: Vec<usize> = (0..gantt_d.pi * gantt_d.pj).collect();
     let horizon = trace.horizon();
     let stalls = trace
@@ -530,13 +530,15 @@ fn cmd_chaos() {
 //
 // The key=value payload is `planc::PlanRequest::parse_kv`'s wire
 // format (workload=grid3 nx=8 ... — see its docs). Execute jobs always
-// verify against the sequential reference.
+// verify against the sequential reference. A bad line (unparsable, an
+// unknown verb, not UTF-8) gets an `err ...` reply on the same open
+// connection.
 
 mod serve {
     use planc::{
         ExecOptions, JobRequest, JobResponse, PlanRequest, PlanService, ServiceConfig, ServiceError,
     };
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
 
@@ -606,6 +608,13 @@ mod serve {
         }
     }
 
+    /// The longest request line read; a request is a few hundred bytes.
+    const MAX_LINE: u64 = 64 * 1024;
+
+    /// Answer one connection line by line until it quits or closes. A
+    /// line that is not UTF-8 gets an `err` reply like any other bad
+    /// request; a line over `MAX_LINE` bytes gets one and closes the
+    /// connection; a connection that closes mid-line sent no request.
     fn handle(service: &PlanService, stream: TcpStream) {
         let reader_stream = match stream.try_clone() {
             Ok(s) => s,
@@ -613,26 +622,28 @@ mod serve {
         };
         let mut reader = BufReader::new(reader_stream);
         let mut stream = stream;
-        let mut line = String::new();
+        let mut bytes = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
+            bytes.clear();
+            let read = (&mut reader).take(MAX_LINE).read_until(b'\n', &mut bytes);
+            let (reply, last) = match read {
                 Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let reply = respond(service, line);
+                Ok(_) if bytes.last() == Some(&b'\n') => {
+                    match std::str::from_utf8(&bytes).map(str::trim) {
+                        Ok("") => continue,
+                        Ok(line) => (respond(service, line), line == "quit"),
+                        Err(e) => (format!("err line is not UTF-8: {e}"), false),
+                    }
+                }
+                Ok(n) if (n as u64) < MAX_LINE => return,
+                Ok(_) => (format!("err line over {MAX_LINE} bytes"), true),
+            };
             if stream
                 .write_all(reply.as_bytes())
                 .and_then(|_| stream.write_all(b"\n"))
                 .is_err()
+                || last
             {
-                return;
-            }
-            if line == "quit" {
                 return;
             }
         }
@@ -708,6 +719,53 @@ mod serve {
             let m = service.metrics();
             assert_eq!(m.completed, (clients * jobs_per_client) as u64);
             assert!(m.cache.hit_ratio() > 0.0, "{m:?}");
+        }
+
+        /// A client that sends a non-UTF-8 line gets an `err` reply and
+        /// keeps its connection; an over-long line gets an `err` reply; a
+        /// client that hangs up mid-line costs nothing; a client after
+        /// all of them is served.
+        #[test]
+        fn hostile_connections_get_replies_and_wedge_nothing() {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+            let addr = listener.local_addr().expect("bound address");
+            let service = Arc::new(PlanService::start(ServiceConfig::default()));
+            {
+                let service = Arc::clone(&service);
+                std::thread::spawn(move || listen(listener, service));
+            }
+            let connect = || {
+                let stream = TcpStream::connect(addr).expect("connect to server");
+                let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+                (stream, reader)
+            };
+            let ask = |(stream, reader): &mut (TcpStream, BufReader<TcpStream>), req: &[u8]| {
+                stream.write_all(req).expect("send request");
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("read reply");
+                reply
+            };
+            let mut mangled = connect();
+            let reply = ask(&mut mangled, b"stats \xff\xfe\n");
+            assert!(reply.starts_with("err line is not UTF-8"), "{reply}");
+            let reply = ask(&mut mangled, b"stats\n");
+            assert!(reply.starts_with("ok submitted="), "{reply}");
+
+            let mut long = connect();
+            let reply = ask(&mut long, &vec![b'a'; MAX_LINE as usize]);
+            assert_eq!(reply, format!("err line over {MAX_LINE} bytes\n"));
+
+            let (mut cut, _) = connect();
+            cut.write_all(b"execute workload=grid3 nx=8 ny=8")
+                .expect("send half a request");
+            drop(cut);
+
+            let mut fresh = connect();
+            let compile = b"compile workload=grid3 nx=8 ny=8 nz=256 pi=2 pj=2 v=64\n";
+            let reply = ask(&mut fresh, compile);
+            assert!(reply.starts_with("ok compiled"), "{reply}");
+            let reply = ask(&mut fresh, b"stats\n");
+            assert!(reply.starts_with("ok submitted=1 completed=1"), "{reply}");
         }
     }
 }

@@ -10,7 +10,6 @@ use autotune::TuneProblem;
 use msgpass::thread_backend::LatencyModel;
 use msgpass::transport::TransportKind;
 use planc::PlanRequest;
-use stencil::decomp::Decomp2D;
 use stencil::dist3d::{Decomp3D, ExecMode};
 use tiling_core::machine::{MachineParams, PiecewiseCost};
 
@@ -41,17 +40,6 @@ pub fn chaos_gantt_decomp() -> Decomp3D {
         nz: 512,
         v: 64,
         ..threads_decomp()
-    }
-}
-
-/// `paper example1` as a real 2-D strip decomposition.
-pub fn example1_strip() -> Decomp2D {
-    Decomp2D {
-        nx: 10_000,
-        ny: 1_000,
-        ranks: 10,
-        v: 10,
-        boundary: 1.0,
     }
 }
 
@@ -145,7 +133,6 @@ pub const TUNE_HETERO_SEED: u64 = 7;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil::plan::Compiled3D;
 
     #[test]
     fn shipped_decomps_compile() {
@@ -156,12 +143,6 @@ mod tests {
                 assert_eq!(a.v(), d.v);
                 assert_eq!(a.ranks(), d.pi * d.pj);
             }
-            // `plan_request` builds 3-D requests only; the strip
-            // pre-flights as the unit-axis block the executor takes.
-            let strip = example1_strip();
-            let plan = Compiled3D::compile(strip.block(), mode).expect("shipped strip compiles");
-            let report = plan.report().expect("compiled with pre-flight");
-            assert_eq!(report.ranks, strip.ranks);
         }
     }
 }

@@ -8,20 +8,20 @@
 //! the overlapping schedule the CPU rows are nearly solid computation
 //! with communication pushed to the DMA lanes.
 //!
-//! The same charts can also be rendered from **real execution**: the
-//! thread-backend executors record wall-clock activity intervals in the
-//! simulator's trace format ([`thread_figure`]), so a measured run draws
-//! through the exact same Gantt/SVG paths as a simulated one.
+//! The same charts can also be rendered from **real execution**: every
+//! rank of a thread-backend run logs its phases with their wall-clock
+//! spans, and the logs become one trace in the simulator's format
+//! ([`thread_figure`]), so a measured run draws through the exact same
+//! Gantt/SVG paths as a simulated one.
 
 use cluster_sim::builders::ClusterProblem;
 use cluster_sim::engine::{simulate, SimConfig, SimResult};
-use cluster_sim::time::SimTime;
 use cluster_sim::trace::Trace;
 use msgpass::comm::Communicator;
 use msgpass::thread_backend::{LatencyModel, WorldConfig};
 use std::time::Duration;
 use stencil::dist3d::{Decomp3D, ExecMode};
-use stencil::engine::TraceObserver;
+use stencil::engine::{to_trace, PhaseLog};
 use stencil::kernel::Paper3D;
 use stencil::plan::{run3d_observed_with, Compiled3D};
 use tiling_core::dependence::DependenceSet;
@@ -83,20 +83,9 @@ pub fn render_figures(machine: &MachineParams, procs: i64, steps: i64, tile: i64
 }
 
 /// A real-execution figure: the wall-clock trace of a thread-backend
-/// run, in the same interval format as a [`SimResult`] trace.
-pub struct ThreadFigure {
-    /// Merged per-rank activity trace (epoch-relative wall time).
-    pub trace: Trace,
-    /// Wall-clock time of the parallel region.
-    pub elapsed: Duration,
-}
-
-impl ThreadFigure {
-    /// Latest interval end — the Gantt horizon of this run.
-    pub fn horizon(&self) -> SimTime {
-        self.trace.horizon()
-    }
-}
+/// run, in the same interval format as a [`SimResult`] trace, and the
+/// wall-clock time of its parallel region.
+pub type ThreadFigure = (Trace, Duration);
 
 /// The default scaled-down workload for real-execution figures: a 2×2
 /// processor grid over a deep-enough pipeline that the schedule
@@ -113,11 +102,10 @@ pub fn thread_demo_decomp() -> Decomp3D {
     }
 }
 
-/// Run the paper's 3-D kernel for real on the thread backend with
-/// wall-clock tracing and return the figure: every rank records its
-/// phases against the world epoch, and the per-rank traces merge into
-/// one [`Trace`] renderable by the same Gantt/SVG paths as the
-/// simulator's.
+/// Run the paper's 3-D kernel for real on the thread backend and return
+/// its figure: every rank logs its phases against the world epoch, and
+/// the logs become one [`Trace`] renderable by the same Gantt/SVG paths
+/// as the simulator's.
 ///
 /// # Panics
 /// If `d` does not compile or the run fails (a demo layout on a
@@ -125,33 +113,26 @@ pub fn thread_demo_decomp() -> Decomp3D {
 #[allow(clippy::expect_used)] // LINT: the demo layout is valid and its world fault-free
 pub fn thread_figure(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> ThreadFigure {
     let plan = Compiled3D::compile(d, mode).expect("valid demo decomposition");
-    let (_, elapsed, observers, _) =
+    let (_, elapsed, logs, _) =
         run3d_observed_with(Paper3D, &plan, &WorldConfig::new(latency), |comm| {
-            TraceObserver::new(comm.rank(), comm.epoch())
+            PhaseLog::new(comm.rank(), comm.epoch())
         })
         .expect("demo run completes");
-    let mut trace = Trace::enabled();
-    for obs in observers {
-        trace.extend(obs.into_trace());
-    }
-    ThreadFigure { trace, elapsed }
+    (to_trace(&logs, None), elapsed)
 }
 
-/// Render the Fig. 1 / Fig. 2 pair from **measured** thread-backend
-/// runs: same glyphs, same renderer, wall-clock data.
-pub fn render_thread_figures(d: Decomp3D, latency: LatencyModel) -> String {
-    let fig1 = thread_figure(d, latency, ExecMode::Blocking);
-    let fig2 = thread_figure(d, latency, ExecMode::Overlapping);
-    let ranks: Vec<usize> = (0..d.pi * d.pj).collect();
+/// Render the Fig. 1 / Fig. 2 pair from the **measured** runs of the
+/// two schedules on `ranks`: same glyphs, same renderer, wall-clock data.
+pub fn render_thread_figures(ranks: &[usize], fig1: &ThreadFigure, fig2: &ThreadFigure) -> String {
     let width = 100;
-    let horizon = fig1.horizon().max(fig2.horizon());
+    let horizon = fig1.0.horizon().max(fig2.0.horizon());
     let mut out = String::new();
     out += "Fig. 1 (measured) — blocking executor on the thread backend (R: blocking recv, #: compute, S: blocking send):\n";
-    out += &fig1.trace.gantt(&ranks, horizon, width);
-    out += &format!("wall time: {:.3} s\n\n", fig1.elapsed.as_secs_f64());
+    out += &fig1.0.gantt(ranks, horizon, width);
+    out += &format!("wall time: {:.3} s\n\n", fig1.1.as_secs_f64());
     out += "Fig. 2 (measured) — overlapping executor (r/s: post Irecv/Isend + face copies, #: compute, .: request wait):\n";
-    out += &fig2.trace.gantt(&ranks, horizon, width);
-    out += &format!("wall time: {:.3} s\n", fig2.elapsed.as_secs_f64());
+    out += &fig2.0.gantt(ranks, horizon, width);
+    out += &format!("wall time: {:.3} s\n", fig2.1.as_secs_f64());
     out
 }
 
@@ -226,21 +207,20 @@ mod tests {
             v: 16,
             boundary: 1.0,
         };
-        let text = render_thread_figures(d, LatencyModel::zero());
+        let run = |mode| thread_figure(d, LatencyModel::zero(), mode);
+        let (fig1, fig2) = (run(ExecMode::Blocking), run(ExecMode::Overlapping));
+        let text = render_thread_figures(&[0, 1, 2, 3], &fig1, &fig2);
         assert!(text.contains("Fig. 1 (measured)"));
         assert!(text.contains("Fig. 2 (measured)"));
         assert!(text.contains('#'));
-        let fig = thread_figure(d, LatencyModel::zero(), ExecMode::Overlapping);
         use cluster_sim::trace::Activity;
         for rank in 0..4 {
             assert!(
-                fig.trace
-                    .for_rank(rank)
-                    .any(|iv| iv.activity == Activity::Compute),
+                (fig2.0.for_rank(rank)).any(|iv| iv.activity == Activity::Compute),
                 "rank {rank} has no compute intervals"
             );
         }
-        assert!(fig.horizon() > SimTime::ZERO);
+        assert!(fig2.0.horizon() > cluster_sim::time::SimTime::ZERO);
     }
 
     #[test]

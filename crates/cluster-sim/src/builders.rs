@@ -126,41 +126,6 @@ impl ClusterProblem {
         ClusterProblem::new(tiling, deps, space, dim)
     }
 
-    /// The paper's §5 methodology in one call: given a processor grid
-    /// over the non-mapping dimensions, choose the tile cross-section so
-    /// that exactly one tile column lands on each processor (experiment
-    /// iii used 8×8 tiles to fold a 32×32 space onto the same 4×4 grid),
-    /// with tile height `v` along `mapping_dim`.
-    pub fn for_processor_grid(
-        deps: DependenceSet,
-        space: IterationSpace,
-        mapping_dim: usize,
-        proc_grid: &[i64],
-        v: i64,
-    ) -> Result<Self, BuildError> {
-        if mapping_dim >= space.dims() || proc_grid.len() + 1 != space.dims() {
-            return Err(BuildError::ArityMismatch);
-        }
-        let mut sides = Vec::with_capacity(space.dims());
-        let mut ci = 0;
-        for d in 0..space.dims() {
-            if d == mapping_dim {
-                sides.push(v);
-            } else {
-                let procs = proc_grid[ci];
-                ci += 1;
-                if procs <= 0 || space.extent(d) % procs != 0 {
-                    return Err(BuildError::BadTiling(format!(
-                        "extent {} of dimension {d} not divisible by {procs} processors",
-                        space.extent(d)
-                    )));
-                }
-                sides.push(space.extent(d) / procs);
-            }
-        }
-        ClusterProblem::new(Tiling::rectangular(&sides), deps, space, mapping_dim)
-    }
-
     /// Number of ranks (the tiled cross-section size).
     pub fn ranks(&self) -> usize {
         self.mapping.processor_count(&self.tiled) as usize
@@ -603,45 +568,6 @@ mod tests {
         let blocking = simulate(SimConfig::new(m), p.blocking_programs(&m)).unwrap();
         // 16 tiles × 16 points × 1 µs.
         assert_eq!(blocking.makespan, crate::time::SimTime::from_us(256.0));
-    }
-
-    #[test]
-    fn for_processor_grid_matches_paper_layouts() {
-        // Experiment i: 16×16×16384 on 4×4 ⇒ 4×4×V tiles.
-        let p = ClusterProblem::for_processor_grid(
-            DependenceSet::paper_3d(),
-            IterationSpace::from_extents(&[16, 16, 16384]),
-            2,
-            &[4, 4],
-            444,
-        )
-        .unwrap();
-        assert_eq!(p.ranks(), 16);
-        assert_eq!(p.tiled_space().extents()[..2], [4, 4]);
-        // Experiment iii: 32×32×4096 on the same grid ⇒ 8×8×V tiles.
-        let p3 = ClusterProblem::for_processor_grid(
-            DependenceSet::paper_3d(),
-            IterationSpace::from_extents(&[32, 32, 4096]),
-            2,
-            &[4, 4],
-            164,
-        )
-        .unwrap();
-        assert_eq!(p3.ranks(), 16);
-        assert_eq!(p3.message_points(&[0, 0, 0], &[1, 0]), 8 * 164);
-    }
-
-    #[test]
-    fn for_processor_grid_rejects_indivisible() {
-        let err = ClusterProblem::for_processor_grid(
-            DependenceSet::paper_3d(),
-            IterationSpace::from_extents(&[15, 16, 128]),
-            2,
-            &[4, 4],
-            16,
-        )
-        .unwrap_err();
-        assert!(matches!(err, BuildError::BadTiling(_)));
     }
 
     #[test]

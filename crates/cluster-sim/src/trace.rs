@@ -115,15 +115,6 @@ impl Trace {
         &self.intervals
     }
 
-    /// Absorb another trace's intervals (used to merge per-rank traces
-    /// recorded on separate threads into one world trace). A disabled
-    /// receiver stays empty.
-    pub fn extend(&mut self, other: Trace) {
-        if self.enabled {
-            self.intervals.extend(other.intervals);
-        }
-    }
-
     /// Latest interval end — the natural horizon for rendering.
     pub fn horizon(&self) -> SimTime {
         self.intervals
@@ -322,21 +313,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_merges_and_horizon_tracks_latest_end() {
-        let mut a = Trace::enabled();
-        a.record(0, Activity::Compute, t(0.0), t(10.0));
-        let mut b = Trace::enabled();
-        b.record(1, Activity::Compute, t(5.0), t(25.0));
-        a.extend(b);
-        assert_eq!(a.intervals().len(), 2);
-        assert_eq!(a.horizon(), t(25.0));
+    fn horizon_tracks_latest_end() {
+        let mut tr = Trace::enabled();
+        tr.record(0, Activity::Compute, t(0.0), t(10.0));
+        tr.record(1, Activity::Compute, t(5.0), t(25.0));
+        tr.record(0, Activity::Idle, t(12.0), t(20.0));
+        assert_eq!(tr.intervals().len(), 3);
+        assert_eq!(tr.horizon(), t(25.0));
         assert_eq!(Trace::enabled().horizon(), SimTime::ZERO);
-
-        let mut off = Trace::disabled();
-        let mut c = Trace::enabled();
-        c.record(0, Activity::Compute, t(0.0), t(1.0));
-        off.extend(c);
-        assert!(off.intervals().is_empty());
     }
 
     #[test]

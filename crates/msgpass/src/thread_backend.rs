@@ -68,14 +68,6 @@ impl LatencyModel {
         }
     }
 
-    /// From the paper's machine parameters (`t_s`, `t_t`).
-    pub fn from_machine(m: &tiling_core::machine::MachineParams) -> Self {
-        LatencyModel {
-            startup_us: m.t_s_us,
-            per_byte_us: m.t_t_us_per_byte,
-        }
-    }
-
     /// The wire time of a `bytes`-byte message, rounded to the nearest
     /// nanosecond (truncation would silently floor sub-ns amounts, biasing
     /// accumulated model time low).
@@ -124,13 +116,6 @@ pub struct WorldConfig {
     /// bitwise-equal to sequential; [`KernelTier::Fast`] trades that
     /// for shorter dependency chains, ULP-bounded).
     pub kernel_tier: KernelTier,
-    /// Best-effort core-affinity pinning: every *spawned* rank `r` to
-    /// core `r mod cores`. Rank 0 runs on the calling thread, which is
-    /// never pinned — its affinity is the caller's. Failures are ignored
-    /// — this is a scheduling hint, not a correctness knob. Nothing in
-    /// the workspace sets it; it stays because the repo benchmark's
-    /// probes pass it to [`run_world`].
-    pub pin_cores: bool,
 }
 
 impl Default for WorldConfig {
@@ -152,20 +137,12 @@ impl WorldConfig {
             faults: None,
             skip_preflight: false,
             kernel_tier: KernelTier::Bitwise,
-            pin_cores: false,
         }
     }
 
     /// Select the numerical tier of the compute kernels.
     pub fn with_kernel_tier(mut self, tier: KernelTier) -> Self {
         self.kernel_tier = tier;
-        self
-    }
-
-    /// Request best-effort core-affinity pinning of the spawned rank
-    /// threads (ranks `1..`; see [`WorldConfig::pin_cores`]).
-    pub fn with_core_pinning(mut self) -> Self {
-        self.pin_cores = true;
         self
     }
 
@@ -921,8 +898,6 @@ where
 /// `1..size` run on the world's threads, joined when it drops after
 /// the run — a 1-rank world starts none. A panic in rank 0's body is
 /// slot 0's `Err` like any other and never unwinds into the caller.
-/// `cfg.pin_cores` pins the other ranks only: the calling thread's
-/// affinity belongs to the caller and would outlive the run.
 pub fn run_threads_with<T, R, F>(
     size: usize,
     cfg: &WorldConfig,
@@ -934,7 +909,7 @@ where
     F: Fn(ThreadComm<T>) -> R + Send + Sync,
 {
     let World { comms, mut crew } = build_world_with::<T>(size, cfg);
-    run_ranks(&mut crew, comms, cfg.pin_cores, body)
+    run_ranks(&mut crew, comms, false, body)
 }
 
 /// Drive a *kept* world through one job: rank `r` runs
@@ -946,10 +921,12 @@ where
 /// rank threads warm. Reliability sequence numbers and pool counters
 /// persist across jobs, consistently on both endpoints.
 ///
-/// **The calling thread is rank 0**, ranks `1..` run on the world's
-/// threads (started by its first run), and `pin_cores` pins those —
-/// all exactly as in [`run_threads_with`], as is the capture of
-/// per-rank panics in the result slots. But note a panicked or errored
+/// **The calling thread is rank 0** and ranks `1..` run on the world's
+/// threads (started by its first run), exactly as in
+/// [`run_threads_with`], as is the capture of per-rank panics in the
+/// result slots. `pin_cores` pins those threads, best effort, to core
+/// `rank mod cores`; the calling thread's affinity belongs to the
+/// caller and would outlive the run. But note a panicked or errored
 /// job may leave links non-drained, in which case the world must be
 /// discarded, not reused.
 pub fn run_world<T, R, F>(

@@ -19,11 +19,12 @@
 //! (`tests/zero_alloc.rs`).
 //!
 //! Every phase of every step is reported to a [`StepObserver`]:
-//! [`NoopObserver`] compiles the instrumentation out, [`TraceObserver`]
-//! records wall-clock activity intervals in the simulator's trace
-//! format (rendered by the same Gantt paths as Fig. 1/2, and replayed
-//! by [`crate::plan::replay_programs`]), and [`PhaseLog`] captures the
-//! exact event order for schedule-conformance tests.
+//! [`NoopObserver`] compiles the instrumentation out, and a rank's
+//! [`PhaseLog`] keeps each phase with its wall-clock span. The logs of a
+//! run are its one record: the schedule-conformance tests read their
+//! order, [`to_trace`] draws them through the simulator's Gantt paths
+//! (Fig. 1/2), and [`crate::plan::replay_programs`] prices each tile
+//! from its step's compute phase.
 
 use crate::decomp::DecompError;
 use analyzer::plan::{ELEM_BYTES, TAG_STRIDE};
@@ -411,22 +412,6 @@ pub trait StepObserver {
 
     /// One phase ran over `[start, end]`.
     fn on_phase(&mut self, phase: Phase, start: Instant, end: Instant);
-
-    /// How long a communication-lane phase (a wait or a blocking
-    /// transfer) may run before the engine reports it via
-    /// [`StepObserver::on_stall`]. `None` (the default) disables stall
-    /// detection.
-    fn stall_threshold(&self) -> Option<Duration> {
-        None
-    }
-
-    /// A communication-lane phase exceeded
-    /// [`StepObserver::stall_threshold`] — the schedule failed to hide
-    /// this wait (or a fault-induced retry inflated it). Called *in
-    /// addition to* [`StepObserver::on_phase`], over the same interval.
-    fn on_stall(&mut self, phase: Phase, start: Instant, end: Instant) {
-        let _ = (phase, start, end);
-    }
 }
 
 /// The default observer: records nothing, costs nothing.
@@ -439,96 +424,65 @@ impl StepObserver for NoopObserver {
     fn on_phase(&mut self, _phase: Phase, _start: Instant, _end: Instant) {}
 }
 
-/// Records wall-clock activity intervals in the simulator's trace
-/// format: each phase's measured `[start, end]` becomes an interval of
-/// [`SimTime`] since the world epoch, so a real run becomes a [`Trace`]
-/// the existing Gantt/SVG renderers draw directly.
-#[derive(Debug)]
-pub struct TraceObserver {
+/// Every phase of one rank's run, in execution order, each with its
+/// wall-clock span, and the rank and world epoch it was created with.
+#[derive(Clone, Debug)]
+pub struct PhaseLog {
     rank: usize,
     epoch: Instant,
-    trace: Trace,
-    stall_after: Option<Duration>,
+    /// Phases in execution order, each over its measured `[start, end]`.
+    pub phases: Vec<(Phase, Instant, Instant)>,
 }
 
-impl TraceObserver {
-    /// A recorder for `rank` against the world `epoch` (use
-    /// `ThreadComm::epoch()` so all ranks share the origin).
+impl PhaseLog {
+    /// An empty log for `rank`, timed against the world `epoch` (use
+    /// `ThreadComm::epoch()` so every rank of a run shares the origin).
     pub fn new(rank: usize, epoch: Instant) -> Self {
-        TraceObserver {
+        PhaseLog {
             rank,
             epoch,
-            trace: Trace::enabled(),
-            stall_after: None,
+            phases: Vec::new(),
         }
     }
 
-    /// Record waits longer than `threshold` as [`Activity::Stall`]
-    /// instead of plain idle time, so they stand out in the rendered
-    /// Gantt charts.
-    pub fn with_stall_threshold(mut self, threshold: Duration) -> Self {
-        self.stall_after = Some(threshold);
-        self
+    /// The rank the log was created for.
+    pub fn rank(&self) -> usize {
+        self.rank
     }
-
-    /// Finish recording, yielding the rank's trace (merge the ranks of
-    /// one world with [`Trace::extend`]).
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
-    /// Record `activity` over `[start, end]`. Instants before the epoch
-    /// saturate to 0 (cannot happen for phases inside the world).
-    fn record(&mut self, activity: Activity, start: Instant, end: Instant) {
-        let epoch = self.epoch;
-        let at =
-            |t: Instant| SimTime::from_nanos(t.saturating_duration_since(epoch).as_nanos() as u64);
-        self.trace.record(self.rank, activity, at(start), at(end));
-    }
-
-    fn is_stall(&self, phase: Phase, start: Instant, end: Instant) -> bool {
-        !phase.is_cpu_lane()
-            && self
-                .stall_after
-                .is_some_and(|th| end.duration_since(start) >= th)
-    }
-}
-
-impl StepObserver for TraceObserver {
-    const ENABLED: bool = true;
-
-    fn on_phase(&mut self, phase: Phase, start: Instant, end: Instant) {
-        // A stalled wait is recorded by `on_stall` instead, so each
-        // phase contributes exactly one interval to the trace.
-        if self.is_stall(phase, start, end) {
-            return;
-        }
-        self.record(phase.activity(), start, end);
-    }
-
-    fn stall_threshold(&self) -> Option<Duration> {
-        self.stall_after
-    }
-
-    fn on_stall(&mut self, _phase: Phase, start: Instant, end: Instant) {
-        self.record(Activity::Stall, start, end);
-    }
-}
-
-/// Captures the exact phase order of a run (timing discarded) — the
-/// instrument behind the schedule-conformance tests.
-#[derive(Clone, Default, Debug)]
-pub struct PhaseLog {
-    /// Phases in execution order.
-    pub phases: Vec<Phase>,
 }
 
 impl StepObserver for PhaseLog {
     const ENABLED: bool = true;
 
-    fn on_phase(&mut self, phase: Phase, _start: Instant, _end: Instant) {
-        self.phases.push(phase);
+    fn on_phase(&mut self, phase: Phase, start: Instant, end: Instant) {
+        self.phases.push((phase, start, end));
     }
+}
+
+/// A run's logs as one [`Trace`], which the simulator's Gantt and SVG
+/// renderers draw: each phase is an interval of its [`Phase::activity`]
+/// in [`SimTime`] since its log's epoch (an instant before the epoch
+/// saturates to 0), except that a communication-lane phase that ran at
+/// least `stall_after` is an [`Activity::Stall`], a wait the schedule
+/// failed to hide (or a fault-induced retry inflated).
+pub fn to_trace(logs: &[PhaseLog], stall_after: Option<Duration>) -> Trace {
+    let mut trace = Trace::enabled();
+    for log in logs {
+        let at = |t: Instant| {
+            SimTime::from_nanos(t.saturating_duration_since(log.epoch).as_nanos() as u64)
+        };
+        for &(phase, start, end) in &log.phases {
+            let long = |th| end.saturating_duration_since(start) >= th;
+            let stalled = !phase.is_cpu_lane() && stall_after.is_some_and(long);
+            let activity = if stalled {
+                Activity::Stall
+            } else {
+                phase.activity()
+            };
+            trace.record(log.rank, activity, at(start), at(end));
+        }
+    }
+    trace
 }
 
 /// Time `f` and report it as `phase` — compiled down to a bare call
@@ -539,28 +493,10 @@ fn timed<O: StepObserver, R>(obs: &mut O, phase: Phase, f: impl FnOnce() -> R) -
         let start = Instant::now();
         let r = f();
         let end = Instant::now();
-        note(obs, phase, start, end);
+        obs.on_phase(phase, start, end);
         r
     } else {
         f()
-    }
-}
-
-/// Report an already-timed `[start, end]` interval as `phase`,
-/// including the stall check for communication-lane phases. Used where
-/// one transport call spans two phases (a receive whose payload is
-/// unpacked inside the callback, a send packed inside the callback):
-/// the callback records the interior split point and the two halves
-/// are reported as disjoint phase intervals.
-#[inline(always)]
-fn note<O: StepObserver>(obs: &mut O, phase: Phase, start: Instant, end: Instant) {
-    obs.on_phase(phase, start, end);
-    if !phase.is_cpu_lane() {
-        if let Some(th) = obs.stall_threshold() {
-            if end.duration_since(start) >= th {
-                obs.on_stall(phase, start, end);
-            }
-        }
     }
 }
 
@@ -599,8 +535,8 @@ where
             ops.unpack_from(dir, step, data);
             span = (u0, Instant::now());
         })?;
-        note(obs, phase, start, span.0);
-        note(obs, Phase::Unpack { dir, step }, span.0, span.1);
+        obs.on_phase(phase, start, span.0);
+        obs.on_phase(Phase::Unpack { dir, step }, span.0, span.1);
         Ok(())
     } else {
         recv(comm, &mut |data: &[f32]| ops.unpack_from(dir, step, data))
@@ -632,8 +568,8 @@ where
             packed = Instant::now();
         })?;
         let end = Instant::now();
-        note(obs, Phase::Pack { dir, step }, start, packed);
-        note(obs, phase, packed, end);
+        obs.on_phase(Phase::Pack { dir, step }, start, packed);
+        obs.on_phase(phase, packed, end);
         Ok(sent)
     } else {
         send(comm, &mut |out: &mut [f32]| ops.pack_into(dir, step, out))
@@ -915,7 +851,8 @@ mod tests {
         receiver.compute(0.0, 8);
         let programs = [sender, receiver];
         let (results, _) = run_threads::<f32, _, _>(2, LatencyModel::zero(), |mut comm| {
-            let (mut ops, mut log) = (FakeOps::new(1), PhaseLog::default());
+            let mut ops = FakeOps::new(1);
+            let mut log = PhaseLog::new(comm.rank(), comm.epoch());
             let program = &programs[comm.rank()];
             run_rank(&mut comm, &mut ops, program, &mut log).map(|()| (log.phases, ops))
         });
@@ -941,9 +878,10 @@ mod tests {
             Phase::Unpack { dir, step: 1 },
             Phase::Compute { step: 8 },
         ];
+        let order = |log: &[(Phase, Instant, Instant)]| log.iter().map(|p| p.0).collect::<Vec<_>>();
         assert_eq!(
-            (&sent[..], &received[..]),
-            (&want_sent[..], &want_received[..])
+            (order(sent), order(received)),
+            (want_sent.to_vec(), want_received.to_vec())
         );
         assert_eq!(ops.received, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         assert_eq!(ops.computed, 2);
@@ -988,37 +926,33 @@ mod tests {
     }
 
     #[test]
-    fn trace_observer_marks_long_waits_as_stalls() {
-        // The threshold is generous relative to an empty closure so the
-        // "fast" cases cannot cross it even on a loaded machine.
+    fn a_log_marks_long_waits_as_stalls() {
         let threshold = Duration::from_millis(25);
-        let mut obs = TraceObserver::new(0, Instant::now()).with_stall_threshold(threshold);
-        // A fast wait stays idle; a slow one becomes a stall; compute is
-        // never a stall no matter how long.
-        timed(&mut obs, Phase::WaitRecv { dir: 0, step: 0 }, || {
-            std::thread::sleep(Duration::from_micros(10))
-        });
-        timed(&mut obs, Phase::WaitRecv { dir: 0, step: 1 }, || {
-            std::thread::sleep(threshold * 2)
-        });
-        timed(&mut obs, Phase::Compute { step: 1 }, || {
-            std::thread::sleep(threshold * 2)
-        });
-        let trace = obs.into_trace();
-        let acts: Vec<Activity> = trace.intervals().iter().map(|iv| iv.activity).collect();
-        assert_eq!(
-            acts,
-            vec![Activity::Idle, Activity::Stall, Activity::Compute]
-        );
+        let epoch = Instant::now();
+        let at = |us| epoch + Duration::from_micros(us);
+        let mut log = PhaseLog::new(0, epoch);
+        // A fast wait stays idle; a wait of the threshold or longer is a
+        // stall; compute is never a stall no matter how long.
+        log.on_phase(Phase::WaitRecv { dir: 0, step: 0 }, at(0), at(10));
+        log.on_phase(Phase::WaitRecv { dir: 0, step: 1 }, at(10), at(50_010));
+        log.on_phase(Phase::WaitSend { dir: 0, step: 1 }, at(50_010), at(75_010));
+        log.on_phase(Phase::Compute { step: 1 }, at(75_010), at(125_010));
+        let acts = |stall_after| -> Vec<Activity> {
+            let trace = to_trace(std::slice::from_ref(&log), stall_after);
+            trace.intervals().iter().map(|iv| iv.activity).collect()
+        };
+        use Activity::{Compute, Idle, Stall};
+        assert_eq!(acts(Some(threshold)), [Idle, Stall, Stall, Compute]);
+        assert_eq!(acts(None), [Idle, Idle, Idle, Compute]);
     }
 
     #[test]
     fn instants_map_onto_epoch_relative_simtime() {
         let epoch = Instant::now();
-        let mut obs = TraceObserver::new(3, epoch);
+        let mut log = PhaseLog::new(3, epoch);
         let (a, b) = (Duration::from_micros(10), Duration::from_micros(25));
-        obs.on_phase(Phase::Compute { step: 0 }, epoch + a, epoch + b);
-        let iv = obs.into_trace().intervals().to_vec();
+        log.on_phase(Phase::Compute { step: 0 }, epoch + a, epoch + b);
+        let iv = to_trace(&[log], None).intervals().to_vec();
         assert_eq!(iv.len(), 1);
         assert_eq!(iv[0].rank, 3);
         assert_eq!(iv[0].start, SimTime::from_us(10.0));
@@ -1028,11 +962,10 @@ mod tests {
     #[test]
     fn pre_epoch_instants_saturate() {
         let early = Instant::now();
-        std::thread::sleep(Duration::from_millis(1));
-        let epoch = Instant::now();
-        let mut obs = TraceObserver::new(0, epoch);
+        let epoch = early + Duration::from_millis(1);
+        let mut log = PhaseLog::new(0, epoch);
         let end = epoch + Duration::from_micros(5);
-        obs.on_phase(Phase::Compute { step: 0 }, early, end);
-        assert_eq!(obs.into_trace().intervals()[0].start, SimTime::ZERO);
+        log.on_phase(Phase::Compute { step: 0 }, early, end);
+        assert_eq!(to_trace(&[log], None).intervals()[0].start, SimTime::ZERO);
     }
 }

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::decomp::{Decomp2D, DecompError};
     pub use crate::dist3d::{run_dist3d_with, try_run_rank3d_plan, Decomp3D, ExecMode};
     pub use crate::engine::{
-        run_rank, EngineError, NoopObserver, Phase, PhaseLog, StepObserver, TileOps, TraceObserver,
+        run_rank, to_trace, EngineError, NoopObserver, Phase, PhaseLog, StepObserver, TileOps,
     };
     pub use crate::grid::{Grid2D, Grid3D};
     pub use crate::kernel::{

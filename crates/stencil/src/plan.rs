@@ -27,18 +27,18 @@
 //! run leaves no message behind. A result grid larger than memory is an
 //! [`EngineError::OutOfMemory`], before any rank runs.
 //!
-//! [`replay_programs`] turns a traced run back into simulator input:
-//! the plan's own programs with every tile priced as measured, so the
-//! code that ran here can be costed on any machine the simulator models.
+//! [`replay_programs`] turns a logged run back into simulator input:
+//! the plan's own programs with every tile priced at its step's
+//! measured compute, so the code that ran here can be costed on any
+//! machine the simulator models.
 
 use crate::dist3d::{self, Decomp3D};
-use crate::engine::{EngineError, ExecMode, NoopObserver, StepObserver};
+use crate::engine::{EngineError, ExecMode, NoopObserver, Phase, PhaseLog, StepObserver};
 use crate::grid::Grid3D;
 use crate::kernel::Kernel3D;
 use crate::preflight::analyze_plan;
 use analyzer::{AnalysisReport, RankTopology};
 use cluster_sim::program::{Op, Program};
-use cluster_sim::trace::{Activity, Trace};
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
@@ -321,69 +321,71 @@ pub fn run3d_on_world<K: Kernel3D>(
 }
 
 /// Why [`replay_programs`] cannot price a plan's programs: rank
-/// `rank`'s trace holds `computes` compute intervals where the plan
-/// runs `tiles` tiles on it (a rank without a trace holds none, a trace
-/// past the plan's ranks belongs to a rank that runs none).
+/// `rank`'s log holds no compute phase for `step`, or (`step` is
+/// `None`) a log belongs to a rank the plan does not have.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceMismatch {
-    /// The rank whose trace does not fit the plan.
+    /// The rank whose log does not fit the plan.
     pub rank: usize,
-    /// [`Activity::Compute`] intervals its trace holds.
-    pub computes: usize,
-    /// Tiles the plan runs on it.
-    pub tiles: usize,
+    /// Its first step without a [`Phase::Compute`] entry, or `None` for
+    /// a rank past the plan's.
+    pub step: Option<usize>,
 }
 
 impl fmt::Display for TraceMismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let TraceMismatch {
-            rank,
-            computes,
-            tiles,
-        } = self;
-        write!(
-            f,
-            "rank {rank}'s trace holds {computes} compute intervals for {tiles} tiles"
-        )
+        match self.step {
+            Some(step) => write!(f, "rank {}'s log has no compute for step {step}", self.rank),
+            None => write!(
+                f,
+                "a log names rank {}, which the plan does not have",
+                self.rank
+            ),
+        }
     }
 }
 
 impl std::error::Error for TraceMismatch {}
 
 /// Every rank's program as pre-flight proved it, with the compute of
-/// step `k` priced at the rank's `k`-th measured [`Activity::Compute`]
-/// interval, in µs: what the code that ran would cost on whatever
-/// machine the simulator is given.
+/// step `k` priced at the rank's logged [`Phase::Compute`] `{ step: k }`
+/// span, in µs: what the code that ran would cost on whatever machine
+/// the simulator is given.
 ///
-/// `traces` holds one [`Trace`] per rank, in rank order, recorded by a
-/// [`crate::engine::TraceObserver`] on a run of `c`
-/// ([`run3d_observed_with`]). Only the tile computation (A₂) is
-/// replayed: the simulator prices packing and posting (A₁, A₃) and the
-/// wire from its `MachineParams`, for every message op. A compute
-/// interval is wall time, so a rank that waited for its core during the
-/// run is priced with that wait. A trace without exactly one compute
-/// interval per tile is a [`TraceMismatch`], never a misprice
-/// ([`Trace::record`] drops a zero-length interval).
-pub fn replay_programs(c: &Compiled3D, traces: &[Trace]) -> Result<Vec<Program>, TraceMismatch> {
-    let computes = |rank: usize| -> Vec<f64> {
-        let intervals = traces.get(rank).into_iter().flat_map(|t| t.for_rank(rank));
-        (intervals.filter(|iv| iv.activity == Activity::Compute))
-            .map(|iv| (iv.end - iv.start).as_us())
-            .collect()
-    };
-    let measured: Vec<Vec<f64>> = (0..c.ranks().max(traces.len())).map(computes).collect();
-    for (rank, us) in measured.iter().enumerate() {
-        let tiles = if rank < c.ranks() { c.d.steps() } else { 0 };
-        if us.len() != tiles {
-            let computes = us.len();
-            return Err(TraceMismatch {
-                rank,
-                computes,
-                tiles,
-            });
+/// `logs` are the [`PhaseLog`]s of a run of `c`
+/// ([`run3d_observed_with`]), matched to ranks by [`PhaseLog::rank`]
+/// and to tiles by step, so a compute too short for the clock replays
+/// as 0 µs. Only the tile computation (A₂) is replayed: the simulator
+/// prices packing and posting (A₁, A₃) and the wire from its
+/// `MachineParams`, for every message op. A compute span is wall time,
+/// so a rank that waited for its core during the run is priced with
+/// that wait. A step with no logged compute is a [`TraceMismatch`],
+/// never a misprice.
+pub fn replay_programs(c: &Compiled3D, logs: &[PhaseLog]) -> Result<Vec<Program>, TraceMismatch> {
+    let mut measured = vec![vec![None; c.d.steps()]; c.ranks()];
+    for log in logs {
+        let rank = log.rank();
+        let mismatch = TraceMismatch { rank, step: None };
+        let us = measured.get_mut(rank).ok_or(mismatch)?;
+        for &(phase, start, end) in &log.phases {
+            if let Phase::Compute { step } = phase {
+                if let Some(tile) = us.get_mut(step) {
+                    *tile = Some(end.saturating_duration_since(start).as_nanos() as f64 / 1e3);
+                }
+            }
         }
     }
-    let replay = |(proved, us): (&Program, &Vec<f64>)| {
+    let mut priced = Vec::with_capacity(measured.len());
+    for (rank, us) in measured.into_iter().enumerate() {
+        let step = us.iter().position(Option::is_none);
+        let mismatch = TraceMismatch { rank, step };
+        priced.push(
+            us.into_iter()
+                .collect::<Option<Vec<f64>>>()
+                .ok_or(mismatch)?,
+        );
+    }
+    let replay = |(proved, us): (&Program, Vec<f64>)| {
         let mut p = Program::new();
         for op in proved.ops() {
             p.push(match op {
@@ -396,7 +398,7 @@ pub fn replay_programs(c: &Compiled3D, traces: &[Trace]) -> Result<Vec<Program>,
         }
         p
     };
-    Ok(c.programs.iter().zip(&measured).map(replay).collect())
+    Ok(c.programs.iter().zip(priced).map(replay).collect())
 }
 
 #[cfg(test)]
@@ -530,28 +532,30 @@ mod tests {
 
     #[test]
     fn traced_run_emits_per_rank_intervals() {
-        use crate::engine::TraceObserver;
+        use crate::engine::to_trace;
         use cluster_sim::time::SimTime;
+        use cluster_sim::trace::Activity;
         let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
         let cfg = WorldConfig::new(LatencyModel::zero());
         let seq = crate::seq::run_paper3d_seq(8, 8, 64, 1.0);
-        let make_obs = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
-        let check = |(grid, _, observers, faults): (Grid3D, _, Vec<TraceObserver>, Vec<_>)| {
+        let make_obs = |comm: &ThreadComm<f32>| PhaseLog::new(comm.rank(), comm.epoch());
+        let check = |(grid, _, logs, faults): (Grid3D, _, Vec<PhaseLog>, Vec<_>)| {
             assert_eq!(grid.max_abs_diff(&seq), 0.0);
             assert_eq!(faults, vec![FaultStats::default(); c.ranks()]);
-            let mut trace = Trace::enabled();
-            for obs in observers {
-                trace.extend(obs.into_trace());
-            }
-            // Every rank computed d.steps() tiles; the trace must hold
-            // one Compute interval per tile per rank, on a shared time
-            // axis.
-            for rank in 0..c.ranks() {
-                let computes = trace
-                    .for_rank(rank)
-                    .filter(|iv| iv.activity == Activity::Compute)
+            // Every rank computed d.steps() tiles, one compute phase per
+            // tile, and the trace puts every rank on a shared time axis.
+            let trace = to_trace(&logs, None);
+            for (rank, log) in logs.iter().enumerate() {
+                assert_eq!(log.rank(), rank);
+                let computes = (log.phases.iter())
+                    .filter(|p| matches!(p.0, Phase::Compute { .. }))
                     .count();
                 assert_eq!(computes, d3().steps(), "rank {rank}");
+                let mut drawn = trace.for_rank(rank);
+                assert!(
+                    drawn.any(|iv| iv.activity == Activity::Compute),
+                    "rank {rank}"
+                );
             }
             assert!(trace.horizon() > SimTime::ZERO);
         };
@@ -564,59 +568,105 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_prices_each_tile_and_rejects_a_trace_that_misses_one() {
-        use cluster_sim::time::SimTime;
-        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
-        let tiles = d3().steps();
-        // Tile `k` of rank `r` computes for `r + k + 1` µs, except that
-        // a `short` rank's last tile takes no measurable time.
-        let trace = |rank: usize, short: bool| {
-            let mut t = Trace::enabled();
-            for k in 0..tiles {
-                let start = SimTime::from_us(100.0 * k as f64);
-                let us = if short && k + 1 == tiles {
-                    0.0
-                } else {
-                    (rank + k + 1) as f64
-                };
-                t.record(rank, Activity::Compute, start, start + SimTime::from_us(us));
+    /// Logs of `c`'s ranks in which tile `k` of rank `r` computes for
+    /// `r + k + 1` µs, every tile 100 µs after the last.
+    fn synthetic_logs(c: &Compiled3D) -> Vec<PhaseLog> {
+        let epoch = std::time::Instant::now();
+        let at = |us: usize| epoch + Duration::from_micros(us as u64);
+        let log = |rank| {
+            let mut log = PhaseLog::new(rank, epoch);
+            for step in 0..c.d.steps() {
+                let start = 100 * step;
+                log.on_phase(
+                    Phase::Compute { step },
+                    at(start),
+                    at(start + rank + step + 1),
+                );
             }
-            t
+            log
         };
-        let mut traces: Vec<Trace> = (0..c.ranks()).map(|r| trace(r, false)).collect();
-        let replayed = replay_programs(&c, &traces).expect("one interval per tile");
-        for (rank, (got, proved)) in replayed.iter().zip(&c.programs).enumerate() {
-            let priced = |op| match op {
+        (0..c.ranks()).map(log).collect()
+    }
+
+    /// `c`'s programs with tile `k` of rank `r` priced at `us(r, k)`.
+    fn priced(c: &Compiled3D, us: impl Fn(usize, usize) -> f64) -> Vec<Vec<Op>> {
+        let price = |(rank, proved): (usize, &Program)| {
+            let tile = |op| match op {
                 Op::Compute { label, .. } => Op::Compute {
-                    us: (rank + label as usize + 1) as f64,
+                    us: us(rank, label as usize),
                     label,
                 },
                 op => op,
             };
-            assert_eq!(
-                got.ops().collect::<Vec<_>>(),
-                proved.ops().map(priced).collect::<Vec<_>>()
-            );
-        }
-        let mismatch = |traces: &[Trace]| replay_programs(&c, traces).err();
-        let want = |rank, computes, tiles| {
-            Some(TraceMismatch {
-                rank,
-                computes,
-                tiles,
-            })
+            proved.ops().map(tile).collect()
         };
-        traces[2] = trace(2, true);
-        assert_eq!(mismatch(&traces), want(2, tiles - 1, tiles));
-        let why = mismatch(&traces).map(|e| e.to_string());
+        c.programs.iter().enumerate().map(price).collect()
+    }
+
+    fn ops(programs: &[Program]) -> Vec<Vec<Op>> {
+        programs.iter().map(|p| p.ops().collect()).collect()
+    }
+
+    #[test]
+    fn replay_prices_each_tile_and_rejects_a_trace_that_misses_one() {
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        let mut logs = synthetic_logs(&c);
+        let want = priced(&c, |rank, step| (rank + step + 1) as f64);
+        let replayed = replay_programs(&c, &logs).expect("a compute per tile");
+        assert_eq!(ops(&replayed), want);
+        // Logs are matched to ranks by their rank, not their position.
+        logs.reverse();
+        let replayed = replay_programs(&c, &logs).expect("a compute per tile");
+        assert_eq!(ops(&replayed), want);
+        logs.reverse();
+
+        let mismatch = |logs: &[PhaseLog]| replay_programs(&c, logs).err();
+        let full = logs.clone();
+        // Rank 2 never logged step 1: the first step without a compute.
+        logs[2].phases.retain(|p| p.0 != Phase::Compute { step: 1 });
+        let why = TraceMismatch {
+            rank: 2,
+            step: Some(1),
+        };
+        assert_eq!(mismatch(&logs), Some(why));
+        assert_eq!(why.to_string(), "rank 2's log has no compute for step 1");
+        // A rank with no log misses its first step.
+        let want = TraceMismatch {
+            rank: 3,
+            step: Some(0),
+        };
+        assert_eq!(mismatch(&full[..3]), Some(want));
+        // A log for a rank the plan does not have.
+        let mut extra = full.clone();
+        extra.push(PhaseLog::new(4, std::time::Instant::now()));
+        let why = TraceMismatch {
+            rank: 4,
+            step: None,
+        };
+        assert_eq!(mismatch(&extra), Some(why));
         assert_eq!(
-            why.as_deref(),
-            Some("rank 2's trace holds 3 compute intervals for 4 tiles")
+            why.to_string(),
+            "a log names rank 4, which the plan does not have"
         );
-        traces[2] = trace(2, false);
-        assert_eq!(mismatch(&traces[..3]), want(3, 0, tiles));
-        traces.push(trace(4, false));
-        assert_eq!(mismatch(&traces), want(4, tiles, 0));
+    }
+
+    #[test]
+    fn a_zero_length_compute_replays_as_zero_us() {
+        // A trace drops a zero-length interval; the log keeps it, keyed
+        // by its step.
+        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
+        let mut logs = synthetic_logs(&c);
+        let last = c.d.steps() - 1;
+        let (phase, start, _) = logs[2].phases[last];
+        assert_eq!(phase, Phase::Compute { step: last });
+        logs[2].phases[last] = (phase, start, start);
+        let drawn = crate::engine::to_trace(&logs[2..3], None).intervals().len();
+        assert_eq!(drawn, last, "the trace drops the tile");
+        let replayed = replay_programs(&c, &logs).expect("a compute per tile");
+        let want = priced(&c, |rank, step| match (rank, step) {
+            (2, s) if s == last => 0.0,
+            _ => (rank + step + 1) as f64,
+        });
+        assert_eq!(ops(&replayed), want);
     }
 }

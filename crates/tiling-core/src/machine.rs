@@ -292,11 +292,6 @@ impl NodeSpeeds {
     pub fn is_empty(&self) -> bool {
         self.factors.is_empty()
     }
-
-    /// Whether every recorded node runs at the baseline speed.
-    pub fn is_uniform(&self) -> bool {
-        self.factors.iter().all(|&f| f == 1.0)
-    }
 }
 
 /// Parameters of the message-passing architecture.

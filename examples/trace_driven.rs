@@ -1,5 +1,5 @@
 //! Trace-driven prediction: run the real distributed kernel once on
-//! this machine with every rank traced, and replay the plan's programs
+//! this machine with every rank's phases logged, and replay the plan's programs
 //! — each tile priced at its *measured* compute time — through the
 //! cluster simulator under the paper's 2001 machine model.
 //!
@@ -9,7 +9,7 @@
 //!
 //! This answers "what would *my actual code* cost on that cluster?"
 //! without owning the cluster: computation comes from measurement,
-//! communication from the calibrated model. The same traces replay
+//! communication from the calibrated model. The same logs replay
 //! under any `MachineParams` — swap in a faster network and re-predict.
 
 use overlap_tiling::prelude::*;
@@ -29,25 +29,21 @@ fn main() {
         d.nx, d.ny, d.nz, d.pi, d.pj, d.v
     );
 
-    // Run both schedules on a thread world, every rank traced, and price
+    // Run both schedules on a thread world, every rank logged, and price
     // each plan's programs with the measured tile times.
     let cfg = WorldConfig::new(LatencyModel::zero());
-    let traced = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
+    let logged = |comm: &ThreadComm<f32>| PhaseLog::new(comm.rank(), comm.epoch());
     let replay = |mode| {
         let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
-        let (grid, _, observers, _) =
-            run3d_observed_with(Paper3D, &plan, &cfg, traced).expect("a fault-free world");
-        let traces: Vec<Trace> = observers
-            .into_iter()
-            .map(TraceObserver::into_trace)
-            .collect();
-        let programs = replay_programs(&plan, &traces).expect("one compute interval per tile");
+        let (grid, _, logs, _) =
+            run3d_observed_with(Paper3D, &plan, &cfg, logged).expect("a fault-free world");
+        let programs = replay_programs(&plan, &logs).expect("a compute phase per tile");
         (grid, programs)
     };
     let (grid_b, progs_blocking) = replay(ExecMode::Blocking);
     let (grid_o, progs_overlap) = replay(ExecMode::Overlapping);
 
-    // The traced runs produced real, correct data: every cell of either
+    // The logged runs produced real, correct data: every cell of either
     // schedule's grid is the sequential reference's.
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
     let correct = [&grid_b, &grid_o].iter().all(|g| g.data() == seq.data());

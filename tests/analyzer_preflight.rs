@@ -5,7 +5,8 @@
 
 use analyzer::plan::TAG_STRIDE;
 use cluster_sim::program::{Op, Program};
-use msgpass::thread_backend::{LatencyModel, WorldConfig};
+use msgpass::comm::Communicator;
+use msgpass::thread_backend::{LatencyModel, ThreadComm, WorldConfig};
 use std::collections::HashMap;
 use stencil::decomp::Decomp2D;
 use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
@@ -232,7 +233,7 @@ fn program_events(p: &Program) -> Vec<Event> {
 /// (`FACE_I` travels as `DIR_I`, `FACE_J` as `DIR_J`).
 fn phase_events(log: &PhaseLog) -> Vec<Event> {
     (log.phases.iter())
-        .filter_map(|&phase| {
+        .filter_map(|&(phase, ..)| {
             let (kind, dir) = match phase {
                 Phase::Pack { .. } | Phase::Unpack { .. } => return None,
                 Phase::Compute { .. } => ("compute", 0),
@@ -256,8 +257,9 @@ fn executors_send_exactly_what_preflight_analyzed() {
     fn check<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) {
         let plan = Compiled3D::compile(d, mode).expect("shipped layout compiles");
         let cfg = WorldConfig::new(LatencyModel::zero());
-        let (_, _, logs, _) = run3d_observed_with(kernel, &plan, &cfg, |_| PhaseLog::default())
-            .expect("a fault-free world");
+        let logged = |comm: &ThreadComm<f32>| PhaseLog::new(comm.rank(), comm.epoch());
+        let (_, _, logs, _) =
+            run3d_observed_with(kernel, &plan, &cfg, logged).expect("a fault-free world");
         let analyzed = analyzer::programs(&d, &d.step_plan(mode)).expect("fewer than 2^32 steps");
         assert_eq!(logs.len(), analyzed.len(), "{d:?} {mode:?}");
         for (rank, (log, program)) in logs.iter().zip(&analyzed).enumerate() {

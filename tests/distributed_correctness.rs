@@ -33,8 +33,8 @@ proptest! {
         pj in 1usize..=2,
         bx in 1usize..=3,
         by in 1usize..=3,
-        nz in 4usize..=40,
-        v in 1usize..=12,
+        nz in 3usize..=40,
+        v in 1usize..=12, // regularly a partial last tile or V > nz
         boundary in 0.0f32..4.0,
         overlap in any::<bool>(),
     ) {
@@ -56,7 +56,7 @@ proptest! {
     fn dist2d_bitwise_matches_sequential(
         ranks in 1usize..=4,
         by in 1usize..=4,
-        nx in 4usize..=48,
+        nx in 3usize..=48,
         v in 1usize..=10,
         boundary in 0.0f32..4.0,
         overlap in any::<bool>(),
@@ -73,11 +73,12 @@ proptest! {
         prop_assert!(rep.passed(), "max diff {}", rep.max_abs_diff);
     }
 
-    /// Latency affects timing only, never values.
+    /// Latency affects timing only, never values, under either schedule.
     #[test]
     fn latency_never_changes_results(
         v in 1usize..=8,
         startup in 0.0f64..300.0,
+        overlap in any::<bool>(),
     ) {
         let d = Decomp3D {
             nx: 4,
@@ -89,7 +90,8 @@ proptest! {
             boundary: 1.0,
         };
         let lat = LatencyModel { startup_us: startup, per_byte_us: 0.01 };
-        let rep = verify_paper3d(d, lat, ExecMode::Overlapping).expect("valid decomposition");
+        let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
+        let rep = verify_paper3d(d, lat, mode).expect("valid decomposition");
         prop_assert!(rep.passed());
     }
 }

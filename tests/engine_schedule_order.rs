@@ -11,6 +11,7 @@
 //! *receive → compute → send* triplet of eq. 3. Under both, a face is
 //! packed only from the tile computed last.
 
+use msgpass::comm::Communicator;
 use msgpass::thread_backend::{run_threads, LatencyModel};
 use msgpass::topology::CartesianGrid;
 use std::collections::HashMap;
@@ -22,14 +23,14 @@ use tiling_core::schedule::OverlapSchedule;
 use tiling_core::space::IterationSpace;
 
 /// Run the 3-D executor on the thread backend and collect each rank's
-/// phase log (rank order).
-fn phase_logs(d: Decomp3D, mode: ExecMode) -> Vec<PhaseLog> {
+/// logged phase order (rank order).
+fn phase_logs(d: Decomp3D, mode: ExecMode) -> Vec<Vec<Phase>> {
     let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
-    run_threads::<f32, PhaseLog, _>(plan.ranks(), LatencyModel::zero(), |mut comm| {
-        let mut log = PhaseLog::default();
+    run_threads::<f32, _, _>(plan.ranks(), LatencyModel::zero(), |mut comm| {
+        let mut log = PhaseLog::new(comm.rank(), comm.epoch());
         let tier = KernelTier::Bitwise;
         try_run_rank3d_plan(&mut comm, Paper3D, &plan, tier, &mut log).expect("fault-free world");
-        log
+        log.phases.into_iter().map(|(phase, ..)| phase).collect()
     })
     .0
 }
@@ -57,7 +58,7 @@ fn overlap_phase_order_realizes_eq4_times() {
     for (rank, log) in logs.iter().enumerate() {
         let up = [grid.neighbor(rank, &[-1, 0]), grid.neighbor(rank, &[0, -1])];
         let mut clock = 0i64;
-        for ph in &log.phases {
+        for ph in log {
             match *ph {
                 Phase::PostSend { dir, step } => {
                     send_time.insert((rank, dir, step), clock);
@@ -128,7 +129,7 @@ fn blocking_phase_order_is_serialized_triplets() {
                 }
             }
         }
-        assert_eq!(log.phases, expected, "rank {rank}");
+        assert_eq!(*log, expected, "rank {rank}");
     }
 }
 
@@ -154,7 +155,7 @@ fn only_the_last_computed_tile_is_ever_packed() {
         for (rank, log) in phase_logs(d, mode).iter().enumerate() {
             let mut computed = None;
             let mut packs = 0;
-            for ph in &log.phases {
+            for ph in log {
                 match *ph {
                     Phase::Compute { step } => computed = Some(step),
                     Phase::Pack { step, .. } => {

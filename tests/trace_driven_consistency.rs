@@ -1,4 +1,4 @@
-//! Cross-crate consistency of the trace-driven path: a traced run of
+//! Cross-crate consistency of the trace-driven path: a logged run of
 //! the real stencil executor, replayed as its plan's programs with
 //! measured compute, has the *structure* the program builders generate
 //! directly from the tiling — the two independent routes to a `ProcNB`
@@ -10,18 +10,14 @@ use overlap_tiling::prelude::*;
 use stencil::proto::{tag, DIR_I};
 
 /// Run the paper kernel over `d` under `mode` on a thread world with
-/// every rank traced; the result grid and the replayed programs.
+/// every rank logged; the result grid and the replayed programs.
 fn replay(d: Decomp3D, mode: ExecMode) -> (Grid3D, Vec<Program>) {
     let plan = Compiled3D::compile(d, mode).expect("valid decomposition");
     let cfg = WorldConfig::new(LatencyModel::zero());
-    let traced = |comm: &ThreadComm<f32>| TraceObserver::new(comm.rank(), comm.epoch());
-    let (grid, _, observers, _) =
-        run3d_observed_with(Paper3D, &plan, &cfg, traced).expect("a fault-free world");
-    let traces: Vec<Trace> = observers
-        .into_iter()
-        .map(TraceObserver::into_trace)
-        .collect();
-    let programs = replay_programs(&plan, &traces).expect("one compute interval per tile");
+    let logged = |comm: &ThreadComm<f32>| PhaseLog::new(comm.rank(), comm.epoch());
+    let (grid, _, logs, _) =
+        run3d_observed_with(Paper3D, &plan, &cfg, logged).expect("a fault-free world");
+    let programs = replay_programs(&plan, &logs).expect("a compute phase per tile");
     (grid, programs)
 }
 
