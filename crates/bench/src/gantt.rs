@@ -123,16 +123,23 @@ pub fn thread_figure(d: Decomp3D, latency: LatencyModel, mode: ExecMode) -> Thre
 
 /// Render the Fig. 1 / Fig. 2 pair from the **measured** runs of the
 /// two schedules on `ranks`: same glyphs, same renderer, wall-clock data.
+/// Each chart spans its own run, whose horizon it prints: the
+/// overlapping run can be several times shorter, and drawn on the
+/// blocking one's horizon it would fill a few columns.
 pub fn render_thread_figures(ranks: &[usize], fig1: &ThreadFigure, fig2: &ThreadFigure) -> String {
-    let width = 100;
-    let horizon = fig1.0.horizon().max(fig2.0.horizon());
+    let chart = |(trace, wall): &ThreadFigure| {
+        let horizon = trace.horizon();
+        let chart = trace.gantt(ranks, horizon, 100);
+        format!(
+            "{chart}horizon: {horizon}, wall time: {:.3} s\n",
+            wall.as_secs_f64()
+        )
+    };
     let mut out = String::new();
     out += "Fig. 1 (measured) — blocking executor on the thread backend (R: blocking recv, #: compute, S: blocking send):\n";
-    out += &fig1.0.gantt(ranks, horizon, width);
-    out += &format!("wall time: {:.3} s\n\n", fig1.1.as_secs_f64());
-    out += "Fig. 2 (measured) — overlapping executor (r/s: post Irecv/Isend + face copies, #: compute, .: request wait):\n";
-    out += &fig2.0.gantt(ranks, horizon, width);
-    out += &format!("wall time: {:.3} s\n", fig2.1.as_secs_f64());
+    out += &chart(fig1);
+    out += "\nFig. 2 (measured) — overlapping executor (r/s: post Irecv/Isend + face copies, #: compute, .: request wait):\n";
+    out += &chart(fig2);
     out
 }
 
@@ -221,6 +228,34 @@ mod tests {
             );
         }
         assert!(fig2.0.horizon() > cluster_sim::time::SimTime::ZERO);
+    }
+
+    /// The overlapping run is far shorter than the blocking one on a
+    /// wire: drawn on its own horizon, its chart has compute past its
+    /// first tenth (on the blocking run's horizon it filled ~7 of 100
+    /// columns).
+    #[test]
+    fn each_measured_chart_spans_its_own_run() {
+        let d = thread_demo_decomp();
+        let lat = LatencyModel {
+            startup_us: 300.0,
+            per_byte_us: 0.05,
+        };
+        let run = |mode| thread_figure(d, lat, mode);
+        let (fig1, fig2) = (run(ExecMode::Blocking), run(ExecMode::Overlapping));
+        let text = render_thread_figures(&[0, 1, 2, 3], &fig1, &fig2);
+        let (_, fig2_text) = text.split_once("Fig. 2").expect("both charts");
+        let rows = fig2_text.lines().filter(|l| l.starts_with('P'));
+        let late = |row: &str| {
+            row.split('|')
+                .nth(1)
+                .is_some_and(|r| r.chars().skip(10).any(|c| c == '#'))
+        };
+        assert!(
+            rows.clone().count() == 4 && rows.clone().any(late),
+            "{fig2_text}"
+        );
+        assert_eq!(text.matches("horizon: ").count(), 2);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! `base = (bx−1)·by·nz, stride = nz` (rows indexed by `j`) and the
 //! `j = by−1` face has `base = (by−1)·nz, stride = by·nz` (rows indexed
 //! by `i`). Halo planes unpack with `base = 0, stride = nz`. The 3-D
-//! executor unpacks through [`unpack_rows`]; it packs the same row
-//! copies from its tile units, while [`pack_rows`] is the flat-block
-//! form the benchmark's probe measures.
+//! executor unpacks through [`unpack_rows`] into its one-window halo
+//! rows; it packs the same row copies from its pencils, while
+//! [`pack_rows`] is the flat-block form the benchmark's probe measures.
 //!
 //! `tests/halo_chunking.rs` asserts bitwise equality with element-wise
 //! gather/scatter oracles on random shapes, including partial last

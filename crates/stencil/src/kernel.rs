@@ -14,264 +14,92 @@
 //! with a unit `i`-axis: their cell `(i, j)` is the block's `(0, j, i)`,
 //! so their `(1,0)`, `(0,1)` and `(1,1)` dependences are e₃, e₂ and
 //! e₂+e₃ — `km1`, `jm1` and `diag`.
+//!
+//! The executors walk a pencil's `k`-chain through two methods per tier,
+//! [`Kernel3D::seed`] and [`Kernel3D::step`] (the fast tier's
+//! [`Kernel3D::seed_fast`] and [`Kernel3D::step_fast`]), whose defaults
+//! are built from `eval`; the tile sweep steps [`LANES`] chains at a
+//! time, a [`LaneBlock`] of [`LANES`] cells of each per round.
 
 use tiling_core::dependence::DependenceSet;
 pub use tiling_core::machine::KernelTier;
 
-/// Maximum number of pencils a [`Wave`] can hold.
+/// Chains one [`LaneBlock`] steps together, and the cells of each it
+/// steps: four `f32` fill the 128-bit registers every x86-64 and
+/// aarch64 target has without a build flag.
+pub const LANES: usize = 4;
+
+/// One round of a lane group of the tile sweep: [`LANES`] consecutive
+/// cells of each of [`LANES`] `k`-chains, lane-transposed — `im1[z][l]`
+/// is the `i−1` input of cell `z` of lane `l` — so that one vector holds
+/// the same cell of every chain.
 ///
-/// One step of a carry chain is latency-bound (`add → max → sqrt` is
-/// ~6.5 ns on the paper kernel, scalar or vector alike) while the units
-/// accept a new vector every ~1.2 ns, so a wave wants several
-/// [`LANES`]-wide groups of chains in flight at once. Four groups cover
-/// that latency, and their carry state (`4 × [f32; 4]`) stays in
-/// registers.
-pub const MAX_WAVE: usize = 16;
-
-/// Chains stepped together in one vector: four `f32` fill the 128-bit
-/// registers every x86-64 and aarch64 target has without a build flag.
-pub(crate) const LANES: usize = 4;
-
-/// Waves this narrow go pencil by pencil on the bitwise tier: a lone
-/// chain has nothing to overlap with, so the split into a pre-pass and
-/// a carry pass only adds a second sweep over `out` (measured by the
-/// crate's `tests/wave_micro.rs`; from two chains up the wave form wins). Both
-/// forms run each cell's scalar operation order, so the choice never
-/// shows in the bits; the fast tier has no pencil form to fall back to.
-const NARROW_WAVE: usize = 1;
-
-/// A fixed-capacity stack vector ([`MAX_WAVE`] slots) stored as groups
-/// of [`LANES`] that are filled in when their first slot is pushed, so
-/// setting up and dropping an `m`-element vector touches `⌈m / LANES⌉`
-/// groups, not `MAX_WAVE` slots — the tile walk builds one per wave,
-/// and most waves of a small tile are narrow.
-pub(crate) struct LaneVec<T> {
-    len: usize,
-    groups: [Option<[T; LANES]>; MAX_WAVE / LANES],
+/// The lanes of a block are mutually independent (the sweep groups
+/// pencils whose inputs were finished in earlier rounds), so
+/// [`LaneBlock::run`] steps the four chains lane-wise, one instruction
+/// per cell of all four. The `k`-chain inside a lane stays serial:
+/// cell `z` reads the state cell `z − 1` left.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LaneBlock {
+    /// Global `i` of each lane's pencil.
+    pub i: [i64; LANES],
+    /// Global `j` of each lane's pencil.
+    pub j: [i64; LANES],
+    /// Global `k` of each lane's first cell in the block.
+    pub k: [i64; LANES],
+    /// `im1[z][l]`: `A(i−1, j, k + z)` of lane `l`.
+    pub im1: [[f32; LANES]; LANES],
+    /// `jm1[z][l]`: `A(i, j−1, k + z)` of lane `l`, which is also the
+    /// diagonal of cell `z + 1`.
+    pub jm1: [[f32; LANES]; LANES],
+    /// The diagonal `A(i, j−1, k−1)` of each lane's first cell.
+    pub diag: [f32; LANES],
 }
 
-impl<T: Default> LaneVec<T> {
-    pub(crate) fn new() -> Self {
-        LaneVec {
-            len: 0,
-            groups: core::array::from_fn(|_| None),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// # Panics
-    /// If all [`MAX_WAVE`] slots are taken.
-    pub(crate) fn push(&mut self, item: T) {
-        let (g, l) = (self.len / LANES, self.len % LANES);
-        assert!(g < self.groups.len(), "wave overflow");
-        self.groups[g].get_or_insert_with(Default::default)[l] = item;
-        self.len += 1;
-    }
-
-    /// The live slots of every group in turn: all [`LANES`] of a full
-    /// group, fewer of the last.
-    fn groups_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
-        let len = self.len;
-        let groups = self.groups.iter_mut().flatten().enumerate();
-        groups.map(move |(g, group)| &mut group[..LANES.min(len - g * LANES)])
-    }
-}
-
-/// One pencil of a [`Wave`]: the arguments of [`Kernel3D::eval_pencil`].
-#[derive(Default)]
-struct Pencil<'a> {
-    gi: i64,
-    gj: i64,
-    k0: i64,
-    km1: f32,
-    diag: f32,
-    im1: &'a [f32],
-    jm1: &'a [f32],
-    out: &'a mut [f32],
-}
-
-/// A batch of up to [`MAX_WAVE`] *mutually independent* pencils.
-///
-/// The executors walk a tile's cross-section in anti-diagonal order:
-/// all pencils with `i + j = const` depend only on rows from earlier
-/// diagonals, so their loop-carried `k`-chains are independent and a
-/// kernel may interleave them freely — each *cell* still sees exactly
-/// its sequential operation order, so the bitwise tier stays pinned,
-/// but the CPU now has `m` independent dependency chains in flight
-/// instead of one, [`LANES`] of them per vector.
-pub struct Wave<'a>(LaneVec<Pencil<'a>>);
-
-impl<'a> Default for Wave<'a> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a> Wave<'a> {
-    /// An empty wave.
-    pub fn new() -> Self {
-        Wave(LaneVec::new())
-    }
-
-    /// Number of pencils currently batched.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no pencils are batched.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all pencils (and with them the `out` borrows).
-    pub fn clear(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Append one pencil. The caller asserts (by construction of the
-    /// batch) that it is independent of every pencil already present.
-    /// `km1` and `diag` seed the pencil's first cell as in
-    /// [`Kernel3D::eval_pencil`].
-    ///
-    /// # Panics
-    /// If the wave is full, or if `im1`, `jm1` and `out` differ in
-    /// length — checked here once so the kernels' zipped passes can
-    /// never leave the cells past a short neighbour unwritten.
-    #[allow(clippy::too_many_arguments)] // LINT: mirrors eval_pencil's signature
-    pub fn push(
-        &mut self,
-        gi: i64,
-        gj: i64,
-        k0: i64,
-        im1: &'a [f32],
-        jm1: &'a [f32],
-        km1: f32,
-        diag: f32,
-        out: &'a mut [f32],
-    ) {
-        assert!(
-            im1.len() == out.len() && jm1.len() == out.len(),
-            "wave pencil lengths differ: im1 {}, jm1 {}, out {}",
-            im1.len(),
-            jm1.len(),
-            out.len()
-        );
-        self.0.push(Pencil {
-            gi,
-            gj,
-            k0,
-            km1,
-            diag,
-            im1,
-            jm1,
-            out,
-        });
-    }
-
-    /// Pre-pass: `out[z] = f(im1[z], jm1[z])` over every pencil — the
-    /// carry-free part of a cell, a plain zipped loop the compiler
-    /// vectorizes whatever `f` is.
+impl LaneBlock {
+    /// Step every cell of the block through `step` (a kernel's
+    /// [`Kernel3D::step`] or [`Kernel3D::step_fast`]): cell `z` of lane
+    /// `l` is `(out[z][l], s[l]) = step(i, j, k + z, im1, jm1, diag,
+    /// s[l])`. Each cell sees exactly the operands and order of a scalar
+    /// walk up its pencil; the lanes only decide which chains share an
+    /// instruction, never a bit of the result. A lane the caller does
+    /// not read (masked, or past the end of its pencil) is stepped all
+    /// the same: it costs nothing extra in a vector, and no branch in
+    /// here depends on the data.
     #[inline(always)]
-    fn pre(&mut self, f: impl Fn(f32, f32) -> f32) {
-        for p in self.0.groups_mut().flatten() {
-            for (o, (&a, &c)) in p.out.iter_mut().zip(p.im1.iter().zip(p.jm1)) {
-                *o = f(a, c);
+    pub fn run(
+        &self,
+        s: &mut [f32; LANES],
+        step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> (f32, f32),
+    ) -> [[f32; LANES]; LANES] {
+        let mut out = [[0.0f32; LANES]; LANES];
+        // LINT: z and l index five arrays each; this shape is what vectorizes
+        #[allow(clippy::needless_range_loop)]
+        for z in 0..LANES {
+            let diag = if z == 0 { self.diag } else { self.jm1[z - 1] };
+            for l in 0..LANES {
+                let (i, j, k) = (self.i[l], self.j[l], self.k[l] + z as i64);
+                (out[z][l], s[l]) = step(i, j, k, self.im1[z][l], self.jm1[z][l], diag[l], s[l]);
             }
         }
-    }
-
-    /// Carry pass: walk every pencil's `k`-chain, cell `z` doing
-    /// `(out[z], s) = step(im1[z], jm1[z], out[z], s)` with `s` seeded
-    /// by `seed(km1)`, all chains advancing together [`LANES`] cells a
-    /// round.
-    ///
-    /// A full group of [`LANES`] pencils runs *lane-transposed* over
-    /// the whole blocks they all have: the block's rows are loaded as
-    /// `[f32; LANES]`, transposed so that one vector holds the same `z`
-    /// of all four chains, stepped lane-wise — four chains per
-    /// instruction — and transposed back. The last, partial group and
-    /// the cells past a group's shortest pencil take the same `step`
-    /// one chain at a time inside the same round, so their latency
-    /// still overlaps the vector groups'. Either way a cell sees exactly
-    /// the operations, operands and order of a scalar walk up its
-    /// pencil: grouping changes which chains share an instruction,
-    /// never a bit of the result. Inputs a `step` ignores are never
-    /// loaded.
-    #[inline(always)]
-    fn carry(
-        &mut self,
-        seed: impl Fn(f32) -> f32,
-        step: impl Fn(f32, f32, f32, f32) -> (f32, f32),
-    ) {
-        let mut state = [[0.0f32; LANES]; MAX_WAVE / LANES];
-        // Cells of each group that run lane-transposed: the whole
-        // blocks of a full group's shortest pencil.
-        let mut blocks = [0usize; MAX_WAVE / LANES];
-        let mut longest = 0;
-        for (g, group) in self.0.groups_mut().enumerate() {
-            let mut shortest = usize::MAX;
-            for (p, s) in group.iter().zip(&mut state[g]) {
-                *s = seed(p.km1);
-                shortest = shortest.min(p.out.len());
-                longest = longest.max(p.out.len());
-            }
-            if group.len() == LANES {
-                blocks[g] = shortest - shortest % LANES;
-            }
-        }
-        // A row of a block; all zeros where the pencil is too short,
-        // which `push` rules out for im1/jm1 once `out` has the row —
-        // but a load that cannot panic is one the compiler may drop.
-        #[allow(clippy::expect_used)] // LINT: a `z..z + LANES` slice is LANES long
-        let row = |x: &[f32], z: usize| -> [f32; LANES] {
-            let r = x.get(z..z + LANES);
-            r.map_or([0.0; LANES], |r| r.try_into().expect("LANES long"))
-        };
-        for z in (0..longest).step_by(LANES) {
-            for (g, group) in self.0.groups_mut().enumerate() {
-                let s = &mut state[g];
-                if z < blocks[g] {
-                    #[allow(clippy::expect_used)] // LINT: only full groups have blocks
-                    let lanes: &mut [Pencil<'_>; LANES] =
-                        group.try_into().expect("only full groups have blocks");
-                    // x[k][l]: cell z + k of lane l.
-                    let mut a = [[0.0f32; LANES]; LANES];
-                    let mut c = [[0.0f32; LANES]; LANES];
-                    let mut t = [[0.0f32; LANES]; LANES];
-                    for (l, p) in lanes.iter().enumerate() {
-                        let (ra, rc, rt) = (row(p.im1, z), row(p.jm1, z), row(p.out, z));
-                        for k in 0..LANES {
-                            (a[k][l], c[k][l], t[k][l]) = (ra[k], rc[k], rt[k]);
-                        }
-                    }
-                    for k in 0..LANES {
-                        for l in 0..LANES {
-                            (t[k][l], s[l]) = step(a[k][l], c[k][l], t[k][l], s[l]);
-                        }
-                    }
-                    for (l, p) in lanes.iter_mut().enumerate() {
-                        let r: [f32; LANES] = core::array::from_fn(|k| t[k][l]);
-                        p.out[z..z + LANES].copy_from_slice(&r);
-                    }
-                } else {
-                    for (p, s) in group.iter_mut().zip(s) {
-                        let r = z.min(p.out.len())..(z + LANES).min(p.out.len());
-                        let ins = p.im1[r.clone()].iter().zip(&p.jm1[r.clone()]);
-                        for (o, (&a, &c)) in p.out[r].iter_mut().zip(ins) {
-                            (*o, *s) = step(a, c, *o, *s);
-                        }
-                    }
-                }
-            }
-        }
+        out
     }
 }
 
 /// A wavefront kernel over a 3-D block with dependences among
 /// `{e₁, e₂, e₃, e₂+e₃}`.
+///
+/// The executors never call [`Kernel3D::eval`] in their hot loop: they
+/// walk a pencil's `k`-chain through two methods, [`Kernel3D::seed`]
+/// (the carried state of the chain's first cell, from its `k−1` input)
+/// and [`Kernel3D::step`] (one cell from its other inputs and the
+/// state: the cell and the next state). The defaults carry the previous
+/// cell and call `eval`, so a kernel is `eval` alone, bitwise by
+/// construction. Overrides move work into the state (the paper kernel
+/// carries `√A(i, j, k−1)`, one square root per cell instead of two
+/// from the chain's point of view) and must keep each cell's scalar
+/// operation order, so results stay bitwise equal to `eval` (the
+/// kernel proptests assert this).
 pub trait Kernel3D: Copy + Send + Sync + 'static {
     /// Compute the value of cell `(i, j, k)` from its upstream values:
     /// `im1`, `jm1`, `km1` along the axes and `diag` = `A(i, j−1, k−1)`,
@@ -279,91 +107,49 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
     #[allow(clippy::too_many_arguments)] // LINT: one argument per neighbour and coordinate
     fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32, diag: f32) -> f32;
 
-    /// Evaluate a whole `k`-pencil: cells `(i, j, k0..k0+out.len())`,
-    /// with `im1`/`jm1` the equal-length neighbor pencils, `km1`
-    /// seeding the loop-carried `k−1` dependence and `diag` the first
-    /// cell's diagonal `A(i, j−1, k0−1)`; every later cell's diagonal is
-    /// the `jm1` cell below it.
-    ///
-    /// This is the executors' inner loop. The default walks
-    /// [`Kernel3D::eval`] cell by cell — **bitwise identical** by
-    /// construction. Kernels override it to hoist loop-invariant work
-    /// out of the pencil and iterate over zipped slices (no bounds
-    /// checks, no per-cell index arithmetic), which is what lets the
-    /// compiler keep the non-carried part of the arithmetic in vector
-    /// registers; overrides must preserve each cell's exact operation
-    /// order so results stay bitwise equal to the scalar form (the
-    /// kernel tests assert this).
+    /// The carried state of a chain's first cell, from its `k−1` input.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // LINT: mirrors eval()'s per-cell signature, pencil-wide
-    fn eval_pencil(
-        &self,
-        i: i64,
-        j: i64,
-        k0: i64,
-        im1: &[f32],
-        jm1: &[f32],
-        km1: f32,
-        diag: f32,
-        out: &mut [f32],
-    ) {
-        let (mut prev, mut diag) = (km1, diag);
-        for (kz, (o, (&a, &c))) in (k0..).zip(out.iter_mut().zip(im1.iter().zip(jm1))) {
-            let v = self.eval(i, j, kz, a, c, prev, diag);
-            *o = v;
-            (prev, diag) = (v, c);
-        }
+    fn seed(&self, km1: f32) -> f32 {
+        km1
     }
 
-    /// Walk a [`Wave`] pencil by pencil through
-    /// [`Kernel3D::eval_pencil`]: the default [`Kernel3D::eval_wave`],
-    /// and what the overrides fall back to on waves too narrow to gain
-    /// from interleaving (`NARROW_WAVE`).
+    /// One cell of a chain: its value and the state the next cell
+    /// carries, from the cell's `im1`, `jm1`, `diag` and the state `s`
+    /// the cell below left (or [`Kernel3D::seed`] made).
     #[inline]
-    fn eval_pencils(&self, wave: &mut Wave<'_>) {
-        for p in wave.0.groups_mut().flatten() {
-            self.eval_pencil(p.gi, p.gj, p.k0, p.im1, p.jm1, p.km1, p.diag, p.out);
-        }
+    #[allow(clippy::too_many_arguments)] // LINT: eval()'s arguments, the k−1 input as state
+    fn step(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, diag: f32, s: f32) -> (f32, f32) {
+        let v = self.eval(i, j, k, im1, jm1, s, diag);
+        (v, v)
     }
 
-    /// Evaluate a [`Wave`] of mutually independent pencils.
-    ///
-    /// This is the two-pass vectorized form of [`Kernel3D::eval_pencil`]:
-    /// overrides run a plain zipped pre-pass (the non-carried term of
-    /// every cell) followed by a carry pass that steps the `m`
-    /// independent `k`-chains together, four chains to a vector — each
-    /// cell still performs exactly its sequential operations in the
-    /// sequential order, so the result is **bitwise** equal to running
-    /// [`Kernel3D::eval_pencil`] on each pencil (the kernel proptests
-    /// assert this); only the chain-level parallelism changes.
-    ///
-    /// The default simply walks the pencils one by one — bitwise by
-    /// construction for kernels without an override.
+    /// Fast-math tier of [`Kernel3D::seed`] ([`KernelTier::Fast`]).
     #[inline]
-    fn eval_wave(&self, wave: &mut Wave<'_>) {
-        self.eval_pencils(wave)
+    fn seed_fast(&self, km1: f32) -> f32 {
+        self.seed(km1)
     }
 
-    /// Fast-math tier of [`Kernel3D::eval_wave`] ([`KernelTier::Fast`]).
+    /// Fast-math tier of [`Kernel3D::step`] ([`KernelTier::Fast`]).
     ///
     /// Overrides may reassociate the per-cell arithmetic and substitute
     /// cheaper equivalents valid on the recurrence's reachable domain,
     /// shortening the loop-carried dependency chain at the cost of
     /// bitwise reproducibility. Results are ULP-bounded against the
     /// pinned tier (asserted by the fast-tier tests), never assumed
-    /// identical. The default falls back to the bitwise wave.
+    /// identical. The default is the bitwise step.
     #[inline]
-    fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
-        self.eval_wave(wave)
-    }
-
-    /// Dispatch a wave through the tier-selected evaluator.
-    #[inline]
-    fn eval_wave_tier(&self, tier: KernelTier, wave: &mut Wave<'_>) {
-        match tier {
-            KernelTier::Bitwise => self.eval_wave(wave),
-            KernelTier::Fast => self.eval_wave_fast(wave),
-        }
+    #[allow(clippy::too_many_arguments)] // LINT: step()'s signature
+    fn step_fast(
+        &self,
+        i: i64,
+        j: i64,
+        k: i64,
+        im1: f32,
+        jm1: f32,
+        diag: f32,
+        s: f32,
+    ) -> (f32, f32) {
+        self.step(i, j, k, im1, jm1, diag, s)
     }
 }
 
@@ -392,70 +178,38 @@ impl Kernel3D for Paper3D {
         Paper3D::eval(im1, jm1, km1)
     }
 
-    // Carry √A(i,j,k−1) across the pencil: each cell then does two fresh
-    // square roots (vectorizable, no index math) plus the carried one.
-    // The scalar form adds `(√im1 + √jm1) + √km1` left-to-right, which
-    // is exactly this loop's order, so results are bitwise equal.
+    // Carry √A(i,j,k−1) down the chain: a cell does two fresh square
+    // roots off the chain (`√a⁺ + √c⁺` depends on no earlier cell) and
+    // one on it. The scalar form adds `(√im1 + √jm1) + √km1`
+    // left-to-right, which is exactly this order, so bitwise equal.
     #[inline]
-    fn eval_pencil(
-        &self,
-        _i: i64,
-        _j: i64,
-        _k0: i64,
-        im1: &[f32],
-        jm1: &[f32],
-        km1: f32,
-        _diag: f32,
-        out: &mut [f32],
-    ) {
-        let mut sk = km1.max(0.0).sqrt();
-        for (o, (&a, &c)) in out.iter_mut().zip(im1.iter().zip(jm1)) {
-            let v = a.max(0.0).sqrt() + c.max(0.0).sqrt() + sk;
-            *o = v;
-            sk = v.max(0.0).sqrt();
-        }
+    fn seed(&self, km1: f32) -> f32 {
+        km1.max(0.0).sqrt()
     }
 
-    // Two-pass wave: the pre-pass writes the carry-free `√im1 + √jm1`
-    // term of every cell into `out`; the carry pass steps the m chains
-    // `v = out[z] + sk; sk = √v⁺` together. Each cell computes
-    // `(√a⁺ + √c⁺) + √km1⁺` in exactly the scalar order, so the result
-    // is bitwise equal to `eval_pencil`; the win is that the
-    // add→max→sqrt carry latency of one group of chains hides under
-    // the other groups', and each sqrt instruction serves four cells.
     #[inline]
-    fn eval_wave(&self, wave: &mut Wave<'_>) {
-        if wave.len() <= NARROW_WAVE {
-            return self.eval_pencils(wave);
-        }
-        wave.pre(|a, c| a.max(0.0).sqrt() + c.max(0.0).sqrt());
-        wave.carry(
-            |km1| km1.max(0.0).sqrt(),
-            |_, _, t, sk| {
-                let v = t + sk;
-                (v, v.max(0.0).sqrt())
-            },
-        );
+    fn step(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, sk: f32) -> (f32, f32) {
+        let v = a.max(0.0).sqrt() + c.max(0.0).sqrt() + sk;
+        (v, v.max(0.0).sqrt())
     }
 
     // Fast tier: every carried value is a sum of square roots, hence
     // ≥ 0, so on the reachable domain `max(v, 0)` reduces to `|v|` (one
     // cycle, off the sqrt's critical path on most cores) and the input
-    // guards of the pre-pass can go entirely — the executors only feed
-    // the kernel its own outputs, the (non-negative) boundary splat, or
-    // halos thereof. Off-domain (negative) inputs would produce NaNs
-    // here where the pinned tier clamps, which is exactly the contract
-    // difference the tier flag signals.
+    // guards can go entirely — the executors only feed the kernel its
+    // own outputs, the (non-negative) boundary splat, or halos thereof.
+    // Off-domain (negative) inputs would produce NaNs here where the
+    // pinned tier clamps, which is exactly the contract difference the
+    // tier flag signals.
     #[inline]
-    fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
-        wave.pre(|a, c| a.sqrt() + c.sqrt());
-        wave.carry(
-            |km1| km1.abs().sqrt(),
-            |_, _, t, sk| {
-                let v = t + sk;
-                (v, v.abs().sqrt())
-            },
-        );
+    fn seed_fast(&self, km1: f32) -> f32 {
+        km1.abs().sqrt()
+    }
+
+    #[inline]
+    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, sk: f32) -> (f32, f32) {
+        let v = a.sqrt() + c.sqrt() + sk;
+        (v, v.abs().sqrt())
     }
 }
 
@@ -479,71 +233,19 @@ impl Kernel3D for Relax3D {
         self.omega / 3.0 * (im1 + jm1 + km1)
     }
 
-    // Hoist the `ω/3` division out of the pencil and pre-add the two
-    // non-carried neighbors. The scalar form is `(ω/3) · ((im1 + jm1)
-    // + km1)`, so `w · (s + prev)` performs the identical operations in
-    // the identical order — bitwise equal, one divide per pencil.
+    // The bitwise step is the default one, `eval` with the `k−1` input
+    // carried. Fast tier: distribute `w = ω/3` into the carry-free
+    // term, so the chain is `v = prev·w + w·(a + c)` — reassociated,
+    // each cell perturbed by ≤ a few ULP; the recurrence is a
+    // contraction (`ω < 1`), so the perturbation stays bounded. A separate multiply and add, not
+    // `mul_add`: without the `fma` target feature that is a call into
+    // libm per cell. Unfused, the chain is as long as the pinned tier's
+    // and the two run at the same rate.
     #[inline]
-    fn eval_pencil(
-        &self,
-        _i: i64,
-        _j: i64,
-        _k0: i64,
-        im1: &[f32],
-        jm1: &[f32],
-        km1: f32,
-        _diag: f32,
-        out: &mut [f32],
-    ) {
+    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> (f32, f32) {
         let w = self.omega / 3.0;
-        let mut prev = km1;
-        for (o, (&a, &c)) in out.iter_mut().zip(im1.iter().zip(jm1)) {
-            let v = w * (a + c + prev);
-            *o = v;
-            prev = v;
-        }
-    }
-
-    // Two-pass wave: the pre-pass writes the carry-free `im1 + jm1`
-    // term; the carry pass does `w · ((a + c) + prev)` per cell in
-    // exactly the scalar association — the scalar `a + c + prev` parses
-    // left-to-right, so bitwise equal.
-    #[inline]
-    fn eval_wave(&self, wave: &mut Wave<'_>) {
-        if wave.len() <= NARROW_WAVE {
-            return self.eval_pencils(wave);
-        }
-        let w = self.omega / 3.0;
-        wave.pre(|a, c| a + c);
-        wave.carry(
-            |km1| km1,
-            |_, _, t, prev| {
-                let v = w * (t + prev);
-                (v, v)
-            },
-        );
-    }
-
-    // Fast tier: distribute `w` into the carry-free term — the pre-pass
-    // computes `w·(a + c)` and the carry is `v = prev·w + ws[z]`. The
-    // reassociation perturbs each cell by ≤ a few ULP; the recurrence
-    // is a contraction (`ω < 1`), so the perturbation stays bounded.
-    // Written with a separate multiply and add, not `mul_add`: without
-    // the `fma` target feature that is a call into libm per cell (this
-    // tier used to run at 0.67× the pinned one for it). Unfused, the
-    // chain is as long as the pinned tier's and the two run at the same
-    // rate.
-    #[inline]
-    fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
-        let w = self.omega / 3.0;
-        wave.pre(|a, c| w * (a + c));
-        wave.carry(
-            |km1| km1,
-            |_, _, t, prev| {
-                let v = prev * w + t;
-                (v, v)
-            },
-        );
+        let v = prev * w + w * (a + c);
+        (v, v)
     }
 }
 
@@ -575,10 +277,9 @@ impl Kernel3D for LongestPath3D {
 
 /// A fused-multiply-add anisotropic smoothing recurrence:
 /// `A = wa·A_{i−1} + wa·A_{j−1} + wc·A_{k−1}`, written with
-/// [`f32::mul_add`] in **both** the scalar and pencil forms so the two
-/// are bitwise identical by construction and the compiler can emit FMA
-/// instructions for the non-carried lanes. Contractive when
-/// `2·wa + wc < 1`.
+/// [`f32::mul_add`]; its pinned step is `eval` itself, so the sweep is
+/// bitwise identical to the scalar form by construction. Contractive
+/// when `2·wa + wc < 1`.
 #[derive(Clone, Copy, Debug)]
 pub struct Fused3D {
     /// Weight of the `i−1` and `j−1` neighbors.
@@ -599,68 +300,21 @@ impl Kernel3D for Fused3D {
         im1.mul_add(self.wa, jm1.mul_add(self.wa, km1 * self.wc))
     }
 
-    // Same fused expression over zipped slices: nothing to hoist, but
-    // the slice form drops the per-cell coordinate bookkeeping of the
-    // default and keeps the two FMAs in straight-line code.
+    // Bitwise: the fused expression nests `prev` *inside* the second
+    // FMA, so no carry-free prefix can be split off without
+    // reassociating — the step is the whole expression, the default
+    // one built from `eval`. Fast tier: the non-carried `wa·a + wa·c`
+    // comes off the chain, which collapses to `v = prev·wc + e` —
+    // reassociated, ULP-bounded, and contractive for the shipped weights (`2·wa + wc < 1`). Unfused on
+    // purpose: the pinned tier must keep the kernel's two `mul_add`s,
+    // which cost a libm call each where the target has no `fma`
+    // feature, and plain multiplies and adds are what lets this tier
+    // vectorize past it.
     #[inline]
-    fn eval_pencil(
-        &self,
-        _i: i64,
-        _j: i64,
-        _k0: i64,
-        im1: &[f32],
-        jm1: &[f32],
-        km1: f32,
-        _diag: f32,
-        out: &mut [f32],
-    ) {
+    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> (f32, f32) {
         let (wa, wc) = (self.wa, self.wc);
-        let mut prev = km1;
-        for (o, (&a, &c)) in out.iter_mut().zip(im1.iter().zip(jm1)) {
-            let v = a.mul_add(wa, c.mul_add(wa, prev * wc));
-            *o = v;
-            prev = v;
-        }
-    }
-
-    // Bitwise wave: the fused expression nests `prev` *inside* the
-    // second FMA, so no carry-free prefix can be split off without
-    // reassociating — instead the carry pass takes the full per-cell
-    // expression (identical ops and order per cell, m chains in
-    // flight) and there is no pre-pass.
-    #[inline]
-    fn eval_wave(&self, wave: &mut Wave<'_>) {
-        if wave.len() <= NARROW_WAVE {
-            return self.eval_pencils(wave);
-        }
-        let (wa, wc) = (self.wa, self.wc);
-        wave.carry(
-            |km1| km1,
-            |a, c, _, prev| {
-                let v = a.mul_add(wa, c.mul_add(wa, prev * wc));
-                (v, v)
-            },
-        );
-    }
-
-    // Fast tier: hoist the non-carried `wa·a + wa·c` into the pre-pass
-    // so the carry chain collapses to `v = prev·wc + e[z]` —
-    // reassociated, ULP-bounded, and contractive for the shipped
-    // weights (`2·wa + wc < 1`). Unfused on purpose: the pinned tier
-    // must keep the kernel's two `mul_add`s, which cost a libm call
-    // each where the target has no `fma` feature, and plain multiplies
-    // and adds are what lets this tier vectorize past it.
-    #[inline]
-    fn eval_wave_fast(&self, wave: &mut Wave<'_>) {
-        let (wa, wc) = (self.wa, self.wc);
-        wave.pre(|a, c| a * wa + c * wa);
-        wave.carry(
-            |km1| km1,
-            |_, _, t, prev| {
-                let v = prev * wc + t;
-                (v, v)
-            },
-        );
+        let v = prev * wc + (a * wa + c * wa);
+        (v, v)
     }
 }
 
@@ -854,9 +508,9 @@ mod tests {
     }
 
     /// Walk `eval` cell by cell with the loop-carried `k−1` value and
-    /// the diagonal read off `jm1` — the reference the pencil overrides
-    /// must match bitwise.
-    #[allow(clippy::too_many_arguments)] // LINT: eval_pencil's arguments, returned
+    /// the diagonal read off `jm1` — the reference every step must
+    /// match bitwise.
+    #[allow(clippy::too_many_arguments)] // LINT: one pencil's inputs, returned
     fn scalar_pencil<K: Kernel3D>(
         k: &K,
         i: i64,
@@ -878,6 +532,72 @@ mod tests {
         out
     }
 
+    /// Walk one pencil through `seed`/`step` one cell at a time.
+    #[allow(clippy::too_many_arguments)] // LINT: one pencil's inputs, returned
+    fn stepped_pencil<K: Kernel3D>(
+        k: &K,
+        i: i64,
+        j: i64,
+        k0: i64,
+        im1: &[f32],
+        jm1: &[f32],
+        km1: f32,
+        diag: f32,
+    ) -> Vec<f32> {
+        let mut s = k.seed(km1);
+        let mut d = diag;
+        let cells = im1.iter().zip(jm1).enumerate();
+        let step = |(n, (&a, &c)): (usize, (&f32, &f32))| {
+            let v;
+            (v, s) = k.step(i, j, k0 + n as i64, a, c, d, s);
+            d = c;
+            v
+        };
+        cells.map(step).collect()
+    }
+
+    /// Step up to [`LANES`] pencils together, block by block through
+    /// [`LaneBlock::run`], as the sweep does: the lanes past the last
+    /// pencil and the cells past a pencil's end run on padding and are
+    /// not read. Pencil `l` is at `(l, −1)` and starts at `k = 3`.
+    fn lane_pencils<K: Kernel3D>(
+        k: &K,
+        fast: bool,
+        ins: &[(Vec<f32>, Vec<f32>)],
+        km1s: &[f32],
+        diags: &[f32],
+    ) -> Vec<Vec<f32>> {
+        let mut s = [0.0f32; LANES];
+        for (s, &km1) in s.iter_mut().zip(km1s) {
+            *s = if fast { k.seed_fast(km1) } else { k.seed(km1) };
+        }
+        let mut outs: Vec<Vec<f32>> = ins.iter().map(|(a, _)| vec![0.0; a.len()]).collect();
+        let longest = outs.iter().map(Vec::len).max().unwrap_or(0);
+        let at = |x: &[f32], z: usize| x.get(z).copied().unwrap_or(0.0);
+        for z0 in (0..longest).step_by(LANES) {
+            let mut blk = LaneBlock::default();
+            for (l, (im1, jm1)) in ins.iter().enumerate() {
+                (blk.i[l], blk.j[l], blk.k[l]) = (l as i64, -1, 3 + z0 as i64);
+                blk.diag[l] = if z0 == 0 { diags[l] } else { at(jm1, z0 - 1) };
+                for z in 0..LANES {
+                    (blk.im1[z][l], blk.jm1[z][l]) = (at(im1, z0 + z), at(jm1, z0 + z));
+                }
+            }
+            let out = match fast {
+                true => blk.run(&mut s, |i, j, kz, a, c, d, s| {
+                    k.step_fast(i, j, kz, a, c, d, s)
+                }),
+                false => blk.run(&mut s, |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s)),
+            };
+            for (l, o) in outs.iter_mut().enumerate() {
+                for (z, o) in o.iter_mut().skip(z0).take(LANES).enumerate() {
+                    *o = out[z][l];
+                }
+            }
+        }
+        outs
+    }
+
     fn check_pencil_bitwise<K: Kernel3D>(kernel: K, name: &str) {
         // Deterministic awkward data: mixed signs and magnitudes so the
         // `max(0.0)` guards and non-associative sums are exercised.
@@ -890,8 +610,7 @@ mod tests {
             let jm1: Vec<f32> = (0..len).map(|n| gen(seed ^ 0xFF, n)).collect();
             let (km1, diag) = (gen(seed ^ 0xABCD, len), gen(seed ^ 0x1234, len));
             let want = scalar_pencil(&kernel, 5, -2, 11, &im1, &jm1, km1, diag);
-            let mut got = vec![0.0f32; len];
-            kernel.eval_pencil(5, -2, 11, &im1, &jm1, km1, diag, &mut got);
+            let got = stepped_pencil(&kernel, 5, -2, 11, &im1, &jm1, km1, diag);
             for (n, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -925,58 +644,43 @@ mod tests {
             .collect()
     }
 
+    /// The inputs, `k−1` seeds and diagonal seeds of pencils of `lens`.
+    #[allow(clippy::type_complexity)] // LINT: a test fixture, destructured at once
+    fn wave_inputs(lens: &[usize]) -> (Vec<(Vec<f32>, Vec<f32>)>, Vec<f32>, Vec<f32>) {
+        let ins = (lens.iter().enumerate())
+            .map(|(p, &len)| (wave_data(p, 1, len), wave_data(p, 2, len)))
+            .collect();
+        let seeds = |salt: i64| -> Vec<f32> {
+            let seed = |p: usize| (cell_weight(p as i64, salt, 9) - 0.5) * 4.0;
+            (0..lens.len()).map(seed).collect()
+        };
+        (ins, seeds(9), seeds(10))
+    }
+
     fn check_wave_bitwise<K: Kernel3D>(kernel: K, name: &str) {
-        // Widths spanning 1..MAX_WAVE (full lane groups and a partial
-        // one), lengths with and without a `% LANES` remainder, plus one
-        // ragged batch (mixed pencil lengths: cells past a group's
-        // shortest pencil leave the lane-transposed path).
-        for (m, lens) in [
-            (1usize, vec![5usize]),
-            (3, vec![64; 3]),
-            (4, vec![7; 4]),
-            (MAX_WAVE, vec![129; MAX_WAVE]),
-            (5, vec![1, 8, 17, 3, 40]),
+        // Widths 1..=LANES, lengths with and without a `% LANES`
+        // remainder, plus one ragged group (a lane that ends early runs
+        // on padding while the others go on).
+        for lens in [
+            vec![5usize],
+            vec![64; 3],
+            vec![7; LANES],
+            vec![129; LANES],
+            vec![1, 8, 17, 3],
         ] {
-            let im1s: Vec<Vec<f32>> = (0..m).map(|p| wave_data(p, 1, lens[p])).collect();
-            let jm1s: Vec<Vec<f32>> = (0..m).map(|p| wave_data(p, 2, lens[p])).collect();
-            let seeds = |salt: i64| -> Vec<f32> {
-                let seed = |p: usize| (cell_weight(p as i64, salt, 9) - 0.5) * 4.0;
-                (0..m).map(seed).collect()
-            };
-            let (km1s, diags) = (seeds(9), seeds(10));
-            let mut want: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0; l]).collect();
-            for p in 0..m {
-                let (im1, jm1) = (&im1s[p], &jm1s[p]);
-                kernel.eval_pencil(p as i64, -1, 3, im1, jm1, km1s[p], diags[p], &mut want[p]);
-            }
-            let mut got: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.0; l]).collect();
-            let mut wave = Wave::new();
-            for (p, g) in got.iter_mut().enumerate() {
-                wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], diags[p], g);
-            }
-            assert_eq!(wave.len(), m);
-            kernel.eval_wave(&mut wave);
-            wave.clear(); // release the `out` borrows before reading `got`
-            for p in 0..m {
-                for (n, (g, w)) in got[p].iter().zip(&want[p]).enumerate() {
+            let (ins, km1s, diags) = wave_inputs(&lens);
+            let got = lane_pencils(&kernel, false, &ins, &km1s, &diags);
+            for (p, ((im1, jm1), got)) in ins.iter().zip(&got).enumerate() {
+                let want = scalar_pencil(&kernel, p as i64, -1, 3, im1, jm1, km1s[p], diags[p]);
+                for (n, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
-                        "{name}: wave m={m} pencil {p} cell {n} differs: {g} vs {w}"
+                        "{name}: lanes {lens:?} pencil {p} cell {n} differs: {g} vs {w}"
                     );
                 }
             }
         }
-    }
-
-    /// A zipped pass stops at the shortest slice, so a short neighbour
-    /// would leave the cells past it unwritten — `push` must refuse it.
-    #[test]
-    #[should_panic(expected = "wave pencil lengths differ")]
-    fn push_rejects_a_short_neighbour() {
-        let (im1, jm1) = ([1.0f32; 8], [1.0f32; 7]);
-        let mut out = [0.0f32; 8];
-        Wave::new().push(0, 0, 0, &im1, &jm1, 1.0, 1.0, &mut out);
     }
 
     #[test]
@@ -989,6 +693,7 @@ mod tests {
         check_wave_bitwise(Fused3D { wa: 0.3, wc: 0.25 }, "fused3d-0.3");
         check_wave_bitwise(Example1, "example1");
         check_wave_bitwise(Alignment2D { alphabet: 2 }, "alignment2d");
+        check_wave_bitwise(Smooth2D::default(), "smooth2d");
     }
 
     /// ULP distance between two finite f32 of the same sign region.
@@ -997,49 +702,27 @@ mod tests {
         ia.abs_diff(ib)
     }
 
+    fn fast_drift<K: Kernel3D>(kernel: K) -> u32 {
+        // Non-negative inputs: the fast tier's domain contract.
+        let (ins, km1s, _) = wave_inputs(&[65; LANES]);
+        let abs = |x: &Vec<f32>| x.iter().map(|x| x.abs()).collect();
+        let ins: Vec<_> = ins.iter().map(|(a, c)| (abs(a), abs(c))).collect();
+        let km1s: Vec<f32> = km1s.iter().map(|x| x.abs()).collect();
+        let diags = vec![0.0; LANES];
+        let want = lane_pencils(&kernel, false, &ins, &km1s, &diags);
+        let got = lane_pencils(&kernel, true, &ins, &km1s, &diags);
+        let cells = got.iter().flatten().zip(want.iter().flatten());
+        cells.map(|(g, w)| ulp_diff(*g, *w)).max().unwrap()
+    }
+
     #[test]
     fn fast_tier_stays_within_ulp_bound() {
-        // Non-negative inputs: the fast tier's domain contract.
-        for kernel_check in [0usize, 1, 2] {
-            let m = 6;
-            let len = 65;
-            let im1s: Vec<Vec<f32>> = (0..m)
-                .map(|p| wave_data(p, 1, len).iter().map(|x| x.abs()).collect())
-                .collect();
-            let jm1s: Vec<Vec<f32>> = (0..m)
-                .map(|p| wave_data(p, 2, len).iter().map(|x| x.abs()).collect())
-                .collect();
-            let km1s: Vec<f32> = (0..m).map(|p| cell_weight(p as i64, 9, 9) * 4.0).collect();
-            let mut want: Vec<Vec<f32>> = vec![vec![0.0; len]; m];
-            let mut got: Vec<Vec<f32>> = vec![vec![0.0; len]; m];
-            let run = |fast: bool, outs: &mut Vec<Vec<f32>>| {
-                let mut wave = Wave::new();
-                for (p, g) in outs.iter_mut().enumerate() {
-                    wave.push(p as i64, -1, 3, &im1s[p], &jm1s[p], km1s[p], 0.0, g);
-                }
-                match (kernel_check, fast) {
-                    (0, false) => Paper3D.eval_wave(&mut wave),
-                    (0, true) => Paper3D.eval_wave_fast(&mut wave),
-                    (1, false) => Relax3D::default().eval_wave(&mut wave),
-                    (1, true) => Relax3D::default().eval_wave_fast(&mut wave),
-                    (2, false) => Fused3D::default().eval_wave(&mut wave),
-                    (2, true) => Fused3D::default().eval_wave_fast(&mut wave),
-                    _ => unreachable!(),
-                }
-            };
-            run(false, &mut want);
-            run(true, &mut got);
-            let max_ulp = got
-                .iter()
-                .flatten()
-                .zip(want.iter().flatten())
-                .map(|(g, w)| ulp_diff(*g, *w))
-                .max()
-                .unwrap();
-            assert!(
-                max_ulp <= 8,
-                "kernel {kernel_check}: fast tier drifted {max_ulp} ULP"
-            );
+        for (name, drift) in [
+            ("paper3d", fast_drift(Paper3D)),
+            ("relax3d", fast_drift(Relax3D::default())),
+            ("fused3d", fast_drift(Fused3D::default())),
+        ] {
+            assert!(drift <= 8, "{name}: fast tier drifted {drift} ULP");
         }
     }
 }

@@ -9,8 +9,8 @@
 //! Compiling is the *only* place validation and pre-flight happen, and
 //! every runner takes a compiled plan, so one compile backs any number
 //! of executions (the `planc` crate's `PlanArtifact` caches them). The
-//! ranks' tile walks are built by a plan's first run and kept with it,
-//! up to `WALK_MAX_BYTES`.
+//! tile walk its ranks share is built by a plan's first run and kept
+//! with it, up to `WALK_MAX_BYTES`.
 //!
 //! Every run takes one path: the runner takes the result [`Grid3D`]
 //! (the newest parked cells of a dropped grid of the same size when
@@ -48,30 +48,27 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 
-/// Most bytes of tile walks a [`Compiled3D`] keeps. Walks grow with the
-/// blocks' cross-section (≈ 100 B per pencil and tile length) and a
-/// service caches many plans, so a plan whose walks are larger builds
-/// them for each run, as it takes its result grid for each run.
+/// Most bytes of tile walk a [`Compiled3D`] keeps. A walk grows with
+/// the blocks' cross-section (≈ 14 B per pencil) and a service caches
+/// many plans, so a plan whose walk is larger builds it for each run,
+/// as it takes its result grid for each run.
 const WALK_MAX_BYTES: usize = 1 << 20;
-
-/// Every rank's tile walks, indexed by rank.
-type Walks = Vec<Vec<dist3d::WavePlan>>;
 
 /// A compiled, analyzer-approved plan over the block layout (§5):
 /// decomposition, per-rank programs and pre-flight report, sealed at
-/// compile time, and every rank's tile walks, built by its first run.
+/// compile time, and the ranks' tile walk, built by its first run.
 #[derive(Clone, Debug)]
 pub struct Compiled3D {
     d: Decomp3D,
     mode: ExecMode,
     programs: Vec<Program>,
     report: Option<AnalysisReport>,
-    /// `walks[rank]`: the rank's [`dist3d::WavePlan::for_rank`], or
-    /// `None` when they are over `WALK_MAX_BYTES`. They are as large
-    /// as the blocks' cross-sections, so they are built after a run got
-    /// its result grid — a grid larger than memory stays an
+    /// The layout's [`dist3d::SweepPlan::of`], which every rank runs,
+    /// or `None` when it is over `WALK_MAX_BYTES`. It is as large as the
+    /// blocks' cross-section, so it is built after a run got its result
+    /// grid — a grid larger than memory stays an
     /// [`EngineError::OutOfMemory`] — never at seal.
-    walks: OnceLock<Option<Walks>>,
+    walks: OnceLock<Option<dist3d::SweepPlan>>,
 }
 
 impl Compiled3D {
@@ -129,21 +126,15 @@ impl Compiled3D {
         }
     }
 
-    /// Every rank's tile walks: the first call builds them and keeps
-    /// them if they fit `WALK_MAX_BYTES`; a plan that did not keep
-    /// them builds them again for each call.
-    pub(crate) fn walks(&self) -> Cow<'_, [Vec<dist3d::WavePlan>]> {
-        let build = || -> Walks {
-            let ranks = 0..self.ranks();
-            ranks
-                .map(|r| dist3d::WavePlan::for_rank(&self.d, r))
-                .collect()
-        };
+    /// The ranks' tile walk: the first call builds it and keeps it if
+    /// it fits `WALK_MAX_BYTES`; a plan that did not keep it builds it
+    /// again for each call.
+    pub(crate) fn walks(&self) -> Cow<'_, dist3d::SweepPlan> {
+        let build = || dist3d::SweepPlan::of(&self.d);
         let mut first = None;
         let kept = self.walks.get_or_init(|| {
             let built = build();
-            let bytes: usize = built.iter().flatten().map(dist3d::WavePlan::bytes).sum();
-            if bytes <= WALK_MAX_BYTES {
+            if built.bytes() <= WALK_MAX_BYTES {
                 return Some(built);
             }
             first = Some(built);
@@ -207,8 +198,8 @@ pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineEr
 /// deal its pencils out to the ranks, and have `launch` run the rank
 /// body once per rank of some world. Every cell is written exactly
 /// once, by its owner, so what the cells held before is never read.
-/// The tile walks are taken here too, on the launching thread, once the
-/// grid is there: the first run of `c` builds them.
+/// The tile walk is taken here too, on the launching thread, once the
+/// grid is there: the first run of `c` builds it.
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
@@ -439,25 +430,21 @@ mod tests {
         assert!(c.walks.get().is_none(), "not at seal");
         let cfg = WorldConfig::new(LatencyModel::zero());
         run3d_with(Paper3D, &c, &cfg).expect("runs");
-        let kept = |c: &Compiled3D| c.walks.get()?.as_ref().map(|w| w.as_ptr());
+        let kept = |c: &Compiled3D| c.walks.get()?.as_ref().map(std::ptr::from_ref);
         let built = kept(&c).expect("by the first run");
         let mut world = build_world_with::<f32>(c.ranks(), &cfg);
         run3d_on_world(Paper3D, &c, KernelTier::Bitwise, &mut world).expect("runs");
         assert_eq!(kept(&c), Some(built));
         assert!(matches!(c.walks(), Cow::Borrowed(_)));
-        let fresh = |rank| dist3d::WavePlan::for_rank(&d3(), rank);
-        for (rank, kept) in c.walks().iter().enumerate() {
-            let want = fresh(rank);
-            assert_eq!(format!("{kept:?}"), format!("{want:?}"), "rank {rank}");
-        }
+        assert_eq!(*c.walks(), dist3d::SweepPlan::of(&d3()));
     }
 
     #[test]
     fn a_plan_keeps_no_walks_over_the_budget() {
-        // 64 × 64 pencils per rank, tiles of two lengths: ≈ 1.7 MB of walks.
+        // 288 × 288 pencils per rank: ≈ 1.2 MB of walk.
         let d = Decomp3D {
-            nx: 128,
-            ny: 64,
+            nx: 576,
+            ny: 288,
             nz: 3,
             pi: 2,
             pj: 1,
@@ -474,7 +461,7 @@ mod tests {
         }
         let walks = c.walks();
         assert!(matches!(walks, Cow::Owned(_)));
-        let bytes: usize = walks.iter().flatten().map(dist3d::WavePlan::bytes).sum();
+        let bytes = walks.bytes();
         assert!(bytes > WALK_MAX_BYTES, "{bytes} bytes");
     }
 

@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn unit_width_strips() {
-        // by == 1: every chunk's j−1 neighbour and diagonal are off the
+        // by == 1: every pencil's j−1 neighbour and diagonal are off the
         // block, and the face column is also the first column.
         check(strip(12, 3, 3, 5, 2.0), ExecMode::Overlapping);
     }

@@ -1,68 +1,74 @@
-//! Ignored-by-default microbenchmarks of the wave kernel paths:
+//! Ignored-by-default microbenchmarks of the tile sweep's kernel paths:
 //! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
-//! `ci.sh` runs them for the four assertions in here — a wave must beat
-//! the pencil loop it replaces, a small tile may cost only so much more
-//! per cell than a large one, the verifier must stay well under the
-//! naive sequential loop it replays and the cell-by-cell check well
-//! under the verifier — same-process ratios that hold on a noisy box;
-//! the absolute rates are the repo benchmark's
+//! `ci.sh` runs them for the four assertions in here — lane blocks must
+//! beat stepping the same chains one at a time, a small tile may cost
+//! only so much more per cell than a large one, the verifier must stay
+//! well under the naive sequential loop it replays and the cell-by-cell
+//! check well under the verifier — same-process ratios that hold on a
+//! noisy box; the absolute rates are the repo benchmark's
 //! `stencil.tile.cells_per_s.*` probes.
 
 use std::time::Instant;
-use stencil::kernel::{Kernel3D, Paper3D, Wave, MAX_WAVE};
+use stencil::kernel::{Kernel3D, LaneBlock, Paper3D, LANES};
 use stencil::seq::{follows_recurrence, max_abs_diff_from_seq3d, run_seq3d};
 
-/// ns/cell of `m` pencils of `len` cells through `eval_wave` or through
-/// one `eval_pencil` each, fastest of 20 timed batches.
-fn bench(m: usize, len: usize, wave_mode: bool) -> f64 {
-    let src: Vec<Vec<f32>> = (0..m)
+/// ns/cell of `chains` independent Paper3D chains of `len` cells (their
+/// inputs fixed rows, as a sweep round's are): in [`LaneBlock`]s of
+/// [`LANES`] chains, every group of a block in flight together as in a
+/// round, or one chain at a time through `step`. Fastest of 20 batches.
+fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
+    let src: Vec<Vec<f32>> = (0..chains)
         .map(|n| {
             (0..len)
                 .map(|z| 1.0 + ((n * 7 + z) % 13) as f32 * 0.1)
                 .collect()
         })
         .collect();
-    let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len]; m];
+    let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len]; chains];
     let k = Paper3D;
-    let reps = 200_000 / (m * len);
+    let step = |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s);
+    let reps = 200_000 / (chains * len);
+    let mut state = vec![[0.0f32; LANES]; chains / LANES];
     let mut best = f64::INFINITY;
     for _ in 0..20 {
         let t0 = Instant::now();
         for _ in 0..reps {
-            if wave_mode {
-                let mut wave = Wave::new();
-                for (n, row) in rows.iter_mut().enumerate() {
-                    wave.push(
-                        1 + n as i64,
-                        1,
-                        1,
-                        &src[n],
-                        &src[(n + 1) % m],
-                        1.5,
-                        1.5,
-                        row,
-                    );
+            if lanes {
+                state.iter_mut().for_each(|s| *s = [k.seed(1.5); LANES]);
+                for z0 in (0..len).step_by(LANES) {
+                    let groups = rows.chunks_exact_mut(LANES).zip(&mut state);
+                    for (g, (outs, s)) in groups.enumerate() {
+                        let mut blk = LaneBlock::default();
+                        for l in 0..LANES {
+                            let n = g * LANES + l;
+                            let (a, c) = (&src[n][z0..][..LANES], &src[(n + 1) % chains][z0..]);
+                            (blk.i[l], blk.j[l], blk.k[l]) = (n as i64, 1, z0 as i64);
+                            blk.diag[l] = 1.5;
+                            for z in 0..LANES {
+                                (blk.im1[z][l], blk.jm1[z][l]) = (a[z], c[z]);
+                            }
+                        }
+                        let out = blk.run(s, step);
+                        for (l, o) in outs.iter_mut().enumerate() {
+                            (0..LANES).for_each(|z| o[z0 + z] = out[z][l]);
+                        }
+                    }
                 }
-                k.eval_wave(&mut wave);
             } else {
                 for (n, row) in rows.iter_mut().enumerate() {
-                    k.eval_pencil(
-                        1 + n as i64,
-                        1,
-                        1,
-                        &src[n],
-                        &src[(n + 1) % m],
-                        1.5,
-                        1.5,
-                        row,
-                    );
+                    let (a, c) = (&src[n], &src[(n + 1) % chains]);
+                    let (mut s, mut d) = (k.seed(1.5), 1.5);
+                    for (z, o) in row.iter_mut().enumerate() {
+                        (*o, s) = k.step(n as i64, 1, z as i64, a[z], c[z], d, s);
+                        d = c[z];
+                    }
                 }
             }
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
     assert!(rows[0][len / 2].is_finite());
-    best * 1e9 / (m * len * reps) as f64
+    best * 1e9 / (chains * len * reps) as f64
 }
 
 #[test]
@@ -103,8 +109,8 @@ fn single_rank_tile_micro() {
     }
 }
 
-/// The tile walk with the arithmetic taken out: what a tile costs
-/// before its first cell.
+/// The tile sweep with the arithmetic taken out: what a tile costs
+/// besides its cells' steps — the rounds, the loads and the stores.
 #[derive(Clone, Copy)]
 struct CarveOnly;
 
@@ -113,18 +119,26 @@ impl Kernel3D for CarveOnly {
         0.0
     }
 
-    fn eval_wave(&self, _: &mut Wave<'_>) {}
+    fn step(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32, _: f32) -> (f32, f32) {
+        (0.0, 0.0)
+    }
 }
 
+/// V values `small_tile_micro` compares.
+const TILE_VS: [usize; 5] = [8, 16, 32, 64, 256];
+
 /// µs per tile of one rank's `fine-grain` share (4×8×16384, a 1×1
-/// world, so no message is sent) at tile height `v`: the parallel
-/// region of the fastest of 15 runs on a warm world.
-fn tile_us<K: Kernel3D>(kernel: K, v: usize) -> f64 {
+/// world, so no message is sent) at every tile height of [`TILE_VS`],
+/// with Paper3D and with [`CarveOnly`]: the parallel region of the
+/// fastest of 15 runs on a warm world. The runs go round the heights
+/// and kernels in turn, so a slow spell of the host is shared by all of
+/// them rather than landing on one.
+fn tile_us() -> [[f64; 2]; 5] {
     use msgpass::thread_backend::{build_world_with, LatencyModel, WorldConfig};
     use stencil::dist3d::{Decomp3D, ExecMode};
     use stencil::kernel::KernelTier;
     use stencil::plan::{run3d_on_world, Compiled3D};
-    let d = Decomp3D {
+    let d = |v| Decomp3D {
         nx: 4,
         ny: 8,
         nz: 16384,
@@ -133,16 +147,24 @@ fn tile_us<K: Kernel3D>(kernel: K, v: usize) -> f64 {
         v,
         boundary: 1.0,
     };
-    let plan = Compiled3D::compile_unchecked(d, ExecMode::Overlapping).unwrap();
+    let plans =
+        TILE_VS.map(|v| Compiled3D::compile_unchecked(d(v), ExecMode::Overlapping).unwrap());
     let mut world = build_world_with::<f32>(1, &WorldConfig::new(LatencyModel::zero()));
-    let run = |_| {
-        let (g, elapsed, _) =
-            run3d_on_world(kernel, &plan, KernelTier::Bitwise, &mut world).unwrap();
-        assert!(g.data()[1].is_finite());
-        elapsed.as_secs_f64()
-    };
-    let best = (0..15).map(run).fold(f64::INFINITY, f64::min);
-    best * 1e6 / d.steps() as f64
+    let mut best = [[f64::INFINITY; 2]; 5];
+    for _ in 0..15 {
+        for (plan, best) in plans.iter().zip(&mut best) {
+            let secs = |(g, elapsed, _): (stencil::grid::Grid3D, std::time::Duration, _)| {
+                assert!(g.data()[1].is_finite());
+                elapsed.as_secs_f64()
+            };
+            let full = run3d_on_world(Paper3D, plan, KernelTier::Bitwise, &mut world);
+            let carve = run3d_on_world(CarveOnly, plan, KernelTier::Bitwise, &mut world);
+            let per_tile = |s: f64| s * 1e6 / plan.decomp().steps() as f64;
+            best[0] = best[0].min(per_tile(secs(full.unwrap())));
+            best[1] = best[1].min(per_tile(secs(carve.unwrap())));
+        }
+    }
+    best
 }
 
 #[test]
@@ -152,8 +174,7 @@ fn small_tile_micro() {
         "4x8x16384 share, 1x1 world:   V  paper3d us/tile  ns/cell  carve-only us/tile  ns/cell"
     );
     let mut ns_per_cell = Vec::new();
-    for v in [8usize, 16, 32, 64, 256] {
-        let (full, carve) = (tile_us(Paper3D, v), tile_us(CarveOnly, v));
+    for (v, [full, carve]) in TILE_VS.into_iter().zip(tile_us()) {
         let per_cell = |us: f64| us * 1e3 / (4 * 8 * v) as f64;
         println!(
             "{v:32} {full:16.2} {:8.2} {carve:19.2} {:8.2}",
@@ -164,27 +185,27 @@ fn small_tile_micro() {
     }
     let (small, large) = (ns_per_cell[0], ns_per_cell[4]);
     assert!(
-        small <= 3.0 * large,
-        "a V = 8 tile costs {small:.2} ns/cell, over 3.0 x the {large:.2} of V = 256"
+        small <= 2.0 * large,
+        "a V = 8 tile costs {small:.2} ns/cell, over 2.0 x the {large:.2} of V = 256"
     );
 }
 
 #[test]
 #[ignore]
-fn wave_vs_pencil_micro() {
-    println!("paper3d, 64-cell pencils, ns/cell:   m  pencil    wave");
-    let mut at_max = (0.0, 0.0);
-    for m in [1usize, 2, 3, 4, 5, 8, 12, MAX_WAVE] {
-        at_max = (bench(m, 64, false), bench(m, 64, true));
-        println!("{m:38} {:7.2} {:7.2}", at_max.0, at_max.1);
+fn lanes_vs_chain_micro() {
+    println!("paper3d, independent chains, ns/cell: chains  len   chain   lanes");
+    let mut fine_grain = (0.0, 0.0);
+    for (chains, len) in [(4usize, 64usize), (8, 64), (32, 8), (32, 64), (128, 256)] {
+        let (chain, lanes) = (chains_ns(chains, len, false), chains_ns(chains, len, true));
+        println!("{chains:44} {len:4} {chain:7.2} {lanes:7.2}");
+        if (chains, len) == (32, 64) {
+            fine_grain = (chain, lanes);
+        }
     }
-    for len in [32usize, 128, 256] {
-        println!("eval_wave m= 8 len={len:3}: {:6.2}", bench(8, len, true));
-    }
-    let (pencil, wave) = at_max;
+    let (chain, lanes) = fine_grain;
     assert!(
-        wave < pencil,
-        "eval_wave at m = {MAX_WAVE} ran {wave:.2} ns/cell, {MAX_WAVE} x eval_pencil {pencil:.2}"
+        lanes < chain,
+        "32 chains of 64 cells ran {lanes:.2} ns/cell in lane blocks, {chain:.2} one chain at a time"
     );
 }
 
