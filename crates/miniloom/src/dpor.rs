@@ -2,11 +2,11 @@
 //! sleep sets over declared step footprints.
 //!
 //! [`check`] explores the schedule tree of a [`Model`] depth-first,
-//! but — unlike [`crate::explore`]'s raw enumeration — it only revisits
-//! an ordering decision when the two sides actually *conflict* (their
-//! [`Footprint`]s touch a common location with a write or sync on at
-//! least one side). The machinery is the classic Flanagan–Godefroid
-//! combination:
+//! but it only revisits an ordering decision when the two sides
+//! actually *conflict* (their [`Footprint`]s touch a common location
+//! with a write or sync on at least one side); under the default
+//! serial footprints every pair conflicts and it enumerates every merge
+//! order. The machinery is the classic Flanagan–Godefroid combination:
 //!
 //! * **backtrack (persistent) sets** — at every node, each pending
 //!   thread's next step is raced against the last conflicting,

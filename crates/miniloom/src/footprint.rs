@@ -29,7 +29,8 @@
 pub type Loc = usize;
 
 /// The location [`Footprint::serial`] synchronizes on: every step using
-/// it conflicts with every other, reproducing v1's full enumeration.
+/// it conflicts with every other, so the explorer enumerates every
+/// merge order.
 pub const GLOBAL: Loc = usize::MAX;
 
 /// One declared access of a step. See the module docs for the kinds.
@@ -75,7 +76,7 @@ impl Footprint {
 
     /// The conservative default: one [`Sync`] on the [`GLOBAL`]
     /// location, making the step dependent with every other serial
-    /// step. Models that do not declare footprints get v1's exhaustive
+    /// step. Models that do not declare footprints get an exhaustive
     /// exploration and no race reports.
     ///
     /// [`Sync`]: Access::Sync

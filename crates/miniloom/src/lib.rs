@@ -11,21 +11,17 @@
 //! The granularity is one **operation** per step (a ring push, a pool
 //! claim, a lease drop), not one memory access: a [`Model`] provides a
 //! fresh state per execution, a fixed script of steps per thread, and
-//! an invariant. Two explorers consume it:
-//!
-//! * [`explore`] — v1's raw enumeration: every merge order of the
-//!   threads' scripts, the multinomial coefficient of the step counts
-//!   (e.g. two threads of 6 steps each are `C(12,6) = 924`
-//!   executions). Exhaustive and simple, but it saturates fast: three
-//!   threads of 4–5 steps are already six-digit schedule counts.
-//! * [`check`] — v2's dynamic partial-order reduction. Each step
-//!   declares a [`Footprint`] of shared locations it touches;
-//!   independent steps commute, so only one order per Mazurkiewicz
-//!   trace is replayed (persistent + sleep sets, see [`dpor`]).
-//!   Blocked steps are modeled with [`Model::enabled`]; complete
-//!   schedules additionally pass through a vector-clock
-//!   happens-before race detector ([`vclock`]); budgets, deadlocks,
-//!   and races surface as typed [`ExploreError`]s.
+//! an invariant. One explorer consumes it, [`check`]: dynamic
+//! partial-order reduction over the [`Footprint`] of shared locations
+//! each step declares. Independent steps commute, so only one order per
+//! Mazurkiewicz trace is replayed (persistent + sleep sets, see
+//! [`dpor`]); a model that declares no footprints gets every merge
+//! order of its scripts, the multinomial coefficient of the step counts
+//! (two threads of 6 steps each are `C(12,6) = 924` executions).
+//! Blocked steps are modeled with [`Model::enabled`]; complete
+//! schedules additionally pass through a vector-clock happens-before
+//! race detector ([`vclock`]); budgets, deadlocks, and races surface as
+//! typed [`ExploreError`]s.
 //!
 //! For an SPSC protocol whose operations are linearizable this covers
 //! exactly the reorderings real threads can produce at operation
@@ -72,8 +68,8 @@ pub trait Model {
     /// The shared locations step `idx` of thread `tid` touches, used by
     /// [`check`] for partial-order reduction and race detection. The
     /// default — [`Footprint::serial`] — makes every step conflict
-    /// with every other: v1-compatible full enumeration, no race
-    /// reports, no reduction.
+    /// with every other: full enumeration, no race reports, no
+    /// reduction.
     ///
     /// A footprint must also cover the locations the step's
     /// [`Model::enabled`] guard reads; see [`footprint`]'s module docs.
@@ -86,10 +82,6 @@ pub trait Model {
     /// never schedules a disabled step, and reports a typed
     /// [`ExploreError::Deadlock`] when pending threads remain but none
     /// is enabled. The default is always-enabled.
-    ///
-    /// [`explore`] ignores this hook (it predates it and replays
-    /// whole schedules blind); models with blocking steps must use
-    /// [`check`].
     fn enabled(&self, state: &Self::State, tid: usize, idx: usize) -> bool {
         let _ = (state, tid, idx);
         true
@@ -114,8 +106,9 @@ pub trait Model {
 pub struct Report {
     /// Distinct schedules (interleavings) executed.
     pub schedules: u64,
-    /// Total steps executed across all schedules (under [`check`] this
-    /// includes prefix replays, the explorer's real cost).
+    /// Total steps executed, prefix replays included: [`check`]
+    /// replays a node's prefix from a fresh state, so this is the
+    /// explorer's real cost.
     pub steps: u64,
     /// The unreduced interleaving count ([`schedule_count`]) for
     /// comparison with `schedules`; `None` if it overflows `u64`.
@@ -152,86 +145,9 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Exhaustively run `model` under every interleaving of its threads'
-/// scripts. Returns the exploration totals, or the first violating
-/// schedule.
-///
-/// This is the v1 entry point: no reduction, no race detection, no
-/// [`Model::enabled`] support. New models should prefer [`check`].
-pub fn explore<M: Model>(model: &M) -> Result<Report, Violation> {
-    let lens: Vec<usize> = (0..model.threads()).map(|t| model.steps(t)).collect();
-    let mut report = Report {
-        schedules: 0,
-        steps: 0,
-        unreduced: schedule_count(&lens).ok(),
-    };
-    let mut prefix = Vec::with_capacity(lens.iter().sum());
-    explore_rec(
-        model,
-        &lens,
-        &mut vec![0; lens.len()],
-        &mut prefix,
-        &mut report,
-    )?;
-    Ok(report)
-}
-
-/// Depth-first enumeration of merge orders. `done[t]` counts thread
-/// `t`'s already-scheduled steps; `prefix` is the schedule so far.
-///
-/// Each full schedule replays the scripts from a fresh state. Replays
-/// share prefixes, so the exploration is `O(schedules × total_steps)`;
-/// for the protocol sizes this crate targets that is far cheaper than
-/// maintaining a state-snapshot trie.
-fn explore_rec<M: Model>(
-    model: &M,
-    lens: &[usize],
-    done: &mut Vec<usize>,
-    prefix: &mut Vec<usize>,
-    report: &mut Report,
-) -> Result<(), Violation> {
-    if done.iter().zip(lens).all(|(d, l)| d == l) {
-        report.schedules += 1;
-        report.steps += prefix.len() as u64;
-        return run_schedule(model, prefix);
-    }
-    for t in 0..lens.len() {
-        if done[t] < lens[t] {
-            done[t] += 1;
-            prefix.push(t);
-            explore_rec(model, lens, done, prefix, report)?;
-            prefix.pop();
-            done[t] -= 1;
-        }
-    }
-    Ok(())
-}
-
-/// Replay one complete schedule from a fresh state, checking the
-/// invariant after every step and after finalization.
-fn run_schedule<M: Model>(model: &M, schedule: &[usize]) -> Result<(), Violation> {
-    let mut state = model.init();
-    let mut idx = vec![0usize; model.threads()];
-    for (at, &t) in schedule.iter().enumerate() {
-        let fail = |message: String| Violation {
-            schedule: schedule[..=at].to_vec(),
-            message,
-        };
-        model.step(&mut state, t, idx[t]).map_err(fail)?;
-        idx[t] += 1;
-        model.invariant(&state).map_err(fail)?;
-    }
-    let fail = |message: String| Violation {
-        schedule: schedule.to_vec(),
-        message,
-    };
-    model.finalize(&mut state).map_err(fail)?;
-    model.invariant(&state).map_err(fail)
-}
-
 /// Number of interleavings of threads with the given step counts (the
-/// multinomial coefficient) — what [`explore`] will execute and what
-/// [`check`] reduces from. Computed as a product of binomials, whose
+/// multinomial coefficient) — what [`check`] explores under serial
+/// footprints and reduces from otherwise. Computed as a product of binomials, whose
 /// prefix products stay exact; a product that leaves `u64` yields
 /// [`ExploreError::CountOverflow`] instead of wrapping.
 pub fn schedule_count(lens: &[usize]) -> Result<u64, ExploreError> {
@@ -251,6 +167,32 @@ pub fn schedule_count(lens: &[usize]) -> Result<u64, ExploreError> {
         }
     }
     Ok(acc)
+}
+
+/// The assertion of a clean model: [`check`] under the default options
+/// passes, over `unreduced` raw interleavings. Panics with the failure
+/// otherwise; returns the report for further checks.
+#[track_caller]
+pub fn assert_clean<M: Model>(model: &M, unreduced: u64) -> Report {
+    let report = match check(model, &CheckOptions::default()) {
+        Ok(report) => report,
+        Err(e) => panic!("expected a clean model, got {e}"),
+    };
+    assert_eq!(report.unreduced, Some(unreduced), "{report:?}");
+    report
+}
+
+/// The assertion of a seeded bug: [`check`] reports a [`Violation`]
+/// with a non-empty schedule whose message names one of `names`.
+#[track_caller]
+pub fn assert_violation<M: Model>(model: &M, names: &[&str]) {
+    match check(model, &CheckOptions::default()) {
+        Err(ExploreError::Violation(v)) => {
+            assert!(!v.schedule.is_empty(), "needs a concrete prefix: {v}");
+            assert!(names.iter().any(|n| v.message.contains(n)), "{v}");
+        }
+        other => panic!("expected a Violation naming {names:?}, got {other:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -300,21 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn explores_every_interleaving() {
-        let report = explore(&Adders).expect("no violations");
-        // C(4,2) = 6 interleavings of 2+2 steps, 4 steps each.
-        assert_eq!(report.schedules, 6);
-        assert_eq!(report.steps, 24);
-        assert_eq!(report.unreduced, Some(6));
-        assert_eq!(schedule_count(&[2, 2]), Ok(6));
-    }
-
-    #[test]
     fn serial_footprints_reproduce_full_enumeration() {
         // Adders declares no footprints, so every step is Sync(GLOBAL):
-        // check() must fall back to exactly v1's schedule count.
+        // check() must run every one of the C(4,2) = 6 interleavings.
         let report = check(&Adders, &CheckOptions::default()).expect("no violations");
         assert_eq!(report.schedules, 6);
+        assert_eq!(Some(report.schedules), schedule_count(&[2, 2]).ok());
         assert_eq!(report.unreduced, Some(6));
         assert_eq!(report.reduction_ratio(), Some(1.0));
     }
@@ -336,7 +269,7 @@ mod tests {
     }
 
     /// A model whose invariant breaks only in one specific order —
-    /// exhaustiveness must find it.
+    /// serial footprints must find it.
     struct OrderSensitive;
 
     impl Model for OrderSensitive {
@@ -366,13 +299,6 @@ mod tests {
                 Ok(())
             }
         }
-    }
-
-    #[test]
-    fn finds_the_single_bad_interleaving() {
-        let v = explore(&OrderSensitive).expect_err("must find the needle");
-        assert_eq!(v.schedule, vec![1, 0, 1, 0]);
-        assert!(v.message.contains("needle"));
     }
 
     #[test]

@@ -2,27 +2,32 @@
 //! rank-thread handoff.
 //!
 //! The cross-thread stress tests exercise *some* interleavings of
-//! [`crate::slot_transport`]; this module drives the **real**
-//! `SlotTx`/`SlotRx` endpoints through [`miniloom`] to execute *every*
-//! producer/consumer merge order at operation granularity and prove,
-//! for each one:
+//! [`crate::slot_transport`]; [`SlotModel`] drives the **real**
+//! `SlotTx`/`SlotRx` endpoints through [`miniloom::check`] to execute
+//! *every* merge order of a producer, a consumer and, when it runs, a
+//! retransmitter at operation granularity and prove, for each one:
 //!
 //! * **no double-claim** — a freshly claimed slot is never one that a
-//!   live lease (staged, on the wire, or held by the consumer) still
-//!   references;
+//!   live handle (staged, parked in the ledger, on the wire, or held by
+//!   the consumer) still references;
 //! * **no ABA reuse** — every live payload still holds exactly the
 //!   generation value it was staged with, after every step;
-//! * **refcount exactness** — each tracked live lease's slot counts
-//!   exactly 1 reference and every other slot counts 0;
-//! * **no lost slot** — after draining, all messages arrived in FIFO
-//!   order with intact contents and every slot refcount returned to 0.
+//! * **refcount exactness** — each slot counts exactly as many
+//!   references as there are live handles on it (the ledger handle and
+//!   a retransmitted duplicate share their message's slot);
+//! * **FIFO, dedup and delivery count** — fresh generations arrive in
+//!   order with intact contents, stale duplicates are discarded, and
+//!   after draining every generation arrived;
+//! * **no lost slot** — after draining, every slot refcount returned
+//!   to 0.
 //!
-//! The wire-held variant ([`SlotRingModel::wire_held`]) stamps every
-//! message as still on the wire, so a producer that finds its pool
-//! exhausted **grows** it mid-schedule: the same four properties then
-//! range over every chunk, a lease issued before a grow must still
-//! read its own generation after it, and no stage may fall back to a
-//! copy — while the plain variant must never grow at all.
+//! A held wire ([`SlotModel::wire_held`]) stamps every message as still
+//! on the wire, so a producer that finds its pool exhausted **grows** it
+//! mid-schedule: the same properties then range over every chunk, a
+//! lease issued before a grow — a ledger handle too — must still read
+//! its own generation after it, the pool's grow counter must match its
+//! size, and no stage may fall back to a copy; a zero wire must never
+//! grow at all.
 //!
 //! [`HandoffModel`] checks the other protocol here with a wait in it:
 //! how a world's launching thread hands a run to a resident rank
@@ -38,7 +43,6 @@
 
 use crate::slot_transport::{make_slot_link_raw, SlotRx, SlotTx};
 use crate::transport::{Envelope, LinkRx, LinkTx, Payload, PoolStats};
-use miniloom::CheckOptions;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -46,10 +50,26 @@ use std::time::{Duration, Instant};
 /// visible, small enough to keep replays cheap.
 const PAYLOAD_LEN: usize = 3;
 
-/// The slot-ring protocol as a [`miniloom::Model`]: a producer thread
-/// staging and pushing `messages` generation-stamped payloads, and a
-/// consumer thread alternating pops with lease releases.
-struct SlotRingModel {
+/// A bug seeded into [`SlotModel`], which the checker must catch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bug {
+    /// The drain forgets the last lease instead of releasing it.
+    LeakedLease,
+    /// The retransmitter stamps each duplicate with a *fresh* tag
+    /// instead of its generation, so the consumer would count a stale
+    /// buffer as a new delivery.
+    BlindRestamp,
+}
+
+/// The slot-ring protocol as a [`miniloom::Model`]: a producer (tid 0)
+/// staging and pushing `messages` generation-stamped payloads, a
+/// consumer (tid 1) alternating pops with lease releases, and with
+/// `retransmit` a retransmitter (tid 2). The producer then parks a
+/// zero-copy ledger handle ([`Payload::share`]) on every message it
+/// stages, and the retransmitter, once per message, either drops the
+/// front ledger handle when the consumer has acknowledged its
+/// generation or pushes a duplicate of it onto the same wire.
+struct SlotModel {
     /// Payload slots the link starts with (ring capacity is twice
     /// this).
     slots: usize,
@@ -58,31 +78,77 @@ struct SlotRingModel {
     /// How long after its push a message leaves the wire. Zero: every
     /// lease is past due at once and the pool must keep its size.
     wire: Duration,
-    /// Test hook: skip the final lease release so the lost-slot
-    /// invariant must fire.
-    leak_one: bool,
+    /// Whether the retransmitter runs.
+    retransmit: bool,
+    /// The seeded bug, if any.
+    bug: Option<Bug>,
 }
 
-impl SlotRingModel {
-    /// A model of a `slots`-slot zero-latency link carrying `messages`
-    /// messages.
+impl SlotModel {
+    /// A `slots`-slot zero-latency link carrying `messages` messages.
     fn new(slots: usize, messages: usize) -> Self {
-        SlotRingModel {
+        SlotModel {
             slots,
             messages,
             wire: Duration::ZERO,
-            leak_one: false,
+            retransmit: false,
+            bug: None,
         }
     }
 
     /// The same link with every message still on the wire for the whole
     /// exploration: an exhausted pool grows instead of copying.
-    fn wire_held(slots: usize, messages: usize) -> Self {
-        SlotRingModel {
-            wire: Duration::from_secs(3600),
-            ..SlotRingModel::new(slots, messages)
+    fn wire_held(self) -> Self {
+        let wire = Duration::from_secs(3600);
+        SlotModel { wire, ..self }
+    }
+
+    /// The same link with a retransmitter and its ledger.
+    fn retransmitting(self) -> Self {
+        SlotModel {
+            retransmit: true,
+            ..self
         }
     }
+
+    /// The same link with `bug` seeded.
+    fn seeded(self, bug: Bug) -> Self {
+        let bug = Some(bug);
+        SlotModel { bug, ..self }
+    }
+
+    /// Push `payload` of generation `gen` under `tag`, on the shadow
+    /// wire too.
+    fn push(
+        &self,
+        st: &mut RingState,
+        gen: u32,
+        tag: u64,
+        payload: Payload<u32>,
+    ) -> Result<(), String> {
+        let slot = lease_slot(&payload);
+        let ready_at = Instant::now() + self.wire;
+        let env = Envelope {
+            tag,
+            payload,
+            seq: 0,
+            ready_at,
+        };
+        st.tx.push(env).map_err(|_| "receiver vanished mid-run")?;
+        st.wire.push_back(WireEntry { gen, tag, slot });
+        Ok(())
+    }
+}
+
+/// One shadow record of an envelope currently on the wire.
+struct WireEntry {
+    /// True generation of the buffer contents.
+    gen: u32,
+    /// Tag stamped on the envelope (differs from `gen` only under
+    /// [`Bug::BlindRestamp`]).
+    tag: u64,
+    /// Slot index if the payload is a lease.
+    slot: Option<usize>,
 }
 
 /// One execution's state: the real link endpoints plus the shadow
@@ -91,43 +157,65 @@ struct RingState {
     tx: SlotTx<u32>,
     rx: SlotRx<u32>,
     stats: PoolStats,
-    /// Staged but not yet pushed: (generation, payload).
-    staged: VecDeque<(u32, Payload<u32>)>,
-    /// Pushed but not yet popped: (generation, slot index if leased).
-    wire: VecDeque<(u32, Option<usize>)>,
-    /// Popped but not yet released: (generation, payload).
+    /// Staged but not yet pushed (stage and push alternate).
+    staged: Option<(u32, Payload<u32>)>,
+    /// Parked ledger handles, oldest generation first.
+    ledger: VecDeque<(u32, Payload<u32>)>,
+    /// Envelopes pushed but not yet popped, in wire FIFO order.
+    wire: VecDeque<WireEntry>,
+    /// Fresh deliveries popped but not yet released.
     held: VecDeque<(u32, Payload<u32>)>,
-    /// Next generation the consumer must observe (FIFO check).
+    /// Next fresh generation the consumer expects.
     next_pop: u32,
+    /// Next tag of a blindly re-stamped duplicate.
+    restamp: u64,
 }
 
 impl RingState {
-    /// Slot indices of every live lease the shadow state tracks.
-    fn live_slots(&self) -> Vec<usize> {
+    /// Live handles per slot: staged, in the ledger, on the wire, held.
+    fn live_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.tx.slot_count()];
         let staged = self.staged.iter().filter_map(|(_, p)| lease_slot(p));
-        let wire = self.wire.iter().filter_map(|(_, idx)| *idx);
+        let ledger = self.ledger.iter().filter_map(|(_, p)| lease_slot(p));
+        let wire = self.wire.iter().filter_map(|e| e.slot);
         let held = self.held.iter().filter_map(|(_, p)| lease_slot(p));
-        staged.chain(wire).chain(held).collect()
+        for idx in staged.chain(ledger).chain(wire).chain(held) {
+            counts[idx] += 1;
+        }
+        counts
     }
 
-    /// Pop one envelope off the real link and run the FIFO + content
-    /// checks; `Ok(false)` when the link is currently empty.
+    /// Pop one envelope off the real link and run the receiver's
+    /// checks: it is the shadow wire's front, a tag equal to the
+    /// expected generation is a fresh delivery, a smaller one a stale
+    /// duplicate to discard, a larger one a protocol error. `Ok(false)`
+    /// when the link is currently empty.
     fn pop_checked(&mut self) -> Result<bool, String> {
         let Some(env) = self.rx.try_pop() else {
             return Ok(false);
         };
-        let Some((gen, _)) = self.wire.pop_front() else {
+        let Some(entry) = self.wire.pop_front() else {
             return Err(format!("popped tag {} but nothing is on the wire", env.tag));
         };
-        if env.tag != u64::from(gen) || gen != self.next_pop {
+        let next = u64::from(self.next_pop);
+        if env.tag != entry.tag {
             return Err(format!(
-                "FIFO violated: expected generation {}, popped tag {} (wire says {gen})",
-                self.next_pop, env.tag
+                "FIFO violated: popped tag {}, the wire's front is {}",
+                env.tag, entry.tag
+            ));
+        } else if env.tag == next {
+            check_contents("delivered", self.next_pop, &env.payload)?;
+            self.next_pop += 1;
+            self.held.push_back((entry.gen, env.payload));
+        } else if env.tag < next {
+            check_contents("duplicate", entry.gen, &env.payload)?;
+            self.rx.reclaim(env.payload, &mut self.stats);
+        } else {
+            return Err(format!(
+                "message from the future: tag {} while expecting generation {next}",
+                env.tag
             ));
         }
-        check_contents("popped", gen, &env.payload)?;
-        self.next_pop += 1;
-        self.held.push_back((gen, env.payload));
         Ok(true)
     }
 }
@@ -152,7 +240,7 @@ fn check_contents(what: &str, gen: u32, p: &Payload<u32>) -> Result<(), String> 
     Ok(())
 }
 
-impl miniloom::Model for SlotRingModel {
+impl miniloom::Model for SlotModel {
     type State = RingState;
 
     fn init(&self) -> RingState {
@@ -161,44 +249,47 @@ impl miniloom::Model for SlotRingModel {
             tx,
             rx,
             stats: PoolStats::default(),
-            staged: VecDeque::new(),
+            staged: None,
+            ledger: VecDeque::new(),
             wire: VecDeque::new(),
             held: VecDeque::new(),
             next_pop: 0,
+            restamp: self.messages as u64,
         }
     }
 
     fn threads(&self) -> usize {
-        2
+        2 + usize::from(self.retransmit)
     }
 
-    fn steps(&self, _tid: usize) -> usize {
+    fn steps(&self, tid: usize) -> usize {
         // Producer: stage + push per message. Consumer: a pop attempt
         // and a release attempt per message (the finalizer drains
-        // whatever a schedule's attempts missed).
-        2 * self.messages
+        // whatever a schedule's attempts missed). Retransmitter: one
+        // ledger action per message.
+        match tid {
+            0 | 1 => 2 * self.messages,
+            _ => self.messages,
+        }
     }
 
     fn step(&self, state: &mut RingState, tid: usize, idx: usize) -> Result<(), String> {
-        if tid == 0 {
-            if idx.is_multiple_of(2) {
+        match tid {
+            0 if idx.is_multiple_of(2) => {
                 // Stage generation `idx / 2`. Budget 0: in a replayed
                 // schedule no consumer runs *during* the wait, so
                 // waiting could never succeed — an exhausted pool goes
                 // straight to the owned-copy path (which is itself an
                 // interleaving worth covering).
                 let gen = (idx / 2) as u32;
-                let live = state.live_slots();
-                let payload = state.tx.stage_with_budget(
-                    &mut state.stats,
-                    &mut |buf| {
-                        buf.clear();
-                        buf.resize(PAYLOAD_LEN, gen);
-                    },
-                    0,
-                );
+                let live = state.live_counts();
+                let fill = &mut |buf: &mut Vec<u32>| {
+                    buf.clear();
+                    buf.resize(PAYLOAD_LEN, gen);
+                };
+                let mut payload = state.tx.stage_with_budget(&mut state.stats, fill, 0);
                 match lease_slot(&payload) {
-                    Some(idx) if live.contains(&idx) => {
+                    Some(idx) if live.get(idx).is_some_and(|&n| n > 0) => {
                         return Err(format!(
                             "double-claim: stage of generation {gen} returned slot {idx}, \
                              already referenced by a live lease"
@@ -211,71 +302,86 @@ impl miniloom::Model for SlotRingModel {
                     }
                     _ => {}
                 }
-                state.staged.push_back((gen, payload));
-            } else if let Some((gen, payload)) = state.staged.pop_front() {
-                let slot = lease_slot(&payload);
-                state
-                    .tx
-                    .push(Envelope {
-                        tag: u64::from(gen),
-                        payload,
-                        seq: 0,
-                        ready_at: Instant::now() + self.wire,
-                    })
-                    .map_err(|_| "receiver vanished mid-run".to_string())?;
-                state.wire.push_back((gen, slot));
+                if self.retransmit {
+                    state.ledger.push_back((gen, payload.share()));
+                }
+                state.staged = Some((gen, payload));
             }
-        } else if idx.is_multiple_of(2) {
-            state.pop_checked()?;
-        } else if let Some((gen, payload)) = state.held.pop_front() {
-            check_contents("held", gen, &payload)?;
-            state.rx.reclaim(payload, &mut state.stats);
+            0 => {
+                if let Some((gen, payload)) = state.staged.take() {
+                    self.push(state, gen, u64::from(gen), payload)?;
+                }
+            }
+            1 if idx.is_multiple_of(2) => {
+                state.pop_checked()?;
+            }
+            1 => {
+                if let Some((gen, payload)) = state.held.pop_front() {
+                    check_contents("held", gen, &payload)?;
+                    state.rx.reclaim(payload, &mut state.stats);
+                }
+            }
+            _ => match state.ledger.front_mut() {
+                // The consumer confirmed this generation: drop the
+                // parked lease so the slot can recycle.
+                Some((gen, _)) if *gen < state.next_pop => drop(state.ledger.pop_front()),
+                // Unacked: push a zero-copy duplicate.
+                Some((gen, payload)) => {
+                    let (gen, dup) = (*gen, payload.share());
+                    let tag = match self.bug {
+                        Some(Bug::BlindRestamp) => {
+                            state.restamp += 1;
+                            state.restamp - 1
+                        }
+                        _ => u64::from(gen),
+                    };
+                    self.push(state, gen, tag, dup)?;
+                }
+                None => {}
+            },
         }
         Ok(())
     }
 
     fn invariant(&self, state: &RingState) -> Result<(), String> {
-        // Refcount exactness: every tracked live lease holds exactly
-        // one reference to a distinct slot; all other slots are free.
-        let mut live = state.live_slots();
-        live.sort_unstable();
-        if live.windows(2).any(|w| w[0] == w[1]) {
-            return Err(format!("two live leases share a slot: {live:?}"));
-        }
-        for idx in 0..state.tx.slot_count() {
+        // Refcount exactness: a slot's refcount is the number of live
+        // handles on it, and every other slot is free.
+        for (idx, expected) in state.live_counts().into_iter().enumerate() {
             let refs = state.tx.ref_count(idx);
-            let expected = u32::from(live.contains(&idx));
             if refs != expected {
                 return Err(format!(
-                    "slot {idx} refcount {refs}, expected {expected} (live: {live:?})"
+                    "slot {idx} refcount {refs}, expected {expected} live handle(s)"
                 ));
             }
         }
-        // ABA: every live payload still carries its generation.
-        for (gen, p) in state.staged.iter().chain(state.held.iter()) {
+        // ABA: every inspectable live payload still carries its
+        // generation (wire payloads are checked at pop).
+        let live = state.staged.iter().chain(&state.ledger).chain(&state.held);
+        for (gen, p) in live {
             check_contents("live", *gen, p)?;
         }
         Ok(())
     }
 
     fn finalize(&self, state: &mut RingState) -> Result<(), String> {
-        // Drain whatever this schedule's pop attempts missed.
+        // Drain the wire, release deliveries, drop the ledger.
         while state.pop_checked()? {}
         while let Some((gen, payload)) = state.held.pop_front() {
             check_contents("held", gen, &payload)?;
-            if self.leak_one && state.held.is_empty() {
-                std::mem::forget(payload); // deliberate leak (test hook)
+            if self.bug == Some(Bug::LeakedLease) && state.held.is_empty() {
+                std::mem::forget(payload); // the seeded leak
             } else {
                 state.rx.reclaim(payload, &mut state.stats);
             }
         }
+        state.ledger.clear();
         if state.next_pop != self.messages as u32 {
             return Err(format!(
-                "lost message: only {} of {} arrived",
+                "lost message: only {} of {} generations arrived",
                 state.next_pop, self.messages
             ));
         }
-        // Lost-slot check: with no live leases left, every slot's
+        // Lost-slot check: with no live handle left, every slot's
         // refcount must have returned to 0.
         for idx in 0..state.tx.slot_count() {
             let refs = state.tx.ref_count(idx);
@@ -291,289 +397,6 @@ impl miniloom::Model for SlotRingModel {
                 "pool grew by {grown} slot(s), counted {}, wire time {:?}",
                 state.stats.grown, self.wire
             ));
-        }
-        Ok(())
-    }
-}
-
-/// The slot transport with a retransmission ledger as a 3-participant
-/// [`miniloom::Model`]: a producer (tid 0) that parks a zero-copy
-/// ledger handle ([`Payload::share`]) for every message it pushes, a
-/// consumer (tid 1) that deduplicates by tag, and a retransmitter
-/// (tid 2) that either *drops* the front ledger lease once the
-/// consumer has acknowledged its generation, or pushes a duplicate of
-/// it onto the same wire.
-///
-/// On top of [`SlotRingModel`]'s refcount/ABA machinery this proves
-/// the duplicate path: a slot referenced by the ledger, the wire copy,
-/// *and* a retransmitted duplicate must count exactly that many
-/// references, and the consumer must discard stale duplicates without
-/// miscounting deliveries.
-struct SlotRetransModel {
-    /// Payload slots per link.
-    slots: usize,
-    /// Messages the producer stages and pushes.
-    messages: usize,
-    /// Seeded bug: the retransmitter re-stamps each duplicate with a
-    /// *fresh* tag instead of the original generation, so the consumer
-    /// counts a stale buffer as a new delivery.
-    blind_retransmit: bool,
-}
-
-impl SlotRetransModel {
-    /// A model of a `slots`-slot link carrying `messages` messages
-    /// with a correct, ack-respecting retransmitter.
-    fn new(slots: usize, messages: usize) -> Self {
-        SlotRetransModel {
-            slots,
-            messages,
-            blind_retransmit: false,
-        }
-    }
-
-    /// The deliberately buggy variant: duplicates are re-tagged as
-    /// fresh generations. The checker must report a violating schedule.
-    fn seeded_blind_retransmit(slots: usize, messages: usize) -> Self {
-        SlotRetransModel {
-            blind_retransmit: true,
-            ..SlotRetransModel::new(slots, messages)
-        }
-    }
-}
-
-/// One shadow record of an envelope currently on the wire.
-struct WireEntry {
-    /// True generation of the buffer contents.
-    gen: u32,
-    /// Tag actually stamped on the envelope (differs from `gen` only
-    /// for the seeded blind-retransmit bug).
-    tag: u64,
-    /// Slot index if the payload is a lease.
-    slot: Option<usize>,
-}
-
-/// One execution's state for [`SlotRetransModel`].
-struct RetransState {
-    tx: SlotTx<u32>,
-    rx: SlotRx<u32>,
-    stats: PoolStats,
-    /// Staged but not yet pushed (at most one: stage/push alternate).
-    staged: Option<(u32, Payload<u32>)>,
-    /// Parked ledger handles, oldest generation first.
-    ledger: VecDeque<(u32, Payload<u32>)>,
-    /// Envelopes pushed but not yet popped, in wire FIFO order.
-    wire: VecDeque<WireEntry>,
-    /// Fresh deliveries popped but not yet released.
-    held: VecDeque<(u32, Payload<u32>)>,
-    /// Next fresh generation the consumer expects.
-    next_pop: u32,
-    /// Tag counter for the seeded blind-retransmit bug.
-    restamp: u64,
-}
-
-impl RetransState {
-    /// Slot index and multiplicity of every live lease handle.
-    fn live_slot_counts(&self, slot_count: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; slot_count];
-        let staged = self.staged.iter().filter_map(|(_, p)| lease_slot(p));
-        let ledger = self.ledger.iter().filter_map(|(_, p)| lease_slot(p));
-        let wire = self.wire.iter().filter_map(|e| e.slot);
-        let held = self.held.iter().filter_map(|(_, p)| lease_slot(p));
-        for idx in staged.chain(ledger).chain(wire).chain(held) {
-            counts[idx] += 1;
-        }
-        counts
-    }
-
-    /// Pop one envelope and run the receiver's dedup logic: a tag equal
-    /// to the expected generation is a fresh delivery, a smaller tag is
-    /// a stale duplicate to discard, a larger one is a protocol error.
-    fn pop_checked(&mut self) -> Result<bool, String> {
-        let Some(env) = self.rx.try_pop() else {
-            return Ok(false);
-        };
-        let Some(entry) = self.wire.pop_front() else {
-            return Err(format!("popped tag {} but nothing is on the wire", env.tag));
-        };
-        if env.tag != entry.tag {
-            return Err(format!(
-                "wire reordered: popped tag {}, shadow front says {}",
-                env.tag, entry.tag
-            ));
-        }
-        if env.tag == u64::from(self.next_pop) {
-            // Fresh delivery: the buffer must carry the tag's data.
-            check_contents("delivered", env.tag as u32, &env.payload)?;
-            self.next_pop += 1;
-            self.held.push_back((entry.gen, env.payload));
-        } else if env.tag < u64::from(self.next_pop) {
-            // Stale duplicate: verify and discard immediately.
-            check_contents("duplicate", entry.gen, &env.payload)?;
-            self.rx.reclaim(env.payload, &mut self.stats);
-        } else {
-            return Err(format!(
-                "message from the future: tag {} while expecting generation {}",
-                env.tag, self.next_pop
-            ));
-        }
-        Ok(true)
-    }
-}
-
-impl miniloom::Model for SlotRetransModel {
-    type State = RetransState;
-
-    fn init(&self) -> RetransState {
-        let (tx, rx) = make_slot_link_raw(self.slots);
-        RetransState {
-            tx,
-            rx,
-            stats: PoolStats::default(),
-            staged: None,
-            ledger: VecDeque::new(),
-            wire: VecDeque::new(),
-            held: VecDeque::new(),
-            next_pop: 0,
-            restamp: self.messages as u64,
-        }
-    }
-
-    fn threads(&self) -> usize {
-        3
-    }
-
-    fn steps(&self, tid: usize) -> usize {
-        match tid {
-            // Producer stages + pushes, consumer pops + releases.
-            0 | 1 => 2 * self.messages,
-            // Retransmitter: one ledger action per message.
-            _ => self.messages,
-        }
-    }
-
-    fn step(&self, state: &mut RetransState, tid: usize, idx: usize) -> Result<(), String> {
-        match tid {
-            0 => {
-                if idx.is_multiple_of(2) {
-                    // Stage generation idx/2 and park a ledger handle on
-                    // the same buffer before it ever hits the wire.
-                    let gen = (idx / 2) as u32;
-                    let mut payload = state.tx.stage_with_budget(
-                        &mut state.stats,
-                        &mut |buf| {
-                            buf.clear();
-                            buf.resize(PAYLOAD_LEN, gen);
-                        },
-                        0,
-                    );
-                    state.ledger.push_back((gen, payload.share()));
-                    state.staged = Some((gen, payload));
-                } else if let Some((gen, payload)) = state.staged.take() {
-                    let slot = lease_slot(&payload);
-                    state
-                        .tx
-                        .push(Envelope {
-                            tag: u64::from(gen),
-                            payload,
-                            seq: 0,
-                            ready_at: Instant::now(),
-                        })
-                        .map_err(|_| "receiver vanished mid-run".to_string())?;
-                    state.wire.push_back(WireEntry {
-                        gen,
-                        tag: u64::from(gen),
-                        slot,
-                    });
-                }
-            }
-            1 => {
-                if idx.is_multiple_of(2) {
-                    state.pop_checked()?;
-                } else if let Some((gen, payload)) = state.held.pop_front() {
-                    check_contents("held", gen, &payload)?;
-                    state.rx.reclaim(payload, &mut state.stats);
-                }
-            }
-            _ => {
-                let acked = state
-                    .ledger
-                    .front()
-                    .is_some_and(|(gen, _)| *gen < state.next_pop);
-                if acked {
-                    // The consumer confirmed this generation: drop the
-                    // parked lease so the slot can recycle.
-                    state.ledger.pop_front();
-                } else if let Some((gen, payload)) = state.ledger.front_mut() {
-                    // Unacked: push a zero-copy duplicate.
-                    let dup = payload.share();
-                    let slot = lease_slot(&dup);
-                    let gen = *gen;
-                    let tag = if self.blind_retransmit {
-                        let t = state.restamp;
-                        state.restamp += 1;
-                        t
-                    } else {
-                        u64::from(gen)
-                    };
-                    state
-                        .tx
-                        .push(Envelope {
-                            tag,
-                            payload: dup,
-                            seq: 0,
-                            ready_at: Instant::now(),
-                        })
-                        .map_err(|_| "receiver vanished mid-run".to_string())?;
-                    state.wire.push_back(WireEntry { gen, tag, slot });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn invariant(&self, state: &RetransState) -> Result<(), String> {
-        // Refcount exactness, duplicate-aware: a slot's refcount must
-        // equal the number of live handles on it (staged + ledger +
-        // wire + held), not merely 0 or 1.
-        let counts = state.live_slot_counts(state.tx.slot_count());
-        for (idx, &expected) in counts.iter().enumerate() {
-            let refs = state.tx.ref_count(idx);
-            if refs != expected {
-                return Err(format!(
-                    "slot {idx} refcount {refs}, expected {expected} live handle(s)"
-                ));
-            }
-        }
-        // ABA: every inspectable live payload still carries its
-        // generation (wire payloads are checked at pop).
-        let held = state.staged.iter().chain(&state.ledger).chain(&state.held);
-        for (gen, p) in held {
-            check_contents("live", *gen, p)?;
-        }
-        Ok(())
-    }
-
-    fn finalize(&self, state: &mut RetransState) -> Result<(), String> {
-        // Drain the wire, release deliveries, drop the ledger.
-        while state.pop_checked()? {}
-        while let Some((gen, payload)) = state.held.pop_front() {
-            check_contents("held", gen, &payload)?;
-            state.rx.reclaim(payload, &mut state.stats);
-        }
-        state.ledger.clear();
-        if state.next_pop != self.messages as u32 {
-            return Err(format!(
-                "delivery miscount: {} of {} fresh generations arrived",
-                state.next_pop, self.messages
-            ));
-        }
-        for idx in 0..state.tx.slot_count() {
-            let refs = state.tx.ref_count(idx);
-            if refs != 0 {
-                return Err(format!(
-                    "lost slot: slot {idx} still holds {refs} reference(s)"
-                ));
-            }
         }
         Ok(())
     }
@@ -692,16 +515,25 @@ impl miniloom::Model for HandoffModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miniloom::{assert_clean, assert_violation, Model};
+
+    /// Run `schedule` (thread ids in order) on a fresh state by hand,
+    /// checking the invariant after every step.
+    fn replay(model: &SlotModel, schedule: &[usize]) -> RingState {
+        let mut state = model.init();
+        let mut next = [0; 3];
+        for &tid in schedule {
+            model.step(&mut state, tid, next[tid]).expect("clean step");
+            model.invariant(&state).expect("clean state");
+            next[tid] += 1;
+        }
+        state
+    }
 
     #[test]
     fn capacity_two_ring_is_clean_across_all_924_interleavings() {
         // slots = 1 → ring capacity 2; 3 messages → 6 steps per thread.
-        let report = miniloom::explore(&SlotRingModel::new(1, 3))
-            .expect("no interleaving violates the slot protocol");
-        assert_eq!(
-            Ok(report.schedules),
-            miniloom::schedule_count(&[6, 6]).map_err(|e| e.to_string())
-        );
+        let report = assert_clean(&SlotModel::new(1, 3), 924);
         assert_eq!(report.schedules, 924);
     }
 
@@ -709,8 +541,7 @@ mod tests {
     fn two_slot_ring_is_clean() {
         // 12!/(6!·6!) = 924 and 16!/(8!·8!) = 12870 merge orders.
         for (messages, schedules) in [(3, 924), (4, 12870)] {
-            let report = miniloom::explore(&SlotRingModel::new(2, messages))
-                .expect("no interleaving violates the slot protocol");
+            let report = assert_clean(&SlotModel::new(2, messages), schedules);
             assert_eq!(report.schedules, schedules);
         }
     }
@@ -721,25 +552,16 @@ mod tests {
         // producer-first schedules grow the pool (1 → 2 → 4), the
         // lockstep ones reuse slot 0 and never do, and every mix in
         // between claims across chunk boundaries.
-        for (slots, messages) in [(1, 3), (2, 4)] {
-            let model = SlotRingModel::wire_held(slots, messages);
-            let report = miniloom::explore(&model).expect("growth keeps the slot protocol");
-            assert_eq!(
-                Ok(report.schedules),
-                miniloom::schedule_count(&[2 * messages, 2 * messages]).map_err(|e| e.to_string())
-            );
+        for (slots, messages, schedules) in [(1, 3, 924), (2, 4, 12870)] {
+            let model = SlotModel::new(slots, messages).wire_held();
+            let report = assert_clean(&model, schedules);
+            assert_eq!(report.schedules, schedules);
         }
         // The all-producer-then-all-consumer schedule, by hand: the
         // pool did grow, and by exactly what the counters say.
-        let model = SlotRingModel::wire_held(1, 3);
-        let mut state = miniloom::Model::init(&model);
-        for tid in 0..2 {
-            for idx in 0..6 {
-                miniloom::Model::step(&model, &mut state, tid, idx).expect("clean step");
-                miniloom::Model::invariant(&model, &state).expect("clean state");
-            }
-        }
-        miniloom::Model::finalize(&model, &mut state).expect("clean drain");
+        let model = SlotModel::new(1, 3).wire_held();
+        let mut state = replay(&model, &[0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]);
+        model.finalize(&mut state).expect("clean drain");
         assert_eq!(state.tx.slot_count(), 4, "1 → 2 → 4");
         assert_eq!(state.stats.grown, 3);
         assert_eq!(state.stats.stage_waits, 0);
@@ -748,57 +570,50 @@ mod tests {
     #[test]
     fn checker_detects_a_leaked_lease() {
         // Sanity-check the harness itself: forgetting one lease must
-        // trip the lost-slot invariant on the very first schedule —
+        // trip the lost-slot check on the very first schedule —
         // whether or not the pool grew on the way.
-        for mut model in [SlotRingModel::new(2, 2), SlotRingModel::wire_held(1, 2)] {
-            model.leak_one = true;
-            let v = miniloom::explore(&model).expect_err("a leak must be caught");
-            assert!(v.message.contains("lost slot"), "{v}");
+        for model in [SlotModel::new(2, 2), SlotModel::new(1, 2).wire_held()] {
+            assert_violation(&model.seeded(Bug::LeakedLease), &["lost slot"]);
         }
     }
 
     #[test]
     fn retransmission_protocol_is_clean_across_all_3150_interleavings() {
         // Scripts of 4 + 4 + 2 steps: 10!/(4!·4!·2!) = 3150 merge
-        // orders, all explored (the wire serializes every step).
-        let report = miniloom::check(&SlotRetransModel::new(2, 2), &CheckOptions::default())
-            .expect("retransmission protocol is clean");
-        assert_eq!(report.unreduced, Some(3150));
-        assert!(
-            report.schedules > 0 && report.schedules <= 3150,
-            "{report:?}"
-        );
+        // orders, all explored (the wire serializes every step). On a
+        // held wire one slot must grow, whether the wire, the consumer
+        // or only the ledger still leases slot 0, and the ledger's
+        // handles must keep their generation across the grow.
+        let held = SlotModel::new(1, 2).retransmitting().wire_held();
+        for model in [&SlotModel::new(2, 2).retransmitting(), &held] {
+            let report = assert_clean(model, 3150);
+            assert_eq!(report.schedules, 3150);
+        }
+        // The producer first, by hand: the second stage grew the pool.
+        let state = replay(&held, &[0, 0, 0, 0]);
+        assert_eq!((state.tx.slot_count(), state.stats.grown), (2, 1));
+        assert_eq!(state.ledger.len(), 2);
     }
 
     #[test]
     fn blind_retransmit_restamping_is_caught_with_a_schedule() {
-        let model = SlotRetransModel::seeded_blind_retransmit(2, 2);
-        let err = miniloom::check(&model, &CheckOptions::default())
-            .expect_err("fresh-tagged duplicates must be caught");
-        match err {
-            miniloom::ExploreError::Violation(v) => {
-                assert!(!v.schedule.is_empty(), "needs a concrete prefix");
-                assert!(
-                    v.message.contains("future") || v.message.contains("delivered"),
-                    "{v}"
-                );
-            }
-            other => panic!("expected a Violation, got {other}"),
-        }
+        let model = SlotModel::new(2, 2)
+            .retransmitting()
+            .seeded(Bug::BlindRestamp);
+        assert_violation(&model, &["future", "delivered"]);
     }
 
     #[test]
     fn the_rank_thread_handoff_is_clean_across_all_interleavings() {
-        let clean = HandoffModel { lost_wakeup: false };
-        let report = miniloom::check(&clean, &CheckOptions::default())
-            .expect("post, unpark, park, re-read never loses a wakeup or races");
-        assert_eq!(report.unreduced, Some(126), "9!/(4!·5!) merge orders");
+        // 9!/(4!·5!) merge orders: post, unpark, park, re-read never
+        // loses a wakeup or races.
+        assert_clean(&HandoffModel { lost_wakeup: false }, 126);
     }
 
     #[test]
     fn an_unpark_before_the_post_is_caught_as_a_deadlock() {
         let seeded = HandoffModel { lost_wakeup: true };
-        match miniloom::check(&seeded, &CheckOptions::default()) {
+        match miniloom::check(&seeded, &miniloom::CheckOptions::default()) {
             Err(miniloom::ExploreError::Deadlock { schedule, blocked }) => {
                 assert!(!schedule.is_empty(), "needs a concrete prefix");
                 assert_eq!(blocked, [0, 1], "caller waits for DONE, resident sleeps");

@@ -22,7 +22,7 @@
 //!   exploration is exhaustive, and the checker must report each with a
 //!   concrete schedule prefix.
 
-use miniloom::{CheckOptions, ExploreError, Footprint, Model};
+use miniloom::{Footprint, Model};
 
 /// Modeled location: the single-flight inflight map + cache mutexes.
 const SF: usize = 0;
@@ -490,44 +490,27 @@ impl Model for WorldPoolModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miniloom::{assert_clean, assert_violation};
 
     #[test]
     fn single_flight_is_clean_on_both_outcome_paths() {
         for fail in [false, true] {
-            let report = miniloom::check(&SingleFlightModel::new(fail), &CheckOptions::default())
-                .unwrap_or_else(|e| panic!("single-flight fail={fail}: {e}"));
-            assert!(report.schedules > 0);
             // 7!/(3!·3!·1!) = 140 raw merge orders.
-            assert_eq!(report.unreduced, Some(140));
+            assert!(assert_clean(&SingleFlightModel::new(fail), 140).schedules > 0);
         }
     }
 
     #[test]
     fn split_probe_toctou_is_caught() {
         for fail in [false, true] {
-            let err = miniloom::check(
-                &SingleFlightModel::seeded_split_probe(fail),
-                &CheckOptions::default(),
-            )
-            .expect_err("the split probe must double-lead somewhere");
-            match err {
-                ExploreError::Violation(v) => {
-                    assert!(!v.schedule.is_empty());
-                    assert!(
-                        v.message.contains("duplicate") || v.message.contains("recheck"),
-                        "{v}"
-                    );
-                }
-                other => panic!("expected a Violation, got {other}"),
-            }
+            let model = SingleFlightModel::seeded_split_probe(fail);
+            assert_violation(&model, &["duplicate", "recheck"]);
         }
     }
 
     #[test]
     fn world_pool_is_clean_and_reduced() {
-        let report = miniloom::check(&WorldPoolModel::new(), &CheckOptions::default())
-            .expect("the shipped pool protocol is clean");
-        assert_eq!(report.unreduced, Some(140));
+        let report = assert_clean(&WorldPoolModel::new(), 140);
         assert!(
             report.schedules < 140,
             "driving is private, DPOR must skip those orders: {report:?}"
@@ -536,17 +519,6 @@ mod tests {
 
     #[test]
     fn park_while_held_is_caught() {
-        let err = miniloom::check(
-            &WorldPoolModel::seeded_park_while_held(),
-            &CheckOptions::default(),
-        )
-        .expect_err("a parked-then-driven world must be caught");
-        match err {
-            ExploreError::Violation(v) => {
-                assert!(!v.schedule.is_empty());
-                assert!(v.message.contains("drove world"), "{v}");
-            }
-            other => panic!("expected a Violation, got {other}"),
-        }
+        assert_violation(&WorldPoolModel::seeded_park_while_held(), &["drove world"]);
     }
 }

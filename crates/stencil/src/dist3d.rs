@@ -24,18 +24,18 @@
 //! over. **A tile is one skewed sweep**, the paper's linear schedule
 //! inside the tile: pencil `(i, j)` runs its block `b` of [`LANES`]
 //! cells in round `i + j + b`, diagonals go to the kernel [`LANES`]
-//! pencils at a time (a [`LaneBlock`] through [`Kernel3D::step`]), and a
-//! group reads its inputs as whole vectors from the groups one diagonal
-//! back. The walk — which pencils form which group, and where each group
-//! reads — depends on the block's `(bx, by)` alone, so it is compiled
-//! once per layout into a [`SweepPlan`] that the compiled plan keeps (up
-//! to 1 MiB). A tile is computed into a buffer of the groups' outputs
-//! and then copied to the pencils, one pencil at a time: the pencils of
-//! a block are `nz` cells apart, so the cells one round writes all fall
-//! in a few sets of the cache, and writing them there round by round
-//! evicts what the next rounds need. Faces pack straight from the
-//! pencils into, and unpack straight out of, transport wire storage — on
-//! a slot-transport world the peer-visible slot itself — and a
+//! pencils at a time (a [`LaneBlock`] through [`Kernel3D::step`]), and
+//! a group reads its inputs as whole vectors from the groups one
+//! diagonal back. The walk — which pencils form which group, and where
+//! each group reads — depends on the block's `(bx, by)` alone, so it is
+//! compiled once per run into a [`SweepPlan`] that every rank shares. A
+//! tile is computed into a buffer of the groups' outputs and then
+//! copied to the pencils, one pencil at a time: the pencils of a block
+//! are `nz` cells apart, so the cells one round writes all fall in a
+//! few sets of the cache, and writing them there round by round evicts
+//! what the next rounds need. Faces pack straight from the pencils
+//! into, and unpack straight out of, transport wire storage — on a
+//! slot-transport world the peer-visible slot itself — and a
 //! steady-state step performs zero heap allocations (asserted by
 //! `tests/zero_alloc.rs`).
 //!
@@ -274,9 +274,8 @@ pub(crate) struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// The sweep of the blocks of `d`. It depends on the layout alone,
-    /// so a compiled plan keeps it when it is small
-    /// (`Compiled3D::walks`).
+    /// The sweep of the blocks of `d`. It depends on the layout alone;
+    /// a run builds it once and lends it to every rank.
     pub(crate) fn of(d: &Decomp3D) -> SweepPlan {
         SweepPlan::build(d.bx(), d.by())
     }
@@ -284,7 +283,9 @@ impl SweepPlan {
     /// Compile the sweep of a `bx × by` block.
     fn build(bx: usize, by: usize) -> Self {
         let chunks = bx.div_ceil(LANES);
-        let mut groups = Vec::new();
+        // Chunk `c` of width `w` spans the `w + by − 1` diagonals from
+        // its first pencil's to its last's, one group on each.
+        let mut groups = Vec::with_capacity(bx + chunks * (by - 1));
         // The group of each `i` chunk on the last diagonal, and on this.
         let (mut last, mut here) = (vec![None; chunks], vec![None; chunks]);
         for t in 0..bx + by - 1 {
@@ -316,11 +317,6 @@ impl SweepPlan {
             groups,
             last_t: bx + by - 2,
         }
-    }
-
-    /// Bytes this sweep holds on the heap.
-    pub(crate) fn bytes(&self) -> usize {
-        self.groups.capacity() * std::mem::size_of::<Group>()
     }
 }
 
@@ -641,7 +637,7 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     let d = c.decomp();
     let mut block = vec![0.0; d.bx() * d.by() * d.nz];
     let rows = block.chunks_exact_mut(d.nz).collect();
-    run_rank3d_into(comm, kernel, c, tier, obs, rows, &c.walks())?;
+    run_rank3d_into(comm, kernel, c, tier, obs, rows, &SweepPlan::of(&d))?;
     Ok(block)
 }
 

@@ -8,9 +8,7 @@
 //! those very programs legal, fully matched and deadlock-free.
 //! Compiling is the *only* place validation and pre-flight happen, and
 //! every runner takes a compiled plan, so one compile backs any number
-//! of executions (the `planc` crate's `PlanArtifact` caches them). The
-//! tile walk its ranks share is built by a plan's first run and kept
-//! with it, up to `WALK_MAX_BYTES`.
+//! of executions (the `planc` crate's `PlanArtifact` caches them).
 //!
 //! Every run takes one path: the runner takes the result [`Grid3D`]
 //! (the newest parked cells of a dropped grid of the same size when
@@ -42,33 +40,20 @@ use cluster_sim::program::{Op, Program};
 use msgpass::comm::Communicator;
 use msgpass::fault::FaultStats;
 use msgpass::thread_backend::{run_threads_with, run_world, ThreadComm, World, WorldConfig};
-use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 use tiling_core::machine::KernelTier;
 
-/// Most bytes of tile walk a [`Compiled3D`] keeps. A walk grows with
-/// the blocks' cross-section (≈ 14 B per pencil) and a service caches
-/// many plans, so a plan whose walk is larger builds it for each run,
-/// as it takes its result grid for each run.
-const WALK_MAX_BYTES: usize = 1 << 20;
-
 /// A compiled, analyzer-approved plan over the block layout (§5):
 /// decomposition, per-rank programs and pre-flight report, sealed at
-/// compile time, and the ranks' tile walk, built by its first run.
+/// compile time.
 #[derive(Clone, Debug)]
 pub struct Compiled3D {
     d: Decomp3D,
     mode: ExecMode,
     programs: Vec<Program>,
     report: Option<AnalysisReport>,
-    /// The layout's [`dist3d::SweepPlan::of`], which every rank runs,
-    /// or `None` when it is over `WALK_MAX_BYTES`. It is as large as the
-    /// blocks' cross-section, so it is built after a run got its result
-    /// grid — a grid larger than memory stays an
-    /// [`EngineError::OutOfMemory`] — never at seal.
-    walks: OnceLock<Option<dist3d::SweepPlan>>,
 }
 
 impl Compiled3D {
@@ -99,7 +84,6 @@ impl Compiled3D {
             mode,
             programs,
             report,
-            walks: OnceLock::new(),
         })
     }
 
@@ -123,26 +107,6 @@ impl Compiled3D {
                 expected: self.ranks(),
                 got: comm.size(),
             }),
-        }
-    }
-
-    /// The ranks' tile walk: the first call builds it and keeps it if
-    /// it fits `WALK_MAX_BYTES`; a plan that did not keep it builds it
-    /// again for each call.
-    pub(crate) fn walks(&self) -> Cow<'_, dist3d::SweepPlan> {
-        let build = || dist3d::SweepPlan::of(&self.d);
-        let mut first = None;
-        let kept = self.walks.get_or_init(|| {
-            let built = build();
-            if built.bytes() <= WALK_MAX_BYTES {
-                return Some(built);
-            }
-            first = Some(built);
-            None
-        });
-        match kept {
-            Some(walks) => Cow::Borrowed(walks),
-            None => Cow::Owned(first.unwrap_or_else(build)),
         }
     }
 
@@ -198,8 +162,9 @@ pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineEr
 /// deal its pencils out to the ranks, and have `launch` run the rank
 /// body once per rank of some world. Every cell is written exactly
 /// once, by its owner, so what the cells held before is never read.
-/// The tile walk is taken here too, on the launching thread, once the
-/// grid is there: the first run of `c` builds it.
+/// The tile walk is built here too, once the grid is there, and lent to
+/// every rank: it is as large as a block's cross-section, so a grid
+/// larger than memory stays an [`EngineError::OutOfMemory`].
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
@@ -214,7 +179,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
         Grid3D::try_unfilled(d.nx, d.ny, d.nz, d.boundary).ok_or(EngineError::OutOfMemory {
             bytes: d.nx * d.ny * d.nz * std::mem::size_of::<f32>(),
         })?;
-    let walks = c.walks();
+    let walk = dist3d::SweepPlan::of(&d);
     let (results, elapsed) = {
         // The body is shared by the ranks, so each takes its pencils
         // out of its own slot.
@@ -227,7 +192,7 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
             let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
             #[allow(clippy::expect_used)] // LINT: a world runs each rank once
             let rows = part.expect("a world runs each rank once");
-            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, &walks);
+            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, &walk);
             (run, (obs, comm.fault_stats()))
         })
     };
@@ -425,23 +390,8 @@ mod tests {
     }
 
     #[test]
-    fn the_first_run_builds_the_walks_and_later_ones_reuse_them() {
-        let c = Compiled3D::compile(d3(), ExecMode::Overlapping).expect("clean plan");
-        assert!(c.walks.get().is_none(), "not at seal");
-        let cfg = WorldConfig::new(LatencyModel::zero());
-        run3d_with(Paper3D, &c, &cfg).expect("runs");
-        let kept = |c: &Compiled3D| c.walks.get()?.as_ref().map(std::ptr::from_ref);
-        let built = kept(&c).expect("by the first run");
-        let mut world = build_world_with::<f32>(c.ranks(), &cfg);
-        run3d_on_world(Paper3D, &c, KernelTier::Bitwise, &mut world).expect("runs");
-        assert_eq!(kept(&c), Some(built));
-        assert!(matches!(c.walks(), Cow::Borrowed(_)));
-        assert_eq!(*c.walks(), dist3d::SweepPlan::of(&d3()));
-    }
-
-    #[test]
-    fn a_plan_keeps_no_walks_over_the_budget() {
-        // 288 × 288 pencils per rank: ≈ 1.2 MB of walk.
+    fn a_wide_block_runs_bitwise_twice() {
+        // 288 × 288 pencils per rank: a walk of ≈ 1.2 MB, built per run.
         let d = Decomp3D {
             nx: 576,
             ny: 288,
@@ -457,12 +407,7 @@ mod tests {
         for _ in 0..2 {
             let (grid, _, _) = run3d_with(Paper3D, &c, &cfg).expect("runs");
             assert_eq!(grid.max_abs_diff(&seq), 0.0);
-            assert!(matches!(c.walks.get(), Some(None)), "built per run");
         }
-        let walks = c.walks();
-        assert!(matches!(walks, Cow::Owned(_)));
-        let bytes = walks.bytes();
-        assert!(bytes > WALK_MAX_BYTES, "{bytes} bytes");
     }
 
     #[test]
