@@ -26,15 +26,20 @@
 //! cells in round `i + j + b`, diagonals go to the kernel [`LANES`]
 //! pencils at a time (a [`LaneBlock`] through [`Kernel3D::step`]), and
 //! a group reads its inputs as whole vectors from the groups one
-//! diagonal back. The walk — which pencils form which group, and where
-//! each group reads — depends on the block's `(bx, by)` alone, so it is
-//! compiled once per run into a [`SweepPlan`] that every rank shares. A
-//! tile is computed into a buffer of the groups' outputs and then
-//! copied to the pencils, one pencil at a time: the pencils of a block
-//! are `nz` cells apart, so the cells one round writes all fall in a
-//! few sets of the cache, and writing them there round by round evicts
-//! what the next rounds need. Faces pack straight from the pencils
-//! into, and unpack straight out of, transport wire storage — on a
+//! diagonal back. Each cell is lifted once ([`Kernel3D::lift`]; the
+//! paper kernel's `√x⁺`) into its group's slot, which is what every
+//! successor reads; halo cells are lifted where they are read. The
+//! walk — which pencils form which group, and where each group reads —
+//! depends on the block's `(bx, by)` alone, so it is compiled once per
+//! run into a [`SweepPlan`] that every rank shares. A tile is computed
+//! into a buffer of the groups' raw outputs and then copied to the
+//! pencils, one pencil at a time. That copy is bound by its writes to
+//! the destination (a `memcpy` of the same bytes from a pencil-major
+//! buffer costs as much); writing each round's cells into the pencils
+//! as they are made costs 1.35–1.45 × the copy, and padding the pencil
+//! pitch changes neither, so cache-set aliasing is not the cause. Faces
+//! pack straight from the pencils into, and unpack straight out of,
+//! transport wire storage — on a
 //! slot-transport world the peer-visible slot itself — and a
 //! steady-state step performs zero heap allocations (asserted by
 //! `tests/zero_alloc.rs`).
@@ -326,16 +331,13 @@ fn shift_in(first: [f32; LANES], x: [[f32; LANES]; LANES]) -> [[f32; LANES]; LAN
     core::array::from_fn(|z| core::array::from_fn(|l| if l == 0 { first[z] } else { x[z][l - 1] }))
 }
 
-/// What the sweep keeps of one lane group between its rounds.
+/// What the sweep keeps of one lane group between its blocks and
+/// tiles, lifted ([`Kernel3D::lift`]).
 #[derive(Clone, Copy, Default)]
 struct Lanes {
-    /// The state each lane carries to its next cell.
-    s: [f32; LANES],
-    /// Each lane's top cell of the last tile: its seed, and one diagonal
-    /// on the diagonal of a first cell.
+    /// Each lane's top cell of the last tile: the `k−1` input of its
+    /// first cell, and one lane over the diagonal of a first cell.
     top: [f32; LANES],
-    /// Each lane's top cell of this tile, once its last block ran.
-    next: [f32; LANES],
     /// Each lane's `j−1` input at the last cell of its last block: the
     /// diagonal of its next block's first cell.
     diag: [f32; LANES],
@@ -356,9 +358,13 @@ struct Block3D<'g, K> {
     /// Every group's [`Lanes`], in plan order, and one of the boundary
     /// splat for the groups whose `jm1` is off the block.
     lanes: Vec<Lanes>,
-    /// The tile being computed, as the groups' [`LaneBlock::run`]
+    /// Every group's last block, lifted, in plan order — what the
+    /// groups one diagonal on read in the next round — and a last slot
+    /// of the lifted boundary splat.
+    lifted: Vec<[[f32; LANES]; LANES]>,
+    /// The tile being computed, as the groups' [`LaneBlock::run`] raw
     /// outputs, `tile[g · tile_blocks + b]` group `g`'s block `b`, before
-    /// it goes to `rows`; a last row holds the boundary splat.
+    /// it goes to `rows`.
     tile: Vec<[[f32; LANES]; LANES]>,
     /// Blocks of a group in `tile`: a full tile's, rounded up to an odd
     /// count so that the same block of different groups spreads over
@@ -367,7 +373,8 @@ struct Block3D<'g, K> {
     /// The halo windows `i = own_lo_i − 1` (`by` rows) and
     /// `j = own_lo_j − 1` (`bx` rows) in lane blocks, `row_blocks` a
     /// row: a block whose last cell is the one below the window, then
-    /// the window's blocks. Empty without an upstream neighbor.
+    /// the window's blocks, as received (not lifted). Empty without an
+    /// upstream neighbor.
     halo: [Vec<[f32; LANES]>; 2],
     /// Blocks of a halo row.
     row_blocks: usize,
@@ -394,6 +401,12 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         let window = d.krange(0).1;
         let row_blocks = 1 + window.div_ceil(LANES);
         let tile_blocks = window.div_ceil(LANES) | 1;
+        let boundary = match tier {
+            KernelTier::Bitwise => kernel.lift(d.boundary),
+            KernelTier::Fast => kernel.lift_fast(d.boundary),
+        };
+        let splat = [boundary; LANES];
+        let slots = plan.groups.len() + 1;
         Block3D {
             d,
             kernel,
@@ -403,13 +416,13 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
             plan,
             lanes: vec![
                 Lanes {
-                    top: [d.boundary; LANES],
-                    next: [d.boundary; LANES],
-                    ..Lanes::default()
+                    top: splat,
+                    diag: splat
                 };
-                plan.groups.len() + 1
+                slots
             ],
-            tile: vec![[[d.boundary; LANES]; LANES]; (plan.groups.len() + 1) * tile_blocks],
+            lifted: vec![[splat; LANES]; slots],
+            tile: vec![[[d.boundary; LANES]; LANES]; plan.groups.len() * tile_blocks],
             tile_blocks,
             halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match up[dir] {
                 true => vec![[d.boundary; LANES]; rows * row_blocks],
@@ -430,7 +443,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
     /// [`crate::seq`] on the pinned tier: a single-assignment
     /// recurrence doesn't care in which order independent cells are
     /// written, and each cell's own operation order is preserved by the
-    /// step contract (asserted by the kernel proptests).
+    /// lift/step contract (asserted by the kernel proptests).
     fn compute_tile(&mut self, k: usize) {
         let (k0, k1) = self.d.krange(k);
         assert_eq!(k0, self.taken, "tiles are computed bottom-up");
@@ -438,12 +451,12 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         match self.tier {
             KernelTier::Bitwise => self.sweep(
                 k1 - k0,
-                |km1| kernel.seed(km1),
+                |x| kernel.lift(x),
                 |i, j, k, a, c, d, s| kernel.step(i, j, k, a, c, d, s),
             ),
             KernelTier::Fast => self.sweep(
                 k1 - k0,
-                |km1| kernel.seed_fast(km1),
+                |x| kernel.lift_fast(x),
                 |i, j, k, a, c, d, s| kernel.step_fast(i, j, k, a, c, d, s),
             ),
         }
@@ -465,20 +478,21 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
     }
 
     /// The rounds of the plan's sweep over the next `len` cells of
-    /// every pencil, through `seed` and `step`, into `self.tile`.
+    /// every pencil, through `lift` and `step`, into `self.tile`.
     #[inline(always)]
     fn sweep(
         &mut self,
         len: usize,
-        seed: impl Fn(f32) -> f32,
-        step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> (f32, f32),
+        lift: impl Fn(f32) -> f32,
+        step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> f32,
     ) {
         let (groups, rb, tb) = (&self.plan.groups, self.row_blocks, self.tile_blocks);
-        let (k0, boundary) = (self.taken, self.d.boundary);
+        let k0 = self.taken;
         let blocks = len.div_ceil(LANES);
-        let splat = [boundary; LANES];
         let [halo_i, halo_j] = &self.halo;
-        let mut lanes = std::mem::take(&mut self.lanes);
+        let (slots, lanes) = (&mut self.lifted, &mut self.lanes);
+        let splat = slots[groups.len()][0];
+        let lift_block = |x: [f32; LANES]| x.map(&lift);
         // The groups with a block this round: `lo..hi`.
         let (mut lo, mut hi) = (0, 0);
         for round in 0..self.plan.last_t + blocks {
@@ -489,63 +503,69 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                 lo += 1;
             }
             // A group's inputs are block b of the groups one diagonal
-            // back, which they made last round.
-            for (grp, g) in groups[lo..hi].iter().zip(lo..) {
+            // back, which they lifted into their slots last round.
+            // Those come earlier in plan order, so going down it every
+            // group reads them before they store this round's block.
+            for g in (lo..hi).rev() {
+                let grp = &groups[g];
                 let (t, i, b) = (grp.t, grp.i, round - grp.t);
-                let back = self.tile[grp.jm1 * tb + b];
+                let back = slots[grp.jm1];
                 let corner = match grp.im1 {
-                    Some(q) => self.tile[q * tb + b].map(|z| z[LANES - 1]),
-                    None if i == 0 && grp.lo == 0 && !halo_i.is_empty() => halo_i[t * rb + 1 + b],
+                    Some(q) => slots[q].map(|z| z[LANES - 1]),
+                    None if i == 0 && grp.lo == 0 && !halo_i.is_empty() => {
+                        lift_block(halo_i[t * rb + 1 + b])
+                    }
                     None => splat,
                 };
-                // The lane on j = 0, if the group has it, reads its j−1
-                // input off the block.
-                let edge = t - i;
-                let edge_row = |block| match halo_j.is_empty() {
-                    true => splat,
-                    false => halo_j[(i + edge) * rb + block],
-                };
-                let im1 = shift_in(corner, back);
+                // Lane `edge` is the pencil on j = 0, if the group has
+                // it: it reads its j−1 inputs off the block, from the
+                // halo window or the boundary.
+                let (edge, row) = (t - i, t * rb);
+                let edge_halo = edge < grp.hi && !halo_j.is_empty();
+                let on_edge = |l: usize, off: f32, on: f32| if l == edge { off } else { on };
                 let jm1 = match edge < grp.hi {
                     true => {
-                        let col = edge_row(1 + b);
+                        let col = edge_halo.then(|| lift_block(halo_j[row + 1 + b]));
+                        let col = col.unwrap_or(splat);
                         core::array::from_fn(|z| {
-                            core::array::from_fn(|l| if l == edge { col[z] } else { back[z][l] })
+                            core::array::from_fn(|l| on_edge(l, col[z], back[z][l]))
                         })
                     }
                     false => back,
                 };
-                // Every lane starts: its seed is its top cell of the last
-                // tile, its diagonal its j−1 input's.
-                let below = lanes[grp.jm1].top;
-                let st = &mut lanes[g];
-                let mut diag = st.diag;
-                if b == 0 {
-                    st.s = st.top.map(&seed);
-                    let kept = match edge < grp.hi {
-                        true => edge_row(0)[LANES - 1],
-                        false => boundary,
-                    };
-                    diag = core::array::from_fn(|l| if l == edge { kept } else { below[l] });
-                }
-                st.diag = jm1[LANES - 1];
+                // A first block starts every lane on its top cell of the
+                // last tile, its diagonal on its j−1 input's; a later one
+                // goes on from the group's last.
+                let (diag, km1) = match b {
+                    0 => {
+                        let kept = edge_halo.then(|| lift(halo_j[row][LANES - 1]));
+                        let kept = kept.unwrap_or(splat[0]);
+                        let below = lanes[grp.jm1].top;
+                        let diag = core::array::from_fn(|l| on_edge(l, kept, below[l]));
+                        (diag, lanes[g].top)
+                    }
+                    _ => (lanes[g].diag, slots[g][LANES - 1]),
+                };
+                lanes[g].diag = jm1[LANES - 1];
                 let blk = LaneBlock {
                     i: core::array::from_fn(|l| self.gi0 + (i + l) as i64),
                     j: core::array::from_fn(|l| self.gj0 + t as i64 - (i + l) as i64),
                     k: [(k0 + b * LANES) as i64; LANES],
-                    im1,
+                    im1: shift_in(corner, back),
                     jm1,
                     diag,
+                    km1,
                 };
-                let out = blk.run(&mut st.s, &step);
-                if b == blocks - 1 {
-                    st.next = out[(len - 1) % LANES];
-                }
-                self.tile[g * tb + b] = out;
+                let (raw, up) = blk.run(&lift, &step);
+                self.tile[g * tb + b] = raw;
+                slots[g] = up;
             }
         }
-        lanes.iter_mut().for_each(|st| st.top = st.next);
-        self.lanes = lanes;
+        // Each group's slot holds its last block: the tile's top cells.
+        let top = (len - 1) % LANES;
+        for (st, slot) in lanes.iter_mut().zip(slots.iter()).take(groups.len()) {
+            st.top = slot[top];
+        }
     }
 }
 
@@ -663,6 +683,7 @@ mod tests {
     use crate::seq::{run_paper3d_seq, run_seq3d};
     use msgpass::thread_backend::LatencyModel;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     /// One-shot run on a zero-latency world.
     fn run<K: Kernel3D>(kernel: K, d: Decomp3D, mode: ExecMode) -> Result<Grid3D, EngineError> {
@@ -944,16 +965,20 @@ mod tests {
         /// the diagonal-reading 2-D kernels on unit-axis strips, whose
         /// diagonals are one pencil wide, so every group runs three
         /// masked lanes.
+        ///
+        /// Kernel 5 is Paper3D on a negative boundary, whose lifted
+        /// splat is 0.
         #[test]
         fn every_layout_matches_sequential(
             (bx, by, pi, pj) in (1usize..=5, 1usize..=6, 1usize..=3, 1usize..=3),
             (v, nz) in (1usize..=11, 1usize..=40),
-            kernel in 0usize..5,
+            kernel in 0usize..6,
             overlap in any::<bool>(),
         ) {
-            let strip = kernel >= 3;
+            let strip = matches!(kernel, 3 | 4);
             let (bx, pi) = if strip { (1, 1) } else { (bx, pi) };
-            let d = Decomp3D { nx: bx * pi, ny: by * pj, nz, pi, pj, v, boundary: 1.5 };
+            let boundary = if kernel == 5 { -1.5 } else { 1.5 };
+            let d = Decomp3D { nx: bx * pi, ny: by * pj, nz, pi, pj, v, boundary };
             let mode = if overlap { ExecMode::Overlapping } else { ExecMode::Blocking };
             let same = |dist: Grid3D, seq: Grid3D| dist.max_abs_diff(&seq) == 0.0;
             let (nx, ny, b) = (d.nx, d.ny, d.boundary);
@@ -962,12 +987,72 @@ mod tests {
                 1 => same(run(Relax3D::default(), d, mode).expect("valid"), run_seq3d(Relax3D::default(), nx, ny, nz, b)),
                 2 => same(run(LongestPath3D, d, mode).expect("valid"), run_seq3d(LongestPath3D, nx, ny, nz, b)),
                 3 => same(run(Example1, d, mode).expect("valid"), run_seq3d(Example1, nx, ny, nz, b)),
-                _ => {
+                4 => {
                     let k = Alignment2D { alphabet: 2 };
                     same(run(k, d, mode).expect("valid"), run_seq3d(k, nx, ny, nz, b))
                 }
+                _ => same(run(Paper3D, d, mode).expect("valid"), run_paper3d_seq(nx, ny, nz, b)),
             };
             prop_assert!(ok, "{:?} {:?} kernel {}", d, mode, kernel);
+        }
+    }
+
+    /// Lifts run by [`CountedLifts`], across every rank of a run.
+    static LIFTS: AtomicUsize = AtomicUsize::new(0);
+
+    /// Paper3D with its lifts counted.
+    #[derive(Clone, Copy)]
+    struct CountedLifts;
+
+    impl Kernel3D for CountedLifts {
+        fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32, diag: f32) -> f32 {
+            Paper3D.eval(i, j, k, im1, jm1, km1, diag)
+        }
+
+        fn lift(&self, x: f32) -> f32 {
+            LIFTS.fetch_add(1, Relaxed);
+            Paper3D.lift(x)
+        }
+
+        fn step(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, diag: f32, km1: f32) -> f32 {
+            Paper3D.step(i, j, k, im1, jm1, diag, km1)
+        }
+    }
+
+    /// The sweep lifts each cell it steps once, each halo cell once
+    /// where it reads it, and the boundary once per rank (`eval` takes
+    /// three square roots a cell). On a 4×4 block of two 4-cell tiles
+    /// the plan has seven groups of one block a tile, so a rank steps
+    /// 7 × 16 × 2 = 224 lane cells
+    /// (the 128 cells of its pencils and the masked lanes of each
+    /// diagonal), plus one lift of its boundary: 225. A rank behind an
+    /// `i` face also reads its four halo rows' 4 cells a tile through
+    /// lane 0 of the groups on `i = 0` (+32); one behind a `j` face
+    /// reads them through the `j = 0` lane, and each row's kept top
+    /// cell of the last window once a tile as a diagonal (+32 + 8).
+    #[test]
+    fn a_cell_is_lifted_once() {
+        let d = |nx, ny, pi, pj| Decomp3D {
+            nx,
+            ny,
+            nz: 8,
+            pi,
+            pj,
+            v: 4,
+            boundary: 1.0,
+        };
+        for (d, lifts) in [
+            (d(4, 4, 1, 1), 225),
+            (d(8, 4, 2, 1), 225 + 225 + 32),
+            (d(4, 8, 1, 2), 225 + 225 + 40),
+        ] {
+            for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+                LIFTS.store(0, Relaxed);
+                let grid = run(CountedLifts, d, mode).expect("valid");
+                assert_eq!(LIFTS.load(Relaxed), lifts, "{d:?} {mode:?}");
+                let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
+                assert_eq!(grid.max_abs_diff(&seq), 0.0, "{d:?} {mode:?}");
+            }
         }
     }
 

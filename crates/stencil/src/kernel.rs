@@ -16,10 +16,15 @@
 //! e₂+e₃ — `km1`, `jm1` and `diag`.
 //!
 //! The executors walk a pencil's `k`-chain through two methods per tier,
-//! [`Kernel3D::seed`] and [`Kernel3D::step`] (the fast tier's
-//! [`Kernel3D::seed_fast`] and [`Kernel3D::step_fast`]), whose defaults
-//! are built from `eval`; the tile sweep steps [`LANES`] chains at a
-//! time, a [`LaneBlock`] of [`LANES`] cells of each per round.
+//! [`Kernel3D::lift`] and [`Kernel3D::step`] (the fast tier's
+//! [`Kernel3D::lift_fast`] and [`Kernel3D::step_fast`]): a cell is
+//! stepped from its predecessors' *lifted* values and lifted once, and
+//! that one value is what all of its successors read — with uniform
+//! dependences every reader wants the same function of a cell, so the
+//! paper kernel takes one square root per cell where `eval` takes
+//! three. The defaults lift by the identity and step by `eval`; the
+//! tile sweep steps [`LANES`] chains at a time, a [`LaneBlock`] of
+//! [`LANES`] cells of each per round.
 
 use tiling_core::dependence::DependenceSet;
 pub use tiling_core::machine::KernelTier;
@@ -32,13 +37,14 @@ pub const LANES: usize = 4;
 /// One round of a lane group of the tile sweep: [`LANES`] consecutive
 /// cells of each of [`LANES`] `k`-chains, lane-transposed — `im1[z][l]`
 /// is the `i−1` input of cell `z` of lane `l` — so that one vector holds
-/// the same cell of every chain.
+/// the same cell of every chain. Every input is a lifted value
+/// ([`Kernel3D::lift`]).
 ///
 /// The lanes of a block are mutually independent (the sweep groups
 /// pencils whose inputs were finished in earlier rounds), so
 /// [`LaneBlock::run`] steps the four chains lane-wise, one instruction
 /// per cell of all four. The `k`-chain inside a lane stays serial:
-/// cell `z` reads the state cell `z − 1` left.
+/// cell `z` reads the lifted cell `z − 1`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneBlock {
     /// Global `i` of each lane's pencil.
@@ -54,52 +60,60 @@ pub struct LaneBlock {
     pub jm1: [[f32; LANES]; LANES],
     /// The diagonal `A(i, j−1, k−1)` of each lane's first cell.
     pub diag: [f32; LANES],
+    /// The cell `A(i, j, k−1)` below each lane's first cell.
+    pub km1: [f32; LANES],
 }
 
 impl LaneBlock {
-    /// Step every cell of the block through `step` (a kernel's
-    /// [`Kernel3D::step`] or [`Kernel3D::step_fast`]): cell `z` of lane
-    /// `l` is `(out[z][l], s[l]) = step(i, j, k + z, im1, jm1, diag,
-    /// s[l])`. Each cell sees exactly the operands and order of a scalar
-    /// walk up its pencil; the lanes only decide which chains share an
-    /// instruction, never a bit of the result. A lane the caller does
-    /// not read (masked, or past the end of its pencil) is stepped all
-    /// the same: it costs nothing extra in a vector, and no branch in
-    /// here depends on the data.
+    /// Step every cell of the block through `step` and lift it through
+    /// `lift` (a tier's pair of [`Kernel3D`] methods): cell `z` of lane
+    /// `l` is `raw[z][l] = step(i, j, k + z, im1, jm1, diag, km1)` and
+    /// `lifted[z][l] = lift(raw[z][l])`, the `km1` of cell `z + 1`.
+    /// Returns `(raw, lifted)`. Each cell sees exactly the operands and
+    /// order of a scalar walk up its pencil; the lanes only decide which
+    /// chains share an instruction, never a bit of the result. A lane
+    /// the caller does not read (masked, or past the end of its pencil)
+    /// is stepped all the same: it costs nothing extra in a vector, and
+    /// no branch in here depends on the data.
     #[inline(always)]
     pub fn run(
         &self,
-        s: &mut [f32; LANES],
-        step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> (f32, f32),
-    ) -> [[f32; LANES]; LANES] {
-        let mut out = [[0.0f32; LANES]; LANES];
-        // LINT: z and l index five arrays each; this shape is what vectorizes
+        lift: impl Fn(f32) -> f32,
+        step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> f32,
+    ) -> ([[f32; LANES]; LANES], [[f32; LANES]; LANES]) {
+        let mut raw = [[0.0f32; LANES]; LANES];
+        let mut lifted = [[0.0f32; LANES]; LANES];
+        let mut km1 = self.km1;
+        // LINT: z and l index six arrays each; this shape is what vectorizes
         #[allow(clippy::needless_range_loop)]
         for z in 0..LANES {
             let diag = if z == 0 { self.diag } else { self.jm1[z - 1] };
             for l in 0..LANES {
                 let (i, j, k) = (self.i[l], self.j[l], self.k[l] + z as i64);
-                (out[z][l], s[l]) = step(i, j, k, self.im1[z][l], self.jm1[z][l], diag[l], s[l]);
+                raw[z][l] = step(i, j, k, self.im1[z][l], self.jm1[z][l], diag[l], km1[l]);
+                lifted[z][l] = lift(raw[z][l]);
             }
+            km1 = lifted[z];
         }
-        out
+        (raw, lifted)
     }
 }
 
 /// A wavefront kernel over a 3-D block with dependences among
 /// `{e₁, e₂, e₃, e₂+e₃}`.
 ///
-/// The executors never call [`Kernel3D::eval`] in their hot loop: they
-/// walk a pencil's `k`-chain through two methods, [`Kernel3D::seed`]
-/// (the carried state of the chain's first cell, from its `k−1` input)
-/// and [`Kernel3D::step`] (one cell from its other inputs and the
-/// state: the cell and the next state). The defaults carry the previous
-/// cell and call `eval`, so a kernel is `eval` alone, bitwise by
-/// construction. Overrides move work into the state (the paper kernel
-/// carries `√A(i, j, k−1)`, one square root per cell instead of two
-/// from the chain's point of view) and must keep each cell's scalar
-/// operation order, so results stay bitwise equal to `eval` (the
-/// kernel proptests assert this).
+/// The executors never call [`Kernel3D::eval`] in their hot loop. They
+/// lift every cell once, [`Kernel3D::lift`] — the value the cell hands
+/// to each of its successors — and compute a cell from its
+/// predecessors' lifted values, [`Kernel3D::step`]. The defaults lift by
+/// the identity and step by `eval`, so a kernel is `eval` alone, bitwise
+/// by construction. An override moves the work every reader of a cell
+/// repeats into `lift` (the paper kernel lifts `x ↦ √x⁺`, one square
+/// root per cell instead of three) and must keep
+/// `step(i, j, k, lift(a), lift(c), lift(d), lift(z))` bit for bit equal
+/// to `eval(i, j, k, a, c, z, d)` for every input, ±0 and ±∞ included,
+/// a NaN for a NaN (the kernel proptests assert this). A kernel that
+/// overrides one of the pair overrides the other.
 pub trait Kernel3D: Copy + Send + Sync + 'static {
     /// Compute the value of cell `(i, j, k)` from its upstream values:
     /// `im1`, `jm1`, `km1` along the axes and `diag` = `A(i, j−1, k−1)`,
@@ -107,26 +121,25 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
     #[allow(clippy::too_many_arguments)] // LINT: one argument per neighbour and coordinate
     fn eval(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, km1: f32, diag: f32) -> f32;
 
-    /// The carried state of a chain's first cell, from its `k−1` input.
+    /// The value a cell hands to its successors: what [`Kernel3D::step`]
+    /// reads of it along every dependence.
     #[inline]
-    fn seed(&self, km1: f32) -> f32 {
-        km1
+    fn lift(&self, x: f32) -> f32 {
+        x
     }
 
-    /// One cell of a chain: its value and the state the next cell
-    /// carries, from the cell's `im1`, `jm1`, `diag` and the state `s`
-    /// the cell below left (or [`Kernel3D::seed`] made).
+    /// Cell `(i, j, k)` from the lifted values of its upstream cells
+    /// (argument order as the sweep holds them: the `k−1` input last).
     #[inline]
-    #[allow(clippy::too_many_arguments)] // LINT: eval()'s arguments, the k−1 input as state
-    fn step(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, diag: f32, s: f32) -> (f32, f32) {
-        let v = self.eval(i, j, k, im1, jm1, s, diag);
-        (v, v)
+    #[allow(clippy::too_many_arguments)] // LINT: eval()'s arguments
+    fn step(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, diag: f32, km1: f32) -> f32 {
+        self.eval(i, j, k, im1, jm1, km1, diag)
     }
 
-    /// Fast-math tier of [`Kernel3D::seed`] ([`KernelTier::Fast`]).
+    /// Fast-math tier of [`Kernel3D::lift`] ([`KernelTier::Fast`]).
     #[inline]
-    fn seed_fast(&self, km1: f32) -> f32 {
-        self.seed(km1)
+    fn lift_fast(&self, x: f32) -> f32 {
+        self.lift(x)
     }
 
     /// Fast-math tier of [`Kernel3D::step`] ([`KernelTier::Fast`]).
@@ -139,17 +152,8 @@ pub trait Kernel3D: Copy + Send + Sync + 'static {
     /// identical. The default is the bitwise step.
     #[inline]
     #[allow(clippy::too_many_arguments)] // LINT: step()'s signature
-    fn step_fast(
-        &self,
-        i: i64,
-        j: i64,
-        k: i64,
-        im1: f32,
-        jm1: f32,
-        diag: f32,
-        s: f32,
-    ) -> (f32, f32) {
-        self.step(i, j, k, im1, jm1, diag, s)
+    fn step_fast(&self, i: i64, j: i64, k: i64, im1: f32, jm1: f32, diag: f32, km1: f32) -> f32 {
+        self.step(i, j, k, im1, jm1, diag, km1)
     }
 }
 
@@ -178,38 +182,29 @@ impl Kernel3D for Paper3D {
         Paper3D::eval(im1, jm1, km1)
     }
 
-    // Carry √A(i,j,k−1) down the chain: a cell does two fresh square
-    // roots off the chain (`√a⁺ + √c⁺` depends on no earlier cell) and
-    // one on it. The scalar form adds `(√im1 + √jm1) + √km1`
-    // left-to-right, which is exactly this order, so bitwise equal.
+    // Every reader of a cell takes its `√x⁺`, so the cell is lifted to
+    // it once. The scalar form adds `(√im1⁺ + √jm1⁺) + √km1⁺`
+    // left-to-right, which is exactly the step's order, so bitwise
+    // equal; `max` maps NaN to 0 in both.
     #[inline]
-    fn seed(&self, km1: f32) -> f32 {
-        km1.max(0.0).sqrt()
+    fn lift(&self, x: f32) -> f32 {
+        x.max(0.0).sqrt()
     }
 
     #[inline]
-    fn step(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, sk: f32) -> (f32, f32) {
-        let v = a.max(0.0).sqrt() + c.max(0.0).sqrt() + sk;
-        (v, v.max(0.0).sqrt())
+    fn step(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, s: f32) -> f32 {
+        (a + c) + s
     }
 
-    // Fast tier: every carried value is a sum of square roots, hence
-    // ≥ 0, so on the reachable domain `max(v, 0)` reduces to `|v|` (one
-    // cycle, off the sqrt's critical path on most cores) and the input
-    // guards can go entirely — the executors only feed the kernel its
-    // own outputs, the (non-negative) boundary splat, or halos thereof.
-    // Off-domain (negative) inputs would produce NaNs here where the
-    // pinned tier clamps, which is exactly the contract difference the
-    // tier flag signals.
+    // Fast tier: every cell is a sum of square roots, hence ≥ 0, so on
+    // the reachable domain `max(x, 0)` reduces to `|x|` (one cycle, off
+    // the sqrt's critical path on most cores). Off-domain (negative)
+    // inputs lift to `√|x|` here where the pinned tier clamps them to
+    // 0, which is exactly the contract difference the tier flag
+    // signals. The step is the pinned one.
     #[inline]
-    fn seed_fast(&self, km1: f32) -> f32 {
-        km1.abs().sqrt()
-    }
-
-    #[inline]
-    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, sk: f32) -> (f32, f32) {
-        let v = a.sqrt() + c.sqrt() + sk;
-        (v, v.abs().sqrt())
+    fn lift_fast(&self, x: f32) -> f32 {
+        x.abs().sqrt()
     }
 }
 
@@ -233,8 +228,8 @@ impl Kernel3D for Relax3D {
         self.omega / 3.0 * (im1 + jm1 + km1)
     }
 
-    // The bitwise step is the default one, `eval` with the `k−1` input
-    // carried. Fast tier: distribute `w = ω/3` into the carry-free
+    // The bitwise lift and step are the defaults: the identity and
+    // `eval`. Fast tier: distribute `w = ω/3` into the carry-free
     // term, so the chain is `v = prev·w + w·(a + c)` — reassociated,
     // each cell perturbed by ≤ a few ULP; the recurrence is a
     // contraction (`ω < 1`), so the perturbation stays bounded. A separate multiply and add, not
@@ -242,10 +237,9 @@ impl Kernel3D for Relax3D {
     // libm per cell. Unfused, the chain is as long as the pinned tier's
     // and the two run at the same rate.
     #[inline]
-    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> (f32, f32) {
+    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> f32 {
         let w = self.omega / 3.0;
-        let v = prev * w + w * (a + c);
-        (v, v)
+        prev * w + w * (a + c)
     }
 }
 
@@ -303,18 +297,18 @@ impl Kernel3D for Fused3D {
     // Bitwise: the fused expression nests `prev` *inside* the second
     // FMA, so no carry-free prefix can be split off without
     // reassociating — the step is the whole expression, the default
-    // one built from `eval`. Fast tier: the non-carried `wa·a + wa·c`
-    // comes off the chain, which collapses to `v = prev·wc + e` —
-    // reassociated, ULP-bounded, and contractive for the shipped weights (`2·wa + wc < 1`). Unfused on
+    // one built from `eval`, and the lift the identity. Fast tier: the
+    // non-carried `wa·a + wa·c` comes off the chain, which collapses to
+    // `v = prev·wc + e` — reassociated, ULP-bounded, and contractive for
+    // the shipped weights (`2·wa + wc < 1`). Unfused on
     // purpose: the pinned tier must keep the kernel's two `mul_add`s,
     // which cost a libm call each where the target has no `fma`
     // feature, and plain multiplies and adds are what lets this tier
     // vectorize past it.
     #[inline]
-    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> (f32, f32) {
+    fn step_fast(&self, _: i64, _: i64, _: i64, a: f32, c: f32, _: f32, prev: f32) -> f32 {
         let (wa, wc) = (self.wa, self.wc);
-        let v = prev * wc + (a * wa + c * wa);
-        (v, v)
+        prev * wc + (a * wa + c * wa)
     }
 }
 
@@ -532,7 +526,7 @@ mod tests {
         out
     }
 
-    /// Walk one pencil through `seed`/`step` one cell at a time.
+    /// Walk one pencil through `lift`/`step` one cell at a time.
     #[allow(clippy::too_many_arguments)] // LINT: one pencil's inputs, returned
     fn stepped_pencil<K: Kernel3D>(
         k: &K,
@@ -544,13 +538,12 @@ mod tests {
         km1: f32,
         diag: f32,
     ) -> Vec<f32> {
-        let mut s = k.seed(km1);
-        let mut d = diag;
+        let (mut s, mut d) = (k.lift(km1), k.lift(diag));
         let cells = im1.iter().zip(jm1).enumerate();
         let step = |(n, (&a, &c)): (usize, (&f32, &f32))| {
-            let v;
-            (v, s) = k.step(i, j, k0 + n as i64, a, c, d, s);
-            d = c;
+            let c = k.lift(c);
+            let v = k.step(i, j, k0 + n as i64, k.lift(a), c, d, s);
+            (s, d) = (k.lift(v), c);
             v
         };
         cells.map(step).collect()
@@ -567,28 +560,31 @@ mod tests {
         km1s: &[f32],
         diags: &[f32],
     ) -> Vec<Vec<f32>> {
-        let mut s = [0.0f32; LANES];
-        for (s, &km1) in s.iter_mut().zip(km1s) {
-            *s = if fast { k.seed_fast(km1) } else { k.seed(km1) };
+        let lift = |x: f32| if fast { k.lift_fast(x) } else { k.lift(x) };
+        let mut blk = LaneBlock::default();
+        for (l, (&km1, &diag)) in km1s.iter().zip(diags).enumerate() {
+            (blk.km1[l], blk.diag[l]) = (lift(km1), lift(diag));
         }
         let mut outs: Vec<Vec<f32>> = ins.iter().map(|(a, _)| vec![0.0; a.len()]).collect();
         let longest = outs.iter().map(Vec::len).max().unwrap_or(0);
-        let at = |x: &[f32], z: usize| x.get(z).copied().unwrap_or(0.0);
+        let at = |x: &[f32], z: usize| lift(x.get(z).copied().unwrap_or(0.0));
         for z0 in (0..longest).step_by(LANES) {
-            let mut blk = LaneBlock::default();
             for (l, (im1, jm1)) in ins.iter().enumerate() {
                 (blk.i[l], blk.j[l], blk.k[l]) = (l as i64, -1, 3 + z0 as i64);
-                blk.diag[l] = if z0 == 0 { diags[l] } else { at(jm1, z0 - 1) };
+                if z0 > 0 {
+                    blk.diag[l] = at(jm1, z0 - 1);
+                }
                 for z in 0..LANES {
                     (blk.im1[z][l], blk.jm1[z][l]) = (at(im1, z0 + z), at(jm1, z0 + z));
                 }
             }
-            let out = match fast {
-                true => blk.run(&mut s, |i, j, kz, a, c, d, s| {
+            let (out, up) = match fast {
+                true => blk.run(lift, |i, j, kz, a, c, d, s| {
                     k.step_fast(i, j, kz, a, c, d, s)
                 }),
-                false => blk.run(&mut s, |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s)),
+                false => blk.run(lift, |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s)),
             };
+            blk.km1 = up[LANES - 1];
             for (l, o) in outs.iter_mut().enumerate() {
                 for (z, o) in o.iter_mut().skip(z0).take(LANES).enumerate() {
                     *o = out[z][l];

@@ -13,9 +13,10 @@ use stencil::kernel::{Kernel3D, LaneBlock, Paper3D, LANES};
 use stencil::seq::{follows_recurrence, max_abs_diff_from_seq3d, run_seq3d};
 
 /// ns/cell of `chains` independent Paper3D chains of `len` cells (their
-/// inputs fixed rows, as a sweep round's are): in [`LaneBlock`]s of
-/// [`LANES`] chains, every group of a block in flight together as in a
-/// round, or one chain at a time through `step`. Fastest of 20 batches.
+/// inputs fixed rows of lifted values, as a sweep round's are): in
+/// [`LaneBlock`]s of [`LANES`] chains, every group of a block in flight
+/// together as in a round, or one chain at a time through `step` and
+/// `lift`. Fastest of 20 batches.
 fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
     let src: Vec<Vec<f32>> = (0..chains)
         .map(|n| {
@@ -26,7 +27,10 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
         .collect();
     let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len]; chains];
     let k = Paper3D;
-    let step = |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s);
+    let (lift, step) = (
+        |x| k.lift(x),
+        |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s),
+    );
     let reps = 200_000 / (chains * len);
     let mut state = vec![[0.0f32; LANES]; chains / LANES];
     let mut best = f64::INFINITY;
@@ -34,11 +38,14 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
         let t0 = Instant::now();
         for _ in 0..reps {
             if lanes {
-                state.iter_mut().for_each(|s| *s = [k.seed(1.5); LANES]);
+                state.iter_mut().for_each(|s| *s = [k.lift(1.5); LANES]);
                 for z0 in (0..len).step_by(LANES) {
                     let groups = rows.chunks_exact_mut(LANES).zip(&mut state);
                     for (g, (outs, s)) in groups.enumerate() {
-                        let mut blk = LaneBlock::default();
+                        let mut blk = LaneBlock {
+                            km1: *s,
+                            ..LaneBlock::default()
+                        };
                         for l in 0..LANES {
                             let n = g * LANES + l;
                             let (a, c) = (&src[n][z0..][..LANES], &src[(n + 1) % chains][z0..]);
@@ -48,7 +55,8 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
                                 (blk.im1[z][l], blk.jm1[z][l]) = (a[z], c[z]);
                             }
                         }
-                        let out = blk.run(s, step);
+                        let (out, up) = blk.run(lift, step);
+                        *s = up[LANES - 1];
                         for (l, o) in outs.iter_mut().enumerate() {
                             (0..LANES).for_each(|z| o[z0 + z] = out[z][l]);
                         }
@@ -57,10 +65,10 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
             } else {
                 for (n, row) in rows.iter_mut().enumerate() {
                     let (a, c) = (&src[n], &src[(n + 1) % chains]);
-                    let (mut s, mut d) = (k.seed(1.5), 1.5);
+                    let (mut s, mut d) = (k.lift(1.5), 1.5);
                     for (z, o) in row.iter_mut().enumerate() {
-                        (*o, s) = k.step(n as i64, 1, z as i64, a[z], c[z], d, s);
-                        d = c[z];
+                        *o = k.step(n as i64, 1, z as i64, a[z], c[z], d, s);
+                        (s, d) = (k.lift(*o), c[z]);
                     }
                 }
             }
@@ -119,8 +127,12 @@ impl Kernel3D for CarveOnly {
         0.0
     }
 
-    fn step(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32, _: f32) -> (f32, f32) {
-        (0.0, 0.0)
+    fn lift(&self, _: f32) -> f32 {
+        0.0
+    }
+
+    fn step(&self, _: i64, _: i64, _: i64, _: f32, _: f32, _: f32, _: f32) -> f32 {
+        0.0
     }
 }
 
