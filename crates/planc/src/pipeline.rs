@@ -296,8 +296,15 @@ pub(crate) mod tests {
     fn strip2_compiles_and_executes_verified() {
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
             let a = compile(&PlanRequest::strip2(40, 12, 4).with_v(12).with_mode(mode)).unwrap();
-            // The result takes a dropped NaN block's cells (40 % 12 ≠ 0).
-            drop(stencil::grid::Grid3D::new(1, 12, 40, f32::NAN, 1.0));
+            // The result takes a dropped NaN grid's storage (40 % 12 ≠ 0)
+            // of its length: 4 ranks × 3 one-lane groups × 4 lanes × 40.
+            drop(stencil::grid::Grid3D::new(
+                1,
+                1,
+                4 * 3 * 4 * 40,
+                f32::NAN,
+                1.0,
+            ));
             let out = a.execute(ExecOptions { verify: true }).expect("runs");
             assert_eq!(out.verified, Some(true), "{mode:?}");
         }
@@ -513,6 +520,12 @@ ENDFOR
         PlanRequest::grid3(1 << 16, 1 << 16, 1 << 16, 2, 1).with_v(1 << 16)
     }
 
+    /// The bytes a run of [`untileable`] and of [`unallocatable`] asks
+    /// for: its cells and the masked lanes of its sweep, 2 ranks ×
+    /// `bx + bx/4 · (by − 1)` lane groups × 4 lanes × `nz` × 4 bytes.
+    pub(crate) const UNTILEABLE_BYTES: usize = (1 << 62) + (1 << 35) - (1 << 33);
+    pub(crate) const UNALLOCATABLE_BYTES: usize = (1 << 50) + (1 << 36) - (1 << 34);
+
     /// Grids larger than memory, or than `i64`/`isize` can count, are
     /// typed errors from `compile` or `execute`, never a panic or an
     /// allocation abort.
@@ -521,7 +534,8 @@ ENDFOR
         let oom = |bytes| EngineError::OutOfMemory { bytes };
         let a = compile(&untileable()).expect("an explicit V needs no closed form");
         assert_eq!(a.predicted_us(), None);
-        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(1 << 62));
+        let bytes = UNTILEABLE_BYTES;
+        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(bytes));
         let auto = PlanRequest::grid3(1 << 29, 1 << 29, 4, 2, 1);
         assert_eq!(compile(&auto).unwrap_err().stage(), "optimize");
         let line = "workload=grid3 nx=4194304 ny=4194304 nz=4194304 pi=2 pj=1";
@@ -531,7 +545,8 @@ ENDFOR
             too_large
         );
         let a = compile(&unallocatable()).expect("compiles");
-        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(1 << 50));
+        let bytes = UNALLOCATABLE_BYTES;
+        assert_eq!(a.execute(ExecOptions::default()).unwrap_err(), oom(bytes));
     }
 
     /// Compile `src` as an Example-1 nest and return the error, which

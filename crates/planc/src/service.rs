@@ -301,6 +301,7 @@ mod tests {
     #[test]
     fn a_worker_survives_oversized_requests() {
         use crate::pipeline::tests::{unallocatable, untileable};
+        use crate::pipeline::tests::{UNALLOCATABLE_BYTES, UNTILEABLE_BYTES};
         let svc = PlanService::start(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
@@ -309,7 +310,11 @@ mod tests {
             let job = JobRequest::Execute(req, ExecOptions { verify: true });
             svc.try_submit(job).expect("queued").wait()
         };
-        for (req, bytes) in [(unallocatable(), 1 << 50), (untileable(), 1 << 62)] {
+        let oversized = [
+            (unallocatable(), UNALLOCATABLE_BYTES),
+            (untileable(), UNTILEABLE_BYTES),
+        ];
+        for (req, bytes) in oversized {
             match run(req) {
                 Err(ServiceError::Exec(e)) => assert_eq!(e, EngineError::OutOfMemory { bytes }),
                 other => panic!("expected an execution error, got {other:?}"),

@@ -12,14 +12,22 @@
 //!
 //! ## Structure
 //!
-//! **The result array is the ranks' storage.** Every `(i, j)` pencil is
-//! `nz`-contiguous in the global [`Grid3D`], so a rank's block is its
-//! `bx · by` pencils of that array, borrowed as disjoint `&mut [f32]`
-//! views ([`rank_pencils`]) — each processor owns its part of the
-//! array, for every `pi × pj`, and nothing is collected afterwards.
+//! **The result array is the ranks' storage, in the sweep's layout.**
+//! The [`LANES`] pencils of a sweep group (see below) are the same for
+//! every `k`, so a group stores them interleaved: cell `k` of lane `l`
+//! at `LANES·k + l` of the group's run of `LANES·nz` floats. A rank's
+//! block is its groups' runs in plan order, and the result [`Grid3D`]
+//! is the ranks' blocks in rank order, with a pencil table that reads
+//! it back cell by cell ([`result_grid`]). Each rank borrows its block
+//! as one disjoint mutable slice — each processor owns its part of the
+//! array, for every `pi × pj`, and nothing is collected or copied
+//! afterwards. The masked lanes are stored too, so the result holds
+//! more floats than cells: 152 lanes for the 128 pencils of an 8×16
+//! block, 44 for the 32 of a 4×8 one, and 4 × on a unit-axis strip,
+//! whose groups hold one pencil each.
 //!
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
-//! rank's pencils, owns one tile window of each halo plane and supplies
+//! rank's block, owns one tile window of each halo plane and supplies
 //! the hot paths [`crate::engine`] runs the rank's compiled program
 //! over. **A tile is one skewed sweep**, the paper's linear schedule
 //! inside the tile: pencil `(i, j)` runs its block `b` of [`LANES`]
@@ -31,15 +39,15 @@
 //! successor reads; halo cells are lifted where they are read. The
 //! walk — which pencils form which group, and where each group reads —
 //! depends on the block's `(bx, by)` alone, so it is compiled once per
-//! run into a [`SweepPlan`] that every rank shares. A tile is computed
-//! into a buffer of the groups' raw outputs and then copied to the
-//! pencils, one pencil at a time. That copy is bound by its writes to
-//! the destination (a `memcpy` of the same bytes from a pencil-major
-//! buffer costs as much); writing each round's cells into the pencils
-//! as they are made costs 1.35–1.45 × the copy, and padding the pencil
-//! pitch changes neither, so cache-set aliasing is not the cause. Faces
-//! pack straight from the pencils into, and unpack straight out of,
-//! transport wire storage — on a
+//! run into a [`SweepPlan`] that every rank shares. Block `b` of a
+//! group is the 16 floats of its run from `LANES·(k0 + LANES·b)` on, so
+//! the sweep stores each [`LaneBlock::run`] output straight into the
+//! result, masked lanes and all: the buffer the sweep writes *is* the
+//! result, with no copy after it. A block that runs past its tile
+//! writes cells of the next one, which that tile overwrites; only a
+//! block past `nz` is clipped, so every run writes every float of the
+//! storage. Faces are gathered one lane of the edge groups at a time
+//! into, and unpacked straight out of, transport wire storage — on a
 //! slot-transport world the peer-visible slot itself — and a
 //! steady-state step performs zero heap allocations (asserted by
 //! `tests/zero_alloc.rs`).
@@ -144,28 +152,33 @@ impl Decomp3D {
     }
 }
 
-/// One rank's block: its `bx · by` pencils (`nz` values each) in
-/// row-major local `(i, j)` order, borrowed from the array the run
-/// writes.
-pub(crate) type Pencils<'g> = Vec<&'g mut [f32]>;
-
-/// Deal the pencils of an `nx × ny × nz` array (in
-/// [`Grid3D::pencils_mut`]'s order) out to the ranks of `d`: pencil
-/// `(gi, gj)` belongs to rank `(gi / bx)·pj + gj / by`, and the global
-/// order restricted to one block is that rank's local order.
-pub(crate) fn rank_pencils<'g>(
-    d: &Decomp3D,
-    pencils: impl Iterator<Item = &'g mut [f32]>,
-) -> Vec<Pencils<'g>> {
-    let (bx, by) = (d.bx(), d.by());
-    let mut parts: Vec<Pencils<'g>> = (0..d.ranks())
-        .map(|_| Vec::with_capacity(bx * by))
-        .collect();
-    for (p, pencil) in pencils.enumerate() {
-        let (gi, gj) = (p / d.ny, p % d.ny);
-        parts[(gi / bx) * d.pj + gj / by].push(pencil);
-    }
-    parts
+/// The result grid of a run of `d`, unfilled ([`Grid3D::unfilled`]),
+/// in the sweep's layout (see the module docs), and the layout's sweep;
+/// or the bytes its storage needs where they cannot be allocated.
+/// Rank `r`'s block is the `r`-th of `d.ranks()` equal parts of
+/// [`Grid3D::data`]. The sweep is built once the storage is there: it is
+/// as large as a block's cross-section, so a grid larger than memory
+/// is an error, not an abort.
+pub(crate) fn result_grid(d: &Decomp3D) -> Result<(Grid3D, SweepPlan), usize> {
+    let (bx, by, nz) = (d.bx(), d.by(), d.nz);
+    // One run of LANES·nz floats per group, groups alike on every rank.
+    let len = SweepPlan::groups_of(bx, by)
+        .and_then(|g| g.checked_mul(LANES * nz)?.checked_mul(d.ranks()));
+    let bytes = len.map_or(usize::MAX, |n| n.saturating_mul(std::mem::size_of::<f32>()));
+    let cells = len.and_then(Grid3D::unfilled).ok_or(bytes)?;
+    let plan = SweepPlan::of(d);
+    let block = cells.len() / d.ranks();
+    let base = (0..d.nx).flat_map(|gi| {
+        let plan = &plan;
+        (0..d.ny).map(move |gj| {
+            let rank = (gi / bx) * d.pj + gj / by;
+            let (g, l) = plan.lane_of((gi % bx) * by + gj % by);
+            rank * block + g * LANES * nz + l
+        })
+    });
+    let base = base.collect();
+    let grid = Grid3D::with_layout(d.nx, d.ny, nz, d.boundary, cells, base, LANES);
+    Ok((grid, plan))
 }
 
 /// Halo-direction indices of the 3-D block (the [`TileOps`] `dir` axis).
@@ -274,6 +287,9 @@ pub(crate) struct SweepPlan {
     /// Every group of the block once, by diagonal, ascending `i` inside
     /// one.
     groups: Vec<Group>,
+    /// The lane of each pencil of the block, `(i, j)` row-major: lane
+    /// `l` of group `g` is `g · LANES + l`.
+    lanes: Vec<usize>,
     /// The block's last diagonal, `bx + by − 2`.
     last_t: usize,
 }
@@ -285,12 +301,19 @@ impl SweepPlan {
         SweepPlan::build(d.bx(), d.by())
     }
 
+    /// The groups of the sweep of a `bx × by` block, where `usize`
+    /// counts them: chunk `c` of width `w` spans the `w + by − 1`
+    /// diagonals from its first pencil's to its last's, one group on
+    /// each.
+    fn groups_of(bx: usize, by: usize) -> Option<usize> {
+        bx.checked_add(bx.div_ceil(LANES).checked_mul(by - 1)?)
+    }
+
     /// Compile the sweep of a `bx × by` block.
     fn build(bx: usize, by: usize) -> Self {
         let chunks = bx.div_ceil(LANES);
-        // Chunk `c` of width `w` spans the `w + by − 1` diagonals from
-        // its first pencil's to its last's, one group on each.
-        let mut groups = Vec::with_capacity(bx + chunks * (by - 1));
+        let mut groups = Vec::with_capacity(Self::groups_of(bx, by).unwrap_or(0));
+        let mut lanes = vec![0; bx * by];
         // The group of each `i` chunk on the last diagonal, and on this.
         let (mut last, mut here) = (vec![None; chunks], vec![None; chunks]);
         for t in 0..bx + by - 1 {
@@ -301,6 +324,9 @@ impl SweepPlan {
                 let hi = LANES.min(bx - i).min((t + 1).saturating_sub(i));
                 *at = (lo < hi).then_some(groups.len());
                 if lo < hi {
+                    for l in lo..hi {
+                        lanes[(i + l) * by + t - i - l] = groups.len() * LANES + l;
+                    }
                     let im1 = c.checked_sub(1).and_then(|c| last[c]);
                     // Off the block: the splat row, past every group.
                     let jm1 = last[c].unwrap_or(usize::MAX);
@@ -320,8 +346,15 @@ impl SweepPlan {
         groups.iter_mut().for_each(|g| g.jm1 = g.jm1.min(splat));
         SweepPlan {
             groups,
+            lanes,
             last_t: bx + by - 2,
         }
+    }
+
+    /// The group of pencil `p` of the block (`(i, j)` row-major), and
+    /// its lane in it.
+    fn lane_of(&self, p: usize) -> (usize, usize) {
+        (self.lanes[p] / LANES, self.lanes[p] % LANES)
     }
 }
 
@@ -350,8 +383,11 @@ struct Block3D<'g, K> {
     d: Decomp3D,
     kernel: K,
     tier: KernelTier,
-    /// Own block, `rows[i·by + j]` the `(i, j)` pencil, `nz` long.
-    rows: Pencils<'g>,
+    /// Own block: every group's run of `nz` cells of its [`LANES`]
+    /// lanes in plan order, `runs[g · nz + k][l]` cell `k` of group `g`'s
+    /// lane `l` (see the module docs). The sweep writes it and never
+    /// reads it.
+    runs: &'g mut [[f32; LANES]],
     /// Cells of every pencil computed so far: `k0` of the next tile.
     taken: usize,
     plan: &'g SweepPlan,
@@ -362,14 +398,6 @@ struct Block3D<'g, K> {
     /// groups one diagonal on read in the next round — and a last slot
     /// of the lifted boundary splat.
     lifted: Vec<[[f32; LANES]; LANES]>,
-    /// The tile being computed, as the groups' [`LaneBlock::run`] raw
-    /// outputs, `tile[g · tile_blocks + b]` group `g`'s block `b`, before
-    /// it goes to `rows`.
-    tile: Vec<[[f32; LANES]; LANES]>,
-    /// Blocks of a group in `tile`: a full tile's, rounded up to an odd
-    /// count so that the same block of different groups spreads over
-    /// the cache's sets.
-    tile_blocks: usize,
     /// The halo windows `i = own_lo_i − 1` (`by` rows) and
     /// `j = own_lo_j − 1` (`bx` rows) in lane blocks, `row_blocks` a
     /// row: a block whose last cell is the one below the window, then
@@ -392,7 +420,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         kernel: K,
         tier: KernelTier,
         rank: usize,
-        rows: Pencils<'g>,
+        runs: &'g mut [[f32; LANES]],
         plan: &'g SweepPlan,
     ) -> Self {
         let up = decomp::has_upstream(&d, rank);
@@ -400,7 +428,6 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         let (bx, by) = (d.bx(), d.by());
         let window = d.krange(0).1;
         let row_blocks = 1 + window.div_ceil(LANES);
-        let tile_blocks = window.div_ceil(LANES) | 1;
         let boundary = match tier {
             KernelTier::Bitwise => kernel.lift(d.boundary),
             KernelTier::Fast => kernel.lift_fast(d.boundary),
@@ -411,7 +438,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
             d,
             kernel,
             tier,
-            rows,
+            runs,
             taken: 0,
             plan,
             lanes: vec![
@@ -422,8 +449,6 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                 slots
             ],
             lifted: vec![[splat; LANES]; slots],
-            tile: vec![[[d.boundary; LANES]; LANES]; plan.groups.len() * tile_blocks],
-            tile_blocks,
             halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match up[dir] {
                 true => vec![[d.boundary; LANES]; rows * row_blocks],
                 false => Vec::new(),
@@ -460,25 +485,11 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                 |i, j, k, a, c, d, s| kernel.step_fast(i, j, k, a, c, d, s),
             ),
         }
-        // Hand the tile to the result, pencil by pencil.
-        let by = self.d.by();
-        let outs = self.tile.chunks_exact(self.tile_blocks);
-        for (grp, outs) in self.plan.groups.iter().zip(outs) {
-            for l in grp.lo..grp.hi {
-                let row = &mut self.rows[(grp.i + l) * by + grp.t - grp.i - l][k0..k1];
-                let (whole, tail) = row.as_chunks_mut::<LANES>();
-                for (cells, out) in whole.iter_mut().zip(outs) {
-                    *cells = [out[0][l], out[1][l], out[2][l], out[3][l]];
-                }
-                let last = outs.get(whole.len()).into_iter().flatten();
-                tail.iter_mut().zip(last).for_each(|(cell, z)| *cell = z[l]);
-            }
-        }
         self.taken = k1;
     }
 
     /// The rounds of the plan's sweep over the next `len` cells of
-    /// every pencil, through `lift` and `step`, into `self.tile`.
+    /// every pencil, through `lift` and `step`, into `self.runs`.
     #[inline(always)]
     fn sweep(
         &mut self,
@@ -486,7 +497,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         lift: impl Fn(f32) -> f32,
         step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> f32,
     ) {
-        let (groups, rb, tb) = (&self.plan.groups, self.row_blocks, self.tile_blocks);
+        let (groups, rb, nz) = (&self.plan.groups, self.row_blocks, self.d.nz);
         let k0 = self.taken;
         let blocks = len.div_ceil(LANES);
         let [halo_i, halo_j] = &self.halo;
@@ -557,7 +568,17 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
                     km1,
                 };
                 let (raw, up) = blk.run(&lift, &step);
-                self.tile[g * tb + b] = raw;
+                // Cells k..k + LANES of every lane, cut at nz: a full block
+                // is one fixed-size store (a copy of a computed length
+                // here made the whole sweep 1.16 × slower).
+                let (k, run) = (k0 + b * LANES, &mut self.runs[g * nz..][..nz]);
+                match run.get_mut(k..k + LANES) {
+                    Some(cells) => cells.copy_from_slice(&raw),
+                    None => run[k..]
+                        .iter_mut()
+                        .zip(raw)
+                        .for_each(|(cells, z)| *cells = z),
+                }
                 slots[g] = up;
             }
         }
@@ -582,19 +603,23 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         // Gather the outgoing face's rows straight into the wire buffer
         // (the peer-visible slot on a slot-transport world) — the
         // block-to-kernel-buffer copy of the paper's B₂ phase is this
-        // one strided copy, with no further staging behind it.
+        // one gather of a lane of each edge group, with no further
+        // staging behind it.
         let (k0, k1) = self.d.krange(step);
         assert!(k1 <= self.taken, "only computed tiles are packed");
-        let (bx, by) = (self.d.bx(), self.d.by());
-        // Last local i: by consecutive rows; last local j: every by-th.
+        let (bx, by, nz) = (self.d.bx(), self.d.by(), self.d.nz);
+        // Last local i: by consecutive pencils; last local j: every by-th.
         let (first, stride) = if dir == FACE_I {
             ((bx - 1) * by, 1)
         } else {
             (by - 1, by)
         };
-        let face = self.rows.iter().skip(first).step_by(stride);
-        for (row, out) in face.zip(out.chunks_exact_mut(k1 - k0)) {
-            out.copy_from_slice(&row[k0..k1]);
+        for (out, p) in out.chunks_exact_mut(k1 - k0).zip((first..).step_by(stride)) {
+            let (g, l) = self.plan.lane_of(p);
+            let cells = &self.runs[g * nz + k0..];
+            out.iter_mut()
+                .zip(cells)
+                .for_each(|(x, lanes)| *x = lanes[l]);
         }
     }
 
@@ -625,7 +650,7 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
 }
 
 /// One rank's execution of any 3-D kernel from a compiled plan into
-/// `rows`, its pencils of the result (see [`rank_pencils`]), reporting
+/// `runs`, its block of the result (see [`result_grid`]), reporting
 /// every phase to `obs`, or the typed transport/structure error that
 /// stopped it. Nothing is re-derived here — the plan is executed
 /// exactly as compiled. `walk` is the layout's sweep, from `c`.
@@ -635,18 +660,19 @@ pub(crate) fn run_rank3d_into<C: Communicator<f32>, K: Kernel3D, O: StepObserver
     c: &Compiled3D,
     tier: KernelTier,
     obs: &mut O,
-    rows: Pencils<'_>,
+    runs: &mut [[f32; LANES]],
     walk: &SweepPlan,
 ) -> Result<(), EngineError> {
     let program = c.program(comm)?;
     let rank = comm.rank();
-    let mut blk = Block3D::new(c.decomp(), kernel, tier, rank, rows, walk);
+    let mut blk = Block3D::new(c.decomp(), kernel, tier, rank, runs, walk);
     engine::run_rank(comm, &mut blk, program, obs)
 }
 
 /// [`run_rank3d_into`] for a caller that wants one rank's block by
-/// itself (rank-level tests and benches): allocate
-/// `bx × by × nz`, run into its pencils, return it.
+/// itself (rank-level tests and benches): allocate it, run into it,
+/// return it — in the sweep's layout (see the module docs), masked
+/// lanes included.
 pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     comm: &mut C,
     kernel: K,
@@ -655,9 +681,10 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
     obs: &mut O,
 ) -> Result<Vec<f32>, EngineError> {
     let d = c.decomp();
-    let mut block = vec![0.0; d.bx() * d.by() * d.nz];
-    let rows = block.chunks_exact_mut(d.nz).collect();
-    run_rank3d_into(comm, kernel, c, tier, obs, rows, &SweepPlan::of(&d))?;
+    let walk = SweepPlan::of(&d);
+    let mut block = vec![0.0; walk.groups.len() * LANES * d.nz];
+    let runs = block.as_chunks_mut().0;
+    run_rank3d_into(comm, kernel, c, tier, obs, runs, &walk)?;
     Ok(block)
 }
 
@@ -922,6 +949,13 @@ mod tests {
             }
             pencils.sort_unstable();
             prop_assert!(pencils.into_iter().eq((0..bx).flat_map(|i| (0..by).map(move |j| (i, j)))));
+            prop_assert_eq!(SweepPlan::groups_of(bx, by), Some(plan.groups.len()));
+            // Each pencil is stored as the lane that sweeps it.
+            for (p, (i, j)) in (0..bx).flat_map(|i| (0..by).map(move |j| (i, j))).enumerate() {
+                let (g, l) = plan.lane_of(p);
+                let grp = &plan.groups[g];
+                prop_assert!((grp.lo..grp.hi).contains(&l) && lane(grp, l) == (i, j));
+            }
             // By diagonal, ascending i inside one.
             let keys: Vec<_> = plan.groups.iter().map(|g| (g.t, g.i)).collect();
             prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
@@ -1114,7 +1148,7 @@ mod tests {
             let grid = CartesianGrid::new(vec![pi, pj]);
             for rank in 0..d.ranks() {
                 let plan = SweepPlan::of(&d);
-                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, Vec::new(), &plan);
+                let blk = Block3D::new(d, Paper3D, KernelTier::Bitwise, rank, &mut [], &plan);
                 let dirs = (blk.num_dirs(), blk.wire_dir(FACE_I), blk.wire_dir(FACE_J));
                 assert_eq!(dirs, (d.num_dirs(), DIR_I, DIR_J), "rank {rank}");
                 // The layout's inline arithmetic is the row-major

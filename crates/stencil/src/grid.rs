@@ -5,9 +5,19 @@
 //! fully determined by their boundary: every interior cell is
 //! recomputed from already-recomputed neighbors).
 //!
-//! A dropped [`Grid3D`] parks its cells: a later distributed run of
-//! the same size takes them as its result, unfilled.
+//! A [`Grid3D`] carries its layout: pencil `(i, j)` (its `nz` cells
+//! along `k`) starts at an offset of its own in the storage, and its
+//! cells lie a fixed stride apart. A grid made here is row-major, `k`
+//! fastest (stride 1); a distributed run returns its ranks' storage as
+//! the tile sweep wrote it (stride [`crate::kernel::LANES`], see
+//! [`crate::dist3d`]). Cells are read through the layout — [`Grid3D::get`],
+//! [`Grid3D::pencil`], [`Grid3D::cells`] — and compared cell by cell;
+//! [`Grid3D::data`] is the raw storage in the grid's layout.
+//!
+//! A dropped [`Grid3D`] parks its storage: a later distributed run of
+//! the same size takes it as its result, unfilled.
 
+use crate::kernel::LANES;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -81,8 +91,8 @@ impl Grid2D {
         assert_eq!(block.nx(), 1, "a strip's block has a unit i-axis");
         let (nx, ny) = (block.nz(), block.ny());
         let mut data = vec![0.0; nx * ny];
-        for (j, pencil) in block.data().chunks_exact(nx).enumerate() {
-            for (row, &v) in data.chunks_exact_mut(ny).zip(pencil) {
+        for j in 0..ny {
+            for (row, v) in data.chunks_exact_mut(ny).zip(block.pencil(0, j)) {
                 row[j] = v;
             }
         }
@@ -98,17 +108,24 @@ impl Grid2D {
     /// (see [`max_abs_diff`] for how NaN counts).
     pub fn max_abs_diff(&self, other: &Grid2D) -> f32 {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "shape mismatch");
-        max_abs_diff(&self.data, &other.data)
+        max_abs_diff(self.data.iter().copied(), other.data.iter().copied())
     }
 }
 
-/// A dense 3-D grid, `k` fastest (matching the paper's `A(i,j,k)` sweep).
-#[derive(Clone, PartialEq, Debug)]
+/// A dense 3-D grid of `(i, j)` pencils along `k` (the paper's
+/// `A(i,j,k)` sweep), stored in a layout of its own (see the module
+/// docs). Two grids are equal when their shapes, boundaries and cells
+/// are, whatever their layouts.
+#[derive(Clone, Debug)]
 pub struct Grid3D {
     nx: usize,
     ny: usize,
     nz: usize,
     data: Vec<f32>,
+    /// Where pencil `(i, j)` starts in `data`: `base[i·ny + j]`.
+    base: Vec<usize>,
+    /// Distance in `data` between a pencil's consecutive cells.
+    stride: usize,
     boundary: f32,
 }
 
@@ -129,26 +146,53 @@ impl Grid3D {
         Self::alloc(nx, ny, nz, Some(fill), boundary)
     }
 
-    /// A grid whose caller writes every cell before it reads any (a
-    /// run's result, see `plan::run3d_ranks`): a parked buffer's cells
-    /// come as they are, unfilled. Debug builds start every cell as NaN,
-    /// so a cell left unwritten shows in any comparison.
-    pub(crate) fn try_unfilled(nx: usize, ny: usize, nz: usize, boundary: f32) -> Option<Self> {
-        let poison = cfg!(debug_assertions).then_some(f32::NAN);
-        Self::alloc(nx, ny, nz, poison, boundary)
+    /// `len` floats of storage for a grid whose caller writes every one
+    /// before it reads any (a run's result, see `plan::run3d_ranks`): a
+    /// parked buffer comes as it is, unfilled. Debug builds start every
+    /// float as NaN, so one left unwritten shows in any comparison.
+    pub(crate) fn unfilled(len: usize) -> Option<Vec<f32>> {
+        PARK.cells(len, cfg!(debug_assertions).then_some(f32::NAN))
     }
 
-    /// A grid in [`Park::cells`], filled with `fill` where it is `Some`.
+    /// A row-major grid in [`Park::cells`], filled with `fill` where it
+    /// is `Some`.
     fn alloc(nx: usize, ny: usize, nz: usize, fill: Option<f32>, boundary: f32) -> Option<Self> {
         assert!(nx > 0 && ny > 0 && nz > 0, "grid must be non-empty");
-        let cells = nx.checked_mul(ny)?.checked_mul(nz)?;
-        Some(Grid3D {
+        let data = PARK.cells(nx.checked_mul(ny)?.checked_mul(nz)?, fill)?;
+        let base = (0..nx * ny).map(|p| p * nz).collect();
+        Some(Self::with_layout(nx, ny, nz, boundary, data, base, 1))
+    }
+
+    /// The grid whose pencil `(i, j)` is `nz` cells of `data`, from
+    /// `base[i·ny + j]` on, `stride` apart.
+    ///
+    /// # Panics
+    /// If `base` does not hold one offset per pencil, or a pencil runs
+    /// past `data`.
+    pub(crate) fn with_layout(
+        nx: usize,
+        ny: usize,
+        nz: usize,
+        boundary: f32,
+        data: Vec<f32>,
+        base: Vec<usize>,
+        stride: usize,
+    ) -> Self {
+        let last = (nz - 1) * stride;
+        let inside = base.iter().all(|&b| b + last < data.len());
+        assert!(
+            base.len() == nx * ny && inside,
+            "a pencil per (i, j), inside the storage"
+        );
+        Grid3D {
             nx,
             ny,
             nz,
-            data: PARK.cells(cells, fill)?,
+            data,
+            base,
+            stride,
             boundary,
-        })
+        }
     }
 
     /// Extent along i.
@@ -173,7 +217,7 @@ impl Grid3D {
 
     #[inline]
     fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (i * self.ny + j) * self.nz + k
+        self.base[i * self.ny + j] + k * self.stride
     }
 
     /// Read `(i, j, k)`; out-of-range returns the boundary value.
@@ -203,27 +247,88 @@ impl Grid3D {
         self.data[idx] = v;
     }
 
-    /// Raw data (row-major, k fastest).
+    /// Raw storage in the grid's layout: the cells, and on a
+    /// distributed run's result the sweep's masked lanes between them.
+    /// Read cells through [`Self::cells`] or [`Self::pencil`].
     pub fn data(&self) -> &[f32] {
         &self.data
     }
 
-    /// Every `(i, j)` pencil (`nz` values, k fastest) in row-major
-    /// `(i, j)` order, each a disjoint mutable view of the grid: how the
-    /// distributed runners hand the ranks their parts of the result.
-    pub fn pencils_mut(&mut self) -> std::slice::ChunksExactMut<'_, f32> {
-        self.data.chunks_exact_mut(self.nz)
+    /// The raw storage, for the ranks of a run to write.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
-    /// Maximum absolute difference to another grid of the same shape
-    /// (see [`max_abs_diff`] for how NaN counts).
+    /// Set every float of the storage, cells and padding alike, to `x`.
+    pub fn fill(&mut self, x: f32) {
+        self.data.fill(x);
+    }
+
+    /// The `nz` cells of pencil `(i, j)`, `k` ascending.
+    ///
+    /// # Panics
+    /// If `(i, j)` is out of range.
+    pub fn pencil(&self, i: usize, j: usize) -> impl ExactSizeIterator<Item = f32> + '_ {
+        assert!(i < self.nx && j < self.ny, "pencil out of range");
+        let at = self.idx(i, j, 0);
+        let cells = &self.data[at..=at + (self.nz - 1) * self.stride];
+        cells.iter().step_by(self.stride).copied()
+    }
+
+    /// Cells `k .. k + out.len()` of pencil `(i, j)`, into `out`.
+    pub(crate) fn read_pencil(&self, i: usize, j: usize, k: usize, out: &mut [f32]) {
+        let cells = &self.data[self.idx(i, j, k)..];
+        match self.stride {
+            1 => out.copy_from_slice(&cells[..out.len()]),
+            s => (out.iter_mut().zip(cells.iter().step_by(s))).for_each(|(x, &c)| *x = c),
+        }
+    }
+
+    /// Cells `k .. k + n` of the pencils `(i + l, j − l)`, `l < LANES`,
+    /// into `outs[l]` (`n` long each) — where the layout keeps them as
+    /// the lanes of one run, as a distributed result keeps a lane group;
+    /// otherwise `false`, and nothing is read. `(i, j)` must be a pencil
+    /// of the grid.
+    pub(crate) fn read_lanes(
+        &self,
+        (i, j): (usize, usize),
+        k: usize,
+        outs: [&mut [f32]; LANES],
+    ) -> bool {
+        let at = self.idx(i, j, k);
+        let lane = |l: usize| i + l < self.nx && l <= j && self.idx(i + l, j - l, k) == at + l;
+        if self.stride != LANES || !(1..LANES).all(lane) {
+            return false;
+        }
+        let [x0, x1, x2, x3] = outs;
+        let quads = self.data[at..].as_chunks::<LANES>().0.iter();
+        for ((((q, x0), x1), x2), x3) in quads.zip(x0).zip(x1).zip(x2).zip(x3) {
+            [*x0, *x1, *x2, *x3] = *q;
+        }
+        true
+    }
+
+    /// Every cell in `(i, j, k)` order, `k` fastest.
+    pub fn cells(&self) -> impl Iterator<Item = f32> + '_ {
+        (0..self.nx).flat_map(move |i| (0..self.ny).flat_map(move |j| self.pencil(i, j)))
+    }
+
+    /// Maximum absolute difference to another grid of the same shape,
+    /// cell by cell (see [`max_abs_diff`] for how NaN counts).
     pub fn max_abs_diff(&self, other: &Grid3D) -> f32 {
         assert_eq!(
             (self.nx, self.ny, self.nz),
             (other.nx, other.ny, other.nz),
             "shape mismatch"
         );
-        max_abs_diff(&self.data, &other.data)
+        max_abs_diff(self.cells(), other.cells())
+    }
+}
+
+impl PartialEq for Grid3D {
+    fn eq(&self, other: &Self) -> bool {
+        let shape = |g: &Self| (g.nx, g.ny, g.nz, g.boundary);
+        shape(self) == shape(other) && self.cells().eq(other.cells())
     }
 }
 
@@ -296,18 +401,21 @@ impl Park {
     }
 }
 
-/// Largest cell-wise `|a − b|` of two equally long arrays. Cells with
-/// equal bit patterns differ by 0 — the same NaN included — and any
-/// other pair involving a NaN differs by `f32::INFINITY`: a NaN where
-/// the reference holds a number must never verify as equal (`f32::max`
-/// alone would discard it).
-pub(crate) fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    let cell = |(a, b): (&f32, &f32)| match (a - b).abs() {
+/// Largest cell-wise `|a − b|` of two equally long runs of cells. Cells
+/// with equal bit patterns differ by 0 — the same NaN included — and
+/// any other pair involving a NaN differs by `f32::INFINITY`: a NaN
+/// where the reference holds a number must never verify as equal
+/// (`f32::max` alone would discard it).
+pub(crate) fn max_abs_diff(
+    a: impl IntoIterator<Item = f32>,
+    b: impl IntoIterator<Item = f32>,
+) -> f32 {
+    let cell = |(a, b): (f32, f32)| match (a - b).abs() {
         d if !d.is_nan() => d,
         _ if a.to_bits() == b.to_bits() => 0.0,
         _ => f32::INFINITY,
     };
-    a.iter().zip(b).map(cell).fold(0.0, f32::max)
+    a.into_iter().zip(b).map(cell).fold(0.0, f32::max)
 }
 
 #[cfg(test)]
@@ -443,6 +551,48 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn write_out_of_range_panics() {
         Grid2D::new(2, 2, 0.0, 0.0).set(2, 0, 1.0);
+    }
+
+    /// Cells are read, written and compared through the layout: two
+    /// runs of two interleaved pencils each (stride 2) hold the same
+    /// cells as a row-major grid, in other places.
+    #[test]
+    fn cells_go_through_the_layout() {
+        let data: Vec<f32> = (0..12).map(|x| x as f32).collect();
+        let mut runs = Grid3D::with_layout(2, 2, 3, -1.0, data, vec![0, 1, 6, 7], 2);
+        assert_eq!(
+            (runs.get(0, 1, 2), runs.get(1, 0, 1), runs.get(1, 1, 3)),
+            (5.0, 8.0, -1.0)
+        );
+        assert!(runs.pencil(1, 1).eq([7.0, 9.0, 11.0]));
+        let mut rows = Grid3D::new(2, 2, 3, 0.0, -1.0);
+        for (i, j, k) in
+            (0..2).flat_map(|i| (0..2).flat_map(move |j| (0..3).map(move |k| (i, j, k))))
+        {
+            rows.set(i, j, k, runs.get(i as i64, j as i64, k as i64));
+        }
+        assert!(rows.cells().eq(runs.cells()));
+        assert_eq!((rows == runs, rows.max_abs_diff(&runs)), (true, 0.0));
+        assert_ne!(rows.data(), runs.data());
+        runs.set(1, 1, 0, 0.5);
+        assert_eq!(
+            (runs.data()[7], rows == runs, rows.max_abs_diff(&runs)),
+            (0.5, false, 6.5)
+        );
+        // A unit-axis block: strip cell (i, j) is block cell (0, j, i).
+        let strip = Grid3D::with_layout(
+            1,
+            2,
+            3,
+            0.0,
+            (0..6).map(|x| x as f32).collect(),
+            vec![0, 1],
+            2,
+        );
+        assert_eq!(
+            Grid2D::from_block(&strip).data(),
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        );
     }
 
     #[test]

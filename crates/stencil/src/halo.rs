@@ -1,6 +1,6 @@
 //! Row-chunked halo face packing and unpacking.
 //!
-//! The block layout keeps the pipelined dimension fastest, so every row
+//! A row-major block keeps the pipelined dimension fastest, so every row
 //! of an outgoing face is contiguous in memory: packing a face is a
 //! strided sequence of `copy_from_slice` row copies instead of a
 //! per-element gather, and unpacking into a halo plane is the
@@ -15,7 +15,8 @@
 //! `j = by−1` face has `base = (by−1)·nz, stride = by·nz` (rows indexed
 //! by `i`). Halo planes unpack with `base = 0, stride = nz`. The 3-D
 //! executor unpacks through [`unpack_rows`] into its one-window halo
-//! rows; it packs the same row copies from its pencils, while
+//! rows; it packs by gathering one lane of its edge groups (its block
+//! is stored in the sweep's layout, see [`crate::dist3d`]), while
 //! [`pack_rows`] is the flat-block form the benchmark's probe measures.
 //!
 //! `tests/halo_chunking.rs` asserts bitwise equality with element-wise

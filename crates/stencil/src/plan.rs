@@ -10,12 +10,12 @@
 //! every runner takes a compiled plan, so one compile backs any number
 //! of executions (the `planc` crate's `PlanArtifact` caches them).
 //!
-//! Every run takes one path: the runner takes the result [`Grid3D`]
-//! (the newest parked cells of a dropped grid of the same size when
-//! there are any, unfilled), deals its pencils out to the ranks as
-//! disjoint mutable views ([`dist3d::rank_pencils`]) and the ranks compute
-//! straight into them — the result grid *is* the ranks' storage, and
-//! the calling thread *is* rank 0 (see
+//! Every run takes one path: the runner takes the result [`Grid3D`] in
+//! the sweep's layout (the newest parked storage of a dropped grid of
+//! the same size when there is any, unfilled; [`dist3d::result_grid`]),
+//! deals its blocks out to the ranks as disjoint mutable views and the
+//! ranks' sweeps write straight into them — the result grid *is* the
+//! ranks' storage, and the calling thread *is* rank 0 (see
 //! `msgpass::thread_backend::run_world`). [`run3d_observed_with`]
 //! launches that path on a fresh world; [`run3d_on_world_observed`]
 //! launches it over a *prebuilt* one: a service can keep a pool of
@@ -158,13 +158,13 @@ type RankOut<O> = (Result<(), EngineError>, (O, FaultStats));
 /// parallel region, the observers and the fault counters in rank order.
 pub type Run3D<O> = Result<(Grid3D, Duration, Vec<O>, Vec<FaultStats>), EngineError>;
 
-/// The one run path: take the result grid ([`Grid3D::try_unfilled`]),
-/// deal its pencils out to the ranks, and have `launch` run the rank
-/// body once per rank of some world. Every cell is written exactly
-/// once, by its owner, so what the cells held before is never read.
-/// The tile walk is built here too, once the grid is there, and lent to
-/// every rank: it is as large as a block's cross-section, so a grid
-/// larger than memory stays an [`EngineError::OutOfMemory`].
+/// The one run path: take the result grid and the tile walk
+/// ([`dist3d::result_grid`]; a grid larger than memory is an
+/// [`EngineError::OutOfMemory`] of the bytes its storage needs), deal
+/// its blocks out to the ranks, lend every rank the walk, and have
+/// `launch` run the rank body once per rank of some world. Every float
+/// of the storage is written by its owner, so what it held before is
+/// never read.
 fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
     kernel: K,
     c: &Compiled3D,
@@ -174,25 +174,21 @@ fn run3d_ranks<K: Kernel3D, O: StepObserver + Send>(
         &(dyn Fn(&mut ThreadComm<f32>) -> RankOut<O> + Sync),
     ) -> (Vec<std::thread::Result<RankOut<O>>>, Duration),
 ) -> Run3D<O> {
-    let d = c.d;
-    let mut out =
-        Grid3D::try_unfilled(d.nx, d.ny, d.nz, d.boundary).ok_or(EngineError::OutOfMemory {
-            bytes: d.nx * d.ny * d.nz * std::mem::size_of::<f32>(),
-        })?;
-    let walk = dist3d::SweepPlan::of(&d);
+    let (mut out, walk) =
+        dist3d::result_grid(&c.d).map_err(|bytes| EngineError::OutOfMemory { bytes })?;
     let (results, elapsed) = {
-        // The body is shared by the ranks, so each takes its pencils
-        // out of its own slot.
-        let parts: Vec<_> = dist3d::rank_pencils(&d, out.pencils_mut())
-            .into_iter()
-            .map(|rows| Mutex::new(Some(rows)))
+        // The body is shared by the ranks, so each takes its block out
+        // of its own slot.
+        let block = out.data().len() / c.ranks();
+        let parts: Vec<_> = (out.data_mut().chunks_exact_mut(block))
+            .map(|runs| Mutex::new(Some(runs.as_chunks_mut().0)))
             .collect();
         launch(&|comm| {
             let mut obs = make_obs(comm);
             let part = parts[comm.rank()].lock().ok().and_then(|mut p| p.take());
             #[allow(clippy::expect_used)] // LINT: a world runs each rank once
-            let rows = part.expect("a world runs each rank once");
-            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, rows, &walk);
+            let runs = part.expect("a world runs each rank once");
+            let run = dist3d::run_rank3d_into(comm, kernel, c, tier, &mut obs, runs, &walk);
             (run, (obs, comm.fault_stats()))
         })
     };

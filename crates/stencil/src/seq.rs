@@ -16,18 +16,28 @@
 //! replays the recurrence.
 
 use crate::grid::{self, Grid2D, Grid3D};
-use crate::kernel::{Example1, Kernel3D, Paper3D};
+use crate::kernel::{Example1, Kernel3D, Paper3D, LANES};
 
 /// Run any 3-D wavefront kernel sequentially; returns the final grid.
 pub fn run_seq3d<K: Kernel3D>(kernel: K, nx: usize, ny: usize, nz: usize, boundary: f32) -> Grid3D {
     let mut g = Grid3D::new(nx, ny, nz, 0.0, boundary);
+    // A new grid is row-major, `k` fastest.
+    let a = g.data_mut();
     let ext = |n: usize| 0..n as i64;
+    let at = |i: i64, j: i64, k: i64| ((i * ny as i64 + j) * nz as i64 + k) as usize;
+    let get = |a: &[f32], i: i64, j: i64, k: i64| match i >= 0 && j >= 0 && k >= 0 {
+        true => a[at(i, j, k)],
+        false => boundary,
+    };
     for i in ext(nx) {
         for j in ext(ny) {
             for k in ext(nz) {
-                let (im1, jm1, km1) = (g.get(i - 1, j, k), g.get(i, j - 1, k), g.get(i, j, k - 1));
-                let v = kernel.eval(i, j, k, im1, jm1, km1, g.get(i, j - 1, k - 1));
-                g.set(i as usize, j as usize, k as usize, v);
+                let (im1, jm1, km1) = (
+                    get(a, i - 1, j, k),
+                    get(a, i, j - 1, k),
+                    get(a, i, j, k - 1),
+                );
+                a[at(i, j, k)] = kernel.eval(i, j, k, im1, jm1, km1, get(a, i, j - 1, k - 1));
             }
         }
     }
@@ -41,9 +51,9 @@ const W: usize = 8;
 /// boundary, without materialising the reference: the same
 /// cell-by-cell [`Kernel3D::eval`] recurrence needs only the `i`-plane
 /// being computed and the one before it, and each finished plane is
-/// compared with `grid`'s (by [`Grid3D::max_abs_diff`]'s rule) before
-/// it is overwritten. Verifying a result this way holds one grid, not
-/// two.
+/// compared with `grid`'s pencils (by [`Grid3D::max_abs_diff`]'s rule)
+/// before it is overwritten. Verifying a result this way holds one
+/// grid, not two.
 ///
 /// A plane is swept `W` pencils at a time on the time `t = j + k`:
 /// pencil `j0 + m` runs `m` cells behind pencil `j0 + m − 1`, so its
@@ -60,9 +70,9 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
     // `j − 1` neighbor of `j = 0`, and the plane before `i = 0` is all
     // boundary.
     let mut prev = vec![b; (ny + 1) * nz];
-    let mut cur = prev.clone();
+    let (mut cur, mut got) = (prev.clone(), vec![0.0; nz]);
     let mut worst = 0.0f32;
-    for (i, plane) in (0i64..).zip(grid.data().chunks_exact(ny * nz)) {
+    for i in 0..grid.nx() as i64 {
         for j0 in (0..ny).step_by(W) {
             let w = W.min(ny - j0);
             let (done, block) = cur.split_at_mut((j0 + 1) * nz);
@@ -128,7 +138,11 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
                 by_cell(t, &mut chains, block);
             }
         }
-        worst = worst.max(grid::max_abs_diff(&cur[nz..], plane));
+        for (j, want) in cur[nz..].chunks_exact(nz).enumerate() {
+            grid.read_pencil(i as usize, j, 0, &mut got);
+            let diff = grid::max_abs_diff(want.iter().copied(), got.iter().copied());
+            worst = worst.max(diff);
+        }
         std::mem::swap(&mut prev, &mut cur);
     }
     worst
@@ -143,32 +157,68 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
 ///
 /// No cell waits for another's result, so a pencil is one loop of
 /// independent `eval`s whose mismatches are OR-ed together, which the
-/// compiler vectorises. Nothing but [`Kernel3D::eval`] is called: never
-/// the executors' kernels it judges.
+/// compiler vectorises. The grid is read in slabs of [`SLAB`] cells of
+/// every pencil, gathered through the grid's layout with the cell below
+/// in front (the boundary below `k = 0`), [`LANES`] `i`-planes at a
+/// time: a distributed result interleaves the four pencils of a lane
+/// group, which lie on one anti-diagonal of such a block, so their run
+/// is read once for all four. Nothing but [`Kernel3D::eval`] is called:
+/// never the executors' kernels it judges.
 pub fn follows_recurrence<K: Kernel3D>(kernel: K, grid: &Grid3D) -> bool {
-    let (ny, nz, b) = (grid.ny(), grid.nz(), grid.boundary());
-    if ny * nz == 0 {
-        return true;
-    }
-    let (edge, mut above, mut miss) = (vec![b; nz], None, false);
-    for (i, plane) in (0i64..).zip(grid.data().chunks_exact(ny * nz)) {
-        let mut left = &edge[..];
-        for (j, own) in (0i64..).zip(plane.chunks_exact(nz)) {
-            let up = above.map_or(&edge[..], |p: &[f32]| &p[j as usize * nz..][..nz]);
-            miss |= kernel.eval(i, j, 0, up[0], left[0], b, b).to_bits() != own[0].to_bits();
-            let n = nz - 1;
-            let (cells, km1, im1) = (&own[1..][..n], &own[..n], &up[1..][..n]);
-            let (jm1, diag) = (&left[1..][..n], &left[..n]);
-            for k in 0..n {
-                let v = kernel.eval(i, j, k as i64 + 1, im1[k], jm1[k], km1[k], diag[k]);
-                miss |= v.to_bits() != cells[k].to_bits();
+    let (nx, ny, nz, b) = (grid.nx(), grid.ny(), grid.nz(), grid.boundary());
+    // A slab row: the cell below the slab, then the slab. The plane
+    // before a block of LANES planes, then the block's planes.
+    let h = 1 + SLAB.min(nz);
+    let edge = vec![b; h];
+    let (mut planes, mut miss) = (vec![vec![b; ny * h]; 1 + LANES], false);
+    for k0 in (0..nz).step_by(SLAB) {
+        let n = SLAB.min(nz - k0);
+        // The first slab has no cell below it: its rows keep the
+        // boundary there.
+        let (from, at) = if k0 == 0 { (0, 1) } else { (k0 - 1, 0) };
+        planes[0].fill(b);
+        for i0 in (0..nx).step_by(LANES) {
+            let w = LANES.min(nx - i0);
+            // By anti-diagonal: a distributed result keeps the pencils
+            // `(i0 + l, t − i0 − l)` of one as the lanes of one run.
+            for t in 0..ny + w - 1 {
+                let lanes = t.saturating_sub(ny - 1)..w.min(t + 1);
+                if let ([_, p0, p1, p2, p3], LANES) = (&mut planes[..], lanes.len()) {
+                    let rows = [(p0, 0), (p1, 1), (p2, 2), (p3, 3)];
+                    let rows = rows.map(|(plane, l)| &mut plane[(t - l) * h..][at..=n]);
+                    if grid.read_lanes((i0, t), from, rows) {
+                        continue;
+                    }
+                }
+                for l in lanes {
+                    let row = &mut planes[1 + l][(t - l) * h..][at..=n];
+                    grid.read_pencil(i0 + l, t - l, from, row);
+                }
             }
-            left = own;
+            for l in 0..w {
+                let (above, plane) = (&planes[l], &planes[l + 1]);
+                let (i, mut left) = ((i0 + l) as i64, &edge[..]);
+                for ((j, own), up) in (0i64..)
+                    .zip(plane.chunks_exact(h))
+                    .zip(above.chunks_exact(h))
+                {
+                    let (cells, km1, im1) = (&own[1..][..n], &own[..n], &up[1..][..n]);
+                    let (jm1, diag) = (&left[1..][..n], &left[..n]);
+                    for k in 0..n {
+                        let v = kernel.eval(i, j, (k0 + k) as i64, im1[k], jm1[k], km1[k], diag[k]);
+                        miss |= v.to_bits() != cells[k].to_bits();
+                    }
+                    left = own;
+                }
+            }
+            planes.swap(0, w);
         }
-        above = Some(plane);
     }
     !miss
 }
+
+/// Cells of every pencil [`follows_recurrence`] checks in one pass.
+const SLAB: usize = 512;
 
 /// Run a 2-D wavefront kernel sequentially over an `nx × ny` strip
 /// space, in its own row-major order: cell `(i, j)` is the kernel's
@@ -304,6 +354,41 @@ mod tests {
             certifies_only_the_reference(Example1, shape, boundary, at);
             certifies_only_the_reference(Alignment2D { alphabet: 2 }, shape, boundary, at);
             certifies_only_the_reference(Smooth2D::default(), shape, boundary, at);
+        }
+    }
+
+    /// A distributed result, in the sweep's layout, is checked through
+    /// it: its cells pass, and any one cell off fails — on the edges of
+    /// a block, of a lane group (four lanes read as one run, or fewer)
+    /// and of a slab.
+    #[test]
+    fn a_distributed_result_is_checked_through_its_layout() {
+        use crate::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
+        use msgpass::thread_backend::{LatencyModel, WorldConfig};
+        let d = Decomp3D {
+            nx: 9,
+            ny: 10,
+            nz: 2 * SLAB + 7,
+            pi: 1,
+            pj: 2,
+            v: 100,
+            boundary: 1.5,
+        };
+        let cfg = WorldConfig::new(LatencyModel::zero());
+        let (grid, _, _) = run_dist3d_with(Paper3D, d, &cfg, ExecMode::Overlapping).expect("valid");
+        assert!(follows_recurrence(Paper3D, &grid));
+        let last = d.nz - 1;
+        let cells = [
+            (0, 0, 0),
+            (3, 2, SLAB - 1),
+            (2, 7, SLAB),
+            (5, 6, last),
+            (8, 9, last),
+        ];
+        for (i, j, k) in cells {
+            let mut off = grid.clone();
+            off.set(i, j, k, grid.get(i as i64, j as i64, k as i64) + 0.25);
+            assert!(!follows_recurrence(Paper3D, &off), "({i}, {j}, {k})");
         }
     }
 

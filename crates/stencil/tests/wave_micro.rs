@@ -222,9 +222,12 @@ fn lanes_vs_chain_micro() {
 }
 
 /// ns/cell of `follows_recurrence` and of `max_abs_diff_from_seq3d`
-/// certifying a correct Paper3D grid, and of the naive `run_seq3d`
-/// that made it, fastest of 7 each.
-fn check_verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> [f64; 3] {
+/// certifying a correct Paper3D grid — the one the naive `run_seq3d`
+/// made (row-major) and a 2-rank run's of tile height `v` (in the
+/// sweep's layout) — and of that naive loop, fastest of 7 each.
+fn check_verify_and_naive_ns(nx: usize, ny: usize, nz: usize, v: usize) -> [[f64; 3]; 2] {
+    use msgpass::thread_backend::{LatencyModel, WorldConfig};
+    use stencil::dist3d::{run_dist3d_with, Decomp3D, ExecMode};
     let cells = (nx * ny * nz) as f64;
     let fastest = |run: &mut dyn FnMut()| {
         let time = |_| {
@@ -236,30 +239,48 @@ fn check_verify_and_naive_ns(nx: usize, ny: usize, nz: usize) -> [f64; 3] {
     };
     let mut reference = None;
     let naive = fastest(&mut || reference = Some(run_seq3d(Paper3D, nx, ny, nz, 1.0)));
-    let grid = reference.unwrap();
-    let verify = fastest(&mut || assert_eq!(max_abs_diff_from_seq3d(Paper3D, &grid), 0.0));
-    let check = fastest(&mut || assert!(follows_recurrence(Paper3D, &grid)));
-    [check, verify, naive]
+    let d = Decomp3D {
+        nx,
+        ny,
+        nz,
+        pi: 2,
+        pj: 1,
+        v,
+        boundary: 1.0,
+    };
+    let cfg = WorldConfig::new(LatencyModel::zero());
+    let (swept, _, _) = run_dist3d_with(Paper3D, d, &cfg, ExecMode::Overlapping).unwrap();
+    [reference.unwrap(), swept].map(|grid| {
+        let verify = fastest(&mut || assert_eq!(max_abs_diff_from_seq3d(Paper3D, &grid), 0.0));
+        let check = fastest(&mut || assert!(follows_recurrence(Paper3D, &grid)));
+        [check, verify, naive]
+    })
 }
 
 #[test]
 #[ignore]
 fn verify_vs_naive_micro() {
-    println!("paper3d, ns/cell:          shape   check  verify   naive  c/v  v/n");
-    for (name, (nx, ny, nz)) in [
-        ("compute-bound", (16, 16, 8192)),
-        ("fine-grain", (8, 8, 16384)),
+    println!("paper3d, ns/cell:          shape    layout   check  verify   naive  c/v  v/n");
+    for (name, (nx, ny, nz, v)) in [
+        ("compute-bound", (16, 16, 8192, 256)),
+        ("fine-grain", (8, 8, 16384, 8)),
     ] {
-        let [check, verify, naive] = check_verify_and_naive_ns(nx, ny, nz);
-        let (by_cell, ratio) = (check / verify, verify / naive);
-        println!("{name:>31} {check:7.2} {verify:7.2} {naive:7.2} {by_cell:4.2} {ratio:4.2}");
-        assert!(
-            ratio <= 0.4,
-            "{name}: the verifier ran {verify:.2} ns/cell, {ratio:.2} x the naive loop's {naive:.2}"
-        );
-        assert!(
-            by_cell <= 0.7,
-            "{name}: the cell-by-cell check ran {check:.2} ns/cell, {by_cell:.2} x the verifier's {verify:.2}"
-        );
+        let layouts = ["row-major", "swept"].iter();
+        for (layout, [check, verify, naive]) in
+            layouts.zip(check_verify_and_naive_ns(nx, ny, nz, v))
+        {
+            let (by_cell, ratio) = (check / verify, verify / naive);
+            println!(
+                "{name:>31} {layout:>9} {check:7.2} {verify:7.2} {naive:7.2} {by_cell:4.2} {ratio:4.2}"
+            );
+            assert!(
+                ratio <= 0.4,
+                "{name}, {layout}: the verifier ran {verify:.2} ns/cell, {ratio:.2} x the naive loop's {naive:.2}"
+            );
+            assert!(
+                by_cell <= 0.7,
+                "{name}, {layout}: the cell-by-cell check ran {check:.2} ns/cell, {by_cell:.2} x the verifier's {verify:.2}"
+            );
+        }
     }
 }

@@ -46,7 +46,7 @@ fn main() {
     // The logged runs produced real, correct data: every cell of either
     // schedule's grid is the sequential reference's.
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-    let correct = [&grid_b, &grid_o].iter().all(|g| g.data() == seq.data());
+    let correct = [&grid_b, &grid_o].iter().all(|g| **g == seq);
     println!("traced executions match the sequential reference cell for cell: {correct}");
     let ops: usize = progs_overlap.iter().map(|p| p.len()).sum();
     println!(

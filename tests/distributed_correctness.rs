@@ -197,29 +197,68 @@ fn long_pipeline_stays_finite() {
 }
 
 /// Both modes on a fresh world per run and on the prebuilt `world`,
-/// bitwise against `stencil::seq`. A result takes the unfilled cells of
-/// a dropped grid of its size, so the last result is set to NaN and
-/// dropped until the warm run gets its cells back (tests in parallel may
-/// take or free them first), and the warm run must rewrite every cell.
+/// bitwise against `stencil::seq`. A result takes the unfilled storage
+/// of a dropped grid of its size, so the last result is set to a NaN of
+/// its own payload — cells and the sweep's masked lanes — and dropped
+/// until the warm run gets its storage back (tests in parallel may take
+/// or free it first). The warm run must rewrite every float of it: its
+/// storage is the fresh run's bit for bit (a caller may hash `data()`;
+/// the benchmark does), and finite (a debug build starts unfilled
+/// storage as NaN).
 fn check_fresh_and_warm<K: Kernel3D>(kernel: K, d: Decomp3D, world: &mut World<f32>) {
     let seq = run_seq3d(kernel, d.nx, d.ny, d.nz, d.boundary);
+    let bits = |g: &Grid3D| g.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
         let plan = Compiled3D::compile(d, mode).expect("clean plan");
         let (mut poisoned, _, _) = run3d_with(kernel, &plan, &zero_latency()).expect("fresh world");
         assert_eq!(poisoned.max_abs_diff(&seq), 0.0, "fresh, {mode:?}, {d:?}");
+        let fresh = bits(&poisoned);
         for attempt in 0.. {
-            assert!(attempt < 100, "NaN cells never reused: {mode:?} {d:?}");
-            poisoned.pencils_mut().for_each(|p| p.fill(f32::NAN));
-            let cells = poisoned.data().as_ptr();
+            assert!(attempt < 100, "NaN storage never reused: {mode:?} {d:?}");
+            poisoned.fill(f32::from_bits(f32::NAN.to_bits() ^ 0x5a5));
+            let storage = poisoned.data().as_ptr();
             drop(poisoned);
             let (warm, _, _) =
                 run3d_on_world(kernel, &plan, KernelTier::Bitwise, world).expect("warm world");
             assert_eq!(warm.max_abs_diff(&seq), 0.0, "warm world, {mode:?}, {d:?}");
-            if warm.data().as_ptr() == cells {
+            if warm.data().as_ptr() == storage {
+                assert!(bits(&warm) == fresh, "warm storage, {mode:?}, {d:?}");
+                assert!(warm.data().iter().all(|x| x.is_finite()), "{mode:?}, {d:?}");
                 break;
             }
             poisoned = warm;
         }
+    }
+}
+
+/// A block whose tile height and last tile are not a multiple of the
+/// sweep's four lanes, on two ranks, and its strip as a unit-axis block
+/// (whose groups hold one pencil each): every run rewrites the same
+/// storage, and the strip comes back as the 2-D reference.
+#[test]
+fn partial_lane_blocks_rewrite_the_same_storage() {
+    let mut world = build_world_with::<f32>(2, &zero_latency());
+    let block = Decomp3D {
+        nx: 6,
+        ny: 5,
+        nz: 23,
+        pi: 2,
+        pj: 1,
+        v: 6,
+        boundary: 1.25,
+    };
+    check_fresh_and_warm(Paper3D, block, &mut world);
+    let strips = Decomp2D {
+        nx: 23,
+        ny: 6,
+        ranks: 2,
+        v: 6,
+        boundary: 1.5,
+    };
+    check_fresh_and_warm(Example1, strips.block(), &mut world);
+    let seq = run_seq2d(Example1, strips.nx, strips.ny, strips.boundary);
+    for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
+        assert_eq!(run_strip(Example1, strips, mode), seq, "{mode:?}");
     }
 }
 
@@ -304,7 +343,7 @@ fn consumed_pencils_are_bitwise_on_edge_shapes_and_the_fast_tier_has_not_moved()
         // Neither contracts nor decays: a stale `k − 1` seed shows.
         check_fresh_and_warm(LongestPath3D, d, &mut world);
         let Some(want) = fast_checksum else { continue };
-        let fnv = |h: u64, x: &f32| (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3);
+        let fnv = |h: u64, x: f32| (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3);
         let fast = zero_latency().with_kernel_tier(KernelTier::Fast);
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
             let plan = Compiled3D::compile(d, mode).expect("clean plan");
@@ -313,7 +352,8 @@ fn consumed_pencils_are_bitwise_on_edge_shapes_and_the_fast_tier_has_not_moved()
             let (warm, _, _) =
                 run3d_on_world(kernel, &plan, KernelTier::Fast, &mut world).expect("warm world");
             for grid in [fresh, warm] {
-                let got = grid.data().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+                // Cells in (i, j, k) order, whatever the layout.
+                let got = grid.cells().fold(0xcbf2_9ce4_8422_2325, fnv);
                 assert_eq!(got, want, "fast tier, {mode:?}, {d:?}");
             }
         }

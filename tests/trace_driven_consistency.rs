@@ -179,6 +179,6 @@ fn recorded_executor_output_is_correct() {
     let (d, _) = setup();
     let (grid, _) = replay(d, ExecMode::Overlapping);
     let seq = run_paper3d_seq(d.nx, d.ny, d.nz, d.boundary);
-    let bits = |g: &Grid3D| g.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let bits = |g: &Grid3D| g.cells().map(f32::to_bits).collect::<Vec<_>>();
     assert_eq!(bits(&grid), bits(&seq));
 }

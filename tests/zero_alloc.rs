@@ -104,7 +104,7 @@ fn count_single_rank_run(nz: usize) -> u64 {
         let (grid, _, _) = run_dist3d_with(Relax3D::default(), d, &cfg, ExecMode::Overlapping)
             .expect("valid decomp");
         let after = ALLOCS.load(Ordering::Relaxed);
-        assert!(grid.data().iter().all(|x| x.is_finite()));
+        assert!(grid.cells().all(f32::is_finite));
         best = best.min(after - before);
     }
     best
@@ -163,7 +163,7 @@ fn count_slot_world_run(nz: usize, mode: ExecMode) -> u64 {
         let (grid, _, _) =
             run_dist3d_with(Relax3D::default(), d, &cfg, mode).expect("valid decomp");
         let after = ALLOCS.load(Ordering::Relaxed);
-        assert!(grid.data().iter().all(|x| x.is_finite()));
+        assert!(grid.cells().all(f32::is_finite));
         best = best.min(after - before);
     }
     best
@@ -286,7 +286,7 @@ fn results_held_together_are_reused_once_they_drop() {
     // eighth of its grid.
     let smallest = 4 * 8 * 8 * 256;
     assert!(largest < smallest, "a {largest}-byte allocation");
-    assert!(held.iter().all(|g| g.data().iter().all(|x| x.is_finite())));
+    assert!(held.iter().all(|g| g.cells().all(f32::is_finite)));
 }
 
 /// Run every rank of `d` straight on a world built from `cfg` and
