@@ -8,7 +8,7 @@
 //! problem's own shape) is always part of the space, so measured search
 //! can only refine the analytic answer, never lose to it.
 
-use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
+use tiling_core::closed_form::{optimal_v, ClosedForm};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::MachineParams;
 use tiling_core::space::IterationSpace;
@@ -74,10 +74,7 @@ pub fn closed_form_for(
     let cross = [(problem.nx / pi) as i64, (problem.ny / pj) as i64];
     let space = problem.space();
     let deps = DependenceSet::paper_3d();
-    match schedule {
-        Schedule::Overlap => overlap_optimal_v(&space, &deps, machine, &cross, 2),
-        Schedule::Blocking => nonoverlap_optimal_v(&space, &deps, machine, &cross, 2),
-    }
+    optimal_v(schedule, &space, &deps, machine, &cross, 2)
 }
 
 /// Every factorization `pi × pj` of the problem's rank count whose

@@ -92,7 +92,15 @@ fn cmd_example1() {
         v_comm_mapped(&tiling, &deps, 0)
     );
 
-    let no = NonOverlapSchedule::with_mapping(2, 0).analyze(&tiling, &deps, nest.space(), &machine);
+    let [no, ov] = [StepStrategy::Blocking, StepStrategy::Overlap].map(|s| {
+        TileSchedule::with_mapping(s, 2, 0).analyze(
+            &tiling,
+            &deps,
+            nest.space(),
+            &machine,
+            OverlapMode::DuplexDma,
+        )
+    });
     println!("\n-- non-overlapping schedule (Π = (1,1)) --");
     println!("P(g)      = {} planes (paper: 1099)", no.schedule_length);
     println!(
@@ -101,20 +109,13 @@ fn cmd_example1() {
     );
     println!("T         = {:.4} s  (paper: 0.4 s)", no.total_secs());
 
-    let ov = OverlapSchedule::with_mapping(2, 0).analyze(
-        &tiling,
-        &deps,
-        nest.space(),
-        &machine,
-        OverlapMode::DuplexDma,
-    );
     println!("\n-- overlapping schedule (Π = (1,2)) --");
     println!("P(g)      = {} planes (paper: 1198)", ov.schedule_length);
     println!(
         "CPU lane  = {:.0} t_c (A1 {:.0} + A2 {:.0} + A3 {:.0}; paper: 200 t_c)",
-        ov.cpu_lane_us, ov.a1_us, ov.a2_us, ov.a3_us
+        ov.a_us, ov.a1_us, ov.a2_us, ov.a3_us
     );
-    println!("comm lane = {:.0} t_c", ov.comm_lane_us);
+    println!("comm lane = {:.0} t_c", ov.b_us);
     println!(
         "T         = {:.4} s  (paper: 0.24 s)  → improvement {:.0}%",
         ov.total_secs(),

@@ -18,10 +18,9 @@ use sweep::config::{Schedule, SweepConfig};
 use sweep::run::{best, run_sweep, SweepRow};
 use tiling_core::dependence::DependenceSet;
 use tiling_core::optimize::height_ladder;
-use tiling_core::schedule::{OverlapMode, OverlapSchedule};
+use tiling_core::schedule::{OverlapMode, StepStrategy, TileSchedule};
 use tiling_core::space::IterationSpace;
 use tiling_core::tiling::Tiling;
-use tiling_core::uet_uct;
 
 /// One simulated sweep point.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -189,14 +188,13 @@ pub fn table12_row(exp: &Experiment, workers: usize) -> Table12Row {
     let best = optima(&run_ladder(&template, &figure_heights(exp), workers));
     let v = best.overlap_v;
     let tiling = Tiling::rectangular(&[exp.bx(), exp.by(), v]);
-    let theory = OverlapSchedule::with_mapping(3, 2).analyze(
+    let theory = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2).analyze(
         &tiling,
         &DependenceSet::paper_3d(),
         &IterationSpace::from_extents(&template.extents),
         &machine,
         OverlapMode::Serialized,
     );
-    let planes = uet_uct::uet_uct_makespan(&theory.tiled_space.extents(), 2);
     let t_ov = best.overlap_us * 1e-6;
     let t_th = theory.total_us * 1e-6;
     Table12Row {
@@ -205,7 +203,7 @@ pub fn table12_row(exp: &Experiment, workers: usize) -> Table12Row {
         g_optimal: exp.bx() * exp.by() * v,
         t_overlap_s: t_ov,
         fill_ms: machine.fill_mpi_buffer.eval(exp.message_bytes(v)) / 1e3,
-        planes,
+        planes: theory.schedule_length,
         t_theory_s: t_th,
         theory_diff: (t_th - t_ov).abs() / t_ov,
         t_nonoverlap_s: best.blocking_us * 1e-6,

@@ -622,14 +622,14 @@ mod tests {
         // With communication ≈ compute (UET-UCT regime), the simulated
         // makespan is close to P(g) · step where P(g) is the overlap
         // plane count — the pipeline is tight.
-        use tiling_core::schedule::OverlapSchedule;
+        use tiling_core::schedule::{StepStrategy, TileSchedule};
         let tiling = Tiling::rectangular(&[4, 16]);
         let deps = DependenceSet::units(2);
         let space = IterationSpace::from_extents(&[16, 256]);
         let p = ClusterProblem::new(tiling, deps, space, 1).unwrap();
         let m = toy_machine();
         let res = simulate(SimConfig::new(m), p.overlapping_programs(&m)).unwrap();
-        let sched = OverlapSchedule::with_mapping(2, 1);
+        let sched = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1);
         let planes = sched.schedule_length(p.tiled_space());
         // Step cost lower bound: the compute alone (64 µs).
         let lower = planes as f64 * 64.0;

@@ -29,9 +29,8 @@ use crate::spec::{PlanRequest, VChoice, WorkloadSpec};
 use std::collections::BTreeSet;
 use stencil::decomp::Decomp2D;
 use stencil::dist3d::Decomp3D;
-use stencil::engine::ExecMode;
 use stencil::plan::Compiled3D;
-use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
+use tiling_core::closed_form::optimal_v;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::parse::parse_loop_nest;
 use tiling_core::space::IterationSpace;
@@ -212,10 +211,8 @@ fn optimize(shape: Shape, req: &PlanRequest) -> Result<(usize, Option<f64>), Com
             nz,
         ),
     };
-    let cf: ClosedForm = match req.mode {
-        ExecMode::Overlapping => overlap_optimal_v(&space, &deps, &machine, &cross, mapping_dim),
-        ExecMode::Blocking => nonoverlap_optimal_v(&space, &deps, &machine, &cross, mapping_dim),
-    };
+    let strategy = req.mode.strategy();
+    let cf = optimal_v(strategy, &space, &deps, &machine, &cross, mapping_dim);
     let v = match req.v {
         VChoice::Explicit(v) => {
             if v == 0 {
@@ -280,7 +277,7 @@ pub(crate) mod tests {
     use crate::artifact::ExecOptions;
     use crate::spec::{KernelName, MachineSpec};
     use stencil::decomp::DecompError;
-    use stencil::engine::EngineError;
+    use stencil::engine::{EngineError, ExecMode};
 
     #[test]
     fn grid3_compiles_and_executes_verified() {

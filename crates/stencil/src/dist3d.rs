@@ -112,7 +112,7 @@ impl Decomp3D {
 
     /// The executable projection of `mode`'s schedule over this layout.
     pub fn step_plan(&self, mode: ExecMode) -> StepPlan {
-        mode.step_plan(Self::DIMS, Self::MAPPING_DIM, self.steps())
+        StepPlan::new(mode.strategy(), self.steps())
     }
 
     /// Validate divisibility and sizes.

@@ -3,11 +3,11 @@
 //! A rank's work is the [`Program`] pre-flight emitted and proved for it
 //! (`cluster_sim::program::Program::pipeline`), which its compiled plan
 //! ([`crate::plan::Compiled3D`]) keeps; [`run_rank`] walks it op by op.
-//! So the schedule behind the plan's [`ExecMode`] —
-//! [`NonOverlapSchedule`] (eq. 3, `ProcB`: per step *receive faces →
-//! compute tile → send faces*) or [`OverlapSchedule`] (eq. 4, `ProcNB`:
-//! per step post the receives of `k+1` and the sends of `k−1`, compute
-//! `k`, then wait) — is written once, in the emitter, and pre-flight
+//! So the step strategy behind the plan's [`ExecMode`] —
+//! [`StepStrategy::Blocking`] (eq. 3, `ProcB`: per step *receive faces →
+//! compute tile → send faces*) or [`StepStrategy::Overlap`] (eq. 4,
+//! `ProcNB`: per step post the receives of `k+1` and the sends of `k−1`,
+//! compute `k`, then wait) — is written once, in the emitter, and pre-flight
 //! analyses what runs by construction.
 //!
 //! A message op names its face by its tag (`step · TAG_STRIDE + wire
@@ -34,7 +34,7 @@ use cluster_sim::trace::{Activity, Trace};
 use msgpass::comm::{CommError, Communicator, RecvRequest, SendRequest, Tag};
 use std::fmt;
 use std::time::{Duration, Instant};
-use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule, StepPlan};
+use tiling_core::schedule::StepStrategy;
 
 /// Maximum number of halo directions any [`TileOps`] may expose (the
 /// 3-D block has two: the `i`-face and the `j`-face).
@@ -231,30 +231,24 @@ impl From<analyzer::AnalysisError> for EngineError {
     }
 }
 
-/// Execution style of a distributed run: the `tiling-core` schedule
-/// type its programs are emitted from (see [`ExecMode::step_plan`]).
+/// Execution style of a distributed run: the `tiling-core` step
+/// strategy its programs are emitted from (see [`ExecMode::strategy`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecMode {
     /// Blocking receive → compute → send per tile (§3,
-    /// [`NonOverlapSchedule`]).
+    /// [`StepStrategy::Blocking`]).
     Blocking,
-    /// Non-blocking pipelined overlap (§4, [`OverlapSchedule`]).
+    /// Non-blocking pipelined overlap (§4, [`StepStrategy::Overlap`]).
     Overlapping,
 }
 
 impl ExecMode {
-    /// Build the [`StepPlan`] for `steps` local tiles from the schedule
-    /// type this mode names: the non-overlapping `Π = [1 … 1]` schedule
-    /// or the overlapping `2·Σ_{k≠i} j_k + j_i` one, mapped along
-    /// `mapping_dim` of a `dims`-dimensional tiled space.
-    pub fn step_plan(self, dims: usize, mapping_dim: usize, steps: usize) -> StepPlan {
+    /// The step strategy this mode runs, which sets the schedule's `Π`,
+    /// the lag of a cross-rank face and the price of a step.
+    pub fn strategy(self) -> StepStrategy {
         match self {
-            ExecMode::Blocking => {
-                NonOverlapSchedule::with_mapping(dims, mapping_dim).step_plan(steps)
-            }
-            ExecMode::Overlapping => {
-                OverlapSchedule::with_mapping(dims, mapping_dim).step_plan(steps)
-            }
+            ExecMode::Blocking => StepStrategy::Blocking,
+            ExecMode::Overlapping => StepStrategy::Overlap,
         }
     }
 }
@@ -709,15 +703,12 @@ mod tests {
     use super::*;
     use crate::proto::tag;
     use msgpass::prelude::*;
-    use tiling_core::schedule::StepStrategy;
+    use tiling_core::schedule::StepPlan;
 
     #[test]
     fn mode_selects_schedule_type() {
-        let b = ExecMode::Blocking.step_plan(3, 2, 10);
-        assert_eq!(b.strategy(), StepStrategy::Blocking);
-        assert_eq!(b.steps(), 10);
-        let o = ExecMode::Overlapping.step_plan(3, 2, 10);
-        assert_eq!(o.strategy(), StepStrategy::Overlap);
+        assert_eq!(ExecMode::Blocking.strategy(), StepStrategy::Blocking);
+        assert_eq!(ExecMode::Overlapping.strategy(), StepStrategy::Overlap);
     }
 
     #[test]
@@ -782,8 +773,9 @@ mod tests {
         }
     }
 
-    /// The program of `plan` on a lone rank: computes only.
-    fn lone(plan: &StepPlan) -> Program {
+    /// The program of `steps` steps under `mode` on a lone rank:
+    /// computes only.
+    fn lone(mode: ExecMode, steps: usize) -> Program {
         let d = crate::decomp::Decomp2D {
             nx: 1,
             ny: 1,
@@ -791,7 +783,7 @@ mod tests {
             v: 1,
             boundary: 0.0,
         };
-        analyzer::programs(&d.block(), plan)
+        analyzer::programs(&d.block(), &StepPlan::new(mode.strategy(), steps))
             .expect("fewer than 2^32 steps")
             .swap_remove(0)
     }
@@ -799,7 +791,7 @@ mod tests {
     #[test]
     fn too_many_directions_is_a_typed_error_not_a_panic() {
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let program = lone(&mode.step_plan(3, 2, 4));
+            let program = lone(mode, 4);
             let (results, _) =
                 run_threads::<f32, _, _>(1, LatencyModel::zero(), move |mut comm| {
                     let mut ops = FakeOps::new(MAX_DIRS + 1);
@@ -820,7 +812,7 @@ mod tests {
         // Regression: the overlap epilogue addresses tile `steps - 1`,
         // which used to underflow for an empty pipeline.
         for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
-            let program = lone(&mode.step_plan(3, 2, 0));
+            let program = lone(mode, 0);
             let (results, _) =
                 run_threads::<f32, _, _>(1, LatencyModel::zero(), move |mut comm| {
                     let mut ops = FakeOps::new(2);

@@ -21,20 +21,12 @@ use crate::dist3d::Decomp3D;
 use crate::engine::{EngineError, ExecMode};
 use analyzer::{analyze, AnalysisReport};
 use cluster_sim::program::Program;
-use tiling_core::schedule::{NonOverlapSchedule, OverlapSchedule};
+use tiling_core::schedule::TileSchedule;
 
-/// The schedule vector `Π` the mode's schedule type mandates over the
-/// block layout — the same construction [`ExecMode::step_plan`]
-/// projects from.
+/// The schedule vector `Π` the mode's step strategy mandates over the
+/// block layout.
 fn mode_pi(mode: ExecMode) -> Vec<i64> {
-    let (dims, mapping_dim) = (Decomp3D::DIMS, Decomp3D::MAPPING_DIM);
-    match mode {
-        ExecMode::Blocking => NonOverlapSchedule::with_mapping(dims, mapping_dim)
-            .schedule()
-            .pi()
-            .to_vec(),
-        ExecMode::Overlapping => OverlapSchedule::with_mapping(dims, mapping_dim).pi(),
-    }
+    TileSchedule::with_mapping(mode.strategy(), Decomp3D::DIMS, Decomp3D::MAPPING_DIM).pi()
 }
 
 /// Statically analyze the plan `mode` will execute over `d`: the

@@ -16,7 +16,7 @@ use cluster_sim::engine::{simulate_heterogeneous, NetworkTopology, SimConfig};
 use cluster_sim::stats::summarize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tiling_core::closed_form::{nonoverlap_optimal_v, overlap_optimal_v};
+use tiling_core::closed_form::optimal_v;
 use tiling_core::dependence::DependenceSet;
 use tiling_core::machine::{MachineParams, PiecewiseCost};
 use tiling_core::space::IterationSpace;
@@ -150,10 +150,7 @@ fn evaluate(c: &SweepConfig) -> Result<RowMetrics, EvalError> {
     let summary = summarize(&result).ok_or_else(|| EvalError::Sim("zero-rank fleet".into()))?;
     let space = IterationSpace::from_extents(&c.extents);
     let deps = DependenceSet::paper_3d();
-    let cf = match c.schedule {
-        Schedule::Overlap => overlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
-        Schedule::Blocking => nonoverlap_optimal_v(&space, &deps, &machine, &c.cross_sides, 2),
-    };
+    let cf = optimal_v(c.schedule, &space, &deps, &machine, &c.cross_sides, 2);
     let predicted_us = cf.predict_us(c.v as f64);
     let pred_err_rel = if predicted_us > 0.0 {
         (summary.makespan_us - predicted_us) / predicted_us

@@ -26,14 +26,16 @@
 //! V* = √( K·α / (γ·β) ).
 //! ```
 //!
-//! [`overlap_optimal_v`] and [`nonoverlap_optimal_v`] extract
-//! `(γ, K, α, β)` for the two schedules and return `V*` together with
-//! the model prediction, so `g_optimal = cross_section · V*` is computed
-//! purely from machine parameters — no sweep.
+//! [`optimal_v`] extracts `(γ, K, α, β)` for a [`StepStrategy`] — `γ`
+//! from its cross coefficient, `α + β·V` from its step price — and
+//! returns `V*` together with the model prediction, so `g_optimal =
+//! cross_section · V*` is computed purely from machine parameters — no
+//! sweep.
 
 use crate::dependence::DependenceSet;
 use crate::machine::MachineParams;
 use crate::mapping::{neighbor_messages, ProcessorMapping};
+use crate::schedule::StepStrategy;
 use crate::space::IterationSpace;
 use crate::tiling::Tiling;
 
@@ -176,8 +178,7 @@ fn message_byte_model(
 }
 
 /// Plane-model constants `(γ, K)` for a schedule whose cross-section
-/// hyperplane coefficient is `coeff` (1 for `Π = [1…1]`, 2 for the
-/// overlap schedule) on a paper-style layout.
+/// hyperplane coefficient is `coeff` on a paper-style layout.
 fn plane_model(
     space: &IterationSpace,
     cross_section: &[i64],
@@ -199,11 +200,15 @@ fn plane_model(
     (gamma, space.extent(mapping_dim) as f64)
 }
 
-/// Closed-form optimum for the overlapping schedule (eq. 5, case 1 —
-/// the CPU lane paces the pipeline, which is the paper's measured
-/// regime). `cross_section` are the tile sides in the non-mapping
-/// dimensions (one tile column per processor).
-pub fn overlap_optimal_v(
+/// Closed-form optimum under `strategy`. The per-step cost `α + β·V` is
+/// the lane that paces the step: the whole serialized step under
+/// Blocking (eq. 3, a byte-dependent startup `T_fill_MPI +
+/// T_fill_kernel` per side plus the wire), the CPU lane under Overlap
+/// (eq. 5, case 1 — the paper's measured regime). `cross_section` are
+/// the tile sides in the non-mapping dimensions (one tile column per
+/// processor).
+pub fn optimal_v(
+    strategy: StepStrategy,
     space: &IterationSpace,
     deps: &DependenceSet,
     machine: &MachineParams,
@@ -211,17 +216,18 @@ pub fn overlap_optimal_v(
     mapping_dim: usize,
 ) -> ClosedForm {
     let msgs = message_byte_model(deps, machine, cross_section, mapping_dim);
-    // A-lane: one Isend + one Irecv posting per message (A₁ + A₃), plus
-    // the computation c·t_c·V with c the cross-section point count.
     let mut alpha = 0.0;
     let mut beta = 0.0;
     for &(b0, b1) in &msgs {
-        alpha += 2.0 * (machine.fill_mpi_buffer.base_us + machine.fill_mpi_buffer.per_byte_us * b0);
-        beta += 2.0 * machine.fill_mpi_buffer.per_byte_us * b1;
+        let (a, b) = strategy.message_terms(machine, b0, b1);
+        alpha += a;
+        beta += b;
     }
+    // Plus the computation c·t_c·V, c the cross-section point count.
     let cross_points: i64 = cross_section.iter().product();
     beta += cross_points as f64 * machine.t_c_us;
-    let (gamma, k_extent) = plane_model(space, cross_section, mapping_dim, 2.0);
+    let coeff = strategy.cross_coeff() as f64;
+    let (gamma, k_extent) = plane_model(space, cross_section, mapping_dim, coeff);
     let v_star = (k_extent * alpha / (gamma * beta)).sqrt();
     ClosedForm {
         alpha,
@@ -232,37 +238,22 @@ pub fn overlap_optimal_v(
     }
 }
 
-/// Closed-form optimum for the non-overlapping schedule (eq. 3): per
-/// step, `T_comp + 2·T_startup + T_transmit` per message, with the
-/// byte-dependent startup `T_fill_MPI + T_fill_kernel`.
-pub fn nonoverlap_optimal_v(
+/// [`optimal_v`] under [`StepStrategy::Overlap`].
+pub fn overlap_optimal_v(
     space: &IterationSpace,
     deps: &DependenceSet,
     machine: &MachineParams,
     cross_section: &[i64],
     mapping_dim: usize,
 ) -> ClosedForm {
-    let msgs = message_byte_model(deps, machine, cross_section, mapping_dim);
-    let startup_base = machine.fill_mpi_buffer.base_us + machine.fill_kernel_buffer.base_us;
-    let startup_slope =
-        machine.fill_mpi_buffer.per_byte_us + machine.fill_kernel_buffer.per_byte_us;
-    let mut alpha = 0.0;
-    let mut beta = 0.0;
-    for &(b0, b1) in &msgs {
-        alpha += 2.0 * (startup_base + startup_slope * b0) + machine.t_t_us_per_byte * b0;
-        beta += 2.0 * startup_slope * b1 + machine.t_t_us_per_byte * b1;
-    }
-    let cross_points: i64 = cross_section.iter().product();
-    beta += cross_points as f64 * machine.t_c_us;
-    let (gamma, k_extent) = plane_model(space, cross_section, mapping_dim, 1.0);
-    let v_star = (k_extent * alpha / (gamma * beta)).sqrt();
-    ClosedForm {
-        alpha,
-        beta,
-        gamma,
-        k_extent,
-        v_star,
-    }
+    optimal_v(
+        StepStrategy::Overlap,
+        space,
+        deps,
+        machine,
+        cross_section,
+        mapping_dim,
+    )
 }
 
 #[cfg(test)]
@@ -284,12 +275,11 @@ mod tests {
         let (space, deps, machine) = paper_setup();
         let cross = [1 << 28, 1 << 29]; // × 128 overflows i64
         let undefined = |cf: ClosedForm| cf.v_star.is_nan() && cf.predict_us(4.0).is_nan();
-        assert!(undefined(overlap_optimal_v(
-            &space, &deps, &machine, &cross, 2
-        )));
-        assert!(undefined(nonoverlap_optimal_v(
-            &space, &deps, &machine, &cross, 2
-        )));
+        for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
+            assert!(undefined(optimal_v(
+                strategy, &space, &deps, &machine, &cross, 2
+            )));
+        }
     }
 
     #[test]
@@ -347,7 +337,7 @@ mod tests {
     #[test]
     fn nonoverlap_closed_form_matches_sweep_minimum() {
         let (space, deps, machine) = paper_setup();
-        let cf = nonoverlap_optimal_v(&space, &deps, &machine, &[4, 4], 2);
+        let cf = optimal_v(StepStrategy::Blocking, &space, &deps, &machine, &[4, 4], 2);
         let heights: Vec<i64> = (1..=80).map(|i| i * 10).collect();
         let pts = sweep_tile_height(
             &space,
@@ -411,7 +401,7 @@ mod tests {
         // and the overlap one wins (the paper's thesis).
         let (space, deps, machine) = paper_setup();
         let ov = overlap_optimal_v(&space, &deps, &machine, &[4, 4], 2);
-        let no = nonoverlap_optimal_v(&space, &deps, &machine, &[4, 4], 2);
+        let no = optimal_v(StepStrategy::Blocking, &space, &deps, &machine, &[4, 4], 2);
         assert!(ov.optimum_us() < no.optimum_us());
     }
 

@@ -12,13 +12,13 @@
 //! spaces into rectangular supernodes/tiles ([`tiling`]: one per-axis
 //! rule, in exact integers), prices computation and
 //! communication per tile ([`cost`], [`machine`]), and schedules the
-//! tiled space two ways:
-//!
-//! * the classical non-overlapping hyperplane schedule
-//!   ([`schedule::nonoverlap`], eq. 3 of the paper), and
-//! * the paper's pipelined, communication-overlapping schedule
-//!   ([`schedule::overlap`], eq. 4/5), rooted in the optimal UET-UCT
-//!   grid-graph schedules of [`uet_uct`].
+//! tiled space with one [`schedule::TileSchedule`] whose
+//! [`schedule::StepStrategy`] picks the paper's schedule: the classical
+//! non-overlapping hyperplane schedule (eq. 3 of the paper) or the
+//! pipelined, communication-overlapping one (eq. 4/5), rooted in the
+//! optimal UET-UCT grid-graph schedules of [`uet_uct`]. The strategy
+//! alone sets `Π`, the lag a dependence edge needs and the price of a
+//! step.
 //!
 //! [`tile_graph`] materializes tile DAGs for validation, [`mapping`]
 //! assigns tiles to processors and computes per-neighbor message
@@ -42,12 +42,15 @@
 //! assert!(tiling.is_legal(&deps));
 //!
 //! let machine = MachineParams::example_1();
-//! let nonoverlap = NonOverlapSchedule::with_mapping(2, 0)
-//!     .analyze(&tiling, &deps, nest.space(), &machine);
-//! let overlap = OverlapSchedule::with_mapping(2, 0)
-//!     .analyze(&tiling, &deps, nest.space(), &machine, OverlapMode::DuplexDma);
+//! let [nonoverlap, overlap] = [StepStrategy::Blocking, StepStrategy::Overlap].map(|s| {
+//!     TileSchedule::with_mapping(s, 2, 0)
+//!         .analyze(&tiling, &deps, nest.space(), &machine, OverlapMode::DuplexDma)
+//! });
 //!
-//! // The overlapping schedule wins: 0.24 s vs 0.40 s.
+//! // Π = (1,1) against Π = (1,2), and eq. 3's A + B against eq. 4's
+//! // max(A, B): the overlapping schedule wins, 0.24 s vs 0.40 s.
+//! assert_eq!(nonoverlap.schedule_length, 1099);
+//! assert_eq!(overlap.schedule_length, 1198);
 //! assert!(overlap.total_secs() < nonoverlap.total_secs());
 //! ```
 
@@ -72,7 +75,7 @@ pub mod uet_uct;
 
 /// Convenient re-exports of the main types.
 pub mod prelude {
-    pub use crate::closed_form::{nonoverlap_optimal_v, overlap_optimal_v, ClosedForm};
+    pub use crate::closed_form::{optimal_v, overlap_optimal_v, ClosedForm};
     pub use crate::cost::{v_comm_mapped, v_comm_per_dimension, v_comm_total, v_comp};
     pub use crate::dependence::{Dependence, DependenceSet};
     pub use crate::loopnest::{Access, ArrayId, LoopNest, Statement};
@@ -87,8 +90,7 @@ pub mod prelude {
     };
     pub use crate::parse::{parse_loop_nest, ParseError};
     pub use crate::schedule::{
-        LinearSchedule, NonOverlapReport, NonOverlapSchedule, OverlapMode, OverlapReport,
-        OverlapSchedule, StepPlan, StepStrategy,
+        LinearSchedule, OverlapMode, ScheduleReport, StepPlan, StepStrategy, TileSchedule,
     };
     pub use crate::space::{IterationSpace, Point};
     pub use crate::tile_graph::TileGraph;

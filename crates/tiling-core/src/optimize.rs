@@ -11,7 +11,7 @@
 
 use crate::dependence::DependenceSet;
 use crate::machine::MachineParams;
-use crate::schedule::{NonOverlapSchedule, OverlapMode, OverlapSchedule};
+use crate::schedule::{OverlapMode, StepStrategy, TileSchedule};
 use crate::space::IterationSpace;
 use crate::tiling::Tiling;
 
@@ -26,6 +26,23 @@ pub struct SweepPoint {
     pub nonoverlap_us: f64,
     /// Predicted overlapping completion time (µs).
     pub overlap_us: f64,
+}
+
+/// Predicted completion time (µs) of `tiling` under the Blocking and
+/// the Overlap strategy, in that order.
+fn total_us(
+    tiling: &Tiling,
+    deps: &DependenceSet,
+    space: &IterationSpace,
+    machine: &MachineParams,
+    mapping_dim: usize,
+    mode: OverlapMode,
+) -> [f64; 2] {
+    [StepStrategy::Blocking, StepStrategy::Overlap].map(|strategy| {
+        TileSchedule::with_mapping(strategy, space.dims(), mapping_dim)
+            .analyze(tiling, deps, space, machine, mode)
+            .total_us
+    })
 }
 
 /// Sweep the tile height `V` for a paper-style rectangular tiling: the
@@ -57,15 +74,13 @@ pub fn sweep_tile_height(
             }
         }
         let tiling = Tiling::rectangular(&sides);
-        let no = NonOverlapSchedule::with_mapping(space.dims(), mapping_dim)
-            .analyze(&tiling, deps, space, machine);
-        let ov = OverlapSchedule::with_mapping(space.dims(), mapping_dim)
-            .analyze(&tiling, deps, space, machine, mode);
+        let [nonoverlap_us, overlap_us] =
+            total_us(&tiling, deps, space, machine, mapping_dim, mode);
         out.push(SweepPoint {
             v,
             g: tiling.volume(),
-            nonoverlap_us: no.total_us,
-            overlap_us: ov.total_us,
+            nonoverlap_us,
+            overlap_us,
         });
     }
     out
@@ -205,15 +220,16 @@ pub fn best_rectangular_plan(
         if !tiling.contains_dependences(deps) {
             continue;
         }
-        let no = NonOverlapSchedule::with_mapping(space.dims(), mapping_dim)
-            .analyze(&tiling, deps, space, machine);
-        let ov = OverlapSchedule::with_mapping(space.dims(), mapping_dim)
-            .analyze(&tiling, deps, space, machine, mode);
-        if best.as_ref().is_none_or(|b| no.total_us < b.nonoverlap_us) {
+        let [nonoverlap_us, overlap_us] =
+            total_us(&tiling, deps, space, machine, mapping_dim, mode);
+        if best
+            .as_ref()
+            .is_none_or(|b| nonoverlap_us < b.nonoverlap_us)
+        {
             best = Some(TilingPlan {
                 sides,
-                nonoverlap_us: no.total_us,
-                overlap_us: ov.total_us,
+                nonoverlap_us,
+                overlap_us,
             });
         }
     }
@@ -351,8 +367,8 @@ mod tests {
         assert!(plan.sides.iter().all(|&s| s >= 2), "{plan:?}");
         // The square itself evaluates to exactly the paper's number.
         let square = Tiling::rectangular(&[10, 10]);
-        let sq = NonOverlapSchedule::with_mapping(2, 0).analyze(&square, &deps, &space, &machine);
-        assert!((sq.total_us - 400_036.0).abs() < 1.0);
+        let [sq, _] = total_us(&square, &deps, &space, &machine, 0, OverlapMode::DuplexDma);
+        assert!((sq - 400_036.0).abs() < 1.0);
     }
 
     #[test]

@@ -734,11 +734,13 @@ mod tests {
         let tiling = crate::tiling::Tiling::rectangular(&[10, 10]);
         assert!(tiling.is_legal(&deps));
         let machine = crate::machine::MachineParams::example_1();
-        let r = crate::schedule::NonOverlapSchedule::with_mapping(2, 0).analyze(
+        let strategy = crate::schedule::StepStrategy::Blocking;
+        let r = crate::schedule::TileSchedule::with_mapping(strategy, 2, 0).analyze(
             &tiling,
             &deps,
             nest.space(),
             &machine,
+            Default::default(),
         );
         assert_eq!(r.schedule_length, 1099);
     }

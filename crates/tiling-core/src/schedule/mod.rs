@@ -1,11 +1,14 @@
 //! Time schedules for tiled iteration spaces.
 //!
 //! * [`linear`] — generic linear (hyperplane) schedules `Π` (§2.5).
-//! * [`nonoverlap`] — the Hodzic–Shang schedule of §3: `Π = [1 … 1]`,
-//!   every step a serialized *receive → compute → send* triplet.
-//! * [`overlap`] — the paper's contribution (§4): the pipelined schedule
-//!   `2·Σ_{k≠i} j_k + j_i` that overlaps each step's communication with
-//!   the computation of an independent tile.
+//! * [`tile`] — the paper's tile schedule: `Π` plus a processor mapping,
+//!   with a [`StepStrategy`] that alone sets `Π`'s cross-processor
+//!   coefficient (1 for §3, 2 for §4), the lag a dependence edge needs
+//!   and the price of a step (eq. 3 or eq. 4).
+//! * [`nonoverlap`] / [`overlap`] — the two step prices: §3's
+//!   serialized *receive → compute → send* triplet and §4's step that
+//!   overlaps its communication with the computation of an independent
+//!   tile.
 //! * [`plan`] — the executable projection of a schedule onto one
 //!   processor ([`plan::StepPlan`]), consumed by the distributed
 //!   executors.
@@ -14,8 +17,9 @@ pub mod linear;
 pub mod nonoverlap;
 pub mod overlap;
 pub mod plan;
+pub mod tile;
 
 pub use linear::{optimal_linear_schedule, LinearSchedule};
-pub use nonoverlap::{NonOverlapReport, NonOverlapSchedule};
-pub use overlap::{OverlapMode, OverlapReport, OverlapSchedule};
-pub use plan::{StepPlan, StepStrategy};
+pub use overlap::OverlapMode;
+pub use plan::StepPlan;
+pub use tile::{ScheduleReport, StepStrategy, TileSchedule};

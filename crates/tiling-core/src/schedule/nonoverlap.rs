@@ -1,8 +1,8 @@
-//! The non-overlapping (Hodzic–Shang) schedule (§3).
+//! The non-overlapping (Hodzic–Shang) step of §3, priced for
+//! [`StepStrategy::Blocking`](super::StepStrategy::Blocking).
 //!
-//! Tiles are scheduled by `Π = [1 1 … 1]` over the tiled space; every
-//! time step is a serialized *receive → compute → send* triplet, so the
-//! total execution time is
+//! Every time step is a serialized *receive → compute → send* triplet,
+//! so the total execution time is
 //!
 //! ```text
 //! T = P(g) · (T_comp + T_comm),            (3)
@@ -13,140 +13,42 @@
 //! processor and a transmission term `b · V_comm · t_t` for the data
 //! crossing processor boundaries.
 
-use crate::dependence::DependenceSet;
+use super::tile::Lanes;
 use crate::machine::MachineParams;
-use crate::mapping::{neighbor_messages, total_message_volume, ProcessorMapping};
-use crate::schedule::linear::LinearSchedule;
-use crate::space::IterationSpace;
-use crate::tiling::Tiling;
+use crate::mapping::NeighborMessage;
 
-/// The non-overlapping tile schedule: `Π = [1 … 1]` plus a processor
-/// mapping along the longest tiled dimension.
-#[derive(Clone, Debug)]
-pub struct NonOverlapSchedule {
-    schedule: LinearSchedule,
-    mapping: ProcessorMapping,
-}
-
-impl NonOverlapSchedule {
-    /// Build the schedule for a tiled space, mapping along its longest
-    /// dimension (the paper's choice).
-    pub fn new(tiled_space: &IterationSpace) -> Self {
-        NonOverlapSchedule {
-            schedule: LinearSchedule::ones(tiled_space.dims()),
-            mapping: ProcessorMapping::by_longest_dimension(tiled_space),
-        }
+/// Eq. 3's lanes: the CPU's `A = T_comp + T_startup` and the wire's
+/// `B = T_transmit`, which a blocking step pays one after the other.
+pub(super) fn lanes(machine: &MachineParams, msgs: &[NeighborMessage], t_comp: f64) -> Lanes {
+    // One send and one receive startup per neighboring processor, both
+    // byte-dependent (blocking operations walk the full user→kernel
+    // copy path: `T_startup = T_fill_MPI + T_fill_kernel`, §4), plus
+    // one wire transit per complete send-receive pair (§3 Example 1).
+    let mut startup = 0.0;
+    let mut t_transmit = 0.0;
+    for m in msgs {
+        let bytes = m.volume_points as f64 * f64::from(machine.bytes_per_elem);
+        startup += machine.startup_us(bytes);
+        t_transmit += machine.transmit_us(bytes);
     }
-
-    /// Build with an explicit mapping dimension.
-    pub fn with_mapping(dims: usize, mapping_dim: usize) -> Self {
-        NonOverlapSchedule {
-            schedule: LinearSchedule::ones(dims),
-            mapping: ProcessorMapping::along(dims, mapping_dim),
-        }
-    }
-
-    /// The linear schedule `Π = [1 … 1]`.
-    pub fn schedule(&self) -> &LinearSchedule {
-        &self.schedule
-    }
-
-    /// The processor mapping.
-    pub fn mapping(&self) -> &ProcessorMapping {
-        &self.mapping
-    }
-
-    /// Execution step of a tile (zero-based).
-    pub fn time_of(&self, tile: &[i64], tiled_space: &IterationSpace) -> i64 {
-        self.schedule
-            .time_of(tile, tiled_space, &DependenceSet::units(tile.len()))
-    }
-
-    /// Number of time hyperplanes `P(g) = Σ_d (u_d − l_d) + 1`.
-    pub fn schedule_length(&self, tiled_space: &IterationSpace) -> i64 {
-        self.schedule
-            .makespan(tiled_space, &DependenceSet::units(tiled_space.dims()))
-    }
-
-    /// Full cost analysis per equation (3).
-    pub fn analyze(
-        &self,
-        tiling: &Tiling,
-        deps: &DependenceSet,
-        space: &IterationSpace,
-        machine: &MachineParams,
-    ) -> NonOverlapReport {
-        let tiled_space = tiling.tiled_space(space);
-        let length = self.schedule_length(&tiled_space);
-        let msgs = neighbor_messages(tiling, deps, &self.mapping);
-        let v_comm = total_message_volume(&msgs);
-        let g = tiling.volume();
-        let t_comp = machine.tile_compute_us(g);
-        // One send + one receive startup per neighboring processor, both
-        // byte-dependent (blocking operations walk the full user→kernel
-        // copy path: `T_startup = T_fill_MPI + T_fill_kernel`, §4), plus
-        // one wire transit per complete send-receive pair (§3 Example 1).
-        let mut t_startup = 0.0;
-        let mut t_transmit = 0.0;
-        for m in &msgs {
-            let bytes = m.volume_points as f64 * f64::from(machine.bytes_per_elem);
-            t_startup += 2.0 * machine.startup_us(bytes);
-            t_transmit += machine.transmit_us(bytes);
-        }
-        let step = t_comp + t_startup + t_transmit;
-        NonOverlapReport {
-            tiled_space,
-            mapping_dim: self.mapping.mapping_dim(),
-            schedule_length: length,
-            g,
-            v_comm_points: v_comm,
-            neighbor_count: msgs.len(),
-            t_comp_us: t_comp,
-            t_startup_us: t_startup,
-            t_transmit_us: t_transmit,
-            step_us: step,
-            total_us: length as f64 * step,
-        }
+    Lanes {
+        a1: startup,
+        a3: startup,
+        a: t_comp + (startup + startup),
+        b: t_transmit,
     }
 }
 
-/// Breakdown of the non-overlapping execution-time prediction (eq. 3).
-#[derive(Clone, Debug)]
-pub struct NonOverlapReport {
-    /// The tiled space `J^S`.
-    pub tiled_space: IterationSpace,
-    /// Processor-mapping dimension.
-    pub mapping_dim: usize,
-    /// Number of time hyperplanes `P(g)`.
-    pub schedule_length: i64,
-    /// Tile volume `g`.
-    pub g: i64,
-    /// Cross-processor communication volume per tile (points).
-    pub v_comm_points: i64,
-    /// Number of neighboring processors each tile talks to.
-    pub neighbor_count: usize,
-    /// `T_comp = g·t_c` (µs).
-    pub t_comp_us: f64,
-    /// `T_startup = 2·t_s` per neighbor (µs).
-    pub t_startup_us: f64,
-    /// `T_transmit = b·V_comm·t_t` (µs).
-    pub t_transmit_us: f64,
-    /// Per-step cost `T_comp + T_comm` (µs).
-    pub step_us: f64,
-    /// Total `T = P(g)·(T_comp + T_comm)` (µs).
-    pub total_us: f64,
-}
-
-impl NonOverlapReport {
-    /// `T_comm = T_startup + T_transmit` (µs).
-    pub fn t_comm_us(&self) -> f64 {
-        self.t_startup_us + self.t_transmit_us
-    }
-
-    /// Total time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_us * 1e-6
-    }
+/// One message's closed-form terms under eq. 3: a byte-dependent
+/// startup on each side (`T_fill_MPI + T_fill_kernel`) plus the wire.
+pub(super) fn message_terms(machine: &MachineParams, b0: f64, b1: f64) -> (f64, f64) {
+    let startup_base = machine.fill_mpi_buffer.base_us + machine.fill_kernel_buffer.base_us;
+    let startup_slope =
+        machine.fill_mpi_buffer.per_byte_us + machine.fill_kernel_buffer.per_byte_us;
+    (
+        2.0 * (startup_base + startup_slope * b0) + machine.t_t_us_per_byte * b0,
+        2.0 * startup_slope * b1 + machine.t_t_us_per_byte * b1,
+    )
 }
 
 /// Hodzic–Shang optimal tile size (expression (11) of \[4\], quoted in
@@ -159,6 +61,14 @@ pub fn optimal_g_hodzic_shang(machine: &MachineParams, neighbor_count: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dependence::DependenceSet;
+    use crate::schedule::{OverlapMode, StepStrategy, TileSchedule};
+    use crate::space::IterationSpace;
+    use crate::tiling::Tiling;
+
+    fn blocking(dims: usize, mapping_dim: usize) -> TileSchedule {
+        TileSchedule::with_mapping(StepStrategy::Blocking, dims, mapping_dim)
+    }
 
     /// §3 Example 1 end-to-end: the paper's exact numbers.
     #[test]
@@ -167,16 +77,15 @@ mod tests {
         let tiling = Tiling::rectangular(&[10, 10]);
         let deps = DependenceSet::example_1();
         let space = IterationSpace::from_extents(&[10_000, 1_000]);
-        let sched = NonOverlapSchedule::with_mapping(2, 0);
-        let r = sched.analyze(&tiling, &deps, &space, &machine);
+        let r = blocking(2, 0).analyze(&tiling, &deps, &space, &machine, OverlapMode::default());
 
         assert_eq!(r.schedule_length, 1099); // P = 999 + 99 + 1
         assert_eq!(r.g, 100);
         assert_eq!(r.v_comm_points, 20);
         assert_eq!(r.neighbor_count, 1);
-        assert!((r.t_comp_us - 100.0).abs() < 1e-9); // 100·t_c
-        assert!((r.t_startup_us - 200.0).abs() < 1e-9); // 2·t_s
-        assert!((r.t_transmit_us - 64.0).abs() < 1e-9); // 20·4·0.8
+        assert!((r.a2_us - 100.0).abs() < 1e-9); // T_comp = 100·t_c
+        assert!((r.a1_us + r.a3_us - 200.0).abs() < 1e-9); // T_startup = 2·t_s
+        assert!((r.b_us - 64.0).abs() < 1e-9); // T_transmit = 20·4·0.8
         assert!((r.step_us - 364.0).abs() < 1e-9);
         // T = 1099 × 364 t_c = 400 036 t_c ≈ 0.4 s.
         assert!((r.total_us - 400_036.0).abs() < 1e-6);
@@ -195,14 +104,17 @@ mod tests {
         let tiling = Tiling::rectangular(&[4, 4, 64]);
         let space = IterationSpace::from_extents(&[16, 16, 16384]);
         let ts = tiling.tiled_space(&space);
-        let s = NonOverlapSchedule::new(&ts);
-        assert_eq!(s.mapping().mapping_dim(), 2);
+        for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
+            let s = TileSchedule::new(strategy, &ts);
+            assert_eq!(s.mapping().mapping_dim(), 2);
+        }
     }
 
     #[test]
     fn time_of_is_coordinate_sum() {
         let ts = IterationSpace::from_extents(&[4, 4, 8]);
-        let s = NonOverlapSchedule::new(&ts);
+        let s = TileSchedule::new(StepStrategy::Blocking, &ts);
+        assert_eq!(s.pi(), vec![1, 1, 1]);
         assert_eq!(s.time_of(&[0, 0, 0], &ts), 0);
         assert_eq!(s.time_of(&[1, 2, 3], &ts), 6);
         assert_eq!(s.schedule_length(&ts), 3 + 3 + 7 + 1);
@@ -211,8 +123,9 @@ mod tests {
     #[test]
     fn schedule_respects_tile_dependences() {
         let ts = IterationSpace::from_extents(&[3, 3, 3]);
-        let s = NonOverlapSchedule::new(&ts);
+        let s = TileSchedule::new(StepStrategy::Blocking, &ts);
         let deps = DependenceSet::units(3);
+        assert!(s.is_valid_for(&deps));
         for t in ts.points() {
             for d in deps.iter() {
                 let succ: Vec<i64> = t.iter().zip(d.components()).map(|(&a, &b)| a + b).collect();
@@ -229,9 +142,8 @@ mod tests {
         let tiling = Tiling::rectangular(&[5, 5]);
         let deps = DependenceSet::units(2);
         let space = IterationSpace::from_extents(&[50, 25]);
-        let s = NonOverlapSchedule::with_mapping(2, 0);
-        let r = s.analyze(&tiling, &deps, &space, &machine);
-        assert_eq!(r.t_comm_us(), 0.0);
+        let r = blocking(2, 0).analyze(&tiling, &deps, &space, &machine, OverlapMode::default());
+        assert_eq!(r.a1_us + r.a3_us + r.b_us, 0.0);
         assert!((r.step_us - 50.0).abs() < 1e-9);
     }
 
@@ -241,8 +153,7 @@ mod tests {
         let tiling = Tiling::rectangular(&[4, 4, 444]);
         let deps = DependenceSet::paper_3d();
         let space = IterationSpace::from_extents(&[16, 16, 16384]);
-        let s = NonOverlapSchedule::with_mapping(3, 2);
-        let r = s.analyze(&tiling, &deps, &space, &machine);
+        let r = blocking(3, 2).analyze(&tiling, &deps, &space, &machine, OverlapMode::default());
         assert_eq!(r.neighbor_count, 2);
         assert_eq!(r.v_comm_points, 2 * 1776);
         // 4 tiles × 4 tiles × ⌈16384/444⌉ = 37 tiles.

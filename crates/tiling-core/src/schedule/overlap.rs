@@ -1,28 +1,19 @@
-//! The overlapping (pipelined) schedule — the paper's contribution (§4).
+//! The overlapping (pipelined) step — the paper's contribution (§4),
+//! priced for [`StepStrategy::Overlap`](super::StepStrategy::Overlap).
 //!
-//! The linear schedule is modified so that, at each time step, a
-//! processor computes a tile while *concurrently* sending the results of
-//! the previous step and receiving the inputs of the next one. Tile
-//! `j^S` executes at
-//!
-//! ```text
-//! t(j^S) = 2·j_1^S + … + 2·j_{i−1}^S + 2·j_{i+1}^S + … + 2·j_n^S + j_i^S,
-//! ```
-//!
-//! where `i` is the processor-mapping dimension: a dependence along `i`
-//! (same processor, memory hand-off) advances one step, while a
-//! cross-processor dependence advances two (one step in flight). This is
-//! the optimal UET-UCT grid schedule of Andronikos et al. \[1\].
+//! At each time step a processor computes a tile while *concurrently*
+//! sending the results of the previous step and receiving the inputs of
+//! the next one, so a cross-processor dependence advances two steps
+//! (one in flight) — the optimal UET-UCT grid schedule of Andronikos et
+//! al. \[1\].
 //!
 //! Per-step cost (eq. 4): `max(A₁+A₂+A₃, B₁+B₂+B₃+B₄)` — the CPU lane
 //! (post sends, compute, post receives) races the communication lane
 //! (kernel copies plus wire time), and the longer one paces the pipeline.
 
-use crate::dependence::DependenceSet;
+use super::tile::Lanes;
 use crate::machine::MachineParams;
-use crate::mapping::{neighbor_messages, total_message_volume, ProcessorMapping};
-use crate::space::IterationSpace;
-use crate::tiling::Tiling;
+use crate::mapping::NeighborMessage;
 
 /// How the communication lane's phases combine (Fig. 3 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -36,199 +27,60 @@ pub enum OverlapMode {
     DuplexDma,
 }
 
-/// The overlapping tile schedule.
-#[derive(Clone, Debug)]
-pub struct OverlapSchedule {
-    mapping: ProcessorMapping,
-}
-
-impl OverlapSchedule {
-    /// Build for a tiled space, mapping along its longest dimension.
-    pub fn new(tiled_space: &IterationSpace) -> Self {
-        OverlapSchedule {
-            mapping: ProcessorMapping::by_longest_dimension(tiled_space),
-        }
+/// Eq. 4's lanes: the CPU's `A₁+A₂+A₃` and the communication lane
+/// `B₁+B₂+B₃+B₄`, which run side by side.
+pub(super) fn lanes(
+    machine: &MachineParams,
+    msgs: &[NeighborMessage],
+    a2: f64,
+    mode: OverlapMode,
+) -> Lanes {
+    // CPU lane: A₁ (post all non-blocking sends) + A₂ (compute) + A₃
+    // (post all non-blocking receives); the paper assumes the Irecv
+    // posting cost equals the Isend one (§5). Communication lane: per
+    // message, a kernel copy on each side (B₂, B₃) and the wire time on
+    // each side (B₁, B₄). In the pipeline every node both sends and
+    // receives the same message set, so both sides cost the same.
+    let mut a1 = 0.0;
+    let mut a3 = 0.0;
+    let mut send_side = 0.0;
+    let mut recv_side = 0.0;
+    for m in msgs {
+        let bytes = m.volume_points as f64 * f64::from(machine.bytes_per_elem);
+        a1 += machine.fill_mpi_buffer.eval(bytes);
+        a3 += machine.fill_mpi_buffer.eval(bytes);
+        send_side += machine.fill_kernel_buffer.eval(bytes) + machine.transmit_us(bytes);
+        recv_side += machine.transmit_us(bytes) + machine.fill_kernel_buffer.eval(bytes);
     }
-
-    /// Build with an explicit mapping dimension.
-    pub fn with_mapping(dims: usize, mapping_dim: usize) -> Self {
-        OverlapSchedule {
-            mapping: ProcessorMapping::along(dims, mapping_dim),
-        }
-    }
-
-    /// The processor mapping.
-    pub fn mapping(&self) -> &ProcessorMapping {
-        &self.mapping
-    }
-
-    /// The schedule vector: coefficient 1 along the mapping dimension,
-    /// 2 elsewhere.
-    pub fn pi(&self) -> Vec<i64> {
-        (0..self.mapping.dims())
-            .map(|d| {
-                if d == self.mapping.mapping_dim() {
-                    1
-                } else {
-                    2
-                }
-            })
-            .collect()
-    }
-
-    /// Execution step of a tile, normalized so the first tile runs at 0.
-    pub fn time_of(&self, tile: &[i64], tiled_space: &IterationSpace) -> i64 {
-        assert_eq!(tile.len(), self.mapping.dims(), "tile arity mismatch");
-        let pi = self.pi();
-        (0..tile.len())
-            .map(|d| pi[d] * (tile[d] - tiled_space.lower()[d]))
-            .sum()
-    }
-
-    /// Number of time hyperplanes:
-    /// `P(g) = 2·Σ_{k≠i}(u_k − l_k) + (u_i − l_i) + 1`.
-    pub fn schedule_length(&self, tiled_space: &IterationSpace) -> i64 {
-        let pi = self.pi();
-        let sum: i64 = (0..tiled_space.dims())
-            .map(|d| pi[d] * (tiled_space.extent(d) - 1))
-            .sum();
-        sum + 1
-    }
-
-    /// Validity against a tile dependence set: a dependence advancing
-    /// only along the mapping dimension needs `Δt ≥ 1` (memory hand-off
-    /// on the same processor); any cross-processor dependence needs
-    /// `Δt ≥ 2` (sent during one step, consumed after the next).
-    pub fn is_valid_for(&self, tile_deps: &DependenceSet) -> bool {
-        let pi = self.pi();
-        tile_deps.iter().all(|d| {
-            let dt = d.dot(&pi);
-            let cross = self
-                .mapping
-                .processor_of(d.components())
-                .iter()
-                .any(|&x| x != 0);
-            if cross {
-                dt >= 2
-            } else {
-                dt >= 1
-            }
-        })
-    }
-
-    /// Full cost analysis per equations (4)/(5).
-    pub fn analyze(
-        &self,
-        tiling: &Tiling,
-        deps: &DependenceSet,
-        space: &IterationSpace,
-        machine: &MachineParams,
-        mode: OverlapMode,
-    ) -> OverlapReport {
-        let tiled_space = tiling.tiled_space(space);
-        let length = self.schedule_length(&tiled_space);
-        let msgs = neighbor_messages(tiling, deps, &self.mapping);
-        let v_comm = total_message_volume(&msgs);
-        let g = tiling.volume();
-        let b = f64::from(machine.bytes_per_elem);
-
-        // CPU lane: A₁ (post all non-blocking sends) + A₂ (compute) +
-        // A₃ (post all non-blocking receives). The paper assumes the
-        // Irecv posting cost equals the Isend one (§5).
-        let mut a1 = 0.0;
-        let mut a3 = 0.0;
-        for m in &msgs {
-            let bytes = m.volume_points as f64 * b;
-            a1 += machine.fill_mpi_buffer.eval(bytes);
-            a3 += machine.fill_mpi_buffer.eval(bytes);
-        }
-        let a2 = machine.tile_compute_us(g);
-        let cpu_lane = a1 + a2 + a3;
-
-        // Communication lane: per message, a kernel copy on each side
-        // (B₂, B₃) and the wire time on each side (B₁, B₄). In the
-        // pipeline every node both sends and receives the same message
-        // set, so the send side and receive side have equal cost.
-        let mut send_side = 0.0;
-        let mut recv_side = 0.0;
-        for m in &msgs {
-            let bytes = m.volume_points as f64 * b;
-            send_side += machine.fill_kernel_buffer.eval(bytes) + machine.transmit_us(bytes);
-            recv_side += machine.transmit_us(bytes) + machine.fill_kernel_buffer.eval(bytes);
-        }
-        let comm_lane = match mode {
-            OverlapMode::Serialized => send_side + recv_side,
-            OverlapMode::DuplexDma => send_side.max(recv_side),
-        };
-
-        let step = cpu_lane.max(comm_lane);
-        OverlapReport {
-            tiled_space,
-            mapping_dim: self.mapping.mapping_dim(),
-            schedule_length: length,
-            g,
-            v_comm_points: v_comm,
-            neighbor_count: msgs.len(),
-            cpu_lane_us: cpu_lane,
-            comm_lane_us: comm_lane,
-            a1_us: a1,
-            a2_us: a2,
-            a3_us: a3,
-            step_us: step,
-            total_us: length as f64 * step,
-            mode,
-        }
+    let b = match mode {
+        OverlapMode::Serialized => send_side + recv_side,
+        OverlapMode::DuplexDma => send_side.max(recv_side),
+    };
+    Lanes {
+        a1,
+        a3,
+        a: a1 + a2 + a3,
+        b,
     }
 }
 
-/// Breakdown of the overlapping execution-time prediction (eq. 4/5).
-#[derive(Clone, Debug)]
-pub struct OverlapReport {
-    /// The tiled space `J^S`.
-    pub tiled_space: IterationSpace,
-    /// Processor-mapping dimension `i`.
-    pub mapping_dim: usize,
-    /// Number of time hyperplanes `P(g)`.
-    pub schedule_length: i64,
-    /// Tile volume `g`.
-    pub g: i64,
-    /// Cross-processor communication volume per tile (points).
-    pub v_comm_points: i64,
-    /// Number of neighboring processors each tile talks to.
-    pub neighbor_count: usize,
-    /// CPU lane `A₁+A₂+A₃` (µs).
-    pub cpu_lane_us: f64,
-    /// Communication lane `B₁+B₂+B₃+B₄` (µs).
-    pub comm_lane_us: f64,
-    /// `A₁`: total Isend posting cost (µs).
-    pub a1_us: f64,
-    /// `A₂ = g·t_c` (µs).
-    pub a2_us: f64,
-    /// `A₃`: total Irecv posting cost (µs).
-    pub a3_us: f64,
-    /// Per-step cost `max(A-lane, B-lane)` (µs).
-    pub step_us: f64,
-    /// Total `T = P(g)·step` (µs).
-    pub total_us: f64,
-    /// Overlap mode used for the B lane.
-    pub mode: OverlapMode,
-}
-
-impl OverlapReport {
-    /// True iff the CPU lane paces the pipeline (case 1 of §4).
-    pub fn is_cpu_bound(&self) -> bool {
-        self.cpu_lane_us >= self.comm_lane_us
-    }
-
-    /// Total time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_us * 1e-6
-    }
+/// One message's closed-form terms under eq. 4, case 1 (the CPU lane
+/// paces): an Isend and an Irecv posting.
+pub(super) fn message_terms(machine: &MachineParams, b0: f64, b1: f64) -> (f64, f64) {
+    let post = &machine.fill_mpi_buffer;
+    (
+        2.0 * (post.base_us + post.per_byte_us * b0),
+        2.0 * post.per_byte_us * b1,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dependence::DependenceSet;
+    use crate::schedule::{StepStrategy, TileSchedule};
+    use crate::space::IterationSpace;
+    use crate::tiling::Tiling;
 
     /// §4 Example 3: the 2-D loop of Example 1 under the overlapping
     /// schedule — `Π = (1,2)`, `P = 1198`, `T ≈ 0.24 s` vs 0.4 s.
@@ -238,7 +90,7 @@ mod tests {
         let tiling = Tiling::rectangular(&[10, 10]);
         let deps = DependenceSet::example_1();
         let space = IterationSpace::from_extents(&[10_000, 1_000]);
-        let sched = OverlapSchedule::with_mapping(2, 0);
+        let sched = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
         assert_eq!(sched.pi(), vec![1, 2]);
 
         let ts = tiling.tiled_space(&space);
@@ -250,9 +102,9 @@ mod tests {
         assert!((r.a1_us - 50.0).abs() < 1e-9);
         assert!((r.a3_us - 50.0).abs() < 1e-9);
         assert!((r.a2_us - 100.0).abs() < 1e-9);
-        assert!((r.cpu_lane_us - 200.0).abs() < 1e-9);
+        assert!((r.a_us - 200.0).abs() < 1e-9);
         // B lane (duplex): per direction 50 (kernel) + 64 (wire) = 114.
-        assert!((r.comm_lane_us - 114.0).abs() < 1e-9);
+        assert!((r.b_us - 114.0).abs() < 1e-9);
         assert!(r.is_cpu_bound());
         // T = 1198 × 200·t_c = 239 600 t_c ≈ 0.24 s.
         assert!((r.total_us - 239_600.0).abs() < 1e-6);
@@ -261,19 +113,19 @@ mod tests {
 
     #[test]
     fn overlap_beats_nonoverlap_on_example() {
-        use crate::schedule::nonoverlap::NonOverlapSchedule;
         let machine = MachineParams::example_1();
         let tiling = Tiling::rectangular(&[10, 10]);
         let deps = DependenceSet::example_1();
         let space = IterationSpace::from_extents(&[10_000, 1_000]);
-        let no = NonOverlapSchedule::with_mapping(2, 0).analyze(&tiling, &deps, &space, &machine);
-        let ov = OverlapSchedule::with_mapping(2, 0).analyze(
-            &tiling,
-            &deps,
-            &space,
-            &machine,
-            OverlapMode::DuplexDma,
-        );
+        let [no, ov] = [StepStrategy::Blocking, StepStrategy::Overlap].map(|s| {
+            TileSchedule::with_mapping(s, 2, 0).analyze(
+                &tiling,
+                &deps,
+                &space,
+                &machine,
+                OverlapMode::DuplexDma,
+            )
+        });
         assert!(ov.total_us < no.total_us);
         // The paper reports 0.24 s vs 0.4 s — a ~40% improvement.
         let improvement = 1.0 - ov.total_us / no.total_us;
@@ -283,7 +135,7 @@ mod tests {
     #[test]
     fn schedule_time_coefficients() {
         let ts = IterationSpace::from_extents(&[4, 4, 37]);
-        let s = OverlapSchedule::with_mapping(3, 2);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2);
         assert_eq!(s.pi(), vec![2, 2, 1]);
         assert_eq!(s.time_of(&[0, 0, 0], &ts), 0);
         assert_eq!(s.time_of(&[1, 0, 0], &ts), 2);
@@ -295,7 +147,7 @@ mod tests {
     #[test]
     fn schedule_length_with_offset_space() {
         let ts = IterationSpace::new(vec![2, 5], vec![4, 9]);
-        let s = OverlapSchedule::with_mapping(2, 1);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1);
         // Extents 3 and 5; mapping along dim 1: P = 2·2 + 4 + 1 = 9.
         assert_eq!(s.schedule_length(&ts), 9);
         assert_eq!(s.time_of(&[2, 5], &ts), 0);
@@ -304,13 +156,14 @@ mod tests {
 
     #[test]
     fn validity_cross_processor_needs_two_steps() {
-        let s = OverlapSchedule::with_mapping(2, 0);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
         // Unit tile deps: e1 along mapping (Δt=1, same proc: ok),
         // e2 cross-processor (Δt=2: ok).
         assert!(s.is_valid_for(&DependenceSet::units(2)));
         // A hypothetical schedule mapping along dim 1 still works for
         // unit deps…
-        assert!(OverlapSchedule::with_mapping(2, 1).is_valid_for(&DependenceSet::units(2)));
+        assert!(TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1)
+            .is_valid_for(&DependenceSet::units(2)));
     }
 
     #[test]
@@ -320,7 +173,7 @@ mod tests {
         // (its projection is zero). Instead check a diagonal (1,1):
         // Δt = 1·1 + 2·1 = 3 ≥ 2: valid. Negative mapping component:
         // d = (-1, 1): Δt = −1+2 = 1 but cross ⇒ invalid.
-        let s = OverlapSchedule::with_mapping(2, 0);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
         let d = DependenceSet::from_vectors(2, vec![vec![-1, 1]]);
         assert!(!s.is_valid_for(&d));
     }
@@ -331,10 +184,10 @@ mod tests {
         let tiling = Tiling::rectangular(&[10, 10]);
         let deps = DependenceSet::example_1();
         let space = IterationSpace::from_extents(&[100, 100]);
-        let s = OverlapSchedule::with_mapping(2, 0);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
         let ser = s.analyze(&tiling, &deps, &space, &machine, OverlapMode::Serialized);
         let dup = s.analyze(&tiling, &deps, &space, &machine, OverlapMode::DuplexDma);
-        assert!((ser.comm_lane_us - 2.0 * dup.comm_lane_us).abs() < 1e-9);
+        assert!((ser.b_us - 2.0 * dup.b_us).abs() < 1e-9);
         assert!(ser.step_us >= dup.step_us);
     }
 
@@ -344,10 +197,10 @@ mod tests {
         let tiling = Tiling::rectangular(&[8, 8]);
         let deps = DependenceSet::units(2);
         let space = IterationSpace::from_extents(&[64, 64]);
-        let s = OverlapSchedule::with_mapping(2, 0);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
         let r = s.analyze(&tiling, &deps, &space, &machine, OverlapMode::Serialized);
         assert!(r.is_cpu_bound());
-        assert_eq!(r.comm_lane_us, 0.0);
+        assert_eq!(r.b_us, 0.0);
         assert!((r.step_us - 64.0).abs() < 1e-9);
     }
 
@@ -361,12 +214,12 @@ mod tests {
         let tiling = Tiling::rectangular(&[4, 4, 444]);
         let deps = DependenceSet::paper_3d();
         let space = IterationSpace::from_extents(&[16, 16, 16384]);
-        let s = OverlapSchedule::with_mapping(3, 2);
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2);
         let r = s.analyze(&tiling, &deps, &space, &machine, OverlapMode::Serialized);
         assert_eq!(r.schedule_length, 2 * 3 + 2 * 3 + 36 + 1);
         assert_eq!(r.neighbor_count, 2);
         // A-lane: 4 posts ≈ 4×627 µs + 7104×0.441 µs ≈ 5.64 ms.
-        assert!((r.cpu_lane_us - (4.0 * 627.0 + 7104.0 * 0.441)).abs() < 5.0);
+        assert!((r.a_us - (4.0 * 627.0 + 7104.0 * 0.441)).abs() < 5.0);
         assert!(r.is_cpu_bound());
         // Total ≈ 49 × 5.64 ms ≈ 0.277 s: within 20% of the paper's 0.24.
         assert!(

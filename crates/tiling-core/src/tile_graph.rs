@@ -4,19 +4,16 @@
 //! nodes are tiles and whose edges are tile dependences. This module
 //! materializes that DAG for *small* spaces — it is the oracle used to
 //! validate legality (acyclicity), schedule correctness (every edge
-//! advances time sufficiently) and the closed-form schedule-length
-//! formulas, and it feeds the simulator's program builder.
+//! advances time by its lag) and the closed-form schedule-length
+//! formulas.
 
 use crate::dependence::DependenceSet;
-use crate::mapping::ProcessorMapping;
 use crate::space::{IterationSpace, Point};
 use std::collections::HashMap;
 
 /// A materialized tile DAG over a rectangular tiled space.
 #[derive(Clone, Debug)]
 pub struct TileGraph {
-    space: IterationSpace,
-    deps: DependenceSet,
     /// Node index of each tile (row-major enumeration of the space).
     index: HashMap<Point, usize>,
     nodes: Vec<Point>,
@@ -49,8 +46,6 @@ impl TileGraph {
             }
         }
         TileGraph {
-            space: tiled_space.clone(),
-            deps: tile_deps.clone(),
             index,
             nodes,
             preds,
@@ -83,21 +78,6 @@ impl TileGraph {
         &self.preds[i]
     }
 
-    /// Successors of node `i`.
-    pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
-    }
-
-    /// The underlying tiled space.
-    pub fn space(&self) -> &IterationSpace {
-        &self.space
-    }
-
-    /// The tile dependence set.
-    pub fn deps(&self) -> &DependenceSet {
-        &self.deps
-    }
-
     /// Kahn topological order; `None` if the graph has a cycle (an
     /// illegal tiling produces cyclic tile dependences).
     pub fn topological_order(&self) -> Option<Vec<usize>> {
@@ -121,20 +101,20 @@ impl TileGraph {
     }
 
     /// Check a time assignment against the DAG: every edge `u → v` must
-    /// satisfy `t(v) − t(u) ≥ lag(u, v)`, where the lag is decided by the
-    /// caller (1 for the non-overlapping schedule; 1 same-processor / 2
-    /// cross-processor for the overlapping one).
+    /// satisfy `t(v) − t(u) ≥ lag(v − u)`, where the lag of the edge's
+    /// dependence vector is decided by the caller (a schedule's
+    /// [`TileSchedule::lag`](crate::schedule::TileSchedule::lag)).
     pub fn validate_times<T, L>(&self, time_of: T, lag: L) -> Result<(), ScheduleViolation>
     where
         T: Fn(&Point) -> i64,
-        L: Fn(&Point, &Point) -> i64,
+        L: Fn(&[i64]) -> i64,
     {
         for (vi, v) in self.nodes.iter().enumerate() {
             let tv = time_of(v);
             for &pi in &self.preds[vi] {
                 let u = &self.nodes[pi];
                 let tu = time_of(u);
-                let need = lag(u, v);
+                let need = lag(&edge(u, v));
                 if tv - tu < need {
                     return Err(ScheduleViolation {
                         from: u.clone(),
@@ -149,7 +129,8 @@ impl TileGraph {
         Ok(())
     }
 
-    /// Critical-path length in *steps* under per-edge lags: the longest
+    /// Critical-path length in *steps* under per-edge lags (of the edge's
+    /// dependence vector, as in [`Self::validate_times`]): the longest
     /// chain, counting each node once plus edge lags. This is the minimum
     /// schedule length any time assignment can achieve.
     ///
@@ -159,7 +140,7 @@ impl TileGraph {
     #[allow(clippy::expect_used)] // LINT: the documented precondition above
     pub fn critical_path<L>(&self, lag: L) -> i64
     where
-        L: Fn(&Point, &Point) -> i64,
+        L: Fn(&[i64]) -> i64,
     {
         let order = self
             .topological_order()
@@ -168,32 +149,18 @@ impl TileGraph {
         let mut best = 0;
         for &v in order.iter() {
             for &p in &self.preds[v] {
-                let l = lag(&self.nodes[p], &self.nodes[v]);
+                let l = lag(&edge(&self.nodes[p], &self.nodes[v]));
                 dist[v] = dist[v].max(dist[p] + l);
             }
             best = best.max(dist[v]);
         }
         best + 1
     }
+}
 
-    /// Unit lag for the non-overlapping schedule.
-    pub fn unit_lag(_: &Point, _: &Point) -> i64 {
-        1
-    }
-
-    /// The overlapping schedule's lag: 1 if the edge stays on one
-    /// processor, 2 if it crosses processors.
-    pub fn overlap_lag(mapping: &ProcessorMapping) -> impl Fn(&Point, &Point) -> i64 + '_ {
-        move |u: &Point, v: &Point| {
-            let diff: Vec<i64> = v.iter().zip(u).map(|(&a, &b)| a - b).collect();
-            let cross = mapping.processor_of(&diff).iter().any(|&x| x != 0);
-            if cross {
-                2
-            } else {
-                1
-            }
-        }
-    }
+/// The dependence vector `v − u` of the edge `u → v`.
+fn edge(u: &Point, v: &Point) -> Vec<i64> {
+    v.iter().zip(u).map(|(&a, &b)| a - b).collect()
 }
 
 /// A dependence edge whose endpoints are scheduled too close together.
@@ -226,7 +193,7 @@ impl std::error::Error for ScheduleViolation {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{NonOverlapSchedule, OverlapSchedule};
+    use crate::schedule::{StepStrategy, TileSchedule};
 
     fn grid(extents: &[i64]) -> (IterationSpace, TileGraph) {
         let space = IterationSpace::from_extents(extents);
@@ -262,17 +229,19 @@ mod tests {
     #[test]
     fn nonoverlap_schedule_is_valid_with_unit_lag() {
         let (space, g) = grid(&[4, 5]);
-        let s = NonOverlapSchedule::new(&space);
-        g.validate_times(|t| s.time_of(t, &space), TileGraph::unit_lag)
+        let s = TileSchedule::new(StepStrategy::Blocking, &space);
+        assert_eq!(s.lag(&[0, 1]), 1);
+        assert_eq!(s.lag(&[1, 0]), 1);
+        g.validate_times(|t| s.time_of(t, &space), |d| s.lag(d))
             .unwrap();
     }
 
     #[test]
     fn overlap_schedule_is_valid_with_overlap_lag() {
         let (space, g) = grid(&[4, 4, 9]);
-        let s = OverlapSchedule::with_mapping(3, 2);
-        let lag = TileGraph::overlap_lag(s.mapping());
-        g.validate_times(|t| s.time_of(t, &space), lag).unwrap();
+        let s = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2);
+        g.validate_times(|t| s.time_of(t, &space), |d| s.lag(d))
+            .unwrap();
     }
 
     #[test]
@@ -280,10 +249,11 @@ mod tests {
         // The Π=[1..1] schedule gives cross-processor edges Δt = 1,
         // which the overlapping execution model forbids.
         let (space, g) = grid(&[3, 6]);
-        let no = NonOverlapSchedule::with_mapping(2, 1);
-        let ov = OverlapSchedule::with_mapping(2, 1);
-        let lag = TileGraph::overlap_lag(ov.mapping());
-        assert!(g.validate_times(|t| no.time_of(t, &space), lag).is_err());
+        let no = TileSchedule::with_mapping(StepStrategy::Blocking, 2, 1);
+        let ov = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1);
+        assert!(g
+            .validate_times(|t| no.time_of(t, &space), |d| ov.lag(d))
+            .is_err());
     }
 
     #[test]
@@ -292,9 +262,9 @@ mod tests {
         // Π=[1…1] schedule length: Σ(extent−1)+1.
         for extents in [vec![3i64, 4], vec![2, 2, 5], vec![6, 1]] {
             let (space, g) = grid(&extents);
-            let s = NonOverlapSchedule::new(&space);
+            let s = TileSchedule::new(StepStrategy::Blocking, &space);
             assert_eq!(
-                g.critical_path(TileGraph::unit_lag),
+                g.critical_path(|d| s.lag(d)),
                 s.schedule_length(&space),
                 "extents {extents:?}"
             );
@@ -308,10 +278,9 @@ mod tests {
         // optimal (Andronikos et al. [1]).
         for (extents, mdim) in [(vec![3i64, 7], 1usize), (vec![4, 4, 9], 2), (vec![2, 5], 1)] {
             let (space, g) = grid(&extents);
-            let s = OverlapSchedule::with_mapping(extents.len(), mdim);
-            let lag = TileGraph::overlap_lag(s.mapping());
+            let s = TileSchedule::with_mapping(StepStrategy::Overlap, extents.len(), mdim);
             assert_eq!(
-                g.critical_path(lag),
+                g.critical_path(|d| s.lag(d)),
                 s.schedule_length(&space),
                 "extents {extents:?}"
             );
@@ -326,7 +295,7 @@ mod tests {
         let space = IterationSpace::from_extents(&extents);
         let mut lengths = Vec::new();
         for d in 0..3 {
-            let s = OverlapSchedule::with_mapping(3, d);
+            let s = TileSchedule::with_mapping(StepStrategy::Overlap, 3, d);
             lengths.push(s.schedule_length(&space));
         }
         let best = *lengths.iter().min().unwrap();
@@ -350,7 +319,7 @@ mod tests {
     fn violation_reports_edge() {
         let (space, g) = grid(&[2, 2]);
         // A constant time function violates every edge.
-        let err = g.validate_times(|_| 0, TileGraph::unit_lag).unwrap_err();
+        let err = g.validate_times(|_| 0, |_| 1).unwrap_err();
         assert_eq!(err.required_lag, 1);
         assert_eq!(err.t_from, 0);
         let _ = err.to_string();

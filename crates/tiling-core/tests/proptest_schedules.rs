@@ -89,21 +89,24 @@ proptest! {
         let space = IterationSpace::from_extents(&extents);
         let ts = tiling.tiled_space(&space);
         let tile_deps = tiling.tile_dependences(&deps);
-        let sched = OverlapSchedule::new(&ts);
+        let sched = TileSchedule::new(StepStrategy::Overlap, &ts);
         prop_assert!(sched.is_valid_for(&tile_deps));
         let g = TileGraph::build(&ts, &tile_deps);
-        let lag = TileGraph::overlap_lag(sched.mapping());
-        g.validate_times(|t| sched.time_of(t, &ts), lag)
+        g.validate_times(|t| sched.time_of(t, &ts), |d| sched.lag(d))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
     /// Closed-form predictions are positive, finite and U-shaped around
-    /// V* for random affine machines.
+    /// V* for random affine machines, and at a random height the
+    /// closed form's `α + β·V` prices a step as the schedule's report
+    /// does: its step under Blocking, its CPU lane under Overlap (eq. 4,
+    /// case 1).
     #[test]
     fn closed_form_well_behaved(
         base in 5.0f64..500.0,
         slope in 0.001f64..0.2,
         t_c in 0.05f64..5.0,
+        height in 1i64..=4096,
     ) {
         use tiling_core::machine::AffineCost;
         let machine = MachineParams {
@@ -124,7 +127,26 @@ proptest! {
         prop_assert!(at(v) <= at(v * 4.0) + 1e-6);
         prop_assert!(at(v) <= at((v / 4.0).max(0.25)) + 1e-6);
         // And the non-overlap optimum exists too.
-        let nf = nonoverlap_optimal_v(&space, &deps, &machine, &[4, 4], 2);
+        let nf = optimal_v(StepStrategy::Blocking, &space, &deps, &machine, &[4, 4], 2);
         prop_assert!(nf.v_star.is_finite() && nf.v_star > 0.0);
+        let tiling = Tiling::rectangular(&[4, 4, height]);
+        for (strategy, cf) in [(StepStrategy::Blocking, nf), (StepStrategy::Overlap, cf)] {
+            let r = TileSchedule::with_mapping(strategy, 3, 2).analyze(
+                &tiling,
+                &deps,
+                &space,
+                &machine,
+                OverlapMode::Serialized,
+            );
+            let priced = match strategy {
+                StepStrategy::Blocking => r.step_us,
+                StepStrategy::Overlap => r.a_us,
+            };
+            let closed = cf.alpha + cf.beta * height as f64;
+            prop_assert!(
+                (closed - priced).abs() <= 1e-9 * priced,
+                "{:?} at V = {}: closed form {} vs report {}", strategy, height, closed, priced
+            );
+        }
     }
 }

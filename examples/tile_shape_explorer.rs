@@ -1,6 +1,7 @@
 //! Explore tile shapes and sizes: communication volume per shape at a
 //! fixed volume (the Boulet/Xue question, §2.4), and the completion-time
-//! landscape over the tile height V for both schedules.
+//! landscape over the tile height V of the tile schedule under both step
+//! strategies (Blocking, eq. 3; Overlap, eq. 4).
 //!
 //! ```sh
 //! cargo run --release --example tile_shape_explorer
@@ -8,7 +9,6 @@
 
 use overlap_tiling::prelude::*;
 use tiling_core::optimize::{height_ladder, min_comm_rectangular_shape, rectangular_shapes};
-use tiling_core::schedule::OverlapMode as Mode;
 
 fn main() {
     // Part 1: shape vs communication at fixed volume g = 64, for the
@@ -76,7 +76,7 @@ fn main() {
     let machine1 = MachineParams::example_1();
     let deps1 = DependenceSet::example_1();
     let space1 = IterationSpace::from_extents(&[10_000, 1_000]);
-    let plan = best_rectangular_plan(&space1, &deps1, &machine1, 100, 0, Mode::DuplexDma)
+    let plan = best_rectangular_plan(&space1, &deps1, &machine1, 100, 0, OverlapMode::DuplexDma)
         .expect("feasible shapes");
     println!(
         "\nExample 1 shape search at g = 100: best shape {:?} → {:.4} s non-overlap \

@@ -4,7 +4,7 @@
 //! sequence through a unit-cost logical clock (compute = 1 tick, a
 //! posted face arrives 1 tick after its post, everything else free)
 //! must start tile `(ci, cj, k)` exactly at the paper's eq. 4 time
-//! `OverlapSchedule::time_of = 2·(ci + cj) + k` — the engine's
+//! `TileSchedule::time_of = 2·(ci + cj) + k` under Overlap — the engine's
 //! post-receive / post-send / compute / wait interleaving *is* the
 //! overlapping schedule, not merely something that computes the same
 //! values. Under Blocking, every step must be the serialized
@@ -19,7 +19,7 @@ use stencil::dist3d::{try_run_rank3d_plan, Decomp3D, ExecMode};
 use stencil::engine::{Phase, PhaseLog};
 use stencil::kernel::{KernelTier, Paper3D};
 use stencil::plan::Compiled3D;
-use tiling_core::schedule::OverlapSchedule;
+use tiling_core::schedule::{StepStrategy, TileSchedule};
 use tiling_core::space::IterationSpace;
 
 /// Run the 3-D executor on the thread backend and collect each rank's
@@ -79,7 +79,7 @@ fn overlap_phase_order_realizes_eq4_times() {
 
     // The §5 mapping: pipelined dimension i₃ of the (pi, pj, steps)
     // tiled space, so pi = [2, 2, 1] and t = 2·(ci + cj) + k.
-    let sched = OverlapSchedule::with_mapping(3, 2);
+    let sched = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2);
     let tiled = IterationSpace::from_extents(&[d.pi as i64, d.pj as i64, steps as i64]);
     for rank in 0..d.pi * d.pj {
         let c = grid.coords_of(rank);

@@ -13,7 +13,13 @@ fn example_1_exact_numbers() {
     let nest = LoopNest::example_1();
     let deps = nest.dependences().unwrap();
     let tiling = Tiling::rectangular(&[10, 10]);
-    let r = NonOverlapSchedule::with_mapping(2, 0).analyze(&tiling, &deps, nest.space(), &machine);
+    let r = TileSchedule::with_mapping(StepStrategy::Blocking, 2, 0).analyze(
+        &tiling,
+        &deps,
+        nest.space(),
+        &machine,
+        OverlapMode::default(),
+    );
     assert_eq!(r.schedule_length, 1099);
     assert_eq!(r.v_comm_points, 20);
     assert!((r.step_us - 364.0).abs() < 1e-9);
@@ -27,7 +33,7 @@ fn example_3_exact_numbers() {
     let nest = LoopNest::example_1();
     let deps = nest.dependences().unwrap();
     let tiling = Tiling::rectangular(&[10, 10]);
-    let s = OverlapSchedule::with_mapping(2, 0);
+    let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
     assert_eq!(s.pi(), vec![1, 2]);
     let r = s.analyze(
         &tiling,
@@ -116,7 +122,7 @@ fn theory_tracks_simulation() {
         .unwrap()
         .makespan
         .as_us();
-    let theory = OverlapSchedule::with_mapping(3, 2)
+    let theory = TileSchedule::with_mapping(StepStrategy::Overlap, 3, 2)
         .analyze(
             &Tiling::rectangular(&[4, 4, v]),
             &DependenceSet::paper_3d(),

@@ -140,14 +140,11 @@ proptest! {
         let g = TileGraph::build(&ts, &tile_deps);
         prop_assert!(g.topological_order().is_some());
 
-        let no = NonOverlapSchedule::new(&ts);
-        g.validate_times(|tile| no.time_of(tile, &ts), TileGraph::unit_lag)
-            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-
-        let ov = OverlapSchedule::new(&ts);
-        let lag = TileGraph::overlap_lag(ov.mapping());
-        g.validate_times(|tile| ov.time_of(tile, &ts), lag)
-            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
+            let s = TileSchedule::new(strategy, &ts);
+            g.validate_times(|tile| s.time_of(tile, &ts), |d| s.lag(d))
+                .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        }
     }
 
     /// Closed-form schedule lengths equal the DAG critical path for unit
@@ -162,12 +159,10 @@ proptest! {
         let tile_deps = DependenceSet::units(dims);
         let g = TileGraph::build(&ts, &tile_deps);
 
-        let no = NonOverlapSchedule::new(&ts);
-        prop_assert_eq!(g.critical_path(TileGraph::unit_lag), no.schedule_length(&ts));
-
-        let ov = OverlapSchedule::new(&ts);
-        let lag = TileGraph::overlap_lag(ov.mapping());
-        prop_assert_eq!(g.critical_path(lag), ov.schedule_length(&ts));
+        for strategy in [StepStrategy::Blocking, StepStrategy::Overlap] {
+            let s = TileSchedule::new(strategy, &ts);
+            prop_assert_eq!(g.critical_path(|d| s.lag(d)), s.schedule_length(&ts));
+        }
     }
 
     /// Mapping along the longest dimension minimizes the overlap
@@ -179,10 +174,10 @@ proptest! {
         let dims = extents.len();
         let ts = IterationSpace::from_extents(&extents);
         let lengths: Vec<i64> = (0..dims)
-            .map(|d| OverlapSchedule::with_mapping(dims, d).schedule_length(&ts))
+            .map(|d| TileSchedule::with_mapping(StepStrategy::Overlap, dims, d).schedule_length(&ts))
             .collect();
         let best = *lengths.iter().min().unwrap();
-        let chosen = OverlapSchedule::new(&ts).schedule_length(&ts);
+        let chosen = TileSchedule::new(StepStrategy::Overlap, &ts).schedule_length(&ts);
         prop_assert_eq!(chosen, best);
     }
 
