@@ -518,10 +518,10 @@ ENDFOR
     }
 
     /// The bytes a run of [`untileable`] and of [`unallocatable`] asks
-    /// for: its cells and the masked lanes of its sweep, 2 ranks ×
-    /// `bx + bx/4 · (by − 1)` lane groups × 4 lanes × `nz` × 4 bytes.
-    pub(crate) const UNTILEABLE_BYTES: usize = (1 << 62) + (1 << 35) - (1 << 33);
-    pub(crate) const UNALLOCATABLE_BYTES: usize = (1 << 50) + (1 << 36) - (1 << 34);
+    /// for: its cells and its sweep's skew, 2 ranks × `bx/4 · by` row
+    /// groups × 4 lanes × `nz + 3` steps × 4 bytes.
+    pub(crate) const UNTILEABLE_BYTES: usize = 7 << 60;
+    pub(crate) const UNALLOCATABLE_BYTES: usize = (1 << 50) + (3 << 34);
 
     /// Grids larger than memory, or than `i64`/`isize` can count, are
     /// typed errors from `compile` or `execute`, never a panic or an

@@ -8,49 +8,51 @@
 //! (see [`crate::engine`]). A 2-D strip plan (Example 1, §3) is this
 //! layout with a unit `i`-axis ([`crate::decomp::Decomp2D::block`]): its
 //! j-column face is the block's J face, and its `(1,1)` dependence the
-//! block's e₂+e₃, which the sweep seeds per lane (see [`SweepPlan`]).
+//! block's e₂+e₃, which a lane reads off its `j−1` inputs (see
+//! [`SweepPlan`]).
 //!
 //! ## Structure
 //!
 //! **The result array is the ranks' storage, in the sweep's layout.**
-//! The [`LANES`] pencils of a sweep group (see below) are the same for
-//! every `k`, so a group stores them interleaved: cell `k` of lane `l`
-//! at `LANES·k + l` of the group's run of `LANES·nz` floats. A rank's
-//! block is its groups' runs in plan order, and the result [`Grid3D`]
-//! is the ranks' blocks in rank order, with a pencil table that reads
-//! it back cell by cell ([`result_grid`]). Each rank borrows its block
-//! as one disjoint mutable slice — each processor owns its part of the
-//! array, for every `pi × pj`, and nothing is collected or copied
-//! afterwards. The masked lanes are stored too, so the result holds
-//! more floats than cells: 152 lanes for the 128 pencils of an 8×16
-//! block, 44 for the 32 of a 4×8 one, and 4 × on a unit-axis strip,
-//! whose groups hold one pencil each.
+//! A sweep group (see below) is the [`LANES`] pencils `(4c + l, j)` of
+//! one row, lane `l` one cell behind lane `l − 1`, so a group stores them
+//! skewed as it steps them: cell `k` of lane `l` at `LANES·(k + l) + l`
+//! of the group's run of `LANES·(nz + 3)` floats. A rank's block is its
+//! groups' runs in plan order, and the result [`Grid3D`] is the ranks'
+//! blocks in rank order, with a pencil table that reads it back cell by
+//! cell ([`result_grid`]). Each rank borrows its block as one disjoint
+//! mutable slice — each processor owns its part of the array, for every
+//! `pi × pj`, and nothing is collected or copied afterwards. The result
+//! holds `⌈bx/4⌉ · by · 4 · (nz + 3)` floats a rank: the skew's three
+//! quads a run, and masked lanes only where `4 ∤ bx` (4 × on a unit-axis
+//! strip, whose groups hold one pencil each).
 //!
 //! [`Block3D`] is the 3-D [`TileOps`] implementation: it borrows the
 //! rank's block, owns one tile window of each halo plane and supplies
 //! the hot paths [`crate::engine`] runs the rank's compiled program
 //! over. **A tile is one skewed sweep**, the paper's linear schedule
-//! inside the tile: pencil `(i, j)` runs its block `b` of [`LANES`]
-//! cells in round `i + j + b`, diagonals go to the kernel [`LANES`]
-//! pencils at a time (a [`LaneBlock`] through [`Kernel3D::step`]), and
-//! a group reads its inputs as whole vectors from the groups one
-//! diagonal back. Each cell is lifted once ([`Kernel3D::lift`]; the
-//! paper kernel's `√x⁺`) into its group's slot, which is what every
-//! successor reads; halo cells are lifted where they are read. The
-//! walk — which pencils form which group, and where each group reads —
-//! depends on the block's `(bx, by)` alone, so it is compiled once per
-//! run into a [`SweepPlan`] that every rank shares. Block `b` of a
-//! group is the 16 floats of its run from `LANES·(k0 + LANES·b)` on, so
-//! the sweep stores each [`LaneBlock::run`] output straight into the
-//! result, masked lanes and all: the buffer the sweep writes *is* the
-//! result, with no copy after it. A block that runs past its tile
-//! writes cells of the next one, which that tile overwrites; only a
-//! block past `nz` is clipped, so every run writes every float of the
-//! storage. Faces are gathered one lane of the edge groups at a time
-//! into, and unpacked straight out of, transport wire storage — on a
-//! slot-transport world the peer-visible slot itself — and a
-//! steady-state step performs zero heap allocations (asserted by
-//! `tests/zero_alloc.rs`).
+//! `Π = (1, 1, 1)` at cell grain inside the tile: cell `(i, j, k)` is
+//! stepped at `i + j + k`, a row group's four lanes at a time (a
+//! [`LaneBlock`] through [`Kernel3D::step`]), and a group reads its
+//! inputs as whole vectors from the groups one row and one chunk back.
+//! Each cell is lifted once ([`Kernel3D::lift`]; the paper kernel's
+//! `√x⁺`) into its group's slot, which is what every successor reads;
+//! halo cells are lifted where they are read. The walk — which pencils
+//! form which group, and where each group reads — depends on the
+//! block's `(bx, by)` alone, so it is compiled once per run into a
+//! [`SweepPlan`] that every rank shares. Block `R` of a group in a tile
+//! from `k0` is the 16 floats of its run from `LANES·(k0 + LANES·R)` on,
+//! so the sweep stores each [`LaneBlock::run`] output straight into the
+//! result: the buffer the sweep writes *is* the result, with no copy
+//! after it. A tile's first block goes on from the group's step before
+//! the tile, so its late lanes rerun the tile below's last cells and
+//! store the same bits again; a block that runs past its tile writes
+//! cells of the next one, which that tile overwrites; only a block past
+//! the run is clipped, so every run writes every float of the storage.
+//! Faces are gathered one lane of the edge groups at a time into, and
+//! unpacked straight out of, transport wire storage — on a slot-transport
+//! world the peer-visible slot itself — and a steady-state step performs
+//! zero heap allocations (asserted by `tests/zero_alloc.rs`).
 //!
 //! Executors are generic over any [`Communicator`]; the one-shot driver
 //! [`run_dist3d_with`] compiles a decomposition and runs it on the
@@ -161,9 +163,9 @@ impl Decomp3D {
 /// is an error, not an abort.
 pub(crate) fn result_grid(d: &Decomp3D) -> Result<(Grid3D, SweepPlan), usize> {
     let (bx, by, nz) = (d.bx(), d.by(), d.nz);
-    // One run of LANES·nz floats per group, groups alike on every rank.
-    let len = SweepPlan::groups_of(bx, by)
-        .and_then(|g| g.checked_mul(LANES * nz)?.checked_mul(d.ranks()));
+    // One run of RUN_PAD + nz quads per group, groups alike on every rank.
+    let len = (SweepPlan::groups_of(bx, by).zip(nz.checked_add(RUN_PAD)))
+        .and_then(|(g, quads)| g.checked_mul(quads)?.checked_mul(LANES * d.ranks()));
     let bytes = len.map_or(usize::MAX, |n| n.saturating_mul(std::mem::size_of::<f32>()));
     let cells = len.and_then(Grid3D::unfilled).ok_or(bytes)?;
     let plan = SweepPlan::of(d);
@@ -173,13 +175,18 @@ pub(crate) fn result_grid(d: &Decomp3D) -> Result<(Grid3D, SweepPlan), usize> {
         (0..d.ny).map(move |gj| {
             let rank = (gi / bx) * d.pj + gj / by;
             let (g, l) = plan.lane_of((gi % bx) * by + gj % by);
-            rank * block + g * LANES * nz + l
+            // Cell k of lane l at LANES·(k + l) + l of its group's run.
+            rank * block + g * LANES * (nz + RUN_PAD) + (LANES + 1) * l
         })
     });
     let base = base.collect();
     let grid = Grid3D::with_layout(d.nx, d.ny, nz, d.boundary, cells, base, LANES);
     Ok((grid, plan))
 }
+
+/// Quads a group's run holds past its `nz`: lane `l` runs `l` cells
+/// behind lane 0, so its cell `k` is in quad `k + l`.
+const RUN_PAD: usize = LANES - 1;
 
 /// Halo-direction indices of the 3-D block (the [`TileOps`] `dir` axis).
 const FACE_I: usize = 0;
@@ -242,56 +249,56 @@ impl RankTopology for Decomp3D {
     }
 }
 
-/// Up to [`LANES`] pencils of one diagonal `t = i + j` of a block,
-/// stepped together: lane `l` is pencil `(i + l, t − i − l)`, with `i` a
-/// multiple of [`LANES`]. Lanes `lo..hi` are inside the block; the
-/// others run on whatever their inputs hold and are never read.
+/// The [`LANES`] pencils `(LANES·c + l, j)` of one row of a block,
+/// stepped together (lanes past `bx` are masked: they run on whatever
+/// their inputs hold and are never read).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Group {
-    t: usize,
-    i: usize,
-    lo: usize,
-    hi: usize,
-    /// The group of the same `i` on diagonal `t − 1`: lane for lane the
-    /// `j−1` neighbors, and one lane over the `i−1` neighbors of lanes
-    /// `1..`. Where no lane of it is in the block, the number of groups:
-    /// a row of the boundary splat in the sweep's buffers.
+    c: usize,
+    j: usize,
+    /// The super-round of the group's block 0: `j + 2c`.
+    key: usize,
+    /// The group `(c, j − 1)`: lane for lane the `j−1` neighbors. Where
+    /// `j = 0`, the number of groups.
     jm1: usize,
-    /// The group before that one on diagonal `t − 1`, whose last lane is
-    /// lane 0's `i−1` neighbor.
+    /// The group `(c − 1, j)`, whose last lane is lane 0's `i−1`
+    /// neighbor.
     im1: Option<usize>,
 }
 
 /// The tile sweep of a block, compiled once: it depends on the block's
 /// `(bx, by)` alone, so every rank of a layout runs the same one.
 ///
-/// A tile is swept on the linear schedule `round = t + b`: every pencil
-/// of diagonal `t = i + j` runs its lane block `b` (cells `b·LANES ..`,
-/// [`LANES`] of them) in round `t + b`. Every input of a cell is then
-/// one round old — the `i−1` and `j−1` pencils are one diagonal earlier
-/// at the same block, the cell below is in the same block or the one
-/// before — so the rounds are the only order there is. A tile of `len`
-/// cells takes `(bx + by − 2) + ⌈len / LANES⌉` rounds of [`LANES`]
-/// serial steps, each round running the diagonals that have a block in
-/// the tile.
+/// A tile is swept on the paper's linear schedule at cell grain: cell
+/// `(i, j, k)` is stepped at `i + j + k`, [`LANES`] pencils of one row at
+/// a time. Group `(c, j)` holds the pencils `(LANES·c + l, j)`, lane `l`
+/// one cell behind lane `l − 1` ([`LaneBlock`]), and a tile of `len`
+/// cells takes it `len + LANES − 1` steps, in `⌈(len + 3) / 4⌉` blocks of
+/// [`LANES`]. The group runs its block `R` in super-round `R + j + 2c`,
+/// so every input is a block of an earlier super-round:
 ///
-/// A diagonal goes to the kernel in [`Group`]s of [`LANES`] pencils,
-/// cut at multiples of [`LANES`] in `i`, so that a group's inputs are
-/// whole vectors the sweep already holds: the last round's output of the
-/// group of the same `i` one diagonal back is, lane for lane, the `j−1`
-/// inputs, and shifted by one lane the `i−1` inputs, lane 0 taking the
-/// last lane of the group before it. Only the pencils on the block's
-/// edges read a halo window or the boundary instead.
+/// - the `j−1` inputs are block `R` of group `(c, j − 1)`, lane for
+///   lane, and the diagonals that block one step back;
+/// - lane `l ≥ 1`'s `i−1` input is lane `l − 1`'s last step, inside the
+///   block; lane 0's is the last lane of `(c − 1, j)` one step on, read
+///   from its blocks `R` and `R + 1`.
+///
+/// The groups of one super-round are therefore independent, and a block
+/// of `bx × by` has `⌈bx / 4⌉ · by` groups, none with a masked lane when
+/// `4 | bx`. Only the pencils on the block's edges read a halo window
+/// or the boundary instead. A tile's block 0 goes on from the group's
+/// step before the tile: lane `l`'s steps before it reaches the tile
+/// rerun its last `l` cells of the tile below, bit for bit, and below
+/// `k = 0` they read as the boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct SweepPlan {
-    /// Every group of the block once, by diagonal, ascending `i` inside
-    /// one.
+    /// Every group of the block once, by `key` ascending.
     groups: Vec<Group>,
-    /// The lane of each pencil of the block, `(i, j)` row-major: lane
-    /// `l` of group `g` is `g · LANES + l`.
-    lanes: Vec<usize>,
-    /// The block's last diagonal, `bx + by − 2`.
-    last_t: usize,
+    /// The plan index of group `(c, j)`, at `c · by + j`.
+    at: Vec<usize>,
+    by: usize,
+    /// The last group's `key`.
+    last_key: usize,
 }
 
 impl SweepPlan {
@@ -302,78 +309,75 @@ impl SweepPlan {
     }
 
     /// The groups of the sweep of a `bx × by` block, where `usize`
-    /// counts them: chunk `c` of width `w` spans the `w + by − 1`
-    /// diagonals from its first pencil's to its last's, one group on
-    /// each.
+    /// counts them.
     fn groups_of(bx: usize, by: usize) -> Option<usize> {
-        bx.checked_add(bx.div_ceil(LANES).checked_mul(by - 1)?)
+        bx.div_ceil(LANES).checked_mul(by)
     }
 
     /// Compile the sweep of a `bx × by` block.
     fn build(bx: usize, by: usize) -> Self {
         let chunks = bx.div_ceil(LANES);
-        let mut groups = Vec::with_capacity(Self::groups_of(bx, by).unwrap_or(0));
-        let mut lanes = vec![0; bx * by];
-        // The group of each `i` chunk on the last diagonal, and on this.
-        let (mut last, mut here) = (vec![None; chunks], vec![None; chunks]);
-        for t in 0..bx + by - 1 {
-            for (c, at) in here.iter_mut().enumerate() {
-                let i = c * LANES;
-                // 0 ≤ j = t − i − l < by, and i + l < bx.
-                let lo = (t + 1).saturating_sub(i + by);
-                let hi = LANES.min(bx - i).min((t + 1).saturating_sub(i));
-                *at = (lo < hi).then_some(groups.len());
-                if lo < hi {
-                    for l in lo..hi {
-                        lanes[(i + l) * by + t - i - l] = groups.len() * LANES + l;
-                    }
-                    let im1 = c.checked_sub(1).and_then(|c| last[c]);
-                    // Off the block: the splat row, past every group.
-                    let jm1 = last[c].unwrap_or(usize::MAX);
-                    groups.push(Group {
-                        t,
-                        i,
-                        lo,
-                        hi,
-                        jm1,
-                        im1,
-                    });
-                }
-            }
-            std::mem::swap(&mut last, &mut here);
+        let last_key = by - 1 + 2 * (chunks - 1);
+        let rows = (0..=last_key).flat_map(|key| {
+            let cs = (0..chunks).filter(move |&c| 2 * c <= key && key - 2 * c < by);
+            cs.map(move |c| (c, key - 2 * c))
+        });
+        let order: Vec<(usize, usize)> = rows.collect();
+        let mut at = vec![0; chunks * by];
+        for (g, &(c, j)) in order.iter().enumerate() {
+            at[c * by + j] = g;
         }
-        let splat = groups.len();
-        groups.iter_mut().for_each(|g| g.jm1 = g.jm1.min(splat));
+        let groups = order.iter().map(|&(c, j)| Group {
+            c,
+            j,
+            key: j + 2 * c,
+            jm1: j.checked_sub(1).map_or(order.len(), |j| at[c * by + j]),
+            im1: c.checked_sub(1).map(|c| at[c * by + j]),
+        });
         SweepPlan {
-            groups,
-            lanes,
-            last_t: bx + by - 2,
+            groups: groups.collect(),
+            at,
+            by,
+            last_key,
         }
     }
 
     /// The group of pencil `p` of the block (`(i, j)` row-major), and
     /// its lane in it.
     fn lane_of(&self, p: usize) -> (usize, usize) {
-        (self.lanes[p] / LANES, self.lanes[p] % LANES)
+        let (i, j) = (p / self.by, p % self.by);
+        (self.at[i / LANES * self.by + j], i % LANES)
     }
-}
-
-/// `x` one lane over: lane `l` takes lane `l − 1`, lane 0 takes `first`.
-#[inline(always)]
-fn shift_in(first: [f32; LANES], x: [[f32; LANES]; LANES]) -> [[f32; LANES]; LANES] {
-    core::array::from_fn(|z| core::array::from_fn(|l| if l == 0 { first[z] } else { x[z][l - 1] }))
 }
 
 /// What the sweep keeps of one lane group between its blocks and
 /// tiles, lifted ([`Kernel3D::lift`]).
 #[derive(Clone, Copy, Default)]
 struct Lanes {
-    /// Each lane's top cell of the last tile: the `k−1` input of its
-    /// first cell, and one lane over the diagonal of a first cell.
+    /// The group's step `len − 1` of the last tile: lane `l`'s cell
+    /// `k0 − 1 − l` of the next tile's `k0` (the boundary where that is
+    /// below `k = 0`). The next tile's first block goes on from it, so
+    /// lane `l`'s first `l` steps rerun its last `l` cells of the tile
+    /// below, bit for bit; and it holds the diagonals of that block of
+    /// the group one row on.
     top: [f32; LANES],
-    /// Each lane's `j−1` input at the last cell of its last block: the
-    /// diagonal of its next block's first cell.
+    /// Each lane's `j−1` input at the last step of its last block: the
+    /// diagonal of its next block's first step.
     diag: [f32; LANES],
+}
+
+/// A lifted block of a group: `[step][lane]`.
+type Quads = [[f32; LANES]; LANES];
+
+/// Store a block's steps at the front of `run`, cut at its end. A full
+/// block is one fixed-size store: a copy of a computed length in the
+/// sweep's loop made the whole sweep 1.16 × slower.
+#[inline(always)]
+fn store(run: &mut [[f32; LANES]], raw: Quads) {
+    match run.first_chunk_mut() {
+        Some(cells) => *cells = raw,
+        None => run.iter_mut().zip(raw).for_each(|(cells, z)| *cells = z),
+    }
 }
 
 /// Per-rank working state: the 3-D [`TileOps`] implementation. All
@@ -383,29 +387,33 @@ struct Block3D<'g, K> {
     d: Decomp3D,
     kernel: K,
     tier: KernelTier,
-    /// Own block: every group's run of `nz` cells of its [`LANES`]
-    /// lanes in plan order, `runs[g · nz + k][l]` cell `k` of group `g`'s
-    /// lane `l` (see the module docs). The sweep writes it and never
-    /// reads it.
+    /// Own block: every group's run of `nz + RUN_PAD` quads in plan
+    /// order, `runs[g · (nz + RUN_PAD) + k + l][l]` cell `k` of group
+    /// `g`'s lane `l` (see the module docs). The sweep writes it and
+    /// never reads it.
     runs: &'g mut [[f32; LANES]],
     /// Cells of every pencil computed so far: `k0` of the next tile.
     taken: usize,
     plan: &'g SweepPlan,
-    /// Every group's [`Lanes`], in plan order, and one of the boundary
-    /// splat for the groups whose `jm1` is off the block.
+    /// Every group's [`Lanes`], in plan order.
     lanes: Vec<Lanes>,
-    /// Every group's last block, lifted, in plan order — what the
-    /// groups one diagonal on read in the next round — and a last slot
-    /// of the lifted boundary splat.
-    lifted: Vec<[[f32; LANES]; LANES]>,
-    /// The halo windows `i = own_lo_i − 1` (`by` rows) and
-    /// `j = own_lo_j − 1` (`bx` rows) in lane blocks, `row_blocks` a
-    /// row: a block whose last cell is the one below the window, then
-    /// the window's blocks, as received (not lifted). Empty without an
-    /// upstream neighbor.
+    /// Every group's last two blocks, lifted, in plan order: block `R`
+    /// of the tile in slot `R % 2`. The groups one super-round on read
+    /// them.
+    lifted: Vec<[Quads; 2]>,
+    /// The lifted boundary.
+    splat: f32,
+    /// The halo windows, as received (not lifted); empty without an
+    /// upstream neighbor. `i = own_lo_i − 1`: `by` rows of `quads` quads,
+    /// the window from cell 0 on. `j = own_lo_j − 1`: a run of
+    /// `1 + LANES · quads` quads per chunk of [`LANES`] rows, skewed as
+    /// the groups it feeds run — cell `x` of row `LANES·c + l` in quad
+    /// `x + l + 1`, lane `l` — with the last window's cells that the
+    /// next tile's first block reruns (its last `l + 1` of row `l`) in
+    /// the quads in front.
     halo: [Vec<[f32; LANES]>; 2],
-    /// Blocks of a halo row.
-    row_blocks: usize,
+    /// Blocks of a full tile.
+    quads: usize,
     /// Cells of a full tile.
     window: usize,
     /// Global coordinates of the block origin.
@@ -427,13 +435,13 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         let (ci, cj) = d.coords(rank);
         let (bx, by) = (d.bx(), d.by());
         let window = d.krange(0).1;
-        let row_blocks = 1 + window.div_ceil(LANES);
-        let boundary = match tier {
+        let quads = (window + RUN_PAD).div_ceil(LANES);
+        let splat = match tier {
             KernelTier::Bitwise => kernel.lift(d.boundary),
             KernelTier::Fast => kernel.lift_fast(d.boundary),
         };
-        let splat = [boundary; LANES];
-        let slots = plan.groups.len() + 1;
+        let n = plan.groups.len();
+        let halo_len = [by * quads, bx.div_ceil(LANES) * (1 + LANES * quads)];
         Block3D {
             d,
             kernel,
@@ -443,17 +451,18 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
             plan,
             lanes: vec![
                 Lanes {
-                    top: splat,
-                    diag: splat
+                    top: [splat; LANES],
+                    diag: [splat; LANES],
                 };
-                slots
+                n
             ],
-            lifted: vec![[splat; LANES]; slots],
-            halo: [(FACE_I, by), (FACE_J, bx)].map(|(dir, rows)| match up[dir] {
-                true => vec![[d.boundary; LANES]; rows * row_blocks],
+            lifted: vec![[[[splat; LANES]; LANES]; 2]; n],
+            splat,
+            halo: [FACE_I, FACE_J].map(|dir| match up[dir] {
+                true => vec![[d.boundary; LANES]; halo_len[dir]],
                 false => Vec::new(),
             }),
-            row_blocks,
+            quads,
             window,
             gi0: (ci * bx) as i64,
             gj0: (cj * by) as i64,
@@ -488,7 +497,7 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         self.taken = k1;
     }
 
-    /// The rounds of the plan's sweep over the next `len` cells of
+    /// The super-rounds of the plan's sweep over the next `len` cells of
     /// every pencil, through `lift` and `step`, into `self.runs`.
     #[inline(always)]
     fn sweep(
@@ -497,95 +506,92 @@ impl<'g, K: Kernel3D> Block3D<'g, K> {
         lift: impl Fn(f32) -> f32,
         step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> f32,
     ) {
-        let (groups, rb, nz) = (&self.plan.groups, self.row_blocks, self.d.nz);
+        let (groups, quads, run_len) = (&self.plan.groups, self.quads, self.d.nz + RUN_PAD);
         let k0 = self.taken;
-        let blocks = len.div_ceil(LANES);
+        let blocks = (len + RUN_PAD).div_ceil(LANES);
         let [halo_i, halo_j] = &self.halo;
-        let (slots, lanes) = (&mut self.lifted, &mut self.lanes);
-        let splat = slots[groups.len()][0];
-        let lift_block = |x: [f32; LANES]| x.map(&lift);
-        // The groups with a block this round: `lo..hi`.
+        let (slots, lanes, splat) = (&mut self.lifted, &mut self.lanes, self.splat);
+        let lift_block =
+            |x: &[[f32; LANES]]| -> Quads { core::array::from_fn(|z| x[z].map(&lift)) };
+        // The groups with a block this super-round: `lo..hi`.
         let (mut lo, mut hi) = (0, 0);
-        for round in 0..self.plan.last_t + blocks {
-            while hi < groups.len() && groups[hi].t <= round {
+        for round in 0..self.plan.last_key + blocks {
+            while hi < groups.len() && groups[hi].key <= round {
                 hi += 1;
             }
-            while groups[lo].t + blocks <= round {
+            while groups[lo].key + blocks <= round {
                 lo += 1;
             }
-            // A group's inputs are block b of the groups one diagonal
-            // back, which they lifted into their slots last round.
-            // Those come earlier in plan order, so going down it every
-            // group reads them before they store this round's block.
+            // A group's inputs are blocks of groups with a smaller key,
+            // which come earlier in plan order: going down it, every
+            // group reads them before they store this super-round's.
             for g in (lo..hi).rev() {
-                let grp = &groups[g];
-                let (t, i, b) = (grp.t, grp.i, round - grp.t);
-                let back = slots[grp.jm1];
-                let corner = match grp.im1 {
-                    Some(q) => slots[q].map(|z| z[LANES - 1]),
-                    None if i == 0 && grp.lo == 0 && !halo_i.is_empty() => {
-                        lift_block(halo_i[t * rb + 1 + b])
+                let Group {
+                    c,
+                    j,
+                    key,
+                    jm1: west,
+                    im1,
+                } = groups[g];
+                let r = round - key;
+                let (this, next) = (r % 2, 1 - r % 2);
+                let corner = match im1 {
+                    Some(q) => {
+                        let (at, on) = (&slots[q][this], &slots[q][next]);
+                        [at[3][3], on[0][3], on[1][3], on[2][3]]
                     }
-                    None => splat,
+                    None if !halo_i.is_empty() => halo_i[j * quads + r].map(&lift),
+                    None => [splat; LANES],
                 };
-                // Lane `edge` is the pencil on j = 0, if the group has
-                // it: it reads its j−1 inputs off the block, from the
-                // halo window or the boundary.
-                let (edge, row) = (t - i, t * rb);
-                let edge_halo = edge < grp.hi && !halo_j.is_empty();
-                let on_edge = |l: usize, off: f32, on: f32| if l == edge { off } else { on };
-                let jm1 = match edge < grp.hi {
-                    true => {
-                        let col = edge_halo.then(|| lift_block(halo_j[row + 1 + b]));
-                        let col = col.unwrap_or(splat);
-                        core::array::from_fn(|z| {
-                            core::array::from_fn(|l| on_edge(l, col[z], back[z][l]))
-                        })
-                    }
-                    false => back,
+                let jm1 = match (j, halo_j.is_empty()) {
+                    (0, false) => lift_block(&halo_j[c * (1 + LANES * quads) + LANES * r + 1..]),
+                    (0, true) => [[splat; LANES]; LANES],
+                    _ => slots[west][this],
                 };
-                // A first block starts every lane on its top cell of the
-                // last tile, its diagonal on its j−1 input's; a later one
-                // goes on from the group's last.
-                let (diag, km1) = match b {
-                    0 => {
-                        let kept = edge_halo.then(|| lift(halo_j[row][LANES - 1]));
-                        let kept = kept.unwrap_or(splat[0]);
-                        let below = lanes[grp.jm1].top;
-                        let diag = core::array::from_fn(|l| on_edge(l, kept, below[l]));
-                        (diag, lanes[g].top)
-                    }
-                    _ => (lanes[g].diag, slots[g][LANES - 1]),
+                let blk = LaneBlock {
+                    i: core::array::from_fn(|l| self.gi0 + (LANES * c + l) as i64),
+                    j: [self.gj0 + j as i64; LANES],
+                    k: core::array::from_fn(|l| (k0 + LANES * r) as i64 - l as i64),
+                    corner,
+                    jm1,
+                    diag: lanes[g].diag,
+                    km1: slots[g][next][LANES - 1],
                 };
                 lanes[g].diag = jm1[LANES - 1];
-                let blk = LaneBlock {
-                    i: core::array::from_fn(|l| self.gi0 + (i + l) as i64),
-                    j: core::array::from_fn(|l| self.gj0 + t as i64 - (i + l) as i64),
-                    k: [(k0 + b * LANES) as i64; LANES],
-                    im1: shift_in(corner, back),
-                    jm1,
-                    diag,
-                    km1,
-                };
-                let (raw, up) = blk.run(&lift, &step);
-                // Cells k..k + LANES of every lane, cut at nz: a full block
-                // is one fixed-size store (a copy of a computed length
-                // here made the whole sweep 1.16 × slower).
-                let (k, run) = (k0 + b * LANES, &mut self.runs[g * nz..][..nz]);
-                match run.get_mut(k..k + LANES) {
-                    Some(cells) => cells.copy_from_slice(&raw),
-                    None => run[k..]
-                        .iter_mut()
-                        .zip(raw)
-                        .for_each(|(cells, z)| *cells = z),
+                let run = &mut self.runs[g * run_len..][..run_len];
+                if r > 0 {
+                    let (raw, up) = blk.run::<false>(&lift, &step);
+                    slots[g][this] = up;
+                    store(&mut run[k0 + LANES * r..], raw);
+                    continue;
                 }
-                slots[g] = up;
+                // A tile's first block goes on from the tile below's step
+                // len − 1 (see `Lanes::top`), and so does its diagonal.
+                let diag = match (j, halo_j.is_empty()) {
+                    (0, false) => halo_j[c * (1 + LANES * quads)].map(&lift),
+                    (0, true) => [splat; LANES],
+                    _ => lanes[west].top,
+                };
+                let blk = LaneBlock {
+                    km1: lanes[g].top,
+                    diag,
+                    ..blk
+                };
+                let (raw, up) = match k0 < RUN_PAD {
+                    // Its steps below k = 0 read as `top`: there, the
+                    // boundary.
+                    true => blk.run::<true>(&lift, &step),
+                    false => blk.run::<false>(&lift, &step),
+                };
+                slots[g][this] = up;
+                store(&mut run[k0..], raw);
             }
         }
-        // Each group's slot holds its last block: the tile's top cells.
-        let top = (len - 1) % LANES;
-        for (st, slot) in lanes.iter_mut().zip(slots.iter()).take(groups.len()) {
-            st.top = slot[top];
+        // Every group's step len − 1: of the last block or the one
+        // before, both still in the slots.
+        let (b, z) = ((len - 1) / LANES % 2, (len - 1) % LANES);
+        for (st, slot) in lanes.iter_mut().zip(slots.iter()) {
+            st.top = slot[b][z];
         }
     }
 }
@@ -616,7 +622,7 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
         };
         for (out, p) in out.chunks_exact_mut(k1 - k0).zip((first..).step_by(stride)) {
             let (g, l) = self.plan.lane_of(p);
-            let cells = &self.runs[g * nz + k0..];
+            let cells = &self.runs[g * (nz + RUN_PAD) + k0 + l..];
             out.iter_mut()
                 .zip(cells)
                 .for_each(|(x, lanes)| *x = lanes[l]);
@@ -626,22 +632,34 @@ impl<K: Kernel3D> TileOps for Block3D<'_, K> {
     fn unpack_from(&mut self, dir: usize, step: usize, data: &[f32]) {
         // Scatter the received face directly from the wire payload into
         // the halo window — B₃ without an intermediate landing buffer.
-        // A row holds one window: the engine unpacks a step's faces
+        // The window holds one tile: the engine unpacks a step's faces
         // after it computed the tile below and before it computes this
-        // one, so the last window is read and done. Its top cell is the
-        // diagonal of this window's first, kept in front of it first.
+        // one, so the last window is read and done. A j row's top cell
+        // is the diagonal of this window's first, kept in front of it
+        // first.
         let (k0, k1) = self.d.krange(step);
         assert_eq!(
             k0, self.taken,
             "faces are unpacked between their tile and the one below"
         );
-        let (stride, window) = (self.row_blocks * LANES, self.window);
-        let halo = self.halo[dir].as_flattened_mut();
-        if k0 > 0 {
-            let keep = |row: &mut [f32]| row[LANES - 1] = row[LANES - 1 + window];
-            halo.chunks_exact_mut(stride).for_each(keep);
+        let (len, quads, window) = (k1 - k0, self.quads, self.window);
+        let halo = &mut self.halo[dir];
+        if dir == FACE_I {
+            halo::unpack_rows(data, halo.as_flattened_mut(), 0, LANES * quads, 0, len);
+            return;
         }
-        halo::unpack_rows(data, halo, LANES, stride, 0, k1 - k0);
+        let chunk = 1 + LANES * quads;
+        for (run, rows) in halo.chunks_exact_mut(chunk).zip(data.chunks(LANES * len)) {
+            if k0 > 0 {
+                run.copy_within(window..window + LANES, 0);
+            }
+            for (l, row) in rows.chunks_exact(len).enumerate() {
+                run[l + 1..]
+                    .iter_mut()
+                    .zip(row)
+                    .for_each(|(q, &x)| q[l] = x);
+            }
+        }
     }
 
     fn compute(&mut self, step: usize) {
@@ -682,7 +700,7 @@ pub fn try_run_rank3d_plan<C: Communicator<f32>, K: Kernel3D, O: StepObserver>(
 ) -> Result<Vec<f32>, EngineError> {
     let d = c.decomp();
     let walk = SweepPlan::of(&d);
-    let mut block = vec![0.0; walk.groups.len() * LANES * d.nz];
+    let mut block = vec![0.0; walk.groups.len() * LANES * (d.nz + RUN_PAD)];
     let runs = block.as_chunks_mut().0;
     run_rank3d_into(comm, kernel, c, tier, obs, runs, &walk)?;
     Ok(block)
@@ -934,58 +952,58 @@ mod tests {
         fn a_plan_covers_the_block_once_and_reads_only_earlier_rounds(
             bx in 1usize..=13,
             by in 1usize..=13,
+            nz in 1usize..=9,
         ) {
             let plan = SweepPlan::build(bx, by);
-            prop_assert_eq!(plan.last_t, bx + by - 2);
-            // Every pencil once: each diagonal cut at multiples of LANES
-            // in i, the lanes lo..hi exactly the ones in the block.
-            let lane = |g: &Group, l: usize| (g.i + l, g.t - g.i - l);
-            let mut pencils: Vec<(usize, usize)> = Vec::new();
-            for g in &plan.groups {
-                prop_assert!(g.i % LANES == 0 && g.lo < g.hi && g.hi <= LANES);
-                let inside = |l: usize| g.i + l < bx && g.t >= g.i + l && g.t - g.i - l < by;
-                prop_assert!((0..LANES).all(|l| inside(l) == (g.lo..g.hi).contains(&l)));
-                pencils.extend((g.lo..g.hi).map(|l| lane(g, l)));
-            }
+            let (chunks, n) = (bx.div_ceil(LANES), plan.groups.len());
+            prop_assert_eq!((SweepPlan::groups_of(bx, by), n), (Some(chunks * by), chunks * by));
+            // Every pencil once, stored as the lane that sweeps it; the
+            // masked lanes are the ones past bx, so none when LANES | bx.
+            let lanes = |&Group { c, j, .. }| (0..LANES).map(move |l| (LANES * c + l, j));
+            let mut pencils: Vec<_> = plan.groups.iter().flat_map(lanes).collect();
+            let masked = pencils.iter().filter(|&&(i, _)| i >= bx).count();
+            prop_assert!(masked == n * LANES - bx * by && (bx % LANES != 0 || masked == 0));
+            pencils.retain(|&(i, _)| i < bx);
             pencils.sort_unstable();
-            prop_assert!(pencils.into_iter().eq((0..bx).flat_map(|i| (0..by).map(move |j| (i, j)))));
-            prop_assert_eq!(SweepPlan::groups_of(bx, by), Some(plan.groups.len()));
-            // Each pencil is stored as the lane that sweeps it.
-            for (p, (i, j)) in (0..bx).flat_map(|i| (0..by).map(move |j| (i, j))).enumerate() {
+            let block = || (0..bx).flat_map(|i| (0..by).map(move |j| (i, j)));
+            prop_assert!(pencils.into_iter().eq(block()));
+            for (p, (i, j)) in block().enumerate() {
                 let (g, l) = plan.lane_of(p);
-                let grp = &plan.groups[g];
-                prop_assert!((grp.lo..grp.hi).contains(&l) && lane(grp, l) == (i, j));
+                prop_assert_eq!((LANES * plan.groups[g].c + l, plan.groups[g].j), (i, j));
             }
-            // By diagonal, ascending i inside one.
-            let keys: Vec<_> = plan.groups.iter().map(|g| (g.t, g.i)).collect();
-            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-            // Inputs, one diagonal (so one round) back: lane for lane the
-            // j−1 neighbors, one lane over the i−1 neighbors, lane 0's
-            // in the group before. A lane whose neighbor is off the block
-            // reads the halo or the boundary instead.
-            let find = |t: usize, i: usize| plan.groups.iter().position(|g| (g.t, g.i) == (t, i));
+            // By super-round of block 0, `j + 2c`; the inputs are the
+            // groups (c, j − 1) and (c − 1, j), or the edge.
+            let find = |c: usize, j: usize| plan.groups.iter().position(|g| (g.c, g.j) == (c, j));
+            prop_assert!(plan.groups.windows(2).all(|w| w[0].key <= w[1].key));
+            prop_assert_eq!(plan.last_key, plan.groups[n - 1].key);
             for g in &plan.groups {
-                let back = g.t.checked_sub(1);
-                let splat = plan.groups.len();
-                prop_assert_eq!(g.jm1, back.and_then(|t| find(t, g.i)).unwrap_or(splat));
-                let corner = back.zip(g.i.checked_sub(LANES)).and_then(|(t, i)| find(t, i));
-                prop_assert_eq!(g.im1, corner);
-                for l in g.lo..g.hi {
-                    let (i, j) = lane(g, l);
-                    if j > 0 {
-                        let q = &plan.groups[g.jm1];
-                        prop_assert!((q.lo..q.hi).contains(&l) && lane(q, l) == (i, j - 1));
-                    }
-                    if i > 0 && l > 0 {
-                        let q = &plan.groups[g.jm1];
-                        prop_assert!((q.lo..q.hi).contains(&(l - 1)) && lane(q, l - 1) == (i - 1, j));
-                    }
-                    if i > 0 && l == 0 {
-                        let q = &plan.groups[g.im1.expect("the group before")];
-                        prop_assert!(q.hi == LANES && lane(q, LANES - 1) == (i - 1, j));
-                    }
+                prop_assert_eq!(g.key, g.j + 2 * g.c);
+                let jm1 = g.j.checked_sub(1).and_then(|j| find(g.c, j));
+                prop_assert_eq!(g.jm1, jm1.unwrap_or(n));
+                prop_assert_eq!(g.im1, g.c.checked_sub(1).and_then(|c| find(c, g.j)));
+            }
+            // Cell k of a tile, lane l, is step k + l of its group, in its
+            // block (k + l) / LANES, run in super-round block + key. Every
+            // input in another group is of an earlier super-round; one in
+            // the same group, of an earlier step.
+            let step = |i: usize, k: usize| k + i % LANES;
+            let round = |i: usize, j: usize, k: usize| step(i, k) / LANES + j + 2 * (i / LANES);
+            for ((i, j), k) in block().flat_map(|p| (0..12).map(move |k| (p, k))) {
+                let here = round(i, j, k);
+                if j > 0 {
+                    prop_assert!(round(i, j - 1, k) < here);
+                    prop_assert!(k == 0 || round(i, j - 1, k - 1) < here);
+                }
+                if i % LANES > 0 {
+                    prop_assert!(step(i - 1, k) < step(i, k));
+                } else if i > 0 {
+                    prop_assert!(round(i - 1, j, k) < here);
                 }
             }
+            // The storage: a run of nz + 3 quads per group.
+            let d = Decomp3D { nx: bx, ny: by, nz, pi: 1, pj: 1, v: 2, boundary: 0.0 };
+            let (grid, _) = result_grid(&d).expect("small");
+            prop_assert_eq!(grid.data().len(), chunks * by * LANES * (nz + 3));
         }
     }
 
@@ -995,16 +1013,17 @@ mod tests {
         /// Any block shape, tile height (below `LANES`, not a multiple
         /// of it, with or without a partial last tile) and processor
         /// grid computes the sequential grid bit for bit: the 3-D
-        /// kernels (`LongestPath3D` reads the coordinates) on blocks,
-        /// the diagonal-reading 2-D kernels on unit-axis strips, whose
-        /// diagonals are one pencil wide, so every group runs three
-        /// masked lanes.
+        /// kernels (`LongestPath3D` reads the coordinates) on blocks up
+        /// to 9 wide (two full row groups and a partial one), the
+        /// diagonal-reading 2-D kernels on unit-axis strips, whose row
+        /// groups hold one pencil, so every group runs three masked
+        /// lanes.
         ///
         /// Kernel 5 is Paper3D on a negative boundary, whose lifted
         /// splat is 0.
         #[test]
         fn every_layout_matches_sequential(
-            (bx, by, pi, pj) in (1usize..=5, 1usize..=6, 1usize..=3, 1usize..=3),
+            (bx, by, pi, pj) in (1usize..=9, 1usize..=6, 1usize..=3, 1usize..=3),
             (v, nz) in (1usize..=11, 1usize..=40),
             kernel in 0usize..6,
             overlap in any::<bool>(),
@@ -1056,14 +1075,17 @@ mod tests {
     /// The sweep lifts each cell it steps once, each halo cell once
     /// where it reads it, and the boundary once per rank (`eval` takes
     /// three square roots a cell). On a 4×4 block of two 4-cell tiles
-    /// the plan has seven groups of one block a tile, so a rank steps
-    /// 7 × 16 × 2 = 224 lane cells
-    /// (the 128 cells of its pencils and the masked lanes of each
-    /// diagonal), plus one lift of its boundary: 225. A rank behind an
-    /// `i` face also reads its four halo rows' 4 cells a tile through
-    /// lane 0 of the groups on `i = 0` (+32); one behind a `j` face
-    /// reads them through the `j = 0` lane, and each row's kept top
-    /// cell of the last window once a tile as a diagonal (+32 + 8).
+    /// the plan has four row groups of two blocks a tile (the 7 steps of
+    /// a skewed 4-cell tile), so a rank steps 4 × 2 × 16 × 2 = 256 lane
+    /// cells — the 128 cells of its pencils, and the steps of each tile
+    /// before a lane reaches the tile (which rerun cells of the tile
+    /// below, or lie below k = 0) and after it leaves it — plus one lift
+    /// of its boundary: 257. A rank behind an `i` face also reads four
+    /// halo cells a block through lane 0 of the groups on `i = 0` (4
+    /// groups × 2 blocks × 4 × 2 tiles: +64); one behind a `j` face
+    /// reads 16 skewed halo cells a block through the group on `j = 0`
+    /// (1 × 2 × 16 × 2: +64), and, once a tile, the quad its lanes go on
+    /// from: each lane's diagonal of the step before the tile (+2 × 4).
     #[test]
     fn a_cell_is_lifted_once() {
         let d = |nx, ny, pi, pj| Decomp3D {
@@ -1076,9 +1098,9 @@ mod tests {
             boundary: 1.0,
         };
         for (d, lifts) in [
-            (d(4, 4, 1, 1), 225),
-            (d(8, 4, 2, 1), 225 + 225 + 32),
-            (d(4, 8, 1, 2), 225 + 225 + 40),
+            (d(4, 4, 1, 1), 257),
+            (d(8, 4, 2, 1), 257 + 257 + 64),
+            (d(4, 8, 1, 2), 257 + 257 + 72),
         ] {
             for mode in [ExecMode::Blocking, ExecMode::Overlapping] {
                 LIFTS.store(0, Relaxed);

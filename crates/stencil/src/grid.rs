@@ -248,8 +248,11 @@ impl Grid3D {
     }
 
     /// Raw storage in the grid's layout: the cells, and on a
-    /// distributed run's result the sweep's masked lanes between them.
-    /// Read cells through [`Self::cells`] or [`Self::pencil`].
+    /// distributed run's result the sweep's padding between them — the
+    /// three skew quads of each row group's run, and masked lanes where
+    /// a block's `i`-extent is not a multiple of
+    /// [`crate::kernel::LANES`]. Read cells through [`Self::cells`] or
+    /// [`Self::pencil`].
     pub fn data(&self) -> &[f32] {
         &self.data
     }
@@ -284,11 +287,11 @@ impl Grid3D {
         }
     }
 
-    /// Cells `k .. k + n` of the pencils `(i + l, j − l)`, `l < LANES`,
-    /// into `outs[l]` (`n` long each) — where the layout keeps them as
-    /// the lanes of one run, as a distributed result keeps a lane group;
-    /// otherwise `false`, and nothing is read. `(i, j)` must be a pencil
-    /// of the grid.
+    /// Cells `k .. k + n` of the pencils `(i + l, j)`, `l < LANES`, into
+    /// `outs[l]` (`n` long each) — where the layout keeps them as the
+    /// lanes of one skewed run, as a distributed result keeps a row group
+    /// (lane `l`'s cell `k` in quad `k + l`); otherwise `false`, and
+    /// nothing is read. `(i, j)` must be a pencil of the grid.
     pub(crate) fn read_lanes(
         &self,
         (i, j): (usize, usize),
@@ -296,14 +299,13 @@ impl Grid3D {
         outs: [&mut [f32]; LANES],
     ) -> bool {
         let at = self.idx(i, j, k);
-        let lane = |l: usize| i + l < self.nx && l <= j && self.idx(i + l, j - l, k) == at + l;
+        let lane = |l: usize| i + l < self.nx && self.idx(i + l, j, k) == at + (LANES + 1) * l;
         if self.stride != LANES || !(1..LANES).all(lane) {
             return false;
         }
-        let [x0, x1, x2, x3] = outs;
-        let quads = self.data[at..].as_chunks::<LANES>().0.iter();
-        for ((((q, x0), x1), x2), x3) in quads.zip(x0).zip(x1).zip(x2).zip(x3) {
-            [*x0, *x1, *x2, *x3] = *q;
+        let quads = self.data[at..].as_chunks::<LANES>().0;
+        for (l, out) in outs.into_iter().enumerate() {
+            out.iter_mut().zip(&quads[l..]).for_each(|(x, q)| *x = q[l]);
         }
         true
     }

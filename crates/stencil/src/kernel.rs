@@ -23,8 +23,9 @@
 //! dependences every reader wants the same function of a cell, so the
 //! paper kernel takes one square root per cell where `eval` takes
 //! three. The defaults lift by the identity and step by `eval`; the
-//! tile sweep steps [`LANES`] chains at a time, a [`LaneBlock`] of
-//! [`LANES`] cells of each per round.
+//! tile sweep steps the [`LANES`] pencils of one row at a time, each one
+//! cell behind the last, a [`LaneBlock`] of [`LANES`] steps per
+//! super-round.
 
 use tiling_core::dependence::DependenceSet;
 pub use tiling_core::machine::KernelTier;
@@ -34,33 +35,40 @@ pub use tiling_core::machine::KernelTier;
 /// aarch64 target has without a build flag.
 pub const LANES: usize = 4;
 
-/// One round of a lane group of the tile sweep: [`LANES`] consecutive
-/// cells of each of [`LANES`] `k`-chains, lane-transposed — `im1[z][l]`
-/// is the `i−1` input of cell `z` of lane `l` — so that one vector holds
-/// the same cell of every chain. Every input is a lifted value
-/// ([`Kernel3D::lift`]).
+/// One block of a row group of the tile sweep: [`LANES`] steps of the
+/// [`LANES`] pencils `(i + l, j)` of one row, lane `l` one cell behind
+/// lane `l − 1` — at step `z` lane `l` is at cell `k[l] + z`, with
+/// `k[l] = k[0] − l` — so that cell `(i, j, k)` is stepped at
+/// `i + j + k`, the paper's `Π = (1, 1, 1)` at cell grain. The inputs
+/// are lane-transposed — `jm1[z][l]` is the `j−1` input of lane `l` at
+/// step `z` — so that one vector holds one step of every lane, and every
+/// input is a lifted value ([`Kernel3D::lift`]).
 ///
-/// The lanes of a block are mutually independent (the sweep groups
-/// pencils whose inputs were finished in earlier rounds), so
-/// [`LaneBlock::run`] steps the four chains lane-wise, one instruction
-/// per cell of all four. The `k`-chain inside a lane stays serial:
-/// cell `z` reads the lifted cell `z − 1`.
+/// A lane's `i−1` input is the cell lane `l − 1` stepped one step
+/// earlier: one lane shift of the last step's output, lane 0 taking
+/// `corner`. [`LaneBlock::run`] steps the four lanes lane-wise, one
+/// instruction per cell of all four; the chain from step to step stays
+/// serial.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneBlock {
     /// Global `i` of each lane's pencil.
     pub i: [i64; LANES],
     /// Global `j` of each lane's pencil.
     pub j: [i64; LANES],
-    /// Global `k` of each lane's first cell in the block.
+    /// Global `k` of each lane's cell at step 0: `k[l] = k[0] − l`.
     pub k: [i64; LANES],
-    /// `im1[z][l]`: `A(i−1, j, k + z)` of lane `l`.
-    pub im1: [[f32; LANES]; LANES],
-    /// `jm1[z][l]`: `A(i, j−1, k + z)` of lane `l`, which is also the
-    /// diagonal of cell `z + 1`.
+    /// `corner[z]`: `A(i − 1, j, k[0] + z)`, lane 0's `i−1` input at
+    /// step `z`.
+    pub corner: [f32; LANES],
+    /// `jm1[z][l]`: `A(i + l, j−1, k[l] + z)`, which is also the
+    /// diagonal of lane `l` at step `z + 1`.
     pub jm1: [[f32; LANES]; LANES],
-    /// The diagonal `A(i, j−1, k−1)` of each lane's first cell.
+    /// The diagonal `A(i + l, j−1, k[l] − 1)` of each lane's step-0
+    /// cell; of a first block, of the cell lane `l` starts on.
     pub diag: [f32; LANES],
-    /// The cell `A(i, j, k−1)` below each lane's first cell.
+    /// The cell `A(i + l, j, k[l] − 1)` below each lane's step-0 cell
+    /// (the output of the step before the block); of a first block, the
+    /// cell below the one lane `l` starts on.
     pub km1: [f32; LANES],
 }
 
@@ -68,32 +76,45 @@ impl LaneBlock {
     /// Step every cell of the block through `step` and lift it through
     /// `lift` (a tier's pair of [`Kernel3D`] methods): cell `z` of lane
     /// `l` is `raw[z][l] = step(i, j, k + z, im1, jm1, diag, km1)` and
-    /// `lifted[z][l] = lift(raw[z][l])`, the `km1` of cell `z + 1`.
-    /// Returns `(raw, lifted)`. Each cell sees exactly the operands and
-    /// order of a scalar walk up its pencil; the lanes only decide which
-    /// chains share an instruction, never a bit of the result. A lane
-    /// the caller does not read (masked, or past the end of its pencil)
-    /// is stepped all the same: it costs nothing extra in a vector, and
-    /// no branch in here depends on the data.
+    /// `lifted[z][l] = lift(raw[z][l])`, whose lane `l` is the `km1` of
+    /// lane `l` and the `im1` of lane `l + 1` at step `z + 1`. Returns
+    /// `(raw, lifted)`.
+    ///
+    /// A `FIRST` block starts lane `l`'s chain at step `l`, on `km1[l]`
+    /// and `diag[l]`; the steps before it are not cells, and what they
+    /// return is the caller's to drop. Each cell sees exactly the
+    /// operands and order of a scalar walk of its row; the lanes only
+    /// decide which cells share an instruction, never a bit of the
+    /// result. A lane the caller does not read (masked, not started, or
+    /// past its tile) is stepped all the same: it costs nothing extra in
+    /// a vector, and no branch in here depends on the data.
     #[inline(always)]
-    pub fn run(
+    pub fn run<const FIRST: bool>(
         &self,
         lift: impl Fn(f32) -> f32,
         step: impl Fn(i64, i64, i64, f32, f32, f32, f32) -> f32,
     ) -> ([[f32; LANES]; LANES], [[f32; LANES]; LANES]) {
         let mut raw = [[0.0f32; LANES]; LANES];
         let mut lifted = [[0.0f32; LANES]; LANES];
-        let mut km1 = self.km1;
+        let mut prev = self.km1;
         // LINT: z and l index six arrays each; this shape is what vectorizes
         #[allow(clippy::needless_range_loop)]
         for z in 0..LANES {
             let diag = if z == 0 { self.diag } else { self.jm1[z - 1] };
             for l in 0..LANES {
+                let im1 = if l == 0 { self.corner[z] } else { prev[l - 1] };
                 let (i, j, k) = (self.i[l], self.j[l], self.k[l] + z as i64);
-                raw[z][l] = step(i, j, k, self.im1[z][l], self.jm1[z][l], diag[l], km1[l]);
+                raw[z][l] = step(i, j, k, im1, self.jm1[z][l], diag[l], prev[l]);
                 lifted[z][l] = lift(raw[z][l]);
             }
-            km1 = lifted[z];
+            if FIRST {
+                for l in 0..LANES {
+                    if self.k[l] + (z as i64) < 0 {
+                        lifted[z][l] = self.km1[l];
+                    }
+                }
+            }
+            prev = lifted[z];
         }
         (raw, lifted)
     }
@@ -549,51 +570,6 @@ mod tests {
         cells.map(step).collect()
     }
 
-    /// Step up to [`LANES`] pencils together, block by block through
-    /// [`LaneBlock::run`], as the sweep does: the lanes past the last
-    /// pencil and the cells past a pencil's end run on padding and are
-    /// not read. Pencil `l` is at `(l, −1)` and starts at `k = 3`.
-    fn lane_pencils<K: Kernel3D>(
-        k: &K,
-        fast: bool,
-        ins: &[(Vec<f32>, Vec<f32>)],
-        km1s: &[f32],
-        diags: &[f32],
-    ) -> Vec<Vec<f32>> {
-        let lift = |x: f32| if fast { k.lift_fast(x) } else { k.lift(x) };
-        let mut blk = LaneBlock::default();
-        for (l, (&km1, &diag)) in km1s.iter().zip(diags).enumerate() {
-            (blk.km1[l], blk.diag[l]) = (lift(km1), lift(diag));
-        }
-        let mut outs: Vec<Vec<f32>> = ins.iter().map(|(a, _)| vec![0.0; a.len()]).collect();
-        let longest = outs.iter().map(Vec::len).max().unwrap_or(0);
-        let at = |x: &[f32], z: usize| lift(x.get(z).copied().unwrap_or(0.0));
-        for z0 in (0..longest).step_by(LANES) {
-            for (l, (im1, jm1)) in ins.iter().enumerate() {
-                (blk.i[l], blk.j[l], blk.k[l]) = (l as i64, -1, 3 + z0 as i64);
-                if z0 > 0 {
-                    blk.diag[l] = at(jm1, z0 - 1);
-                }
-                for z in 0..LANES {
-                    (blk.im1[z][l], blk.jm1[z][l]) = (at(im1, z0 + z), at(jm1, z0 + z));
-                }
-            }
-            let (out, up) = match fast {
-                true => blk.run(lift, |i, j, kz, a, c, d, s| {
-                    k.step_fast(i, j, kz, a, c, d, s)
-                }),
-                false => blk.run(lift, |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s)),
-            };
-            blk.km1 = up[LANES - 1];
-            for (l, o) in outs.iter_mut().enumerate() {
-                for (z, o) in o.iter_mut().skip(z0).take(LANES).enumerate() {
-                    *o = out[z][l];
-                }
-            }
-        }
-        outs
-    }
-
     fn check_pencil_bitwise<K: Kernel3D>(kernel: K, name: &str) {
         // Deterministic awkward data: mixed signs and magnitudes so the
         // `max(0.0)` guards and non-associative sums are exercised.
@@ -630,6 +606,86 @@ mod tests {
         check_pencil_bitwise(Smooth2D::default(), "smooth2d");
     }
 
+    /// One row of up to [`LANES`] pencils `(l, −1)` from `k = 0`:
+    /// pencil 0's `i−1` inputs, every pencil's `j−1` inputs (each as long
+    /// as the first), and each pencil's `k−1` and diagonal seeds.
+    struct Row {
+        corner: Vec<f32>,
+        jm1s: Vec<Vec<f32>>,
+        km1s: Vec<f32>,
+        diags: Vec<f32>,
+    }
+
+    /// Walk the row with `eval`, pencil by pencil: pencil `l ≥ 1` reads
+    /// pencil `l − 1`'s cells as its `i−1` inputs.
+    fn scalar_row<K: Kernel3D>(k: &K, row: &Row) -> Vec<Vec<f32>> {
+        let mut outs: Vec<Vec<f32>> = Vec::new();
+        for (l, jm1) in row.jm1s.iter().enumerate() {
+            let im1 = outs.last().unwrap_or(&row.corner);
+            let (km1, diag) = (row.km1s[l], row.diags[l]);
+            outs.push(scalar_pencil(k, l as i64, -1, 0, im1, jm1, km1, diag));
+        }
+        outs
+    }
+
+    /// Step the row block by block through [`LaneBlock::run`], as the
+    /// sweep steps a row group's first tile: lane `l` one cell behind
+    /// lane `l − 1`, the cells below `k = 0` read as the seeds (a `j−1`
+    /// input's cell −1 is its pencil's diagonal seed), and lanes past
+    /// the last pencil and steps past a lane's cells run on padding and
+    /// are not read.
+    fn lane_row<K: Kernel3D>(k: &K, fast: bool, row: &Row) -> Vec<Vec<f32>> {
+        let lift = |x: f32| if fast { k.lift_fast(x) } else { k.lift(x) };
+        let step = |i, j, kz, a, c, d, s| match fast {
+            true => k.step_fast(i, j, kz, a, c, d, s),
+            false => k.step(i, j, kz, a, c, d, s),
+        };
+        let len = row.corner.len();
+        let at = |x: &[f32], c: i64| {
+            lift(
+                usize::try_from(c)
+                    .ok()
+                    .and_then(|c| x.get(c))
+                    .map_or(0.0, |&x| x),
+            )
+        };
+        let seed = |x: &[f32], l: usize| lift(x.get(l).copied().unwrap_or(0.0));
+        let jm1 = |l: usize, c: i64| match (row.jm1s.get(l), c) {
+            (Some(_), -1) => seed(&row.diags, l),
+            (Some(x), c) => at(x, c),
+            (None, _) => 0.0,
+        };
+        let mut blk = LaneBlock {
+            km1: core::array::from_fn(|l| seed(&row.km1s, l)),
+            ..LaneBlock::default()
+        };
+        let mut outs = vec![vec![0.0; len]; row.jm1s.len()];
+        for r in 0..(len + LANES - 1).div_ceil(LANES) {
+            let k0 = (LANES * r) as i64;
+            for l in 0..LANES {
+                (blk.i[l], blk.j[l], blk.k[l]) = (l as i64, -1, k0 - l as i64);
+                blk.corner[l] = at(&row.corner, k0 + l as i64);
+                for z in 0..LANES {
+                    blk.jm1[z][l] = jm1(l, k0 + (z as i64) - l as i64);
+                }
+                blk.diag[l] = jm1(l, k0 - 1 - l as i64);
+            }
+            let (out, up) = match r {
+                0 => blk.run::<true>(lift, step),
+                _ => blk.run::<false>(lift, step),
+            };
+            blk.km1 = up[LANES - 1];
+            for (l, o) in outs.iter_mut().enumerate() {
+                for (z, cells) in out.iter().enumerate() {
+                    if let Some(o) = (LANES * r + z).checked_sub(l).and_then(|c| o.get_mut(c)) {
+                        *o = cells[l];
+                    }
+                }
+            }
+        }
+        outs
+    }
+
     /// Deterministic mixed-sign pencil data, distinct per (pencil, salt).
     fn wave_data(p: usize, salt: u64, len: usize) -> Vec<f32> {
         (0..len)
@@ -640,39 +696,33 @@ mod tests {
             .collect()
     }
 
-    /// The inputs, `k−1` seeds and diagonal seeds of pencils of `lens`.
-    #[allow(clippy::type_complexity)] // LINT: a test fixture, destructured at once
-    fn wave_inputs(lens: &[usize]) -> (Vec<(Vec<f32>, Vec<f32>)>, Vec<f32>, Vec<f32>) {
-        let ins = (lens.iter().enumerate())
-            .map(|(p, &len)| (wave_data(p, 1, len), wave_data(p, 2, len)))
-            .collect();
+    /// A row of `m` pencils of `len` cells.
+    fn row_inputs(m: usize, len: usize) -> Row {
         let seeds = |salt: i64| -> Vec<f32> {
             let seed = |p: usize| (cell_weight(p as i64, salt, 9) - 0.5) * 4.0;
-            (0..lens.len()).map(seed).collect()
+            (0..m).map(seed).collect()
         };
-        (ins, seeds(9), seeds(10))
+        Row {
+            corner: wave_data(m, 1, len),
+            jm1s: (0..m).map(|p| wave_data(p, 2, len)).collect(),
+            km1s: seeds(9),
+            diags: seeds(10),
+        }
     }
 
     fn check_wave_bitwise<K: Kernel3D>(kernel: K, name: &str) {
-        // Widths 1..=LANES, lengths with and without a `% LANES`
-        // remainder, plus one ragged group (a lane that ends early runs
-        // on padding while the others go on).
-        for lens in [
-            vec![5usize],
-            vec![64; 3],
-            vec![7; LANES],
-            vec![129; LANES],
-            vec![1, 8, 17, 3],
-        ] {
-            let (ins, km1s, diags) = wave_inputs(&lens);
-            let got = lane_pencils(&kernel, false, &ins, &km1s, &diags);
-            for (p, ((im1, jm1), got)) in ins.iter().zip(&got).enumerate() {
-                let want = scalar_pencil(&kernel, p as i64, -1, 3, im1, jm1, km1s[p], diags[p]);
-                for (n, (g, w)) in got.iter().zip(&want).enumerate() {
+        // Widths 1..=LANES, lengths with and without a `(len + 3) %
+        // LANES` remainder, one block and several.
+        for (m, len) in (1..=LANES).flat_map(|m| [1usize, 5, 7, 64, 129].map(|len| (m, len))) {
+            let row = row_inputs(m, len);
+            let got = lane_row(&kernel, false, &row);
+            let want = scalar_row(&kernel, &row);
+            for (p, (got, want)) in got.iter().zip(&want).enumerate() {
+                for (n, (g, w)) in got.iter().zip(want).enumerate() {
                     assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
-                        "{name}: lanes {lens:?} pencil {p} cell {n} differs: {g} vs {w}"
+                        "{name}: row of {m}, pencil {p} cell {n} of {len} differs: {g} vs {w}"
                     );
                 }
             }
@@ -700,13 +750,16 @@ mod tests {
 
     fn fast_drift<K: Kernel3D>(kernel: K) -> u32 {
         // Non-negative inputs: the fast tier's domain contract.
-        let (ins, km1s, _) = wave_inputs(&[65; LANES]);
-        let abs = |x: &Vec<f32>| x.iter().map(|x| x.abs()).collect();
-        let ins: Vec<_> = ins.iter().map(|(a, c)| (abs(a), abs(c))).collect();
-        let km1s: Vec<f32> = km1s.iter().map(|x| x.abs()).collect();
-        let diags = vec![0.0; LANES];
-        let want = lane_pencils(&kernel, false, &ins, &km1s, &diags);
-        let got = lane_pencils(&kernel, true, &ins, &km1s, &diags);
+        let row = row_inputs(LANES, 65);
+        let abs = |x: &Vec<f32>| x.iter().map(|x| x.abs()).collect::<Vec<_>>();
+        let row = Row {
+            corner: abs(&row.corner),
+            jm1s: row.jm1s.iter().map(abs).collect(),
+            km1s: abs(&row.km1s),
+            diags: vec![0.0; LANES],
+        };
+        let want = lane_row(&kernel, false, &row);
+        let got = lane_row(&kernel, true, &row);
         let cells = got.iter().flatten().zip(want.iter().flatten());
         cells.map(|(g, w)| ulp_diff(*g, *w)).max().unwrap()
     }

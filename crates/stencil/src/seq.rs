@@ -160,9 +160,9 @@ pub fn max_abs_diff_from_seq3d<K: Kernel3D>(kernel: K, grid: &Grid3D) -> f32 {
 /// compiler vectorises. The grid is read in slabs of [`SLAB`] cells of
 /// every pencil, gathered through the grid's layout with the cell below
 /// in front (the boundary below `k = 0`), [`LANES`] `i`-planes at a
-/// time: a distributed result interleaves the four pencils of a lane
-/// group, which lie on one anti-diagonal of such a block, so their run
-/// is read once for all four. Nothing but [`Kernel3D::eval`] is called:
+/// time: a distributed result interleaves the four pencils of a row
+/// group, `(i0 + l, j)` of such a block, so their run is read once for
+/// all four. Nothing but [`Kernel3D::eval`] is called:
 /// never the executors' kernels it judges.
 pub fn follows_recurrence<K: Kernel3D>(kernel: K, grid: &Grid3D) -> bool {
     let (nx, ny, nz, b) = (grid.nx(), grid.ny(), grid.nz(), grid.boundary());
@@ -179,20 +179,18 @@ pub fn follows_recurrence<K: Kernel3D>(kernel: K, grid: &Grid3D) -> bool {
         planes[0].fill(b);
         for i0 in (0..nx).step_by(LANES) {
             let w = LANES.min(nx - i0);
-            // By anti-diagonal: a distributed result keeps the pencils
-            // `(i0 + l, t − i0 − l)` of one as the lanes of one run.
-            for t in 0..ny + w - 1 {
-                let lanes = t.saturating_sub(ny - 1)..w.min(t + 1);
-                if let ([_, p0, p1, p2, p3], LANES) = (&mut planes[..], lanes.len()) {
-                    let rows = [(p0, 0), (p1, 1), (p2, 2), (p3, 3)];
-                    let rows = rows.map(|(plane, l)| &mut plane[(t - l) * h..][at..=n]);
-                    if grid.read_lanes((i0, t), from, rows) {
+            // By row: a distributed result keeps the pencils
+            // `(i0 + l, j)` of one as the lanes of one run.
+            for j in 0..ny {
+                if let [_, p0, p1, p2, p3] = &mut planes[..] {
+                    let rows = [p0, p1, p2, p3].map(|plane| &mut plane[j * h..][at..=n]);
+                    if w == LANES && grid.read_lanes((i0, j), from, rows) {
                         continue;
                     }
                 }
-                for l in lanes {
-                    let row = &mut planes[1 + l][(t - l) * h..][at..=n];
-                    grid.read_pencil(i0 + l, t - l, from, row);
+                for l in 0..w {
+                    let row = &mut planes[1 + l][j * h..][at..=n];
+                    grid.read_pencil(i0 + l, j, from, row);
                 }
             }
             for l in 0..w {

@@ -1,7 +1,7 @@
 //! Ignored-by-default microbenchmarks of the tile sweep's kernel paths:
 //! `cargo test -p stencil --release --test wave_micro -- --ignored --nocapture`.
 //! `ci.sh` runs them for the four assertions in here — lane blocks must
-//! beat stepping the same chains one at a time, a small tile may cost
+//! beat stepping the same rows one pencil at a time, a small tile may cost
 //! only so much more per cell than a large one, the verifier must stay
 //! well under the naive sequential loop it replays and the cell-by-cell
 //! check well under the verifier — same-process ratios that hold on a
@@ -12,20 +12,22 @@ use std::time::Instant;
 use stencil::kernel::{Kernel3D, LaneBlock, Paper3D, LANES};
 use stencil::seq::{follows_recurrence, max_abs_diff_from_seq3d, run_seq3d};
 
-/// ns/cell of `chains` independent Paper3D chains of `len` cells (their
-/// inputs fixed rows of lifted values, as a sweep round's are): in
-/// [`LaneBlock`]s of [`LANES`] chains, every group of a block in flight
-/// together as in a round, or one chain at a time through `step` and
-/// `lift`. Fastest of 20 batches.
+/// ns/cell of `chains` Paper3D pencils of `len` cells in rows of
+/// [`LANES`], each pencil reading the one before it in its row as its
+/// `i−1` input (the first a fixed row of lifted values, as are every
+/// pencil's `j−1` inputs): in [`LaneBlock`]s, lane `l` one cell behind
+/// lane `l − 1` and every row of a block in flight together as in a
+/// super-round, or one pencil at a time through `step` and `lift`.
+/// Fastest of 20 batches.
 fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
     let src: Vec<Vec<f32>> = (0..chains)
         .map(|n| {
-            (0..len)
+            (0..len + LANES)
                 .map(|z| 1.0 + ((n * 7 + z) % 13) as f32 * 0.1)
                 .collect()
         })
         .collect();
-    let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len]; chains];
+    let mut rows: Vec<Vec<f32>> = vec![vec![0.0; len + LANES]; chains];
     let k = Paper3D;
     let (lift, step) = (
         |x| k.lift(x),
@@ -39,23 +41,25 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
         for _ in 0..reps {
             if lanes {
                 state.iter_mut().for_each(|s| *s = [k.lift(1.5); LANES]);
-                for z0 in (0..len).step_by(LANES) {
+                for z0 in (0..len + LANES - 1).step_by(LANES) {
                     let groups = rows.chunks_exact_mut(LANES).zip(&mut state);
                     for (g, (outs, s)) in groups.enumerate() {
                         let mut blk = LaneBlock {
                             km1: *s,
+                            diag: [1.5; LANES],
+                            corner: src[g * LANES][z0..][..LANES].try_into().unwrap(),
                             ..LaneBlock::default()
                         };
                         for l in 0..LANES {
                             let n = g * LANES + l;
-                            let (a, c) = (&src[n][z0..][..LANES], &src[(n + 1) % chains][z0..]);
-                            (blk.i[l], blk.j[l], blk.k[l]) = (n as i64, 1, z0 as i64);
-                            blk.diag[l] = 1.5;
-                            for z in 0..LANES {
-                                (blk.im1[z][l], blk.jm1[z][l]) = (a[z], c[z]);
-                            }
+                            let c = &src[(n + 1) % chains][z0..];
+                            (blk.i[l], blk.j[l], blk.k[l]) = (n as i64, 1, z0 as i64 - l as i64);
+                            (0..LANES).for_each(|z| blk.jm1[z][l] = c[z]);
                         }
-                        let (out, up) = blk.run(lift, step);
+                        let (out, up) = match z0 {
+                            0 => blk.run::<true>(lift, step),
+                            _ => blk.run::<false>(lift, step),
+                        };
                         *s = up[LANES - 1];
                         for (l, o) in outs.iter_mut().enumerate() {
                             (0..LANES).for_each(|z| o[z0 + z] = out[z][l]);
@@ -63,10 +67,15 @@ fn chains_ns(chains: usize, len: usize, lanes: bool) -> f64 {
                     }
                 }
             } else {
-                for (n, row) in rows.iter_mut().enumerate() {
-                    let (a, c) = (&src[n], &src[(n + 1) % chains]);
+                for n in 0..chains {
+                    let (done, row) = rows.split_at_mut(n);
+                    let a = match n % LANES {
+                        0 => &src[n][..],
+                        _ => &done[n - 1][..],
+                    };
+                    let c = &src[(n + 1) % chains];
                     let (mut s, mut d) = (k.lift(1.5), 1.5);
-                    for (z, o) in row.iter_mut().enumerate() {
+                    for (z, o) in row[0].iter_mut().take(len).enumerate() {
                         *o = k.step(n as i64, 1, z as i64, a[z], c[z], d, s);
                         (s, d) = (k.lift(*o), c[z]);
                     }
@@ -179,6 +188,61 @@ fn tile_us() -> [[f64; 2]; 5] {
     best
 }
 
+/// The block shapes of a 2-rank `compute-bound` share (8×16) and of
+/// its 4×32 and 16×8 alternatives, whose tiles [`group_block_micro`]
+/// prices per group-block.
+const SHARES: [(usize, usize); 3] = [(8, 16), (4, 32), (16, 8)];
+
+/// The linear cost model of a tile: ns per group-block (one
+/// [`LaneBlock`], [`LANES`] steps of [`LANES`] lanes) of each of
+/// [`SHARES`] at V = 256, 32 tiles on a warm 1×1 world, the fastest of
+/// 40 runs, the shapes taken in turn. A block of `bx × by` sweeps
+/// `⌈bx/4⌉ · by` row groups, each `⌈(V + 3)/4⌉` blocks a tile. Printed,
+/// not gated.
+#[test]
+#[ignore]
+fn group_block_micro() {
+    use msgpass::thread_backend::{build_world_with, LatencyModel, WorldConfig};
+    use stencil::dist3d::{Decomp3D, ExecMode};
+    use stencil::kernel::KernelTier;
+    use stencil::plan::{run3d_on_world, Compiled3D};
+    let plans = SHARES.map(|(nx, ny)| {
+        let (nz, v, boundary) = (32 * 256, 256, 1.0);
+        let d = Decomp3D {
+            nx,
+            ny,
+            nz,
+            pi: 1,
+            pj: 1,
+            v,
+            boundary,
+        };
+        Compiled3D::compile_unchecked(d, ExecMode::Overlapping).unwrap()
+    });
+    let mut world = build_world_with::<f32>(1, &WorldConfig::new(LatencyModel::zero()));
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..40 {
+        for (plan, best) in plans.iter().zip(&mut best) {
+            let run = run3d_on_world(Paper3D, plan, KernelTier::Bitwise, &mut world);
+            let (g, elapsed, _) = run.unwrap();
+            assert!(g.data()[1].is_finite());
+            let per_tile = elapsed.as_secs_f64() * 1e6 / plan.decomp().steps() as f64;
+            *best = best.min(per_tile);
+        }
+    }
+    println!("paper3d, V = 256, 1x1 world:  share  groups  group-blocks  us/tile  ns/cell  ns/group-block");
+    for ((bx, by), us) in SHARES.into_iter().zip(best) {
+        let groups = bx.div_ceil(LANES) * by;
+        let blocks = groups * (256 + LANES - 1).div_ceil(LANES);
+        let ns_per_cell = us * 1e3 / (bx * by * 256) as f64;
+        println!(
+            "{:>37} {groups:7} {blocks:13} {us:8.2} {ns_per_cell:8.3} {:15.2}",
+            format!("{bx}x{by}"),
+            us * 1e3 / blocks as f64
+        );
+    }
+}
+
 #[test]
 #[ignore]
 fn small_tile_micro() {
@@ -205,7 +269,7 @@ fn small_tile_micro() {
 #[test]
 #[ignore]
 fn lanes_vs_chain_micro() {
-    println!("paper3d, independent chains, ns/cell: chains  len   chain   lanes");
+    println!("paper3d, rows of 4 pencils, ns/cell:  chains  len   chain   lanes");
     let mut fine_grain = (0.0, 0.0);
     for (chains, len) in [(4usize, 64usize), (8, 64), (32, 8), (32, 64), (128, 256)] {
         let (chain, lanes) = (chains_ns(chains, len, false), chains_ns(chains, len, true));

@@ -259,7 +259,7 @@ pub fn overlap_optimal_v(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize::{best_nonoverlap, best_overlap, sweep_tile_height};
+    use crate::optimize::{best, sweep_tile_height};
     use crate::schedule::OverlapMode;
 
     fn paper_setup() -> (IterationSpace, DependenceSet, MachineParams) {
@@ -297,7 +297,8 @@ mod tests {
             &heights,
             OverlapMode::Serialized,
         );
-        let best = best_overlap(&pts).unwrap();
+        let ov = StepStrategy::Overlap;
+        let best = best(&pts, ov).unwrap();
         // The valley is flat around the optimum and the sweep model
         // carries a ⌈K/V⌉ staircase the continuous formula smooths over,
         // so compare *times*, not heights: running at the closed-form V
@@ -311,12 +312,11 @@ mod tests {
             &[cf.v_star_integer()],
             OverlapMode::Serialized,
         )[0]
-        .overlap_us;
+        .total_us(ov);
+        let best_us = best.total_us(ov);
         assert!(
-            (at_cf - best.overlap_us) / best.overlap_us < 0.03,
-            "time at closed-form V {} vs sweep best {}",
-            at_cf,
-            best.overlap_us
+            (at_cf - best_us) / best_us < 0.03,
+            "time at closed-form V {at_cf} vs sweep best {best_us}"
         );
         // The height itself lands in the right neighborhood.
         assert!(
@@ -327,10 +327,9 @@ mod tests {
         );
         // And the continuous prediction is close to the analytic model.
         assert!(
-            (cf.optimum_us() - best.overlap_us).abs() / best.overlap_us < 0.05,
-            "{} vs {}",
-            cf.optimum_us(),
-            best.overlap_us
+            (cf.optimum_us() - best_us).abs() / best_us < 0.05,
+            "{} vs {best_us}",
+            cf.optimum_us()
         );
     }
 
@@ -348,7 +347,8 @@ mod tests {
             &heights,
             OverlapMode::Serialized,
         );
-        let best = best_nonoverlap(&pts).unwrap();
+        let blocking = StepStrategy::Blocking;
+        let best = best(&pts, blocking).unwrap();
         let at_cf = sweep_tile_height(
             &space,
             &deps,
@@ -358,12 +358,11 @@ mod tests {
             &[cf.v_star_integer()],
             OverlapMode::Serialized,
         )[0]
-        .nonoverlap_us;
+        .total_us(blocking);
+        let best_us = best.total_us(blocking);
         assert!(
-            (at_cf - best.nonoverlap_us) / best.nonoverlap_us < 0.03,
-            "time at closed-form V {} vs sweep best {}",
-            at_cf,
-            best.nonoverlap_us
+            (at_cf - best_us) / best_us < 0.03,
+            "time at closed-form V {at_cf} vs sweep best {best_us}"
         );
         assert!(
             (cf.v_star - best.v as f64).abs() / best.v as f64 <= 0.35,

@@ -85,8 +85,7 @@ pub mod prelude {
     };
     pub use crate::mapping::{neighbor_messages, NeighborMessage, ProcessorMapping};
     pub use crate::optimize::{
-        best_nonoverlap, best_overlap, best_rectangular_plan, sweep_tile_height, SweepPoint,
-        TilingPlan,
+        best, best_rectangular_plan, sweep_tile_height, SweepPoint, TilingPlan,
     };
     pub use crate::parse::{parse_loop_nest, ParseError};
     pub use crate::schedule::{

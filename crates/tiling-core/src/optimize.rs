@@ -22,28 +22,47 @@ pub struct SweepPoint {
     pub v: i64,
     /// Tile volume `g`.
     pub g: i64,
-    /// Predicted non-overlapping completion time (µs).
-    pub nonoverlap_us: f64,
-    /// Predicted overlapping completion time (µs).
-    pub overlap_us: f64,
+    times: Times,
 }
 
-/// Predicted completion time (µs) of `tiling` under the Blocking and
-/// the Overlap strategy, in that order.
-fn total_us(
-    tiling: &Tiling,
-    deps: &DependenceSet,
-    space: &IterationSpace,
-    machine: &MachineParams,
-    mapping_dim: usize,
-    mode: OverlapMode,
-) -> [f64; 2] {
-    [StepStrategy::Blocking, StepStrategy::Overlap].map(|strategy| {
-        TileSchedule::with_mapping(strategy, space.dims(), mapping_dim)
-            .analyze(tiling, deps, space, machine, mode)
-            .total_us
-    })
+impl SweepPoint {
+    /// Predicted completion time (µs) under `strategy`.
+    pub fn total_us(&self, strategy: StepStrategy) -> f64 {
+        self.times.of(strategy)
+    }
 }
+
+/// Predicted completion times (µs) of one tiling, one per strategy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Times([f64; 2]);
+
+impl Times {
+    /// The times of `tiling` under both strategies.
+    fn of_tiling(
+        tiling: &Tiling,
+        deps: &DependenceSet,
+        space: &IterationSpace,
+        machine: &MachineParams,
+        mapping_dim: usize,
+        mode: OverlapMode,
+    ) -> Self {
+        Times(STRATEGIES.map(|strategy| {
+            TileSchedule::with_mapping(strategy, space.dims(), mapping_dim)
+                .analyze(tiling, deps, space, machine, mode)
+                .total_us
+        }))
+    }
+
+    fn of(&self, strategy: StepStrategy) -> f64 {
+        match strategy {
+            StepStrategy::Blocking => self.0[0],
+            StepStrategy::Overlap => self.0[1],
+        }
+    }
+}
+
+/// Both strategies, in the order [`Times`] holds them.
+const STRATEGIES: [StepStrategy; 2] = [StepStrategy::Blocking, StepStrategy::Overlap];
 
 /// Sweep the tile height `V` for a paper-style rectangular tiling: the
 /// cross-section sides are fixed (one tile column per processor) and `V`
@@ -74,30 +93,21 @@ pub fn sweep_tile_height(
             }
         }
         let tiling = Tiling::rectangular(&sides);
-        let [nonoverlap_us, overlap_us] =
-            total_us(&tiling, deps, space, machine, mapping_dim, mode);
+        let times = Times::of_tiling(&tiling, deps, space, machine, mapping_dim, mode);
         out.push(SweepPoint {
             v,
             g: tiling.volume(),
-            nonoverlap_us,
-            overlap_us,
+            times,
         });
     }
     out
 }
 
-/// The sweep point with the minimum overlapping time.
-pub fn best_overlap(points: &[SweepPoint]) -> Option<&SweepPoint> {
-    points
-        .iter()
-        .min_by(|a, b| a.overlap_us.total_cmp(&b.overlap_us))
-}
-
-/// The sweep point with the minimum non-overlapping time.
-pub fn best_nonoverlap(points: &[SweepPoint]) -> Option<&SweepPoint> {
-    points
-        .iter()
-        .min_by(|a, b| a.nonoverlap_us.total_cmp(&b.nonoverlap_us))
+/// The sweep point with the minimum completion time under `strategy`
+/// (the first of equal ones).
+pub fn best(points: &[SweepPoint], strategy: StepStrategy) -> Option<&SweepPoint> {
+    let us = |p: &SweepPoint| p.total_us(strategy);
+    points.iter().min_by(|a, b| us(a).total_cmp(&us(b)))
 }
 
 /// Divisor-based candidate heights for a sweep: all divisors of
@@ -183,10 +193,15 @@ pub fn min_comm_rectangular_shape(
 pub struct TilingPlan {
     /// The chosen tile sides.
     pub sides: Vec<i64>,
-    /// Predicted non-overlapping completion time (µs).
-    pub nonoverlap_us: f64,
-    /// Predicted overlapping completion time (µs).
-    pub overlap_us: f64,
+    times: Times,
+}
+
+impl TilingPlan {
+    /// Predicted completion time (µs) of the chosen shape under
+    /// `strategy`.
+    pub fn total_us(&self, strategy: StepStrategy) -> f64 {
+        self.times.of(strategy)
+    }
 }
 
 /// The Hodzic–Shang planning step (§3): given a tile *volume* `g`
@@ -220,17 +235,13 @@ pub fn best_rectangular_plan(
         if !tiling.contains_dependences(deps) {
             continue;
         }
-        let [nonoverlap_us, overlap_us] =
-            total_us(&tiling, deps, space, machine, mapping_dim, mode);
+        let times = Times::of_tiling(&tiling, deps, space, machine, mapping_dim, mode);
+        let blocking = |t: &Times| t.of(StepStrategy::Blocking);
         if best
             .as_ref()
-            .is_none_or(|b| nonoverlap_us < b.nonoverlap_us)
+            .is_none_or(|b| blocking(&times) < blocking(&b.times))
         {
-            best = Some(TilingPlan {
-                sides,
-                nonoverlap_us,
-                overlap_us,
-            });
+            best = Some(TilingPlan { sides, times });
         }
     }
     best
@@ -263,10 +274,11 @@ mod tests {
         );
         assert_eq!(pts.len(), heights.len());
         // Extremes are worse than the middle (U shape).
-        let best = best_overlap(&pts).unwrap();
+        let ov = |p: &SweepPoint| p.total_us(StepStrategy::Overlap);
+        let best = best(&pts, StepStrategy::Overlap).unwrap();
         assert!(best.v > 4 && best.v < 4096, "best at V={}", best.v);
-        assert!(pts[0].overlap_us > best.overlap_us);
-        assert!(pts.last().unwrap().overlap_us > best.overlap_us);
+        assert!(ov(&pts[0]) > ov(best));
+        assert!(ov(pts.last().unwrap()) > ov(best));
     }
 
     #[test]
@@ -282,14 +294,8 @@ mod tests {
             &heights,
             OverlapMode::Serialized,
         );
-        let bo = best_overlap(&pts).unwrap();
-        let bn = best_nonoverlap(&pts).unwrap();
-        assert!(
-            bo.overlap_us < bn.nonoverlap_us,
-            "overlap {} vs nonoverlap {}",
-            bo.overlap_us,
-            bn.nonoverlap_us
-        );
+        let [bn, bo] = STRATEGIES.map(|s| best(&pts, s).unwrap().total_us(s));
+        assert!(bo < bn, "overlap {bo} vs nonoverlap {bn}");
     }
 
     #[test]
@@ -362,13 +368,16 @@ mod tests {
         let plan = best_rectangular_plan(&space, &deps, &machine, g, 0, OverlapMode::DuplexDma)
             .expect("feasible shapes exist");
         // Strictly better than the paper's square choice…
-        assert!(plan.nonoverlap_us < 400_036.0, "{plan:?}");
+        assert!(
+            plan.total_us(StepStrategy::Blocking) < 400_036.0,
+            "{plan:?}"
+        );
         // …and needle shapes were correctly rejected by total time.
         assert!(plan.sides.iter().all(|&s| s >= 2), "{plan:?}");
         // The square itself evaluates to exactly the paper's number.
         let square = Tiling::rectangular(&[10, 10]);
-        let [sq, _] = total_us(&square, &deps, &space, &machine, 0, OverlapMode::DuplexDma);
-        assert!((sq - 400_036.0).abs() < 1.0);
+        let times = Times::of_tiling(&square, &deps, &space, &machine, 0, OverlapMode::DuplexDma);
+        assert!((times.of(StepStrategy::Blocking) - 400_036.0).abs() < 1.0);
     }
 
     #[test]

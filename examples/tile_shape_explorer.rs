@@ -24,8 +24,8 @@ fn main() {
             println!("{:>14} | {}", format!("{shape:?}"), c);
         }
     }
-    let (best, comm) = min_comm_rectangular_shape(64, &deps, 2).expect("some legal shape");
-    println!("minimum-communication shape: {best:?} with V_comm = {comm}\n");
+    let (shape, comm) = min_comm_rectangular_shape(64, &deps, 2).expect("some legal shape");
+    println!("minimum-communication shape: {shape:?} with V_comm = {comm}\n");
 
     // Part 2: the V landscape of experiment i under the analytic models.
     let machine = MachineParams::paper_cluster();
@@ -50,26 +50,17 @@ fn main() {
             "{:>6} {:>8} {:>14.4} {:>14.4}",
             p.v,
             p.g,
-            p.nonoverlap_us * 1e-6,
-            p.overlap_us * 1e-6
+            p.total_us(StepStrategy::Blocking) * 1e-6,
+            p.total_us(StepStrategy::Overlap) * 1e-6
         );
     }
-    let bo = best_overlap(&points).expect("non-empty");
-    let bn = best_nonoverlap(&points).expect("non-empty");
-    println!(
-        "\nbest overlap:     V = {:>4}, T = {:.4} s",
-        bo.v,
-        bo.overlap_us * 1e-6
-    );
-    println!(
-        "best non-overlap: V = {:>4}, T = {:.4} s",
-        bn.v,
-        bn.nonoverlap_us * 1e-6
-    );
-    println!(
-        "predicted improvement: {:.0}%",
-        (1.0 - bo.overlap_us / bn.nonoverlap_us) * 100.0
-    );
+    let [(bn_v, bn), (bo_v, bo)] = [StepStrategy::Blocking, StepStrategy::Overlap].map(|s| {
+        let p = best(&points, s).expect("non-empty");
+        (p.v, p.total_us(s))
+    });
+    println!("\nbest overlap:     V = {bo_v:>4}, T = {:.4} s", bo * 1e-6);
+    println!("best non-overlap: V = {bn_v:>4}, T = {:.4} s", bn * 1e-6);
+    println!("predicted improvement: {:.0}%", (1.0 - bo / bn) * 100.0);
 
     // Part 3: full shape search at fixed volume on Example 1 — the
     // total-time optimum beats the paper's square heuristic.
@@ -82,6 +73,6 @@ fn main() {
         "\nExample 1 shape search at g = 100: best shape {:?} → {:.4} s non-overlap \
          (the paper's 10×10 square gives 0.4000 s)",
         plan.sides,
-        plan.nonoverlap_us * 1e-6
+        plan.total_us(StepStrategy::Blocking) * 1e-6
     );
 }

@@ -199,7 +199,7 @@ fn long_pipeline_stays_finite() {
 /// Both modes on a fresh world per run and on the prebuilt `world`,
 /// bitwise against `stencil::seq`. A result takes the unfilled storage
 /// of a dropped grid of its size, so the last result is set to a NaN of
-/// its own payload — cells and the sweep's masked lanes — and dropped
+/// its own payload — cells and the sweep's padding — and dropped
 /// until the warm run gets its storage back (tests in parallel may take
 /// or free it first). The warm run must rewrite every float of it: its
 /// storage is the fresh run's bit for bit (a caller may hash `data()`;

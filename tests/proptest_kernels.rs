@@ -6,17 +6,18 @@
 //! where `+∞` and `−∞` can meet in one sum does a NaN match any NaN,
 //! since which of two payloads a sum propagates is the code generator's
 //! choice). And
-//! stepping up to [`LANES`] independent pencils together — a *wave*, one
-//! [`LaneBlock`] of each after another on lifted inputs, as the tile
-//! sweep runs a group's lanes through its rounds — must equal that
-//! scalar walk: for every wave width 1..=`LANES` (the lanes past the
-//! last pencil run on padding), every pencil length (including the
-//! `len % LANES` cells of the last, partial block), and ragged waves
-//! whose pencils have unequal lengths (a lane that ends early runs on
-//! padding while the others go on). This is the invariant that lets the
-//! tile sweep lift each cell once and regroup cells into lane groups
-//! without perturbing a single bit of the distributed-vs-sequential
-//! verification.
+//! stepping a row of up to [`LANES`] pencils `(i + l, j)` together — one
+//! [`LaneBlock`] after another on lifted inputs, lane `l` one cell
+//! behind lane `l − 1` and reading its cells as its `i−1` inputs, as the
+//! tile sweep runs a row group — must equal that scalar walk of the row:
+//! for every row width 1..=`LANES` (the lanes past the last pencil run
+//! on padding), every pencil length, and rows cut into tiles of any
+//! height, a tile's first block going on from the step before it (its
+//! lanes that have not reached the tile rerun the tile below's last
+//! cells) and the steps below `k = 0` reading as the seeds. This is the
+//! invariant that lets the tile sweep lift each cell once and regroup
+//! cells into lane groups without perturbing a single bit of the
+//! distributed-vs-sequential verification.
 //!
 //! The fast tier ([`KernelTier::Fast`]) is *not* bitwise: it may
 //! reassociate and drop domain guards. Its property is a ULP bound
@@ -25,7 +26,7 @@
 //!
 //! The 2-D kernels read a fourth input, the diagonal `A(i, j−1, k−1)`:
 //! a lane gets its first cell's as a seed and the rest off `jm1`. Their
-//! waves must equal a per-cell `eval` walk of the strip wherever the
+//! rows must equal a per-cell `eval` walk of the strip wherever the
 //! sweep takes that seed from.
 
 use proptest::prelude::*;
@@ -34,113 +35,154 @@ use stencil::kernel::{
     Relax3D, Smooth2D, LANES,
 };
 
-/// One pencil of a wave: `(im1, jm1, km1)`.
-type Pencil = (Vec<f32>, Vec<f32>, f32);
-
-/// The diagonal seed of a pencil whose `k−1` seed is `km1`: another
-/// value of the same domain, so a kernel that mixes them up shows.
-fn diag_seed(km1: f32) -> f32 {
-    km1 * 0.5
+/// One row of up to [`LANES`] pencils `(i + l, j)` from `k = 0`, `(i, j)`
+/// its `origin`: pencil 0's `i−1` inputs (`corner`), and each pencil's
+/// `j−1` inputs (as long as `corner`), `k−1` seed and diagonal seed.
+#[derive(Clone, Debug)]
+struct Row {
+    origin: (i64, i64),
+    corner: Vec<f32>,
+    pencils: Vec<(Vec<f32>, f32, f32)>,
 }
 
-/// Pencil `n` of a wave starts at cell `(n + 1, 2, 1)`.
-fn origin(n: usize) -> (i64, i64, i64) {
-    (n as i64 + 1, 2, 1)
-}
-
-/// The reference: walk one pencil with `eval`, the `k−1` value carried
-/// and the diagonal read off `jm1` after the seeded first cell.
-fn eval_walk<K: Kernel3D>(k: &K, (i, j, k0): (i64, i64, i64), p: &Pencil, diag: f32) -> Vec<f32> {
-    let (im1, jm1, km1) = p;
-    let (mut prev, mut d) = (*km1, diag);
-    let cells = im1.iter().zip(jm1).zip(k0..);
-    let eval = |((&a, &c), kz): ((&f32, &f32), i64)| {
-        let v = k.eval(i, j, kz, a, c, prev, d);
-        (prev, d) = (v, c);
-        v
-    };
-    cells.map(eval).collect()
-}
-
-/// The contract cell by cell: walk one pencil with `step`, every input
-/// lifted where it is read — the raw `k−1` value carried, each cell
-/// lifted afresh by each reader.
-fn lifted_walk<K: Kernel3D>(k: &K, (i, j, k0): (i64, i64, i64), p: &Pencil, diag: f32) -> Vec<f32> {
-    let (im1, jm1, km1) = p;
-    let (mut prev, mut d) = (*km1, diag);
-    let cells = im1.iter().zip(jm1).zip(k0..);
-    let step = |((&a, &c), kz): ((&f32, &f32), i64)| {
-        let v = k.step(i, j, kz, k.lift(a), k.lift(c), k.lift(d), k.lift(prev));
-        (prev, d) = (v, c);
-        v
-    };
-    cells.map(step).collect()
-}
-
-/// Step up to [`LANES`] pencils together, block by block through
-/// [`LaneBlock::run`] on `tier`, every input lifted once before it
-/// enters a block and the `k−1` value carried lifted, as the sweep
-/// does: pencil `n` in lane `n`, seeded with `diags[n]`. Lanes past the
-/// last pencil, and cells past a pencil's end, run on padding and are
-/// not read.
-fn wave<K: Kernel3D>(k: &K, tier: KernelTier, ps: &[Pencil], diags: &[f32]) -> Vec<Vec<f32>> {
-    assert!(ps.len() <= LANES);
-    let fast = tier == KernelTier::Fast;
-    let lift = |x: f32| if fast { k.lift_fast(x) } else { k.lift(x) };
-    let mut blk = LaneBlock::default();
-    for (l, p) in ps.iter().enumerate() {
-        (blk.km1[l], blk.diag[l]) = (lift(p.2), lift(diags[l]));
-    }
-    let mut outs: Vec<Vec<f32>> = ps.iter().map(|p| vec![0.0; p.0.len()]).collect();
-    let longest = outs.iter().map(Vec::len).max().unwrap_or(0);
-    let at = |x: &[f32], z: usize| lift(x.get(z).copied().unwrap_or(0.25));
-    for z0 in (0..longest).step_by(LANES) {
-        for (l, (im1, jm1, _)) in ps.iter().enumerate() {
-            let (i, j, k0) = origin(l);
-            (blk.i[l], blk.j[l], blk.k[l]) = (i, j, k0 + z0 as i64);
-            if z0 > 0 {
-                blk.diag[l] = at(jm1, z0 - 1);
-            }
-            for z in 0..LANES {
-                (blk.im1[z][l], blk.jm1[z][l]) = (at(im1, z0 + z), at(jm1, z0 + z));
-            }
-        }
-        let (out, up) = match fast {
-            true => blk.run(lift, |i, j, kz, a, c, d, s| {
-                k.step_fast(i, j, kz, a, c, d, s)
-            }),
-            false => blk.run(lift, |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s)),
+/// The reference: walk each pencil of the row with `eval`, the `k−1`
+/// value carried and the diagonal read off `jm1` after the seeded first
+/// cell; pencil `l ≥ 1` reads pencil `l − 1`'s cells as its `i−1`
+/// inputs.
+fn eval_walk<K: Kernel3D>(k: &K, row: &Row) -> Vec<Vec<f32>> {
+    let mut outs: Vec<Vec<f32>> = Vec::new();
+    for (l, (jm1, km1, diag)) in row.pencils.iter().enumerate() {
+        let (i, j) = (row.origin.0 + l as i64, row.origin.1);
+        let im1 = outs.last().unwrap_or(&row.corner);
+        let (mut prev, mut d) = (*km1, *diag);
+        let cells = im1.iter().zip(jm1).zip(0..);
+        let eval = |((&a, &c), kz): ((&f32, &f32), i64)| {
+            let v = k.eval(i, j, kz, a, c, prev, d);
+            (prev, d) = (v, c);
+            v
         };
-        blk.km1 = up[LANES - 1];
-        for (l, o) in outs.iter_mut().enumerate() {
-            for (z, o) in o.iter_mut().skip(z0).take(LANES).enumerate() {
-                *o = out[z][l];
-            }
-        }
+        outs.push(cells.map(eval).collect());
     }
     outs
 }
 
-/// Pencil shapes and inputs for one wave, every value drawn from
-/// `value()`. Lengths are drawn small and independently so ragged waves
-/// and lane-block remainders are both routine.
-fn pencils_of<S: Strategy<Value = f32>>(
-    value: fn() -> S,
-    max_len: usize,
-) -> impl Strategy<Value = Vec<Pencil>> {
-    let pencil = (0..=max_len).prop_flat_map(move |len| {
-        (
-            prop::collection::vec(value(), len),
-            prop::collection::vec(value(), len),
-            value(),
-        )
-    });
-    prop::collection::vec(pencil, 1..=LANES)
+/// The contract cell by cell: walk the row with `step`, every input
+/// lifted where it is read — the raw `k−1` value carried, each cell
+/// lifted afresh by each reader.
+fn lifted_walk<K: Kernel3D>(k: &K, row: &Row) -> Vec<Vec<f32>> {
+    let mut outs: Vec<Vec<f32>> = Vec::new();
+    for (l, (jm1, km1, diag)) in row.pencils.iter().enumerate() {
+        let (i, j) = (row.origin.0 + l as i64, row.origin.1);
+        let im1 = outs.last().unwrap_or(&row.corner);
+        let (mut prev, mut d) = (*km1, *diag);
+        let cells = im1.iter().zip(jm1).zip(0..);
+        let step = |((&a, &c), kz): ((&f32, &f32), i64)| {
+            let v = k.step(i, j, kz, k.lift(a), k.lift(c), k.lift(d), k.lift(prev));
+            (prev, d) = (v, c);
+            v
+        };
+        outs.push(cells.map(step).collect());
+    }
+    outs
 }
 
-/// Pencils on the recurrences' reachable (non-negative) domain.
-fn pencils(max_len: usize) -> impl Strategy<Value = Vec<Pencil>> {
-    pencils_of(|| 0.0f32..4.0, max_len)
+/// Step the row through [`LaneBlock::run`] on `tier` in tiles of `v`
+/// cells, as the sweep steps a row group: every input lifted once before
+/// it enters a block; a tile's first block going on from the lanes'
+/// lifted step `len − 1` of the tile before (the seeds before the
+/// first); the steps below `k = 0` in a first block, reading as the
+/// `k−1` seeds, and a `j−1` input's cell −1 as its diagonal seed. Lanes
+/// past the last pencil, and steps outside a lane's tile, run on padding
+/// and are not read.
+fn wave<K: Kernel3D>(k: &K, tier: KernelTier, row: &Row, v: usize) -> Vec<Vec<f32>> {
+    let fast = tier == KernelTier::Fast;
+    let lift = |x: f32| if fast { k.lift_fast(x) } else { k.lift(x) };
+    let step = |i, j, kz, a, c, d, s| match fast {
+        true => k.step_fast(i, j, kz, a, c, d, s),
+        false => k.step(i, j, kz, a, c, d, s),
+    };
+    let len = row.corner.len();
+    let at = |x: &[f32], c: i64| {
+        lift(
+            usize::try_from(c)
+                .ok()
+                .and_then(|c| x.get(c))
+                .map_or(0.25, |&x| x),
+        )
+    };
+    let jm1 = |l: usize, c: i64| match (row.pencils.get(l), c) {
+        (Some((_, _, diag)), -1) => lift(*diag),
+        (Some((x, _, _)), c) => at(x, c),
+        (None, _) => 0.25,
+    };
+    let mut top: [f32; LANES] =
+        core::array::from_fn(|l| lift(row.pencils.get(l).map_or(0.25, |p| p.1)));
+    let mut outs = vec![vec![0.0; len]; row.pencils.len()];
+    for k0 in (0..len).step_by(v.max(1)) {
+        let n = v.min(len - k0);
+        let mut blk = LaneBlock {
+            km1: top,
+            ..LaneBlock::default()
+        };
+        let mut ups = Vec::new();
+        for r in 0..(n + LANES - 1).div_ceil(LANES) {
+            let s0 = (k0 + LANES * r) as i64;
+            for l in 0..LANES {
+                let (i, j) = (row.origin.0 + l as i64, row.origin.1);
+                (blk.i[l], blk.j[l], blk.k[l]) = (i, j, s0 - l as i64);
+                blk.corner[l] = at(&row.corner, s0 + l as i64);
+                for z in 0..LANES {
+                    blk.jm1[z][l] = jm1(l, s0 + (z as i64) - l as i64);
+                }
+                blk.diag[l] = jm1(l, s0 - 1 - l as i64);
+            }
+            let (out, up) = match r == 0 && k0 < LANES - 1 {
+                true => blk.run::<true>(lift, step),
+                false => blk.run::<false>(lift, step),
+            };
+            blk.km1 = up[LANES - 1];
+            ups.push(up);
+            for (l, o) in outs.iter_mut().enumerate() {
+                for (z, cells) in out.iter().enumerate() {
+                    let cell = (LANES * r + z).checked_sub(l).filter(|&c| c < n);
+                    if let Some(c) = cell {
+                        o[k0 + c] = cells[l];
+                    }
+                }
+            }
+        }
+        top = ups[(n - 1) / LANES][(n - 1) % LANES];
+    }
+    outs
+}
+
+/// Rows of `value()`s from `(1, 2)`: a length, a width and every input
+/// drawn independently, so one-pencil rows and lane-block remainders are
+/// both routine. A pencil's diagonal seed is half its `k−1` seed:
+/// another value of the same domain, so a kernel that mixes them up
+/// shows.
+fn rows_of<S: Strategy<Value = f32>>(
+    value: fn() -> S,
+    max_len: usize,
+) -> impl Strategy<Value = Row> {
+    (0..=max_len, 1..=LANES).prop_flat_map(move |(len, m)| {
+        let pencil = (prop::collection::vec(value(), len), value());
+        let pencil = pencil.prop_map(|(jm1, km1)| (jm1, km1, km1 * 0.5));
+        (
+            prop::collection::vec(value(), len),
+            prop::collection::vec(pencil, m),
+        )
+            .prop_map(|(corner, pencils)| Row {
+                origin: (1, 2),
+                corner,
+                pencils,
+            })
+    })
+}
+
+/// Rows on the recurrences' reachable (non-negative) domain.
+fn rows(max_len: usize) -> impl Strategy<Value = Row> {
+    rows_of(|| 0.0f32..4.0, max_len)
 }
 
 /// An `f32` whose edge cases are as frequent as reachable values: one
@@ -160,43 +202,42 @@ fn off_domain(neg_inf: bool) -> impl Strategy<Value = f32> {
     })
 }
 
-/// Pencils off the domain, `−∞` left out.
-fn off_domain_pencils(max_len: usize) -> impl Strategy<Value = Vec<Pencil>> {
-    pencils_of(|| off_domain(false), max_len)
+/// Rows off the domain, `−∞` left out.
+fn off_domain_rows(max_len: usize) -> impl Strategy<Value = Row> {
+    rows_of(|| off_domain(false), max_len)
 }
 
-/// Pencils off the domain, `−∞` included.
-fn opposite_infinity_pencils(max_len: usize) -> impl Strategy<Value = Vec<Pencil>> {
-    pencils_of(|| off_domain(true), max_len)
+/// Rows off the domain, `−∞` included.
+fn opposite_infinity_rows(max_len: usize) -> impl Strategy<Value = Row> {
+    rows_of(|| off_domain(true), max_len)
 }
 
-/// Walk the pencils with `eval`, then require bit-for-bit equality of
-/// the lifted walk (the contract, cell by cell) and of the pencils
-/// stepped as one wave on the bitwise tier. Returns the `eval` walk.
-fn check_bitwise<K: Kernel3D>(k: K, inputs: &[Pencil]) -> Result<Vec<Vec<f32>>, TestCaseError> {
-    let diags: Vec<f32> = inputs.iter().map(|p| diag_seed(p.2)).collect();
-    let pencils = || inputs.iter().zip(&diags).enumerate();
-    let pinned: Vec<Vec<f32>> = pencils()
-        .map(|(n, (p, &d))| eval_walk(&k, origin(n), p, d))
-        .collect();
-    let lifted = pencils().map(|(n, (p, &d))| lifted_walk(&k, origin(n), p, d));
-    let lifted: Vec<Vec<f32>> = lifted.collect();
-    let waved = wave(&k, KernelTier::Bitwise, inputs, &diags);
-    // One licence, for a pencil that reads `−∞`: a NaN matches a NaN.
+/// Walk the row with `eval`, then require bit-for-bit equality of the
+/// lifted walk (the contract, cell by cell) and of the row stepped in
+/// tiles of `v` on the bitwise tier. Returns the `eval` walk.
+fn check_bitwise<K: Kernel3D>(k: K, row: &Row, v: usize) -> Result<Vec<Vec<f32>>, TestCaseError> {
+    let pinned = eval_walk(&k, row);
+    let lifted = lifted_walk(&k, row);
+    let waved = wave(&k, KernelTier::Bitwise, row, v);
+    // One licence, for a row that reads `−∞`: a NaN matches a NaN.
     // There a sum can meet `+∞` and `−∞`, and which of two NaN payloads
     // it propagates (a drawn NaN, or the default NaN of `∞ − ∞`) is the
     // code generator's choice, because `fadd` commutes. Every other
     // result, ±0 and ±∞ included, must match bit for bit.
-    let neg_inf = |(a, c, z): &Pencil| [&a[..], c, &[*z]].concat().contains(&f32::NEG_INFINITY);
+    let inputs = row
+        .pencils
+        .iter()
+        .flat_map(|(c, z, d)| c.iter().chain([z, d]));
+    let licence = inputs.chain(&row.corner).any(|&x| x == f32::NEG_INFINITY);
     for (what, got) in [("lifted step", lifted), ("wave", waved)] {
         for (n, (got, want)) in got.iter().zip(&pinned).enumerate() {
-            let licence = neg_inf(&inputs[n]);
             for (z, (g, w)) in got.iter().zip(want).enumerate() {
                 prop_assert!(
                     g.to_bits() == w.to_bits() || (licence && g.is_nan() && w.is_nan()),
-                    "pencil {} cell {}: {} {} != eval {}",
+                    "pencil {} cell {} (tiles of {}): {} {} != eval {}",
                     n,
                     z,
+                    v,
                     what,
                     g,
                     w
@@ -208,14 +249,13 @@ fn check_bitwise<K: Kernel3D>(k: K, inputs: &[Pencil]) -> Result<Vec<Vec<f32>>, 
 }
 
 /// [`check_bitwise`], then run the fast tier and bound its drift.
-fn check_kernel<K: Kernel3D>(k: K, inputs: &[Pencil]) -> Result<(), TestCaseError> {
-    let pinned = check_bitwise(k, inputs)?;
+fn check_kernel<K: Kernel3D>(k: K, row: &Row, v: usize) -> Result<(), TestCaseError> {
+    let pinned = check_bitwise(k, row, v)?;
     // Fast tier: ULP-bounded against pinned on the reachable domain,
     // never NaN. The bound is loose — it catches catastrophic
     // divergence (a dropped guard going NaN, a wrong carry), not
     // rounding; the tier's contract is "close", not "equal".
-    let diags: Vec<f32> = inputs.iter().map(|p| diag_seed(p.2)).collect();
-    let fast = wave(&k, KernelTier::Fast, inputs, &diags);
+    let fast = wave(&k, KernelTier::Fast, row, v);
     for (n, (got, want)) in fast.iter().zip(&pinned).enumerate() {
         for (z, (g, w)) in got.iter().zip(want).enumerate() {
             prop_assert!(
@@ -245,43 +285,49 @@ proptest! {
 
     /// The paper's √ kernel: its carried `√A(i,j,k−1)` vs the scalar chain.
     #[test]
-    fn paper3d_wave_is_bitwise(inputs in pencils(40)) {
-        check_kernel(Paper3D, &inputs)?;
+    fn paper3d_wave_is_bitwise(row in rows(40), v in 1usize..=12) {
+        check_kernel(Paper3D, &row, v)?;
     }
 
     /// Damped relaxation with a random (stable) ω.
     #[test]
-    fn relax3d_wave_is_bitwise(inputs in pencils(40), omega in 0.05f32..1.0) {
-        check_kernel(Relax3D { omega }, &inputs)?;
+    fn relax3d_wave_is_bitwise(row in rows(40), v in 1usize..=12, omega in 0.05f32..1.0) {
+        check_kernel(Relax3D { omega }, &row, v)?;
     }
 
     /// FMA smoothing with random contractive weights (2·wa + wc < 1).
     #[test]
-    fn fused3d_wave_is_bitwise(inputs in pencils(40), wa in 0.01f32..0.45, wc in 0.01f32..0.09) {
-        check_kernel(Fused3D { wa, wc }, &inputs)?;
+    fn fused3d_wave_is_bitwise(
+        row in rows(40),
+        v in 1usize..=12,
+        wa in 0.01f32..0.45,
+        wc in 0.01f32..0.09,
+    ) {
+        check_kernel(Fused3D { wa, wc }, &row, v)?;
     }
 
     /// Inputs the recurrences never produce — negative, ±0, NaN, ±∞,
     /// subnormal — must still come out of the lifted step and the wave
     /// exactly as they come out of the `eval` walk, for every kernel:
     /// Paper3D's `max(·, 0)` clamps in its lift, and the NaN/∞
-    /// propagation of the others survives the lanes. `inputs` draws no
-    /// `−∞`, so every bit is held; a pencil of `with_neg_inf` that
-    /// reads `−∞` may make another NaN.
+    /// propagation of the others survives the lanes. `row` draws no
+    /// `−∞`, so every bit is held; a row of `with_neg_inf` that reads
+    /// `−∞` may make another NaN.
     #[test]
     fn off_domain_inputs_stay_bitwise(
-        inputs in off_domain_pencils(40),
-        with_neg_inf in opposite_infinity_pencils(40),
+        row in off_domain_rows(40),
+        with_neg_inf in opposite_infinity_rows(40),
+        v in 1usize..=12,
         omega in 0.05f32..1.0,
     ) {
-        for inputs in [&inputs, &with_neg_inf] {
-            check_bitwise(Paper3D, inputs)?;
-            check_bitwise(Relax3D { omega }, inputs)?;
-            check_bitwise(Fused3D::default(), inputs)?;
-            check_bitwise(LongestPath3D, inputs)?;
-            check_bitwise(Example1, inputs)?;
-            check_bitwise(Alignment2D { alphabet: 2 }, inputs)?;
-            check_bitwise(Smooth2D { omega }, inputs)?;
+        for row in [&row, &with_neg_inf] {
+            check_bitwise(Paper3D, row, v)?;
+            check_bitwise(Relax3D { omega }, row, v)?;
+            check_bitwise(Fused3D::default(), row, v)?;
+            check_bitwise(LongestPath3D, row, v)?;
+            check_bitwise(Example1, row, v)?;
+            check_bitwise(Alignment2D { alphabet: 2 }, row, v)?;
+            check_bitwise(Smooth2D { omega }, row, v)?;
         }
     }
 
@@ -289,11 +335,11 @@ proptest! {
     /// `eval`, and reads its cell coordinates: each lane must see its
     /// own `(i, j, k)`.
     #[test]
-    fn longest_path_wave_is_bitwise(inputs in pencils(24)) {
-        check_kernel(LongestPath3D, &inputs)?;
+    fn longest_path_wave_is_bitwise(row in rows(24), v in 1usize..=12) {
+        check_kernel(LongestPath3D, &row, v)?;
     }
 
-    /// A diagonal kernel's waves equal its per-cell `eval` walk of a
+    /// A diagonal kernel's rows equal its per-cell `eval` walk of a
     /// strip for lanes seeded as the block executor seeds them: the
     /// diagonal of a lane's first cell in a tile comes from the
     /// neighbour column's previous tile, the halo column, or at `k = 0`
@@ -314,8 +360,9 @@ proptest! {
 
 /// [`diagonal_wave_matches_per_cell_eval`] for one kernel over `by`
 /// strip columns behind `halo`: column `j` is the block's global column
-/// `j + 1`, the halo column `0`; `v` cuts the pencils into tiles, whose
-/// columns go to the kernel `LANES` at a time.
+/// `j + 1`, the halo column `0`. A strip's block has a unit `i`-axis, so
+/// each column is lane 0 of a row group of its own, its `i−1` inputs,
+/// `k−1` and diagonal seeds the boundary, cut into tiles of `v`.
 fn check_diagonal<K: Kernel3D>(
     k: K,
     by: usize,
@@ -335,105 +382,75 @@ fn check_diagonal<K: Kernel3D>(
             a[j][z] = k.eval(0, j as i64 + 1, z as i64, b, west(z), km1, diag);
         }
     }
-    let west = |j: usize| if j == 0 { halo } else { &a[j - 1][..] };
-    for s in (0..nz).step_by(v) {
-        let e = (s + v).min(nz);
-        for cols in (0..by).collect::<Vec<_>>().chunks(LANES) {
-            let mut outs = vec![vec![0.0f32; e - s]; cols.len()];
-            let mut lanes = LaneBlock::default();
-            for (l, &j) in cols.iter().enumerate() {
-                let (km1, diag) = match s {
-                    0 => (b, b),
-                    _ => (a[j][s - 1], west(j)[s - 1]),
-                };
-                (lanes.km1[l], lanes.diag[l]) = (k.lift(km1), k.lift(diag));
-            }
-            for z0 in (s..e).step_by(LANES) {
-                for (l, &j) in cols.iter().enumerate() {
-                    (lanes.i[l], lanes.j[l], lanes.k[l]) = (0, j as i64 + 1, z0 as i64);
-                    if z0 > s {
-                        lanes.diag[l] = k.lift(west(j)[z0 - 1]);
-                    }
-                    for z in 0..LANES {
-                        let at = (z0 + z).min(e - 1);
-                        (lanes.im1[z][l], lanes.jm1[z][l]) = (k.lift(b), k.lift(west(j)[at]));
-                    }
-                }
-                let step = |i, j, kz, a, c, d, s| k.step(i, j, kz, a, c, d, s);
-                let (out, up) = lanes.run(|x| k.lift(x), step);
-                lanes.km1 = up[LANES - 1];
-                for (l, o) in outs.iter_mut().enumerate() {
-                    for (z, o) in o.iter_mut().skip(z0 - s).take(LANES).enumerate() {
-                        *o = out[z][l];
-                    }
-                }
-            }
-            for (&j, got) in cols.iter().zip(&outs) {
-                let want = &a[j][s..e];
-                let same = got
-                    .iter()
-                    .zip(want)
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
-                prop_assert!(
-                    same,
-                    "column {} cells {}..{}: {:?} vs {:?}",
-                    j,
-                    s,
-                    e,
-                    got,
-                    want
-                );
-            }
-        }
+    for j in 0..by {
+        let west = if j == 0 { halo } else { &a[j - 1][..] };
+        let column = Row {
+            origin: (0, j as i64 + 1),
+            corner: vec![b; nz],
+            pencils: vec![(west.to_vec(), b, b)],
+        };
+        let got = &wave(&k, KernelTier::Bitwise, &column, v)[0];
+        let same = got
+            .iter()
+            .zip(&a[j])
+            .all(|(g, w)| g.to_bits() == w.to_bits());
+        prop_assert!(
+            same,
+            "column {} (tiles of {}): {:?} vs {:?}",
+            j,
+            v,
+            got,
+            a[j]
+        );
     }
     Ok(())
 }
 
-/// Inputs of `m` pencils, pencil `n` `len(n)` cells long.
-fn ragged(m: usize, len: impl Fn(usize) -> usize) -> Vec<Pencil> {
-    (0..m)
-        .map(|n| {
-            let l = len(n);
-            let im1 = (0..l)
-                .map(|z| 0.25 + ((n * 7 + z) % 13) as f32 * 0.3)
-                .collect();
-            let jm1 = (0..l)
-                .map(|z| 0.5 + ((n * 5 + z) % 11) as f32 * 0.2)
-                .collect();
-            (im1, jm1, 1.0 + n as f32 * 0.1)
-        })
-        .collect()
+/// A row of `m` pencils of `len` cells.
+fn row(m: usize, len: usize) -> Row {
+    let cells =
+        |n: usize, s: usize| (0..len).map(move |z| 0.25 + ((n * 7 + z * s) % 13) as f32 * 0.3);
+    let seed = |n: usize| 1.0 + n as f32 * 0.1;
+    Row {
+        origin: (1, 2),
+        corner: cells(m, 1).collect(),
+        pencils: (0..m)
+            .map(|n| (cells(n, 5).collect(), seed(n), seed(n) * 0.5))
+            .collect(),
+    }
 }
 
 /// Exhaustive sweep of the length × width corner cases the proptests
-/// sample: every pencil length 0..=33 (all `% LANES` remainders, the
-/// empty pencil, and a several-block span) at every wave width
-/// 1..=LANES, with ragged tails (pencil `n` is `n` cells shorter), so
-/// lanes run on padding past their pencil's end while others go on.
+/// sample: every row length 0..=33 (all `(len + 3) % LANES`
+/// remainders, the empty row, and a several-block span) at every row
+/// width 1..=LANES, in one tile and in tiles of 1 to 5.
 #[test]
 fn wave_matches_pencil_for_every_length_and_width() {
     for len in 0..=33usize {
         for m in 1..=LANES {
-            let inputs = ragged(m, |n| len.saturating_sub(n));
-            check_kernel(Paper3D, &inputs).unwrap();
-            check_kernel(Relax3D::default(), &inputs).unwrap();
-            check_kernel(Fused3D::default(), &inputs).unwrap();
+            for v in [len.max(1), 1, 2, 3, 5] {
+                let row = row(m, len);
+                check_kernel(Paper3D, &row, v).unwrap();
+                check_kernel(Relax3D::default(), &row, v).unwrap();
+                check_kernel(Fused3D::default(), &row, v).unwrap();
+            }
         }
     }
 }
 
-/// Long pencils of one length (64–100 cells, every `len % LANES`) and
-/// one short straggler, at every wave width — whole blocks, the partial
-/// last block and a lane that stops early all run in the same wave.
+/// Long rows (64–100 cells, every `len % LANES`) at every width, cut
+/// into a short straggler tile and the rest: the second tile's first
+/// block goes on from the straggler's last step, its late lanes
+/// rerunning the straggler's last cells.
 #[test]
 fn long_waves_with_a_straggler_match_pencil() {
     for len in 64..=100usize {
         for m in 1..=LANES {
-            // The straggler takes each lane in turn.
-            let inputs = ragged(m, |n| if n == len % m { len / 3 } else { len });
-            check_kernel(Paper3D, &inputs).unwrap();
-            check_kernel(Relax3D::default(), &inputs).unwrap();
-            check_kernel(Fused3D::default(), &inputs).unwrap();
+            let row = row(m, len);
+            let v = len / 3 + m;
+            check_kernel(Paper3D, &row, v).unwrap();
+            check_kernel(Relax3D::default(), &row, v).unwrap();
+            check_kernel(Fused3D::default(), &row, v).unwrap();
         }
     }
 }
