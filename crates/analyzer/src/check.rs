@@ -14,7 +14,7 @@ use crate::plan::{programs, RankTopology, ELEM_BYTES};
 use cluster_sim::program::{Op, Program, ReqId};
 use std::collections::HashMap;
 use tiling_core::dependence::DependenceSet;
-use tiling_core::schedule::{StepPlan, StepStrategy};
+use tiling_core::schedule::{StepPlan, TileSchedule};
 
 /// What a successful analysis proved, plus the plan's headline numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,41 +33,22 @@ pub struct AnalysisReport {
     pub logical_makespan: i64,
 }
 
-/// Check `Π·d^S > 0` for every dependence and, for an overlap plan,
-/// the eq.-4 ordering: a dependence with any component off the
-/// processor-mapping dimension crosses ranks, so its face spends one
-/// full step in flight and must advance `Π·d^S ≥ 2`.
-pub fn check_schedule(
-    plan: &StepPlan,
-    pi: &[i64],
-    mapping_dim: usize,
-    deps: &DependenceSet,
-) -> Result<(), AnalysisError> {
-    for d in deps.iter() {
-        let dot = d.dot(pi);
-        if dot <= 0 {
-            return Err(AnalysisError::IllegalSchedule {
-                pi: pi.to_vec(),
-                dep: d.components().to_vec(),
-                dot,
-            });
-        }
-        if plan.strategy() == StepStrategy::Overlap {
-            let cross = d
-                .components()
-                .iter()
-                .enumerate()
-                .any(|(axis, &c)| axis != mapping_dim && c != 0);
-            if cross && dot < 2 {
-                return Err(AnalysisError::OverlapOrderingViolation {
-                    pi: pi.to_vec(),
-                    dep: d.components().to_vec(),
-                    dot,
-                });
-            }
-        }
-    }
-    Ok(())
+/// Check the schedule against the dependence set: the first
+/// dependence `d^S` that [`TileSchedule::first_violation`] finds
+/// advancing less than its lag is [`AnalysisError::IllegalSchedule`]
+/// when `Π·d^S ≤ 0`, and otherwise — a cross-processor dependence of an
+/// overlap schedule that advances one step where its face spends one in
+/// flight (eq. 4) — [`AnalysisError::OverlapOrderingViolation`].
+pub fn check_schedule(schedule: &TileSchedule, deps: &DependenceSet) -> Result<(), AnalysisError> {
+    let Some((d, dot)) = schedule.first_violation(deps) else {
+        return Ok(());
+    };
+    let (pi, dep) = (schedule.pi(), d.components().to_vec());
+    Err(if dot <= 0 {
+        AnalysisError::IllegalSchedule { pi, dep, dot }
+    } else {
+        AnalysisError::OverlapOrderingViolation { pi, dep, dot }
+    })
 }
 
 /// A flattened message endpoint, sortable by channel for the
@@ -453,18 +434,19 @@ pub fn check_comm_plan(programs: &[Program]) -> Result<usize, AnalysisError> {
 }
 
 /// Everything the pre-flight gate runs, in diagnostic order: schedule
-/// legality (`Π·d^S > 0` plus the eq.-4 overlap ordering), the
-/// programs' construction, send/receive matching, and deadlock
+/// legality under the [`TileSchedule`] of the plan's strategy mapped
+/// along `mapping_dim` (`Π·d^S > 0` plus the eq.-4 overlap ordering),
+/// the programs' construction, send/receive matching, and deadlock
 /// detection. Returns the report and the programs it proved, indexed
 /// by rank — the programs the executors then run.
 pub fn analyze(
     topo: &dyn RankTopology,
     plan: &StepPlan,
-    pi: &[i64],
     mapping_dim: usize,
     deps: &DependenceSet,
 ) -> Result<(AnalysisReport, Vec<Program>), AnalysisError> {
-    check_schedule(plan, pi, mapping_dim, deps)?;
+    let schedule = TileSchedule::with_mapping(plan.strategy(), deps.dims(), mapping_dim);
+    check_schedule(&schedule, deps)?;
     let comm = programs(topo, plan)?;
     let messages = check_comm_plan(&comm)?;
     let report = AnalysisReport {

@@ -6,10 +6,12 @@
 //! [`StepPlan`], a [`RankTopology`] describing who exchanges which
 //! halo faces, and the algorithm's [`DependenceSet`], the analyzer:
 //!
-//! 1. verifies the schedule is legal — `Π·d^S > 0` for every
-//!    dependence, plus the eq.-4 overlap ordering (a cross-processor
-//!    dependence must advance ≥ 2 time steps, because its face spends
-//!    one full step in flight);
+//! 1. verifies the schedule is legal by asking the plan's
+//!    [`TileSchedule`] — `Π` follows from the plan's strategy and the
+//!    mapping dimension — for a dependence it does not order:
+//!    `Π·d^S > 0` for every dependence, plus the eq.-4 overlap ordering
+//!    (a cross-processor dependence must advance ≥ 2 time steps,
+//!    because its face spends one full step in flight);
 //! 2. emits every rank's program ([`programs`]) through the
 //!    simulator's one `ProcB`/`ProcNB` emitter
 //!    (`cluster_sim::program::Program::pipeline`) — the op list the
@@ -30,6 +32,7 @@
 //! it.
 //!
 //! [`StepPlan`]: tiling_core::schedule::StepPlan
+//! [`TileSchedule`]: tiling_core::schedule::TileSchedule
 //! [`DependenceSet`]: tiling_core::dependence::DependenceSet
 
 #![forbid(unsafe_code)]
@@ -93,7 +96,7 @@ mod tests {
     fn blocking_chain_plan_is_clean() {
         let plan = StepPlan::new(StepStrategy::Blocking, 4);
         let (report, proved) =
-            analyze(&chain(), &plan, &[1, 1], 0, &DependenceSet::example_1()).expect("legal plan");
+            analyze(&chain(), &plan, 0, &DependenceSet::example_1()).expect("legal plan");
         assert_eq!(report.ranks, 3);
         assert_eq!(report.steps, 4);
         // 2 interior channels × 4 steps.
@@ -110,17 +113,42 @@ mod tests {
     fn overlap_chain_plan_is_clean() {
         let plan = StepPlan::new(StepStrategy::Overlap, 4);
         let (report, _) =
-            analyze(&chain(), &plan, &[1, 2], 0, &DependenceSet::example_1()).expect("legal plan");
+            analyze(&chain(), &plan, 0, &DependenceSet::example_1()).expect("legal plan");
         assert_eq!(report.messages, 8);
         // Eq. 4: 2·hops + steps = 4 + 4.
         assert_eq!(report.logical_makespan, 8);
     }
 
     #[test]
+    fn the_plans_strategy_sets_the_schedule_it_checks() {
+        // (1, −1) is unordered by Π = [1, 1] and, mapped along dim 1,
+        // crosses ranks one step apart under Π = [2, 1].
+        let deps = DependenceSet::from_vectors(2, vec![vec![1, 0], vec![1, -1]]);
+        let blocking = StepPlan::new(StepStrategy::Blocking, 4);
+        assert_eq!(
+            analyze(&chain(), &blocking, 0, &deps).err(),
+            Some(AnalysisError::IllegalSchedule {
+                pi: vec![1, 1],
+                dep: vec![1, -1],
+                dot: 0,
+            })
+        );
+        let overlap = StepPlan::new(StepStrategy::Overlap, 4);
+        assert_eq!(
+            analyze(&chain(), &overlap, 1, &deps).err(),
+            Some(AnalysisError::OverlapOrderingViolation {
+                pi: vec![2, 1],
+                dep: vec![1, -1],
+                dot: 1,
+            })
+        );
+    }
+
+    #[test]
     fn zero_step_plan_is_trivially_clean() {
         let plan = StepPlan::new(StepStrategy::Overlap, 0);
         let (report, _) =
-            analyze(&chain(), &plan, &[1, 2], 0, &DependenceSet::example_1()).expect("empty plan");
+            analyze(&chain(), &plan, 0, &DependenceSet::example_1()).expect("empty plan");
         assert_eq!(report.events, 0);
         assert_eq!(report.messages, 0);
         assert_eq!(report.logical_makespan, 0);
@@ -159,8 +187,8 @@ mod tests {
             }
         }
         let plan = StepPlan::new(StepStrategy::Blocking, 1);
-        let err = analyze(&Lopsided, &plan, &[1, 1], 0, &DependenceSet::example_1())
-            .expect_err("sizes disagree");
+        let err =
+            analyze(&Lopsided, &plan, 0, &DependenceSet::example_1()).expect_err("sizes disagree");
         assert_eq!(
             err,
             AnalysisError::SizeMismatch {
@@ -193,10 +221,7 @@ mod tests {
         assert_eq!(check_matching(&emitted), Err(want.clone()));
         assert_eq!(check_deadlock(&emitted), Err(want.clone()));
         let deps = DependenceSet::example_1();
-        assert_eq!(
-            analyze(&chain(), &plan, &[1, 2], 0, &deps).err(),
-            Some(want.clone())
-        );
+        assert_eq!(analyze(&chain(), &plan, 0, &deps).err(), Some(want.clone()));
         assert_eq!(
             want.to_string(),
             "17179869180 message ends, over the 33554432 pre-flight can hold"

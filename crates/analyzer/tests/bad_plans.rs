@@ -6,7 +6,7 @@
 use analyzer::{check_comm_plan, check_schedule, AnalysisError, WaitPoint};
 use cluster_sim::program::Program;
 use tiling_core::dependence::DependenceSet;
-use tiling_core::schedule::{StepPlan, StepStrategy};
+use tiling_core::schedule::{StepStrategy, TileSchedule};
 
 /// Bad input 1: sender stages tag 5, receiver expects tag 7 on the
 /// same channel and step.
@@ -77,16 +77,22 @@ fn cyclic_wait_for_graph_is_rejected_as_deadlock() {
     );
 }
 
-/// Bad input 4: an illegal schedule — `Π = [1, −1]` gives
-/// `Π·(1,1) = 0` for Example 1's diagonal dependence.
+/// Example 1's dependences plus `(1, −1)`, which neither of the
+/// paper's schedules orders.
+fn with_anti_diagonal() -> DependenceSet {
+    DependenceSet::from_vectors(2, vec![vec![1, 1], vec![1, 0], vec![0, 1], vec![1, -1]])
+}
+
+/// Bad input 4: an illegal schedule — the blocking `Π = [1, 1]` gives
+/// `Π·(1, −1) = 0`.
 #[test]
 fn illegal_schedule_is_rejected() {
-    let plan = StepPlan::new(StepStrategy::Blocking, 4);
+    let schedule = TileSchedule::with_mapping(StepStrategy::Blocking, 2, 0);
     assert_eq!(
-        check_schedule(&plan, &[1, -1], 0, &DependenceSet::example_1()),
+        check_schedule(&schedule, &with_anti_diagonal()),
         Err(AnalysisError::IllegalSchedule {
-            pi: vec![1, -1],
-            dep: vec![1, 1],
+            pi: vec![1, 1],
+            dep: vec![1, -1],
             dot: 0,
         })
     );
@@ -96,14 +102,14 @@ fn illegal_schedule_is_rejected() {
 /// where a cross-processor dependence advances only 1 time step.
 #[test]
 fn overlap_ordering_violation_is_rejected() {
-    let plan = StepPlan::new(StepStrategy::Overlap, 4);
-    // Π = [1, 2] with mapping dim 1: dependence (1, 0) crosses ranks
-    // (nonzero off the mapping dim) but only advances 1.
+    // Overlap mapped along dim 1 is Π = [2, 1]: (1, −1) crosses ranks
+    // (nonzero off the mapping dim) but only advances 2 − 1 = 1.
+    let schedule = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1);
     assert_eq!(
-        check_schedule(&plan, &[1, 2], 1, &DependenceSet::example_1()),
+        check_schedule(&schedule, &with_anti_diagonal()),
         Err(AnalysisError::OverlapOrderingViolation {
-            pi: vec![1, 2],
-            dep: vec![1, 0],
+            pi: vec![2, 1],
+            dep: vec![1, -1],
             dot: 1,
         })
     );

@@ -7,44 +7,50 @@
 use analyzer::{check_comm_plan, check_schedule, AnalysisError, WaitPoint};
 use cluster_sim::program::Program;
 use tiling_core::dependence::DependenceSet;
-use tiling_core::schedule::{StepPlan, StepStrategy};
+use tiling_core::schedule::{StepStrategy, TileSchedule};
+
+/// Example 1's dependences plus `(1, −1)`, which neither of the
+/// paper's schedules orders.
+fn with_anti_diagonal() -> DependenceSet {
+    DependenceSet::from_vectors(2, vec![vec![1, 1], vec![1, 0], vec![0, 1], vec![1, -1]])
+}
 
 #[test]
 fn illegal_schedule_variant_and_display() {
-    let plan = StepPlan::new(StepStrategy::Blocking, 4);
-    let err = check_schedule(&plan, &[1, -1], 0, &DependenceSet::example_1())
-        .expect_err("Π = [1, -1] nullifies the diagonal dependence");
+    let schedule = TileSchedule::with_mapping(StepStrategy::Blocking, 2, 0);
+    let err = check_schedule(&schedule, &with_anti_diagonal())
+        .expect_err("Π = [1, 1] nullifies the anti-diagonal dependence");
     assert_eq!(
         err,
         AnalysisError::IllegalSchedule {
-            pi: vec![1, -1],
-            dep: vec![1, 1],
+            pi: vec![1, 1],
+            dep: vec![1, -1],
             dot: 0,
         }
     );
     assert_eq!(
         err.to_string(),
-        "illegal schedule: Π = [1, -1] gives Π·d = 0 ≤ 0 for dependence [1, 1]"
+        "illegal schedule: Π = [1, 1] gives Π·d = 0 ≤ 0 for dependence [1, -1]"
     );
 }
 
 #[test]
 fn overlap_ordering_violation_variant_and_display() {
-    let plan = StepPlan::new(StepStrategy::Overlap, 4);
-    let err = check_schedule(&plan, &[1, 2], 1, &DependenceSet::example_1())
-        .expect_err("cross-processor dependence (1, 0) advances only 1 step");
+    let schedule = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 1);
+    let err = check_schedule(&schedule, &with_anti_diagonal())
+        .expect_err("cross-processor dependence (1, -1) advances only 1 step");
     assert_eq!(
         err,
         AnalysisError::OverlapOrderingViolation {
-            pi: vec![1, 2],
-            dep: vec![1, 0],
+            pi: vec![2, 1],
+            dep: vec![1, -1],
             dot: 1,
         }
     );
     assert_eq!(
         err.to_string(),
-        "overlap ordering violated: cross-processor dependence [1, 0] advances \
-         Π·d = 1 < 2 time steps under Π = [1, 2] (eq. 4 needs the face one \
+        "overlap ordering violated: cross-processor dependence [1, -1] advances \
+         Π·d = 1 < 2 time steps under Π = [2, 1] (eq. 4 needs the face one \
          full step in flight)"
     );
 }

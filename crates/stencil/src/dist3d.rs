@@ -97,8 +97,6 @@ pub struct Decomp3D {
 }
 
 impl Decomp3D {
-    /// Arity of the tiled space.
-    pub(crate) const DIMS: usize = 3;
     /// The tiled dimension the pipeline runs along: i₃, so the §5
     /// overlap schedule is `Π = [2, 2, 1]`.
     pub(crate) const MAPPING_DIM: usize = 2;

@@ -2,8 +2,9 @@
 //!
 //! [`Decomp3D`] — of a 3-D block, or of a 2-D strip as its unit-axis
 //! block — is itself the `analyzer` crate's `RankTopology`, so this
-//! module only pairs the layout with its mode's schedule and runs the
-//! full analysis: schedule legality against the kernels' dependence set
+//! module only pairs the layout with its mode's step plan and mapping
+//! dimension and runs the full analysis: legality of the mode's tile
+//! schedule (`TileSchedule`) against the kernels' dependence set
 //! ([`Decomp3D::dependences`]), symbolic send/receive matching, and
 //! deadlock detection — *before any rank thread spawns*. Compiling a
 //! plan ([`crate::plan::Compiled3D::compile`]) analyses it exactly once
@@ -21,13 +22,6 @@ use crate::dist3d::Decomp3D;
 use crate::engine::{EngineError, ExecMode};
 use analyzer::{analyze, AnalysisReport};
 use cluster_sim::program::Program;
-use tiling_core::schedule::TileSchedule;
-
-/// The schedule vector `Π` the mode's step strategy mandates over the
-/// block layout.
-fn mode_pi(mode: ExecMode) -> Vec<i64> {
-    TileSchedule::with_mapping(mode.strategy(), Decomp3D::DIMS, Decomp3D::MAPPING_DIM).pi()
-}
 
 /// Statically analyze the plan `mode` will execute over `d`: the
 /// report and every rank's program it proved. The decomposition must
@@ -39,7 +33,6 @@ pub(crate) fn analyze_plan(
     analyze(
         d,
         &d.step_plan(mode),
-        &mode_pi(mode),
         Decomp3D::MAPPING_DIM,
         &Decomp3D::dependences(),
     )
@@ -55,6 +48,7 @@ pub fn check_plan3d(d: &Decomp3D, mode: ExecMode) -> Result<AnalysisReport, Engi
 mod tests {
     use super::*;
     use crate::decomp::Decomp2D;
+    use tiling_core::schedule::TileSchedule;
 
     /// A 2×2 processor grid, 4 steps deep.
     fn two_by_two() -> Decomp3D {
@@ -107,8 +101,11 @@ mod tests {
             (ExecMode::Blocking, [1, 1, 1, 2]),
             (ExecMode::Overlapping, [2, 2, 1, 3]),
         ] {
-            let pi = mode_pi(mode);
-            let dots: Vec<i64> = Decomp3D::dependences().iter().map(|d| d.dot(&pi)).collect();
+            let deps = Decomp3D::dependences();
+            let pi =
+                TileSchedule::with_mapping(mode.strategy(), deps.dims(), Decomp3D::MAPPING_DIM)
+                    .pi();
+            let dots: Vec<i64> = deps.iter().map(|d| d.dot(&pi)).collect();
             assert_eq!(dots, want, "{mode:?}");
         }
     }

@@ -151,9 +151,12 @@ const TILE_VS: [usize; 5] = [8, 16, 32, 64, 256];
 /// µs per tile of one rank's `fine-grain` share (4×8×16384, a 1×1
 /// world, so no message is sent) at every tile height of [`TILE_VS`],
 /// with Paper3D and with [`CarveOnly`]: the parallel region of the
-/// fastest of 15 runs on a warm world. The runs go round the heights
+/// fastest of 40 runs on a warm world. The runs go round the heights
 /// and kernels in turn, so a slow spell of the host is shared by all of
-/// them rather than landing on one.
+/// them rather than landing on one. A process that lands on the host's
+/// fast state (every tile ~1.8 × quicker) needs the 40: fastest of 15
+/// there read the V = 8 tile at 2.0–2.3 × the V = 256 one per cell,
+/// where its floor is 1.87 ×.
 fn tile_us() -> [[f64; 2]; 5] {
     use msgpass::thread_backend::{build_world_with, LatencyModel, WorldConfig};
     use stencil::dist3d::{Decomp3D, ExecMode};
@@ -172,7 +175,7 @@ fn tile_us() -> [[f64; 2]; 5] {
         TILE_VS.map(|v| Compiled3D::compile_unchecked(d(v), ExecMode::Overlapping).unwrap());
     let mut world = build_world_with::<f32>(1, &WorldConfig::new(LatencyModel::zero()));
     let mut best = [[f64::INFINITY; 2]; 5];
-    for _ in 0..15 {
+    for _ in 0..40 {
         for (plan, best) in plans.iter().zip(&mut best) {
             let secs = |(g, elapsed, _): (stencil::grid::Grid3D, std::time::Duration, _)| {
                 assert!(g.data()[1].is_finite());

@@ -15,10 +15,11 @@
 //! tiled space with one [`schedule::TileSchedule`] whose
 //! [`schedule::StepStrategy`] picks the paper's schedule: the classical
 //! non-overlapping hyperplane schedule (eq. 3 of the paper) or the
-//! pipelined, communication-overlapping one (eq. 4/5), rooted in the
-//! optimal UET-UCT grid-graph schedules of [`uet_uct`]. The strategy
-//! alone sets `Π`, the lag a dependence edge needs and the price of a
-//! step.
+//! pipelined, communication-overlapping one (eq. 4/5), the optimal
+//! UET-UCT grid-graph schedule of the paper's reference \[1\]. The
+//! strategy alone sets `Π`, the lag a dependence edge needs, the plane
+//! count `P(g)` and the price of a step; it is the crate's one schedule
+//! model, and the `analyzer` crate's pre-flight asks it for legality.
 //!
 //! [`tile_graph`] materializes tile DAGs for validation, [`mapping`]
 //! assigns tiles to processors and computes per-neighbor message
@@ -71,7 +72,6 @@ pub mod schedule;
 pub mod space;
 pub mod tile_graph;
 pub mod tiling;
-pub mod uet_uct;
 
 /// Convenient re-exports of the main types.
 pub mod prelude {
@@ -88,9 +88,7 @@ pub mod prelude {
         best, best_rectangular_plan, sweep_tile_height, SweepPoint, TilingPlan,
     };
     pub use crate::parse::{parse_loop_nest, ParseError};
-    pub use crate::schedule::{
-        LinearSchedule, OverlapMode, ScheduleReport, StepPlan, StepStrategy, TileSchedule,
-    };
+    pub use crate::schedule::{OverlapMode, ScheduleReport, StepPlan, StepStrategy, TileSchedule};
     pub use crate::space::{IterationSpace, Point};
     pub use crate::tile_graph::TileGraph;
     pub use crate::tiling::{Tiling, TilingError};

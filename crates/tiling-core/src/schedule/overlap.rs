@@ -174,8 +174,10 @@ mod tests {
         // Δt = 1·1 + 2·1 = 3 ≥ 2: valid. Negative mapping component:
         // d = (-1, 1): Δt = −1+2 = 1 but cross ⇒ invalid.
         let s = TileSchedule::with_mapping(StepStrategy::Overlap, 2, 0);
-        let d = DependenceSet::from_vectors(2, vec![vec![-1, 1]]);
+        let d = DependenceSet::from_vectors(2, vec![vec![1, 0], vec![-1, 1]]);
         assert!(!s.is_valid_for(&d));
+        let (dep, dot) = s.first_violation(&d).expect("(-1, 1) is unordered");
+        assert_eq!((dep.components(), dot), (&[-1, 1][..], 1));
     }
 
     #[test]

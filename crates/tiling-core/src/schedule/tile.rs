@@ -13,16 +13,22 @@
 //! * [`StepStrategy::Blocking`] (§3, Hodzic–Shang): `c = 1`, every step
 //!   a serialized *receive → compute → send* triplet,
 //!   `step = A + B = (T_comp + T_startup) + T_transmit` (eq. 3);
-//! * [`StepStrategy::Overlap`] (§4, the optimal UET-UCT schedule of
-//!   \[1\]): `c = 2` — a cross-processor face spends one step in flight
-//!   — and each step computes a tile while the previous step's faces
-//!   leave and the next step's arrive, `step = max(A₁+A₂+A₃,
-//!   B₁+B₂+B₃+B₄)` (eq. 4).
+//! * [`StepStrategy::Overlap`] (§4): `c = 2` — a cross-processor face
+//!   spends one step in flight — and each step computes a tile while the
+//!   previous step's faces leave and the next step's arrive, `step =
+//!   max(A₁+A₂+A₃, B₁+B₂+B₃+B₄)` (eq. 4).
 //!
 //! Either way `T = P(g)·step`, `P(g)` the number of time hyperplanes.
+//!
+//! Reference \[1\] of the paper (Andronikos, Koziris, Papakonstantinou,
+//! Tsanakas, *JPDC* 1999) proves both schedules optimal on `n`-D grid
+//! graphs: `Σ j_k` with free communication (UET), and `2·Σ_{k≠i} j_k +
+//! j_i` with unit, overlappable communication (UET-UCT), mapped along
+//! the longest dimension `i` — [`TileSchedule::new`]'s choice. §4 picks
+//! the tile grain that puts the tiled program in the UET-UCT regime.
 
 use super::{nonoverlap, overlap, OverlapMode};
-use crate::dependence::DependenceSet;
+use crate::dependence::{Dependence, DependenceSet};
 use crate::machine::MachineParams;
 use crate::mapping::{neighbor_messages, total_message_volume, NeighborMessage, ProcessorMapping};
 use crate::space::IterationSpace;
@@ -181,13 +187,24 @@ impl TileSchedule {
         self.strategy.lag(crosses)
     }
 
-    /// Validity against a tile dependence set: every dependence
-    /// advances `Π·d ≥` its [lag](Self::lag).
-    pub fn is_valid_for(&self, tile_deps: &DependenceSet) -> bool {
+    /// The first tile dependence that advances `Π·d` less than its
+    /// [lag](Self::lag), with that `Π·d`; `None` when every dependence
+    /// is ordered. Pre-flight's legality verdict (`analyzer`).
+    pub fn first_violation<'a>(
+        &self,
+        tile_deps: &'a DependenceSet,
+    ) -> Option<(&'a Dependence, i64)> {
         let pi = self.pi();
         tile_deps
             .iter()
-            .all(|d| d.dot(&pi) >= self.lag(d.components()))
+            .map(|d| (d, d.dot(&pi)))
+            .find(|(d, dot)| *dot < self.lag(d.components()))
+    }
+
+    /// Validity against a tile dependence set: every dependence
+    /// advances `Π·d ≥` its [lag](Self::lag).
+    pub fn is_valid_for(&self, tile_deps: &DependenceSet) -> bool {
+        self.first_violation(tile_deps).is_none()
     }
 
     /// Full cost analysis per eq. 3 or eq. 4/5. `mode` sets how the B

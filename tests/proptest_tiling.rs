@@ -221,26 +221,4 @@ proptest! {
                 .collect();
         prop_assert_eq!(msgs, want);
     }
-
-    /// Linear schedules respect dependences whenever Π·d > 0 for all d.
-    #[test]
-    fn valid_linear_schedule_orders_dependences(
-        pi in prop::collection::vec(1i64..=3, 2..=2),
-        extents in prop::collection::vec(2i64..=6, 2..=2),
-    ) {
-        let sched = LinearSchedule::new(pi);
-        let space = IterationSpace::from_extents(&extents);
-        let deps = DependenceSet::example_1();
-        prop_assume!(sched.is_valid(&deps));
-        for j in space.points() {
-            for d in deps.iter() {
-                let succ: Vec<i64> = j.iter().zip(d.components()).map(|(&a, &b)| a + b).collect();
-                if space.contains(&succ) {
-                    prop_assert!(
-                        sched.time_of(&succ, &space, &deps) > sched.time_of(&j, &space, &deps)
-                    );
-                }
-            }
-        }
-    }
 }
